@@ -139,29 +139,30 @@ BENCHMARK(BM_IndexBuild)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotPublish(benchmark::State& state) {
-  // Serve-mode epoch swap: freeze the shadow master (network copy + pool
-  // pack into an immutable RrIndex replica) and publish the snapshot.
-  // Arg is the maintenance-pool size (0 = serial freeze; >=2 overlaps the
-  // network copy with a pool-parallel pack, the PitexService default).
-  static DynamicRrIndex* master = [] {
-    RrIndexOptions options;
-    options.theta_per_vertex = 4.0;
-    auto* m = new DynamicRrIndex(Network(), options);
-    m->Build();
-    return m;
-  }();
-  const auto pack_threads = static_cast<size_t>(state.range(0));
-  std::unique_ptr<ThreadPool> pack_pool;
-  if (pack_threads > 1) pack_pool = std::make_unique<ThreadPool>(pack_threads);
+  // Serve-mode epoch swap: freeze the master (an O(1) network copy, the
+  // shared base pool and a frozen copy of the overlay) into an immutable
+  // RrIndex replica and publish the snapshot. Arg is the number of
+  // single-edge update batches staged in the master's overlay before
+  // the timed freezes (0 = empty overlay).
+  const auto batches = static_cast<uint64_t>(state.range(0));
+  RrIndexOptions options;
+  options.theta_per_vertex = 4.0;
+  DynamicRrIndex master(Network(), options);
+  master.Build();
+  for (uint64_t b = 0; b < batches; ++b) {
+    EdgeInfluenceUpdate update;
+    update.edge = static_cast<EdgeId>(b * 7919 % Network().num_edges());
+    update.entries = {{0, 0.05 + 0.9 * static_cast<double>(b % 7) / 7.0}};
+    master.ApplyUpdates(std::span(&update, 1));
+  }
   IndexSnapshotRegistry registry;
   uint64_t epoch = 0;
   for (auto _ : state) {
-    registry.Publish(
-        IndexSnapshot::FromDynamic(*master, ++epoch, pack_pool.get()));
+    registry.Publish(IndexSnapshot::FromDynamic(master, ++epoch));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_SnapshotPublish)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotPublish)->Arg(0)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_WalAppend(benchmark::State& state) {
   // Durable update logging: append edge-update batches and group-commit

@@ -17,8 +17,8 @@
 #
 # The suite covers the query-side micro benchmarks plus the offline
 # pipeline: BM_IndexBuild (arena-staged construction, per-thread sweep),
-# BM_SnapshotPublish (serve-mode epoch freeze, serial vs maintenance
-# pool) and BM_DynamicRepairSingleEdge.
+# BM_SnapshotPublish (serve-mode epoch freeze, empty vs populated
+# overlay) and BM_DynamicRepairSingleEdge.
 #
 # Environment:
 #   BUILD_DIR    Release build directory (default: build-bench)

@@ -4,6 +4,17 @@
 
 namespace pitex {
 
+Graph::Graph(std::shared_ptr<const Storage> storage)
+    : storage_(std::move(storage)),
+      num_vertices_(storage_->out_offsets.size() - 1),
+      num_edges_(storage_->heads.size()),
+      out_offsets_(storage_->out_offsets.data()),
+      out_adj_(storage_->out_adj.data()),
+      in_offsets_(storage_->in_offsets.data()),
+      in_adj_(storage_->in_adj.data()),
+      tails_(storage_->tails.data()),
+      heads_(storage_->heads.data()) {}
+
 double Graph::AverageDegree() const {
   if (num_vertices() == 0) return 0.0;
   return static_cast<double>(num_edges()) /
@@ -20,38 +31,38 @@ EdgeId GraphBuilder::AddEdge(VertexId u, VertexId v) {
 }
 
 Graph GraphBuilder::Build() {
-  Graph g;
+  auto g = std::make_shared<Graph::Storage>();
   const size_t n = num_vertices_;
   const size_t m = edges_.size();
-  g.tails_.resize(m);
-  g.heads_.resize(m);
+  g->tails.resize(m);
+  g->heads.resize(m);
 
   // Counting sort into CSR for both directions.
-  g.out_offsets_.assign(n + 1, 0);
-  g.in_offsets_.assign(n + 1, 0);
+  g->out_offsets.assign(n + 1, 0);
+  g->in_offsets.assign(n + 1, 0);
   for (const auto& [u, v] : edges_) {
-    ++g.out_offsets_[u + 1];
-    ++g.in_offsets_[v + 1];
+    ++g->out_offsets[u + 1];
+    ++g->in_offsets[v + 1];
   }
   for (size_t i = 0; i < n; ++i) {
-    g.out_offsets_[i + 1] += g.out_offsets_[i];
-    g.in_offsets_[i + 1] += g.in_offsets_[i];
+    g->out_offsets[i + 1] += g->out_offsets[i];
+    g->in_offsets[i + 1] += g->in_offsets[i];
   }
-  g.out_adj_.resize(m);
-  g.in_adj_.resize(m);
-  std::vector<uint64_t> out_pos(g.out_offsets_.begin(),
-                                g.out_offsets_.end() - 1);
-  std::vector<uint64_t> in_pos(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
+  g->out_adj.resize(m);
+  g->in_adj.resize(m);
+  std::vector<uint64_t> out_pos(g->out_offsets.begin(),
+                                g->out_offsets.end() - 1);
+  std::vector<uint64_t> in_pos(g->in_offsets.begin(), g->in_offsets.end() - 1);
   for (size_t e = 0; e < m; ++e) {
     const auto [u, v] = edges_[e];
     const auto id = static_cast<EdgeId>(e);
-    g.tails_[e] = u;
-    g.heads_[e] = v;
-    g.out_adj_[out_pos[u]++] = AdjEntry{v, id};
-    g.in_adj_[in_pos[v]++] = AdjEntry{u, id};
+    g->tails[e] = u;
+    g->heads[e] = v;
+    g->out_adj[out_pos[u]++] = AdjEntry{v, id};
+    g->in_adj[in_pos[v]++] = AdjEntry{u, id};
   }
   edges_.clear();
-  return g;
+  return Graph(std::move(g));
 }
 
 }  // namespace pitex

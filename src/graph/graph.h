@@ -5,12 +5,17 @@
 // directed edge has a stable EdgeId so that per-edge influence
 // probabilities (p(e|z), src/model/influence_graph.h) can live in parallel
 // arrays. Out- and in-adjacency reference the same EdgeIds.
+//
+// The arrays are immutable once built and live behind a refcount, so
+// copying a Graph is O(1) and aliases the storage: the serving tier's
+// master index and every published snapshot share one topology.
 
 #ifndef PITEX_SRC_GRAPH_GRAPH_H_
 #define PITEX_SRC_GRAPH_GRAPH_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -28,24 +33,22 @@ struct AdjEntry {
   EdgeId edge;
 };
 
-/// Immutable CSR digraph. Build with GraphBuilder.
+/// Immutable CSR digraph with shared storage. Build with GraphBuilder.
 class Graph {
  public:
   Graph() = default;
 
-  size_t num_vertices() const { return out_offsets_.size() - 1; }
-  size_t num_edges() const { return heads_.size(); }
+  size_t num_vertices() const { return num_vertices_; }
+  size_t num_edges() const { return num_edges_; }
 
   /// Out-neighbors of u with their EdgeIds.
   std::span<const AdjEntry> OutEdges(VertexId u) const {
-    return {out_adj_.data() + out_offsets_[u],
-            out_adj_.data() + out_offsets_[u + 1]};
+    return {out_adj_ + out_offsets_[u], out_adj_ + out_offsets_[u + 1]};
   }
 
   /// In-neighbors of v with their EdgeIds.
   std::span<const AdjEntry> InEdges(VertexId v) const {
-    return {in_adj_.data() + in_offsets_[v],
-            in_adj_.data() + in_offsets_[v + 1]};
+    return {in_adj_ + in_offsets_[v], in_adj_ + in_offsets_[v + 1]};
   }
 
   /// Position of v's first in-edge in the global in-adjacency array:
@@ -72,12 +75,30 @@ class Graph {
  private:
   friend class GraphBuilder;
 
-  std::vector<uint64_t> out_offsets_{0};
-  std::vector<AdjEntry> out_adj_;
-  std::vector<uint64_t> in_offsets_{0};
-  std::vector<AdjEntry> in_adj_;
-  std::vector<VertexId> tails_;
-  std::vector<VertexId> heads_;
+  struct Storage {
+    std::vector<uint64_t> out_offsets;
+    std::vector<AdjEntry> out_adj;
+    std::vector<uint64_t> in_offsets;
+    std::vector<AdjEntry> in_adj;
+    std::vector<VertexId> tails;
+    std::vector<VertexId> heads;
+  };
+  static constexpr uint64_t kNoOffsets[1] = {0};
+
+  explicit Graph(std::shared_ptr<const Storage> storage);
+
+  // The accessors read through raw pointers cached from storage_ (the
+  // same single indirection a vector member costs); storage_ keeps them
+  // valid for every copy.
+  std::shared_ptr<const Storage> storage_;
+  size_t num_vertices_ = 0;
+  size_t num_edges_ = 0;
+  const uint64_t* out_offsets_ = kNoOffsets;
+  const AdjEntry* out_adj_ = nullptr;
+  const uint64_t* in_offsets_ = kNoOffsets;
+  const AdjEntry* in_adj_ = nullptr;
+  const VertexId* tails_ = nullptr;
+  const VertexId* heads_ = nullptr;
 };
 
 /// Accumulates edges and produces an immutable Graph. EdgeIds are assigned

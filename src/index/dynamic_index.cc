@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 
 #include "src/util/check.h"
 
@@ -32,35 +33,38 @@ DynamicRrIndex::DynamicRrIndex(const SocialNetwork& network,
         options_.max_theta,
         std::max<uint64_t>(64, static_cast<uint64_t>(std::llround(theta))));
   }
+  ResetBase(std::make_shared<const RrSketchPool>());
+}
+
+void DynamicRrIndex::ResetBase(std::shared_ptr<const RrSketchPool> base) {
+  base_ = std::move(base);
+  overlay_ = std::make_shared<RrSketchOverlay>();
+  view_ = RrIndex::FromPool(network_, options_, theta_, base_, overlay_);
 }
 
 void DynamicRrIndex::Build() {
   PITEX_CHECK_MSG(!built_, "Build() called twice");
   built_ = true;
-  graphs_.resize(theta_);
-  roots_.resize(theta_);
-  containing_.assign(network_.num_vertices(), {});
   envelope_ = EnvelopeTable(network_.graph, network_.influence);
-  // Arena-staged generation against the envelope mirror: the same table
-  // the static build materializes, so the initial state is bit-identical
-  // to RrIndex::Build with equal options and seed.
-  for (uint64_t i = 0; i < theta_; ++i) {
-    Rng rng = StreamFor(options_.seed, i, /*version=*/0);
-    roots_[i] =
-        static_cast<VertexId>(rng.NextBounded(network_.num_vertices()));
-    arena_.Clear();
-    arena_.Generate(network_.graph, envelope_, roots_[i], &rng, i);
-    arena_.Export(0, &graphs_[i]);
-  }
-  for (uint32_t id = 0; id < graphs_.size(); ++id) {
-    for (VertexId v : graphs_[id].vertices) containing_[v].push_back(id);
-  }
+  // The static build's own sampling pass over the same envelope table,
+  // so the initial state is bit-identical to RrIndex::Build with equal
+  // options and seed.
+  ResetBase(std::make_shared<const RrSketchPool>(
+      SampleSketchPool(network_.graph, envelope_, theta_, options_.seed,
+                       options_.num_build_threads, nullptr)));
+}
+
+bool DynamicRrIndex::OverlayFull() const {
+  return static_cast<double>(overlay_->num_stored()) >
+         kOverlayCompactFraction * static_cast<double>(theta_);
 }
 
 void DynamicRrIndex::ApplyUpdates(
     std::span<const EdgeInfluenceUpdate> updates) {
   PITEX_CHECK_MSG(built_, "call Build() before ApplyUpdates()");
   if (updates.empty()) return;
+  // Bounds the overlay for callers that never Freeze (recovery replay).
+  if (OverlayFull()) Compact();
   ++stats_.update_batches;
 
   // Updates apply sequentially; the CSR fold below keeps the *last*
@@ -89,9 +93,10 @@ void DynamicRrIndex::ApplyUpdates(
 
     // Only graphs containing head(e) ever probed e. Snapshot the list:
     // repairs splice containment as membership changes.
-    const VertexId head = network_.graph.Head(e);
-    const std::vector<uint32_t> affected = containing_[head];
-    for (const uint32_t id : affected) {
+    const std::span<const uint32_t> containing =
+        Containing(network_.graph.Head(e));
+    affected_.assign(containing.begin(), containing.end());
+    for (const uint32_t id : affected_) {
       ++stats_.graphs_examined;
       Rng rng = StreamFor(options_.seed, id, version_);
       RepairGraph(id, e, p_old, p_new, &rng);
@@ -134,31 +139,36 @@ void DynamicRrIndex::RestoreModel(
 
 void DynamicRrIndex::AdoptSketches(const RrIndex& checkpoint) {
   PITEX_CHECK_MSG(!built_, "AdoptSketches() on an already built index");
+  PITEX_CHECK_MSG(checkpoint.repairs() == nullptr,
+                  "AdoptSketches() needs an index without an overlay");
   built_ = true;
   theta_ = checkpoint.theta();
-  const RrSketchPool& pool = checkpoint.pool();
-  const size_t n = pool.num_sketches();
-  graphs_.resize(n);
-  roots_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const RRView view = pool.View(i);
-    RRGraph& rr = graphs_[i];
-    rr.root = view.root;
-    rr.vertices.assign(view.vertices.begin(), view.vertices.end());
-    rr.offsets.assign(view.offsets.begin(), view.offsets.end());
-    rr.edges.assign(view.edges.begin(), view.edges.end());
-    roots_[i] = view.root;
-  }
-  containing_.assign(network_.num_vertices(), {});
-  for (uint32_t id = 0; id < graphs_.size(); ++id) {
-    for (VertexId v : graphs_[id].vertices) containing_[v].push_back(id);
-  }
+  ResetBase(checkpoint.pool_);
   envelope_ = EnvelopeTable(network_.graph, network_.influence);
+}
+
+std::unique_ptr<RrIndex> DynamicRrIndex::Freeze(const SocialNetwork& network,
+                                                bool compact) {
+  PITEX_CHECK_MSG(built_, "call Build() before Freeze()");
+  if (compact || OverlayFull()) Compact();
+  return RrIndex::FromPool(
+      network, options_, theta_, base_,
+      overlay_->empty() ? nullptr
+                        : std::make_shared<const RrSketchOverlay>(*overlay_));
+}
+
+void DynamicRrIndex::Compact() {
+  if (overlay_->empty()) return;
+  ++stats_.compactions;
+  ResetBase(std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+      theta_, network_.num_vertices(),
+      [this](size_t i) { return view_->graph(i); })));
 }
 
 void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
                                  double p_new, Rng* rng) {
-  RRGraph& rr = graphs_[id];
+  // `rr` may view the overlay's store: read it fully before Put appends.
+  const RRView rr = graph(id);
   auto& edges = repair_edges_;
   DecomposeRRGraphInto(rr, &edges);
   const auto it =
@@ -224,53 +234,45 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
   if (!changed) return;
   ++stats_.graphs_changed;
 
-  // Splice containment: detach old membership, re-close the sketch (keep
-  // exactly the vertices still reaching the root — an edge death can
-  // orphan a subtree; an expansion adds one) and attach the new
-  // membership. The arena rebuild reuses rr's own capacity.
-  for (const VertexId v : rr.vertices) {
-    auto& list = containing_[v];
-    list.erase(std::find(list.begin(), list.end(), id));
+  // Re-close the sketch (keep exactly the vertices still reaching the
+  // root — an edge death can orphan a subtree; an expansion adds one),
+  // then splice containment for the vertices whose membership changed
+  // (a merge over the two sorted vertex sets), and append the new
+  // version to the overlay.
+  arena_.RebuildRepairedSketch(rr.root, network_.num_vertices(), edges,
+                               &repaired_);
+  const auto& before = rr.vertices;
+  const auto& after = repaired_.vertices;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < before.size() || j < after.size()) {
+    if (j == after.size() || (i < before.size() && before[i] < after[j])) {
+      auto& list = overlay_->MutableContaining(
+          before[i], base_->Containing(before[i]));
+      list.erase(std::find(list.begin(), list.end(), id));
+      ++i;
+    } else if (i == before.size() || after[j] < before[i]) {
+      auto& list = overlay_->MutableContaining(
+          after[j], base_->Containing(after[j]));
+      list.insert(std::lower_bound(list.begin(), list.end(), id), id);
+      ++j;
+    } else {
+      ++i;
+      ++j;
+    }
   }
-  arena_.RebuildRepairedSketch(roots_[id], network_.num_vertices(), edges,
-                               &rr);
-  for (const VertexId v : rr.vertices) {
-    auto& list = containing_[v];
-    list.insert(std::lower_bound(list.begin(), list.end(), id), id);
-  }
+  overlay_->Put(id, repaired_);
 }
 
 Estimate DynamicRrIndex::EstimateInfluence(VertexId u,
                                            const EdgeProbFn& probs) {
   PITEX_CHECK_MSG(built_, "call Build() first");
-  Estimate result;
-  uint64_t hits = 0;
-  for (const uint32_t id : containing_[u]) {
-    ++result.samples;
-    if (IsReachable(graphs_[id], u, probs, &result.edges_visited,
-                    &scratch_)) {
-      ++hits;
-    }
-  }
-  result.influence = static_cast<double>(hits) / static_cast<double>(theta_) *
-                     static_cast<double>(network_.num_vertices());
-  result.influence = std::max(result.influence, 1.0);
-  const auto scale = static_cast<double>(network_.num_vertices());
-  result.std_error = SampleMeanStdError(
-      static_cast<double>(hits) * scale,
-      static_cast<double>(hits) * scale * scale, theta_);
-  return result;
+  return view_->EstimateInfluence(u, probs, &scratch_);
 }
 
 size_t DynamicRrIndex::SizeBytes() const {
-  size_t bytes = sizeof(DynamicRrIndex);
-  for (const RRGraph& rr : graphs_) bytes += rr.SizeBytes();
-  for (const auto& list : containing_) {
-    bytes += list.capacity() * sizeof(uint32_t) + sizeof(list);
-  }
-  bytes += roots_.capacity() * sizeof(VertexId);
-  bytes += envelope_.SizeBytes();
-  return bytes;
+  return sizeof(DynamicRrIndex) + base_->SizeBytes() + overlay_->SizeBytes() +
+         envelope_.SizeBytes();
 }
 
 }  // namespace pitex

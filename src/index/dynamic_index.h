@@ -37,12 +37,24 @@
 // influence CSR is folded once per ApplyUpdates batch (O(|E| + nnz) per
 // batch, not per edge), so a batch costs O(|E|) plus work proportional
 // to the affected graphs only.
+//
+// Storage: base + overlay. The sketches live in an immutable, refcounted
+// RrSketchPool *base* (sampled by the same pass as RrIndex::Build, or
+// adopted from a loaded checkpoint) that every published snapshot
+// shares. A repair never touches the base: the repaired sketch is
+// appended to an RrSketchOverlay with a sketch-id redirect, and the
+// containing lists of the vertices whose membership changed are
+// replaced there. Freeze() hands snapshots an immutable copy of the
+// overlay, so a publish costs the overlay, not theta sketches. Compact()
+// packs base + overlay into a new base (same sketches, same id order,
+// so the pool is bit-identical to packing every current sketch).
 
 #ifndef PITEX_SRC_INDEX_DYNAMIC_INDEX_H_
 #define PITEX_SRC_INDEX_DYNAMIC_INDEX_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -59,14 +71,27 @@ struct EdgeInfluenceUpdate {
   std::vector<EdgeTopicEntry> entries;
 };
 
+/// Overlay size, as a fraction of theta, past which the overlay is
+/// folded into a new base (Compact) by the next Freeze() or
+/// ApplyUpdates(). Checkpoints compact as well, so between checkpoints
+/// the overlay stays a few batches' repairs.
+inline constexpr double kOverlayCompactFraction = 1.0 / 16.0;
+
 class DynamicRrIndex final : public InfluenceOracle {
  public:
-  /// Copies `network` (the index owns the evolving model; the caller's
-  /// network stays frozen at the construction-time state).
+  /// Aliases `network` (an O(1) copy: topology and influence storage are
+  /// shared); updates replace the index's influence CSR with fresh
+  /// storage, so the caller's network stays at the construction-time
+  /// state.
   DynamicRrIndex(const SocialNetwork& network, const RrIndexOptions& options);
 
-  /// Samples the initial theta RR-Graphs. With equal options and seed the
-  /// initial state is bit-identical to a freshly built RrIndex.
+  // view_ refers to network_ and overlay_ by address.
+  DynamicRrIndex(const DynamicRrIndex&) = delete;
+  DynamicRrIndex& operator=(const DynamicRrIndex&) = delete;
+
+  /// Samples the initial theta RR-Graphs into the base. With equal
+  /// options and seed the initial state is bit-identical to a freshly
+  /// built RrIndex.
   void Build();
 
   /// Applies model updates in order: each replaces one edge's topic
@@ -88,19 +113,30 @@ class DynamicRrIndex final : public InfluenceOracle {
   void RestoreModel(std::span<const EdgeInfluenceUpdate> replacements,
                     uint64_t version);
 
-  /// Recovery hook, the stand-in for Build(): adopts the sketches of a
-  /// loaded checkpoint index as this index's mutable state -- unpacks
-  /// the pool into owning per-sketch graphs, rebuilds containment
-  /// (ascending sketch id, exactly as Build() leaves it), and mirrors
-  /// the envelope of the restored influence model. The checkpoint must
-  /// have been saved against a model equal to the restored one;
-  /// LoadRrIndex's fingerprint check proves exactly that.
+  /// Recovery hook, the stand-in for Build(): adopts the pool of a
+  /// loaded checkpoint index as this index's base (shared, not copied;
+  /// its containing lists are in ascending sketch id, exactly as Build()
+  /// leaves them) and mirrors the envelope of the restored influence
+  /// model. The checkpoint must have been saved against a model equal
+  /// to the restored one; LoadRrIndex's fingerprint check proves
+  /// exactly that. It must carry no overlay (loaded indexes never do).
   void AdoptSketches(const RrIndex& checkpoint);
 
   /// Edge updates applied over this index's lifetime; salts the repair
   /// RNG (StreamFor), so checkpoints persist it and recovery restores it
   /// before replay -- replayed repairs then re-draw the same coins.
   uint64_t version() const { return version_; }
+
+  /// Snapshot hook (src/serve/snapshot_registry.h): an immutable RrIndex
+  /// over `network` serving the current sketches -- the shared base plus
+  /// a frozen copy of the overlay. With `compact`, or once the overlay
+  /// passes kOverlayCompactFraction of theta, the overlay is first
+  /// folded into a new base.
+  std::unique_ptr<RrIndex> Freeze(const SocialNetwork& network, bool compact);
+
+  /// Packs base + overlay into a new base and empties the overlay; a
+  /// no-op while the overlay is empty.
+  void Compact();
 
   Estimate EstimateInfluence(VertexId u, const EdgeProbFn& probs) override;
   const char* Name() const override { return "DYN-INDEXEST"; }
@@ -111,16 +147,17 @@ class DynamicRrIndex final : public InfluenceOracle {
   const SocialNetwork& network() const { return network_; }
 
   uint64_t theta() const { return theta_; }
-  size_t num_graphs() const { return graphs_.size(); }
-  const RRGraph& graph(size_t i) const { return graphs_[i]; }
-  /// All current sketches, in sample order — the snapshot hook: the serve
-  /// layer packs them into an immutable RrSketchPool (RrIndex::FromPool)
-  /// to publish a frozen, concurrently readable replica of this index.
-  std::span<const RRGraph> graphs() const { return graphs_; }
+  size_t num_graphs() const { return view_->num_graphs(); }
+  /// Current version of sketch i (valid until the next update).
+  RRView graph(size_t i) const { return view_->graph(i); }
   const RrIndexOptions& options() const { return options_; }
-  const std::vector<uint32_t>& Containing(VertexId u) const {
-    return containing_[u];
+  /// Ids of the sketches containing u, ascending (valid until the next
+  /// update).
+  std::span<const uint32_t> Containing(VertexId u) const {
+    return view_->Containing(u);
   }
+  /// Sketch copies in the overlay (superseded ones included).
+  size_t overlay_sketches() const { return overlay_->num_stored(); }
 
   /// Maintenance counters (ablation metrics).
   struct Stats {
@@ -131,6 +168,8 @@ class DynamicRrIndex final : public InfluenceOracle {
     /// Graphs whose structure actually changed (edge died, resurrected,
     /// or membership shifted).
     uint64_t graphs_changed = 0;
+    /// Overlay folds into a new base (Compact calls that packed).
+    uint64_t compactions = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -141,17 +180,19 @@ class DynamicRrIndex final : public InfluenceOracle {
   // p_new. Precondition: the graph contains head(e).
   void RepairGraph(uint32_t id, EdgeId e, double p_old, double p_new,
                    Rng* rng);
+  // Makes `base` the base under an empty overlay.
+  void ResetBase(std::shared_ptr<const RrSketchPool> base);
+  bool OverlayFull() const;
 
   SocialNetwork network_;
   RrIndexOptions options_;
   uint64_t theta_ = 0;
   uint64_t version_ = 0;  // bumped per update; salts the repair RNG
-  // Unlike the read-only RrIndex (pooled CSR store), repairs rewrite
-  // individual sketches in place, so each keeps its own storage; only
-  // the estimate path shares the view-based zero-allocation machinery.
-  std::vector<RRGraph> graphs_;
-  std::vector<VertexId> roots_;  // root of graph i (stable across repairs)
-  std::vector<std::vector<uint32_t>> containing_;
+  std::shared_ptr<const RrSketchPool> base_;
+  std::shared_ptr<RrSketchOverlay> overlay_;
+  // Read path over base_ + overlay_ (graph, Containing, estimates);
+  // private, never handed to a snapshot, since overlay_ mutates.
+  std::unique_ptr<RrIndex> view_;
   // Envelope mirror: the same dense float table the static build reads
   // (EnvelopeProbability(max_z p(e|z)) of the *current* model, including
   // updates applied earlier in the running batch — the CSR is only
@@ -163,10 +204,12 @@ class DynamicRrIndex final : public InfluenceOracle {
   // Per-instance reachability scratch (a DynamicRrIndex is single-owner
   // mutable state, never shared across threads).
   EstimateScratch scratch_;
-  // Build/repair scratch: sketch generation and repaired-sketch assembly
-  // run through the arena, so steady-state repairs reuse flat buffers
-  // instead of per-repair hash sets and staging vectors.
+  // Repair scratch: repaired-sketch assembly runs through the arena
+  // into repaired_, so steady-state repairs reuse flat buffers instead
+  // of per-repair hash sets and staging vectors.
   SketchArena arena_;
+  RRGraph repaired_;
+  std::vector<uint32_t> affected_;
   std::vector<GlobalEdgeSample> repair_edges_;
   std::vector<VertexId> repair_stack_;
   std::vector<uint32_t> present_mark_;  // expansion membership stamps

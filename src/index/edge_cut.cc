@@ -11,7 +11,7 @@ PrunedRrIndex::PrunedRrIndex(const RrIndex* base,
                              const InfluenceGraph* influence,
                              CutPolicy policy)
     : base_(base), influence_(influence), policy_(policy) {
-  scratch_.Reserve(base->pool().max_sketch_vertices());
+  scratch_.Reserve(base->max_sketch_vertices());
 }
 
 const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {

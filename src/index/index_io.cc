@@ -157,7 +157,16 @@ class IndexIo {
                "index not built; call Build() before saving");
       return false;
     }
-    const RrSketchPool& pool = index.pool_;
+    // A snapshot still carrying repairs is saved as the pool its
+    // compaction would pack: the same bytes in either case.
+    RrSketchPool compacted;
+    if (index.repairs() != nullptr) {
+      compacted = RrSketchPool::Pack(
+          index.num_graphs(), index.num_vertices(),
+          [&index](size_t i) { return index.graph(i); });
+    }
+    const RrSketchPool& pool =
+        index.repairs() != nullptr ? compacted : *index.pool_;
     BinaryWriter writer(&out);
     WriteHeader(&writer, kKindRrGraphs,
                 NetworkFingerprint(index.network_), index.options_);
@@ -412,14 +421,15 @@ class IndexIo {
     const uint64_t max_edges = network.num_edges();
 
     std::vector<RRGraph> staging;  // v1 only
+    RrSketchPool pool;
     if (version == kVersionV1) {
       if (!ReadRrGraphsV1(&reader, num_graphs, max_vertices, max_edges,
                           &staging, error)) {
         return nullptr;
       }
     } else {
-      if (!ReadRrPoolV2(&reader, num_graphs, max_vertices, max_edges,
-                        &index->pool_, error)) {
+      if (!ReadRrPoolV2(&reader, num_graphs, max_vertices, max_edges, &pool,
+                        error)) {
         return nullptr;
       }
     }
@@ -434,12 +444,13 @@ class IndexIo {
       return nullptr;
     }
     if (version == kVersionV1) {
-      index->pool_ = RrSketchPool::Pack(staging, network.num_vertices());
+      pool = RrSketchPool::Pack(staging, network.num_vertices());
     } else {
       // The containing index is a permutation of the vertex array:
       // cheaper to recompute than to store.
-      index->pool_.BuildContaining(network.num_vertices());
+      pool.BuildContaining(network.num_vertices());
     }
+    index->pool_ = std::make_shared<const RrSketchPool>(std::move(pool));
     index->built_ = true;
     return index;
   }

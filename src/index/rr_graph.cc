@@ -55,7 +55,7 @@ RRGraph AssembleRRGraph(VertexId root, std::vector<VertexId> vertices,
   return rr;
 }
 
-void DecomposeRRGraphInto(const RRGraph& rr,
+void DecomposeRRGraphInto(const RRView& rr,
                           std::vector<GlobalEdgeSample>* edges) {
   edges->clear();
   edges->reserve(rr.edges.size());
@@ -67,12 +67,6 @@ void DecomposeRRGraphInto(const RRGraph& rr,
                                         local.edge, local.threshold});
     }
   }
-}
-
-std::vector<GlobalEdgeSample> DecomposeRRGraph(const RRGraph& rr) {
-  std::vector<GlobalEdgeSample> edges;
-  DecomposeRRGraphInto(rr, &edges);
-  return edges;
 }
 
 RRGraph GenerateRRGraph(const Graph& graph, const InfluenceGraph& influence,

@@ -139,13 +139,11 @@ struct GlobalEdgeSample {
 RRGraph AssembleRRGraph(VertexId root, std::vector<VertexId> vertices,
                         std::span<const GlobalEdgeSample> edges);
 
-/// Inverse of AssembleRRGraph: the graph's live edges back in global
-/// vertex coordinates (used by incremental index repair).
-std::vector<GlobalEdgeSample> DecomposeRRGraph(const RRGraph& rr);
-
-/// Non-allocating variant: clears and fills `*edges`, reusing capacity
-/// (the repair hot path decomposes one sketch per affected graph).
-void DecomposeRRGraphInto(const RRGraph& rr,
+/// Inverse of AssembleRRGraph: clears `*edges` and fills it with the
+/// graph's live edges back in global vertex coordinates, reusing
+/// capacity (incremental index repair decomposes one sketch per
+/// affected graph).
+void DecomposeRRGraphInto(const RRView& rr,
                           std::vector<GlobalEdgeSample>* edges);
 
 }  // namespace pitex

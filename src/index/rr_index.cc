@@ -22,7 +22,9 @@ double RrIndex::TheoreticalTheta(const RrIndexOptions& options,
 }
 
 RrIndex::RrIndex(const SocialNetwork& network, const RrIndexOptions& options)
-    : network_(network), options_(options) {
+    : network_(network),
+      options_(options),
+      pool_(std::make_shared<const RrSketchPool>()) {
   if (options_.theta_override > 0) {
     theta_ = options_.theta_override;
   } else {
@@ -35,57 +37,65 @@ RrIndex::RrIndex(const SocialNetwork& network, const RrIndexOptions& options)
   }
 }
 
-std::unique_ptr<RrIndex> RrIndex::FromPool(const SocialNetwork& network,
-                                           const RrIndexOptions& options,
-                                           uint64_t theta, RrSketchPool pool) {
-  PITEX_CHECK(theta > 0);
+std::unique_ptr<RrIndex> RrIndex::FromPool(
+    const SocialNetwork& network, const RrIndexOptions& options,
+    uint64_t theta, std::shared_ptr<const RrSketchPool> base,
+    std::shared_ptr<const RrSketchOverlay> overlay) {
+  PITEX_CHECK(theta > 0 && base != nullptr);
   RrIndexOptions adopted = options;
   adopted.theta_override = theta;
   auto index = std::make_unique<RrIndex>(network, adopted);
-  index->pool_ = std::move(pool);
+  index->pool_ = std::move(base);
+  index->overlay_ = std::move(overlay);
   index->built_ = true;
   return index;
+}
+
+RrSketchPool SampleSketchPool(const Graph& graph,
+                              const EnvelopeTable& envelope, uint64_t theta,
+                              uint64_t seed, size_t num_threads,
+                              ThreadPool* pool) {
+  // Arena-staged construction: every worker slot samples straight into
+  // its own arena (zero allocations at steady state), and PackFrom
+  // flattens the arenas into the pooled store with exactly one copy per
+  // sketch. Each sample i owns an independent RNG stream derived from
+  // (seed, i), making the pool bit-identical regardless of thread count.
+  auto generate = [&](SketchArena* arena, size_t i) {
+    uint64_t mix = seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
+    Rng rng(SplitMix64(&mix));
+    const auto root =
+        static_cast<VertexId>(rng.NextBounded(graph.num_vertices()));
+    arena->Generate(graph, envelope, root, &rng, i);
+  };
+
+  const size_t threads = std::max<size_t>(1, num_threads);
+  std::unique_ptr<ThreadPool> local_pool;
+  if (pool == nullptr && threads > 1 && theta >= 2 * threads) {
+    local_pool = std::make_unique<ThreadPool>(threads);
+    pool = local_pool.get();
+  }
+  if (pool != nullptr && theta >= 2) {
+    std::vector<SketchArena> arenas(
+        std::min<size_t>(pool->num_threads(), theta));
+    ParallelForSlots(pool, 0, theta, [&](size_t slot, size_t i) {
+      generate(&arenas[slot], i);
+    });
+    return RrSketchPool::PackFrom(arenas, theta, graph.num_vertices(), pool);
+  }
+  std::vector<SketchArena> arenas(1);
+  for (uint64_t i = 0; i < theta; ++i) generate(&arenas[0], i);
+  return RrSketchPool::PackFrom(arenas, theta, graph.num_vertices());
 }
 
 void RrIndex::Build(ThreadPool* pool) {
   PITEX_CHECK_MSG(!built_, "Build() called twice");
   Timer timer;
-
-  // Arena-staged construction: the envelope table is materialized once
-  // (O(|E|)), every worker slot samples straight into its own arena
-  // (zero allocations at steady state), and PackFrom flattens the arenas
-  // into the pooled store with exactly one copy per sketch.
+  // The envelope table is materialized once (O(|E|)) for the sampling
+  // pass.
   const EnvelopeTable envelope(network_.graph, network_.influence);
-
-  // Each sample i owns an independent RNG stream derived from (seed, i),
-  // making the index bit-identical regardless of thread count.
-  auto generate = [&](SketchArena* arena, size_t i) {
-    uint64_t mix = options_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
-    Rng rng(SplitMix64(&mix));
-    const auto root =
-        static_cast<VertexId>(rng.NextBounded(network_.num_vertices()));
-    arena->Generate(network_.graph, envelope, root, &rng, i);
-  };
-
-  const size_t threads = std::max<size_t>(1, options_.num_build_threads);
-  std::unique_ptr<ThreadPool> local_pool;
-  if (pool == nullptr && threads > 1 && theta_ >= 2 * threads) {
-    local_pool = std::make_unique<ThreadPool>(threads);
-    pool = local_pool.get();
-  }
-  if (pool != nullptr && theta_ >= 2) {
-    std::vector<SketchArena> arenas(
-        std::min<size_t>(pool->num_threads(), theta_));
-    ParallelForSlots(pool, 0, theta_, [&](size_t slot, size_t i) {
-      generate(&arenas[slot], i);
-    });
-    pool_ = RrSketchPool::PackFrom(arenas, theta_, network_.num_vertices(),
-                                   pool);
-  } else {
-    std::vector<SketchArena> arenas(1);
-    for (uint64_t i = 0; i < theta_; ++i) generate(&arenas[0], i);
-    pool_ = RrSketchPool::PackFrom(arenas, theta_, network_.num_vertices());
-  }
+  pool_ = std::make_shared<const RrSketchPool>(
+      SampleSketchPool(network_.graph, envelope, theta_, options_.seed,
+                       options_.num_build_threads, pool));
   built_ = true;
   build_seconds_ = timer.Seconds();
 }
@@ -95,12 +105,17 @@ PITEX_NOALLOC Estimate RrIndex::EstimateInfluence(
   PITEX_CHECK_MSG(built_, "index not built");
   Estimate result;
   uint64_t hits = 0;
-  for (uint32_t id : pool_.Containing(u)) {
+  const auto count = [&](const RRView& rr) {
     ++result.samples;
-    if (IsReachable(pool_.View(id), u, probs, &result.edges_visited,
-                    scratch)) {
-      ++hits;
-    }
+    if (IsReachable(rr, u, probs, &result.edges_visited, scratch)) ++hits;
+  };
+  // The overlay check is hoisted out of the loop: an index without
+  // repairs walks the base pool exactly as a freshly built one does.
+  const RrSketchPool& base = *pool_;
+  if (repairs() == nullptr) {
+    for (const uint32_t id : base.Containing(u)) count(base.View(id));
+  } else {
+    for (const uint32_t id : Containing(u)) count(graph(id));
   }
   result.influence = static_cast<double>(hits) /
                      static_cast<double>(theta_) *
@@ -122,12 +137,20 @@ Estimate RrIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
   // free without any caller-side plumbing. Pre-sizing to the largest
   // sketch makes the very first walk allocation-free too.
   thread_local EstimateScratch scratch;
-  scratch.Reserve(pool_.max_sketch_vertices());
+  scratch.Reserve(max_sketch_vertices());
   return EstimateInfluence(u, probs, &scratch);
 }
 
+size_t RrIndex::max_sketch_vertices() const {
+  const RrSketchOverlay* overlay = repairs();
+  return std::max(pool_->max_sketch_vertices(),
+                  overlay == nullptr ? 0 : overlay->max_sketch_vertices());
+}
+
 size_t RrIndex::SizeBytes() const {
-  return sizeof(RrIndex) - sizeof(RrSketchPool) + pool_.SizeBytes();
+  const RrSketchOverlay* overlay = repairs();
+  return sizeof(RrIndex) + pool_->SizeBytes() +
+         (overlay == nullptr ? 0 : overlay->SizeBytes());
 }
 
 }  // namespace pitex

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "src/index/rr_graph.h"
 #include "src/index/rr_sketch_pool.h"
@@ -55,15 +56,17 @@ class RrIndex final : public InfluenceOracle {
 
   RrIndex(const SocialNetwork& network, const RrIndexOptions& options);
 
-  /// Snapshot hook (src/serve): wraps an externally packed sketch pool as
-  /// a built, immutable index — how a DynamicRrIndex master is frozen
-  /// into a serving replica after repairs. `network` must be the (frozen
-  /// copy of the) network whose EdgeIds the pooled sketches reference and
-  /// must outlive the index; `theta` is the ensemble size the estimator
-  /// normalizes by.
-  static std::unique_ptr<RrIndex> FromPool(const SocialNetwork& network,
-                                           const RrIndexOptions& options,
-                                           uint64_t theta, RrSketchPool pool);
+  /// Snapshot hook (src/serve): a built index serving the shared `base`
+  /// pool with `overlay`'s repaired sketches and containing lists in
+  /// place of the base's — how a DynamicRrIndex master is frozen into a
+  /// serving replica without copying its sketches. `network` must be
+  /// the network whose EdgeIds the sketches reference and must outlive
+  /// the index; `theta` is the ensemble size the estimator normalizes
+  /// by. Null or empty `overlay` serves the base alone.
+  static std::unique_ptr<RrIndex> FromPool(
+      const SocialNetwork& network, const RrIndexOptions& options,
+      uint64_t theta, std::shared_ptr<const RrSketchPool> base,
+      std::shared_ptr<const RrSketchOverlay> overlay = nullptr);
 
   /// Samples the RR-Graphs and packs them into the pool. Must be called
   /// once before estimation. When `pool` is non-null its workers run the
@@ -82,34 +85,64 @@ class RrIndex final : public InfluenceOracle {
 
   uint64_t theta() const { return theta_; }
   size_t num_vertices() const { return network_.num_vertices(); }
-  size_t num_graphs() const { return pool_.num_sketches(); }
+  size_t num_graphs() const { return pool_->num_sketches(); }
   /// Non-owning view of RR-Graph i (valid while the index is alive).
-  RRView graph(size_t i) const { return pool_.View(i); }
+  RRView graph(size_t i) const {
+    if (const RrSketchOverlay* overlay = repairs()) {
+      const uint32_t slot = overlay->SlotOf(static_cast<uint32_t>(i));
+      if (slot != RrSketchOverlay::kNotRepaired) return overlay->View(slot);
+    }
+    return pool_->View(i);
+  }
   /// Ids (sketch positions) of the RR-Graphs containing u, ascending.
   std::span<const uint32_t> Containing(VertexId u) const {
-    return pool_.Containing(u);
+    if (const RrSketchOverlay* overlay = repairs()) {
+      if (const std::vector<uint32_t>* list = overlay->Containing(u)) {
+        return *list;
+      }
+    }
+    return pool_->Containing(u);
   }
   /// theta(u): how many RR-Graphs contain u (Sec. 6.3 notation).
-  size_t CountContaining(VertexId u) const {
-    return pool_.CountContaining(u);
-  }
-  /// The pooled sketch store backing this index.
-  const RrSketchPool& pool() const { return pool_; }
+  size_t CountContaining(VertexId u) const { return Containing(u).size(); }
+  /// The base pool: every sketch as of the last pack, without the
+  /// overlay's repairs.
+  const RrSketchPool& pool() const { return *pool_; }
+  /// Largest sketch served, base and overlay (scratch pre-sizing).
+  size_t max_sketch_vertices() const;
 
-  /// Approximate index footprint (Table 3 metric), O(1).
+  /// Approximate index footprint (Table 3 metric), O(1) without repairs.
   size_t SizeBytes() const;
   double build_seconds() const { return build_seconds_; }
 
  private:
-  friend class IndexIo;  // persistence (src/index/index_io.h)
+  friend class IndexIo;         // persistence (src/index/index_io.h)
+  friend class DynamicRrIndex;  // adopts a loaded checkpoint's base
+
+  /// The overlay when it holds repairs, else null.
+  const RrSketchOverlay* repairs() const {
+    return overlay_ != nullptr && !overlay_->empty() ? overlay_.get()
+                                                     : nullptr;
+  }
 
   const SocialNetwork& network_;
   RrIndexOptions options_;
   uint64_t theta_ = 0;
-  RrSketchPool pool_;
+  std::shared_ptr<const RrSketchPool> pool_;
+  std::shared_ptr<const RrSketchOverlay> overlay_;
   bool built_ = false;
   double build_seconds_ = 0.0;
 };
+
+/// Samples sketches 0..theta-1 (root and RNG stream derived from
+/// (seed, sample index)) against `envelope` and packs them — the shared
+/// sampling pass of RrIndex::Build and DynamicRrIndex::Build. Runs on
+/// `pool` when non-null, else on `num_threads` local workers; the
+/// result is bit-identical for any thread count.
+RrSketchPool SampleSketchPool(const Graph& graph,
+                              const EnvelopeTable& envelope, uint64_t theta,
+                              uint64_t seed, size_t num_threads,
+                              ThreadPool* pool);
 
 }  // namespace pitex
 

@@ -7,24 +7,25 @@
 
 namespace pitex {
 
-RrSketchPool RrSketchPool::Pack(std::span<const RRGraph> graphs,
-                                size_t num_vertices, ThreadPool* pool) {
+RrSketchPool RrSketchPool::Pack(
+    size_t num_sketches, size_t num_vertices,
+    const std::function<RRView(size_t)>& view_of) {
   RrSketchPool out;
-  const size_t s = graphs.size();
+  const size_t s = num_sketches;
   out.roots_.resize(s);
   out.vertex_starts_.assign(s + 1, 0);
   out.edge_starts_.assign(s + 1, 0);
   for (size_t i = 0; i < s; ++i) {
-    PITEX_DCHECK(graphs[i].offsets.size() == graphs[i].vertices.size() + 1);
-    out.vertex_starts_[i + 1] =
-        out.vertex_starts_[i] + graphs[i].vertices.size();
-    out.edge_starts_[i + 1] = out.edge_starts_[i] + graphs[i].edges.size();
+    const RRView rr = view_of(i);
+    PITEX_DCHECK(rr.offsets.size() == rr.vertices.size() + 1);
+    out.vertex_starts_[i + 1] = out.vertex_starts_[i] + rr.vertices.size();
+    out.edge_starts_[i + 1] = out.edge_starts_[i] + rr.edges.size();
   }
   out.vertices_.resize(out.vertex_starts_[s]);
   out.offsets_.resize(out.vertex_starts_[s] + s);
   out.edges_.resize(out.edge_starts_[s]);
-  const auto copy_one = [&](size_t i) {
-    const RRGraph& rr = graphs[i];
+  for (size_t i = 0; i < s; ++i) {
+    const RRView rr = view_of(i);
     out.roots_[i] = rr.root;
     std::copy(rr.vertices.begin(), rr.vertices.end(),
               out.vertices_.begin() +
@@ -35,14 +36,32 @@ RrSketchPool RrSketchPool::Pack(std::span<const RRGraph> graphs,
     std::copy(rr.edges.begin(), rr.edges.end(),
               out.edges_.begin() +
                   static_cast<ptrdiff_t>(out.edge_starts_[i]));
-  };
-  if (pool != nullptr && s >= 2) {
-    ParallelFor(pool, 0, s, copy_one);
-  } else {
-    for (size_t i = 0; i < s; ++i) copy_one(i);
   }
-  out.BuildContaining(num_vertices, pool);
+  out.BuildContaining(num_vertices);
   return out;
+}
+
+RrSketchPool RrSketchPool::Pack(std::span<const RRGraph> graphs,
+                                size_t num_vertices) {
+  return Pack(graphs.size(), num_vertices,
+              [graphs](size_t i) { return graphs[i].View(); });
+}
+
+void RrSketchPool::Append(const RRView& sketch) {
+  if (vertex_starts_.empty()) {
+    vertex_starts_.push_back(0);
+    edge_starts_.push_back(0);
+  }
+  roots_.push_back(sketch.root);
+  vertices_.insert(vertices_.end(), sketch.vertices.begin(),
+                   sketch.vertices.end());
+  offsets_.insert(offsets_.end(), sketch.offsets.begin(),
+                  sketch.offsets.end());
+  edges_.insert(edges_.end(), sketch.edges.begin(), sketch.edges.end());
+  vertex_starts_.push_back(vertices_.size());
+  edge_starts_.push_back(edges_.size());
+  max_sketch_vertices_ =
+      std::max<size_t>(max_sketch_vertices_, sketch.vertices.size());
 }
 
 RrSketchPool RrSketchPool::PackFrom(std::span<const SketchArena> arenas,
@@ -192,6 +211,33 @@ size_t RrSketchPool::SizeBytes() const {
          edges_.capacity() * sizeof(RRLocalEdge) +
          containing_starts_.capacity() * sizeof(uint64_t) +
          containing_.capacity() * sizeof(uint32_t);
+}
+
+void RrSketchOverlay::Put(uint32_t id, const RRView& sketch) {
+  const size_t word = id >> 6;
+  if (word >= repaired_bits_.size()) repaired_bits_.resize(word + 1, 0);
+  repaired_bits_[word] |= uint64_t{1} << (id & 63);
+  slot_of_[id] = static_cast<uint32_t>(store_.num_sketches());
+  store_.Append(sketch);
+}
+
+std::vector<uint32_t>& RrSketchOverlay::MutableContaining(
+    VertexId u, std::span<const uint32_t> base) {
+  const auto [it, inserted] = containing_.try_emplace(u);
+  if (inserted) it->second.assign(base.begin(), base.end());
+  return it->second;
+}
+
+size_t RrSketchOverlay::SizeBytes() const {
+  // Hash nodes are costed as key/value plus two pointers.
+  size_t bytes = sizeof(RrSketchOverlay) + store_.SizeBytes() +
+                 repaired_bits_.capacity() * sizeof(uint64_t) +
+                 slot_of_.size() * (sizeof(uint64_t) + 2 * sizeof(void*));
+  for (const auto& [u, list] : containing_) {
+    bytes += sizeof(u) + sizeof(list) + 2 * sizeof(void*) +
+             list.capacity() * sizeof(uint32_t);
+  }
+  return bytes;
 }
 
 }  // namespace pitex

@@ -19,16 +19,20 @@
 // vertex_starts_[i] + i because every earlier sketch contributed n_j + 1
 // entries.
 //
-// The pool is immutable after Pack(): DynamicRrIndex, which repairs
-// individual sketches in place, deliberately keeps per-sketch owning
-// RRGraphs instead (mutating a pooled sketch would force a full repack).
+// The pool is immutable after Pack(). DynamicRrIndex, which repairs
+// individual sketches, never mutates it: it shares one pool as its
+// *base* with every snapshot it publishes and records repairs in an
+// RrSketchOverlay (below) until compaction packs base + overlay into a
+// new pool.
 
 #ifndef PITEX_SRC_INDEX_RR_SKETCH_POOL_H_
 #define PITEX_SRC_INDEX_RR_SKETCH_POOL_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "src/index/rr_graph.h"
@@ -41,16 +45,16 @@ class RrSketchPool {
  public:
   RrSketchPool() = default;
 
-  /// Flattens per-sketch owning graphs into one pool and builds the
-  /// inverted containing index with a counting pass (exact-size
-  /// allocation, no push_back growth). `num_vertices` is the global
-  /// vertex universe; every graph vertex must lie inside it. When `pool`
-  /// is non-null the sketch copy and the containing fill run across its
-  /// workers (the serve-layer publish path packs a repaired master this
-  /// way); the result is identical for any pool size.
+  /// Flattens sketches view_of(0), ..., view_of(num_sketches - 1) into
+  /// one pool and builds the inverted containing index with a counting
+  /// pass (exact-size allocation, no push_back growth). `num_vertices`
+  /// is the global vertex universe; every sketch vertex must lie inside
+  /// it. DynamicRrIndex compaction packs its base + overlay this way.
+  static RrSketchPool Pack(size_t num_sketches, size_t num_vertices,
+                           const std::function<RRView(size_t)>& view_of);
+  /// Pack over owning graphs.
   static RrSketchPool Pack(std::span<const RRGraph> graphs,
-                           size_t num_vertices,
-                           ThreadPool* pool = nullptr);
+                           size_t num_vertices);
 
   /// Two-pass pack straight from build arenas, replacing the old
   /// copy-of-a-copy (owning staging RRGraphs, then Pack): pass one sizes
@@ -106,6 +110,12 @@ class RrSketchPool {
 
  private:
   friend class IndexIo;  // persistence reads/writes the raw arrays
+  friend class RrSketchOverlay;  // appends repaired sketches (Append)
+
+  /// Appends one sketch in the pooled layout without touching the
+  /// containing index — the overlay's sketch store. `sketch` must not
+  /// view this pool.
+  void Append(const RRView& sketch);
 
   /// Rebuilds containing_starts_/containing_ from the packed vertex
   /// arrays (counting pass + prefix sum + fill in ascending sketch-id
@@ -124,6 +134,63 @@ class RrSketchPool {
   std::vector<uint64_t> containing_starts_;  // num_vertices + 1
   std::vector<uint32_t> containing_;         // sketch ids, CSR by vertex
   size_t max_sketch_vertices_ = 0;
+};
+
+/// The repairs a DynamicRrIndex has made since its base pool was packed,
+/// as a copyable value: the master edits its own overlay, and each
+/// published snapshot serves an immutable copy beside the shared base
+/// (RrIndex::FromPool). It holds
+///   * repaired sketches, appended as segments to a pooled store (a
+///     sketch repaired twice keeps its superseded copy until compaction);
+///   * a sketch-id redirect to each repaired sketch's current copy;
+///   * replacement containing lists for the vertices whose membership
+///     changed.
+class RrSketchOverlay {
+ public:
+  static constexpr uint32_t kNotRepaired = UINT32_MAX;
+
+  /// Sketch copies stored, superseded ones included: the size
+  /// compaction bounds.
+  size_t num_stored() const { return store_.num_sketches(); }
+  bool empty() const { return num_stored() == 0; }
+
+  /// Store slot of sketch `id`'s current copy, or kNotRepaired.
+  uint32_t SlotOf(uint32_t id) const {
+    // The bitmap answers the common case (never repaired) without
+    // hashing; the map holds the slot of the few repaired ids.
+    const size_t word = id >> 6;
+    if (word >= repaired_bits_.size() ||
+        ((repaired_bits_[word] >> (id & 63)) & 1) == 0) {
+      return kNotRepaired;
+    }
+    return slot_of_.find(id)->second;
+  }
+  RRView View(uint32_t slot) const { return store_.View(slot); }
+
+  /// u's replacement containing list (ascending ids), or nullptr while
+  /// u's membership is still the base's.
+  const std::vector<uint32_t>* Containing(VertexId u) const {
+    const auto it = containing_.find(u);
+    return it == containing_.end() ? nullptr : &it->second;
+  }
+
+  size_t max_sketch_vertices() const { return store_.max_sketch_vertices(); }
+  /// Approximate footprint.
+  size_t SizeBytes() const;
+
+  /// Appends `sketch` as sketch `id`'s current copy. `sketch` must not
+  /// view this overlay.
+  void Put(uint32_t id, const RRView& sketch);
+  /// u's containing list for editing, seeded from `base` (u's list in
+  /// the base pool) on first use.
+  std::vector<uint32_t>& MutableContaining(VertexId u,
+                                           std::span<const uint32_t> base);
+
+ private:
+  RrSketchPool store_;
+  std::vector<uint64_t> repaired_bits_;  // bit id set <=> id in slot_of_
+  std::unordered_map<uint32_t, uint32_t> slot_of_;
+  std::unordered_map<VertexId, std::vector<uint32_t>> containing_;
 };
 
 }  // namespace pitex

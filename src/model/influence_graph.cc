@@ -47,6 +47,13 @@ size_t EnvelopeTable::SizeBytes() const {
          vertex_max_.capacity() * sizeof(float);
 }
 
+InfluenceGraph::InfluenceGraph(std::shared_ptr<const Storage> storage)
+    : storage_(std::move(storage)),
+      num_edges_(storage_->offsets.size() - 1),
+      offsets_(storage_->offsets.data()),
+      entries_(storage_->entries.data()),
+      max_prob_(storage_->max_prob.data()) {}
+
 double InfluenceGraph::EdgeTopicProb(EdgeId e, TopicId z) const {
   for (const auto& entry : EdgeTopics(e)) {
     if (entry.topic == z) return entry.prob;
@@ -94,7 +101,7 @@ InfluenceGraph ReplaceEdgeTopics(
   }
 
   // Exact-size single pass: unchanged edges block-copy their CSR slice.
-  InfluenceGraph out;
+  auto out = std::make_shared<InfluenceGraph::Storage>();
   int64_t nnz_delta = 0;
   for (uint32_t r = 0; r < replacements.size(); ++r) {
     nnz_delta +=
@@ -102,12 +109,11 @@ InfluenceGraph ReplaceEdgeTopics(
         static_cast<int64_t>(kept_range[r].first) -
         static_cast<int64_t>(influence.EdgeTopics(replacements[r].edge).size());
   }
-  out.offsets_.clear();
-  out.offsets_.reserve(num_edges + 1);
-  out.offsets_.push_back(0);
-  out.entries_.reserve(influence.entries_.size() +
+  out->offsets.reserve(num_edges + 1);
+  out->offsets.push_back(0);
+  out->entries.reserve(influence.offsets_[num_edges] +
                        static_cast<size_t>(std::max<int64_t>(0, nnz_delta)));
-  out.max_prob_.reserve(num_edges);
+  out->max_prob.reserve(num_edges);
   for (EdgeId e = 0; e < num_edges; ++e) {
     std::span<const EdgeTopicEntry> entries;
     if (replacement_of[e] != UINT32_MAX) {
@@ -120,11 +126,11 @@ InfluenceGraph ReplaceEdgeTopics(
     for (const EdgeTopicEntry& entry : entries) {
       max_p = std::max(max_p, entry.prob);
     }
-    out.entries_.insert(out.entries_.end(), entries.begin(), entries.end());
-    out.offsets_.push_back(out.entries_.size());
-    out.max_prob_.push_back(max_p);
+    out->entries.insert(out->entries.end(), entries.begin(), entries.end());
+    out->offsets.push_back(out->entries.size());
+    out->max_prob.push_back(max_p);
   }
-  return out;
+  return InfluenceGraph(std::move(out));
 }
 
 InfluenceGraphBuilder::InfluenceGraphBuilder(size_t num_edges)
@@ -150,22 +156,23 @@ void InfluenceGraphBuilder::SetEdgeTopics(
 }
 
 InfluenceGraph InfluenceGraphBuilder::Build() {
-  InfluenceGraph g;
-  g.offsets_.reserve(num_edges_ + 1);
-  g.max_prob_.reserve(num_edges_);
+  auto g = std::make_shared<InfluenceGraph::Storage>();
+  g->offsets.reserve(num_edges_ + 1);
+  g->offsets.push_back(0);
+  g->max_prob.reserve(num_edges_);
   size_t total = 0;
   for (const auto& v : staged_) total += v.size();
-  g.entries_.reserve(total);
+  g->entries.reserve(total);
   for (auto& v : staged_) {
     double max_p = 0.0;
     for (const auto& entry : v) max_p = std::max(max_p, entry.prob);
-    g.entries_.insert(g.entries_.end(), v.begin(), v.end());
-    g.offsets_.push_back(g.entries_.size());
-    g.max_prob_.push_back(max_p);
+    g->entries.insert(g->entries.end(), v.begin(), v.end());
+    g->offsets.push_back(g->entries.size());
+    g->max_prob.push_back(max_p);
     v.clear();
   }
   staged_.clear();
-  return g;
+  return InfluenceGraph(std::move(g));
 }
 
 namespace {

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -38,15 +39,17 @@ struct EdgeTopicsReplacement {
 };
 
 /// Immutable per-edge p(e|z) table. Build with InfluenceGraphBuilder.
+/// Like Graph, the arrays live behind a refcount: copies are O(1) and
+/// alias one CSR.
 class InfluenceGraph {
  public:
   InfluenceGraph() = default;
 
-  size_t num_edges() const { return offsets_.size() - 1; }
+  size_t num_edges() const { return num_edges_; }
 
   /// Sparse topic vector of edge e.
   std::span<const EdgeTopicEntry> EdgeTopics(EdgeId e) const {
-    return {entries_.data() + offsets_[e], entries_.data() + offsets_[e + 1]};
+    return {entries_ + offsets_[e], entries_ + offsets_[e + 1]};
   }
 
   /// p(e|z); 0 when the edge carries no mass on z.
@@ -65,9 +68,20 @@ class InfluenceGraph {
       const InfluenceGraph& influence,
       std::span<const EdgeTopicsReplacement> replacements);
 
-  std::vector<uint64_t> offsets_{0};
-  std::vector<EdgeTopicEntry> entries_;
-  std::vector<double> max_prob_;
+  struct Storage {
+    std::vector<uint64_t> offsets;
+    std::vector<EdgeTopicEntry> entries;
+    std::vector<double> max_prob;
+  };
+  static constexpr uint64_t kNoOffsets[1] = {0};
+
+  explicit InfluenceGraph(std::shared_ptr<const Storage> storage);
+
+  std::shared_ptr<const Storage> storage_;
+  size_t num_edges_ = 0;
+  const uint64_t* offsets_ = kNoOffsets;
+  const EdgeTopicEntry* entries_ = nullptr;
+  const double* max_prob_ = nullptr;
 };
 
 /// Accumulates edge topic vectors in EdgeId order.
@@ -87,12 +101,13 @@ class InfluenceGraphBuilder {
   std::vector<std::vector<EdgeTopicEntry>> staged_;
 };
 
-/// Copy of `influence` with the listed edges' topic vectors replaced —
-/// the batch-fold primitive of DynamicRrIndex::ApplyUpdates. Entry
-/// validation matches InfluenceGraphBuilder (probabilities in [0, 1],
-/// zero entries dropped, sorted by topic, duplicate topics rejected),
-/// but the copy is one exact-size pass over the CSR: unchanged edges
-/// are block-copied, so a batch costs O(|E| + nnz) with three array
+/// `influence` with the listed edges' topic vectors replaced, in fresh
+/// storage (copies of `influence` keep the old CSR) — the batch-fold
+/// primitive of DynamicRrIndex::ApplyUpdates. Entry validation matches
+/// InfluenceGraphBuilder (probabilities in [0, 1], zero entries
+/// dropped, sorted by topic, duplicate topics rejected), but the fold
+/// is one exact-size pass over the CSR: unchanged edges are
+/// block-copied, so a batch costs O(|E| + nnz) with three array
 /// allocations instead of one staging vector per edge. Each edge may
 /// appear at most once in `replacements`.
 InfluenceGraph ReplaceEdgeTopics(

@@ -67,7 +67,7 @@ enum class SpanKind : uint8_t {
   kWalAppend,  // WriteAheadLog::Append
   kWalFsync,   // WriteAheadLog::Sync (the commit point)
   kFreeze,     // FreezeSnapshotLocked (retry loop included)
-  kPack,       // IndexSnapshot::FromDynamic (network copy + sketch pack)
+  kPack,       // IndexSnapshot::FromDynamic (overlay freeze + any compaction)
   kSwap,       // IndexSnapshotRegistry::Publish (the epoch swap)
   kCheckpoint, // checkpoint write + WAL truncation
   kSpanKindCount,

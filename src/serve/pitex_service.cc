@@ -99,6 +99,13 @@ void PitexService::RegisterMetrics() {
   m_.fenced_writes = metrics_.RegisterCounter(
       "pitex_fenced_writes_total",
       "Update batches rejected because this writer's term is stale");
+  m_.compactions = metrics_.RegisterCounter(
+      "pitex_index_compactions_total",
+      "Master index overlays folded into a new base sketch pool");
+  m_.overlay_sketches = metrics_.RegisterGauge(
+      "pitex_index_overlay_sketches",
+      "Repaired sketch copies in the master index overlay at the last "
+      "freeze");
   m_.sojourn = metrics_.RegisterHistogram(
       "pitex_query_sojourn_seconds",
       "Enqueue-to-answer latency of engine-served queries",
@@ -207,8 +214,8 @@ void PitexService::Start() {
   std::shared_ptr<const IndexSnapshot> snapshot;
   if (method == Method::kIndexEst || method == Method::kIndexEstPlus) {
     if (options_.enable_updates) {
-      // Shadow master: repairs mutate it privately; every published
-      // epoch is an immutable packed replica. The initial state is
+      // Master: repairs mutate it privately; every published epoch is
+      // an immutable replica sharing its base. The initial state is
       // bit-identical to a freshly built RrIndex with these options.
       // Writer-side state is update_mutex_ territory even during the
       // one-time init: an ApplyUpdates racing a concurrent lazy Start()
@@ -255,13 +262,10 @@ void PitexService::Start() {
         master_ = std::make_unique<DynamicRrIndex>(*network_, index_options);
         master_->Build();
       }
-      if (options_.publish_threads > 1) {
-        publish_pool_ = std::make_unique<ThreadPool>(options_.publish_threads);
-      }
       // Same retry policy as ApplyUpdates, but there is no previous
       // epoch to fall back to: if the freeze cannot succeed within the
       // retry budget, starting the service is impossible.
-      snapshot = FreezeSnapshotLocked(initial_epoch);
+      snapshot = FreezeSnapshotLocked(initial_epoch, /*compact=*/false);
       if (snapshot == nullptr) {
         // The per-attempt kPublishRetry events are already in the ring.
         journal_.DumpTo(stderr);
@@ -722,7 +726,7 @@ std::future<ServedResult> PitexService::Submit(const PitexQuery& query) {
 }
 
 std::shared_ptr<const IndexSnapshot> PitexService::FreezeSnapshotLocked(
-    uint64_t epoch) {
+    uint64_t epoch, bool compact) {
   // Covers the whole retry loop (backoff sleeps included); the kPack
   // span inside IndexSnapshot::FromDynamic nests under it via the
   // thread's current trace. Inert when no trace is armed (Start()).
@@ -739,8 +743,7 @@ std::shared_ptr<const IndexSnapshot> PitexService::FreezeSnapshotLocked(
   double backoff_ms = options_.publish_backoff_initial_ms;
   const size_t attempts = std::max<size_t>(1, options_.publish_max_attempts);
   for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    snapshot = IndexSnapshot::FromDynamic(*master_, epoch,
-                                          publish_pool_.get());
+    snapshot = IndexSnapshot::FromDynamic(*master_, epoch, compact);
     if (snapshot != nullptr) break;
     m_.publish_retries->Inc();
     journal_.Record(obs::EventKind::kPublishRetry, epoch, attempt + 1);
@@ -756,6 +759,9 @@ std::shared_ptr<const IndexSnapshot> PitexService::FreezeSnapshotLocked(
 
   publish_in_flight_.store(false, std::memory_order_release);
   if (admission_ != nullptr) admission_->EndPublish();
+  m_.compactions->Inc(master_->stats().compactions - compactions_seen_);
+  compactions_seen_ = master_->stats().compactions;
+  m_.overlay_sketches->Set(static_cast<int64_t>(master_->overlay_sketches()));
   return snapshot;
 }
 
@@ -855,7 +861,11 @@ uint64_t PitexService::ApplyUpdates(
   master_->ApplyUpdates(updates);
   applied_batches_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t epoch = registry_.current_epoch() + 1;
-  std::shared_ptr<const IndexSnapshot> snapshot = FreezeSnapshotLocked(epoch);
+  // A checkpoint saves the snapshot it follows, so that snapshot is
+  // frozen from a compacted master: the checkpoint file is its base pool
+  // verbatim, and the overlay restarts empty.
+  std::shared_ptr<const IndexSnapshot> snapshot =
+      FreezeSnapshotLocked(epoch, /*compact=*/CheckpointDueLocked());
   if (snapshot == nullptr) {
     // Every freeze attempt failed. The repairs are NOT lost: they are
     // staged in the master, readers keep serving the previous epoch, and
@@ -882,9 +892,15 @@ uint64_t PitexService::ApplyUpdates(
   return epoch;
 }
 
+bool PitexService::CheckpointDueLocked() const {
+  return wal_ != nullptr && options_.checkpoint_every != 0 &&
+         publishes_since_checkpoint_ + 1 >= options_.checkpoint_every;
+}
+
 void PitexService::MaybeCheckpointLocked(const IndexSnapshot& snapshot) {
-  if (options_.checkpoint_every == 0) return;
-  if (++publishes_since_checkpoint_ < options_.checkpoint_every) return;
+  const bool due = CheckpointDueLocked();
+  ++publishes_since_checkpoint_;
+  if (!due) return;
   // Placed after the cadence early-returns: publishes that skip the
   // checkpoint get no (trivial) span.
   PITEX_SPAN(kCheckpoint);

@@ -18,10 +18,10 @@
 //     worker i % num_threads — reproducing BatchEngine::ExploreAll
 //     bit-identically (pinned by tests/pitex_service_test.cc);
 //   * snapshots — queries pin the current IndexSnapshot; ApplyUpdates
-//     repairs a shadow DynamicRrIndex master and publishes a fresh
-//     immutable snapshot, so in-flight queries finish on the epoch they
-//     started while new queries see the repaired index (see
-//     src/serve/snapshot_registry.h);
+//     repairs a private DynamicRrIndex master and publishes a fresh
+//     immutable snapshot sharing the master's network and base sketches,
+//     so in-flight queries finish on the epoch they started while new
+//     queries see the repaired index (see src/serve/snapshot_registry.h);
 //   * memoization — answers are cached per (user, k, top_n, method,
 //     epoch) in a sharded LRU ResultCache; epoch keying makes update
 //     invalidation free. The cache is forced off in deterministic mode
@@ -90,13 +90,6 @@ struct ServeOptions {
   /// Keep a DynamicRrIndex master so ApplyUpdates can publish repaired
   /// snapshots. Requires an RR-Graph method (kIndexEst / kIndexEstPlus).
   bool enable_updates = false;
-  /// Workers for the publish-side freeze (IndexSnapshot::FromDynamic):
-  /// the network copy overlaps a pool-parallel pack. The serving pool is
-  /// permanently parked under the pumps, so publishes get their own
-  /// small maintenance pool; it sits idle between epochs. 0 or 1 (the
-  /// default) freezes serially — only worth enabling when cores are
-  /// genuinely free beyond the serving pumps.
-  size_t publish_threads = 0;
   /// Per-worker ring size for latency samples (Stats()).
   size_t latency_window = 1 << 14;
 
@@ -393,7 +386,10 @@ class PitexService {
     obs::Counter* checkpoint_failures = nullptr;
     obs::Counter* recovery_replayed = nullptr;
     obs::Counter* fenced_writes = nullptr;
+    obs::Counter* compactions = nullptr;
     obs::Histogram* sojourn = nullptr;
+    // Set by the writer after each freeze.
+    obs::Gauge* overlay_sketches = nullptr;
     // Derived gauges, written only by CollectDerivedMetrics().
     obs::Gauge* cache_entries = nullptr;
     obs::Gauge* cache_insertions = nullptr;
@@ -417,12 +413,18 @@ class PitexService {
   void BindWorker(WorkerState* state,
                   std::shared_ptr<const IndexSnapshot> snapshot,
                   size_t worker);
-  /// Freezes a snapshot of the master at `epoch`, retrying with jittered
+  /// Freezes a snapshot of the master at `epoch` (compacting the
+  /// master's overlay first when `compact`), retrying with jittered
   /// exponential backoff on (possibly fault-injected) failure. Returns
   /// nullptr after options_.publish_max_attempts failures. Maintains the
-  /// publish watchdog atomics and the admission publish-priority window.
-  std::shared_ptr<const IndexSnapshot> FreezeSnapshotLocked(uint64_t epoch)
+  /// publish watchdog atomics, the admission publish-priority window and
+  /// the overlay metrics.
+  std::shared_ptr<const IndexSnapshot> FreezeSnapshotLocked(uint64_t epoch,
+                                                            bool compact)
       PITEX_REQUIRES(update_mutex_);
+  /// Whether the publish in progress completes the checkpoint cadence
+  /// (its snapshot is then compacted and checkpointed).
+  bool CheckpointDueLocked() const PITEX_REQUIRES(update_mutex_);
   /// After a successful publish: when the checkpoint cadence is due,
   /// persists `snapshot` + a manifest through src/serve/recovery.h and
   /// truncates the WAL behind it. Failure is non-fatal (counted in
@@ -461,11 +463,9 @@ class PitexService {
   /// Serializes publishers (Start's initial build, ApplyUpdates) and
   /// guards the writer-side state they touch.
   Mutex update_mutex_;
-  // Shadow copy repairs mutate privately (enable_updates only).
+  // The index repairs mutate privately (enable_updates only).
   std::unique_ptr<DynamicRrIndex> master_ PITEX_GUARDED_BY(update_mutex_);
-  // Maintenance pool for publish-side packs (never the pump pool — its
-  // workers are parked for good).
-  std::unique_ptr<ThreadPool> publish_pool_ PITEX_GUARDED_BY(update_mutex_);
+  uint64_t compactions_seen_ PITEX_GUARDED_BY(update_mutex_) = 0;
   // Backoff jitter for publish retries. The fixed seed is deliberate:
   // jitter decorrelates retry timing across *publishers*, which a shared
   // deterministic stream still provides, and keeping it off the query

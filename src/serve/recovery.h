@@ -23,12 +23,12 @@
 // a fresh DynamicRrIndex (RestoreModel), load the snapshot against the
 // restored model (LoadRrIndex's fingerprint check *proves* the model
 // restore is bit-identical — a mismatch fails recovery rather than
-// serving subtly wrong answers), adopt its sketches (AdoptSketches),
-// then replay the WAL tail through the ordinary deterministic repair
-// path. The repair RNG is stateless per (seed, sketch, version), so
-// replaying records in LSN order from the restored version counter
-// re-draws exactly the coins the crashed process drew: the recovered
-// master is bit-identical to a never-crashed reference.
+// serving subtly wrong answers), adopt its pool as the master's shared
+// base (AdoptSketches), then replay the WAL tail through the ordinary
+// deterministic repair path. The repair RNG is stateless per (seed,
+// sketch, version), so replaying records in LSN order from the restored
+// version counter re-draws exactly the coins the crashed process drew:
+// the recovered master is bit-identical to a never-crashed reference.
 //
 // Fail points: "checkpoint/rename" (between manifest staging and its
 // atomic publication) and "recovery/replay" (before each replayed

@@ -122,12 +122,21 @@ bool DecodeCheckpointMsg(const ReplFrame& frame, ReplCheckpointMsg* msg) {
   if (frame.type != ReplFrameType::kCheckpoint) return false;
   std::istringstream in(frame.payload);
   BinaryReader reader(&in);
+  // The snapshot is a whole index file (megabytes), so each string is
+  // bounded by what is left of the frame's payload, which the frame
+  // codec already caps at kMaxReplPayloadBytes.
+  const auto read_rest = [&](std::string* value) {
+    const std::streamoff offset = in.tellg();
+    return offset >= 0 &&
+           reader.ReadString(value, frame.payload.size() -
+                                        static_cast<uint64_t>(offset));
+  };
   uint8_t present = 0;
   if (!reader.ReadU64(&msg->term) || !reader.ReadU8(&present) ||
       !reader.ReadU64(&msg->checkpoint.lsn) ||
-      !reader.ReadString(&msg->checkpoint.manifest_bytes) ||
-      !reader.ReadString(&msg->checkpoint.snapshot_name) ||
-      !reader.ReadString(&msg->checkpoint.snapshot_bytes)) {
+      !read_rest(&msg->checkpoint.manifest_bytes) ||
+      !read_rest(&msg->checkpoint.snapshot_name) ||
+      !read_rest(&msg->checkpoint.snapshot_bytes)) {
     return false;
   }
   msg->checkpoint.present = present != 0;

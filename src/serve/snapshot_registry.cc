@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/index/rr_sketch_pool.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/failpoint.h"
@@ -25,39 +24,21 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::Wrap(
 }
 
 std::shared_ptr<const IndexSnapshot> IndexSnapshot::FromDynamic(
-    const DynamicRrIndex& master, uint64_t epoch, ThreadPool* pack_pool) {
+    DynamicRrIndex& master, uint64_t epoch, bool compact) {
   // Chaos hook: a freeze that "fails" before any work models the
-  // transient failures (allocation pressure, wedged pack pool) a real
-  // publish path must survive. Callers treat nullptr as a retryable
-  // error (PitexService::FreezeSnapshotLocked backs off and retries).
+  // transient failures (allocation pressure) a real publish path must
+  // survive. Callers treat nullptr as a retryable error
+  // (PitexService::FreezeSnapshotLocked backs off and retries).
   if (PITEX_FAILPOINT("serve/publish_freeze")) return nullptr;
-  // The pack span attributes to whichever trace is current on this
-  // thread (the publish trace during ApplyUpdates); with no current
-  // trace the span is inert.
+  // The pack span (overlay freeze plus any compaction) attributes to
+  // whichever trace is current on this thread (the publish trace during
+  // ApplyUpdates); with no current trace the span is inert.
   PITEX_SPAN(kPack);
   auto snapshot = std::shared_ptr<IndexSnapshot>(new IndexSnapshot());
-  // The frozen network copy must live in the snapshot (stable address)
-  // before the RrIndex replica can reference it.
-  auto network = std::make_shared<SocialNetwork>();
-  const size_t num_vertices = master.network().num_vertices();
-  RrSketchPool pool;
-  if (pack_pool != nullptr) {
-    // The freeze has two independent halves — the (post-update) network
-    // copy and the sketch pack. With a pool they overlap: the copy runs
-    // as one pool task while Pack fans its copy/containing passes over
-    // the remaining workers; Pack's internal Wait covers the copy task
-    // (ThreadPool::Wait is global quiescence).
-    PITEX_CHECK_MSG(
-        pack_pool->Submit([&network, &master] { *network = master.network(); }),
-        "pack pool shut down mid-freeze");
-    pool = RrSketchPool::Pack(master.graphs(), num_vertices, pack_pool);
-    pack_pool->Wait();
-  } else {
-    *network = master.network();
-    pool = RrSketchPool::Pack(master.graphs(), num_vertices);
-  }
-  snapshot->rr_index_ = RrIndex::FromPool(*network, master.options(),
-                                          master.theta(), std::move(pool));
+  // The network must live in the snapshot (stable address) before the
+  // RrIndex replica can reference it.
+  auto network = std::make_shared<const SocialNetwork>(master.network());
+  snapshot->rr_index_ = master.Freeze(*network, compact);
   snapshot->network_ = std::move(network);
   snapshot->epoch_ = epoch;
   return snapshot;

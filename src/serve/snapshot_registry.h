@@ -6,13 +6,15 @@
 // every in-flight query for the duration of a repair batch. Instead the
 // registry versions the index into immutable *snapshots*:
 //
-//   * an IndexSnapshot is a frozen (network copy, RrIndex replica) pair
+//   * an IndexSnapshot is a frozen (network, RrIndex replica) pair
 //     stamped with a monotonically increasing epoch. It is never mutated
 //     after construction, so any number of workers read it without
 //     synchronization (RrIndex estimation is const + per-thread scratch);
-//   * repairs run on the writer's private master DynamicRrIndex — a
-//     shadow copy no reader ever sees — and publishing packs the master
-//     into a fresh snapshot and swaps the registry's current pointer
+//   * repairs run on the writer's private master DynamicRrIndex — state
+//     no reader ever sees — and publishing freezes only what changed:
+//     the snapshot shares the master's topology, influence CSR and base
+//     sketch pool, and owns just an immutable copy of the master's
+//     overlay of repaired sketches. The registry's current pointer swaps
 //     under a mutex held for nanoseconds, not for the repair;
 //   * reclamation is refcount-by-epoch: each query pins the snapshot it
 //     started on via shared_ptr, so an old epoch stays alive exactly
@@ -45,9 +47,9 @@ namespace pitex {
 /// for as long as any engine references it.
 class IndexSnapshot {
  public:
-  /// Frozen copy of the influence model the index was sampled from;
-  /// posterior probabilities for queries served from this snapshot must
-  /// be computed against it.
+  /// The influence model the index was sampled from, frozen at this
+  /// epoch; posterior probabilities for queries served from this
+  /// snapshot must be computed against it.
   const SocialNetwork& network() const { return *network_; }
   /// Shared RR-Graph replica (kIndexEst / kIndexEstPlus), else null.
   /// Read-only after build; safe for concurrent engines (see
@@ -65,12 +67,14 @@ class IndexSnapshot {
       const SocialNetwork* network, std::unique_ptr<RrIndex> rr_index,
       std::string delay_snapshot, uint64_t epoch);
 
-  /// Freezes the master's current state: copies its (post-update)
-  /// network and packs its sketches into an immutable pooled RrIndex
-  /// replica (RrIndex::FromPool). This is the publish path for
-  /// serve-during-update. When `pack_pool` is non-null the pool pack
-  /// (sketch copy + containing index) runs across its workers — pass a
-  /// maintenance pool, never the pool the caller is running on.
+  /// Freezes the master's current state — the publish path for
+  /// serve-during-update. The snapshot's network is an O(1) copy of the
+  /// master's (topology and influence storage shared), and its RrIndex
+  /// replica shares the master's base pool beside a frozen copy of its
+  /// overlay (DynamicRrIndex::Freeze). With `compact` (the publish a
+  /// checkpoint will save) the master first folds its overlay into a
+  /// new base, as it also does once the overlay grows past
+  /// kOverlayCompactFraction of theta.
   ///
   /// Returns nullptr when the freeze fails — today only via the
   /// "serve/publish_freeze" fail point (src/util/failpoint.h), standing
@@ -78,8 +82,7 @@ class IndexSnapshot {
   /// Callers must treat nullptr as retryable (see
   /// PitexService::ApplyUpdates for the retry/backoff policy).
   static std::shared_ptr<const IndexSnapshot> FromDynamic(
-      const DynamicRrIndex& master, uint64_t epoch,
-      ThreadPool* pack_pool = nullptr);
+      DynamicRrIndex& master, uint64_t epoch, bool compact = false);
 
  private:
   IndexSnapshot() = default;

@@ -121,12 +121,16 @@ bool BinaryReader::ReadF64(double* value) {
 }
 
 bool BinaryReader::ReadString(std::string* value) {
-  uint64_t size = 0;
-  if (!ReadU64(&size)) return false;
   // Strings in index files are short (magic tags, dataset names); a huge
   // length here means the file is corrupt.
   constexpr uint64_t kMaxStringBytes = 1 << 20;
-  if (size > kMaxStringBytes) {
+  return ReadString(value, kMaxStringBytes);
+}
+
+bool BinaryReader::ReadString(std::string* value, uint64_t max_bytes) {
+  uint64_t size = 0;
+  if (!ReadU64(&size)) return false;
+  if (size > max_bytes) {
     failed_ = true;
     return false;
   }

@@ -87,7 +87,12 @@ class BinaryReader {
   bool ReadU64(uint64_t* value);
   bool ReadF32(float* value);
   bool ReadF64(double* value);
+  /// Length-prefixed string of at most 1 MiB — the bound for the
+  /// short strings of file headers (magic tags, file names).
   bool ReadString(std::string* value);
+  /// Length-prefixed string of at most `max_bytes`, for callers that
+  /// know how many bytes the enclosing record holds.
+  bool ReadString(std::string* value, uint64_t max_bytes);
   bool ReadBytes(void* data, size_t size);
 
   /// Length-prefixed vector of fixed-width scalars. `max_elements` guards

@@ -31,8 +31,8 @@ RrIndexOptions SmallOptions() {
   return options;
 }
 
-// Compares through RRView so owning graphs (DynamicRrIndex) and pooled
-// views (RrIndex) are interchangeable.
+// Compares through RRView so owning graphs and pooled views are
+// interchangeable.
 bool GraphsEqual(const RRView& a, const RRView& b) {
   if (a.root != b.root ||
       !std::ranges::equal(a.vertices, b.vertices) ||
@@ -269,7 +269,11 @@ TEST(DynamicRrIndexTest, NoopUpdateLeavesEveryGraphIdentical) {
   index.Build();
   std::vector<RRGraph> snapshot;
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    snapshot.push_back(index.graph(i));
+    const RRView rr = index.graph(i);
+    snapshot.push_back(RRGraph{rr.root,
+                               {rr.vertices.begin(), rr.vertices.end()},
+                               {rr.offsets.begin(), rr.offsets.end()},
+                               {rr.edges.begin(), rr.edges.end()}});
   }
 
   std::vector<EdgeTopicEntry> same(n.influence.EdgeTopics(1).begin(),

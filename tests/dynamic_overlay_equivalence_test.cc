@@ -1,0 +1,294 @@
+// Pins the base + overlay DynamicRrIndex (src/index/dynamic_index.h) to
+// the owning-RRGraph master it replaced (tests/reference_dynamic_index.h):
+// both are driven through the same seeded random update batches --
+// probability drops that kill edges, raises that resurrect them and
+// expand sketches, and deletions (empty entries) -- across several
+// compactions and a checkpoint save / AdoptSketches round trip, and must
+// agree on every sketch, every containing list, every estimate, every
+// maintenance counter and every saved index byte. A second test checks
+// that a durable service's snapshots alias the caller's topology instead
+// of copying it.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <memory>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "reference_dynamic_index.h"
+#include "src/datasets/synthetic.h"
+#include "src/index/dynamic_index.h"
+#include "src/index/index_io.h"
+#include "src/index/rr_index.h"
+#include "src/serve/pitex_service.h"
+
+namespace pitex {
+namespace {
+
+bool ViewsEqual(const RRView& a, const RRView& b) {
+  if (a.root != b.root || !std::ranges::equal(a.vertices, b.vertices) ||
+      !std::ranges::equal(a.offsets, b.offsets) ||
+      a.edges.size() != b.edges.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.edges.size(); ++i) {
+    if (a.edges[i].head_local != b.edges[i].head_local ||
+        a.edges[i].edge != b.edges[i].edge ||
+        a.edges[i].threshold != b.edges[i].threshold) {
+      return false;
+    }
+  }
+  return true;
+}
+
+SocialNetwork MakeNetwork() {
+  DatasetSpec spec = LastfmSpec(0.3);
+  spec.seed = 31;
+  return GenerateDataset(spec);
+}
+
+RrIndexOptions Options() {
+  RrIndexOptions options;
+  options.theta_override = 3000;
+  options.seed = 13;
+  return options;
+}
+
+enum class BatchKind { kDrop, kRaise, kDelete };
+
+// 1-4 updates of one kind on random edges: drops kill live edges (and
+// prune), raises resurrect dead ones (and expand sketches whose root the
+// tail newly reaches), deletions zero the edge's influence.
+std::vector<EdgeInfluenceUpdate> RandomBatch(const SocialNetwork& n,
+                                             BatchKind kind, Rng* rng) {
+  std::vector<EdgeInfluenceUpdate> batch(1 + rng->NextBounded(4));
+  for (EdgeInfluenceUpdate& update : batch) {
+    update.edge = static_cast<EdgeId>(rng->NextBounded(n.num_edges()));
+    const auto topic =
+        static_cast<TopicId>(rng->NextBounded(n.topics.num_topics()));
+    switch (kind) {
+      case BatchKind::kDrop:
+        update.entries = {{topic, 0.01 * rng->NextDouble()}};
+        break;
+      case BatchKind::kRaise:
+        update.entries = {{topic, 0.7 + 0.3 * rng->NextDouble()}};
+        break;
+      case BatchKind::kDelete:
+        break;
+    }
+  }
+  return batch;
+}
+
+void ExpectSameSketches(const DynamicRrIndex& got,
+                        const ReferenceDynamicRrIndex& want) {
+  ASSERT_EQ(got.theta(), want.theta());
+  ASSERT_EQ(got.num_graphs(), want.graphs().size());
+  for (size_t i = 0; i < got.num_graphs(); ++i) {
+    ASSERT_TRUE(ViewsEqual(got.graph(i), want.graphs()[i])) << "sketch " << i;
+  }
+  for (VertexId v = 0; v < got.network().num_vertices(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(got.Containing(v), want.Containing(v)))
+        << "vertex " << v;
+  }
+}
+
+void ExpectSameStats(const DynamicRrIndex& got,
+                     const ReferenceDynamicRrIndex& want) {
+  EXPECT_EQ(got.stats().update_batches, want.stats().update_batches);
+  EXPECT_EQ(got.stats().edges_updated, want.stats().edges_updated);
+  EXPECT_EQ(got.stats().graphs_examined, want.stats().graphs_examined);
+  EXPECT_EQ(got.stats().graphs_changed, want.stats().graphs_changed);
+  EXPECT_EQ(got.version(), want.version());
+}
+
+void ExpectSameEstimates(DynamicRrIndex& got, ReferenceDynamicRrIndex& want) {
+  const TagId tags[] = {0, 1};
+  const auto posterior = got.network().topics.Posterior(tags);
+  const PosteriorProbs got_probs(got.network().influence, posterior);
+  const PosteriorProbs want_probs(want.network().influence, posterior);
+  for (VertexId u = 0; u < got.network().num_vertices(); u += 7) {
+    const Estimate a = got.EstimateInfluence(u, got_probs);
+    const Estimate b = want.EstimateInfluence(u, want_probs);
+    ASSERT_EQ(a.influence, b.influence) << "user " << u;
+    ASSERT_EQ(a.std_error, b.std_error) << "user " << u;
+    ASSERT_EQ(a.samples, b.samples) << "user " << u;
+    ASSERT_EQ(a.edges_visited, b.edges_visited) << "user " << u;
+  }
+}
+
+std::string Saved(const RrIndex& index) {
+  std::ostringstream out;
+  std::string error;
+  EXPECT_TRUE(SaveRrIndex(index, out, &error)) << error;
+  return std::move(out).str();
+}
+
+// The reference's checkpoint bytes: its sketches packed into a pool, as
+// the old publish path did.
+std::string SavedReference(const ReferenceDynamicRrIndex& ref) {
+  const auto index = RrIndex::FromPool(
+      ref.network(), Options(), ref.theta(),
+      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+          ref.graphs(), ref.network().num_vertices())));
+  return Saved(*index);
+}
+
+uint64_t TotalSketchVertices(const ReferenceDynamicRrIndex& ref) {
+  uint64_t total = 0;
+  for (const RRGraph& rr : ref.graphs()) total += rr.vertices.size();
+  return total;
+}
+
+TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
+  const SocialNetwork n = MakeNetwork();
+  auto got = std::make_unique<DynamicRrIndex>(n, Options());
+  auto want = std::make_unique<ReferenceDynamicRrIndex>(n, Options());
+  got->Build();
+  want->Build();
+  ExpectSameSketches(*got, *want);
+
+  Rng rng(2024);
+  std::set<EdgeId> touched;
+  uint64_t compactions = 0;
+  bool grew = false;
+  bool shrank = false;
+  // The last frozen replica, its network and its saved bytes.
+  std::unique_ptr<SocialNetwork> frozen_network;
+  std::unique_ptr<RrIndex> frozen;
+  std::string frozen_bytes;
+  constexpr int kBatches = 90;
+  constexpr int kCheckpointAt = 30;
+  for (int b = 0; b < kBatches; ++b) {
+    const auto kind = static_cast<BatchKind>(rng.NextBounded(3));
+    const std::vector<EdgeInfluenceUpdate> batch =
+        RandomBatch(n, kind, &rng);
+    for (const EdgeInfluenceUpdate& update : batch) touched.insert(update.edge);
+    const uint64_t before = TotalSketchVertices(*want);
+    got->ApplyUpdates(batch);
+    want->ApplyUpdates(batch);
+    const uint64_t after = TotalSketchVertices(*want);
+    grew = grew || after > before;
+    shrank = shrank || after < before;
+    ExpectSameSketches(*got, *want);
+    ExpectSameStats(*got, *want);
+    if (b % 10 == 0) ExpectSameEstimates(*got, *want);
+    // Replicas frozen earlier are unaffected by later repairs.
+    if (frozen != nullptr) {
+      ASSERT_EQ(Saved(*frozen), frozen_bytes);
+    }
+
+    if (b % 5 == 4) {
+      // A frozen replica serves exactly the master's current sketches,
+      // overlay included.
+      frozen.reset();
+      frozen_network = std::make_unique<SocialNetwork>(got->network());
+      frozen = got->Freeze(*frozen_network, /*compact=*/false);
+      for (size_t i = 0; i < frozen->num_graphs(); ++i) {
+        ASSERT_TRUE(ViewsEqual(frozen->graph(i), want->graphs()[i]));
+      }
+      for (VertexId v = 0; v < n.num_vertices(); ++v) {
+        ASSERT_TRUE(std::ranges::equal(frozen->Containing(v),
+                                       want->Containing(v)));
+      }
+      frozen_bytes = Saved(*frozen);
+      EXPECT_EQ(frozen_bytes, SavedReference(*want));
+    }
+
+    if (b == kCheckpointAt) {
+      // Checkpoint: a compacting freeze, saved; then both masters are
+      // restored from the saved bytes the way recovery does it.
+      const SocialNetwork checkpoint_network = got->network();
+      const auto checkpoint =
+          got->Freeze(checkpoint_network, /*compact=*/true);
+      EXPECT_EQ(got->overlay_sketches(), 0u);
+      const std::string bytes = Saved(*checkpoint);
+      ASSERT_EQ(bytes, SavedReference(*want));
+
+      std::vector<EdgeInfluenceUpdate> delta;
+      for (const EdgeId e : touched) {
+        const auto entries = got->network().influence.EdgeTopics(e);
+        delta.push_back({e, {entries.begin(), entries.end()}});
+      }
+      compactions += got->stats().compactions;
+      auto got2 = std::make_unique<DynamicRrIndex>(n, Options());
+      auto want2 = std::make_unique<ReferenceDynamicRrIndex>(n, Options());
+      got2->RestoreModel(delta, got->version());
+      want2->RestoreModel(delta, want->version());
+      std::istringstream got_in(bytes);
+      std::istringstream want_in(bytes);
+      std::string error;
+      const auto got_loaded = LoadRrIndex(got2->network(), got_in, &error);
+      ASSERT_NE(got_loaded, nullptr) << error;
+      const auto want_loaded = LoadRrIndex(want2->network(), want_in, &error);
+      ASSERT_NE(want_loaded, nullptr) << error;
+      got2->AdoptSketches(*got_loaded);
+      want2->AdoptSketches(*want_loaded);
+      ExpectSameSketches(*got2, *want);
+      got = std::move(got2);
+      want = std::move(want2);
+      ExpectSameSketches(*got, *want);
+      ExpectSameEstimates(*got, *want);
+    }
+  }
+  compactions += got->stats().compactions;
+  EXPECT_GE(compactions, 2u) << "overlay never passed its compaction bound";
+  EXPECT_TRUE(grew) << "no batch resurrected an edge into an expansion";
+  EXPECT_TRUE(shrank) << "no batch killed an edge";
+  ExpectSameEstimates(*got, *want);
+  EXPECT_EQ(Saved(*got->Freeze(got->network(), /*compact=*/false)),
+            SavedReference(*want));
+}
+
+TEST(DynamicOverlayEquivalenceTest, DurableSnapshotsShareCallerTopology) {
+  const SocialNetwork n = MakeNetwork();
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "pitex_overlay_sharing")
+          .string();
+  std::filesystem::remove_all(dir);
+  ServeOptions options;
+  options.engine.method = Method::kIndexEst;
+  options.engine.index_theta_per_vertex = 4.0;
+  options.num_threads = 1;
+  options.enable_updates = true;
+  options.durability_dir = dir;
+  {
+    PitexService service(&n, options);
+    service.Start();
+    VertexId v = 0;
+    while (n.graph.InDegree(v) == 0 || n.graph.OutDegree(v) == 0) ++v;
+    EdgeId e = 0;
+    while (n.influence.EdgeTopics(e).empty()) ++e;
+
+    const auto initial = service.CurrentSnapshot();
+    EXPECT_EQ(initial->network().graph.InEdges(v).data(),
+              n.graph.InEdges(v).data());
+    EXPECT_EQ(initial->network().graph.OutEdges(v).data(),
+              n.graph.OutEdges(v).data());
+    EXPECT_EQ(initial->network().influence.EdgeTopics(e).data(),
+              n.influence.EdgeTopics(e).data());
+
+    std::vector<EdgeInfluenceUpdate> batch{{e, {{0, 0.5}}}};
+    ASSERT_NE(service.ApplyUpdates(batch), 0u);
+    const auto published = service.CurrentSnapshot();
+    ASSERT_NE(published, initial);
+    EXPECT_EQ(published->network().graph.InEdges(v).data(),
+              n.graph.InEdges(v).data());
+    EXPECT_EQ(published->network().graph.OutEdges(v).data(),
+              n.graph.OutEdges(v).data());
+    // The update gave the model fresh influence storage; the caller's
+    // network keeps its own.
+    EXPECT_NE(published->network().influence.EdgeTopics(e).data(),
+              n.influence.EdgeTopics(e).data());
+    EXPECT_EQ(published->network().influence.EdgeTopics(e)[0].prob, 0.5);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace pitex

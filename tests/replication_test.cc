@@ -22,8 +22,10 @@
 #include <vector>
 
 #include "running_example.h"
+#include "src/datasets/synthetic.h"
 #include "src/obs/journal.h"
 #include "src/serve/pitex_service.h"
+#include "src/serve/recovery.h"
 #include "src/serve/replication.h"
 #include "src/serve/term_authority.h"
 #include "src/util/failpoint.h"
@@ -353,6 +355,71 @@ TEST_F(ReplicationTest, FollowerBootstrapsReplaysAndMatchesBitForBit) {
                .GaugeValue("pitex_repl_lag_lsns") == 0;
   }));
 
+  pair.shipper->Stop();
+  pair.follower->Stop();
+}
+
+TEST_F(ReplicationTest, FollowerBootstrapsFromCheckpointOverOneMebibyte) {
+  // Checkpoint strings were once read with the 1 MiB header-string cap,
+  // so a follower could only join before the primary's first real
+  // checkpoint. Ship one well past that size.
+  DatasetSpec spec = LastfmSpec(0.5);
+  spec.seed = 11;
+  const SocialNetwork n = GenerateDataset(spec);
+  const auto options = [&](const std::string& dir) {
+    ServeOptions serve = DurableOptions(dir);
+    serve.engine.index_theta_per_vertex = 40.0;
+    return serve;
+  };
+  ReplicaPair pair;
+  std::tie(pair.primary_end, pair.follower_end) =
+      MakeInProcessTransportPair();
+  ServeOptions primary_options = options(root_ + "/primary");
+  primary_options.term_authority = &pair.authority;
+  pair.primary = std::make_unique<PitexService>(&n, primary_options);
+  pair.primary->Start();
+  constexpr uint64_t kSeedRounds = 3;  // checkpoint after round 2
+  for (uint64_t i = 0; i < kSeedRounds; ++i) {
+    std::vector<EdgeInfluenceUpdate> batch{MakeUpdate(n, i)};
+    ASSERT_NE(pair.primary->ApplyUpdates(batch), 0u);
+  }
+  ShippedCheckpoint checkpoint;
+  ASSERT_TRUE(ReadCheckpointForShipping(root_ + "/primary", &checkpoint));
+  ASSERT_TRUE(checkpoint.present);
+  ASSERT_GT(checkpoint.snapshot_bytes.size(), size_t{1} << 20);
+
+  WalShipperOptions ship;
+  ship.wal_dir = root_ + "/primary";
+  ship.term = 1;
+  pair.shipper = std::make_unique<WalShipper>(
+      pair.primary.get(), pair.primary_end.get(), ship);
+  pair.shipper->Start();
+  FollowerOptions fo;
+  fo.serve = options(root_ + "/follower");
+  fo.heartbeat_timeout_ms = 60000;  // no promotion in this test
+  fo.authority = &pair.authority;
+  pair.follower = std::make_unique<FollowerService>(
+      &n, pair.follower_end.get(), fo);
+  std::string error;
+  ASSERT_TRUE(pair.follower->Start(&error)) << error;
+
+  const uint64_t total = kSeedRounds + 2;
+  for (uint64_t i = kSeedRounds; i < total; ++i) {
+    std::vector<EdgeInfluenceUpdate> batch{MakeUpdate(n, i)};
+    ASSERT_NE(pair.primary->ApplyUpdates(batch), 0u);
+  }
+  ASSERT_TRUE(WaitUntil([&] {
+    return pair.follower->applied_lsn() >= total;
+  })) << "follower stuck at lsn " << pair.follower->applied_lsn();
+
+  for (VertexId user = 0; user < n.num_vertices(); user += 13) {
+    const PitexQuery query = {.user = user, .k = 2};
+    const ServedResult got = pair.follower->service().Submit(query).get();
+    const ServedResult want = pair.primary->Submit(query).get();
+    ASSERT_EQ(got.status, ServeStatus::kOk);
+    ASSERT_EQ(got.result.tags, want.result.tags) << "user " << user;
+    ASSERT_EQ(got.result.influence, want.result.influence) << "user " << user;
+  }
   pair.shipper->Stop();
   pair.follower->Stop();
 }

@@ -38,9 +38,6 @@ TEST(ServeDuringUpdateTest, EveryAnswerExactForItsEpoch) {
   options.mode = ScheduleMode::kWorkStealing;
   options.cache_capacity = 64;  // cache must stay epoch-correct too
   options.enable_updates = true;
-  // Exercise the maintenance-pool publish path (overlapped network copy
-  // + pool-parallel pack) under concurrency, incl. the TSan CI job.
-  options.publish_threads = 2;
   PitexService service(&n, options);
   service.Start();
 

@@ -4,8 +4,9 @@
 // work-stealing mode), a publish's trace must cover the WAL append,
 // fsync, freeze (with its nested pack) and the epoch swap, the
 // staleness gauges must rise while publishes fail and return to zero
-// once healed, and SnapshotMetrics() must agree with the legacy
-// ServiceStats view it re-implements.
+// once healed, the index overlay gauge must grow with publishes and
+// clear at a checkpoint's compaction, and SnapshotMetrics() must agree
+// with the legacy ServiceStats view it re-implements.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "running_example.h"
+#include "src/datasets/synthetic.h"
 #include "src/obs/trace.h"
 #include "src/serve/pitex_service.h"
 #include "src/util/failpoint.h"
@@ -270,6 +272,54 @@ TEST_F(ServeObservabilityTest, StalenessGaugesRiseWhilePublishesFail) {
   }
   fs::remove_all(dir);
 #endif
+}
+
+TEST_F(ServeObservabilityTest, OverlayGaugeRisesWithPublishesAndClearsAtCheckpoint) {
+  // Large enough that a few batches stay far below the overlay's
+  // compaction bound (a fraction of theta): only the checkpoint compacts.
+  DatasetSpec spec = LastfmSpec(0.3);
+  spec.seed = 3;
+  const SocialNetwork n = GenerateDataset(spec);
+  const std::string dir =
+      (fs::temp_directory_path() / "pitex_obs_overlay").string();
+  fs::remove_all(dir);
+  ServeOptions options = BaseOptions(ScheduleMode::kWorkStealing);
+  options.engine.index_theta_per_vertex = 8.0;
+  options.enable_updates = true;
+  options.durability_dir = dir;
+  options.checkpoint_every = 3;
+  {
+    PitexService service(&n, options);
+    service.Start();
+    const auto overlay = [&service] {
+      return service.SnapshotMetrics().GaugeValue(
+          "pitex_index_overlay_sketches");
+    };
+    const auto compactions = [&service] {
+      return service.SnapshotMetrics().CounterValue(
+          "pitex_index_compactions_total");
+    };
+    EXPECT_EQ(overlay(), 0);
+
+    // Publishes 1 and 2 append their repaired sketches to the overlay.
+    int64_t last = 0;
+    for (uint64_t round = 0; round < 2; ++round) {
+      std::vector<EdgeInfluenceUpdate> updates{MakeUpdate(n, round)};
+      ASSERT_NE(service.ApplyUpdates(updates), 0u);
+      EXPECT_GT(overlay(), last) << "publish " << round + 1;
+      last = overlay();
+    }
+    EXPECT_EQ(compactions(), 0u);
+
+    // Publish 3 completes the checkpoint cadence: its freeze compacts.
+    std::vector<EdgeInfluenceUpdate> updates{MakeUpdate(n, 2)};
+    ASSERT_NE(service.ApplyUpdates(updates), 0u);
+    EXPECT_EQ(overlay(), 0);
+    EXPECT_EQ(compactions(), 1u);
+    EXPECT_EQ(service.SnapshotMetrics().CounterValue("pitex_checkpoints_total"),
+              1u);
+  }
+  fs::remove_all(dir);
 }
 
 TEST_F(ServeObservabilityTest, SnapshotMetricsAgreesWithServiceStats) {

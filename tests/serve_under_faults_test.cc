@@ -43,7 +43,6 @@ class ServeUnderFaultsTest : public ::testing::Test {
     options.num_threads = 2;
     options.mode = ScheduleMode::kWorkStealing;
     options.enable_updates = true;
-    options.publish_threads = 2;
     // Keep injected-failure retries fast; the policy, not the wall
     // clock, is under test.
     options.publish_backoff_initial_ms = 0.1;

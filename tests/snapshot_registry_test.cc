@@ -1,7 +1,7 @@
 // Tests for epoch-swapped index snapshots (src/serve/snapshot_registry.h):
 // publish/swap semantics, refcount reclamation of retired epochs, and the
 // DynamicRrIndex freeze path (FromDynamic must estimate identically to
-// the master it was packed from).
+// the master it was frozen from).
 
 #include "src/serve/snapshot_registry.h"
 
@@ -75,11 +75,11 @@ TEST(SnapshotRegistryTest, FromDynamicMatchesMasterEstimates) {
   EXPECT_EQ(snapshot->rr_index()->theta(), master.theta());
   EXPECT_EQ(snapshot->rr_index()->num_graphs(), master.num_graphs());
   // The frozen network is a copy carrying the post-update model, not the
-  // construction-time network.
+  // construction-time network (its storage is shared, not duplicated).
   EXPECT_NE(&snapshot->network(), &n);
   EXPECT_NE(&snapshot->network(), &master.network());
 
-  // The packed replica must estimate exactly what the master estimates:
+  // The frozen replica must estimate exactly what the master estimates:
   // same sketches, same containing sets, same estimator arithmetic.
   const TagId tags[] = {2, 3};
   const auto posterior = snapshot->network().topics.Posterior(tags);
@@ -106,11 +106,11 @@ TEST(SnapshotRegistryTest, FromPoolRoundTripsSketches) {
   DynamicRrIndex master(n, DenseOptions());
   master.Build();
   const auto snapshot = IndexSnapshot::FromDynamic(master, 1);
-  // Spot-check sketch-level equality between master and packed replica.
+  // Spot-check sketch-level equality between master and frozen replica.
   ASSERT_EQ(snapshot->rr_index()->num_graphs(), master.num_graphs());
   for (size_t i = 0; i < master.num_graphs(); i += 97) {
     const RRView packed = snapshot->rr_index()->graph(i);
-    const RRGraph& original = master.graph(i);
+    const RRView original = master.graph(i);
     EXPECT_EQ(packed.root, original.root);
     ASSERT_EQ(packed.vertices.size(), original.vertices.size());
     for (size_t v = 0; v < packed.vertices.size(); ++v) {
