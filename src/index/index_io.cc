@@ -17,11 +17,11 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v1 stored RR-Graphs one record per graph; v2 stores the pooled
-// CSR-of-CSRs arrays (RrSketchPool) in bulk. v1 files remain readable:
-// their graphs are re-packed into a pool on load. The DelayMat payload is
-// identical in both versions.
-constexpr uint32_t kVersionV1 = 1;
+// v2 is a wire format, independent of the in-memory pool: the RR-Graph
+// payload is theta sketches as a CSR of per-sketch CSRs with u64
+// directories and every sketch written out in full. It is written by
+// streaming the index's sketch views and packed into an RrSketchPool on
+// load. (v1, one record per graph, is no longer read.)
 constexpr uint32_t kVersionCurrent = 2;
 constexpr uint8_t kKindRrGraphs = 1;
 constexpr uint8_t kKindDelayMat = 2;
@@ -58,20 +58,19 @@ void WriteHeader(BinaryWriter* writer, uint8_t kind, uint64_t fingerprint,
 }
 
 // Reads and validates the shared header; fills `options` fields that are
-// persisted and reports the file's format version through `*version`.
-// Returns false with `*error` set on any mismatch.
+// persisted. Returns false with `*error` set on any mismatch.
 bool ReadHeader(BinaryReader* reader, uint8_t expected_kind,
                 uint64_t expected_fingerprint, RrIndexOptions* options,
-                uint32_t* version, IndexIoError* error) {
+                IndexIoError* error) {
   std::string magic;
+  uint32_t version = 0;
   uint8_t kind = 0;
   uint64_t fingerprint = 0;
   if (!reader->ReadString(&magic) || magic != kMagic) {
     SetError(error, IndexIoCode::kBadMagic, "not a PITEX index file");
     return false;
   }
-  if (!reader->ReadU32(version) ||
-      (*version != kVersionV1 && *version != kVersionCurrent)) {
+  if (!reader->ReadU32(&version) || version != kVersionCurrent) {
     SetError(error, IndexIoCode::kBadVersion,
              "unsupported index file version");
     return false;
@@ -107,6 +106,139 @@ bool ReadHeader(BinaryReader* reader, uint8_t expected_kind,
     return false;
   }
   options->cap_k = static_cast<int64_t>(cap_k);
+  return true;
+}
+
+// The v2 RR-Graph payload as it travels: a CSR of per-sketch CSRs with
+// u64 directories, every sketch written out in full. Sketch i's offsets
+// start at vertex_starts[i] + i (each earlier sketch has n_j + 1).
+struct WireSketches {
+  std::vector<VertexId> roots;          // num_sketches
+  std::vector<uint64_t> vertex_starts;  // num_sketches + 1
+  std::vector<VertexId> vertices;
+  std::vector<uint32_t> offsets;        // vertices + num_sketches
+  std::vector<uint64_t> edge_starts;    // num_sketches + 1
+  std::vector<RRLocalEdge> edges;
+
+  RRView View(size_t i) const {
+    const uint64_t vb = vertex_starts[i];
+    const uint64_t n = vertex_starts[i + 1] - vb;
+    const uint64_t eb = edge_starts[i];
+    return RRView{roots[i],
+                  {vertices.data() + vb, n},
+                  {offsets.data() + vb + i, n + 1},
+                  {edges.data() + eb, edge_starts[i + 1] - eb}};
+  }
+};
+
+// Reads the v2 RR-Graph payload and validates it wholesale (per-sketch
+// CSR consistency, sorted vertex arrays, in-range edge ids, totals that
+// fit the pool's 32-bit arrays).
+bool ReadWireSketches(BinaryReader* reader, uint64_t num_sketches,
+                      uint64_t max_vertices, uint64_t max_edges,
+                      WireSketches* wire, IndexIoError* error) {
+  const uint64_t max_total_vertices =
+      SaturatingMul(num_sketches, max_vertices);
+  if (!reader->ReadVector(&wire->roots, num_sketches) ||
+      wire->roots.size() != num_sketches ||
+      !reader->ReadVector(&wire->vertex_starts, num_sketches + 1) ||
+      wire->vertex_starts.size() != num_sketches + 1 ||
+      !reader->ReadVector(&wire->vertices, max_total_vertices) ||
+      !reader->ReadVector(&wire->offsets,
+                          SaturatingMul(num_sketches, max_vertices + 1)) ||
+      !reader->ReadVector(&wire->edge_starts, num_sketches + 1) ||
+      wire->edge_starts.size() != num_sketches + 1) {
+    SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");
+    return false;
+  }
+  uint64_t num_edges = 0;
+  if (!reader->ReadU64(&num_edges) ||
+      num_edges > SaturatingMul(num_sketches, max_edges)) {
+    SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled edge count");
+    return false;
+  }
+  // The num_edges guard saturates (num_sketches * max_edges can hit
+  // UINT64_MAX), so never allocate it up front: append edges as they
+  // parse and let a truncated or fabricated stream fail on its first
+  // missing field.
+  wire->edges.clear();
+  for (uint64_t j = 0; j < num_edges; ++j) {
+    RRLocalEdge edge;
+    if (!reader->ReadU32(&edge.head_local) || !reader->ReadU32(&edge.edge) ||
+        !reader->ReadF32(&edge.threshold) || edge.edge >= max_edges) {
+      SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled edge data");
+      return false;
+    }
+    wire->edges.push_back(edge);
+  }
+
+  // Structural validation of the CSR-of-CSRs.
+  if (wire->vertex_starts.front() != 0 ||
+      wire->vertex_starts.back() != wire->vertices.size() ||
+      wire->edge_starts.front() != 0 ||
+      wire->edge_starts.back() != wire->edges.size() ||
+      wire->offsets.size() != wire->vertices.size() + num_sketches) {
+    SetError(error, IndexIoCode::kCorruptPayload, "inconsistent pooled sketch layout");
+    return false;
+  }
+  for (uint64_t i = 0; i < num_sketches; ++i) {
+    const uint64_t vb = wire->vertex_starts[i];
+    const uint64_t ve = wire->vertex_starts[i + 1];
+    const uint64_t eb = wire->edge_starts[i];
+    const uint64_t ee = wire->edge_starts[i + 1];
+    if (ve < vb || ve > wire->vertices.size() || ee < eb ||
+        ee > wire->edges.size()) {
+      SetError(error, IndexIoCode::kCorruptPayload, "inconsistent pooled sketch bounds");
+      return false;
+    }
+    const uint64_t n = ve - vb;
+    const uint64_t m = ee - eb;
+    if (n == 0 || n > max_vertices) {
+      SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch vertex count");
+      return false;
+    }
+    // Vertices sorted strictly ascending and in range (LocalIndex
+    // binary-searches them); root must be a member.
+    for (uint64_t j = vb; j < ve; ++j) {
+      if (wire->vertices[j] >= max_vertices ||
+          (j > vb && wire->vertices[j] <= wire->vertices[j - 1])) {
+        SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch vertex array");
+        return false;
+      }
+    }
+    if (!std::binary_search(wire->vertices.begin() + vb,
+                            wire->vertices.begin() + ve,
+                            wire->roots[i])) {
+      SetError(error, IndexIoCode::kCorruptPayload, "sketch root not a sketch member");
+      return false;
+    }
+    // Local CSR: starts at 0, non-decreasing, ends at the edge count;
+    // edge heads stay inside the sketch.
+    const uint64_t ob = vb + i;
+    if (wire->offsets[ob] != 0 || wire->offsets[ob + n] != m) {
+      SetError(error, IndexIoCode::kCorruptPayload, "inconsistent sketch CSR offsets");
+      return false;
+    }
+    for (uint64_t j = 0; j < n; ++j) {
+      if (wire->offsets[ob + j] > wire->offsets[ob + j + 1]) {
+        SetError(error, IndexIoCode::kCorruptPayload, "non-monotone sketch CSR offsets");
+        return false;
+      }
+    }
+    for (uint64_t j = eb; j < ee; ++j) {
+      if (wire->edges[j].head_local >= n) {
+        SetError(error, IndexIoCode::kCorruptPayload, "sketch edge head out of range");
+        return false;
+      }
+    }
+  }
+  if (!RrSketchPool::Fits(num_sketches, [wire](size_t i) {
+        return wire->View(i);
+      })) {
+    SetError(error, IndexIoCode::kCorruptPayload,
+             "sketch totals exceed the pool's 32-bit arrays");
+    return false;
+  }
   return true;
 }
 
@@ -157,213 +289,54 @@ class IndexIo {
                "index not built; call Build() before saving");
       return false;
     }
-    // A snapshot still carrying repairs is saved as the pool its
-    // compaction would pack: the same bytes in either case.
-    RrSketchPool compacted;
-    if (index.repairs() != nullptr) {
-      compacted = RrSketchPool::Pack(
-          index.num_graphs(), index.num_vertices(),
-          [&index](size_t i) { return index.graph(i); });
-    }
-    const RrSketchPool& pool =
-        index.repairs() != nullptr ? compacted : *index.pool_;
+    // The v2 payload is streamed from the index's sketch views (overlay
+    // repairs included), one wire array at a time; each array carries
+    // the u64 length prefix WriteVector would give it. The containing
+    // index is not written: the loader rebuilds it.
     BinaryWriter writer(&out);
+    const uint64_t s = index.num_graphs();
+    const auto for_each_sketch = [&index, s](auto&& fn) {
+      for (size_t i = 0; i < s; ++i) fn(index.graph(i));
+    };
+    const auto write_starts = [&](auto&& count_of) {
+      uint64_t start = 0;
+      writer.WriteU64(s + 1);
+      writer.WriteU64(start);
+      for_each_sketch(
+          [&](const RRView& rr) { writer.WriteU64(start += count_of(rr)); });
+      return start;
+    };
     WriteHeader(&writer, kKindRrGraphs,
                 NetworkFingerprint(index.network_), index.options_);
     writer.WriteU64(index.theta_);
-    writer.WriteU64(pool.num_sketches());
-    // v2 payload: the pooled arrays verbatim (the containing index is
-    // rebuilt on load — it is a permutation of the vertex array). Edges
-    // are written field-wise so the encoding stays layout-independent.
-    writer.WriteVector<VertexId>(pool.roots_);
-    writer.WriteVector<uint64_t>(pool.vertex_starts_);
-    writer.WriteVector<VertexId>(pool.vertices_);
-    writer.WriteVector<uint32_t>(pool.offsets_);
-    writer.WriteVector<uint64_t>(pool.edge_starts_);
-    writer.WriteU64(pool.edges_.size());
-    for (const RRLocalEdge& edge : pool.edges_) {
-      writer.WriteU32(edge.head_local);
-      writer.WriteU32(edge.edge);
-      writer.WriteF32(edge.threshold);
-    }
+    writer.WriteU64(s);
+    writer.WriteU64(s);
+    for_each_sketch([&](const RRView& rr) { writer.WriteU32(rr.root); });
+    const uint64_t num_vertices =
+        write_starts([](const RRView& rr) { return rr.vertices.size(); });
+    writer.WriteU64(num_vertices);
+    for_each_sketch([&](const RRView& rr) {
+      for (const VertexId v : rr.vertices) writer.WriteU32(v);
+    });
+    writer.WriteU64(num_vertices + s);
+    for_each_sketch([&](const RRView& rr) {
+      for (const uint32_t offset : rr.offsets) writer.WriteU32(offset);
+    });
+    writer.WriteU64(
+        write_starts([](const RRView& rr) { return rr.edges.size(); }));
+    for_each_sketch([&](const RRView& rr) {
+      for (const RRLocalEdge& edge : rr.edges) {
+        writer.WriteU32(edge.head_local);
+        writer.WriteU32(edge.edge);
+        writer.WriteF32(edge.threshold);
+      }
+    });
     writer.WriteF64(index.build_seconds_);
     writer.WriteChecksum();
     if (!writer.ok()) {
       SetError(error, IndexIoCode::kWriteFailed,
                "I/O failure while writing index");
       return false;
-    }
-    return true;
-  }
-
-  // v1 payload: one record per graph. Read into staging RRGraphs, then
-  // packed into the pool by the caller.
-  static bool ReadRrGraphsV1(BinaryReader* reader, uint64_t num_graphs,
-                             uint64_t max_vertices, uint64_t max_edges,
-                             std::vector<RRGraph>* staging,
-                             IndexIoError* error) {
-    // num_graphs is bounded only by the file's own theta, so grow the
-    // staging area as records actually parse instead of resizing up
-    // front -- a fabricated count then costs only the bytes present in
-    // the stream before the first corrupt record is rejected.
-    staging->clear();
-    for (uint64_t g = 0; g < num_graphs; ++g) {
-      RRGraph& rr = staging->emplace_back();
-      uint32_t root = 0;
-      if (!reader->ReadU32(&root) || root >= max_vertices) {
-        SetError(error, IndexIoCode::kCorruptPayload, "corrupt RR-Graph root");
-        return false;
-      }
-      rr.root = root;
-      if (!reader->ReadVector(&rr.vertices, max_vertices) ||
-          !reader->ReadVector(&rr.offsets, max_vertices + 1)) {
-        SetError(error, IndexIoCode::kCorruptPayload, "corrupt RR-Graph vertex data");
-        return false;
-      }
-      uint64_t num_local_edges = 0;
-      if (!reader->ReadU64(&num_local_edges) || num_local_edges > max_edges) {
-        SetError(error, IndexIoCode::kCorruptPayload, "corrupt RR-Graph edge count");
-        return false;
-      }
-      rr.edges.resize(num_local_edges);
-      for (RRLocalEdge& edge : rr.edges) {
-        if (!reader->ReadU32(&edge.head_local) ||
-            !reader->ReadU32(&edge.edge) ||
-            !reader->ReadF32(&edge.threshold) ||
-            edge.head_local >= rr.vertices.size() || edge.edge >= max_edges) {
-          SetError(error, IndexIoCode::kCorruptPayload, "corrupt RR-Graph edge data");
-          return false;
-        }
-      }
-      if (rr.offsets.size() != rr.vertices.size() + 1 ||
-          (rr.offsets.empty() ? 0 : rr.offsets.back()) != rr.edges.size()) {
-        SetError(error, IndexIoCode::kCorruptPayload, "inconsistent RR-Graph CSR layout");
-        return false;
-      }
-      // Same structural guarantees the v2 loader enforces — the pooled
-      // consumers (BuildContaining, LocalIndex, IsReachable) rely on
-      // in-range sorted vertices, a member root and monotone offsets.
-      for (size_t j = 0; j < rr.vertices.size(); ++j) {
-        if (rr.vertices[j] >= max_vertices ||
-            (j > 0 && rr.vertices[j] <= rr.vertices[j - 1])) {
-          SetError(error, IndexIoCode::kCorruptPayload, "corrupt RR-Graph vertex array");
-          return false;
-        }
-      }
-      if (!std::binary_search(rr.vertices.begin(), rr.vertices.end(),
-                              rr.root)) {
-        SetError(error, IndexIoCode::kCorruptPayload, "RR-Graph root not a member");
-        return false;
-      }
-      for (size_t j = 0; j + 1 < rr.offsets.size(); ++j) {
-        if (rr.offsets[j] > rr.offsets[j + 1]) {
-          SetError(error, IndexIoCode::kCorruptPayload, "non-monotone RR-Graph CSR offsets");
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  // v2 payload: the pooled arrays, validated wholesale (per-sketch CSR
-  // consistency, sorted vertex arrays, in-range edge ids).
-  static bool ReadRrPoolV2(BinaryReader* reader, uint64_t num_sketches,
-                           uint64_t max_vertices, uint64_t max_edges,
-                           RrSketchPool* pool, IndexIoError* error) {
-    const uint64_t max_total_vertices =
-        SaturatingMul(num_sketches, max_vertices);
-    if (!reader->ReadVector(&pool->roots_, num_sketches) ||
-        pool->roots_.size() != num_sketches ||
-        !reader->ReadVector(&pool->vertex_starts_, num_sketches + 1) ||
-        pool->vertex_starts_.size() != num_sketches + 1 ||
-        !reader->ReadVector(&pool->vertices_, max_total_vertices) ||
-        !reader->ReadVector(&pool->offsets_,
-                            SaturatingMul(num_sketches, max_vertices + 1)) ||
-        !reader->ReadVector(&pool->edge_starts_, num_sketches + 1) ||
-        pool->edge_starts_.size() != num_sketches + 1) {
-      SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");
-      return false;
-    }
-    uint64_t num_edges = 0;
-    if (!reader->ReadU64(&num_edges) ||
-        num_edges > SaturatingMul(num_sketches, max_edges)) {
-      SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled edge count");
-      return false;
-    }
-    // The num_edges guard saturates (num_sketches * max_edges can hit
-    // UINT64_MAX), so never allocate it up front: append edges as they
-    // parse and let a truncated or fabricated stream fail on its first
-    // missing field.
-    pool->edges_.clear();
-    for (uint64_t j = 0; j < num_edges; ++j) {
-      RRLocalEdge edge;
-      if (!reader->ReadU32(&edge.head_local) || !reader->ReadU32(&edge.edge) ||
-          !reader->ReadF32(&edge.threshold) || edge.edge >= max_edges) {
-        SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled edge data");
-        return false;
-      }
-      pool->edges_.push_back(edge);
-    }
-
-    // Structural validation of the CSR-of-CSRs.
-    if (pool->vertex_starts_.front() != 0 ||
-        pool->vertex_starts_.back() != pool->vertices_.size() ||
-        pool->edge_starts_.front() != 0 ||
-        pool->edge_starts_.back() != pool->edges_.size() ||
-        pool->offsets_.size() != pool->vertices_.size() + num_sketches) {
-      SetError(error, IndexIoCode::kCorruptPayload, "inconsistent pooled sketch layout");
-      return false;
-    }
-    for (uint64_t i = 0; i < num_sketches; ++i) {
-      const uint64_t vb = pool->vertex_starts_[i];
-      const uint64_t ve = pool->vertex_starts_[i + 1];
-      const uint64_t eb = pool->edge_starts_[i];
-      const uint64_t ee = pool->edge_starts_[i + 1];
-      if (ve < vb || ve > pool->vertices_.size() || ee < eb ||
-          ee > pool->edges_.size()) {
-        SetError(error, IndexIoCode::kCorruptPayload, "inconsistent pooled sketch bounds");
-        return false;
-      }
-      const uint64_t n = ve - vb;
-      const uint64_t m = ee - eb;
-      if (n == 0 || n > max_vertices) {
-        SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch vertex count");
-        return false;
-      }
-      // Vertices sorted strictly ascending and in range (LocalIndex
-      // binary-searches them); root must be a member.
-      for (uint64_t j = vb; j < ve; ++j) {
-        if (pool->vertices_[j] >= max_vertices ||
-            (j > vb && pool->vertices_[j] <= pool->vertices_[j - 1])) {
-          SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch vertex array");
-          return false;
-        }
-      }
-      if (!std::binary_search(pool->vertices_.begin() + vb,
-                              pool->vertices_.begin() + ve,
-                              pool->roots_[i])) {
-        SetError(error, IndexIoCode::kCorruptPayload, "sketch root not a sketch member");
-        return false;
-      }
-      // Local CSR: starts at 0, non-decreasing, ends at the edge count;
-      // edge heads stay inside the sketch.
-      const uint64_t ob = vb + i;
-      if (pool->offsets_[ob] != 0 || pool->offsets_[ob + n] != m) {
-        SetError(error, IndexIoCode::kCorruptPayload, "inconsistent sketch CSR offsets");
-        return false;
-      }
-      for (uint64_t j = 0; j < n; ++j) {
-        if (pool->offsets_[ob + j] > pool->offsets_[ob + j + 1]) {
-          SetError(error, IndexIoCode::kCorruptPayload, "non-monotone sketch CSR offsets");
-          return false;
-        }
-      }
-      for (uint64_t j = eb; j < ee; ++j) {
-        if (pool->edges_[j].head_local >= n) {
-          SetError(error, IndexIoCode::kCorruptPayload, "sketch edge head out of range");
-          return false;
-        }
-      }
     }
     return true;
   }
@@ -404,34 +377,24 @@ class IndexIo {
                                              IndexIoError* error) {
     BinaryReader& reader = *reader_ptr;
     RrIndexOptions options;
-    uint32_t version = 0;
     if (!ReadHeader(&reader, kKindRrGraphs, NetworkFingerprint(network),
-                    &options, &version, error)) {
+                    &options, error)) {
       return nullptr;
     }
     uint64_t theta = 0, num_graphs = 0;
+    // theta == 0 would make RrIndex derive its own theta: no writer
+    // produces it, and the loaded index could not save the file back.
     if (!reader.ReadU64(&theta) || !reader.ReadU64(&num_graphs) ||
-        num_graphs > theta) {
+        theta == 0 || num_graphs > theta) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt index payload header");
       return nullptr;
     }
     options.theta_override = theta;
     auto index = std::unique_ptr<RrIndex>(new RrIndex(network, options));
-    const uint64_t max_vertices = network.num_vertices();
-    const uint64_t max_edges = network.num_edges();
-
-    std::vector<RRGraph> staging;  // v1 only
-    RrSketchPool pool;
-    if (version == kVersionV1) {
-      if (!ReadRrGraphsV1(&reader, num_graphs, max_vertices, max_edges,
-                          &staging, error)) {
-        return nullptr;
-      }
-    } else {
-      if (!ReadRrPoolV2(&reader, num_graphs, max_vertices, max_edges, &pool,
-                        error)) {
-        return nullptr;
-      }
+    WireSketches wire;
+    if (!ReadWireSketches(&reader, num_graphs, network.num_vertices(),
+                          network.num_edges(), &wire, error)) {
+      return nullptr;
     }
     if (!reader.ReadF64(&index->build_seconds_)) {
       SetError(error, IndexIoCode::kTruncated, "truncated index trailer");
@@ -443,14 +406,11 @@ class IndexIo {
                "checksum mismatch: file truncated or corrupted");
       return nullptr;
     }
-    if (version == kVersionV1) {
-      pool = RrSketchPool::Pack(staging, network.num_vertices());
-    } else {
-      // The containing index is a permutation of the vertex array:
-      // cheaper to recompute than to store.
-      pool.BuildContaining(network.num_vertices());
-    }
-    index->pool_ = std::make_shared<const RrSketchPool>(std::move(pool));
+    // The containing index is a permutation of the vertex array: Pack
+    // recomputes it rather than the file storing it.
+    index->pool_ = std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+        num_graphs, network.num_vertices(),
+        [&wire](size_t i) { return wire.View(i); }));
     index->built_ = true;
     return index;
   }
@@ -500,9 +460,8 @@ class IndexIo {
       IndexIoError* error) {
     BinaryReader& reader = *reader_ptr;
     RrIndexOptions options;
-    uint32_t version = 0;  // DelayMat payload is identical in v1 and v2
     if (!ReadHeader(&reader, kKindDelayMat, NetworkFingerprint(network),
-                    &options, &version, error)) {
+                    &options, error)) {
       return nullptr;
     }
     uint64_t theta = 0;

@@ -13,11 +13,12 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 2 (current) stores the RR-Graph payload as the pooled
-// CSR-of-CSRs arrays of RrSketchPool — written and loaded in bulk.
-// Version 1 stored one record per graph; v1 files are still readable
-// (graphs are re-packed into a pool on load). The DelayMat payload is
-// identical in both versions.
+// Version 2 is the only version read or written; a v1 header is refused
+// with kBadVersion. Its RR-Graph payload is a wire format, not a memory
+// image: the sketches as a CSR of per-sketch CSRs with u64 directories,
+// streamed from the index's sketch views on save and packed into an
+// RrSketchPool on load, so the pool's layout can change without touching
+// a file.
 //
 // The fingerprint binds an index file to the network it was sampled
 // from: loading against a different graph (changed topology, edge count,

@@ -15,8 +15,8 @@
 //   * RRView is a non-owning std::span view. The estimate hot path only
 //     ever reads sketches, so it runs on views — either over an RRGraph
 //     or, for the offline index, over the pooled CSR-of-CSRs store
-//     (src/index/rr_sketch_pool.h) that keeps all theta sketches in three
-//     contiguous arrays.
+//     (src/index/rr_sketch_pool.h) that keeps all theta sketches in a few
+//     shared arrays, with single-vertex sketches stored as their root.
 // Reachability scratch (visited stamps + DFS stack) lives in a reusable
 // EstimateScratch so repeated IsReachable calls allocate nothing once the
 // scratch has grown to the largest sketch.

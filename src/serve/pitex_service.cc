@@ -106,6 +106,10 @@ void PitexService::RegisterMetrics() {
       "pitex_index_overlay_sketches",
       "Repaired sketch copies in the master index overlay at the last "
       "freeze");
+  m_.index_bytes = metrics_.RegisterGauge(
+      "pitex_index_bytes",
+      "Footprint of the served snapshot's shared index, set at every "
+      "publish");
   m_.sojourn = metrics_.RegisterHistogram(
       "pitex_query_sojourn_seconds",
       "Enqueue-to-answer latency of engine-served queries",
@@ -302,6 +306,7 @@ void PitexService::Start() {
   }
   const uint64_t first_epoch = snapshot->epoch();
   registry_.Publish(std::move(snapshot));
+  m_.index_bytes->Set(static_cast<int64_t>(SharedIndexSizeBytes()));
   journal_.Record(obs::EventKind::kEpochSwap, first_epoch,
                   durable_lsn_mirror_.load(std::memory_order_relaxed));
 
@@ -882,6 +887,7 @@ uint64_t PitexService::ApplyUpdates(
     PITEX_SPAN(kSwap);
     registry_.Publish(snapshot);
   }
+  m_.index_bytes->Set(static_cast<int64_t>(SharedIndexSizeBytes()));
   published_batches_.store(applied_batches_.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
   published_lsn_mirror_.store(last_durable_lsn_, std::memory_order_relaxed);

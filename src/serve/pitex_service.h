@@ -390,6 +390,8 @@ class PitexService {
     obs::Histogram* sojourn = nullptr;
     // Set by the writer after each freeze.
     obs::Gauge* overlay_sketches = nullptr;
+    // Set at each publish (Start() and every ApplyUpdates epoch).
+    obs::Gauge* index_bytes = nullptr;
     // Derived gauges, written only by CollectDerivedMetrics().
     obs::Gauge* cache_entries = nullptr;
     obs::Gauge* cache_insertions = nullptr;

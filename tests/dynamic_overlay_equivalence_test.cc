@@ -135,7 +135,8 @@ std::string SavedReference(const ReferenceDynamicRrIndex& ref) {
   const auto index = RrIndex::FromPool(
       ref.network(), Options(), ref.theta(),
       std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
-          ref.graphs(), ref.network().num_vertices())));
+          ref.graphs().size(), ref.network().num_vertices(),
+          [&ref](size_t i) { return ref.graphs()[i].View(); })));
   return Saved(*index);
 }
 
@@ -143,6 +144,16 @@ uint64_t TotalSketchVertices(const ReferenceDynamicRrIndex& ref) {
   uint64_t total = 0;
   for (const RRGraph& rr : ref.graphs()) total += rr.vertices.size();
   return total;
+}
+
+// Per sketch: is it a singleton (one vertex, no edges), the shape the
+// pool stores implicitly?
+std::vector<bool> Singletons(const ReferenceDynamicRrIndex& ref) {
+  std::vector<bool> singletons;
+  for (const RRGraph& rr : ref.graphs()) {
+    singletons.push_back(rr.vertices.size() == 1 && rr.edges.empty());
+  }
+  return singletons;
 }
 
 TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
@@ -158,6 +169,10 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
   uint64_t compactions = 0;
   bool grew = false;
   bool shrank = false;
+  // Repairs that turn an implicit singleton into an explicit sketch, and
+  // back: both directions must cross the overlay and compaction.
+  uint64_t singletons_grown = 0;
+  uint64_t shrunk_to_singleton = 0;
   // The last frozen replica, its network and its saved bytes.
   std::unique_ptr<SocialNetwork> frozen_network;
   std::unique_ptr<RrIndex> frozen;
@@ -170,11 +185,17 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
         RandomBatch(n, kind, &rng);
     for (const EdgeInfluenceUpdate& update : batch) touched.insert(update.edge);
     const uint64_t before = TotalSketchVertices(*want);
+    const std::vector<bool> singletons_before = Singletons(*want);
     got->ApplyUpdates(batch);
     want->ApplyUpdates(batch);
     const uint64_t after = TotalSketchVertices(*want);
     grew = grew || after > before;
     shrank = shrank || after < before;
+    const std::vector<bool> singletons_after = Singletons(*want);
+    for (size_t i = 0; i < singletons_after.size(); ++i) {
+      singletons_grown += singletons_before[i] && !singletons_after[i];
+      shrunk_to_singleton += !singletons_before[i] && singletons_after[i];
+    }
     ExpectSameSketches(*got, *want);
     ExpectSameStats(*got, *want);
     if (b % 10 == 0) ExpectSameEstimates(*got, *want);
@@ -240,6 +261,9 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
   EXPECT_GE(compactions, 2u) << "overlay never passed its compaction bound";
   EXPECT_TRUE(grew) << "no batch resurrected an edge into an expansion";
   EXPECT_TRUE(shrank) << "no batch killed an edge";
+  EXPECT_GT(singletons_grown, 0u) << "no repair grew a singleton";
+  EXPECT_GT(shrunk_to_singleton, 0u)
+      << "no repair shrank a sketch to a singleton";
   ExpectSameEstimates(*got, *want);
   EXPECT_EQ(Saved(*got->Freeze(got->network(), /*compact=*/false)),
             SavedReference(*want));

@@ -1,19 +1,21 @@
 // libFuzzer harness for the index persistence layer (PITEX_FUZZ=ON,
 // Clang only). Complements tests/index_io_fuzz_test.cc: that suite
 // replays a fixed budget of random mutations on every CI run, while this
-// harness lets libFuzzer's coverage feedback walk the v1/v2 readers'
-// branch structure -- length prefixes, CSR layout checks, the checksum
-// trailer -- far more systematically.
+// harness lets libFuzzer's coverage feedback walk the reader's branch
+// structure -- length prefixes, CSR layout checks, the checksum trailer
+// -- far more systematically.
 //
 // Contract under test: whatever bytes arrive, LoadRrIndex and
 // LoadDelayMatIndex either return a structurally consistent index or
-// fail cleanly. Any crash, sanitizer report, or consistency violation
-// (enforced with abort() below) is a finding.
+// fail cleanly, and an RR index that loads saves back to the very bytes
+// it was loaded from (the writer and the reader are inverses). Any
+// crash, sanitizer report, or violation (enforced with abort() below)
+// is a finding.
 //
 // Seed corpus: set PITEX_FUZZ_SEED_DIR=<dir> and the harness writes a
-// valid v2 index, a hand-assembled v1 index, and a valid DelayMat file
-// there during LLVMFuzzerInitialize -- the fuzzer then starts from real
-// files instead of discovering the magic string byte by byte:
+// valid RR index and a valid DelayMat file there during
+// LLVMFuzzerInitialize -- the fuzzer then starts from real files instead
+// of discovering the magic string byte by byte:
 //
 //   mkdir -p corpus
 //   PITEX_FUZZ_SEED_DIR=corpus ./index_io_fuzz -max_total_time=30 corpus
@@ -25,14 +27,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "running_example.h"
 #include "src/index/index_io.h"
-#include "src/index/rr_graph.h"
 #include "src/index/rr_index.h"
-#include "src/util/random.h"
-#include "src/util/serialize.h"
 
 namespace pitex {
 namespace {
@@ -65,47 +63,6 @@ std::string ValidDelayBytes() {
   return file.str();
 }
 
-// The writer only emits the current (v2) format, so the v1 reader seed
-// is assembled by hand: one record per graph, matching IndexIo::
-// ReadRrGraphsV1's expectations byte for byte.
-std::string ValidV1Bytes() {
-  const SocialNetwork& network = Network();
-  const uint64_t theta = 8;
-  Rng rng(7);
-  std::vector<RRGraph> graphs;
-  for (uint64_t i = 0; i < theta; ++i) {
-    graphs.push_back(GenerateRRGraph(
-        network.graph, network.influence,
-        static_cast<VertexId>(i % network.num_vertices()), &rng));
-  }
-  std::stringstream file;
-  BinaryWriter writer(&file);
-  writer.WriteString("PITEXIDX");
-  writer.WriteU32(1);  // version
-  writer.WriteU8(1);   // kind: RR-Graphs
-  writer.WriteU64(NetworkFingerprint(network));
-  writer.WriteF64(0.1);                    // eps
-  writer.WriteF64(0.1);                    // delta
-  writer.WriteU64(0);                      // cap_k
-  writer.WriteU64(SeedOptions().seed);     // seed
-  writer.WriteU64(theta);
-  writer.WriteU64(graphs.size());
-  for (const RRGraph& rr : graphs) {
-    writer.WriteU32(rr.root);
-    writer.WriteVector<VertexId>(rr.vertices);
-    writer.WriteVector<uint32_t>(rr.offsets);
-    writer.WriteU64(rr.edges.size());
-    for (const RRLocalEdge& edge : rr.edges) {
-      writer.WriteU32(edge.head_local);
-      writer.WriteU32(edge.edge);
-      writer.WriteF32(edge.threshold);
-    }
-  }
-  writer.WriteF64(0.0);  // build_seconds
-  writer.WriteChecksum();
-  return file.str();
-}
-
 void Require(bool condition, const char* what) {
   if (!condition) {
     std::fprintf(stderr, "index_io_fuzz invariant violated: %s\n", what);
@@ -124,19 +81,14 @@ void WriteSeed(const std::string& dir, const char* name,
 
 extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
   using namespace pitex;
-  // Self-check: all three seeds must load before any fuzzing starts; a
+  // Self-check: both seeds must load before any fuzzing starts; a
   // drifted format would otherwise silently reduce the run to garbage
   // inputs bouncing off the header checks.
   const std::string v2 = ValidV2Bytes();
-  const std::string v1 = ValidV1Bytes();
   const std::string delay = ValidDelayBytes();
   {
     std::stringstream file(v2);
     Require(LoadRrIndex(Network(), file) != nullptr, "v2 seed must load");
-  }
-  {
-    std::stringstream file(v1);
-    Require(LoadRrIndex(Network(), file) != nullptr, "v1 seed must load");
   }
   {
     std::stringstream file(delay);
@@ -145,7 +97,6 @@ extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
   }
   if (const char* dir = std::getenv("PITEX_FUZZ_SEED_DIR")) {
     WriteSeed(dir, "seed_v2.idx", v2);
-    WriteSeed(dir, "seed_v1.idx", v1);
     WriteSeed(dir, "seed_delay.idx", delay);
   }
   return 0;
@@ -167,6 +118,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                   "containment entry backed by membership");
         }
       }
+      std::stringstream saved;
+      Require(SaveRrIndex(*loaded, saved), "loaded index saves");
+      Require(saved.str() == bytes, "loaded index saves back to its bytes");
     }
   }
   {

@@ -160,8 +160,9 @@ TEST(IndexBuildEquivalenceTest, ArenaPoolMatchesStandaloneGeneration) {
         static_cast<VertexId>(rng.NextBounded(n.num_vertices()));
     staging[i] = GenerateRRGraph(n.graph, n.influence, root, &rng);
   }
-  const RrSketchPool reference =
-      RrSketchPool::Pack(staging, n.num_vertices());
+  const RrSketchPool reference = RrSketchPool::Pack(
+      staging.size(), n.num_vertices(),
+      [&staging](size_t i) { return staging[i].View(); });
 
   ASSERT_EQ(index.pool().num_sketches(), reference.num_sketches());
   for (size_t i = 0; i < reference.num_sketches(); ++i) {

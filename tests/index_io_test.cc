@@ -133,86 +133,24 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
   }
 }
 
-// Re-encodes a built index in the legacy v1 format (one record per
-// graph) exactly as the pre-pool writer produced it.
-std::string EncodeAsV1(const RrIndex& index, const SocialNetwork& n,
-                       const RrIndexOptions& options) {
-  std::stringstream out;
-  BinaryWriter writer(&out);
-  writer.WriteString("PITEXIDX");
-  writer.WriteU32(1);  // version 1
-  writer.WriteU8(1);   // kind: RR-Graphs
-  writer.WriteU64(NetworkFingerprint(n));
-  writer.WriteF64(options.eps);
-  writer.WriteF64(options.delta);
-  writer.WriteU64(static_cast<uint64_t>(options.cap_k));
-  writer.WriteU64(options.seed);
-  writer.WriteU64(index.theta());
-  writer.WriteU64(index.num_graphs());
-  for (size_t i = 0; i < index.num_graphs(); ++i) {
-    const RRView rr = index.graph(i);
-    writer.WriteU32(rr.root);
-    writer.WriteVector<VertexId>(rr.vertices);
-    writer.WriteVector<uint32_t>(rr.offsets);
-    writer.WriteU64(rr.edges.size());
-    for (const RRLocalEdge& edge : rr.edges) {
-      writer.WriteU32(edge.head_local);
-      writer.WriteU32(edge.edge);
-      writer.WriteF32(edge.threshold);
-    }
-  }
-  writer.WriteF64(index.build_seconds());
-  writer.WriteChecksum();
-  return out.str();
-}
-
-TEST(IndexIoTest, ReadsVersion1Files) {
-  // Read-compat: a legacy v1 file must load into the pooled index with
-  // identical sketches, containment and estimates.
+TEST(IndexIoTest, Version1FilesRejected) {
+  // Only v2 is read: a file claiming v1 (the old one-record-per-graph
+  // format), whole or cut short, is refused by its header.
   const SocialNetwork n = MakeRunningExample();
-  const RrIndexOptions options = SmallOptions();
-  RrIndex index(n, options);
+  RrIndex index(n, SmallOptions());
   index.Build();
-
-  std::stringstream v1(EncodeAsV1(index, n, options));
-  std::string error;
-  const auto loaded = LoadRrIndex(n, v1, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-
-  ASSERT_EQ(loaded->theta(), index.theta());
-  ASSERT_EQ(loaded->num_graphs(), index.num_graphs());
-  for (size_t i = 0; i < index.num_graphs(); ++i) {
-    const RRView original = index.graph(i);
-    const RRView restored = loaded->graph(i);
-    ASSERT_EQ(restored.root, original.root) << "graph " << i;
-    ASSERT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
-    ASSERT_TRUE(std::ranges::equal(restored.offsets, original.offsets));
-    ASSERT_EQ(restored.edges.size(), original.edges.size());
-  }
-  for (VertexId v = 0; v < n.num_vertices(); ++v) {
-    EXPECT_TRUE(std::ranges::equal(loaded->Containing(v),
-                                   index.Containing(v)));
-  }
-  const TagId tags[] = {2, 3};
-  const auto post = n.topics.Posterior(tags);
-  const PosteriorProbs probs(n.influence, post);
-  for (VertexId u = 0; u < n.num_vertices(); ++u) {
-    EXPECT_EQ(loaded->EstimateInfluence(u, probs).influence,
-              index.EstimateInfluence(u, probs).influence);
-  }
-}
-
-TEST(IndexIoTest, TruncatedVersion1Rejected) {
-  const SocialNetwork n = MakeRunningExample();
-  const RrIndexOptions options = SmallOptions();
-  RrIndex index(n, options);
-  index.Build();
-  const std::string bytes = EncodeAsV1(index, n, options);
-  for (const size_t keep : {bytes.size() - 5, bytes.size() / 2}) {
-    std::stringstream truncated(bytes.substr(0, keep));
-    std::string error;
-    EXPECT_EQ(LoadRrIndex(n, truncated, &error), nullptr)
-        << "kept " << keep << " of " << bytes.size();
+  std::stringstream file;
+  ASSERT_TRUE(SaveRrIndex(index, file));
+  std::string bytes = file.str();
+  // The version u32 follows the length-prefixed magic (8 + 8 bytes).
+  constexpr size_t kVersionOffset = 16;
+  ASSERT_EQ(bytes[kVersionOffset], 2);
+  bytes[kVersionOffset] = 1;
+  for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
+    std::stringstream in(bytes.substr(0, keep));
+    IndexIoError error;
+    EXPECT_EQ(LoadRrIndex(n, in, &error), nullptr) << "kept " << keep;
+    EXPECT_EQ(error.code, IndexIoCode::kBadVersion) << "kept " << keep;
   }
 }
 

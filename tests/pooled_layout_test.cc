@@ -71,6 +71,40 @@ std::vector<RRGraph> ReferenceGraphs(const SocialNetwork& n) {
   return graphs;
 }
 
+bool SameSketch(const RRView& a, const RRView& b) {
+  if (a.root != b.root || !std::ranges::equal(a.vertices, b.vertices) ||
+      !std::ranges::equal(a.offsets, b.offsets) ||
+      a.edges.size() != b.edges.size()) {
+    return false;
+  }
+  for (size_t j = 0; j < a.edges.size(); ++j) {
+    if (a.edges[j].head_local != b.edges[j].head_local ||
+        a.edges[j].edge != b.edges[j].edge ||
+        a.edges[j].threshold != b.edges[j].threshold) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The pool's footprint from its layout: every array holds 32-bit
+// entries except edges_, and a sketch's body block is 2n + 1 entries
+// unless it is an implicit singleton (one vertex, no edges).
+size_t ExactSizeBytes(const RrSketchPool& pool) {
+  const size_t s = pool.num_sketches();
+  size_t body = 0;
+  for (size_t i = 0; i < s; ++i) {
+    const RRView view = pool.View(i);
+    const bool singleton = view.vertices.size() == 1 && view.edges.empty();
+    body += singleton ? 0 : 2 * view.vertices.size() + 1;
+  }
+  return sizeof(RrSketchPool) +
+         sizeof(uint32_t) * (s + 2 * (s + 1) + body +
+                             pool.num_universe_vertices() + 1 +
+                             pool.total_vertices()) +
+         sizeof(RRLocalEdge) * pool.total_edges();
+}
+
 TEST(PooledLayoutTest, SketchesMatchReferenceRebuild) {
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, Options());
@@ -193,9 +227,80 @@ TEST(PooledLayoutTest, PoolTotalsConsistent) {
   EXPECT_EQ(pool.total_edges(), edges);
   EXPECT_EQ(pool.max_sketch_vertices(), max_sketch);
   EXPECT_EQ(pool.num_universe_vertices(), n.num_vertices());
-  // O(1) footprint accounting must cover at least the raw array bytes.
-  EXPECT_GE(pool.SizeBytes(),
-            vertices * sizeof(VertexId) + edges * sizeof(RRLocalEdge));
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+}
+
+// Packs hand-made sketches over a 10-vertex universe.
+RrSketchPool PackGraphs(const std::vector<RRGraph>& graphs) {
+  return RrSketchPool::Pack(graphs.size(), 10,
+                            [&graphs](size_t i) { return graphs[i].View(); });
+}
+
+RRGraph Singleton(VertexId v) { return RRGraph{v, {v}, {0, 0}, {}}; }
+
+TEST(PooledLayoutTest, SingletonIsImplicit) {
+  const std::vector<RRGraph> graphs = {
+      Singleton(5),
+      RRGraph{2, {2, 7}, {0, 0, 1}, {{0, 3, 0.25f}}},
+      Singleton(7)};
+  const RrSketchPool pool = PackGraphs(graphs);
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  // Only the two-vertex sketch has a body block: 2 * 2 + 1 entries.
+  EXPECT_EQ(pool.SizeBytes(),
+            sizeof(RrSketchPool) +
+                sizeof(uint32_t) * (3 + 2 * 4 + 5 + 11 + 4) +
+                sizeof(RRLocalEdge));
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
+  }
+  EXPECT_TRUE(std::ranges::equal(pool.Containing(5), std::vector<uint32_t>{0}));
+  EXPECT_TRUE(
+      std::ranges::equal(pool.Containing(7), std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(pool.total_vertices(), 4u);
+  EXPECT_EQ(pool.max_sketch_vertices(), 2u);
+}
+
+TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
+  // One vertex but one edge: the edge needs its offsets, so the sketch
+  // keeps its 2 * 1 + 1 body entries.
+  const std::vector<RRGraph> graphs = {
+      RRGraph{4, {4}, {0, 1}, {{0, 9, 0.5f}}}, Singleton(4)};
+  const RrSketchPool pool = PackGraphs(graphs);
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  EXPECT_EQ(pool.SizeBytes(),
+            sizeof(RrSketchPool) +
+                sizeof(uint32_t) * (2 + 2 * 3 + 3 + 11 + 2) +
+                sizeof(RRLocalEdge));
+  EXPECT_TRUE(SameSketch(pool.View(0), graphs[0]));
+  EXPECT_TRUE(SameSketch(pool.View(1), graphs[1]));
+  EXPECT_TRUE(
+      std::ranges::equal(pool.Containing(4), std::vector<uint32_t>{0, 1}));
+}
+
+TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
+  std::vector<RRGraph> graphs;
+  for (VertexId v = 0; v < 10; ++v) {
+    graphs.push_back(Singleton(v));
+    graphs.push_back(Singleton(9 - v));
+  }
+  const RrSketchPool pool = PackGraphs(graphs);
+  EXPECT_EQ(pool.SizeBytes(),
+            sizeof(RrSketchPool) +
+                sizeof(uint32_t) * (20 + 2 * 21 + 0 + 11 + 20));
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
+  }
+  for (VertexId v = 0; v < 10; ++v) {
+    const uint32_t a = 2 * v;
+    const uint32_t b = 2 * (9 - v) + 1;
+    EXPECT_TRUE(std::ranges::equal(
+        pool.Containing(v), std::vector<uint32_t>{std::min(a, b),
+                                                  std::max(a, b)}));
+  }
+  EXPECT_EQ(pool.total_vertices(), 20u);
+  EXPECT_EQ(pool.total_edges(), 0u);
+  EXPECT_EQ(pool.max_sketch_vertices(), 1u);
 }
 
 }  // namespace

@@ -299,7 +299,15 @@ TEST_F(ServeObservabilityTest, OverlayGaugeRisesWithPublishesAndClearsAtCheckpoi
       return service.SnapshotMetrics().CounterValue(
           "pitex_index_compactions_total");
     };
+    // The footprint gauge tracks the served snapshot at every publish.
+    const auto expect_index_bytes = [&service](const char* when) {
+      EXPECT_EQ(service.SnapshotMetrics().GaugeValue("pitex_index_bytes"),
+                static_cast<int64_t>(service.SharedIndexSizeBytes()))
+          << when;
+    };
     EXPECT_EQ(overlay(), 0);
+    expect_index_bytes("after Start()");
+    EXPECT_GT(service.SnapshotMetrics().GaugeValue("pitex_index_bytes"), 0);
 
     // Publishes 1 and 2 append their repaired sketches to the overlay.
     int64_t last = 0;
@@ -308,6 +316,7 @@ TEST_F(ServeObservabilityTest, OverlayGaugeRisesWithPublishesAndClearsAtCheckpoi
       ASSERT_NE(service.ApplyUpdates(updates), 0u);
       EXPECT_GT(overlay(), last) << "publish " << round + 1;
       last = overlay();
+      expect_index_bytes("after an overlay publish");
     }
     EXPECT_EQ(compactions(), 0u);
 
@@ -316,6 +325,7 @@ TEST_F(ServeObservabilityTest, OverlayGaugeRisesWithPublishesAndClearsAtCheckpoi
     ASSERT_NE(service.ApplyUpdates(updates), 0u);
     EXPECT_EQ(overlay(), 0);
     EXPECT_EQ(compactions(), 1u);
+    expect_index_bytes("after a compacting publish");
     EXPECT_EQ(service.SnapshotMetrics().CounterValue("pitex_checkpoints_total"),
               1u);
   }
