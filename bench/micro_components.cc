@@ -482,6 +482,32 @@ void BM_DynamicRepairSingleEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_DynamicRepairSingleEdge);
 
+// One serving-sized update batch (Arg = updates) on the dblp analog the
+// end-to-end benchmark serves (25k vertices, ~297k edges, theta = 200k):
+// the per-update model fold plus the sketch repairs, with the master's
+// overlay compacting past theta/16 as in recovery replay.
+void BM_ApplyUpdatesBatch(benchmark::State& state) {
+  static const SocialNetwork* dblp =
+      new SocialNetwork(GenerateDataset(DblpSpec(0.05)));
+  RrIndexOptions options;
+  options.theta_override = 200000;
+  DynamicRrIndex index(*dblp, options);
+  index.Build();
+  Rng rng(9);
+  std::vector<EdgeInfluenceUpdate> batch(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (EdgeInfluenceUpdate& update : batch) {
+      update.edge = static_cast<EdgeId>(rng.NextBounded(dblp->num_edges()));
+      update.entries = {{static_cast<TopicId>(
+                             rng.NextBounded(dblp->topics.num_topics())),
+                         0.05 + 0.3 * rng.NextDouble()}};
+    }
+    index.ApplyUpdates(batch);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ApplyUpdatesBatch)->Arg(4)->Unit(benchmark::kMicrosecond);
+
 void BM_ThreadPoolDispatch(benchmark::State& state) {
   static ThreadPool* pool = new ThreadPool(4);
   const auto tasks = static_cast<size_t>(state.range(0));

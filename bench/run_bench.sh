@@ -18,7 +18,8 @@
 # The suite covers the query-side micro benchmarks plus the offline
 # pipeline: BM_IndexBuild (arena-staged construction, per-thread sweep),
 # BM_SnapshotPublish (serve-mode epoch freeze, empty vs populated
-# overlay) and BM_DynamicRepairSingleEdge.
+# overlay), BM_DynamicRepairSingleEdge and BM_ApplyUpdatesBatch (one
+# 4-update batch on the dblp analog the end-to-end benchmark serves).
 #
 # Environment:
 #   BUILD_DIR    Release build directory (default: build-bench)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 
 #include "src/util/check.h"
@@ -20,6 +19,26 @@ Rng StreamFor(uint64_t seed, uint64_t i, uint64_t version) {
 }
 
 }  // namespace
+
+const char* InvalidUpdateReason(const EdgeInfluenceUpdate& update,
+                                const SocialNetwork& network) {
+  if (update.edge >= network.num_edges()) return "unknown edge";
+  const auto& entries = update.entries;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const EdgeTopicEntry& entry = entries[i];
+    if (!std::isfinite(entry.prob) || entry.prob < 0.0 || entry.prob > 1.0) {
+      return "probability out of [0, 1]";
+    }
+    if (entry.topic >= network.topics.num_topics()) return "unknown topic";
+    if (entry.prob == 0.0) continue;
+    for (size_t j = 0; j < i; ++j) {
+      if (entries[j].topic == entry.topic && entries[j].prob > 0.0) {
+        return "duplicate topic";
+      }
+    }
+  }
+  return nullptr;
+}
 
 DynamicRrIndex::DynamicRrIndex(const SocialNetwork& network,
                                const RrIndexOptions& options)
@@ -45,12 +64,12 @@ void DynamicRrIndex::ResetBase(std::shared_ptr<const RrSketchPool> base) {
 void DynamicRrIndex::Build() {
   PITEX_CHECK_MSG(!built_, "Build() called twice");
   built_ = true;
-  envelope_ = EnvelopeTable(network_.graph, network_.influence);
-  // The static build's own sampling pass over the same envelope table,
-  // so the initial state is bit-identical to RrIndex::Build with equal
-  // options and seed.
+  // The static build's own sampling pass over a temporary envelope
+  // table, so the initial state is bit-identical to RrIndex::Build with
+  // equal options and seed.
+  const EnvelopeTable envelope(network_.graph, network_.influence);
   ResetBase(std::make_shared<const RrSketchPool>(
-      SampleSketchPool(network_.graph, envelope_, theta_, options_.seed,
+      SampleSketchPool(network_.graph, envelope, theta_, options_.seed,
                        options_.num_build_threads, nullptr)));
 }
 
@@ -67,9 +86,6 @@ void DynamicRrIndex::ApplyUpdates(
   if (OverlayFull()) Compact();
   ++stats_.update_batches;
 
-  // Updates apply sequentially; the CSR fold below keeps the *last*
-  // entries per edge, matching the sequential envelope transitions.
-  std::unordered_map<EdgeId, std::span<const EdgeTopicEntry>> pending;
   for (const EdgeInfluenceUpdate& update : updates) {
     const EdgeId e = update.edge;
     PITEX_CHECK(e < network_.num_edges());
@@ -78,18 +94,16 @@ void DynamicRrIndex::ApplyUpdates(
 
     // Transitions are taken in the float-quantized envelope space the
     // sketches were sampled in (EnvelopeProbability), so the coupling
-    // conditionals below are exact w.r.t. the stored thresholds.
-    const auto p_old = static_cast<double>(envelope_.Prob(e));
-    double p_new_raw = 0.0;
-    for (const EdgeTopicEntry& entry : update.entries) {
-      PITEX_CHECK_MSG(entry.prob >= 0.0 && entry.prob <= 1.0,
-                      "edge probability out of [0, 1]");
-      p_new_raw = std::max(p_new_raw, entry.prob);
-    }
-    const auto p_new =
-        static_cast<double>(EnvelopeProbability(p_new_raw));
-    envelope_.Update(network_.graph, e, p_new_raw);
-    pending[e] = update.entries;
+    // conditionals below are exact w.r.t. the stored thresholds. The
+    // fold makes the model current before the repairs, so expansions
+    // probe every update applied so far, this one included.
+    const auto p_old = static_cast<double>(
+        EnvelopeProbability(network_.influence.MaxProb(e)));
+    const EdgeTopicsReplacement replacement{e, update.entries};
+    network_.influence =
+        ReplaceEdgeTopics(network_.influence, std::span(&replacement, 1));
+    const auto p_new = static_cast<double>(
+        EnvelopeProbability(network_.influence.MaxProb(e)));
 
     // Only graphs containing head(e) ever probed e. Snapshot the list:
     // repairs splice containment as membership changes.
@@ -102,16 +116,6 @@ void DynamicRrIndex::ApplyUpdates(
       RepairGraph(id, e, p_old, p_new, &rng);
     }
   }
-
-  // Fold the batch into the influence CSR once: a single exact-size
-  // splice pass (O(|E| + nnz), three allocations) instead of re-staging
-  // every edge through InfluenceGraphBuilder's per-edge vectors.
-  std::vector<EdgeTopicsReplacement> replacements;
-  replacements.reserve(pending.size());
-  for (const auto& [e, entries] : pending) {
-    replacements.push_back(EdgeTopicsReplacement{e, entries});
-  }
-  network_.influence = ReplaceEdgeTopics(network_.influence, replacements);
 }
 
 void DynamicRrIndex::UpdateEdgeTopics(EdgeId edge,
@@ -125,15 +129,12 @@ void DynamicRrIndex::UpdateEdgeTopics(EdgeId edge,
 void DynamicRrIndex::RestoreModel(
     std::span<const EdgeInfluenceUpdate> replacements, uint64_t version) {
   PITEX_CHECK_MSG(!built_, "RestoreModel() must precede Build()/Adopt");
-  if (!replacements.empty()) {
-    std::vector<EdgeTopicsReplacement> folded;
-    folded.reserve(replacements.size());
-    for (const EdgeInfluenceUpdate& r : replacements) {
-      PITEX_CHECK(r.edge < network_.num_edges());
-      folded.push_back(EdgeTopicsReplacement{r.edge, r.entries});
-    }
-    network_.influence = ReplaceEdgeTopics(network_.influence, folded);
+  std::vector<EdgeTopicsReplacement> folded;
+  folded.reserve(replacements.size());
+  for (const EdgeInfluenceUpdate& r : replacements) {
+    folded.push_back(EdgeTopicsReplacement{r.edge, r.entries});
   }
+  network_.influence = ReplaceEdgeTopics(network_.influence, folded);
   version_ = version;
 }
 
@@ -144,7 +145,6 @@ void DynamicRrIndex::AdoptSketches(const RrIndex& checkpoint) {
   built_ = true;
   theta_ = checkpoint.theta();
   ResetBase(checkpoint.pool_);
-  envelope_ = EnvelopeTable(network_.graph, network_.influence);
 }
 
 std::unique_ptr<RrIndex> DynamicRrIndex::Freeze(const SocialNetwork& network,
@@ -198,7 +198,7 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
       // every vertex entering the graph flips its in-edge coins for the
       // first time, through the same combined-draw + geometric-skip
       // probe the bulk build uses (SampleLiveInEdges) against the
-      // envelope mirror, which reflects all updates applied so far.
+      // current model's envelope slice.
       if (!rr.LocalIndex(tail).has_value()) {
         if (present_mark_.size() < network_.num_vertices()) {
           present_mark_.resize(network_.num_vertices(), 0);
@@ -216,8 +216,9 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
           const VertexId x = stack.back();
           stack.pop_back();
           const auto in = network_.graph.InEdges(x);
-          SampleLiveInEdges(envelope_.InEnvelopes(network_.graph, x),
-                            envelope_.VertexMax(x), rng,
+          const auto [env, vmax] = InEnvelopeSlice(
+              network_.graph, network_.influence, x, &env_scratch_);
+          SampleLiveInEdges(env, vmax, rng,
                             [&](size_t j, double u) {
                               const auto& [y, in_edge] = in[j];
                               edges.push_back(GlobalEdgeSample{
@@ -271,8 +272,7 @@ Estimate DynamicRrIndex::EstimateInfluence(VertexId u,
 }
 
 size_t DynamicRrIndex::SizeBytes() const {
-  return sizeof(DynamicRrIndex) + base_->SizeBytes() + overlay_->SizeBytes() +
-         envelope_.SizeBytes();
+  return sizeof(DynamicRrIndex) + base_->SizeBytes() + overlay_->SizeBytes();
 }
 
 }  // namespace pitex

@@ -33,10 +33,12 @@
 // argument of Lemma 9), not to theta. bench/ablation_dynamic.cc
 // quantifies repair vs. rebuild.
 //
-// Repairs consult an O(1)-updatable envelope mirror, and the owned
-// influence CSR is folded once per ApplyUpdates batch (O(|E| + nnz) per
-// batch, not per edge), so a batch costs O(|E|) plus work proportional
-// to the affected graphs only.
+// Each update is folded into the owned influence model as it is
+// applied. The model is chunked copy-on-write storage
+// (src/model/influence_graph.h), so a fold copies one chunk and the
+// chunk directory, not the CSR, and repairs read envelopes from the
+// model itself: a batch costs O(touched chunks) plus work proportional
+// to the affected graphs, with no O(|E|) term.
 //
 // Storage: base + overlay. The sketches live in an immutable, refcounted
 // RrSketchPool *base* (sampled by the same pass as RrIndex::Build, or
@@ -71,6 +73,16 @@ struct EdgeInfluenceUpdate {
   std::vector<EdgeTopicEntry> entries;
 };
 
+/// Why `update` cannot be applied to a model over `network`, or nullptr
+/// when it can. An applicable update names an edge in range, and each
+/// entry has a finite probability in [0, 1] and a topic below
+/// num_topics(); no topic appears twice among the positive entries
+/// (zero entries are dropped, as InfluenceGraphBuilder drops them).
+/// ApplyUpdates aborts on anything else, so a durable caller checks
+/// every update with this before it logs or replays it.
+const char* InvalidUpdateReason(const EdgeInfluenceUpdate& update,
+                                const SocialNetwork& network);
+
 /// Overlay size, as a fraction of theta, past which the overlay is
 /// folded into a new base (Compact) by the next Freeze() or
 /// ApplyUpdates(). Checkpoints compact as well, so between checkpoints
@@ -80,23 +92,25 @@ inline constexpr double kOverlayCompactFraction = 1.0 / 16.0;
 class DynamicRrIndex final : public InfluenceOracle {
  public:
   /// Aliases `network` (an O(1) copy: topology and influence storage are
-  /// shared); updates replace the index's influence CSR with fresh
-  /// storage, so the caller's network stays at the construction-time
-  /// state.
+  /// shared); updates give the index's influence model copies of the
+  /// chunks they touch, so the caller's network stays at the
+  /// construction-time state.
   DynamicRrIndex(const SocialNetwork& network, const RrIndexOptions& options);
 
   // view_ refers to network_ and overlay_ by address.
   DynamicRrIndex(const DynamicRrIndex&) = delete;
   DynamicRrIndex& operator=(const DynamicRrIndex&) = delete;
 
-  /// Samples the initial theta RR-Graphs into the base. With equal
-  /// options and seed the initial state is bit-identical to a freshly
-  /// built RrIndex.
+  /// Samples the initial theta RR-Graphs into the base, against a
+  /// temporary EnvelopeTable. With equal options and seed the initial
+  /// state is bit-identical to a freshly built RrIndex.
   void Build();
 
   /// Applies model updates in order: each replaces one edge's topic
-  /// vector and repairs every affected RR-Graph (those containing the
-  /// edge's head) by the coin-coupling rule above.
+  /// vector in the model (a copy-on-write fold of one chunk) and repairs
+  /// every affected RR-Graph (those containing the edge's head) by the
+  /// coin-coupling rule above. Every update must pass
+  /// InvalidUpdateReason; an edge may repeat within a batch.
   void ApplyUpdates(std::span<const EdgeInfluenceUpdate> updates);
 
   /// Convenience single-edge form.
@@ -105,20 +119,19 @@ class DynamicRrIndex final : public InfluenceOracle {
   /// Recovery hook (src/serve/recovery.h), called instead of -- and
   /// before any stand-in for -- Build() on a freshly constructed index:
   /// folds `replacements` (the current topic vector of every edge that
-  /// has diverged from the base network) into the owned influence CSR
+  /// has diverged from the base network) into the owned influence model
   /// and restores the repair-RNG version counter, reproducing the model
   /// state a checkpoint was taken at. The fold is the same
-  /// ReplaceEdgeTopics splice ApplyUpdates ends a batch with, so only
-  /// each edge's *final* entries matter -- not the update history.
+  /// ReplaceEdgeTopics ApplyUpdates applies per update, so only each
+  /// edge's *final* entries matter -- not the update history.
   void RestoreModel(std::span<const EdgeInfluenceUpdate> replacements,
                     uint64_t version);
 
   /// Recovery hook, the stand-in for Build(): adopts the pool of a
   /// loaded checkpoint index as this index's base (shared, not copied;
   /// its containing lists are in ascending sketch id, exactly as Build()
-  /// leaves them) and mirrors the envelope of the restored influence
-  /// model. The checkpoint must have been saved against a model equal
-  /// to the restored one; LoadRrIndex's fingerprint check proves
+  /// leaves them). The checkpoint must have been saved against a model
+  /// equal to the restored one; LoadRrIndex's fingerprint check proves
   /// exactly that. It must carry no overlay (loaded indexes never do).
   void AdoptSketches(const RrIndex& checkpoint);
 
@@ -173,6 +186,9 @@ class DynamicRrIndex final : public InfluenceOracle {
   };
   const Stats& stats() const { return stats_; }
 
+  /// The master's own bytes: the base pool and the overlay. The
+  /// influence model and topology are shared with the caller's network
+  /// and are not counted.
   size_t SizeBytes() const;
 
  private:
@@ -193,13 +209,6 @@ class DynamicRrIndex final : public InfluenceOracle {
   // Read path over base_ + overlay_ (graph, Containing, estimates);
   // private, never handed to a snapshot, since overlay_ mutates.
   std::unique_ptr<RrIndex> view_;
-  // Envelope mirror: the same dense float table the static build reads
-  // (EnvelopeProbability(max_z p(e|z)) of the *current* model, including
-  // updates applied earlier in the running batch — the CSR is only
-  // folded at batch end). Repairs and expansions read this, so repair
-  // coins are drawn against exactly the envelope the sketches were (or
-  // would have been) sampled with.
-  EnvelopeTable envelope_;
   Stats stats_;
   // Per-instance reachability scratch (a DynamicRrIndex is single-owner
   // mutable state, never shared across threads).
@@ -212,6 +221,11 @@ class DynamicRrIndex final : public InfluenceOracle {
   std::vector<uint32_t> affected_;
   std::vector<GlobalEdgeSample> repair_edges_;
   std::vector<VertexId> repair_stack_;
+  // Expansion envelope slice (InEnvelopeSlice): the floats an
+  // EnvelopeTable of the current model holds, so repair coins are drawn
+  // against exactly the envelope the sketches were (or would have been)
+  // sampled with.
+  std::vector<float> env_scratch_;
   std::vector<uint32_t> present_mark_;  // expansion membership stamps
   uint32_t present_epoch_ = 0;
   bool built_ = false;

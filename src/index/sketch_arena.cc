@@ -117,17 +117,7 @@ PITEX_NOALLOC void SketchArena::Generate(
   GenerateImpl(
       graph,
       [&](VertexId v) {
-        const auto in = graph.InEdges(v);
-        if (env_scratch_.size() < in.size()) env_scratch_.resize(in.size());
-        float* const env = env_scratch_.data();
-        float vmax = 0.0f;
-        for (size_t j = 0; j < in.size(); ++j) {
-          const float p = EnvelopeProbability(influence.MaxProb(in[j].edge));
-          env[j] = p;
-          vmax = std::max(vmax, p);
-        }
-        return std::pair<std::span<const float>, float>(
-            std::span<const float>(env, in.size()), vmax);
+        return InEnvelopeSlice(graph, influence, v, &env_scratch_);
       },
       root, rng, sample_index);
 }

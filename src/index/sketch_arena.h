@@ -30,9 +30,11 @@
 #ifndef PITEX_SRC_INDEX_SKETCH_ARENA_H_
 #define PITEX_SRC_INDEX_SKETCH_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/index/rr_graph.h"
@@ -82,6 +84,28 @@ PITEX_NOALLOC inline void SampleLiveInEdges(std::span<const float> env, float vm
   }
 }
 
+/// Table-free envelope slice of v's in-edges: EnvelopeProbability(
+/// influence.MaxProb(e)) for each e of graph.InEdges(v), written into
+/// *scratch (grown as needed) and returned with its maximum. These are
+/// exactly the floats and maximum an EnvelopeTable over (graph,
+/// influence) holds for v, read from the model as it is now -- the
+/// slice SketchArena's table-free Generate and DynamicRrIndex's repair
+/// expansions probe.
+PITEX_NOALLOC inline std::pair<std::span<const float>, float> InEnvelopeSlice(
+    const Graph& graph, const InfluenceGraph& influence, VertexId v,
+    std::vector<float>* scratch) {
+  const auto in = graph.InEdges(v);
+  if (scratch->size() < in.size()) scratch->resize(in.size());
+  float* const env = scratch->data();
+  float vmax = 0.0f;
+  for (size_t j = 0; j < in.size(); ++j) {
+    const float p = EnvelopeProbability(influence.MaxProb(in[j].edge));
+    env[j] = p;
+    vmax = std::max(vmax, p);
+  }
+  return {std::span<const float>(env, in.size()), vmax};
+}
+
 /// Reusable flat storage for a batch of generated sketches plus the
 /// traversal/assembly scratch. Not thread-safe: parallel builds use one
 /// arena per ParallelForSlots slot. Cleared between builds; capacity is
@@ -117,10 +141,10 @@ class SketchArena {
   PITEX_NOALLOC void Generate(const Graph& graph,
                               const EnvelopeTable& envelope,
                 VertexId root, Rng* rng, uint64_t sample_index);
-  /// Table-free overload for one-off callers (tests, delayed repair
-  /// expansion seeding): envelope floats are materialized per visited
-  /// vertex into arena scratch, producing bit-identical draws to the
-  /// table path at ~2x the in-edge memory traffic.
+  /// Table-free overload for one-off callers (GenerateRRGraph, tests):
+  /// envelope floats are materialized per visited vertex by
+  /// InEnvelopeSlice into arena scratch, producing bit-identical draws
+  /// to the table path at ~2x the in-edge memory traffic.
   PITEX_NOALLOC void Generate(const Graph& graph,
                               const InfluenceGraph& influence,
                 VertexId root, Rng* rng, uint64_t sample_index);

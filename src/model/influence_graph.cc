@@ -17,7 +17,6 @@ float EnvelopeProbability(double p) {
 EnvelopeTable::EnvelopeTable(const Graph& graph,
                              const InfluenceGraph& influence) {
   in_env_.resize(graph.num_edges());
-  in_pos_.resize(graph.num_edges());
   vertex_max_.resize(graph.num_vertices());
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     const uint64_t base = graph.InEdgeOffset(v);
@@ -26,33 +25,24 @@ EnvelopeTable::EnvelopeTable(const Graph& graph,
     for (size_t j = 0; j < in.size(); ++j) {
       const float p = EnvelopeProbability(influence.MaxProb(in[j].edge));
       in_env_[base + j] = p;
-      in_pos_[in[j].edge] = static_cast<uint32_t>(base + j);
       vmax = std::max(vmax, p);
     }
     vertex_max_[v] = vmax;
   }
 }
 
-void EnvelopeTable::Update(const Graph& graph, EdgeId e, double max_prob) {
-  in_env_[in_pos_[e]] = EnvelopeProbability(max_prob);
-  const VertexId head = graph.Head(e);
-  float vmax = 0.0f;
-  for (const float p : InEnvelopes(graph, head)) vmax = std::max(vmax, p);
-  vertex_max_[head] = vmax;
+void InfluenceGraph::Directory::Set(
+    size_t c, std::shared_ptr<const ChunkStorage> storage) {
+  chunks[c] = Chunk{storage->offsets.data(), storage->entries.data(),
+                    storage->max_prob.data()};
+  owners[c] = std::move(storage);
 }
 
-size_t EnvelopeTable::SizeBytes() const {
-  return in_env_.capacity() * sizeof(float) +
-         in_pos_.capacity() * sizeof(uint32_t) +
-         vertex_max_.capacity() * sizeof(float);
-}
-
-InfluenceGraph::InfluenceGraph(std::shared_ptr<const Storage> storage)
-    : storage_(std::move(storage)),
-      num_edges_(storage_->offsets.size() - 1),
-      offsets_(storage_->offsets.data()),
-      entries_(storage_->entries.data()),
-      max_prob_(storage_->max_prob.data()) {}
+InfluenceGraph::InfluenceGraph(std::shared_ptr<const Directory> directory,
+                               size_t num_edges)
+    : directory_(std::move(directory)),
+      num_edges_(num_edges),
+      chunks_(directory_->chunks.data()) {}
 
 double InfluenceGraph::EdgeTopicProb(EdgeId e, TopicId z) const {
   for (const auto& entry : EdgeTopics(e)) {
@@ -69,68 +59,101 @@ double InfluenceGraph::EdgeProb(EdgeId e, const TopicPosterior& posterior) const
   return p;
 }
 
+namespace {
+
+// Sorts `entries` by topic and aborts on a repeated topic (zero entries
+// were dropped by the caller).
+void SortAndCheckTopics(std::span<EdgeTopicEntry> entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const EdgeTopicEntry& a, const EdgeTopicEntry& b) {
+              return a.topic < b.topic;
+            });
+  for (size_t i = 1; i < entries.size(); ++i) {
+    PITEX_CHECK_MSG(entries[i].topic != entries[i - 1].topic,
+                    "duplicate topic");
+  }
+}
+
+}  // namespace
+
+template <typename EntriesOf>
+std::shared_ptr<const InfluenceGraph::ChunkStorage> InfluenceGraph::MakeChunk(
+    size_t begin, size_t end, size_t nnz, EntriesOf entries_of) {
+  auto chunk = std::make_shared<ChunkStorage>();
+  chunk->offsets.reserve(end - begin + 1);
+  chunk->offsets.push_back(0);
+  chunk->entries.reserve(nnz);
+  chunk->max_prob.reserve(end - begin);
+  for (size_t e = begin; e < end; ++e) {
+    const std::span<const EdgeTopicEntry> entries =
+        entries_of(static_cast<EdgeId>(e));
+    double max_p = 0.0;
+    for (const EdgeTopicEntry& entry : entries) {
+      max_p = std::max(max_p, entry.prob);
+    }
+    chunk->entries.insert(chunk->entries.end(), entries.begin(),
+                          entries.end());
+    chunk->offsets.push_back(static_cast<uint32_t>(chunk->entries.size()));
+    chunk->max_prob.push_back(max_p);
+  }
+  return chunk;
+}
+
 InfluenceGraph ReplaceEdgeTopics(
     const InfluenceGraph& influence,
     std::span<const EdgeTopicsReplacement> replacements) {
+  if (replacements.empty()) return influence;
   const size_t num_edges = influence.num_edges();
   // Validate each replacement into a shared scratch (kept entries are
-  // sorted by topic with zeros dropped, like InfluenceGraphBuilder) and
-  // index them by edge.
-  std::vector<uint32_t> replacement_of(num_edges, UINT32_MAX);
-  std::vector<std::pair<uint32_t, uint32_t>> kept_range(replacements.size());
+  // sorted by topic with zeros dropped, like InfluenceGraphBuilder), and
+  // visit them in edge order.
+  struct Kept {
+    EdgeId edge;
+    uint32_t begin;
+    uint32_t end;
+  };
+  std::vector<Kept> replaced;
+  replaced.reserve(replacements.size());
   std::vector<EdgeTopicEntry> kept;
-  for (uint32_t r = 0; r < replacements.size(); ++r) {
-    const auto& [e, entries] = replacements[r];
+  for (const auto& [e, entries] : replacements) {
     PITEX_CHECK(e < num_edges);
-    PITEX_CHECK_MSG(replacement_of[e] == UINT32_MAX,
-                    "edge replaced twice in one batch");
-    replacement_of[e] = r;
     const auto begin = static_cast<uint32_t>(kept.size());
     for (const EdgeTopicEntry& entry : entries) {
       PITEX_CHECK(entry.prob >= 0.0 && entry.prob <= 1.0);
       if (entry.prob > 0.0) kept.push_back(entry);
     }
-    std::sort(kept.begin() + begin, kept.end(),
-              [](const EdgeTopicEntry& a, const EdgeTopicEntry& b) {
-                return a.topic < b.topic;
-              });
-    for (size_t i = begin + 1; i < kept.size(); ++i) {
-      PITEX_CHECK_MSG(kept[i].topic != kept[i - 1].topic, "duplicate topic");
-    }
-    kept_range[r] = {begin, static_cast<uint32_t>(kept.size())};
+    SortAndCheckTopics(std::span(kept).subspan(begin));
+    replaced.push_back({e, begin, static_cast<uint32_t>(kept.size())});
+  }
+  std::sort(replaced.begin(), replaced.end(),
+            [](const Kept& a, const Kept& b) { return a.edge < b.edge; });
+  for (size_t i = 1; i < replaced.size(); ++i) {
+    PITEX_CHECK_MSG(replaced[i].edge != replaced[i - 1].edge,
+                    "edge replaced twice in one batch");
   }
 
-  // Exact-size single pass: unchanged edges block-copy their CSR slice.
-  auto out = std::make_shared<InfluenceGraph::Storage>();
-  int64_t nnz_delta = 0;
-  for (uint32_t r = 0; r < replacements.size(); ++r) {
-    nnz_delta +=
-        static_cast<int64_t>(kept_range[r].second) -
-        static_cast<int64_t>(kept_range[r].first) -
-        static_cast<int64_t>(influence.EdgeTopics(replacements[r].edge).size());
+  // Copy the directory, then rebuild each touched chunk; untouched
+  // chunks stay shared.
+  const InfluenceGraph::Directory& old = *influence.directory_;
+  auto directory = std::make_shared<InfluenceGraph::Directory>(old);
+  size_t next = 0;
+  while (next < replaced.size()) {
+    const size_t c = replaced[next].edge >> InfluenceGraph::kChunkShift;
+    const size_t begin = c * InfluenceGraph::kChunkEdges;
+    const size_t end =
+        std::min(num_edges, begin + InfluenceGraph::kChunkEdges);
+    directory->Set(
+        c, InfluenceGraph::MakeChunk(
+               begin, end, old.owners[c]->entries.size() + kept.size(),
+               [&](EdgeId e) -> std::span<const EdgeTopicEntry> {
+                 if (next < replaced.size() && replaced[next].edge == e) {
+                   const Kept& r = replaced[next++];
+                   return {kept.data() + r.begin, kept.data() + r.end};
+                 }
+                 return influence.EdgeTopics(e);
+               }));
   }
-  out->offsets.reserve(num_edges + 1);
-  out->offsets.push_back(0);
-  out->entries.reserve(influence.offsets_[num_edges] +
-                       static_cast<size_t>(std::max<int64_t>(0, nnz_delta)));
-  out->max_prob.reserve(num_edges);
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    std::span<const EdgeTopicEntry> entries;
-    if (replacement_of[e] != UINT32_MAX) {
-      const auto [begin, end] = kept_range[replacement_of[e]];
-      entries = {kept.data() + begin, kept.data() + end};
-    } else {
-      entries = influence.EdgeTopics(e);
-    }
-    double max_p = 0.0;
-    for (const EdgeTopicEntry& entry : entries) {
-      max_p = std::max(max_p, entry.prob);
-    }
-    out->entries.insert(out->entries.end(), entries.begin(), entries.end());
-    out->offsets.push_back(out->entries.size());
-    out->max_prob.push_back(max_p);
-  }
-  return InfluenceGraph(std::move(out));
+  return InfluenceGraph(std::move(directory), num_edges);
 }
 
 InfluenceGraphBuilder::InfluenceGraphBuilder(size_t num_edges)
@@ -146,33 +169,27 @@ void InfluenceGraphBuilder::SetEdgeTopics(
     PITEX_CHECK(entry.prob >= 0.0 && entry.prob <= 1.0);
     if (entry.prob > 0.0) dst.push_back(entry);
   }
-  std::sort(dst.begin(), dst.end(),
-            [](const EdgeTopicEntry& a, const EdgeTopicEntry& b) {
-              return a.topic < b.topic;
-            });
-  for (size_t i = 1; i < dst.size(); ++i) {
-    PITEX_CHECK_MSG(dst[i].topic != dst[i - 1].topic, "duplicate topic");
-  }
+  SortAndCheckTopics(dst);
 }
 
 InfluenceGraph InfluenceGraphBuilder::Build() {
-  auto g = std::make_shared<InfluenceGraph::Storage>();
-  g->offsets.reserve(num_edges_ + 1);
-  g->offsets.push_back(0);
-  g->max_prob.reserve(num_edges_);
-  size_t total = 0;
-  for (const auto& v : staged_) total += v.size();
-  g->entries.reserve(total);
-  for (auto& v : staged_) {
-    double max_p = 0.0;
-    for (const auto& entry : v) max_p = std::max(max_p, entry.prob);
-    g->entries.insert(g->entries.end(), v.begin(), v.end());
-    g->offsets.push_back(g->entries.size());
-    g->max_prob.push_back(max_p);
-    v.clear();
+  constexpr size_t kChunk = InfluenceGraph::kChunkEdges;
+  const size_t num_chunks = (num_edges_ + kChunk - 1) / kChunk;
+  auto directory = std::make_shared<InfluenceGraph::Directory>();
+  directory->chunks.resize(num_chunks);
+  directory->owners.resize(num_chunks);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const size_t begin = c * kChunk;
+    const size_t end = std::min(num_edges_, begin + kChunk);
+    size_t nnz = 0;
+    for (size_t e = begin; e < end; ++e) nnz += staged_[e].size();
+    directory->Set(c, InfluenceGraph::MakeChunk(
+                          begin, end, nnz, [this](EdgeId e) {
+                            return std::span<const EdgeTopicEntry>(staged_[e]);
+                          }));
   }
   staged_.clear();
-  return InfluenceGraph(std::move(g));
+  return InfluenceGraph(std::move(directory), num_edges_);
 }
 
 namespace {

@@ -39,17 +39,30 @@ struct EdgeTopicsReplacement {
 };
 
 /// Immutable per-edge p(e|z) table. Build with InfluenceGraphBuilder.
-/// Like Graph, the arrays live behind a refcount: copies are O(1) and
-/// alias one CSR.
+///
+/// The CSR is stored as fixed chunks of kChunkEdges consecutive edges
+/// behind a refcounted chunk directory. Copies are O(1) and alias one
+/// directory; ReplaceEdgeTopics copies the directory and only the chunks
+/// it touches, so the pre- and post-update values share every untouched
+/// chunk. A lookup is `chunk = e >> kChunkShift`, then a local index:
+/// one extra dependent load over a flat CSR, and no branch.
 class InfluenceGraph {
  public:
+  /// log2 of the edges per storage chunk, chosen by measurement
+  /// (docs/perf.md, "Chunk size"): larger chunks make every one-edge
+  /// fold copy more; smaller ones saved nothing measurable.
+  static constexpr unsigned kChunkShift = 12;
+  static constexpr size_t kChunkEdges = size_t{1} << kChunkShift;
+
   InfluenceGraph() = default;
 
   size_t num_edges() const { return num_edges_; }
 
   /// Sparse topic vector of edge e.
   std::span<const EdgeTopicEntry> EdgeTopics(EdgeId e) const {
-    return {entries_ + offsets_[e], entries_ + offsets_[e + 1]};
+    const Chunk& c = chunks_[e >> kChunkShift];
+    const size_t i = e & (kChunkEdges - 1);
+    return {c.entries + c.offsets[i], c.entries + c.offsets[i + 1]};
   }
 
   /// p(e|z); 0 when the edge carries no mass on z.
@@ -60,7 +73,9 @@ class InfluenceGraph {
 
   /// p(e) = max_z p(e|z) — the "any topic" envelope used by the RR-Graph
   /// index (Def. 2): p(e) >= p(e|W) for every W.
-  double MaxProb(EdgeId e) const { return max_prob_[e]; }
+  double MaxProb(EdgeId e) const {
+    return chunks_[e >> kChunkShift].max_prob[e & (kChunkEdges - 1)];
+  }
 
  private:
   friend class InfluenceGraphBuilder;
@@ -68,20 +83,40 @@ class InfluenceGraph {
       const InfluenceGraph& influence,
       std::span<const EdgeTopicsReplacement> replacements);
 
-  struct Storage {
-    std::vector<uint64_t> offsets;
+  // One chunk's CSR over its (up to kChunkEdges) edges; offsets are
+  // chunk-local.
+  struct ChunkStorage {
+    std::vector<uint32_t> offsets;
     std::vector<EdgeTopicEntry> entries;
     std::vector<double> max_prob;
   };
-  static constexpr uint64_t kNoOffsets[1] = {0};
+  // Directory entry: the chunk's arrays, inline so a lookup does not
+  // chase the owning pointer.
+  struct Chunk {
+    const uint32_t* offsets;
+    const EdgeTopicEntry* entries;
+    const double* max_prob;
+  };
+  struct Directory {
+    std::vector<Chunk> chunks;
+    std::vector<std::shared_ptr<const ChunkStorage>> owners;
 
-  explicit InfluenceGraph(std::shared_ptr<const Storage> storage);
+    void Set(size_t c, std::shared_ptr<const ChunkStorage> storage);
+  };
 
-  std::shared_ptr<const Storage> storage_;
+  InfluenceGraph(std::shared_ptr<const Directory> directory,
+                 size_t num_edges);
+  // Chunk over edges [begin, end): entries_of(e), called once per edge
+  // in order, gives each edge's validated entries; nnz is a capacity
+  // hint.
+  template <typename EntriesOf>
+  static std::shared_ptr<const ChunkStorage> MakeChunk(size_t begin,
+                                                       size_t end, size_t nnz,
+                                                       EntriesOf entries_of);
+
+  std::shared_ptr<const Directory> directory_;
   size_t num_edges_ = 0;
-  const uint64_t* offsets_ = kNoOffsets;
-  const EdgeTopicEntry* entries_ = nullptr;
-  const double* max_prob_ = nullptr;
+  const Chunk* chunks_ = nullptr;
 };
 
 /// Accumulates edge topic vectors in EdgeId order.
@@ -101,15 +136,16 @@ class InfluenceGraphBuilder {
   std::vector<std::vector<EdgeTopicEntry>> staged_;
 };
 
-/// `influence` with the listed edges' topic vectors replaced, in fresh
-/// storage (copies of `influence` keep the old CSR) — the batch-fold
-/// primitive of DynamicRrIndex::ApplyUpdates. Entry validation matches
-/// InfluenceGraphBuilder (probabilities in [0, 1], zero entries
-/// dropped, sorted by topic, duplicate topics rejected), but the fold
-/// is one exact-size pass over the CSR: unchanged edges are
-/// block-copied, so a batch costs O(|E| + nnz) with three array
-/// allocations instead of one staging vector per edge. Each edge may
-/// appear at most once in `replacements`.
+/// `influence` with the listed edges' topic vectors replaced — the
+/// update primitive of DynamicRrIndex::ApplyUpdates and RestoreModel.
+/// Copy-on-write: the result gets a copy of the chunk directory and a
+/// fresh copy of each chunk holding a replaced edge; every other chunk
+/// is shared with `influence`, which is left unchanged. A call costs
+/// O(|E| / kChunkEdges + touched chunks * kChunkEdges + nnz), not
+/// O(|E|). Entry validation matches InfluenceGraphBuilder
+/// (probabilities in [0, 1], zero entries dropped, sorted by topic,
+/// duplicate topics rejected). Each edge may appear at most once in
+/// `replacements`.
 InfluenceGraph ReplaceEdgeTopics(
     const InfluenceGraph& influence,
     std::span<const EdgeTopicsReplacement> replacements);
@@ -129,8 +165,9 @@ float EnvelopeProbability(double p);
 /// per-vertex slice sequentially — no virtual MaxProb call, no sparse
 /// indirection — and the per-vertex maximum drives the geometric-skip
 /// decision (see SampleLiveInEdges in src/index/sketch_arena.h).
-/// Materialized once per build (O(|E|)); DynamicRrIndex keeps one as its
-/// O(1)-updatable envelope mirror across repair batches.
+/// Build-only: materialized once per sampling pass (O(|E|)) and dropped
+/// after it. Repairs read the same floats table-free from the current
+/// model (InEnvelopeSlice in src/index/sketch_arena.h).
 class EnvelopeTable {
  public:
   EnvelopeTable() = default;
@@ -142,18 +179,9 @@ class EnvelopeTable {
   }
   /// max over InEnvelopes(v); 0 for in-degree-0 vertices.
   float VertexMax(VertexId v) const { return vertex_max_[v]; }
-  /// Envelope of edge e (EdgeId-indexed random access).
-  float Prob(EdgeId e) const { return in_env_[in_pos_[e]]; }
-
-  /// Replaces edge e's envelope with EnvelopeProbability(max_prob) and
-  /// rescans the head's per-vertex maximum — O(InDegree(head(e))).
-  void Update(const Graph& graph, EdgeId e, double max_prob);
-
-  size_t SizeBytes() const;
 
  private:
   std::vector<float> in_env_;      // in-adjacency order
-  std::vector<uint32_t> in_pos_;   // EdgeId -> slot in in_env_
   std::vector<float> vertex_max_;  // per-vertex max over in-edges
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <thread>
@@ -816,12 +815,7 @@ uint64_t PitexService::ApplyUpdates(
   // Rejecting here keeps the log's invariant: every record it holds is
   // a record replay will accept.
   for (const EdgeInfluenceUpdate& update : updates) {
-    bool valid = update.edge < network_->num_edges();
-    for (const EdgeTopicEntry& entry : update.entries) {
-      valid = valid && std::isfinite(entry.prob) && entry.prob >= 0.0 &&
-              entry.prob <= 1.0;
-    }
-    if (!valid) {
+    if (InvalidUpdateReason(update, *network_) != nullptr) {
       *outcome = ApplyUpdatesOutcome::kInvalidBatch;
       return 0;  // nothing logged, nothing applied
     }

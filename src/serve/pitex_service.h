@@ -165,8 +165,9 @@ enum class ServeStatus : uint8_t {
 enum class ApplyUpdatesOutcome : uint8_t {
   /// Applied and published; the return value is the new epoch.
   kPublished,
-  /// The batch failed validation (edge out of range, non-finite or
-  /// out-of-[0,1] probability). Nothing was logged or applied; the same
+  /// The batch failed validation (InvalidUpdateReason: edge out of
+  /// range, non-finite or out-of-[0,1] probability, unknown topic, or a
+  /// topic repeated among an update's positive entries). Nothing was logged or applied; the same
   /// batch fails the same way on retry — fix it, don't resend it.
   kInvalidBatch,
   /// The WAL append/commit failed: the batch is neither durable nor
@@ -247,9 +248,8 @@ class PitexService {
   /// Durability: with options.durability_dir set, the batch is appended
   /// to the WAL and committed (fsync per policy) BEFORE the master is
   /// repaired -- a return value != 0 means the batch survives any
-  /// subsequent crash. Batches are validated (edge bounds, probability
-  /// range/finiteness -- the same checks recovery applies on replay)
-  /// BEFORE the append: an invalid batch is rejected up front and never
+  /// subsequent crash. Batches are validated (InvalidUpdateReason --
+  /// the same check recovery applies on replay) BEFORE the append: an invalid batch is rejected up front and never
   /// reaches the log, because a durable poison record would turn one
   /// bad call into a permanent recovery failure on every restart. If
   /// the WAL append or commit fails, the batch is rolled back out of

@@ -1,7 +1,6 @@
 #include "src/serve/recovery.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -267,14 +266,8 @@ bool RecoverServingState(const SocialNetwork& base,
   std::vector<EdgeId> touched;
   if (have_checkpoint) {
     for (const EdgeInfluenceUpdate& update : manifest.model_delta) {
-      if (update.edge >= base.num_edges()) {
-        return Fail(error, "checkpoint delta references an unknown edge");
-      }
-      for (const EdgeTopicEntry& entry : update.entries) {
-        if (!std::isfinite(entry.prob) || entry.prob < 0.0 ||
-            entry.prob > 1.0) {
-          return Fail(error, "checkpoint delta probability out of [0, 1]");
-        }
+      if (const char* why = InvalidUpdateReason(update, base)) {
+        return Fail(error, std::string("invalid checkpoint delta: ") + why);
       }
       touched.push_back(update.edge);
     }
@@ -308,14 +301,8 @@ bool RecoverServingState(const SocialNetwork& base,
       return Fail(error, "fault injected: recovery/replay");
     }
     for (const EdgeInfluenceUpdate& update : record.updates) {
-      if (update.edge >= base.num_edges()) {
-        return Fail(error, "WAL record references an unknown edge");
-      }
-      for (const EdgeTopicEntry& entry : update.entries) {
-        if (!std::isfinite(entry.prob) || entry.prob < 0.0 ||
-            entry.prob > 1.0) {
-          return Fail(error, "WAL record probability out of [0, 1]");
-        }
+      if (const char* why = InvalidUpdateReason(update, base)) {
+        return Fail(error, std::string("invalid WAL record: ") + why);
       }
       touched.push_back(update.edge);
     }

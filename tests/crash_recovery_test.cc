@@ -310,6 +310,29 @@ TEST_F(CrashRecoveryTest, InjectedReplayErrorFailsRecoveryLoudly) {
   EXPECT_EQ(state.replayed_records, 3u);
 }
 
+TEST_F(CrashRecoveryTest, PoisonRecordFailsRecoveryWithoutAborting) {
+  // A record that bypassed the service's validation (written by an
+  // older build, say) must fail recovery with an error the operator can
+  // read, not abort the process on every restart.
+  const SocialNetwork n = MakeRunningExample();
+  {
+    std::string error;
+    const auto wal = WriteAheadLog::Open(dir_, 1, WalOptions{}, &error);
+    ASSERT_NE(wal, nullptr) << error;
+    std::vector<EdgeInfluenceUpdate> poison{MakeUpdate(n, 0)};
+    poison[0].entries = {{1, 0.2}, {1, 0.3}};
+    ASSERT_EQ(wal->Append(poison), 1u);
+    ASSERT_TRUE(wal->Sync());
+  }
+  RrIndexOptions index_options;
+  index_options.theta_per_vertex = 150.0;
+  index_options.seed = 5;
+  RecoveredState state;
+  std::string error;
+  EXPECT_FALSE(RecoverServingState(n, index_options, dir_, &state, &error));
+  EXPECT_NE(error.find("duplicate topic"), std::string::npos) << error;
+}
+
 TEST_F(CrashRecoveryTest, WalCommitFailureRejectsBatchWithoutApplying) {
 #if !PITEX_FAILPOINTS_ENABLED
   GTEST_SKIP() << "fail points compiled out (-DPITEX_FAILPOINTS=OFF)";
@@ -372,6 +395,20 @@ TEST_F(CrashRecoveryTest, MalformedBatchRejectedBeforeItPoisonsTheLog) {
     std::vector<EdgeInfluenceUpdate> bad_nan{MakeUpdate(n, 2)};
     bad_nan[0].entries[0].prob = std::numeric_limits<double>::quiet_NaN();
     EXPECT_EQ(service.ApplyUpdates(bad_nan, &outcome), 0u);
+    EXPECT_EQ(outcome, ApplyUpdatesOutcome::kInvalidBatch);
+
+    // A topic named twice among the positive entries would abort in the
+    // model fold; a topic past num_topics() would index the query
+    // posterior out of bounds.
+    std::vector<EdgeInfluenceUpdate> bad_duplicate{MakeUpdate(n, 3)};
+    bad_duplicate[0].entries = {{1, 0.2}, {1, 0.3}};
+    EXPECT_EQ(service.ApplyUpdates(bad_duplicate, &outcome), 0u);
+    EXPECT_EQ(outcome, ApplyUpdatesOutcome::kInvalidBatch);
+
+    std::vector<EdgeInfluenceUpdate> bad_topic{MakeUpdate(n, 4)};
+    bad_topic[0].entries[0].topic =
+        static_cast<TopicId>(n.topics.num_topics());
+    EXPECT_EQ(service.ApplyUpdates(bad_topic, &outcome), 0u);
     EXPECT_EQ(outcome, ApplyUpdatesOutcome::kInvalidBatch);
 
     // Nothing reached the log or the master: epoch and append counters

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "running_example.h"
@@ -227,6 +230,47 @@ TEST(DynamicRrIndexTest, LaterDuplicateWins) {
   // Updates apply sequentially; the final model reflects the last one.
   EXPECT_DOUBLE_EQ(index.network().influence.MaxProb(0), 0.7);
   EXPECT_EQ(index.stats().edges_updated, 2u);
+}
+
+TEST(DynamicRrIndexTest, FootprintAtRestHasNoPerEdgeTerm) {
+  // After Build() the master holds its sketch base and an empty overlay,
+  // nothing else: the influence model is shared with the caller's
+  // network, and envelopes are read from it rather than mirrored in an
+  // O(|E|) table.
+  DatasetSpec spec = LastfmSpec(0.3);
+  spec.seed = 31;
+  const SocialNetwork n = GenerateDataset(spec);
+  RrIndexOptions options = SmallOptions();
+  options.theta_override = 64;
+  DynamicRrIndex index(n, options);
+  index.Build();
+  const auto frozen = index.Freeze(n, /*compact=*/false);
+  EXPECT_EQ(index.SizeBytes(), sizeof(DynamicRrIndex) +
+                                   frozen->pool().SizeBytes() +
+                                   RrSketchOverlay().SizeBytes());
+  // 64 sketches cost far less than one float per edge.
+  EXPECT_LT(index.SizeBytes(), n.num_edges() * sizeof(float));
+}
+
+TEST(DynamicRrIndexTest, UpdateValidatorNamesEachDefect) {
+  const SocialNetwork n = MakeRunningExample();
+  const auto topics = static_cast<TopicId>(n.topics.num_topics());
+  const auto reason = [&n](EdgeId edge, std::vector<EdgeTopicEntry> entries) {
+    const char* why = InvalidUpdateReason({edge, std::move(entries)}, n);
+    return std::string(why == nullptr ? "" : why);
+  };
+  EXPECT_EQ(reason(0, {{0, 0.3}, {2, 1.0}}), "");
+  EXPECT_EQ(reason(0, {}), "");
+  // A zero entry is dropped, so it may repeat a positive entry's topic.
+  EXPECT_EQ(reason(0, {{1, 0.0}, {1, 0.3}}), "");
+  EXPECT_EQ(reason(static_cast<EdgeId>(n.num_edges()), {}), "unknown edge");
+  EXPECT_EQ(reason(0, {{0, 1.5}}), "probability out of [0, 1]");
+  EXPECT_EQ(reason(0, {{0, -0.1}}), "probability out of [0, 1]");
+  EXPECT_EQ(reason(0, {{0, std::numeric_limits<double>::infinity()}}),
+            "probability out of [0, 1]");
+  EXPECT_EQ(reason(0, {{topics, 0.3}}), "unknown topic");
+  EXPECT_EQ(reason(0, {{topics, 0.0}}), "unknown topic");
+  EXPECT_EQ(reason(0, {{1, 0.2}, {1, 0.3}}), "duplicate topic");
 }
 
 TEST(DynamicRrIndexTest, EmptyBatchIsNoop) {

@@ -7,7 +7,10 @@
 // agree on every sketch, every containing list, every estimate, every
 // maintenance counter and every saved index byte. A second test checks
 // that a durable service's snapshots alias the caller's topology instead
-// of copying it.
+// of copying it. Two more tests drive both masters through batches
+// whose updates interact: an expansion through a vertex whose in-edge an
+// earlier update of the same batch changed, and an edge repeated within
+// a batch.
 
 #include <gtest/gtest.h>
 
@@ -267,6 +270,102 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
   ExpectSameEstimates(*got, *want);
   EXPECT_EQ(Saved(*got->Freeze(got->network(), /*compact=*/false)),
             SavedReference(*want));
+}
+
+// Applies each batch to both masters and checks them equal after each.
+// Returns how many batches left some reference sketch holding every
+// edge of `must_hold(batch)` live.
+template <typename MustHold>
+int DriveBoth(const SocialNetwork& n,
+              const std::vector<std::vector<EdgeInfluenceUpdate>>& batches,
+              MustHold must_hold) {
+  DynamicRrIndex got(n, Options());
+  ReferenceDynamicRrIndex want(n, Options());
+  got.Build();
+  want.Build();
+  int held = 0;
+  for (const auto& batch : batches) {
+    got.ApplyUpdates(batch);
+    want.ApplyUpdates(batch);
+    ExpectSameSketches(got, want);
+    ExpectSameStats(got, want);
+    if (::testing::Test::HasFatalFailure()) return held;
+    const std::vector<EdgeId> edges = must_hold(batch);
+    for (const RRGraph& rr : want.graphs()) {
+      if (std::ranges::all_of(edges, [&rr](EdgeId e) {
+            return std::ranges::any_of(
+                rr.edges, [e](const RRLocalEdge& s) { return s.edge == e; });
+          })) {
+        ++held;
+        break;
+      }
+    }
+  }
+  ExpectSameEstimates(got, want);
+  EXPECT_EQ(Saved(*got.Freeze(got.network(), /*compact=*/false)),
+            SavedReference(want));
+  return held;
+}
+
+TEST(DynamicOverlayEquivalenceTest, ExpansionReadsEarlierUpdateInSameBatch) {
+  // Update 1 changes an in-edge (s, t) of vertex t; update 2 raises an
+  // edge (t, h), so sketches holding h but not t expand through t and
+  // probe (s, t) under the envelope update 1 left. The production master
+  // reads it from the model folded per update, the reference from its
+  // mirror.
+  const SocialNetwork n = MakeNetwork();
+  Rng rng(77);
+  std::vector<std::vector<EdgeInfluenceUpdate>> batches;
+  while (batches.size() < 40) {
+    const auto e2 = static_cast<EdgeId>(rng.NextBounded(n.num_edges()));
+    const auto in = n.graph.InEdges(n.graph.Tail(e2));
+    if (in.empty()) continue;
+    const EdgeId e1 = in[rng.NextBounded(in.size())].edge;
+    if (e1 == e2) continue;
+    const auto topic =
+        static_cast<TopicId>(rng.NextBounded(n.topics.num_topics()));
+    // Mostly raise the in-edge (so expansions take it), sometimes drop
+    // it (so they must not).
+    const double p1 = batches.size() % 4 == 3 ? 0.01 * rng.NextDouble()
+                                              : 0.9 + 0.1 * rng.NextDouble();
+    batches.push_back({{e1, {{topic, p1}}}, {e2, {{topic, 0.95}}}});
+  }
+  const int held = DriveBoth(n, batches, [](const auto& batch) {
+    return std::vector<EdgeId>{batch[0].edge, batch[1].edge};
+  });
+  EXPECT_GT(held, 0) << "no expansion took an edge raised earlier in its batch";
+}
+
+TEST(DynamicOverlayEquivalenceTest, BatchesThatRepeatAnEdge) {
+  // The same edge raised, dropped, deleted and raised again within one
+  // batch: each update's p_old is the envelope the previous one left.
+  const SocialNetwork n = MakeNetwork();
+  Rng rng(78);
+  std::vector<std::vector<EdgeInfluenceUpdate>> batches;
+  for (int b = 0; b < 40; ++b) {
+    const auto e = static_cast<EdgeId>(rng.NextBounded(n.num_edges()));
+    const auto other = static_cast<EdgeId>(rng.NextBounded(n.num_edges()));
+    std::vector<EdgeInfluenceUpdate> batch;
+    for (int i = 0; i < 2 + static_cast<int>(rng.NextBounded(4)); ++i) {
+      const auto topic =
+          static_cast<TopicId>(rng.NextBounded(n.topics.num_topics()));
+      EdgeInfluenceUpdate update;
+      update.edge = i == 2 ? other : e;
+      switch (rng.NextBounded(3)) {
+        case 0:
+          update.entries = {{topic, 0.7 + 0.3 * rng.NextDouble()}};
+          break;
+        case 1:
+          update.entries = {{topic, 0.01 * rng.NextDouble()}};
+          break;
+        default:
+          break;  // delete
+      }
+      batch.push_back(std::move(update));
+    }
+    batches.push_back(std::move(batch));
+  }
+  DriveBoth(n, batches, [](const auto&) { return std::vector<EdgeId>{}; });
 }
 
 TEST(DynamicOverlayEquivalenceTest, DurableSnapshotsShareCallerTopology) {

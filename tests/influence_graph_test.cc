@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "running_example.h"
 
 namespace pitex {
@@ -67,6 +71,114 @@ TEST(InfluenceGraphTest, ZeroPosteriorZeroesEveryEdge) {
   }
 }
 
+// Deterministic sparse topic vectors: 0-2 entries per edge, so chunks
+// hold uneven entry counts.
+std::vector<EdgeTopicEntry> EntriesFor(EdgeId e) {
+  std::vector<EdgeTopicEntry> entries;
+  for (uint32_t k = 0; k < e % 3; ++k) {
+    entries.push_back({static_cast<TopicId>((e + 2 * k) % 5),
+                       0.05 * static_cast<double>(1 + (e + k) % 19)});
+  }
+  return entries;
+}
+
+// The model EntriesFor describes, with `replaced` edges overridden.
+InfluenceGraph BuildModel(
+    size_t num_edges, std::span<const EdgeTopicsReplacement> replaced = {}) {
+  InfluenceGraphBuilder b(num_edges);
+  for (EdgeId e = 0; e < num_edges; ++e) {
+    const auto it = std::find_if(
+        replaced.begin(), replaced.end(),
+        [e](const EdgeTopicsReplacement& r) { return r.edge == e; });
+    if (it != replaced.end()) {
+      b.SetEdgeTopics(e, it->entries);
+    } else {
+      b.SetEdgeTopics(e, EntriesFor(e));
+    }
+  }
+  return b.Build();
+}
+
+void ExpectSameModel(const InfluenceGraph& got, const InfluenceGraph& want) {
+  ASSERT_EQ(got.num_edges(), want.num_edges());
+  for (EdgeId e = 0; e < want.num_edges(); ++e) {
+    const auto a = got.EdgeTopics(e);
+    const auto b = want.EdgeTopics(e);
+    ASSERT_EQ(a.size(), b.size()) << "edge " << e;
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].topic, b[i].topic) << "edge " << e;
+      ASSERT_EQ(a[i].prob, b[i].prob) << "edge " << e;
+    }
+    ASSERT_EQ(got.MaxProb(e), want.MaxProb(e)) << "edge " << e;
+  }
+}
+
+constexpr size_t kChunk = InfluenceGraph::kChunkEdges;
+// Three chunks, the last one partial.
+constexpr size_t kChunkedEdges = 2 * kChunk + 100;
+
+TEST(ChunkedInfluenceGraphTest, ReplaceMatchesRebuildAtChunkBoundaries) {
+  const InfluenceGraph before = BuildModel(kChunkedEdges);
+  const InfluenceGraph pristine = BuildModel(kChunkedEdges);
+  const std::vector<EdgeTopicEntry> raised = {{4, 0.9}, {0, 0.25}};
+  const std::vector<EdgeTopicEntry> with_zero = {{2, 0.0}, {3, 0.6}};
+  const std::vector<EdgeTopicEntry> none;
+  // First and last slot of chunk 0, and the first and last edge of the
+  // partial chunk 2; chunk 1 is untouched.
+  const EdgeTopicsReplacement replaced[] = {
+      {static_cast<EdgeId>(kChunk - 1), raised},
+      {0, with_zero},
+      {static_cast<EdgeId>(2 * kChunk), none},
+      {static_cast<EdgeId>(kChunkedEdges - 1), raised},
+  };
+  const InfluenceGraph after = ReplaceEdgeTopics(before, replaced);
+  ExpectSameModel(after, BuildModel(kChunkedEdges, replaced));
+  EXPECT_EQ(after.MaxProb(0), 0.6);
+  EXPECT_EQ(after.MaxProb(static_cast<EdgeId>(2 * kChunk)), 0.0);
+  // The pre-replacement value is unchanged.
+  ExpectSameModel(before, pristine);
+
+  // Chunk 1 is shared; the touched chunks are fresh copies.
+  for (const EdgeId e : {static_cast<EdgeId>(kChunk + 1),
+                         static_cast<EdgeId>(2 * kChunk - 1)}) {
+    ASSERT_FALSE(before.EdgeTopics(e).empty());
+    EXPECT_EQ(after.EdgeTopics(e).data(), before.EdgeTopics(e).data());
+  }
+  for (const EdgeId e :
+       {EdgeId{1}, static_cast<EdgeId>(2 * kChunk + 2)}) {
+    ASSERT_FALSE(before.EdgeTopics(e).empty());
+    EXPECT_NE(after.EdgeTopics(e).data(), before.EdgeTopics(e).data());
+  }
+}
+
+TEST(ChunkedInfluenceGraphTest, ChainedReplacementsMatchRebuild) {
+  // One edge at a time, the way DynamicRrIndex folds updates: every
+  // intermediate value stays intact.
+  const InfluenceGraph base = BuildModel(kChunkedEdges);
+  const std::vector<EdgeTopicEntry> first = {{1, 0.4}};
+  const std::vector<EdgeTopicEntry> second = {{3, 0.7}, {1, 0.1}};
+  const EdgeId e = static_cast<EdgeId>(kChunk + 7);
+  const EdgeTopicsReplacement r1{e, first};
+  const EdgeTopicsReplacement r2{e, second};
+  const InfluenceGraph mid = ReplaceEdgeTopics(base, std::span(&r1, 1));
+  const InfluenceGraph last = ReplaceEdgeTopics(mid, std::span(&r2, 1));
+  ExpectSameModel(mid, BuildModel(kChunkedEdges, std::span(&r1, 1)));
+  ExpectSameModel(last, BuildModel(kChunkedEdges, std::span(&r2, 1)));
+  ExpectSameModel(base, BuildModel(kChunkedEdges));
+}
+
+TEST(ChunkedInfluenceGraphTest, ReplacingNoEdgesSharesEveryChunk) {
+  const InfluenceGraph before = BuildModel(kChunkedEdges);
+  const InfluenceGraph after = ReplaceEdgeTopics(before, {});
+  ExpectSameModel(after, before);
+  for (EdgeId e = 0; e < kChunkedEdges; e += kChunk / 2) {
+    EXPECT_EQ(after.EdgeTopics(e).data(), before.EdgeTopics(e).data());
+  }
+  // A model without edges has no chunks.
+  const InfluenceGraph empty = ReplaceEdgeTopics(BuildModel(0), {});
+  EXPECT_EQ(empty.num_edges(), 0u);
+}
+
 TEST(ReachableSetTest, FullReachabilityUnderEnvelope) {
   SocialNetwork n = MakeRunningExample();
   const auto r = ComputeMaxReachableSet(n.graph, n.influence, 0);
@@ -103,6 +215,13 @@ TEST(InfluenceGraphDeathTest, RejectsDuplicateTopic) {
   InfluenceGraphBuilder b(1);
   const EdgeTopicEntry entries[] = {{0, 0.4}, {0, 0.5}};
   EXPECT_DEATH(b.SetEdgeTopics(0, entries), "duplicate");
+}
+
+TEST(InfluenceGraphDeathTest, ReplaceRejectsEdgeTwice) {
+  const InfluenceGraph g = BuildModel(8);
+  const EdgeTopicEntry entries[] = {{0, 0.4}};
+  const EdgeTopicsReplacement twice[] = {{3, entries}, {3, entries}};
+  EXPECT_DEATH(ReplaceEdgeTopics(g, twice), "twice");
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Reference implementation for tests/dynamic_overlay_equivalence_test.cc:
 // the DynamicRrIndex master as it stood before its sketches moved to a
-// shared base pool plus overlay. It keeps theta owning RRGraphs and a
-// per-vertex containing vector, repairs sketches in place, and unpacks a
-// checkpoint's pool on adoption. Build, ApplyUpdates, RestoreModel,
-// RepairGraph and AdoptSketches are kept verbatim (only the class name
-// differs), so any divergence of the production master from this one is
-// a behaviour change, not a representation change.
+// shared base pool plus overlay, and before its model was folded per
+// update. It keeps theta owning RRGraphs and a per-vertex containing
+// vector, repairs sketches in place, unpacks a checkpoint's pool on
+// adoption, reads envelopes from an O(1)-updatable mirror of the model
+// (EnvelopeMirror below) and folds the influence model once per batch.
+// Build, ApplyUpdates, RestoreModel, RepairGraph and AdoptSketches are
+// kept verbatim (only the class names differ, and Build samples against
+// a temporary EnvelopeTable beside the mirror), so any divergence of the
+// production master from this one is a behaviour change, not a
+// representation change.
 
 #ifndef PITEX_TESTS_REFERENCE_DYNAMIC_INDEX_H_
 #define PITEX_TESTS_REFERENCE_DYNAMIC_INDEX_H_
@@ -25,6 +29,52 @@
 #include "src/util/check.h"
 
 namespace pitex {
+
+// The envelope table as the production master used to keep it: the
+// build table's floats plus an EdgeId -> slot map, so one edge's
+// envelope can be read and replaced in O(1) between batch folds.
+class EnvelopeMirror {
+ public:
+  EnvelopeMirror() = default;
+  EnvelopeMirror(const Graph& graph, const InfluenceGraph& influence) {
+    in_env_.resize(graph.num_edges());
+    in_pos_.resize(graph.num_edges());
+    vertex_max_.resize(graph.num_vertices());
+    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+      const uint64_t base = graph.InEdgeOffset(v);
+      const auto in = graph.InEdges(v);
+      float vmax = 0.0f;
+      for (size_t j = 0; j < in.size(); ++j) {
+        const float p = EnvelopeProbability(influence.MaxProb(in[j].edge));
+        in_env_[base + j] = p;
+        in_pos_[in[j].edge] = static_cast<uint32_t>(base + j);
+        vmax = std::max(vmax, p);
+      }
+      vertex_max_[v] = vmax;
+    }
+  }
+
+  std::span<const float> InEnvelopes(const Graph& graph, VertexId v) const {
+    return {in_env_.data() + graph.InEdgeOffset(v), graph.InDegree(v)};
+  }
+  float VertexMax(VertexId v) const { return vertex_max_[v]; }
+  float Prob(EdgeId e) const { return in_env_[in_pos_[e]]; }
+
+  // Replaces edge e's envelope with EnvelopeProbability(max_prob) and
+  // rescans the head's per-vertex maximum.
+  void Update(const Graph& graph, EdgeId e, double max_prob) {
+    in_env_[in_pos_[e]] = EnvelopeProbability(max_prob);
+    const VertexId head = graph.Head(e);
+    float vmax = 0.0f;
+    for (const float p : InEnvelopes(graph, head)) vmax = std::max(vmax, p);
+    vertex_max_[head] = vmax;
+  }
+
+ private:
+  std::vector<float> in_env_;      // in-adjacency order
+  std::vector<uint32_t> in_pos_;   // EdgeId -> slot in in_env_
+  std::vector<float> vertex_max_;  // per-vertex max over in-edges
+};
 
 class ReferenceDynamicRrIndex {
  public:
@@ -48,16 +98,17 @@ class ReferenceDynamicRrIndex {
     graphs_.resize(theta_);
     roots_.resize(theta_);
     containing_.assign(network_.num_vertices(), {});
-    envelope_ = EnvelopeTable(network_.graph, network_.influence);
-    // Arena-staged generation against the envelope mirror: the same table
-    // the static build materializes, so the initial state is bit-identical
-    // to RrIndex::Build with equal options and seed.
+    envelope_ = EnvelopeMirror(network_.graph, network_.influence);
+    // Arena-staged generation against the table the static build
+    // materializes, so the initial state is bit-identical to
+    // RrIndex::Build with equal options and seed.
+    const EnvelopeTable table(network_.graph, network_.influence);
     for (uint64_t i = 0; i < theta_; ++i) {
       Rng rng = StreamFor(options_.seed, i, /*version=*/0);
       roots_[i] =
           static_cast<VertexId>(rng.NextBounded(network_.num_vertices()));
       arena_.Clear();
-      arena_.Generate(network_.graph, envelope_, roots_[i], &rng, i);
+      arena_.Generate(network_.graph, table, roots_[i], &rng, i);
       arena_.Export(0, &graphs_[i]);
     }
     for (uint32_t id = 0; id < graphs_.size(); ++id) {
@@ -152,7 +203,7 @@ class ReferenceDynamicRrIndex {
     for (uint32_t id = 0; id < graphs_.size(); ++id) {
       for (VertexId v : graphs_[id].vertices) containing_[v].push_back(id);
     }
-    envelope_ = EnvelopeTable(network_.graph, network_.influence);
+    envelope_ = EnvelopeMirror(network_.graph, network_.influence);
   }
 
   Estimate EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
@@ -293,7 +344,7 @@ class ReferenceDynamicRrIndex {
   std::vector<RRGraph> graphs_;
   std::vector<VertexId> roots_;
   std::vector<std::vector<uint32_t>> containing_;
-  EnvelopeTable envelope_;
+  EnvelopeMirror envelope_;
   Stats stats_;
   EstimateScratch scratch_;
   SketchArena arena_;
