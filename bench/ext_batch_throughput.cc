@@ -21,6 +21,7 @@
 #include "bench/bench_common.h"
 #include "src/core/batch_engine.h"
 #include "src/serve/pitex_service.h"
+#include "src/util/stats.h"
 
 int main(int argc, char** argv) {
   pitex::bench::InitBench(argc, argv);
@@ -144,7 +145,8 @@ int main(int argc, char** argv) {
       const double serve_seconds = serve_timer.Seconds();
       const double serve_qps =
           static_cast<double>(skewed.size()) / std::max(serve_seconds, 1e-9);
-      const ServiceStats stats = service.Stats();
+      const uint64_t steals =
+          service.SnapshotMetrics().CounterValue("pitex_steals_total");
 
       std::printf("%-10s %-10s batch %9.1f q/s (busy %.3fs / idle %.3fs)  "
                   "serve %9.1f q/s (steals %llu)  speedup %.2fx  "
@@ -152,7 +154,7 @@ int main(int argc, char** argv) {
                   "%.3fms, %.2fx]\n",
                   d.name.c_str(), MethodName(method), batch_qps, busiest,
                   idlest, serve_qps,
-                  static_cast<unsigned long long>(stats.steals),
+                  static_cast<unsigned long long>(steals),
                   serve_qps / std::max(batch_qps, 1e-9), kServeThreads,
                   rr_makespan * 1e3, balanced_makespan * 1e3,
                   rr_makespan / std::max(balanced_makespan, 1e-9));
@@ -186,8 +188,7 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < kBurstSize; ++i) {
       warm.push_back({.user = users[i % users.size()], .k = 3});
     }
-    (void)service.ServeAll(warm);
-    service.ClearLatencyWindow();  // percentiles cover the bursts only
+    (void)service.ServeAll(warm);  // percentiles cover the bursts only
 
     Timer burst_timer;
     std::vector<std::future<ServedResult>> futures;
@@ -200,16 +201,18 @@ int main(int argc, char** argv) {
       // ...then the stream goes quiet while the queue drains.
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    for (auto& future : futures) (void)future.get();
+    std::vector<double> sojourns;
+    for (auto& future : futures) {
+      sojourns.push_back(future.get().sojourn_seconds);
+    }
     const double wall = burst_timer.Seconds();
 
-    const LatencySummary latency = service.Stats().latency;
     std::printf("%-10s %4zu queries in %zu bursts: %8.1f q/s  "
                 "p50 %7.2fms  p95 %7.2fms  p99 %7.2fms  max %7.2fms\n",
                 d.name.c_str(), futures.size(), kBursts,
                 static_cast<double>(futures.size()) / std::max(wall, 1e-9),
-                latency.p50 * 1e3, latency.p95 * 1e3, latency.p99 * 1e3,
-                latency.max * 1e3);
+                Quantile(sojourns, 0.50) * 1e3, Quantile(sojourns, 0.95) * 1e3,
+                Quantile(sojourns, 0.99) * 1e3, Quantile(sojourns, 1.0) * 1e3);
   }
   std::printf("shape check: p99 >> p50 under bursts (queue wait dominates "
               "the tail); the gap\nshrinks as burst size approaches the "
@@ -228,7 +231,7 @@ int main(int argc, char** argv) {
   struct StormOutcome {
     size_t served = 0, shed = 0, degraded = 0, expired = 0;
     double wall = 0.0;
-    LatencySummary latency;
+    double p99 = 0.0;  // sojourn over every answer but the shed ones
   };
   const auto run_storm = [&](const SocialNetwork& network,
                              const ServeOptions& serve_options,
@@ -239,8 +242,8 @@ int main(int argc, char** argv) {
                                  storm.begin() + storm.size() / 4);
     for (PitexQuery& q : warm) q.budget_seconds = 0.0;
     (void)service.ServeAll(warm);
-    service.ClearLatencyWindow();
     StormOutcome outcome;
+    std::vector<double> sojourns;
     Timer timer;
     std::vector<std::future<ServedResult>> futures;
     futures.reserve(storm.size());
@@ -248,15 +251,17 @@ int main(int argc, char** argv) {
       futures.push_back(service.Submit(query));
     }
     for (auto& future : futures) {
-      switch (future.get().status) {
+      const ServedResult result = future.get();
+      switch (result.status) {
         case ServeStatus::kOk: ++outcome.served; break;
-        case ServeStatus::kShed: ++outcome.shed; break;
+        case ServeStatus::kShed: ++outcome.shed; continue;
         case ServeStatus::kDegraded: ++outcome.degraded; break;
         case ServeStatus::kDeadlineExpired: ++outcome.expired; break;
       }
+      sojourns.push_back(result.sojourn_seconds);
     }
     outcome.wall = timer.Seconds();
-    outcome.latency = service.Stats().latency;
+    outcome.p99 = Quantile(sojourns, 0.99);
     return outcome;
   };
 
@@ -287,15 +292,15 @@ int main(int argc, char** argv) {
     std::printf("%-10s open-queue : served %3zu shed %3zu  p99 %8.2fms  "
                 "wall %6.1fms\n",
                 d.name.c_str(), open.served, open.shed,
-                open.latency.p99 * 1e3, open.wall * 1e3);
+                open.p99 * 1e3, open.wall * 1e3);
     std::printf("%-10s bounded    : served %3zu shed %3zu  p99 %8.2fms  "
                 "wall %6.1fms\n",
                 d.name.c_str(), shed.served, shed.shed,
-                shed.latency.p99 * 1e3, shed.wall * 1e3);
+                shed.p99 * 1e3, shed.wall * 1e3);
     std::printf("%-10s +deadlines : served %3zu shed %3zu degraded %3zu "
                 "expired %3zu  p99 %8.2fms\n",
                 d.name.c_str(), soft.served, soft.shed, soft.degraded,
-                soft.expired, soft.latency.p99 * 1e3);
+                soft.expired, soft.p99 * 1e3);
   }
   std::printf("shape check: the bounded queue sheds most of the storm and "
               "its served-p99 drops\nwell below the open queue's; with "

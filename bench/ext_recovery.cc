@@ -105,13 +105,12 @@ int main(int argc, char** argv) {
       PitexService recovered(&d.network, durable);
       recovered.Start();  // checkpoint load + WAL replay + publish
       const double rto = timer.Seconds();
-      const ServiceStats stats = recovered.Stats();
+      const uint64_t replayed = recovered.SnapshotMetrics().CounterValue(
+          "pitex_recovery_replayed_lsns_total");
       std::printf("%-10s checkpoint_every=%-3llu -> RTO %8.2f ms "
                   "(%llu LSNs replayed)\n",
                   d.name.c_str(), static_cast<unsigned long long>(cadence),
-                  rto * 1e3,
-                  static_cast<unsigned long long>(
-                      stats.recovery_replayed_lsns));
+                  rto * 1e3, static_cast<unsigned long long>(replayed));
     }
     std::printf("\n");
   }

@@ -57,6 +57,7 @@
 #include "src/serve/replication.h"
 #include "src/serve/term_authority.h"
 #include "src/util/failpoint.h"
+#include "src/util/stats.h"
 
 int main() {
   using namespace pitex;
@@ -138,14 +139,20 @@ int main() {
     }
   }
   const auto served = service.ServeAll(queries);
-  ServiceStats stats = service.Stats();
-  std::printf("serving: %zu queries on %zu workers (epoch %llu): "
+  // Aggregates come from the metrics registry; per-query numbers such as
+  // the sojourn time ride on each answer.
+  obs::MetricsSnapshot metrics = service.SnapshotMetrics();
+  std::vector<double> sojourns;
+  for (const ServedResult& r : served) sojourns.push_back(r.sojourn_seconds);
+  std::printf("serving: %zu queries on %zu workers (epoch %lld): "
               "%llu cache hits, %llu steals, p95 %.2fms\n",
               served.size(), serve_options.num_threads,
-              static_cast<unsigned long long>(stats.current_epoch),
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.steals),
-              stats.latency.p95 * 1e3);
+              static_cast<long long>(metrics.GaugeValue("pitex_current_epoch")),
+              static_cast<unsigned long long>(
+                  metrics.CounterValue("pitex_cache_hits_total")),
+              static_cast<unsigned long long>(
+                  metrics.CounterValue("pitex_steals_total")),
+              Quantile(sojourns, 0.95) * 1e3);
   for (size_t i = 0; i < influencers.size(); ++i) {
     std::string tags;
     for (const TagId w : served[i].result.tags) {
@@ -170,11 +177,12 @@ int main() {
   const uint64_t epoch = service.ApplyUpdates(drift);
   const auto refreshed = service.ServeAll(
       std::span<const PitexQuery>(queries.data(), influencers.size()));
-  stats = service.Stats();
+  metrics = service.SnapshotMetrics();
   std::printf("model drift: %zu edges re-learned -> hot-swapped to epoch "
-              "%llu (%llu snapshots retired), answers refreshed:\n",
+              "%llu (%lld snapshots retired), answers refreshed:\n",
               drift.size(), static_cast<unsigned long long>(epoch),
-              static_cast<unsigned long long>(stats.epochs_published - 1));
+              static_cast<long long>(
+                  metrics.GaugeValue("pitex_epochs_published") - 1));
   for (size_t i = 0; i < refreshed.size(); ++i) {
     std::printf("  user %-6u E[I]=%6.1f (epoch %llu%s)\n", queries[i].user,
                 refreshed[i].result.influence,
@@ -207,19 +215,20 @@ int main() {
   }
   const auto drill_served = drilled.ServeAll(storm);
   size_t ok = 0, degraded = 0, expired = 0, shed = 0;
+  std::vector<double> admitted_sojourns;
   for (const auto& r : drill_served) {
     switch (r.status) {
       case ServeStatus::kOk: ++ok; break;
       case ServeStatus::kDegraded: ++degraded; break;
       case ServeStatus::kDeadlineExpired: ++expired; break;
-      case ServeStatus::kShed: ++shed; break;
+      case ServeStatus::kShed: ++shed; continue;
     }
+    admitted_sojourns.push_back(r.sojourn_seconds);
   }
-  ServiceStats drill_stats = drilled.Stats();
   std::printf("overload drill: %zu queries -> %zu ok, %zu degraded, "
               "%zu expired, %zu shed, admitted p95 %.2fms\n",
               storm.size(), ok, degraded, expired, shed,
-              drill_stats.latency.p95 * 1e3);
+              Quantile(admitted_sojourns, 0.95) * 1e3);
 
   // Now the queue has drained: a hot user floods back-to-back and is
   // rate-limited by its token bucket — the rest of the stream would be
@@ -231,12 +240,14 @@ int main() {
   for (const auto& r : flood_served) {
     if (r.status == ServeStatus::kShed) ++flood_shed;
   }
-  drill_stats = drilled.Stats();
+  metrics = drilled.SnapshotMetrics();
   std::printf("hot-user flood: %zu back-to-back queries -> %zu shed "
               "(%llu queue-full, %llu rate-limited in the drill so far)\n",
               flood.size(), flood_shed,
-              static_cast<unsigned long long>(drill_stats.shed_queue_full),
-              static_cast<unsigned long long>(drill_stats.shed_rate_limited));
+              static_cast<unsigned long long>(
+                  metrics.CounterValue("pitex_queries_shed_queue_full_total")),
+              static_cast<unsigned long long>(metrics.CounterValue(
+                  "pitex_queries_shed_rate_limited_total")));
 
   // Fault drill: inject one freeze failure into the next publish and
   // watch the retry/backoff path absorb it — the epoch still advances.
@@ -245,12 +256,14 @@ int main() {
       {.mode = FailpointMode::kError, .fires = 1});
   const uint64_t drilled_epoch = drilled.ApplyUpdates(drift);
   FailpointRegistry::Instance().DisableAll();
-  drill_stats = drilled.Stats();
+  metrics = drilled.SnapshotMetrics();
   std::printf("fault drill: 1 injected freeze failure -> publish retried "
               "%llu time(s), epoch %llu published anyway (%llu failures)\n",
-              static_cast<unsigned long long>(drill_stats.publish_retries),
+              static_cast<unsigned long long>(
+                  metrics.CounterValue("pitex_publish_retries_total")),
               static_cast<unsigned long long>(drilled_epoch),
-              static_cast<unsigned long long>(drill_stats.publish_failures));
+              static_cast<unsigned long long>(
+                  metrics.CounterValue("pitex_publish_failures_total")));
 
   // -- 7. restart and recover ----------------------------------------------
   // The same service, now durable: a directory holds the group-committed
@@ -273,25 +286,28 @@ int main() {
     }
     down_epoch = durable.current_epoch();
     durable_answer = durable.Submit(queries.front()).get().result.influence;
-    ServiceStats durable_stats = durable.Stats();
+    const obs::MetricsSnapshot durable_snap = durable.SnapshotMetrics();
     std::printf("\ndurability: %llu batches logged (%llu fsyncs), "
                 "%llu checkpoint(s) written, serving epoch %llu\n",
-                static_cast<unsigned long long>(durable_stats.wal_appends),
-                static_cast<unsigned long long>(durable_stats.wal_fsyncs),
-                static_cast<unsigned long long>(durable_stats.checkpoints),
+                static_cast<unsigned long long>(
+                    durable_snap.CounterValue("pitex_wal_appends_total")),
+                static_cast<unsigned long long>(
+                    durable_snap.CounterValue("pitex_wal_fsyncs_total")),
+                static_cast<unsigned long long>(
+                    durable_snap.CounterValue("pitex_checkpoints_total")),
                 static_cast<unsigned long long>(down_epoch));
   }  // process "dies" here; the directory is all that survives
 
   PitexService restarted(&network, durable_options);
   restarted.Start();  // loads the checkpoint, replays the WAL tail
-  ServiceStats recovered_stats = restarted.Stats();
+  const uint64_t replayed = restarted.SnapshotMetrics().CounterValue(
+      "pitex_recovery_replayed_lsns_total");
   const double recovered_answer =
       restarted.Submit(queries.front()).get().result.influence;
   std::printf("restart: recovered to epoch %llu (%llu LSNs replayed past "
               "the checkpoint), answers %s\n",
               static_cast<unsigned long long>(restarted.current_epoch()),
-              static_cast<unsigned long long>(
-                  recovered_stats.recovery_replayed_lsns),
+              static_cast<unsigned long long>(replayed),
               restarted.current_epoch() == down_epoch &&
                       recovered_answer == durable_answer
                   ? "bit-identical to the pre-restart service"

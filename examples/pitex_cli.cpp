@@ -27,8 +27,8 @@
 //   pitex_cli serve <net.pitex> <queries> <updates> <threads> [wal_dir]
 //             [--stats-out=<file>] [--stats-format=json|prom]
 //       Run the serving tier end to end: answer queries, fold in edge
-//       updates, and report the full ServiceStats dump. With a wal_dir
-//       the service is durable (write-ahead log + checkpoints) and
+//       updates, and report the serving and durability counters. With
+//       a wal_dir the service is durable (write-ahead log + checkpoints) and
 //       recovers whatever state the directory already holds. With
 //       --stats-out the final metrics snapshot + event journal are
 //       written to the file (json by default) after serving, leaving
@@ -67,6 +67,7 @@
 #include "src/serve/pitex_service.h"
 #include "src/serve/replication.h"
 #include "src/serve/term_authority.h"
+#include "src/util/stats.h"
 #include "src/util/timer.h"
 
 namespace {
@@ -478,12 +479,21 @@ int CmdServe(int argc, char** argv) {
   }
   const auto served = service.ServeAll(queries);
   double total_influence = 0.0;
-  for (const ServedResult& r : served) total_influence += r.result.influence;
+  std::vector<double> sojourns;
+  for (const ServedResult& r : served) {
+    total_influence += r.result.influence;
+    sojourns.push_back(r.sojourn_seconds);
+  }
 
-  const ServiceStats stats = service.Stats();
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  const auto counter = [&snap](const char* name) {
+    return static_cast<unsigned long long>(snap.CounterValue(name));
+  };
+  const auto gauge = [&snap](const char* name) {
+    return static_cast<long long>(snap.GaugeValue(name));
+  };
   std::printf("started in %.2f s (%llu WAL records replayed)\n",
-              start_seconds,
-              static_cast<unsigned long long>(stats.recovery_replayed_lsns));
+              start_seconds, counter("pitex_recovery_replayed_lsns_total"));
   std::printf(
       "%zu queries, avg spread %.2f; %zu updates (%zu rejected, "
       "%zu deferred)\n",
@@ -491,20 +501,18 @@ int CmdServe(int argc, char** argv) {
       served.empty() ? 0.0
                      : total_influence / static_cast<double>(served.size()),
       num_updates, rejected, deferred);
-  std::printf("serving:    epoch %llu, %llu published, %llu cache hits, "
+  std::printf("serving:    epoch %lld, %lld published, %llu cache hits, "
               "%llu steals, p95 %.2f ms\n",
-              static_cast<unsigned long long>(stats.current_epoch),
-              static_cast<unsigned long long>(stats.epochs_published),
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.steals),
-              stats.latency.p95 * 1e3);
+              gauge("pitex_current_epoch"), gauge("pitex_epochs_published"),
+              counter("pitex_cache_hits_total"), counter("pitex_steals_total"),
+              Quantile(sojourns, 0.95) * 1e3);
   std::printf("durability: %llu WAL appends (%llu failed), %llu fsyncs, "
               "%llu checkpoints (%llu failed)\n",
-              static_cast<unsigned long long>(stats.wal_appends),
-              static_cast<unsigned long long>(stats.wal_append_failures),
-              static_cast<unsigned long long>(stats.wal_fsyncs),
-              static_cast<unsigned long long>(stats.checkpoints),
-              static_cast<unsigned long long>(stats.checkpoint_failures));
+              counter("pitex_wal_appends_total"),
+              counter("pitex_wal_append_failures_total"),
+              counter("pitex_wal_fsyncs_total"),
+              counter("pitex_checkpoints_total"),
+              counter("pitex_checkpoint_failures_total"));
   if (!stats_out.empty()) {
     std::FILE* out = std::fopen(stats_out.c_str(), "w");
     if (out == nullptr) {

@@ -79,6 +79,14 @@ int64_t MetricsSnapshot::GaugeValue(std::string_view name) const {
   return metric->gauge;
 }
 
+uint64_t MetricsSnapshot::HistogramCount(std::string_view name) const {
+  const MetricValue* metric = Find(name);
+  PITEX_CHECK_MSG(metric != nullptr, "unknown histogram name");
+  PITEX_CHECK_MSG(metric->type == MetricType::kHistogram,
+                  "metric is not a histogram");
+  return metric->count;
+}
+
 namespace {
 
 void AppendDouble(std::string* out, double v) {
@@ -237,20 +245,22 @@ Counter* MetricsRegistry::RegisterCounter(std::string_view name,
                                           std::string_view help) {
   MutexLock lock(mutex_);
   if (Entry* existing = FindLocked(name, MetricType::kCounter)) {
-    return &existing->counter;
+    return existing->counter.get();
   }
   entries_.emplace_back(name, help, MetricType::kCounter);
-  return &entries_.back().counter;
+  entries_.back().counter = std::make_unique<Counter>();
+  return entries_.back().counter.get();
 }
 
 Gauge* MetricsRegistry::RegisterGauge(std::string_view name,
                                       std::string_view help) {
   MutexLock lock(mutex_);
   if (Entry* existing = FindLocked(name, MetricType::kGauge)) {
-    return &existing->gauge;
+    return existing->gauge.get();
   }
   entries_.emplace_back(name, help, MetricType::kGauge);
-  return &entries_.back().gauge;
+  entries_.back().gauge = std::make_unique<Gauge>();
+  return entries_.back().gauge.get();
 }
 
 Histogram* MetricsRegistry::RegisterHistogram(std::string_view name,
@@ -287,10 +297,10 @@ MetricsSnapshot MetricsRegistry::Snapshot() {
     value.type = entry.type;
     switch (entry.type) {
       case MetricType::kCounter:
-        value.counter = entry.counter.Value();
+        value.counter = entry.counter->Value();
         break;
       case MetricType::kGauge:
-        value.gauge = entry.gauge.Value();
+        value.gauge = entry.gauge->Value();
         break;
       case MetricType::kHistogram:
         value.bounds = entry.histogram->bounds();

@@ -1,9 +1,9 @@
 // Unified metrics registry for the serving tier (docs/observability.md).
 //
-// The serving layer grew its counters organically: ServiceStats fields,
-// per-subsystem accessors (WriteAheadLog::appends()), and atomics
-// sprinkled through PitexService. This registry gives every counter one
-// home with three properties the ad-hoc scheme lacked:
+// The registry is the serving tier's only aggregate surface: every
+// counter, gauge and histogram PitexService exports lives here (numbers
+// that belong to one query, such as its sojourn time, ride on the
+// answer instead). It has three properties:
 //
 //   * typed handles -- Counter (monotonic), Gauge (instantaneous) and
 //     Histogram (fixed log-scaled buckets) are registered ONCE at
@@ -40,7 +40,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -164,6 +163,8 @@ struct MetricsSnapshot {
   /// a loud failure, not a silent zero).
   uint64_t CounterValue(std::string_view name) const;
   int64_t GaugeValue(std::string_view name) const;
+  /// Observations recorded by a histogram (its `_count` series).
+  uint64_t HistogramCount(std::string_view name) const;
 
   std::string ToJson() const;
   std::string ToPrometheus() const;
@@ -200,10 +201,11 @@ class MetricsRegistry {
     std::string name;
     std::string help;
     MetricType type;
-    // Exactly one of these is engaged, matching `type`. deque storage
-    // below keeps the pointers stable across registrations.
-    Counter counter;
-    Gauge gauge;
+    // Exactly one of these is engaged, matching `type`, so a gauge
+    // does not pay for a counter's 1 KiB of shards. Owning pointers keep
+    // the handles stable across registrations.
+    std::unique_ptr<Counter> counter;
+    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
 
     explicit Entry(std::string_view n, std::string_view h, MetricType t)
@@ -214,7 +216,7 @@ class MetricsRegistry {
       PITEX_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
-  std::deque<Entry> entries_ PITEX_GUARDED_BY(mutex_);
+  std::vector<Entry> entries_ PITEX_GUARDED_BY(mutex_);
   std::vector<std::function<void()>> collectors_ PITEX_GUARDED_BY(mutex_);
 };
 

@@ -19,8 +19,9 @@ size_t BucketIndex(VertexId user, size_t buckets) {
 
 }  // namespace
 
-AdmissionController::AdmissionController(const AdmissionOptions& options)
-    : options_(options) {
+AdmissionController::AdmissionController(const AdmissionOptions& options,
+                                         obs::Histogram* queue_depth)
+    : options_(options), queue_depth_(queue_depth) {
   PITEX_CHECK_MSG(options_.publish_headroom > 0.0 &&
                       options_.publish_headroom <= 1.0,
                   "publish_headroom must be in (0, 1]");
@@ -30,21 +31,13 @@ AdmissionController::AdmissionController(const AdmissionOptions& options)
   if (options_.user_rate_limit > 0.0) {
     buckets_.resize(options_.user_buckets);
   }
-  depth_ring_.reserve(std::max<size_t>(options_.depth_window, 1));
 }
 
 AdmissionVerdict AdmissionController::TryAdmit(VertexId user,
                                                Clock::time_point now) {
   MutexLock lock(mutex_);
-  // Record the depth the arrival observed (pre-decision), so the
-  // percentiles describe offered load, not just admitted load.
-  const size_t window = std::max<size_t>(options_.depth_window, 1);
-  const auto depth_sample = static_cast<double>(in_flight_);
-  if (depth_ring_.size() < window) {
-    depth_ring_.push_back(depth_sample);
-  } else {
-    depth_ring_[depth_pos_] = depth_sample;
-    depth_pos_ = (depth_pos_ + 1) % window;
+  if (queue_depth_ != nullptr) {
+    queue_depth_->Observe(static_cast<double>(in_flight_));
   }
 
   if (options_.max_queue_depth > 0) {
@@ -57,7 +50,6 @@ AdmissionVerdict AdmissionController::TryAdmit(VertexId user,
                  static_cast<double>(bound) * options_.publish_headroom)));
     }
     if (in_flight_ >= bound) {
-      ++shed_queue_full_;
       return AdmissionVerdict::kShedQueueFull;
     }
   }
@@ -79,14 +71,12 @@ AdmissionVerdict AdmissionController::TryAdmit(VertexId user,
       bucket.refilled = now;
     }
     if (bucket.tokens < 1.0) {
-      ++shed_rate_limited_;
       return AdmissionVerdict::kShedRateLimited;
     }
     bucket.tokens -= 1.0;
   }
 
   ++in_flight_;
-  ++admitted_;
   return AdmissionVerdict::kAdmit;
 }
 
@@ -108,19 +98,9 @@ void AdmissionController::EndPublish() {
   --publish_active_;
 }
 
-AdmissionController::Stats AdmissionController::GetStats() const {
-  Stats stats;
-  std::vector<double> depths;
-  {
-    MutexLock lock(mutex_);
-    stats.admitted = admitted_;
-    stats.shed_queue_full = shed_queue_full_;
-    stats.shed_rate_limited = shed_rate_limited_;
-    stats.in_flight = in_flight_;
-    depths = depth_ring_;
-  }
-  stats.queue_depth = SummarizeLatencies(std::move(depths));
-  return stats;
+size_t AdmissionController::in_flight() const {
+  MutexLock lock(mutex_);
+  return in_flight_;
 }
 
 }  // namespace pitex

@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "src/model/influence_graph.h"
-#include "src/serve/service_stats.h"
+#include "src/obs/metrics.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
@@ -60,8 +60,6 @@ struct AdmissionOptions {
   /// Hashed token-bucket table size (fixed memory; users sharing a
   /// bucket share its budget).
   size_t user_buckets = 1024;
-  /// Ring size for queue-depth samples (percentiles in Stats()).
-  size_t depth_window = 4096;
 };
 
 enum class AdmissionVerdict : uint8_t {
@@ -74,7 +72,11 @@ class AdmissionController {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit AdmissionController(const AdmissionOptions& options);
+  /// `queue_depth` (optional, must outlive the controller) observes the
+  /// in-flight count each arrival sees, before the decision, so its
+  /// distribution describes offered load rather than admitted load.
+  explicit AdmissionController(const AdmissionOptions& options,
+                               obs::Histogram* queue_depth = nullptr);
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -95,17 +97,8 @@ class AdmissionController {
   void BeginPublish() PITEX_EXCLUDES(mutex_);
   void EndPublish() PITEX_EXCLUDES(mutex_);
 
-  struct Stats {
-    uint64_t admitted = 0;
-    uint64_t shed_queue_full = 0;
-    uint64_t shed_rate_limited = 0;
-    /// Admitted queries currently in flight.
-    size_t in_flight = 0;
-    /// Order statistics of the queue depth observed at admission time
-    /// (recent `depth_window` decisions).
-    LatencySummary queue_depth;
-  };
-  Stats GetStats() const PITEX_EXCLUDES(mutex_);
+  /// Admitted queries currently in flight.
+  size_t in_flight() const PITEX_EXCLUDES(mutex_);
 
   const AdmissionOptions& options() const { return options_; }
 
@@ -117,17 +110,12 @@ class AdmissionController {
   };
 
   AdmissionOptions options_;
+  obs::Histogram* const queue_depth_;
 
   mutable Mutex mutex_;
   size_t in_flight_ PITEX_GUARDED_BY(mutex_) = 0;
   size_t publish_active_ PITEX_GUARDED_BY(mutex_) = 0;
-  uint64_t admitted_ PITEX_GUARDED_BY(mutex_) = 0;
-  uint64_t shed_queue_full_ PITEX_GUARDED_BY(mutex_) = 0;
-  uint64_t shed_rate_limited_ PITEX_GUARDED_BY(mutex_) = 0;
   std::vector<Bucket> buckets_ PITEX_GUARDED_BY(mutex_);
-  // Queue-depth sample ring (depths observed at admission decisions).
-  std::vector<double> depth_ring_ PITEX_GUARDED_BY(mutex_);
-  size_t depth_pos_ PITEX_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace pitex

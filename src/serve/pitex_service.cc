@@ -20,16 +20,12 @@ PitexService::PitexService(const SocialNetwork* network,
   PITEX_CHECK(network != nullptr);
   options_.num_threads = std::max<size_t>(1, options_.num_threads);
   options_.top_n = std::max<size_t>(1, options_.top_n);
-  options_.latency_window = std::max<size_t>(1, options_.latency_window);
   PITEX_CHECK_MSG(options_.durability_dir.empty() || options_.enable_updates,
                   "durability_dir requires enable_updates");
   term_.store(options_.term, std::memory_order_relaxed);
-  // Containers that Stats()/ClearLatencyWindow() traverse are sized here
-  // and never reassigned again, so those methods stay safe to call
-  // concurrently with a lazy Start() from another thread.
   deques_.resize(options_.num_threads);
   workers_ = std::vector<WorkerState>(options_.num_threads);
-  counters_ = std::vector<WorkerCounters>(options_.num_threads);
+  RegisterMetrics();
   // Deterministic mode forbids the cache: a hit skips the engine, so the
   // worker's sampler RNG would not advance and every subsequent answer
   // on that worker would diverge from BatchEngine.
@@ -44,9 +40,9 @@ PitexService::PitexService(const SocialNetwork* network,
   if (options_.mode == ScheduleMode::kWorkStealing &&
       (options_.admission.max_queue_depth > 0 ||
        options_.admission.user_rate_limit > 0.0)) {
-    admission_ = std::make_unique<AdmissionController>(options_.admission);
+    admission_ = std::make_unique<AdmissionController>(options_.admission,
+                                                       m_.queue_depth);
   }
-  RegisterMetrics();
 }
 
 void PitexService::RegisterMetrics() {
@@ -114,6 +110,10 @@ void PitexService::RegisterMetrics() {
       "Enqueue-to-answer latency of engine-served queries",
       {0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
        0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0});
+  m_.queue_depth = metrics_.RegisterHistogram(
+      "pitex_admission_queue_depth",
+      "Admitted queries in flight as seen by each admission decision",
+      {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096});
   m_.cache_entries = metrics_.RegisterGauge(
       "pitex_cache_entries", "Result-cache entries currently resident");
   m_.cache_insertions = metrics_.RegisterGauge(
@@ -132,6 +132,9 @@ void PitexService::RegisterMetrics() {
       "Admitted queries currently queued or executing");
   m_.publish_in_flight = metrics_.RegisterGauge(
       "pitex_publish_in_flight", "1 while a snapshot freeze is running");
+  m_.publish_age_ms = metrics_.RegisterGauge(
+      "pitex_publish_age_ms",
+      "Age of the in-flight snapshot freeze in ms (0 when idle)");
   m_.durable_lsn = metrics_.RegisterGauge(
       "pitex_durable_lsn", "Last WAL LSN acknowledged as durable");
   m_.published_lsn = metrics_.RegisterGauge(
@@ -161,13 +164,20 @@ void PitexService::CollectDerivedMetrics() {
   }
   if (admission_ != nullptr) {
     m_.admission_in_flight->Set(
-        static_cast<int64_t>(admission_->GetStats().in_flight));
+        static_cast<int64_t>(admission_->in_flight()));
   }
   m_.current_epoch->Set(static_cast<int64_t>(registry_.current_epoch()));
   m_.epochs_published->Set(static_cast<int64_t>(registry_.epochs_published()));
   m_.snapshots_alive->Set(static_cast<int64_t>(registry_.AliveSnapshots()));
-  m_.publish_in_flight->Set(
-      publish_in_flight_.load(std::memory_order_acquire) ? 1 : 0);
+  // Watchdog: the age of a publish still in flight. A stuck publish
+  // holds update_mutex_, so only atomics are read here.
+  const bool publishing = publish_in_flight_.load(std::memory_order_acquire);
+  const int64_t publish_age_ns =
+      publishing ? obs::NowNs() -
+                       publish_started_ns_.load(std::memory_order_relaxed)
+                 : 0;
+  m_.publish_in_flight->Set(publishing ? 1 : 0);
+  m_.publish_age_ms->Set(std::max<int64_t>(0, publish_age_ns / 1'000'000));
   const uint64_t applied = applied_batches_.load(std::memory_order_relaxed);
   const uint64_t published =
       published_batches_.load(std::memory_order_relaxed);
@@ -461,7 +471,6 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
   key.method = static_cast<uint8_t>(options_.engine.method);
   key.epoch = state.engine_epoch;
 
-  double latencies[kMaxRunLength];
   ServedResult outs[kMaxRunLength];
   size_t count = 0;
   uint64_t hit_count = 0;
@@ -508,9 +517,10 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
         ++deadline_count;
         journal_.Record(obs::EventKind::kDeadlineExpired, item.query.user,
                         worker);
-        latencies[count++] = std::chrono::duration<double>(Clock::now() -
-                                                           item.enqueued)
-                                 .count();
+        out.sojourn_seconds =
+            std::chrono::duration<double>(Clock::now() - item.enqueued)
+                .count();
+        ++count;
         continue;
       }
     }
@@ -557,8 +567,9 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
       }
     }
 
-    latencies[count++] =
+    out.sojourn_seconds =
         std::chrono::duration<double>(Clock::now() - item.enqueued).count();
+    ++count;
   }
 
   // Admitted slots free up as soon as the answers are computed (before
@@ -566,29 +577,15 @@ void PitexService::ServeRun(size_t worker, std::vector<PendingQuery>* run,
   if (admission_ != nullptr) admission_->Release(run->size());
 
   // Flush the counters BEFORE delivering: once the batch waiter (or a
-  // future holder) unblocks, Stats() and SnapshotMetrics() must already
-  // account for every query of this run. One flush per run, not per
-  // query. The registry counters are lock-free; only the per-worker
-  // load split and the latency ring need stats_mutex_.
+  // future holder) unblocks, SnapshotMetrics() must already account for
+  // every query of this run. One lock-free flush per run, not per query.
   m_.ok->Inc(count - degraded_count - deadline_count);
   m_.degraded->Inc(degraded_count);
   m_.deadline_expired->Inc(deadline_count);
   m_.cache_hits->Inc(hit_count);
   if (stolen) m_.steals->Inc(count);
-  for (size_t i = 0; i < count; ++i) m_.sojourn->Observe(latencies[i]);
-  {
-    MutexLock lock(stats_mutex_);
-    WorkerCounters& counters = counters_[worker];
-    counters.served += count;
-    for (size_t i = 0; i < count; ++i) {
-      if (counters.latency_ring.size() < options_.latency_window) {
-        counters.latency_ring.push_back(latencies[i]);
-      } else {
-        counters.latency_ring[counters.latency_pos] = latencies[i];
-        counters.latency_pos =
-            (counters.latency_pos + 1) % counters.latency_ring.size();
-      }
-    }
+  for (size_t i = 0; i < count; ++i) {
+    m_.sojourn->Observe(outs[i].sojourn_seconds);
   }
 
   for (size_t i = 0; i < count; ++i) {
@@ -736,11 +733,7 @@ std::shared_ptr<const IndexSnapshot> PitexService::FreezeSnapshotLocked(
   // thread's current trace. Inert when no trace is armed (Start()).
   PITEX_SPAN(kFreeze);
   if (admission_ != nullptr) admission_->BeginPublish();
-  publish_started_ns_.store(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now().time_since_epoch())
-          .count(),
-      std::memory_order_relaxed);
+  publish_started_ns_.store(obs::NowNs(), std::memory_order_relaxed);
   publish_in_flight_.store(true, std::memory_order_release);
 
   std::shared_ptr<const IndexSnapshot> snapshot;
@@ -966,81 +959,8 @@ size_t PitexService::SharedIndexSizeBytes() const {
   return snapshot->delay_snapshot().size();
 }
 
-void PitexService::ClearLatencyWindow() {
-  MutexLock lock(stats_mutex_);
-  for (WorkerCounters& counters : counters_) {
-    counters.latency_ring.clear();
-    counters.latency_pos = 0;
-  }
-}
-
 obs::MetricsSnapshot PitexService::SnapshotMetrics() {
   return metrics_.Snapshot();
-}
-
-ServiceStats PitexService::Stats() {
-  ServiceStats stats;
-  std::vector<double> latencies;
-  {
-    MutexLock lock(stats_mutex_);
-    stats.per_worker_served.reserve(counters_.size());
-    for (const WorkerCounters& counters : counters_) {
-      stats.per_worker_served.push_back(counters.served);
-      stats.queries_served += counters.served;
-      latencies.insert(latencies.end(), counters.latency_ring.begin(),
-                       counters.latency_ring.end());
-    }
-  }
-  // Scalar counters are a view over the registry handles -- the same
-  // values SnapshotMetrics() exports, read here without a snapshot.
-  stats.steals = m_.steals->Value();
-  stats.degraded = m_.degraded->Value();
-  stats.deadline_expired = m_.deadline_expired->Value();
-  stats.shed_queue_full = m_.shed_queue_full->Value();
-  stats.shed_rate_limited = m_.shed_rate_limited->Value();
-  if (admission_ != nullptr) {
-    const AdmissionController::Stats admission = admission_->GetStats();
-    stats.admission_in_flight = admission.in_flight;
-    stats.queue_depth = admission.queue_depth;
-  }
-  stats.publish_retries = m_.publish_retries->Value();
-  stats.publish_failures = m_.publish_failures->Value();
-  stats.wal_appends = m_.wal_appends->Value();
-  stats.wal_fsyncs = m_.wal_fsyncs->Value();
-  stats.wal_append_failures = m_.wal_append_failures->Value();
-  stats.checkpoints = m_.checkpoints->Value();
-  stats.checkpoint_failures = m_.checkpoint_failures->Value();
-  stats.recovery_replayed_lsns = m_.recovery_replayed->Value();
-  stats.publish_in_flight = publish_in_flight_.load(std::memory_order_acquire);
-  if (stats.publish_in_flight) {
-    // Watchdog: reading atomics (never update_mutex_, which the stuck
-    // publish itself holds) keeps Stats() responsive during the hang.
-    const int64_t started = publish_started_ns_.load(std::memory_order_relaxed);
-    const int64_t now_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now().time_since_epoch())
-            .count();
-    stats.publish_stuck =
-        static_cast<double>(now_ns - started) * 1e-9 >
-        options_.publish_stuck_after_seconds;
-  }
-  if (cache_ != nullptr) {
-    const ResultCache::Stats cache_stats = cache_->GetStats();
-    stats.cache_hits = cache_stats.hits;
-    stats.cache_entries = cache_stats.entries;
-    stats.cache_evictions = cache_stats.evictions;
-  }
-  // Cache hit counters advance per query while served counts flush per
-  // run, so a concurrent poll can briefly observe hits > served; clamp
-  // instead of letting the unsigned subtraction wrap.
-  stats.cache_misses = stats.queries_served >= stats.cache_hits
-                           ? stats.queries_served - stats.cache_hits
-                           : 0;
-  stats.epochs_published = registry_.epochs_published();
-  stats.current_epoch = registry_.current_epoch();
-  stats.snapshots_alive = registry_.AliveSnapshots();
-  stats.latency = SummarizeLatencies(std::move(latencies));
-  return stats;
 }
 
 }  // namespace pitex

@@ -54,7 +54,6 @@
 #include "src/obs/trace.h"
 #include "src/serve/admission.h"
 #include "src/serve/result_cache.h"
-#include "src/serve/service_stats.h"
 #include "src/serve/snapshot_registry.h"
 #include "src/serve/term_authority.h"
 #include "src/serve/wal.h"
@@ -90,8 +89,6 @@ struct ServeOptions {
   /// Keep a DynamicRrIndex master so ApplyUpdates can publish repaired
   /// snapshots. Requires an RR-Graph method (kIndexEst / kIndexEstPlus).
   bool enable_updates = false;
-  /// Per-worker ring size for latency samples (Stats()).
-  size_t latency_window = 1 << 14;
 
   // --- overload resilience (docs/robustness.md) ---
 
@@ -107,9 +104,6 @@ struct ServeOptions {
   size_t publish_max_attempts = 5;
   double publish_backoff_initial_ms = 1.0;
   double publish_backoff_max_ms = 50.0;
-  /// Watchdog threshold: Stats() flags `publish_stuck` when a publish
-  /// has been in flight longer than this.
-  double publish_stuck_after_seconds = 5.0;
 
   // --- durability (docs/robustness.md, "Durability") ---
 
@@ -200,6 +194,12 @@ struct ServedResult {
   bool stolen = false;
   /// Disposition under overload: kOk on the happy path; see ServeStatus.
   ServeStatus status = ServeStatus::kOk;
+  /// Enqueue-to-answer time, the value pitex_query_sojourn_seconds
+  /// observes for this query. Set for every answer a worker produced
+  /// (ok, cache hit, degraded, deadline-expired); 0 for kShed. Callers
+  /// wanting exact percentiles over a window of their choosing take
+  /// them over these (pitex::Quantile).
+  double sojourn_seconds = 0.0;
   /// Nonzero when the query was trace-sampled: the id to pass to
   /// obs::Tracer::Collect for the admission -> queue -> solve -> result
   /// span chain (docs/observability.md).
@@ -267,28 +267,21 @@ class PitexService {
   std::shared_ptr<const IndexSnapshot> CurrentSnapshot() const;
   uint64_t current_epoch() const;
 
-  /// Consistent counter snapshot (prunes expired snapshot observers).
-  /// Since the metrics registry landed this is a view over the same
-  /// counters SnapshotMetrics() exports, kept for existing callers.
-  ServiceStats Stats() PITEX_EXCLUDES(stats_mutex_);
-
-  /// Point-in-time export of every registered metric. Collector
-  /// callbacks run first, mirroring internally-locked sources (cache
-  /// shards, the snapshot registry, admission) and the staleness
-  /// atomics into gauges, so one snapshot is internally consistent
-  /// enough for the conservation invariants the chaos suite asserts
-  /// (docs/observability.md, "Metric catalog").
-  obs::MetricsSnapshot SnapshotMetrics() PITEX_EXCLUDES(stats_mutex_);
+  /// Point-in-time export of every registered metric: the service's
+  /// only aggregate counter surface (per-query numbers ride on each
+  /// ServedResult). Collector callbacks run first, mirroring
+  /// internally-locked sources (cache shards, the snapshot registry,
+  /// admission), the staleness atomics and the publish age into gauges,
+  /// so one snapshot is internally consistent enough for the
+  /// conservation invariants the chaos suite asserts
+  /// (docs/observability.md, "Metric catalog"). Never takes the
+  /// publisher lock, so it stays responsive during a stuck publish.
+  obs::MetricsSnapshot SnapshotMetrics();
 
   /// The service's flight recorder: a lock-free ring of rare structured
   /// events (shed, degraded, WAL failure, publish retry, epoch swap...).
   /// Dumped to stderr automatically on crash-adjacent Start() failures.
   const obs::EventJournal& journal() const { return journal_; }
-
-  /// Drops the latency sample window (e.g. after warmup, or when a
-  /// metrics scraper wants per-interval percentiles). Cumulative
-  /// counters are unaffected.
-  void ClearLatencyWindow() PITEX_EXCLUDES(stats_mutex_);
 
   /// Footprint of the current snapshot's shared index (0 for online
   /// methods).
@@ -340,23 +333,11 @@ class PitexService {
   /// Engine replica + pinned snapshot of one worker. Only pump w touches
   /// workers_[w] (worker exclusivity via SubmitIndexed — two tasks with
   /// the same index never run concurrently), so these fields carry no
-  /// lock annotation. Cross-thread-read counters live in WorkerCounters.
+  /// lock annotation.
   struct WorkerState {
     std::unique_ptr<PitexEngine> engine;
     std::shared_ptr<const IndexSnapshot> snapshot;
     uint64_t engine_epoch = 0;
-  };
-
-  /// Per-worker serving counters, flushed once per run by the pump and
-  /// read by Stats()/ClearLatencyWindow() from arbitrary threads — the
-  /// stats_mutex_-guarded half of the former WorkerState. Scalar
-  /// disposition counts (degraded, steals, ...) moved to the registry
-  /// (MetricHandles); only the per-worker load split and the latency
-  /// sample window still need this mutex.
-  struct WorkerCounters {
-    uint64_t served = 0;
-    std::vector<double> latency_ring;
-    size_t latency_pos = 0;
   };
 
   /// Registered-once handles into metrics_ (stable for the service's
@@ -388,6 +369,8 @@ class PitexService {
     obs::Counter* fenced_writes = nullptr;
     obs::Counter* compactions = nullptr;
     obs::Histogram* sojourn = nullptr;
+    // Observed by the AdmissionController at each decision.
+    obs::Histogram* queue_depth = nullptr;
     // Set by the writer after each freeze.
     obs::Gauge* overlay_sketches = nullptr;
     // Set at each publish (Start() and every ApplyUpdates epoch).
@@ -401,6 +384,7 @@ class PitexService {
     obs::Gauge* snapshots_alive = nullptr;
     obs::Gauge* admission_in_flight = nullptr;
     obs::Gauge* publish_in_flight = nullptr;
+    obs::Gauge* publish_age_ms = nullptr;
     obs::Gauge* durable_lsn = nullptr;
     obs::Gauge* published_lsn = nullptr;
     obs::Gauge* staleness_batches = nullptr;
@@ -408,10 +392,9 @@ class PitexService {
     obs::Gauge* term = nullptr;
   };
 
-  void PumpLoop(size_t worker)
-      PITEX_EXCLUDES(sched_mutex_, stats_mutex_, batch_mutex_);
+  void PumpLoop(size_t worker) PITEX_EXCLUDES(sched_mutex_, batch_mutex_);
   void ServeRun(size_t worker, std::vector<PendingQuery>* run, bool stolen)
-      PITEX_EXCLUDES(stats_mutex_, batch_mutex_);
+      PITEX_EXCLUDES(batch_mutex_);
   void BindWorker(WorkerState* state,
                   std::shared_ptr<const IndexSnapshot> snapshot,
                   size_t worker);
@@ -473,18 +456,17 @@ class PitexService {
   // deterministic stream still provides, and keeping it off the query
   // seed preserves "same options => same query answers".
   Rng backoff_rng_ PITEX_GUARDED_BY(update_mutex_){0xB0FFu};
-  // Publish watchdog (read by Stats() without update_mutex_ -- a stuck
-  // publish holds that mutex, which is exactly when Stats() must still
-  // make progress). Retry/failure COUNTS live in m_ (registry counters
-  // are equally lock-free); only the in-flight flag and its start time
-  // remain raw atomics.
+  // Publish watchdog feed (read by the collector without update_mutex_
+  // -- a stuck publish holds that mutex, which is exactly when a scrape
+  // must still make progress): the in-flight flag and its start time,
+  // exported as pitex_publish_in_flight and pitex_publish_age_ms.
   std::atomic<bool> publish_in_flight_{false};
   std::atomic<int64_t> publish_started_ns_{0};
   // Durability (all null/zero when options_.durability_dir is empty).
   // Writer-side state lives under update_mutex_ with the master it
   // journals; the wal_*_seen_ trackers convert the WAL's absolute
   // appends()/fsyncs() readings into registry-counter deltas (counters
-  // only go up) without Stats() ever touching the publisher lock.
+  // only go up) without a scrape ever touching the publisher lock.
   std::unique_ptr<WriteAheadLog> wal_ PITEX_GUARDED_BY(update_mutex_);
   uint64_t last_durable_lsn_ PITEX_GUARDED_BY(update_mutex_) = 0;
   uint64_t publishes_since_checkpoint_ PITEX_GUARDED_BY(update_mutex_) = 0;
@@ -527,8 +509,6 @@ class PitexService {
   Mutex batch_mutex_;
   CondVar batch_cv_;
 
-  Mutex stats_mutex_;
-  std::vector<WorkerCounters> counters_ PITEX_GUARDED_BY(stats_mutex_);
   std::vector<WorkerState> workers_;  // element w owned by pump w
 
   std::unique_ptr<ThreadPool> pool_;

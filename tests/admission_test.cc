@@ -1,13 +1,15 @@
 // Tests for the serving-tier admission controller
 // (src/serve/admission.h): queue bounds, release pairing, token-bucket
 // rate limiting against a synthetic clock, publish-priority headroom,
-// and the stats snapshot.
+// and the queue-depth histogram.
 
 #include "src/serve/admission.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <vector>
 
 namespace pitex {
 namespace {
@@ -24,22 +26,24 @@ TEST(AdmissionTest, UnlimitedByDefault) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(controller.TryAdmit(0, At(0.0)), AdmissionVerdict::kAdmit);
   }
-  EXPECT_EQ(controller.GetStats().in_flight, 1000u);
+  EXPECT_EQ(controller.in_flight(), 1000u);
 }
 
 TEST(AdmissionTest, QueueBoundSheds) {
   AdmissionOptions options;
   options.max_queue_depth = 4;
   AdmissionController controller(options);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(controller.TryAdmit(i, At(0.0)), AdmissionVerdict::kAdmit);
+  size_t admitted = 0, shed_queue_full = 0;
+  for (int i = 0; i < 5; ++i) {
+    const AdmissionVerdict verdict = controller.TryAdmit(i, At(0.0));
+    admitted += verdict == AdmissionVerdict::kAdmit;
+    shed_queue_full += verdict == AdmissionVerdict::kShedQueueFull;
+    EXPECT_EQ(verdict, i < 4 ? AdmissionVerdict::kAdmit
+                             : AdmissionVerdict::kShedQueueFull);
   }
-  EXPECT_EQ(controller.TryAdmit(99, At(0.0)),
-            AdmissionVerdict::kShedQueueFull);
-  const AdmissionController::Stats stats = controller.GetStats();
-  EXPECT_EQ(stats.admitted, 4u);
-  EXPECT_EQ(stats.shed_queue_full, 1u);
-  EXPECT_EQ(stats.in_flight, 4u);
+  EXPECT_EQ(admitted, 4u);
+  EXPECT_EQ(shed_queue_full, 1u);
+  EXPECT_EQ(controller.in_flight(), 4u);
 }
 
 TEST(AdmissionTest, ReleaseFreesSlots) {
@@ -52,7 +56,7 @@ TEST(AdmissionTest, ReleaseFreesSlots) {
             AdmissionVerdict::kShedQueueFull);
   controller.Release(2);
   EXPECT_EQ(controller.TryAdmit(3, At(0.0)), AdmissionVerdict::kAdmit);
-  EXPECT_EQ(controller.GetStats().in_flight, 1u);
+  EXPECT_EQ(controller.in_flight(), 1u);
 }
 
 TEST(AdmissionTest, PublishTightensTheBound) {
@@ -94,24 +98,26 @@ TEST(AdmissionTest, TokenBucketLimitsBurst) {
   options.user_rate_limit = 10.0;  // 10 qps sustained
   options.user_burst = 3.0;
   AdmissionController controller(options);
+  size_t shed_rate_limited = 0;
+  const auto admit = [&controller, &shed_rate_limited](double at) {
+    const AdmissionVerdict verdict = controller.TryAdmit(7, At(at));
+    shed_rate_limited += verdict == AdmissionVerdict::kShedRateLimited;
+    return verdict;
+  };
   // The burst allowance admits 3 back-to-back, then the bucket is dry.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(controller.TryAdmit(7, At(0.0)), AdmissionVerdict::kAdmit)
-        << "i=" << i;
+    EXPECT_EQ(admit(0.0), AdmissionVerdict::kAdmit) << "i=" << i;
   }
-  EXPECT_EQ(controller.TryAdmit(7, At(0.0)),
-            AdmissionVerdict::kShedRateLimited);
+  EXPECT_EQ(admit(0.0), AdmissionVerdict::kShedRateLimited);
   // 0.1 s later one token has refilled (10 qps).
-  EXPECT_EQ(controller.TryAdmit(7, At(0.1)), AdmissionVerdict::kAdmit);
-  EXPECT_EQ(controller.TryAdmit(7, At(0.1)),
-            AdmissionVerdict::kShedRateLimited);
+  EXPECT_EQ(admit(0.1), AdmissionVerdict::kAdmit);
+  EXPECT_EQ(admit(0.1), AdmissionVerdict::kShedRateLimited);
   // A long idle period refills at most the burst capacity.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(controller.TryAdmit(7, At(100.0)), AdmissionVerdict::kAdmit);
+    EXPECT_EQ(admit(100.0), AdmissionVerdict::kAdmit);
   }
-  EXPECT_EQ(controller.TryAdmit(7, At(100.0)),
-            AdmissionVerdict::kShedRateLimited);
-  EXPECT_EQ(controller.GetStats().shed_rate_limited, 3u);
+  EXPECT_EQ(admit(100.0), AdmissionVerdict::kShedRateLimited);
+  EXPECT_EQ(shed_rate_limited, 3u);
 }
 
 TEST(AdmissionTest, RateLimitIsPerUser) {
@@ -140,30 +146,37 @@ TEST(AdmissionTest, ClockGoingBackwardsIsHarmless) {
             AdmissionVerdict::kShedRateLimited);
 }
 
-TEST(AdmissionTest, DepthPercentilesTrackOfferedLoad) {
+TEST(AdmissionTest, DepthHistogramTracksOfferedLoad) {
   AdmissionOptions options;
   options.max_queue_depth = 100;
-  options.depth_window = 16;
-  AdmissionController controller(options);
+  obs::Histogram depth({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  AdmissionController controller(options, &depth);
   for (int i = 0; i < 10; ++i) {
     ASSERT_EQ(controller.TryAdmit(i, At(0.0)), AdmissionVerdict::kAdmit);
   }
-  const AdmissionController::Stats stats = controller.GetStats();
-  // Samples are the depths observed at each arrival: 0, 1, ..., 9.
-  EXPECT_EQ(stats.queue_depth.count, 10u);
-  EXPECT_DOUBLE_EQ(stats.queue_depth.max, 9.0);
-  EXPECT_DOUBLE_EQ(stats.queue_depth.mean, 4.5);
+  // Samples are the depths observed at each arrival: 0, 1, ..., 9, one
+  // per bucket and none past the largest.
+  EXPECT_EQ(depth.TotalCount(), 10u);
+  EXPECT_DOUBLE_EQ(depth.Sum(), 45.0);  // mean 4.5
+  EXPECT_EQ(depth.Counts(), std::vector<uint64_t>({1, 1, 1, 1, 1, 1, 1, 1,
+                                                   1, 1, 0}));
 }
 
-TEST(AdmissionTest, DepthWindowIsBounded) {
+TEST(AdmissionTest, DepthHistogramCountsEveryDecision) {
   AdmissionOptions options;
-  options.depth_window = 8;
-  AdmissionController controller(options);
+  options.max_queue_depth = 1;
+  obs::Histogram depth({0, 1});
+  AdmissionController controller(options, &depth);
   for (int i = 0; i < 100; ++i) {
-    controller.TryAdmit(0, At(0.0));
+    ASSERT_EQ(controller.TryAdmit(0, At(0.0)), AdmissionVerdict::kAdmit);
     controller.Release(1);
   }
-  EXPECT_EQ(controller.GetStats().queue_depth.count, 8u);
+  // A shed arrival is observed too, at the depth that shed it.
+  ASSERT_EQ(controller.TryAdmit(0, At(0.0)), AdmissionVerdict::kAdmit);
+  ASSERT_EQ(controller.TryAdmit(1, At(0.0)),
+            AdmissionVerdict::kShedQueueFull);
+  EXPECT_EQ(depth.TotalCount(), 102u);
+  EXPECT_EQ(depth.Counts(), std::vector<uint64_t>({101, 1, 0}));
 }
 
 }  // namespace

@@ -192,12 +192,13 @@ TEST_F(CrashRecoveryTest, CleanRestartRecoversExactly) {
       std::vector<EdgeInfluenceUpdate> batch{MakeUpdate(n, i)};
       ASSERT_EQ(service.ApplyUpdates(batch), static_cast<uint64_t>(i + 2));
     }
-    const ServiceStats stats = service.Stats();
-    EXPECT_EQ(stats.wal_appends, kRounds);
-    EXPECT_GT(stats.wal_fsyncs, 0u);
-    EXPECT_EQ(stats.wal_append_failures, 0u);
-    EXPECT_EQ(stats.checkpoints, kRounds / 2);  // checkpoint_every = 2
-    EXPECT_EQ(stats.checkpoint_failures, 0u);
+    const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+    EXPECT_EQ(snap.CounterValue("pitex_wal_appends_total"), kRounds);
+    EXPECT_GT(snap.CounterValue("pitex_wal_fsyncs_total"), 0u);
+    EXPECT_EQ(snap.CounterValue("pitex_wal_append_failures_total"), 0u);
+    // checkpoint_every = 2
+    EXPECT_EQ(snap.CounterValue("pitex_checkpoints_total"), kRounds / 2);
+    EXPECT_EQ(snap.CounterValue("pitex_checkpoint_failures_total"), 0u);
   }
   ASSERT_TRUE(fs::exists(dir_ + "/CHECKPOINT"));
   VerifyRecoveredBitIdentical(n, kRounds);
@@ -205,7 +206,9 @@ TEST_F(CrashRecoveryTest, CleanRestartRecoversExactly) {
   // The replay counter reflects only the WAL tail past the checkpoint.
   PitexService again(&n, DurableOptions(dir_));
   again.Start();
-  EXPECT_LE(again.Stats().recovery_replayed_lsns, kRounds - kRounds / 2 * 2 + 1);
+  EXPECT_LE(again.SnapshotMetrics().CounterValue(
+                "pitex_recovery_replayed_lsns_total"),
+            kRounds - kRounds / 2 * 2 + 1);
 }
 
 TEST_F(CrashRecoveryTest, SigkillAtWalAppend) {
@@ -357,15 +360,17 @@ TEST_F(CrashRecoveryTest, WalCommitFailureRejectsBatchWithoutApplying) {
   EXPECT_EQ(outcome, ApplyUpdatesOutcome::kWalFailed);
   FailpointRegistry::Instance().DisableAll();
   {
-    const ServiceStats stats = service.Stats();
-    EXPECT_EQ(stats.wal_append_failures, 1u);
-    EXPECT_EQ(stats.current_epoch, 1u);  // nothing applied or published
+    const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+    EXPECT_EQ(snap.CounterValue("pitex_wal_append_failures_total"), 1u);
+    // Nothing applied or published.
+    EXPECT_EQ(snap.GaugeValue("pitex_current_epoch"), 1);
   }
   // Retry commits cleanly at the first LSN. (The appends counter saw
   // both the rolled-back attempt and the retry.)
   EXPECT_EQ(service.ApplyUpdates(batch, &outcome), 2u);
   EXPECT_EQ(outcome, ApplyUpdatesOutcome::kPublished);
-  EXPECT_EQ(service.Stats().wal_appends, 2u);
+  EXPECT_EQ(service.SnapshotMetrics().CounterValue("pitex_wal_appends_total"),
+            2u);
 }
 
 TEST_F(CrashRecoveryTest, MalformedBatchRejectedBeforeItPoisonsTheLog) {
@@ -413,10 +418,10 @@ TEST_F(CrashRecoveryTest, MalformedBatchRejectedBeforeItPoisonsTheLog) {
 
     // Nothing reached the log or the master: epoch and append counters
     // only reflect the one good batch.
-    const ServiceStats stats = service.Stats();
-    EXPECT_EQ(stats.current_epoch, 2u);
-    EXPECT_EQ(stats.wal_appends, 1u);
-    EXPECT_EQ(stats.wal_append_failures, 0u);
+    const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+    EXPECT_EQ(snap.GaugeValue("pitex_current_epoch"), 2);
+    EXPECT_EQ(snap.CounterValue("pitex_wal_appends_total"), 1u);
+    EXPECT_EQ(snap.CounterValue("pitex_wal_append_failures_total"), 0u);
 
     // The service keeps accepting valid batches after the rejections.
     EXPECT_EQ(service.ApplyUpdates(good), 3u);

@@ -69,6 +69,35 @@ TEST(MetricsRegistryTest, RegistrationIsIdempotentPerName) {
   EXPECT_EQ(registry.Snapshot().CounterValue("pitex_test_total"), 3u);
 }
 
+TEST(MetricsRegistryTest, HandlesStayStableAcrossRegistrations) {
+  MetricsRegistry registry;
+  Counter* counter = registry.RegisterCounter("pitex_first_total", "help");
+  Gauge* gauge = registry.RegisterGauge("pitex_first", "help");
+  Histogram* histogram =
+      registry.RegisterHistogram("pitex_first_seconds", "help", {1.0});
+  counter->Inc(2);
+  gauge->Set(7);
+  histogram->Observe(0.5);
+  // Enough later registrations to grow the entry table several times.
+  for (int i = 0; i < 100; ++i) {
+    const std::string suffix = std::to_string(i);
+    registry.RegisterCounter("pitex_more_total_" + suffix, "help")->Inc();
+    registry.RegisterGauge("pitex_more_" + suffix, "help")->Set(i);
+  }
+  EXPECT_EQ(registry.RegisterCounter("pitex_first_total", "help"), counter);
+  EXPECT_EQ(registry.RegisterGauge("pitex_first", "help"), gauge);
+  EXPECT_EQ(registry.RegisterHistogram("pitex_first_seconds", "help", {1.0}),
+            histogram);
+  counter->Inc();
+  gauge->Add(1);
+  histogram->Observe(2.0);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.CounterValue("pitex_first_total"), 3u);
+  EXPECT_EQ(snapshot.GaugeValue("pitex_first"), 8);
+  EXPECT_EQ(snapshot.HistogramCount("pitex_first_seconds"), 2u);
+  EXPECT_EQ(snapshot.GaugeValue("pitex_more_99"), 99);
+}
+
 TEST(MetricsRegistryTest, SnapshotRunsCollectorsFirst) {
   MetricsRegistry registry;
   Gauge* gauge = registry.RegisterGauge("pitex_test_gauge", "help");

@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "running_example.h"
+#include "serve_metrics.h"
 #include "src/core/batch_engine.h"
 #include "src/datasets/synthetic.h"
+#include "src/util/stats.h"
 
 namespace pitex {
 namespace {
@@ -80,10 +82,10 @@ TEST_P(DeterministicSweepTest, BitIdenticalToBatchEngine) {
     }
   }
   // Deterministic mode never steals and never caches.
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.steals, 0u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.queries_served, 2u * queries.size());
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(snap.CounterValue("pitex_steals_total"), 0u);
+  EXPECT_EQ(snap.CounterValue("pitex_cache_hits_total"), 0u);
+  EXPECT_EQ(QueriesServed(snap), 2u * queries.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -121,16 +123,23 @@ TEST(PitexServiceTest, WorkStealingAnswersEveryQuery) {
     if (i == 0) epoch = served[i].epoch;
     EXPECT_EQ(served[i].epoch, epoch);  // no updates: one epoch
   }
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.queries_served, queries.size());
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(QueriesServed(snap), queries.size());
+  std::vector<uint64_t> per_worker_served(options.num_threads, 0);
+  std::vector<double> sojourns;
+  for (const ServedResult& result : served) {
+    ++per_worker_served[result.worker];
+    EXPECT_GT(result.sojourn_seconds, 0.0);
+    sojourns.push_back(result.sojourn_seconds);
+  }
   uint64_t sum = 0;
-  ASSERT_EQ(stats.per_worker_served.size(), options.num_threads);
-  for (const uint64_t served_by_worker : stats.per_worker_served) {
+  for (const uint64_t served_by_worker : per_worker_served) {
     sum += served_by_worker;
   }
   EXPECT_EQ(sum, queries.size());
-  EXPECT_EQ(stats.latency.count, queries.size());
-  EXPECT_GT(stats.latency.p99 + 1e-12, stats.latency.p50);
+  EXPECT_EQ(snap.HistogramCount("pitex_query_sojourn_seconds"),
+            queries.size());
+  EXPECT_GT(Quantile(sojourns, 0.99) + 1e-12, Quantile(sojourns, 0.50));
   EXPECT_GT(service.SharedIndexSizeBytes(), 0u);
 }
 
@@ -149,15 +158,19 @@ TEST(PitexServiceTest, ResultCacheMemoizesRepeats) {
     queries.push_back({.user = static_cast<VertexId>(i % 3), .k = 2});
   }
   const auto served = service.ServeAll(queries);
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.queries_served, queries.size());
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(QueriesServed(snap), queries.size());
   // Concurrent queries for the same user may both miss (no request
   // coalescing), so the worst case is one engine execution per (user,
   // worker) pair rather than per user.
   const uint64_t worst_case_misses = 3 * options.num_threads;
-  EXPECT_GE(stats.cache_hits, queries.size() - worst_case_misses);
-  EXPECT_LE(stats.cache_misses, worst_case_misses);
-  EXPECT_LE(stats.cache_entries, 3u);
+  const uint64_t cache_hits = snap.CounterValue("pitex_cache_hits_total");
+  EXPECT_GE(cache_hits, queries.size() - worst_case_misses);
+  EXPECT_LE(QueriesServed(snap) - cache_hits, worst_case_misses);
+  EXPECT_LE(snap.GaugeValue("pitex_cache_entries"), 3);
+  uint64_t flagged_hits = 0;
+  for (const ServedResult& result : served) flagged_hits += result.cache_hit;
+  EXPECT_EQ(flagged_hits, cache_hits);
 
   // Hits replay the miss's answer verbatim (IndexEst is deterministic,
   // so the engine would produce the same answer anyway — the cache must
@@ -190,7 +203,7 @@ TEST(PitexServiceTest, SubmitDeliversFutures) {
     EXPECT_EQ(result.result.tags.size(), 2u);
     EXPECT_GE(result.result.influence, 1.0);
   }
-  EXPECT_EQ(service.Stats().queries_served, 12u);
+  EXPECT_EQ(QueriesServed(service.SnapshotMetrics()), 12u);
 }
 
 TEST(PitexServiceTest, TopNRankingsAreOrdered) {
@@ -240,16 +253,16 @@ TEST(PitexServiceTest, ApplyUpdatesPublishesNewEpochAndReclaimsOld) {
   const auto after = service.ServeAll(queries);
   for (const ServedResult& result : after) EXPECT_EQ(result.epoch, 2u);
   // Every worker has rebound to epoch 2: epoch 1 must have reclaimed.
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.snapshots_alive, 0u);
-  EXPECT_EQ(stats.epochs_published, 2u);
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(snap.GaugeValue("pitex_snapshots_alive"), 0);
+  EXPECT_EQ(snap.GaugeValue("pitex_epochs_published"), 2);
   // Without a durability_dir the whole durability section stays zero.
-  EXPECT_EQ(stats.wal_appends, 0u);
-  EXPECT_EQ(stats.wal_fsyncs, 0u);
-  EXPECT_EQ(stats.wal_append_failures, 0u);
-  EXPECT_EQ(stats.checkpoints, 0u);
-  EXPECT_EQ(stats.checkpoint_failures, 0u);
-  EXPECT_EQ(stats.recovery_replayed_lsns, 0u);
+  EXPECT_EQ(snap.CounterValue("pitex_wal_appends_total"), 0u);
+  EXPECT_EQ(snap.CounterValue("pitex_wal_fsyncs_total"), 0u);
+  EXPECT_EQ(snap.CounterValue("pitex_wal_append_failures_total"), 0u);
+  EXPECT_EQ(snap.CounterValue("pitex_checkpoints_total"), 0u);
+  EXPECT_EQ(snap.CounterValue("pitex_checkpoint_failures_total"), 0u);
+  EXPECT_EQ(snap.CounterValue("pitex_recovery_replayed_lsns_total"), 0u);
 }
 
 TEST(PitexServiceTest, DurabilityRequiresUpdates) {
@@ -301,12 +314,14 @@ TEST(PitexServiceTest, SkewedWorkloadBalancesAcrossWorkers) {
   for (const VertexId user : users) queries.push_back({.user = user, .k = 3});
   const auto served = service.ServeAll(queries);
   ASSERT_EQ(served.size(), queries.size());
+  std::vector<uint64_t> per_worker_served(options.num_threads, 0);
   for (const ServedResult& result : served) {
     EXPECT_EQ(result.result.tags.size(), 3u);
+    ASSERT_LT(result.worker, options.num_threads);
+    ++per_worker_served[result.worker];
   }
-  const ServiceStats stats = service.Stats();
   uint64_t sum = 0;
-  for (const uint64_t count : stats.per_worker_served) sum += count;
+  for (const uint64_t count : per_worker_served) sum += count;
   EXPECT_EQ(sum, queries.size());
 }
 

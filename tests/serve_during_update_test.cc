@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "running_example.h"
+#include "serve_metrics.h"
 #include "src/serve/pitex_service.h"
 
 namespace pitex {
@@ -174,10 +175,12 @@ TEST(ServeDuringUpdateTest, ConcurrentBatchesDuringUpdates) {
     }
   }
   updater.join();
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.epochs_published, 6u);
-  EXPECT_EQ(stats.queries_served, batches * queries.size());
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries_served);
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(snap.GaugeValue("pitex_epochs_published"), 6);
+  EXPECT_EQ(QueriesServed(snap), batches * queries.size());
+  // hits + misses == served, with misses = served - hits: no query was
+  // counted as a hit without also being counted as served.
+  EXPECT_LE(snap.CounterValue("pitex_cache_hits_total"), QueriesServed(snap));
 }
 
 }  // namespace

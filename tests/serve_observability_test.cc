@@ -5,15 +5,19 @@
 // fsync, freeze (with its nested pack) and the epoch swap, the
 // staleness gauges must rise while publishes fail and return to zero
 // once healed, the index overlay gauge must grow with publishes and
-// clear at a checkpoint's compaction, and SnapshotMetrics() must agree
-// with the legacy ServiceStats view it re-implements.
+// clear at a checkpoint's compaction, SnapshotMetrics() must conserve
+// every query and agree with the answers it counts, and the publish
+// watchdog gauges must expose a stalled publish while it runs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "running_example.h"
@@ -274,6 +278,53 @@ TEST_F(ServeObservabilityTest, StalenessGaugesRiseWhilePublishesFail) {
 #endif
 }
 
+// The publish watchdog: while a freeze is stalled (here by a delayed
+// fail point) a scrape from another thread sees it in flight with a
+// growing age -- without waiting on the publisher lock the stalled
+// publish holds -- and both gauges read 0 once it completes.
+TEST_F(ServeObservabilityTest, PublishAgeGaugeExposesStalledPublish) {
+#if !PITEX_FAILPOINTS_ENABLED
+  GTEST_SKIP() << "fail points compiled out (-DPITEX_FAILPOINTS=OFF)";
+#else
+  const SocialNetwork n = MakeRunningExample();
+  ServeOptions options = BaseOptions(ScheduleMode::kWorkStealing);
+  options.enable_updates = true;
+  PitexService service(&n, options);
+  service.Start();
+  {
+    const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+    EXPECT_EQ(snap.GaugeValue("pitex_publish_in_flight"), 0);
+    EXPECT_EQ(snap.GaugeValue("pitex_publish_age_ms"), 0);
+  }
+
+  FailpointConfig config;
+  config.mode = FailpointMode::kDelay;
+  config.delay_ms = 300;
+  config.fires = 1;
+  FailpointRegistry::Instance().Enable("serve/publish_freeze", config);
+  std::atomic<uint64_t> published{0};
+  std::thread publisher([&service, &n, &published] {
+    std::vector<EdgeInfluenceUpdate> updates{MakeUpdate(n, 0)};
+    published.store(service.ApplyUpdates(updates));
+  });
+
+  bool saw_stall = false;
+  while (!saw_stall && published.load() == 0) {
+    const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+    saw_stall = snap.GaugeValue("pitex_publish_in_flight") == 1 &&
+                snap.GaugeValue("pitex_publish_age_ms") >= 100;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  publisher.join();
+  EXPECT_TRUE(saw_stall);
+  EXPECT_EQ(published.load(), 2u);  // a delayed freeze still succeeds
+
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(snap.GaugeValue("pitex_publish_in_flight"), 0);
+  EXPECT_EQ(snap.GaugeValue("pitex_publish_age_ms"), 0);
+#endif
+}
+
 TEST_F(ServeObservabilityTest, OverlayGaugeRisesWithPublishesAndClearsAtCheckpoint) {
   // Large enough that a few batches stay far below the overlay's
   // compaction bound (a fraction of theta): only the checkpoint compacts.
@@ -332,7 +383,7 @@ TEST_F(ServeObservabilityTest, OverlayGaugeRisesWithPublishesAndClearsAtCheckpoi
   fs::remove_all(dir);
 }
 
-TEST_F(ServeObservabilityTest, SnapshotMetricsAgreesWithServiceStats) {
+TEST_F(ServeObservabilityTest, SnapshotMetricsConservesEveryQuery) {
   const SocialNetwork n = MakeRunningExample();
   ServeOptions options = BaseOptions(ScheduleMode::kWorkStealing);
   options.enable_updates = true;
@@ -344,36 +395,43 @@ TEST_F(ServeObservabilityTest, SnapshotMetricsAgreesWithServiceStats) {
     queries.push_back({.user = static_cast<VertexId>(i % n.num_vertices()),
                        .k = 2});
   }
-  (void)service.ServeAll(queries);
-  (void)service.ServeAll(queries);  // repeats hit the cache
+  uint64_t hits = 0, steals = 0;
+  for (int round = 0; round < 2; ++round) {  // repeats hit the cache
+    for (const ServedResult& result : service.ServeAll(queries)) {
+      hits += result.cache_hit;
+      steals += result.stolen;
+    }
+  }
   std::vector<EdgeInfluenceUpdate> updates{MakeUpdate(n, 0)};
   ASSERT_EQ(service.ApplyUpdates(updates), 2u);
 
-  const ServiceStats stats = service.Stats();
   const obs::MetricsSnapshot snap = service.SnapshotMetrics();
 
-  // The legacy view and the registry export are two reads of the same
-  // counters; the service is quiescent here so they agree exactly.
+  // The service is quiescent here, so the registry counts exactly what
+  // the answers report.
   EXPECT_EQ(snap.CounterValue("pitex_queries_submitted_total"), 40u);
   EXPECT_EQ(snap.CounterValue("pitex_queries_admitted_total"), 40u);
-  EXPECT_EQ(snap.CounterValue("pitex_cache_hits_total"), stats.cache_hits);
-  EXPECT_EQ(snap.CounterValue("pitex_steals_total"), stats.steals);
-  EXPECT_EQ(snap.CounterValue("pitex_queries_degraded_total"),
-            stats.degraded);
-  EXPECT_EQ(snap.CounterValue("pitex_queries_shed_queue_full_total"),
-            stats.shed_queue_full);
+  EXPECT_EQ(snap.CounterValue("pitex_cache_hits_total"), hits);
+  EXPECT_EQ(snap.CounterValue("pitex_steals_total"), steals);
+  EXPECT_EQ(snap.CounterValue("pitex_queries_degraded_total"), 0u);
+  EXPECT_EQ(snap.CounterValue("pitex_queries_shed_queue_full_total"), 0u);
+  EXPECT_EQ(snap.GaugeValue("pitex_current_epoch"), 2);
+  EXPECT_EQ(snap.GaugeValue("pitex_epochs_published"), 2);
+  // One resident entry per distinct (user, k) of epoch 1; nothing evicted.
   EXPECT_EQ(snap.GaugeValue("pitex_cache_entries"),
-            static_cast<int64_t>(stats.cache_entries));
-  EXPECT_EQ(snap.GaugeValue("pitex_current_epoch"),
-            static_cast<int64_t>(stats.current_epoch));
-  EXPECT_EQ(snap.GaugeValue("pitex_epochs_published"),
-            static_cast<int64_t>(stats.epochs_published));
+            static_cast<int64_t>(n.num_vertices()));
+  // No admission controller: no decision was sampled.
+  EXPECT_EQ(snap.HistogramCount("pitex_admission_queue_depth"), 0u);
 
   // Conservation (no admission controller configured, no budgets:
   // nothing sheds, degrades, or expires): every submitted query was
-  // admitted and resolved ok.
+  // admitted, resolved ok, and left exactly one sojourn sample.
   EXPECT_EQ(snap.CounterValue("pitex_queries_ok_total"), 40u);
   EXPECT_EQ(snap.CounterValue("pitex_queries_deadline_expired_total"), 0u);
+  EXPECT_EQ(snap.HistogramCount("pitex_query_sojourn_seconds"),
+            snap.CounterValue("pitex_queries_ok_total") +
+                snap.CounterValue("pitex_queries_degraded_total") +
+                snap.CounterValue("pitex_queries_deadline_expired_total"));
 
   // Cache conservation from one collector pass: insertions are split
   // exactly between resident entries and evictions.

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "running_example.h"
+#include "serve_metrics.h"
+#include "src/datasets/synthetic.h"
 #include "src/serve/pitex_service.h"
 #include "src/util/failpoint.h"
 
@@ -62,8 +64,8 @@ class ServeUnderFaultsTest : public ::testing::Test {
   /// The metric conservation invariants (docs/observability.md) that
   /// must hold in any drained state, no matter which faults fired:
   /// every submitted query was admitted or shed, every admitted query
-  /// resolved exactly one way, and every cache insertion is either
-  /// still resident or was evicted.
+  /// resolved exactly one way and left one sojourn sample, and every
+  /// cache insertion is either still resident or was evicted.
   static void ExpectConservation(PitexService& service) {
     const obs::MetricsSnapshot snap = service.SnapshotMetrics();
     EXPECT_EQ(snap.CounterValue("pitex_queries_submitted_total"),
@@ -74,6 +76,8 @@ class ServeUnderFaultsTest : public ::testing::Test {
               snap.CounterValue("pitex_queries_ok_total") +
                   snap.CounterValue("pitex_queries_degraded_total") +
                   snap.CounterValue("pitex_queries_deadline_expired_total"));
+    EXPECT_EQ(snap.HistogramCount("pitex_query_sojourn_seconds"),
+              QueriesServed(snap));
     // Cache gauges come from one collector pass over the shards, so the
     // identity holds even though faults dropped arbitrary inserts.
     EXPECT_EQ(snap.GaugeValue("pitex_cache_insertions"),
@@ -98,12 +102,12 @@ TEST_F(ServeUnderFaultsTest, PublishRetriesThroughInjectedFailures) {
   EXPECT_EQ(
       FailpointRegistry::Instance().FireCount("serve/publish_freeze"), 2u);
 
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.publish_retries, 2u);
-  EXPECT_EQ(stats.publish_failures, 0u);
-  EXPECT_EQ(stats.epochs_published, 2u);
-  EXPECT_FALSE(stats.publish_in_flight);
-  EXPECT_FALSE(stats.publish_stuck);
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(snap.CounterValue("pitex_publish_retries_total"), 2u);
+  EXPECT_EQ(snap.CounterValue("pitex_publish_failures_total"), 0u);
+  EXPECT_EQ(snap.GaugeValue("pitex_epochs_published"), 2);
+  EXPECT_EQ(snap.GaugeValue("pitex_publish_in_flight"), 0);
+  EXPECT_EQ(snap.GaugeValue("pitex_publish_age_ms"), 0);
 
   // The published epoch serves.
   const ServedResult result = service.Submit({.user = 0, .k = 2}).get();
@@ -132,10 +136,11 @@ TEST_F(ServeUnderFaultsTest, ExhaustedRetriesFoldIntoNextPublish) {
   EXPECT_EQ(outcome, ApplyUpdatesOutcome::kPublishFailed);
   EXPECT_EQ(service.current_epoch(), 1u);      // readers keep epoch 1
   {
-    const ServiceStats stats = service.Stats();
-    EXPECT_EQ(stats.publish_failures, 1u);
-    EXPECT_EQ(stats.publish_retries, 2u);  // both attempts failed
-    EXPECT_EQ(stats.epochs_published, 1u);
+    const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+    EXPECT_EQ(snap.CounterValue("pitex_publish_failures_total"), 1u);
+    // Both attempts failed.
+    EXPECT_EQ(snap.CounterValue("pitex_publish_retries_total"), 2u);
+    EXPECT_EQ(snap.GaugeValue("pitex_epochs_published"), 1);
   }
   // Serving is unaffected by the failed publish.
   EXPECT_EQ(service.Submit({.user = 1, .k = 2}).get().epoch, 1u);
@@ -228,9 +233,11 @@ TEST_F(ServeUnderFaultsTest, ServesExactlyThroughFaultStorm) {
   }
 
   // The broken cache never served (or retained) anything.
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_entries, 0u);
+  {
+    const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+    EXPECT_EQ(snap.CounterValue("pitex_cache_hits_total"), 0u);
+    EXPECT_EQ(snap.GaugeValue("pitex_cache_entries"), 0);
+  }
 
   // Heal everything: a fresh query sees the final epoch and the cache
   // works again.
@@ -298,10 +305,13 @@ TEST_F(ServeUnderFaultsTest, DeadlineStormDegradesInsteadOfCollapsing) {
   EXPECT_GT(expired, 0u);       // the 1 ns budgets cannot survive a queue
   EXPECT_GE(ok, kQueries / 3);  // every unconstrained query completed
 
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.queries_served, kQueries);
-  EXPECT_EQ(stats.degraded, degraded);
-  EXPECT_EQ(stats.deadline_expired, expired);
+  {
+    const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+    EXPECT_EQ(QueriesServed(snap), kQueries);
+    EXPECT_EQ(snap.CounterValue("pitex_queries_degraded_total"), degraded);
+    EXPECT_EQ(snap.CounterValue("pitex_queries_deadline_expired_total"),
+              expired);
+  }
 
   // ...so an unconstrained re-ask of a budgeted user gets the exact
   // answer, not a truncated cached ranking.
@@ -371,11 +381,14 @@ TEST_F(ServeUnderFaultsTest, AdmissionShedsButPublishesProceed) {
   EXPECT_GT(served, 0u);
   EXPECT_EQ(published.load(), 3u);
 
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.queries_served, served);
-  EXPECT_EQ(stats.shed_queue_full, shed);
-  EXPECT_EQ(stats.admission_in_flight, 0u);  // everything drained
-  EXPECT_GT(stats.queue_depth.count, 0u);
+  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
+  EXPECT_EQ(QueriesServed(snap), served);
+  EXPECT_EQ(snap.CounterValue("pitex_queries_shed_queue_full_total"), shed);
+  // Everything drained.
+  EXPECT_EQ(snap.GaugeValue("pitex_admission_in_flight"), 0);
+  // One depth sample per admission decision, shed ones included.
+  EXPECT_EQ(snap.HistogramCount("pitex_admission_queue_depth"),
+            served + shed);
 
   ExpectConservation(service);
 }
@@ -402,7 +415,76 @@ TEST_F(ServeUnderFaultsTest, RateLimitShedsPerUserFloods) {
   }
   EXPECT_GT(shed, 0u);
   EXPECT_LT(shed, 40u);  // the burst allowance admitted at least two
-  EXPECT_EQ(service.Stats().shed_rate_limited, shed);
+  EXPECT_EQ(service.SnapshotMetrics().CounterValue(
+                "pitex_queries_shed_rate_limited_total"),
+            shed);
+}
+
+// Every answer a worker produced carries the sojourn the histogram
+// observed for it -- ok, cache hit, degraded and deadline-expired alike
+// -- and a shed answer, which never reached a worker, carries 0.
+TEST_F(ServeUnderFaultsTest, SojournIsSetOnEveryAnswerAWorkerProduced) {
+  DatasetSpec spec = LastfmSpec(0.5);
+  spec.seed = 21;
+  const SocialNetwork n = GenerateDataset(spec);
+  ServeOptions options = BaseOptions();
+  options.enable_updates = false;
+  options.engine.method = Method::kLazy;  // sampling-heavy: solves take ms
+  options.cache_capacity = 64;
+  // One shared token bucket that never refills: exactly kTokens queries
+  // are admitted, whoever sends them, and every later one is shed.
+  constexpr size_t kTokens = 64;
+  options.admission.user_rate_limit = 1e-9;
+  options.admission.user_burst = static_cast<double>(kTokens);
+  options.admission.user_buckets = 1;
+  PitexService service(&n, options);
+  service.Start();
+
+  const VertexId hub = SampleUserGroup(n.graph, UserGroup::kHigh, 1, 3)[0];
+  std::vector<ServedResult> answers;
+  const auto ask = [&service, &answers, hub](double budget) {
+    answers.push_back(
+        service.Submit({.user = hub, .k = 3, .budget_seconds = budget})
+            .get());
+    return answers.back();
+  };
+  // A budget that expires in the queue, then doubling budgets: those
+  // shorter than the solve degrade (and are never cached), until one
+  // completes and is cached; the next unbudgeted ask hits the cache.
+  ask(1e-9);
+  for (double budget = 1e-6; answers.back().status != ServeStatus::kOk;
+       budget *= 2.0) {
+    ASSERT_LT(budget, 60.0);
+    ask(budget);
+  }
+  ask(0.0);
+  while (answers.back().status != ServeStatus::kShed) {
+    ASSERT_LE(answers.size(), kTokens);
+    ask(0.0);
+  }
+
+  size_t ok = 0, hits = 0, degraded = 0, expired = 0, shed = 0;
+  for (const ServedResult& answer : answers) {
+    if (answer.status == ServeStatus::kShed) {
+      EXPECT_EQ(answer.sojourn_seconds, 0.0);
+      ++shed;
+      continue;
+    }
+    EXPECT_GT(answer.sojourn_seconds, 0.0);
+    ok += answer.status == ServeStatus::kOk && !answer.cache_hit;
+    hits += answer.cache_hit;
+    degraded += answer.status == ServeStatus::kDegraded;
+    expired += answer.status == ServeStatus::kDeadlineExpired;
+  }
+  EXPECT_EQ(ok, 1u);
+  EXPECT_EQ(hits, kTokens - 1 - degraded - expired);
+  EXPECT_GT(degraded, 0u);
+  EXPECT_GT(expired, 0u);
+  EXPECT_EQ(shed, 1u);
+  EXPECT_EQ(service.SnapshotMetrics().HistogramCount(
+                "pitex_query_sojourn_seconds"),
+            kTokens);
+  ExpectConservation(service);
 }
 
 TEST_F(ServeUnderFaultsTest, WorkerBindRetriesFaultedIndexLoads) {
