@@ -16,10 +16,11 @@
 # the JSON (the release-bench CI job uploads both as artifacts).
 #
 # The suite covers the query-side micro benchmarks plus the offline
-# pipeline: BM_IndexBuild (arena-staged construction, per-thread sweep),
-# BM_SnapshotPublish (serve-mode epoch freeze, empty vs populated
-# overlay), BM_DynamicRepairSingleEdge and BM_ApplyUpdatesBatch (one
-# 4-update batch on the dblp analog the end-to-end benchmark serves).
+# pipeline: BM_IndexBuild (generation into per-slot runs finished by
+# FromRuns, per-thread sweep), BM_SnapshotPublish (serve-mode epoch
+# freeze, empty vs populated overlay), BM_DynamicRepairSingleEdge and
+# BM_ApplyUpdatesBatch (one 4-update batch on the dblp analog the
+# end-to-end benchmark serves).
 #
 # Environment:
 #   BUILD_DIR    Release build directory (default: build-bench)

@@ -19,6 +19,13 @@ size_t RRGraph::SizeBytes() const {
          edges.capacity() * sizeof(RRLocalEdge);
 }
 
+void RRGraph::Assign(const RRView& view) {
+  root = view.root;
+  vertices.assign(view.vertices.begin(), view.vertices.end());
+  offsets.assign(view.offsets.begin(), view.offsets.end());
+  edges.assign(view.edges.begin(), view.edges.end());
+}
+
 void EstimateScratch::Reserve(size_t max_vertices) {
   if (visited_.size() < max_vertices) visited_.resize(max_vertices, 0);
 }
@@ -71,15 +78,17 @@ void DecomposeRRGraphInto(const RRView& rr,
 
 RRGraph GenerateRRGraph(const Graph& graph, const InfluenceGraph& influence,
                         VertexId root, Rng* rng) {
-  // One-off entry point over the arena core: identical draws to the
-  // table-backed bulk build (SketchArena materializes the envelope floats
-  // per visited vertex), owning-RRGraph output for callers that keep
-  // per-sketch storage (DynamicRrIndex, TIM planning, tests).
+  // One-off entry point over the bulk build's generator: identical draws
+  // to the table-backed build (SketchArena materializes the envelope
+  // floats per visited vertex), copied out of a one-sketch run for
+  // callers that want an owning graph (the query planner's probes,
+  // tests).
   thread_local SketchArena arena;
-  arena.Clear();
-  arena.Generate(graph, influence, root, rng, /*sample_index=*/0);
+  thread_local RrSketchPool run;
+  run.Clear();
+  arena.Generate(graph, influence, root, rng, &run);
   RRGraph out;
-  arena.Export(0, &out);
+  out.Assign(run.View(0));
   return out;
 }
 

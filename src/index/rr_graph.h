@@ -73,6 +73,9 @@ struct RRGraph {
   }
   operator RRView() const { return View(); }  // NOLINT(runtime/explicit)
 
+  /// Copies `view` into this graph, reusing its vectors' capacity.
+  void Assign(const RRView& view);
+
   /// Local index of global vertex v, or nullopt if absent.
   std::optional<uint32_t> LocalIndex(VertexId v) const {
     return View().LocalIndex(v);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/index/sketch_arena.h"
 #include "src/util/chernoff.h"
 #include "src/util/check.h"
 #include "src/util/timer.h"
@@ -55,36 +56,49 @@ RrSketchPool SampleSketchPool(const Graph& graph,
                               const EnvelopeTable& envelope, uint64_t theta,
                               uint64_t seed, size_t num_threads,
                               ThreadPool* pool) {
-  // Arena-staged construction: every worker slot samples straight into
-  // its own arena (zero allocations at steady state), and PackFrom
-  // flattens the arenas into the pooled store with exactly one copy per
-  // sketch. Each sample i owns an independent RNG stream derived from
-  // (seed, i), making the pool bit-identical regardless of thread count.
-  auto generate = [&](SketchArena* arena, size_t i) {
-    uint64_t mix = seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
-    Rng rng(SplitMix64(&mix));
-    const auto root =
-        static_cast<VertexId>(rng.NextBounded(graph.num_vertices()));
-    arena->Generate(graph, envelope, root, &rng, i);
-  };
-
+  // Every worker slot samples straight into its own run, in pool layout,
+  // with its own scratch arena (zero allocations at steady state).
+  // ParallelForSlots claims contiguous sample ranges, so a slot opens a
+  // segment whenever a sample does not follow its last one; FromRuns
+  // copies the segments into the pool in sample order. Each sample i owns
+  // an independent RNG stream derived from (seed, i), making the pool
+  // bit-identical regardless of thread count.
   const size_t threads = std::max<size_t>(1, num_threads);
   std::unique_ptr<ThreadPool> local_pool;
   if (pool == nullptr && threads > 1 && theta >= 2 * threads) {
     local_pool = std::make_unique<ThreadPool>(threads);
     pool = local_pool.get();
   }
-  if (pool != nullptr && theta >= 2) {
-    std::vector<SketchArena> arenas(
-        std::min<size_t>(pool->num_threads(), theta));
-    ParallelForSlots(pool, 0, theta, [&](size_t slot, size_t i) {
-      generate(&arenas[slot], i);
-    });
-    return RrSketchPool::PackFrom(arenas, theta, graph.num_vertices(), pool);
+  if (theta < 2) pool = nullptr;
+  const size_t slots =
+      pool == nullptr ? 1 : std::min<size_t>(pool->num_threads(), theta);
+  std::vector<SketchArena> arenas(slots);
+  std::vector<RrSketchPool> runs(slots);
+  std::vector<std::vector<RrSketchPool::Segment>> segments(slots);
+  auto generate = [&](size_t slot, size_t i) {
+    RrSketchPool& run = runs[slot];
+    std::vector<RrSketchPool::Segment>& open = segments[slot];
+    if (open.empty() || open.back().sample + open.back().count != i) {
+      open.push_back({i, static_cast<uint32_t>(slot),
+                      static_cast<uint32_t>(run.num_sketches()), 0});
+    }
+    ++open.back().count;
+    uint64_t mix = seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
+    Rng rng(SplitMix64(&mix));
+    const auto root =
+        static_cast<VertexId>(rng.NextBounded(graph.num_vertices()));
+    arenas[slot].Generate(graph, envelope, root, &rng, &run);
+  };
+  if (pool != nullptr) {
+    ParallelForSlots(pool, 0, theta, generate);
+  } else {
+    for (uint64_t i = 0; i < theta; ++i) generate(0, i);
   }
-  std::vector<SketchArena> arenas(1);
-  for (uint64_t i = 0; i < theta; ++i) generate(&arenas[0], i);
-  return RrSketchPool::PackFrom(arenas, theta, graph.num_vertices());
+  std::vector<RrSketchPool::Segment> all;
+  for (const auto& slot_segments : segments) {
+    all.insert(all.end(), slot_segments.begin(), slot_segments.end());
+  }
+  return RrSketchPool::FromRuns(runs, all, theta, graph.num_vertices(), pool);
 }
 
 void RrIndex::Build(ThreadPool* pool) {

@@ -2,84 +2,126 @@
 
 #include <algorithm>
 #include <ranges>
-#include <utility>
 
 #include "src/util/check.h"
 
 namespace pitex {
 
-void RrSketchPool::CopySketch(size_t i, const RRView& rr) {
-  PITEX_DCHECK(rr.offsets.size() == rr.vertices.size() + 1);
-  const uint32_t b = body_starts_[i];
-  if (b == body_starts_[i + 1]) {
-    // Implicit singleton: View() rebuilds it from the root alone.
-    PITEX_DCHECK(rr.vertices.size() == 1 && rr.vertices[0] == rr.root);
-    return;
-  }
-  const auto block = body_.begin() + b;
-  std::copy(rr.offsets.begin(), rr.offsets.end(),
-            std::copy(rr.vertices.begin(), rr.vertices.end(), block));
-  std::copy(rr.edges.begin(), rr.edges.end(),
-            edges_.begin() + edge_starts_[i]);
-}
-
 void RrSketchPool::Append(const RRView& sketch) {
-  if (body_starts_.empty()) {
-    body_starts_.push_back(0);
-    edge_starts_.push_back(0);
-  }
+  PITEX_DCHECK(sketch.offsets.size() == sketch.vertices.size() + 1 &&
+               sketch.offsets.back() == sketch.edges.size());
+  if (body_starts_.empty()) body_starts_.push_back(0);
   roots_.push_back(sketch.root);
   if (BodyLength(sketch.vertices.size(), sketch.edges.size()) != 0) {
+    body_.push_back(static_cast<uint32_t>(edges_.size()));
     body_.insert(body_.end(), sketch.vertices.begin(), sketch.vertices.end());
     body_.insert(body_.end(), sketch.offsets.begin(), sketch.offsets.end());
+    edges_.insert(edges_.end(), sketch.edges.begin(), sketch.edges.end());
+  } else {
+    // Implicit singleton: View() rebuilds it from the root alone.
+    PITEX_DCHECK(sketch.vertices[0] == sketch.root);
   }
-  edges_.insert(edges_.end(), sketch.edges.begin(), sketch.edges.end());
-  PITEX_CHECK_MSG(body_.size() <= UINT32_MAX && edges_.size() <= UINT32_MAX,
+  // Sketch ids are u32 (containing_) and the directory has one more
+  // entry than there are sketches.
+  PITEX_CHECK_MSG(roots_.size() < UINT32_MAX && body_.size() <= UINT32_MAX &&
+                      edges_.size() <= UINT32_MAX,
                   "sketch pool exceeds 32-bit directories");
   body_starts_.push_back(static_cast<uint32_t>(body_.size()));
-  edge_starts_.push_back(static_cast<uint32_t>(edges_.size()));
   max_sketch_vertices_ =
       std::max<size_t>(max_sketch_vertices_, sketch.vertices.size());
 }
 
-RrSketchPool RrSketchPool::PackFrom(std::span<const SketchArena> arenas,
+void RrSketchPool::Clear() {
+  roots_.clear();
+  body_starts_.clear();
+  body_.clear();
+  edges_.clear();
+  containing_starts_.clear();
+  containing_.clear();
+  max_sketch_vertices_ = 0;
+}
+
+uint64_t RrSketchPool::EdgeStart(size_t i) const {
+  for (; i < num_sketches(); ++i) {
+    if (body_starts_[i] != body_starts_[i + 1]) return body_[body_starts_[i]];
+  }
+  return edges_.size();
+}
+
+RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
+                                    std::span<const Segment> segments,
                                     uint64_t num_sketches,
                                     size_t num_vertices, ThreadPool* pool) {
-  RrSketchPool out;
-  const size_t s = num_sketches;
-  // Pass 1: locate each sample across the arenas and size every pooled
-  // array exactly from the arena counters — no growth, no staging.
-  std::vector<std::pair<uint32_t, uint32_t>> where(s);
-  size_t located = 0;
-  for (uint32_t a = 0; a < arenas.size(); ++a) {
-    for (uint32_t slot = 0; slot < arenas[a].num_sketches(); ++slot) {
-      const uint64_t sample = arenas[a].sample_index(slot);
-      PITEX_CHECK_MSG(sample < s, "arena sample index out of range");
-      where[sample] = {a, slot};
-      ++located;
-    }
-  }
-  PITEX_CHECK_MSG(located == s, "arenas must cover every sample exactly once");
-
-  out.Layout(s, [&](size_t i) {
-    const auto [a, slot] = where[i];
-    // located == s plus this round-trip rules out duplicate samples
-    // silently shadowing a missing one (O(s), negligible vs the copy).
-    PITEX_CHECK_MSG(arenas[a].sample_index(slot) == i,
-                    "duplicate arena sample index");
-    return Shape{arenas[a].root(slot), arenas[a].sketch_vertices(slot),
-                 arenas[a].sketch_edges(slot)};
-  });
-
-  // Pass 2: copy each sketch's segments once, straight arena -> pool.
-  const auto copy_one = [&](size_t i) {
-    const auto [a, slot] = where[i];
-    out.CopySketch(i, arenas[a].View(slot));
+  // Each segment's slices of its run, put in sample order.
+  struct Slice {
+    uint64_t sample;
+    const RrSketchPool* run;
+    uint32_t first, count;
+    uint64_t body_begin, body_end, edge_begin, edge_end;
   };
-  if (pool != nullptr && s >= 2) {
-    ParallelFor(pool, 0, s, copy_one);
-  } else {
-    for (size_t i = 0; i < s; ++i) copy_one(i);
+  std::vector<Slice> slices;
+  slices.reserve(segments.size());
+  for (const Segment& seg : segments) {
+    PITEX_CHECK_MSG(seg.run < runs.size() &&
+                        uint64_t{seg.first} + seg.count <=
+                            runs[seg.run].num_sketches(),
+                    "run segment out of range");
+    if (seg.count == 0) continue;
+    const RrSketchPool& run = runs[seg.run];
+    const uint32_t end = seg.first + seg.count;
+    slices.push_back({seg.sample, &run, seg.first, seg.count,
+                      run.body_starts_[seg.first], run.body_starts_[end],
+                      run.EdgeStart(seg.first), run.EdgeStart(end)});
+  }
+  std::ranges::sort(slices, {}, &Slice::sample);
+  uint64_t covered = 0;
+  uint64_t body = 0;
+  uint64_t edges = 0;
+  for (const Slice& s : slices) {
+    PITEX_CHECK_MSG(s.sample == covered,
+                    "runs must cover every sample exactly once");
+    covered += s.count;
+    body += s.body_end - s.body_begin;
+    edges += s.edge_end - s.edge_begin;
+  }
+  PITEX_CHECK_MSG(covered == num_sketches,
+                  "runs must cover every sample exactly once");
+  // The totals only grow, so checking them once covers every entry.
+  PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= UINT32_MAX &&
+                      edges <= UINT32_MAX,
+                  "sketch pool exceeds 32-bit directories");
+
+  // Exact-size arrays, filled by appends (no zero-fill pass).
+  RrSketchPool out;
+  out.roots_.reserve(num_sketches);
+  out.body_starts_.reserve(num_sketches + 1);
+  out.body_.reserve(body);
+  out.edges_.reserve(edges);
+  out.body_starts_.push_back(0);
+  for (const Slice& s : slices) {
+    const RrSketchPool& run = *s.run;
+    // Unsigned wrap-around makes the rebase exact whichever way a
+    // segment moves.
+    const auto body_shift =
+        static_cast<uint32_t>(out.body_.size() - s.body_begin);
+    const auto edge_shift =
+        static_cast<uint32_t>(out.edges_.size() - s.edge_begin);
+    const auto roots = run.roots_.begin() + s.first;
+    out.roots_.insert(out.roots_.end(), roots, roots + s.count);
+    out.body_.insert(out.body_.end(), run.body_.begin() + s.body_begin,
+                     run.body_.begin() + s.body_end);
+    const uint32_t end = s.first + s.count;
+    for (uint32_t j = s.first; j < end; ++j) {
+      out.body_starts_.push_back(run.body_starts_[j + 1] + body_shift);
+    }
+    // Edge headers move only when the segment's edges do (never for a
+    // serial build's one segment).
+    for (uint32_t j = s.first; edge_shift != 0 && j < end; ++j) {
+      const uint32_t b = run.body_starts_[j];
+      if (b != run.body_starts_[j + 1]) out.body_[b + body_shift] += edge_shift;
+    }
+    out.edges_.insert(out.edges_.end(), run.edges_.begin() + s.edge_begin,
+                      run.edges_.begin() + s.edge_end);
   }
   out.BuildContaining(num_vertices, pool);
   return out;
@@ -93,7 +135,7 @@ void RrSketchPool::BuildContaining(size_t num_vertices, ThreadPool* pool) {
   for (size_t i = 0; i < s; ++i) {
     longest = std::max(longest, body_starts_[i + 1] - body_starts_[i]);
   }
-  max_sketch_vertices_ = longest > 0 ? (longest - 1) / 2 : (s > 0 ? 1 : 0);
+  max_sketch_vertices_ = longest > 0 ? (longest - 2) / 2 : (s > 0 ? 1 : 0);
   containing_starts_.assign(num_vertices + 1, 0);
 
   const size_t tasks =
@@ -174,8 +216,7 @@ void RrSketchPool::BuildContaining(size_t num_vertices, ThreadPool* pool) {
 size_t RrSketchPool::SizeBytes() const {
   return sizeof(RrSketchPool) +
          (roots_.capacity() + body_starts_.capacity() + body_.capacity() +
-          edge_starts_.capacity() + containing_starts_.capacity() +
-          containing_.capacity()) *
+          containing_starts_.capacity() + containing_.capacity()) *
              sizeof(uint32_t) +
          edges_.capacity() * sizeof(RRLocalEdge);
 }

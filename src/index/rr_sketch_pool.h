@@ -10,18 +10,32 @@
 // per-vertex heap objects at all, and SizeBytes() is O(1).
 //
 // Layout for sketch i (n_i vertices, m_i edges); every array is 32-bit
-// wide, directories included, and packing checks that every total fits:
+// wide, the directory included, and every total is checked to fit:
 //   roots_[i]                                   root vertex
-//   body_[body_starts_[i] .. body_starts_[i+1]) n_i sorted vertex ids,
-//                                               then the n_i + 1 local CSR
-//                                               offsets (starting at 0)
-//   edges_[edge_starts_[i] .. edge_starts_[i+1]) local out-edges
+//   body_[body_starts_[i] .. body_starts_[i+1]) a header holding the
+//                                               sketch's first index in
+//                                               edges_, then n_i sorted
+//                                               vertex ids, then the
+//                                               n_i + 1 local CSR offsets
+//                                               (starting at 0, ending
+//                                               at m_i): 2 n_i + 2 entries
+//   edges_[header .. header + m_i)              local out-edges
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has an empty body
-// block: View() serves its vertex from roots_[i] and its offsets from a
-// static {0, 0}, so the estimate walk over it reads only the root.
+// block: View() serves its vertex from roots_[i] and its header and
+// offsets from a static {0, 0, 0}, so the estimate walk over it reads
+// only the root.
 //
-// The pool is immutable after Pack(). DynamicRrIndex, which repairs
+// Every pool is written one way: sketches are appended in this layout
+// (Append) into exact-size arrays, then the containing index is built
+// once. The build's generator appends to *runs* — pools without a
+// containing index, one per worker slot — and FromRuns copies their
+// segments, in sample order, into the finished pool. Pack (compaction,
+// the index loader) sizes its arrays in one pass over its views and
+// appends straight into them. An overlay's sketch store is a run that
+// is never finished.
+//
+// A finished pool is immutable. DynamicRrIndex, which repairs
 // individual sketches, never mutates it: it shares one pool as its
 // *base* with every snapshot it publishes and records repairs in an
 // RrSketchOverlay (below) until compaction packs base + overlay into a
@@ -37,7 +51,6 @@
 #include <vector>
 
 #include "src/index/rr_graph.h"
-#include "src/index/sketch_arena.h"
 #include "src/util/check.h"
 #include "src/util/thread_pool.h"
 
@@ -45,14 +58,23 @@ namespace pitex {
 
 class RrSketchPool {
  public:
+  /// Samples [sample, sample + count) stored in order as sketches
+  /// [first, first + count) of run `run`: what FromRuns copies.
+  struct Segment {
+    uint64_t sample = 0;
+    uint32_t run = 0;
+    uint32_t first = 0;
+    uint32_t count = 0;
+  };
+
   RrSketchPool() = default;
 
-  /// Flattens sketches view_of(0), ..., view_of(num_sketches - 1) into
-  /// one pool and builds the inverted containing index with a counting
-  /// pass (exact-size allocation, no push_back growth). `num_vertices`
-  /// is the global vertex universe; every sketch vertex must lie inside
-  /// it, and a one-vertex sketch's vertex must be its root. DynamicRrIndex
-  /// compaction and the index loader pack this way.
+  /// Packs sketches view_of(0), ..., view_of(num_sketches - 1): sizes
+  /// every array exactly, appends each view, then builds the containing
+  /// index. `num_vertices` is the global vertex universe; every sketch
+  /// vertex must lie inside it, and a one-vertex sketch's vertex must be
+  /// its root. DynamicRrIndex compaction and the index loader pack this
+  /// way.
   template <typename ViewOf>
   static RrSketchPool Pack(size_t num_sketches, size_t num_vertices,
                            ViewOf&& view_of);
@@ -62,17 +84,25 @@ class RrSketchPool {
   template <typename ViewOf>
   static bool Fits(size_t num_sketches, ViewOf&& view_of);
 
-  /// Two-pass pack straight from build arenas, replacing the old
-  /// copy-of-a-copy (owning staging RRGraphs, then Pack): pass one sizes
-  /// every pooled array exactly from per-arena counters; pass two copies
-  /// each sketch's segments once — in parallel when `pool` is non-null.
-  /// The arenas' recorded sample indices must cover [0, num_sketches)
-  /// exactly once; sketch i of the pool is the arena sketch with sample
-  /// index i, so the result is bit-identical for any arena count /
-  /// claim interleaving.
-  static RrSketchPool PackFrom(std::span<const SketchArena> arenas,
+  /// Finishes a pool from runs: copies every segment, in sample order,
+  /// into exact-size arrays (rebasing the directory and each block's edge
+  /// header), then builds the containing index — in parallel when `pool`
+  /// is non-null. The segments must cover samples [0, num_sketches)
+  /// exactly once, so sketch i of the result is sample i whatever the
+  /// runs and segments were: the pool is identical for any thread count
+  /// and claim interleaving.
+  static RrSketchPool FromRuns(std::span<const RrSketchPool> runs,
+                               std::span<const Segment> segments,
                                uint64_t num_sketches, size_t num_vertices,
                                ThreadPool* pool = nullptr);
+
+  /// Appends one sketch in the pooled layout without touching the
+  /// containing index: a pool appended to is a run, which only FromRuns
+  /// reads besides View(). `sketch` must not view this pool.
+  void Append(const RRView& sketch);
+  /// Drops every sketch, keeping every array's capacity: a cleared run
+  /// takes appends without allocating up to its high-water mark.
+  void Clear();
 
   size_t num_sketches() const { return roots_.size(); }
   bool empty() const { return roots_.empty(); }
@@ -81,15 +111,18 @@ class RrSketchPool {
   RRView View(size_t i) const {
     const std::span<const VertexId> vertices = Vertices(i);
     const size_t n = vertices.size();
-    // An explicit block's offsets follow its vertices.
-    const uint32_t* offsets = body_starts_[i] == body_starts_[i + 1]
-                                  ? kSingletonOffsets
-                                  : vertices.data() + n;
-    const uint32_t eb = edge_starts_[i];
+    // An explicit block's header precedes its vertices and its offsets
+    // follow them. A singleton reads the static header instead: a
+    // trailing one's block starts at body_.size(), past the array.
+    const bool singleton = body_starts_[i] == body_starts_[i + 1];
+    const uint32_t* header =
+        singleton ? kSingletonHeader : vertices.data() - 1;
+    const uint32_t* offsets =
+        singleton ? kSingletonHeader + 1 : vertices.data() + n;
     return RRView{roots_[i],
                   vertices,
                   {offsets, n + 1},
-                  {edges_.data() + eb, edge_starts_[i + 1] - eb}};
+                  {edges_.data() + header[0], offsets[n]}};
   }
 
   VertexId root(size_t i) const { return roots_[i]; }
@@ -109,7 +142,7 @@ class RrSketchPool {
   }
 
   /// Totals across all sketches. The vertex total is the containing
-  /// index's size, so it counts packed pools only (not an overlay store).
+  /// index's size, so it counts finished pools only (not a run).
   uint64_t total_vertices() const { return containing_.size(); }
   uint64_t total_edges() const { return edges_.size(); }
   /// Largest per-sketch vertex count (scratch pre-sizing).
@@ -119,49 +152,47 @@ class RrSketchPool {
   size_t SizeBytes() const;
 
  private:
-  friend class RrSketchOverlay;  // appends repaired sketches (Append)
+  /// The header (edge start 0) and offsets of every implicit singleton.
+  static constexpr uint32_t kSingletonHeader[3] = {0, 0, 0};
 
-  /// The offsets of every implicit singleton.
-  static constexpr uint32_t kSingletonOffsets[2] = {0, 0};
-
-  /// Root and sizes of one sketch: what pass one of a pack needs.
-  struct Shape {
-    VertexId root;
-    uint64_t vertices;
-    uint64_t edges;
+  /// Entries a list of sketches needs in each array: one sizing pass
+  /// shared by Fits and Pack.
+  struct Totals {
+    uint64_t body = 0;
+    uint64_t vertices = 0;
+    uint64_t edges = 0;
+    /// True when `num_sketches` sketches with these totals fit the
+    /// 32-bit directories and ids.
+    bool Fit(uint64_t num_sketches) const {
+      return num_sketches < UINT32_MAX && body <= UINT32_MAX &&
+             vertices <= UINT32_MAX && edges <= UINT32_MAX;
+    }
   };
+  template <typename ViewOf>
+  static Totals Measure(size_t num_sketches, ViewOf&& view_of);
 
   /// body_ entries of a sketch with n vertices and m edges: none for an
-  /// implicit singleton, else n vertices plus n + 1 offsets.
+  /// implicit singleton, else a header, n vertices and n + 1 offsets.
   static uint64_t BodyLength(uint64_t n, uint64_t m) {
     // Branch-free for the same reason as Vertices().
-    return uint64_t{n != 1 || m != 0} * (2 * n + 1);
+    return uint64_t{n != 1 || m != 0} * (2 * n + 2);
   }
 
-  /// Sketch i's sorted vertices: its body block's head, or its root
-  /// for an implicit singleton.
+  /// Sketch i's sorted vertices: its body block after the header, or
+  /// its root for an implicit singleton.
   std::span<const VertexId> Vertices(size_t i) const {
     const uint32_t b = body_starts_[i];
     const uint32_t len = body_starts_[i + 1] - b;
     // Selects, not a branch: the packing passes meet singletons and
     // explicit blocks interleaved at random.
     const bool singleton = len == 0;
-    return {singleton ? &roots_[i] : body_.data() + b,
-            singleton ? 1 : (len - 1) / 2};
+    return {singleton ? &roots_[i] : body_.data() + b + 1,
+            singleton ? 1 : (len - 2) / 2};
   }
 
-  /// Pass one of a pack: records roots and directories for sketches
-  /// shape_of(0), ..., shape_of(num_sketches - 1) and sizes body_ and
-  /// edges_ exactly.
-  template <typename ShapeOf>
-  void Layout(size_t num_sketches, ShapeOf&& shape_of);
-  /// Pass two: copies sketch i's arrays into the slot Layout gave it.
-  void CopySketch(size_t i, const RRView& rr);
-
-  /// Appends one sketch in the pooled layout without touching the
-  /// containing index — the overlay's sketch store. `sketch` must not
-  /// view this pool.
-  void Append(const RRView& sketch);
+  /// Where sketch i's edges start in edges_: the header of the first
+  /// explicit block at or after i, or the end of edges_.
+  uint64_t EdgeStart(size_t i) const;
 
   /// Rebuilds containing_starts_/containing_ from the packed sketches
   /// (counting pass + prefix sum + fill in ascending sketch-id order).
@@ -173,8 +204,7 @@ class RrSketchPool {
 
   std::vector<VertexId> roots_;         // one per sketch
   std::vector<uint32_t> body_starts_;   // num_sketches + 1
-  std::vector<uint32_t> body_;          // vertices + offsets blocks
-  std::vector<uint32_t> edge_starts_;   // num_sketches + 1
+  std::vector<uint32_t> body_;          // header + vertices + offsets
   std::vector<RRLocalEdge> edges_;      // all sketch edge arrays
   std::vector<uint32_t> containing_starts_;  // num_vertices + 1
   std::vector<uint32_t> containing_;         // sketch ids, CSR by vertex
@@ -184,65 +214,48 @@ class RrSketchPool {
 // The view-function templates are defined here so that a caller's view
 // function inlines into the per-sketch loops.
 
-template <typename ShapeOf>
-void RrSketchPool::Layout(size_t num_sketches, ShapeOf&& shape_of) {
-  const size_t s = num_sketches;
-  // Sketch ids are u32 (containing_) and a directory has s + 1 entries.
-  PITEX_CHECK_MSG(s < UINT32_MAX, "sketch pool exceeds 32-bit ids");
-  roots_.resize(s);
-  body_starts_.assign(s + 1, 0);
-  edge_starts_.assign(s + 1, 0);
-  uint64_t body = 0;
-  uint64_t edges = 0;
-  for (size_t i = 0; i < s; ++i) {
-    const Shape shape = shape_of(i);
-    roots_[i] = shape.root;
-    body += BodyLength(shape.vertices, shape.edges);
-    edges += shape.edges;
-    body_starts_[i + 1] = static_cast<uint32_t>(body);
-    edge_starts_[i + 1] = static_cast<uint32_t>(edges);
+template <typename ViewOf>
+RrSketchPool::Totals RrSketchPool::Measure(size_t num_sketches,
+                                           ViewOf&& view_of) {
+  Totals totals;
+  for (size_t i = 0; i < num_sketches; ++i) {
+    const RRView rr = view_of(i);
+    totals.body += BodyLength(rr.vertices.size(), rr.edges.size());
+    totals.vertices += rr.vertices.size();
+    totals.edges += rr.edges.size();
   }
-  // The totals only grow, so checking them once covers every entry.
-  PITEX_CHECK_MSG(body <= UINT32_MAX && edges <= UINT32_MAX,
-                  "sketch pool exceeds 32-bit directories");
-  body_.resize(body);
-  edges_.resize(edges);
+  return totals;
 }
 
 template <typename ViewOf>
 RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
                                 ViewOf&& view_of) {
-  RrSketchPool out;
-  out.Layout(num_sketches, [&](size_t i) {
-    const RRView rr = view_of(i);
-    return Shape{rr.root, rr.vertices.size(), rr.edges.size()};
-  });
-  for (size_t i = 0; i < num_sketches; ++i) out.CopySketch(i, view_of(i));
-  out.BuildContaining(num_vertices);
-  return out;
+  // Exact-size arrays up front, so the appends never regrow them.
+  const Totals totals = Measure(num_sketches, view_of);
+  PITEX_CHECK_MSG(totals.Fit(num_sketches),
+                  "sketch pool exceeds 32-bit directories");
+  RrSketchPool pool;
+  pool.roots_.reserve(num_sketches);
+  pool.body_starts_.reserve(num_sketches + 1);
+  pool.body_.reserve(totals.body);
+  pool.edges_.reserve(totals.edges);
+  pool.body_starts_.push_back(0);
+  for (size_t i = 0; i < num_sketches; ++i) pool.Append(view_of(i));
+  pool.BuildContaining(num_vertices);
+  return pool;
 }
 
 template <typename ViewOf>
 bool RrSketchPool::Fits(size_t num_sketches, ViewOf&& view_of) {
-  uint64_t body = 0;
-  uint64_t vertices = 0;
-  uint64_t edges = 0;
-  for (size_t i = 0; i < num_sketches; ++i) {
-    const RRView rr = view_of(i);
-    body += BodyLength(rr.vertices.size(), rr.edges.size());
-    vertices += rr.vertices.size();
-    edges += rr.edges.size();
-  }
-  return num_sketches < UINT32_MAX && body <= UINT32_MAX &&
-         vertices <= UINT32_MAX && edges <= UINT32_MAX;
+  return Measure(num_sketches, view_of).Fit(num_sketches);
 }
 
 /// The repairs a DynamicRrIndex has made since its base pool was packed,
 /// as a copyable value: the master edits its own overlay, and each
 /// published snapshot serves an immutable copy beside the shared base
 /// (RrIndex::FromPool). It holds
-///   * repaired sketches, appended as segments to a pooled store (a
-///     sketch repaired twice keeps its superseded copy until compaction);
+///   * repaired sketches, appended to a run in pool layout (a sketch
+///     repaired twice keeps its superseded copy until compaction);
 ///   * a sketch-id redirect to each repaired sketch's current copy;
 ///   * replacement containing lists for the vertices whose membership
 ///     changed.

@@ -6,23 +6,6 @@
 
 namespace pitex {
 
-void SketchArena::Clear() {
-  meta_.clear();
-  vertices_.clear();
-  offsets_.clear();
-  edges_.clear();
-  max_sketch_vertices_ = 0;
-}
-
-RRView SketchArena::View(size_t slot) const {
-  const Meta& m = meta_[slot];
-  const uint64_t n = VertexEnd(slot) - m.vertex_start;
-  return RRView{m.root,
-                {vertices_.data() + m.vertex_start, n},
-                {offsets_.data() + m.offset_start, n + 1},
-                {edges_.data() + m.edge_start, EdgeEnd(slot) - m.edge_start}};
-}
-
 uint32_t SketchArena::BeginTraversal(size_t num_vertices) {
   if (mark_.size() < num_vertices) {
     mark_.resize(num_vertices, 0);
@@ -38,21 +21,17 @@ uint32_t SketchArena::BeginTraversal(size_t num_vertices) {
 template <typename EnvOf>
 PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
                                              const EnvOf& env_of,
-                               VertexId root, Rng* rng,
-                               uint64_t sample_index) {
+                                             VertexId root, Rng* rng,
+                                             RrSketchPool* run) {
   const uint32_t epoch = BeginTraversal(graph.num_vertices());
-  Meta meta;
-  meta.sample = sample_index;
-  meta.root = root;
-  meta.vertex_start = vertices_.size();
-  meta.offset_start = offsets_.size();
-  meta.edge_start = edges_.size();
+  std::vector<VertexId>& vertices = sketch_.vertices;
+  sketch_.root = root;
 
   // Reverse BFS from the root over live in-edges; each in-edge of a
   // visited vertex is probed exactly once (its head is unique).
   staged_.clear();
   mark_[root] = epoch;
-  vertices_.push_back(root);
+  vertices.assign(1, root);
   stack_.assign(1, root);
   while (!stack_.empty()) {
     const VertexId v = stack_.back();
@@ -64,76 +43,58 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
       staged_.push_back(GlobalEdgeSample{w, v, e, static_cast<float>(u)});
       if (mark_[w] != epoch) {
         mark_[w] = epoch;
-        vertices_.push_back(w);
+        vertices.push_back(w);
         stack_.push_back(w);
       }
     });
   }
 
-  // Local assembly in place: sort the vertex segment (no duplicates by
-  // construction), dense global -> local map via the epoch marks, then
-  // counting-sort the staged edges by local tail (stable, so per-tail
-  // edge order is probe order — same as AssembleRRGraph's staging).
-  const auto vbegin =
-      vertices_.begin() + static_cast<ptrdiff_t>(meta.vertex_start);
-  std::sort(vbegin, vertices_.end());
-  const size_t n = vertices_.size() - meta.vertex_start;
+  // Local assembly: sort the vertices (no duplicates by construction),
+  // dense global -> local map via the epoch marks, then counting-sort the
+  // staged edges by local tail (stable, so per-tail edge order is probe
+  // order — same as AssembleRRGraph's staging).
+  std::sort(vertices.begin(), vertices.end());
+  const size_t n = vertices.size();
   for (size_t j = 0; j < n; ++j) {
-    local_index_[*(vbegin + static_cast<ptrdiff_t>(j))] =
-        static_cast<uint32_t>(j);
+    local_index_[vertices[j]] = static_cast<uint32_t>(j);
   }
   counts_.assign(n + 1, 0);
   for (const GlobalEdgeSample& s : staged_) {
     ++counts_[local_index_[s.tail] + 1];
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
-  offsets_.insert(offsets_.end(), counts_.begin(), counts_.end());
-  edges_.resize(meta.edge_start + staged_.size());
-  RRLocalEdge* const out = edges_.data() + meta.edge_start;
+  sketch_.offsets.assign(counts_.begin(), counts_.end());
+  sketch_.edges.resize(staged_.size());
   for (const GlobalEdgeSample& s : staged_) {
-    out[counts_[local_index_[s.tail]]++] =
+    sketch_.edges[counts_[local_index_[s.tail]]++] =
         RRLocalEdge{local_index_[s.head], s.edge, s.threshold};
   }
-
-  max_sketch_vertices_ = std::max(max_sketch_vertices_, n);
-  meta_.push_back(meta);
+  run->Append(sketch_);
 }
 
 PITEX_NOALLOC void SketchArena::Generate(const Graph& graph,
                                          const EnvelopeTable& envelope,
-                           VertexId root, Rng* rng, uint64_t sample_index) {
+                                         VertexId root, Rng* rng,
+                                         RrSketchPool* run) {
   GenerateImpl(
       graph,
       [&](VertexId v) {
         return std::pair<std::span<const float>, float>(
             envelope.InEnvelopes(graph, v), envelope.VertexMax(v));
       },
-      root, rng, sample_index);
+      root, rng, run);
 }
 
-PITEX_NOALLOC void SketchArena::Generate(
-    const Graph& graph, const InfluenceGraph& influence, VertexId root,
-                           Rng* rng, uint64_t sample_index) {
+PITEX_NOALLOC void SketchArena::Generate(const Graph& graph,
+                                         const InfluenceGraph& influence,
+                                         VertexId root, Rng* rng,
+                                         RrSketchPool* run) {
   GenerateImpl(
       graph,
       [&](VertexId v) {
         return InEnvelopeSlice(graph, influence, v, &env_scratch_);
       },
-      root, rng, sample_index);
-}
-
-void SketchArena::Export(size_t slot, RRGraph* out) const {
-  const Meta& m = meta_[slot];
-  out->root = m.root;
-  const uint64_t n = VertexEnd(slot) - m.vertex_start;
-  out->vertices.assign(vertices_.begin() + static_cast<ptrdiff_t>(m.vertex_start),
-                       vertices_.begin() +
-                           static_cast<ptrdiff_t>(m.vertex_start + n));
-  out->offsets.assign(
-      offsets_.begin() + static_cast<ptrdiff_t>(m.offset_start),
-      offsets_.begin() + static_cast<ptrdiff_t>(m.offset_start + n + 1));
-  out->edges.assign(edges_.begin() + static_cast<ptrdiff_t>(m.edge_start),
-                    edges_.begin() + static_cast<ptrdiff_t>(EdgeEnd(slot)));
+      root, rng, run);
 }
 
 PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(

@@ -1,18 +1,14 @@
-// Arena-staged RR-Graph construction (the build-side counterpart of the
+// Allocation-free RR-Graph generation (the build-side counterpart of the
 // pooled read-side store in src/index/rr_sketch_pool.h).
 //
-// The pre-arena build pipeline materialized every sketch as an owning
-// RRGraph — three vectors allocated per sketch, an AssembleRRGraph
-// sort/copy into a staging vector, and a second full copy when
-// RrSketchPool::Pack flattened the staging set. A SketchArena removes
-// both the allocations and one of the copies: GenerateRRGraph writes
-// each sketch *directly* into the arena's flat segment-coded buffers
-// (vertex, local-CSR-offset and edge segments appended back to back),
-// reusing epoch-stamped traversal scratch, so steady-state sketch
-// generation performs zero heap allocations once the buffers have grown
-// to the working-set high-water mark. RrSketchPool::PackFrom then sizes
-// the pooled arrays from arena counters and copies each segment exactly
-// once.
+// A SketchArena is traversal and assembly scratch only: Generate runs
+// the reverse BFS of Definition 2 over epoch-stamped marks (no O(|V|)
+// clearing between sketches), assembles the sketch's sorted vertices,
+// local CSR offsets and edges in reused buffers, and appends it to a
+// *run* — an RrSketchPool written in pool layout by Append — so the
+// sketch is copied once more only when RrSketchPool::FromRuns finishes
+// the runs into the served pool. Once its buffers and the run have grown
+// to their high-water marks, generation performs zero heap allocations.
 //
 // In-edge probing uses SampleLiveInEdges below: one uniform draw per
 // probed edge (the draw doubles as the Bernoulli coin and, on success,
@@ -38,6 +34,7 @@
 #include <vector>
 
 #include "src/index/rr_graph.h"
+#include "src/index/rr_sketch_pool.h"
 #include "src/model/influence_graph.h"
 #include "src/util/random.h"
 #include "src/util/thread_annotations.h"
@@ -106,52 +103,27 @@ PITEX_NOALLOC inline std::pair<std::span<const float>, float> InEnvelopeSlice(
   return {std::span<const float>(env, in.size()), vmax};
 }
 
-/// Reusable flat storage for a batch of generated sketches plus the
-/// traversal/assembly scratch. Not thread-safe: parallel builds use one
-/// arena per ParallelForSlots slot. Cleared between builds; capacity is
-/// retained, so repeated Generate calls stop allocating once warmed up.
+/// Reusable traversal and assembly scratch for sketch generation and
+/// repair. Not thread-safe: parallel builds use one arena per
+/// ParallelForSlots slot. Capacity is retained, so repeated calls stop
+/// allocating once warmed up.
 class SketchArena {
  public:
   SketchArena() = default;
 
-  /// Drops all sketches, keeps every buffer's capacity.
-  void Clear();
-
-  size_t num_sketches() const { return meta_.size(); }
-  /// Build-order sample index recorded at Generate time (PackFrom places
-  /// the sketch at this position in the pool).
-  uint64_t sample_index(size_t slot) const { return meta_[slot].sample; }
-  VertexId root(size_t slot) const { return meta_[slot].root; }
-  size_t sketch_vertices(size_t slot) const {
-    return VertexEnd(slot) - meta_[slot].vertex_start;
-  }
-  size_t sketch_edges(size_t slot) const {
-    return EdgeEnd(slot) - meta_[slot].edge_start;
-  }
-  /// Non-owning view of sketch `slot` (valid until the next Generate /
-  /// Clear on this arena).
-  RRView View(size_t slot) const;
-
-  uint64_t total_vertices() const { return vertices_.size(); }
-  uint64_t total_edges() const { return edges_.size(); }
-  size_t max_sketch_vertices() const { return max_sketch_vertices_; }
-
   /// Samples one RR-Graph rooted at `root` (Definition 2) and appends it
-  /// to the arena, reading envelopes from the dense table.
+  /// to `run` (RrSketchPool::Append), reading envelopes from the dense
+  /// table.
   PITEX_NOALLOC void Generate(const Graph& graph,
-                              const EnvelopeTable& envelope,
-                VertexId root, Rng* rng, uint64_t sample_index);
+                              const EnvelopeTable& envelope, VertexId root,
+                              Rng* rng, RrSketchPool* run);
   /// Table-free overload for one-off callers (GenerateRRGraph, tests):
   /// envelope floats are materialized per visited vertex by
   /// InEnvelopeSlice into arena scratch, producing bit-identical draws
   /// to the table path at ~2x the in-edge memory traffic.
   PITEX_NOALLOC void Generate(const Graph& graph,
-                              const InfluenceGraph& influence,
-                VertexId root, Rng* rng, uint64_t sample_index);
-
-  /// Copies sketch `slot` into an owning RRGraph, reusing out's vector
-  /// capacity (DynamicRrIndex keeps owning per-sketch storage).
-  void Export(size_t slot, RRGraph* out) const;
+                              const InfluenceGraph& influence, VertexId root,
+                              Rng* rng, RrSketchPool* run);
 
   /// Repair-side assembly (DynamicRrIndex): keeps exactly the vertices
   /// reaching `root` through `edges` (tail -> head), drops edges with a
@@ -165,37 +137,17 @@ class SketchArena {
                              RRGraph* out);
 
  private:
-  struct Meta {
-    uint64_t sample = 0;
-    VertexId root = 0;
-    uint64_t vertex_start = 0;
-    uint64_t offset_start = 0;
-    uint64_t edge_start = 0;
-  };
-
-  uint64_t VertexEnd(size_t slot) const {
-    return slot + 1 < meta_.size() ? meta_[slot + 1].vertex_start
-                                   : vertices_.size();
-  }
-  uint64_t EdgeEnd(size_t slot) const {
-    return slot + 1 < meta_.size() ? meta_[slot + 1].edge_start
-                                   : edges_.size();
-  }
-
   /// Starts a new traversal over `num_vertices` global ids; returns the
   /// epoch stamp marking "touched in this traversal".
   uint32_t BeginTraversal(size_t num_vertices);
 
   template <typename EnvOf>
-  PITEX_NOALLOC void GenerateImpl(const Graph& graph, const EnvOf& env_of, VertexId root,
-                    Rng* rng, uint64_t sample_index);
+  PITEX_NOALLOC void GenerateImpl(const Graph& graph, const EnvOf& env_of,
+                                  VertexId root, Rng* rng, RrSketchPool* run);
 
-  // Sketch storage: segments appended back to back, one Meta per sketch.
-  std::vector<Meta> meta_;
-  std::vector<VertexId> vertices_;   // sorted ascending per sketch
-  std::vector<uint32_t> offsets_;    // local CSR, n_i + 1 entries each
-  std::vector<RRLocalEdge> edges_;   // counting-sorted by local tail
-  size_t max_sketch_vertices_ = 0;
+  // The sketch Generate assembles: vertices sorted ascending, edges
+  // counting-sorted by local tail.
+  RRGraph sketch_;
 
   // Traversal / assembly scratch (epoch-stamped over global vertex ids:
   // no O(|V|) clearing between sketches).

@@ -6,8 +6,9 @@
 //   * batch PITEX queries (src/core/batch_engine.h): many independent
 //     medium-sized tasks, claimed via an atomic cursor;
 //   * bulk index construction (src/index/rr_index.cc): ParallelForSlots
-//     over theta samples, one SketchArena per claiming slot, guided
-//     chunk claims absorbing the power-law skew of sketch sizes;
+//     over theta samples, each claiming slot appending its contiguous
+//     sample ranges to its own sketch run, guided chunk claims absorbing
+//     the power-law skew of sketch sizes;
 //   * the online serving layer (src/serve/pitex_service.h): long-lived
 //     pump tasks that need to know which worker runs them so they can
 //     bind to per-worker engine replicas — SubmitIndexed passes the
@@ -104,7 +105,7 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
 /// ParallelFor variant whose callback also receives a stable *slot* id in
 /// [0, min(pool->num_threads(), end - begin)): each slot is one claiming
 /// task, so invocations sharing a slot are serialized. Callers key
-/// per-task state (e.g. one SketchArena per slot in the index build) by
+/// per-task state (e.g. one sketch run per slot in the index build) by
 /// it without synchronization.
 void ParallelForSlots(ThreadPool* pool, size_t begin, size_t end,
                       const std::function<void(size_t, size_t)>& fn);

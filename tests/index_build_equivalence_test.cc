@@ -1,9 +1,9 @@
-// Equivalence tests for arena-staged index construction
-// (src/index/sketch_arena.h + RrSketchPool::PackFrom):
+// Equivalence tests for index construction (src/index/sketch_arena.h
+// generating into runs, finished by RrSketchPool::FromRuns):
 //
-//   * representation: the arena-built pool is byte-identical to packing
-//     standalone GenerateRRGraph outputs — the arena and the two-pass
-//     pack are pure layout changes;
+//   * representation: the built pool is byte-identical to packing
+//     standalone GenerateRRGraph outputs — runs and their segment-ordered
+//     finish are pure layout changes;
 //   * RNG scheme: the combined-draw + geometric-skip probe changed the
 //     draw *sequence* (documented in docs/perf.md). A fixed-seed golden
 //     hash pins the current scheme so future refactors cannot drift it
@@ -11,8 +11,8 @@
 //     distribution against a verbatim retained copy of the pre-arena
 //     two-draw generator — the distributions must agree because the
 //     per-edge law (live w.p. p(e), threshold U[0, p(e))) is unchanged;
-//   * allocations: steady-state sketch generation into a warmed arena is
-//     measured allocation-free;
+//   * allocations: steady-state sketch generation into a cleared, reused
+//     run is measured allocation-free;
 //   * repairs: SketchArena::RebuildRepairedSketch matches the
 //     ReachingRoot + AssembleRRGraph reference it replaced.
 
@@ -253,15 +253,17 @@ TEST(IndexBuildEquivalenceTest, SteadyStateGenerationAllocatesNothing) {
   const SocialNetwork n = MakeRunningExample();
   const EnvelopeTable envelope(n.graph, n.influence);
   SketchArena arena;
-  // Each round replays the same seed, so the working set is identical
-  // and the warmup round establishes every buffer's high-water mark.
+  RrSketchPool run;
+  // Each round clears the run and replays the same seed, so the working
+  // set is identical and the warmup round establishes every buffer's
+  // high-water mark, the run's arrays included.
   const auto run_round = [&] {
     Rng rng(3);
-    arena.Clear();
+    run.Clear();
     for (uint64_t i = 0; i < 64; ++i) {
       const auto root =
           static_cast<VertexId>(rng.NextBounded(n.num_vertices()));
-      arena.Generate(n.graph, envelope, root, &rng, i);
+      arena.Generate(n.graph, envelope, root, &rng, &run);
     }
   };
   run_round();  // warmup
@@ -269,7 +271,7 @@ TEST(IndexBuildEquivalenceTest, SteadyStateGenerationAllocatesNothing) {
   for (int round = 0; round < 10; ++round) run_round();
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "steady-state sketch generation allocated";
-  EXPECT_GT(arena.num_sketches(), 0u);
+  EXPECT_EQ(run.num_sketches(), 64u);
 }
 
 TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {

@@ -1,13 +1,17 @@
 // Deterministic parallel index construction: the index must be
-// bit-identical for every thread count.
+// bit-identical for every thread count. Each worker slot appends the
+// samples it claims to its own run and RrSketchPool::FromRuns copies the
+// runs' segments in sample order, so these tests pin that finish too.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
 #include "src/index/rr_index.h"
+#include "src/util/thread_pool.h"
 
 namespace pitex {
 namespace {
@@ -87,6 +91,59 @@ TEST(ParallelBuildTest, EstimatesIdentical) {
   const PosteriorProbs probs(n.influence, post);
   EXPECT_DOUBLE_EQ(a.EstimateInfluence(0, probs).influence,
                    b.EstimateInfluence(0, probs).influence);
+}
+
+void ExpectPoolsIdentical(const RrSketchPool& a, const RrSketchPool& b) {
+  ASSERT_EQ(a.num_sketches(), b.num_sketches());
+  for (size_t i = 0; i < a.num_sketches(); ++i) {
+    const RRView ga = a.View(i);
+    const RRView gb = b.View(i);
+    ASSERT_EQ(ga.root, gb.root) << "sketch " << i;
+    ASSERT_TRUE(std::ranges::equal(ga.vertices, gb.vertices))
+        << "sketch " << i;
+    ASSERT_TRUE(std::ranges::equal(ga.offsets, gb.offsets)) << "sketch " << i;
+    ASSERT_EQ(ga.edges.size(), gb.edges.size()) << "sketch " << i;
+    for (size_t j = 0; j < ga.edges.size(); ++j) {
+      ASSERT_EQ(ga.edges[j].head_local, gb.edges[j].head_local);
+      ASSERT_EQ(ga.edges[j].edge, gb.edges[j].edge);
+      ASSERT_EQ(ga.edges[j].threshold, gb.edges[j].threshold);
+    }
+  }
+  ASSERT_EQ(a.num_universe_vertices(), b.num_universe_vertices());
+  for (VertexId v = 0; v < a.num_universe_vertices(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(a.Containing(v), b.Containing(v)))
+        << "vertex " << v;
+  }
+  EXPECT_EQ(a.SizeBytes(), b.SizeBytes());
+  EXPECT_EQ(a.total_edges(), b.total_edges());
+  EXPECT_EQ(a.max_sketch_vertices(), b.max_sketch_vertices());
+}
+
+TEST(ParallelBuildTest, PoolsIdenticalForEveryThreadCount) {
+  // theta values not divisible by the thread counts, and below
+  // 2 * threads: an internal pool is only spun up from 2 * threads
+  // samples, but an external pool runs every theta >= 2 in parallel.
+  const SocialNetwork n = GenerateDataset(LastfmSpec(0.1));
+  for (const uint64_t theta : {1, 2, 5, 13, 997}) {
+    RrIndexOptions serial;
+    serial.theta_override = theta;
+    RrIndex reference(n, serial);
+    reference.Build();
+    for (const size_t threads : {1, 2, 3, 4, 7}) {
+      SCOPED_TRACE("theta " + std::to_string(theta) + ", threads " +
+                   std::to_string(threads));
+      RrIndexOptions internal = serial;
+      internal.num_build_threads = threads;
+      RrIndex a(n, internal);
+      a.Build();
+      ExpectPoolsIdentical(a.pool(), reference.pool());
+
+      ThreadPool workers(threads);
+      RrIndex b(n, serial);
+      b.Build(&workers);
+      ExpectPoolsIdentical(b.pool(), reference.pool());
+    }
+  }
 }
 
 }  // namespace

@@ -88,7 +88,8 @@ bool SameSketch(const RRView& a, const RRView& b) {
 }
 
 // The pool's footprint from its layout: every array holds 32-bit
-// entries except edges_, and a sketch's body block is 2n + 1 entries
+// entries except edges_, the one directory has s + 1 entries, and a
+// sketch's body block is 2n + 2 entries (edge header, vertices, offsets)
 // unless it is an implicit singleton (one vertex, no edges).
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
@@ -96,10 +97,10 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
   for (size_t i = 0; i < s; ++i) {
     const RRView view = pool.View(i);
     const bool singleton = view.vertices.size() == 1 && view.edges.empty();
-    body += singleton ? 0 : 2 * view.vertices.size() + 1;
+    body += singleton ? 0 : 2 * view.vertices.size() + 2;
   }
   return sizeof(RrSketchPool) +
-         sizeof(uint32_t) * (s + 2 * (s + 1) + body +
+         sizeof(uint32_t) * (s + (s + 1) + body +
                              pool.num_universe_vertices() + 1 +
                              pool.total_vertices()) +
          sizeof(RRLocalEdge) * pool.total_edges();
@@ -245,10 +246,10 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
       Singleton(7)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // Only the two-vertex sketch has a body block: 2 * 2 + 1 entries.
+  // Only the two-vertex sketch has a body block: 2 * 2 + 2 entries.
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) +
-                sizeof(uint32_t) * (3 + 2 * 4 + 5 + 11 + 4) +
+                sizeof(uint32_t) * (3 + 4 + 6 + 11 + 4) +
                 sizeof(RRLocalEdge));
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
@@ -261,15 +262,15 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
 }
 
 TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
-  // One vertex but one edge: the edge needs its offsets, so the sketch
-  // keeps its 2 * 1 + 1 body entries.
+  // One vertex but one edge: the edge needs its header and offsets, so
+  // the sketch keeps its 2 * 1 + 2 body entries.
   const std::vector<RRGraph> graphs = {
       RRGraph{4, {4}, {0, 1}, {{0, 9, 0.5f}}}, Singleton(4)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) +
-                sizeof(uint32_t) * (2 + 2 * 3 + 3 + 11 + 2) +
+                sizeof(uint32_t) * (2 + 3 + 4 + 11 + 2) +
                 sizeof(RRLocalEdge));
   EXPECT_TRUE(SameSketch(pool.View(0), graphs[0]));
   EXPECT_TRUE(SameSketch(pool.View(1), graphs[1]));
@@ -286,7 +287,7 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) +
-                sizeof(uint32_t) * (20 + 2 * 21 + 0 + 11 + 20));
+                sizeof(uint32_t) * (20 + 21 + 0 + 11 + 20));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
@@ -301,6 +302,143 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
   EXPECT_EQ(pool.total_vertices(), 20u);
   EXPECT_EQ(pool.total_edges(), 0u);
   EXPECT_EQ(pool.max_sketch_vertices(), 1u);
+}
+
+// Hand-made sketches that mix implicit singletons with explicit blocks
+// (self-loop one-vertex sketches among them) and end in a singleton
+// right after an explicit block.
+std::vector<RRGraph> MixedGraphs() {
+  return {RRGraph{2, {2, 7}, {0, 0, 1}, {{0, 3, 0.25f}}},
+          Singleton(5),
+          RRGraph{4, {4}, {0, 1}, {{0, 9, 0.5f}}},
+          Singleton(1),
+          Singleton(8),
+          RRGraph{6, {1, 3, 6}, {0, 1, 2, 2}, {{2, 4, 0.1f}, {2, 5, 0.2f}}},
+          RRGraph{0, {0, 9}, {0, 1, 1}, {{0, 7, 0.75f}}},
+          Singleton(9)};
+}
+
+void ExpectSamePools(const RrSketchPool& got, const RrSketchPool& want) {
+  ASSERT_EQ(got.num_sketches(), want.num_sketches());
+  for (size_t i = 0; i < want.num_sketches(); ++i) {
+    EXPECT_TRUE(SameSketch(got.View(i), want.View(i))) << "sketch " << i;
+  }
+  for (VertexId v = 0; v < want.num_universe_vertices(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(got.Containing(v), want.Containing(v)))
+        << "vertex " << v;
+  }
+  EXPECT_EQ(got.SizeBytes(), want.SizeBytes());
+  EXPECT_EQ(got.max_sketch_vertices(), want.max_sketch_vertices());
+}
+
+TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
+  // The last sketch's block starts at the end of body_: View() must take
+  // its header from the static one, never from body_.
+  for (const std::vector<RRGraph>& graphs :
+       {std::vector<RRGraph>{RRGraph{2, {2, 7}, {0, 0, 1}, {{0, 3, 0.25f}}},
+                             Singleton(7)},
+        std::vector<RRGraph>{RRGraph{4, {4}, {0, 1}, {{0, 9, 0.5f}}},
+                             Singleton(4), Singleton(3)},
+        MixedGraphs()}) {
+    const RrSketchPool pool = PackGraphs(graphs);
+    EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+    for (size_t i = 0; i < graphs.size(); ++i) {
+      EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
+    }
+  }
+  const RrSketchPool pool = PackGraphs(MixedGraphs());
+  // Blocks of 2 * 2 + 2, 2 * 1 + 2, 2 * 3 + 2 and 2 * 2 + 2 entries.
+  EXPECT_EQ(pool.SizeBytes(),
+            sizeof(RrSketchPool) +
+                sizeof(uint32_t) * (8 + 9 + 24 + 11 + 12) +
+                sizeof(RRLocalEdge) * 5);
+  EXPECT_TRUE(
+      std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
+  EXPECT_EQ(pool.max_sketch_vertices(), 3u);
+}
+
+TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
+  // Three runs take the samples in interleaved contiguous claims, as
+  // ParallelForSlots' slots do; the finish must rebase every directory
+  // entry and edge header into the one pool Pack writes.
+  const std::vector<RRGraph> graphs = MixedGraphs();
+  const RrSketchPool want = PackGraphs(graphs);
+  const std::vector<std::vector<std::pair<uint64_t, uint32_t>>> claims = {
+      {{0, 2}, {6, 1}},           // run 0: samples 0-1, then 6
+      {{2, 3}},                   // run 1: samples 2-4
+      {{5, 1}, {7, 1}}};          // run 2: sample 5, then 7
+  std::vector<RrSketchPool> runs(claims.size());
+  std::vector<RrSketchPool::Segment> segments;
+  for (uint32_t r = 0; r < claims.size(); ++r) {
+    for (const auto& [sample, count] : claims[r]) {
+      segments.push_back({sample, r,
+                          static_cast<uint32_t>(runs[r].num_sketches()),
+                          count});
+      for (uint64_t i = sample; i < sample + count; ++i) {
+        runs[r].Append(graphs[i]);
+      }
+    }
+  }
+  // Segment order does not matter: the finish sorts by sample.
+  std::ranges::reverse(segments);
+  const RrSketchPool got =
+      RrSketchPool::FromRuns(runs, segments, graphs.size(), 10);
+  ExpectSamePools(got, want);
+  EXPECT_EQ(got.SizeBytes(), ExactSizeBytes(got));
+
+  // A run that is one finished segment per sketch.
+  std::vector<RrSketchPool> singles(graphs.size());
+  std::vector<RrSketchPool::Segment> each;
+  for (uint32_t i = 0; i < graphs.size(); ++i) {
+    singles[i].Append(graphs[i]);
+    each.push_back({i, i, 0, 1});
+  }
+  ExpectSamePools(RrSketchPool::FromRuns(singles, each, graphs.size(), 10),
+                  want);
+}
+
+TEST(PooledLayoutTest, FromRunsRequiresFullCoverage) {
+  const std::vector<RRGraph> graphs = MixedGraphs();
+  RrSketchPool run;
+  for (const RRGraph& g : graphs) run.Append(g);
+  const std::vector<RrSketchPool> runs = {run};
+  const std::vector<RrSketchPool::Segment> gap = {{0, 0, 0, 3},
+                                                  {4, 0, 4, 4}};
+  EXPECT_DEATH(RrSketchPool::FromRuns(runs, gap, graphs.size(), 10),
+               "cover every sample");
+  const std::vector<RrSketchPool::Segment> twice = {{0, 0, 0, 8},
+                                                    {0, 0, 0, 8}};
+  EXPECT_DEATH(RrSketchPool::FromRuns(runs, twice, graphs.size(), 10),
+               "cover every sample");
+  const std::vector<RrSketchPool::Segment> short_run = {{0, 0, 0, 9}};
+  EXPECT_DEATH(RrSketchPool::FromRuns(runs, short_run, 9, 10),
+               "out of range");
+}
+
+TEST(PooledLayoutTest, OverlayStoreMixesSingletonsAndBlocks) {
+  // The overlay's store is a run that is never finished: its views must
+  // hold whatever mix of singletons and blocks was put, including a
+  // singleton put right after a block, and a re-put sketch.
+  const std::vector<RRGraph> graphs = MixedGraphs();
+  RrSketchOverlay overlay;
+  for (uint32_t i = 0; i < graphs.size(); ++i) {
+    overlay.Put(100 + i, graphs[i]);
+    // The newest copy is last in the store, after every earlier block.
+    EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(100 + i)), graphs[i]))
+        << "sketch " << i;
+  }
+  overlay.Put(100, Singleton(2));
+  overlay.Put(105, graphs[0]);
+  EXPECT_EQ(overlay.num_stored(), graphs.size() + 2);
+  EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(100)), Singleton(2)));
+  EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(105)), graphs[0]));
+  for (uint32_t i = 1; i < graphs.size(); ++i) {
+    if (i == 5) continue;
+    EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(100 + i)), graphs[i]))
+        << "sketch " << i;
+  }
+  EXPECT_EQ(overlay.SlotOf(99), RrSketchOverlay::kNotRepaired);
+  EXPECT_EQ(overlay.max_sketch_vertices(), 3u);
 }
 
 }  // namespace

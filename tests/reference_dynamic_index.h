@@ -99,17 +99,19 @@ class ReferenceDynamicRrIndex {
     roots_.resize(theta_);
     containing_.assign(network_.num_vertices(), {});
     envelope_ = EnvelopeMirror(network_.graph, network_.influence);
-    // Arena-staged generation against the table the static build
+    // The build's generator against the table the static build
     // materializes, so the initial state is bit-identical to
-    // RrIndex::Build with equal options and seed.
+    // RrIndex::Build with equal options and seed. Each sketch passes
+    // through a one-sketch run into its owning graph.
     const EnvelopeTable table(network_.graph, network_.influence);
+    RrSketchPool run;
     for (uint64_t i = 0; i < theta_; ++i) {
       Rng rng = StreamFor(options_.seed, i, /*version=*/0);
       roots_[i] =
           static_cast<VertexId>(rng.NextBounded(network_.num_vertices()));
-      arena_.Clear();
-      arena_.Generate(network_.graph, table, roots_[i], &rng, i);
-      arena_.Export(0, &graphs_[i]);
+      run.Clear();
+      arena_.Generate(network_.graph, table, roots_[i], &rng, &run);
+      graphs_[i].Assign(run.View(0));
     }
     for (uint32_t id = 0; id < graphs_.size(); ++id) {
       for (VertexId v : graphs_[id].vertices) containing_[v].push_back(id);
