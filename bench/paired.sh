@@ -15,7 +15,8 @@
 #   --micro     a google-benchmark filter for bench/micro_components;
 #               each side is built in Release (PITEX_BUILD_TESTS and
 #               PITEX_BUILD_EXAMPLES off) and run once per pair with
-#               --benchmark_#   --pairs     number of pairs (default 10); odd pairs run the parent
+#               --benchmark_min_time=0.5
+#   --pairs     number of pairs (default 10); odd pairs run the parent
 #               first, even pairs the change
 #
 # The parent is exported with `git archive` into $PAIRED_DIR/<sha>
@@ -30,7 +31,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 usage() {
-  sed -n '2,27p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,28p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 

@@ -39,24 +39,26 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
     // uniform heuristic = prod_e c(e)/p(e); pick the larger (Example 7).
     std::vector<std::pair<EdgeId, float>> cut1;
     double log_prune1 = 0.0;
-    for (uint32_t i = rr.offsets[*u_local]; i < rr.offsets[*u_local + 1];
-         ++i) {
-      const auto& e = rr.edges[i];
-      cut1.emplace_back(e.edge, e.threshold);
-      const double p = influence_->MaxProb(e.edge);
-      log_prune1 += std::log(std::max(1e-12, e.threshold / p));
-    }
     std::vector<std::pair<EdgeId, float>> cut2;
     double log_prune2 = 0.0;
-    for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
-      for (uint32_t i = rr.offsets[tail]; i < rr.offsets[tail + 1]; ++i) {
+    rr.VisitCsr([&](const auto& csr) {
+      for (uint32_t i = csr.offset(*u_local); i < csr.offset(*u_local + 1);
+           ++i) {
         const auto& e = rr.edges[i];
-        if (e.head_local != *root_local) continue;
+        cut1.emplace_back(e.edge, e.threshold);
+        const double p = influence_->MaxProb(e.edge);
+        log_prune1 += std::log(std::max(1e-12, e.threshold / p));
+      }
+      // Edges are stored tail by tail, so one pass over the heads meets
+      // the root's in-edges in CSR order.
+      for (uint32_t i = 0; i < rr.edges.size(); ++i) {
+        if (csr.head(i) != *root_local) continue;
+        const auto& e = rr.edges[i];
         cut2.emplace_back(e.edge, e.threshold);
         const double p = influence_->MaxProb(e.edge);
         log_prune2 += std::log(std::max(1e-12, e.threshold / p));
       }
-    }
+    });
     // An empty cut means the side is disconnected: always prunable (both
     // candidate cuts are sound filters, so a forced policy stays correct).
     const auto& cut = [&]() -> const std::vector<std::pair<EdgeId, float>>& {

@@ -118,16 +118,20 @@ struct WireSketches {
   std::vector<VertexId> vertices;
   std::vector<uint32_t> offsets;        // vertices + num_sketches
   std::vector<uint64_t> edge_starts;    // num_sketches + 1
+  std::vector<uint32_t> heads;          // one per edge
   std::vector<RRLocalEdge> edges;
 
   RRView View(size_t i) const {
     const uint64_t vb = vertex_starts[i];
     const uint64_t n = vertex_starts[i + 1] - vb;
     const uint64_t eb = edge_starts[i];
+    const uint64_t m = edge_starts[i + 1] - eb;
     return RRView{roots[i],
+                  4,
                   {vertices.data() + vb, n},
-                  {offsets.data() + vb + i, n + 1},
-                  {edges.data() + eb, edge_starts[i + 1] - eb}};
+                  reinterpret_cast<const std::byte*>(offsets.data() + vb + i),
+                  reinterpret_cast<const std::byte*>(heads.data() + eb),
+                  {edges.data() + eb, m}};
   }
 };
 
@@ -161,14 +165,17 @@ bool ReadWireSketches(BinaryReader* reader, uint64_t num_sketches,
   // UINT64_MAX), so never allocate it up front: append edges as they
   // parse and let a truncated or fabricated stream fail on its first
   // missing field.
+  wire->heads.clear();
   wire->edges.clear();
   for (uint64_t j = 0; j < num_edges; ++j) {
+    uint32_t head = 0;
     RRLocalEdge edge;
-    if (!reader->ReadU32(&edge.head_local) || !reader->ReadU32(&edge.edge) ||
+    if (!reader->ReadU32(&head) || !reader->ReadU32(&edge.edge) ||
         !reader->ReadF32(&edge.threshold) || edge.edge >= max_edges) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled edge data");
       return false;
     }
+    wire->heads.push_back(head);
     wire->edges.push_back(edge);
   }
 
@@ -226,7 +233,7 @@ bool ReadWireSketches(BinaryReader* reader, uint64_t num_sketches,
       }
     }
     for (uint64_t j = eb; j < ee; ++j) {
-      if (wire->edges[j].head_local >= n) {
+      if (wire->heads[j] >= n) {
         SetError(error, IndexIoCode::kCorruptPayload, "sketch edge head out of range");
         return false;
       }
@@ -318,18 +325,25 @@ class IndexIo {
     for_each_sketch([&](const RRView& rr) {
       for (const VertexId v : rr.vertices) writer.WriteU32(v);
     });
+    // Offsets and heads go out at 4 bytes whatever the pool's width.
     writer.WriteU64(num_vertices + s);
     for_each_sketch([&](const RRView& rr) {
-      for (const uint32_t offset : rr.offsets) writer.WriteU32(offset);
+      rr.VisitCsr([&](const auto& csr) {
+        for (size_t j = 0; j <= rr.vertices.size(); ++j) {
+          writer.WriteU32(csr.offset(j));
+        }
+      });
     });
     writer.WriteU64(
         write_starts([](const RRView& rr) { return rr.edges.size(); }));
     for_each_sketch([&](const RRView& rr) {
-      for (const RRLocalEdge& edge : rr.edges) {
-        writer.WriteU32(edge.head_local);
-        writer.WriteU32(edge.edge);
-        writer.WriteF32(edge.threshold);
-      }
+      rr.VisitCsr([&](const auto& csr) {
+        for (size_t k = 0; k < rr.edges.size(); ++k) {
+          writer.WriteU32(csr.head(k));
+          writer.WriteU32(rr.edges[k].edge);
+          writer.WriteF32(rr.edges[k].threshold);
+        }
+      });
     });
     writer.WriteF64(index.build_seconds_);
     writer.WriteChecksum();

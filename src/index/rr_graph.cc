@@ -15,14 +15,21 @@ std::optional<uint32_t> RRView::LocalIndex(VertexId v) const {
 
 size_t RRGraph::SizeBytes() const {
   return sizeof(RRGraph) + vertices.capacity() * sizeof(VertexId) +
-         offsets.capacity() * sizeof(uint32_t) +
+         (offsets.capacity() + heads.capacity()) * sizeof(uint32_t) +
          edges.capacity() * sizeof(RRLocalEdge);
 }
 
 void RRGraph::Assign(const RRView& view) {
   root = view.root;
   vertices.assign(view.vertices.begin(), view.vertices.end());
-  offsets.assign(view.offsets.begin(), view.offsets.end());
+  const size_t n = view.vertices.size();
+  const size_t m = view.edges.size();
+  offsets.resize(n + 1);
+  heads.resize(m);
+  view.VisitCsr([&](const auto& csr) {
+    for (size_t j = 0; j <= n; ++j) offsets[j] = csr.offset(j);
+    for (size_t k = 0; k < m; ++k) heads[k] = csr.head(k);
+  });
   edges.assign(view.edges.begin(), view.edges.end());
 }
 
@@ -45,20 +52,29 @@ RRGraph AssembleRRGraph(VertexId root, std::vector<VertexId> vertices,
   };
 
   // Counting sort the surviving edges by local tail.
-  std::vector<std::pair<uint32_t, RRLocalEdge>> staged;
+  struct Staged {
+    uint32_t tail, head;
+    RRLocalEdge edge;
+  };
+  std::vector<Staged> staged;
   staged.reserve(edges.size());
   for (const auto& e : edges) {
     const auto tail = local_of(e.tail);
     const auto head = local_of(e.head);
     if (!tail || !head) continue;
-    staged.emplace_back(*tail, RRLocalEdge{*head, e.edge, e.threshold});
+    staged.push_back({*tail, *head, RRLocalEdge{e.edge, e.threshold}});
   }
   rr.offsets.assign(n + 1, 0);
-  for (const auto& [tail, local] : staged) ++rr.offsets[tail + 1];
+  for (const Staged& s : staged) ++rr.offsets[s.tail + 1];
   for (size_t i = 0; i < n; ++i) rr.offsets[i + 1] += rr.offsets[i];
+  rr.heads.resize(staged.size());
   rr.edges.resize(staged.size());
   std::vector<uint32_t> pos(rr.offsets.begin(), rr.offsets.end() - 1);
-  for (const auto& [tail, local] : staged) rr.edges[pos[tail]++] = local;
+  for (const Staged& s : staged) {
+    const uint32_t k = pos[s.tail]++;
+    rr.heads[k] = s.head;
+    rr.edges[k] = s.edge;
+  }
   return rr;
 }
 
@@ -66,14 +82,16 @@ void DecomposeRRGraphInto(const RRView& rr,
                           std::vector<GlobalEdgeSample>* edges) {
   edges->clear();
   edges->reserve(rr.edges.size());
-  for (uint32_t tail = 0; tail + 1 < rr.offsets.size(); ++tail) {
-    for (uint32_t i = rr.offsets[tail]; i < rr.offsets[tail + 1]; ++i) {
-      const RRLocalEdge& local = rr.edges[i];
-      edges->push_back(GlobalEdgeSample{rr.vertices[tail],
-                                        rr.vertices[local.head_local],
-                                        local.edge, local.threshold});
+  rr.VisitCsr([&](const auto& csr) {
+    for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
+      for (uint32_t i = csr.offset(tail); i < csr.offset(tail + 1); ++i) {
+        const RRLocalEdge& local = rr.edges[i];
+        edges->push_back(GlobalEdgeSample{rr.vertices[tail],
+                                          rr.vertices[csr.head(i)],
+                                          local.edge, local.threshold});
+      }
     }
-  }
+  });
 }
 
 RRGraph GenerateRRGraph(const Graph& graph, const InfluenceGraph& influence,
@@ -91,6 +109,48 @@ RRGraph GenerateRRGraph(const Graph& graph, const InfluenceGraph& influence,
   out.Assign(run.View(0));
   return out;
 }
+
+namespace {
+
+// Forward DFS from local vertex `start` over the edges live under
+// `probs`, stopping at `target`; instantiated per id width so the inner
+// loop reads offsets and heads with no width branch.
+template <typename T>
+PITEX_NOALLOC bool WalkToRoot(const LocalCsr<T>& csr,
+                              std::span<const RRLocalEdge> edges,
+                              uint32_t start, uint32_t target,
+                              const EdgeProbFn& probs, uint32_t epoch,
+                              std::vector<uint32_t>& visited,
+                              std::vector<uint32_t>& stack,
+                              uint64_t* probes) {
+  uint64_t count = 0;  // a local, so it can live in a register
+  bool found = false;
+  stack.clear();
+  stack.push_back(start);
+  visited[start] = epoch;
+  while (!stack.empty() && !found) {
+    const uint32_t v = stack.back();
+    stack.pop_back();
+    const uint32_t end = csr.offset(v + 1);
+    for (uint32_t i = csr.offset(v); i < end; ++i) {
+      const RRLocalEdge& edge = edges[i];
+      const uint32_t head = csr.head(i);
+      ++count;
+      if (visited[head] == epoch) continue;
+      if (probs.Prob(edge.edge) < edge.threshold) continue;  // dead under W
+      if (head == target) {
+        found = true;
+        break;
+      }
+      visited[head] = epoch;
+      stack.push_back(head);
+    }
+  }
+  *probes += count;
+  return found;
+}
+
+}  // namespace
 
 PITEX_NOALLOC bool IsReachable(const RRView& rr, VertexId u,
                                const EdgeProbFn& probs,
@@ -113,28 +173,12 @@ PITEX_NOALLOC bool IsReachable(const RRView& rr, VertexId u,
   }
   const uint32_t epoch = scratch->epoch_;
 
-  auto& stack = scratch->stack_;
-  stack.clear();
-  stack.push_back(*start);
-  visited[*start] = epoch;
+  // One dispatch on the id width; the walk is instantiated per width.
   uint64_t probes = 0;
-  bool found = false;
-  while (!stack.empty() && !found) {
-    const uint32_t v = stack.back();
-    stack.pop_back();
-    for (uint32_t i = rr.offsets[v]; i < rr.offsets[v + 1]; ++i) {
-      const auto& edge = rr.edges[i];
-      ++probes;
-      if (visited[edge.head_local] == epoch) continue;
-      if (probs.Prob(edge.edge) < edge.threshold) continue;  // dead under W
-      if (edge.head_local == *target) {
-        found = true;
-        break;
-      }
-      visited[edge.head_local] = epoch;
-      stack.push_back(edge.head_local);
-    }
-  }
+  const bool found = rr.VisitCsr([&](const auto& csr) {
+    return WalkToRoot(csr, rr.edges, *start, *target, probs, epoch, visited,
+                      scratch->stack_, &probes);
+  });
   if (edges_visited != nullptr) *edges_visited += probes;
   return found;
 }

@@ -12,11 +12,12 @@
 //   * RRGraph owns its storage. It is the unit of generation, dynamic
 //     repair and delayed recovery — anything that builds or mutates one
 //     sketch at a time.
-//   * RRView is a non-owning std::span view. The estimate hot path only
-//     ever reads sketches, so it runs on views — either over an RRGraph
-//     or, for the offline index, over the pooled CSR-of-CSRs store
+//   * RRView is a non-owning view. The estimate hot path only ever reads
+//     sketches, so it runs on views — either over an RRGraph or, for the
+//     offline index, over the pooled CSR-of-CSRs store
 //     (src/index/rr_sketch_pool.h) that keeps all theta sketches in a few
-//     shared arrays, with single-vertex sketches stored as their root.
+//     shared arrays, with single-vertex sketches stored as their root and
+//     every other sketch's local ids packed at 1 or 4 bytes.
 // Reachability scratch (visited stamps + DFS stack) lives in a reusable
 // EstimateScratch so repeated IsReachable calls allocate nothing once the
 // scratch has grown to the largest sketch.
@@ -26,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <vector>
@@ -36,22 +38,56 @@
 
 namespace pitex {
 
-/// One edge of a sketch's local CSR out-adjacency.
+/// One edge of a sketch's local CSR out-adjacency. Its head (a local
+/// vertex index) is stored apart, in the sketch's packed id array.
 struct RRLocalEdge {
-  uint32_t head_local;  // index into the sketch's vertex array
-  EdgeId edge;          // global EdgeId (for p(e|W) lookups)
-  float threshold;      // c(e)
+  EdgeId edge;      // global EdgeId (for p(e|W) lookups)
+  float threshold;  // c(e)
+};
+
+/// Entry j of a packed array of T (uint8_t or uint32_t) starting at
+/// `data`. memcpy keeps the access defined whatever storage the bytes
+/// live in; it compiles to one narrow load.
+template <typename T>
+inline uint32_t LoadId(const std::byte* data, size_t j) {
+  T id;
+  std::memcpy(&id, data + j * sizeof(T), sizeof(T));
+  return id;
+}
+
+/// One sketch's local CSR (n + 1 offsets, m edge heads) read at a fixed
+/// id width T: what a walk instantiated per width reads, with no
+/// per-edge width branch.
+template <typename T>
+struct LocalCsr {
+  const std::byte* offsets;
+  const std::byte* heads;
+
+  uint32_t offset(size_t j) const { return LoadId<T>(offsets, j); }
+  uint32_t head(size_t k) const { return LoadId<T>(heads, k); }
 };
 
 /// Non-owning view of one reverse-reachable sample graph. Vertices are
 /// sorted; edges are a local CSR out-adjacency so tag-aware reachability
-/// is a forward BFS from the query user towards the root. The spans may
-/// point into an owning RRGraph or into an RrSketchPool.
+/// is a forward BFS from the query user towards the root. The local ids
+/// (offsets and heads) share one width: 4 bytes over an owning RRGraph,
+/// the narrowest that holds the sketch's size in an RrSketchPool.
 struct RRView {
   VertexId root = 0;
-  std::span<const VertexId> vertices;   // sorted ascending
-  std::span<const uint32_t> offsets;    // CSR over local tails
-  std::span<const RRLocalEdge> edges;
+  uint32_t id_width = 4;                  // bytes per local id: 1 or 4
+  std::span<const VertexId> vertices;     // sorted ascending
+  const std::byte* offset_ids = nullptr;  // CSR over local tails, n + 1
+  const std::byte* head_ids = nullptr;    // local head of each edge, m
+  std::span<const RRLocalEdge> edges;     // m
+
+  /// Calls fn(LocalCsr<T>) with T the view's id width and returns its
+  /// result: one dispatch per sketch, so fn's loops are width-specific.
+  /// Every reader of the offsets and heads goes through here.
+  template <typename Fn>
+  decltype(auto) VisitCsr(Fn&& fn) const {
+    if (id_width == 1) return fn(LocalCsr<uint8_t>{offset_ids, head_ids});
+    return fn(LocalCsr<uint32_t>{offset_ids, head_ids});
+  }
 
   /// Local index of global vertex v, or nullopt if absent.
   std::optional<uint32_t> LocalIndex(VertexId v) const;
@@ -59,17 +95,21 @@ struct RRView {
 
 /// One materialized, storage-owning reverse-reachable sample graph.
 struct RRGraph {
-  using LocalEdge = RRLocalEdge;
-
   VertexId root = 0;
   std::vector<VertexId> vertices;   // sorted ascending
   std::vector<uint32_t> offsets;    // CSR over local tails
+  std::vector<uint32_t> heads;      // local head of each edge
   std::vector<RRLocalEdge> edges;
 
   /// Non-owning view over this graph (valid while the graph is alive and
   /// unmodified). Implicit so every RRView consumer accepts an RRGraph.
   RRView View() const {
-    return RRView{root, vertices, offsets, edges};
+    return RRView{root,
+                  4,
+                  vertices,
+                  reinterpret_cast<const std::byte*>(offsets.data()),
+                  reinterpret_cast<const std::byte*>(heads.data()),
+                  edges};
   }
   operator RRView() const { return View(); }  // NOLINT(runtime/explicit)
 

@@ -8,27 +8,16 @@
 namespace pitex {
 
 void RrSketchPool::Append(const RRView& sketch) {
-  PITEX_DCHECK(sketch.offsets.size() == sketch.vertices.size() + 1 &&
-               sketch.offsets.back() == sketch.edges.size());
-  if (body_starts_.empty()) body_starts_.push_back(0);
-  roots_.push_back(sketch.root);
-  if (BodyLength(sketch.vertices.size(), sketch.edges.size()) != 0) {
-    body_.push_back(static_cast<uint32_t>(edges_.size()));
-    body_.insert(body_.end(), sketch.vertices.begin(), sketch.vertices.end());
-    body_.insert(body_.end(), sketch.offsets.begin(), sketch.offsets.end());
-    edges_.insert(edges_.end(), sketch.edges.begin(), sketch.edges.end());
-  } else {
-    // Implicit singleton: View() rebuilds it from the root alone.
-    PITEX_DCHECK(sketch.vertices[0] == sketch.root);
-  }
-  // Sketch ids are u32 (containing_) and the directory has one more
-  // entry than there are sketches.
-  PITEX_CHECK_MSG(roots_.size() < UINT32_MAX && body_.size() <= UINT32_MAX &&
-                      edges_.size() <= UINT32_MAX,
-                  "sketch pool exceeds 32-bit directories");
-  body_starts_.push_back(static_cast<uint32_t>(body_.size()));
-  max_sketch_vertices_ =
-      std::max<size_t>(max_sketch_vertices_, sketch.vertices.size());
+  const size_t n = sketch.vertices.size();
+  const size_t m = sketch.edges.size();
+  AppendSketch(sketch.root, sketch.vertices, m, [&](const auto& out) {
+    sketch.VisitCsr([&](const auto& in) {
+      PITEX_DCHECK(in.offset(n) == m);
+      for (size_t j = 0; j <= n; ++j) out.set_offset(j, in.offset(j));
+      for (size_t k = 0; k < m; ++k) out.set_head(k, in.head(k));
+    });
+    std::ranges::copy(sketch.edges, out.edges);
+  });
 }
 
 void RrSketchPool::Clear() {
@@ -129,13 +118,10 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
 
 void RrSketchPool::BuildContaining(size_t num_vertices, ThreadPool* pool) {
   const size_t s = num_sketches();
-  // The longest body block holds the most vertices; with no block at
-  // all, every sketch is a singleton.
-  uint32_t longest = 0;
+  max_sketch_vertices_ = 0;
   for (size_t i = 0; i < s; ++i) {
-    longest = std::max(longest, body_starts_[i + 1] - body_starts_[i]);
+    max_sketch_vertices_ = std::max(max_sketch_vertices_, Vertices(i).size());
   }
-  max_sketch_vertices_ = longest > 0 ? (longest - 2) / 2 : (s > 0 ? 1 : 0);
   containing_starts_.assign(num_vertices + 1, 0);
 
   const size_t tasks =

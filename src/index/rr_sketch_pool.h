@@ -9,31 +9,39 @@
 // and answers Containing(u) from one flat array — no per-sketch or
 // per-vertex heap objects at all, and SizeBytes() is O(1).
 //
-// Layout for sketch i (n_i vertices, m_i edges); every array is 32-bit
-// wide, the directory included, and every total is checked to fit:
+// Layout for sketch i (n_i vertices, m_i edges); the directory and the
+// body are 32-bit words, and every total is checked to fit:
 //   roots_[i]                                   root vertex
-//   body_[body_starts_[i] .. body_starts_[i+1]) a header holding the
+//   body_[body_starts_[i] .. body_starts_[i+1]) a two-word header (the
 //                                               sketch's first index in
-//                                               edges_, then n_i sorted
-//                                               vertex ids, then the
-//                                               n_i + 1 local CSR offsets
-//                                               (starting at 0, ending
-//                                               at m_i): 2 n_i + 2 entries
-//   edges_[header .. header + m_i)              local out-edges
+//                                               edges_; n_i << 2 | the
+//                                               width code), the n_i
+//                                               sorted vertex ids, then
+//                                               the n_i + 1 local CSR
+//                                               offsets (0 .. m_i) and
+//                                               the m_i local edge heads
+//                                               packed at w_i bytes each,
+//                                               zero-padded to a word
+//   edges_[header .. header + m_i)              {edge, threshold} records
+// w_i is 1 byte while the block's own ids fit one (IdWidth: n_i <= 256
+// and m_i <= 255), else 4. It is chosen from the block's size, with no
+// option; on pitexbench's network every block takes 1 byte. A view
+// carries the width, and its readers dispatch on it once per sketch
+// (RRView::VisitCsr).
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has an empty body
 // block: View() serves its vertex from roots_[i] and its header and
-// offsets from a static {0, 0, 0}, so the estimate walk over it reads
-// only the root.
+// offsets from a static block, so the estimate walk over it reads only
+// the root.
 //
 // Every pool is written one way: sketches are appended in this layout
-// (Append) into exact-size arrays, then the containing index is built
-// once. The build's generator appends to *runs* — pools without a
-// containing index, one per worker slot — and FromRuns copies their
-// segments, in sample order, into the finished pool. Pack (compaction,
-// the index loader) sizes its arrays in one pass over its views and
-// appends straight into them. An overlay's sketch store is a run that
-// is never finished.
+// (AppendSketch, which Append and the generator call) into exact-size
+// arrays, then the containing index is built once. The build's
+// generator appends to *runs* — pools without a containing index, one
+// per worker slot — and FromRuns copies their segments, in sample
+// order, into the finished pool. Pack (compaction, the index loader)
+// sizes its arrays in one pass over its views and appends straight into
+// them. An overlay's sketch store is a run that is never finished.
 //
 // A finished pool is immutable. DynamicRrIndex, which repairs
 // individual sketches, never mutates it: it shares one pool as its
@@ -44,8 +52,11 @@
 #ifndef PITEX_SRC_INDEX_RR_SKETCH_POOL_H_
 #define PITEX_SRC_INDEX_RR_SKETCH_POOL_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -55,6 +66,25 @@
 #include "src/util/thread_pool.h"
 
 namespace pitex {
+
+/// The write side of LocalCsr: one pool block's packed offsets and heads
+/// at id width T, and its edge records, as RrSketchPool::AppendSketch
+/// hands them to its fill.
+template <typename T>
+struct LocalCsrOut {
+  std::byte* offsets;    // n + 1 entries
+  std::byte* heads;      // m entries
+  RRLocalEdge* edges;    // m records
+
+  void set_offset(size_t j, uint32_t id) const { Store(offsets, j, id); }
+  void set_head(size_t k, uint32_t id) const { Store(heads, k, id); }
+
+ private:
+  static void Store(std::byte* data, size_t j, uint32_t id) {
+    const auto narrow = static_cast<T>(id);
+    std::memcpy(data + j * sizeof(T), &narrow, sizeof(T));
+  }
+};
 
 class RrSketchPool {
  public:
@@ -100,6 +130,14 @@ class RrSketchPool {
   /// containing index: a pool appended to is a run, which only FromRuns
   /// reads besides View(). `sketch` must not view this pool.
   void Append(const RRView& sketch);
+  /// Appends the sketch rooted at `root` with `vertices` (sorted, the
+  /// root among them) and m edges, as Append does: fill(out) writes its
+  /// n + 1 offsets, m heads and m edge records through a LocalCsrOut<T>
+  /// at the block's width. An implicit singleton (one vertex, no edges)
+  /// has nothing to write and calls no fill.
+  template <typename Fill>
+  void AppendSketch(VertexId root, std::span<const VertexId> vertices,
+                    size_t m, Fill&& fill);
   /// Drops every sketch, keeping every array's capacity: a cleared run
   /// takes appends without allocating up to its high-water mark.
   void Clear();
@@ -109,20 +147,19 @@ class RrSketchPool {
 
   /// Non-owning view of sketch i (valid while the pool is alive).
   RRView View(size_t i) const {
-    const std::span<const VertexId> vertices = Vertices(i);
-    const size_t n = vertices.size();
-    // An explicit block's header precedes its vertices and its offsets
-    // follow them. A singleton reads the static header instead: a
-    // trailing one's block starts at body_.size(), past the array.
-    const bool singleton = body_starts_[i] == body_starts_[i + 1];
-    const uint32_t* header =
-        singleton ? kSingletonHeader : vertices.data() - 1;
-    const uint32_t* offsets =
-        singleton ? kSingletonHeader + 1 : vertices.data() + n;
+    const uint32_t* block = Block(i);
+    const uint32_t n = block[1] >> 2;
+    const uint32_t width = 1u << (block[1] & 3);
+    const auto* offsets = reinterpret_cast<const std::byte*>(block + 2 + n);
+    // The edge count is the last offset.
+    const uint32_t m = width == 1 ? LoadId<uint8_t>(offsets, n)
+                                  : LoadId<uint32_t>(offsets, n);
     return RRView{roots_[i],
-                  vertices,
-                  {offsets, n + 1},
-                  {edges_.data() + header[0], offsets[n]}};
+                  width,
+                  {block == kSingletonBlock ? &roots_[i] : block + 2, n},
+                  offsets,
+                  offsets + (n + 1) * width,
+                  {edges_.data() + block[0], m}};
   }
 
   VertexId root(size_t i) const { return roots_[i]; }
@@ -152,8 +189,12 @@ class RrSketchPool {
   size_t SizeBytes() const;
 
  private:
-  /// The header (edge start 0) and offsets of every implicit singleton.
-  static constexpr uint32_t kSingletonHeader[3] = {0, 0, 0};
+  /// Header word 1 packs n << 2 with the width code, so a block holds
+  /// at most this many vertices.
+  static constexpr uint64_t kMaxBlockVertices = (uint64_t{1} << 30) - 1;
+  /// The block every implicit singleton reads: edge start 0, one vertex
+  /// at width 1, an unused vertex word, then offsets {0, 0}.
+  static constexpr uint32_t kSingletonBlock[4] = {0, 1u << 2, 0, 0};
 
   /// Entries a list of sketches needs in each array: one sizing pass
   /// shared by Fits and Pack.
@@ -161,33 +202,48 @@ class RrSketchPool {
     uint64_t body = 0;
     uint64_t vertices = 0;
     uint64_t edges = 0;
+    uint64_t max_vertices = 0;
     /// True when `num_sketches` sketches with these totals fit the
-    /// 32-bit directories and ids.
+    /// 32-bit directories, ids and block headers.
     bool Fit(uint64_t num_sketches) const {
       return num_sketches < UINT32_MAX && body <= UINT32_MAX &&
-             vertices <= UINT32_MAX && edges <= UINT32_MAX;
+             vertices <= UINT32_MAX && edges <= UINT32_MAX &&
+             max_vertices <= kMaxBlockVertices;
     }
   };
   template <typename ViewOf>
   static Totals Measure(size_t num_sketches, ViewOf&& view_of);
 
+  /// Bytes per local id of a block with n vertices and m edges: the
+  /// narrowest width holding every head (< n) and offset (<= m).
+  static uint32_t IdWidth(uint64_t n, uint64_t m) {
+    return n <= 256 && m <= 255 ? 1 : 4;
+  }
+
   /// body_ entries of a sketch with n vertices and m edges: none for an
-  /// implicit singleton, else a header, n vertices and n + 1 offsets.
+  /// implicit singleton, else the header, n vertices and n + 1 offsets
+  /// plus m heads at IdWidth bytes, rounded up to whole words.
   static uint64_t BodyLength(uint64_t n, uint64_t m) {
-    // Branch-free for the same reason as Vertices().
-    return uint64_t{n != 1 || m != 0} * (2 * n + 2);
+    if (n == 1 && m == 0) return 0;
+    return 2 + n + ((n + 1 + m) * IdWidth(n, m) + 3) / 4;
+  }
+
+  /// Sketch i's block, or kSingletonBlock for an implicit singleton.
+  const uint32_t* Block(size_t i) const {
+    const uint32_t b = body_starts_[i];
+    // A select, not a branch: the packing passes and the estimate walk
+    // meet singletons and explicit blocks interleaved at random. A
+    // trailing singleton's block starts at body_.size(), past the array,
+    // and is never read.
+    return b == body_starts_[i + 1] ? kSingletonBlock : body_.data() + b;
   }
 
   /// Sketch i's sorted vertices: its body block after the header, or
   /// its root for an implicit singleton.
   std::span<const VertexId> Vertices(size_t i) const {
-    const uint32_t b = body_starts_[i];
-    const uint32_t len = body_starts_[i + 1] - b;
-    // Selects, not a branch: the packing passes meet singletons and
-    // explicit blocks interleaved at random.
-    const bool singleton = len == 0;
-    return {singleton ? &roots_[i] : body_.data() + b + 1,
-            singleton ? 1 : (len - 2) / 2};
+    const uint32_t* block = Block(i);
+    return {block == kSingletonBlock ? &roots_[i] : block + 2,
+            block[1] >> 2};
   }
 
   /// Where sketch i's edges start in edges_: the header of the first
@@ -204,7 +260,7 @@ class RrSketchPool {
 
   std::vector<VertexId> roots_;         // one per sketch
   std::vector<uint32_t> body_starts_;   // num_sketches + 1
-  std::vector<uint32_t> body_;          // header + vertices + offsets
+  std::vector<uint32_t> body_;          // header, vertices, packed ids
   std::vector<RRLocalEdge> edges_;      // all sketch edge arrays
   std::vector<uint32_t> containing_starts_;  // num_vertices + 1
   std::vector<uint32_t> containing_;         // sketch ids, CSR by vertex
@@ -223,6 +279,8 @@ RrSketchPool::Totals RrSketchPool::Measure(size_t num_sketches,
     totals.body += BodyLength(rr.vertices.size(), rr.edges.size());
     totals.vertices += rr.vertices.size();
     totals.edges += rr.edges.size();
+    totals.max_vertices =
+        std::max<uint64_t>(totals.max_vertices, rr.vertices.size());
   }
   return totals;
 }
@@ -248,6 +306,48 @@ RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
 template <typename ViewOf>
 bool RrSketchPool::Fits(size_t num_sketches, ViewOf&& view_of) {
   return Measure(num_sketches, view_of).Fit(num_sketches);
+}
+
+template <typename Fill>
+void RrSketchPool::AppendSketch(VertexId root,
+                                std::span<const VertexId> vertices, size_t m,
+                                Fill&& fill) {
+  const size_t n = vertices.size();
+  if (body_starts_.empty()) body_starts_.push_back(0);
+  roots_.push_back(root);
+  const uint64_t length = BodyLength(n, m);
+  if (length != 0) {
+    PITEX_CHECK_MSG(n <= kMaxBlockVertices,
+                    "sketch exceeds the block header's vertex count");
+    const uint32_t width = IdWidth(n, m);
+    const size_t e = edges_.size();
+    body_.push_back(static_cast<uint32_t>(e));
+    body_.push_back(static_cast<uint32_t>(n << 2) |
+                    static_cast<uint32_t>(std::countr_zero(width)));
+    body_.insert(body_.end(), vertices.begin(), vertices.end());
+    // Zero words: the packed ids' padding reads back as zeros.
+    const size_t packed = body_.size();
+    body_.resize(packed + (length - 2 - n));
+    edges_.resize(e + m);
+    auto* offsets = reinterpret_cast<std::byte*>(body_.data() + packed);
+    std::byte* heads = offsets + (n + 1) * width;
+    RRLocalEdge* edges = edges_.data() + e;
+    if (width == 1) {
+      fill(LocalCsrOut<uint8_t>{offsets, heads, edges});
+    } else {
+      fill(LocalCsrOut<uint32_t>{offsets, heads, edges});
+    }
+  } else {
+    // Implicit singleton: View() rebuilds it from the root alone.
+    PITEX_DCHECK(vertices[0] == root);
+  }
+  // Sketch ids are u32 (containing_) and the directory has one more
+  // entry than there are sketches.
+  PITEX_CHECK_MSG(roots_.size() < UINT32_MAX && body_.size() <= UINT32_MAX &&
+                      edges_.size() <= UINT32_MAX,
+                  "sketch pool exceeds 32-bit directories");
+  body_starts_.push_back(static_cast<uint32_t>(body_.size()));
+  max_sketch_vertices_ = std::max(max_sketch_vertices_, n);
 }
 
 /// The repairs a DynamicRrIndex has made since its base pool was packed,

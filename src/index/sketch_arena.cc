@@ -24,8 +24,7 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
                                              VertexId root, Rng* rng,
                                              RrSketchPool* run) {
   const uint32_t epoch = BeginTraversal(graph.num_vertices());
-  std::vector<VertexId>& vertices = sketch_.vertices;
-  sketch_.root = root;
+  std::vector<VertexId>& vertices = vertices_;
 
   // Reverse BFS from the root over live in-edges; each in-edge of a
   // visited vertex is probed exactly once (its head is unique).
@@ -48,11 +47,18 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
       }
     });
   }
+  // No live in-edge: the root alone, an implicit singleton with no
+  // block to assemble.
+  if (staged_.empty()) {
+    run->AppendSketch(root, vertices, 0, [](const auto&) {});
+    return;
+  }
 
-  // Local assembly: sort the vertices (no duplicates by construction),
-  // dense global -> local map via the epoch marks, then counting-sort the
-  // staged edges by local tail (stable, so per-tail edge order is probe
-  // order — same as AssembleRRGraph's staging).
+  // Local assembly straight into the run's block: sort the vertices (no
+  // duplicates by construction), dense global -> local map via the epoch
+  // marks, then counting-sort the staged edges by local tail (stable, so
+  // per-tail edge order is probe order — same as AssembleRRGraph's
+  // staging).
   std::sort(vertices.begin(), vertices.end());
   const size_t n = vertices.size();
   for (size_t j = 0; j < n; ++j) {
@@ -63,13 +69,14 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
     ++counts_[local_index_[s.tail] + 1];
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
-  sketch_.offsets.assign(counts_.begin(), counts_.end());
-  sketch_.edges.resize(staged_.size());
-  for (const GlobalEdgeSample& s : staged_) {
-    sketch_.edges[counts_[local_index_[s.tail]]++] =
-        RRLocalEdge{local_index_[s.head], s.edge, s.threshold};
-  }
-  run->Append(sketch_);
+  run->AppendSketch(root, vertices, staged_.size(), [&](const auto& out) {
+    for (size_t j = 0; j <= n; ++j) out.set_offset(j, counts_[j]);
+    for (const GlobalEdgeSample& s : staged_) {
+      const uint32_t k = counts_[local_index_[s.tail]]++;
+      out.set_head(k, local_index_[s.head]);
+      out.edges[k] = RRLocalEdge{s.edge, s.threshold};
+    }
+  });
 }
 
 PITEX_NOALLOC void SketchArena::Generate(const Graph& graph,
@@ -180,11 +187,13 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
   out->offsets.assign(counts_.begin(), counts_.end());
+  out->heads.resize(kept_edges);
   out->edges.resize(kept_edges);
   for (const GlobalEdgeSample& s : edges) {
     if (!kept(s)) continue;
-    out->edges[counts_[local_index_[s.tail]]++] =
-        RRLocalEdge{local_index_[s.head], s.edge, s.threshold};
+    const uint32_t k = counts_[local_index_[s.tail]]++;
+    out->heads[k] = local_index_[s.head];
+    out->edges[k] = RRLocalEdge{s.edge, s.threshold};
   }
 }
 

@@ -3,12 +3,14 @@
 //
 // A SketchArena is traversal and assembly scratch only: Generate runs
 // the reverse BFS of Definition 2 over epoch-stamped marks (no O(|V|)
-// clearing between sketches), assembles the sketch's sorted vertices,
-// local CSR offsets and edges in reused buffers, and appends it to a
-// *run* — an RrSketchPool written in pool layout by Append — so the
-// sketch is copied once more only when RrSketchPool::FromRuns finishes
-// the runs into the served pool. Once its buffers and the run have grown
-// to their high-water marks, generation performs zero heap allocations.
+// clearing between sketches), sorts the sketch's vertices in a reused
+// buffer, and counting-sorts its staged live edges straight into a
+// packed block of a *run* — an RrSketchPool written in pool layout by
+// AppendSketch — so the sketch is copied once more only when
+// RrSketchPool::FromRuns finishes the runs into the served pool. A root
+// with no live in-edge is an implicit singleton and skips assembly.
+// Once its buffers and the run have grown to their high-water marks,
+// generation performs zero heap allocations.
 //
 // In-edge probing uses SampleLiveInEdges below: one uniform draw per
 // probed edge (the draw doubles as the Bernoulli coin and, on success,
@@ -145,9 +147,9 @@ class SketchArena {
   PITEX_NOALLOC void GenerateImpl(const Graph& graph, const EnvOf& env_of,
                                   VertexId root, Rng* rng, RrSketchPool* run);
 
-  // The sketch Generate assembles: vertices sorted ascending, edges
-  // counting-sorted by local tail.
-  RRGraph sketch_;
+  // The vertices of the sketch Generate assembles, sorted ascending
+  // before its block is written.
+  std::vector<VertexId> vertices_;
 
   // Traversal / assembly scratch (epoch-stamped over global vertex ids:
   // no O(|V|) clearing between sketches).

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "running_example.h"
+#include "owned_sketch.h"
 #include "src/datasets/synthetic.h"
 #include "src/sampling/exact.h"
 
@@ -37,15 +38,15 @@ RrIndexOptions SmallOptions() {
 // Compares through RRView so owning graphs and pooled views are
 // interchangeable.
 bool GraphsEqual(const RRView& a, const RRView& b) {
-  if (a.root != b.root ||
-      !std::ranges::equal(a.vertices, b.vertices) ||
-      !std::ranges::equal(a.offsets, b.offsets) ||
-      a.edges.size() != b.edges.size()) {
+  const RRGraph ga = Owned(a);
+  const RRGraph gb = Owned(b);
+  if (ga.root != gb.root || ga.vertices != gb.vertices ||
+      ga.offsets != gb.offsets || ga.heads != gb.heads ||
+      ga.edges.size() != gb.edges.size()) {
     return false;
   }
   for (size_t i = 0; i < a.edges.size(); ++i) {
-    if (a.edges[i].head_local != b.edges[i].head_local ||
-        a.edges[i].edge != b.edges[i].edge ||
+    if (a.edges[i].edge != b.edges[i].edge ||
         a.edges[i].threshold != b.edges[i].threshold) {
       return false;
     }
@@ -313,11 +314,7 @@ TEST(DynamicRrIndexTest, NoopUpdateLeavesEveryGraphIdentical) {
   index.Build();
   std::vector<RRGraph> snapshot;
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    const RRView rr = index.graph(i);
-    snapshot.push_back(RRGraph{rr.root,
-                               {rr.vertices.begin(), rr.vertices.end()},
-                               {rr.offsets.begin(), rr.offsets.end()},
-                               {rr.edges.begin(), rr.edges.end()}});
+    snapshot.emplace_back().Assign(index.graph(i));
   }
 
   std::vector<EdgeTopicEntry> same(n.influence.EdgeTopics(1).begin(),

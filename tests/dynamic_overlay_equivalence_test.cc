@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "reference_dynamic_index.h"
+#include "owned_sketch.h"
 #include "src/datasets/synthetic.h"
 #include "src/index/dynamic_index.h"
 #include "src/index/index_io.h"
@@ -34,14 +35,15 @@ namespace pitex {
 namespace {
 
 bool ViewsEqual(const RRView& a, const RRView& b) {
-  if (a.root != b.root || !std::ranges::equal(a.vertices, b.vertices) ||
-      !std::ranges::equal(a.offsets, b.offsets) ||
-      a.edges.size() != b.edges.size()) {
+  const RRGraph ga = Owned(a);
+  const RRGraph gb = Owned(b);
+  if (ga.root != gb.root || ga.vertices != gb.vertices ||
+      ga.offsets != gb.offsets || ga.heads != gb.heads ||
+      ga.edges.size() != gb.edges.size()) {
     return false;
   }
   for (size_t i = 0; i < a.edges.size(); ++i) {
-    if (a.edges[i].head_local != b.edges[i].head_local ||
-        a.edges[i].edge != b.edges[i].edge ||
+    if (a.edges[i].edge != b.edges[i].edge ||
         a.edges[i].threshold != b.edges[i].threshold) {
       return false;
     }

@@ -26,7 +26,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "owned_sketch.h"
 #include "running_example.h"
+#include "src/datasets/synthetic.h"
 #include "src/index/rr_index.h"
 #include "src/index/sketch_arena.h"
 
@@ -94,8 +96,9 @@ uint64_t Fnv1a(uint64_t hash, const void* data, size_t bytes) {
   return hash;
 }
 
-// Field-wise content hash of every sketch in a built index (struct
-// padding never enters the hash).
+// Field-wise content hash of every sketch in a built index: local ids
+// enter as 32-bit values whatever width the pool stores them at, so the
+// hash is independent of the layout (and struct padding never enters).
 uint64_t IndexContentHash(const RrIndex& index) {
   uint64_t hash = 0xcbf29ce484222325ULL;
   for (size_t i = 0; i < index.num_graphs(); ++i) {
@@ -103,10 +106,12 @@ uint64_t IndexContentHash(const RrIndex& index) {
     hash = Fnv1a(hash, &rr.root, sizeof(rr.root));
     hash = Fnv1a(hash, rr.vertices.data(),
                  rr.vertices.size() * sizeof(VertexId));
-    hash = Fnv1a(hash, rr.offsets.data(),
-                 rr.offsets.size() * sizeof(uint32_t));
-    for (const RRLocalEdge& e : rr.edges) {
-      hash = Fnv1a(hash, &e.head_local, sizeof(e.head_local));
+    const RRGraph owned = Owned(rr);
+    hash = Fnv1a(hash, owned.offsets.data(),
+                 owned.offsets.size() * sizeof(uint32_t));
+    for (size_t j = 0; j < rr.edges.size(); ++j) {
+      const RRLocalEdge& e = rr.edges[j];
+      hash = Fnv1a(hash, &owned.heads[j], sizeof(uint32_t));
       hash = Fnv1a(hash, &e.edge, sizeof(e.edge));
       hash = Fnv1a(hash, &e.threshold, sizeof(e.threshold));
     }
@@ -171,11 +176,10 @@ TEST(IndexBuildEquivalenceTest, ArenaPoolMatchesStandaloneGeneration) {
     ASSERT_EQ(got.root, want.root) << "sketch " << i;
     ASSERT_TRUE(std::ranges::equal(got.vertices, want.vertices))
         << "sketch " << i;
-    ASSERT_TRUE(std::ranges::equal(got.offsets, want.offsets))
-        << "sketch " << i;
+    ASSERT_EQ(Owned(got).offsets, Owned(want).offsets) << "sketch " << i;
+    ASSERT_EQ(Owned(got).heads, Owned(want).heads) << "sketch " << i;
     ASSERT_EQ(got.edges.size(), want.edges.size()) << "sketch " << i;
     for (size_t j = 0; j < want.edges.size(); ++j) {
-      ASSERT_EQ(got.edges[j].head_local, want.edges[j].head_local);
       ASSERT_EQ(got.edges[j].edge, want.edges[j].edge);
       ASSERT_EQ(got.edges[j].threshold, want.edges[j].threshold);
     }
@@ -207,6 +211,23 @@ TEST(IndexBuildEquivalenceTest, FixedSeedGoldenHash) {
   sparse_index.Build();
   EXPECT_EQ(IndexContentHash(sparse_index), 0x867ec66e2fd6512bULL)
       << std::hex << IndexContentHash(sparse_index);
+}
+
+TEST(IndexBuildEquivalenceTest, SyntheticPoolGoldenHash) {
+  // The whole pool of a parallel build over a synthetic dataset (runs
+  // finished by FromRuns, 143k edges): pins the generator's direct
+  // block writes and the implicit-singleton shortcut to the contents
+  // the RRGraph-staged generator produced.
+  const SocialNetwork n = GenerateDataset(LastfmSpec(0.1));
+  RrIndexOptions options;
+  options.seed = 5;
+  options.num_build_threads = 3;
+  options.theta_override = 100000;
+  RrIndex index(n, options);
+  index.Build();
+  EXPECT_EQ(index.pool().total_edges(), 142718u);
+  EXPECT_EQ(IndexContentHash(index), 0xdf3bcf5e14bccde9ULL)
+      << std::hex << IndexContentHash(index);
 }
 
 TEST(IndexBuildEquivalenceTest, SpreadDistributionMatchesReference) {
@@ -315,7 +336,7 @@ TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
   EXPECT_EQ(got.offsets, want.offsets);
   ASSERT_EQ(got.edges.size(), want.edges.size());
   for (size_t i = 0; i < want.edges.size(); ++i) {
-    EXPECT_EQ(got.edges[i].head_local, want.edges[i].head_local);
+    EXPECT_EQ(got.heads[i], want.heads[i]);
     EXPECT_EQ(got.edges[i].edge, want.edges[i].edge);
     EXPECT_EQ(got.edges[i].threshold, want.edges[i].threshold);
   }

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "owned_sketch.h"
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
 #include "src/index/edge_cut.h"
@@ -72,10 +73,10 @@ TEST(IndexIoTest, RrIndexRoundTripsExactly) {
     const RRView restored = loaded->graph(i);
     EXPECT_EQ(restored.root, original.root);
     EXPECT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
-    EXPECT_TRUE(std::ranges::equal(restored.offsets, original.offsets));
+    EXPECT_EQ(Owned(restored).offsets, Owned(original).offsets);
+    EXPECT_EQ(Owned(restored).heads, Owned(original).heads);
     ASSERT_EQ(restored.edges.size(), original.edges.size());
     for (size_t j = 0; j < original.edges.size(); ++j) {
-      EXPECT_EQ(restored.edges[j].head_local, original.edges[j].head_local);
       EXPECT_EQ(restored.edges[j].edge, original.edges[j].edge);
       EXPECT_EQ(restored.edges[j].threshold, original.edges[j].threshold);
     }
@@ -84,6 +85,63 @@ TEST(IndexIoTest, RrIndexRoundTripsExactly) {
     EXPECT_TRUE(std::ranges::equal(loaded->Containing(v),
                                    index.Containing(v)))
         << "vertex " << v;
+  }
+}
+
+// A directed cycle of n users whose every edge is certain: each sketch
+// holds all n users and n edges.
+SocialNetwork MakeCertainCycle(VertexId n) {
+  SocialNetwork network;
+  GraphBuilder graph(n);
+  for (VertexId v = 0; v < n; ++v) graph.AddEdge(v, (v + 1) % n);
+  network.graph = graph.Build();
+  network.topics = TopicModel(1, 1);
+  network.topics.SetTagTopic(0, 0, 1.0);
+  InfluenceGraphBuilder influence(network.graph.num_edges());
+  const EdgeTopicEntry certain{0, 1.0};
+  for (EdgeId e = 0; e < network.graph.num_edges(); ++e) {
+    influence.SetEdgeTopics(e, std::span(&certain, 1));
+  }
+  network.influence = influence.Build();
+  network.tags.Intern("w");
+  return network;
+}
+
+TEST(IndexIoTest, WidthFourSketchRoundTripsByteIdentical) {
+  // 65,537 vertices and edges per sketch: too many for 1-byte local ids,
+  // so the pool stores them at 4 bytes while the v2 file is unchanged.
+  const SocialNetwork n = MakeCertainCycle(65537);
+  RrIndexOptions options;
+  options.theta_override = 3;
+  options.seed = 5;
+  RrIndex index(n, options);
+  index.Build();
+  ASSERT_EQ(index.num_graphs(), 3u);
+  for (size_t i = 0; i < index.num_graphs(); ++i) {
+    ASSERT_EQ(index.graph(i).vertices.size(), 65537u);
+    ASSERT_EQ(index.graph(i).edges.size(), 65537u);
+    ASSERT_EQ(index.graph(i).id_width, 4u);
+  }
+
+  std::stringstream first;
+  std::string error;
+  ASSERT_TRUE(SaveRrIndex(index, first, &error)) << error;
+  const auto loaded = LoadRrIndex(n, first, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  std::stringstream second;
+  ASSERT_TRUE(SaveRrIndex(*loaded, second, &error)) << error;
+  EXPECT_EQ(first.str(), second.str());
+
+  ASSERT_EQ(loaded->num_graphs(), index.num_graphs());
+  EXPECT_EQ(loaded->pool().SizeBytes(), index.pool().SizeBytes());
+  for (size_t i = 0; i < index.num_graphs(); ++i) {
+    const RRView original = index.graph(i);
+    const RRView restored = loaded->graph(i);
+    EXPECT_EQ(restored.id_width, 4u);
+    EXPECT_EQ(restored.root, original.root);
+    EXPECT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
+    EXPECT_EQ(Owned(restored).offsets, Owned(original).offsets);
+    EXPECT_EQ(Owned(restored).heads, Owned(original).heads);
   }
 }
 

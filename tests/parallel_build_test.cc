@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <string>
 
+#include "owned_sketch.h"
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
 #include "src/index/rr_index.h"
@@ -24,10 +25,10 @@ void ExpectIndexesIdentical(const RrIndex& a, const RrIndex& b) {
     ASSERT_EQ(ga.root, gb.root) << "graph " << i;
     ASSERT_TRUE(std::ranges::equal(ga.vertices, gb.vertices))
         << "graph " << i;
-    ASSERT_TRUE(std::ranges::equal(ga.offsets, gb.offsets)) << "graph " << i;
+    ASSERT_EQ(Owned(ga).offsets, Owned(gb).offsets) << "graph " << i;
+    ASSERT_EQ(Owned(ga).heads, Owned(gb).heads) << "graph " << i;
     ASSERT_EQ(ga.edges.size(), gb.edges.size()) << "graph " << i;
     for (size_t j = 0; j < ga.edges.size(); ++j) {
-      EXPECT_EQ(ga.edges[j].head_local, gb.edges[j].head_local);
       EXPECT_EQ(ga.edges[j].edge, gb.edges[j].edge);
       EXPECT_EQ(ga.edges[j].threshold, gb.edges[j].threshold);
     }
@@ -101,10 +102,10 @@ void ExpectPoolsIdentical(const RrSketchPool& a, const RrSketchPool& b) {
     ASSERT_EQ(ga.root, gb.root) << "sketch " << i;
     ASSERT_TRUE(std::ranges::equal(ga.vertices, gb.vertices))
         << "sketch " << i;
-    ASSERT_TRUE(std::ranges::equal(ga.offsets, gb.offsets)) << "sketch " << i;
+    ASSERT_EQ(Owned(ga).offsets, Owned(gb).offsets) << "sketch " << i;
+    ASSERT_EQ(Owned(ga).heads, Owned(gb).heads) << "sketch " << i;
     ASSERT_EQ(ga.edges.size(), gb.edges.size()) << "sketch " << i;
     for (size_t j = 0; j < ga.edges.size(); ++j) {
-      ASSERT_EQ(ga.edges[j].head_local, gb.edges[j].head_local);
       ASSERT_EQ(ga.edges[j].edge, gb.edges[j].edge);
       ASSERT_EQ(ga.edges[j].threshold, gb.edges[j].threshold);
     }

@@ -12,10 +12,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 #include <vector>
 
+#include "owned_sketch.h"
 #include "running_example.h"
 #include "src/index/rr_index.h"
+#include "src/index/rr_sketch_pool.h"
 #include "src/sampling/exact.h"
 
 // Global allocation counter: every operator new in the test binary bumps
@@ -72,14 +75,15 @@ std::vector<RRGraph> ReferenceGraphs(const SocialNetwork& n) {
 }
 
 bool SameSketch(const RRView& a, const RRView& b) {
-  if (a.root != b.root || !std::ranges::equal(a.vertices, b.vertices) ||
-      !std::ranges::equal(a.offsets, b.offsets) ||
-      a.edges.size() != b.edges.size()) {
+  const RRGraph ga = Owned(a);
+  const RRGraph gb = Owned(b);
+  if (ga.root != gb.root || ga.vertices != gb.vertices ||
+      ga.offsets != gb.offsets || ga.heads != gb.heads ||
+      ga.edges.size() != gb.edges.size()) {
     return false;
   }
   for (size_t j = 0; j < a.edges.size(); ++j) {
-    if (a.edges[j].head_local != b.edges[j].head_local ||
-        a.edges[j].edge != b.edges[j].edge ||
+    if (a.edges[j].edge != b.edges[j].edge ||
         a.edges[j].threshold != b.edges[j].threshold) {
       return false;
     }
@@ -87,23 +91,32 @@ bool SameSketch(const RRView& a, const RRView& b) {
   return true;
 }
 
-// The pool's footprint from its layout: every array holds 32-bit
-// entries except edges_, the one directory has s + 1 entries, and a
-// sketch's body block is 2n + 2 entries (edge header, vertices, offsets)
-// unless it is an implicit singleton (one vertex, no edges).
+// Bytes per local id of an explicit block with n vertices and m edges.
+uint32_t ExpectedWidth(size_t n, size_t m) {
+  return n <= 256 && m <= 255 ? 1 : 4;
+}
+
+// The pool's footprint from its layout: roots, the directory (s + 1
+// entries), the body and the containing index hold 32-bit words, an
+// edge record is 8 bytes, and a sketch's body block is a two-word
+// header, n vertices, then n + 1 offsets and m heads at the block's
+// width rounded up to whole words, unless it is an implicit singleton
+// (one vertex, no edges).
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   size_t body = 0;
   for (size_t i = 0; i < s; ++i) {
     const RRView view = pool.View(i);
-    const bool singleton = view.vertices.size() == 1 && view.edges.empty();
-    body += singleton ? 0 : 2 * view.vertices.size() + 2;
+    const size_t n = view.vertices.size();
+    const size_t m = view.edges.size();
+    if (n == 1 && m == 0) continue;
+    body += 2 + n + ((n + 1 + m) * ExpectedWidth(n, m) + 3) / 4;
   }
   return sizeof(RrSketchPool) +
          sizeof(uint32_t) * (s + (s + 1) + body +
                              pool.num_universe_vertices() + 1 +
                              pool.total_vertices()) +
-         sizeof(RRLocalEdge) * pool.total_edges();
+         8 * pool.total_edges();
 }
 
 TEST(PooledLayoutTest, SketchesMatchReferenceRebuild) {
@@ -119,11 +132,11 @@ TEST(PooledLayoutTest, SketchesMatchReferenceRebuild) {
     ASSERT_EQ(pooled.root, ref.root) << "graph " << i;
     ASSERT_TRUE(std::ranges::equal(pooled.vertices, ref.vertices))
         << "graph " << i;
-    ASSERT_TRUE(std::ranges::equal(pooled.offsets, ref.offsets))
-        << "graph " << i;
+    const RRGraph owned = Owned(pooled);
+    ASSERT_EQ(owned.offsets, reference[i].offsets) << "graph " << i;
+    ASSERT_EQ(owned.heads, reference[i].heads) << "graph " << i;
     ASSERT_EQ(pooled.edges.size(), ref.edges.size()) << "graph " << i;
     for (size_t j = 0; j < ref.edges.size(); ++j) {
-      ASSERT_EQ(pooled.edges[j].head_local, ref.edges[j].head_local);
       ASSERT_EQ(pooled.edges[j].edge, ref.edges[j].edge);
       ASSERT_EQ(pooled.edges[j].threshold, ref.edges[j].threshold);
     }
@@ -221,8 +234,10 @@ TEST(PooledLayoutTest, PoolTotalsConsistent) {
     vertices += view.vertices.size();
     edges += view.edges.size();
     max_sketch = std::max(max_sketch, view.vertices.size());
-    ASSERT_EQ(view.offsets.size(), view.vertices.size() + 1);
-    ASSERT_EQ(view.offsets.back(), view.edges.size());
+    const RRGraph owned = Owned(view);
+    ASSERT_EQ(owned.offsets.back(), view.edges.size());
+    ASSERT_EQ(view.id_width,
+              ExpectedWidth(view.vertices.size(), view.edges.size()));
   }
   EXPECT_EQ(pool.total_vertices(), vertices);
   EXPECT_EQ(pool.total_edges(), edges);
@@ -237,20 +252,20 @@ RrSketchPool PackGraphs(const std::vector<RRGraph>& graphs) {
                             [&graphs](size_t i) { return graphs[i].View(); });
 }
 
-RRGraph Singleton(VertexId v) { return RRGraph{v, {v}, {0, 0}, {}}; }
+RRGraph Singleton(VertexId v) { return RRGraph{v, {v}, {0, 0}, {}, {}}; }
 
 TEST(PooledLayoutTest, SingletonIsImplicit) {
   const std::vector<RRGraph> graphs = {
       Singleton(5),
-      RRGraph{2, {2, 7}, {0, 0, 1}, {{0, 3, 0.25f}}},
+      RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}},
       Singleton(7)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // Only the two-vertex sketch has a body block: 2 * 2 + 2 entries.
+  // Only the two-vertex sketch has a body block: a two-word header, two
+  // vertices and one word holding its 3 offsets and 1 head.
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) +
-                sizeof(uint32_t) * (3 + 4 + 6 + 11 + 4) +
-                sizeof(RRLocalEdge));
+                sizeof(uint32_t) * (3 + 4 + 5 + 11 + 4) + 8);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
   }
@@ -263,15 +278,14 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
 
 TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   // One vertex but one edge: the edge needs its header and offsets, so
-  // the sketch keeps its 2 * 1 + 2 body entries.
+  // the sketch keeps a block of 2 + 1 + 1 words.
   const std::vector<RRGraph> graphs = {
-      RRGraph{4, {4}, {0, 1}, {{0, 9, 0.5f}}}, Singleton(4)};
+      RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}}, Singleton(4)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) +
-                sizeof(uint32_t) * (2 + 3 + 4 + 11 + 2) +
-                sizeof(RRLocalEdge));
+                sizeof(uint32_t) * (2 + 3 + 4 + 11 + 2) + 8);
   EXPECT_TRUE(SameSketch(pool.View(0), graphs[0]));
   EXPECT_TRUE(SameSketch(pool.View(1), graphs[1]));
   EXPECT_TRUE(
@@ -308,13 +322,13 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
 // (self-loop one-vertex sketches among them) and end in a singleton
 // right after an explicit block.
 std::vector<RRGraph> MixedGraphs() {
-  return {RRGraph{2, {2, 7}, {0, 0, 1}, {{0, 3, 0.25f}}},
+  return {RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}},
           Singleton(5),
-          RRGraph{4, {4}, {0, 1}, {{0, 9, 0.5f}}},
+          RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}},
           Singleton(1),
           Singleton(8),
-          RRGraph{6, {1, 3, 6}, {0, 1, 2, 2}, {{2, 4, 0.1f}, {2, 5, 0.2f}}},
-          RRGraph{0, {0, 9}, {0, 1, 1}, {{0, 7, 0.75f}}},
+          RRGraph{6, {1, 3, 6}, {0, 1, 2, 2}, {2, 2}, {{4, 0.1f}, {5, 0.2f}}},
+          RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {{7, 0.75f}}},
           Singleton(9)};
 }
 
@@ -335,9 +349,9 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
   // The last sketch's block starts at the end of body_: View() must take
   // its header from the static one, never from body_.
   for (const std::vector<RRGraph>& graphs :
-       {std::vector<RRGraph>{RRGraph{2, {2, 7}, {0, 0, 1}, {{0, 3, 0.25f}}},
+       {std::vector<RRGraph>{RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}},
                              Singleton(7)},
-        std::vector<RRGraph>{RRGraph{4, {4}, {0, 1}, {{0, 9, 0.5f}}},
+        std::vector<RRGraph>{RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}},
                              Singleton(4), Singleton(3)},
         MixedGraphs()}) {
     const RrSketchPool pool = PackGraphs(graphs);
@@ -347,11 +361,10 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 2 * 2 + 2, 2 * 1 + 2, 2 * 3 + 2 and 2 * 2 + 2 entries.
+  // Blocks of 2 + 2 + 1, 2 + 1 + 1, 2 + 3 + 2 and 2 + 2 + 1 words.
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) +
-                sizeof(uint32_t) * (8 + 9 + 24 + 11 + 12) +
-                sizeof(RRLocalEdge) * 5);
+                sizeof(uint32_t) * (8 + 9 + 21 + 11 + 12) + 8 * 5);
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
   EXPECT_EQ(pool.max_sketch_vertices(), 3u);
@@ -439,6 +452,134 @@ TEST(PooledLayoutTest, OverlayStoreMixesSingletonsAndBlocks) {
   }
   EXPECT_EQ(overlay.SlotOf(99), RrSketchOverlay::kNotRepaired);
   EXPECT_EQ(overlay.max_sketch_vertices(), 3u);
+}
+
+// A sketch over vertices 0 .. n - 1 rooted at n - 1: edge k is the path
+// edge k -> k + 1 while k + 1 < n, and a parallel shortcut 0 -> n - 1
+// after that, so n and m can be set apart. Edge k has id k; every
+// seventh threshold is too high for ConstantProbs, cutting the path.
+RRGraph WideSketch(size_t n, size_t m) {
+  std::vector<VertexId> vertices(n);
+  std::iota(vertices.begin(), vertices.end(), 0);
+  std::vector<GlobalEdgeSample> edges;
+  for (size_t k = 0; k < m; ++k) {
+    const bool path = k + 1 < n;
+    edges.push_back(GlobalEdgeSample{
+        static_cast<VertexId>(path ? k : 0),
+        static_cast<VertexId>(path ? k + 1 : n - 1), static_cast<EdgeId>(k),
+        k % 7 == 3 ? 0.9f : 0.1f});
+  }
+  return AssembleRRGraph(static_cast<VertexId>(n - 1), std::move(vertices),
+                         edges);
+}
+
+class ConstantProbs final : public EdgeProbFn {
+ public:
+  double Prob(EdgeId) const override { return 0.5; }
+};
+
+constexpr size_t kWideUniverse = 65537;
+
+// Sketches on both sides of each width boundary, interleaved with
+// implicit singletons.
+std::vector<RRGraph> BoundaryGraphs() {
+  const std::vector<std::pair<size_t, size_t>> sizes = {
+      {256, 255},      // width 1: the largest n and m it holds
+      {257, 255},      // width 4: one vertex too many
+      {256, 256},      // width 4: one edge too many
+      {257, 256},      // width 4: both
+      {65537, 65536},  // width 4: a 65,537-vertex path
+      {3, 2}};         // width 1 again after a wide block
+  std::vector<RRGraph> graphs;
+  for (const auto& [n, m] : sizes) {
+    graphs.push_back(WideSketch(n, m));
+    graphs.push_back(Singleton(static_cast<VertexId>(n % 10)));
+  }
+  return graphs;
+}
+
+// Every view of `pool` equals its graph, at the width the graph's size
+// calls for, and answers every reachability query as the graph does.
+void ExpectMatchesGraphs(const RrSketchPool& pool,
+                         const std::vector<RRGraph>& graphs) {
+  ASSERT_EQ(pool.num_sketches(), graphs.size());
+  const ConstantProbs probs;
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE("sketch " + std::to_string(i));
+    const RRView view = pool.View(i);
+    const RRView want = graphs[i];
+    ASSERT_TRUE(SameSketch(view, want));
+    const size_t n = want.vertices.size();
+    const size_t m = want.edges.size();
+    if (n > 1 || m > 0) {
+      EXPECT_EQ(view.id_width, ExpectedWidth(n, m));
+    }
+    for (const size_t u : {size_t{0}, size_t{1}, n / 2, n - 2, n - 1}) {
+      if (u >= n) continue;
+      const VertexId user = want.vertices[u];
+      uint64_t got_edges = 0, want_edges = 0;
+      EXPECT_EQ(IsReachable(view, user, probs, &got_edges),
+                IsReachable(want, user, probs, &want_edges))
+          << "user " << user;
+      EXPECT_EQ(got_edges, want_edges) << "user " << user;
+    }
+  }
+}
+
+TEST(PooledLayoutTest, WidthBoundariesSurviveEveryWriter) {
+  const std::vector<RRGraph> graphs = BoundaryGraphs();
+  // Sanity of the fixtures: the shortcut edges make m independent of n.
+  ASSERT_EQ(graphs[2].vertices.size(), 257u);
+  ASSERT_EQ(graphs[2].edges.size(), 255u);
+  ASSERT_EQ(graphs[8].edges.size(), 65536u);
+
+  // Append: a run written one sketch at a time.
+  RrSketchPool run;
+  for (const RRGraph& g : graphs) run.Append(g);
+  ExpectMatchesGraphs(run, graphs);
+
+  // Pack, then Pack again from the packed views (compaction's path:
+  // narrow blocks re-encoded from narrow views).
+  const RrSketchPool packed =
+      RrSketchPool::Pack(graphs.size(), kWideUniverse,
+                         [&graphs](size_t i) { return graphs[i].View(); });
+  ExpectMatchesGraphs(packed, graphs);
+  EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
+  EXPECT_EQ(packed.max_sketch_vertices(), 65537u);
+  const RrSketchPool repacked =
+      RrSketchPool::Pack(graphs.size(), kWideUniverse,
+                         [&packed](size_t i) { return packed.View(i); });
+  ExpectSamePools(repacked, packed);
+
+  // FromRuns over the one run...
+  const std::vector<RrSketchPool> one_run = {run};
+  const std::vector<RrSketchPool::Segment> whole = {
+      {0, 0, 0, static_cast<uint32_t>(graphs.size())}};
+  const RrSketchPool from_one =
+      RrSketchPool::FromRuns(one_run, whole, graphs.size(), kWideUniverse);
+  ExpectMatchesGraphs(from_one, graphs);
+  ExpectSamePools(from_one, packed);
+
+  // ... and over three runs that took the samples round robin, so every
+  // block moves and every edge start is rebased.
+  std::vector<RrSketchPool> runs(3);
+  std::vector<RrSketchPool::Segment> segments;
+  for (uint32_t i = 0; i < graphs.size(); ++i) {
+    RrSketchPool& r = runs[i % 3];
+    segments.push_back(
+        {i, i % 3, static_cast<uint32_t>(r.num_sketches()), 1});
+    r.Append(graphs[i]);
+  }
+  const RrSketchPool from_three =
+      RrSketchPool::FromRuns(runs, segments, graphs.size(), kWideUniverse);
+  ExpectMatchesGraphs(from_three, graphs);
+  ExpectSamePools(from_three, packed);
+  EXPECT_EQ(from_three.SizeBytes(), ExactSizeBytes(from_three));
+}
+
+TEST(PooledLayoutTest, EdgeRecordIsEightBytes) {
+  // The head lives in the block's packed ids, not in the edge record.
+  EXPECT_EQ(sizeof(RRLocalEdge), 8u);
 }
 
 }  // namespace

@@ -194,11 +194,7 @@ class ReferenceDynamicRrIndex {
     roots_.resize(n);
     for (size_t i = 0; i < n; ++i) {
       const RRView view = pool.View(i);
-      RRGraph& rr = graphs_[i];
-      rr.root = view.root;
-      rr.vertices.assign(view.vertices.begin(), view.vertices.end());
-      rr.offsets.assign(view.offsets.begin(), view.offsets.end());
-      rr.edges.assign(view.edges.begin(), view.edges.end());
+      graphs_[i].Assign(view);
       roots_[i] = view.root;
     }
     containing_.assign(network_.num_vertices(), {});
