@@ -312,7 +312,7 @@ void BM_IsReachable(benchmark::State& state) {
        ++id) {
     const RRView rr = index->graph(id);
     for (const VertexId v : rr.vertices) {
-      if (v != rr.root) {
+      if (v != rr.root()) {
         pairs.emplace_back(id, v);
         break;
       }

@@ -240,7 +240,7 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
   // then splice containment for the vertices whose membership changed
   // (a merge over the two sorted vertex sets), and append the new
   // version to the overlay.
-  arena_.RebuildRepairedSketch(rr.root, network_.num_vertices(), edges,
+  arena_.RebuildRepairedSketch(rr.root(), network_.num_vertices(), edges,
                                &repaired_);
   const auto& before = rr.vertices;
   const auto& after = repaired_.vertices;

@@ -25,13 +25,12 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
 
   for (uint32_t id : base_->Containing(u)) {
     const RRView rr = base_->graph(id);
-    if (rr.root == u) {
+    const auto u_local = rr.LocalIndex(u);
+    PITEX_DCHECK(u_local.has_value());
+    if (*u_local == rr.root_local) {
       filter.trivial.push_back(id);
       continue;
     }
-    const auto u_local = rr.LocalIndex(u);
-    const auto root_local = rr.LocalIndex(rr.root);
-    PITEX_DCHECK(u_local && root_local);
 
     // Candidate cut 1: u's out-edges inside the RR-Graph.
     // Candidate cut 2: the root's in-edges inside the RR-Graph.
@@ -52,7 +51,7 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
       // Edges are stored tail by tail, so one pass over the heads meets
       // the root's in-edges in CSR order.
       for (uint32_t i = 0; i < rr.edges.size(); ++i) {
-        if (csr.head(i) != *root_local) continue;
+        if (csr.head(i) != rr.root_local) continue;
         const auto& e = rr.edges[i];
         cut2.emplace_back(e.edge, e.threshold);
         const double p = influence_->MaxProb(e.edge);

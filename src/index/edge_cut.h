@@ -66,6 +66,8 @@ class PrunedRrIndex final : public InfluenceOracle {
 
   const UserFilter& FilterFor(VertexId u);
 
+  friend struct PrunedRrIndexPeer;  // tests hash the filters
+
   const RrIndex* base_;
   const InfluenceGraph* influence_;
   CutPolicy policy_;

@@ -114,6 +114,7 @@ bool ReadHeader(BinaryReader* reader, uint8_t expected_kind,
 // start at vertex_starts[i] + i (each earlier sketch has n_j + 1).
 struct WireSketches {
   std::vector<VertexId> roots;          // num_sketches
+  std::vector<uint32_t> root_locals;    // filled by validation
   std::vector<uint64_t> vertex_starts;  // num_sketches + 1
   std::vector<VertexId> vertices;
   std::vector<uint32_t> offsets;        // vertices + num_sketches
@@ -126,7 +127,7 @@ struct WireSketches {
     const uint64_t n = vertex_starts[i + 1] - vb;
     const uint64_t eb = edge_starts[i];
     const uint64_t m = edge_starts[i + 1] - eb;
-    return RRView{roots[i],
+    return RRView{root_locals[i],
                   4,
                   {vertices.data() + vb, n},
                   reinterpret_cast<const std::byte*>(offsets.data() + vb + i),
@@ -180,6 +181,8 @@ bool ReadWireSketches(BinaryReader* reader, uint64_t num_sketches,
   }
 
   // Structural validation of the CSR-of-CSRs.
+  wire->root_locals.clear();
+  wire->root_locals.reserve(num_sketches);
   if (wire->vertex_starts.front() != 0 ||
       wire->vertex_starts.back() != wire->vertices.size() ||
       wire->edge_starts.front() != 0 ||
@@ -205,7 +208,8 @@ bool ReadWireSketches(BinaryReader* reader, uint64_t num_sketches,
       return false;
     }
     // Vertices sorted strictly ascending and in range (LocalIndex
-    // binary-searches them); root must be a member.
+    // binary-searches them); the root must be a member, and its place
+    // among them is its local id.
     for (uint64_t j = vb; j < ve; ++j) {
       if (wire->vertices[j] >= max_vertices ||
           (j > vb && wire->vertices[j] <= wire->vertices[j - 1])) {
@@ -213,12 +217,14 @@ bool ReadWireSketches(BinaryReader* reader, uint64_t num_sketches,
         return false;
       }
     }
-    if (!std::binary_search(wire->vertices.begin() + vb,
-                            wire->vertices.begin() + ve,
-                            wire->roots[i])) {
+    const auto first = wire->vertices.begin() + vb;
+    const auto last = wire->vertices.begin() + ve;
+    const auto root_at = std::lower_bound(first, last, wire->roots[i]);
+    if (root_at == last || *root_at != wire->roots[i]) {
       SetError(error, IndexIoCode::kCorruptPayload, "sketch root not a sketch member");
       return false;
     }
+    wire->root_locals.push_back(static_cast<uint32_t>(root_at - first));
     // Local CSR: starts at 0, non-decreasing, ends at the edge count;
     // edge heads stay inside the sketch.
     const uint64_t ob = vb + i;
@@ -243,7 +249,7 @@ bool ReadWireSketches(BinaryReader* reader, uint64_t num_sketches,
         return wire->View(i);
       })) {
     SetError(error, IndexIoCode::kCorruptPayload,
-             "sketch totals exceed the pool's 32-bit arrays");
+             "sketch totals or vertex ids exceed the pool's arrays");
     return false;
   }
   return true;
@@ -318,7 +324,7 @@ class IndexIo {
     writer.WriteU64(index.theta_);
     writer.WriteU64(s);
     writer.WriteU64(s);
-    for_each_sketch([&](const RRView& rr) { writer.WriteU32(rr.root); });
+    for_each_sketch([&](const RRView& rr) { writer.WriteU32(rr.root()); });
     const uint64_t num_vertices =
         write_starts([](const RRView& rr) { return rr.vertices.size(); });
     writer.WriteU64(num_vertices);

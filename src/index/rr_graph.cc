@@ -20,7 +20,7 @@ size_t RRGraph::SizeBytes() const {
 }
 
 void RRGraph::Assign(const RRView& view) {
-  root = view.root;
+  root = view.root();
   vertices.assign(view.vertices.begin(), view.vertices.end());
   const size_t n = view.vertices.size();
   const size_t m = view.edges.size();
@@ -158,9 +158,7 @@ PITEX_NOALLOC bool IsReachable(const RRView& rr, VertexId u,
                                EstimateScratch* scratch) {
   const auto start = rr.LocalIndex(u);
   if (!start) return false;
-  const auto target = rr.LocalIndex(rr.root);
-  PITEX_DCHECK(target.has_value());
-  if (*start == *target) return true;
+  if (*start == rr.root_local) return true;
 
   const size_t n = rr.vertices.size();
   auto& visited = scratch->visited_;
@@ -176,8 +174,8 @@ PITEX_NOALLOC bool IsReachable(const RRView& rr, VertexId u,
   // One dispatch on the id width; the walk is instantiated per width.
   uint64_t probes = 0;
   const bool found = rr.VisitCsr([&](const auto& csr) {
-    return WalkToRoot(csr, rr.edges, *start, *target, probs, epoch, visited,
-                      scratch->stack_, &probes);
+    return WalkToRoot(csr, rr.edges, *start, rr.root_local, probs, epoch,
+                      visited, scratch->stack_, &probes);
   });
   if (edges_visited != nullptr) *edges_visited += probes;
   return found;

@@ -16,8 +16,9 @@
 //     sketches, so it runs on views — either over an RRGraph or, for the
 //     offline index, over the pooled CSR-of-CSRs store
 //     (src/index/rr_sketch_pool.h) that keeps all theta sketches in a few
-//     shared arrays, with single-vertex sketches stored as their root and
-//     every other sketch's local ids packed at 1 or 4 bytes.
+//     shared arrays, with single-vertex sketches stored as their root in
+//     the directory and every other sketch's local ids (its root's
+//     among them) packed at 1 or 4 bytes.
 // Reachability scratch (visited stamps + DFS stack) lives in a reusable
 // EstimateScratch so repeated IsReachable calls allocate nothing once the
 // scratch has grown to the largest sketch.
@@ -25,6 +26,7 @@
 #ifndef PITEX_SRC_INDEX_RR_GRAPH_H_
 #define PITEX_SRC_INDEX_RR_GRAPH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -69,11 +71,13 @@ struct LocalCsr {
 
 /// Non-owning view of one reverse-reachable sample graph. Vertices are
 /// sorted; edges are a local CSR out-adjacency so tag-aware reachability
-/// is a forward BFS from the query user towards the root. The local ids
-/// (offsets and heads) share one width: 4 bytes over an owning RRGraph,
-/// the narrowest that holds the sketch's size in an RrSketchPool.
+/// is a forward BFS from the query user towards the root. The root is
+/// held as its local id, so the walk knows its target without a search.
+/// The local ids (offsets and heads) share one width: 4 bytes over an
+/// owning RRGraph, the narrowest that holds the sketch's size in an
+/// RrSketchPool.
 struct RRView {
-  VertexId root = 0;
+  uint32_t root_local = 0;                // local index of the root
   uint32_t id_width = 4;                  // bytes per local id: 1 or 4
   std::span<const VertexId> vertices;     // sorted ascending
   const std::byte* offset_ids = nullptr;  // CSR over local tails, n + 1
@@ -88,6 +92,9 @@ struct RRView {
     if (id_width == 1) return fn(LocalCsr<uint8_t>{offset_ids, head_ids});
     return fn(LocalCsr<uint32_t>{offset_ids, head_ids});
   }
+
+  /// The root's global vertex id.
+  VertexId root() const { return vertices[root_local]; }
 
   /// Local index of global vertex v, or nullopt if absent.
   std::optional<uint32_t> LocalIndex(VertexId v) const;
@@ -104,7 +111,9 @@ struct RRGraph {
   /// Non-owning view over this graph (valid while the graph is alive and
   /// unmodified). Implicit so every RRView consumer accepts an RRGraph.
   RRView View() const {
-    return RRView{root,
+    const auto root_at =
+        std::lower_bound(vertices.begin(), vertices.end(), root);
+    return RRView{static_cast<uint32_t>(root_at - vertices.begin()),
                   4,
                   vertices,
                   reinterpret_cast<const std::byte*>(offsets.data()),

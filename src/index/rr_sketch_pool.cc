@@ -1,7 +1,6 @@
 #include "src/index/rr_sketch_pool.h"
 
 #include <algorithm>
-#include <ranges>
 
 #include "src/util/check.h"
 
@@ -10,7 +9,7 @@ namespace pitex {
 void RrSketchPool::Append(const RRView& sketch) {
   const size_t n = sketch.vertices.size();
   const size_t m = sketch.edges.size();
-  AppendSketch(sketch.root, sketch.vertices, m, [&](const auto& out) {
+  AppendSketch(sketch.root_local, sketch.vertices, m, [&](const auto& out) {
     sketch.VisitCsr([&](const auto& in) {
       PITEX_DCHECK(in.offset(n) == m);
       for (size_t j = 0; j <= n; ++j) out.set_offset(j, in.offset(j));
@@ -21,8 +20,7 @@ void RrSketchPool::Append(const RRView& sketch) {
 }
 
 void RrSketchPool::Clear() {
-  roots_.clear();
-  body_starts_.clear();
+  slots_.clear();
   body_.clear();
   edges_.clear();
   containing_starts_.clear();
@@ -30,11 +28,14 @@ void RrSketchPool::Clear() {
   max_sketch_vertices_ = 0;
 }
 
-uint64_t RrSketchPool::EdgeStart(size_t i) const {
+std::pair<uint64_t, uint64_t> RrSketchPool::Starts(size_t i) const {
   for (; i < num_sketches(); ++i) {
-    if (body_starts_[i] != body_starts_[i + 1]) return body_[body_starts_[i]];
+    if ((slots_[i] & kExplicit) != 0) {
+      const uint32_t b = slots_[i] & ~kExplicit;
+      return {b, body_[b]};
+    }
   }
-  return edges_.size();
+  return {body_.size(), edges_.size()};
 }
 
 RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
@@ -57,10 +58,10 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
                     "run segment out of range");
     if (seg.count == 0) continue;
     const RrSketchPool& run = runs[seg.run];
-    const uint32_t end = seg.first + seg.count;
-    slices.push_back({seg.sample, &run, seg.first, seg.count,
-                      run.body_starts_[seg.first], run.body_starts_[end],
-                      run.EdgeStart(seg.first), run.EdgeStart(end)});
+    const auto [body_begin, edge_begin] = run.Starts(seg.first);
+    const auto [body_end, edge_end] = run.Starts(seg.first + seg.count);
+    slices.push_back({seg.sample, &run, seg.first, seg.count, body_begin,
+                      body_end, edge_begin, edge_end});
   }
   std::ranges::sort(slices, {}, &Slice::sample);
   uint64_t covered = 0;
@@ -75,18 +76,17 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
   }
   PITEX_CHECK_MSG(covered == num_sketches,
                   "runs must cover every sample exactly once");
-  // The totals only grow, so checking them once covers every entry.
-  PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= UINT32_MAX &&
+  // The totals only grow, so checking them once covers every entry (the
+  // runs checked each vertex id as they took it).
+  PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= kExplicit &&
                       edges <= UINT32_MAX,
-                  "sketch pool exceeds 32-bit directories");
+                  "sketch pool exceeds its directory words");
 
   // Exact-size arrays, filled by appends (no zero-fill pass).
   RrSketchPool out;
-  out.roots_.reserve(num_sketches);
-  out.body_starts_.reserve(num_sketches + 1);
+  out.slots_.reserve(num_sketches);
   out.body_.reserve(body);
   out.edges_.reserve(edges);
-  out.body_starts_.push_back(0);
   for (const Slice& s : slices) {
     const RrSketchPool& run = *s.run;
     // Unsigned wrap-around makes the rebase exact whichever way a
@@ -95,19 +95,17 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
         static_cast<uint32_t>(out.body_.size() - s.body_begin);
     const auto edge_shift =
         static_cast<uint32_t>(out.edges_.size() - s.edge_begin);
-    const auto roots = run.roots_.begin() + s.first;
-    out.roots_.insert(out.roots_.end(), roots, roots + s.count);
     out.body_.insert(out.body_.end(), run.body_.begin() + s.body_begin,
                      run.body_.begin() + s.body_end);
     const uint32_t end = s.first + s.count;
     for (uint32_t j = s.first; j < end; ++j) {
-      out.body_starts_.push_back(run.body_starts_[j + 1] + body_shift);
-    }
-    // Edge headers move only when the segment's edges do (never for a
-    // serial build's one segment).
-    for (uint32_t j = s.first; edge_shift != 0 && j < end; ++j) {
-      const uint32_t b = run.body_starts_[j];
-      if (b != run.body_starts_[j + 1]) out.body_[b + body_shift] += edge_shift;
+      uint32_t slot = run.slots_[j];
+      if ((slot & kExplicit) != 0) {
+        const uint32_t b = (slot & ~kExplicit) + body_shift;
+        slot = kExplicit | b;
+        out.body_[b] += edge_shift;  // the block's edge header
+      }
+      out.slots_.push_back(slot);
     }
     out.edges_.insert(out.edges_.end(), run.edges_.begin() + s.edge_begin,
                       run.edges_.begin() + s.edge_end);
@@ -119,8 +117,11 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
 void RrSketchPool::BuildContaining(size_t num_vertices, ThreadPool* pool) {
   const size_t s = num_sketches();
   max_sketch_vertices_ = 0;
+  uint64_t volume = 0;  // vertices plus one per sketch
   for (size_t i = 0; i < s; ++i) {
-    max_sketch_vertices_ = std::max(max_sketch_vertices_, Vertices(i).size());
+    const size_t n = Vertices(i).size();
+    max_sketch_vertices_ = std::max(max_sketch_vertices_, n);
+    volume += n + 1;
   }
   containing_starts_.assign(num_vertices + 1, 0);
 
@@ -152,22 +153,21 @@ void RrSketchPool::BuildContaining(size_t num_vertices, ThreadPool* pool) {
     return;
   }
 
-  // Parallel variant: contiguous sketch ranges balanced by volume (body
-  // entries plus one per sketch, which tracks vertex count and is
-  // monotone in i). Each range histograms its vertices; a serial prefix
+  // Parallel variant: contiguous sketch ranges balanced by volume
+  // (vertices plus one per sketch), cut in one serial pass: range t
+  // starts at the first sketch whose preceding volume reaches t / tasks
+  // of the total. Each range histograms its vertices; a serial prefix
   // over (range, vertex) turns the histograms into per-range write
   // cursors, so range r fills its sketches (ascending ids) into the
   // slice after every earlier range's entries — per-vertex order is
   // still ascending sketch id, bit-identical to the serial fill.
   // Transient memory is tasks * |V| counters (tasks is capped at 8).
-  const auto volume = [this](size_t i) {
-    return uint64_t{body_starts_[i]} + i;
-  };
   std::vector<size_t> bounds(tasks + 1, s);
   bounds[0] = 0;
-  for (size_t t = 1; t < tasks; ++t) {
-    bounds[t] = *std::ranges::lower_bound(std::views::iota(size_t{0}, s + 1),
-                                          volume(s) * t / tasks, {}, volume);
+  uint64_t before = 0;
+  for (size_t i = 0, t = 1; i < s && t < tasks; ++i) {
+    for (; t < tasks && before >= volume * t / tasks; ++t) bounds[t] = i;
+    before += Vertices(i).size() + 1;
   }
   std::vector<std::vector<uint32_t>> hist(tasks);
   ParallelFor(pool, 0, tasks, [&](size_t t) {
@@ -201,7 +201,7 @@ void RrSketchPool::BuildContaining(size_t num_vertices, ThreadPool* pool) {
 
 size_t RrSketchPool::SizeBytes() const {
   return sizeof(RrSketchPool) +
-         (roots_.capacity() + body_starts_.capacity() + body_.capacity() +
+         (slots_.capacity() + body_.capacity() +
           containing_starts_.capacity() + containing_.capacity()) *
              sizeof(uint32_t) +
          edges_.capacity() * sizeof(RRLocalEdge);

@@ -11,28 +11,29 @@
 //
 // Layout for sketch i (n_i vertices, m_i edges); the directory and the
 // body are 32-bit words, and every total is checked to fit:
-//   roots_[i]                                   root vertex
-//   body_[body_starts_[i] .. body_starts_[i+1]) a two-word header (the
-//                                               sketch's first index in
-//                                               edges_; n_i << 2 | the
-//                                               width code), the n_i
-//                                               sorted vertex ids, then
-//                                               the n_i + 1 local CSR
-//                                               offsets (0 .. m_i) and
-//                                               the m_i local edge heads
-//                                               packed at w_i bytes each,
-//                                               zero-padded to a word
-//   edges_[header .. header + m_i)              {edge, threshold} records
-// w_i is 1 byte while the block's own ids fit one (IdWidth: n_i <= 256
-// and m_i <= 255), else 4. It is chosen from the block's size, with no
+//   slots_[i]                     one directory word: the root vertex id
+//                                 of an implicit singleton (top bit
+//                                 clear), else 1 << 31 | the start of
+//                                 sketch i's block in body_
+//   body_[start ..]               a two-word header (the sketch's first
+//                                 index in edges_; n_i << 2 | the width
+//                                 code), the n_i sorted vertex ids, then
+//                                 the root's local id, the n_i + 1 local
+//                                 CSR offsets (0 .. m_i) and the m_i
+//                                 local edge heads packed at w_i bytes
+//                                 each, zero-padded to a word
+//   edges_[header .. header + m_i) {edge, threshold} records
+// Vertex ids and block starts therefore fit 31 bits. w_i is 1 byte
+// while the block's own ids fit one (IdWidth: n_i <= 256 and
+// m_i <= 255), else 4. It is chosen from the block's size, with no
 // option; on pitexbench's network every block takes 1 byte. A view
 // carries the width, and its readers dispatch on it once per sketch
 // (RRView::VisitCsr).
 // An *implicit singleton* — one vertex (necessarily the root) and no
-// edges; 57% of the sketches on pitexbench's network — has an empty body
-// block: View() serves its vertex from roots_[i] and its header and
-// offsets from a static block, so the estimate walk over it reads only
-// the root.
+// edges; 57% of the sketches on pitexbench's network — has no block:
+// its directory word is its vertex, and View() serves its header, root
+// id and offsets from a static block, so the estimate walk over it
+// reads only the directory.
 //
 // Every pool is written one way: sketches are appended in this layout
 // (AppendSketch, which Append and the generator call) into exact-size
@@ -59,6 +60,7 @@
 #include <cstring>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/index/rr_graph.h"
@@ -66,6 +68,13 @@
 #include "src/util/thread_pool.h"
 
 namespace pitex {
+
+/// Writes entry j of a packed array of T: the inverse of LoadId.
+template <typename T>
+inline void StoreId(std::byte* data, size_t j, uint32_t id) {
+  const auto narrow = static_cast<T>(id);
+  std::memcpy(data + j * sizeof(T), &narrow, sizeof(T));
+}
 
 /// The write side of LocalCsr: one pool block's packed offsets and heads
 /// at id width T, and its edge records, as RrSketchPool::AppendSketch
@@ -76,14 +85,8 @@ struct LocalCsrOut {
   std::byte* heads;      // m entries
   RRLocalEdge* edges;    // m records
 
-  void set_offset(size_t j, uint32_t id) const { Store(offsets, j, id); }
-  void set_head(size_t k, uint32_t id) const { Store(heads, k, id); }
-
- private:
-  static void Store(std::byte* data, size_t j, uint32_t id) {
-    const auto narrow = static_cast<T>(id);
-    std::memcpy(data + j * sizeof(T), &narrow, sizeof(T));
-  }
+  void set_offset(size_t j, uint32_t id) const { StoreId<T>(offsets, j, id); }
+  void set_head(size_t k, uint32_t id) const { StoreId<T>(heads, k, id); }
 };
 
 class RrSketchPool {
@@ -102,25 +105,25 @@ class RrSketchPool {
   /// Packs sketches view_of(0), ..., view_of(num_sketches - 1): sizes
   /// every array exactly, appends each view, then builds the containing
   /// index. `num_vertices` is the global vertex universe; every sketch
-  /// vertex must lie inside it, and a one-vertex sketch's vertex must be
-  /// its root. DynamicRrIndex compaction and the index loader pack this
-  /// way.
+  /// vertex must lie inside it. DynamicRrIndex compaction and the index
+  /// loader pack this way.
   template <typename ViewOf>
   static RrSketchPool Pack(size_t num_sketches, size_t num_vertices,
                            ViewOf&& view_of);
   /// True when sketches view_of(0), ..., view_of(num_sketches - 1) fit
-  /// the pool's 32-bit arrays. Pack aborts on sketches that do not, so a
-  /// caller packing untrusted input (the index loader) checks first.
+  /// the pool's 32-bit arrays and 31-bit directory words. Pack aborts on
+  /// sketches that do not, so a caller packing untrusted input (the
+  /// index loader) checks first.
   template <typename ViewOf>
   static bool Fits(size_t num_sketches, ViewOf&& view_of);
 
   /// Finishes a pool from runs: copies every segment, in sample order,
-  /// into exact-size arrays (rebasing the directory and each block's edge
-  /// header), then builds the containing index — in parallel when `pool`
-  /// is non-null. The segments must cover samples [0, num_sketches)
-  /// exactly once, so sketch i of the result is sample i whatever the
-  /// runs and segments were: the pool is identical for any thread count
-  /// and claim interleaving.
+  /// into exact-size arrays (rebasing each explicit directory word and
+  /// each block's edge header), then builds the containing index — in
+  /// parallel when `pool` is non-null. The segments must cover samples
+  /// [0, num_sketches) exactly once, so sketch i of the result is sample
+  /// i whatever the runs and segments were: the pool is identical for
+  /// any thread count and claim interleaving.
   static RrSketchPool FromRuns(std::span<const RrSketchPool> runs,
                                std::span<const Segment> segments,
                                uint64_t num_sketches, size_t num_vertices,
@@ -130,39 +133,43 @@ class RrSketchPool {
   /// containing index: a pool appended to is a run, which only FromRuns
   /// reads besides View(). `sketch` must not view this pool.
   void Append(const RRView& sketch);
-  /// Appends the sketch rooted at `root` with `vertices` (sorted, the
-  /// root among them) and m edges, as Append does: fill(out) writes its
-  /// n + 1 offsets, m heads and m edge records through a LocalCsrOut<T>
-  /// at the block's width. An implicit singleton (one vertex, no edges)
-  /// has nothing to write and calls no fill.
+  /// Appends the sketch with `vertices` (sorted), rooted at
+  /// vertices[root_local], and m edges, as Append does: fill(out) writes
+  /// its n + 1 offsets, m heads and m edge records through a
+  /// LocalCsrOut<T> at the block's width. An implicit singleton (one
+  /// vertex, no edges) has nothing to write and calls no fill.
   template <typename Fill>
-  void AppendSketch(VertexId root, std::span<const VertexId> vertices,
+  void AppendSketch(uint32_t root_local, std::span<const VertexId> vertices,
                     size_t m, Fill&& fill);
   /// Drops every sketch, keeping every array's capacity: a cleared run
   /// takes appends without allocating up to its high-water mark.
   void Clear();
 
-  size_t num_sketches() const { return roots_.size(); }
-  bool empty() const { return roots_.empty(); }
+  size_t num_sketches() const { return slots_.size(); }
+  bool empty() const { return slots_.empty(); }
 
   /// Non-owning view of sketch i (valid while the pool is alive).
   RRView View(size_t i) const {
-    const uint32_t* block = Block(i);
+    const uint32_t* slot = &slots_[i];
+    const uint32_t* block = Block(*slot);
     const uint32_t n = block[1] >> 2;
     const uint32_t width = 1u << (block[1] & 3);
-    const auto* offsets = reinterpret_cast<const std::byte*>(block + 2 + n);
-    // The edge count is the last offset.
-    const uint32_t m = width == 1 ? LoadId<uint8_t>(offsets, n)
-                                  : LoadId<uint32_t>(offsets, n);
-    return RRView{roots_[i],
+    // The root's local id, then the offsets, whose last is the edge
+    // count.
+    const auto* ids = reinterpret_cast<const std::byte*>(block + 2 + n);
+    const std::byte* offsets = ids + width;
+    const bool narrow = width == 1;
+    const uint32_t root_local =
+        narrow ? LoadId<uint8_t>(ids, 0) : LoadId<uint32_t>(ids, 0);
+    const uint32_t m = narrow ? LoadId<uint8_t>(offsets, n)
+                              : LoadId<uint32_t>(offsets, n);
+    return RRView{root_local,
                   width,
-                  {block == kSingletonBlock ? &roots_[i] : block + 2, n},
+                  {block == kSingletonBlock ? slot : block + 2, n},
                   offsets,
                   offsets + (n + 1) * width,
                   {edges_.data() + block[0], m}};
   }
-
-  VertexId root(size_t i) const { return roots_[i]; }
 
   /// Ids (sketch positions) of the sketches containing u, ascending.
   std::span<const uint32_t> Containing(VertexId u) const {
@@ -192,8 +199,12 @@ class RrSketchPool {
   /// Header word 1 packs n << 2 with the width code, so a block holds
   /// at most this many vertices.
   static constexpr uint64_t kMaxBlockVertices = (uint64_t{1} << 30) - 1;
+  /// The directory word's top bit: set for a block start, clear for a
+  /// singleton's vertex. Vertex ids and block starts stay below it.
+  static constexpr uint32_t kExplicit = 1u << 31;
   /// The block every implicit singleton reads: edge start 0, one vertex
-  /// at width 1, an unused vertex word, then offsets {0, 0}.
+  /// at width 1, an unused vertex word, then root id 0 and offsets
+  /// {0, 0}.
   static constexpr uint32_t kSingletonBlock[4] = {0, 1u << 2, 0, 0};
 
   /// Entries a list of sketches needs in each array: one sizing pass
@@ -203,12 +214,13 @@ class RrSketchPool {
     uint64_t vertices = 0;
     uint64_t edges = 0;
     uint64_t max_vertices = 0;
+    uint64_t max_vertex_id = 0;
     /// True when `num_sketches` sketches with these totals fit the
-    /// 32-bit directories, ids and block headers.
+    /// directory words, 32-bit ids and block headers.
     bool Fit(uint64_t num_sketches) const {
-      return num_sketches < UINT32_MAX && body <= UINT32_MAX &&
+      return num_sketches < UINT32_MAX && body <= kExplicit &&
              vertices <= UINT32_MAX && edges <= UINT32_MAX &&
-             max_vertices <= kMaxBlockVertices;
+             max_vertices <= kMaxBlockVertices && max_vertex_id < kExplicit;
     }
   };
   template <typename ViewOf>
@@ -221,34 +233,35 @@ class RrSketchPool {
   }
 
   /// body_ entries of a sketch with n vertices and m edges: none for an
-  /// implicit singleton, else the header, n vertices and n + 1 offsets
-  /// plus m heads at IdWidth bytes, rounded up to whole words.
+  /// implicit singleton, else the header, n vertices, and the root id,
+  /// n + 1 offsets and m heads at IdWidth bytes, rounded up to whole
+  /// words.
   static uint64_t BodyLength(uint64_t n, uint64_t m) {
     if (n == 1 && m == 0) return 0;
-    return 2 + n + ((n + 1 + m) * IdWidth(n, m) + 3) / 4;
+    return 2 + n + ((n + 2 + m) * IdWidth(n, m) + 3) / 4;
   }
 
-  /// Sketch i's block, or kSingletonBlock for an implicit singleton.
-  const uint32_t* Block(size_t i) const {
-    const uint32_t b = body_starts_[i];
+  /// The block a directory word names, or kSingletonBlock for an
+  /// implicit singleton's.
+  const uint32_t* Block(uint32_t slot) const {
     // A select, not a branch: the packing passes and the estimate walk
-    // meet singletons and explicit blocks interleaved at random. A
-    // trailing singleton's block starts at body_.size(), past the array,
-    // and is never read.
-    return b == body_starts_[i + 1] ? kSingletonBlock : body_.data() + b;
+    // meet singletons and explicit blocks interleaved at random.
+    return (slot & kExplicit) != 0 ? body_.data() + (slot & ~kExplicit)
+                                   : kSingletonBlock;
   }
 
   /// Sketch i's sorted vertices: its body block after the header, or
-  /// its root for an implicit singleton.
+  /// its directory word for an implicit singleton.
   std::span<const VertexId> Vertices(size_t i) const {
-    const uint32_t* block = Block(i);
-    return {block == kSingletonBlock ? &roots_[i] : block + 2,
+    const uint32_t* block = Block(slots_[i]);
+    return {block == kSingletonBlock ? &slots_[i] : block + 2,
             block[1] >> 2};
   }
 
-  /// Where sketch i's edges start in edges_: the header of the first
-  /// explicit block at or after i, or the end of edges_.
-  uint64_t EdgeStart(size_t i) const;
+  /// Where sketch i's block and edges would start in body_ and edges_:
+  /// the start and edge header of the first explicit block at or after
+  /// i, or the ends of the arrays.
+  std::pair<uint64_t, uint64_t> Starts(size_t i) const;
 
   /// Rebuilds containing_starts_/containing_ from the packed sketches
   /// (counting pass + prefix sum + fill in ascending sketch-id order).
@@ -258,8 +271,7 @@ class RrSketchPool {
   /// order per vertex is still ascending sketch id.
   void BuildContaining(size_t num_vertices, ThreadPool* pool = nullptr);
 
-  std::vector<VertexId> roots_;         // one per sketch
-  std::vector<uint32_t> body_starts_;   // num_sketches + 1
+  std::vector<uint32_t> slots_;         // one directory word per sketch
   std::vector<uint32_t> body_;          // header, vertices, packed ids
   std::vector<RRLocalEdge> edges_;      // all sketch edge arrays
   std::vector<uint32_t> containing_starts_;  // num_vertices + 1
@@ -281,6 +293,9 @@ RrSketchPool::Totals RrSketchPool::Measure(size_t num_sketches,
     totals.edges += rr.edges.size();
     totals.max_vertices =
         std::max<uint64_t>(totals.max_vertices, rr.vertices.size());
+    // Sorted, so the last vertex is the largest.
+    totals.max_vertex_id =
+        std::max<uint64_t>(totals.max_vertex_id, rr.vertices.back());
   }
   return totals;
 }
@@ -291,13 +306,11 @@ RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
   // Exact-size arrays up front, so the appends never regrow them.
   const Totals totals = Measure(num_sketches, view_of);
   PITEX_CHECK_MSG(totals.Fit(num_sketches),
-                  "sketch pool exceeds 32-bit directories");
+                  "sketch pool exceeds its directory words");
   RrSketchPool pool;
-  pool.roots_.reserve(num_sketches);
-  pool.body_starts_.reserve(num_sketches + 1);
+  pool.slots_.reserve(num_sketches);
   pool.body_.reserve(totals.body);
   pool.edges_.reserve(totals.edges);
-  pool.body_starts_.push_back(0);
   for (size_t i = 0; i < num_sketches; ++i) pool.Append(view_of(i));
   pool.BuildContaining(num_vertices);
   return pool;
@@ -309,17 +322,23 @@ bool RrSketchPool::Fits(size_t num_sketches, ViewOf&& view_of) {
 }
 
 template <typename Fill>
-void RrSketchPool::AppendSketch(VertexId root,
+void RrSketchPool::AppendSketch(uint32_t root_local,
                                 std::span<const VertexId> vertices, size_t m,
                                 Fill&& fill) {
   const size_t n = vertices.size();
-  if (body_starts_.empty()) body_starts_.push_back(0);
-  roots_.push_back(root);
+  PITEX_DCHECK(root_local < n);
+  // Sorted, so the last vertex is the largest.
+  PITEX_CHECK_MSG(vertices.back() < kExplicit,
+                  "sketch vertex id exceeds the directory word");
   const uint64_t length = BodyLength(n, m);
-  if (length != 0) {
+  if (length == 0) {
+    // Implicit singleton: its directory word is its vertex.
+    slots_.push_back(vertices[0]);
+  } else {
     PITEX_CHECK_MSG(n <= kMaxBlockVertices,
                     "sketch exceeds the block header's vertex count");
     const uint32_t width = IdWidth(n, m);
+    const size_t start = body_.size();
     const size_t e = edges_.size();
     body_.push_back(static_cast<uint32_t>(e));
     body_.push_back(static_cast<uint32_t>(n << 2) |
@@ -327,26 +346,26 @@ void RrSketchPool::AppendSketch(VertexId root,
     body_.insert(body_.end(), vertices.begin(), vertices.end());
     // Zero words: the packed ids' padding reads back as zeros.
     const size_t packed = body_.size();
-    body_.resize(packed + (length - 2 - n));
+    body_.resize(start + length);
     edges_.resize(e + m);
-    auto* offsets = reinterpret_cast<std::byte*>(body_.data() + packed);
+    auto* ids = reinterpret_cast<std::byte*>(body_.data() + packed);
+    std::byte* offsets = ids + width;
     std::byte* heads = offsets + (n + 1) * width;
     RRLocalEdge* edges = edges_.data() + e;
     if (width == 1) {
+      StoreId<uint8_t>(ids, 0, root_local);
       fill(LocalCsrOut<uint8_t>{offsets, heads, edges});
     } else {
+      StoreId<uint32_t>(ids, 0, root_local);
       fill(LocalCsrOut<uint32_t>{offsets, heads, edges});
     }
-  } else {
-    // Implicit singleton: View() rebuilds it from the root alone.
-    PITEX_DCHECK(vertices[0] == root);
+    slots_.push_back(kExplicit | static_cast<uint32_t>(start));
   }
-  // Sketch ids are u32 (containing_) and the directory has one more
-  // entry than there are sketches.
-  PITEX_CHECK_MSG(roots_.size() < UINT32_MAX && body_.size() <= UINT32_MAX &&
+  // Sketch ids are u32 (containing_), and every block starts below the
+  // directory word's top bit.
+  PITEX_CHECK_MSG(slots_.size() < UINT32_MAX && body_.size() <= kExplicit &&
                       edges_.size() <= UINT32_MAX,
-                  "sketch pool exceeds 32-bit directories");
-  body_starts_.push_back(static_cast<uint32_t>(body_.size()));
+                  "sketch pool exceeds its directory words");
   max_sketch_vertices_ = std::max(max_sketch_vertices_, n);
 }
 

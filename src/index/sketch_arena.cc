@@ -50,7 +50,7 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
   // No live in-edge: the root alone, an implicit singleton with no
   // block to assemble.
   if (staged_.empty()) {
-    run->AppendSketch(root, vertices, 0, [](const auto&) {});
+    run->AppendSketch(0, vertices, 0, [](const auto&) {});
     return;
   }
 
@@ -69,7 +69,8 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
     ++counts_[local_index_[s.tail] + 1];
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
-  run->AppendSketch(root, vertices, staged_.size(), [&](const auto& out) {
+  const uint32_t root_local = local_index_[root];
+  run->AppendSketch(root_local, vertices, staged_.size(), [&](const auto& out) {
     for (size_t j = 0; j <= n; ++j) out.set_offset(j, counts_[j]);
     for (const GlobalEdgeSample& s : staged_) {
       const uint32_t k = counts_[local_index_[s.tail]]++;
@@ -106,8 +107,7 @@ PITEX_NOALLOC void SketchArena::Generate(const Graph& graph,
 
 PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
     VertexId root, size_t num_vertices,
-                                        std::span<const GlobalEdgeSample> edges,
-                                        RRGraph* out) {
+    std::span<const GlobalEdgeSample> edges, RRGraph* out) {
   // 1. Candidate set = {root} + every edge endpoint, provisional local
   // ids in first-seen order via the epoch marks.
   uint32_t epoch = BeginTraversal(num_vertices);

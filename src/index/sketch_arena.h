@@ -55,8 +55,9 @@ inline constexpr float kGeometricSkipMax = 1.0f / 16.0f;
 /// identical across both regimes (see file comment); only the RNG draw
 /// sequence depends on the regime.
 template <typename Sink>
-PITEX_NOALLOC inline void SampleLiveInEdges(std::span<const float> env, float vmax,
-                              Rng* rng, Sink&& sink) {
+PITEX_NOALLOC inline void SampleLiveInEdges(std::span<const float> env,
+                                            float vmax, Rng* rng,
+                                            Sink&& sink) {
   const size_t d = env.size();
   if (d == 0 || vmax <= 0.0f) return;
   if (vmax < kGeometricSkipMax) {
@@ -133,10 +134,9 @@ class SketchArena {
   /// its capacity. Byte-identical to ReachingRoot + AssembleRRGraph on
   /// the same inputs, with arena scratch instead of per-call hash maps.
   /// `num_vertices` is the global vertex universe.
-  PITEX_NOALLOC void RebuildRepairedSketch(VertexId root,
-                                           size_t num_vertices,
-                             std::span<const GlobalEdgeSample> edges,
-                             RRGraph* out);
+  PITEX_NOALLOC void RebuildRepairedSketch(
+      VertexId root, size_t num_vertices,
+      std::span<const GlobalEdgeSample> edges, RRGraph* out);
 
  private:
   /// Starts a new traversal over `num_vertices` global ids; returns the

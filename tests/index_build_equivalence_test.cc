@@ -103,7 +103,8 @@ uint64_t IndexContentHash(const RrIndex& index) {
   uint64_t hash = 0xcbf29ce484222325ULL;
   for (size_t i = 0; i < index.num_graphs(); ++i) {
     const RRView rr = index.graph(i);
-    hash = Fnv1a(hash, &rr.root, sizeof(rr.root));
+    const VertexId root = rr.root();
+    hash = Fnv1a(hash, &root, sizeof(root));
     hash = Fnv1a(hash, rr.vertices.data(),
                  rr.vertices.size() * sizeof(VertexId));
     const RRGraph owned = Owned(rr);
@@ -173,7 +174,7 @@ TEST(IndexBuildEquivalenceTest, ArenaPoolMatchesStandaloneGeneration) {
   for (size_t i = 0; i < reference.num_sketches(); ++i) {
     const RRView got = index.pool().View(i);
     const RRView want = reference.View(i);
-    ASSERT_EQ(got.root, want.root) << "sketch " << i;
+    ASSERT_EQ(got.root(), want.root()) << "sketch " << i;
     ASSERT_TRUE(std::ranges::equal(got.vertices, want.vertices))
         << "sketch " << i;
     ASSERT_EQ(Owned(got).offsets, Owned(want).offsets) << "sketch " << i;

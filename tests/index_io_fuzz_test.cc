@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "running_example.h"
 #include "src/index/index_io.h"
@@ -123,6 +125,83 @@ TEST(IndexIoFuzzTest, ChecksumRepairedMutationsRoundTrip) {
   // some mutations load (15 of 300 at this seed): the round trip is
   // exercised, not vacuous.
   EXPECT_GE(loaded, 10);
+}
+
+// Little-endian field access into a saved v2 file.
+uint64_t LoadLe(const std::string& bytes, size_t pos, size_t width) {
+  uint64_t value = 0;
+  for (size_t b = 0; b < width; ++b) {
+    value |= uint64_t{static_cast<unsigned char>(bytes[pos + b])} << (8 * b);
+  }
+  return value;
+}
+void StoreU32(std::string* bytes, size_t pos, uint32_t value) {
+  for (size_t b = 0; b < 4; ++b) {
+    (*bytes)[pos + b] = static_cast<char>((value >> (8 * b)) & 0xff);
+  }
+}
+
+// Where the v2 payload's root array starts: after the header (the magic
+// as a u64 length and 8 bytes, version u32, kind u8, then fingerprint,
+// eps, delta, cap_k and seed at 8 bytes each), theta, the sketch count
+// and the root array's own u64 length.
+constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
+constexpr size_t kRootsOffset = kThetaOffset + 3 * 8;
+
+TEST(IndexIoFuzzTest, MovedRootLoadsOnlyOntoAMember) {
+  // A root moved to another member of its sketch is a different but
+  // valid index: it loads and saves back byte-identical. A root moved
+  // off the sketch is corruption.
+  const SocialNetwork n = MakeRunningExample();
+  const std::string valid = ValidRrIndexBytes(n);
+  const uint64_t s = LoadLe(valid, kThetaOffset + 8, 8);
+  ASSERT_EQ(LoadLe(valid, kRootsOffset - 8, 8), s);
+  // The vertex starts (u64, with a length prefix) follow the roots, then
+  // the vertex array's length prefix and the vertices.
+  const size_t starts = kRootsOffset + 4 * s + 8;
+  const size_t vertices = starts + 8 * (s + 1) + 8;
+  int moved = 0;
+  int off_sketch = 0;
+  for (uint64_t i = 0; i < s && moved < 40; ++i) {
+    const uint64_t vb = LoadLe(valid, starts + 8 * i, 8);
+    const uint64_t ve = LoadLe(valid, starts + 8 * (i + 1), 8);
+    if (ve - vb < 2) continue;
+    std::vector<VertexId> members;
+    for (uint64_t j = vb; j < ve; ++j) {
+      members.push_back(
+          static_cast<VertexId>(LoadLe(valid, vertices + 4 * j, 4)));
+    }
+    const size_t root_pos = kRootsOffset + 4 * i;
+    const auto root = static_cast<VertexId>(LoadLe(valid, root_pos, 4));
+    ASSERT_TRUE(std::ranges::binary_search(members, root)) << "sketch " << i;
+    for (const VertexId member : members) {
+      if (member == root) continue;
+      std::string bytes = valid;
+      StoreU32(&bytes, root_pos, member);
+      RepairChecksum(&bytes);
+      std::stringstream file(bytes);
+      IndexIoError error;
+      const auto loaded = LoadRrIndex(n, file, &error);
+      ASSERT_NE(loaded, nullptr) << "sketch " << i << ": " << error.message;
+      EXPECT_EQ(loaded->graph(i).root(), member);
+      CheckConsistentIfLoaded(n, bytes);
+      ++moved;
+    }
+    for (VertexId v = 0; v <= n.num_vertices(); ++v) {
+      if (std::ranges::binary_search(members, v)) continue;
+      std::string bytes = valid;
+      StoreU32(&bytes, root_pos, v);
+      RepairChecksum(&bytes);
+      std::stringstream file(bytes);
+      IndexIoError error;
+      EXPECT_EQ(LoadRrIndex(n, file, &error), nullptr) << "sketch " << i;
+      EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload)
+          << "sketch " << i << ": " << error.message;
+      ++off_sketch;
+    }
+  }
+  EXPECT_GE(moved, 10);
+  EXPECT_GE(off_sketch, 10);
 }
 
 TEST(IndexIoFuzzTest, ArbitraryTruncationsNeverCrash) {

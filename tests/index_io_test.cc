@@ -71,7 +71,7 @@ TEST(IndexIoTest, RrIndexRoundTripsExactly) {
   for (size_t i = 0; i < index.num_graphs(); ++i) {
     const RRView original = index.graph(i);
     const RRView restored = loaded->graph(i);
-    EXPECT_EQ(restored.root, original.root);
+    EXPECT_EQ(restored.root(), original.root());
     EXPECT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
     EXPECT_EQ(Owned(restored).offsets, Owned(original).offsets);
     EXPECT_EQ(Owned(restored).heads, Owned(original).heads);
@@ -138,7 +138,7 @@ TEST(IndexIoTest, WidthFourSketchRoundTripsByteIdentical) {
     const RRView original = index.graph(i);
     const RRView restored = loaded->graph(i);
     EXPECT_EQ(restored.id_width, 4u);
-    EXPECT_EQ(restored.root, original.root);
+    EXPECT_EQ(restored.root(), original.root());
     EXPECT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
     EXPECT_EQ(Owned(restored).offsets, Owned(original).offsets);
     EXPECT_EQ(Owned(restored).heads, Owned(original).heads);

@@ -22,7 +22,7 @@ void ExpectIndexesIdentical(const RrIndex& a, const RrIndex& b) {
   for (size_t i = 0; i < a.num_graphs(); ++i) {
     const RRView ga = a.graph(i);
     const RRView gb = b.graph(i);
-    ASSERT_EQ(ga.root, gb.root) << "graph " << i;
+    ASSERT_EQ(ga.root(), gb.root()) << "graph " << i;
     ASSERT_TRUE(std::ranges::equal(ga.vertices, gb.vertices))
         << "graph " << i;
     ASSERT_EQ(Owned(ga).offsets, Owned(gb).offsets) << "graph " << i;
@@ -99,7 +99,7 @@ void ExpectPoolsIdentical(const RrSketchPool& a, const RrSketchPool& b) {
   for (size_t i = 0; i < a.num_sketches(); ++i) {
     const RRView ga = a.View(i);
     const RRView gb = b.View(i);
-    ASSERT_EQ(ga.root, gb.root) << "sketch " << i;
+    ASSERT_EQ(ga.root(), gb.root()) << "sketch " << i;
     ASSERT_TRUE(std::ranges::equal(ga.vertices, gb.vertices))
         << "sketch " << i;
     ASSERT_EQ(Owned(ga).offsets, Owned(gb).offsets) << "sketch " << i;

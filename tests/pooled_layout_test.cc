@@ -96,12 +96,12 @@ uint32_t ExpectedWidth(size_t n, size_t m) {
   return n <= 256 && m <= 255 ? 1 : 4;
 }
 
-// The pool's footprint from its layout: roots, the directory (s + 1
-// entries), the body and the containing index hold 32-bit words, an
-// edge record is 8 bytes, and a sketch's body block is a two-word
-// header, n vertices, then n + 1 offsets and m heads at the block's
-// width rounded up to whole words, unless it is an implicit singleton
-// (one vertex, no edges).
+// The pool's footprint from its layout: the directory (one word per
+// sketch), the body and the containing index hold 32-bit words, an edge
+// record is 8 bytes, and a sketch's body block is a two-word header, n
+// vertices, then the root's local id, n + 1 offsets and m heads at the
+// block's width rounded up to whole words, unless it is an implicit
+// singleton (one vertex, no edges).
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   size_t body = 0;
@@ -110,11 +110,10 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     const size_t n = view.vertices.size();
     const size_t m = view.edges.size();
     if (n == 1 && m == 0) continue;
-    body += 2 + n + ((n + 1 + m) * ExpectedWidth(n, m) + 3) / 4;
+    body += 2 + n + ((n + 2 + m) * ExpectedWidth(n, m) + 3) / 4;
   }
   return sizeof(RrSketchPool) +
-         sizeof(uint32_t) * (s + (s + 1) + body +
-                             pool.num_universe_vertices() + 1 +
+         sizeof(uint32_t) * (s + body + pool.num_universe_vertices() + 1 +
                              pool.total_vertices()) +
          8 * pool.total_edges();
 }
@@ -129,7 +128,7 @@ TEST(PooledLayoutTest, SketchesMatchReferenceRebuild) {
   for (size_t i = 0; i < reference.size(); ++i) {
     const RRView pooled = index.graph(i);
     const RRView ref = reference[i];
-    ASSERT_EQ(pooled.root, ref.root) << "graph " << i;
+    ASSERT_EQ(pooled.root(), ref.root()) << "graph " << i;
     ASSERT_TRUE(std::ranges::equal(pooled.vertices, ref.vertices))
         << "graph " << i;
     const RRGraph owned = Owned(pooled);
@@ -262,10 +261,9 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   // Only the two-vertex sketch has a body block: a two-word header, two
-  // vertices and one word holding its 3 offsets and 1 head.
+  // vertices and two words holding its root id, 3 offsets and 1 head.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) +
-                sizeof(uint32_t) * (3 + 4 + 5 + 11 + 4) + 8);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 6 + 11 + 4) + 8);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
   }
@@ -284,8 +282,7 @@ TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) +
-                sizeof(uint32_t) * (2 + 3 + 4 + 11 + 2) + 8);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (2 + 4 + 11 + 2) + 8);
   EXPECT_TRUE(SameSketch(pool.View(0), graphs[0]));
   EXPECT_TRUE(SameSketch(pool.View(1), graphs[1]));
   EXPECT_TRUE(
@@ -300,8 +297,7 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
   }
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) +
-                sizeof(uint32_t) * (20 + 21 + 0 + 11 + 20));
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (20 + 0 + 11 + 20));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
@@ -346,8 +342,8 @@ void ExpectSamePools(const RrSketchPool& got, const RrSketchPool& want) {
 }
 
 TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
-  // The last sketch's block starts at the end of body_: View() must take
-  // its header from the static one, never from body_.
+  // A singleton right after an explicit block, last in the pool: View()
+  // must take its header from the static block, never from body_.
   for (const std::vector<RRGraph>& graphs :
        {std::vector<RRGraph>{RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}},
                              Singleton(7)},
@@ -361,10 +357,10 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 2 + 2 + 1, 2 + 1 + 1, 2 + 3 + 2 and 2 + 2 + 1 words.
+  // Blocks of 2 + 2 + 2, 2 + 1 + 1, 2 + 3 + 2 and 2 + 2 + 2 words.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) +
-                sizeof(uint32_t) * (8 + 9 + 21 + 11 + 12) + 8 * 5);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 23 + 11 + 12) +
+                8 * 5);
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
   EXPECT_EQ(pool.max_sketch_vertices(), 3u);
@@ -426,6 +422,25 @@ TEST(PooledLayoutTest, FromRunsRequiresFullCoverage) {
   const std::vector<RrSketchPool::Segment> short_run = {{0, 0, 0, 9}};
   EXPECT_DEATH(RrSketchPool::FromRuns(runs, short_run, 9, 10),
                "out of range");
+}
+
+TEST(PooledLayoutTest, VertexIdsMustFitThirtyOneBits) {
+  // The directory word's top bit tells a block start from a singleton's
+  // vertex, so no vertex id may reach it: Fits rejects such sketches
+  // (the index loader's typed error) and the writers abort on them.
+  constexpr VertexId kTooWide = VertexId{1} << 31;
+  const RRGraph wide_singleton = Singleton(kTooWide);
+  const RRGraph wide_block{0, {0, kTooWide}, {0, 0, 1}, {0}, {{3, 0.25f}}};
+  const RRGraph fits = Singleton(kTooWide - 1);
+  for (const RRGraph* g : {&wide_singleton, &wide_block}) {
+    EXPECT_FALSE(RrSketchPool::Fits(1, [g](size_t) { return g->View(); }));
+    RrSketchPool run;
+    EXPECT_DEATH(run.Append(*g), "vertex id exceeds the directory word");
+  }
+  EXPECT_TRUE(RrSketchPool::Fits(1, [&fits](size_t) { return fits.View(); }));
+  RrSketchPool run;
+  run.Append(fits);
+  EXPECT_EQ(run.View(0).root(), kTooWide - 1);
 }
 
 TEST(PooledLayoutTest, OverlayStoreMixesSingletonsAndBlocks) {
@@ -509,12 +524,16 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
     const RRView view = pool.View(i);
     const RRView want = graphs[i];
     ASSERT_TRUE(SameSketch(view, want));
+    EXPECT_EQ(view.root(), graphs[i].root);
+    EXPECT_EQ(view.root_local, graphs[i].LocalIndex(graphs[i].root));
     const size_t n = want.vertices.size();
     const size_t m = want.edges.size();
     if (n > 1 || m > 0) {
       EXPECT_EQ(view.id_width, ExpectedWidth(n, m));
     }
-    for (const size_t u : {size_t{0}, size_t{1}, n / 2, n - 2, n - 1}) {
+    const size_t r = want.root_local;
+    for (const size_t u :
+         {size_t{0}, size_t{1}, n / 2, n - 2, n - 1, r - 1, r, r + 1}) {
       if (u >= n) continue;
       const VertexId user = want.vertices[u];
       uint64_t got_edges = 0, want_edges = 0;
@@ -526,13 +545,11 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
   }
 }
 
-TEST(PooledLayoutTest, WidthBoundariesSurviveEveryWriter) {
-  const std::vector<RRGraph> graphs = BoundaryGraphs();
-  // Sanity of the fixtures: the shortcut edges make m independent of n.
-  ASSERT_EQ(graphs[2].vertices.size(), 257u);
-  ASSERT_EQ(graphs[2].edges.size(), 255u);
-  ASSERT_EQ(graphs[8].edges.size(), 65536u);
-
+// Writes `graphs` through every pool writer — Append, Pack, Pack again
+// from the packed views, and FromRuns over one run and over three runs —
+// and checks each result against the graphs.
+void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
+                            size_t universe) {
   // Append: a run written one sketch at a time.
   RrSketchPool run;
   for (const RRGraph& g : graphs) run.Append(g);
@@ -541,13 +558,16 @@ TEST(PooledLayoutTest, WidthBoundariesSurviveEveryWriter) {
   // Pack, then Pack again from the packed views (compaction's path:
   // narrow blocks re-encoded from narrow views).
   const RrSketchPool packed =
-      RrSketchPool::Pack(graphs.size(), kWideUniverse,
+      RrSketchPool::Pack(graphs.size(), universe,
                          [&graphs](size_t i) { return graphs[i].View(); });
   ExpectMatchesGraphs(packed, graphs);
   EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
-  EXPECT_EQ(packed.max_sketch_vertices(), 65537u);
+  EXPECT_EQ(packed.max_sketch_vertices(),
+            std::ranges::max(graphs, {}, [](const RRGraph& g) {
+              return g.vertices.size();
+            }).vertices.size());
   const RrSketchPool repacked =
-      RrSketchPool::Pack(graphs.size(), kWideUniverse,
+      RrSketchPool::Pack(graphs.size(), universe,
                          [&packed](size_t i) { return packed.View(i); });
   ExpectSamePools(repacked, packed);
 
@@ -556,7 +576,7 @@ TEST(PooledLayoutTest, WidthBoundariesSurviveEveryWriter) {
   const std::vector<RrSketchPool::Segment> whole = {
       {0, 0, 0, static_cast<uint32_t>(graphs.size())}};
   const RrSketchPool from_one =
-      RrSketchPool::FromRuns(one_run, whole, graphs.size(), kWideUniverse);
+      RrSketchPool::FromRuns(one_run, whole, graphs.size(), universe);
   ExpectMatchesGraphs(from_one, graphs);
   ExpectSamePools(from_one, packed);
 
@@ -571,10 +591,56 @@ TEST(PooledLayoutTest, WidthBoundariesSurviveEveryWriter) {
     r.Append(graphs[i]);
   }
   const RrSketchPool from_three =
-      RrSketchPool::FromRuns(runs, segments, graphs.size(), kWideUniverse);
+      RrSketchPool::FromRuns(runs, segments, graphs.size(), universe);
   ExpectMatchesGraphs(from_three, graphs);
   ExpectSamePools(from_three, packed);
   EXPECT_EQ(from_three.SizeBytes(), ExactSizeBytes(from_three));
+}
+
+TEST(PooledLayoutTest, WidthBoundariesSurviveEveryWriter) {
+  const std::vector<RRGraph> graphs = BoundaryGraphs();
+  // Sanity of the fixtures: the shortcut edges make m independent of n.
+  ASSERT_EQ(graphs[2].vertices.size(), 257u);
+  ASSERT_EQ(graphs[2].edges.size(), 255u);
+  ASSERT_EQ(graphs[8].edges.size(), 65536u);
+  ExpectEveryWriterKeeps(graphs, kWideUniverse);
+}
+
+// A sketch over vertices 0 .. n - 1 rooted at local id r: a path from
+// each end converging on the root (j -> j + 1 below it, j -> j - 1
+// above it). Edge k has id k; every third threshold is too high for
+// ConstantProbs, cutting the path there.
+RRGraph RootedSketch(size_t n, size_t r) {
+  std::vector<VertexId> vertices(n);
+  std::iota(vertices.begin(), vertices.end(), 0);
+  std::vector<GlobalEdgeSample> edges;
+  for (size_t j = 0; j < n; ++j) {
+    if (j == r) continue;
+    const size_t k = edges.size();
+    edges.push_back(GlobalEdgeSample{
+        static_cast<VertexId>(j), static_cast<VertexId>(j < r ? j + 1 : j - 1),
+        static_cast<EdgeId>(k), k % 3 == 2 ? 0.9f : 0.1f});
+  }
+  return AssembleRRGraph(static_cast<VertexId>(r), std::move(vertices),
+                         edges);
+}
+
+TEST(PooledLayoutTest, RootLocalIdSurvivesEveryWriter) {
+  // Roots first, in the middle and last in their blocks, at the largest
+  // local id one byte holds, and past it in a width-4 block, with
+  // implicit singletons in between.
+  const std::vector<std::pair<size_t, size_t>> shapes = {
+      {5, 0}, {5, 2}, {5, 4}, {256, 255}, {300, 280}, {2, 1}};
+  std::vector<RRGraph> graphs;
+  for (const auto& [n, r] : shapes) {
+    graphs.push_back(RootedSketch(n, r));
+    graphs.push_back(Singleton(static_cast<VertexId>(r % 10)));
+  }
+  // Sanity of the fixtures: the 256-vertex block is narrow, the
+  // 300-vertex one wide.
+  ASSERT_EQ(ExpectedWidth(256, graphs[6].edges.size()), 1u);
+  ASSERT_EQ(ExpectedWidth(300, graphs[8].edges.size()), 4u);
+  ExpectEveryWriterKeeps(graphs, 300);
 }
 
 TEST(PooledLayoutTest, EdgeRecordIsEightBytes) {

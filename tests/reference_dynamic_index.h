@@ -195,7 +195,7 @@ class ReferenceDynamicRrIndex {
     for (size_t i = 0; i < n; ++i) {
       const RRView view = pool.View(i);
       graphs_[i].Assign(view);
-      roots_[i] = view.root;
+      roots_[i] = view.root();
     }
     containing_.assign(network_.num_vertices(), {});
     for (uint32_t id = 0; id < graphs_.size(); ++id) {

@@ -11,8 +11,43 @@
 #include "src/index/edge_cut.h"
 #include "src/index/rr_index.h"
 #include "src/sampling/exact.h"
+#include "src/util/serialize.h"
 
 namespace pitex {
+
+// Reads PrunedRrIndex's per-user filters (befriended in edge_cut.h).
+struct PrunedRrIndexPeer {
+  // FNV-1a over every user's filter under every cut policy: the sketch
+  // count, the trivial sketch ids, the cut edges, and each inverted
+  // list's (threshold, sketch id) entries in order.
+  static uint64_t FilterHash(const RrIndex& base, const SocialNetwork& n) {
+    Fnv1a hash;
+    const auto fold = [&hash](const auto& value) {
+      hash.Update(&value, sizeof(value));
+    };
+    for (const CutPolicy policy : {CutPolicy::kBestOfTwo, CutPolicy::kOutEdges,
+                                   CutPolicy::kRootInEdges}) {
+      PrunedRrIndex pruned(&base, &n.influence, policy);
+      for (VertexId u = 0; u < n.num_vertices(); ++u) {
+        const PrunedRrIndex::UserFilter& filter = pruned.FilterFor(u);
+        fold(filter.num_graphs);
+        fold(filter.trivial.size());
+        for (const uint32_t id : filter.trivial) fold(id);
+        fold(filter.cut_edges.size());
+        for (size_t i = 0; i < filter.cut_edges.size(); ++i) {
+          fold(filter.cut_edges[i]);
+          fold(filter.lists[i].size());
+          for (const auto& entry : filter.lists[i]) {
+            fold(entry.threshold);
+            fold(entry.graph_id);
+          }
+        }
+      }
+    }
+    return hash.digest();
+  }
+};
+
 namespace {
 
 RrIndexOptions DenseOptions() {
@@ -167,6 +202,27 @@ TEST(PrunedRrIndexTest, AllCutPoliciesAgreeOnEstimates) {
       }
     }
   }
+}
+
+TEST(PrunedRrIndexTest, FiltersGoldenHash) {
+  // Every user's filter, pinned: trivial sketches, cut choice and list
+  // order must not depend on how the pool stores a sketch's root.
+  const SocialNetwork example = MakeRunningExample();
+  RrIndexOptions options = DenseOptions();
+  options.theta_override = 5000;
+  RrIndex example_index(example, options);
+  example_index.Build();
+  EXPECT_EQ(PrunedRrIndexPeer::FilterHash(example_index, example),
+            0x741e27c740469126ULL)
+      << std::hex << PrunedRrIndexPeer::FilterHash(example_index, example);
+
+  const SocialNetwork lastfm = GenerateDataset(LastfmSpec(0.1));
+  options.theta_override = 20000;
+  RrIndex lastfm_index(lastfm, options);
+  lastfm_index.Build();
+  EXPECT_EQ(PrunedRrIndexPeer::FilterHash(lastfm_index, lastfm),
+            0xb61e87bf28a36d14ULL)
+      << std::hex << PrunedRrIndexPeer::FilterHash(lastfm_index, lastfm);
 }
 
 TEST(DelayMatTest, CountsMatchDedicatedIndexDistribution) {

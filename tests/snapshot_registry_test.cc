@@ -111,7 +111,7 @@ TEST(SnapshotRegistryTest, FromPoolRoundTripsSketches) {
   for (size_t i = 0; i < master.num_graphs(); i += 97) {
     const RRView packed = snapshot->rr_index()->graph(i);
     const RRView original = master.graph(i);
-    EXPECT_EQ(packed.root, original.root);
+    EXPECT_EQ(packed.root(), original.root());
     ASSERT_EQ(packed.vertices.size(), original.vertices.size());
     for (size_t v = 0; v < packed.vertices.size(); ++v) {
       EXPECT_EQ(packed.vertices[v], original.vertices[v]);
