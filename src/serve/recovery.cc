@@ -45,15 +45,7 @@ bool WriteCheckpointManifest(const std::string& dir,
     writer.WriteU64(manifest.epoch);
     writer.WriteU64(manifest.index_version);
     writer.WriteString(manifest.snapshot_file);
-    writer.WriteU64(manifest.model_delta.size());
-    for (const EdgeInfluenceUpdate& update : manifest.model_delta) {
-      writer.WriteU32(update.edge);
-      writer.WriteU64(update.entries.size());
-      for (const EdgeTopicEntry& entry : update.entries) {
-        writer.WriteU32(entry.topic);
-        writer.WriteF64(entry.prob);
-      }
-    }
+    WriteUpdateBatch(&writer, manifest.model_delta);
     writer.WriteChecksum();
     out.close();
     if (!writer.ok() || !out) {
@@ -91,31 +83,17 @@ bool ReadCheckpointManifest(const std::string& dir,
       !reader.ReadU32(&version) || version != kManifestVersion) {
     return Fail(error, "bad checkpoint manifest header");
   }
-  uint64_t delta_count = 0;
   if (!reader.ReadU64(&manifest->lsn) || !reader.ReadU64(&manifest->epoch) ||
       !reader.ReadU64(&manifest->index_version) ||
       !reader.ReadString(&manifest->snapshot_file) ||
       manifest->snapshot_file.empty() ||
-      manifest->snapshot_file.find('/') != std::string::npos ||
-      !reader.ReadU64(&delta_count)) {
+      manifest->snapshot_file.find('/') != std::string::npos) {
     return Fail(error, "truncated checkpoint manifest");
   }
-  manifest->model_delta.clear();
-  for (uint64_t i = 0; i < delta_count; ++i) {
-    EdgeInfluenceUpdate& update = manifest->model_delta.emplace_back();
-    uint32_t edge = 0;
-    uint64_t entries = 0;
-    if (!reader.ReadU32(&edge) || !reader.ReadU64(&entries)) {
-      return Fail(error, "truncated checkpoint delta");
-    }
-    update.edge = edge;
-    for (uint64_t j = 0; j < entries; ++j) {
-      EdgeTopicEntry entry;
-      if (!reader.ReadU32(&entry.topic) || !reader.ReadF64(&entry.prob)) {
-        return Fail(error, "truncated checkpoint delta entry");
-      }
-      update.entries.push_back(entry);
-    }
+  std::error_code ec;
+  const uint64_t file_bytes = std::filesystem::file_size(path, ec);
+  if (ec || !ReadUpdateBatch(&reader, file_bytes, &manifest->model_delta)) {
+    return Fail(error, "truncated checkpoint delta");
   }
   if (!reader.VerifyChecksum()) {
     return Fail(error, "checkpoint manifest checksum mismatch");

@@ -16,92 +16,6 @@
 #include "src/util/serialize.h"
 
 namespace pitex {
-namespace {
-
-// ---------------------------------------------------------------------------
-// Frame codec internals
-
-// "PXRP" as raw bytes; the decoder matches prefixes of this during
-// realignment, so it is kept as an array rather than a packed u32.
-constexpr char kReplMagic[4] = {'P', 'X', 'R', 'P'};
-constexpr size_t kReplMagicBytes = sizeof(kReplMagic);
-constexpr size_t kReplHeaderBytes = kReplMagicBytes + 1 + 4;  // magic|type|len
-constexpr size_t kReplChecksumBytes = 8;
-// Same ceiling as the WAL's kMaxRecordBytes: a length field above this
-// is damage, not a real frame — without the cap a corrupt header could
-// make the receiver buffer gigabytes waiting for a frame that never
-// completes.
-constexpr uint32_t kMaxReplPayloadBytes = 256u << 20;
-
-void AppendLe(std::string* out, uint64_t value, size_t width) {
-  for (size_t i = 0; i < width; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-uint64_t ReadLe(const char* data, size_t width) {
-  uint64_t value = 0;
-  for (size_t i = 0; i < width; ++i) {
-    value |= static_cast<uint64_t>(static_cast<unsigned char>(data[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-bool ValidReplFrameType(uint8_t type) {
-  return type >= static_cast<uint8_t>(ReplFrameType::kCheckpoint) &&
-         type <= static_cast<uint8_t>(ReplFrameType::kResync);
-}
-
-}  // namespace
-
-std::string EncodeReplFrame(const ReplFrame& frame) {
-  std::string out;
-  out.reserve(kReplHeaderBytes + frame.payload.size() + kReplChecksumBytes);
-  out.append(kReplMagic, kReplMagicBytes);
-  out.push_back(static_cast<char>(frame.type));
-  AppendLe(&out, frame.payload.size(), 4);
-  out.append(frame.payload);
-  Fnv1a hash;
-  hash.Update(out.data() + kReplMagicBytes, out.size() - kReplMagicBytes);
-  AppendLe(&out, hash.digest(), kReplChecksumBytes);
-  return out;
-}
-
-ReplDecodeStatus DecodeReplFrame(std::string_view bytes, ReplFrame* frame,
-                                 size_t* consumed) {
-  // Magic first: a short buffer that is still a prefix of the magic may
-  // become a frame once more bytes arrive; anything else is damage.
-  const size_t magic_have = std::min(bytes.size(), kReplMagicBytes);
-  if (bytes.compare(0, magic_have, kReplMagic, magic_have) != 0) {
-    return ReplDecodeStatus::kBad;
-  }
-  if (bytes.size() < kReplHeaderBytes) return ReplDecodeStatus::kNeedMore;
-  const uint8_t type = static_cast<uint8_t>(bytes[kReplMagicBytes]);
-  const uint64_t payload_len = ReadLe(bytes.data() + kReplMagicBytes + 1, 4);
-  if (!ValidReplFrameType(type) || payload_len > kMaxReplPayloadBytes) {
-    return ReplDecodeStatus::kBad;
-  }
-  const size_t total = kReplHeaderBytes + payload_len + kReplChecksumBytes;
-  if (bytes.size() < total) return ReplDecodeStatus::kNeedMore;
-  Fnv1a hash;
-  hash.Update(bytes.data() + kReplMagicBytes, 1 + 4 + payload_len);
-  const uint64_t stored =
-      ReadLe(bytes.data() + kReplHeaderBytes + payload_len, 8);
-  if (stored != hash.digest()) return ReplDecodeStatus::kBad;
-  frame->type = static_cast<ReplFrameType>(type);
-  frame->payload.assign(bytes.data() + kReplHeaderBytes, payload_len);
-  *consumed = total;
-  return ReplDecodeStatus::kFrame;
-}
-
-size_t ReplResyncSkip(std::string_view bytes) {
-  for (size_t i = 1; i < bytes.size(); ++i) {
-    const size_t have = std::min(bytes.size() - i, kReplMagicBytes);
-    if (bytes.compare(i, have, kReplMagic, have) == 0) return i;
-  }
-  return std::max<size_t>(bytes.size(), 1);
-}
 
 // ---------------------------------------------------------------------------
 // Typed payloads
@@ -147,16 +61,7 @@ ReplFrame EncodeRecordMsg(const ReplRecordMsg& msg) {
   std::ostringstream out;
   BinaryWriter writer(&out);
   writer.WriteU64(msg.term);
-  writer.WriteU64(msg.lsn);
-  writer.WriteU64(msg.updates.size());
-  for (const EdgeInfluenceUpdate& update : msg.updates) {
-    writer.WriteU32(update.edge);
-    writer.WriteU64(update.entries.size());
-    for (const EdgeTopicEntry& entry : update.entries) {
-      writer.WriteU32(entry.topic);
-      writer.WriteF64(entry.prob);
-    }
-  }
+  WriteWalRecord(&writer, msg.lsn, msg.updates);
   return ReplFrame{ReplFrameType::kRecord, std::move(out).str()};
 }
 
@@ -164,37 +69,9 @@ bool DecodeRecordMsg(const ReplFrame& frame, ReplRecordMsg* msg) {
   if (frame.type != ReplFrameType::kRecord) return false;
   std::istringstream in(frame.payload);
   BinaryReader reader(&in);
-  uint64_t batch = 0;
-  if (!reader.ReadU64(&msg->term) || !reader.ReadU64(&msg->lsn) ||
-      !reader.ReadU64(&batch)) {
-    return false;
-  }
-  // Allocation bound: every update costs at least 12 encoded bytes
-  // (edge u32 + entry count u64) and every entry exactly 12 (topic u32
-  // + prob f64), so a count beyond payload/12 + 1 is structurally
-  // impossible — the same defensive sizing the WAL reader uses.
-  const uint64_t max_items = frame.payload.size() / 12 + 1;
-  if (batch > max_items) return false;
-  msg->updates.clear();
-  msg->updates.reserve(batch);
-  for (uint64_t i = 0; i < batch; ++i) {
-    EdgeInfluenceUpdate update;
-    uint64_t entries = 0;
-    if (!reader.ReadU32(&update.edge) || !reader.ReadU64(&entries) ||
-        entries > max_items) {
-      return false;
-    }
-    update.entries.reserve(entries);
-    for (uint64_t j = 0; j < entries; ++j) {
-      EdgeTopicEntry entry;
-      if (!reader.ReadU32(&entry.topic) || !reader.ReadF64(&entry.prob)) {
-        return false;
-      }
-      update.entries.push_back(entry);
-    }
-    msg->updates.push_back(std::move(update));
-  }
-  return true;
+  return reader.ReadU64(&msg->term) &&
+         ReadWalRecord(&reader, frame.payload.size(), &msg->lsn,
+                       &msg->updates);
 }
 
 ReplFrame EncodeHeartbeatMsg(const ReplHeartbeatMsg& msg) {
@@ -245,6 +122,38 @@ bool DecodeResyncMsg(const ReplFrame& frame, uint64_t* from_lsn) {
 
 namespace {
 
+/// Receiver-side reassembly shared by both transports (receiver-thread
+/// only): the bytes read so far, and whether the peer is gone.
+struct FrameReassembler {
+  std::string buffer;
+  bool eof = false;
+
+  /// Decodes the next frame from the front of `buffer` (kFrame), skips
+  /// damaged bytes to the next magic (kBadFrame), or, once the peer is
+  /// gone, discards a torn trailing frame (kClosed): the peer died
+  /// mid-send and never committed it, like the WAL's torn tail. False
+  /// when `buffer` holds at most a frame prefix: read more.
+  bool Next(ReplFrame* frame, ReplicationTransport::RecvStatus* status) {
+    size_t consumed = 0;
+    switch (DecodeReplFrame(buffer, frame, &consumed)) {
+      case ReplDecodeStatus::kFrame:
+        buffer.erase(0, consumed);
+        *status = ReplicationTransport::RecvStatus::kFrame;
+        return true;
+      case ReplDecodeStatus::kBad:
+        buffer.erase(0, ReplResyncSkip(buffer));
+        *status = ReplicationTransport::RecvStatus::kBadFrame;
+        return true;
+      case ReplDecodeStatus::kNeedMore:
+        break;
+    }
+    if (!eof) return false;
+    buffer.clear();
+    *status = ReplicationTransport::RecvStatus::kClosed;
+    return true;
+  }
+};
+
 /// One direction of the in-process pipe: a byte-chunk queue under a
 /// mutex. Chunks preserve send boundaries only incidentally — the
 /// receiver concatenates them into its reassembly buffer, exactly as a
@@ -283,50 +192,20 @@ class InProcessTransport final : public ReplicationTransport {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     InProcessDirection& dir = shared_->directions[1 - send_index_];
     for (;;) {
-      if (!buffer_.empty()) {
-        size_t consumed = 0;
-        switch (DecodeReplFrame(buffer_, frame, &consumed)) {
-          case ReplDecodeStatus::kFrame:
-            buffer_.erase(0, consumed);
-            return RecvStatus::kFrame;
-          case ReplDecodeStatus::kBad:
-            buffer_.erase(0, ReplResyncSkip(buffer_));
-            return RecvStatus::kBadFrame;
-          case ReplDecodeStatus::kNeedMore:
-            break;
-        }
+      RecvStatus status;
+      if (in_.Next(frame, &status)) return status;
+      MutexLock lock(dir.mutex);
+      while (dir.chunks.empty() && !dir.closed) {
+        const auto now = std::chrono::steady_clock::now();
+        if (now >= deadline) return RecvStatus::kTimeout;
+        dir.cv.WaitFor(lock, deadline - now);
       }
-      bool drained_closed = false;
-      {
-        MutexLock lock(dir.mutex);
-        while (dir.chunks.empty() && !dir.closed) {
-          const auto now = std::chrono::steady_clock::now();
-          if (now >= deadline) return RecvStatus::kTimeout;
-          dir.cv.WaitFor(lock, deadline - now);
-        }
-        while (!dir.chunks.empty()) {
-          buffer_ += dir.chunks.front();
-          dir.chunks.pop_front();
-        }
-        drained_closed = dir.closed && dir.chunks.empty() && buffer_.empty();
-        // A non-empty buffer_ after close is retried through the
-        // decoder above; an undecodable remainder is the torn tail.
+      while (!dir.chunks.empty()) {
+        in_.buffer += dir.chunks.front();
+        dir.chunks.pop_front();
       }
-      if (drained_closed) return RecvStatus::kClosed;
-      if (buffer_.empty()) continue;
-      size_t consumed = 0;
-      const ReplDecodeStatus status = DecodeReplFrame(buffer_, frame,
-                                                      &consumed);
-      if (status == ReplDecodeStatus::kNeedMore) {
-        // Peer closed with a torn trailing frame: discard it (the
-        // stream analogue of the WAL torn-tail rule) and report EOF.
-        MutexLock lock(dir.mutex);
-        if (dir.closed && dir.chunks.empty()) {
-          buffer_.clear();
-          return RecvStatus::kClosed;
-        }
-      }
-      // Otherwise loop: the top-of-loop decode handles kFrame/kBad.
+      // A closed direction never receives another chunk.
+      in_.eof = dir.closed;
     }
   }
 
@@ -343,7 +222,7 @@ class InProcessTransport final : public ReplicationTransport {
  private:
   std::shared_ptr<InProcessShared> shared_;
   const int send_index_;
-  std::string buffer_;  // receiver-thread-only reassembly buffer
+  FrameReassembler in_;
 };
 
 }  // namespace
@@ -390,25 +269,8 @@ class FdTransport final : public ReplicationTransport {
                   std::chrono::milliseconds timeout) override {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     for (;;) {
-      if (!buffer_.empty()) {
-        size_t consumed = 0;
-        switch (DecodeReplFrame(buffer_, frame, &consumed)) {
-          case ReplDecodeStatus::kFrame:
-            buffer_.erase(0, consumed);
-            return RecvStatus::kFrame;
-          case ReplDecodeStatus::kBad:
-            buffer_.erase(0, ReplResyncSkip(buffer_));
-            return RecvStatus::kBadFrame;
-          case ReplDecodeStatus::kNeedMore:
-            break;
-        }
-      }
-      if (eof_) {
-        // Torn trailing frame at EOF is discarded, like the WAL's torn
-        // tail: the peer died mid-send and never committed the frame.
-        buffer_.clear();
-        return RecvStatus::kClosed;
-      }
+      RecvStatus status;
+      if (in_.Next(frame, &status)) return status;
       const auto now = std::chrono::steady_clock::now();
       if (now >= deadline) return RecvStatus::kTimeout;
       const auto left =
@@ -427,9 +289,9 @@ class FdTransport final : public ReplicationTransport {
       char tmp[65536];
       const ssize_t n = ::read(fd_, tmp, sizeof tmp);
       if (n > 0) {
-        buffer_.append(tmp, static_cast<size_t>(n));
+        in_.buffer.append(tmp, static_cast<size_t>(n));
       } else if (n == 0) {
-        eof_ = true;
+        in_.eof = true;
       } else if (errno != EINTR && errno != EAGAIN) {
         return RecvStatus::kClosed;
       }
@@ -443,8 +305,7 @@ class FdTransport final : public ReplicationTransport {
  private:
   const int fd_;
   std::atomic<bool> shutdown_{false};
-  bool eof_ = false;        // receiver-thread-only
-  std::string buffer_;      // receiver-thread-only reassembly buffer
+  FrameReassembler in_;
 };
 
 }  // namespace

@@ -15,17 +15,14 @@
 //
 // The pieces, bottom-up:
 //
-//   * Frame codec — every message on the wire is one length-framed,
-//     checksummed frame:
-//
-//       magic "PXRP" u32 LE | type u8 | payload-length u32 LE |
-//       payload | fnv64(type | length | payload) u64 LE
-//
+//   * Frame codec (src/serve/wal.h) — every message on the wire is one
+//     frame of the same format the WAL stores its records in, and a
+//     kRecord payload is term u64 followed by the WAL's record body.
 //     DecodeReplFrame distinguishes "incomplete" (a prefix of a valid
-//     frame: wait for more bytes — the stream analogue of the WAL's
-//     torn tail) from "damaged" (checksum or header mismatch: discard
-//     and realign at the next magic). tests/replication_test.cc pins
-//     both byte-by-byte, like wal_test.cc's torn-tail sweep.
+//     frame: wait for more bytes — the WAL's torn tail) from "damaged"
+//     (checksum or header mismatch: discard and realign at the next
+//     magic). tests/replication_test.cc pins both byte-by-byte, like
+//     wal_test.cc's torn-tail sweep.
 //
 //   * ReplicationTransport — a duplex byte pipe with framed receive.
 //     Two implementations: an in-process pair (two mutex+condvar byte
@@ -89,7 +86,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -99,67 +95,19 @@
 #include "src/serve/pitex_service.h"
 #include "src/serve/recovery.h"
 #include "src/serve/term_authority.h"
+#include "src/serve/wal.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
 namespace pitex {
 
 // ---------------------------------------------------------------------------
-// Frame codec
+// Typed payloads
 
-enum class ReplFrameType : uint8_t {
-  /// Primary -> follower, once per connection before anything else:
-  /// the bootstrap checkpoint (possibly "none yet"). Payload:
-  /// term u64 | present u8 | manifest string | snapshot-name string |
-  /// snapshot bytes string.
-  kCheckpoint = 1,
-  /// One committed WAL record. Payload: term u64 | lsn u64 |
-  /// batch-size u64 | { edge u32 | n u64 | {topic u32, prob f64} * n }.
-  kRecord = 2,
-  /// Liveness + lag beacon. Payload: term u64 | durable-lsn u64.
-  kHeartbeat = 3,
-  /// Follower -> primary: records through this LSN are applied (and
-  /// durable in the follower's own log). Payload: applied-lsn u64.
-  kAck = 4,
-  /// Follower -> primary: resend everything after this LSN (gap or
-  /// damaged frame detected). Payload: from-lsn u64.
-  kResync = 5,
-};
-
-struct ReplFrame {
-  ReplFrameType type = ReplFrameType::kHeartbeat;
-  std::string payload;
-};
-
-enum class ReplDecodeStatus : uint8_t {
-  /// A complete, checksum-verified frame was decoded.
-  kFrame,
-  /// The bytes are a proper prefix of a plausible frame: read more.
-  /// (A stream that ends here is the analogue of a WAL torn tail.)
-  kNeedMore,
-  /// Header or checksum mismatch: damaged bytes. Discard and realign
-  /// (ReplResyncSkip) — the sender will be asked to resend.
-  kBad,
-};
-
-/// Serializes one frame (header, payload, trailing checksum).
-std::string EncodeReplFrame(const ReplFrame& frame);
-
-/// Attempts to decode one frame from the front of `bytes`. On kFrame,
-/// `*frame` holds the decoded frame and `*consumed` the bytes to
-/// discard; on kNeedMore/kBad both outputs are untouched.
-ReplDecodeStatus DecodeReplFrame(std::string_view bytes, ReplFrame* frame,
-                                 size_t* consumed);
-
-/// After kBad: bytes to discard so decoding resumes at the next
-/// occurrence of the frame magic (>= 1; the whole buffer when no magic
-/// candidate follows).
-size_t ReplResyncSkip(std::string_view bytes);
-
-// Typed payload encode/decode. Decoders return false on short, corrupt
-// or oversized payloads (damage the outer checksum did not catch only
-// arises from a buggy or malicious peer — rejecting is the response
-// either way).
+// Typed payload encode/decode over the frame codec of src/serve/wal.h.
+// Decoders return false on short, corrupt or oversized payloads (damage
+// the outer checksum did not catch only arises from a buggy or
+// malicious peer — rejecting is the response either way).
 
 struct ReplCheckpointMsg {
   uint64_t term = 0;

@@ -6,7 +6,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "src/util/failpoint.h"
@@ -24,25 +26,35 @@ namespace pitex {
 namespace {
 
 constexpr char kSegmentMagic[9] = "PITEXWAL";  // 8 bytes on disk
-constexpr uint32_t kFormatVersion = 1;
-constexpr uint32_t kFrameMagic = 0x52575850u;  // "PXWR" little-endian
+constexpr uint32_t kFormatVersion = 2;
 constexpr size_t kSegmentHeaderBytes = 8 + 4 + 8;
-// A record is one ApplyUpdates batch; anything near this bound is a
-// corrupt length field, not a real batch.
-constexpr uint32_t kMaxRecordBytes = 256u << 20;
 
-void AppendLe(std::string* out, uint64_t value, size_t width) {
-  for (size_t i = 0; i < width; ++i) {
-    out->push_back(static_cast<char>(value >> (8 * i)));
-  }
+// "PXRP" as raw bytes; the decoder matches prefixes of this during
+// realignment, so it is kept as an array rather than a packed u32.
+constexpr char kReplMagic[4] = {'P', 'X', 'R', 'P'};
+constexpr size_t kReplMagicBytes = sizeof(kReplMagic);
+constexpr size_t kReplHeaderBytes = kReplMagicBytes + 1 + 4;  // magic|type|len
+constexpr size_t kReplChecksumBytes = 8;
+
+bool ValidReplFrameType(uint8_t type) {
+  return type >= static_cast<uint8_t>(ReplFrameType::kCheckpoint) &&
+         type <= static_cast<uint8_t>(ReplFrameType::kWalRecord);
 }
 
-uint64_t DecodeLe(const unsigned char* buf, size_t width) {
-  uint64_t value = 0;
-  for (size_t i = 0; i < width; ++i) {
-    value |= static_cast<uint64_t>(buf[i]) << (8 * i);
+// True when `bytes` starts with a WAL record frame header whose length
+// spans exactly `bytes`: after DecodeReplFrame said kBad, that frame is
+// complete and failed only its checksum.
+bool RecordFrameSpans(std::string_view bytes) {
+  if (bytes.size() < kReplHeaderBytes ||
+      bytes.compare(0, kReplMagicBytes, kReplMagic, kReplMagicBytes) != 0 ||
+      static_cast<uint8_t>(bytes[kReplMagicBytes]) !=
+          static_cast<uint8_t>(ReplFrameType::kWalRecord)) {
+    return false;
   }
-  return value;
+  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+  return kReplHeaderBytes + DecodeLe(data + kReplMagicBytes + 1, 4) +
+             kReplChecksumBytes ==
+         bytes.size();
 }
 
 // write(2) the whole buffer, resuming partial writes and EINTR.
@@ -114,6 +126,110 @@ WalReadResult MakeResult(WalReadStatus status, std::string message) {
 
 }  // namespace
 
+std::string EncodeReplFrame(const ReplFrame& frame) {
+  const size_t payload_len = frame.payload.size();
+  std::string out(kReplHeaderBytes + payload_len + kReplChecksumBytes, '\0');
+  auto* bytes = reinterpret_cast<unsigned char*>(out.data());
+  std::memcpy(bytes, kReplMagic, kReplMagicBytes);
+  bytes[kReplMagicBytes] = static_cast<unsigned char>(frame.type);
+  EncodeLe(payload_len, 4, bytes + kReplMagicBytes + 1);
+  std::memcpy(bytes + kReplHeaderBytes, frame.payload.data(), payload_len);
+  Fnv1a hash;
+  hash.Update(bytes + kReplMagicBytes, 1 + 4 + payload_len);
+  EncodeLe(hash.digest(), kReplChecksumBytes,
+           bytes + kReplHeaderBytes + payload_len);
+  return out;
+}
+
+ReplDecodeStatus DecodeReplFrame(std::string_view bytes, ReplFrame* frame,
+                                 size_t* consumed) {
+  // Magic first: a short buffer that is still a prefix of the magic may
+  // become a frame once more bytes arrive; anything else is damage.
+  const size_t magic_have = std::min(bytes.size(), kReplMagicBytes);
+  if (bytes.compare(0, magic_have, kReplMagic, magic_have) != 0) {
+    return ReplDecodeStatus::kBad;
+  }
+  if (bytes.size() < kReplHeaderBytes) return ReplDecodeStatus::kNeedMore;
+  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+  const uint8_t type = data[kReplMagicBytes];
+  const uint64_t payload_len = DecodeLe(data + kReplMagicBytes + 1, 4);
+  if (!ValidReplFrameType(type) || payload_len > kMaxReplPayloadBytes) {
+    return ReplDecodeStatus::kBad;
+  }
+  const size_t total = kReplHeaderBytes + payload_len + kReplChecksumBytes;
+  if (bytes.size() < total) return ReplDecodeStatus::kNeedMore;
+  Fnv1a hash;
+  hash.Update(data + kReplMagicBytes, 1 + 4 + payload_len);
+  const uint64_t stored =
+      DecodeLe(data + kReplHeaderBytes + payload_len, kReplChecksumBytes);
+  if (stored != hash.digest()) return ReplDecodeStatus::kBad;
+  frame->type = static_cast<ReplFrameType>(type);
+  frame->payload.assign(bytes.data() + kReplHeaderBytes, payload_len);
+  *consumed = total;
+  return ReplDecodeStatus::kFrame;
+}
+
+size_t ReplResyncSkip(std::string_view bytes) {
+  for (size_t i = 1; i < bytes.size(); ++i) {
+    const size_t have = std::min(bytes.size() - i, kReplMagicBytes);
+    if (bytes.compare(i, have, kReplMagic, have) == 0) return i;
+  }
+  return std::max<size_t>(bytes.size(), 1);
+}
+
+void WriteUpdateBatch(BinaryWriter* writer,
+                      std::span<const EdgeInfluenceUpdate> updates) {
+  writer->WriteU64(updates.size());
+  for (const EdgeInfluenceUpdate& update : updates) {
+    writer->WriteU32(update.edge);
+    writer->WriteU64(update.entries.size());
+    for (const EdgeTopicEntry& entry : update.entries) {
+      writer->WriteU32(entry.topic);
+      writer->WriteF64(entry.prob);
+    }
+  }
+}
+
+bool ReadUpdateBatch(BinaryReader* reader, uint64_t max_bytes,
+                     std::vector<EdgeInfluenceUpdate>* updates) {
+  // Declared counts are untrusted (a manifest's checksum is verified
+  // only after the batch is read), so each one is bounded by what the
+  // enclosing bytes could physically encode before it sizes a reserve.
+  constexpr uint64_t kMinItemBytes = 12;
+  const uint64_t max_items = max_bytes / kMinItemBytes;
+  uint64_t count = 0;
+  if (!reader->ReadU64(&count) || count > max_items) return false;
+  updates->clear();
+  updates->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    EdgeInfluenceUpdate& update = updates->emplace_back();
+    uint64_t entries = 0;
+    if (!reader->ReadU32(&update.edge) || !reader->ReadU64(&entries) ||
+        entries > max_items) {
+      return false;
+    }
+    update.entries.reserve(entries);
+    for (uint64_t j = 0; j < entries; ++j) {
+      EdgeTopicEntry& entry = update.entries.emplace_back();
+      if (!reader->ReadU32(&entry.topic) || !reader->ReadF64(&entry.prob)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+void WriteWalRecord(BinaryWriter* writer, uint64_t lsn,
+                    std::span<const EdgeInfluenceUpdate> updates) {
+  writer->WriteU64(lsn);
+  WriteUpdateBatch(writer, updates);
+}
+
+bool ReadWalRecord(BinaryReader* reader, uint64_t max_bytes, uint64_t* lsn,
+                   std::vector<EdgeInfluenceUpdate>* updates) {
+  return reader->ReadU64(lsn) && ReadUpdateBatch(reader, max_bytes, updates);
+}
+
 std::string WalSegmentName(uint64_t start_lsn) {
   char buf[4 + 16 + 4 + 1];
   std::snprintf(buf, sizeof(buf), "wal-%016llx.log",
@@ -167,11 +283,12 @@ bool WriteAheadLog::OpenSegment(uint64_t start_lsn, std::string* error) {
     }
     return false;
   }
-  std::string header;
-  header.append(kSegmentMagic, 8);
-  AppendLe(&header, kFormatVersion, 4);
-  AppendLe(&header, start_lsn, 8);
-  bool ok = WriteFully(fd_, header.data(), header.size());
+  unsigned char header[kSegmentHeaderBytes];
+  std::memcpy(header, kSegmentMagic, 8);
+  EncodeLe(kFormatVersion, 4, header + 8);
+  EncodeLe(start_lsn, 8, header + 12);
+  bool ok = WriteFully(fd_, reinterpret_cast<const char*>(header),
+                       sizeof(header));
   if (ok && options_.fsync == WalFsyncPolicy::kAlways) {
     ok = ::fsync(fd_) == 0;
     if (ok) {
@@ -190,7 +307,7 @@ bool WriteAheadLog::OpenSegment(uint64_t start_lsn, std::string* error) {
     return false;
   }
   segment_start_lsn_ = start_lsn;
-  offset_ = header.size();
+  offset_ = sizeof(header);
   committed_offset_ = offset_;
   return true;
 }
@@ -239,28 +356,16 @@ uint64_t WriteAheadLog::Append(std::span<const EdgeInfluenceUpdate> updates) {
   if (!RotateIfNeeded()) return 0;
 
   const uint64_t lsn = next_lsn_;
-  std::ostringstream blob_stream;
-  BinaryWriter writer(&blob_stream);
-  writer.WriteU64(lsn);
-  writer.WriteU64(updates.size());
-  for (const EdgeInfluenceUpdate& update : updates) {
-    writer.WriteU32(update.edge);
-    writer.WriteU64(update.entries.size());
-    for (const EdgeTopicEntry& entry : update.entries) {
-      writer.WriteU32(entry.topic);
-      writer.WriteF64(entry.prob);
-    }
+  std::ostringstream payload;
+  BinaryWriter writer(&payload);
+  WriteWalRecord(&writer, lsn, updates);
+  if (!writer.ok() ||
+      static_cast<uint64_t>(payload.tellp()) > kMaxReplPayloadBytes) {
+    return 0;
   }
-  writer.WriteChecksum();
-  if (!writer.ok()) return 0;
-  const std::string blob = blob_stream.str();
-  if (blob.size() > kMaxRecordBytes) return 0;
-
-  std::string frame;
-  frame.reserve(8 + blob.size());
-  AppendLe(&frame, kFrameMagic, 4);
-  AppendLe(&frame, blob.size(), 4);
-  frame += blob;
+  const std::string frame =
+      EncodeReplFrame(ReplFrame{ReplFrameType::kWalRecord,
+                                std::move(payload).str()});
   if (!WriteFully(fd_, frame.data(), frame.size())) {
     RollBackTo(offset_);
     return 0;
@@ -376,9 +481,10 @@ WalReadResult ReadWalAfter(const std::string& dir, uint64_t after_lsn,
       return MakeResult(WalReadStatus::kIoError,
                         "cannot open WAL segment " + segments[s].path);
     }
-    unsigned char header[kSegmentHeaderBytes];
-    in.read(reinterpret_cast<char*>(header), sizeof(header));
-    if (static_cast<size_t>(in.gcount()) != sizeof(header)) {
+    // A segment is at most segment_bytes plus one record: read it whole.
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    if (bytes.size() < kSegmentHeaderBytes) {
       if (last_segment) {
         // Crash during rotation: the fresh segment's header never made
         // it out. Nothing was committed past the previous segment.
@@ -388,6 +494,7 @@ WalReadResult ReadWalAfter(const std::string& dir, uint64_t after_lsn,
       return MakeResult(WalReadStatus::kCorrupt,
                         "short segment header mid-log: " + segments[s].path);
     }
+    const auto* header = reinterpret_cast<const unsigned char*>(bytes.data());
     if (std::memcmp(header, kSegmentMagic, 8) != 0 ||
         DecodeLe(header + 8, 4) != kFormatVersion ||
         DecodeLe(header + 12, 8) != segments[s].start_lsn) {
@@ -409,91 +516,42 @@ WalReadResult ReadWalAfter(const std::string& dir, uint64_t after_lsn,
       expected = segments[s].start_lsn;
     }
 
-    // A torn record at the *physical end* of an older segment is legal
-    // in exactly one shape: the writer crashed mid-append, restarted,
-    // and recovery reopened a fresh segment at the first uncommitted
-    // LSN — which is precisely the LSN the torn record would have
-    // carried. The successor segment anchoring there proves the damage
-    // was superseded, never acknowledged; anything else is corruption.
-    const auto superseded_torn_tail = [&]() {
-      return !last_segment && segments[s + 1].start_lsn == expected;
-    };
-    for (;;) {
-      unsigned char frame[8];
-      in.read(reinterpret_cast<char*>(frame), sizeof(frame));
-      const auto frame_got = static_cast<size_t>(in.gcount());
-      if (frame_got == 0) break;  // clean end of segment
-      if (frame_got < sizeof(frame)) {
-        if (last_segment) {
+    std::string_view rest = std::string_view(bytes).substr(kSegmentHeaderBytes);
+    while (!rest.empty()) {
+      ReplFrame frame;
+      size_t consumed = 0;
+      const ReplDecodeStatus status = DecodeReplFrame(rest, &frame, &consumed);
+      if (status != ReplDecodeStatus::kFrame) {
+        // Torn: the bytes run out mid-frame, or the final record frame
+        // is complete but fails its checksum (block-level write
+        // reordering can persist a record's tail before its head).
+        // Still the crash artifact, not bit rot.
+        const bool torn = status == ReplDecodeStatus::kNeedMore ||
+                          RecordFrameSpans(rest);
+        if (torn && last_segment) {
           return MakeResult(WalReadStatus::kTornTail,
-                            "torn record frame at end of log");
+                            "torn record at end of log");
         }
-        if (superseded_torn_tail()) break;
-        return MakeResult(WalReadStatus::kCorrupt,
-                          "short record frame mid-log");
-      }
-      if (DecodeLe(frame, 4) != kFrameMagic) {
-        return MakeResult(WalReadStatus::kCorrupt, "bad record frame magic");
-      }
-      const auto blob_len = static_cast<uint32_t>(DecodeLe(frame + 4, 4));
-      if (blob_len > kMaxRecordBytes) {
-        return MakeResult(WalReadStatus::kCorrupt,
-                          "implausible record length");
-      }
-      std::string blob(blob_len, '\0');
-      in.read(blob.data(), static_cast<std::streamsize>(blob_len));
-      if (static_cast<size_t>(in.gcount()) != blob_len) {
-        if (last_segment) {
-          return MakeResult(WalReadStatus::kTornTail,
-                            "torn record payload at end of log");
-        }
-        if (superseded_torn_tail()) break;
-        return MakeResult(WalReadStatus::kCorrupt,
-                          "short record payload mid-log");
-      }
-      const bool at_eof = in.peek() == std::char_traits<char>::eof();
-
-      std::istringstream blob_stream(blob);
-      BinaryReader reader(&blob_stream);
-      WalRecord record;
-      uint64_t count = 0;
-      // Declared counts are untrusted until the checksum verifies, and
-      // the reserve below runs before that: bound them by what the blob
-      // could physically encode — an update costs at least 12 bytes
-      // (edge u32 + entry-count u64), an entry exactly 12 (topic u32 +
-      // prob f64) — so a corrupt count field caps the up-front
-      // allocation at the record's own size instead of multi-GB.
-      constexpr uint64_t kMinUpdateBytes = 12;
-      bool parsed = reader.ReadU64(&record.lsn) && reader.ReadU64(&count) &&
-                    count <= blob_len / kMinUpdateBytes;
-      if (parsed) {
-        record.updates.reserve(count);
-        for (uint64_t i = 0; parsed && i < count; ++i) {
-          EdgeInfluenceUpdate& update = record.updates.emplace_back();
-          uint32_t edge = 0;
-          uint64_t entries = 0;
-          parsed = reader.ReadU32(&edge) && reader.ReadU64(&entries) &&
-                   entries <= blob_len / kMinUpdateBytes;
-          update.edge = edge;
-          for (uint64_t j = 0; parsed && j < entries; ++j) {
-            EdgeTopicEntry entry;
-            parsed = reader.ReadU32(&entry.topic) && reader.ReadF64(&entry.prob);
-            if (parsed) update.entries.push_back(entry);
-          }
-        }
-      }
-      if (parsed) parsed = reader.VerifyChecksum();
-      if (!parsed) {
-        if (last_segment && at_eof) {
-          // Full-length but checksum-failing final record: block-level
-          // write reordering can persist a record's tail before its
-          // head. Still the crash artifact, not bit rot.
-          return MakeResult(WalReadStatus::kTornTail,
-                            "unverifiable record at end of log");
-        }
-        if (at_eof && superseded_torn_tail()) break;
+        // A torn record at the *physical end* of an older segment is
+        // legal in exactly one shape: the writer crashed mid-append,
+        // restarted, and recovery reopened a fresh segment at the first
+        // uncommitted LSN — which is precisely the LSN the torn record
+        // would have carried. The successor segment anchoring there
+        // proves the damage was superseded, never acknowledged.
+        if (torn && segments[s + 1].start_lsn == expected) break;
         return MakeResult(WalReadStatus::kCorrupt,
                           "record checksum/framing failure mid-log");
+      }
+      if (frame.type != ReplFrameType::kWalRecord) {
+        return MakeResult(WalReadStatus::kCorrupt, "unexpected frame type");
+      }
+      const uint64_t payload_bytes = frame.payload.size();
+      std::istringstream payload(std::move(frame.payload));
+      BinaryReader reader(&payload);
+      WalRecord record;
+      if (!ReadWalRecord(&reader, payload_bytes, &record.lsn,
+                         &record.updates)) {
+        return MakeResult(WalReadStatus::kCorrupt, "unparsable record");
       }
       if (record.lsn != expected) {
         return MakeResult(WalReadStatus::kCorrupt,
@@ -501,6 +559,7 @@ WalReadResult ReadWalAfter(const std::string& dir, uint64_t after_lsn,
       }
       ++expected;
       if (record.lsn > after_lsn) records->push_back(std::move(record));
+      rest.remove_prefix(consumed);
     }
   }
   return MakeResult(WalReadStatus::kOk, "");

@@ -11,23 +11,33 @@
 // log sequence number (LSN, dense from 1), and replaying a prefix is
 // replaying history.
 //
+// Framing — one format for every byte stream the tier writes or ships.
+// A WAL segment and a replication connection (src/serve/replication.h)
+// are both sequences of frames:
+//
+//   magic "PXRP" u32 LE | type u8 | payload-length u32 LE | payload |
+//   fnv64(type | length | payload) u64 LE
+//
+// The frame's one checksum covers its type, length and payload. Every
+// copy of an update batch (WAL record, wire record, checkpoint manifest
+// delta) is written by WriteUpdateBatch and read by ReadUpdateBatch:
+//
+//   batch-size u64 | { edge u32 | n u64 | {topic u32, prob f64} * n }
+//
 // On-disk layout — a directory of segments:
 //
 //   wal-<start_lsn, 16 hex digits>.log
-//     header : magic "PITEXWAL" | version u32 LE | start_lsn u64 LE
-//     record*: frame-magic u32 LE | blob-length u32 LE | blob
+//     header : magic "PITEXWAL" | version u32 LE (2) | start_lsn u64 LE
+//     record*: one kWalRecord frame, payload = lsn u64 | batch
 //
-// where each blob is a self-checksummed BinaryWriter stream:
-//
-//   lsn u64 | batch-size u64 | { edge u32 | n u64 | {topic u32,
-//   prob f64} * n } * batch-size | fnv64 checksum
-//
-// Torn-tail rule: a record whose bytes run out exactly at end-of-log
-// (incomplete frame or short blob in the *newest* segment) is the
-// expected artifact of a crash mid-append — the reader consumes it as
-// the end of history. The same damage anywhere else (bytes follow the
-// broken record, or a complete-but-checksum-failing blob) is
-// corruption and recovery refuses the log rather than guess.
+// Torn-tail rule: a frame whose bytes run out exactly at end-of-log
+// (DecodeReplFrame says kNeedMore at the end of the *newest* segment)
+// is the expected artifact of a crash mid-append — the reader consumes
+// it as the end of history. So is a complete final frame that fails
+// its checksum: block-level write reordering can persist a record's
+// tail before its head. The same damage anywhere else (bytes follow
+// the broken frame, bad magic, type or length) is corruption and
+// recovery refuses the log rather than guess.
 //
 // Group commit: Append buffers through the OS; Sync() is the commit
 // point — everything appended since the last Sync becomes durable (one
@@ -47,10 +57,12 @@
 #ifndef PITEX_SRC_SERVE_WAL_H_
 #define PITEX_SRC_SERVE_WAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,6 +71,93 @@
 #include "src/util/thread_annotations.h"
 
 namespace pitex {
+
+class BinaryReader;
+class BinaryWriter;
+
+// ---------------------------------------------------------------------------
+// Frame codec
+
+enum class ReplFrameType : uint8_t {
+  /// Primary -> follower, once per connection before anything else:
+  /// the bootstrap checkpoint (possibly "none yet"). Payload:
+  /// term u64 | present u8 | manifest string | snapshot-name string |
+  /// snapshot bytes string.
+  kCheckpoint = 1,
+  /// One committed WAL record on the wire. Payload: term u64 | record
+  /// body (WriteWalRecord).
+  kRecord = 2,
+  /// Liveness + lag beacon. Payload: term u64 | durable-lsn u64.
+  kHeartbeat = 3,
+  /// Follower -> primary: records through this LSN are applied (and
+  /// durable in the follower's own log). Payload: applied-lsn u64.
+  kAck = 4,
+  /// Follower -> primary: resend everything after this LSN (gap or
+  /// damaged frame detected). Payload: from-lsn u64.
+  kResync = 5,
+  /// One WAL record on disk. Payload: record body (WriteWalRecord).
+  kWalRecord = 6,
+};
+
+/// A length field above this is damage, not a real frame: without the
+/// cap a corrupt header could make a receiver buffer gigabytes waiting
+/// for a frame that never completes. A record is one ApplyUpdates
+/// batch, far below it.
+inline constexpr uint32_t kMaxReplPayloadBytes = 256u << 20;
+
+struct ReplFrame {
+  ReplFrameType type = ReplFrameType::kHeartbeat;
+  std::string payload;
+};
+
+enum class ReplDecodeStatus : uint8_t {
+  /// A complete, checksum-verified frame was decoded.
+  kFrame,
+  /// The bytes are a proper prefix of a plausible frame: read more.
+  /// (A log or stream that ends here has a torn tail.)
+  kNeedMore,
+  /// Header or checksum mismatch: damaged bytes. Discard and realign
+  /// (ReplResyncSkip) — the sender will be asked to resend.
+  kBad,
+};
+
+/// Serializes one frame (header, payload, trailing checksum).
+std::string EncodeReplFrame(const ReplFrame& frame);
+
+/// Attempts to decode one frame from the front of `bytes`. On kFrame,
+/// `*frame` holds the decoded frame and `*consumed` the bytes to
+/// discard; on kNeedMore/kBad both outputs are untouched.
+ReplDecodeStatus DecodeReplFrame(std::string_view bytes, ReplFrame* frame,
+                                 size_t* consumed);
+
+/// After kBad: bytes to discard so decoding resumes at the next
+/// occurrence of the frame magic (>= 1; the whole buffer when no magic
+/// candidate follows).
+size_t ReplResyncSkip(std::string_view bytes);
+
+// ---------------------------------------------------------------------------
+// Update-batch and record-body codec
+
+/// Writes `updates` in the batch layout above.
+void WriteUpdateBatch(BinaryWriter* writer,
+                      std::span<const EdgeInfluenceUpdate> updates);
+
+/// Reads one batch into `*updates`. `max_bytes` is what the enclosing
+/// frame payload or file holds: every update costs at least 12 bytes
+/// (edge u32 + entry count u64) and every entry exactly 12 (topic u32 +
+/// prob f64), so a count above max_bytes / 12 is damage and fails
+/// before anything is allocated for it.
+bool ReadUpdateBatch(BinaryReader* reader, uint64_t max_bytes,
+                     std::vector<EdgeInfluenceUpdate>* updates);
+
+/// The record body shared by the WAL and the wire: lsn u64 | batch.
+void WriteWalRecord(BinaryWriter* writer, uint64_t lsn,
+                    std::span<const EdgeInfluenceUpdate> updates);
+bool ReadWalRecord(BinaryReader* reader, uint64_t max_bytes, uint64_t* lsn,
+                   std::vector<EdgeInfluenceUpdate>* updates);
+
+// ---------------------------------------------------------------------------
+// Write-ahead log
 
 enum class WalFsyncPolicy : uint8_t {
   /// fsync on every Sync(): acknowledged implies durable (the default;
@@ -199,9 +298,9 @@ enum class WalReadStatus : uint8_t {
   /// Read every committed record; a torn tail (crash mid-append) was
   /// detected and consumed as the end of history. Still a success.
   kTornTail,
-  /// A broken record with further data behind it, a checksum failure on
-  /// a complete record, or an LSN discontinuity: real corruption, the
-  /// log must not be trusted.
+  /// A broken frame with further data behind it, a bad frame header, a
+  /// record that does not parse, or an LSN discontinuity: real
+  /// corruption, the log must not be trusted.
   kCorrupt,
   /// The directory or a segment could not be read.
   kIoError,

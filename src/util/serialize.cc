@@ -17,9 +17,6 @@ void Fnv1a::Update(const void* data, size_t size) {
   state_ = h;
 }
 
-namespace {
-
-// Assembles `width` little-endian bytes from `value` into `buf`.
 void EncodeLe(uint64_t value, size_t width, unsigned char* buf) {
   for (size_t i = 0; i < width; ++i) {
     buf[i] = static_cast<unsigned char>(value >> (8 * i));
@@ -33,8 +30,6 @@ uint64_t DecodeLe(const unsigned char* buf, size_t width) {
   }
   return value;
 }
-
-}  // namespace
 
 void BinaryWriter::WriteBytes(const void* data, size_t size) {
   hash_.Update(data, size);

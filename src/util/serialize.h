@@ -24,6 +24,12 @@
 
 namespace pitex {
 
+/// Writes the low `width` bytes of `value` to `buf`, least significant
+/// first.
+void EncodeLe(uint64_t value, size_t width, unsigned char* buf);
+/// Inverse of EncodeLe: assembles `width` little-endian bytes.
+uint64_t DecodeLe(const unsigned char* buf, size_t width);
+
 /// Incremental FNV-1a (64-bit) hash, used as the file checksum. Not
 /// cryptographic; detects truncation and random corruption.
 class Fnv1a {

@@ -1,18 +1,28 @@
-// libFuzzer harness for the write-ahead-log reader (PITEX_FUZZ=ON,
-// Clang only). Complements tests/wal_test.cc: the gtest suite proves
-// the torn-tail contract at every byte offset of a well-formed log,
-// while this harness lets coverage feedback drive arbitrary byte soup
-// through the segment header, frame, and record parsers.
+// libFuzzer harness for the write-ahead-log reader and the shared frame
+// decoder (PITEX_FUZZ=ON, Clang only). Complements tests/wal_test.cc
+// and tests/replication_test.cc: the gtest suites prove the torn-tail
+// contract at every byte offset of well-formed input, while this
+// harness lets coverage feedback drive arbitrary byte soup through the
+// segment header, frame, record-body and update-batch parsers.
 //
-// Contract under test: whatever bytes land in a segment file,
-// ReadWalAfter either returns kOk/kTornTail with a structurally valid
-// record prefix (dense LSNs ascending from after_lsn+1, in-range blob
-// sizes) or refuses with kCorrupt/kIoError. Any crash, sanitizer
-// report, or invariant violation (enforced with abort() below) is a
-// finding.
+// Contract under test, for each input:
+//
+//   * As a segment file: ReadWalAfter either returns kOk/kTornTail with
+//     a structurally valid record prefix (dense LSNs ascending from
+//     after_lsn+1, at most one update or entry per 12 input bytes) or
+//     refuses with kCorrupt/kIoError.
+//   * As a replication byte stream: the receive loop (DecodeReplFrame,
+//     then ReplResyncSkip on kBad) makes progress at every step, every
+//     decoded frame re-encodes to exactly the bytes it consumed, no
+//     payload exceeds kMaxReplPayloadBytes, and a decoded record body
+//     respects the same payload-bytes / 12 bound.
+//
+// Any crash, sanitizer report, or invariant violation (enforced with
+// abort() below) is a finding.
 //
 // Seed corpus: set PITEX_FUZZ_SEED_DIR=<dir> and the harness writes a
-// real three-record segment there during LLVMFuzzerInitialize:
+// real three-record segment and a two-frame replication stream there
+// during LLVMFuzzerInitialize:
 //
 //   mkdir -p corpus
 //   PITEX_FUZZ_SEED_DIR=corpus ./wal_fuzz -max_total_time=30 corpus
@@ -23,10 +33,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/serve/wal.h"
+#include "src/util/serialize.h"
 
 namespace pitex {
 namespace {
@@ -76,6 +89,67 @@ std::string ValidSegmentBytes() {
   return bytes;
 }
 
+/// A replication stream seed: a wire record frame, then a heartbeat.
+std::string ValidStreamBytes() {
+  std::ostringstream record;
+  BinaryWriter writer(&record);
+  writer.WriteU64(/*term=*/2);
+  const std::vector<EdgeInfluenceUpdate> batch = {
+      EdgeInfluenceUpdate{3, {{0, 0.25}, {1, 0.5}}}};
+  WriteWalRecord(&writer, /*lsn=*/7, batch);
+  std::ostringstream beat;
+  BinaryWriter beat_writer(&beat);
+  beat_writer.WriteU64(2);
+  beat_writer.WriteU64(7);
+  return EncodeReplFrame(ReplFrame{ReplFrameType::kRecord, record.str()}) +
+         EncodeReplFrame(ReplFrame{ReplFrameType::kHeartbeat, beat.str()});
+}
+
+uint64_t BatchItems(const std::vector<EdgeInfluenceUpdate>& updates) {
+  uint64_t items = updates.size();
+  for (const EdgeInfluenceUpdate& update : updates) {
+    items += update.entries.size();
+  }
+  return items;
+}
+
+/// Feeds `bytes` through the replication receive loop.
+void CheckStream(std::string_view bytes) {
+  while (!bytes.empty()) {
+    ReplFrame frame;
+    size_t consumed = 0;
+    const ReplDecodeStatus status = DecodeReplFrame(bytes, &frame, &consumed);
+    if (status == ReplDecodeStatus::kNeedMore) return;  // torn remainder
+    if (status == ReplDecodeStatus::kBad) {
+      const size_t skip = ReplResyncSkip(bytes);
+      Require(skip >= 1 && skip <= bytes.size(), "resync skip makes progress");
+      bytes.remove_prefix(skip);
+      continue;
+    }
+    Require(consumed >= 1 && consumed <= bytes.size(),
+            "decoded frame makes progress");
+    Require(frame.payload.size() <= kMaxReplPayloadBytes,
+            "payload within the frame cap");
+    Require(EncodeReplFrame(frame) == bytes.substr(0, consumed),
+            "decoded frame re-encodes to the bytes it consumed");
+    if (frame.type == ReplFrameType::kRecord ||
+        frame.type == ReplFrameType::kWalRecord) {
+      std::istringstream in(frame.payload);
+      BinaryReader reader(&in);
+      uint64_t term = 0;
+      uint64_t lsn = 0;
+      std::vector<EdgeInfluenceUpdate> updates;
+      // A wire record carries the sender's term before the record body.
+      if ((frame.type == ReplFrameType::kWalRecord || reader.ReadU64(&term)) &&
+          ReadWalRecord(&reader, frame.payload.size(), &lsn, &updates)) {
+        Require(BatchItems(updates) <= frame.payload.size() / 12,
+                "record body bounded by its payload bytes / 12");
+      }
+    }
+    bytes.remove_prefix(consumed);
+  }
+}
+
 }  // namespace
 }  // namespace pitex
 
@@ -97,6 +171,11 @@ extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
     std::ofstream out(std::string(dir) + "/seed_segment.log",
                       std::ios::binary);
     out.write(seed.data(), static_cast<std::streamsize>(seed.size()));
+    const std::string stream = ValidStreamBytes();
+    std::ofstream stream_out(std::string(dir) + "/seed_stream.bin",
+                             std::ios::binary);
+    stream_out.write(stream.data(),
+                     static_cast<std::streamsize>(stream.size()));
   }
   return 0;
 }
@@ -115,17 +194,18 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       result.status == WalReadStatus::kTornTail) {
     // Survivors must be a dense, ascending LSN prefix with sane bodies.
     uint64_t expected = 1;
+    uint64_t items = 0;
     for (const WalRecord& record : records) {
       Require(record.lsn == expected, "LSNs dense from after_lsn+1");
       ++expected;
-      for (const EdgeInfluenceUpdate& update : record.updates) {
-        Require(update.entries.size() <= (64u << 20),
-                "entry count bounded by the record size cap");
-      }
+      items += BatchItems(record.updates);
     }
+    // Every update and every entry costs at least 12 record bytes.
+    Require(items <= size / 12, "records bounded by their bytes / 12");
   } else {
     Require(records.empty() || result.status == WalReadStatus::kCorrupt,
             "failed reads surface no phantom suffix");
   }
+  CheckStream(std::string_view(reinterpret_cast<const char*>(data), size));
   return 0;
 }

@@ -29,6 +29,7 @@
 #include "src/serve/replication.h"
 #include "src/serve/term_authority.h"
 #include "src/util/failpoint.h"
+#include "src/util/serialize.h"
 
 namespace pitex {
 namespace {
@@ -154,6 +155,40 @@ TEST_F(ReplicationTest, TypedPayloadsRoundTrip) {
   // Type confusion is rejected, not misparsed.
   EXPECT_FALSE(DecodeAckMsg(EncodeResyncMsg(1), &lsn));
   EXPECT_FALSE(DecodeRecordMsg(EncodeHeartbeatMsg(beat), &record2));
+}
+
+TEST_F(ReplicationTest, WireFramesMatchPinnedBytes) {
+  // One encoded frame of each wire type, hashed byte for byte. The
+  // constants pin the wire format: a codec refactor that changes any
+  // byte a peer sees fails here.
+  const auto hash = [](const ReplFrame& frame) {
+    const std::string bytes = EncodeReplFrame(frame);
+    Fnv1a fnv;
+    fnv.Update(bytes.data(), bytes.size());
+    return fnv.digest();
+  };
+  ReplRecordMsg record;
+  record.term = 4;
+  record.lsn = 1001;
+  record.updates = {EdgeInfluenceUpdate{7, {{0, 0.125}, {3, 0.75}}},
+                    EdgeInfluenceUpdate{12, {{1, 0.5}}},
+                    EdgeInfluenceUpdate{40000, {}}};
+  ReplCheckpointMsg checkpoint;
+  checkpoint.term = 4;
+  checkpoint.checkpoint.present = true;
+  checkpoint.checkpoint.lsn = 1000;
+  checkpoint.checkpoint.manifest_bytes = std::string("MANIFEST\0\x01", 10);
+  checkpoint.checkpoint.snapshot_name = "checkpoint-00000000000003e8.rridx";
+  checkpoint.checkpoint.snapshot_bytes.resize(4096);
+  for (size_t i = 0; i < 4096; ++i) {
+    checkpoint.checkpoint.snapshot_bytes[i] = static_cast<char>(i * 31 + 7);
+  }
+  EXPECT_EQ(hash(EncodeRecordMsg(record)), 0x020248aa7e3ed114ull);
+  EXPECT_EQ(hash(EncodeCheckpointMsg(checkpoint)), 0x7261798145fcac16ull);
+  EXPECT_EQ(hash(EncodeHeartbeatMsg(ReplHeartbeatMsg{4, 1001})),
+            0xa59a9bda88400e2cull);
+  EXPECT_EQ(hash(EncodeAckMsg(999)), 0x47110c5a88ecd296ull);
+  EXPECT_EQ(hash(EncodeResyncMsg(998)), 0x6ae6ed9e77799e53ull);
 }
 
 TEST_F(ReplicationTest, TornFrameAtEveryByteOffsetReadsAsNeedMore) {

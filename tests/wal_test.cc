@@ -11,12 +11,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/serve/recovery.h"
 #include "src/serve/wal.h"
 #include "src/util/failpoint.h"
+#include "src/util/serialize.h"
 
 namespace pitex {
 namespace {
@@ -68,6 +70,17 @@ class WalTest : public ::testing::Test {
         EXPECT_EQ(got[i].entries[j].prob, want[i].entries[j].prob);
       }
     }
+  }
+
+  static uint64_t HashFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string bytes = buf.str();
+    EXPECT_FALSE(bytes.empty()) << path;
+    Fnv1a fnv;
+    fnv.Update(bytes.data(), bytes.size());
+    return fnv.digest();
   }
 
   std::string dir_;
@@ -255,6 +268,51 @@ TEST_F(WalTest, MidLogDamageIsRefusedAsCorrupt) {
   EXPECT_EQ(read.status, WalReadStatus::kCorrupt) << read.message;
 }
 
+TEST_F(WalTest, FinalRecordFailingItsChecksumIsATornTail) {
+  // Block-level write reordering can persist a record's tail before its
+  // head: a complete final record that fails its checksum is the crash
+  // artifact, not bit rot. The same record with a damaged frame header
+  // is corruption.
+  std::string error;
+  auto wal = WriteAheadLog::Open(dir_, 1, WalOptions{}, &error);
+  ASSERT_NE(wal, nullptr) << error;
+  for (uint32_t i = 0; i < 3; ++i) {
+    ASSERT_NE(wal->Append(MakeBatch(i)), 0u);
+    ASSERT_TRUE(wal->Sync());
+  }
+  wal.reset();
+  const std::string segment = dir_ + "/" + WalSegmentName(1);
+  std::string bytes;
+  {
+    std::ifstream in(segment, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    bytes = buf.str();
+  }
+  const auto read_with_flip = [&](size_t offset, std::vector<WalRecord>* out) {
+    std::string damaged = bytes;
+    damaged[offset] = static_cast<char>(damaged[offset] ^ 0x40);
+    std::ofstream file(segment, std::ios::binary | std::ios::trunc);
+    file.write(damaged.data(), static_cast<std::streamsize>(damaged.size()));
+    file.close();
+    return ReadWalAfter(dir_, 0, out);
+  };
+  // The final record's payload ends 8 checksum bytes before EOF.
+  std::vector<WalRecord> records;
+  const WalReadResult payload_flip = read_with_flip(bytes.size() - 9, &records);
+  EXPECT_EQ(payload_flip.status, WalReadStatus::kTornTail)
+      << payload_flip.message;
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].lsn, 2u);
+
+  // Locate the final frame's magic and damage it instead.
+  const size_t last_frame = bytes.rfind("PXRP");
+  ASSERT_NE(last_frame, std::string::npos);
+  records.clear();
+  EXPECT_EQ(read_with_flip(last_frame, &records).status,
+            WalReadStatus::kCorrupt);
+}
+
 TEST_F(WalTest, LogStartingPastCheckpointIsRefused) {
   std::string error;
   auto wal = WriteAheadLog::Open(dir_, /*next_lsn=*/10, WalOptions{}, &error);
@@ -438,6 +496,50 @@ TEST_F(WalTest, ManifestRoundTripAndAtomicReplace) {
   }
   EXPECT_FALSE(ReadCheckpointManifest(dir_, &read_back, &present, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST_F(WalTest, ManifestMatchesPinnedBytes) {
+  // The CHECKPOINT file's bytes for a fixed manifest with a 3-edge
+  // model delta: pins the manifest format, delta encoding included.
+  fs::create_directories(dir_);
+  CheckpointManifest manifest;
+  manifest.lsn = 1000;
+  manifest.epoch = 37;
+  manifest.index_version = 5120;
+  manifest.snapshot_file = "checkpoint-00000000000003e8.rridx";
+  manifest.model_delta = {EdgeInfluenceUpdate{7, {{0, 0.125}, {3, 0.75}}},
+                          EdgeInfluenceUpdate{12, {{1, 0.5}}},
+                          EdgeInfluenceUpdate{40000, {}}};
+  std::string error;
+  ASSERT_TRUE(WriteCheckpointManifest(dir_, manifest, &error)) << error;
+  EXPECT_EQ(HashFile(dir_ + "/CHECKPOINT"), 0x3913d241d5d4f5d4ull);
+}
+
+TEST_F(WalTest, TwoRecordSegmentMatchesPinnedBytes) {
+  // A fixed two-record segment reads back and hashes to a constant:
+  // pins the segment header and the record frame layout.
+  std::string error;
+  auto wal = WriteAheadLog::Open(dir_, 1, WalOptions{}, &error);
+  ASSERT_NE(wal, nullptr) << error;
+  const std::vector<EdgeInfluenceUpdate> first = {
+      EdgeInfluenceUpdate{7, {{0, 0.125}, {3, 0.75}}}};
+  const std::vector<EdgeInfluenceUpdate> second = {
+      EdgeInfluenceUpdate{12, {{1, 0.5}}}, EdgeInfluenceUpdate{40000, {}}};
+  ASSERT_EQ(wal->Append(first), 1u);
+  ASSERT_EQ(wal->Append(second), 2u);
+  ASSERT_TRUE(wal->Sync());
+  wal.reset();
+
+  std::vector<WalRecord> records;
+  const WalReadResult read = ReadWalAfter(dir_, 0, &records);
+  ASSERT_EQ(read.status, WalReadStatus::kOk) << read.message;
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].lsn, 1u);
+  ExpectBatchEq(records[0].updates, first);
+  EXPECT_EQ(records[1].lsn, 2u);
+  ExpectBatchEq(records[1].updates, second);
+  EXPECT_EQ(HashFile(dir_ + "/" + WalSegmentName(1)),
+            0xb5f46dd39f432decull);
 }
 
 TEST_F(WalTest, RetentionHoldsTrackTheMinimumAcrossConsumers) {
