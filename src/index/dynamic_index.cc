@@ -107,8 +107,7 @@ void DynamicRrIndex::ApplyUpdates(
 
     // Only graphs containing head(e) ever probed e. Snapshot the list:
     // repairs splice containment as membership changes.
-    const std::span<const uint32_t> containing =
-        Containing(network_.graph.Head(e));
+    const ContainingList containing = Containing(network_.graph.Head(e));
     affected_.assign(containing.begin(), containing.end());
     for (const uint32_t id : affected_) {
       ++stats_.graphs_examined;
@@ -239,23 +238,37 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
   // root — an edge death can orphan a subtree; an expansion adds one),
   // then splice containment for the vertices whose membership changed
   // (a merge over the two sorted vertex sets), and append the new
-  // version to the overlay.
+  // version to the overlay. A splice decodes the vertex's current list
+  // (the overlay's, else the base's) once, adds or removes `id`, and
+  // re-codes the list into the overlay.
   arena_.RebuildRepairedSketch(rr.root(), network_.num_vertices(), edges,
                                &repaired_);
+  const auto splice = [&](VertexId v, bool insert) {
+    const std::vector<uint8_t>* replaced = overlay_->Containing(v);
+    const ContainingList current = replaced != nullptr
+                                       ? ContainingList(*replaced)
+                                       : base_->Containing(v);
+    std::vector<uint32_t>& ids = splice_ids_;
+    ids.assign(current.begin(), current.end());
+    const auto at = std::lower_bound(ids.begin(), ids.end(), id);
+    if (insert) {
+      ids.insert(at, id);
+    } else {
+      PITEX_DCHECK(at != ids.end() && *at == id);
+      ids.erase(at);
+    }
+    overlay_->SetContaining(v, ids);
+  };
   const auto& before = rr.vertices;
   const auto& after = repaired_.vertices;
   size_t i = 0;
   size_t j = 0;
   while (i < before.size() || j < after.size()) {
     if (j == after.size() || (i < before.size() && before[i] < after[j])) {
-      auto& list = overlay_->MutableContaining(
-          before[i], base_->Containing(before[i]));
-      list.erase(std::find(list.begin(), list.end(), id));
+      splice(before[i], /*insert=*/false);
       ++i;
     } else if (i == before.size() || after[j] < before[i]) {
-      auto& list = overlay_->MutableContaining(
-          after[j], base_->Containing(after[j]));
-      list.insert(std::lower_bound(list.begin(), list.end(), id), id);
+      splice(after[j], /*insert=*/true);
       ++j;
     } else {
       ++i;

@@ -166,7 +166,7 @@ class DynamicRrIndex final : public InfluenceOracle {
   const RrIndexOptions& options() const { return options_; }
   /// Ids of the sketches containing u, ascending (valid until the next
   /// update).
-  std::span<const uint32_t> Containing(VertexId u) const {
+  ContainingList Containing(VertexId u) const {
     return view_->Containing(u);
   }
   /// Sketch copies in the overlay (superseded ones included).
@@ -219,6 +219,7 @@ class DynamicRrIndex final : public InfluenceOracle {
   SketchArena arena_;
   RRGraph repaired_;
   std::vector<uint32_t> affected_;
+  std::vector<uint32_t> splice_ids_;  // one containing list, decoded
   std::vector<GlobalEdgeSample> repair_edges_;
   std::vector<VertexId> repair_stack_;
   // Expansion envelope slice (InEnvelopeSlice): the floats an

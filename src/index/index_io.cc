@@ -378,6 +378,22 @@ class IndexIo {
     }
   }
 
+  // A file ends at its checksum: reads and checks it, then requires the
+  // end of the input.
+  static bool VerifyTrailer(BinaryReader* reader, IndexIoError* error) {
+    if (!reader->VerifyChecksum()) {
+      SetError(error, IndexIoCode::kChecksumMismatch,
+               "checksum mismatch: file truncated or corrupted");
+      return false;
+    }
+    if (!reader->NoBytesLeft()) {
+      SetError(error, IndexIoCode::kCorruptPayload,
+               "trailing bytes after the checksum");
+      return false;
+    }
+    return true;
+  }
+
   static std::unique_ptr<RrIndex> ReadRr(const SocialNetwork& network,
                                          std::istream& in,
                                          IndexIoError* error) {
@@ -420,12 +436,7 @@ class IndexIo {
       SetError(error, IndexIoCode::kTruncated, "truncated index trailer");
       return nullptr;
     }
-    if (!reader.VerifyChecksum()) {
-      SetError(error,
-               IndexIoCode::kChecksumMismatch,
-               "checksum mismatch: file truncated or corrupted");
-      return nullptr;
-    }
+    if (!VerifyTrailer(&reader, error)) return nullptr;
     // The containing index is a permutation of the vertex array: Pack
     // recomputes it rather than the file storing it.
     index->pool_ = std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
@@ -507,12 +518,7 @@ class IndexIo {
       SetError(error, IndexIoCode::kTruncated, "truncated index trailer");
       return nullptr;
     }
-    if (!reader.VerifyChecksum()) {
-      SetError(error,
-               IndexIoCode::kChecksumMismatch,
-               "checksum mismatch: file truncated or corrupted");
-      return nullptr;
-    }
+    if (!VerifyTrailer(&reader, error)) return nullptr;
     index->built_ = true;
     return index;
   }

@@ -128,7 +128,9 @@ bool SaveRrIndex(const RrIndex& index, std::ostream& out,
 
 /// Loads an RR-Graph index previously written by SaveRrIndex. `network`
 /// must be the network the index was built from (checked via
-/// fingerprint). Returns nullptr and sets `*error` on failure.
+/// fingerprint). The file, or the rest of the stream, must end at the
+/// index's checksum: trailing bytes are kCorruptPayload. Returns nullptr
+/// and sets `*error` on failure.
 std::unique_ptr<RrIndex> LoadRrIndex(const SocialNetwork& network,
                                      const std::string& path,
                                      std::string* error = nullptr);
@@ -151,7 +153,8 @@ bool SaveDelayMatIndex(const DelayMatIndex& index, const std::string& path,
 bool SaveDelayMatIndex(const DelayMatIndex& index, std::ostream& out,
                        IndexIoError* error);
 
-/// Loads a DelayMat index previously written by SaveDelayMatIndex.
+/// Loads a DelayMat index previously written by SaveDelayMatIndex; its
+/// input must end at the checksum too.
 std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(
     const SocialNetwork& network, const std::string& path,
     std::string* error = nullptr);

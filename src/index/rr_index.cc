@@ -98,7 +98,7 @@ RrSketchPool SampleSketchPool(const Graph& graph,
   for (const auto& slot_segments : segments) {
     all.insert(all.end(), slot_segments.begin(), slot_segments.end());
   }
-  return RrSketchPool::FromRuns(runs, all, theta, graph.num_vertices(), pool);
+  return RrSketchPool::FromRuns(runs, all, theta, graph.num_vertices());
 }
 
 void RrIndex::Build(ThreadPool* pool) {

@@ -95,16 +95,16 @@ class RrIndex final : public InfluenceOracle {
     return pool_->View(i);
   }
   /// Ids (sketch positions) of the RR-Graphs containing u, ascending.
-  std::span<const uint32_t> Containing(VertexId u) const {
+  ContainingList Containing(VertexId u) const {
     if (const RrSketchOverlay* overlay = repairs()) {
-      if (const std::vector<uint32_t>* list = overlay->Containing(u)) {
-        return *list;
+      if (const std::vector<uint8_t>* list = overlay->Containing(u)) {
+        return ContainingList(*list);
       }
     }
     return pool_->Containing(u);
   }
   /// theta(u): how many RR-Graphs contain u (Sec. 6.3 notation).
-  size_t CountContaining(VertexId u) const { return Containing(u).size(); }
+  size_t CountContaining(VertexId u) const { return Containing(u).count(); }
   /// The base pool: every sketch as of the last pack, without the
   /// overlay's repairs.
   const RrSketchPool& pool() const { return *pool_; }

@@ -1,10 +1,29 @@
 #include "src/index/rr_sketch_pool.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/util/check.h"
 
 namespace pitex {
+
+namespace {
+
+// The containing lists' LEB128 coding (ContainingList decodes it).
+
+// Bytes the varint of x takes: one per started group of seven bits.
+size_t VarintLength(uint32_t x) {
+  return 1 + static_cast<size_t>(std::bit_width(x | 1) - 1) / 7;
+}
+
+// Writes the varint of x at `out` and returns the byte after it.
+uint8_t* PutVarint(uint32_t x, uint8_t* out) {
+  for (; x >= 0x80; x >>= 7) *out++ = static_cast<uint8_t>(x | 0x80);
+  *out++ = static_cast<uint8_t>(x);
+  return out;
+}
+
+}  // namespace
 
 void RrSketchPool::Append(const RRView& sketch) {
   const size_t n = sketch.vertices.size();
@@ -26,6 +45,7 @@ void RrSketchPool::Clear() {
   containing_starts_.clear();
   containing_.clear();
   max_sketch_vertices_ = 0;
+  total_vertices_ = 0;
 }
 
 std::pair<uint64_t, uint64_t> RrSketchPool::Starts(size_t i) const {
@@ -41,7 +61,7 @@ std::pair<uint64_t, uint64_t> RrSketchPool::Starts(size_t i) const {
 RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
                                     std::span<const Segment> segments,
                                     uint64_t num_sketches,
-                                    size_t num_vertices, ThreadPool* pool) {
+                                    size_t num_vertices) {
   // Each segment's slices of its run, put in sample order.
   struct Slice {
     uint64_t sample;
@@ -110,101 +130,69 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
     out.edges_.insert(out.edges_.end(), run.edges_.begin() + s.edge_begin,
                       run.edges_.begin() + s.edge_end);
   }
-  out.BuildContaining(num_vertices, pool);
+  out.BuildContaining(num_vertices);
   return out;
 }
 
-void RrSketchPool::BuildContaining(size_t num_vertices, ThreadPool* pool) {
+void RrSketchPool::BuildContaining(size_t num_vertices) {
+  // Each pass walks the sketches in ascending id and keeps, per vertex,
+  // the last id coded (0 before its first, so a list's first id is
+  // coded as itself) beside a byte count: the first pass sums each
+  // vertex's bytes, the second writes them at a cursor.
+  struct Tally {
+    uint32_t bytes;  // the first pass's count, then the write cursor
+    uint32_t last;
+  };
   const size_t s = num_sketches();
-  max_sketch_vertices_ = 0;
-  uint64_t volume = 0;  // vertices plus one per sketch
+  std::vector<Tally> tally(num_vertices, Tally{0, 0});
+  uint64_t bytes = 0;
+  uint64_t vertices = 0;
+  size_t max_vertices = 0;
   for (size_t i = 0; i < s; ++i) {
-    const size_t n = Vertices(i).size();
-    max_sketch_vertices_ = std::max(max_sketch_vertices_, n);
-    volume += n + 1;
+    const std::span<const VertexId> sketch = Vertices(i);
+    vertices += sketch.size();
+    max_vertices = std::max(max_vertices, sketch.size());
+    const auto id = static_cast<uint32_t>(i);
+    for (const VertexId v : sketch) {
+      Tally& t = tally[v];
+      const size_t length = VarintLength(id - t.last);
+      t.bytes += static_cast<uint32_t>(length);
+      t.last = id;
+      bytes += length;
+    }
   }
-  containing_starts_.assign(num_vertices + 1, 0);
-
-  const size_t tasks =
-      pool == nullptr
-          ? 1
-          : std::min<size_t>({pool->num_threads(), s, 8});
-  if (tasks <= 1) {
-    // Counting pass: theta(u) per vertex, then prefix sums, then one fill
-    // in ascending sketch-id order (so each per-vertex list is sorted).
-    for (size_t i = 0; i < s; ++i) {
-      for (const VertexId v : Vertices(i)) ++containing_starts_[v + 1];
-    }
-    uint64_t total = 0;
-    for (size_t v = 0; v < num_vertices; ++v) {
-      total += containing_starts_[v + 1];
-      containing_starts_[v + 1] = static_cast<uint32_t>(total);
-    }
-    PITEX_CHECK_MSG(total <= UINT32_MAX,
-                    "containing index exceeds 32-bit offsets");
-    containing_.resize(total);
-    std::vector<uint32_t> cursor(containing_starts_.begin(),
-                                 containing_starts_.end() - 1);
-    for (size_t i = 0; i < s; ++i) {
-      for (const VertexId v : Vertices(i)) {
-        containing_[cursor[v]++] = static_cast<uint32_t>(i);
-      }
-    }
-    return;
-  }
-
-  // Parallel variant: contiguous sketch ranges balanced by volume
-  // (vertices plus one per sketch), cut in one serial pass: range t
-  // starts at the first sketch whose preceding volume reaches t / tasks
-  // of the total. Each range histograms its vertices; a serial prefix
-  // over (range, vertex) turns the histograms into per-range write
-  // cursors, so range r fills its sketches (ascending ids) into the
-  // slice after every earlier range's entries — per-vertex order is
-  // still ascending sketch id, bit-identical to the serial fill.
-  // Transient memory is tasks * |V| counters (tasks is capped at 8).
-  std::vector<size_t> bounds(tasks + 1, s);
-  bounds[0] = 0;
-  uint64_t before = 0;
-  for (size_t i = 0, t = 1; i < s && t < tasks; ++i) {
-    for (; t < tasks && before >= volume * t / tasks; ++t) bounds[t] = i;
-    before += Vertices(i).size() + 1;
-  }
-  std::vector<std::vector<uint32_t>> hist(tasks);
-  ParallelFor(pool, 0, tasks, [&](size_t t) {
-    auto& h = hist[t];
-    h.assign(num_vertices, 0);
-    for (size_t i = bounds[t]; i < bounds[t + 1]; ++i) {
-      for (const VertexId v : Vertices(i)) ++h[v];
-    }
-  });
-  uint64_t running = 0;
-  for (size_t v = 0; v < num_vertices; ++v) {
-    for (size_t t = 0; t < tasks; ++t) {
-      const uint32_t count = hist[t][v];
-      hist[t][v] = static_cast<uint32_t>(running);  // range t's cursor
-      running += count;
-    }
-    containing_starts_[v + 1] = static_cast<uint32_t>(running);
-  }
-  PITEX_CHECK_MSG(running <= UINT32_MAX,
+  // No vertex's count wrapped if the total fits.
+  PITEX_CHECK_MSG(bytes <= UINT32_MAX,
                   "containing index exceeds 32-bit offsets");
-  containing_.resize(running);
-  ParallelFor(pool, 0, tasks, [&](size_t t) {
-    auto& cursor = hist[t];
-    for (size_t i = bounds[t]; i < bounds[t + 1]; ++i) {
-      for (const VertexId v : Vertices(i)) {
-        containing_[cursor[v]++] = static_cast<uint32_t>(i);
-      }
+  containing_starts_.resize(num_vertices + 1);
+  uint32_t start = 0;
+  for (size_t v = 0; v < num_vertices; ++v) {
+    containing_starts_[v] = start;
+    start += tally[v].bytes;
+    tally[v] = Tally{containing_starts_[v], 0};
+  }
+  containing_starts_[num_vertices] = start;
+  containing_.resize(bytes);
+  uint8_t* const out = containing_.data();
+  for (size_t i = 0; i < s; ++i) {
+    const auto id = static_cast<uint32_t>(i);
+    for (const VertexId v : Vertices(i)) {
+      Tally& t = tally[v];
+      t.bytes = static_cast<uint32_t>(PutVarint(id - t.last, out + t.bytes) -
+                                      out);
+      t.last = id;
     }
-  });
+  }
+  max_sketch_vertices_ = static_cast<uint32_t>(max_vertices);
+  total_vertices_ = static_cast<uint32_t>(vertices);
 }
 
 size_t RrSketchPool::SizeBytes() const {
   return sizeof(RrSketchPool) +
          (slots_.capacity() + body_.capacity() +
-          containing_starts_.capacity() + containing_.capacity()) *
+          containing_starts_.capacity()) *
              sizeof(uint32_t) +
-         edges_.capacity() * sizeof(RRLocalEdge);
+         containing_.capacity() + edges_.capacity() * sizeof(RRLocalEdge);
 }
 
 void RrSketchOverlay::Put(uint32_t id, const RRView& sketch) {
@@ -215,11 +203,22 @@ void RrSketchOverlay::Put(uint32_t id, const RRView& sketch) {
   store_.Append(sketch);
 }
 
-std::vector<uint32_t>& RrSketchOverlay::MutableContaining(
-    VertexId u, std::span<const uint32_t> base) {
-  const auto [it, inserted] = containing_.try_emplace(u);
-  if (inserted) it->second.assign(base.begin(), base.end());
-  return it->second;
+void RrSketchOverlay::SetContaining(VertexId u,
+                                    std::span<const uint32_t> ids) {
+  size_t length = 0;
+  uint32_t last = 0;
+  for (const uint32_t id : ids) {
+    length += VarintLength(id - last);
+    last = id;
+  }
+  std::vector<uint8_t>& bytes = containing_[u];
+  bytes.resize(length);
+  uint8_t* out = bytes.data();
+  last = 0;
+  for (const uint32_t id : ids) {
+    out = PutVarint(id - last, out);
+    last = id;
+  }
 }
 
 size_t RrSketchOverlay::SizeBytes() const {
@@ -229,7 +228,7 @@ size_t RrSketchOverlay::SizeBytes() const {
                  slot_of_.size() * (sizeof(uint64_t) + 2 * sizeof(void*));
   for (const auto& [u, list] : containing_) {
     bytes += sizeof(u) + sizeof(list) + 2 * sizeof(void*) +
-             list.capacity() * sizeof(uint32_t);
+             list.capacity();
   }
   return bytes;
 }

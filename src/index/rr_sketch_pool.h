@@ -1,13 +1,14 @@
 // Pooled storage for the offline RR-Graph index (Sec. 6.1): all theta
 // sketches flattened into a few contiguous arrays (a CSR of per-sketch
-// CSRs), plus a CSR-flattened inverted "containing" index.
+// CSRs), plus an inverted "containing" index whose per-vertex lists are
+// delta-coded bytes.
 //
 // The IndexEst estimate path walks theta(u) tiny sketches per query; with
 // one heap object per sketch (three vectors each) those walks chase
 // pointers all over the heap and the allocator dominates build time. The
 // pool keeps every sketch's data adjacent, hands out non-owning RRViews,
-// and answers Containing(u) from one flat array — no per-sketch or
-// per-vertex heap objects at all, and SizeBytes() is O(1).
+// and answers Containing(u) from one exact-size byte array — no
+// per-sketch or per-vertex heap objects at all, and SizeBytes() is O(1).
 //
 // Layout for sketch i (n_i vertices, m_i edges); the directory and the
 // body are 32-bit words, and every total is checked to fit:
@@ -35,14 +36,24 @@
 // id and offsets from a static block, so the estimate walk over it
 // reads only the directory.
 //
+// Containing lists, for vertex u:
+//   containing_[containing_starts_[u] .. containing_starts_[u + 1])
+// holds the ids of the sketches containing u, ascending, as LEB128
+// varints (ContainingList): the first id, then each gap to the next.
+// Seven bits go in each byte, low bits first, and the top bit is set on
+// every byte except a value's last, so theta(u) is the number of bytes
+// with the top bit clear. The starts are byte offsets. On pitexbench's
+// network every entry takes 1 to 3 bytes, against 4 for a u32 list.
+//
 // Every pool is written one way: sketches are appended in this layout
 // (AppendSketch, which Append and the generator call) into exact-size
-// arrays, then the containing index is built once. The build's
-// generator appends to *runs* — pools without a containing index, one
-// per worker slot — and FromRuns copies their segments, in sample
-// order, into the finished pool. Pack (compaction, the index loader)
-// sizes its arrays in one pass over its views and appends straight into
-// them. An overlay's sketch store is a run that is never finished.
+// arrays, then the containing index is built once, serially. The
+// build's generator appends to *runs* — pools without a containing
+// index, one per worker slot — and FromRuns copies their segments, in
+// sample order, into the finished pool. Pack (compaction, the index
+// loader) sizes its arrays in one pass over its views and appends
+// straight into them. An overlay's sketch store is a run that is never
+// finished.
 //
 // A finished pool is immutable. DynamicRrIndex, which repairs
 // individual sketches, never mutates it: it shares one pool as its
@@ -58,6 +69,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -65,7 +77,6 @@
 
 #include "src/index/rr_graph.h"
 #include "src/util/check.h"
-#include "src/util/thread_pool.h"
 
 namespace pitex {
 
@@ -87,6 +98,77 @@ struct LocalCsrOut {
 
   void set_offset(size_t j, uint32_t id) const { StoreId<T>(offsets, j, id); }
   void set_head(size_t k, uint32_t id) const { StoreId<T>(heads, k, id); }
+};
+
+/// One vertex's containing list as stored, in a pool or an overlay: its
+/// sketch ids, ascending, as LEB128 varints of the first id and then
+/// each gap to the next. A read-only forward range that decodes as it
+/// iterates, without allocating. Only this module's coder writes the
+/// bytes (the index loader rebuilds the lists through Pack), so the
+/// decoder trusts them.
+class ContainingList {
+ public:
+  class Iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = uint32_t;
+    using difference_type = std::ptrdiff_t;
+    using reference = uint32_t;
+    using pointer = void;
+
+    Iterator() = default;
+    uint32_t operator*() const { return id_; }
+    Iterator& operator++() {
+      at_ = next_;
+      if (at_ != end_) Decode();
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const Iterator& other) const { return at_ == other.at_; }
+
+   private:
+    friend class ContainingList;
+    Iterator(const uint8_t* at, const uint8_t* end)
+        : at_(at), next_(at), end_(end) {
+      if (at_ != end_) Decode();
+    }
+    /// Adds the gap coded at next_ to id_ and steps next_ past it.
+    void Decode() {
+      uint32_t gap = 0;
+      for (unsigned shift = 0;; shift += 7) {
+        const uint8_t byte = *next_++;
+        gap |= uint32_t{byte & 0x7fu} << shift;
+        if (byte < 0x80) break;
+      }
+      id_ += gap;
+    }
+
+    const uint8_t* at_ = nullptr;    // the current id's first byte
+    const uint8_t* next_ = nullptr;  // the next id's first byte
+    const uint8_t* end_ = nullptr;
+    uint32_t id_ = 0;
+  };
+
+  explicit ContainingList(std::span<const uint8_t> bytes)
+      : begin_(bytes.data()), end_(bytes.data() + bytes.size()) {}
+
+  Iterator begin() const { return {begin_, end_}; }
+  Iterator end() const { return {end_, end_}; }
+  /// How many ids the list holds: its bytes with the top bit clear,
+  /// counted in O(bytes).
+  size_t count() const {
+    return static_cast<size_t>(
+        std::count_if(begin_, end_, [](uint8_t b) { return b < 0x80; }));
+  }
+
+ private:
+  const uint8_t* begin_ = nullptr;
+  const uint8_t* end_ = nullptr;
 };
 
 class RrSketchPool {
@@ -119,15 +201,14 @@ class RrSketchPool {
 
   /// Finishes a pool from runs: copies every segment, in sample order,
   /// into exact-size arrays (rebasing each explicit directory word and
-  /// each block's edge header), then builds the containing index — in
-  /// parallel when `pool` is non-null. The segments must cover samples
-  /// [0, num_sketches) exactly once, so sketch i of the result is sample
-  /// i whatever the runs and segments were: the pool is identical for
-  /// any thread count and claim interleaving.
+  /// each block's edge header), then builds the containing index. The
+  /// segments must cover samples [0, num_sketches) exactly once, so
+  /// sketch i of the result is sample i whatever the runs and segments
+  /// were: the pool is identical for any thread count and claim
+  /// interleaving.
   static RrSketchPool FromRuns(std::span<const RrSketchPool> runs,
                                std::span<const Segment> segments,
-                               uint64_t num_sketches, size_t num_vertices,
-                               ThreadPool* pool = nullptr);
+                               uint64_t num_sketches, size_t num_vertices);
 
   /// Appends one sketch in the pooled layout without touching the
   /// containing index: a pool appended to is a run, which only FromRuns
@@ -172,22 +253,21 @@ class RrSketchPool {
   }
 
   /// Ids (sketch positions) of the sketches containing u, ascending.
-  std::span<const uint32_t> Containing(VertexId u) const {
-    return {containing_.data() + containing_starts_[u],
-            containing_.data() + containing_starts_[u + 1]};
+  ContainingList Containing(VertexId u) const {
+    return ContainingList({containing_.data() + containing_starts_[u],
+                           containing_.data() + containing_starts_[u + 1]});
   }
   /// theta(u): how many sketches contain u (Sec. 6.3 notation).
-  size_t CountContaining(VertexId u) const {
-    return containing_starts_[u + 1] - containing_starts_[u];
-  }
+  size_t CountContaining(VertexId u) const { return Containing(u).count(); }
   /// Number of vertices the containing index covers.
   size_t num_universe_vertices() const {
     return containing_starts_.empty() ? 0 : containing_starts_.size() - 1;
   }
 
-  /// Totals across all sketches. The vertex total is the containing
-  /// index's size, so it counts finished pools only (not a run).
-  uint64_t total_vertices() const { return containing_.size(); }
+  /// Totals across all sketches. The vertex total is counted by the
+  /// containing index's build, so it covers finished pools only (not a
+  /// run).
+  uint64_t total_vertices() const { return total_vertices_; }
   uint64_t total_edges() const { return edges_.size(); }
   /// Largest per-sketch vertex count (scratch pre-sizing).
   size_t max_sketch_vertices() const { return max_sketch_vertices_; }
@@ -263,20 +343,21 @@ class RrSketchPool {
   /// i, or the ends of the arrays.
   std::pair<uint64_t, uint64_t> Starts(size_t i) const;
 
-  /// Rebuilds containing_starts_/containing_ from the packed sketches
-  /// (counting pass + prefix sum + fill in ascending sketch-id order).
-  /// Also recomputes max_sketch_vertices_. With a pool, count and fill
-  /// run over sketch ranges balanced by vertex volume, with per-range
-  /// histograms turned into deterministic per-range cursors — the fill
-  /// order per vertex is still ascending sketch id.
-  void BuildContaining(size_t num_vertices, ThreadPool* pool = nullptr);
+  /// Rebuilds containing_starts_/containing_ from the packed sketches in
+  /// two serial passes in ascending sketch order (one sizes each
+  /// vertex's list, one writes it), and recounts total_vertices_ and
+  /// max_sketch_vertices_.
+  void BuildContaining(size_t num_vertices);
 
   std::vector<uint32_t> slots_;         // one directory word per sketch
   std::vector<uint32_t> body_;          // header, vertices, packed ids
   std::vector<RRLocalEdge> edges_;      // all sketch edge arrays
-  std::vector<uint32_t> containing_starts_;  // num_vertices + 1
-  std::vector<uint32_t> containing_;         // sketch ids, CSR by vertex
-  size_t max_sketch_vertices_ = 0;
+  std::vector<uint32_t> containing_starts_;  // num_vertices + 1 offsets
+  std::vector<uint8_t> containing_;          // varint lists, by vertex
+  // Both fit 32 bits: a block holds under 2^30 vertices, and every
+  // containing entry takes at least one of containing_'s bytes.
+  uint32_t max_sketch_vertices_ = 0;
+  uint32_t total_vertices_ = 0;
 };
 
 // The view-function templates are defined here so that a caller's view
@@ -366,7 +447,8 @@ void RrSketchPool::AppendSketch(uint32_t root_local,
   PITEX_CHECK_MSG(slots_.size() < UINT32_MAX && body_.size() <= kExplicit &&
                       edges_.size() <= UINT32_MAX,
                   "sketch pool exceeds its directory words");
-  max_sketch_vertices_ = std::max(max_sketch_vertices_, n);
+  max_sketch_vertices_ =
+      std::max(max_sketch_vertices_, static_cast<uint32_t>(n));
 }
 
 /// The repairs a DynamicRrIndex has made since its base pool was packed,
@@ -376,8 +458,8 @@ void RrSketchPool::AppendSketch(uint32_t root_local,
 ///   * repaired sketches, appended to a run in pool layout (a sketch
 ///     repaired twice keeps its superseded copy until compaction);
 ///   * a sketch-id redirect to each repaired sketch's current copy;
-///   * replacement containing lists for the vertices whose membership
-///     changed.
+///   * replacement containing lists, coded as the pool codes them, for
+///     the vertices whose membership changed.
 class RrSketchOverlay {
  public:
   static constexpr uint32_t kNotRepaired = UINT32_MAX;
@@ -400,9 +482,9 @@ class RrSketchOverlay {
   }
   RRView View(uint32_t slot) const { return store_.View(slot); }
 
-  /// u's replacement containing list (ascending ids), or nullptr while
-  /// u's membership is still the base's.
-  const std::vector<uint32_t>* Containing(VertexId u) const {
+  /// u's replacement containing list (ContainingList's bytes), or
+  /// nullptr while u's membership is still the base's.
+  const std::vector<uint8_t>* Containing(VertexId u) const {
     const auto it = containing_.find(u);
     return it == containing_.end() ? nullptr : &it->second;
   }
@@ -414,16 +496,14 @@ class RrSketchOverlay {
   /// Appends `sketch` as sketch `id`'s current copy. `sketch` must not
   /// view this overlay.
   void Put(uint32_t id, const RRView& sketch);
-  /// u's containing list for editing, seeded from `base` (u's list in
-  /// the base pool) on first use.
-  std::vector<uint32_t>& MutableContaining(VertexId u,
-                                           std::span<const uint32_t> base);
+  /// Replaces u's containing list with `ids` (ascending), coded.
+  void SetContaining(VertexId u, std::span<const uint32_t> ids);
 
  private:
   RrSketchPool store_;
   std::vector<uint64_t> repaired_bits_;  // bit id set <=> id in slot_of_
   std::unordered_map<uint32_t, uint32_t> slot_of_;
-  std::unordered_map<VertexId, std::vector<uint32_t>> containing_;
+  std::unordered_map<VertexId, std::vector<uint8_t>> containing_;
 };
 
 }  // namespace pitex

@@ -85,6 +85,10 @@ bool BinaryReader::ReadBytes(void* data, size_t size) {
 
 bool BinaryReader::at_end_of_stream() const { return in_->eof(); }
 
+bool BinaryReader::NoBytesLeft() {
+  return in_->peek() == std::char_traits<char>::eof();
+}
+
 bool BinaryReader::ReadU8(uint8_t* value) { return ReadBytes(value, 1); }
 
 bool BinaryReader::ReadU32(uint32_t* value) {

@@ -108,6 +108,9 @@ class BinaryReader {
 
   /// Reads the trailing checksum and compares with the recomputed digest.
   bool VerifyChecksum();
+  /// True when no byte follows the ones read: a file that must end at
+  /// its checksum checks this after VerifyChecksum.
+  bool NoBytesLeft();
 
   bool ok() const { return !failed_; }
   /// After a failed read: true when the failure was the stream ending

@@ -15,6 +15,7 @@
 
 #include "running_example.h"
 #include "owned_sketch.h"
+#include "reference_dynamic_index.h"
 #include "src/datasets/synthetic.h"
 #include "src/sampling/exact.h"
 
@@ -80,7 +81,7 @@ TEST(DynamicRrIndexTest, AffectedSetIsContainingHead) {
 
   const EdgeId e = 4;  // u4 -> u6
   const VertexId head = n.graph.Head(e);
-  const size_t expected = index.Containing(head).size();
+  const size_t expected = index.Containing(head).count();
 
   const EdgeTopicEntry entries[] = {{2, 0.3}};
   index.UpdateEdgeTopics(e, entries);
@@ -399,6 +400,113 @@ TEST(DynamicRrIndexTest, ContainmentStaysConsistentAfterRepairs) {
     contained += index.graph(i).vertices.size();
   }
   EXPECT_EQ(listed, contained);
+}
+
+// Bytes the LEB128 varint of x takes, as the containing lists code it.
+size_t VarintBytes(uint32_t x) {
+  size_t bytes = 1;
+  for (; x >= 128; x >>= 7) ++bytes;
+  return bytes;
+}
+
+// 12,000 users with one edge each from candidates 1..200 into user 0
+// (the hub), none of them live: every sketch is its root alone, so each
+// user's containing list is a few ids with gaps of thousands.
+constexpr VertexId kHub = 0;
+constexpr VertexId kFirstCandidate = 1;
+constexpr VertexId kEndCandidate = 201;
+
+SocialNetwork MakeHubNetwork() {
+  SocialNetwork network;
+  GraphBuilder graph(12000);
+  for (VertexId c = kFirstCandidate; c < kEndCandidate; ++c) {
+    graph.AddEdge(c, kHub);
+  }
+  network.graph = graph.Build();
+  network.topics = TopicModel(1, 1);
+  network.topics.SetTagTopic(0, 0, 1.0);
+  network.influence = InfluenceGraphBuilder(network.graph.num_edges()).Build();
+  network.tags.Intern("w");
+  return network;
+}
+
+// True when inserting `inserted`'s ids into `list` splits a gap of 3
+// bytes (>= 16384) into exactly two gaps of 2 bytes each.
+bool SplitsThreeByteGap(std::span<const uint32_t> list,
+                        std::span<const uint32_t> inserted) {
+  for (size_t k = 1; k < list.size(); ++k) {
+    const uint32_t a = list[k - 1];
+    const uint32_t b = list[k];
+    if (VarintBytes(b - a) != 3) continue;
+    const auto lo = std::ranges::upper_bound(inserted, a);
+    const auto hi = std::ranges::lower_bound(inserted, b);
+    if (hi - lo == 1 && VarintBytes(*lo - a) == 2 &&
+        VarintBytes(b - *lo) == 2) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void ExpectSameContaining(const DynamicRrIndex& got,
+                          const ReferenceDynamicRrIndex& want) {
+  for (VertexId v = 0; v < got.network().num_vertices(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(got.Containing(v), want.Containing(v)))
+        << "vertex " << v;
+  }
+}
+
+TEST(DynamicRrIndexTest, RepairSpliceChangesCodedGapLengths) {
+  // Raising a candidate's edge into the hub to certain puts the
+  // candidate into every sketch holding the hub: its containing list
+  // gains the hub's ids, and one of them splits a 3-byte gap into two
+  // 2-byte gaps. Deleting the edge again takes them out, merging the
+  // two gaps back. The re-coded lists must match the reference's after
+  // each batch, and after compaction.
+  const SocialNetwork n = MakeHubNetwork();
+  RrIndexOptions options;
+  options.theta_override = 40000;
+  options.seed = 9;
+  DynamicRrIndex index(n, options);
+  index.Build();
+  ReferenceDynamicRrIndex reference(n, options);
+  reference.Build();
+
+  const std::vector<uint32_t>& hub = reference.Containing(kHub);
+  VertexId candidate = kEndCandidate;
+  for (VertexId c = kFirstCandidate; c < kEndCandidate; ++c) {
+    if (SplitsThreeByteGap(reference.Containing(c), hub)) {
+      candidate = c;
+      break;
+    }
+  }
+  ASSERT_NE(candidate, kEndCandidate) << "fixture: no gap to split";
+  const std::vector<uint32_t> before = reference.Containing(candidate);
+  std::vector<uint32_t> merged;
+  std::ranges::set_union(before, hub, std::back_inserter(merged));
+
+  EdgeId edge = 0;
+  for (const AdjEntry& in : n.graph.InEdges(kHub)) {
+    if (in.vertex == candidate) edge = in.edge;
+  }
+  EdgeInfluenceUpdate update;
+  update.edge = edge;
+  update.entries = {{0, 1.0}};
+  index.ApplyUpdates(std::span(&update, 1));
+  reference.ApplyUpdates(std::span(&update, 1));
+  EXPECT_EQ(reference.Containing(candidate), merged);
+  ExpectSameContaining(index, reference);
+
+  update.entries.clear();
+  index.ApplyUpdates(std::span(&update, 1));
+  reference.ApplyUpdates(std::span(&update, 1));
+  EXPECT_EQ(reference.Containing(candidate), before);
+  ExpectSameContaining(index, reference);
+
+  ASSERT_GT(index.overlay_sketches(), 0u);
+  index.Compact();
+  EXPECT_EQ(index.overlay_sketches(), 0u);
+  ExpectSameContaining(index, reference);
 }
 
 }  // namespace

@@ -7,10 +7,11 @@
 //
 // Contract under test: whatever bytes arrive, LoadRrIndex and
 // LoadDelayMatIndex either return a structurally consistent index or
-// fail cleanly, and an RR index that loads saves back to the very bytes
-// it was loaded from (the writer and the reader are inverses). Any
-// crash, sanitizer report, or violation (enforced with abort() below)
-// is a finding.
+// fail cleanly, an RR index that loads holds exactly the containing
+// lists its sketches imply (so the delta-coded lists decode right), and
+// it saves back to the very bytes it was loaded from (the writer and
+// the reader are inverses). Any crash, sanitizer report, or violation
+// (enforced with abort() below) is a finding.
 //
 // Seed corpus: set PITEX_FUZZ_SEED_DIR=<dir> and the harness writes a
 // valid RR index and a valid DelayMat file there during
@@ -20,6 +21,7 @@
 //   mkdir -p corpus
 //   PITEX_FUZZ_SEED_DIR=corpus ./index_io_fuzz -max_total_time=30 corpus
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -27,6 +29,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "running_example.h"
 #include "src/index/index_io.h"
@@ -109,14 +112,21 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     std::stringstream file(bytes);
     const auto loaded = LoadRrIndex(Network(), file);
     if (loaded != nullptr) {
-      // Survivors must be internally consistent: every containment entry
-      // backed by actual sketch membership.
-      for (VertexId v = 0; v < Network().num_vertices(); ++v) {
-        for (const uint32_t id : loaded->Containing(v)) {
-          Require(id < loaded->num_graphs(), "containment id in range");
-          Require(loaded->graph(id).LocalIndex(v).has_value(),
-                  "containment entry backed by membership");
+      // Survivors must be internally consistent: each vertex's decoded
+      // containing list is exactly the ascending ids of the sketches
+      // whose vertices include it.
+      std::vector<std::vector<uint32_t>> want(Network().num_vertices());
+      for (uint32_t id = 0; id < loaded->num_graphs(); ++id) {
+        for (const VertexId v : loaded->graph(id).vertices) {
+          Require(v < want.size(), "sketch vertex in range");
+          want[v].push_back(id);
         }
+      }
+      for (VertexId v = 0; v < Network().num_vertices(); ++v) {
+        Require(std::ranges::equal(loaded->Containing(v), want[v]),
+                "containing list decodes to the sketches holding the vertex");
+        Require(loaded->CountContaining(v) == want[v].size(),
+                "containing count matches the decoded list");
       }
       std::stringstream saved;
       Require(SaveRrIndex(*loaded, saved), "loaded index saves");

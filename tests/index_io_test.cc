@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -349,6 +350,55 @@ TEST(IndexIoTest, FileRoundTripOnDisk) {
   const auto loaded = LoadRrIndex(n, path, &error);
   ASSERT_NE(loaded, nullptr) << error;
   EXPECT_EQ(loaded->num_graphs(), index.num_graphs());
+  std::remove(path.c_str());
+}
+
+TEST(IndexIoTest, TrailingBytesRejected) {
+  // A file ends at its checksum: a valid RR or DelayMat file followed by
+  // one more byte is corrupt, read from a stream or from a path.
+  const SocialNetwork n = MakeRunningExample();
+  RrIndex rr(n, SmallOptions());
+  rr.Build();
+  DelayMatIndex delay(n, SmallOptions());
+  delay.Build();
+  std::stringstream rr_file;
+  std::stringstream delay_file;
+  ASSERT_TRUE(SaveRrIndex(rr, rr_file));
+  ASSERT_TRUE(SaveDelayMatIndex(delay, delay_file));
+  const std::string path = ::testing::TempDir() + "/trailing.idx";
+  const auto write = [&path](const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return static_cast<bool>(out);
+  };
+
+  for (const std::string& extra : {std::string(1, '\0'), std::string("x")}) {
+    const std::string rr_bytes = rr_file.str() + extra;
+    const std::string delay_bytes = delay_file.str() + extra;
+    IndexIoError error;
+    std::stringstream rr_in(rr_bytes);
+    EXPECT_EQ(LoadRrIndex(n, rr_in, &error), nullptr);
+    EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
+    error = {};
+    std::stringstream delay_in(delay_bytes);
+    EXPECT_EQ(LoadDelayMatIndex(n, delay_in, &error), nullptr);
+    EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
+
+    error = {};
+    ASSERT_TRUE(write(rr_bytes));
+    EXPECT_EQ(LoadRrIndex(n, path, &error), nullptr);
+    EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
+    error = {};
+    ASSERT_TRUE(write(delay_bytes));
+    EXPECT_EQ(LoadDelayMatIndex(n, path, &error), nullptr);
+    EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
+  }
+
+  // Without the extra byte both files load, from a stream and a path.
+  std::stringstream rr_in(rr_file.str());
+  EXPECT_NE(LoadRrIndex(n, rr_in), nullptr);
+  ASSERT_TRUE(write(delay_file.str()));
+  EXPECT_NE(LoadDelayMatIndex(n, path), nullptr);
   std::remove(path.c_str());
 }
 

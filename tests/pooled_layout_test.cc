@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <numeric>
 #include <vector>
@@ -96,12 +97,44 @@ uint32_t ExpectedWidth(size_t n, size_t m) {
   return n <= 256 && m <= 255 ? 1 : 4;
 }
 
+// Bytes the LEB128 varint of x takes: one per started group of 7 bits.
+size_t VarintBytes(uint32_t x) {
+  size_t bytes = 1;
+  for (; x >= 128; x >>= 7) ++bytes;
+  return bytes;
+}
+
+// Each vertex's containing list rebuilt by brute force from the pool's
+// views: the ascending ids of the sketches whose vertices include it.
+std::vector<std::vector<uint32_t>> ContainingFromViews(
+    const RrSketchPool& pool) {
+  std::vector<std::vector<uint32_t>> lists(pool.num_universe_vertices());
+  for (uint32_t i = 0; i < pool.num_sketches(); ++i) {
+    for (const VertexId v : pool.View(i).vertices) lists[v].push_back(i);
+  }
+  return lists;
+}
+
+// Bytes the lists take coded: the first id, then each gap to the next.
+size_t CodedBytes(const std::vector<std::vector<uint32_t>>& lists) {
+  size_t bytes = 0;
+  for (const std::vector<uint32_t>& list : lists) {
+    uint32_t last = 0;
+    for (const uint32_t id : list) {
+      bytes += VarintBytes(id - last);
+      last = id;
+    }
+  }
+  return bytes;
+}
+
 // The pool's footprint from its layout: the directory (one word per
-// sketch), the body and the containing index hold 32-bit words, an edge
-// record is 8 bytes, and a sketch's body block is a two-word header, n
-// vertices, then the root's local id, n + 1 offsets and m heads at the
-// block's width rounded up to whole words, unless it is an implicit
-// singleton (one vertex, no edges).
+// sketch), the body and the containing starts hold 32-bit words, the
+// containing lists their coded bytes, an edge record is 8 bytes, and a
+// sketch's body block is a two-word header, n vertices, then the root's
+// local id, n + 1 offsets and m heads at the block's width rounded up
+// to whole words, unless it is an implicit singleton (one vertex, no
+// edges).
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   size_t body = 0;
@@ -113,9 +146,22 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     body += 2 + n + ((n + 2 + m) * ExpectedWidth(n, m) + 3) / 4;
   }
   return sizeof(RrSketchPool) +
-         sizeof(uint32_t) * (s + body + pool.num_universe_vertices() + 1 +
-                             pool.total_vertices()) +
-         8 * pool.total_edges();
+         sizeof(uint32_t) * (s + body + pool.num_universe_vertices() + 1) +
+         CodedBytes(ContainingFromViews(pool)) + 8 * pool.total_edges();
+}
+
+// The pool's containing index against a brute-force rebuild from its
+// views: every decoded list, every count, and the vertex total.
+void ExpectContainingMatchesViews(const RrSketchPool& pool) {
+  const std::vector<std::vector<uint32_t>> want = ContainingFromViews(pool);
+  uint64_t total = 0;
+  for (VertexId v = 0; v < want.size(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(pool.Containing(v), want[v]))
+        << "vertex " << v;
+    EXPECT_EQ(pool.CountContaining(v), want[v].size()) << "vertex " << v;
+    total += want[v].size();
+  }
+  EXPECT_EQ(pool.total_vertices(), total);
 }
 
 TEST(PooledLayoutTest, SketchesMatchReferenceRebuild) {
@@ -243,6 +289,7 @@ TEST(PooledLayoutTest, PoolTotalsConsistent) {
   EXPECT_EQ(pool.max_sketch_vertices(), max_sketch);
   EXPECT_EQ(pool.num_universe_vertices(), n.num_vertices());
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  ExpectContainingMatchesViews(pool);
 }
 
 // Packs hand-made sketches over a 10-vertex universe.
@@ -262,8 +309,9 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   // Only the two-vertex sketch has a body block: a two-word header, two
   // vertices and two words holding its root id, 3 offsets and 1 head.
+  // The lists of vertices 2, 5 and 7 take 1, 1 and 2 bytes.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 6 + 11 + 4) + 8);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 6 + 11) + 4 + 8);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
   }
@@ -282,7 +330,7 @@ TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (2 + 4 + 11 + 2) + 8);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (2 + 4 + 11) + 2 + 8);
   EXPECT_TRUE(SameSketch(pool.View(0), graphs[0]));
   EXPECT_TRUE(SameSketch(pool.View(1), graphs[1]));
   EXPECT_TRUE(
@@ -296,8 +344,9 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
     graphs.push_back(Singleton(9 - v));
   }
   const RrSketchPool pool = PackGraphs(graphs);
+  // Each vertex's two ids take a byte each.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (20 + 0 + 11 + 20));
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (20 + 0 + 11) + 20);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
@@ -357,9 +406,10 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 2 + 2 + 2, 2 + 1 + 1, 2 + 3 + 2 and 2 + 2 + 2 words.
+  // Blocks of 2 + 2 + 2, 2 + 1 + 1, 2 + 3 + 2 and 2 + 2 + 2 words, and
+  // 12 containing entries of a byte each.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 23 + 11 + 12) +
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 23 + 11) + 12 +
                 8 * 5);
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
@@ -641,6 +691,110 @@ TEST(PooledLayoutTest, RootLocalIdSurvivesEveryWriter) {
   ASSERT_EQ(ExpectedWidth(256, graphs[6].edges.size()), 1u);
   ASSERT_EQ(ExpectedWidth(300, graphs[8].edges.size()), 4u);
   ExpectEveryWriterKeeps(graphs, 300);
+}
+
+// A sketch over `vertices` (sorted) rooted at the first, with no edges.
+RRGraph EdgelessSketch(std::vector<VertexId> vertices) {
+  const VertexId root = vertices[0];
+  std::vector<uint32_t> offsets(vertices.size() + 1, 0);
+  return RRGraph{root, std::move(vertices), std::move(offsets), {}, {}};
+}
+
+TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
+  // 2^21 + 2 sketches over 12 vertices. Vertex 0 is in every sketch (a
+  // first id of 0, then gaps of 1); vertices 10 and 11 are in none. The
+  // others sit where their lists' first ids or gaps cross each varint
+  // length boundary from 1 to 4 bytes.
+  constexpr uint32_t k21 = uint32_t{1} << 21;
+  const std::vector<std::vector<uint32_t>> placed = {
+      {},                                // 0: every sketch
+      {127},                             // 1 byte
+      {128},                             // 2 bytes
+      {16383},                           // 2 bytes
+      {16384},                           // 3 bytes
+      {k21 - 1},                         // 3 bytes
+      {k21},                             // 4 bytes
+      {0, 127, 255, 16638, 33022},       // gaps 127, 128, 16383, 16384
+      {0, k21 - 1},                      // gap 2^21 - 1
+      {1, k21 + 1},                      // gap 2^21
+  };
+  const size_t num_sketches = k21 + 2;
+  std::map<uint32_t, std::vector<VertexId>> members;
+  for (VertexId v = 1; v < placed.size(); ++v) {
+    for (const uint32_t id : placed[v]) members[id].push_back(v);
+  }
+  std::map<uint32_t, RRGraph> special;
+  for (auto& [id, vertices] : members) {
+    vertices.insert(vertices.begin(), 0);
+    special.emplace(id, EdgelessSketch(vertices));
+  }
+  const RRGraph filler = Singleton(0);
+  const RrSketchPool pool =
+      RrSketchPool::Pack(num_sketches, 12, [&](size_t i) {
+        const auto it = special.find(static_cast<uint32_t>(i));
+        return it == special.end() ? filler.View() : it->second.View();
+      });
+
+  ExpectContainingMatchesViews(pool);
+  // Sanity of the fixture: the brute force sees the lists placed.
+  const std::vector<std::vector<uint32_t>> lists = ContainingFromViews(pool);
+  for (VertexId v = 1; v < placed.size(); ++v) {
+    EXPECT_EQ(lists[v], placed[v]) << "vertex " << v;
+  }
+  EXPECT_EQ(lists[0].size(), num_sketches);
+  EXPECT_TRUE(lists[10].empty() && lists[11].empty());
+  // Vertex 0 takes a byte per sketch; the placed lists take
+  // 1 + 2 + 2 + 3 + 3 + 4, then 1 + 1 + 2 + 2 + 3, 1 + 3 and 1 + 4.
+  EXPECT_EQ(CodedBytes(lists), num_sketches + 33);
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+}
+
+TEST(PooledLayoutTest, VertexInEverySketchAndVerticesInNone) {
+  // Vertex 3 is in every sketch, singletons and blocks alike; vertices
+  // 0, 5 and 9 (the universe's first and last among them) are in none.
+  std::vector<RRGraph> graphs;
+  for (VertexId k = 0; k < 300; ++k) {
+    graphs.push_back(k % 3 == 0 ? Singleton(3)
+                                : EdgelessSketch({3, 6 + k % 3}));
+  }
+  graphs.push_back(RRGraph{3, {1, 3}, {0, 0, 1}, {0}, {{2, 0.5f}}});
+  const RrSketchPool pool = PackGraphs(graphs);
+  ExpectContainingMatchesViews(pool);
+  EXPECT_EQ(pool.CountContaining(3), graphs.size());
+  for (const VertexId v : {0u, 5u, 9u}) {
+    EXPECT_TRUE(std::ranges::empty(pool.Containing(v))) << "vertex " << v;
+    EXPECT_EQ(pool.CountContaining(v), 0u) << "vertex " << v;
+  }
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+}
+
+TEST(PooledLayoutTest, ContainingCodecCodesFiveByteValues) {
+  // A pool's lists reach a 5-byte value only past 2^28 sketches (a
+  // 1 GiB directory), so the 4/5-byte boundary runs through an overlay's
+  // lists, which the pool's coder writes too. The bytes are pinned:
+  // seven bits per byte, low bits first, top bit set on all but a
+  // value's last byte.
+  constexpr uint32_t k28 = uint32_t{1} << 28;
+  const std::vector<std::pair<std::vector<uint32_t>, std::vector<uint8_t>>>
+      cases = {
+          {{k28 - 1}, {0xff, 0xff, 0xff, 0x7f}},
+          {{k28}, {0x80, 0x80, 0x80, 0x80, 0x01}},
+          {{0, k28 - 1, 2 * k28 - 1},
+           {0x00, 0xff, 0xff, 0xff, 0x7f, 0x80, 0x80, 0x80, 0x80, 0x01}},
+          {{UINT32_MAX - 1}, {0xfe, 0xff, 0xff, 0xff, 0x0f}},
+          {{}, {}},
+      };
+  RrSketchOverlay overlay;
+  for (VertexId v = 0; v < cases.size(); ++v) {
+    const auto& [ids, bytes] = cases[v];
+    overlay.SetContaining(v, ids);
+    ASSERT_NE(overlay.Containing(v), nullptr);
+    EXPECT_EQ(*overlay.Containing(v), bytes) << "list " << v;
+    const ContainingList list(*overlay.Containing(v));
+    EXPECT_TRUE(std::ranges::equal(list, ids)) << "list " << v;
+    EXPECT_EQ(list.count(), ids.size()) << "list " << v;
+  }
+  EXPECT_EQ(overlay.Containing(cases.size()), nullptr);
 }
 
 TEST(PooledLayoutTest, EdgeRecordIsEightBytes) {
