@@ -4,13 +4,15 @@
 // Not a paper figure — the paper reports single-query latency; this
 // harness measures the deployment-side metrics:
 //   1. queries/second when a stream of PITEX queries shares one offline
-//      index across a worker pool (BatchEngine). Expected shape:
-//      near-linear scaling below the physical core count, IndexEst+
-//      sustaining the highest absolute throughput (Fig. 7 ordering);
-//   2. BatchEngine (static round-robin) vs. PitexService (work-stealing)
-//      on a *skewed* workload where expensive hub queries pile onto one
-//      round-robin residue class — the imbalance the per-worker
-//      BatchWorkerStats expose and the stealing scheduler removes;
+//      index across a worker pool (deterministic PitexService: query i
+//      on worker i % threads). Expected shape: near-linear scaling below
+//      the physical core count, IndexEst+ sustaining the highest
+//      absolute throughput (Fig. 7 ordering);
+//   2. static round-robin (deterministic mode) vs. work-stealing
+//      PitexService on a *skewed* workload where expensive hub queries
+//      pile onto one round-robin residue class — the imbalance the
+//      per-worker sums of solve time expose and the stealing scheduler
+//      removes;
 //   3. p50/p95/p99 sojourn latency of the service under a bursty arrival
 //      schedule (waves of concurrent Submits separated by idle gaps).
 
@@ -19,7 +21,6 @@
 #include <thread>
 
 #include "bench/bench_common.h"
-#include "src/core/batch_engine.h"
 #include "src/serve/pitex_service.h"
 #include "src/util/stats.h"
 
@@ -55,16 +56,17 @@ int main(int argc, char** argv) {
     for (const Method method : kMethods) {
       std::printf("%-10s", MethodName(method));
       for (const size_t threads : kThreadCounts) {
-        BatchOptions options;
+        ServeOptions options;
         options.engine = BenchOptions(method);
         options.num_threads = threads;
-        BatchEngine batch(&d.network, options);
-        batch.Prepare();                // offline cost excluded
-        (void)batch.ExploreAll(queries);  // warm worker caches
-        const auto results = batch.ExploreAll(queries);
-        const double qps =
-            static_cast<double>(results.size()) /
-            std::max(batch.last_batch_seconds(), 1e-9);
+        options.mode = ScheduleMode::kDeterministic;
+        PitexService service(&d.network, options);
+        service.Start();                   // offline cost excluded
+        (void)service.ServeAll(queries);  // warm worker caches
+        Timer timer;
+        const auto served = service.ServeAll(queries);
+        const double qps = static_cast<double>(served.size()) /
+                           std::max(timer.Seconds(), 1e-9);
         std::printf(" %13.1f", qps);
       }
       std::printf("\n");
@@ -77,9 +79,9 @@ int main(int argc, char** argv) {
 
   // --- 2. skewed workload: static round-robin vs. work-stealing ----------
   // Hub queries land on residue class 0 of the round-robin assignment, so
-  // BatchEngine's worker 0 carries nearly all the work while the others
-  // idle; the stealing scheduler redistributes it.
-  std::printf("=== Skewed workload: BatchEngine (round-robin) vs "
+  // the deterministic service's worker 0 carries nearly all the work
+  // while the others idle; the stealing scheduler redistributes it.
+  std::printf("=== Skewed workload: round-robin (deterministic) vs "
               "PitexService (work-stealing) ===\n");
   const size_t kServeThreads = 4;
   for (const auto& d : MakeBenchDatasets()) {
@@ -96,39 +98,36 @@ int main(int argc, char** argv) {
     }
 
     for (const Method method : {Method::kIndexEst, Method::kIndexEstPlus}) {
-      BatchOptions batch_options;
+      ServeOptions batch_options;
       batch_options.engine = BenchOptions(method);
       batch_options.num_threads = kServeThreads;
-      BatchEngine batch(&d.network, batch_options);
-      batch.Prepare();
-      (void)batch.ExploreAll(skewed);  // warm caches
-      const auto batch_results = batch.ExploreAll(skewed);
+      batch_options.mode = ScheduleMode::kDeterministic;
+      PitexService batch(&d.network, batch_options);
+      batch.Start();
+      (void)batch.ServeAll(skewed);  // warm caches
+      Timer batch_timer;
+      const auto batch_results = batch.ServeAll(skewed);
       const double batch_qps = static_cast<double>(skewed.size()) /
-                               std::max(batch.last_batch_seconds(), 1e-9);
-      double busiest = 0.0, idlest = 1e30;
-      for (const BatchWorkerStats& w : batch.last_worker_stats()) {
-        busiest = std::max(busiest, w.seconds);
-        idlest = std::min(idlest, w.seconds);
-      }
+                               std::max(batch_timer.Seconds(), 1e-9);
 
       // Scheduling model from the measured per-query costs: round-robin
       // makespan (what static assignment pays on kServeThreads real
-      // cores) vs. list-scheduling makespan (what stealing approximates
-      // online). Host-core-count independent — on a single-core runner
-      // the measured wall times below cannot show the gap, this model
-      // can.
+      // cores; each worker's load is its busy time) vs. list-scheduling
+      // makespan (what stealing approximates online). Host-core-count
+      // independent — on a single-core runner the measured wall times
+      // below cannot show the gap, this model can.
       std::vector<double> rr_load(kServeThreads, 0.0);
       std::vector<double> balanced_load(kServeThreads, 0.0);
-      for (size_t i = 0; i < batch_results.size(); ++i) {
-        rr_load[i % kServeThreads] += batch_results[i].seconds;
+      for (const ServedResult& served : batch_results) {
+        rr_load[served.worker] += served.result.seconds;
         size_t least = 0;
         for (size_t w = 1; w < kServeThreads; ++w) {
           if (balanced_load[w] < balanced_load[least]) least = w;
         }
-        balanced_load[least] += batch_results[i].seconds;
+        balanced_load[least] += served.result.seconds;
       }
-      const double rr_makespan =
-          *std::max_element(rr_load.begin(), rr_load.end());
+      const double busiest = *std::max_element(rr_load.begin(), rr_load.end());
+      const double idlest = *std::min_element(rr_load.begin(), rr_load.end());
       const double balanced_makespan =
           *std::max_element(balanced_load.begin(), balanced_load.end());
 
@@ -156,8 +155,8 @@ int main(int argc, char** argv) {
                   idlest, serve_qps,
                   static_cast<unsigned long long>(steals),
                   serve_qps / std::max(batch_qps, 1e-9), kServeThreads,
-                  rr_makespan * 1e3, balanced_makespan * 1e3,
-                  rr_makespan / std::max(balanced_makespan, 1e-9));
+                  busiest * 1e3, balanced_makespan * 1e3,
+                  busiest / std::max(balanced_makespan, 1e-9));
     }
   }
   std::printf("shape check: the work-stealing service should beat the "

@@ -22,8 +22,8 @@
 //   pitex_cli seeds <net.pitex> <k_seeds> <tag> [tag...]
 //       Topic-aware influence maximization for a fixed tag set.
 //   pitex_cli batch <net.pitex> <queries> <k> <threads> [method]
-//       Answer a batch of queries across a worker pool and report
-//       throughput.
+//       Answer a batch of queries on a deterministic PitexService (query
+//       i on worker i % threads) and report throughput.
 //   pitex_cli serve <net.pitex> <queries> <updates> <threads> [wal_dir]
 //             [--stats-out=<file>] [--stats-format=json|prom]
 //       Run the serving tier end to end: answer queries, fold in edge
@@ -54,7 +54,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/batch_engine.h"
 #include "src/core/engine.h"
 #include "src/core/im_solver.h"
 #include "src/core/planner.h"
@@ -390,8 +389,9 @@ int CmdBatch(int argc, char** argv) {
   }
   const auto num_queries = static_cast<size_t>(std::atoi(argv[3]));
   const auto k = static_cast<size_t>(std::atoi(argv[4]));
-  BatchOptions options;
+  ServeOptions options;
   options.num_threads = static_cast<size_t>(std::atoi(argv[5]));
+  options.mode = ScheduleMode::kDeterministic;
   options.engine.method = Method::kIndexEstPlus;
   if (argc == 7 && !ParseMethod(argv[6], &options.engine.method)) {
     return Usage();
@@ -399,24 +399,30 @@ int CmdBatch(int argc, char** argv) {
 
   const auto users = SampleUserGroup(network->graph, UserGroup::kMid,
                                      num_queries, /*seed=*/9);
+  if (num_queries > 0 && users.empty()) {
+    std::fprintf(stderr, "error: no user in %s has an out-edge\n", argv[2]);
+    return 1;
+  }
   std::vector<PitexQuery> queries;
   for (size_t i = 0; i < num_queries; ++i) {
     queries.push_back({.user = users[i % users.size()], .k = k});
   }
-  BatchEngine batch(network.operator->(), options);
+  PitexService service(network.operator->(), options);
   Timer prepare_timer;
-  batch.Prepare();
+  service.Start();
   std::printf("prepared %s on %zu workers in %.2f s\n",
               MethodName(options.engine.method), options.num_threads,
               prepare_timer.Seconds());
-  const auto results = batch.ExploreAll(queries);
+  Timer batch_timer;
+  const auto served = service.ServeAll(queries);
+  const double batch_seconds = batch_timer.Seconds();
   double total_influence = 0.0;
-  for (const PitexResult& r : results) total_influence += r.influence;
+  for (const ServedResult& r : served) total_influence += r.result.influence;
   std::printf("%zu queries in %.3f s -> %.1f q/s, avg spread %.2f\n",
-              results.size(), batch.last_batch_seconds(),
-              static_cast<double>(results.size()) /
-                  std::max(batch.last_batch_seconds(), 1e-9),
-              total_influence / static_cast<double>(results.size()));
+              served.size(), batch_seconds,
+              static_cast<double>(served.size()) /
+                  std::max(batch_seconds, 1e-9),
+              total_influence / static_cast<double>(served.size()));
   return 0;
 }
 
@@ -449,18 +455,24 @@ int CmdServe(int argc, char** argv) {
     options.durability_dir = positional[4];
     options.checkpoint_every = 4;
   }
+  const auto users = SampleUserGroup(network->graph, UserGroup::kMid,
+                                     std::max<size_t>(num_queries, 1),
+                                     /*seed=*/9);
+  if (num_queries > 0 && users.empty()) {
+    std::fprintf(stderr, "error: no user in %s has an out-edge\n",
+                 positional[0]);
+    return 1;
+  }
+  std::vector<PitexQuery> queries;
+  for (size_t i = 0; i < num_queries; ++i) {
+    queries.push_back({.user = users[i % users.size()], .k = 3});
+  }
+
   PitexService service(network.operator->(), options);
   Timer start_timer;
   service.Start();  // durable runs recover the directory's state here
   const double start_seconds = start_timer.Seconds();
 
-  const auto users = SampleUserGroup(network->graph, UserGroup::kMid,
-                                     std::max<size_t>(num_queries, 1),
-                                     /*seed=*/9);
-  std::vector<PitexQuery> queries;
-  for (size_t i = 0; i < num_queries; ++i) {
-    queries.push_back({.user = users[i % users.size()], .k = 3});
-  }
   size_t rejected = 0;
   size_t deferred = 0;
   for (size_t i = 0; i < num_updates; ++i) {

@@ -70,6 +70,11 @@ struct EngineOptions {
   uint64_t seed = 1;
 };
 
+/// The index options an engine with `options` builds with: eps, delta,
+/// cap_k, theta_per_vertex, max_theta and seed. num_build_threads keeps
+/// its default; each caller sets it for its own build.
+RrIndexOptions IndexOptionsFor(const EngineOptions& options);
+
 class PitexEngine {
  public:
   /// `network` must outlive the engine.
@@ -88,7 +93,7 @@ class PitexEngine {
   /// built RR-Graph index instead of building one. RrIndex estimation is
   /// read-only after Build() and keeps its reachability scratch
   /// per-thread, so one index may back many engines concurrently — this
-  /// is how BatchEngine shares the offline cost across workers and how a
+  /// is how PitexService shares the offline cost across workers and how a
   /// server adopts an index loaded via LoadRrIndex. `shared` must
   /// outlive the engine. Call before BuildIndex().
   void UseSharedRrIndex(RrIndex* shared);

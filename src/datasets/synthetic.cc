@@ -207,7 +207,10 @@ std::vector<VertexId> SampleUserGroup(const Graph& graph, UserGroup group,
     case UserGroup::kMid: begin = p1; end = p10; break;
     case UserGroup::kLow: begin = p10; end = n; break;
   }
-  end = std::max(end, std::min(n, begin + 1));
+  // Few users with an out-edge put the percentile cut points past n:
+  // clamp both ends so the pool is a valid (possibly empty) range.
+  begin = std::min(begin, n);
+  end = std::min(std::max(end, begin + 1), n);
   std::vector<VertexId> pool(users.begin() + static_cast<long>(begin),
                              users.begin() + static_cast<long>(end));
   Rng rng(seed);

@@ -78,7 +78,7 @@ class DelayMatIndex final : public InfluenceOracle {
   std::vector<uint32_t> counts_;
   Rng query_rng_;
   // Per-instance reachability scratch (DelayMat caches per query user and
-  // is never shared across threads; see BatchEngine).
+  // is never shared across threads; see PitexService::BindWorker).
   EstimateScratch scratch_;
   double build_seconds_ = 0.0;
   bool built_ = false;

@@ -145,7 +145,7 @@ PITEX_NOALLOC Estimate RrIndex::EstimateInfluence(
 }
 
 Estimate RrIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
-  // One RrIndex backs many concurrent readers (BatchEngine shares it
+  // One RrIndex backs many concurrent readers (PitexService shares it
   // across workers), so the oracle-interface entry point keeps its
   // scratch per thread: concurrent estimates stay safe and allocation-
   // free without any caller-side plumbing. Pre-sizing to the largest

@@ -70,7 +70,7 @@ class RrIndex final : public InfluenceOracle {
 
   /// Samples the RR-Graphs and packs them into the pool. Must be called
   /// once before estimation. When `pool` is non-null its workers run the
-  /// sampling pass (BatchEngine reuses its query pool this way);
+  /// sampling pass (PitexService reuses its pump pool this way);
   /// otherwise an internal pool of options.num_build_threads workers is
   /// used. The result is bit-identical for any thread count.
   void Build(ThreadPool* pool = nullptr);

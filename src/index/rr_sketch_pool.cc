@@ -45,7 +45,6 @@ void RrSketchPool::Clear() {
   containing_starts_.clear();
   containing_.clear();
   max_sketch_vertices_ = 0;
-  total_vertices_ = 0;
 }
 
 std::pair<uint64_t, uint64_t> RrSketchPool::Starts(size_t i) const {
@@ -146,11 +145,9 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   const size_t s = num_sketches();
   std::vector<Tally> tally(num_vertices, Tally{0, 0});
   uint64_t bytes = 0;
-  uint64_t vertices = 0;
   size_t max_vertices = 0;
   for (size_t i = 0; i < s; ++i) {
     const std::span<const VertexId> sketch = Vertices(i);
-    vertices += sketch.size();
     max_vertices = std::max(max_vertices, sketch.size());
     const auto id = static_cast<uint32_t>(i);
     for (const VertexId v : sketch) {
@@ -184,7 +181,6 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
     }
   }
   max_sketch_vertices_ = static_cast<uint32_t>(max_vertices);
-  total_vertices_ = static_cast<uint32_t>(vertices);
 }
 
 size_t RrSketchPool::SizeBytes() const {

@@ -264,10 +264,7 @@ class RrSketchPool {
     return containing_starts_.empty() ? 0 : containing_starts_.size() - 1;
   }
 
-  /// Totals across all sketches. The vertex total is counted by the
-  /// containing index's build, so it covers finished pools only (not a
-  /// run).
-  uint64_t total_vertices() const { return total_vertices_; }
+  /// Edge total across all sketches.
   uint64_t total_edges() const { return edges_.size(); }
   /// Largest per-sketch vertex count (scratch pre-sizing).
   size_t max_sketch_vertices() const { return max_sketch_vertices_; }
@@ -345,8 +342,7 @@ class RrSketchPool {
 
   /// Rebuilds containing_starts_/containing_ from the packed sketches in
   /// two serial passes in ascending sketch order (one sizes each
-  /// vertex's list, one writes it), and recounts total_vertices_ and
-  /// max_sketch_vertices_.
+  /// vertex's list, one writes it), and recounts max_sketch_vertices_.
   void BuildContaining(size_t num_vertices);
 
   std::vector<uint32_t> slots_;         // one directory word per sketch
@@ -354,10 +350,8 @@ class RrSketchPool {
   std::vector<RRLocalEdge> edges_;      // all sketch edge arrays
   std::vector<uint32_t> containing_starts_;  // num_vertices + 1 offsets
   std::vector<uint8_t> containing_;          // varint lists, by vertex
-  // Both fit 32 bits: a block holds under 2^30 vertices, and every
-  // containing entry takes at least one of containing_'s bytes.
+  // Fits 32 bits: a block holds under 2^30 vertices.
   uint32_t max_sketch_vertices_ = 0;
-  uint32_t total_vertices_ = 0;
 };
 
 // The view-function templates are defined here so that a caller's view

@@ -28,7 +28,7 @@ PitexService::PitexService(const SocialNetwork* network,
   RegisterMetrics();
   // Deterministic mode forbids the cache: a hit skips the engine, so the
   // worker's sampler RNG would not advance and every subsequent answer
-  // on that worker would diverge from BatchEngine.
+  // on that worker would diverge from the per-worker engine reference.
   if (options_.mode == ScheduleMode::kWorkStealing &&
       options_.cache_capacity > 0) {
     cache_ = std::make_unique<ResultCache>(options_.cache_capacity,
@@ -213,16 +213,11 @@ void PitexService::Start() {
   const size_t num_threads = options_.num_threads;
   pool_ = std::make_unique<ThreadPool>(num_threads);
 
-  // Offline cost is paid once here, exactly as BatchEngine::Prepare does
-  // (deterministic mode depends on the index derivation matching).
+  // Offline cost is paid once here, from the base seed's index options
+  // (deterministic mode depends on the index derivation matching one
+  // PitexEngine built with the same EngineOptions).
   const Method method = options_.engine.method;
-  RrIndexOptions index_options;
-  index_options.eps = options_.engine.eps;
-  index_options.delta = options_.engine.delta;
-  index_options.cap_k = options_.engine.index_cap_k;
-  index_options.theta_per_vertex = options_.engine.index_theta_per_vertex;
-  index_options.max_theta = options_.engine.index_max_theta;
-  index_options.seed = options_.engine.seed;
+  RrIndexOptions index_options = IndexOptionsFor(options_.engine);
 
   std::shared_ptr<const IndexSnapshot> snapshot;
   if (method == Method::kIndexEst || method == Method::kIndexEstPlus) {
@@ -664,8 +659,8 @@ std::vector<ServedResult> PitexService::ServeAll(
       item.remaining = &remaining;
       item.trace = trace;
       // Batch-local i % N placement: in deterministic mode this IS the
-      // assignment (BatchEngine's round-robin); in work-stealing mode it
-      // is only the initial placement.
+      // assignment (static round-robin); in work-stealing mode it is
+      // only the initial placement.
       EnqueueLocked(std::move(item), i);
       if (trace.sampled()) {
         trace.Record(obs::SpanKind::kAdmission, admission_start,

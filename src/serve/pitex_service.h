@@ -1,12 +1,13 @@
-// PitexService: the online query-serving subsystem.
+// PitexService: the query-serving subsystem, for closed batches and open
+// streams alike.
 //
-// BatchEngine (src/core/batch_engine.h) answers a closed batch with
-// static round-robin worker assignment — the right tool for offline
-// evaluation runs, and deliberately deterministic. A serving deployment
-// faces a different shape: an open stream of queries with skewed
-// per-query cost (hub users cost orders of magnitude more than leaf
-// users), arriving in bursts, while the underlying influence model is
-// re-learned continually. PitexService covers that scenario class:
+// An offline evaluation run (the paper's fixed batch of queries per
+// configuration, Sec. 7.1) wants a deterministic answer stream; that is
+// the `deterministic` mode below. A serving deployment faces a different
+// shape: an open stream of queries with skewed per-query cost (hub users
+// cost orders of magnitude more than leaf users), arriving in bursts,
+// while the underlying influence model is re-learned continually.
+// PitexService covers both:
 //
 //   * scheduling — every query lands on a per-worker FIFO deque; idle
 //     workers steal from the most loaded deque, so one hub query no
@@ -15,8 +16,9 @@
 //     persistent BestEffortScratch + sampler state), so steady-state
 //     serving allocates only at the scheduling layer. A `deterministic`
 //     mode disables stealing and pins query i of a ServeAll batch to
-//     worker i % num_threads — reproducing BatchEngine::ExploreAll
-//     bit-identically (pinned by tests/pitex_service_test.cc);
+//     worker i % num_threads — bit-identical to one PitexEngine per
+//     worker answering its share in order (pinned for every method by
+//     DeterministicSweepTest in tests/pitex_service_test.cc);
 //   * snapshots — queries pin the current IndexSnapshot; ApplyUpdates
 //     repairs a private DynamicRrIndex master and publishes a fresh
 //     immutable snapshot sharing the master's network and base sketches,
@@ -69,14 +71,16 @@ enum class ScheduleMode {
   /// worker (and hence sampler seed) serving a query is load-dependent.
   kWorkStealing,
   /// Static assignment (batch query i -> worker i % num_threads), no
-  /// stealing, no cache: bit-identical to BatchEngine::ExploreAll for
-  /// the same (options, num_threads).
+  /// stealing, no cache: bit-identical to one PitexEngine per worker
+  /// (seeded engine.seed + w, sharing the base seed's index) answering
+  /// its queries in order, for the same (options, num_threads).
   kDeterministic,
 };
 
 struct ServeOptions {
-  /// Per-worker engine configuration; worker w uses seed engine.seed + w
-  /// (the same derivation as BatchEngine).
+  /// Per-worker engine configuration; worker w uses seed engine.seed + w.
+  /// The shared index is built from IndexOptionsFor(engine), i.e. from
+  /// the base seed.
   EngineOptions engine;
   size_t num_threads = 4;
   ScheduleMode mode = ScheduleMode::kWorkStealing;

@@ -1,10 +1,8 @@
-// A fixed-size worker pool for batch query processing.
+// A fixed-size worker pool for index builds and query serving.
 //
 // The pool is deliberately minimal: submit void() tasks, wait for
-// quiescence, destructor joins. PITEX uses it for three workloads with
+// quiescence, destructor joins. PITEX uses it for two workloads with
 // different shapes:
-//   * batch PITEX queries (src/core/batch_engine.h): many independent
-//     medium-sized tasks, claimed via an atomic cursor;
 //   * bulk index construction (src/index/rr_index.cc): ParallelForSlots
 //     over theta samples, each claiming slot appending its contiguous
 //     sample ranges to its own sketch run, guided chunk claims absorbing

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/datasets/synthetic.h"
+#include "src/graph/graph.h"
 
 namespace pitex {
 namespace {
@@ -128,6 +131,42 @@ TEST(UserGroupTest, SamplingIsDeterministic) {
   const auto a = SampleUserGroup(n.graph, UserGroup::kMid, 10, 7);
   const auto b = SampleUserGroup(n.graph, UserGroup::kMid, 10, 7);
   EXPECT_EQ(a, b);
+}
+
+// Four vertices of which exactly the first `n` have an out-edge; user
+// u < n has out-degree n - u, so the degree ranking is 0, 1, ..., n - 1.
+Graph GraphWithOutEdgeUsers(size_t n) {
+  GraphBuilder builder(4);
+  for (VertexId u = 0; u < n; ++u) {
+    for (size_t e = u; e < n; ++e) builder.AddEdge(u, 3);
+  }
+  return builder.Build();
+}
+
+// With so few ranked users the percentile cut points pass n; every group
+// must still sample from inside the ranking (possibly nothing).
+TEST(UserGroupTest, NoUserWithOutEdge) {
+  const Graph g = GraphWithOutEdgeUsers(0);
+  EXPECT_TRUE(SampleUserGroup(g, UserGroup::kHigh, 5, 1).empty());
+  EXPECT_TRUE(SampleUserGroup(g, UserGroup::kMid, 5, 1).empty());
+  EXPECT_TRUE(SampleUserGroup(g, UserGroup::kLow, 5, 1).empty());
+}
+
+TEST(UserGroupTest, OneUserWithOutEdge) {
+  const Graph g = GraphWithOutEdgeUsers(1);
+  EXPECT_EQ(SampleUserGroup(g, UserGroup::kHigh, 5, 1),
+            std::vector<VertexId>{0});
+  EXPECT_TRUE(SampleUserGroup(g, UserGroup::kMid, 5, 1).empty());
+  EXPECT_TRUE(SampleUserGroup(g, UserGroup::kLow, 5, 1).empty());
+}
+
+TEST(UserGroupTest, TwoUsersWithOutEdge) {
+  const Graph g = GraphWithOutEdgeUsers(2);
+  EXPECT_EQ(SampleUserGroup(g, UserGroup::kHigh, 5, 1),
+            std::vector<VertexId>{0});
+  EXPECT_EQ(SampleUserGroup(g, UserGroup::kMid, 5, 1),
+            std::vector<VertexId>{1});
+  EXPECT_TRUE(SampleUserGroup(g, UserGroup::kLow, 5, 1).empty());
 }
 
 TEST(UserGroupTest, NamesStable) {

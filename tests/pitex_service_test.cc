@@ -1,21 +1,25 @@
 // Tests for the online serving subsystem (src/serve/pitex_service.h):
-// deterministic mode must reproduce BatchEngine bit-identically across a
-// thread-count sweep, work-stealing mode must answer every query validly
-// and keep its counters consistent, the result cache must memoize per
-// epoch, and streaming Submit must deliver.
+// deterministic mode must reproduce one PitexEngine per worker
+// bit-identically across a method and thread-count sweep, work-stealing
+// mode must answer every query validly and keep its counters
+// consistent, the result cache must memoize per epoch, and streaming
+// Submit must deliver.
 
 #include "src/serve/pitex_service.h"
 
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "running_example.h"
 #include "serve_metrics.h"
-#include "src/core/batch_engine.h"
 #include "src/datasets/synthetic.h"
+#include "src/index/index_io.h"
 #include "src/util/stats.h"
 
 namespace pitex {
@@ -32,15 +36,71 @@ std::vector<PitexQuery> MakeQueries(const SocialNetwork& n, size_t count,
   return queries;
 }
 
-// The headline determinism contract: for every thread count, the
-// deterministic schedule reproduces BatchEngine::ExploreAll exactly —
-// same tags, same influence, same execution counters — because the
+// The deterministic contract written out without a thread pool: worker
+// w is one PitexEngine seeded seed + w; IndexEst/IndexEst+ workers share
+// one RrIndex built from the base seed, DelayMat workers each adopt a
+// loaded copy of one saved prototype; query i goes to worker
+// i % threads, in order.
+class PerWorkerReference {
+ public:
+  PerWorkerReference(const SocialNetwork& n, const EngineOptions& options,
+                     size_t threads) {
+    const RrIndexOptions index_options = IndexOptionsFor(options);
+    std::string prototype_bytes;
+    if (options.method == Method::kIndexEst ||
+        options.method == Method::kIndexEstPlus) {
+      shared_index_ = std::make_unique<RrIndex>(n, index_options);
+      shared_index_->Build();
+    } else if (options.method == Method::kDelayMat) {
+      DelayMatIndex prototype(n, index_options);
+      prototype.Build();
+      std::stringstream out;
+      std::string error;
+      EXPECT_TRUE(SaveDelayMatIndex(prototype, out, &error)) << error;
+      prototype_bytes = out.str();
+    }
+    for (size_t w = 0; w < threads; ++w) {
+      EngineOptions worker_options = options;
+      worker_options.seed = options.seed + w;
+      auto engine = std::make_unique<PitexEngine>(&n, worker_options);
+      if (shared_index_ != nullptr) {
+        engine->UseSharedRrIndex(shared_index_.get());
+      } else if (!prototype_bytes.empty()) {
+        std::stringstream in(prototype_bytes);
+        std::string error;
+        auto replica = LoadDelayMatIndex(n, in, &error);
+        EXPECT_NE(replica, nullptr) << error;
+        engine->AdoptDelayMatIndex(std::move(replica));
+      }
+      engine->BuildIndex();
+      workers_.push_back(std::move(engine));
+    }
+  }
+
+  std::vector<PitexResult> Answer(const std::vector<PitexQuery>& queries) {
+    std::vector<PitexResult> results;
+    results.reserve(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      results.push_back(workers_[i % workers_.size()]->Explore(queries[i]));
+    }
+    return results;
+  }
+
+ private:
+  std::unique_ptr<RrIndex> shared_index_;
+  std::vector<std::unique_ptr<PitexEngine>> workers_;
+};
+
+// The headline determinism contract: for every method and thread count,
+// the deterministic schedule reproduces the per-worker reference exactly
+// -- same tags, same influence, same execution counters -- because the
 // worker assignment, seed derivation, index build, and per-worker serve
-// order are all pinned to BatchEngine's.
+// order are all pinned to it. At one thread the reference is a single
+// sequential engine.
 class DeterministicSweepTest
     : public ::testing::TestWithParam<std::tuple<Method, size_t>> {};
 
-TEST_P(DeterministicSweepTest, BitIdenticalToBatchEngine) {
+TEST_P(DeterministicSweepTest, BitIdenticalToPerWorkerEngines) {
   const auto [method, threads] = GetParam();
   const SocialNetwork n = MakeRunningExample();
 
@@ -48,11 +108,7 @@ TEST_P(DeterministicSweepTest, BitIdenticalToBatchEngine) {
   engine.method = method;
   engine.seed = 9;
   engine.index_theta_per_vertex = 150.0;
-
-  BatchOptions batch_options;
-  batch_options.engine = engine;
-  batch_options.num_threads = threads;
-  BatchEngine batch(&n, batch_options);
+  PerWorkerReference reference(n, engine, threads);
 
   ServeOptions serve_options;
   serve_options.engine = engine;
@@ -63,12 +119,14 @@ TEST_P(DeterministicSweepTest, BitIdenticalToBatchEngine) {
   const auto queries = MakeQueries(n, 13);  // not divisible by threads
   // Two rounds: sampler RNG state must stay in lockstep across batches.
   for (int round = 0; round < 2; ++round) {
-    const auto expected = batch.ExploreAll(queries);
+    const auto expected = reference.Answer(queries);
     const auto served = service.ServeAll(queries);
     ASSERT_EQ(served.size(), expected.size());
     for (size_t i = 0; i < served.size(); ++i) {
       EXPECT_EQ(served[i].result.tags, expected[i].tags)
           << "round " << round << " query " << i;
+      EXPECT_EQ(served[i].result.tags.size(), queries[i].k);
+      EXPECT_GE(served[i].result.influence, 1.0);
       EXPECT_DOUBLE_EQ(served[i].result.influence, expected[i].influence);
       EXPECT_EQ(served[i].result.sets_evaluated, expected[i].sets_evaluated);
       EXPECT_EQ(served[i].result.sets_pruned, expected[i].sets_pruned);
@@ -90,10 +148,12 @@ TEST_P(DeterministicSweepTest, BitIdenticalToBatchEngine) {
 
 INSTANTIATE_TEST_SUITE_P(
     MethodsAndThreads, DeterministicSweepTest,
-    ::testing::Combine(::testing::Values(Method::kLazy, Method::kIndexEst,
-                                         Method::kDelayMat),
-                       ::testing::Values(size_t{1}, size_t{2}, size_t{3},
-                                         size_t{4})),
+    ::testing::Combine(
+        ::testing::Values(Method::kMc, Method::kRr, Method::kLazy,
+                          Method::kTim, Method::kIndexEst,
+                          Method::kIndexEstPlus, Method::kDelayMat,
+                          Method::kLt),
+        ::testing::Values(size_t{1}, size_t{2}, size_t{3}, size_t{4})),
     [](const auto& param_info) {
       std::string name = MethodName(std::get<0>(param_info.param));
       for (char& c : name) {
@@ -101,6 +161,54 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name + "_" + std::to_string(std::get<1>(param_info.param)) + "thr";
     });
+
+TEST(PitexServiceTest, DeterministicIndexEstMatchesSequentialEngine) {
+  // IndexEst is deterministic given the index, and every worker shares
+  // the one built from the base seed, so four workers answer exactly as
+  // one sequential engine does.
+  const SocialNetwork n = MakeRunningExample();
+  EngineOptions engine;
+  engine.method = Method::kIndexEst;
+  engine.index_theta_per_vertex = 400.0;
+  engine.seed = 3;
+  PitexEngine sequential(&n, engine);
+  sequential.BuildIndex();
+
+  ServeOptions options;
+  options.engine = engine;
+  options.num_threads = 4;
+  options.mode = ScheduleMode::kDeterministic;
+  PitexService service(&n, options);
+
+  const auto queries = MakeQueries(n, 14);
+  const auto served = service.ServeAll(queries);
+  ASSERT_EQ(served.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const PitexResult expected = sequential.Explore(queries[i]);
+    EXPECT_EQ(served[i].result.tags, expected.tags) << "query " << i;
+    EXPECT_DOUBLE_EQ(served[i].result.influence, expected.influence);
+  }
+}
+
+TEST(PitexServiceTest, DeterministicServicesAgree) {
+  const SocialNetwork n = MakeRunningExample();
+  ServeOptions options;
+  options.engine.method = Method::kLazy;
+  options.engine.seed = 9;
+  options.num_threads = 3;
+  options.mode = ScheduleMode::kDeterministic;
+
+  const auto queries = MakeQueries(n, 12);
+  PitexService first(&n, options);
+  PitexService second(&n, options);
+  const auto a = first.ServeAll(queries);
+  const auto b = second.ServeAll(queries);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].result.tags, b[i].result.tags) << "query " << i;
+    EXPECT_DOUBLE_EQ(a[i].result.influence, b[i].result.influence);
+  }
+}
 
 TEST(PitexServiceTest, WorkStealingAnswersEveryQuery) {
   const SocialNetwork n = MakeRunningExample();
@@ -204,6 +312,7 @@ TEST(PitexServiceTest, SubmitDeliversFutures) {
     EXPECT_GE(result.result.influence, 1.0);
   }
   EXPECT_EQ(QueriesServed(service.SnapshotMetrics()), 12u);
+  EXPECT_EQ(service.SharedIndexSizeBytes(), 0u);  // online: no index
 }
 
 TEST(PitexServiceTest, TopNRankingsAreOrdered) {
@@ -298,31 +407,40 @@ TEST(PitexServiceTest, SkewedWorkloadBalancesAcrossWorkers) {
   // assignment would pile the hub queries onto one residue class; the
   // stealing scheduler must spread the *work*. We assert the weaker,
   // deterministic property that every worker served something and the
-  // batch completed correctly.
+  // batch completed correctly. The same batch also runs on IndexEst+ in
+  // deterministic mode.
   DatasetSpec spec = LastfmSpec(0.5);
   spec.seed = 21;
   const SocialNetwork n = GenerateDataset(spec);
-  ServeOptions options;
-  options.engine.method = Method::kIndexEst;
-  options.engine.index_theta_per_vertex = 2.0;
-  options.num_threads = 4;
-  options.cache_capacity = 0;
-  PitexService service(&n, options);
-
   const auto users = SampleUserGroup(n.graph, UserGroup::kMid, 32, 2);
   std::vector<PitexQuery> queries;
   for (const VertexId user : users) queries.push_back({.user = user, .k = 3});
-  const auto served = service.ServeAll(queries);
-  ASSERT_EQ(served.size(), queries.size());
-  std::vector<uint64_t> per_worker_served(options.num_threads, 0);
-  for (const ServedResult& result : served) {
-    EXPECT_EQ(result.result.tags.size(), 3u);
-    ASSERT_LT(result.worker, options.num_threads);
-    ++per_worker_served[result.worker];
+
+  for (const ScheduleMode mode :
+       {ScheduleMode::kWorkStealing, ScheduleMode::kDeterministic}) {
+    ServeOptions options;
+    options.engine.method = mode == ScheduleMode::kWorkStealing
+                                ? Method::kIndexEst
+                                : Method::kIndexEstPlus;
+    options.engine.index_theta_per_vertex = 2.0;
+    options.num_threads = 4;
+    options.mode = mode;
+    options.cache_capacity = 0;
+    PitexService service(&n, options);
+
+    const auto served = service.ServeAll(queries);
+    ASSERT_EQ(served.size(), queries.size());
+    std::vector<uint64_t> per_worker_served(options.num_threads, 0);
+    for (const ServedResult& result : served) {
+      EXPECT_EQ(result.result.tags.size(), 3u);
+      EXPECT_GE(result.result.influence, 1.0);
+      ASSERT_LT(result.worker, options.num_threads);
+      ++per_worker_served[result.worker];
+    }
+    uint64_t sum = 0;
+    for (const uint64_t count : per_worker_served) sum += count;
+    EXPECT_EQ(sum, queries.size());
   }
-  uint64_t sum = 0;
-  for (const uint64_t count : per_worker_served) sum += count;
-  EXPECT_EQ(sum, queries.size());
 }
 
 }  // namespace
