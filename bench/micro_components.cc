@@ -20,6 +20,8 @@
 #include "src/index/index_io.h"
 #include "src/index/rr_graph.h"
 #include "src/index/rr_index.h"
+#include "src/index/rr_sketch_pool.h"
+#include "src/index/sketch_arena.h"
 #include "src/sampling/lazy_sampler.h"
 #include "src/sampling/mc_sampler.h"
 #include "src/sampling/rr_sampler.h"
@@ -87,13 +89,17 @@ void BM_ReachableSet(benchmark::State& state) {
 BENCHMARK(BM_ReachableSet);
 
 void BM_GenerateRRGraph(benchmark::State& state) {
+  // One table-free sketch per iteration, into a cleared one-sketch run.
   const auto& n = Network();
   Rng rng(2);
+  SketchArena arena;
+  RrSketchPool run;
   for (auto _ : state) {
     const auto root =
         static_cast<VertexId>(rng.NextBounded(n.num_vertices()));
-    benchmark::DoNotOptimize(
-        GenerateRRGraph(n.graph, n.influence, root, &rng));
+    run.Clear();
+    arena.Generate(n.graph, n.influence, root, &rng, &run);
+    benchmark::DoNotOptimize(run.View(0));
   }
 }
 BENCHMARK(BM_GenerateRRGraph);

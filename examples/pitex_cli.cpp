@@ -446,6 +446,10 @@ int CmdServe(int argc, char** argv) {
   }
   const auto num_queries = static_cast<size_t>(std::atoi(positional[1]));
   const auto num_updates = static_cast<size_t>(std::atoi(positional[2]));
+  if (num_updates > 0 && network->num_edges() == 0) {
+    std::fprintf(stderr, "error: %s has no edge to update\n", positional[0]);
+    return 1;
+  }
 
   ServeOptions options;
   options.engine.method = Method::kIndexEst;
@@ -572,6 +576,11 @@ int CmdReplicate(int argc, char** argv) {
     return 1;
   }
   const auto num_updates = static_cast<size_t>(std::atoi(positional[1]));
+  // The failover drill below writes edge 0 even when num_updates is 0.
+  if (network->num_edges() == 0) {
+    std::fprintf(stderr, "error: %s has no edge to update\n", positional[0]);
+    return 1;
+  }
   const std::string dir = positional[2];
 
   // Primary and follower share one term authority (the in-process

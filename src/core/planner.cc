@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "src/index/rr_graph.h"
+#include "src/index/rr_sketch_pool.h"
+#include "src/index/sketch_arena.h"
 #include "src/sampling/estimator_common.h"
 #include "src/sampling/sample_size.h"
 #include "src/util/check.h"
@@ -36,13 +38,16 @@ QueryPlanner::QueryPlanner(const SocialNetwork* network, size_t probe_samples,
 
   // Reverse probe: average RR-Graph footprint and the chance a random
   // user lands in a random RR-Graph (theta(u)/theta, Sec. 6.3 notation).
+  SketchArena arena;
+  RrSketchPool run;
   double size_sum = 0.0;
   double containment_sum = 0.0;
   for (size_t i = 0; i < probe_samples; ++i) {
     const auto root =
         static_cast<VertexId>(rng.NextBounded(network_->num_vertices()));
-    const RRGraph rr =
-        GenerateRRGraph(network_->graph, network_->influence, root, &rng);
+    run.Clear();
+    arena.Generate(network_->graph, network_->influence, root, &rng, &run);
+    const RRView rr = run.View(0);
     size_sum += static_cast<double>(rr.vertices.size() + rr.edges.size());
     containment_sum += static_cast<double>(rr.vertices.size()) /
                        static_cast<double>(network_->num_vertices());

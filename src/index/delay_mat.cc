@@ -1,7 +1,6 @@
 #include "src/index/delay_mat.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/util/check.h"
@@ -24,8 +23,9 @@ void DelayMatIndex::Build() {
   Timer timer;
   Rng rng(options_.seed);
   // Counting pass: sample theta RR-Graphs, remember only membership
-  // counts. The traversal mirrors GenerateRRGraph but skips edge storage
-  // and CSR assembly, which is what makes the build cheaper (Table 3).
+  // counts. The traversal mirrors SketchArena::Generate but skips edge
+  // storage and CSR assembly, which is what makes the build cheaper
+  // (Table 3).
   std::unordered_set<VertexId> visited;
   std::vector<VertexId> stack;
   for (uint64_t i = 0; i < theta_; ++i) {
@@ -52,7 +52,7 @@ void DelayMatIndex::Build() {
   built_ = true;
 }
 
-DelayMatIndex::RecoveredGraph DelayMatIndex::RecoverRRGraph(VertexId u) {
+void DelayMatIndex::RecoverRRGraph(VertexId u) {
   // Step 1: forward live sample G' = (V', E') from u under p(e).
   std::vector<VertexId> live_vertices{u};
   std::vector<GlobalEdgeSample> live_edges;
@@ -75,47 +75,22 @@ DelayMatIndex::RecoveredGraph DelayMatIndex::RecoverRRGraph(VertexId u) {
   }
 
   // Step 2: uniform root v' from V'; keep the vertices of V' that reach v'
-  // inside the live edge set (reverse BFS over live edges).
+  // inside the live edge set, and the live edges between them.
   const VertexId root =
       live_vertices[query_rng_.NextBounded(live_vertices.size())];
-  std::unordered_map<VertexId, std::vector<size_t>> in_edges_of;
-  for (size_t i = 0; i < live_edges.size(); ++i) {
-    in_edges_of[live_edges[i].head].push_back(i);
-  }
-  std::vector<VertexId> keep{root};
-  std::unordered_set<VertexId> reaches{root};
-  stack.assign(1, root);
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    auto it = in_edges_of.find(v);
-    if (it == in_edges_of.end()) continue;
-    for (size_t i : it->second) {
-      const VertexId tail = live_edges[i].tail;
-      if (reaches.insert(tail).second) {
-        keep.push_back(tail);
-        stack.push_back(tail);
-      }
-    }
-  }
-  // AssembleRRGraph drops live edges with an endpoint outside `keep`.
-  const uint64_t live_reach = live_vertices.size();
-  return RecoveredGraph{AssembleRRGraph(root, std::move(keep), live_edges),
-                        live_reach};
+  arena_.RebuildRepairedSketch(root, network_.num_vertices(), live_edges,
+                               &cached_graphs_);
+  cached_weights_.push_back(live_vertices.size());
 }
 
-const std::vector<DelayMatIndex::RecoveredGraph>& DelayMatIndex::RecoveredFor(
-    VertexId u) {
-  if (has_cached_user_ && cached_user_ == u) return cached_graphs_;
-  cached_graphs_.clear();
+void DelayMatIndex::RecoverFor(VertexId u) {
+  if (has_cached_user_ && cached_user_ == u) return;
+  cached_graphs_.Clear();
+  cached_weights_.clear();
   const uint32_t count = counts_[u];
-  cached_graphs_.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    cached_graphs_.push_back(RecoverRRGraph(u));
-  }
+  for (uint32_t i = 0; i < count; ++i) RecoverRRGraph(u);
   has_cached_user_ = true;
   cached_user_ = u;
-  return cached_graphs_;
 }
 
 Estimate DelayMatIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
@@ -125,10 +100,12 @@ Estimate DelayMatIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
   // |R_g(u)| * 1[u ~>_W root].
   double weighted_hits = 0.0;
   double sum_squares = 0.0;
-  for (const RecoveredGraph& rec : RecoveredFor(u)) {
+  RecoverFor(u);
+  for (size_t i = 0; i < cached_graphs_.num_sketches(); ++i) {
     ++result.samples;
-    if (IsReachable(rec.graph, u, probs, &result.edges_visited, &scratch_)) {
-      const auto weight = static_cast<double>(rec.live_reach);
+    if (IsReachable(cached_graphs_.View(i), u, probs, &result.edges_visited,
+                    &scratch_)) {
+      const auto weight = static_cast<double>(cached_weights_[i]);
       weighted_hits += weight;
       sum_squares += weight * weight;
     }

@@ -34,6 +34,8 @@
 
 #include "src/index/rr_graph.h"
 #include "src/index/rr_index.h"
+#include "src/index/rr_sketch_pool.h"
+#include "src/index/sketch_arena.h"
 
 namespace pitex {
 
@@ -58,19 +60,15 @@ class DelayMatIndex final : public InfluenceOracle {
  private:
   friend class IndexIo;  // persistence (src/index/index_io.h)
 
-  /// A recovered RR-Graph plus its importance weight |R_g(u)|.
-  struct RecoveredGraph {
-    RRGraph graph;
-    uint64_t live_reach;  // |R_g(u)| of the world it was recovered from
-  };
-
-  /// Recovers one RR-Graph conditioned on containing u (Algorithm 4).
-  RecoveredGraph RecoverRRGraph(VertexId u);
+  /// Recovers one RR-Graph conditioned on containing u (Algorithm 4):
+  /// appends it to cached_graphs_ and its importance weight |R_g(u)|
+  /// to cached_weights_.
+  void RecoverRRGraph(VertexId u);
 
   /// Recovers (and caches) the theta(u) RR-Graphs for a query user; a
   /// PITEX query evaluates many tag sets against the same recovered
   /// graphs, exactly as Sec. 6.3 describes.
-  const std::vector<RecoveredGraph>& RecoveredFor(VertexId u);
+  void RecoverFor(VertexId u);
 
   const SocialNetwork& network_;
   RrIndexOptions options_;
@@ -84,7 +82,11 @@ class DelayMatIndex final : public InfluenceOracle {
   bool built_ = false;
   bool has_cached_user_ = false;
   VertexId cached_user_ = 0;
-  std::vector<RecoveredGraph> cached_graphs_;
+  // Step 2 re-closes each recovered graph through the arena, straight
+  // into cached_graphs_: one run holding the cached user's graphs.
+  SketchArena arena_;
+  RrSketchPool cached_graphs_;
+  std::vector<uint64_t> cached_weights_;  // |R_g(u)| per cached graph
 };
 
 }  // namespace pitex

@@ -241,6 +241,7 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
   // version to the overlay. A splice decodes the vertex's current list
   // (the overlay's, else the base's) once, adds or removes `id`, and
   // re-codes the list into the overlay.
+  repaired_.Clear();
   arena_.RebuildRepairedSketch(rr.root(), network_.num_vertices(), edges,
                                &repaired_);
   const auto splice = [&](VertexId v, bool insert) {
@@ -260,7 +261,7 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
     overlay_->SetContaining(v, ids);
   };
   const auto& before = rr.vertices;
-  const auto& after = repaired_.vertices;
+  const std::span<const VertexId> after = repaired_.View(0).vertices;
   size_t i = 0;
   size_t j = 0;
   while (i < before.size() || j < after.size()) {
@@ -275,7 +276,7 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
       ++j;
     }
   }
-  overlay_->Put(id, repaired_);
+  overlay_->Put(id, repaired_.View(0));
 }
 
 Estimate DynamicRrIndex::EstimateInfluence(VertexId u,

@@ -213,11 +213,12 @@ class DynamicRrIndex final : public InfluenceOracle {
   // Per-instance reachability scratch (a DynamicRrIndex is single-owner
   // mutable state, never shared across threads).
   EstimateScratch scratch_;
-  // Repair scratch: repaired-sketch assembly runs through the arena
-  // into repaired_, so steady-state repairs reuse flat buffers instead
-  // of per-repair hash sets and staging vectors.
+  // Repair scratch: the arena re-closes each repaired sketch into
+  // repaired_, a one-sketch run cleared before each repair, so
+  // steady-state repairs reuse flat buffers instead of per-repair hash
+  // sets and staging vectors.
   SketchArena arena_;
-  RRGraph repaired_;
+  RrSketchPool repaired_;
   std::vector<uint32_t> affected_;
   std::vector<uint32_t> splice_ids_;  // one containing list, decoded
   std::vector<GlobalEdgeSample> repair_edges_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/index/sketch_arena.h"
 #include "src/util/check.h"
 
 namespace pitex {
@@ -13,69 +12,8 @@ std::optional<uint32_t> RRView::LocalIndex(VertexId v) const {
   return static_cast<uint32_t>(it - vertices.begin());
 }
 
-size_t RRGraph::SizeBytes() const {
-  return sizeof(RRGraph) + vertices.capacity() * sizeof(VertexId) +
-         (offsets.capacity() + heads.capacity()) * sizeof(uint32_t) +
-         edges.capacity() * sizeof(RRLocalEdge);
-}
-
-void RRGraph::Assign(const RRView& view) {
-  root = view.root();
-  vertices.assign(view.vertices.begin(), view.vertices.end());
-  const size_t n = view.vertices.size();
-  const size_t m = view.edges.size();
-  offsets.resize(n + 1);
-  heads.resize(m);
-  view.VisitCsr([&](const auto& csr) {
-    for (size_t j = 0; j <= n; ++j) offsets[j] = csr.offset(j);
-    for (size_t k = 0; k < m; ++k) heads[k] = csr.head(k);
-  });
-  edges.assign(view.edges.begin(), view.edges.end());
-}
-
 void EstimateScratch::Reserve(size_t max_vertices) {
   if (visited_.size() < max_vertices) visited_.resize(max_vertices, 0);
-}
-
-RRGraph AssembleRRGraph(VertexId root, std::vector<VertexId> vertices,
-                        std::span<const GlobalEdgeSample> edges) {
-  RRGraph rr;
-  rr.root = root;
-  std::sort(vertices.begin(), vertices.end());
-  vertices.erase(std::unique(vertices.begin(), vertices.end()),
-                 vertices.end());
-  rr.vertices = std::move(vertices);
-  const size_t n = rr.vertices.size();
-
-  auto local_of = [&](VertexId v) -> std::optional<uint32_t> {
-    return rr.LocalIndex(v);
-  };
-
-  // Counting sort the surviving edges by local tail.
-  struct Staged {
-    uint32_t tail, head;
-    RRLocalEdge edge;
-  };
-  std::vector<Staged> staged;
-  staged.reserve(edges.size());
-  for (const auto& e : edges) {
-    const auto tail = local_of(e.tail);
-    const auto head = local_of(e.head);
-    if (!tail || !head) continue;
-    staged.push_back({*tail, *head, RRLocalEdge{e.edge, e.threshold}});
-  }
-  rr.offsets.assign(n + 1, 0);
-  for (const Staged& s : staged) ++rr.offsets[s.tail + 1];
-  for (size_t i = 0; i < n; ++i) rr.offsets[i + 1] += rr.offsets[i];
-  rr.heads.resize(staged.size());
-  rr.edges.resize(staged.size());
-  std::vector<uint32_t> pos(rr.offsets.begin(), rr.offsets.end() - 1);
-  for (const Staged& s : staged) {
-    const uint32_t k = pos[s.tail]++;
-    rr.heads[k] = s.head;
-    rr.edges[k] = s.edge;
-  }
-  return rr;
 }
 
 void DecomposeRRGraphInto(const RRView& rr,
@@ -92,22 +30,6 @@ void DecomposeRRGraphInto(const RRView& rr,
       }
     }
   });
-}
-
-RRGraph GenerateRRGraph(const Graph& graph, const InfluenceGraph& influence,
-                        VertexId root, Rng* rng) {
-  // One-off entry point over the bulk build's generator: identical draws
-  // to the table-backed build (SketchArena materializes the envelope
-  // floats per visited vertex), copied out of a one-sketch run for
-  // callers that want an owning graph (the query planner's probes,
-  // tests).
-  thread_local SketchArena arena;
-  thread_local RrSketchPool run;
-  run.Clear();
-  arena.Generate(graph, influence, root, rng, &run);
-  RRGraph out;
-  out.Assign(run.View(0));
-  return out;
 }
 
 namespace {

@@ -8,17 +8,14 @@
 // p(e|W) >= c(e) — so one offline sample serves every query user and
 // every tag set, and the spread is never underestimated (p(e) >= p(e|W)).
 //
-// Two representations exist:
-//   * RRGraph owns its storage. It is the unit of generation, dynamic
-//     repair and delayed recovery — anything that builds or mutates one
-//     sketch at a time.
-//   * RRView is a non-owning view. The estimate hot path only ever reads
-//     sketches, so it runs on views — either over an RRGraph or, for the
-//     offline index, over the pooled CSR-of-CSRs store
-//     (src/index/rr_sketch_pool.h) that keeps all theta sketches in a few
-//     shared arrays, with single-vertex sketches stored as their root in
-//     the directory and every other sketch's local ids (its root's
-//     among them) packed at 1 or 4 bytes.
+// Sketches have one representation: the pooled CSR-of-CSRs layout of
+// src/index/rr_sketch_pool.h, where a single-vertex sketch is its root
+// in the directory and every other sketch's local ids (its root's among
+// them) are packed at 1 or 4 bytes. SketchArena (src/index/
+// sketch_arena.h) assembles every sketch straight into a pool run: the
+// offline build, DynamicRrIndex repair, DelayMat recovery and the query
+// planner's probes. RRView is the non-owning view of one pooled sketch
+// that every reader takes.
 // Reachability scratch (visited stamps + DFS stack) lives in a reusable
 // EstimateScratch so repeated IsReachable calls allocate nothing once the
 // scratch has grown to the largest sketch.
@@ -26,7 +23,6 @@
 #ifndef PITEX_SRC_INDEX_RR_GRAPH_H_
 #define PITEX_SRC_INDEX_RR_GRAPH_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -35,7 +31,6 @@
 #include <vector>
 
 #include "src/sampling/influence_estimator.h"
-#include "src/util/random.h"
 #include "src/util/thread_annotations.h"
 
 namespace pitex {
@@ -73,9 +68,8 @@ struct LocalCsr {
 /// sorted; edges are a local CSR out-adjacency so tag-aware reachability
 /// is a forward BFS from the query user towards the root. The root is
 /// held as its local id, so the walk knows its target without a search.
-/// The local ids (offsets and heads) share one width: 4 bytes over an
-/// owning RRGraph, the narrowest that holds the sketch's size in an
-/// RrSketchPool.
+/// The local ids (offsets and heads) share one width: the narrowest, 1
+/// or 4 bytes, that holds the sketch's size (RrSketchPool::IdWidth).
 struct RRView {
   uint32_t root_local = 0;                // local index of the root
   uint32_t id_width = 4;                  // bytes per local id: 1 or 4
@@ -100,40 +94,6 @@ struct RRView {
   std::optional<uint32_t> LocalIndex(VertexId v) const;
 };
 
-/// One materialized, storage-owning reverse-reachable sample graph.
-struct RRGraph {
-  VertexId root = 0;
-  std::vector<VertexId> vertices;   // sorted ascending
-  std::vector<uint32_t> offsets;    // CSR over local tails
-  std::vector<uint32_t> heads;      // local head of each edge
-  std::vector<RRLocalEdge> edges;
-
-  /// Non-owning view over this graph (valid while the graph is alive and
-  /// unmodified). Implicit so every RRView consumer accepts an RRGraph.
-  RRView View() const {
-    const auto root_at =
-        std::lower_bound(vertices.begin(), vertices.end(), root);
-    return RRView{static_cast<uint32_t>(root_at - vertices.begin()),
-                  4,
-                  vertices,
-                  reinterpret_cast<const std::byte*>(offsets.data()),
-                  reinterpret_cast<const std::byte*>(heads.data()),
-                  edges};
-  }
-  operator RRView() const { return View(); }  // NOLINT(runtime/explicit)
-
-  /// Copies `view` into this graph, reusing its vectors' capacity.
-  void Assign(const RRView& view);
-
-  /// Local index of global vertex v, or nullopt if absent.
-  std::optional<uint32_t> LocalIndex(VertexId v) const {
-    return View().LocalIndex(v);
-  }
-
-  /// Approximate in-memory footprint.
-  size_t SizeBytes() const;
-};
-
 /// Reusable traversal scratch for IsReachable: an epoch-stamped visited
 /// array (no clearing between calls) plus the DFS stack. Grows to the
 /// largest sketch it has seen, then stays allocation-free. Not
@@ -152,16 +112,6 @@ class EstimateScratch {
   std::vector<uint32_t> stack_;
   uint32_t epoch_ = 0;
 };
-
-/// Samples one RR-Graph rooted at `root` (Definition 2): reverse BFS from
-/// the root keeping each in-edge with probability p(e); kept edges get
-/// c(e) ~ U[0, p(e)). Implemented on the arena generation core
-/// (src/index/sketch_arena.h): envelopes are float (rounded up, so the
-/// envelope invariant holds), the Bernoulli coin doubles as the threshold
-/// draw, and low-probability in-edge runs are probed with geometric
-/// skips. Draws are bit-identical to the table-backed bulk build.
-RRGraph GenerateRRGraph(const Graph& graph, const InfluenceGraph& influence,
-                        VertexId root, Rng* rng);
 
 /// Definition 3: true iff `u` reaches the root of `rr` along edges with
 /// probs.Prob(e) >= c(e). Adds probed-edge counts to `edges_visited` when
@@ -185,16 +135,10 @@ struct GlobalEdgeSample {
   float threshold;  // c(e)
 };
 
-/// Assembles an RRGraph from a vertex set and sampled live edges (used by
-/// both GenerateRRGraph and delay materialization, which recovers graphs
-/// at query time). Edges with an endpoint outside `vertices` are dropped.
-RRGraph AssembleRRGraph(VertexId root, std::vector<VertexId> vertices,
-                        std::span<const GlobalEdgeSample> edges);
-
-/// Inverse of AssembleRRGraph: clears `*edges` and fills it with the
-/// graph's live edges back in global vertex coordinates, reusing
-/// capacity (incremental index repair decomposes one sketch per
-/// affected graph).
+/// Inverse of SketchArena::RebuildRepairedSketch: clears `*edges` and
+/// fills it with the sketch's live edges back in global vertex
+/// coordinates, in per-tail order, reusing capacity (incremental index
+/// repair decomposes one sketch per affected graph).
 void DecomposeRRGraphInto(const RRView& rr,
                           std::vector<GlobalEdgeSample>* edges);
 

@@ -53,7 +53,10 @@
 // sample order, into the finished pool. Pack (compaction, the index
 // loader) sizes its arrays in one pass over its views and appends
 // straight into them. An overlay's sketch store is a run that is never
-// finished.
+// finished, and so are the two other runs SketchArena writes: the
+// one-sketch run DynamicRrIndex re-closes each repaired sketch into
+// before the overlay copies it, and the run of graphs DelayMat recovers
+// for its cached query user.
 //
 // A finished pool is immutable. DynamicRrIndex, which repairs
 // individual sketches, never mutates it: it shares one pool as its

@@ -57,8 +57,7 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
   // Local assembly straight into the run's block: sort the vertices (no
   // duplicates by construction), dense global -> local map via the epoch
   // marks, then counting-sort the staged edges by local tail (stable, so
-  // per-tail edge order is probe order — same as AssembleRRGraph's
-  // staging).
+  // per-tail edge order is probe order).
   std::sort(vertices.begin(), vertices.end());
   const size_t n = vertices.size();
   for (size_t j = 0; j < n; ++j) {
@@ -107,7 +106,7 @@ PITEX_NOALLOC void SketchArena::Generate(const Graph& graph,
 
 PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
     VertexId root, size_t num_vertices,
-    std::span<const GlobalEdgeSample> edges, RRGraph* out) {
+    std::span<const GlobalEdgeSample> edges, RrSketchPool* run) {
   // 1. Candidate set = {root} + every edge endpoint, provisional local
   // ids in first-seen order via the epoch marks.
   uint32_t epoch = BeginTraversal(num_vertices);
@@ -160,21 +159,21 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
 
   // 4. Kept vertices, sorted ascending, with final local ids stamped
   // under a fresh epoch (so dropped candidates read as absent).
-  out->root = root;
-  out->vertices.clear();
+  vertices_.clear();
   for (const VertexId v : cand_) {
-    if (reach_[local_index_[v]] != 0) out->vertices.push_back(v);
+    if (reach_[local_index_[v]] != 0) vertices_.push_back(v);
   }
-  std::sort(out->vertices.begin(), out->vertices.end());
+  std::sort(vertices_.begin(), vertices_.end());
   epoch = BeginTraversal(num_vertices);
-  const size_t n = out->vertices.size();
+  const size_t n = vertices_.size();
   for (size_t j = 0; j < n; ++j) {
-    mark_[out->vertices[j]] = epoch;
-    local_index_[out->vertices[j]] = static_cast<uint32_t>(j);
+    mark_[vertices_[j]] = epoch;
+    local_index_[vertices_[j]] = static_cast<uint32_t>(j);
   }
 
-  // 5. Counting-sort the surviving edges by local tail (stable: per-tail
-  // order is input order, matching AssembleRRGraph).
+  // 5. Counting-sort the surviving edges by local tail, straight into
+  // the run's block (stable: per-tail order is input order). A root no
+  // edge reaches is an implicit singleton, and the fill is not called.
   counts_.assign(n + 1, 0);
   size_t kept_edges = 0;
   auto kept = [&](const GlobalEdgeSample& s) {
@@ -186,15 +185,16 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
     ++kept_edges;
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
-  out->offsets.assign(counts_.begin(), counts_.end());
-  out->heads.resize(kept_edges);
-  out->edges.resize(kept_edges);
-  for (const GlobalEdgeSample& s : edges) {
-    if (!kept(s)) continue;
-    const uint32_t k = counts_[local_index_[s.tail]]++;
-    out->heads[k] = local_index_[s.head];
-    out->edges[k] = RRLocalEdge{s.edge, s.threshold};
-  }
+  run->AppendSketch(
+      local_index_[root], vertices_, kept_edges, [&](const auto& out) {
+        for (size_t j = 0; j <= n; ++j) out.set_offset(j, counts_[j]);
+        for (const GlobalEdgeSample& s : edges) {
+          if (!kept(s)) continue;
+          const uint32_t k = counts_[local_index_[s.tail]]++;
+          out.set_head(k, local_index_[s.head]);
+          out.edges[k] = RRLocalEdge{s.edge, s.threshold};
+        }
+      });
 }
 
 }  // namespace pitex

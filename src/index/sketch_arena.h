@@ -106,10 +106,10 @@ PITEX_NOALLOC inline std::pair<std::span<const float>, float> InEnvelopeSlice(
   return {std::span<const float>(env, in.size()), vmax};
 }
 
-/// Reusable traversal and assembly scratch for sketch generation and
-/// repair. Not thread-safe: parallel builds use one arena per
-/// ParallelForSlots slot. Capacity is retained, so repeated calls stop
-/// allocating once warmed up.
+/// Reusable traversal and assembly scratch for sketch generation,
+/// repair and recovery. Not thread-safe: parallel builds use one arena
+/// per ParallelForSlots slot. Capacity is retained, so repeated calls
+/// stop allocating once warmed up.
 class SketchArena {
  public:
   SketchArena() = default;
@@ -120,23 +120,26 @@ class SketchArena {
   PITEX_NOALLOC void Generate(const Graph& graph,
                               const EnvelopeTable& envelope, VertexId root,
                               Rng* rng, RrSketchPool* run);
-  /// Table-free overload for one-off callers (GenerateRRGraph, tests):
-  /// envelope floats are materialized per visited vertex by
-  /// InEnvelopeSlice into arena scratch, producing bit-identical draws
-  /// to the table path at ~2x the in-edge memory traffic.
+  /// Table-free overload for one-off callers (the query planner's
+  /// probes, tests): envelope floats are materialized per visited vertex
+  /// by InEnvelopeSlice into arena scratch, producing bit-identical
+  /// draws to the table path at ~2x the in-edge memory traffic.
   PITEX_NOALLOC void Generate(const Graph& graph,
                               const InfluenceGraph& influence, VertexId root,
                               Rng* rng, RrSketchPool* run);
 
-  /// Repair-side assembly (DynamicRrIndex): keeps exactly the vertices
-  /// reaching `root` through `edges` (tail -> head), drops edges with a
-  /// dropped endpoint, and writes the re-closed sketch into *out reusing
-  /// its capacity. Byte-identical to ReachingRoot + AssembleRRGraph on
-  /// the same inputs, with arena scratch instead of per-call hash maps.
-  /// `num_vertices` is the global vertex universe.
+  /// Re-closes a sketch from its root and live edges (tail -> head):
+  /// keeps exactly the vertices reaching `root` through `edges`, drops
+  /// edges with a dropped endpoint, and appends the result to `run`
+  /// (RrSketchPool::AppendSketch) with per-tail edges in input order. A
+  /// root no edge reaches is an implicit singleton. It serves both
+  /// DynamicRrIndex repair (a sketch whose live edges an update changed)
+  /// and DelayMat recovery (Algorithm 4's step 2: the vertices of a
+  /// forward live sample that reach the chosen root). `num_vertices` is
+  /// the global vertex universe.
   PITEX_NOALLOC void RebuildRepairedSketch(
       VertexId root, size_t num_vertices,
-      std::span<const GlobalEdgeSample> edges, RRGraph* out);
+      std::span<const GlobalEdgeSample> edges, RrSketchPool* run);
 
  private:
   /// Starts a new traversal over `num_vertices` global ids; returns the
@@ -147,8 +150,8 @@ class SketchArena {
   PITEX_NOALLOC void GenerateImpl(const Graph& graph, const EnvOf& env_of,
                                   VertexId root, Rng* rng, RrSketchPool* run);
 
-  // The vertices of the sketch Generate assembles, sorted ascending
-  // before its block is written.
+  // The vertices of the sketch Generate or RebuildRepairedSketch
+  // assembles, sorted ascending before its block is written.
   std::vector<VertexId> vertices_;
 
   // Traversal / assembly scratch (epoch-stamped over global vertex ids:

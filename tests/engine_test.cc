@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "running_example.h"
 #include "src/core/engine.h"
+#include "src/datasets/synthetic.h"
 #include "src/sampling/exact.h"
 
 namespace pitex {
@@ -175,6 +179,52 @@ TEST(EngineTest, AdoptedDelayMatServesQueries) {
   const PitexResult r = engine.Explore({.user = 0, .k = 2});
   EXPECT_EQ(r.tags.size(), 2u);
   EXPECT_GE(r.influence, 1.0);
+}
+
+TEST(EngineTest, DelayMatAnswersArePinned) {
+  // DelayMat's recovered graphs (Algorithm 4: the forward live sample,
+  // the uniform root, the thresholds and the re-closed sketch) pinned
+  // through the answers they give, recorded from the hash-map recovery
+  // this one replaced. The users are SampleUserGroup(kMid, 4, 3); each
+  // asks k = 2, then k = 3 from the cached graphs. User 346's edge
+  // probes also pin the recovered sketches' per-tail edge order.
+  const SocialNetwork n = GenerateDataset(LastfmSpec(0.5));
+  EngineOptions options;
+  options.method = Method::kDelayMat;
+  options.index_theta_per_vertex = 16;
+  options.seed = 5;
+  PitexEngine engine(&n, options);
+  engine.BuildIndex();
+  struct Pinned {
+    VertexId user;
+    size_t k;
+    std::vector<TagId> tags;
+    uint64_t influence_bits;
+    uint64_t total_samples;
+    uint64_t edges_visited;
+    uint64_t sets_evaluated;
+  };
+  const Pinned pinned[] = {
+      {96, 2, {17, 38}, 0x3fff6db6db6db6dbull, 4928, 3199, 38},
+      {96, 3, {38, 44, 47}, 0x3fff6db6db6db6dbull, 7000, 4522, 7},
+      {346, 2, {13, 14}, 0x3ffc8590b21642c8ull, 4554, 1425, 49},
+      {346, 3, {13, 14, 35}, 0x3ffc8590b21642c8ull, 8142, 2534, 34},
+      {628, 2, {37, 44}, 0x4007bf53896e7bf5ull, 16530, 15834, 124},
+      {628, 3, {2, 11, 32}, 0x4006bca1af286bcaull, 28025, 26905, 112},
+      {603, 2, {5, 7}, 0x3ffa6f4de9bd37a7ull, 299, 104, 2},
+      {603, 3, {7, 27, 32}, 0x3ffa6f4de9bd37a7ull, 805, 280, 5},
+  };
+  for (const Pinned& want : pinned) {
+    const PitexResult got = engine.Explore({.user = want.user, .k = want.k});
+    SCOPED_TRACE(testing::Message() << "user " << want.user << " k "
+                                    << want.k);
+    EXPECT_EQ(got.tags, want.tags);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.influence), want.influence_bits)
+        << got.influence;
+    EXPECT_EQ(got.total_samples, want.total_samples);
+    EXPECT_EQ(got.edges_visited, want.edges_visited);
+    EXPECT_EQ(got.sets_evaluated, want.sets_evaluated);
+  }
 }
 
 }  // namespace

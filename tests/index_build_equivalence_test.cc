@@ -13,8 +13,9 @@
 //     per-edge law (live w.p. p(e), threshold U[0, p(e))) is unchanged;
 //   * allocations: steady-state sketch generation into a cleared, reused
 //     run is measured allocation-free;
-//   * repairs: SketchArena::RebuildRepairedSketch matches the
-//     ReachingRoot + AssembleRRGraph reference it replaced.
+//   * repairs and DelayMat recovery: SketchArena::RebuildRepairedSketch
+//     matches the reverse BFS + AssembleRRGraph reference it replaced
+//     (tests/owned_sketch.h).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -296,20 +298,11 @@ TEST(IndexBuildEquivalenceTest, SteadyStateGenerationAllocatesNothing) {
   EXPECT_EQ(run.num_sketches(), 64u);
 }
 
-TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
-  // RebuildRepairedSketch == ReachingRoot + AssembleRRGraph (the repair
-  // pipeline it replaced), including orphaned-subtree pruning and
-  // per-tail edge order.
-  const VertexId root = 5;
-  const std::vector<GlobalEdgeSample> edges = {
-      {2, 5, 0, 0.1f},  // 2 -> root
-      {1, 2, 1, 0.2f},  // 1 -> 2 -> root
-      {3, 4, 2, 0.3f},  // orphan pair: 3 -> 4 does not reach root
-      {4, 3, 3, 0.4f},
-      {6, 2, 4, 0.5f},  // 6 -> 2 -> root
-      {1, 2, 5, 0.6f},  // parallel edge, order must be preserved
-  };
-  // Reference: reverse BFS for the reaching set, then AssembleRRGraph.
+// The pipeline RebuildRepairedSketch replaced in repair and in DelayMat
+// recovery: a reverse BFS for the vertices reaching the root, then
+// AssembleRRGraph over the live edges.
+RRGraph ReferenceReclose(VertexId root,
+                         std::span<const GlobalEdgeSample> edges) {
   std::unordered_map<VertexId, std::vector<VertexId>> tails_of;
   for (const GlobalEdgeSample& e : edges) tails_of[e.head].push_back(e.tail);
   std::vector<VertexId> keep{root};
@@ -327,19 +320,88 @@ TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
       }
     }
   }
-  const RRGraph want = AssembleRRGraph(root, keep, edges);
+  return AssembleRRGraph(root, keep, edges);
+}
+
+TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
+  // RebuildRepairedSketch == ReferenceReclose, including orphaned-subtree
+  // pruning and per-tail edge order, for each block shape a run stores:
+  // an implicit singleton, a 1-byte block and a 4-byte block.
+  struct Case {
+    const char* name;
+    VertexId root;
+    size_t num_vertices;
+    std::vector<GlobalEdgeSample> edges;
+    uint32_t id_width;  // of the re-closed sketch's block
+  };
+  std::vector<Case> cases;
+  cases.push_back({"mixed",
+                   5,
+                   8,
+                   {
+                       {2, 5, 0, 0.1f},  // 2 -> root
+                       {1, 2, 1, 0.2f},  // 1 -> 2 -> root
+                       {3, 4, 2, 0.3f},  // orphan pair: 3 -> 4 does not
+                       {4, 3, 3, 0.4f},  // reach the root
+                       {6, 2, 4, 0.5f},  // 6 -> 2 -> root
+                       {1, 2, 5, 0.6f},  // parallel edge, order preserved
+                   },
+                   1});
+  // No live edge enters the root: the root alone, which the run stores
+  // as an implicit singleton without calling the fill.
+  cases.push_back({"no live in-edge",
+                   0,
+                   4,
+                   {{0, 1, 0, 0.1f}, {1, 2, 1, 0.2f}, {3, 2, 2, 0.3f}},
+                   1});
+  // A chain of 300 vertices into the root needs 4-byte local ids; a
+  // spur off the chain's middle does not reach the root.
+  Case chain{"4-byte chain", 299, 310, {}, 4};
+  for (VertexId v = 0; v + 1 < 300; ++v) {
+    chain.edges.push_back({v, v + 1, v, 0.01f * static_cast<float>(v % 7)});
+  }
+  chain.edges.push_back({150, 305, 400, 0.5f});
+  cases.push_back(chain);
+  // DelayMat's step-2 shape: a forward live sample from vertex 0, with
+  // the root drawn inside it, so most live edges' tails (0's other
+  // branches, the root's descendants) do not reach the root.
+  cases.push_back({"forward sample",
+                   3,
+                   12,
+                   {
+                       {0, 1, 0, 0.1f},
+                       {0, 2, 1, 0.2f},
+                       {1, 3, 2, 0.3f},   // 0 -> 1 -> root
+                       {2, 4, 3, 0.4f},   // 2's branch misses the root
+                       {3, 5, 4, 0.5f},   // out of the root
+                       {5, 6, 5, 0.6f},
+                       {4, 3, 6, 0.7f},   // 0 -> 2 -> 4 -> root after all
+                       {6, 7, 7, 0.8f},
+                       {2, 8, 8, 0.9f},
+                       {1, 3, 9, 0.15f},  // second 1 -> root edge
+                   },
+                   1});
 
   SketchArena arena;
-  RRGraph got;
-  arena.RebuildRepairedSketch(root, /*num_vertices=*/8, edges, &got);
-  EXPECT_EQ(got.root, want.root);
-  EXPECT_EQ(got.vertices, want.vertices);
-  EXPECT_EQ(got.offsets, want.offsets);
-  ASSERT_EQ(got.edges.size(), want.edges.size());
-  for (size_t i = 0; i < want.edges.size(); ++i) {
-    EXPECT_EQ(got.heads[i], want.heads[i]);
-    EXPECT_EQ(got.edges[i].edge, want.edges[i].edge);
-    EXPECT_EQ(got.edges[i].threshold, want.edges[i].threshold);
+  RrSketchPool run;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const RRGraph want = ReferenceReclose(c.root, c.edges);
+    run.Clear();
+    arena.RebuildRepairedSketch(c.root, c.num_vertices, c.edges, &run);
+    ASSERT_EQ(run.num_sketches(), 1u);
+    const RRView view = run.View(0);
+    EXPECT_EQ(view.id_width, c.id_width);
+    const RRGraph got = Owned(view);
+    EXPECT_EQ(got.root, want.root);
+    EXPECT_EQ(got.vertices, want.vertices);
+    EXPECT_EQ(got.offsets, want.offsets);
+    EXPECT_EQ(got.heads, want.heads);
+    ASSERT_EQ(got.edges.size(), want.edges.size());
+    for (size_t i = 0; i < want.edges.size(); ++i) {
+      EXPECT_EQ(got.edges[i].edge, want.edges[i].edge);
+      EXPECT_EQ(got.edges[i].threshold, want.edges[i].threshold);
+    }
   }
 }
 

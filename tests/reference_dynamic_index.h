@@ -6,8 +6,9 @@
 // adoption, reads envelopes from an O(1)-updatable mirror of the model
 // (EnvelopeMirror below) and folds the influence model once per batch.
 // Build, ApplyUpdates, RestoreModel, RepairGraph and AdoptSketches are
-// kept verbatim (only the class names differ, and Build samples against
-// a temporary EnvelopeTable beside the mirror), so any divergence of the
+// kept verbatim (only the class names differ, Build samples against a
+// temporary EnvelopeTable beside the mirror, and RepairGraph copies each
+// re-closed sketch out of a one-sketch run), so any divergence of the
 // production master from this one is a behaviour change, not a
 // representation change.
 
@@ -22,9 +23,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "owned_sketch.h"
 #include "src/index/dynamic_index.h"
 #include "src/index/rr_graph.h"
 #include "src/index/rr_index.h"
+#include "src/index/rr_sketch_pool.h"
 #include "src/index/sketch_arena.h"
 #include "src/util/check.h"
 
@@ -322,13 +325,16 @@ class ReferenceDynamicRrIndex {
     // Splice containment: detach old membership, re-close the sketch (keep
     // exactly the vertices still reaching the root — an edge death can
     // orphan a subtree; an expansion adds one) and attach the new
-    // membership. The arena rebuild reuses rr's own capacity.
+    // membership. The arena re-closes the sketch into a one-sketch run,
+    // which rr then copies, reusing its own capacity.
     for (const VertexId v : rr.vertices) {
       auto& list = containing_[v];
       list.erase(std::find(list.begin(), list.end(), id));
     }
+    repaired_.Clear();
     arena_.RebuildRepairedSketch(roots_[id], network_.num_vertices(), edges,
-                                 &rr);
+                                 &repaired_);
+    rr.Assign(repaired_.View(0));
     for (const VertexId v : rr.vertices) {
       auto& list = containing_[v];
       list.insert(std::lower_bound(list.begin(), list.end(), id), id);
@@ -346,6 +352,7 @@ class ReferenceDynamicRrIndex {
   Stats stats_;
   EstimateScratch scratch_;
   SketchArena arena_;
+  RrSketchPool repaired_;  // one-sketch run for each re-closed sketch
   std::vector<GlobalEdgeSample> repair_edges_;
   std::vector<VertexId> repair_stack_;
   std::vector<uint32_t> present_mark_;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "owned_sketch.h"
 #include "running_example.h"
 #include "src/graph/generators.h"
 #include "src/index/rr_graph.h"
@@ -141,15 +142,6 @@ TEST(RRGraphTest, AssembleDropsEdgesOutsideVertexSet) {
   };
   const RRGraph rr = AssembleRRGraph(1, {0, 1}, edges);
   EXPECT_EQ(rr.edges.size(), 1u);
-}
-
-TEST(RRGraphTest, SizeBytesPositiveAndMonotone) {
-  SocialNetwork n = MakeRunningExample();
-  Rng rng(8);
-  const RRGraph small = AssembleRRGraph(0, {0}, {});
-  const RRGraph big = GenerateRRGraph(n.graph, n.influence, 6, &rng);
-  EXPECT_GT(small.SizeBytes(), 0u);
-  EXPECT_GE(big.SizeBytes(), small.SizeBytes());
 }
 
 TEST(RRGraphTest, EdgeVisitCounterAccumulates) {
