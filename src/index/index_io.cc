@@ -1,12 +1,10 @@
 #include "src/index/index_io.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
+#include <optional>
 #include <utility>
-#include <vector>
 
 #include "src/util/failpoint.h"
 #include "src/util/file_sync.h"
@@ -17,12 +15,11 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v2 is a wire format, independent of the in-memory pool: the RR-Graph
-// payload is theta sketches as a CSR of per-sketch CSRs with u64
-// directories and every sketch written out in full. It is written by
-// streaming the index's sketch views and packed into an RrSketchPool on
-// load. (v1, one record per graph, is no longer read.)
-constexpr uint32_t kVersionCurrent = 2;
+// v3's RR-Graph payload is the RrSketchPool image: its directory, body
+// and edge arrays as they are. (v1, one record per graph, and v2, a
+// wire format of per-sketch CSRs packed into a pool on load, are no
+// longer read.)
+constexpr uint32_t kVersionCurrent = 3;
 constexpr uint8_t kKindRrGraphs = 1;
 constexpr uint8_t kKindDelayMat = 2;
 
@@ -36,13 +33,6 @@ void SetError(IndexIoError* error, IndexIoCode code, const char* message) {
 // Plausibility bound for cap_k: the search never selects more tags than
 // this, and a header claiming more is corruption, not configuration.
 constexpr uint64_t kMaxPlausibleCapK = 1u << 20;
-
-// a * b, saturating at UINT64_MAX (bounds for ReadVector guards built
-// from untrusted counts).
-uint64_t SaturatingMul(uint64_t a, uint64_t b) {
-  if (b != 0 && a > UINT64_MAX / b) return UINT64_MAX;
-  return a * b;
-}
 
 // Writes the shared header (magic, version, kind, fingerprint, options).
 void WriteHeader(BinaryWriter* writer, uint8_t kind, uint64_t fingerprint,
@@ -109,152 +99,6 @@ bool ReadHeader(BinaryReader* reader, uint8_t expected_kind,
   return true;
 }
 
-// The v2 RR-Graph payload as it travels: a CSR of per-sketch CSRs with
-// u64 directories, every sketch written out in full. Sketch i's offsets
-// start at vertex_starts[i] + i (each earlier sketch has n_j + 1).
-struct WireSketches {
-  std::vector<VertexId> roots;          // num_sketches
-  std::vector<uint32_t> root_locals;    // filled by validation
-  std::vector<uint64_t> vertex_starts;  // num_sketches + 1
-  std::vector<VertexId> vertices;
-  std::vector<uint32_t> offsets;        // vertices + num_sketches
-  std::vector<uint64_t> edge_starts;    // num_sketches + 1
-  std::vector<uint32_t> heads;          // one per edge
-  std::vector<RRLocalEdge> edges;
-
-  RRView View(size_t i) const {
-    const uint64_t vb = vertex_starts[i];
-    const uint64_t n = vertex_starts[i + 1] - vb;
-    const uint64_t eb = edge_starts[i];
-    const uint64_t m = edge_starts[i + 1] - eb;
-    return RRView{root_locals[i],
-                  4,
-                  {vertices.data() + vb, n},
-                  reinterpret_cast<const std::byte*>(offsets.data() + vb + i),
-                  reinterpret_cast<const std::byte*>(heads.data() + eb),
-                  {edges.data() + eb, m}};
-  }
-};
-
-// Reads the v2 RR-Graph payload and validates it wholesale (per-sketch
-// CSR consistency, sorted vertex arrays, in-range edge ids, totals that
-// fit the pool's 32-bit arrays).
-bool ReadWireSketches(BinaryReader* reader, uint64_t num_sketches,
-                      uint64_t max_vertices, uint64_t max_edges,
-                      WireSketches* wire, IndexIoError* error) {
-  const uint64_t max_total_vertices =
-      SaturatingMul(num_sketches, max_vertices);
-  if (!reader->ReadVector(&wire->roots, num_sketches) ||
-      wire->roots.size() != num_sketches ||
-      !reader->ReadVector(&wire->vertex_starts, num_sketches + 1) ||
-      wire->vertex_starts.size() != num_sketches + 1 ||
-      !reader->ReadVector(&wire->vertices, max_total_vertices) ||
-      !reader->ReadVector(&wire->offsets,
-                          SaturatingMul(num_sketches, max_vertices + 1)) ||
-      !reader->ReadVector(&wire->edge_starts, num_sketches + 1) ||
-      wire->edge_starts.size() != num_sketches + 1) {
-    SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");
-    return false;
-  }
-  uint64_t num_edges = 0;
-  if (!reader->ReadU64(&num_edges) ||
-      num_edges > SaturatingMul(num_sketches, max_edges)) {
-    SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled edge count");
-    return false;
-  }
-  // The num_edges guard saturates (num_sketches * max_edges can hit
-  // UINT64_MAX), so never allocate it up front: append edges as they
-  // parse and let a truncated or fabricated stream fail on its first
-  // missing field.
-  wire->heads.clear();
-  wire->edges.clear();
-  for (uint64_t j = 0; j < num_edges; ++j) {
-    uint32_t head = 0;
-    RRLocalEdge edge;
-    if (!reader->ReadU32(&head) || !reader->ReadU32(&edge.edge) ||
-        !reader->ReadF32(&edge.threshold) || edge.edge >= max_edges) {
-      SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled edge data");
-      return false;
-    }
-    wire->heads.push_back(head);
-    wire->edges.push_back(edge);
-  }
-
-  // Structural validation of the CSR-of-CSRs.
-  wire->root_locals.clear();
-  wire->root_locals.reserve(num_sketches);
-  if (wire->vertex_starts.front() != 0 ||
-      wire->vertex_starts.back() != wire->vertices.size() ||
-      wire->edge_starts.front() != 0 ||
-      wire->edge_starts.back() != wire->edges.size() ||
-      wire->offsets.size() != wire->vertices.size() + num_sketches) {
-    SetError(error, IndexIoCode::kCorruptPayload, "inconsistent pooled sketch layout");
-    return false;
-  }
-  for (uint64_t i = 0; i < num_sketches; ++i) {
-    const uint64_t vb = wire->vertex_starts[i];
-    const uint64_t ve = wire->vertex_starts[i + 1];
-    const uint64_t eb = wire->edge_starts[i];
-    const uint64_t ee = wire->edge_starts[i + 1];
-    if (ve < vb || ve > wire->vertices.size() || ee < eb ||
-        ee > wire->edges.size()) {
-      SetError(error, IndexIoCode::kCorruptPayload, "inconsistent pooled sketch bounds");
-      return false;
-    }
-    const uint64_t n = ve - vb;
-    const uint64_t m = ee - eb;
-    if (n == 0 || n > max_vertices) {
-      SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch vertex count");
-      return false;
-    }
-    // Vertices sorted strictly ascending and in range (LocalIndex
-    // binary-searches them); the root must be a member, and its place
-    // among them is its local id.
-    for (uint64_t j = vb; j < ve; ++j) {
-      if (wire->vertices[j] >= max_vertices ||
-          (j > vb && wire->vertices[j] <= wire->vertices[j - 1])) {
-        SetError(error, IndexIoCode::kCorruptPayload, "corrupt sketch vertex array");
-        return false;
-      }
-    }
-    const auto first = wire->vertices.begin() + vb;
-    const auto last = wire->vertices.begin() + ve;
-    const auto root_at = std::lower_bound(first, last, wire->roots[i]);
-    if (root_at == last || *root_at != wire->roots[i]) {
-      SetError(error, IndexIoCode::kCorruptPayload, "sketch root not a sketch member");
-      return false;
-    }
-    wire->root_locals.push_back(static_cast<uint32_t>(root_at - first));
-    // Local CSR: starts at 0, non-decreasing, ends at the edge count;
-    // edge heads stay inside the sketch.
-    const uint64_t ob = vb + i;
-    if (wire->offsets[ob] != 0 || wire->offsets[ob + n] != m) {
-      SetError(error, IndexIoCode::kCorruptPayload, "inconsistent sketch CSR offsets");
-      return false;
-    }
-    for (uint64_t j = 0; j < n; ++j) {
-      if (wire->offsets[ob + j] > wire->offsets[ob + j + 1]) {
-        SetError(error, IndexIoCode::kCorruptPayload, "non-monotone sketch CSR offsets");
-        return false;
-      }
-    }
-    for (uint64_t j = eb; j < ee; ++j) {
-      if (wire->heads[j] >= n) {
-        SetError(error, IndexIoCode::kCorruptPayload, "sketch edge head out of range");
-        return false;
-      }
-    }
-  }
-  if (!RrSketchPool::Fits(num_sketches, [wire](size_t i) {
-        return wire->View(i);
-      })) {
-    SetError(error, IndexIoCode::kCorruptPayload,
-             "sketch totals or vertex ids exceed the pool's arrays");
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 uint64_t NetworkFingerprint(const SocialNetwork& network) {
@@ -302,55 +146,27 @@ class IndexIo {
                "index not built; call Build() before saving");
       return false;
     }
-    // The v2 payload is streamed from the index's sketch views (overlay
-    // repairs included), one wire array at a time; each array carries
-    // the u64 length prefix WriteVector would give it. The containing
+    // The payload is the base pool's arrays. An index with repairs saves
+    // as its compaction: the pool Pack makes of its views. The containing
     // index is not written: the loader rebuilds it.
+    std::optional<RrSketchPool> packed;
+    if (index.repairs() != nullptr) {
+      packed = RrSketchPool::Pack(
+          index.num_graphs(), index.num_vertices(),
+          [&index](size_t i) { return index.graph(i); });
+    }
+    const RrSketchPool& pool = packed ? *packed : *index.pool_;
     BinaryWriter writer(&out);
-    const uint64_t s = index.num_graphs();
-    const auto for_each_sketch = [&index, s](auto&& fn) {
-      for (size_t i = 0; i < s; ++i) fn(index.graph(i));
-    };
-    const auto write_starts = [&](auto&& count_of) {
-      uint64_t start = 0;
-      writer.WriteU64(s + 1);
-      writer.WriteU64(start);
-      for_each_sketch(
-          [&](const RRView& rr) { writer.WriteU64(start += count_of(rr)); });
-      return start;
-    };
     WriteHeader(&writer, kKindRrGraphs,
                 NetworkFingerprint(index.network_), index.options_);
     writer.WriteU64(index.theta_);
-    writer.WriteU64(s);
-    writer.WriteU64(s);
-    for_each_sketch([&](const RRView& rr) { writer.WriteU32(rr.root()); });
-    const uint64_t num_vertices =
-        write_starts([](const RRView& rr) { return rr.vertices.size(); });
-    writer.WriteU64(num_vertices);
-    for_each_sketch([&](const RRView& rr) {
-      for (const VertexId v : rr.vertices) writer.WriteU32(v);
-    });
-    // Offsets and heads go out at 4 bytes whatever the pool's width.
-    writer.WriteU64(num_vertices + s);
-    for_each_sketch([&](const RRView& rr) {
-      rr.VisitCsr([&](const auto& csr) {
-        for (size_t j = 0; j <= rr.vertices.size(); ++j) {
-          writer.WriteU32(csr.offset(j));
-        }
-      });
-    });
-    writer.WriteU64(
-        write_starts([](const RRView& rr) { return rr.edges.size(); }));
-    for_each_sketch([&](const RRView& rr) {
-      rr.VisitCsr([&](const auto& csr) {
-        for (size_t k = 0; k < rr.edges.size(); ++k) {
-          writer.WriteU32(csr.head(k));
-          writer.WriteU32(rr.edges[k].edge);
-          writer.WriteF32(rr.edges[k].threshold);
-        }
-      });
-    });
+    writer.WriteVector<uint32_t>(pool.slots_);
+    writer.WriteVector<uint32_t>(pool.body_);
+    writer.WriteU64(pool.edges_.size());
+    for (const RRLocalEdge& edge : pool.edges_) {
+      writer.WriteU32(edge.edge);
+      writer.WriteF32(edge.threshold);
+    }
     writer.WriteF64(index.build_seconds_);
     writer.WriteChecksum();
     if (!writer.ok()) {
@@ -417,31 +233,50 @@ class IndexIo {
                     &options, error)) {
       return nullptr;
     }
-    uint64_t theta = 0, num_graphs = 0;
+    uint64_t theta = 0;
     // theta == 0 would make RrIndex derive its own theta: no writer
     // produces it, and the loaded index could not save the file back.
-    if (!reader.ReadU64(&theta) || !reader.ReadU64(&num_graphs) ||
-        theta == 0 || num_graphs > theta) {
+    if (!reader.ReadU64(&theta) || theta == 0) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt index payload header");
       return nullptr;
     }
     options.theta_override = theta;
     auto index = std::unique_ptr<RrIndex>(new RrIndex(network, options));
-    WireSketches wire;
-    if (!ReadWireSketches(&reader, num_graphs, network.num_vertices(),
-                          network.num_edges(), &wire, error)) {
+    RrSketchPool pool;
+    uint64_t num_edges = 0;
+    // Block starts fit 31 bits, so the body holds at most 2^31 words;
+    // edges_ is indexed by u32 edge headers.
+    if (!reader.ReadVector(&pool.slots_, theta) ||
+        !reader.ReadVector(&pool.body_, uint64_t{1} << 31) ||
+        !reader.ReadU64(&num_edges) || num_edges > UINT32_MAX) {
+      SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");
       return nullptr;
     }
+    // num_edges is untrusted, so never allocate it up front: append
+    // edges as they parse and let a truncated or fabricated stream fail
+    // on its first missing field.
+    for (uint64_t j = 0; j < num_edges; ++j) {
+      RRLocalEdge edge;
+      if (!reader.ReadU32(&edge.edge) || !reader.ReadF32(&edge.threshold)) {
+        SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled edge data");
+        return nullptr;
+      }
+      pool.edges_.push_back(edge);
+    }
+    pool.slots_.shrink_to_fit();
+    pool.body_.shrink_to_fit();
+    pool.edges_.shrink_to_fit();
     if (!reader.ReadF64(&index->build_seconds_)) {
       SetError(error, IndexIoCode::kTruncated, "truncated index trailer");
       return nullptr;
     }
     if (!VerifyTrailer(&reader, error)) return nullptr;
-    // The containing index is a permutation of the vertex array: Pack
-    // recomputes it rather than the file storing it.
-    index->pool_ = std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
-        num_graphs, network.num_vertices(),
-        [&wire](size_t i) { return wire.View(i); }));
+    if (!pool.FinishLoaded(network.num_vertices(), network.num_edges())) {
+      SetError(error, IndexIoCode::kCorruptPayload,
+               "pooled sketches are not a packed pool of this network");
+      return nullptr;
+    }
+    index->pool_ = std::make_shared<const RrSketchPool>(std::move(pool));
     index->built_ = true;
     return index;
   }
@@ -496,7 +331,9 @@ class IndexIo {
       return nullptr;
     }
     uint64_t theta = 0;
-    if (!reader.ReadU64(&theta)) {
+    // As for RR files: theta == 0 would make DelayMatIndex derive its own
+    // theta, and the loaded index could not save the file back.
+    if (!reader.ReadU64(&theta) || theta == 0) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt index payload header");
       return nullptr;
     }

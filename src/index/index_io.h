@@ -13,12 +13,22 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 2 is the only version read or written; a v1 header is refused
-// with kBadVersion. Its RR-Graph payload is a wire format, not a memory
-// image: the sketches as a CSR of per-sketch CSRs with u64 directories,
-// streamed from the index's sketch views on save and packed into an
-// RrSketchPool on load, so the pool's layout can change without touching
-// a file.
+// Version 3 is the only version read or written; a v1 or v2 header is
+// refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
+// image (src/index/rr_sketch_pool.h):
+//
+//   theta u64 | directory (u64 count, u32 words) | body (u64 count, u32
+//   words) | edge count u64, then {edge u32, threshold f32} per record
+//   | build_seconds f64
+//
+// An index with repairs saves as its compaction (RrSketchPool::Pack of
+// its sketch views). The containing index is not stored: the loader
+// rebuilds it. A loaded image must be canonical, exactly what Pack
+// writes for its own views (RrSketchPool::FinishLoaded checks it), so a
+// file that loads saves back to the same bytes. A change to the pool's
+// layout is a new version. The body's 1-byte local ids are packed
+// inside its u32 words in memory order, so a file reads back right only
+// on a host of the writer's byte order.
 //
 // The fingerprint binds an index file to the network it was sampled
 // from: loading against a different graph (changed topology, edge count,

@@ -133,6 +133,79 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
   return out;
 }
 
+bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
+  // Every vertex id also stays below the directory word's top bit.
+  const uint64_t vertex_bound = std::min<uint64_t>(num_vertices, kExplicit);
+  if (slots_.size() >= UINT32_MAX || body_.size() > kExplicit ||
+      edges_.size() > UINT32_MAX) {
+    return false;
+  }
+  uint64_t body = 0;      // where the next block must start
+  uint64_t edges = 0;     // its edge header
+  uint64_t vertices = 0;  // the total Totals::Fit bounds
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    const uint32_t slot = slots_[i];
+    if ((slot & kExplicit) == 0) {
+      if (slot >= vertex_bound) return false;
+      ++vertices;
+      continue;
+    }
+    if ((slot & ~kExplicit) != body || body_.size() - body < 2 ||
+        body_[body] != edges) {
+      return false;
+    }
+    const uint64_t n = body_[body + 1] >> 2;
+    const uint32_t code = body_[body + 1] & 3;
+    if (n == 0 || (code != 0 && code != 2)) return false;
+    const uint64_t width = uint64_t{1} << code;
+    // The header, vertices, root id and offsets: all View reads.
+    if (body_.size() - body < 2 + n + ((n + 2) * width + 3) / 4) {
+      return false;
+    }
+    const RRView view = View(i);
+    const uint64_t m = view.edges.size();
+    const uint64_t length = BodyLength(n, m);
+    if (length == 0 || IdWidth(n, m) != width ||
+        body_.size() - body < length || edges_.size() - edges < m) {
+      return false;
+    }
+    for (uint64_t j = 0; j < n; ++j) {
+      if (view.vertices[j] >= vertex_bound ||
+          (j > 0 && view.vertices[j] <= view.vertices[j - 1])) {
+        return false;
+      }
+    }
+    const bool csr_ok = view.VisitCsr([&](const auto& csr) {
+      if (view.root_local >= n || csr.offset(0) != 0) return false;
+      for (uint64_t j = 0; j < n; ++j) {
+        if (csr.offset(j) > csr.offset(j + 1)) return false;
+      }
+      for (uint64_t k = 0; k < m; ++k) {
+        if (csr.head(k) >= n) return false;
+      }
+      return true;
+    });
+    if (!csr_ok) return false;
+    for (const RRLocalEdge& e : view.edges) {
+      if (e.edge >= num_edges) return false;
+    }
+    // The bytes after the last head, up to the block's end, are zero.
+    const auto* bytes = reinterpret_cast<const std::byte*>(body_.data() + body);
+    for (uint64_t b = (2 + n) * 4 + (n + 2 + m) * width; b < length * 4; ++b) {
+      if (bytes[b] != std::byte{0}) return false;
+    }
+    vertices += n;
+    body += length;
+    edges += m;
+  }
+  if (body != body_.size() || edges != edges_.size() ||
+      vertices > UINT32_MAX) {
+    return false;
+  }
+  BuildContaining(num_vertices);
+  return true;
+}
+
 void RrSketchPool::BuildContaining(size_t num_vertices) {
   // Each pass walks the sketches in ascending id and keeps, per vertex,
   // the last id coded (0 before its first, so a list's first id is

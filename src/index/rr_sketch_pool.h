@@ -50,13 +50,17 @@
 // arrays, then the containing index is built once, serially. The
 // build's generator appends to *runs* — pools without a containing
 // index, one per worker slot — and FromRuns copies their segments, in
-// sample order, into the finished pool. Pack (compaction, the index
-// loader) sizes its arrays in one pass over its views and appends
-// straight into them. An overlay's sketch store is a run that is never
-// finished, and so are the two other runs SketchArena writes: the
-// one-sketch run DynamicRrIndex re-closes each repaired sketch into
-// before the overlay copies it, and the run of graphs DelayMat recovers
-// for its cached query user.
+// sample order, into the finished pool. Pack (compaction, saving an
+// index with repairs) sizes its arrays in one pass over its views and
+// appends straight into them. A loaded pool was written this way
+// before it was saved: the index loader (src/index/index_io.h) reads
+// the directory, body and edge arrays back as they are, and
+// FinishLoaded accepts them only if they are exactly what Pack writes
+// for their own views. An overlay's sketch store is a run that is
+// never finished, and so are the two other runs SketchArena writes:
+// the one-sketch run DynamicRrIndex re-closes each repaired sketch
+// into before the overlay copies it, and the run of graphs DelayMat
+// recovers for its cached query user.
 //
 // A finished pool is immutable. DynamicRrIndex, which repairs
 // individual sketches, never mutates it: it shares one pool as its
@@ -107,7 +111,7 @@ struct LocalCsrOut {
 /// sketch ids, ascending, as LEB128 varints of the first id and then
 /// each gap to the next. A read-only forward range that decodes as it
 /// iterates, without allocating. Only this module's coder writes the
-/// bytes (the index loader rebuilds the lists through Pack), so the
+/// bytes (a loaded pool rebuilds its lists, they are not saved), so the
 /// decoder trusts them.
 class ContainingList {
  public:
@@ -190,17 +194,11 @@ class RrSketchPool {
   /// Packs sketches view_of(0), ..., view_of(num_sketches - 1): sizes
   /// every array exactly, appends each view, then builds the containing
   /// index. `num_vertices` is the global vertex universe; every sketch
-  /// vertex must lie inside it. DynamicRrIndex compaction and the index
-  /// loader pack this way.
+  /// vertex must lie inside it. DynamicRrIndex compaction, and the
+  /// index writer for an index with repairs, pack this way.
   template <typename ViewOf>
   static RrSketchPool Pack(size_t num_sketches, size_t num_vertices,
                            ViewOf&& view_of);
-  /// True when sketches view_of(0), ..., view_of(num_sketches - 1) fit
-  /// the pool's 32-bit arrays and 31-bit directory words. Pack aborts on
-  /// sketches that do not, so a caller packing untrusted input (the
-  /// index loader) checks first.
-  template <typename ViewOf>
-  static bool Fits(size_t num_sketches, ViewOf&& view_of);
 
   /// Finishes a pool from runs: copies every segment, in sample order,
   /// into exact-size arrays (rebasing each explicit directory word and
@@ -287,8 +285,8 @@ class RrSketchPool {
   /// {0, 0}.
   static constexpr uint32_t kSingletonBlock[4] = {0, 1u << 2, 0, 0};
 
-  /// Entries a list of sketches needs in each array: one sizing pass
-  /// shared by Fits and Pack.
+  /// Entries a list of sketches needs in each array: Pack's sizing
+  /// pass.
   struct Totals {
     uint64_t body = 0;
     uint64_t vertices = 0;
@@ -343,10 +341,24 @@ class RrSketchPool {
   /// i, or the ends of the arrays.
   std::pair<uint64_t, uint64_t> Starts(size_t i) const;
 
+  /// Checks a pool whose slots_, body_ and edges_ were read from a file
+  /// (src/index/index_io.h) and, if they hold, builds its containing
+  /// index. Walking the directory in order, each singleton's vertex and
+  /// each block's sorted vertices must lie below num_vertices, each
+  /// block must start where the one before it ended with its edge
+  /// header at the running edge count, its width must be IdWidth's and
+  /// its padding zero, its root id and heads below n, its offsets rise
+  /// from 0, and its edge ids below num_edges; the blocks and edges end
+  /// at their arrays' ends. So a pool that passes is exactly what Pack
+  /// writes for its own views. False on the first check that fails.
+  bool FinishLoaded(size_t num_vertices, size_t num_edges);
+
   /// Rebuilds containing_starts_/containing_ from the packed sketches in
   /// two serial passes in ascending sketch order (one sizes each
   /// vertex's list, one writes it), and recounts max_sketch_vertices_.
   void BuildContaining(size_t num_vertices);
+
+  friend class IndexIo;  // saves and loads slots_, body_ and edges_
 
   std::vector<uint32_t> slots_;         // one directory word per sketch
   std::vector<uint32_t> body_;          // header, vertices, packed ids
@@ -392,11 +404,6 @@ RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
   for (size_t i = 0; i < num_sketches; ++i) pool.Append(view_of(i));
   pool.BuildContaining(num_vertices);
   return pool;
-}
-
-template <typename ViewOf>
-bool RrSketchPool::Fits(size_t num_sketches, ViewOf&& view_of) {
-  return Measure(num_sketches, view_of).Fit(num_sketches);
 }
 
 template <typename Fill>

@@ -8,10 +8,12 @@
 // Contract under test: whatever bytes arrive, LoadRrIndex and
 // LoadDelayMatIndex either return a structurally consistent index or
 // fail cleanly, an RR index that loads holds exactly the containing
-// lists its sketches imply (so the delta-coded lists decode right), and
-// it saves back to the very bytes it was loaded from (the writer and
-// the reader are inverses). Any crash, sanitizer report, or violation
-// (enforced with abort() below) is a finding.
+// lists its sketches imply (so the delta-coded lists decode right), it
+// saves back to the very bytes it was loaded from (the writer and the
+// reader are inverses), and those bytes are canonical: the v3 payload
+// (the pool image) is exactly what RrSketchPool::Pack writes for the
+// loaded sketches. Any crash, sanitizer report, or violation (enforced
+// with abort() below) is a finding.
 //
 // Seed corpus: set PITEX_FUZZ_SEED_DIR=<dir> and the harness writes a
 // valid RR index and a valid DelayMat file there during
@@ -27,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,7 +53,7 @@ RrIndexOptions SeedOptions() {
   return options;
 }
 
-std::string ValidV2Bytes() {
+std::string ValidV3Bytes() {
   RrIndex index(Network(), SeedOptions());
   index.Build();
   std::stringstream file;
@@ -87,11 +90,11 @@ extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
   // Self-check: both seeds must load before any fuzzing starts; a
   // drifted format would otherwise silently reduce the run to garbage
   // inputs bouncing off the header checks.
-  const std::string v2 = ValidV2Bytes();
+  const std::string v3 = ValidV3Bytes();
   const std::string delay = ValidDelayBytes();
   {
-    std::stringstream file(v2);
-    Require(LoadRrIndex(Network(), file) != nullptr, "v2 seed must load");
+    std::stringstream file(v3);
+    Require(LoadRrIndex(Network(), file) != nullptr, "v3 seed must load");
   }
   {
     std::stringstream file(delay);
@@ -99,7 +102,7 @@ extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
             "DelayMat seed must load");
   }
   if (const char* dir = std::getenv("PITEX_FUZZ_SEED_DIR")) {
-    WriteSeed(dir, "seed_v2.idx", v2);
+    WriteSeed(dir, "seed_v3.idx", v3);
     WriteSeed(dir, "seed_delay.idx", delay);
   }
   return 0;
@@ -131,6 +134,26 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       std::stringstream saved;
       Require(SaveRrIndex(*loaded, saved), "loaded index saves");
       Require(saved.str() == bytes, "loaded index saves back to its bytes");
+      // The payload runs from theta, after the header, up to
+      // build_seconds and the checksum.
+      constexpr size_t kPayloadBegin = 8 + 8 + 4 + 1 + 5 * 8;
+      constexpr size_t kTrailerBytes = 16;
+      const auto packed = RrIndex::FromPool(
+          Network(), RrIndexOptions{}, loaded->theta(),
+          std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+              loaded->num_graphs(), Network().num_vertices(),
+              [&loaded](size_t i) { return loaded->graph(i); })));
+      std::stringstream repacked;
+      Require(SaveRrIndex(*packed, repacked), "packed index saves");
+      const std::string canonical = repacked.str();
+      Require(canonical.size() == bytes.size() &&
+                  canonical.compare(kPayloadBegin,
+                                    bytes.size() - kPayloadBegin -
+                                        kTrailerBytes,
+                                    bytes, kPayloadBegin,
+                                    bytes.size() - kPayloadBegin -
+                                        kTrailerBytes) == 0,
+              "loaded payload is what Pack writes for its sketches");
     }
   }
   {

@@ -2,16 +2,25 @@
 // whatever bytes arrive, LoadRrIndex / LoadDelayMatIndex must either
 // return a valid index or fail cleanly — never crash, never hand back a
 // structurally inconsistent object — and an RR index that loads must
-// save back to identical bytes. (Deterministic seeds; a few hundred
-// mutations per strategy.)
+// save back to identical bytes, which are what Pack writes for its
+// views. A table of single-field edits pins each check of the v3
+// loader. (Deterministic seeds; a few hundred mutations per strategy.)
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "owned_sketch.h"
 #include "running_example.h"
 #include "src/index/index_io.h"
 #include "src/util/random.h"
@@ -29,6 +38,18 @@ std::string ValidRrIndexBytes(const SocialNetwork& n) {
   std::stringstream file;
   SaveRrIndex(index, file);
   return file.str();
+}
+
+// Where a saved RR file's payload starts: after the header (the magic
+// as a u64 length and 8 bytes, version u32, kind u8, then fingerprint,
+// eps, delta, cap_k and seed at 8 bytes each). It ends before
+// build_seconds and the checksum, 8 bytes each.
+constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
+constexpr size_t kTrailerBytes = 16;
+
+std::string Payload(const std::string& bytes) {
+  return bytes.substr(kThetaOffset,
+                      bytes.size() - kThetaOffset - kTrailerBytes);
 }
 
 // If loading succeeds despite mutation, the result must be internally
@@ -58,6 +79,16 @@ void CheckConsistentIfLoaded(const SocialNetwork& n, const std::string& bytes) {
   std::stringstream saved;
   ASSERT_TRUE(SaveRrIndex(*loaded, saved));
   ASSERT_EQ(saved.str(), bytes);
+  // And what loads is canonical: its payload, from theta up to
+  // build_seconds, is what Pack writes for its own views.
+  const auto packed = RrIndex::FromPool(
+      n, RrIndexOptions{}, loaded->theta(),
+      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+          loaded->num_graphs(), n.num_vertices(),
+          [&loaded](size_t i) { return loaded->graph(i); })));
+  std::stringstream repacked;
+  ASSERT_TRUE(SaveRrIndex(*packed, repacked));
+  ASSERT_EQ(Payload(repacked.str()), Payload(bytes));
 }
 
 TEST(IndexIoFuzzTest, SingleBitFlipsNeverCrash) {
@@ -122,86 +153,393 @@ TEST(IndexIoFuzzTest, ChecksumRepairedMutationsRoundTrip) {
     if (LoadRrIndex(n, file) != nullptr) ++loaded;
   }
   // Bytes of thresholds, options and the trailer take most values, so
-  // some mutations load (15 of 300 at this seed): the round trip is
+  // some mutations load (41 of 300 at this seed): the round trip is
   // exercised, not vacuous.
   EXPECT_GE(loaded, 10);
 }
 
-// Little-endian field access into a saved v2 file.
-uint64_t LoadLe(const std::string& bytes, size_t pos, size_t width) {
-  uint64_t value = 0;
-  for (size_t b = 0; b < width; ++b) {
-    value |= uint64_t{static_cast<unsigned char>(bytes[pos + b])} << (8 * b);
+// A saved v3 file taken apart into the pool arrays it images: the
+// directory, the body and the edge records. The header before theta and
+// the trailer are kept as bytes. Encode puts it back together and
+// repairs the checksum, so an edit reaches the loader's checks.
+struct Image {
+  std::string header;
+  uint64_t theta = 0;
+  std::vector<uint32_t> slots;
+  std::vector<uint32_t> body;
+  std::vector<RRLocalEdge> edges;
+  std::string trailer;
+
+  explicit Image(const std::string& bytes) {
+    size_t at = kThetaOffset;
+    const auto take = [&bytes, &at](size_t width) {
+      uint64_t value = 0;
+      for (size_t b = 0; b < width; ++b) {
+        value |= uint64_t{static_cast<unsigned char>(bytes[at++])} << (8 * b);
+      }
+      return value;
+    };
+    header = bytes.substr(0, kThetaOffset);
+    theta = take(8);
+    slots.resize(take(8));
+    for (uint32_t& slot : slots) slot = static_cast<uint32_t>(take(4));
+    body.resize(take(8));
+    for (uint32_t& word : body) word = static_cast<uint32_t>(take(4));
+    edges.resize(take(8));
+    for (RRLocalEdge& edge : edges) {
+      edge.edge = static_cast<EdgeId>(take(4));
+      const auto bits = static_cast<uint32_t>(take(4));
+      std::memcpy(&edge.threshold, &bits, sizeof(bits));
+    }
+    trailer = bytes.substr(at);
   }
-  return value;
-}
-void StoreU32(std::string* bytes, size_t pos, uint32_t value) {
-  for (size_t b = 0; b < 4; ++b) {
-    (*bytes)[pos + b] = static_cast<char>((value >> (8 * b)) & 0xff);
+
+  std::string Encode() const {
+    std::string bytes = header;
+    const auto put = [&bytes](uint64_t value, size_t width) {
+      for (size_t b = 0; b < width; ++b) {
+        bytes.push_back(static_cast<char>((value >> (8 * b)) & 0xff));
+      }
+    };
+    put(theta, 8);
+    put(slots.size(), 8);
+    for (const uint32_t slot : slots) put(slot, 4);
+    put(body.size(), 8);
+    for (const uint32_t word : body) put(word, 4);
+    put(edges.size(), 8);
+    for (const RRLocalEdge& edge : edges) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, &edge.threshold, sizeof(bits));
+      put(edge.edge, 4);
+      put(bits, 4);
+    }
+    bytes += trailer;
+    RepairChecksum(&bytes);
+    return bytes;
   }
+};
+
+constexpr uint32_t kExplicit = 1u << 31;
+
+// One explicit block of an Image: where it sits and its packed local
+// ids, read and written at its width (entry 0 is the root id, then the
+// n + 1 offsets, then the m heads).
+struct Block {
+  Image* image;
+  size_t sketch;
+  uint32_t start;
+  uint32_t n;
+  uint32_t width;
+
+  uint32_t& edge_header() const { return image->body[start]; }
+  uint32_t& size_word() const { return image->body[start + 1]; }
+  uint32_t& vertex(size_t j) const { return image->body[start + 2 + j]; }
+  std::byte* packed() const {
+    return reinterpret_cast<std::byte*>(image->body.data() + start + 2 + n);
+  }
+  uint32_t id(size_t j) const {
+    return width == 1 ? LoadId<uint8_t>(packed(), j)
+                      : LoadId<uint32_t>(packed(), j);
+  }
+  void set_id(size_t j, uint32_t value) const {
+    if (width == 1) {
+      StoreId<uint8_t>(packed(), j, value);
+    } else {
+      StoreId<uint32_t>(packed(), j, value);
+    }
+  }
+  uint32_t m() const { return id(1 + n); }
+  uint32_t offset(size_t j) const { return id(1 + j); }
+  /// Words the block takes: header, vertices, packed ids and padding.
+  size_t words() const { return 2 + n + ((n + 2 + m()) * width + 3) / 4; }
+};
+
+// Sketch i's block, or nullopt for an implicit singleton.
+std::optional<Block> BlockOf(Image* image, size_t i) {
+  if ((image->slots[i] & kExplicit) == 0) return std::nullopt;
+  const uint32_t start = image->slots[i] & ~kExplicit;
+  const uint32_t size = image->body[start + 1];
+  return Block{image, i, start, size >> 2, 1u << (size & 3)};
 }
 
-// Where the v2 payload's root array starts: after the header (the magic
-// as a u64 length and 8 bytes, version u32, kind u8, then fingerprint,
-// eps, delta, cap_k and seed at 8 bytes each), theta, the sketch count
-// and the root array's own u64 length.
-constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
-constexpr size_t kRootsOffset = kThetaOffset + 3 * 8;
+// The first explicit block with at least `min_n` vertices and `min_m`
+// edges for which `also` holds, if any.
+template <typename Also>
+std::optional<Block> FindBlock(Image* image, uint32_t min_n, uint32_t min_m,
+                               Also also) {
+  for (size_t i = 0; i < image->slots.size(); ++i) {
+    const std::optional<Block> block = BlockOf(image, i);
+    if (block && block->n >= min_n && block->m() >= min_m && also(*block)) {
+      return block;
+    }
+  }
+  return std::nullopt;
+}
+std::optional<Block> FindBlock(Image* image, uint32_t min_n, uint32_t min_m) {
+  return FindBlock(image, min_n, min_m, [](const Block&) { return true; });
+}
 
 TEST(IndexIoFuzzTest, MovedRootLoadsOnlyOntoAMember) {
-  // A root moved to another member of its sketch is a different but
-  // valid index: it loads and saves back byte-identical. A root moved
-  // off the sketch is corruption.
+  // A root id moved to another member of its sketch is a different but
+  // valid index: it loads and saves back byte-identical. A root id at or
+  // past the sketch's vertex count is corruption.
   const SocialNetwork n = MakeRunningExample();
-  const std::string valid = ValidRrIndexBytes(n);
-  const uint64_t s = LoadLe(valid, kThetaOffset + 8, 8);
-  ASSERT_EQ(LoadLe(valid, kRootsOffset - 8, 8), s);
-  // The vertex starts (u64, with a length prefix) follow the roots, then
-  // the vertex array's length prefix and the vertices.
-  const size_t starts = kRootsOffset + 4 * s + 8;
-  const size_t vertices = starts + 8 * (s + 1) + 8;
+  Image image(ValidRrIndexBytes(n));
   int moved = 0;
   int off_sketch = 0;
-  for (uint64_t i = 0; i < s && moved < 40; ++i) {
-    const uint64_t vb = LoadLe(valid, starts + 8 * i, 8);
-    const uint64_t ve = LoadLe(valid, starts + 8 * (i + 1), 8);
-    if (ve - vb < 2) continue;
-    std::vector<VertexId> members;
-    for (uint64_t j = vb; j < ve; ++j) {
-      members.push_back(
-          static_cast<VertexId>(LoadLe(valid, vertices + 4 * j, 4)));
-    }
-    const size_t root_pos = kRootsOffset + 4 * i;
-    const auto root = static_cast<VertexId>(LoadLe(valid, root_pos, 4));
-    ASSERT_TRUE(std::ranges::binary_search(members, root)) << "sketch " << i;
-    for (const VertexId member : members) {
-      if (member == root) continue;
-      std::string bytes = valid;
-      StoreU32(&bytes, root_pos, member);
-      RepairChecksum(&bytes);
+  for (size_t i = 0; i < image.slots.size() && moved < 40; ++i) {
+    const std::optional<Block> explicit_block = BlockOf(&image, i);
+    if (!explicit_block) continue;
+    const Block& block = *explicit_block;
+    ASSERT_EQ(block.width, 1u) << "sketch " << i;
+    const uint32_t root = block.id(0);
+    ASSERT_LT(root, block.n) << "sketch " << i;
+    for (uint32_t local = 0; local < 256; ++local) {
+      if (local == root) continue;
+      block.set_id(0, local);
+      const std::string bytes = image.Encode();
       std::stringstream file(bytes);
       IndexIoError error;
       const auto loaded = LoadRrIndex(n, file, &error);
-      ASSERT_NE(loaded, nullptr) << "sketch " << i << ": " << error.message;
-      EXPECT_EQ(loaded->graph(i).root(), member);
-      CheckConsistentIfLoaded(n, bytes);
-      ++moved;
+      if (local < block.n) {
+        ASSERT_NE(loaded, nullptr) << "sketch " << i << ": " << error.message;
+        EXPECT_EQ(loaded->graph(i).root(), block.vertex(local));
+        CheckConsistentIfLoaded(n, bytes);
+        ++moved;
+      } else {
+        EXPECT_EQ(loaded, nullptr) << "sketch " << i << ", root id " << local;
+        EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload)
+            << "sketch " << i << ": " << error.message;
+        ++off_sketch;
+      }
     }
-    for (VertexId v = 0; v <= n.num_vertices(); ++v) {
-      if (std::ranges::binary_search(members, v)) continue;
-      std::string bytes = valid;
-      StoreU32(&bytes, root_pos, v);
-      RepairChecksum(&bytes);
-      std::stringstream file(bytes);
-      IndexIoError error;
-      EXPECT_EQ(LoadRrIndex(n, file, &error), nullptr) << "sketch " << i;
-      EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload)
-          << "sketch " << i << ": " << error.message;
-      ++off_sketch;
-    }
+    block.set_id(0, root);
   }
   EXPECT_GE(moved, 10);
   EXPECT_GE(off_sketch, 10);
+}
+
+// A directed cycle of n users whose every edge is certain: each sketch
+// holds all n users and n edges.
+SocialNetwork MakeCertainCycle(VertexId n) {
+  SocialNetwork network;
+  GraphBuilder graph(n);
+  for (VertexId v = 0; v < n; ++v) graph.AddEdge(v, (v + 1) % n);
+  network.graph = graph.Build();
+  network.topics = TopicModel(1, 1);
+  network.topics.SetTagTopic(0, 0, 1.0);
+  InfluenceGraphBuilder influence(network.graph.num_edges());
+  const EdgeTopicEntry certain{0, 1.0};
+  for (EdgeId e = 0; e < network.graph.num_edges(); ++e) {
+    influence.SetEdgeTopics(e, std::span(&certain, 1));
+  }
+  network.influence = influence.Build();
+  network.tags.Intern("w");
+  return network;
+}
+
+// One edit of a valid image that no saved pool can hold. Each returns
+// false when the image has no place to make it.
+struct ValidatorRow {
+  const char* name;
+  std::function<bool(const SocialNetwork&, Image*)> edit;
+};
+
+std::vector<ValidatorRow> ValidatorRows() {
+  return {
+      {"block start moved",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         image->slots[block->sketch] += 1;
+         return true;
+       }},
+      {"edge header moved",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         block->edge_header() += 1;
+         return true;
+       }},
+      {"width code flipped",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         block->size_word() ^= 2;
+         return true;
+       }},
+      {"n grown by one",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         block->size_word() += 4;
+         return true;
+       }},
+      {"two vertices swapped",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 2, 0);
+         if (!block) return false;
+         std::swap(block->vertex(0), block->vertex(1));
+         return true;
+       }},
+      {"last vertex = |V|",
+       [](const SocialNetwork& n, Image* image) {
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         block->vertex(block->n - 1) = static_cast<VertexId>(n.num_vertices());
+         return true;
+       }},
+      {"root id = n",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         block->set_id(0, block->n);
+         return true;
+       }},
+      {"first offset = 1",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 1);
+         if (!block) return false;
+         block->set_id(1, 1);
+         return true;
+       }},
+      {"offset falls",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 2, 1, [](const Block& b) {
+           return b.width == 4 || b.m() < 255;
+         });
+         if (!block) return false;
+         block->set_id(2, block->m() + 1);
+         return true;
+       }},
+      {"head = n",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 1);
+         if (!block) return false;
+         block->set_id(2 + block->n, block->n);
+         return true;
+       }},
+      {"edge id = |E|",
+       [](const SocialNetwork& n, Image* image) {
+         const auto block = FindBlock(image, 1, 1);
+         if (!block) return false;
+         image->edges[block->edge_header()].edge =
+             static_cast<EdgeId>(n.num_edges());
+         return true;
+       }},
+      {"padding byte set",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
+           return (b.n + 2 + b.m()) * b.width % 4 != 0;
+         });
+         if (!block) return false;
+         reinterpret_cast<std::byte*>(
+             image->body.data() + block->start)[block->words() * 4 - 1] =
+             std::byte{1};
+         return true;
+       }},
+      {"block stored wider than its width",
+       [](const SocialNetwork&, Image* image) {
+         // Re-encodes a 1-byte block at 4 bytes, moving the blocks after
+         // it: every id is intact, only the width is not the narrowest.
+         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
+           return b.width == 1;
+         });
+         if (!block) return false;
+         const uint32_t n = block->n;
+         const uint32_t m = block->m();
+         std::vector<uint32_t> wide(image->body.begin() + block->start,
+                                    image->body.begin() + block->start + 2 + n);
+         wide[1] |= 2;
+         for (uint32_t j = 0; j < n + 2 + m; ++j) wide.push_back(block->id(j));
+         const auto shift =
+             static_cast<uint32_t>(wide.size() - block->words());
+         const auto at = image->body.begin() + block->start;
+         image->body.erase(at, at + static_cast<std::ptrdiff_t>(block->words()));
+         image->body.insert(image->body.begin() + block->start, wide.begin(),
+                            wide.end());
+         for (size_t i = block->sketch + 1; i < image->slots.size(); ++i) {
+           if ((image->slots[i] & kExplicit) != 0) image->slots[i] += shift;
+         }
+         return true;
+       }},
+      {"singleton word = |V|",
+       [](const SocialNetwork& n, Image* image) {
+         for (uint32_t& slot : image->slots) {
+           if ((slot & kExplicit) == 0) {
+             slot = static_cast<uint32_t>(n.num_vertices());
+             return true;
+           }
+         }
+         return false;
+       }},
+      {"body word after the last block",
+       [](const SocialNetwork&, Image* image) {
+         image->body.push_back(0);
+         return true;
+       }},
+  };
+}
+
+TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
+  // Each row edits one field of a saved file, repairs its checksum and
+  // must get kCorruptPayload: on the running example's file (1-byte
+  // blocks and singletons), on the certain cycle's (4-byte blocks), and
+  // on one edgeless 300-vertex sketch packed by hand. That sketch's ids
+  // are all zero, so at either width they read the same: only its width
+  // (4 bytes, as n > 256) tells a flipped width code.
+  const SocialNetwork example = MakeRunningExample();
+  const SocialNetwork cycle = MakeCertainCycle(65537);
+  RrIndexOptions options;
+  options.theta_override = 3;
+  options.seed = 5;
+  RrIndex wide(cycle, options);
+  wide.Build();
+  ASSERT_EQ(wide.graph(0).id_width, 4u);
+  std::stringstream wide_file;
+  ASSERT_TRUE(SaveRrIndex(wide, wide_file));
+  RRGraph edgeless{0, std::vector<VertexId>(300), {}, {}, {}};
+  std::iota(edgeless.vertices.begin(), edgeless.vertices.end(), 0);
+  edgeless.offsets.assign(301, 0);
+  const auto hand_packed = RrIndex::FromPool(
+      cycle, options, 1,
+      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+          1, cycle.num_vertices(),
+          [&edgeless](size_t) { return edgeless.View(); })));
+  ASSERT_EQ(hand_packed->graph(0).id_width, 4u);
+  std::stringstream hand_file;
+  ASSERT_TRUE(SaveRrIndex(*hand_packed, hand_file));
+  const struct {
+    const SocialNetwork* network;
+    std::string bytes;
+  } files[] = {{&example, ValidRrIndexBytes(example)},
+               {&cycle, wide_file.str()},
+               {&cycle, hand_file.str()}};
+
+  for (const auto& file : files) {
+    // Taking a file apart and putting it back changes nothing, and each
+    // file loads before it is edited.
+    ASSERT_EQ(Image(file.bytes).Encode(), file.bytes);
+    std::stringstream in(file.bytes);
+    ASSERT_NE(LoadRrIndex(*file.network, in), nullptr);
+  }
+  for (const ValidatorRow& row : ValidatorRows()) {
+    int edited = 0;
+    for (const auto& file : files) {
+      Image image(file.bytes);
+      if (!row.edit(*file.network, &image)) continue;
+      ++edited;
+      std::stringstream in(image.Encode());
+      IndexIoError error;
+      EXPECT_EQ(LoadRrIndex(*file.network, in, &error), nullptr)
+          << row.name << ", |V| = " << file.network->num_vertices();
+      EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload)
+          << row.name << ", |V| = " << file.network->num_vertices() << ": "
+          << error.message;
+    }
+    // Every row edits the running example's file.
+    EXPECT_GE(edited, 1) << row.name;
+  }
 }
 
 TEST(IndexIoFuzzTest, ArbitraryTruncationsNeverCrash) {

@@ -18,6 +18,7 @@
 #include "owned_sketch.h"
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
+#include "src/index/dynamic_index.h"
 #include "src/index/edge_cut.h"
 #include "src/util/failpoint.h"
 #include "src/util/serialize.h"
@@ -87,6 +88,8 @@ TEST(IndexIoTest, RrIndexRoundTripsExactly) {
                                    index.Containing(v)))
         << "vertex " << v;
   }
+  // The loaded arrays are exact-size, as the built ones are.
+  EXPECT_EQ(loaded->SizeBytes(), index.SizeBytes());
 }
 
 // A directed cycle of n users whose every edge is certain: each sketch
@@ -110,7 +113,7 @@ SocialNetwork MakeCertainCycle(VertexId n) {
 
 TEST(IndexIoTest, WidthFourSketchRoundTripsByteIdentical) {
   // 65,537 vertices and edges per sketch: too many for 1-byte local ids,
-  // so the pool stores them at 4 bytes while the v2 file is unchanged.
+  // so the pool, and so the file, stores them at 4 bytes.
   const SocialNetwork n = MakeCertainCycle(65537);
   RrIndexOptions options;
   options.theta_override = 3;
@@ -193,8 +196,9 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v2 is read: a file claiming v1 (the old one-record-per-graph
-  // format), whole or cut short, is refused by its header.
+  // Only v3 is read: a file claiming v1 (the old one-record-per-graph
+  // format) or v2 (the old per-sketch wire format), whole or cut short,
+  // is refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -203,13 +207,45 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 2);
-  bytes[kVersionOffset] = 1;
-  for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
-    std::stringstream in(bytes.substr(0, keep));
-    IndexIoError error;
-    EXPECT_EQ(LoadRrIndex(n, in, &error), nullptr) << "kept " << keep;
-    EXPECT_EQ(error.code, IndexIoCode::kBadVersion) << "kept " << keep;
+  ASSERT_EQ(bytes[kVersionOffset], 3);
+  for (const char version : {1, 2}) {
+    bytes[kVersionOffset] = version;
+    for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
+      std::stringstream in(bytes.substr(0, keep));
+      IndexIoError error;
+      EXPECT_EQ(LoadRrIndex(n, in, &error), nullptr)
+          << "v" << int{version} << ", kept " << keep;
+      EXPECT_EQ(error.code, IndexIoCode::kBadVersion)
+          << "v" << int{version} << ", kept " << keep;
+    }
+  }
+}
+
+TEST(IndexIoTest, IndexWithRepairsSavesAsItsCompaction) {
+  // A DynamicRrIndex view whose overlay holds repairs saves the pool
+  // compaction would pack from its views: the same bytes as the view
+  // frozen after compacting.
+  const SocialNetwork n = MakeRunningExample();
+  DynamicRrIndex dynamic(n, SmallOptions());
+  dynamic.Build();
+  dynamic.UpdateEdgeTopics(0, {});
+  const auto repaired = dynamic.Freeze(dynamic.network(), /*compact=*/false);
+  ASSERT_GT(dynamic.overlay_sketches(), 0u);
+  std::stringstream with_repairs;
+  ASSERT_TRUE(SaveRrIndex(*repaired, with_repairs));
+
+  const auto compacted = dynamic.Freeze(dynamic.network(), /*compact=*/true);
+  ASSERT_EQ(dynamic.overlay_sketches(), 0u);
+  std::stringstream packed;
+  ASSERT_TRUE(SaveRrIndex(*compacted, packed));
+  EXPECT_EQ(with_repairs.str(), packed.str());
+
+  const auto loaded = LoadRrIndex(dynamic.network(), with_repairs);
+  ASSERT_NE(loaded, nullptr);
+  for (size_t i = 0; i < repaired->num_graphs(); ++i) {
+    EXPECT_EQ(Owned(loaded->graph(i)).vertices,
+              Owned(repaired->graph(i)).vertices)
+        << "sketch " << i;
   }
 }
 
@@ -303,6 +339,45 @@ TEST(IndexIoTest, DelayMatRoundTripsExactly) {
     EXPECT_EQ(loaded->CountContaining(v), index.CountContaining(v));
   }
   EXPECT_EQ(loaded->SizeBytes(), index.SizeBytes());
+}
+
+// Overwrites a saved file's trailing checksum with the digest of the
+// bytes before it, so an edit reaches the payload checks.
+void RepairChecksum(std::string* bytes) {
+  constexpr size_t kDigestBytes = 8;
+  Fnv1a hash;
+  hash.Update(bytes->data(), bytes->size() - kDigestBytes);
+  uint64_t digest = hash.digest();
+  for (size_t i = bytes->size() - kDigestBytes; i < bytes->size(); ++i) {
+    (*bytes)[i] = static_cast<char>(digest & 0xff);
+    digest >>= 8;
+  }
+}
+
+TEST(IndexIoTest, DelayMatZeroThetaRejected) {
+  // theta == 0 would make the loaded index derive its own theta from its
+  // options, so it could not save the file back: corrupt, as for RR
+  // files. The counters are zeroed too, so none exceeds that theta.
+  const SocialNetwork n = MakeRunningExample();
+  DelayMatIndex index(n, SmallOptions());
+  index.Build();
+  std::stringstream file;
+  ASSERT_TRUE(SaveDelayMatIndex(index, file));
+  std::string bytes = file.str();
+  // theta follows the header (the magic as a u64 length and 8 bytes,
+  // version u32, kind u8, then fingerprint, eps, delta, cap_k and seed
+  // at 8 bytes each); the counters' u64 length and the counters follow.
+  constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
+  const size_t counters_end = kThetaOffset + 8 + 8 + 4 * n.num_vertices();
+  std::fill(bytes.begin() + kThetaOffset, bytes.begin() + kThetaOffset + 8,
+            '\0');
+  std::fill(bytes.begin() + kThetaOffset + 16, bytes.begin() + counters_end,
+            '\0');
+  RepairChecksum(&bytes);
+  std::stringstream in(bytes);
+  IndexIoError error;
+  EXPECT_EQ(LoadDelayMatIndex(n, in, &error), nullptr);
+  EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
 }
 
 TEST(IndexIoTest, LoadedDelayMatEstimatesWithinTolerance) {
@@ -450,21 +525,21 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),
             IndexIoCode::kBadVersion);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, 2, fp, 0.1, 0.01, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, 2, fp, 0.1, 0.01, 8)),
             IndexIoCode::kWrongKind);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, kRr, fp + 1, 0.1, 0.01, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, kRr, fp + 1, 0.1, 0.01, 8)),
             IndexIoCode::kFingerprintMismatch);
 
   // Option plausibility: NaN / non-positive accuracy knobs and absurd
   // cap_k are header corruption even when the framing parses.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, kRr, fp, nan, 0.01, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, kRr, fp, nan, 0.01, 8)),
             IndexIoCode::kBadOptions);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, kRr, fp, 0.1, -1.0, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, kRr, fp, 0.1, -1.0, 8)),
             IndexIoCode::kBadOptions);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, kRr, fp, 0.1, 0.01, 0)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, kRr, fp, 0.1, 0.01, 0)),
             IndexIoCode::kBadOptions);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(2, kRr, fp, 0.1, 0.01,
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, kRr, fp, 0.1, 0.01,
                                        uint64_t{1} << 30)),
             IndexIoCode::kBadOptions);
 
@@ -472,7 +547,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   // (the file simply ends early -- the signature of a crashed
   // non-atomic save); kTruncated is reserved for streams with bytes
   // still behind the short read.
-  const std::string header = EncodeHeader(2, kRr, fp, 0.1, 0.01, 8);
+  const std::string header = EncodeHeader(3, kRr, fp, 0.1, 0.01, 8);
   EXPECT_EQ(LoadRrCode(n, header.substr(0, 40)), IndexIoCode::kTornWrite);
 }
 
