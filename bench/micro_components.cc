@@ -3,7 +3,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -266,6 +268,32 @@ void BM_IndexEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexEstimate);
 
+// Distinct 64-byte lines of pool memory an estimate walk over `rr` can
+// touch: its directory word (4 bytes, never across a line) and, for an
+// explicit sketch, its block from the header word before the vertices
+// through the packed ids, plus its edge records.
+uint64_t PoolLines(const RRView& rr) {
+  // An implicit singleton's directory word is its vertex.
+  if (rr.vertices.size() == 1 && rr.edges.empty()) return 1;
+  const auto line = [](const void* p) {
+    return reinterpret_cast<uintptr_t>(p) / 64;
+  };
+  const uintptr_t block_first = line(rr.vertices.data() - 1);
+  const uintptr_t block_last =
+      line(rr.head_ids + rr.edges.size() * rr.id_width - 1);
+  uint64_t lines = 1 + (block_last - block_first + 1);  // directory, block
+  if (!rr.edges.empty()) {
+    const uintptr_t first = line(rr.edges.data());
+    const uintptr_t last =
+        line(rr.edges.data() + rr.edges.size() * sizeof(RRLocalEdge) - 1);
+    // Only the lines the block does not already span.
+    const uintptr_t lo = std::max(first, block_first);
+    const uintptr_t hi = std::min(last, block_last);
+    lines += last - first + 1 - (lo <= hi ? hi - lo + 1 : 0);
+  }
+  return lines;
+}
+
 void BM_IndexEstimateSweep(benchmark::State& state) {
   // Sweeps the query user round-robin over the whole vertex set: the
   // aggregate estimate hot path (thousands of tiny sketch walks), which is
@@ -277,6 +305,18 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
     auto* idx = new RrIndex(Network(), options);
     idx->Build();
     return idx;
+  }();
+  // pool_lines: the mean over the swept users of PoolLines summed over
+  // Containing(u), counted once outside the timed loop. An exact count
+  // of the pool memory one estimate spans, where the time is noisy.
+  static const double pool_lines = [&n] {
+    uint64_t lines = 0;
+    for (VertexId v = 0; v < n.num_vertices(); ++v) {
+      for (const uint32_t id : index->Containing(v)) {
+        lines += PoolLines(index->graph(id));
+      }
+    }
+    return static_cast<double>(lines) / static_cast<double>(n.num_vertices());
   }();
   const TagId tags[] = {0, 3};
   const auto post = n.topics.Posterior(tags);
@@ -293,6 +333,7 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
   state.counters["edges_visited"] =
       benchmark::Counter(static_cast<double>(edges_visited),
                          benchmark::Counter::kAvgIterations);
+  state.counters["pool_lines"] = pool_lines;
 }
 BENCHMARK(BM_IndexEstimateSweep);
 

@@ -6,7 +6,8 @@
 #
 # Usage:
 #   bench/paired.sh <parent-rev> --workload <name> [--pairs N] [--seed S]
-#   bench/paired.sh <parent-rev> --micro <filter> [--pairs N]
+#                   [--cpus LIST]
+#   bench/paired.sh <parent-rev> --micro <filter> [--pairs N] [--cpus LIST]
 #
 #   --workload  a pitexbench workload (read_hot, read_cold, write_mixed,
 #               availability); pair k runs seed S + k - 1 on both sides
@@ -18,6 +19,10 @@
 #               --benchmark_min_time=0.5
 #   --pairs     number of pairs (default 10); odd pairs run the parent
 #               first, even pairs the change
+#   --cpus      run each side under `taskset -c LIST` (e.g. 0 for the
+#               one-CPU rule) and name the list in the summary. Micro
+#               builds are not pinned; a tree's first pitexbench run
+#               builds it under the pin. Without it nothing is pinned.
 #
 # The parent is exported with `git archive` into $PAIRED_DIR/<sha>
 # (default ${TMPDIR:-/tmp}/pitex-paired), so the checkout's .git is not
@@ -31,7 +36,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 usage() {
-  sed -n '2,28p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,32p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 
@@ -42,16 +47,24 @@ mode=""
 target=""
 pairs=10
 seed=1
+cpus=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --workload) mode=workload; target="${2:?}"; shift 2 ;;
     --micro) mode=micro; target="${2:?}"; shift 2 ;;
     --pairs) pairs="${2:?}"; shift 2 ;;
     --seed) seed="${2:?}"; shift 2 ;;
+    --cpus) cpus="${2:?}"; shift 2 ;;
     *) echo "paired: unknown argument $1" >&2; usage ;;
   esac
 done
 [[ -n "$mode" ]] || usage
+# pin: the prefix every timed run takes.
+pin=()
+if [[ -n "$cpus" ]]; then
+  taskset -c "$cpus" true || { echo "paired: bad --cpus $cpus" >&2; exit 2; }
+  pin=(taskset -c "$cpus")
+fi
 
 sha="$(git -C "$repo" rev-parse --verify "${parent_rev}^{commit}")"
 dir="${PAIRED_DIR:-${TMPDIR:-/tmp}/pitex-paired}"
@@ -70,7 +83,7 @@ if [[ "$mode" == workload ]]; then
     local tree="$parent"
     [[ "$1" == change ]] && tree="$repo"
     local out
-    out="$(bash "$tree/pitexbench/run.sh" --workload "$target" \
+    out="$("${pin[@]}" bash "$tree/pitexbench/run.sh" --workload "$target" \
              --seed "$((seed + $2 - 1))" | tail -n 1)"
     SIDE="$1" python3 -c '
 import json, os, sys
@@ -93,7 +106,7 @@ else
   run_side() {
     local bin="$dir/build-parent-$sha/bench/micro_components"
     [[ "$1" == change ]] && bin="$change_build/bench/micro_components"
-    "$bin" --benchmark_filter="$target" --benchmark_min_time=0.5 \
+    "${pin[@]}" "$bin" --benchmark_filter="$target" --benchmark_min_time=0.5 \
       --benchmark_format=json 2>/dev/null |
       SIDE="$1" python3 -c '
 import json, os, sys
@@ -118,12 +131,12 @@ for ((k = 1; k <= pairs; k++)); do
   echo "pair $k/$pairs done" >&2
 done
 
-python3 - "$raw" "$repo/BENCHMARK.json" "$mode" <<'PYEOF'
+python3 - "$raw" "$repo/BENCHMARK.json" "$mode" "$cpus" <<'PYEOF'
 import collections
 import json
 import sys
 
-raw, spec_path, mode = sys.argv[1:4]
+raw, spec_path, mode, cpus = sys.argv[1:5]
 better = collections.defaultdict(lambda: "lower")
 if mode == "workload":
     spec = json.load(open(spec_path))
@@ -155,6 +168,9 @@ def fmt(x):
     return "%.5g" % x
 
 
+if cpus:
+    print("CPUs: taskset -c %s" % cpus)
+    print()
 print("| metric | parent | change | change % | change wins |")
 print("|---|---|---|---|---|")
 for name in order:

@@ -43,7 +43,7 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
     rr.VisitCsr([&](const auto& csr) {
       for (uint32_t i = csr.offset(*u_local); i < csr.offset(*u_local + 1);
            ++i) {
-        const auto& e = rr.edges[i];
+        const RRLocalEdge e = rr.edges[i];
         cut1.emplace_back(e.edge, e.threshold);
         const double p = influence_->MaxProb(e.edge);
         log_prune1 += std::log(std::max(1e-12, e.threshold / p));
@@ -52,7 +52,7 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
       // the root's in-edges in CSR order.
       for (uint32_t i = 0; i < rr.edges.size(); ++i) {
         if (csr.head(i) != rr.root_local) continue;
-        const auto& e = rr.edges[i];
+        const RRLocalEdge e = rr.edges[i];
         cut2.emplace_back(e.edge, e.threshold);
         const double p = influence_->MaxProb(e.edge);
         log_prune2 += std::log(std::max(1e-12, e.threshold / p));

@@ -15,11 +15,12 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v3's RR-Graph payload is the RrSketchPool image: its directory, body
-// and edge arrays as they are. (v1, one record per graph, and v2, a
-// wire format of per-sketch CSRs packed into a pool on load, are no
-// longer read.)
-constexpr uint32_t kVersionCurrent = 3;
+// v4's RR-Graph payload is the RrSketchPool image: its directory and
+// body arrays as they are, each sketch's edge records inside its block.
+// (v1, one record per graph, v2, a wire format of per-sketch CSRs
+// packed into a pool on load, and v3, whose edge records were a third
+// array, are no longer read.)
+constexpr uint32_t kVersionCurrent = 4;
 constexpr uint8_t kKindRrGraphs = 1;
 constexpr uint8_t kKindDelayMat = 2;
 
@@ -162,11 +163,6 @@ class IndexIo {
     writer.WriteU64(index.theta_);
     writer.WriteVector<uint32_t>(pool.slots_);
     writer.WriteVector<uint32_t>(pool.body_);
-    writer.WriteU64(pool.edges_.size());
-    for (const RRLocalEdge& edge : pool.edges_) {
-      writer.WriteU32(edge.edge);
-      writer.WriteF32(edge.threshold);
-    }
     writer.WriteF64(index.build_seconds_);
     writer.WriteChecksum();
     if (!writer.ok()) {
@@ -243,29 +239,14 @@ class IndexIo {
     options.theta_override = theta;
     auto index = std::unique_ptr<RrIndex>(new RrIndex(network, options));
     RrSketchPool pool;
-    uint64_t num_edges = 0;
-    // Block starts fit 31 bits, so the body holds at most 2^31 words;
-    // edges_ is indexed by u32 edge headers.
+    // Block starts fit 31 bits, so the body holds at most 2^31 words.
     if (!reader.ReadVector(&pool.slots_, theta) ||
-        !reader.ReadVector(&pool.body_, uint64_t{1} << 31) ||
-        !reader.ReadU64(&num_edges) || num_edges > UINT32_MAX) {
+        !reader.ReadVector(&pool.body_, uint64_t{1} << 31)) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");
       return nullptr;
     }
-    // num_edges is untrusted, so never allocate it up front: append
-    // edges as they parse and let a truncated or fabricated stream fail
-    // on its first missing field.
-    for (uint64_t j = 0; j < num_edges; ++j) {
-      RRLocalEdge edge;
-      if (!reader.ReadU32(&edge.edge) || !reader.ReadF32(&edge.threshold)) {
-        SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled edge data");
-        return nullptr;
-      }
-      pool.edges_.push_back(edge);
-    }
     pool.slots_.shrink_to_fit();
     pool.body_.shrink_to_fit();
-    pool.edges_.shrink_to_fit();
     if (!reader.ReadF64(&index->build_seconds_)) {
       SetError(error, IndexIoCode::kTruncated, "truncated index trailer");
       return nullptr;

@@ -13,13 +13,15 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 3 is the only version read or written; a v1 or v2 header is
-// refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
+// Version 4 is the only version read or written; a v1, v2 or v3 header
+// is refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
 // image (src/index/rr_sketch_pool.h):
 //
 //   theta u64 | directory (u64 count, u32 words) | body (u64 count, u32
-//   words) | edge count u64, then {edge u32, threshold f32} per record
-//   | build_seconds f64
+//   words) | build_seconds f64
+//
+// Each explicit sketch is one block of the body, its {edge u32,
+// threshold f32} records last, after its packed ids.
 //
 // An index with repairs saves as its compaction (RrSketchPool::Pack of
 // its sketch views). The containing index is not stored: the loader

@@ -23,7 +23,7 @@ void DecomposeRRGraphInto(const RRView& rr,
   rr.VisitCsr([&](const auto& csr) {
     for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
       for (uint32_t i = csr.offset(tail); i < csr.offset(tail + 1); ++i) {
-        const RRLocalEdge& local = rr.edges[i];
+        const RRLocalEdge local = rr.edges[i];
         edges->push_back(GlobalEdgeSample{rr.vertices[tail],
                                           rr.vertices[csr.head(i)],
                                           local.edge, local.threshold});
@@ -39,7 +39,7 @@ namespace {
 // loop reads offsets and heads with no width branch.
 template <typename T>
 PITEX_NOALLOC bool WalkToRoot(const LocalCsr<T>& csr,
-                              std::span<const RRLocalEdge> edges,
+                              const EdgeRecords& edges,
                               uint32_t start, uint32_t target,
                               const EdgeProbFn& probs, uint32_t epoch,
                               std::vector<uint32_t>& visited,
@@ -55,7 +55,7 @@ PITEX_NOALLOC bool WalkToRoot(const LocalCsr<T>& csr,
     stack.pop_back();
     const uint32_t end = csr.offset(v + 1);
     for (uint32_t i = csr.offset(v); i < end; ++i) {
-      const RRLocalEdge& edge = edges[i];
+      const RRLocalEdge edge = edges[i];
       const uint32_t head = csr.head(i);
       ++count;
       if (visited[head] == epoch) continue;

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <vector>
@@ -36,11 +37,15 @@
 namespace pitex {
 
 /// One edge of a sketch's local CSR out-adjacency. Its head (a local
-/// vertex index) is stored apart, in the sketch's packed id array.
+/// vertex index) is stored apart, in the sketch's packed id array. A
+/// pool block stores each record as two u32 words, the edge and then the
+/// threshold's bits, which only memcpy reads and writes (EdgeRecords,
+/// LocalCsrOut::set_edge).
 struct RRLocalEdge {
   EdgeId edge;      // global EdgeId (for p(e|W) lookups)
   float threshold;  // c(e)
 };
+static_assert(sizeof(RRLocalEdge) == 8, "an edge record is two u32 words");
 
 /// Entry j of a packed array of T (uint8_t or uint32_t) starting at
 /// `data`. memcpy keeps the access defined whatever storage the bytes
@@ -64,6 +69,64 @@ struct LocalCsr {
   uint32_t head(size_t k) const { return LoadId<T>(heads, k); }
 };
 
+/// A sketch's m edge records, 8 bytes each from `data`: a read-only
+/// range that copies each record out by value, so no RRLocalEdge lvalue
+/// aliases the u32 words of a pool block.
+class EdgeRecords {
+ public:
+  class Iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = RRLocalEdge;
+    using difference_type = std::ptrdiff_t;
+    using reference = RRLocalEdge;
+    using pointer = void;
+
+    Iterator() = default;
+    RRLocalEdge operator*() const { return Load(at_); }
+    Iterator& operator++() {
+      at_ += sizeof(RRLocalEdge);
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const Iterator& other) const = default;
+
+   private:
+    friend class EdgeRecords;
+    explicit Iterator(const std::byte* at) : at_(at) {}
+
+    const std::byte* at_ = nullptr;
+  };
+
+  EdgeRecords() = default;
+  EdgeRecords(const std::byte* data, size_t size) : data_(data), size_(size) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  RRLocalEdge operator[](size_t k) const {
+    return Load(data_ + k * sizeof(RRLocalEdge));
+  }
+  Iterator begin() const { return Iterator(data_); }
+  Iterator end() const { return Iterator(data_ + size_ * sizeof(RRLocalEdge)); }
+  /// The first record's first byte.
+  const std::byte* data() const { return data_; }
+
+ private:
+  static RRLocalEdge Load(const std::byte* at) {
+    RRLocalEdge edge;
+    std::memcpy(&edge, at, sizeof(edge));
+    return edge;
+  }
+
+  const std::byte* data_ = nullptr;
+  size_t size_ = 0;
+};
+
 /// Non-owning view of one reverse-reachable sample graph. Vertices are
 /// sorted; edges are a local CSR out-adjacency so tag-aware reachability
 /// is a forward BFS from the query user towards the root. The root is
@@ -76,7 +139,7 @@ struct RRView {
   std::span<const VertexId> vertices;     // sorted ascending
   const std::byte* offset_ids = nullptr;  // CSR over local tails, n + 1
   const std::byte* head_ids = nullptr;    // local head of each edge, m
-  std::span<const RRLocalEdge> edges;     // m
+  EdgeRecords edges;                      // m
 
   /// Calls fn(LocalCsr<T>) with T the view's id width and returns its
   /// result: one dispatch per sketch, so fn's loops are width-specific.

@@ -34,27 +34,23 @@ void RrSketchPool::Append(const RRView& sketch) {
       for (size_t j = 0; j <= n; ++j) out.set_offset(j, in.offset(j));
       for (size_t k = 0; k < m; ++k) out.set_head(k, in.head(k));
     });
-    std::ranges::copy(sketch.edges, out.edges);
+    for (size_t k = 0; k < m; ++k) out.set_edge(k, sketch.edges[k]);
   });
 }
 
 void RrSketchPool::Clear() {
   slots_.clear();
   body_.clear();
-  edges_.clear();
   containing_starts_.clear();
   containing_.clear();
   max_sketch_vertices_ = 0;
 }
 
-std::pair<uint64_t, uint64_t> RrSketchPool::Starts(size_t i) const {
+uint64_t RrSketchPool::BodyStart(size_t i) const {
   for (; i < num_sketches(); ++i) {
-    if ((slots_[i] & kExplicit) != 0) {
-      const uint32_t b = slots_[i] & ~kExplicit;
-      return {b, body_[b]};
-    }
+    if ((slots_[i] & kExplicit) != 0) return slots_[i] & ~kExplicit;
   }
-  return {body_.size(), edges_.size()};
+  return body_.size();
 }
 
 RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
@@ -66,7 +62,7 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
     uint64_t sample;
     const RrSketchPool* run;
     uint32_t first, count;
-    uint64_t body_begin, body_end, edge_begin, edge_end;
+    uint64_t body_begin, body_end;
   };
   std::vector<Slice> slices;
   slices.reserve(segments.size());
@@ -77,57 +73,45 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
                     "run segment out of range");
     if (seg.count == 0) continue;
     const RrSketchPool& run = runs[seg.run];
-    const auto [body_begin, edge_begin] = run.Starts(seg.first);
-    const auto [body_end, edge_end] = run.Starts(seg.first + seg.count);
-    slices.push_back({seg.sample, &run, seg.first, seg.count, body_begin,
-                      body_end, edge_begin, edge_end});
+    slices.push_back({seg.sample, &run, seg.first, seg.count,
+                      run.BodyStart(seg.first),
+                      run.BodyStart(seg.first + seg.count)});
   }
   std::ranges::sort(slices, {}, &Slice::sample);
   uint64_t covered = 0;
   uint64_t body = 0;
-  uint64_t edges = 0;
   for (const Slice& s : slices) {
     PITEX_CHECK_MSG(s.sample == covered,
                     "runs must cover every sample exactly once");
     covered += s.count;
     body += s.body_end - s.body_begin;
-    edges += s.edge_end - s.edge_begin;
   }
   PITEX_CHECK_MSG(covered == num_sketches,
                   "runs must cover every sample exactly once");
   // The totals only grow, so checking them once covers every entry (the
   // runs checked each vertex id as they took it).
-  PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= kExplicit &&
-                      edges <= UINT32_MAX,
+  PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= kExplicit,
                   "sketch pool exceeds its directory words");
 
   // Exact-size arrays, filled by appends (no zero-fill pass).
   RrSketchPool out;
   out.slots_.reserve(num_sketches);
   out.body_.reserve(body);
-  out.edges_.reserve(edges);
   for (const Slice& s : slices) {
     const RrSketchPool& run = *s.run;
     // Unsigned wrap-around makes the rebase exact whichever way a
     // segment moves.
     const auto body_shift =
         static_cast<uint32_t>(out.body_.size() - s.body_begin);
-    const auto edge_shift =
-        static_cast<uint32_t>(out.edges_.size() - s.edge_begin);
     out.body_.insert(out.body_.end(), run.body_.begin() + s.body_begin,
                      run.body_.begin() + s.body_end);
     const uint32_t end = s.first + s.count;
     for (uint32_t j = s.first; j < end; ++j) {
-      uint32_t slot = run.slots_[j];
-      if ((slot & kExplicit) != 0) {
-        const uint32_t b = (slot & ~kExplicit) + body_shift;
-        slot = kExplicit | b;
-        out.body_[b] += edge_shift;  // the block's edge header
-      }
-      out.slots_.push_back(slot);
+      const uint32_t slot = run.slots_[j];
+      out.slots_.push_back((slot & kExplicit) != 0
+                               ? kExplicit | ((slot & ~kExplicit) + body_shift)
+                               : slot);
     }
-    out.edges_.insert(out.edges_.end(), run.edges_.begin() + s.edge_begin,
-                      run.edges_.begin() + s.edge_end);
   }
   out.BuildContaining(num_vertices);
   return out;
@@ -136,12 +120,8 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
 bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
   // Every vertex id also stays below the directory word's top bit.
   const uint64_t vertex_bound = std::min<uint64_t>(num_vertices, kExplicit);
-  if (slots_.size() >= UINT32_MAX || body_.size() > kExplicit ||
-      edges_.size() > UINT32_MAX) {
-    return false;
-  }
+  if (slots_.size() >= UINT32_MAX || body_.size() > kExplicit) return false;
   uint64_t body = 0;      // where the next block must start
-  uint64_t edges = 0;     // its edge header
   uint64_t vertices = 0;  // the total Totals::Fit bounds
   for (size_t i = 0; i < slots_.size(); ++i) {
     const uint32_t slot = slots_[i];
@@ -150,25 +130,24 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
       ++vertices;
       continue;
     }
-    if ((slot & ~kExplicit) != body || body_.size() - body < 2 ||
-        body_[body] != edges) {
-      return false;
-    }
-    const uint64_t n = body_[body + 1] >> 2;
-    const uint32_t code = body_[body + 1] & 3;
+    if ((slot & ~kExplicit) != body || body == body_.size()) return false;
+    const uint64_t n = body_[body] >> 2;
+    const uint32_t code = body_[body] & 3;
     if (n == 0 || (code != 0 && code != 2)) return false;
     const uint64_t width = uint64_t{1} << code;
-    // The header, vertices, root id and offsets: all View reads.
-    if (body_.size() - body < 2 + n + ((n + 2) * width + 3) / 4) {
+    // The header, vertices, root id and offsets: what sizes the block.
+    if (body_.size() - body < 1 + n + PackedWords(n, 0, width)) return false;
+    const auto* ids =
+        reinterpret_cast<const std::byte*>(body_.data() + body + 1 + n);
+    // The last offset is the edge count.
+    const uint64_t m = width == 1 ? LoadId<uint8_t>(ids, n + 1)
+                                  : LoadId<uint32_t>(ids, n + 1);
+    const uint64_t length = BodyLength(n, m);
+    if (length == 0 || IdWidth(n, m) != width ||
+        body_.size() - body < length) {
       return false;
     }
     const RRView view = View(i);
-    const uint64_t m = view.edges.size();
-    const uint64_t length = BodyLength(n, m);
-    if (length == 0 || IdWidth(n, m) != width ||
-        body_.size() - body < length || edges_.size() - edges < m) {
-      return false;
-    }
     for (uint64_t j = 0; j < n; ++j) {
       if (view.vertices[j] >= vertex_bound ||
           (j > 0 && view.vertices[j] <= view.vertices[j - 1])) {
@@ -186,22 +165,23 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
       return true;
     });
     if (!csr_ok) return false;
-    for (const RRLocalEdge& e : view.edges) {
-      if (e.edge >= num_edges) return false;
+    // Every sampler writes 0 <= c(e) <= p(e) <= 1. A NaN or negative
+    // threshold would make the edge live under every tag set, one above
+    // 1 dead under all.
+    for (const RRLocalEdge e : view.edges) {
+      if (e.edge >= num_edges || !(e.threshold >= 0 && e.threshold <= 1)) {
+        return false;
+      }
     }
-    // The bytes after the last head, up to the block's end, are zero.
-    const auto* bytes = reinterpret_cast<const std::byte*>(body_.data() + body);
-    for (uint64_t b = (2 + n) * 4 + (n + 2 + m) * width; b < length * 4; ++b) {
-      if (bytes[b] != std::byte{0}) return false;
+    // The bytes after the last head, up to the records, are zero.
+    for (uint64_t b = (n + 2 + m) * width; b < PackedWords(n, m, width) * 4;
+         ++b) {
+      if (ids[b] != std::byte{0}) return false;
     }
     vertices += n;
     body += length;
-    edges += m;
   }
-  if (body != body_.size() || edges != edges_.size() ||
-      vertices > UINT32_MAX) {
-    return false;
-  }
+  if (body != body_.size() || vertices > UINT32_MAX) return false;
   BuildContaining(num_vertices);
   return true;
 }
@@ -261,7 +241,7 @@ size_t RrSketchPool::SizeBytes() const {
          (slots_.capacity() + body_.capacity() +
           containing_starts_.capacity()) *
              sizeof(uint32_t) +
-         containing_.capacity() + edges_.capacity() * sizeof(RRLocalEdge);
+         containing_.capacity();
 }
 
 void RrSketchOverlay::Put(uint32_t id, const RRView& sketch) {

@@ -6,30 +6,27 @@
 // The IndexEst estimate path walks theta(u) tiny sketches per query; with
 // one heap object per sketch (three vectors each) those walks chase
 // pointers all over the heap and the allocator dominates build time. The
-// pool keeps every sketch's data adjacent, hands out non-owning RRViews,
-// and answers Containing(u) from one exact-size byte array — no
+// pool keeps each sketch in one contiguous block, hands out non-owning
+// RRViews, and answers Containing(u) from one exact-size byte array — no
 // per-sketch or per-vertex heap objects at all, and SizeBytes() is O(1).
 //
 // Layout for sketch i (n_i vertices, m_i edges); the directory and the
 // body are 32-bit words, and every total is checked to fit:
-//   slots_[i]                     one directory word: the root vertex id
-//                                 of an implicit singleton (top bit
-//                                 clear), else 1 << 31 | the start of
-//                                 sketch i's block in body_
-//   body_[start ..]               a two-word header (the sketch's first
-//                                 index in edges_; n_i << 2 | the width
-//                                 code), the n_i sorted vertex ids, then
-//                                 the root's local id, the n_i + 1 local
-//                                 CSR offsets (0 .. m_i) and the m_i
-//                                 local edge heads packed at w_i bytes
-//                                 each, zero-padded to a word
-//   edges_[header .. header + m_i) {edge, threshold} records
-// Vertex ids and block starts therefore fit 31 bits. w_i is 1 byte
-// while the block's own ids fit one (IdWidth: n_i <= 256 and
-// m_i <= 255), else 4. It is chosen from the block's size, with no
-// option; on pitexbench's network every block takes 1 byte. A view
-// carries the width, and its readers dispatch on it once per sketch
-// (RRView::VisitCsr).
+//   slots_[i]        one directory word: the root vertex id of an
+//                    implicit singleton (top bit clear), else
+//                    1 << 31 | the start of sketch i's block in body_
+//   body_[start ..]  a header word (n_i << 2 | the width code), the n_i
+//                    sorted vertex ids, then the root's local id, the
+//                    n_i + 1 local CSR offsets (0 .. m_i) and the m_i
+//                    local edge heads packed at w_i bytes each,
+//                    zero-padded to a word, then the m_i {edge,
+//                    threshold} records at two words each
+// A sketch's walk therefore reads its directory word and one block.
+// Vertex ids and block starts fit 31 bits. w_i is 1 byte while the
+// block's own ids fit one (IdWidth: n_i <= 256 and m_i <= 255), else 4.
+// It is chosen from the block's size, with no option; on pitexbench's
+// network every block takes 1 byte. A view carries the width, and its
+// readers dispatch on it once per sketch (RRView::VisitCsr).
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has no block:
 // its directory word is its vertex, and View() serves its header, root
@@ -54,7 +51,7 @@
 // index with repairs) sizes its arrays in one pass over its views and
 // appends straight into them. A loaded pool was written this way
 // before it was saved: the index loader (src/index/index_io.h) reads
-// the directory, body and edge arrays back as they are, and
+// the directory and body arrays back as they are, and
 // FinishLoaded accepts them only if they are exactly what Pack writes
 // for their own views. An overlay's sketch store is a run that is
 // never finished, and so are the two other runs SketchArena writes:
@@ -79,7 +76,6 @@
 #include <iterator>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/index/rr_graph.h"
@@ -99,12 +95,15 @@ inline void StoreId(std::byte* data, size_t j, uint32_t id) {
 /// hands them to its fill.
 template <typename T>
 struct LocalCsrOut {
-  std::byte* offsets;    // n + 1 entries
-  std::byte* heads;      // m entries
-  RRLocalEdge* edges;    // m records
+  std::byte* offsets;  // n + 1 entries
+  std::byte* heads;    // m entries
+  std::byte* records;  // m records (EdgeRecords' layout)
 
   void set_offset(size_t j, uint32_t id) const { StoreId<T>(offsets, j, id); }
   void set_head(size_t k, uint32_t id) const { StoreId<T>(heads, k, id); }
+  void set_edge(size_t k, RRLocalEdge edge) const {
+    std::memcpy(records + k * sizeof(RRLocalEdge), &edge, sizeof(edge));
+  }
 };
 
 /// One vertex's containing list as stored, in a pool or an overlay: its
@@ -201,12 +200,11 @@ class RrSketchPool {
                            ViewOf&& view_of);
 
   /// Finishes a pool from runs: copies every segment, in sample order,
-  /// into exact-size arrays (rebasing each explicit directory word and
-  /// each block's edge header), then builds the containing index. The
-  /// segments must cover samples [0, num_sketches) exactly once, so
-  /// sketch i of the result is sample i whatever the runs and segments
-  /// were: the pool is identical for any thread count and claim
-  /// interleaving.
+  /// into exact-size arrays (rebasing each explicit directory word), then
+  /// builds the containing index. The segments must cover samples
+  /// [0, num_sketches) exactly once, so sketch i of the result is sample
+  /// i whatever the runs and segments were: the pool is identical for
+  /// any thread count and claim interleaving.
   static RrSketchPool FromRuns(std::span<const RrSketchPool> runs,
                                std::span<const Segment> segments,
                                uint64_t num_sketches, size_t num_vertices);
@@ -234,11 +232,11 @@ class RrSketchPool {
   RRView View(size_t i) const {
     const uint32_t* slot = &slots_[i];
     const uint32_t* block = Block(*slot);
-    const uint32_t n = block[1] >> 2;
-    const uint32_t width = 1u << (block[1] & 3);
+    const uint32_t n = block[0] >> 2;
+    const uint32_t width = 1u << (block[0] & 3);
     // The root's local id, then the offsets, whose last is the edge
     // count.
-    const auto* ids = reinterpret_cast<const std::byte*>(block + 2 + n);
+    const auto* ids = reinterpret_cast<const std::byte*>(block + 1 + n);
     const std::byte* offsets = ids + width;
     const bool narrow = width == 1;
     const uint32_t root_local =
@@ -247,10 +245,10 @@ class RrSketchPool {
                               : LoadId<uint32_t>(offsets, n);
     return RRView{root_local,
                   width,
-                  {block == kSingletonBlock ? slot : block + 2, n},
+                  {block == kSingletonBlock ? slot : block + 1, n},
                   offsets,
                   offsets + (n + 1) * width,
-                  {edges_.data() + block[0], m}};
+                  {ids + PackedWords(n, m, width) * 4, m}};
   }
 
   /// Ids (sketch positions) of the sketches containing u, ascending.
@@ -265,8 +263,6 @@ class RrSketchPool {
     return containing_starts_.empty() ? 0 : containing_starts_.size() - 1;
   }
 
-  /// Edge total across all sketches.
-  uint64_t total_edges() const { return edges_.size(); }
   /// Largest per-sketch vertex count (scratch pre-sizing).
   size_t max_sketch_vertices() const { return max_sketch_vertices_; }
 
@@ -274,31 +270,29 @@ class RrSketchPool {
   size_t SizeBytes() const;
 
  private:
-  /// Header word 1 packs n << 2 with the width code, so a block holds
+  /// The header word packs n << 2 with the width code, so a block holds
   /// at most this many vertices.
   static constexpr uint64_t kMaxBlockVertices = (uint64_t{1} << 30) - 1;
   /// The directory word's top bit: set for a block start, clear for a
   /// singleton's vertex. Vertex ids and block starts stay below it.
   static constexpr uint32_t kExplicit = 1u << 31;
-  /// The block every implicit singleton reads: edge start 0, one vertex
-  /// at width 1, an unused vertex word, then root id 0 and offsets
-  /// {0, 0}.
-  static constexpr uint32_t kSingletonBlock[4] = {0, 1u << 2, 0, 0};
+  /// The block every implicit singleton reads: one vertex at width 1,
+  /// an unused vertex word, then root id 0 and offsets {0, 0}.
+  static constexpr uint32_t kSingletonBlock[3] = {1u << 2, 0, 0};
 
   /// Entries a list of sketches needs in each array: Pack's sizing
   /// pass.
   struct Totals {
     uint64_t body = 0;
     uint64_t vertices = 0;
-    uint64_t edges = 0;
     uint64_t max_vertices = 0;
     uint64_t max_vertex_id = 0;
     /// True when `num_sketches` sketches with these totals fit the
     /// directory words, 32-bit ids and block headers.
     bool Fit(uint64_t num_sketches) const {
       return num_sketches < UINT32_MAX && body <= kExplicit &&
-             vertices <= UINT32_MAX && edges <= UINT32_MAX &&
-             max_vertices <= kMaxBlockVertices && max_vertex_id < kExplicit;
+             vertices <= UINT32_MAX && max_vertices <= kMaxBlockVertices &&
+             max_vertex_id < kExplicit;
     }
   };
   template <typename ViewOf>
@@ -310,13 +304,18 @@ class RrSketchPool {
     return n <= 256 && m <= 255 ? 1 : 4;
   }
 
+  /// Words the root id, n + 1 offsets and m heads take at `width`
+  /// bytes each, rounded up to whole words.
+  static uint64_t PackedWords(uint64_t n, uint64_t m, uint64_t width) {
+    return ((n + 2 + m) * width + 3) / 4;
+  }
+
   /// body_ entries of a sketch with n vertices and m edges: none for an
-  /// implicit singleton, else the header, n vertices, and the root id,
-  /// n + 1 offsets and m heads at IdWidth bytes, rounded up to whole
-  /// words.
+  /// implicit singleton, else the header, n vertices, the packed ids at
+  /// IdWidth bytes and two words per edge record.
   static uint64_t BodyLength(uint64_t n, uint64_t m) {
     if (n == 1 && m == 0) return 0;
-    return 2 + n + ((n + 2 + m) * IdWidth(n, m) + 3) / 4;
+    return 1 + n + PackedWords(n, m, IdWidth(n, m)) + 2 * m;
   }
 
   /// The block a directory word names, or kSingletonBlock for an
@@ -332,25 +331,24 @@ class RrSketchPool {
   /// its directory word for an implicit singleton.
   std::span<const VertexId> Vertices(size_t i) const {
     const uint32_t* block = Block(slots_[i]);
-    return {block == kSingletonBlock ? &slots_[i] : block + 2,
-            block[1] >> 2};
+    return {block == kSingletonBlock ? &slots_[i] : block + 1,
+            block[0] >> 2};
   }
 
-  /// Where sketch i's block and edges would start in body_ and edges_:
-  /// the start and edge header of the first explicit block at or after
-  /// i, or the ends of the arrays.
-  std::pair<uint64_t, uint64_t> Starts(size_t i) const;
+  /// Where sketch i's block would start in body_: the start of the first
+  /// explicit block at or after i, or the end of body_.
+  uint64_t BodyStart(size_t i) const;
 
-  /// Checks a pool whose slots_, body_ and edges_ were read from a file
+  /// Checks a pool whose slots_ and body_ were read from a file
   /// (src/index/index_io.h) and, if they hold, builds its containing
   /// index. Walking the directory in order, each singleton's vertex and
   /// each block's sorted vertices must lie below num_vertices, each
-  /// block must start where the one before it ended with its edge
-  /// header at the running edge count, its width must be IdWidth's and
-  /// its padding zero, its root id and heads below n, its offsets rise
-  /// from 0, and its edge ids below num_edges; the blocks and edges end
-  /// at their arrays' ends. So a pool that passes is exactly what Pack
-  /// writes for its own views. False on the first check that fails.
+  /// block must start where the one before it ended, its width must be
+  /// IdWidth's and its padding zero, its root id and heads below n, its
+  /// offsets rise from 0, and its records' edge ids below num_edges with
+  /// thresholds in [0, 1]; the blocks end at body_'s end. So a pool that
+  /// passes is exactly what Pack writes for its own views. False on the
+  /// first check that fails.
   bool FinishLoaded(size_t num_vertices, size_t num_edges);
 
   /// Rebuilds containing_starts_/containing_ from the packed sketches in
@@ -358,11 +356,10 @@ class RrSketchPool {
   /// vertex's list, one writes it), and recounts max_sketch_vertices_.
   void BuildContaining(size_t num_vertices);
 
-  friend class IndexIo;  // saves and loads slots_, body_ and edges_
+  friend class IndexIo;  // saves and loads slots_ and body_
 
-  std::vector<uint32_t> slots_;         // one directory word per sketch
-  std::vector<uint32_t> body_;          // header, vertices, packed ids
-  std::vector<RRLocalEdge> edges_;      // all sketch edge arrays
+  std::vector<uint32_t> slots_;  // one directory word per sketch
+  std::vector<uint32_t> body_;   // blocks: header, vertices, ids, records
   std::vector<uint32_t> containing_starts_;  // num_vertices + 1 offsets
   std::vector<uint8_t> containing_;          // varint lists, by vertex
   // Fits 32 bits: a block holds under 2^30 vertices.
@@ -380,7 +377,6 @@ RrSketchPool::Totals RrSketchPool::Measure(size_t num_sketches,
     const RRView rr = view_of(i);
     totals.body += BodyLength(rr.vertices.size(), rr.edges.size());
     totals.vertices += rr.vertices.size();
-    totals.edges += rr.edges.size();
     totals.max_vertices =
         std::max<uint64_t>(totals.max_vertices, rr.vertices.size());
     // Sorted, so the last vertex is the largest.
@@ -400,7 +396,6 @@ RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
   RrSketchPool pool;
   pool.slots_.reserve(num_sketches);
   pool.body_.reserve(totals.body);
-  pool.edges_.reserve(totals.edges);
   for (size_t i = 0; i < num_sketches; ++i) pool.Append(view_of(i));
   pool.BuildContaining(num_vertices);
   return pool;
@@ -424,32 +419,29 @@ void RrSketchPool::AppendSketch(uint32_t root_local,
                     "sketch exceeds the block header's vertex count");
     const uint32_t width = IdWidth(n, m);
     const size_t start = body_.size();
-    const size_t e = edges_.size();
-    body_.push_back(static_cast<uint32_t>(e));
     body_.push_back(static_cast<uint32_t>(n << 2) |
                     static_cast<uint32_t>(std::countr_zero(width)));
     body_.insert(body_.end(), vertices.begin(), vertices.end());
     // Zero words: the packed ids' padding reads back as zeros.
     const size_t packed = body_.size();
     body_.resize(start + length);
-    edges_.resize(e + m);
     auto* ids = reinterpret_cast<std::byte*>(body_.data() + packed);
     std::byte* offsets = ids + width;
     std::byte* heads = offsets + (n + 1) * width;
-    RRLocalEdge* edges = edges_.data() + e;
+    auto* records =
+        reinterpret_cast<std::byte*>(body_.data() + start + length - 2 * m);
     if (width == 1) {
       StoreId<uint8_t>(ids, 0, root_local);
-      fill(LocalCsrOut<uint8_t>{offsets, heads, edges});
+      fill(LocalCsrOut<uint8_t>{offsets, heads, records});
     } else {
       StoreId<uint32_t>(ids, 0, root_local);
-      fill(LocalCsrOut<uint32_t>{offsets, heads, edges});
+      fill(LocalCsrOut<uint32_t>{offsets, heads, records});
     }
     slots_.push_back(kExplicit | static_cast<uint32_t>(start));
   }
   // Sketch ids are u32 (containing_), and every block starts below the
   // directory word's top bit.
-  PITEX_CHECK_MSG(slots_.size() < UINT32_MAX && body_.size() <= kExplicit &&
-                      edges_.size() <= UINT32_MAX,
+  PITEX_CHECK_MSG(slots_.size() < UINT32_MAX && body_.size() <= kExplicit,
                   "sketch pool exceeds its directory words");
   max_sketch_vertices_ =
       std::max(max_sketch_vertices_, static_cast<uint32_t>(n));

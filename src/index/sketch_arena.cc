@@ -74,7 +74,7 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
     for (const GlobalEdgeSample& s : staged_) {
       const uint32_t k = counts_[local_index_[s.tail]]++;
       out.set_head(k, local_index_[s.head]);
-      out.edges[k] = RRLocalEdge{s.edge, s.threshold};
+      out.set_edge(k, RRLocalEdge{s.edge, s.threshold});
     }
   });
 }
@@ -192,7 +192,7 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
           if (!kept(s)) continue;
           const uint32_t k = counts_[local_index_[s.tail]]++;
           out.set_head(k, local_index_[s.head]);
-          out.edges[k] = RRLocalEdge{s.edge, s.threshold};
+          out.set_edge(k, RRLocalEdge{s.edge, s.threshold});
         }
       });
 }

@@ -3,7 +3,7 @@
 // return a valid index or fail cleanly — never crash, never hand back a
 // structurally inconsistent object — and an RR index that loads must
 // save back to identical bytes, which are what Pack writes for its
-// views. A table of single-field edits pins each check of the v3
+// views. A table of single-field edits pins each check of the v4
 // loader. (Deterministic seeds; a few hundred mutations per strategy.)
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -153,21 +154,20 @@ TEST(IndexIoFuzzTest, ChecksumRepairedMutationsRoundTrip) {
     if (LoadRrIndex(n, file) != nullptr) ++loaded;
   }
   // Bytes of thresholds, options and the trailer take most values, so
-  // some mutations load (41 of 300 at this seed): the round trip is
+  // some mutations load (43 of 300 at this seed): the round trip is
   // exercised, not vacuous.
   EXPECT_GE(loaded, 10);
 }
 
-// A saved v3 file taken apart into the pool arrays it images: the
-// directory, the body and the edge records. The header before theta and
-// the trailer are kept as bytes. Encode puts it back together and
-// repairs the checksum, so an edit reaches the loader's checks.
+// A saved v4 file taken apart into the pool arrays it images: the
+// directory and the body. The header before theta and the trailer are
+// kept as bytes. Encode puts it back together and repairs the checksum,
+// so an edit reaches the loader's checks.
 struct Image {
   std::string header;
   uint64_t theta = 0;
   std::vector<uint32_t> slots;
   std::vector<uint32_t> body;
-  std::vector<RRLocalEdge> edges;
   std::string trailer;
 
   explicit Image(const std::string& bytes) {
@@ -185,12 +185,6 @@ struct Image {
     for (uint32_t& slot : slots) slot = static_cast<uint32_t>(take(4));
     body.resize(take(8));
     for (uint32_t& word : body) word = static_cast<uint32_t>(take(4));
-    edges.resize(take(8));
-    for (RRLocalEdge& edge : edges) {
-      edge.edge = static_cast<EdgeId>(take(4));
-      const auto bits = static_cast<uint32_t>(take(4));
-      std::memcpy(&edge.threshold, &bits, sizeof(bits));
-    }
     trailer = bytes.substr(at);
   }
 
@@ -206,13 +200,6 @@ struct Image {
     for (const uint32_t slot : slots) put(slot, 4);
     put(body.size(), 8);
     for (const uint32_t word : body) put(word, 4);
-    put(edges.size(), 8);
-    for (const RRLocalEdge& edge : edges) {
-      uint32_t bits = 0;
-      std::memcpy(&bits, &edge.threshold, sizeof(bits));
-      put(edge.edge, 4);
-      put(bits, 4);
-    }
     bytes += trailer;
     RepairChecksum(&bytes);
     return bytes;
@@ -221,9 +208,9 @@ struct Image {
 
 constexpr uint32_t kExplicit = 1u << 31;
 
-// One explicit block of an Image: where it sits and its packed local
-// ids, read and written at its width (entry 0 is the root id, then the
-// n + 1 offsets, then the m heads).
+// One explicit block of an Image: where it sits, its packed local ids,
+// read and written at its width (entry 0 is the root id, then the n + 1
+// offsets, then the m heads), and its edge records' words.
 struct Block {
   Image* image;
   size_t sketch;
@@ -231,11 +218,10 @@ struct Block {
   uint32_t n;
   uint32_t width;
 
-  uint32_t& edge_header() const { return image->body[start]; }
-  uint32_t& size_word() const { return image->body[start + 1]; }
-  uint32_t& vertex(size_t j) const { return image->body[start + 2 + j]; }
+  uint32_t& size_word() const { return image->body[start]; }
+  uint32_t& vertex(size_t j) const { return image->body[start + 1 + j]; }
   std::byte* packed() const {
-    return reinterpret_cast<std::byte*>(image->body.data() + start + 2 + n);
+    return reinterpret_cast<std::byte*>(image->body.data() + start + 1 + n);
   }
   uint32_t id(size_t j) const {
     return width == 1 ? LoadId<uint8_t>(packed(), j)
@@ -250,15 +236,26 @@ struct Block {
   }
   uint32_t m() const { return id(1 + n); }
   uint32_t offset(size_t j) const { return id(1 + j); }
-  /// Words the block takes: header, vertices, packed ids and padding.
-  size_t words() const { return 2 + n + ((n + 2 + m()) * width + 3) / 4; }
+  /// Words the packed ids take with their padding.
+  size_t packed_words() const { return ((n + 2 + m()) * width + 3) / 4; }
+  /// Word w of the records: edge k's id is word 2k, the bits of its
+  /// threshold word 2k + 1.
+  uint32_t& record_word(size_t w) const {
+    return image->body[start + 1 + n + packed_words() + w];
+  }
+  void set_threshold(size_t k, float threshold) const {
+    std::memcpy(&record_word(2 * k + 1), &threshold, sizeof(threshold));
+  }
+  /// Words the block takes: header, vertices, packed ids with padding,
+  /// and two per edge record.
+  size_t words() const { return 1 + n + packed_words() + 2 * m(); }
 };
 
 // Sketch i's block, or nullopt for an implicit singleton.
 std::optional<Block> BlockOf(Image* image, size_t i) {
   if ((image->slots[i] & kExplicit) == 0) return std::nullopt;
   const uint32_t start = image->slots[i] & ~kExplicit;
-  const uint32_t size = image->body[start + 1];
+  const uint32_t size = image->body[start];
   return Block{image, i, start, size >> 2, 1u << (size & 3)};
 }
 
@@ -354,13 +351,6 @@ std::vector<ValidatorRow> ValidatorRows() {
          image->slots[block->sketch] += 1;
          return true;
        }},
-      {"edge header moved",
-       [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 1, 0);
-         if (!block) return false;
-         block->edge_header() += 1;
-         return true;
-       }},
       {"width code flipped",
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 0);
@@ -419,12 +409,32 @@ std::vector<ValidatorRow> ValidatorRows() {
          block->set_id(2 + block->n, block->n);
          return true;
        }},
-      {"edge id = |E|",
+      {"inline edge id = |E|",
        [](const SocialNetwork& n, Image* image) {
          const auto block = FindBlock(image, 1, 1);
          if (!block) return false;
-         image->edges[block->edge_header()].edge =
-             static_cast<EdgeId>(n.num_edges());
+         block->record_word(0) = static_cast<uint32_t>(n.num_edges());
+         return true;
+       }},
+      {"threshold = -0.5",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 1);
+         if (!block) return false;
+         block->set_threshold(0, -0.5f);
+         return true;
+       }},
+      {"threshold = NaN",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 1);
+         if (!block) return false;
+         block->set_threshold(0, std::numeric_limits<float>::quiet_NaN());
+         return true;
+       }},
+      {"threshold = 1.5",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 1);
+         if (!block) return false;
+         block->set_threshold(0, 1.5f);
          return true;
        }},
       {"padding byte set",
@@ -433,9 +443,9 @@ std::vector<ValidatorRow> ValidatorRows() {
            return (b.n + 2 + b.m()) * b.width % 4 != 0;
          });
          if (!block) return false;
-         reinterpret_cast<std::byte*>(
-             image->body.data() + block->start)[block->words() * 4 - 1] =
-             std::byte{1};
+         // The last byte before the records.
+         reinterpret_cast<std::byte*>(image->body.data() + block->start)
+             [(1 + block->n + block->packed_words()) * 4 - 1] = std::byte{1};
          return true;
        }},
       {"block stored wider than its width",
@@ -449,9 +459,12 @@ std::vector<ValidatorRow> ValidatorRows() {
          const uint32_t n = block->n;
          const uint32_t m = block->m();
          std::vector<uint32_t> wide(image->body.begin() + block->start,
-                                    image->body.begin() + block->start + 2 + n);
-         wide[1] |= 2;
+                                    image->body.begin() + block->start + 1 + n);
+         wide[0] |= 2;
          for (uint32_t j = 0; j < n + 2 + m; ++j) wide.push_back(block->id(j));
+         for (uint32_t w = 0; w < 2 * m; ++w) {
+           wide.push_back(block->record_word(w));
+         }
          const auto shift =
              static_cast<uint32_t>(wide.size() - block->words());
          const auto at = image->body.begin() + block->start;
@@ -470,6 +483,35 @@ std::vector<ValidatorRow> ValidatorRows() {
              slot = static_cast<uint32_t>(n.num_vertices());
              return true;
            }
+         }
+         return false;
+       }},
+      {"block one word longer than BodyLength",
+       [](const SocialNetwork&, Image* image) {
+         // A zero word after a block's records, with the blocks after it
+         // moved to make room: BodyLength's end is no longer where the
+         // next block starts, and sizing the records from the next
+         // block's start would read half a record into it.
+         const auto block = FindBlock(image, 1, 1, [image](const Block& b) {
+           return b.start + b.words() < image->body.size();
+         });
+         if (!block) return false;
+         const size_t end = block->start + block->words();
+         image->body.insert(
+             image->body.begin() + static_cast<std::ptrdiff_t>(end), 0);
+         for (size_t i = block->sketch + 1; i < image->slots.size(); ++i) {
+           if ((image->slots[i] & kExplicit) != 0) image->slots[i] += 1;
+         }
+         return true;
+       }},
+      {"body ends inside a block's records",
+       [](const SocialNetwork&, Image* image) {
+         for (size_t i = image->slots.size(); i-- > 0;) {
+           const std::optional<Block> block = BlockOf(image, i);
+           if (!block) continue;
+           if (block->m() == 0) return false;
+           image->body.pop_back();
+           return true;
          }
          return false;
        }},

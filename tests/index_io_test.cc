@@ -196,9 +196,10 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v3 is read: a file claiming v1 (the old one-record-per-graph
-  // format) or v2 (the old per-sketch wire format), whole or cut short,
-  // is refused by its header.
+  // Only v4 is read: a file claiming v1 (the old one-record-per-graph
+  // format), v2 (the old per-sketch wire format) or v3 (the pool image
+  // with its edge records in a third array), whole or cut short, is
+  // refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -207,8 +208,8 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 3);
-  for (const char version : {1, 2}) {
+  ASSERT_EQ(bytes[kVersionOffset], 4);
+  for (const char version : {1, 2, 3}) {
     bytes[kVersionOffset] = version;
     for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
       std::stringstream in(bytes.substr(0, keep));
@@ -521,25 +522,26 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   const SocialNetwork n = MakeRunningExample();
   const uint64_t fp = NetworkFingerprint(n);
   constexpr uint8_t kRr = 1;
+  constexpr uint32_t kCurrent = 4;  // the one version the loader reads
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),
             IndexIoCode::kBadVersion);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, 2, fp, 0.1, 0.01, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kCurrent, 2, fp, 0.1, 0.01, 8)),
             IndexIoCode::kWrongKind);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, kRr, fp + 1, 0.1, 0.01, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kCurrent, kRr, fp + 1, 0.1, 0.01, 8)),
             IndexIoCode::kFingerprintMismatch);
 
   // Option plausibility: NaN / non-positive accuracy knobs and absurd
   // cap_k are header corruption even when the framing parses.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, kRr, fp, nan, 0.01, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kCurrent, kRr, fp, nan, 0.01, 8)),
             IndexIoCode::kBadOptions);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, kRr, fp, 0.1, -1.0, 8)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kCurrent, kRr, fp, 0.1, -1.0, 8)),
             IndexIoCode::kBadOptions);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, kRr, fp, 0.1, 0.01, 0)),
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kCurrent, kRr, fp, 0.1, 0.01, 0)),
             IndexIoCode::kBadOptions);
-  EXPECT_EQ(LoadRrCode(n, EncodeHeader(3, kRr, fp, 0.1, 0.01,
+  EXPECT_EQ(LoadRrCode(n, EncodeHeader(kCurrent, kRr, fp, 0.1, 0.01,
                                        uint64_t{1} << 30)),
             IndexIoCode::kBadOptions);
 
@@ -547,7 +549,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   // (the file simply ends early -- the signature of a crashed
   // non-atomic save); kTruncated is reserved for streams with bytes
   // still behind the short read.
-  const std::string header = EncodeHeader(3, kRr, fp, 0.1, 0.01, 8);
+  const std::string header = EncodeHeader(kCurrent, kRr, fp, 0.1, 0.01, 8);
   EXPECT_EQ(LoadRrCode(n, header.substr(0, 40)), IndexIoCode::kTornWrite);
 }
 

@@ -46,7 +46,8 @@ struct RRGraph {
                   vertices,
                   reinterpret_cast<const std::byte*>(offsets.data()),
                   reinterpret_cast<const std::byte*>(heads.data()),
-                  edges};
+                  {reinterpret_cast<const std::byte*>(edges.data()),
+                   edges.size()}};
   }
   operator RRView() const { return View(); }  // NOLINT(runtime/explicit)
 

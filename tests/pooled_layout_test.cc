@@ -129,12 +129,12 @@ size_t CodedBytes(const std::vector<std::vector<uint32_t>>& lists) {
 }
 
 // The pool's footprint from its layout: the directory (one word per
-// sketch), the body and the containing starts hold 32-bit words, the
-// containing lists their coded bytes, an edge record is 8 bytes, and a
-// sketch's body block is a two-word header, n vertices, then the root's
-// local id, n + 1 offsets and m heads at the block's width rounded up
-// to whole words, unless it is an implicit singleton (one vertex, no
-// edges).
+// sketch), the body and the containing starts hold 32-bit words and the
+// containing lists their coded bytes. A sketch's body block is a
+// one-word header, n vertices, then the root's local id, n + 1 offsets
+// and m heads at the block's width rounded up to whole words, then its
+// m edge records at 8 bytes each, unless it is an implicit singleton
+// (one vertex, no edges).
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   size_t body = 0;
@@ -143,11 +143,11 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     const size_t n = view.vertices.size();
     const size_t m = view.edges.size();
     if (n == 1 && m == 0) continue;
-    body += 2 + n + ((n + 2 + m) * ExpectedWidth(n, m) + 3) / 4;
+    body += 1 + n + ((n + 2 + m) * ExpectedWidth(n, m) + 3) / 4 + 2 * m;
   }
   return sizeof(RrSketchPool) +
          sizeof(uint32_t) * (s + body + pool.num_universe_vertices() + 1) +
-         CodedBytes(ContainingFromViews(pool)) + 8 * pool.total_edges();
+         CodedBytes(ContainingFromViews(pool));
 }
 
 // The vertex total counted two ways, over the sketch views and over the
@@ -297,7 +297,7 @@ TEST(PooledLayoutTest, PoolTotalsConsistent) {
               ExpectedWidth(view.vertices.size(), view.edges.size()));
   }
   EXPECT_EQ(ExpectVertexTotalsAgree(pool), vertices);
-  EXPECT_EQ(pool.total_edges(), edges);
+  EXPECT_GT(edges, 0u);
   EXPECT_EQ(pool.max_sketch_vertices(), max_sketch);
   EXPECT_EQ(pool.num_universe_vertices(), n.num_vertices());
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
@@ -319,11 +319,12 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
       Singleton(7)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // Only the two-vertex sketch has a body block: a two-word header, two
-  // vertices and two words holding its root id, 3 offsets and 1 head.
-  // The lists of vertices 2, 5 and 7 take 1, 1 and 2 bytes.
+  // Only the two-vertex sketch has a body block: a one-word header, two
+  // vertices, two words holding its root id, 3 offsets and 1 head, and
+  // its edge record's two words. The lists of vertices 2, 5 and 7 take
+  // 1, 1 and 2 bytes.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 6 + 11) + 4 + 8);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 7 + 11) + 4);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
   }
@@ -335,14 +336,14 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
 }
 
 TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
-  // One vertex but one edge: the edge needs its header and offsets, so
-  // the sketch keeps a block of 2 + 1 + 1 words.
+  // One vertex but one edge: the edge needs its header, offsets and
+  // record, so the sketch keeps a block of 1 + 1 + 1 + 2 words.
   const std::vector<RRGraph> graphs = {
       RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}}, Singleton(4)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (2 + 4 + 11) + 2 + 8);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (2 + 5 + 11) + 2);
   EXPECT_TRUE(SameSketch(pool.View(0), graphs[0]));
   EXPECT_TRUE(SameSketch(pool.View(1), graphs[1]));
   EXPECT_TRUE(
@@ -371,7 +372,9 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
                                                   std::max(a, b)}));
   }
   EXPECT_EQ(ExpectVertexTotalsAgree(pool), 20u);
-  EXPECT_EQ(pool.total_edges(), 0u);
+  for (size_t i = 0; i < pool.num_sketches(); ++i) {
+    EXPECT_TRUE(pool.View(i).edges.empty()) << "sketch " << i;
+  }
   EXPECT_EQ(pool.max_sketch_vertices(), 1u);
 }
 
@@ -418,11 +421,11 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 2 + 2 + 2, 2 + 1 + 1, 2 + 3 + 2 and 2 + 2 + 2 words, and
-  // 12 containing entries of a byte each.
+  // Blocks of 1 + 2 + 2 + 2, 1 + 1 + 1 + 2, 1 + 3 + 2 + 4 and
+  // 1 + 2 + 2 + 2 words (header, vertices, packed ids, records), and 12
+  // containing entries of a byte each.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 23 + 11) + 12 +
-                8 * 5);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 29 + 11) + 12);
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
   EXPECT_EQ(pool.max_sketch_vertices(), 3u);
@@ -431,7 +434,7 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
 TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
   // Three runs take the samples in interleaved contiguous claims, as
   // ParallelForSlots' slots do; the finish must rebase every directory
-  // entry and edge header into the one pool Pack writes.
+  // entry into the one pool Pack writes.
   const std::vector<RRGraph> graphs = MixedGraphs();
   const RrSketchPool want = PackGraphs(graphs);
   const std::vector<std::vector<std::pair<uint64_t, uint32_t>>> claims = {
