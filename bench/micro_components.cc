@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -28,7 +30,6 @@
 #include "src/sampling/mc_sampler.h"
 #include "src/sampling/rr_sampler.h"
 #include "src/sampling/sketch_oracle.h"
-#include "src/sampling/triggering_sampler.h"
 #include "src/serve/replication.h"
 #include "src/serve/snapshot_registry.h"
 #include "src/serve/wal.h"
@@ -270,15 +271,16 @@ BENCHMARK(BM_IndexEstimate);
 
 // Distinct 64-byte lines of pool memory an estimate walk over `rr` can
 // touch: its directory word (4 bytes, never across a line) and, for an
-// explicit sketch, its block from the header word before the vertices
-// through the packed ids, plus its edge records.
+// explicit sketch, its block from the header word before the byte
+// region through the region's last head, plus its edge records.
 uint64_t PoolLines(const RRView& rr) {
   // An implicit singleton's directory word is its vertex.
   if (rr.vertices.size() == 1 && rr.edges.empty()) return 1;
   const auto line = [](const void* p) {
     return reinterpret_cast<uintptr_t>(p) / 64;
   };
-  const uintptr_t block_first = line(rr.vertices.data() - 1);
+  const uintptr_t block_first =
+      line(rr.vertices.data() - sizeof(uint32_t));
   const uintptr_t block_last =
       line(rr.head_ids + rr.edges.size() * rr.id_width - 1);
   uint64_t lines = 1 + (block_last - block_first + 1);  // directory, block
@@ -307,16 +309,25 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
     return idx;
   }();
   // pool_lines: the mean over the swept users of PoolLines summed over
-  // Containing(u), counted once outside the timed loop. An exact count
-  // of the pool memory one estimate spans, where the time is noisy.
-  static const double pool_lines = [&n] {
+  // Containing(u); containing_bytes: the mean coded bytes of
+  // Containing(u), the LEB128 lengths of its first id and each gap.
+  // Counted once outside the timed loop: exact counts of the memory one
+  // estimate spans, where the time is noisy.
+  static const std::pair<double, double> walked = [&n] {
     uint64_t lines = 0;
+    uint64_t bytes = 0;
     for (VertexId v = 0; v < n.num_vertices(); ++v) {
+      uint32_t last = 0;
       for (const uint32_t id : index->Containing(v)) {
         lines += PoolLines(index->graph(id));
+        const uint32_t gap = id - last;
+        bytes += 1 + static_cast<uint64_t>(std::bit_width(gap | 1) - 1) / 7;
+        last = id;
       }
     }
-    return static_cast<double>(lines) / static_cast<double>(n.num_vertices());
+    const auto users = static_cast<double>(n.num_vertices());
+    return std::pair{static_cast<double>(lines) / users,
+                     static_cast<double>(bytes) / users};
   }();
   const TagId tags[] = {0, 3};
   const auto post = n.topics.Posterior(tags);
@@ -333,7 +344,8 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
   state.counters["edges_visited"] =
       benchmark::Counter(static_cast<double>(edges_visited),
                          benchmark::Counter::kAvgIterations);
-  state.counters["pool_lines"] = pool_lines;
+  state.counters["pool_lines"] = walked.first;
+  state.counters["containing_bytes"] = walked.second;
 }
 BENCHMARK(BM_IndexEstimateSweep);
 
@@ -657,25 +669,6 @@ void BM_JournalRecord(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_JournalRecord);
-
-void BM_TriggeringEstimate(benchmark::State& state) {
-  const auto& n = Network();
-  SampleSizePolicy policy;
-  policy.num_tags = static_cast<int64_t>(n.topics.num_tags());
-  policy.k = 2;
-  policy.min_samples = 64;
-  policy.max_samples = 256;
-  static const IcTriggering* ic = new IcTriggering();
-  TriggeringSampler sampler(n.graph, ic, policy, 3);
-  const TagId tags[] = {0, 3};
-  const auto post = n.topics.Posterior(tags);
-  const PosteriorProbs probs(n.influence, post);
-  const auto users = SampleUserGroup(n.graph, UserGroup::kHigh, 1, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.EstimateInfluence(users[0], probs));
-  }
-}
-BENCHMARK(BM_TriggeringEstimate);
 
 }  // namespace
 

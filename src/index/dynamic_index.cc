@@ -260,8 +260,8 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
     }
     overlay_->SetContaining(v, ids);
   };
-  const auto& before = rr.vertices;
-  const std::span<const VertexId> after = repaired_.View(0).vertices;
+  const VertexIds before = rr.vertices;
+  const VertexIds after = repaired_.View(0).vertices;
   size_t i = 0;
   size_t j = 0;
   while (i < before.size() || j < after.size()) {

@@ -15,12 +15,13 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v4's RR-Graph payload is the RrSketchPool image: its directory and
+// v5's RR-Graph payload is the RrSketchPool image: its directory and
 // body arrays as they are, each sketch's edge records inside its block.
 // (v1, one record per graph, v2, a wire format of per-sketch CSRs
-// packed into a pool on load, and v3, whose edge records were a third
-// array, are no longer read.)
-constexpr uint32_t kVersionCurrent = 4;
+// packed into a pool on load, v3, whose edge records were a third
+// array, and v4, whose blocks kept every vertex at 4 bytes, are no
+// longer read.)
+constexpr uint32_t kVersionCurrent = 5;
 constexpr uint8_t kKindRrGraphs = 1;
 constexpr uint8_t kKindDelayMat = 2;
 

@@ -6,12 +6,6 @@
 
 namespace pitex {
 
-std::optional<uint32_t> RRView::LocalIndex(VertexId v) const {
-  auto it = std::lower_bound(vertices.begin(), vertices.end(), v);
-  if (it == vertices.end() || *it != v) return std::nullopt;
-  return static_cast<uint32_t>(it - vertices.begin());
-}
-
 void EstimateScratch::Reserve(size_t max_vertices) {
   if (visited_.size() < max_vertices) visited_.resize(max_vertices, 0);
 }

@@ -10,12 +10,12 @@
 //
 // Sketches have one representation: the pooled CSR-of-CSRs layout of
 // src/index/rr_sketch_pool.h, where a single-vertex sketch is its root
-// in the directory and every other sketch's local ids (its root's among
-// them) are packed at 1 or 4 bytes. SketchArena (src/index/
-// sketch_arena.h) assembles every sketch straight into a pool run: the
-// offline build, DynamicRrIndex repair, DelayMat recovery and the query
-// planner's probes. RRView is the non-owning view of one pooled sketch
-// that every reader takes.
+// in the directory and every other sketch's vertices are packed at 2 or
+// 4 bytes and its local ids (its root's among them) at 1 or 4.
+// SketchArena (src/index/sketch_arena.h) assembles every sketch straight
+// into a pool run: the offline build, DynamicRrIndex repair, DelayMat
+// recovery and the query planner's probes. RRView is the non-owning
+// view of one pooled sketch that every reader takes.
 // Reachability scratch (visited stamps + DFS stack) lives in a reusable
 // EstimateScratch so repeated IsReachable calls allocate nothing once the
 // scratch has grown to the largest sketch.
@@ -47,9 +47,9 @@ struct RRLocalEdge {
 };
 static_assert(sizeof(RRLocalEdge) == 8, "an edge record is two u32 words");
 
-/// Entry j of a packed array of T (uint8_t or uint32_t) starting at
-/// `data`. memcpy keeps the access defined whatever storage the bytes
-/// live in; it compiles to one narrow load.
+/// Entry j of a packed array of T (uint8_t, uint16_t or uint32_t)
+/// starting at `data`. memcpy keeps the access defined whatever storage
+/// the bytes live in; it compiles to one narrow load.
 template <typename T>
 inline uint32_t LoadId(const std::byte* data, size_t j) {
   T id;
@@ -127,16 +127,116 @@ class EdgeRecords {
   size_t size_ = 0;
 };
 
+/// A sketch's sorted vertex ids, `width` (2 or 4) bytes each from
+/// `data`: a read-only range with random access by operator[] that
+/// loads each id by value, so no VertexId lvalue aliases the words of a
+/// pool block. A span of VertexId is the width-4 case.
+class VertexIds {
+ public:
+  class Iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = VertexId;
+    using difference_type = std::ptrdiff_t;
+    using reference = VertexId;
+    using pointer = void;
+
+    Iterator() = default;
+    VertexId operator*() const { return Load(data_, width_, at_); }
+    Iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++at_;
+      return old;
+    }
+    bool operator==(const Iterator& other) const { return at_ == other.at_; }
+
+   private:
+    friend class VertexIds;
+    Iterator(const std::byte* data, uint32_t width, size_t at)
+        : data_(data), at_(at), width_(width) {}
+
+    const std::byte* data_ = nullptr;
+    size_t at_ = 0;
+    uint32_t width_ = sizeof(VertexId);
+  };
+
+  VertexIds() = default;
+  VertexIds(std::span<const VertexId> ids)  // NOLINT(runtime/explicit)
+      : VertexIds(reinterpret_cast<const std::byte*>(ids.data()), ids.size(),
+                  sizeof(VertexId)) {}
+  VertexIds(const std::byte* data, size_t size, uint32_t width)
+      : data_(data), size_(static_cast<uint32_t>(size)), width_(width) {}
+
+  size_t size() const { return size_; }
+  VertexId operator[](size_t j) const { return Load(data_, width_, j); }
+  VertexId back() const { return Load(data_, width_, size_ - 1); }
+  Iterator begin() const { return {data_, width_, 0}; }
+  Iterator end() const { return {data_, width_, size_}; }
+  /// Bytes per id: 2 or 4.
+  uint32_t width() const { return width_; }
+  /// The first id's first byte.
+  const std::byte* data() const { return data_; }
+
+  /// Calls fn(id) for each id in order: one width dispatch, then a loop
+  /// at that width.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (width_ == 2) {
+      for (uint32_t j = 0; j < size_; ++j) fn(LoadId<uint16_t>(data_, j));
+    } else {
+      for (uint32_t j = 0; j < size_; ++j) fn(LoadId<uint32_t>(data_, j));
+    }
+  }
+
+  /// Position of v, or nullopt if absent: one width dispatch, then a
+  /// binary search at that width.
+  std::optional<uint32_t> LocalIndex(VertexId v) const {
+    return width_ == 2 ? Find<uint16_t>(v) : Find<uint32_t>(v);
+  }
+
+ private:
+  static VertexId Load(const std::byte* data, uint32_t width, size_t j) {
+    return width == 2 ? LoadId<uint16_t>(data, j) : LoadId<uint32_t>(data, j);
+  }
+
+  template <typename T>
+  std::optional<uint32_t> Find(VertexId v) const {
+    uint32_t lo = 0;
+    for (uint32_t len = size_; len > 0;) {
+      const uint32_t half = len / 2;
+      if (LoadId<T>(data_, lo + half) < v) {
+        lo += half + 1;
+        len -= half + 1;
+      } else {
+        len = half;
+      }
+    }
+    if (lo == size_ || LoadId<T>(data_, lo) != v) return std::nullopt;
+    return lo;
+  }
+
+  const std::byte* data_ = nullptr;
+  uint32_t size_ = 0;
+  uint32_t width_ = sizeof(VertexId);
+};
+
 /// Non-owning view of one reverse-reachable sample graph. Vertices are
 /// sorted; edges are a local CSR out-adjacency so tag-aware reachability
 /// is a forward BFS from the query user towards the root. The root is
 /// held as its local id, so the walk knows its target without a search.
 /// The local ids (offsets and heads) share one width: the narrowest, 1
 /// or 4 bytes, that holds the sketch's size (RrSketchPool::IdWidth).
+/// The vertices have a width of their own, 2 or 4 bytes
+/// (RrSketchPool::VertexWidth).
 struct RRView {
   uint32_t root_local = 0;                // local index of the root
   uint32_t id_width = 4;                  // bytes per local id: 1 or 4
-  std::span<const VertexId> vertices;     // sorted ascending
+  VertexIds vertices;                     // sorted ascending
   const std::byte* offset_ids = nullptr;  // CSR over local tails, n + 1
   const std::byte* head_ids = nullptr;    // local head of each edge, m
   EdgeRecords edges;                      // m
@@ -154,7 +254,9 @@ struct RRView {
   VertexId root() const { return vertices[root_local]; }
 
   /// Local index of global vertex v, or nullopt if absent.
-  std::optional<uint32_t> LocalIndex(VertexId v) const;
+  std::optional<uint32_t> LocalIndex(VertexId v) const {
+    return vertices.LocalIndex(v);
+  }
 };
 
 /// Reusable traversal scratch for IsReachable: an epoch-stamped visited

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/index/sketch_arena.h"
@@ -72,12 +73,18 @@ RrSketchPool SampleSketchPool(const Graph& graph,
   if (theta < 2) pool = nullptr;
   const size_t slots =
       pool == nullptr ? 1 : std::min<size_t>(pool->num_threads(), theta);
-  std::vector<SketchArena> arenas(slots);
-  std::vector<RrSketchPool> runs(slots);
-  std::vector<std::vector<RrSketchPool::Segment>> segments(slots);
+  // Each slot's state starts a cache line of its own: slots append
+  // concurrently, and a vector header sharing a line with another
+  // slot's would move between cores on every sketch.
+  struct alignas(64) SlotState {
+    SketchArena arena;
+    RrSketchPool run;
+    std::vector<RrSketchPool::Segment> segments;
+  };
+  std::vector<SlotState> state(slots);
   auto generate = [&](size_t slot, size_t i) {
-    RrSketchPool& run = runs[slot];
-    std::vector<RrSketchPool::Segment>& open = segments[slot];
+    RrSketchPool& run = state[slot].run;
+    std::vector<RrSketchPool::Segment>& open = state[slot].segments;
     if (open.empty() || open.back().sample + open.back().count != i) {
       open.push_back({i, static_cast<uint32_t>(slot),
                       static_cast<uint32_t>(run.num_sketches()), 0});
@@ -87,16 +94,18 @@ RrSketchPool SampleSketchPool(const Graph& graph,
     Rng rng(SplitMix64(&mix));
     const auto root =
         static_cast<VertexId>(rng.NextBounded(graph.num_vertices()));
-    arenas[slot].Generate(graph, envelope, root, &rng, &run);
+    state[slot].arena.Generate(graph, envelope, root, &rng, &run);
   };
   if (pool != nullptr) {
     ParallelForSlots(pool, 0, theta, generate);
   } else {
     for (uint64_t i = 0; i < theta; ++i) generate(0, i);
   }
+  std::vector<RrSketchPool> runs;
   std::vector<RrSketchPool::Segment> all;
-  for (const auto& slot_segments : segments) {
-    all.insert(all.end(), slot_segments.begin(), slot_segments.end());
+  for (SlotState& s : state) {
+    runs.push_back(std::move(s.run));
+    all.insert(all.end(), s.segments.begin(), s.segments.end());
   }
   return RrSketchPool::FromRuns(runs, all, theta, graph.num_vertices());
 }

@@ -28,7 +28,7 @@ uint8_t* PutVarint(uint32_t x, uint8_t* out) {
 void RrSketchPool::Append(const RRView& sketch) {
   const size_t n = sketch.vertices.size();
   const size_t m = sketch.edges.size();
-  AppendSketch(sketch.root_local, sketch.vertices, m, [&](const auto& out) {
+  AppendBlock(sketch.root_local, sketch.vertices, m, [&](const auto& out) {
     sketch.VisitCsr([&](const auto& in) {
       PITEX_DCHECK(in.offset(n) == m);
       for (size_t j = 0; j <= n; ++j) out.set_offset(j, in.offset(j));
@@ -132,18 +132,26 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
     }
     if ((slot & ~kExplicit) != body || body == body_.size()) return false;
     const uint64_t n = body_[body] >> 2;
-    const uint32_t code = body_[body] & 3;
-    if (n == 0 || (code != 0 && code != 2)) return false;
-    const uint64_t width = uint64_t{1} << code;
+    if (n == 0) return false;
+    const uint64_t width = (body_[body] & kIdsWide) != 0 ? 4 : 1;
+    const uint64_t vertex_width = (body_[body] & kVerticesWide) != 0 ? 4 : 2;
     // The header, vertices, root id and offsets: what sizes the block.
-    if (body_.size() - body < 1 + n + PackedWords(n, 0, width)) return false;
-    const auto* ids =
-        reinterpret_cast<const std::byte*>(body_.data() + body + 1 + n);
+    if (body_.size() - body < 1 + RegionWords(n, 0, vertex_width, width)) {
+      return false;
+    }
+    const auto* region =
+        reinterpret_cast<const std::byte*>(body_.data() + body + 1);
+    const std::byte* ids = region + n * vertex_width;
     // The last offset is the edge count.
     const uint64_t m = width == 1 ? LoadId<uint8_t>(ids, n + 1)
                                   : LoadId<uint32_t>(ids, n + 1);
-    const uint64_t length = BodyLength(n, m);
+    // The last vertex is the largest, if the block is sorted.
+    const VertexId max_vertex = vertex_width == 2
+                                    ? LoadId<uint16_t>(region, n - 1)
+                                    : LoadId<uint32_t>(region, n - 1);
+    const uint64_t length = BodyLength(n, m, max_vertex);
     if (length == 0 || IdWidth(n, m) != width ||
+        VertexWidth(max_vertex) != vertex_width ||
         body_.size() - body < length) {
       return false;
     }
@@ -174,9 +182,9 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
       }
     }
     // The bytes after the last head, up to the records, are zero.
-    for (uint64_t b = (n + 2 + m) * width; b < PackedWords(n, m, width) * 4;
-         ++b) {
-      if (ids[b] != std::byte{0}) return false;
+    for (uint64_t b = n * vertex_width + (n + 2 + m) * width;
+         b < RegionWords(n, m, vertex_width, width) * 4; ++b) {
+      if (region[b] != std::byte{0}) return false;
     }
     vertices += n;
     body += length;
@@ -200,16 +208,16 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   uint64_t bytes = 0;
   size_t max_vertices = 0;
   for (size_t i = 0; i < s; ++i) {
-    const std::span<const VertexId> sketch = Vertices(i);
+    const VertexIds sketch = Vertices(i);
     max_vertices = std::max(max_vertices, sketch.size());
     const auto id = static_cast<uint32_t>(i);
-    for (const VertexId v : sketch) {
+    sketch.ForEach([&](VertexId v) {
       Tally& t = tally[v];
       const size_t length = VarintLength(id - t.last);
       t.bytes += static_cast<uint32_t>(length);
       t.last = id;
       bytes += length;
-    }
+    });
   }
   // No vertex's count wrapped if the total fits.
   PITEX_CHECK_MSG(bytes <= UINT32_MAX,
@@ -226,12 +234,12 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   uint8_t* const out = containing_.data();
   for (size_t i = 0; i < s; ++i) {
     const auto id = static_cast<uint32_t>(i);
-    for (const VertexId v : Vertices(i)) {
+    Vertices(i).ForEach([&](VertexId v) {
       Tally& t = tally[v];
       t.bytes = static_cast<uint32_t>(PutVarint(id - t.last, out + t.bytes) -
                                       out);
       t.last = id;
-    }
+    });
   }
   max_sketch_vertices_ = static_cast<uint32_t>(max_vertices);
 }

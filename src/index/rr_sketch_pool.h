@@ -15,23 +15,30 @@
 //   slots_[i]        one directory word: the root vertex id of an
 //                    implicit singleton (top bit clear), else
 //                    1 << 31 | the start of sketch i's block in body_
-//   body_[start ..]  a header word (n_i << 2 | the width code), the n_i
-//                    sorted vertex ids, then the root's local id, the
-//                    n_i + 1 local CSR offsets (0 .. m_i) and the m_i
-//                    local edge heads packed at w_i bytes each,
-//                    zero-padded to a word, then the m_i {edge,
-//                    threshold} records at two words each
+//   body_[start ..]  a header word (n_i << 2 | vertices wide << 1 | ids
+//                    wide), then one byte region: the n_i sorted vertex
+//                    ids at v_i bytes each, then the root's local id,
+//                    the n_i + 1 local CSR offsets (0 .. m_i) and the
+//                    m_i local edge heads at w_i bytes each, zero-padded
+//                    once to a word; then the m_i {edge, threshold}
+//                    records at two words each
 // A sketch's walk therefore reads its directory word and one block.
-// Vertex ids and block starts fit 31 bits. w_i is 1 byte while the
-// block's own ids fit one (IdWidth: n_i <= 256 and m_i <= 255), else 4.
-// It is chosen from the block's size, with no option; on pitexbench's
-// network every block takes 1 byte. A view carries the width, and its
-// readers dispatch on it once per sketch (RRView::VisitCsr).
+// Vertex ids and block starts fit 31 bits. Both widths are chosen from
+// the block's own data, with no option. w_i is 1 byte while the block's
+// local ids fit one (IdWidth: n_i <= 256 and m_i <= 255), else 4; v_i
+// is 2 bytes while its largest vertex fits 16 bits (VertexWidth), else
+// 4. On pitexbench's network (25,000 vertices) every block takes 1 and
+// 2 bytes; a graph past 65,536 vertices keeps 4-byte vertices in the
+// blocks that reach beyond it. A view carries both widths: its CSR
+// readers dispatch on the id width once per sketch (RRView::VisitCsr),
+// and a vertex search on the vertex width once (VertexIds::LocalIndex).
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has no block:
 // its directory word is its vertex, and View() serves its header, root
 // id and offsets from a static block, so the estimate walk over it
-// reads only the directory.
+// reads only the directory. The static block reads the vertex at 2
+// bytes while it fits them, so a graph whose vertices all fit 16 bits
+// reads every sketch at one width.
 //
 // Containing lists, for vertex u:
 //   containing_[containing_starts_[u] .. containing_starts_[u + 1])
@@ -76,6 +83,7 @@
 #include <iterator>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/index/rr_graph.h"
@@ -211,7 +219,8 @@ class RrSketchPool {
 
   /// Appends one sketch in the pooled layout without touching the
   /// containing index: a pool appended to is a run, which only FromRuns
-  /// reads besides View(). `sketch` must not view this pool.
+  /// reads besides View(). The block takes its own widths whatever
+  /// widths `sketch` is stored at. `sketch` must not view this pool.
   void Append(const RRView& sketch);
   /// Appends the sketch with `vertices` (sorted), rooted at
   /// vertices[root_local], and m edges, as Append does: fill(out) writes
@@ -220,7 +229,9 @@ class RrSketchPool {
   /// vertex, no edges) has nothing to write and calls no fill.
   template <typename Fill>
   void AppendSketch(uint32_t root_local, std::span<const VertexId> vertices,
-                    size_t m, Fill&& fill);
+                    size_t m, Fill&& fill) {
+    AppendBlock(root_local, vertices, m, std::forward<Fill>(fill));
+  }
   /// Drops every sketch, keeping every array's capacity: a cleared run
   /// takes appends without allocating up to its high-water mark.
   void Clear();
@@ -233,22 +244,28 @@ class RrSketchPool {
     const uint32_t* slot = &slots_[i];
     const uint32_t* block = Block(*slot);
     const uint32_t n = block[0] >> 2;
-    const uint32_t width = 1u << (block[0] & 3);
-    // The root's local id, then the offsets, whose last is the edge
-    // count.
-    const auto* ids = reinterpret_cast<const std::byte*>(block + 1 + n);
+    const uint32_t width = (block[0] & kIdsWide) != 0 ? 4 : 1;
+    const uint32_t vertex_width = (block[0] & kVerticesWide) != 0 ? 4 : 2;
+    const auto* region = reinterpret_cast<const std::byte*>(block + 1);
+    // After the vertices, the root's local id, then the offsets, whose
+    // last is the edge count.
+    const std::byte* ids = region + n * vertex_width;
     const std::byte* offsets = ids + width;
     const bool narrow = width == 1;
     const uint32_t root_local =
         narrow ? LoadId<uint8_t>(ids, 0) : LoadId<uint32_t>(ids, 0);
     const uint32_t m = narrow ? LoadId<uint8_t>(offsets, n)
                               : LoadId<uint32_t>(offsets, n);
+    // A singleton's vertex is the low-order bytes of its directory word.
+    const std::byte* word =
+        reinterpret_cast<const std::byte*>(slot) +
+        (std::endian::native == std::endian::big ? 4 - vertex_width : 0);
     return RRView{root_local,
                   width,
-                  {block == kSingletonBlock ? slot : block + 1, n},
+                  {(*slot & kExplicit) != 0 ? region : word, n, vertex_width},
                   offsets,
                   offsets + (n + 1) * width,
-                  {ids + PackedWords(n, m, width) * 4, m}};
+                  {region + RegionWords(n, m, vertex_width, width) * 4, m}};
   }
 
   /// Ids (sketch positions) of the sketches containing u, ascending.
@@ -270,15 +287,22 @@ class RrSketchPool {
   size_t SizeBytes() const;
 
  private:
-  /// The header word packs n << 2 with the width code, so a block holds
-  /// at most this many vertices.
+  /// The header word packs n << 2 with two width flags, so a block
+  /// holds at most this many vertices.
   static constexpr uint64_t kMaxBlockVertices = (uint64_t{1} << 30) - 1;
+  /// Header flags: the local ids take 4 bytes (else 1), the vertices 4
+  /// bytes (else 2).
+  static constexpr uint32_t kIdsWide = 1;
+  static constexpr uint32_t kVerticesWide = 2;
   /// The directory word's top bit: set for a block start, clear for a
   /// singleton's vertex. Vertex ids and block starts stay below it.
   static constexpr uint32_t kExplicit = 1u << 31;
-  /// The block every implicit singleton reads: one vertex at width 1,
-  /// an unused vertex word, then root id 0 and offsets {0, 0}.
-  static constexpr uint32_t kSingletonBlock[3] = {1u << 2, 0, 0};
+  /// The blocks implicit singletons read: one vertex, read from the
+  /// directory word at 2 bytes while it fits them and at 4 otherwise,
+  /// then 1-byte ids: root id 0 and offsets {0, 0}.
+  static constexpr uint32_t kNarrowSingleton[3] = {1u << 2, 0, 0};
+  static constexpr uint32_t kWideSingleton[3] = {1u << 2 | kVerticesWide, 0,
+                                                 0};
 
   /// Entries a list of sketches needs in each array: Pack's sizing
   /// pass.
@@ -304,36 +328,53 @@ class RrSketchPool {
     return n <= 256 && m <= 255 ? 1 : 4;
   }
 
-  /// Words the root id, n + 1 offsets and m heads take at `width`
-  /// bytes each, rounded up to whole words.
-  static uint64_t PackedWords(uint64_t n, uint64_t m, uint64_t width) {
-    return ((n + 2 + m) * width + 3) / 4;
+  /// Bytes per vertex id of a block whose largest vertex is
+  /// `max_vertex`.
+  static uint32_t VertexWidth(uint64_t max_vertex) {
+    return max_vertex <= UINT16_MAX ? 2 : 4;
   }
 
-  /// body_ entries of a sketch with n vertices and m edges: none for an
-  /// implicit singleton, else the header, n vertices, the packed ids at
-  /// IdWidth bytes and two words per edge record.
-  static uint64_t BodyLength(uint64_t n, uint64_t m) {
+  /// Words a block's byte region takes: n vertices at `vertex_width`
+  /// bytes, then the root id, n + 1 offsets and m heads at `width`
+  /// bytes, rounded up to whole words.
+  static uint64_t RegionWords(uint64_t n, uint64_t m, uint64_t vertex_width,
+                              uint64_t width) {
+    return (n * vertex_width + (n + 2 + m) * width + 3) / 4;
+  }
+
+  /// body_ entries of a sketch with n vertices, the largest
+  /// `max_vertex`, and m edges: none for an implicit singleton, else the
+  /// header, the byte region at the block's widths and two words per
+  /// edge record.
+  static uint64_t BodyLength(uint64_t n, uint64_t m, uint64_t max_vertex) {
     if (n == 1 && m == 0) return 0;
-    return 1 + n + PackedWords(n, m, IdWidth(n, m)) + 2 * m;
+    return 1 + RegionWords(n, m, VertexWidth(max_vertex), IdWidth(n, m)) +
+           2 * m;
   }
 
-  /// The block a directory word names, or kSingletonBlock for an
-  /// implicit singleton's.
+  /// The block a directory word names, or the static block of an
+  /// implicit singleton's width.
   const uint32_t* Block(uint32_t slot) const {
-    // A select, not a branch: the packing passes and the estimate walk
-    // meet singletons and explicit blocks interleaved at random.
+    // Selects, not branches: the packing passes and the estimate walk
+    // meet singletons and explicit blocks interleaved at random. On a
+    // graph of up to 65,536 vertices every sketch, singletons too, then
+    // reads its vertices at 2 bytes, so the walk's one width dispatch
+    // per sketch always goes the same way.
+    const uint32_t* singleton =
+        slot <= UINT16_MAX ? kNarrowSingleton : kWideSingleton;
     return (slot & kExplicit) != 0 ? body_.data() + (slot & ~kExplicit)
-                                   : kSingletonBlock;
+                                   : singleton;
   }
 
-  /// Sketch i's sorted vertices: its body block after the header, or
-  /// its directory word for an implicit singleton.
-  std::span<const VertexId> Vertices(size_t i) const {
-    const uint32_t* block = Block(slots_[i]);
-    return {block == kSingletonBlock ? &slots_[i] : block + 1,
-            block[0] >> 2};
-  }
+  /// Sketch i's sorted vertices.
+  VertexIds Vertices(size_t i) const { return View(i).vertices; }
+
+  /// AppendSketch for any sorted vertex range with size() and
+  /// operator[]: a span, or a view's VertexIds that Append re-encodes
+  /// at the block's own width.
+  template <typename VertexRange, typename Fill>
+  void AppendBlock(uint32_t root_local, const VertexRange& vertices, size_t m,
+                   Fill&& fill);
 
   /// Where sketch i's block would start in body_: the start of the first
   /// explicit block at or after i, or the end of body_.
@@ -343,10 +384,11 @@ class RrSketchPool {
   /// (src/index/index_io.h) and, if they hold, builds its containing
   /// index. Walking the directory in order, each singleton's vertex and
   /// each block's sorted vertices must lie below num_vertices, each
-  /// block must start where the one before it ended, its width must be
-  /// IdWidth's and its padding zero, its root id and heads below n, its
-  /// offsets rise from 0, and its records' edge ids below num_edges with
-  /// thresholds in [0, 1]; the blocks end at body_'s end. So a pool that
+  /// block must start where the one before it ended, its widths must be
+  /// IdWidth's and VertexWidth's and its padding zero, its root id and
+  /// heads below n, its offsets rise from 0, and its records' edge ids
+  /// below num_edges with thresholds in [0, 1]; the blocks end at
+  /// body_'s end. So a pool that
   /// passes is exactly what Pack writes for its own views. False on the
   /// first check that fails.
   bool FinishLoaded(size_t num_vertices, size_t num_edges);
@@ -359,7 +401,7 @@ class RrSketchPool {
   friend class IndexIo;  // saves and loads slots_ and body_
 
   std::vector<uint32_t> slots_;  // one directory word per sketch
-  std::vector<uint32_t> body_;   // blocks: header, vertices, ids, records
+  std::vector<uint32_t> body_;   // blocks: header, byte region, records
   std::vector<uint32_t> containing_starts_;  // num_vertices + 1 offsets
   std::vector<uint8_t> containing_;          // varint lists, by vertex
   // Fits 32 bits: a block holds under 2^30 vertices.
@@ -375,7 +417,8 @@ RrSketchPool::Totals RrSketchPool::Measure(size_t num_sketches,
   Totals totals;
   for (size_t i = 0; i < num_sketches; ++i) {
     const RRView rr = view_of(i);
-    totals.body += BodyLength(rr.vertices.size(), rr.edges.size());
+    totals.body +=
+        BodyLength(rr.vertices.size(), rr.edges.size(), rr.vertices.back());
     totals.vertices += rr.vertices.size();
     totals.max_vertices =
         std::max<uint64_t>(totals.max_vertices, rr.vertices.size());
@@ -401,16 +444,17 @@ RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
   return pool;
 }
 
-template <typename Fill>
-void RrSketchPool::AppendSketch(uint32_t root_local,
-                                std::span<const VertexId> vertices, size_t m,
-                                Fill&& fill) {
+template <typename VertexRange, typename Fill>
+void RrSketchPool::AppendBlock(uint32_t root_local,
+                               const VertexRange& vertices, size_t m,
+                               Fill&& fill) {
   const size_t n = vertices.size();
   PITEX_DCHECK(root_local < n);
   // Sorted, so the last vertex is the largest.
-  PITEX_CHECK_MSG(vertices.back() < kExplicit,
+  const VertexId max_vertex = vertices[n - 1];
+  PITEX_CHECK_MSG(max_vertex < kExplicit,
                   "sketch vertex id exceeds the directory word");
-  const uint64_t length = BodyLength(n, m);
+  const uint64_t length = BodyLength(n, m, max_vertex);
   if (length == 0) {
     // Implicit singleton: its directory word is its vertex.
     slots_.push_back(vertices[0]);
@@ -418,14 +462,20 @@ void RrSketchPool::AppendSketch(uint32_t root_local,
     PITEX_CHECK_MSG(n <= kMaxBlockVertices,
                     "sketch exceeds the block header's vertex count");
     const uint32_t width = IdWidth(n, m);
+    const uint32_t vertex_width = VertexWidth(max_vertex);
     const size_t start = body_.size();
-    body_.push_back(static_cast<uint32_t>(n << 2) |
-                    static_cast<uint32_t>(std::countr_zero(width)));
-    body_.insert(body_.end(), vertices.begin(), vertices.end());
-    // Zero words: the packed ids' padding reads back as zeros.
-    const size_t packed = body_.size();
+    // Zero words: the region's padding reads back as zeros.
     body_.resize(start + length);
-    auto* ids = reinterpret_cast<std::byte*>(body_.data() + packed);
+    body_[start] = static_cast<uint32_t>(n << 2) |
+                   (vertex_width == 4 ? kVerticesWide : 0) |
+                   (width == 4 ? kIdsWide : 0);
+    auto* region = reinterpret_cast<std::byte*>(body_.data() + start + 1);
+    if (vertex_width == 2) {
+      for (size_t j = 0; j < n; ++j) StoreId<uint16_t>(region, j, vertices[j]);
+    } else {
+      for (size_t j = 0; j < n; ++j) StoreId<uint32_t>(region, j, vertices[j]);
+    }
+    std::byte* ids = region + n * vertex_width;
     std::byte* offsets = ids + width;
     std::byte* heads = offsets + (n + 1) * width;
     auto* records =

@@ -100,9 +100,10 @@ class LazyEdgeProbCache {
   /// validation needed before bulk reads).
   bool has_dense() const { return dense_ != nullptr; }
 
-  /// Raw dense view for handing to bulk readers (e.g. a
-  /// TriggeringDistribution): entries are valid only where Prob was
-  /// called since the last Begin (everywhere for a DenseTable source).
+  /// Raw dense view for bulk readers, such as the reference triggering
+  /// sampler the tests keep (tests/triggering_sampler.h): entries are
+  /// valid only where Prob was called since the last Begin (everywhere
+  /// for a DenseTable source).
   std::span<const double> Table(size_t num_edges) const {
     return dense_ != nullptr
                ? std::span<const double>(dense_, num_edges)

@@ -9,17 +9,23 @@
 // rejected instead of silently yielding a corrupt index.
 //
 // The encoding is independent of host endianness (bytes are assembled
-// explicitly), so files are portable across platforms.
+// explicitly), so files are portable across platforms. A vector moves
+// as one block of bytes on a little-endian host, where each element's
+// memory already is its encoding, and element by element elsewhere;
+// both write, read and hash the same bytes.
 
 #ifndef PITEX_SRC_UTIL_SERIALIZE_H_
 #define PITEX_SRC_UTIL_SERIALIZE_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace pitex {
@@ -105,6 +111,9 @@ class BinaryReader {
   /// against allocating pathological sizes from corrupt headers.
   template <typename T>
   bool ReadVector(std::vector<T>* values, uint64_t max_elements);
+  /// ReadVector reads at most this many bytes per step, and grows its
+  /// buffer for a step only after the steps before it have arrived.
+  static constexpr size_t kMaxReadStepBytes = size_t{1} << 20;
 
   /// Reads the trailing checksum and compares with the recomputed digest.
   bool VerifyChecksum();
@@ -132,7 +141,13 @@ template <typename T>
 void BinaryWriter::WriteVector(std::span<const T> values) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "WriteVector requires trivially copyable elements");
+  static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8,
+                "unsupported element width");
   WriteU64(values.size());
+  if constexpr (std::endian::native == std::endian::little) {
+    WriteBytes(values.data(), values.size_bytes());
+    return;
+  }
   for (const T& v : values) {
     if constexpr (sizeof(T) == 1) {
       WriteU8(static_cast<uint8_t>(v));
@@ -153,18 +168,31 @@ template <typename T>
 bool BinaryReader::ReadVector(std::vector<T>* values, uint64_t max_elements) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "ReadVector requires trivially copyable elements");
+  static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8,
+                "unsupported element width");
   uint64_t count = 0;
   if (!ReadU64(&count) || count > max_elements) {
     failed_ = true;
     return false;
   }
-  // Grow incrementally instead of resize(count): callers pass generous
+  // Grow as bytes arrive instead of resize(count): callers pass generous
   // max_elements bounds, so a corrupt length prefix could otherwise
   // drive one pathological upfront allocation before a single payload
-  // byte is validated. With push_back, memory stays proportional to
-  // bytes actually present -- a truncated stream fails at its first
-  // missing element (tests/fuzz/index_io_fuzz.cc exercises this).
+  // byte is validated. Memory stays proportional to the bytes actually
+  // present -- a truncated stream fails within one step of its end
+  // (tests/fuzz/index_io_fuzz.cc exercises this).
   values->clear();
+  if constexpr (std::endian::native == std::endian::little) {
+    constexpr uint64_t kStep = kMaxReadStepBytes / sizeof(T);
+    while (values->size() < count) {
+      const size_t have = values->size();
+      const auto step =
+          static_cast<size_t>(std::min<uint64_t>(kStep, count - have));
+      values->resize(have + step);
+      if (!ReadBytes(values->data() + have, step * sizeof(T))) return false;
+    }
+    return true;
+  }
   for (uint64_t i = 0; i < count; ++i) {
     T v;
     bool read_ok;

@@ -16,7 +16,7 @@
 #include "src/sampling/exact.h"
 #include "src/sampling/lazy_sampler.h"
 #include "src/sampling/sketch_oracle.h"
-#include "src/sampling/triggering_sampler.h"
+#include "triggering_sampler.h"
 
 namespace pitex {
 namespace {

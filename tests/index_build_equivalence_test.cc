@@ -98,18 +98,19 @@ uint64_t Fnv1a(uint64_t hash, const void* data, size_t bytes) {
   return hash;
 }
 
-// Field-wise content hash of every sketch in a built index: local ids
-// enter as 32-bit values whatever width the pool stores them at, so the
-// hash is independent of the layout (and struct padding never enters).
+// Field-wise content hash of every sketch in a built index: vertices
+// and local ids enter as 32-bit values whatever width the pool stores
+// them at, so the hash is independent of the layout (and struct padding
+// never enters).
 uint64_t IndexContentHash(const RrIndex& index) {
   uint64_t hash = 0xcbf29ce484222325ULL;
   for (size_t i = 0; i < index.num_graphs(); ++i) {
     const RRView rr = index.graph(i);
     const VertexId root = rr.root();
     hash = Fnv1a(hash, &root, sizeof(root));
-    hash = Fnv1a(hash, rr.vertices.data(),
-                 rr.vertices.size() * sizeof(VertexId));
     const RRGraph owned = Owned(rr);
+    hash = Fnv1a(hash, owned.vertices.data(),
+                 owned.vertices.size() * sizeof(VertexId));
     hash = Fnv1a(hash, owned.offsets.data(),
                  owned.offsets.size() * sizeof(uint32_t));
     for (size_t j = 0; j < rr.edges.size(); ++j) {

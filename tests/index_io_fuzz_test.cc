@@ -3,7 +3,7 @@
 // return a valid index or fail cleanly — never crash, never hand back a
 // structurally inconsistent object — and an RR index that loads must
 // save back to identical bytes, which are what Pack writes for its
-// views. A table of single-field edits pins each check of the v4
+// views. A table of single-field edits pins each check of the v5
 // loader. (Deterministic seeds; a few hundred mutations per strategy.)
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "certain_cycle.h"
 #include "owned_sketch.h"
 #include "running_example.h"
 #include "src/index/index_io.h"
@@ -159,7 +160,7 @@ TEST(IndexIoFuzzTest, ChecksumRepairedMutationsRoundTrip) {
   EXPECT_GE(loaded, 10);
 }
 
-// A saved v4 file taken apart into the pool arrays it images: the
+// A saved v5 file taken apart into the pool arrays it images: the
 // directory and the body. The header before theta and the trailer are
 // kept as bytes. Encode puts it back together and repairs the checksum,
 // so an edit reaches the loader's checks.
@@ -208,21 +209,34 @@ struct Image {
 
 constexpr uint32_t kExplicit = 1u << 31;
 
-// One explicit block of an Image: where it sits, its packed local ids,
-// read and written at its width (entry 0 is the root id, then the n + 1
-// offsets, then the m heads), and its edge records' words.
+// One explicit block of an Image: where it sits, its byte region's
+// vertices and packed local ids, each read and written at its own width
+// (id entry 0 is the root id, then the n + 1 offsets, then the m
+// heads), and its edge records' words.
 struct Block {
   Image* image;
   size_t sketch;
   uint32_t start;
   uint32_t n;
   uint32_t width;
+  uint32_t vertex_width;
 
   uint32_t& size_word() const { return image->body[start]; }
-  uint32_t& vertex(size_t j) const { return image->body[start + 1 + j]; }
-  std::byte* packed() const {
-    return reinterpret_cast<std::byte*>(image->body.data() + start + 1 + n);
+  std::byte* region() const {
+    return reinterpret_cast<std::byte*>(image->body.data() + start + 1);
   }
+  uint32_t vertex(size_t j) const {
+    return vertex_width == 2 ? LoadId<uint16_t>(region(), j)
+                             : LoadId<uint32_t>(region(), j);
+  }
+  void set_vertex(size_t j, uint32_t value) const {
+    if (vertex_width == 2) {
+      StoreId<uint16_t>(region(), j, value);
+    } else {
+      StoreId<uint32_t>(region(), j, value);
+    }
+  }
+  std::byte* packed() const { return region() + n * vertex_width; }
   uint32_t id(size_t j) const {
     return width == 1 ? LoadId<uint8_t>(packed(), j)
                       : LoadId<uint32_t>(packed(), j);
@@ -236,19 +250,62 @@ struct Block {
   }
   uint32_t m() const { return id(1 + n); }
   uint32_t offset(size_t j) const { return id(1 + j); }
-  /// Words the packed ids take with their padding.
-  size_t packed_words() const { return ((n + 2 + m()) * width + 3) / 4; }
+  /// Bytes the vertices and packed ids take, before the padding.
+  size_t region_bytes() const {
+    return n * vertex_width + (n + 2 + m()) * width;
+  }
+  /// Words the byte region takes with its padding.
+  size_t region_words() const { return (region_bytes() + 3) / 4; }
   /// Word w of the records: edge k's id is word 2k, the bits of its
   /// threshold word 2k + 1.
   uint32_t& record_word(size_t w) const {
-    return image->body[start + 1 + n + packed_words() + w];
+    return image->body[start + 1 + region_words() + w];
   }
   void set_threshold(size_t k, float threshold) const {
     std::memcpy(&record_word(2 * k + 1), &threshold, sizeof(threshold));
   }
-  /// Words the block takes: header, vertices, packed ids with padding,
-  /// and two per edge record.
-  size_t words() const { return 1 + n + packed_words() + 2 * m(); }
+  /// Words the block takes: header, byte region with padding, and two
+  /// per edge record.
+  size_t words() const { return 1 + region_words() + 2 * m(); }
+
+  /// Re-encodes the block with its vertices at `new_vertex_width` and
+  /// its ids at `new_width` bytes, every value intact, and moves the
+  /// blocks after it.
+  void Reencode(uint32_t new_vertex_width, uint32_t new_width) const {
+    const uint32_t m_edges = m();
+    std::vector<uint32_t> words_out(1, n << 2);
+    if (new_width == 4) words_out[0] |= 1;
+    if (new_vertex_width == 4) words_out[0] |= 2;
+    const size_t bytes = n * new_vertex_width + (n + 2 + m_edges) * new_width;
+    words_out.resize(1 + (bytes + 3) / 4, 0);
+    auto* out = reinterpret_cast<std::byte*>(words_out.data() + 1);
+    for (uint32_t j = 0; j < n; ++j) {
+      if (new_vertex_width == 2) {
+        StoreId<uint16_t>(out, j, vertex(j));
+      } else {
+        StoreId<uint32_t>(out, j, vertex(j));
+      }
+    }
+    std::byte* ids = out + n * new_vertex_width;
+    for (uint32_t j = 0; j < n + 2 + m_edges; ++j) {
+      if (new_width == 1) {
+        StoreId<uint8_t>(ids, j, id(j));
+      } else {
+        StoreId<uint32_t>(ids, j, id(j));
+      }
+    }
+    for (uint32_t w = 0; w < 2 * m_edges; ++w) {
+      words_out.push_back(record_word(w));
+    }
+    const auto shift = static_cast<uint32_t>(words_out.size() - words());
+    const auto at = image->body.begin() + start;
+    image->body.erase(at, at + static_cast<std::ptrdiff_t>(words()));
+    image->body.insert(image->body.begin() + start, words_out.begin(),
+                       words_out.end());
+    for (size_t i = sketch + 1; i < image->slots.size(); ++i) {
+      if ((image->slots[i] & kExplicit) != 0) image->slots[i] += shift;
+    }
+  }
 };
 
 // Sketch i's block, or nullopt for an implicit singleton.
@@ -256,7 +313,8 @@ std::optional<Block> BlockOf(Image* image, size_t i) {
   if ((image->slots[i] & kExplicit) == 0) return std::nullopt;
   const uint32_t start = image->slots[i] & ~kExplicit;
   const uint32_t size = image->body[start];
-  return Block{image, i, start, size >> 2, 1u << (size & 3)};
+  return Block{image, i, start, size >> 2, (size & 1) != 0 ? 4u : 1u,
+               (size & 2) != 0 ? 4u : 2u};
 }
 
 // The first explicit block with at least `min_n` vertices and `min_m`
@@ -316,25 +374,6 @@ TEST(IndexIoFuzzTest, MovedRootLoadsOnlyOntoAMember) {
   EXPECT_GE(off_sketch, 10);
 }
 
-// A directed cycle of n users whose every edge is certain: each sketch
-// holds all n users and n edges.
-SocialNetwork MakeCertainCycle(VertexId n) {
-  SocialNetwork network;
-  GraphBuilder graph(n);
-  for (VertexId v = 0; v < n; ++v) graph.AddEdge(v, (v + 1) % n);
-  network.graph = graph.Build();
-  network.topics = TopicModel(1, 1);
-  network.topics.SetTagTopic(0, 0, 1.0);
-  InfluenceGraphBuilder influence(network.graph.num_edges());
-  const EdgeTopicEntry certain{0, 1.0};
-  for (EdgeId e = 0; e < network.graph.num_edges(); ++e) {
-    influence.SetEdgeTopics(e, std::span(&certain, 1));
-  }
-  network.influence = influence.Build();
-  network.tags.Intern("w");
-  return network;
-}
-
 // One edit of a valid image that no saved pool can hold. Each returns
 // false when the image has no place to make it.
 struct ValidatorRow {
@@ -355,7 +394,7 @@ std::vector<ValidatorRow> ValidatorRows() {
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 0);
          if (!block) return false;
-         block->size_word() ^= 2;
+         block->size_word() ^= 1;
          return true;
        }},
       {"n grown by one",
@@ -369,14 +408,49 @@ std::vector<ValidatorRow> ValidatorRows() {
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 2, 0);
          if (!block) return false;
-         std::swap(block->vertex(0), block->vertex(1));
+         const uint32_t first = block->vertex(0);
+         block->set_vertex(0, block->vertex(1));
+         block->set_vertex(1, first);
          return true;
        }},
       {"last vertex = |V|",
        [](const SocialNetwork& n, Image* image) {
-         const auto block = FindBlock(image, 1, 0);
+         // |V| must fit the block's vertex width.
+         const auto block = FindBlock(image, 1, 0, [&n](const Block& b) {
+           return b.vertex_width == 4 || n.num_vertices() <= 65535;
+         });
          if (!block) return false;
-         block->vertex(block->n - 1) = static_cast<VertexId>(n.num_vertices());
+         block->set_vertex(block->n - 1,
+                           static_cast<VertexId>(n.num_vertices()));
+         return true;
+       }},
+      {"2-byte vertex = 65,535 >= |V|",
+       [](const SocialNetwork& n, Image* image) {
+         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
+           return b.vertex_width == 2;
+         });
+         if (!block || n.num_vertices() > 65535) return false;
+         block->set_vertex(block->n - 1, 65535);
+         return true;
+       }},
+      {"2-byte block's last two vertices swapped",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 2, 0, [](const Block& b) {
+           return b.vertex_width == 2;
+         });
+         if (!block) return false;
+         const uint32_t last = block->vertex(block->n - 1);
+         block->set_vertex(block->n - 1, block->vertex(block->n - 2));
+         block->set_vertex(block->n - 2, last);
+         return true;
+       }},
+      {"vertices stored at 4 bytes though they fit 2",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
+           return b.vertex_width == 2;
+         });
+         if (!block) return false;
+         block->Reencode(4, block->width);
          return true;
        }},
       {"root id = n",
@@ -440,12 +514,21 @@ std::vector<ValidatorRow> ValidatorRows() {
       {"padding byte set",
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 0, [](const Block& b) {
-           return (b.n + 2 + b.m()) * b.width % 4 != 0;
+           return b.region_bytes() % 4 != 0;
          });
          if (!block) return false;
          // The last byte before the records.
-         reinterpret_cast<std::byte*>(image->body.data() + block->start)
-             [(1 + block->n + block->packed_words()) * 4 - 1] = std::byte{1};
+         block->region()[block->region_words() * 4 - 1] = std::byte{1};
+         return true;
+       }},
+      {"padding set after a 2-byte block's last head",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
+           return b.vertex_width == 2 && b.region_bytes() % 4 != 0;
+         });
+         if (!block) return false;
+         // The first padding byte.
+         block->region()[block->region_bytes()] = std::byte{1};
          return true;
        }},
       {"block stored wider than its width",
@@ -456,24 +539,7 @@ std::vector<ValidatorRow> ValidatorRows() {
            return b.width == 1;
          });
          if (!block) return false;
-         const uint32_t n = block->n;
-         const uint32_t m = block->m();
-         std::vector<uint32_t> wide(image->body.begin() + block->start,
-                                    image->body.begin() + block->start + 1 + n);
-         wide[0] |= 2;
-         for (uint32_t j = 0; j < n + 2 + m; ++j) wide.push_back(block->id(j));
-         for (uint32_t w = 0; w < 2 * m; ++w) {
-           wide.push_back(block->record_word(w));
-         }
-         const auto shift =
-             static_cast<uint32_t>(wide.size() - block->words());
-         const auto at = image->body.begin() + block->start;
-         image->body.erase(at, at + static_cast<std::ptrdiff_t>(block->words()));
-         image->body.insert(image->body.begin() + block->start, wide.begin(),
-                            wide.end());
-         for (size_t i = block->sketch + 1; i < image->slots.size(); ++i) {
-           if ((image->slots[i] & kExplicit) != 0) image->slots[i] += shift;
-         }
+         block->Reencode(block->vertex_width, 4);
          return true;
        }},
       {"singleton word = |V|",
@@ -525,11 +591,14 @@ std::vector<ValidatorRow> ValidatorRows() {
 
 TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   // Each row edits one field of a saved file, repairs its checksum and
-  // must get kCorruptPayload: on the running example's file (1-byte
-  // blocks and singletons), on the certain cycle's (4-byte blocks), and
-  // on one edgeless 300-vertex sketch packed by hand. That sketch's ids
-  // are all zero, so at either width they read the same: only its width
-  // (4 bytes, as n > 256) tells a flipped width code.
+  // must get kCorruptPayload: on the running example's file (1-byte ids,
+  // 2-byte vertices and singletons), on the certain cycle's (4-byte ids
+  // and vertices), and on two sketches packed by hand. The edgeless
+  // 300-vertex sketch's ids are all zero, so at either width they read
+  // the same: only its id width (4 bytes, as n > 256) tells a flipped
+  // width code. The one-vertex self-loop's block takes two words of
+  // region whether its vertex is stored at 2 or 4 bytes, so only its
+  // vertex width tells a re-encoded vertex.
   const SocialNetwork example = MakeRunningExample();
   const SocialNetwork cycle = MakeCertainCycle(65537);
   RrIndexOptions options;
@@ -551,12 +620,21 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   ASSERT_EQ(hand_packed->graph(0).id_width, 4u);
   std::stringstream hand_file;
   ASSERT_TRUE(SaveRrIndex(*hand_packed, hand_file));
+  const RRGraph self_loop{4, {4}, {0, 1}, {0}, {{0, 0.5f}}};
+  const auto self_loop_packed = RrIndex::FromPool(
+      example, options, 1,
+      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+          1, example.num_vertices(),
+          [&self_loop](size_t) { return self_loop.View(); })));
+  std::stringstream self_loop_file;
+  ASSERT_TRUE(SaveRrIndex(*self_loop_packed, self_loop_file));
   const struct {
     const SocialNetwork* network;
     std::string bytes;
   } files[] = {{&example, ValidRrIndexBytes(example)},
                {&cycle, wide_file.str()},
-               {&cycle, hand_file.str()}};
+               {&cycle, hand_file.str()},
+               {&example, self_loop_file.str()}};
 
   for (const auto& file : files) {
     // Taking a file apart and putting it back changes nothing, and each

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 
+#include "certain_cycle.h"
 #include "owned_sketch.h"
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
@@ -90,25 +91,6 @@ TEST(IndexIoTest, RrIndexRoundTripsExactly) {
   }
   // The loaded arrays are exact-size, as the built ones are.
   EXPECT_EQ(loaded->SizeBytes(), index.SizeBytes());
-}
-
-// A directed cycle of n users whose every edge is certain: each sketch
-// holds all n users and n edges.
-SocialNetwork MakeCertainCycle(VertexId n) {
-  SocialNetwork network;
-  GraphBuilder graph(n);
-  for (VertexId v = 0; v < n; ++v) graph.AddEdge(v, (v + 1) % n);
-  network.graph = graph.Build();
-  network.topics = TopicModel(1, 1);
-  network.topics.SetTagTopic(0, 0, 1.0);
-  InfluenceGraphBuilder influence(network.graph.num_edges());
-  const EdgeTopicEntry certain{0, 1.0};
-  for (EdgeId e = 0; e < network.graph.num_edges(); ++e) {
-    influence.SetEdgeTopics(e, std::span(&certain, 1));
-  }
-  network.influence = influence.Build();
-  network.tags.Intern("w");
-  return network;
 }
 
 TEST(IndexIoTest, WidthFourSketchRoundTripsByteIdentical) {
@@ -196,10 +178,10 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v4 is read: a file claiming v1 (the old one-record-per-graph
-  // format), v2 (the old per-sketch wire format) or v3 (the pool image
-  // with its edge records in a third array), whole or cut short, is
-  // refused by its header.
+  // Only v5 is read: a file claiming v1 (the old one-record-per-graph
+  // format), v2 (the old per-sketch wire format), v3 (the pool image
+  // with its edge records in a third array) or v4 (every block vertex
+  // at 4 bytes), whole or cut short, is refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -208,8 +190,8 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 4);
-  for (const char version : {1, 2, 3}) {
+  ASSERT_EQ(bytes[kVersionOffset], 5);
+  for (const char version : {1, 2, 3, 4}) {
     bytes[kVersionOffset] = version;
     for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
       std::stringstream in(bytes.substr(0, keep));
@@ -522,7 +504,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   const SocialNetwork n = MakeRunningExample();
   const uint64_t fp = NetworkFingerprint(n);
   constexpr uint8_t kRr = 1;
-  constexpr uint32_t kCurrent = 4;  // the one version the loader reads
+  constexpr uint32_t kCurrent = 5;  // the one version the loader reads
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),

@@ -43,7 +43,7 @@ struct RRGraph {
         std::lower_bound(vertices.begin(), vertices.end(), root);
     return RRView{static_cast<uint32_t>(root_at - vertices.begin()),
                   4,
-                  vertices,
+                  std::span<const VertexId>(vertices),
                   reinterpret_cast<const std::byte*>(offsets.data()),
                   reinterpret_cast<const std::byte*>(heads.data()),
                   {reinterpret_cast<const std::byte*>(edges.data()),

@@ -14,10 +14,13 @@
 #include <map>
 #include <new>
 #include <numeric>
+#include <sstream>
 #include <vector>
 
+#include "certain_cycle.h"
 #include "owned_sketch.h"
 #include "running_example.h"
+#include "src/index/index_io.h"
 #include "src/index/rr_index.h"
 #include "src/index/rr_sketch_pool.h"
 #include "src/sampling/exact.h"
@@ -97,6 +100,12 @@ uint32_t ExpectedWidth(size_t n, size_t m) {
   return n <= 256 && m <= 255 ? 1 : 4;
 }
 
+// Bytes per vertex id of an explicit block whose largest vertex is
+// `max_vertex`.
+uint32_t ExpectedVertexWidth(VertexId max_vertex) {
+  return max_vertex < 65536 ? 2 : 4;
+}
+
 // Bytes the LEB128 varint of x takes: one per started group of 7 bits.
 size_t VarintBytes(uint32_t x) {
   size_t bytes = 1;
@@ -131,10 +140,10 @@ size_t CodedBytes(const std::vector<std::vector<uint32_t>>& lists) {
 // The pool's footprint from its layout: the directory (one word per
 // sketch), the body and the containing starts hold 32-bit words and the
 // containing lists their coded bytes. A sketch's body block is a
-// one-word header, n vertices, then the root's local id, n + 1 offsets
-// and m heads at the block's width rounded up to whole words, then its
-// m edge records at 8 bytes each, unless it is an implicit singleton
-// (one vertex, no edges).
+// one-word header, then one byte region rounded up to whole words (n
+// vertices at the block's vertex width, then the root's local id, n + 1
+// offsets and m heads at its id width), then its m edge records at 8
+// bytes each, unless it is an implicit singleton (one vertex, no edges).
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   size_t body = 0;
@@ -143,7 +152,9 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     const size_t n = view.vertices.size();
     const size_t m = view.edges.size();
     if (n == 1 && m == 0) continue;
-    body += 1 + n + ((n + 2 + m) * ExpectedWidth(n, m) + 3) / 4 + 2 * m;
+    const size_t region = n * ExpectedVertexWidth(view.vertices.back()) +
+                          (n + 2 + m) * ExpectedWidth(n, m);
+    body += 1 + (region + 3) / 4 + 2 * m;
   }
   return sizeof(RrSketchPool) +
          sizeof(uint32_t) * (s + body + pool.num_universe_vertices() + 1) +
@@ -319,12 +330,12 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
       Singleton(7)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // Only the two-vertex sketch has a body block: a one-word header, two
-  // vertices, two words holding its root id, 3 offsets and 1 head, and
-  // its edge record's two words. The lists of vertices 2, 5 and 7 take
-  // 1, 1 and 2 bytes.
+  // Only the two-vertex sketch has a body block: a one-word header,
+  // three words holding its two 2-byte vertices, its root id, 3 offsets
+  // and 1 head, and its edge record's two words. The lists of vertices
+  // 2, 5 and 7 take 1, 1 and 2 bytes.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 7 + 11) + 4);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 6 + 11) + 4);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
   }
@@ -337,7 +348,8 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
 
 TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   // One vertex but one edge: the edge needs its header, offsets and
-  // record, so the sketch keeps a block of 1 + 1 + 1 + 2 words.
+  // record, so the sketch keeps a block of 1 + 2 + 2 words (header, a
+  // region of 2 + 4 bytes, record).
   const std::vector<RRGraph> graphs = {
       RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}}, Singleton(4)};
   const RrSketchPool pool = PackGraphs(graphs);
@@ -421,11 +433,11 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 1 + 2 + 2 + 2, 1 + 1 + 1 + 2, 1 + 3 + 2 + 4 and
-  // 1 + 2 + 2 + 2 words (header, vertices, packed ids, records), and 12
-  // containing entries of a byte each.
+  // Blocks of 1 + 3 + 2, 1 + 2 + 2, 1 + 4 + 4 and 1 + 3 + 2 words
+  // (header, byte region, records), and 12 containing entries of a byte
+  // each.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 29 + 11) + 12);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 26 + 11) + 12);
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
   EXPECT_EQ(pool.max_sketch_vertices(), 3u);
@@ -594,6 +606,9 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
     if (n > 1 || m > 0) {
       EXPECT_EQ(view.id_width, ExpectedWidth(n, m));
     }
+    // A singleton's vertex reads at the width a block of it would take.
+    EXPECT_EQ(view.vertices.width(),
+              ExpectedVertexWidth(want.vertices.back()));
     const size_t r = want.root_local;
     for (const size_t u :
          {size_t{0}, size_t{1}, n / 2, n - 2, n - 1, r - 1, r, r + 1}) {
@@ -667,6 +682,72 @@ TEST(PooledLayoutTest, WidthBoundariesSurviveEveryWriter) {
   ASSERT_EQ(graphs[2].edges.size(), 255u);
   ASSERT_EQ(graphs[8].edges.size(), 65536u);
   ExpectEveryWriterKeeps(graphs, kWideUniverse);
+}
+
+// Sketches on both sides of the vertex-width boundary, largest vertex
+// 65,535 (2-byte vertices) and 65,536 (4-byte), with 1- and 4-byte local
+// ids, between implicit singletons past 16 bits and at 65,535.
+std::vector<RRGraph> VertexWidthGraphs() {
+  return {RRGraph{65535, {1, 65535}, {0, 1, 1}, {1}, {{3, 0.25f}}},
+          RRGraph{65536, {1, 65536}, {0, 1, 1}, {1}, {{4, 0.5f}}},
+          Singleton(70000),
+          RRGraph{65535,
+                  {65534, 65535, 65536},
+                  {0, 1, 1, 2},
+                  {1, 1},
+                  {{5, 0.1f}, {6, 0.2f}}},
+          Singleton(65535),
+          WideSketch(300, 299),
+          RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}}};
+}
+
+constexpr size_t kVertexWidthUniverse = 70001;
+
+TEST(PooledLayoutTest, VertexWidthBoundariesSurviveEveryWriter) {
+  const std::vector<RRGraph> graphs = VertexWidthGraphs();
+  ExpectEveryWriterKeeps(graphs, kVertexWidthUniverse);
+  const RrSketchPool pool =
+      RrSketchPool::Pack(graphs.size(), kVertexWidthUniverse,
+                         [&graphs](size_t i) { return graphs[i].View(); });
+  // Sanity of the fixtures: the widths each block was built to take. A
+  // singleton's vertex is its directory word, read at the width it
+  // needs.
+  const uint32_t widths[] = {2, 4, 4, 4, 2, 2, 2};
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    EXPECT_EQ(pool.View(i).vertices.width(), widths[i]) << "sketch " << i;
+  }
+  EXPECT_EQ(pool.View(5).id_width, 4u);
+  EXPECT_EQ(pool.View(2).root(), 70000u);
+  EXPECT_TRUE(
+      std::ranges::equal(pool.Containing(70000), std::vector<uint32_t>{2}));
+  EXPECT_TRUE(std::ranges::equal(pool.Containing(65535),
+                                 std::vector<uint32_t>{0, 3, 4}));
+  EXPECT_TRUE(std::ranges::equal(pool.Containing(65536),
+                                 std::vector<uint32_t>{1, 3}));
+  ExpectContainingMatchesViews(pool);
+}
+
+TEST(PooledLayoutTest, MixedVertexWidthsRoundTripThroughIndexFile) {
+  // A pool of 2- and 4-byte vertex blocks saves, loads and saves back
+  // to the same bytes, and loads as the pool it was.
+  const SocialNetwork cycle =
+      MakeCertainCycle(static_cast<VertexId>(kVertexWidthUniverse));
+  const std::vector<RRGraph> graphs = VertexWidthGraphs();
+  const auto index = RrIndex::FromPool(
+      cycle, Options(), graphs.size(),
+      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+          graphs.size(), cycle.num_vertices(),
+          [&graphs](size_t i) { return graphs[i].View(); })));
+  std::stringstream first;
+  ASSERT_TRUE(SaveRrIndex(*index, first));
+  std::string error;
+  const auto loaded = LoadRrIndex(cycle, first, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  std::stringstream second;
+  ASSERT_TRUE(SaveRrIndex(*loaded, second));
+  EXPECT_EQ(second.str(), first.str());
+  ExpectSamePools(loaded->pool(), index->pool());
+  ExpectMatchesGraphs(loaded->pool(), graphs);
 }
 
 // A sketch over vertices 0 .. n - 1 rooted at local id r: a path from

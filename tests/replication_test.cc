@@ -403,7 +403,7 @@ TEST_F(ReplicationTest, FollowerBootstrapsFromCheckpointOverOneMebibyte) {
   const SocialNetwork n = GenerateDataset(spec);
   const auto options = [&](const std::string& dir) {
     ServeOptions serve = DurableOptions(dir);
-    serve.engine.index_theta_per_vertex = 60.0;
+    serve.engine.index_theta_per_vertex = 80.0;
     return serve;
   };
   ReplicaPair pair;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "owned_sketch.h"
 #include "running_example.h"
 #include "src/graph/generators.h"
@@ -12,6 +15,37 @@
 
 namespace pitex {
 namespace {
+
+TEST(VertexIdsTest, LocalIndexFindsEveryIdAtBothWidths) {
+  // Ids 3j + 1 for j < n, packed at 2 and at 4 bytes: every id is found
+  // at j, every value between or around them is absent, for each window
+  // size the search halves through.
+  for (uint32_t n = 0; n <= 40; ++n) {
+    std::vector<VertexId> wide(n);
+    std::vector<uint16_t> narrow(n);
+    for (uint32_t j = 0; j < n; ++j) {
+      wide[j] = 3 * j + 1;
+      narrow[j] = static_cast<uint16_t>(wide[j]);
+    }
+    const VertexIds as_four(wide);
+    const VertexIds as_two(reinterpret_cast<const std::byte*>(narrow.data()),
+                           n, 2);
+    ASSERT_EQ(as_four.width(), 4u);
+    for (VertexId v = 0; v <= 3 * n + 2; ++v) {
+      const std::optional<uint32_t> want =
+          v % 3 == 1 && v / 3 < n ? std::optional<uint32_t>(v / 3)
+                                  : std::nullopt;
+      EXPECT_EQ(as_four.LocalIndex(v), want) << "n " << n << ", v " << v;
+      EXPECT_EQ(as_two.LocalIndex(v), want) << "n " << n << ", v " << v;
+    }
+    if (n > 0) {
+      EXPECT_EQ(as_two.back(), 3 * n - 2);
+      // A 2-byte block never holds an id past 16 bits, even one whose
+      // low bits match a stored id.
+      EXPECT_EQ(as_two.LocalIndex(65536 + 1), std::nullopt);
+    }
+  }
+}
 
 TEST(RRGraphTest, RootAlwaysPresent) {
   SocialNetwork n = MakeRunningExample();

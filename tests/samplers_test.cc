@@ -14,7 +14,7 @@
 #include "src/sampling/lt_sampler.h"
 #include "src/sampling/mc_sampler.h"
 #include "src/sampling/rr_sampler.h"
-#include "src/sampling/triggering_sampler.h"
+#include "triggering_sampler.h"
 
 namespace pitex {
 namespace {

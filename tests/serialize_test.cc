@@ -4,11 +4,13 @@
 
 #include "src/util/serialize.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -135,6 +137,82 @@ TEST(BinaryWriterTest, VectorsRoundTrip) {
   EXPECT_EQ(probs2, probs);
   EXPECT_EQ(exact2, exact);
   EXPECT_EQ(flags2, flags);
+}
+
+// The encoding WriteVector must produce, assembled one element at a
+// time: the u64 count, then each element's little-endian bytes (floats
+// and doubles by their bit patterns).
+template <typename T>
+void AppendReference(const std::vector<T>& values, std::string* out) {
+  const auto put = [out](uint64_t value, size_t width) {
+    unsigned char buf[8];
+    EncodeLe(value, width, buf);
+    out->append(reinterpret_cast<const char*>(buf), width);
+  };
+  put(values.size(), 8);
+  for (const T v : values) {
+    if constexpr (std::is_same_v<T, float>) {
+      put(std::bit_cast<uint32_t>(v), 4);
+    } else if constexpr (std::is_same_v<T, double>) {
+      put(std::bit_cast<uint64_t>(v), 8);
+    } else {
+      put(static_cast<uint64_t>(v), sizeof(T));
+    }
+  }
+}
+
+TEST(BinaryWriterTest, VectorBytesMatchPerElementEncoding) {
+  // A vector moves as one block where the host allows it: the bytes and
+  // the running checksum must be the per-element encoding's, and the
+  // largest vector spans several of the reader's growth steps.
+  std::vector<uint32_t> ids(BinaryReader::kMaxReadStepBytes / 4 * 2 + 7);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<uint32_t>(i * 2654435761u);
+  }
+  const std::vector<uint64_t> wide = {1ULL << 60, 3, UINT64_MAX};
+  const std::vector<float> probs = {0.25f, -0.0f, 1e-40f};
+  const std::vector<double> exact = {0.1, -2.5};
+  const std::vector<uint8_t> flags = {0, 1, 255};
+  std::stringstream stream;
+  BinaryWriter writer(&stream);
+  writer.WriteVector<uint32_t>(ids);
+  writer.WriteVector<uint64_t>(wide);
+  writer.WriteVector<float>(probs);
+  writer.WriteVector<double>(exact);
+  writer.WriteVector<uint8_t>(flags);
+  std::string reference;
+  AppendReference(ids, &reference);
+  AppendReference(wide, &reference);
+  AppendReference(probs, &reference);
+  AppendReference(exact, &reference);
+  AppendReference(flags, &reference);
+  ASSERT_EQ(stream.str(), reference);
+  Fnv1a hash;
+  hash.Update(reference.data(), reference.size());
+  EXPECT_EQ(writer.digest(), hash.digest());
+
+  BinaryReader reader(&stream);
+  std::vector<uint32_t> ids2;
+  std::vector<uint64_t> wide2;
+  ASSERT_TRUE(reader.ReadVector(&ids2, ids.size()));
+  ASSERT_TRUE(reader.ReadVector(&wide2, 3));
+  EXPECT_EQ(ids2, ids);
+  EXPECT_EQ(wide2, wide);
+}
+
+TEST(BinaryReaderTest, HugeCountOverShortStreamFailsCleanly) {
+  // A header that claims 2^31 u32 (8 GiB) followed by 8 bytes: the
+  // read fails, and the buffer never grew past one step.
+  std::stringstream stream;
+  BinaryWriter writer(&stream);
+  writer.WriteU64(uint64_t{1} << 31);
+  writer.WriteU64(0x0123456789abcdefULL);
+  BinaryReader reader(&stream);
+  std::vector<uint32_t> out;
+  EXPECT_FALSE(reader.ReadVector(&out, uint64_t{1} << 31));
+  EXPECT_FALSE(reader.ok());
+  EXPECT_LE(out.capacity() * sizeof(uint32_t),
+            BinaryReader::kMaxReadStepBytes);
 }
 
 TEST(BinaryReaderTest, VectorOverMaxElementsRejected) {

@@ -1,4 +1,4 @@
-#include "src/sampling/triggering_sampler.h"
+#include "triggering_sampler.h"
 
 #include <algorithm>
 

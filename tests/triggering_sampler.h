@@ -28,12 +28,14 @@
 // bit-identical to the pre-treatment implementation by
 // tests/samplers_test.cc.
 //
-// McSampler / LtSampler remain the fast paths for their models; this
-// sampler is the general, model-agnostic reference implementation and
-// the extension point for custom propagation semantics.
+// McSampler / LtSampler are the estimators the system runs for these
+// models; this sampler is the general, model-agnostic reference they are
+// checked against (tests/triggering_test.cc,
+// tests/extension_properties_test.cc), so it lives with the tests and
+// is built only into the suites that use it.
 
-#ifndef PITEX_SRC_SAMPLING_TRIGGERING_SAMPLER_H_
-#define PITEX_SRC_SAMPLING_TRIGGERING_SAMPLER_H_
+#ifndef PITEX_TESTS_TRIGGERING_SAMPLER_H_
+#define PITEX_TESTS_TRIGGERING_SAMPLER_H_
 
 #include <cstdint>
 #include <span>
@@ -125,4 +127,4 @@ class TriggeringSampler final : public InfluenceOracle {
 
 }  // namespace pitex
 
-#endif  // PITEX_SRC_SAMPLING_TRIGGERING_SAMPLER_H_
+#endif  // PITEX_TESTS_TRIGGERING_SAMPLER_H_

@@ -1,10 +1,9 @@
-// Tests for the general triggering model (src/sampling/triggering_sampler.h):
+// Tests for the general triggering model (tests/triggering_sampler.h):
 // the IC instantiation must agree with the dedicated IC machinery (exact
 // oracle, McSampler), the LT instantiation with LtSampler, and on
 // in-trees the two models must coincide (every vertex has one in-edge, so
 // "independent coin" and "pick one in-neighbor" are the same draw).
 
-#include "src/sampling/triggering_sampler.h"
 
 #include <gtest/gtest.h>
 
@@ -16,6 +15,7 @@
 #include "src/sampling/exact.h"
 #include "src/sampling/lt_sampler.h"
 #include "src/sampling/mc_sampler.h"
+#include "triggering_sampler.h"
 
 namespace pitex {
 namespace {
