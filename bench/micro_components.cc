@@ -271,29 +271,21 @@ BENCHMARK(BM_IndexEstimate);
 
 // Distinct 64-byte lines of pool memory an estimate walk over `rr` can
 // touch: its directory word (4 bytes, never across a line) and, for an
-// explicit sketch, its block from the header word before the byte
-// region through the region's last head, plus its edge records.
+// explicit sketch, its block, which runs without gaps from the varint
+// header of n << 3 and three flags before the vertices (1 byte while
+// n <= 15, 2 while n <= 2,047) through the last of its m records of
+// edge width + 4 bytes.
 uint64_t PoolLines(const RRView& rr) {
   // An implicit singleton's directory word is its vertex.
   if (rr.vertices.size() == 1 && rr.edges.empty()) return 1;
   const auto line = [](const void* p) {
     return reinterpret_cast<uintptr_t>(p) / 64;
   };
-  const uintptr_t block_first =
-      line(rr.vertices.data() - sizeof(uint32_t));
-  const uintptr_t block_last =
-      line(rr.head_ids + rr.edges.size() * rr.id_width - 1);
-  uint64_t lines = 1 + (block_last - block_first + 1);  // directory, block
-  if (!rr.edges.empty()) {
-    const uintptr_t first = line(rr.edges.data());
-    const uintptr_t last =
-        line(rr.edges.data() + rr.edges.size() * sizeof(RRLocalEdge) - 1);
-    // Only the lines the block does not already span.
-    const uintptr_t lo = std::max(first, block_first);
-    const uintptr_t hi = std::min(last, block_last);
-    lines += last - first + 1 - (lo <= hi ? hi - lo + 1 : 0);
-  }
-  return lines;
+  const uintptr_t first =
+      line(rr.vertices.data() - VarintLength(uint64_t{rr.vertices.size()} << 3));
+  const std::byte* end =
+      rr.edges.data() + rr.edges.size() * (rr.edges.width() + sizeof(float));
+  return 1 + (line(end - 1) - first + 1);  // directory, block
 }
 
 void BM_IndexEstimateSweep(benchmark::State& state) {

@@ -52,7 +52,10 @@ DynamicRrIndex::DynamicRrIndex(const SocialNetwork& network,
         options_.max_theta,
         std::max<uint64_t>(64, static_cast<uint64_t>(std::llround(theta))));
   }
-  ResetBase(std::make_shared<const RrSketchPool>());
+  // No view until Build() or AdoptSketches() gives the base its theta
+  // sketches.
+  base_ = std::make_shared<const RrSketchPool>();
+  overlay_ = std::make_shared<RrSketchOverlay>();
 }
 
 void DynamicRrIndex::ResetBase(std::shared_ptr<const RrSketchPool> base) {

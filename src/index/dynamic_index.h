@@ -160,6 +160,8 @@ class DynamicRrIndex final : public InfluenceOracle {
   const SocialNetwork& network() const { return network_; }
 
   uint64_t theta() const { return theta_; }
+  /// The sketch accessors below read the index once Build() or
+  /// AdoptSketches() has run.
   size_t num_graphs() const { return view_->num_graphs(); }
   /// Current version of sketch i (valid until the next update).
   RRView graph(size_t i) const { return view_->graph(i); }
@@ -207,7 +209,8 @@ class DynamicRrIndex final : public InfluenceOracle {
   std::shared_ptr<const RrSketchPool> base_;
   std::shared_ptr<RrSketchOverlay> overlay_;
   // Read path over base_ + overlay_ (graph, Containing, estimates);
-  // private, never handed to a snapshot, since overlay_ mutates.
+  // private, never handed to a snapshot, since overlay_ mutates. Null
+  // until Build() or AdoptSketches().
   std::unique_ptr<RrIndex> view_;
   Stats stats_;
   // Per-instance reachability scratch (a DynamicRrIndex is single-owner

@@ -15,13 +15,14 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v5's RR-Graph payload is the RrSketchPool image: its directory and
-// body arrays as they are, each sketch's edge records inside its block.
-// (v1, one record per graph, v2, a wire format of per-sketch CSRs
-// packed into a pool on load, v3, whose edge records were a third
-// array, and v4, whose blocks kept every vertex at 4 bytes, are no
-// longer read.)
-constexpr uint32_t kVersionCurrent = 5;
+// v6's RR-Graph payload is the RrSketchPool image: its directory words
+// and its body bytes as they are, each sketch's edge records inside its
+// block. (v1, one record per graph, v2, a wire format of per-sketch
+// CSRs packed into a pool on load, v3, whose edge records were a third
+// array, v4, whose blocks kept every vertex at 4 bytes, and v5, whose
+// body was word-padded u32 words with 4-byte headers and edge ids, are
+// no longer read.)
+constexpr uint32_t kVersionCurrent = 6;
 constexpr uint8_t kKindRrGraphs = 1;
 constexpr uint8_t kKindDelayMat = 2;
 
@@ -163,7 +164,7 @@ class IndexIo {
                 NetworkFingerprint(index.network_), index.options_);
     writer.WriteU64(index.theta_);
     writer.WriteVector<uint32_t>(pool.slots_);
-    writer.WriteVector<uint32_t>(pool.body_);
+    writer.WriteVector<uint8_t>(pool.body_);
     writer.WriteF64(index.build_seconds_);
     writer.WriteChecksum();
     if (!writer.ok()) {
@@ -240,8 +241,11 @@ class IndexIo {
     options.theta_override = theta;
     auto index = std::unique_ptr<RrIndex>(new RrIndex(network, options));
     RrSketchPool pool;
-    // Block starts fit 31 bits, so the body holds at most 2^31 words.
+    // Block offsets fit 31 bits, so the body holds at most 2^31 bytes.
+    // The estimator divides by theta: the directory holds exactly theta
+    // sketches.
     if (!reader.ReadVector(&pool.slots_, theta) ||
+        pool.slots_.size() != theta ||
         !reader.ReadVector(&pool.body_, uint64_t{1} << 31)) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");
       return nullptr;

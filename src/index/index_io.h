@@ -13,26 +13,27 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 5 is the only version read or written; a v1 to v4 header is
+// Version 6 is the only version read or written; a v1 to v5 header is
 // refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
 // image (src/index/rr_sketch_pool.h):
 //
-//   theta u64 | directory (u64 count, u32 words) | body (u64 count, u32
-//   words) | build_seconds f64
+//   theta u64 | directory (u64 count = theta, u32 words) | body (u64
+//   count, bytes) | build_seconds f64
 //
-// Each explicit sketch is one block of the body: a header word, one
-// byte region (its vertices at 2 or 4 bytes, then its packed local ids
-// at 1 or 4, zero-padded to a word), then its {edge u32, threshold f32}
-// records.
+// Each explicit sketch is one block of the body, with no padding: a
+// varint header (n and three width flags), its vertices at 2 or 4
+// bytes, its packed local ids at 1 or 4, then its records, each an edge
+// id at 3 or 4 bytes and a threshold f32. A directory whose length is
+// not theta is kCorruptPayload.
 //
 // An index with repairs saves as its compaction (RrSketchPool::Pack of
 // its sketch views). The containing index is not stored: the loader
 // rebuilds it. A loaded image must be canonical, exactly what Pack
 // writes for its own views (RrSketchPool::FinishLoaded checks it), so a
 // file that loads saves back to the same bytes. A change to the pool's
-// layout is a new version. The body's 2-byte vertices and 1-byte local
-// ids are packed inside its u32 words in memory order, so a file reads
-// back right only on a host of the writer's byte order.
+// layout is a new version. The body's multi-byte fields are stored in
+// the host's byte order, so a file reads back right only on a host of
+// the writer's byte order.
 //
 // The fingerprint binds an index file to the network it was sampled
 // from: loading against a different graph (changed topology, edge count,

@@ -11,7 +11,8 @@
 // Sketches have one representation: the pooled CSR-of-CSRs layout of
 // src/index/rr_sketch_pool.h, where a single-vertex sketch is its root
 // in the directory and every other sketch's vertices are packed at 2 or
-// 4 bytes and its local ids (its root's among them) at 1 or 4.
+// 4 bytes, its local ids (its root's among them) at 1 or 4 and its edge
+// ids at 3 or 4.
 // SketchArena (src/index/sketch_arena.h) assembles every sketch straight
 // into a pool run: the offline build, DynamicRrIndex repair, DelayMat
 // recovery and the query planner's probes. RRView is the non-owning
@@ -23,6 +24,7 @@
 #ifndef PITEX_SRC_INDEX_RR_GRAPH_H_
 #define PITEX_SRC_INDEX_RR_GRAPH_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -38,14 +40,15 @@ namespace pitex {
 
 /// One edge of a sketch's local CSR out-adjacency. Its head (a local
 /// vertex index) is stored apart, in the sketch's packed id array. A
-/// pool block stores each record as two u32 words, the edge and then the
-/// threshold's bits, which only memcpy reads and writes (EdgeRecords,
-/// LocalCsrOut::set_edge).
+/// pool block stores each record as the edge id at its block's edge
+/// width (3 or 4 bytes), then the threshold's bits, which only memcpy
+/// reads and writes (EdgeRecords, LocalCsrOut::set_edge).
 struct RRLocalEdge {
   EdgeId edge;      // global EdgeId (for p(e|W) lookups)
   float threshold;  // c(e)
 };
-static_assert(sizeof(RRLocalEdge) == 8, "an edge record is two u32 words");
+static_assert(sizeof(RRLocalEdge) == 8,
+              "an RRLocalEdge array is an array of width-4 records");
 
 /// Entry j of a packed array of T (uint8_t, uint16_t or uint32_t)
 /// starting at `data`. memcpy keeps the access defined whatever storage
@@ -69,9 +72,11 @@ struct LocalCsr {
   uint32_t head(size_t k) const { return LoadId<T>(heads, k); }
 };
 
-/// A sketch's m edge records, 8 bytes each from `data`: a read-only
-/// range that copies each record out by value, so no RRLocalEdge lvalue
-/// aliases the u32 words of a pool block.
+/// A sketch's m edge records from `data`, each the edge id at `width`
+/// (3 or 4) bytes and then the threshold's f32 bits: a read-only range
+/// that copies each record out by value, so no RRLocalEdge lvalue
+/// aliases the bytes of a pool block. An RRLocalEdge array is the
+/// width-4 case.
 class EdgeRecords {
  public:
   class Iterator {
@@ -84,9 +89,9 @@ class EdgeRecords {
     using pointer = void;
 
     Iterator() = default;
-    RRLocalEdge operator*() const { return Load(at_); }
+    RRLocalEdge operator*() const { return Load(at_, width_); }
     Iterator& operator++() {
-      at_ += sizeof(RRLocalEdge);
+      at_ += width_ + sizeof(float);
       return *this;
     }
     Iterator operator++(int) {
@@ -94,42 +99,71 @@ class EdgeRecords {
       ++*this;
       return old;
     }
-    bool operator==(const Iterator& other) const = default;
+    bool operator==(const Iterator& other) const { return at_ == other.at_; }
 
    private:
     friend class EdgeRecords;
-    explicit Iterator(const std::byte* at) : at_(at) {}
+    Iterator(const std::byte* at, uint32_t width) : at_(at), width_(width) {}
 
     const std::byte* at_ = nullptr;
+    uint32_t width_ = sizeof(EdgeId);
   };
 
   EdgeRecords() = default;
-  EdgeRecords(const std::byte* data, size_t size) : data_(data), size_(size) {}
+  EdgeRecords(std::span<const RRLocalEdge> edges)  // NOLINT(runtime/explicit)
+      : EdgeRecords(reinterpret_cast<const std::byte*>(edges.data()),
+                    edges.size(), sizeof(EdgeId)) {}
+  EdgeRecords(const std::byte* data, size_t size, uint32_t width)
+      : data_(data), size_(size), width_(width) {}
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   RRLocalEdge operator[](size_t k) const {
-    return Load(data_ + k * sizeof(RRLocalEdge));
+    return Load(data_ + k * (width_ + sizeof(float)), width_);
   }
-  Iterator begin() const { return Iterator(data_); }
-  Iterator end() const { return Iterator(data_ + size_ * sizeof(RRLocalEdge)); }
+  Iterator begin() const { return {data_, width_}; }
+  Iterator end() const {
+    return {data_ + size_ * (width_ + sizeof(float)), width_};
+  }
+  /// Bytes per edge id: 3 or 4.
+  uint32_t width() const { return width_; }
   /// The first record's first byte.
   const std::byte* data() const { return data_; }
 
+  /// Writes `edge` as the record at `at`, its id at `width` bytes: the
+  /// inverse of a read. The id's 4-byte store spills into the
+  /// threshold's first byte at width 3, which the threshold then
+  /// overwrites, so both stores stay fixed-size.
+  static void Store(std::byte* at, uint32_t width, RRLocalEdge edge) {
+    const uint32_t raw = std::endian::native == std::endian::little
+                             ? edge.edge
+                             : edge.edge << (32 - 8 * width);
+    std::memcpy(at, &raw, sizeof(raw));
+    std::memcpy(at + width, &edge.threshold, sizeof(edge.threshold));
+  }
+
  private:
-  static RRLocalEdge Load(const std::byte* at) {
+  /// The record at `at`: a 4-byte load covers the id (and, at width 3,
+  /// the threshold's first byte, which the shift or mask drops).
+  static RRLocalEdge Load(const std::byte* at, uint32_t width) {
+    uint32_t raw;
+    std::memcpy(&raw, at, sizeof(raw));
     RRLocalEdge edge;
-    std::memcpy(&edge, at, sizeof(edge));
+    edge.edge = std::endian::native == std::endian::little
+                    ? raw & (UINT32_MAX >> (32 - 8 * width))
+                    : raw >> (32 - 8 * width);
+    std::memcpy(&edge.threshold, at + width, sizeof(edge.threshold));
     return edge;
   }
 
   const std::byte* data_ = nullptr;
   size_t size_ = 0;
+  uint32_t width_ = sizeof(EdgeId);
 };
 
 /// A sketch's sorted vertex ids, `width` (2 or 4) bytes each from
 /// `data`: a read-only range with random access by operator[] that
-/// loads each id by value, so no VertexId lvalue aliases the words of a
+/// loads each id by value, so no VertexId lvalue aliases the bytes of a
 /// pool block. A span of VertexId is the width-4 case.
 class VertexIds {
  public:
@@ -232,7 +266,8 @@ class VertexIds {
 /// The local ids (offsets and heads) share one width: the narrowest, 1
 /// or 4 bytes, that holds the sketch's size (RrSketchPool::IdWidth).
 /// The vertices have a width of their own, 2 or 4 bytes
-/// (RrSketchPool::VertexWidth).
+/// (RrSketchPool::VertexWidth), and so do the edge records' ids, 3 or 4
+/// bytes (RrSketchPool::EdgeWidth).
 struct RRView {
   uint32_t root_local = 0;                // local index of the root
   uint32_t id_width = 4;                  // bytes per local id: 1 or 4

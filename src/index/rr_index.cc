@@ -44,6 +44,8 @@ std::unique_ptr<RrIndex> RrIndex::FromPool(
     uint64_t theta, std::shared_ptr<const RrSketchPool> base,
     std::shared_ptr<const RrSketchOverlay> overlay) {
   PITEX_CHECK(theta > 0 && base != nullptr);
+  PITEX_CHECK_MSG(theta == base->num_sketches(),
+                  "theta must equal the base pool's sketch count");
   RrIndexOptions adopted = options;
   adopted.theta_override = theta;
   auto index = std::make_unique<RrIndex>(network, adopted);

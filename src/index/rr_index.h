@@ -62,7 +62,8 @@ class RrIndex final : public InfluenceOracle {
   /// serving replica without copying its sketches. `network` must be
   /// the network whose EdgeIds the sketches reference and must outlive
   /// the index; `theta` is the ensemble size the estimator normalizes
-  /// by. Null or empty `overlay` serves the base alone.
+  /// by, and must be `base`'s sketch count. Null or empty `overlay`
+  /// serves the base alone.
   static std::unique_ptr<RrIndex> FromPool(
       const SocialNetwork& network, const RrIndexOptions& options,
       uint64_t theta, std::shared_ptr<const RrSketchPool> base,

@@ -1,34 +1,16 @@
 #include "src/index/rr_sketch_pool.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "src/util/check.h"
 
 namespace pitex {
 
-namespace {
-
-// The containing lists' LEB128 coding (ContainingList decodes it).
-
-// Bytes the varint of x takes: one per started group of seven bits.
-size_t VarintLength(uint32_t x) {
-  return 1 + static_cast<size_t>(std::bit_width(x | 1) - 1) / 7;
-}
-
-// Writes the varint of x at `out` and returns the byte after it.
-uint8_t* PutVarint(uint32_t x, uint8_t* out) {
-  for (; x >= 0x80; x >>= 7) *out++ = static_cast<uint8_t>(x | 0x80);
-  *out++ = static_cast<uint8_t>(x);
-  return out;
-}
-
-}  // namespace
-
 void RrSketchPool::Append(const RRView& sketch) {
   const size_t n = sketch.vertices.size();
   const size_t m = sketch.edges.size();
-  AppendBlock(sketch.root_local, sketch.vertices, m, [&](const auto& out) {
+  AppendBlock(sketch.root_local, sketch.vertices, m,
+              EdgeWidthOf(sketch.edges), [&](const auto& out) {
     sketch.VisitCsr([&](const auto& in) {
       PITEX_DCHECK(in.offset(n) == m);
       for (size_t j = 0; j <= n; ++j) out.set_offset(j, in.offset(j));
@@ -130,32 +112,48 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
       ++vertices;
       continue;
     }
-    if ((slot & ~kExplicit) != body || body == body_.size()) return false;
-    const uint64_t n = body_[body] >> 2;
-    if (n == 0) return false;
-    const uint64_t width = (body_[body] & kIdsWide) != 0 ? 4 : 1;
-    const uint64_t vertex_width = (body_[body] & kVerticesWide) != 0 ? 4 : 2;
-    // The header, vertices, root id and offsets: what sizes the block.
-    if (body_.size() - body < 1 + RegionWords(n, 0, vertex_width, width)) {
-      return false;
+    if ((slot & ~kExplicit) != body) return false;
+    // The header: a varint inside the body, of at most 32 bits (View
+    // reads it as a u32) and at least one vertex.
+    uint64_t header = 0;
+    uint64_t header_bytes = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      if (body + header_bytes == body_.size() || shift > 28) return false;
+      const uint8_t byte = body_[body + header_bytes++];
+      header |= uint64_t{byte & 0x7fu} << shift;
+      if (byte < 0x80) break;
     }
+    const uint64_t n = header >> kHeaderFlagBits;
+    if (header > UINT32_MAX || n == 0) return false;
+    const uint64_t width = (header & kIdsWide) != 0 ? 4 : 1;
+    const uint64_t vertex_width = (header & kVerticesWide) != 0 ? 4 : 2;
+    const uint64_t edge_width = (header & kEdgesWide) != 0 ? 4 : 3;
+    // The vertices, root id and offsets: what sizes the block.
+    const uint64_t left = body_.size() - body - header_bytes;
+    if (left < RegionBytes(n, 0, vertex_width, width)) return false;
     const auto* region =
-        reinterpret_cast<const std::byte*>(body_.data() + body + 1);
+        reinterpret_cast<const std::byte*>(body_.data() + body + header_bytes);
     const std::byte* ids = region + n * vertex_width;
     // The last offset is the edge count.
     const uint64_t m = width == 1 ? LoadId<uint8_t>(ids, n + 1)
                                   : LoadId<uint32_t>(ids, n + 1);
-    // The last vertex is the largest, if the block is sorted.
-    const VertexId max_vertex = vertex_width == 2
-                                    ? LoadId<uint16_t>(region, n - 1)
-                                    : LoadId<uint32_t>(region, n - 1);
-    const uint64_t length = BodyLength(n, m, max_vertex);
-    if (length == 0 || IdWidth(n, m) != width ||
-        VertexWidth(max_vertex) != vertex_width ||
-        body_.size() - body < length) {
+    const uint64_t length =
+        RegionBytes(n, m, vertex_width, width) + m * (edge_width + 4);
+    if (left < length) return false;
+    const RRView view = View(i);
+    // The block is what AppendBlock writes for its own data: its header
+    // holds n and the widths that data calls for, in no more bytes than
+    // the value needs, and a one-vertex edgeless sketch is a singleton,
+    // not a block. (The last vertex is the largest once the loop below
+    // finds the vertices sorted.)
+    const uint32_t canonical_vertex_width = VertexWidth(view.vertices.back());
+    const uint32_t canonical_edge_width = EdgeWidthOf(view.edges);
+    if (header != BlockHeader(n, m, canonical_vertex_width,
+                              canonical_edge_width) ||
+        header_bytes + length != BodyLength(n, m, canonical_vertex_width,
+                                            canonical_edge_width)) {
       return false;
     }
-    const RRView view = View(i);
     for (uint64_t j = 0; j < n; ++j) {
       if (view.vertices[j] >= vertex_bound ||
           (j > 0 && view.vertices[j] <= view.vertices[j - 1])) {
@@ -181,13 +179,8 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
         return false;
       }
     }
-    // The bytes after the last head, up to the records, are zero.
-    for (uint64_t b = n * vertex_width + (n + 2 + m) * width;
-         b < RegionWords(n, m, vertex_width, width) * 4; ++b) {
-      if (region[b] != std::byte{0}) return false;
-    }
     vertices += n;
-    body += length;
+    body += header_bytes + length;
   }
   if (body != body_.size() || vertices > UINT32_MAX) return false;
   BuildContaining(num_vertices);
@@ -246,10 +239,9 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
 
 size_t RrSketchPool::SizeBytes() const {
   return sizeof(RrSketchPool) +
-         (slots_.capacity() + body_.capacity() +
-          containing_starts_.capacity()) *
+         (slots_.capacity() + containing_starts_.capacity()) *
              sizeof(uint32_t) +
-         containing_.capacity();
+         body_.capacity() + containing_.capacity();
 }
 
 void RrSketchOverlay::Put(uint32_t id, const RRView& sketch) {

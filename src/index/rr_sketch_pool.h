@@ -10,35 +10,43 @@
 // RRViews, and answers Containing(u) from one exact-size byte array — no
 // per-sketch or per-vertex heap objects at all, and SizeBytes() is O(1).
 //
-// Layout for sketch i (n_i vertices, m_i edges); the directory and the
-// body are 32-bit words, and every total is checked to fit:
+// Layout for sketch i (n_i vertices, m_i edges); the directory holds
+// 32-bit words and the body bytes, with no padding anywhere, and every
+// total is checked to fit:
 //   slots_[i]        one directory word: the root vertex id of an
 //                    implicit singleton (top bit clear), else
-//                    1 << 31 | the start of sketch i's block in body_
-//   body_[start ..]  a header word (n_i << 2 | vertices wide << 1 | ids
-//                    wide), then one byte region: the n_i sorted vertex
-//                    ids at v_i bytes each, then the root's local id,
-//                    the n_i + 1 local CSR offsets (0 .. m_i) and the
-//                    m_i local edge heads at w_i bytes each, zero-padded
-//                    once to a word; then the m_i {edge, threshold}
-//                    records at two words each
+//                    1 << 31 | the byte offset of sketch i's block in
+//                    body_
+//   body_[start ..]  a header, the LEB128 varint (as the containing
+//                    lists code ids) of n_i << 3 | edge ids wide << 2 |
+//                    vertices wide << 1 | ids wide: one byte while
+//                    n_i <= 15, two while n_i <= 2,047; then the n_i
+//                    sorted vertex ids at v_i bytes each, then the
+//                    root's local id, the n_i + 1 local CSR offsets
+//                    (0 .. m_i) and the m_i local edge heads at w_i
+//                    bytes each; then the m_i records of e_i + 4 bytes,
+//                    the edge id at e_i bytes and the threshold's bits
 // A sketch's walk therefore reads its directory word and one block.
-// Vertex ids and block starts fit 31 bits. Both widths are chosen from
-// the block's own data, with no option. w_i is 1 byte while the block's
-// local ids fit one (IdWidth: n_i <= 256 and m_i <= 255), else 4; v_i
-// is 2 bytes while its largest vertex fits 16 bits (VertexWidth), else
-// 4. On pitexbench's network (25,000 vertices) every block takes 1 and
-// 2 bytes; a graph past 65,536 vertices keeps 4-byte vertices in the
-// blocks that reach beyond it. A view carries both widths: its CSR
-// readers dispatch on the id width once per sketch (RRView::VisitCsr),
-// and a vertex search on the vertex width once (VertexIds::LocalIndex).
+// Vertex ids and block offsets fit 31 bits, so the body holds at most
+// 2 GiB. All three widths are chosen from the block's own data, with no
+// option. w_i is 1 byte while the block's local ids fit one (IdWidth:
+// n_i <= 256 and m_i <= 255), else 4; v_i is 2 bytes while its largest
+// vertex fits 16 bits (VertexWidth), else 4; e_i is 3 bytes while its
+// largest edge id fits 24 bits (EdgeWidth), else 4. On pitexbench's
+// network (25,000 vertices, 297,497 edges) every block takes 1, 2 and 3
+// bytes; a graph past 65,536 vertices or 2^24 edges keeps the wider
+// field in the blocks that reach beyond it. A view carries every width:
+// its CSR readers dispatch on the id width once per sketch
+// (RRView::VisitCsr), a vertex search on the vertex width once
+// (VertexIds::LocalIndex), and its records step by e_i + 4 bytes
+// (EdgeRecords).
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has no block:
 // its directory word is its vertex, and View() serves its header, root
 // id and offsets from a static block, so the estimate walk over it
 // reads only the directory. The static block reads the vertex at 2
 // bytes while it fits them, so a graph whose vertices all fit 16 bits
-// reads every sketch at one width.
+// reads every sketch at one vertex width.
 //
 // Containing lists, for vertex u:
 //   containing_[containing_starts_[u] .. containing_starts_[u + 1])
@@ -98,19 +106,52 @@ inline void StoreId(std::byte* data, size_t j, uint32_t id) {
   std::memcpy(data + j * sizeof(T), &narrow, sizeof(T));
 }
 
+/// Bytes the LEB128 varint of x takes: one per started group of seven
+/// bits.
+inline size_t VarintLength(uint64_t x) {
+  return 1 + static_cast<size_t>(std::bit_width(x | 1) - 1) / 7;
+}
+
+/// Writes the LEB128 varint of x at `out` and returns the byte after it:
+/// seven bits in each byte, low bits first, and the top bit set on every
+/// byte except the last.
+inline uint8_t* PutVarint(uint64_t x, uint8_t* out) {
+  for (; x >= 0x80; x >>= 7) *out++ = static_cast<uint8_t>(x | 0x80);
+  *out++ = static_cast<uint8_t>(x);
+  return out;
+}
+
+/// Reads the varint PutVarint wrote at `at` into *x and returns the byte
+/// after it. It trusts the bytes: only this module's coder writes them,
+/// and the index loader checks a block's header before any view reads
+/// it.
+inline const uint8_t* GetVarint(const uint8_t* at, uint32_t* x) {
+  uint32_t value = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const uint8_t byte = *at++;
+    value |= uint32_t{byte & 0x7fu} << shift;
+    if (byte < 0x80) break;
+  }
+  *x = value;
+  return at;
+}
+
 /// The write side of LocalCsr: one pool block's packed offsets and heads
-/// at id width T, and its edge records, as RrSketchPool::AppendSketch
-/// hands them to its fill.
+/// at id width T, and its edge records at the block's edge width, as
+/// RrSketchPool::AppendSketch hands them to its fill.
 template <typename T>
 struct LocalCsrOut {
-  std::byte* offsets;  // n + 1 entries
-  std::byte* heads;    // m entries
-  std::byte* records;  // m records (EdgeRecords' layout)
+  std::byte* offsets;   // n + 1 entries
+  std::byte* heads;     // m entries
+  std::byte* records;   // m records (EdgeRecords' layout)
+  uint32_t edge_width;  // bytes per edge id: 3 or 4
 
   void set_offset(size_t j, uint32_t id) const { StoreId<T>(offsets, j, id); }
   void set_head(size_t k, uint32_t id) const { StoreId<T>(heads, k, id); }
   void set_edge(size_t k, RRLocalEdge edge) const {
-    std::memcpy(records + k * sizeof(RRLocalEdge), &edge, sizeof(edge));
+    PITEX_DCHECK(edge_width == 4 || edge.edge < (uint32_t{1} << 24));
+    EdgeRecords::Store(records + k * (edge_width + sizeof(float)), edge_width,
+                       edge);
   }
 };
 
@@ -153,12 +194,8 @@ class ContainingList {
     }
     /// Adds the gap coded at next_ to id_ and steps next_ past it.
     void Decode() {
-      uint32_t gap = 0;
-      for (unsigned shift = 0;; shift += 7) {
-        const uint8_t byte = *next_++;
-        gap |= uint32_t{byte & 0x7fu} << shift;
-        if (byte < 0x80) break;
-      }
+      uint32_t gap;
+      next_ = GetVarint(next_, &gap);
       id_ += gap;
     }
 
@@ -223,14 +260,16 @@ class RrSketchPool {
   /// widths `sketch` is stored at. `sketch` must not view this pool.
   void Append(const RRView& sketch);
   /// Appends the sketch with `vertices` (sorted), rooted at
-  /// vertices[root_local], and m edges, as Append does: fill(out) writes
-  /// its n + 1 offsets, m heads and m edge records through a
-  /// LocalCsrOut<T> at the block's width. An implicit singleton (one
-  /// vertex, no edges) has nothing to write and calls no fill.
+  /// vertices[root_local], and m edges whose largest id is `max_edge` (0
+  /// when m = 0), as Append does: fill(out) writes its n + 1 offsets, m
+  /// heads and m edge records through a LocalCsrOut<T> at the block's
+  /// widths. An implicit singleton (one vertex, no edges) has nothing to
+  /// write and calls no fill.
   template <typename Fill>
   void AppendSketch(uint32_t root_local, std::span<const VertexId> vertices,
-                    size_t m, Fill&& fill) {
-    AppendBlock(root_local, vertices, m, std::forward<Fill>(fill));
+                    size_t m, EdgeId max_edge, Fill&& fill) {
+    AppendBlock(root_local, vertices, m, EdgeWidth(max_edge),
+                std::forward<Fill>(fill));
   }
   /// Drops every sketch, keeping every array's capacity: a cleared run
   /// takes appends without allocating up to its high-water mark.
@@ -242,13 +281,15 @@ class RrSketchPool {
   /// Non-owning view of sketch i (valid while the pool is alive).
   RRView View(size_t i) const {
     const uint32_t* slot = &slots_[i];
-    const uint32_t* block = Block(*slot);
-    const uint32_t n = block[0] >> 2;
-    const uint32_t width = (block[0] & kIdsWide) != 0 ? 4 : 1;
-    const uint32_t vertex_width = (block[0] & kVerticesWide) != 0 ? 4 : 2;
-    const auto* region = reinterpret_cast<const std::byte*>(block + 1);
+    uint32_t header;
+    const auto* region =
+        reinterpret_cast<const std::byte*>(GetVarint(Block(*slot), &header));
+    const uint32_t n = header >> kHeaderFlagBits;
+    const uint32_t width = (header & kIdsWide) != 0 ? 4 : 1;
+    const uint32_t vertex_width = (header & kVerticesWide) != 0 ? 4 : 2;
+    const uint32_t edge_width = (header & kEdgesWide) != 0 ? 4 : 3;
     // After the vertices, the root's local id, then the offsets, whose
-    // last is the edge count.
+    // last is the edge count, then the heads and the records.
     const std::byte* ids = region + n * vertex_width;
     const std::byte* offsets = ids + width;
     const bool narrow = width == 1;
@@ -256,6 +297,7 @@ class RrSketchPool {
         narrow ? LoadId<uint8_t>(ids, 0) : LoadId<uint32_t>(ids, 0);
     const uint32_t m = narrow ? LoadId<uint8_t>(offsets, n)
                               : LoadId<uint32_t>(offsets, n);
+    const std::byte* heads = offsets + (n + 1) * width;
     // A singleton's vertex is the low-order bytes of its directory word.
     const std::byte* word =
         reinterpret_cast<const std::byte*>(slot) +
@@ -264,8 +306,8 @@ class RrSketchPool {
                   width,
                   {(*slot & kExplicit) != 0 ? region : word, n, vertex_width},
                   offsets,
-                  offsets + (n + 1) * width,
-                  {region + RegionWords(n, m, vertex_width, width) * 4, m}};
+                  heads,
+                  {heads + m * width, m, edge_width}};
   }
 
   /// Ids (sketch positions) of the sketches containing u, ascending.
@@ -287,25 +329,30 @@ class RrSketchPool {
   size_t SizeBytes() const;
 
  private:
-  /// The header word packs n << 2 with two width flags, so a block
-  /// holds at most this many vertices.
-  static constexpr uint64_t kMaxBlockVertices = (uint64_t{1} << 30) - 1;
+  /// The header packs n << kHeaderFlagBits with three width flags into
+  /// 32 bits, so a block holds at most this many vertices.
+  static constexpr uint32_t kHeaderFlagBits = 3;
+  static constexpr uint64_t kMaxBlockVertices =
+      (uint64_t{1} << (32 - kHeaderFlagBits)) - 1;
   /// Header flags: the local ids take 4 bytes (else 1), the vertices 4
-  /// bytes (else 2).
+  /// bytes (else 2), the edge ids 4 bytes (else 3).
   static constexpr uint32_t kIdsWide = 1;
   static constexpr uint32_t kVerticesWide = 2;
-  /// The directory word's top bit: set for a block start, clear for a
-  /// singleton's vertex. Vertex ids and block starts stay below it.
+  static constexpr uint32_t kEdgesWide = 4;
+  /// The directory word's top bit: set for a block offset, clear for a
+  /// singleton's vertex. Vertex ids and block offsets stay below it.
   static constexpr uint32_t kExplicit = 1u << 31;
-  /// The blocks implicit singletons read: one vertex, read from the
-  /// directory word at 2 bytes while it fits them and at 4 otherwise,
+  /// The blocks implicit singletons read: a one-byte header (n = 1),
+  /// the vertex's bytes (unread: the view reads the vertex from the
+  /// directory word, at 2 bytes while it fits them and at 4 otherwise),
   /// then 1-byte ids: root id 0 and offsets {0, 0}.
-  static constexpr uint32_t kNarrowSingleton[3] = {1u << 2, 0, 0};
-  static constexpr uint32_t kWideSingleton[3] = {1u << 2 | kVerticesWide, 0,
-                                                 0};
+  static constexpr uint8_t kNarrowSingleton[] = {1u << kHeaderFlagBits,
+                                                 0, 0, 0, 0, 0};
+  static constexpr uint8_t kWideSingleton[] = {
+      1u << kHeaderFlagBits | kVerticesWide, 0, 0, 0, 0, 0, 0, 0};
 
   /// Entries a list of sketches needs in each array: Pack's sizing
-  /// pass.
+  /// pass (the body in bytes).
   struct Totals {
     uint64_t body = 0;
     uint64_t vertices = 0;
@@ -334,33 +381,59 @@ class RrSketchPool {
     return max_vertex <= UINT16_MAX ? 2 : 4;
   }
 
-  /// Words a block's byte region takes: n vertices at `vertex_width`
-  /// bytes, then the root id, n + 1 offsets and m heads at `width`
-  /// bytes, rounded up to whole words.
-  static uint64_t RegionWords(uint64_t n, uint64_t m, uint64_t vertex_width,
-                              uint64_t width) {
-    return (n * vertex_width + (n + 2 + m) * width + 3) / 4;
+  /// Bytes per edge id of a block whose largest edge id is `max_edge`.
+  static uint32_t EdgeWidth(uint64_t max_edge) {
+    return max_edge < (uint64_t{1} << 24) ? 3 : 4;
   }
 
-  /// body_ entries of a sketch with n vertices, the largest
-  /// `max_vertex`, and m edges: none for an implicit singleton, else the
-  /// header, the byte region at the block's widths and two words per
-  /// edge record.
-  static uint64_t BodyLength(uint64_t n, uint64_t m, uint64_t max_vertex) {
+  /// Bytes per edge id of a block holding `edges`. Records stored at 3
+  /// bytes hold ids below 2^24 already, so only wider ones are scanned
+  /// for their largest id.
+  static uint32_t EdgeWidthOf(const EdgeRecords& edges) {
+    if (edges.width() == 3) return 3;
+    EdgeId max_edge = 0;
+    for (const RRLocalEdge e : edges) max_edge = std::max(max_edge, e.edge);
+    return EdgeWidth(max_edge);
+  }
+
+  /// The header of a block with n vertices and m edges whose vertex ids
+  /// take `vertex_width` bytes and edge ids `edge_width`: n and the
+  /// block's widths.
+  static uint32_t BlockHeader(uint64_t n, uint64_t m, uint32_t vertex_width,
+                              uint32_t edge_width) {
+    return static_cast<uint32_t>(n << kHeaderFlagBits) |
+           (edge_width == 4 ? kEdgesWide : 0) |
+           (vertex_width == 4 ? kVerticesWide : 0) |
+           (IdWidth(n, m) == 4 ? kIdsWide : 0);
+  }
+
+  /// Bytes of a block's region: n vertices at `vertex_width` bytes, then
+  /// the root id, n + 1 offsets and m heads at `width` bytes.
+  static uint64_t RegionBytes(uint64_t n, uint64_t m, uint64_t vertex_width,
+                              uint64_t width) {
+    return n * vertex_width + (n + 2 + m) * width;
+  }
+
+  /// body_ bytes of a sketch with n vertices and m edges at these
+  /// widths: none for an implicit singleton, else the header, the
+  /// region and m records.
+  static uint64_t BodyLength(uint64_t n, uint64_t m, uint32_t vertex_width,
+                             uint32_t edge_width) {
     if (n == 1 && m == 0) return 0;
-    return 1 + RegionWords(n, m, VertexWidth(max_vertex), IdWidth(n, m)) +
-           2 * m;
+    return VarintLength(BlockHeader(n, m, vertex_width, edge_width)) +
+           RegionBytes(n, m, vertex_width, IdWidth(n, m)) +
+           m * (edge_width + sizeof(float));
   }
 
   /// The block a directory word names, or the static block of an
   /// implicit singleton's width.
-  const uint32_t* Block(uint32_t slot) const {
+  const uint8_t* Block(uint32_t slot) const {
     // Selects, not branches: the packing passes and the estimate walk
     // meet singletons and explicit blocks interleaved at random. On a
     // graph of up to 65,536 vertices every sketch, singletons too, then
     // reads its vertices at 2 bytes, so the walk's one width dispatch
     // per sketch always goes the same way.
-    const uint32_t* singleton =
+    const uint8_t* singleton =
         slot <= UINT16_MAX ? kNarrowSingleton : kWideSingleton;
     return (slot & kExplicit) != 0 ? body_.data() + (slot & ~kExplicit)
                                    : singleton;
@@ -374,7 +447,7 @@ class RrSketchPool {
   /// at the block's own width.
   template <typename VertexRange, typename Fill>
   void AppendBlock(uint32_t root_local, const VertexRange& vertices, size_t m,
-                   Fill&& fill);
+                   uint32_t edge_width, Fill&& fill);
 
   /// Where sketch i's block would start in body_: the start of the first
   /// explicit block at or after i, or the end of body_.
@@ -384,13 +457,13 @@ class RrSketchPool {
   /// (src/index/index_io.h) and, if they hold, builds its containing
   /// index. Walking the directory in order, each singleton's vertex and
   /// each block's sorted vertices must lie below num_vertices, each
-  /// block must start where the one before it ended, its widths must be
-  /// IdWidth's and VertexWidth's and its padding zero, its root id and
+  /// block must start where the one before it ended, its header must be
+  /// a varint of no more bytes than its value needs, with n > 0 and the
+  /// flags of the block's own widths (BlockHeader), its root id and
   /// heads below n, its offsets rise from 0, and its records' edge ids
   /// below num_edges with thresholds in [0, 1]; the blocks end at
-  /// body_'s end. So a pool that
-  /// passes is exactly what Pack writes for its own views. False on the
-  /// first check that fails.
+  /// body_'s end. So a pool that passes is exactly what Pack writes for
+  /// its own views. False on the first check that fails.
   bool FinishLoaded(size_t num_vertices, size_t num_edges);
 
   /// Rebuilds containing_starts_/containing_ from the packed sketches in
@@ -401,10 +474,10 @@ class RrSketchPool {
   friend class IndexIo;  // saves and loads slots_ and body_
 
   std::vector<uint32_t> slots_;  // one directory word per sketch
-  std::vector<uint32_t> body_;   // blocks: header, byte region, records
+  std::vector<uint8_t> body_;    // blocks: header, region, records
   std::vector<uint32_t> containing_starts_;  // num_vertices + 1 offsets
   std::vector<uint8_t> containing_;          // varint lists, by vertex
-  // Fits 32 bits: a block holds under 2^30 vertices.
+  // Fits 32 bits: a block holds under 2^29 vertices.
   uint32_t max_sketch_vertices_ = 0;
 };
 
@@ -418,7 +491,8 @@ RrSketchPool::Totals RrSketchPool::Measure(size_t num_sketches,
   for (size_t i = 0; i < num_sketches; ++i) {
     const RRView rr = view_of(i);
     totals.body +=
-        BodyLength(rr.vertices.size(), rr.edges.size(), rr.vertices.back());
+        BodyLength(rr.vertices.size(), rr.edges.size(),
+                   VertexWidth(rr.vertices.back()), EdgeWidthOf(rr.edges));
     totals.vertices += rr.vertices.size();
     totals.max_vertices =
         std::max<uint64_t>(totals.max_vertices, rr.vertices.size());
@@ -447,14 +521,15 @@ RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
 template <typename VertexRange, typename Fill>
 void RrSketchPool::AppendBlock(uint32_t root_local,
                                const VertexRange& vertices, size_t m,
-                               Fill&& fill) {
+                               uint32_t edge_width, Fill&& fill) {
   const size_t n = vertices.size();
   PITEX_DCHECK(root_local < n);
   // Sorted, so the last vertex is the largest.
   const VertexId max_vertex = vertices[n - 1];
   PITEX_CHECK_MSG(max_vertex < kExplicit,
                   "sketch vertex id exceeds the directory word");
-  const uint64_t length = BodyLength(n, m, max_vertex);
+  const uint32_t vertex_width = VertexWidth(max_vertex);
+  const uint64_t length = BodyLength(n, m, vertex_width, edge_width);
   if (length == 0) {
     // Implicit singleton: its directory word is its vertex.
     slots_.push_back(vertices[0]);
@@ -462,14 +537,10 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
     PITEX_CHECK_MSG(n <= kMaxBlockVertices,
                     "sketch exceeds the block header's vertex count");
     const uint32_t width = IdWidth(n, m);
-    const uint32_t vertex_width = VertexWidth(max_vertex);
     const size_t start = body_.size();
-    // Zero words: the region's padding reads back as zeros.
     body_.resize(start + length);
-    body_[start] = static_cast<uint32_t>(n << 2) |
-                   (vertex_width == 4 ? kVerticesWide : 0) |
-                   (width == 4 ? kIdsWide : 0);
-    auto* region = reinterpret_cast<std::byte*>(body_.data() + start + 1);
+    auto* region = reinterpret_cast<std::byte*>(PutVarint(
+        BlockHeader(n, m, vertex_width, edge_width), body_.data() + start));
     if (vertex_width == 2) {
       for (size_t j = 0; j < n; ++j) StoreId<uint16_t>(region, j, vertices[j]);
     } else {
@@ -478,19 +549,18 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
     std::byte* ids = region + n * vertex_width;
     std::byte* offsets = ids + width;
     std::byte* heads = offsets + (n + 1) * width;
-    auto* records =
-        reinterpret_cast<std::byte*>(body_.data() + start + length - 2 * m);
+    std::byte* records = heads + m * width;
     if (width == 1) {
       StoreId<uint8_t>(ids, 0, root_local);
-      fill(LocalCsrOut<uint8_t>{offsets, heads, records});
+      fill(LocalCsrOut<uint8_t>{offsets, heads, records, edge_width});
     } else {
       StoreId<uint32_t>(ids, 0, root_local);
-      fill(LocalCsrOut<uint32_t>{offsets, heads, records});
+      fill(LocalCsrOut<uint32_t>{offsets, heads, records, edge_width});
     }
     slots_.push_back(kExplicit | static_cast<uint32_t>(start));
   }
-  // Sketch ids are u32 (containing_), and every block starts below the
-  // directory word's top bit.
+  // Sketch ids are u32 (containing_), and every block's offset stays
+  // below the directory word's top bit.
   PITEX_CHECK_MSG(slots_.size() < UINT32_MAX && body_.size() <= kExplicit,
                   "sketch pool exceeds its directory words");
   max_sketch_vertices_ =

@@ -50,7 +50,7 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
   // No live in-edge: the root alone, an implicit singleton with no
   // block to assemble.
   if (staged_.empty()) {
-    run->AppendSketch(0, vertices, 0, [](const auto&) {});
+    run->AppendSketch(0, vertices, 0, 0, [](const auto&) {});
     return;
   }
 
@@ -64,12 +64,15 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
     local_index_[vertices[j]] = static_cast<uint32_t>(j);
   }
   counts_.assign(n + 1, 0);
+  EdgeId max_edge = 0;
   for (const GlobalEdgeSample& s : staged_) {
     ++counts_[local_index_[s.tail] + 1];
+    max_edge = std::max(max_edge, s.edge);
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
   const uint32_t root_local = local_index_[root];
-  run->AppendSketch(root_local, vertices, staged_.size(), [&](const auto& out) {
+  run->AppendSketch(root_local, vertices, staged_.size(), max_edge,
+                    [&](const auto& out) {
     for (size_t j = 0; j <= n; ++j) out.set_offset(j, counts_[j]);
     for (const GlobalEdgeSample& s : staged_) {
       const uint32_t k = counts_[local_index_[s.tail]]++;
@@ -176,6 +179,7 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
   // edge reaches is an implicit singleton, and the fill is not called.
   counts_.assign(n + 1, 0);
   size_t kept_edges = 0;
+  EdgeId max_edge = 0;
   auto kept = [&](const GlobalEdgeSample& s) {
     return mark_[s.tail] == epoch && mark_[s.head] == epoch;
   };
@@ -183,10 +187,12 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
     if (!kept(s)) continue;
     ++counts_[local_index_[s.tail] + 1];
     ++kept_edges;
+    max_edge = std::max(max_edge, s.edge);
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
   run->AppendSketch(
-      local_index_[root], vertices_, kept_edges, [&](const auto& out) {
+      local_index_[root], vertices_, kept_edges, max_edge,
+      [&](const auto& out) {
         for (size_t j = 0; j <= n; ++j) out.set_offset(j, counts_[j]);
         for (const GlobalEdgeSample& s : edges) {
           if (!kept(s)) continue;

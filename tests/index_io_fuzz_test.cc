@@ -3,7 +3,7 @@
 // return a valid index or fail cleanly — never crash, never hand back a
 // structurally inconsistent object — and an RR index that loads must
 // save back to identical bytes, which are what Pack writes for its
-// views. A table of single-field edits pins each check of the v5
+// views. A table of single-field edits pins each check of the v6
 // loader. (Deterministic seeds; a few hundred mutations per strategy.)
 
 #include <gtest/gtest.h>
@@ -71,6 +71,8 @@ void CheckConsistentIfLoaded(const SocialNetwork& n, const std::string& bytes) {
     return;
   }
   ASSERT_TRUE(error.ok());
+  // The estimator divides by theta: it is the number of sketches held.
+  ASSERT_EQ(loaded->theta(), loaded->num_graphs());
   for (VertexId v = 0; v < n.num_vertices(); ++v) {
     for (const uint32_t id : loaded->Containing(v)) {
       ASSERT_LT(id, loaded->num_graphs());
@@ -160,15 +162,15 @@ TEST(IndexIoFuzzTest, ChecksumRepairedMutationsRoundTrip) {
   EXPECT_GE(loaded, 10);
 }
 
-// A saved v5 file taken apart into the pool arrays it images: the
-// directory and the body. The header before theta and the trailer are
-// kept as bytes. Encode puts it back together and repairs the checksum,
-// so an edit reaches the loader's checks.
+// A saved v6 file taken apart into the pool arrays it images: the
+// directory words and the body bytes. The header before theta and the
+// trailer are kept as bytes. Encode puts it back together and repairs
+// the checksum, so an edit reaches the loader's checks.
 struct Image {
   std::string header;
   uint64_t theta = 0;
   std::vector<uint32_t> slots;
-  std::vector<uint32_t> body;
+  std::vector<uint8_t> body;
   std::string trailer;
 
   explicit Image(const std::string& bytes) {
@@ -185,7 +187,7 @@ struct Image {
     slots.resize(take(8));
     for (uint32_t& slot : slots) slot = static_cast<uint32_t>(take(4));
     body.resize(take(8));
-    for (uint32_t& word : body) word = static_cast<uint32_t>(take(4));
+    for (uint8_t& byte : body) byte = static_cast<uint8_t>(take(1));
     trailer = bytes.substr(at);
   }
 
@@ -200,7 +202,7 @@ struct Image {
     put(slots.size(), 8);
     for (const uint32_t slot : slots) put(slot, 4);
     put(body.size(), 8);
-    for (const uint32_t word : body) put(word, 4);
+    for (const uint8_t byte : body) put(byte, 1);
     bytes += trailer;
     RepairChecksum(&bytes);
     return bytes;
@@ -209,21 +211,39 @@ struct Image {
 
 constexpr uint32_t kExplicit = 1u << 31;
 
-// One explicit block of an Image: where it sits, its byte region's
-// vertices and packed local ids, each read and written at its own width
-// (id entry 0 is the root id, then the n + 1 offsets, then the m
-// heads), and its edge records' words.
+// Replaces body bytes [at, at + erase) of `image` with `insert` and
+// moves the blocks of the sketches after `sketch` with them.
+void Splice(Image* image, size_t sketch, size_t at, size_t erase,
+            const std::vector<uint8_t>& insert) {
+  const auto begin = image->body.begin() + static_cast<std::ptrdiff_t>(at);
+  image->body.erase(begin, begin + static_cast<std::ptrdiff_t>(erase));
+  image->body.insert(image->body.begin() + static_cast<std::ptrdiff_t>(at),
+                     insert.begin(), insert.end());
+  const auto shift = static_cast<uint32_t>(insert.size() - erase);
+  for (size_t i = sketch + 1; i < image->slots.size(); ++i) {
+    if ((image->slots[i] & kExplicit) != 0) image->slots[i] += shift;
+  }
+}
+
+// One explicit block of an Image: where it sits, its varint header, its
+// region's vertices and packed local ids, each read and written at its
+// own width (id entry 0 is the root id, then the n + 1 offsets, then the
+// m heads), and its edge records (the edge id at the block's edge
+// width, then the threshold's bits). Multi-byte fields are read and
+// written in little-endian order, as the files are.
 struct Block {
   Image* image;
   size_t sketch;
   uint32_t start;
+  uint32_t header_bytes;
   uint32_t n;
   uint32_t width;
   uint32_t vertex_width;
+  uint32_t edge_width;
 
-  uint32_t& size_word() const { return image->body[start]; }
   std::byte* region() const {
-    return reinterpret_cast<std::byte*>(image->body.data() + start + 1);
+    return reinterpret_cast<std::byte*>(image->body.data() + start +
+                                        header_bytes);
   }
   uint32_t vertex(size_t j) const {
     return vertex_width == 2 ? LoadId<uint16_t>(region(), j)
@@ -250,61 +270,72 @@ struct Block {
   }
   uint32_t m() const { return id(1 + n); }
   uint32_t offset(size_t j) const { return id(1 + j); }
-  /// Bytes the vertices and packed ids take, before the padding.
+  /// Bytes the vertices and packed ids take.
   size_t region_bytes() const {
     return n * vertex_width + (n + 2 + m()) * width;
   }
-  /// Words the byte region takes with its padding.
-  size_t region_words() const { return (region_bytes() + 3) / 4; }
-  /// Word w of the records: edge k's id is word 2k, the bits of its
-  /// threshold word 2k + 1.
-  uint32_t& record_word(size_t w) const {
-    return image->body[start + 1 + region_words() + w];
+  /// Record k's first byte: its edge id, then the threshold's bits.
+  std::byte* record(size_t k) const {
+    return region() + region_bytes() + k * (edge_width + sizeof(float));
   }
-  void set_threshold(size_t k, float threshold) const {
-    std::memcpy(&record_word(2 * k + 1), &threshold, sizeof(threshold));
+  uint32_t edge_id(size_t k) const {
+    uint32_t value = 0;
+    std::memcpy(&value, record(k), edge_width);
+    return value;
   }
-  /// Words the block takes: header, byte region with padding, and two
-  /// per edge record.
-  size_t words() const { return 1 + region_words() + 2 * m(); }
+  void set_edge_id(size_t k, uint32_t value) const {
+    std::memcpy(record(k), &value, edge_width);
+  }
+  float threshold(size_t k) const {
+    float value;
+    std::memcpy(&value, record(k) + edge_width, sizeof(value));
+    return value;
+  }
+  void set_threshold(size_t k, float value) const {
+    std::memcpy(record(k) + edge_width, &value, sizeof(value));
+  }
+  /// Bytes the block takes: header, region and records.
+  size_t bytes() const {
+    return header_bytes + region_bytes() + m() * (edge_width + sizeof(float));
+  }
 
-  /// Re-encodes the block with its vertices at `new_vertex_width` and
-  /// its ids at `new_width` bytes, every value intact, and moves the
-  /// blocks after it.
-  void Reencode(uint32_t new_vertex_width, uint32_t new_width) const {
+  /// Re-encodes the block with its vertices at `new_vertex_width`, its
+  /// ids at `new_width` and its edge ids at `new_edge_width` bytes,
+  /// every value intact, its header one byte longer than it needs when
+  /// `overlong`, and moves the blocks after it.
+  void Reencode(uint32_t new_vertex_width, uint32_t new_width,
+                uint32_t new_edge_width, bool overlong = false) const {
     const uint32_t m_edges = m();
-    std::vector<uint32_t> words_out(1, n << 2);
-    if (new_width == 4) words_out[0] |= 1;
-    if (new_vertex_width == 4) words_out[0] |= 2;
-    const size_t bytes = n * new_vertex_width + (n + 2 + m_edges) * new_width;
-    words_out.resize(1 + (bytes + 3) / 4, 0);
-    auto* out = reinterpret_cast<std::byte*>(words_out.data() + 1);
-    for (uint32_t j = 0; j < n; ++j) {
-      if (new_vertex_width == 2) {
-        StoreId<uint16_t>(out, j, vertex(j));
-      } else {
-        StoreId<uint32_t>(out, j, vertex(j));
+    uint32_t header = n << 3;
+    if (new_width == 4) header |= 1;
+    if (new_vertex_width == 4) header |= 2;
+    if (new_edge_width == 4) header |= 4;
+    std::vector<uint8_t> out;
+    for (; header >= 0x80; header >>= 7) {
+      out.push_back(static_cast<uint8_t>(header | 0x80));
+    }
+    if (overlong) {
+      // The last group again with its top bit set, then an empty group.
+      out.push_back(static_cast<uint8_t>(header | 0x80));
+      out.push_back(0);
+    } else {
+      out.push_back(static_cast<uint8_t>(header));
+    }
+    const auto put = [&out](uint32_t value, uint32_t bytes) {
+      for (uint32_t b = 0; b < bytes; ++b) {
+        out.push_back(static_cast<uint8_t>(value >> (8 * b)));
       }
+    };
+    for (uint32_t j = 0; j < n; ++j) put(vertex(j), new_vertex_width);
+    for (uint32_t j = 0; j < n + 2 + m_edges; ++j) put(id(j), new_width);
+    for (uint32_t k = 0; k < m_edges; ++k) {
+      put(edge_id(k), new_edge_width);
+      uint32_t bits;
+      const float t = threshold(k);
+      std::memcpy(&bits, &t, sizeof(bits));
+      put(bits, sizeof(bits));
     }
-    std::byte* ids = out + n * new_vertex_width;
-    for (uint32_t j = 0; j < n + 2 + m_edges; ++j) {
-      if (new_width == 1) {
-        StoreId<uint8_t>(ids, j, id(j));
-      } else {
-        StoreId<uint32_t>(ids, j, id(j));
-      }
-    }
-    for (uint32_t w = 0; w < 2 * m_edges; ++w) {
-      words_out.push_back(record_word(w));
-    }
-    const auto shift = static_cast<uint32_t>(words_out.size() - words());
-    const auto at = image->body.begin() + start;
-    image->body.erase(at, at + static_cast<std::ptrdiff_t>(words()));
-    image->body.insert(image->body.begin() + start, words_out.begin(),
-                       words_out.end());
-    for (size_t i = sketch + 1; i < image->slots.size(); ++i) {
-      if ((image->slots[i] & kExplicit) != 0) image->slots[i] += shift;
-    }
+    Splice(image, sketch, start, bytes(), out);
   }
 };
 
@@ -312,9 +343,21 @@ struct Block {
 std::optional<Block> BlockOf(Image* image, size_t i) {
   if ((image->slots[i] & kExplicit) == 0) return std::nullopt;
   const uint32_t start = image->slots[i] & ~kExplicit;
-  const uint32_t size = image->body[start];
-  return Block{image, i, start, size >> 2, (size & 1) != 0 ? 4u : 1u,
-               (size & 2) != 0 ? 4u : 2u};
+  uint32_t header = 0;
+  uint32_t header_bytes = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const uint8_t byte = image->body[start + header_bytes++];
+    header |= uint32_t{byte & 0x7fu} << shift;
+    if (byte < 0x80) break;
+  }
+  return Block{image,
+               i,
+               start,
+               header_bytes,
+               header >> 3,
+               (header & 1) != 0 ? 4u : 1u,
+               (header & 2) != 0 ? 4u : 2u,
+               (header & 4) != 0 ? 4u : 3u};
 }
 
 // The first explicit block with at least `min_n` vertices and `min_m`
@@ -394,14 +437,36 @@ std::vector<ValidatorRow> ValidatorRows() {
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 0);
          if (!block) return false;
-         block->size_word() ^= 1;
+         // Bit 0 of the header's first byte: the id-width flag.
+         image->body[block->start] ^= 1;
          return true;
        }},
       {"n grown by one",
        [](const SocialNetwork&, Image* image) {
+         // A one-byte header that stays one byte.
+         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
+           return b.n < 15;
+         });
+         if (!block) return false;
+         image->body[block->start] += 8;
+         return true;
+       }},
+      {"header n = 0",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
+           return b.header_bytes == 1;
+         });
+         if (!block) return false;
+         // The flags stay; n << 3 is cleared.
+         image->body[block->start] &= 7;
+         return true;
+       }},
+      {"overlong header varint",
+       [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 0);
          if (!block) return false;
-         block->size_word() += 4;
+         block->Reencode(block->vertex_width, block->width,
+                         block->edge_width, /*overlong=*/true);
          return true;
        }},
       {"two vertices swapped",
@@ -450,7 +515,7 @@ std::vector<ValidatorRow> ValidatorRows() {
            return b.vertex_width == 2;
          });
          if (!block) return false;
-         block->Reencode(4, block->width);
+         block->Reencode(4, block->width, block->edge_width);
          return true;
        }},
       {"root id = n",
@@ -487,7 +552,27 @@ std::vector<ValidatorRow> ValidatorRows() {
        [](const SocialNetwork& n, Image* image) {
          const auto block = FindBlock(image, 1, 1);
          if (!block) return false;
-         block->record_word(0) = static_cast<uint32_t>(n.num_edges());
+         block->set_edge_id(0, static_cast<uint32_t>(n.num_edges()));
+         return true;
+       }},
+      {"3-byte edge id >= |E|",
+       [](const SocialNetwork& n, Image* image) {
+         // The largest id 3 bytes hold.
+         const auto block = FindBlock(image, 1, 1, [](const Block& b) {
+           return b.edge_width == 3;
+         });
+         constexpr uint32_t kMax3Byte = (uint32_t{1} << 24) - 1;
+         if (!block || n.num_edges() > kMax3Byte) return false;
+         block->set_edge_id(block->m() - 1, kMax3Byte);
+         return true;
+       }},
+      {"edge ids stored at 4 B though they fit 3",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 1, [](const Block& b) {
+           return b.edge_width == 3;
+         });
+         if (!block) return false;
+         block->Reencode(block->vertex_width, block->width, 4);
          return true;
        }},
       {"threshold = -0.5",
@@ -511,26 +596,6 @@ std::vector<ValidatorRow> ValidatorRows() {
          block->set_threshold(0, 1.5f);
          return true;
        }},
-      {"padding byte set",
-       [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
-           return b.region_bytes() % 4 != 0;
-         });
-         if (!block) return false;
-         // The last byte before the records.
-         block->region()[block->region_words() * 4 - 1] = std::byte{1};
-         return true;
-       }},
-      {"padding set after a 2-byte block's last head",
-       [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
-           return b.vertex_width == 2 && b.region_bytes() % 4 != 0;
-         });
-         if (!block) return false;
-         // The first padding byte.
-         block->region()[block->region_bytes()] = std::byte{1};
-         return true;
-       }},
       {"block stored wider than its width",
        [](const SocialNetwork&, Image* image) {
          // Re-encodes a 1-byte block at 4 bytes, moving the blocks after
@@ -539,7 +604,7 @@ std::vector<ValidatorRow> ValidatorRows() {
            return b.width == 1;
          });
          if (!block) return false;
-         block->Reencode(block->vertex_width, 4);
+         block->Reencode(block->vertex_width, 4, block->edge_width);
          return true;
        }},
       {"singleton word = |V|",
@@ -552,22 +617,17 @@ std::vector<ValidatorRow> ValidatorRows() {
          }
          return false;
        }},
-      {"block one word longer than BodyLength",
+      {"block one byte longer than BodyLength",
        [](const SocialNetwork&, Image* image) {
-         // A zero word after a block's records, with the blocks after it
+         // A zero byte after a block's records, with the blocks after it
          // moved to make room: BodyLength's end is no longer where the
          // next block starts, and sizing the records from the next
-         // block's start would read half a record into it.
+         // block's start would read a byte of it as a record's.
          const auto block = FindBlock(image, 1, 1, [image](const Block& b) {
-           return b.start + b.words() < image->body.size();
+           return b.start + b.bytes() < image->body.size();
          });
          if (!block) return false;
-         const size_t end = block->start + block->words();
-         image->body.insert(
-             image->body.begin() + static_cast<std::ptrdiff_t>(end), 0);
-         for (size_t i = block->sketch + 1; i < image->slots.size(); ++i) {
-           if ((image->slots[i] & kExplicit) != 0) image->slots[i] += 1;
-         }
+         Splice(image, block->sketch, block->start + block->bytes(), 0, {0});
          return true;
        }},
       {"body ends inside a block's records",
@@ -581,7 +641,7 @@ std::vector<ValidatorRow> ValidatorRows() {
          }
          return false;
        }},
-      {"body word after the last block",
+      {"body byte after the last block",
        [](const SocialNetwork&, Image* image) {
          image->body.push_back(0);
          return true;
@@ -592,13 +652,12 @@ std::vector<ValidatorRow> ValidatorRows() {
 TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   // Each row edits one field of a saved file, repairs its checksum and
   // must get kCorruptPayload: on the running example's file (1-byte ids,
-  // 2-byte vertices and singletons), on the certain cycle's (4-byte ids
-  // and vertices), and on two sketches packed by hand. The edgeless
-  // 300-vertex sketch's ids are all zero, so at either width they read
-  // the same: only its id width (4 bytes, as n > 256) tells a flipped
-  // width code. The one-vertex self-loop's block takes two words of
-  // region whether its vertex is stored at 2 or 4 bytes, so only its
-  // vertex width tells a re-encoded vertex.
+  // 2-byte vertices, 3-byte edge ids and singletons), on the certain
+  // cycle's (4-byte ids and vertices), and on two sketches packed by
+  // hand. The edgeless 300-vertex sketch's ids are all zero, so at
+  // either width they read the same: only its id width (4 bytes, as
+  // n > 256) tells a flipped width code. The one-vertex self-loop is
+  // the block with the fewest bytes, and one no singleton may replace.
   const SocialNetwork example = MakeRunningExample();
   const SocialNetwork cycle = MakeCertainCycle(65537);
   RrIndexOptions options;

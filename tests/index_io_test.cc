@@ -178,10 +178,11 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v5 is read: a file claiming v1 (the old one-record-per-graph
+  // Only v6 is read: a file claiming v1 (the old one-record-per-graph
   // format), v2 (the old per-sketch wire format), v3 (the pool image
-  // with its edge records in a third array) or v4 (every block vertex
-  // at 4 bytes), whole or cut short, is refused by its header.
+  // with its edge records in a third array), v4 (every block vertex at
+  // 4 bytes) or v5 (a word-padded u32 body), whole or cut short, is
+  // refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -190,8 +191,8 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 5);
-  for (const char version : {1, 2, 3, 4}) {
+  ASSERT_EQ(bytes[kVersionOffset], 6);
+  for (const char version : {1, 2, 3, 4, 5}) {
     bytes[kVersionOffset] = version;
     for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
       std::stringstream in(bytes.substr(0, keep));
@@ -363,6 +364,61 @@ TEST(IndexIoTest, DelayMatZeroThetaRejected) {
   EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
 }
 
+TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
+  // The estimator divides by theta, so a file whose directory holds
+  // fewer sketches than its theta would estimate with the wrong
+  // denominator. The file is valid but for that: a pool of theta + 1
+  // sketches, the last an implicit singleton, saved, then its last
+  // directory word dropped and the checksum recomputed.
+  const SocialNetwork n = MakeRunningExample();
+  RrIndex index(n, SmallOptions());
+  index.Build();
+  const uint64_t theta = index.num_graphs() + 1;
+  const RRGraph singleton{2, {2}, {0, 0}, {}, {}};
+  const auto longer = RrIndex::FromPool(
+      n, SmallOptions(), theta,
+      std::make_shared<const RrSketchPool>(
+          RrSketchPool::Pack(theta, n.num_vertices(), [&](size_t i) {
+            return i + 1 < theta ? index.graph(i) : singleton.View();
+          })));
+  std::stringstream file;
+  ASSERT_TRUE(SaveRrIndex(*longer, file));
+  std::string bytes = file.str();
+  {
+    std::stringstream in(bytes);
+    ASSERT_NE(LoadRrIndex(n, in), nullptr);
+  }
+  // theta u64 follows the header, then the directory's u64 count and
+  // its u32 words.
+  constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
+  constexpr size_t kCountOffset = kThetaOffset + 8;
+  const size_t last_slot = kCountOffset + 8 + 4 * (theta - 1);
+  ASSERT_EQ(static_cast<unsigned char>(bytes[last_slot + 3]) & 0x80, 0)
+      << "the last sketch is an implicit singleton";
+  bytes.erase(last_slot, 4);
+  bytes[kCountOffset] = static_cast<char>(bytes[kCountOffset] - 1);
+  ASSERT_NE(static_cast<unsigned char>(bytes[kCountOffset]), 0xff)
+      << "the count's low byte does not wrap";
+  RepairChecksum(&bytes);
+  std::stringstream in(bytes);
+  IndexIoError error;
+  EXPECT_EQ(LoadRrIndex(n, in, &error), nullptr);
+  EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
+}
+
+TEST(IndexIoTest, FromPoolRequiresThetaEqualToSketchCount) {
+  const SocialNetwork n = MakeRunningExample();
+  RrIndex index(n, SmallOptions());
+  index.Build();
+  const auto pool = std::make_shared<const RrSketchPool>(index.pool());
+  EXPECT_DEATH(RrIndex::FromPool(n, SmallOptions(), index.num_graphs() + 1,
+                                 pool),
+               "theta must equal");
+  EXPECT_EQ(RrIndex::FromPool(n, SmallOptions(), index.num_graphs(), pool)
+                ->num_graphs(),
+            index.num_graphs());
+}
+
 TEST(IndexIoTest, LoadedDelayMatEstimatesWithinTolerance) {
   const SocialNetwork n = MakeRunningExample();
   DelayMatIndex index(n, SmallOptions());
@@ -504,7 +560,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   const SocialNetwork n = MakeRunningExample();
   const uint64_t fp = NetworkFingerprint(n);
   constexpr uint8_t kRr = 1;
-  constexpr uint32_t kCurrent = 5;  // the one version the loader reads
+  constexpr uint32_t kCurrent = 6;  // the one version the loader reads
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),

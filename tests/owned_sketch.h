@@ -28,7 +28,7 @@
 
 namespace pitex {
 
-/// One storage-owning sketch with 4-byte local ids.
+/// One storage-owning sketch with 4-byte local ids and edge ids.
 struct RRGraph {
   VertexId root = 0;
   std::vector<VertexId> vertices;  // sorted ascending
@@ -46,8 +46,7 @@ struct RRGraph {
                   std::span<const VertexId>(vertices),
                   reinterpret_cast<const std::byte*>(offsets.data()),
                   reinterpret_cast<const std::byte*>(heads.data()),
-                  {reinterpret_cast<const std::byte*>(edges.data()),
-                   edges.size()}};
+                  std::span<const RRLocalEdge>(edges)};
   }
   operator RRView() const { return View(); }  // NOLINT(runtime/explicit)
 

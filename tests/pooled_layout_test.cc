@@ -106,6 +106,12 @@ uint32_t ExpectedVertexWidth(VertexId max_vertex) {
   return max_vertex < 65536 ? 2 : 4;
 }
 
+// Bytes per edge id of an explicit block whose largest edge id is
+// `max_edge`.
+uint32_t ExpectedEdgeWidth(EdgeId max_edge) {
+  return max_edge < (EdgeId{1} << 24) ? 3 : 4;
+}
+
 // Bytes the LEB128 varint of x takes: one per started group of 7 bits.
 size_t VarintBytes(uint32_t x) {
   size_t bytes = 1;
@@ -137,13 +143,21 @@ size_t CodedBytes(const std::vector<std::vector<uint32_t>>& lists) {
   return bytes;
 }
 
+// The largest edge id of a sketch, 0 if it has no edges.
+EdgeId MaxEdgeId(const RRView& view) {
+  EdgeId max_edge = 0;
+  for (const RRLocalEdge e : view.edges) max_edge = std::max(max_edge, e.edge);
+  return max_edge;
+}
+
 // The pool's footprint from its layout: the directory (one word per
-// sketch), the body and the containing starts hold 32-bit words and the
-// containing lists their coded bytes. A sketch's body block is a
-// one-word header, then one byte region rounded up to whole words (n
-// vertices at the block's vertex width, then the root's local id, n + 1
-// offsets and m heads at its id width), then its m edge records at 8
-// bytes each, unless it is an implicit singleton (one vertex, no edges).
+// sketch) and the containing starts hold 32-bit words, the body and the
+// containing lists bytes. A sketch's body block is a varint header of
+// n << 3 and three flags, then n vertices at the block's vertex width,
+// then the root's local id, n + 1 offsets and m heads at its id width,
+// then its m edge records of an edge id at its edge width and a 4-byte
+// threshold, with no padding, unless it is an implicit singleton (one
+// vertex, no edges).
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   size_t body = 0;
@@ -152,12 +166,13 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     const size_t n = view.vertices.size();
     const size_t m = view.edges.size();
     if (n == 1 && m == 0) continue;
-    const size_t region = n * ExpectedVertexWidth(view.vertices.back()) +
-                          (n + 2 + m) * ExpectedWidth(n, m);
-    body += 1 + (region + 3) / 4 + 2 * m;
+    body += VarintBytes(static_cast<uint32_t>(n << 3)) +
+            n * ExpectedVertexWidth(view.vertices.back()) +
+            (n + 2 + m) * ExpectedWidth(n, m) +
+            m * (ExpectedEdgeWidth(MaxEdgeId(view)) + 4);
   }
   return sizeof(RrSketchPool) +
-         sizeof(uint32_t) * (s + body + pool.num_universe_vertices() + 1) +
+         sizeof(uint32_t) * (s + pool.num_universe_vertices() + 1) + body +
          CodedBytes(ContainingFromViews(pool));
 }
 
@@ -330,12 +345,12 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
       Singleton(7)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // Only the two-vertex sketch has a body block: a one-word header,
-  // three words holding its two 2-byte vertices, its root id, 3 offsets
-  // and 1 head, and its edge record's two words. The lists of vertices
-  // 2, 5 and 7 take 1, 1 and 2 bytes.
+  // Only the two-vertex sketch has a body block of 17 bytes: a one-byte
+  // header, its two 2-byte vertices, its root id, 3 offsets and 1 head
+  // at a byte each, and its 7-byte edge record. The lists of vertices 2,
+  // 5 and 7 take 1, 1 and 2 bytes.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 6 + 11) + 4);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 11) + 17 + 4);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
   }
@@ -348,14 +363,14 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
 
 TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   // One vertex but one edge: the edge needs its header, offsets and
-  // record, so the sketch keeps a block of 1 + 2 + 2 words (header, a
-  // region of 2 + 4 bytes, record).
+  // record, so the sketch keeps a block of 1 + 2 + 4 + 7 bytes (header,
+  // vertex, root id, 2 offsets and a head, record).
   const std::vector<RRGraph> graphs = {
       RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}}, Singleton(4)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (2 + 5 + 11) + 2);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (2 + 11) + 14 + 2);
   EXPECT_TRUE(SameSketch(pool.View(0), graphs[0]));
   EXPECT_TRUE(SameSketch(pool.View(1), graphs[1]));
   EXPECT_TRUE(
@@ -433,11 +448,11 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 1 + 3 + 2, 1 + 2 + 2, 1 + 4 + 4 and 1 + 3 + 2 words
-  // (header, byte region, records), and 12 containing entries of a byte
+  // Blocks of 1 + 9 + 7, 1 + 6 + 7, 1 + 13 + 14 and 1 + 9 + 7 bytes
+  // (header, region, records), and 12 containing entries of a byte
   // each.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 26 + 11) + 12);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 11) + 76 + 12);
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
   EXPECT_EQ(pool.max_sketch_vertices(), 3u);
@@ -609,6 +624,7 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
     // A singleton's vertex reads at the width a block of it would take.
     EXPECT_EQ(view.vertices.width(),
               ExpectedVertexWidth(want.vertices.back()));
+    EXPECT_EQ(view.edges.width(), ExpectedEdgeWidth(MaxEdgeId(want)));
     const size_t r = want.root_local;
     for (const size_t u :
          {size_t{0}, size_t{1}, n / 2, n - 2, n - 1, r - 1, r, r + 1}) {
@@ -750,6 +766,120 @@ TEST(PooledLayoutTest, MixedVertexWidthsRoundTripThroughIndexFile) {
   ExpectMatchesGraphs(loaded->pool(), graphs);
 }
 
+// A sketch over `vertices` (sorted) rooted at the first, with no edges.
+RRGraph EdgelessSketch(std::vector<VertexId> vertices) {
+  const VertexId root = vertices[0];
+  std::vector<uint32_t> offsets(vertices.size() + 1, 0);
+  return RRGraph{root, std::move(vertices), std::move(offsets), {}, {}};
+}
+
+// Appends `g` to `run` through AppendSketch, as the generator and the
+// repair assembly do: its largest edge id first, then a fill.
+void AppendThroughSketch(const RRGraph& g, RrSketchPool* run) {
+  run->AppendSketch(*g.LocalIndex(g.root), g.vertices, g.edges.size(),
+                    MaxEdgeId(g), [&g](const auto& out) {
+                      for (size_t j = 0; j < g.offsets.size(); ++j) {
+                        out.set_offset(j, g.offsets[j]);
+                      }
+                      for (size_t k = 0; k < g.edges.size(); ++k) {
+                        out.set_head(k, g.heads[k]);
+                        out.set_edge(k, g.edges[k]);
+                      }
+                    });
+}
+
+constexpr EdgeId k24 = EdgeId{1} << 24;
+
+// Blocks on both sides of the edge-width boundary, largest edge id
+// 2^24 - 1 (3-byte edge ids) and 2^24 (4-byte), the largest first or
+// last among its edges, around an implicit singleton. Thresholds such as
+// 0.1f have a nonzero low byte, which a 3-byte id's 4-byte load must
+// drop.
+std::vector<RRGraph> EdgeWidthGraphs() {
+  return {RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{k24 - 1, 0.25f}}},
+          RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{k24, 0.25f}}},
+          Singleton(5),
+          RRGraph{6,
+                  {1, 3, 6},
+                  {0, 1, 2, 2},
+                  {2, 2},
+                  {{0, 0.1f}, {k24 - 1, 0.2f}}},
+          RRGraph{6,
+                  {1, 3, 6},
+                  {0, 1, 2, 2},
+                  {2, 2},
+                  {{k24, 0.1f}, {5, 0.2f}}}};
+}
+
+TEST(PooledLayoutTest, EdgeWidthBoundariesSurviveEveryWriter) {
+  const std::vector<RRGraph> graphs = EdgeWidthGraphs();
+  RrSketchPool run;
+  for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
+  ExpectMatchesGraphs(run, graphs);
+  // Sanity of the fixtures: the widths each block was built to take.
+  const uint32_t widths[] = {3, 4, 3, 3, 4};
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    EXPECT_EQ(run.View(i).edges.width(), widths[i]) << "sketch " << i;
+  }
+  // Append and Pack re-encode the run's views at their own widths.
+  RrSketchPool appended;
+  for (size_t i = 0; i < run.num_sketches(); ++i) appended.Append(run.View(i));
+  ExpectMatchesGraphs(appended, graphs);
+  const RrSketchPool packed = RrSketchPool::Pack(
+      graphs.size(), 10, [&run](size_t i) { return run.View(i); });
+  ExpectMatchesGraphs(packed, graphs);
+  EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
+  // Blocks of 17 and 18 bytes (header, region of 9, one record of 7 or
+  // 8) and 28 and 30 (header, region of 13, two records of 7 or 8), and
+  // containing lists of 2 bytes for vertices 1, 2, 3, 6 and 7 and one
+  // for vertex 5.
+  EXPECT_EQ(packed.SizeBytes(), sizeof(RrSketchPool) +
+                                    sizeof(uint32_t) * (5 + 11) +
+                                    (17 + 18 + 28 + 30) + 11);
+  ExpectEveryWriterKeeps(graphs, 10);
+}
+
+TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixteenVertices) {
+  // The header is the varint of n << 3 and three flags: one byte while
+  // n <= 15, two from n = 16.
+  std::vector<VertexId> fifteen(15);
+  std::iota(fifteen.begin(), fifteen.end(), 0);
+  std::vector<VertexId> sixteen(16);
+  std::iota(sixteen.begin(), sixteen.end(), 0);
+  const std::vector<RRGraph> graphs = {EdgelessSketch(fifteen), Singleton(3),
+                                       EdgelessSketch(sixteen),
+                                       WideSketch(16, 17)};
+  RrSketchPool run;
+  for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
+  ExpectMatchesGraphs(run, graphs);
+  ExpectEveryWriterKeeps(graphs, 20);
+  const RrSketchPool pool = RrSketchPool::Pack(
+      graphs.size(), 20, [&graphs](size_t i) { return graphs[i].View(); });
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  // Blocks of 1 + 30 + 17, 2 + 32 + 18 and 2 + 32 + 35 + 17 * 7 bytes
+  // (header, vertices, ids, records).
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) +
+                                  sizeof(uint32_t) * (4 + 21) +
+                                  (48 + 52 + 188) +
+                                  CodedBytes(ContainingFromViews(pool)));
+
+  // The loader reads both header lengths back: the file saves, loads
+  // and saves back to the same bytes.
+  const SocialNetwork cycle = MakeCertainCycle(20);
+  const auto index = RrIndex::FromPool(
+      cycle, Options(), graphs.size(),
+      std::make_shared<const RrSketchPool>(pool));
+  std::stringstream first;
+  ASSERT_TRUE(SaveRrIndex(*index, first));
+  std::string error;
+  const auto loaded = LoadRrIndex(cycle, first, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  std::stringstream second;
+  ASSERT_TRUE(SaveRrIndex(*loaded, second));
+  EXPECT_EQ(second.str(), first.str());
+  ExpectMatchesGraphs(loaded->pool(), graphs);
+}
+
 // A sketch over vertices 0 .. n - 1 rooted at local id r: a path from
 // each end converging on the root (j -> j + 1 below it, j -> j - 1
 // above it). Edge k has id k; every third threshold is too high for
@@ -785,13 +915,6 @@ TEST(PooledLayoutTest, RootLocalIdSurvivesEveryWriter) {
   ASSERT_EQ(ExpectedWidth(256, graphs[6].edges.size()), 1u);
   ASSERT_EQ(ExpectedWidth(300, graphs[8].edges.size()), 4u);
   ExpectEveryWriterKeeps(graphs, 300);
-}
-
-// A sketch over `vertices` (sorted) rooted at the first, with no edges.
-RRGraph EdgelessSketch(std::vector<VertexId> vertices) {
-  const VertexId root = vertices[0];
-  std::vector<uint32_t> offsets(vertices.size() + 1, 0);
-  return RRGraph{root, std::move(vertices), std::move(offsets), {}, {}};
 }
 
 TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
