@@ -272,9 +272,9 @@ BENCHMARK(BM_IndexEstimate);
 // Distinct 64-byte lines of pool memory an estimate walk over `rr` can
 // touch: its directory word (4 bytes, never across a line) and, for an
 // explicit sketch, its block, which runs without gaps from the varint
-// header of n << 3 and three flags before the vertices (1 byte while
-// n <= 15, 2 while n <= 2,047) through the last of its m records of
-// edge width + 4 bytes.
+// header of n << 4 and four flags before the vertices (1 byte while
+// n <= 7, 2 while n <= 1,023) through the last of its m records of
+// edge width + 4 bytes; an in-tree block has no offsets in between.
 uint64_t PoolLines(const RRView& rr) {
   // An implicit singleton's directory word is its vertex.
   if (rr.vertices.size() == 1 && rr.edges.empty()) return 1;
@@ -282,7 +282,7 @@ uint64_t PoolLines(const RRView& rr) {
     return reinterpret_cast<uintptr_t>(p) / 64;
   };
   const uintptr_t first =
-      line(rr.vertices.data() - VarintLength(uint64_t{rr.vertices.size()} << 3));
+      line(rr.vertices.data() - VarintLength(uint64_t{rr.vertices.size()} << 4));
   const std::byte* end =
       rr.edges.data() + rr.edges.size() * (rr.edges.width() + sizeof(float));
   return 1 + (line(end - 1) - first + 1);  // directory, block

@@ -15,14 +15,15 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v6's RR-Graph payload is the RrSketchPool image: its directory words
+// v7's RR-Graph payload is the RrSketchPool image: its directory words
 // and its body bytes as they are, each sketch's edge records inside its
-// block. (v1, one record per graph, v2, a wire format of per-sketch
-// CSRs packed into a pool on load, v3, whose edge records were a third
-// array, v4, whose blocks kept every vertex at 4 bytes, and v5, whose
-// body was word-padded u32 words with 4-byte headers and edge ids, are
-// no longer read.)
-constexpr uint32_t kVersionCurrent = 6;
+// block, and an in-tree block's CSR offsets left out. (v1, one record
+// per graph, v2, a wire format of per-sketch CSRs packed into a pool on
+// load, v3, whose edge records were a third array, v4, whose blocks
+// kept every vertex at 4 bytes, v5, whose body was word-padded u32
+// words with 4-byte headers and edge ids, and v6, whose blocks all
+// stored their offsets, are no longer read.)
+constexpr uint32_t kVersionCurrent = 7;
 constexpr uint8_t kKindRrGraphs = 1;
 constexpr uint8_t kKindDelayMat = 2;
 

@@ -13,7 +13,7 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 6 is the only version read or written; a v1 to v5 header is
+// Version 7 is the only version read or written; a v1 to v6 header is
 // refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
 // image (src/index/rr_sketch_pool.h):
 //
@@ -21,10 +21,11 @@
 //   count, bytes) | build_seconds f64
 //
 // Each explicit sketch is one block of the body, with no padding: a
-// varint header (n and three width flags), its vertices at 2 or 4
-// bytes, its packed local ids at 1 or 4, then its records, each an edge
-// id at 3 or 4 bytes and a threshold f32. A directory whose length is
-// not theta is kCorruptPayload.
+// varint header (n, three width flags and the in-tree flag), its
+// vertices at 2 or 4 bytes, its packed local ids at 1 or 4 (the root
+// id, the CSR offsets unless the block is an in-tree, the heads), then
+// its records, each an edge id at 3 or 4 bytes and a threshold f32. A
+// directory whose length is not theta is kCorruptPayload.
 //
 // An index with repairs saves as its compaction (RrSketchPool::Pack of
 // its sketch views). The containing index is not stored: the loader

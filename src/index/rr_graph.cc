@@ -29,10 +29,10 @@ void DecomposeRRGraphInto(const RRView& rr,
 namespace {
 
 // Forward DFS from local vertex `start` over the edges live under
-// `probs`, stopping at `target`; instantiated per id width so the inner
-// loop reads offsets and heads with no width branch.
-template <typename T>
-PITEX_NOALLOC bool WalkToRoot(const LocalCsr<T>& csr,
+// `probs`, stopping at `target`; instantiated per CSR form and id width
+// so the inner loop reads offsets and heads with no branch on either.
+template <typename Csr>
+PITEX_NOALLOC bool WalkToRoot(const Csr& csr,
                               const EdgeRecords& edges,
                               uint32_t start, uint32_t target,
                               const EdgeProbFn& probs, uint32_t epoch,
@@ -87,7 +87,8 @@ PITEX_NOALLOC bool IsReachable(const RRView& rr, VertexId u,
   }
   const uint32_t epoch = scratch->epoch_;
 
-  // One dispatch on the id width; the walk is instantiated per width.
+  // One dispatch on the CSR form and id width; the walk is instantiated
+  // per form and width.
   uint64_t probes = 0;
   const bool found = rr.VisitCsr([&](const auto& csr) {
     return WalkToRoot(csr, rr.edges, *start, rr.root_local, probs, epoch,

@@ -12,7 +12,9 @@
 // src/index/rr_sketch_pool.h, where a single-vertex sketch is its root
 // in the directory and every other sketch's vertices are packed at 2 or
 // 4 bytes, its local ids (its root's among them) at 1 or 4 and its edge
-// ids at 3 or 4.
+// ids at 3 or 4. An in-tree sketch, whose root has no out-edge and
+// every other vertex exactly one, stores no CSR offsets: they follow
+// from the root's local id (TreeCsr).
 // SketchArena (src/index/sketch_arena.h) assembles every sketch straight
 // into a pool run: the offline build, DynamicRrIndex repair, DelayMat
 // recovery and the query planner's probes. RRView is the non-owning
@@ -69,6 +71,36 @@ struct LocalCsr {
   const std::byte* heads;
 
   uint32_t offset(size_t j) const { return LoadId<T>(offsets, j); }
+  uint32_t head(size_t k) const { return LoadId<T>(heads, k); }
+};
+
+/// Local CSR offset j of an in-tree sketch rooted at local id
+/// `root_local`: the root has no out-edge and every other vertex
+/// exactly one, so tail j's edge is edge j, less one past the root.
+inline uint32_t InTreeOffset(size_t j, uint32_t root_local) {
+  return static_cast<uint32_t>(j - (j > root_local));
+}
+
+/// True when offsets offset(0), ..., offset(n) of a local CSR over n
+/// vertices are an in-tree's (InTreeOffset): the shape a pool block
+/// stores without offsets.
+template <typename OffsetOf>
+bool IsInTree(size_t n, uint32_t root_local, OffsetOf&& offset) {
+  for (size_t j = 0; j <= n; ++j) {
+    if (offset(j) != InTreeOffset(j, root_local)) return false;
+  }
+  return true;
+}
+
+/// The local CSR of an in-tree sketch: its offsets follow from the
+/// root's local id, and only its m = n - 1 edge heads are stored, at id
+/// width T. Readers take it as they take a LocalCsr.
+template <typename T>
+struct TreeCsr {
+  uint32_t root_local;
+  const std::byte* heads;
+
+  uint32_t offset(size_t j) const { return InTreeOffset(j, root_local); }
   uint32_t head(size_t k) const { return LoadId<T>(heads, k); }
 };
 
@@ -267,22 +299,40 @@ class VertexIds {
 /// or 4 bytes, that holds the sketch's size (RrSketchPool::IdWidth).
 /// The vertices have a width of their own, 2 or 4 bytes
 /// (RrSketchPool::VertexWidth), and so do the edge records' ids, 3 or 4
-/// bytes (RrSketchPool::EdgeWidth).
+/// bytes (RrSketchPool::EdgeWidth). A view of an in-tree sketch (the
+/// root has no out-edge, every other vertex exactly one; nearly every
+/// pooled sketch) has no stored offsets: its offset_ids is null and
+/// its readers take a TreeCsr.
 struct RRView {
   uint32_t root_local = 0;                // local index of the root
   uint32_t id_width = 4;                  // bytes per local id: 1 or 4
   VertexIds vertices;                     // sorted ascending
-  const std::byte* offset_ids = nullptr;  // CSR over local tails, n + 1
+  const std::byte* offset_ids = nullptr;  // CSR over local tails, n + 1;
+                                          // null for an in-tree sketch
   const std::byte* head_ids = nullptr;    // local head of each edge, m
   EdgeRecords edges;                      // m
 
-  /// Calls fn(LocalCsr<T>) with T the view's id width and returns its
-  /// result: one dispatch per sketch, so fn's loops are width-specific.
+  /// Calls fn(csr) with csr a TreeCsr<T> for an in-tree sketch, else a
+  /// LocalCsr<T>, T the view's id width, and returns its result: one
+  /// dispatch per sketch, so fn's loops are form- and width-specific.
   /// Every reader of the offsets and heads goes through here.
   template <typename Fn>
   decltype(auto) VisitCsr(Fn&& fn) const {
+    if (offset_ids == nullptr) {
+      if (id_width == 1) return fn(TreeCsr<uint8_t>{root_local, head_ids});
+      return fn(TreeCsr<uint32_t>{root_local, head_ids});
+    }
     if (id_width == 1) return fn(LocalCsr<uint8_t>{offset_ids, head_ids});
     return fn(LocalCsr<uint32_t>{offset_ids, head_ids});
+  }
+
+  /// True when the sketch is an in-tree (IsInTree), whether or not its
+  /// offsets are stored.
+  bool InTree() const {
+    return offset_ids == nullptr || VisitCsr([this](const auto& csr) {
+             return IsInTree(vertices.size(), root_local,
+                             [&csr](size_t j) { return csr.offset(j); });
+           });
   }
 
   /// The root's global vertex id.

@@ -10,7 +10,8 @@ void RrSketchPool::Append(const RRView& sketch) {
   const size_t n = sketch.vertices.size();
   const size_t m = sketch.edges.size();
   AppendBlock(sketch.root_local, sketch.vertices, m,
-              EdgeWidthOf(sketch.edges), [&](const auto& out) {
+              EdgeWidthOf(sketch.edges), sketch.InTree(),
+              [&](const auto& out) {
     sketch.VisitCsr([&](const auto& in) {
       PITEX_DCHECK(in.offset(n) == m);
       for (size_t j = 0; j <= n; ++j) out.set_offset(j, in.offset(j));
@@ -125,33 +126,38 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
     }
     const uint64_t n = header >> kHeaderFlagBits;
     if (header > UINT32_MAX || n == 0) return false;
+    const bool in_tree = (header & kInTree) != 0;
     const uint64_t width = (header & kIdsWide) != 0 ? 4 : 1;
     const uint64_t vertex_width = (header & kVerticesWide) != 0 ? 4 : 2;
     const uint64_t edge_width = (header & kEdgesWide) != 0 ? 4 : 3;
-    // The vertices, root id and offsets: what sizes the block.
+    // The vertices, root id and any offsets: what sizes the block.
     const uint64_t left = body_.size() - body - header_bytes;
-    if (left < RegionBytes(n, 0, vertex_width, width)) return false;
+    if (left < RegionBytes(n, 0, vertex_width, width, in_tree)) return false;
     const auto* region =
         reinterpret_cast<const std::byte*>(body_.data() + body + header_bytes);
     const std::byte* ids = region + n * vertex_width;
-    // The last offset is the edge count.
-    const uint64_t m = width == 1 ? LoadId<uint8_t>(ids, n + 1)
-                                  : LoadId<uint32_t>(ids, n + 1);
-    const uint64_t length =
-        RegionBytes(n, m, vertex_width, width) + m * (edge_width + 4);
+    // An in-tree has n - 1 edges; otherwise the last offset counts them.
+    const uint64_t m = in_tree      ? n - 1
+                       : width == 1 ? LoadId<uint8_t>(ids, n + 1)
+                                    : LoadId<uint32_t>(ids, n + 1);
+    const uint64_t length = RegionBytes(n, m, vertex_width, width, in_tree) +
+                            m * (edge_width + 4);
     if (left < length) return false;
     const RRView view = View(i);
     // The block is what AppendBlock writes for its own data: its header
-    // holds n and the widths that data calls for, in no more bytes than
+    // holds n, the widths that data calls for and the in-tree flag
+    // exactly when its offsets are an in-tree's, in no more bytes than
     // the value needs, and a one-vertex edgeless sketch is a singleton,
     // not a block. (The last vertex is the largest once the loop below
     // finds the vertices sorted.)
     const uint32_t canonical_vertex_width = VertexWidth(view.vertices.back());
     const uint32_t canonical_edge_width = EdgeWidthOf(view.edges);
+    const bool canonical_in_tree = view.InTree();
     if (header != BlockHeader(n, m, canonical_vertex_width,
-                              canonical_edge_width) ||
+                              canonical_edge_width, canonical_in_tree) ||
         header_bytes + length != BodyLength(n, m, canonical_vertex_width,
-                                            canonical_edge_width)) {
+                                            canonical_edge_width,
+                                            canonical_in_tree)) {
       return false;
     }
     for (uint64_t j = 0; j < n; ++j) {

@@ -18,15 +18,24 @@
 //                    1 << 31 | the byte offset of sketch i's block in
 //                    body_
 //   body_[start ..]  a header, the LEB128 varint (as the containing
-//                    lists code ids) of n_i << 3 | edge ids wide << 2 |
-//                    vertices wide << 1 | ids wide: one byte while
-//                    n_i <= 15, two while n_i <= 2,047; then the n_i
-//                    sorted vertex ids at v_i bytes each, then the
-//                    root's local id, the n_i + 1 local CSR offsets
-//                    (0 .. m_i) and the m_i local edge heads at w_i
-//                    bytes each; then the m_i records of e_i + 4 bytes,
-//                    the edge id at e_i bytes and the threshold's bits
+//                    lists code ids) of n_i << 4 | in-tree << 3 |
+//                    edge ids wide << 2 | vertices wide << 1 |
+//                    ids wide: one byte while n_i <= 7, two while
+//                    n_i <= 1,023; then the n_i sorted vertex ids at
+//                    v_i bytes each, then the root's local id, the
+//                    n_i + 1 local CSR offsets (0 .. m_i) unless the
+//                    block is an in-tree, and the m_i local edge heads
+//                    at w_i bytes each; then the m_i records of
+//                    e_i + 4 bytes, the edge id at e_i bytes and the
+//                    threshold's bits
 // A sketch's walk therefore reads its directory word and one block.
+// An *in-tree* block is one whose CSR gives the root no out-edge and
+// every other vertex exactly one (IsInTree): m_i = n_i - 1 and offset j
+// is j, less one past the root (InTreeOffset), so the block stores no
+// offsets and its view hands readers a TreeCsr. On pitexbench's network
+// all but 5 of the 85,966 blocks are in-trees. Like the widths, the
+// form is chosen from the block's own data, and a block of an in-tree's
+// shape is never stored with offsets.
 // Vertex ids and block offsets fit 31 bits, so the body holds at most
 // 2 GiB. All three widths are chosen from the block's own data, with no
 // option. w_i is 1 byte while the block's local ids fit one (IdWidth:
@@ -42,11 +51,12 @@
 // (EdgeRecords).
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has no block:
-// its directory word is its vertex, and View() serves its header, root
-// id and offsets from a static block, so the estimate walk over it
+// its directory word is its vertex, and View() serves its header and
+// root id from a static in-tree block, so the estimate walk over it
 // reads only the directory. The static block reads the vertex at 2
 // bytes while it fits them, so a graph whose vertices all fit 16 bits
-// reads every sketch at one vertex width.
+// reads every sketch at one vertex width, and nearly every sketch in
+// one CSR form.
 //
 // Containing lists, for vertex u:
 //   containing_[containing_starts_[u] .. containing_starts_[u + 1])
@@ -138,15 +148,23 @@ inline const uint8_t* GetVarint(const uint8_t* at, uint32_t* x) {
 
 /// The write side of LocalCsr: one pool block's packed offsets and heads
 /// at id width T, and its edge records at the block's edge width, as
-/// RrSketchPool::AppendSketch hands them to its fill.
+/// RrSketchPool::AppendSketch hands them to its fill. An in-tree block
+/// stores no offsets, so set_offset only checks the ones it is given.
 template <typename T>
 struct LocalCsrOut {
-  std::byte* offsets;   // n + 1 entries
+  std::byte* offsets;   // n + 1 entries; null in an in-tree block
   std::byte* heads;     // m entries
   std::byte* records;   // m records (EdgeRecords' layout)
   uint32_t edge_width;  // bytes per edge id: 3 or 4
+  uint32_t root_local;  // the root's local id
 
-  void set_offset(size_t j, uint32_t id) const { StoreId<T>(offsets, j, id); }
+  void set_offset(size_t j, uint32_t id) const {
+    if (offsets == nullptr) {
+      PITEX_DCHECK(id == InTreeOffset(j, root_local));
+      return;
+    }
+    StoreId<T>(offsets, j, id);
+  }
   void set_head(size_t k, uint32_t id) const { StoreId<T>(heads, k, id); }
   void set_edge(size_t k, RRLocalEdge edge) const {
     PITEX_DCHECK(edge_width == 4 || edge.edge < (uint32_t{1} << 24));
@@ -256,19 +274,22 @@ class RrSketchPool {
 
   /// Appends one sketch in the pooled layout without touching the
   /// containing index: a pool appended to is a run, which only FromRuns
-  /// reads besides View(). The block takes its own widths whatever
-  /// widths `sketch` is stored at. `sketch` must not view this pool.
+  /// reads besides View(). The block takes its own widths and form
+  /// whatever widths and form `sketch` is stored in. `sketch` must not
+  /// view this pool.
   void Append(const RRView& sketch);
   /// Appends the sketch with `vertices` (sorted), rooted at
   /// vertices[root_local], and m edges whose largest id is `max_edge` (0
   /// when m = 0), as Append does: fill(out) writes its n + 1 offsets, m
   /// heads and m edge records through a LocalCsrOut<T> at the block's
-  /// widths. An implicit singleton (one vertex, no edges) has nothing to
-  /// write and calls no fill.
+  /// widths. `in_tree` says whether those offsets are an in-tree's
+  /// (IsInTree), and the block then stores none of them. An implicit
+  /// singleton (one vertex, no edges) has nothing to write and calls no
+  /// fill.
   template <typename Fill>
   void AppendSketch(uint32_t root_local, std::span<const VertexId> vertices,
-                    size_t m, EdgeId max_edge, Fill&& fill) {
-    AppendBlock(root_local, vertices, m, EdgeWidth(max_edge),
+                    size_t m, EdgeId max_edge, bool in_tree, Fill&& fill) {
+    AppendBlock(root_local, vertices, m, EdgeWidth(max_edge), in_tree,
                 std::forward<Fill>(fill));
   }
   /// Drops every sketch, keeping every array's capacity: a cleared run
@@ -285,19 +306,22 @@ class RrSketchPool {
     const auto* region =
         reinterpret_cast<const std::byte*>(GetVarint(Block(*slot), &header));
     const uint32_t n = header >> kHeaderFlagBits;
+    const bool in_tree = (header & kInTree) != 0;
     const uint32_t width = (header & kIdsWide) != 0 ? 4 : 1;
     const uint32_t vertex_width = (header & kVerticesWide) != 0 ? 4 : 2;
     const uint32_t edge_width = (header & kEdgesWide) != 0 ? 4 : 3;
     // After the vertices, the root's local id, then the offsets, whose
-    // last is the edge count, then the heads and the records.
+    // last is the edge count, then the heads and the records. An
+    // in-tree block has n - 1 edges and no offsets.
     const std::byte* ids = region + n * vertex_width;
     const std::byte* offsets = ids + width;
     const bool narrow = width == 1;
     const uint32_t root_local =
         narrow ? LoadId<uint8_t>(ids, 0) : LoadId<uint32_t>(ids, 0);
-    const uint32_t m = narrow ? LoadId<uint8_t>(offsets, n)
-                              : LoadId<uint32_t>(offsets, n);
-    const std::byte* heads = offsets + (n + 1) * width;
+    const uint32_t m = in_tree  ? n - 1
+                       : narrow ? LoadId<uint8_t>(offsets, n)
+                                : LoadId<uint32_t>(offsets, n);
+    const std::byte* heads = in_tree ? offsets : offsets + (n + 1) * width;
     // A singleton's vertex is the low-order bytes of its directory word.
     const std::byte* word =
         reinterpret_cast<const std::byte*>(slot) +
@@ -305,7 +329,7 @@ class RrSketchPool {
     return RRView{root_local,
                   width,
                   {(*slot & kExplicit) != 0 ? region : word, n, vertex_width},
-                  offsets,
+                  in_tree ? nullptr : offsets,
                   heads,
                   {heads + m * width, m, edge_width}};
   }
@@ -329,27 +353,30 @@ class RrSketchPool {
   size_t SizeBytes() const;
 
  private:
-  /// The header packs n << kHeaderFlagBits with three width flags into
-  /// 32 bits, so a block holds at most this many vertices.
-  static constexpr uint32_t kHeaderFlagBits = 3;
+  /// The header packs n << kHeaderFlagBits with three width flags and
+  /// the in-tree flag into 32 bits, so a block holds at most this many
+  /// vertices.
+  static constexpr uint32_t kHeaderFlagBits = 4;
   static constexpr uint64_t kMaxBlockVertices =
       (uint64_t{1} << (32 - kHeaderFlagBits)) - 1;
   /// Header flags: the local ids take 4 bytes (else 1), the vertices 4
-  /// bytes (else 2), the edge ids 4 bytes (else 3).
+  /// bytes (else 2), the edge ids 4 bytes (else 3); the block is an
+  /// in-tree and stores no offsets.
   static constexpr uint32_t kIdsWide = 1;
   static constexpr uint32_t kVerticesWide = 2;
   static constexpr uint32_t kEdgesWide = 4;
+  static constexpr uint32_t kInTree = 8;
   /// The directory word's top bit: set for a block offset, clear for a
   /// singleton's vertex. Vertex ids and block offsets stay below it.
   static constexpr uint32_t kExplicit = 1u << 31;
-  /// The blocks implicit singletons read: a one-byte header (n = 1),
-  /// the vertex's bytes (unread: the view reads the vertex from the
-  /// directory word, at 2 bytes while it fits them and at 4 otherwise),
-  /// then 1-byte ids: root id 0 and offsets {0, 0}.
-  static constexpr uint8_t kNarrowSingleton[] = {1u << kHeaderFlagBits,
-                                                 0, 0, 0, 0, 0};
+  /// The blocks implicit singletons read: a one-byte in-tree header
+  /// (n = 1, so no edges), the vertex's bytes (unread: the view reads
+  /// the vertex from the directory word, at 2 bytes while it fits them
+  /// and at 4 otherwise), then the 1-byte root id 0.
+  static constexpr uint8_t kNarrowSingleton[] = {
+      1u << kHeaderFlagBits | kInTree, 0, 0, 0};
   static constexpr uint8_t kWideSingleton[] = {
-      1u << kHeaderFlagBits | kVerticesWide, 0, 0, 0, 0, 0, 0, 0};
+      1u << kHeaderFlagBits | kInTree | kVerticesWide, 0, 0, 0, 0, 0};
 
   /// Entries a list of sketches needs in each array: Pack's sizing
   /// pass (the body in bytes).
@@ -397,31 +424,33 @@ class RrSketchPool {
   }
 
   /// The header of a block with n vertices and m edges whose vertex ids
-  /// take `vertex_width` bytes and edge ids `edge_width`: n and the
-  /// block's widths.
+  /// take `vertex_width` bytes and edge ids `edge_width`, an in-tree or
+  /// not: n, the block's widths and its form.
   static uint32_t BlockHeader(uint64_t n, uint64_t m, uint32_t vertex_width,
-                              uint32_t edge_width) {
+                              uint32_t edge_width, bool in_tree) {
     return static_cast<uint32_t>(n << kHeaderFlagBits) |
-           (edge_width == 4 ? kEdgesWide : 0) |
+           (in_tree ? kInTree : 0) | (edge_width == 4 ? kEdgesWide : 0) |
            (vertex_width == 4 ? kVerticesWide : 0) |
            (IdWidth(n, m) == 4 ? kIdsWide : 0);
   }
 
   /// Bytes of a block's region: n vertices at `vertex_width` bytes, then
-  /// the root id, n + 1 offsets and m heads at `width` bytes.
+  /// the root id, n + 1 offsets unless the block is an in-tree, and m
+  /// heads at `width` bytes.
   static uint64_t RegionBytes(uint64_t n, uint64_t m, uint64_t vertex_width,
-                              uint64_t width) {
-    return n * vertex_width + (n + 2 + m) * width;
+                              uint64_t width, bool in_tree) {
+    return n * vertex_width + ((in_tree ? 0 : n + 1) + 1 + m) * width;
   }
 
   /// body_ bytes of a sketch with n vertices and m edges at these
-  /// widths: none for an implicit singleton, else the header, the
-  /// region and m records.
+  /// widths and in this form: none for an implicit singleton, else the
+  /// header, the region and m records.
   static uint64_t BodyLength(uint64_t n, uint64_t m, uint32_t vertex_width,
-                             uint32_t edge_width) {
+                             uint32_t edge_width, bool in_tree) {
     if (n == 1 && m == 0) return 0;
-    return VarintLength(BlockHeader(n, m, vertex_width, edge_width)) +
-           RegionBytes(n, m, vertex_width, IdWidth(n, m)) +
+    return VarintLength(
+               BlockHeader(n, m, vertex_width, edge_width, in_tree)) +
+           RegionBytes(n, m, vertex_width, IdWidth(n, m), in_tree) +
            m * (edge_width + sizeof(float));
   }
 
@@ -431,8 +460,9 @@ class RrSketchPool {
     // Selects, not branches: the packing passes and the estimate walk
     // meet singletons and explicit blocks interleaved at random. On a
     // graph of up to 65,536 vertices every sketch, singletons too, then
-    // reads its vertices at 2 bytes, so the walk's one width dispatch
-    // per sketch always goes the same way.
+    // reads its vertices at 2 bytes, and singletons are in-trees like
+    // nearly every block, so the walk's one dispatch per sketch almost
+    // always goes the same way.
     const uint8_t* singleton =
         slot <= UINT16_MAX ? kNarrowSingleton : kWideSingleton;
     return (slot & kExplicit) != 0 ? body_.data() + (slot & ~kExplicit)
@@ -447,7 +477,7 @@ class RrSketchPool {
   /// at the block's own width.
   template <typename VertexRange, typename Fill>
   void AppendBlock(uint32_t root_local, const VertexRange& vertices, size_t m,
-                   uint32_t edge_width, Fill&& fill);
+                   uint32_t edge_width, bool in_tree, Fill&& fill);
 
   /// Where sketch i's block would start in body_: the start of the first
   /// explicit block at or after i, or the end of body_.
@@ -459,7 +489,8 @@ class RrSketchPool {
   /// each block's sorted vertices must lie below num_vertices, each
   /// block must start where the one before it ended, its header must be
   /// a varint of no more bytes than its value needs, with n > 0 and the
-  /// flags of the block's own widths (BlockHeader), its root id and
+  /// flags of the block's own widths and form (BlockHeader: a block of
+  /// an in-tree's shape stored with offsets fails), its root id and
   /// heads below n, its offsets rise from 0, and its records' edge ids
   /// below num_edges with thresholds in [0, 1]; the blocks end at
   /// body_'s end. So a pool that passes is exactly what Pack writes for
@@ -490,9 +521,9 @@ RrSketchPool::Totals RrSketchPool::Measure(size_t num_sketches,
   Totals totals;
   for (size_t i = 0; i < num_sketches; ++i) {
     const RRView rr = view_of(i);
-    totals.body +=
-        BodyLength(rr.vertices.size(), rr.edges.size(),
-                   VertexWidth(rr.vertices.back()), EdgeWidthOf(rr.edges));
+    totals.body += BodyLength(rr.vertices.size(), rr.edges.size(),
+                              VertexWidth(rr.vertices.back()),
+                              EdgeWidthOf(rr.edges), rr.InTree());
     totals.vertices += rr.vertices.size();
     totals.max_vertices =
         std::max<uint64_t>(totals.max_vertices, rr.vertices.size());
@@ -521,15 +552,17 @@ RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
 template <typename VertexRange, typename Fill>
 void RrSketchPool::AppendBlock(uint32_t root_local,
                                const VertexRange& vertices, size_t m,
-                               uint32_t edge_width, Fill&& fill) {
+                               uint32_t edge_width, bool in_tree,
+                               Fill&& fill) {
   const size_t n = vertices.size();
   PITEX_DCHECK(root_local < n);
+  PITEX_DCHECK(!in_tree || m + 1 == n);
   // Sorted, so the last vertex is the largest.
   const VertexId max_vertex = vertices[n - 1];
   PITEX_CHECK_MSG(max_vertex < kExplicit,
                   "sketch vertex id exceeds the directory word");
   const uint32_t vertex_width = VertexWidth(max_vertex);
-  const uint64_t length = BodyLength(n, m, vertex_width, edge_width);
+  const uint64_t length = BodyLength(n, m, vertex_width, edge_width, in_tree);
   if (length == 0) {
     // Implicit singleton: its directory word is its vertex.
     slots_.push_back(vertices[0]);
@@ -539,25 +572,30 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
     const uint32_t width = IdWidth(n, m);
     const size_t start = body_.size();
     body_.resize(start + length);
-    auto* region = reinterpret_cast<std::byte*>(PutVarint(
-        BlockHeader(n, m, vertex_width, edge_width), body_.data() + start));
+    auto* region = reinterpret_cast<std::byte*>(
+        PutVarint(BlockHeader(n, m, vertex_width, edge_width, in_tree),
+                  body_.data() + start));
     if (vertex_width == 2) {
       for (size_t j = 0; j < n; ++j) StoreId<uint16_t>(region, j, vertices[j]);
     } else {
       for (size_t j = 0; j < n; ++j) StoreId<uint32_t>(region, j, vertices[j]);
     }
     std::byte* ids = region + n * vertex_width;
-    std::byte* offsets = ids + width;
-    std::byte* heads = offsets + (n + 1) * width;
+    std::byte* offsets = in_tree ? nullptr : ids + width;
+    std::byte* heads = ids + width + (in_tree ? 0 : (n + 1) * width);
     std::byte* records = heads + m * width;
     if (width == 1) {
       StoreId<uint8_t>(ids, 0, root_local);
-      fill(LocalCsrOut<uint8_t>{offsets, heads, records, edge_width});
+      fill(LocalCsrOut<uint8_t>{offsets, heads, records, edge_width,
+                                root_local});
     } else {
       StoreId<uint32_t>(ids, 0, root_local);
-      fill(LocalCsrOut<uint32_t>{offsets, heads, records, edge_width});
+      fill(LocalCsrOut<uint32_t>{offsets, heads, records, edge_width,
+                                 root_local});
     }
     slots_.push_back(kExplicit | static_cast<uint32_t>(start));
+    // Offsets stored only where they are not an in-tree's.
+    PITEX_DCHECK(View(slots_.size() - 1).InTree() == in_tree);
   }
   // Sketch ids are u32 (containing_), and every block's offset stays
   // below the directory word's top bit.

@@ -50,7 +50,8 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
   // No live in-edge: the root alone, an implicit singleton with no
   // block to assemble.
   if (staged_.empty()) {
-    run->AppendSketch(0, vertices, 0, 0, [](const auto&) {});
+    run->AppendSketch(0, vertices, 0, 0, /*in_tree=*/true,
+                      [](const auto&) {});
     return;
   }
 
@@ -71,7 +72,9 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
   const uint32_t root_local = local_index_[root];
-  run->AppendSketch(root_local, vertices, staged_.size(), max_edge,
+  const bool in_tree =
+      IsInTree(n, root_local, [this](size_t j) { return counts_[j]; });
+  run->AppendSketch(root_local, vertices, staged_.size(), max_edge, in_tree,
                     [&](const auto& out) {
     for (size_t j = 0; j <= n; ++j) out.set_offset(j, counts_[j]);
     for (const GlobalEdgeSample& s : staged_) {
@@ -190,8 +193,11 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
     max_edge = std::max(max_edge, s.edge);
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
+  const uint32_t root_local = local_index_[root];
+  const bool in_tree =
+      IsInTree(n, root_local, [this](size_t j) { return counts_[j]; });
   run->AppendSketch(
-      local_index_[root], vertices_, kept_edges, max_edge,
+      root_local, vertices_, kept_edges, max_edge, in_tree,
       [&](const auto& out) {
         for (size_t j = 0; j <= n; ++j) out.set_offset(j, counts_[j]);
         for (const GlobalEdgeSample& s : edges) {

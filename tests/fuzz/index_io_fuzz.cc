@@ -10,7 +10,7 @@
 // fail cleanly, an RR index that loads holds exactly the containing
 // lists its sketches imply (so the delta-coded lists decode right), it
 // saves back to the very bytes it was loaded from (the writer and the
-// reader are inverses), and those bytes are canonical: the v6 payload
+// reader are inverses), and those bytes are canonical: the payload
 // (the pool image) is exactly what RrSketchPool::Pack writes for the
 // loaded sketches. Any crash, sanitizer report, or violation (enforced
 // with abort() below) is a finding.
@@ -53,7 +53,7 @@ RrIndexOptions SeedOptions() {
   return options;
 }
 
-std::string ValidV6Bytes() {
+std::string ValidBytes() {
   RrIndex index(Network(), SeedOptions());
   index.Build();
   std::stringstream file;
@@ -90,11 +90,11 @@ extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
   // Self-check: both seeds must load before any fuzzing starts; a
   // drifted format would otherwise silently reduce the run to garbage
   // inputs bouncing off the header checks.
-  const std::string v6 = ValidV6Bytes();
+  const std::string rr = ValidBytes();
   const std::string delay = ValidDelayBytes();
   {
-    std::stringstream file(v6);
-    Require(LoadRrIndex(Network(), file) != nullptr, "v6 seed must load");
+    std::stringstream file(rr);
+    Require(LoadRrIndex(Network(), file) != nullptr, "RR seed must load");
   }
   {
     std::stringstream file(delay);
@@ -102,7 +102,7 @@ extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
             "DelayMat seed must load");
   }
   if (const char* dir = std::getenv("PITEX_FUZZ_SEED_DIR")) {
-    WriteSeed(dir, "seed_v6.idx", v6);
+    WriteSeed(dir, "seed.idx", rr);
     WriteSeed(dir, "seed_delay.idx", delay);
   }
   return 0;

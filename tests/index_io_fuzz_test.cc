@@ -3,7 +3,7 @@
 // return a valid index or fail cleanly — never crash, never hand back a
 // structurally inconsistent object — and an RR index that loads must
 // save back to identical bytes, which are what Pack writes for its
-// views. A table of single-field edits pins each check of the v6
+// views. A table of single-field edits pins each check of the
 // loader. (Deterministic seeds; a few hundred mutations per strategy.)
 
 #include <gtest/gtest.h>
@@ -157,12 +157,12 @@ TEST(IndexIoFuzzTest, ChecksumRepairedMutationsRoundTrip) {
     if (LoadRrIndex(n, file) != nullptr) ++loaded;
   }
   // Bytes of thresholds, options and the trailer take most values, so
-  // some mutations load (43 of 300 at this seed): the round trip is
+  // some mutations load (67 of 300 at this seed): the round trip is
   // exercised, not vacuous.
   EXPECT_GE(loaded, 10);
 }
 
-// A saved v6 file taken apart into the pool arrays it images: the
+// A saved file taken apart into the pool arrays it images: the
 // directory words and the body bytes. The header before theta and the
 // trailer are kept as bytes. Encode puts it back together and repairs
 // the checksum, so an edit reaches the loader's checks.
@@ -227,10 +227,11 @@ void Splice(Image* image, size_t sketch, size_t at, size_t erase,
 
 // One explicit block of an Image: where it sits, its varint header, its
 // region's vertices and packed local ids, each read and written at its
-// own width (id entry 0 is the root id, then the n + 1 offsets, then the
-// m heads), and its edge records (the edge id at the block's edge
-// width, then the threshold's bits). Multi-byte fields are read and
-// written in little-endian order, as the files are.
+// own width (id entry 0 is the root id, then the n + 1 offsets unless
+// the block is an in-tree, then the m heads), and its edge records (the
+// edge id at the block's edge width, then the threshold's bits).
+// Multi-byte fields are read and written in little-endian order, as the
+// files are.
 struct Block {
   Image* image;
   size_t sketch;
@@ -240,6 +241,7 @@ struct Block {
   uint32_t width;
   uint32_t vertex_width;
   uint32_t edge_width;
+  bool tree;  // an in-tree: no offsets stored, m = n - 1
 
   std::byte* region() const {
     return reinterpret_cast<std::byte*>(image->body.data() + start +
@@ -268,11 +270,17 @@ struct Block {
       StoreId<uint32_t>(packed(), j, value);
     }
   }
-  uint32_t m() const { return id(1 + n); }
-  uint32_t offset(size_t j) const { return id(1 + j); }
+  /// The id entry of the first head.
+  uint32_t heads_at() const { return tree ? 1 : n + 2; }
+  uint32_t m() const { return tree ? n - 1 : id(1 + n); }
+  /// Offset j, stored or, in an in-tree, j less one past the root.
+  uint32_t offset(size_t j) const {
+    return tree ? static_cast<uint32_t>(j - (j > id(0) ? 1 : 0))
+                : id(1 + j);
+  }
   /// Bytes the vertices and packed ids take.
   size_t region_bytes() const {
-    return n * vertex_width + (n + 2 + m()) * width;
+    return n * vertex_width + (heads_at() + m()) * width;
   }
   /// Record k's first byte: its edge id, then the threshold's bits.
   std::byte* record(size_t k) const {
@@ -302,14 +310,18 @@ struct Block {
   /// Re-encodes the block with its vertices at `new_vertex_width`, its
   /// ids at `new_width` and its edge ids at `new_edge_width` bytes,
   /// every value intact, its header one byte longer than it needs when
-  /// `overlong`, and moves the blocks after it.
+  /// `overlong`, an in-tree's offsets stored when `with_offsets`, and
+  /// moves the blocks after it.
   void Reencode(uint32_t new_vertex_width, uint32_t new_width,
-                uint32_t new_edge_width, bool overlong = false) const {
+                uint32_t new_edge_width, bool overlong = false,
+                bool with_offsets = false) const {
     const uint32_t m_edges = m();
-    uint32_t header = n << 3;
+    const bool new_tree = tree && !with_offsets;
+    uint32_t header = n << 4;
     if (new_width == 4) header |= 1;
     if (new_vertex_width == 4) header |= 2;
     if (new_edge_width == 4) header |= 4;
+    if (new_tree) header |= 8;
     std::vector<uint8_t> out;
     for (; header >= 0x80; header >>= 7) {
       out.push_back(static_cast<uint8_t>(header | 0x80));
@@ -327,7 +339,13 @@ struct Block {
       }
     };
     for (uint32_t j = 0; j < n; ++j) put(vertex(j), new_vertex_width);
-    for (uint32_t j = 0; j < n + 2 + m_edges; ++j) put(id(j), new_width);
+    put(id(0), new_width);
+    if (!new_tree) {
+      for (uint32_t j = 0; j <= n; ++j) put(offset(j), new_width);
+    }
+    for (uint32_t k = 0; k < m_edges; ++k) {
+      put(id(heads_at() + k), new_width);
+    }
     for (uint32_t k = 0; k < m_edges; ++k) {
       put(edge_id(k), new_edge_width);
       uint32_t bits;
@@ -354,10 +372,11 @@ std::optional<Block> BlockOf(Image* image, size_t i) {
                i,
                start,
                header_bytes,
-               header >> 3,
+               header >> 4,
                (header & 1) != 0 ? 4u : 1u,
                (header & 2) != 0 ? 4u : 2u,
-               (header & 4) != 0 ? 4u : 3u};
+               (header & 4) != 0 ? 4u : 3u,
+               (header & 8) != 0};
 }
 
 // The first explicit block with at least `min_n` vertices and `min_m`
@@ -445,10 +464,10 @@ std::vector<ValidatorRow> ValidatorRows() {
        [](const SocialNetwork&, Image* image) {
          // A one-byte header that stays one byte.
          const auto block = FindBlock(image, 1, 0, [](const Block& b) {
-           return b.n < 15;
+           return b.n < 7;
          });
          if (!block) return false;
-         image->body[block->start] += 8;
+         image->body[block->start] += 16;
          return true;
        }},
       {"header n = 0",
@@ -457,8 +476,8 @@ std::vector<ValidatorRow> ValidatorRows() {
            return b.header_bytes == 1;
          });
          if (!block) return false;
-         // The flags stay; n << 3 is cleared.
-         image->body[block->start] &= 7;
+         // The flags stay; n << 4 is cleared.
+         image->body[block->start] &= 15;
          return true;
        }},
       {"overlong header varint",
@@ -527,7 +546,8 @@ std::vector<ValidatorRow> ValidatorRows() {
        }},
       {"first offset = 1",
        [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 1, 1);
+         const auto block =
+             FindBlock(image, 1, 1, [](const Block& b) { return !b.tree; });
          if (!block) return false;
          block->set_id(1, 1);
          return true;
@@ -535,7 +555,7 @@ std::vector<ValidatorRow> ValidatorRows() {
       {"offset falls",
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 2, 1, [](const Block& b) {
-           return b.width == 4 || b.m() < 255;
+           return !b.tree && (b.width == 4 || b.m() < 255);
          });
          if (!block) return false;
          block->set_id(2, block->m() + 1);
@@ -545,7 +565,41 @@ std::vector<ValidatorRow> ValidatorRows() {
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 1);
          if (!block) return false;
-         block->set_id(2 + block->n, block->n);
+         block->set_id(block->heads_at(), block->n);
+         return true;
+       }},
+      {"tree-shaped block stored in CSR form",
+       [](const SocialNetwork&, Image* image) {
+         const auto block =
+             FindBlock(image, 2, 1, [](const Block& b) { return b.tree; });
+         if (!block) return false;
+         block->Reencode(block->vertex_width, block->width, block->edge_width,
+                         /*overlong=*/false, /*with_offsets=*/true);
+         return true;
+       }},
+      {"CSR block flagged tree",
+       [](const SocialNetwork&, Image* image) {
+         const auto block =
+             FindBlock(image, 1, 0, [](const Block& b) { return !b.tree; });
+         if (!block) return false;
+         // Bit 3 of the header's first byte: the in-tree flag.
+         image->body[block->start] |= 8;
+         return true;
+       }},
+      {"tree head = n",
+       [](const SocialNetwork&, Image* image) {
+         const auto block =
+             FindBlock(image, 2, 1, [](const Block& b) { return b.tree; });
+         if (!block) return false;
+         block->set_id(block->heads_at() + block->m() - 1, block->n);
+         return true;
+       }},
+      {"tree root id = n",
+       [](const SocialNetwork&, Image* image) {
+         const auto block =
+             FindBlock(image, 2, 1, [](const Block& b) { return b.tree; });
+         if (!block) return false;
+         block->set_id(0, block->n);
          return true;
        }},
       {"inline edge id = |E|",

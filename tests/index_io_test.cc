@@ -178,11 +178,11 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v6 is read: a file claiming v1 (the old one-record-per-graph
+  // Only v7 is read: a file claiming v1 (the old one-record-per-graph
   // format), v2 (the old per-sketch wire format), v3 (the pool image
   // with its edge records in a third array), v4 (every block vertex at
-  // 4 bytes) or v5 (a word-padded u32 body), whole or cut short, is
-  // refused by its header.
+  // 4 bytes), v5 (a word-padded u32 body) or v6 (offsets in every
+  // block), whole or cut short, is refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -191,8 +191,8 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 6);
-  for (const char version : {1, 2, 3, 4, 5}) {
+  ASSERT_EQ(bytes[kVersionOffset], 7);
+  for (const char version : {1, 2, 3, 4, 5, 6}) {
     bytes[kVersionOffset] = version;
     for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
       std::stringstream in(bytes.substr(0, keep));
@@ -560,7 +560,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   const SocialNetwork n = MakeRunningExample();
   const uint64_t fp = NetworkFingerprint(n);
   constexpr uint8_t kRr = 1;
-  constexpr uint32_t kCurrent = 6;  // the one version the loader reads
+  constexpr uint32_t kCurrent = 7;  // the one version the loader reads
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),

@@ -150,14 +150,24 @@ EdgeId MaxEdgeId(const RRView& view) {
   return max_edge;
 }
 
+// True when `g`'s offsets give its root no out-edge and every other
+// vertex exactly one: offset j is j, less one past the root.
+bool InTreeShape(const RRGraph& g) {
+  const size_t r = *g.LocalIndex(g.root);
+  for (size_t j = 0; j < g.offsets.size(); ++j) {
+    if (g.offsets[j] != j - (j > r ? 1 : 0)) return false;
+  }
+  return true;
+}
+
 // The pool's footprint from its layout: the directory (one word per
 // sketch) and the containing starts hold 32-bit words, the body and the
 // containing lists bytes. A sketch's body block is a varint header of
-// n << 3 and three flags, then n vertices at the block's vertex width,
-// then the root's local id, n + 1 offsets and m heads at its id width,
-// then its m edge records of an edge id at its edge width and a 4-byte
-// threshold, with no padding, unless it is an implicit singleton (one
-// vertex, no edges).
+// n << 4 and four flags, then n vertices at the block's vertex width,
+// then the root's local id, n + 1 offsets unless the sketch is an
+// in-tree, and m heads at its id width, then its m edge records of an
+// edge id at its edge width and a 4-byte threshold, with no padding,
+// unless it is an implicit singleton (one vertex, no edges).
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   size_t body = 0;
@@ -166,9 +176,10 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     const size_t n = view.vertices.size();
     const size_t m = view.edges.size();
     if (n == 1 && m == 0) continue;
-    body += VarintBytes(static_cast<uint32_t>(n << 3)) +
+    const size_t offsets = InTreeShape(Owned(view)) ? 0 : n + 1;
+    body += VarintBytes(static_cast<uint32_t>(n << 4)) +
             n * ExpectedVertexWidth(view.vertices.back()) +
-            (n + 2 + m) * ExpectedWidth(n, m) +
+            (1 + offsets + m) * ExpectedWidth(n, m) +
             m * (ExpectedEdgeWidth(MaxEdgeId(view)) + 4);
   }
   return sizeof(RrSketchPool) +
@@ -345,12 +356,12 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
       Singleton(7)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // Only the two-vertex sketch has a body block of 17 bytes: a one-byte
-  // header, its two 2-byte vertices, its root id, 3 offsets and 1 head
-  // at a byte each, and its 7-byte edge record. The lists of vertices 2,
-  // 5 and 7 take 1, 1 and 2 bytes.
+  // Only the two-vertex sketch, an in-tree, has a body block of 14
+  // bytes: a one-byte header, its two 2-byte vertices, its root id and
+  // 1 head at a byte each, and its 7-byte edge record. The lists of
+  // vertices 2, 5 and 7 take 1, 1 and 2 bytes.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 11) + 17 + 4);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 11) + 14 + 4);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
   }
@@ -448,11 +459,12 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 1 + 9 + 7, 1 + 6 + 7, 1 + 13 + 14 and 1 + 9 + 7 bytes
-  // (header, region, records), and 12 containing entries of a byte
-  // each.
+  // Blocks of 1 + 6 + 7 and 1 + 9 + 14 bytes for the two in-trees, and
+  // 1 + 6 + 7 and 1 + 9 + 7 for the self-loop and the sketch whose root
+  // has an out-edge (header, region, records), and 12 containing
+  // entries of a byte each.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 11) + 76 + 12);
+            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 11) + 69 + 12);
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
   EXPECT_EQ(pool.max_sketch_vertices(), 3u);
@@ -614,6 +626,8 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
     const RRView view = pool.View(i);
     const RRView want = graphs[i];
     ASSERT_TRUE(SameSketch(view, want));
+    // An in-tree's block stores no offsets; any other stores them.
+    EXPECT_EQ(view.offset_ids == nullptr, InTreeShape(graphs[i]));
     EXPECT_EQ(view.root(), graphs[i].root);
     EXPECT_EQ(view.root_local, graphs[i].LocalIndex(graphs[i].root));
     const size_t n = want.vertices.size();
@@ -774,10 +788,10 @@ RRGraph EdgelessSketch(std::vector<VertexId> vertices) {
 }
 
 // Appends `g` to `run` through AppendSketch, as the generator and the
-// repair assembly do: its largest edge id first, then a fill.
+// repair assembly do: its largest edge id and form first, then a fill.
 void AppendThroughSketch(const RRGraph& g, RrSketchPool* run) {
   run->AppendSketch(*g.LocalIndex(g.root), g.vertices, g.edges.size(),
-                    MaxEdgeId(g), [&g](const auto& out) {
+                    MaxEdgeId(g), InTreeShape(g), [&g](const auto& out) {
                       for (size_t j = 0; j < g.offsets.size(); ++j) {
                         out.set_offset(j, g.offsets[j]);
                       }
@@ -829,55 +843,14 @@ TEST(PooledLayoutTest, EdgeWidthBoundariesSurviveEveryWriter) {
       graphs.size(), 10, [&run](size_t i) { return run.View(i); });
   ExpectMatchesGraphs(packed, graphs);
   EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
-  // Blocks of 17 and 18 bytes (header, region of 9, one record of 7 or
-  // 8) and 28 and 30 (header, region of 13, two records of 7 or 8), and
-  // containing lists of 2 bytes for vertices 1, 2, 3, 6 and 7 and one
-  // for vertex 5.
+  // In-tree blocks of 14 and 15 bytes (header, region of 6, one record
+  // of 7 or 8) and 24 and 26 (header, region of 9, two records of 7 or
+  // 8), and containing lists of 2 bytes for vertices 1, 2, 3, 6 and 7
+  // and one for vertex 5.
   EXPECT_EQ(packed.SizeBytes(), sizeof(RrSketchPool) +
                                     sizeof(uint32_t) * (5 + 11) +
-                                    (17 + 18 + 28 + 30) + 11);
+                                    (14 + 15 + 24 + 26) + 11);
   ExpectEveryWriterKeeps(graphs, 10);
-}
-
-TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixteenVertices) {
-  // The header is the varint of n << 3 and three flags: one byte while
-  // n <= 15, two from n = 16.
-  std::vector<VertexId> fifteen(15);
-  std::iota(fifteen.begin(), fifteen.end(), 0);
-  std::vector<VertexId> sixteen(16);
-  std::iota(sixteen.begin(), sixteen.end(), 0);
-  const std::vector<RRGraph> graphs = {EdgelessSketch(fifteen), Singleton(3),
-                                       EdgelessSketch(sixteen),
-                                       WideSketch(16, 17)};
-  RrSketchPool run;
-  for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
-  ExpectMatchesGraphs(run, graphs);
-  ExpectEveryWriterKeeps(graphs, 20);
-  const RrSketchPool pool = RrSketchPool::Pack(
-      graphs.size(), 20, [&graphs](size_t i) { return graphs[i].View(); });
-  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // Blocks of 1 + 30 + 17, 2 + 32 + 18 and 2 + 32 + 35 + 17 * 7 bytes
-  // (header, vertices, ids, records).
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) +
-                                  sizeof(uint32_t) * (4 + 21) +
-                                  (48 + 52 + 188) +
-                                  CodedBytes(ContainingFromViews(pool)));
-
-  // The loader reads both header lengths back: the file saves, loads
-  // and saves back to the same bytes.
-  const SocialNetwork cycle = MakeCertainCycle(20);
-  const auto index = RrIndex::FromPool(
-      cycle, Options(), graphs.size(),
-      std::make_shared<const RrSketchPool>(pool));
-  std::stringstream first;
-  ASSERT_TRUE(SaveRrIndex(*index, first));
-  std::string error;
-  const auto loaded = LoadRrIndex(cycle, first, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-  std::stringstream second;
-  ASSERT_TRUE(SaveRrIndex(*loaded, second));
-  EXPECT_EQ(second.str(), first.str());
-  ExpectMatchesGraphs(loaded->pool(), graphs);
 }
 
 // A sketch over vertices 0 .. n - 1 rooted at local id r: a path from
@@ -915,6 +888,146 @@ TEST(PooledLayoutTest, RootLocalIdSurvivesEveryWriter) {
   ASSERT_EQ(ExpectedWidth(256, graphs[6].edges.size()), 1u);
   ASSERT_EQ(ExpectedWidth(300, graphs[8].edges.size()), 4u);
   ExpectEveryWriterKeeps(graphs, 300);
+}
+
+// Saves `pool` as an index on `network`, loads it back and saves it
+// again: expects the same bytes both times and the loaded pool's views
+// to match `graphs`.
+void ExpectIndexFileRoundTrip(const SocialNetwork& network,
+                              const RrSketchPool& pool,
+                              const std::vector<RRGraph>& graphs) {
+  const auto index =
+      RrIndex::FromPool(network, Options(), graphs.size(),
+                        std::make_shared<const RrSketchPool>(pool));
+  std::stringstream first;
+  ASSERT_TRUE(SaveRrIndex(*index, first));
+  std::string error;
+  const auto loaded = LoadRrIndex(network, first, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  std::stringstream second;
+  ASSERT_TRUE(SaveRrIndex(*loaded, second));
+  EXPECT_EQ(second.str(), first.str());
+  ExpectMatchesGraphs(loaded->pool(), graphs);
+}
+
+TEST(PooledLayoutTest, HeaderTakesTwoBytesFromEightVertices) {
+  // The header is the varint of n << 4 and four flags: one byte while
+  // n <= 7, two from n = 8, for blocks with offsets and in-tree blocks
+  // alike.
+  std::vector<VertexId> seven(7);
+  std::iota(seven.begin(), seven.end(), 0);
+  std::vector<VertexId> eight(8);
+  std::iota(eight.begin(), eight.end(), 0);
+  const std::vector<RRGraph> graphs = {
+      EdgelessSketch(seven), Singleton(3),        EdgelessSketch(eight),
+      WideSketch(8, 9),      RootedSketch(7, 2), RootedSketch(8, 5)};
+  RrSketchPool run;
+  for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
+  ExpectMatchesGraphs(run, graphs);
+  ExpectEveryWriterKeeps(graphs, 20);
+  const RrSketchPool pool = RrSketchPool::Pack(
+      graphs.size(), 20, [&graphs](size_t i) { return graphs[i].View(); });
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  // Blocks with offsets of 1 + 14 + 9, 2 + 16 + 10 and
+  // 2 + 16 + 19 + 9 * 7 bytes, and in-tree blocks of 1 + 14 + 7 + 6 * 7
+  // and 2 + 16 + 8 + 7 * 7 (header, vertices, ids, records).
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) +
+                                  sizeof(uint32_t) * (6 + 21) +
+                                  (24 + 28 + 100 + 64 + 75) +
+                                  CodedBytes(ContainingFromViews(pool)));
+  // The loader reads both header lengths back.
+  ExpectIndexFileRoundTrip(MakeCertainCycle(20), pool, graphs);
+}
+
+// The bytes of explicit sketch i's block in `pool`, from its
+// `header_bytes`-byte header through its last record.
+std::vector<uint8_t> BlockBytes(const RrSketchPool& pool, size_t i,
+                                size_t header_bytes) {
+  const RRView view = pool.View(i);
+  const auto* begin =
+      reinterpret_cast<const uint8_t*>(view.vertices.data()) - header_bytes;
+  const auto* end = reinterpret_cast<const uint8_t*>(view.edges.data()) +
+                    view.edges.size() * (view.edges.width() + sizeof(float));
+  return {begin, end};
+}
+
+TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
+  // Two in-trees, rooted first and in the middle, and a sketch whose
+  // root has an out-edge, between implicit singletons.
+  const std::vector<RRGraph> graphs = {
+      RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}}, Singleton(5),
+      RootedSketch(3, 1), RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {{7, 0.75f}}},
+      Singleton(6)};
+  const RrSketchPool pool = PackGraphs(graphs);
+  // An in-tree block: header 2 << 4 | in-tree, vertices 2 and 7 at 2
+  // bytes, root id 0, one head, then edge id 3 at 3 bytes and 0.25f.
+  EXPECT_EQ(BlockBytes(pool, 0, 1),
+            (std::vector<uint8_t>{0x28, 2, 0, 7, 0, 0, 0,  //
+                                  3, 0, 0, 0x00, 0x00, 0x80, 0x3e}));
+  // Root id 1, then the heads of vertices 0 and 2 (both 1), then edge
+  // ids 0 and 1 with 0.1f each.
+  EXPECT_EQ(BlockBytes(pool, 2, 1),
+            (std::vector<uint8_t>{0x38, 0, 0, 1, 0, 2, 0, 1, 1, 1,  //
+                                  0, 0, 0, 0xcd, 0xcc, 0xcc, 0x3d,  //
+                                  1, 0, 0, 0xcd, 0xcc, 0xcc, 0x3d}));
+  // The root's out-edge keeps the offsets {0, 1, 1} after the root id.
+  EXPECT_EQ(BlockBytes(pool, 3, 1),
+            (std::vector<uint8_t>{0x20, 0, 0, 9, 0, 0, 0, 1, 1, 0,  //
+                                  7, 0, 0, 0x00, 0x00, 0x40, 0x3f}));
+  for (const size_t i : {0, 1, 2, 4}) {
+    EXPECT_EQ(pool.View(i).offset_ids, nullptr) << "sketch " << i;
+  }
+  EXPECT_NE(pool.View(3).offset_ids, nullptr);
+  // The views read the offsets they left out as an in-tree's.
+  EXPECT_EQ(Owned(pool.View(2)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) +
+                                  sizeof(uint32_t) * (5 + 11) +
+                                  (14 + 24 + 17) +
+                                  CodedBytes(ContainingFromViews(pool)));
+  ExpectEveryWriterKeeps(graphs, 10);
+  ExpectIndexFileRoundTrip(MakeCertainCycle(10), pool, graphs);
+}
+
+// Sketches no in-tree block can hold, between implicit singletons: a
+// root with an out-edge (a cycle through the root, which repair keeps),
+// a vertex with two out-edges, and the one-vertex self-loop.
+std::vector<RRGraph> NonTreeGraphs() {
+  return {RRGraph{1,
+                  {0, 1, 2},
+                  {0, 1, 2, 3},
+                  {1, 0, 1},
+                  {{0, 0.1f}, {1, 0.2f}, {2, 0.3f}}},
+          Singleton(3),
+          RRGraph{2,
+                  {0, 1, 2},
+                  {0, 2, 3, 3},
+                  {1, 2, 2},
+                  {{3, 0.1f}, {4, 0.2f}, {5, 0.3f}}},
+          Singleton(4),
+          RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}}};
+}
+
+TEST(PooledLayoutTest, NonTreeShapesKeepOffsetsThroughEveryWriter) {
+  const std::vector<RRGraph> graphs = NonTreeGraphs();
+  for (const size_t i : {0, 2, 4}) ASSERT_FALSE(InTreeShape(graphs[i]));
+  // AppendSketch, as the generator writes.
+  RrSketchPool run;
+  for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
+  ExpectMatchesGraphs(run, graphs);
+  // RebuildRepairedSketch, as repair re-closes a sketch from its live
+  // edges: every vertex here reaches its root, so each comes back whole.
+  SketchArena arena;
+  RrSketchPool repaired;
+  std::vector<GlobalEdgeSample> edges;
+  for (const RRGraph& g : graphs) {
+    DecomposeRRGraphInto(g, &edges);
+    arena.RebuildRepairedSketch(g.root, 10, edges, &repaired);
+  }
+  ExpectMatchesGraphs(repaired, graphs);
+  // Append, Pack and FromRuns, then the index file.
+  ExpectEveryWriterKeeps(graphs, 10);
+  ExpectIndexFileRoundTrip(MakeCertainCycle(10), PackGraphs(graphs), graphs);
 }
 
 TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {

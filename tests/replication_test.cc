@@ -397,13 +397,15 @@ TEST_F(ReplicationTest, FollowerBootstrapsReplaysAndMatchesBitForBit) {
 TEST_F(ReplicationTest, FollowerBootstrapsFromCheckpointOverOneMebibyte) {
   // Checkpoint strings were once read with the 1 MiB header-string cap,
   // so a follower could only join before the primary's first real
-  // checkpoint. Ship one well past that size.
+  // checkpoint. Ship one well past that size: at 200 sketches per
+  // vertex it measured 2,655,306 bytes (index format v7), over twice
+  // the cap, so a smaller index format still clears it.
   DatasetSpec spec = LastfmSpec(0.5);
   spec.seed = 11;
   const SocialNetwork n = GenerateDataset(spec);
   const auto options = [&](const std::string& dir) {
     ServeOptions serve = DurableOptions(dir);
-    serve.engine.index_theta_per_vertex = 80.0;
+    serve.engine.index_theta_per_vertex = 200.0;
     return serve;
   };
   ReplicaPair pair;
