@@ -10,6 +10,7 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "src/serve/replication.h"
 #include "src/serve/snapshot_registry.h"
 #include "src/serve/wal.h"
+#include "src/util/serialize.h"
 #include "src/util/thread_pool.h"
 
 #include <filesystem>
@@ -208,24 +210,27 @@ BENCHMARK(BM_WalAppend)->Arg(1)->Arg(8)->Arg(64)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_WalShip(benchmark::State& state) {
-  // Replication shipping path minus the disk: encode one committed WAL
-  // batch as a record frame, push it through the in-process transport,
-  // and decode it on the follower side. Arg is the updates-per-batch
-  // fan-in; the items rate is records/s (docs/perf.md).
+  // Replication shipping path minus the disk: put the term in front of
+  // one committed record's stored payload (built once, as ReadWalAfter
+  // hands it to the shipper), frame it, push it through the in-process
+  // transport, and decode it on the follower side. Arg is the
+  // updates-per-batch fan-in; the items rate is records/s
+  // (docs/perf.md).
   const auto batch_size = static_cast<size_t>(state.range(0));
   auto [primary_end, follower_end] = MakeInProcessTransportPair();
-  ReplRecordMsg msg;
-  msg.term = 1;
-  msg.updates.resize(batch_size);
+  std::vector<EdgeInfluenceUpdate> updates(batch_size);
   for (size_t i = 0; i < batch_size; ++i) {
-    msg.updates[i].edge = static_cast<EdgeId>(i);
-    msg.updates[i].entries = {{0, 0.3}, {1, 0.25}, {2, 0.1}};
+    updates[i].edge = static_cast<EdgeId>(i);
+    updates[i].entries = {{0, 0.3}, {1, 0.25}, {2, 0.1}};
   }
-  uint64_t lsn = 0;
+  constexpr uint64_t kLsn = 1;
+  std::ostringstream stored;
+  BinaryWriter writer(&stored);
+  WriteWalRecord(&writer, kLsn, updates);
+  const std::string body = std::move(stored).str();
   ReplFrame frame;
   for (auto _ : state) {
-    msg.lsn = ++lsn;
-    if (!primary_end->Send(EncodeRecordMsg(msg))) {
+    if (!primary_end->Send(EncodeRecordMsg(/*term=*/1, body))) {
       state.SkipWithError("transport send failed");
       return;
     }
@@ -235,7 +240,7 @@ void BM_WalShip(benchmark::State& state) {
       return;
     }
     ReplRecordMsg decoded;
-    if (!DecodeRecordMsg(frame, &decoded) || decoded.lsn != lsn) {
+    if (!DecodeRecordMsg(frame, &decoded) || decoded.lsn != kLsn) {
       state.SkipWithError("record decode failed");
       return;
     }

@@ -102,14 +102,14 @@ int main() {
   RrIndex index(network, index_options);
   index.Build();
   const std::string path = "/tmp/pitex_index_server.rridx";
-  std::string error;
+  IndexIoError error;
   if (!SaveRrIndex(index, path, &error)) {
-    std::printf("save failed: %s\n", error.c_str());
+    std::printf("save failed: %s\n", error.message.c_str());
     return 1;
   }
   auto replica = LoadRrIndex(network, path, &error);
   if (replica == nullptr) {
-    std::printf("load failed: %s\n", error.c_str());
+    std::printf("load failed: %s\n", error.message.c_str());
     return 1;
   }
   std::printf("index: theta=%llu built in %.3fs, persisted and reloaded "

@@ -163,10 +163,10 @@ int CmdQuery(int argc, char** argv) {
   options.method = method;
   PitexEngine engine(network.operator->(), options);
   if (argc == 7) {
-    std::string error;
+    IndexIoError error;
     auto loaded = LoadRrIndex(*network, argv[6], &error);
     if (loaded == nullptr) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
+      std::fprintf(stderr, "error: %s\n", error.message.c_str());
       return 1;
     }
     engine.AdoptRrIndex(std::move(loaded));
@@ -296,9 +296,9 @@ int CmdIndex(int argc, char** argv) {
   RrIndex index(*network, options);
   Timer timer;
   index.Build();
-  std::string error;
+  IndexIoError error;
   if (!SaveRrIndex(index, argv[3], &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
+    std::fprintf(stderr, "error: %s\n", error.message.c_str());
     return 1;
   }
   std::printf("built theta=%llu RR-Graphs in %.2f s, wrote %s (%.2f MB in "

@@ -370,13 +370,6 @@ const char* IndexIoCodeName(IndexIoCode code) {
 
 namespace {
 
-// The std::string overloads keep their historical contract (message
-// only) by delegating to the typed implementations and copying the
-// message out.
-void CopyMessage(const IndexIoError& typed, std::string* error) {
-  if (error != nullptr) *error = typed.message;
-}
-
 // Crash-atomic path save: stream the payload into `path + ".tmp"`,
 // fsync, rename over `path`, fsync the directory (src/util/file_sync.h).
 // A crash at any point leaves the previous file intact; a failure
@@ -415,8 +408,6 @@ bool SaveAtomically(const std::string& path, IndexIoError* error,
 }
 
 }  // namespace
-
-// --- typed overloads (primary implementations) ---
 
 bool SaveRrIndex(const RrIndex& index, std::ostream& out,
                  IndexIoError* error) {
@@ -473,74 +464,6 @@ std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(const SocialNetwork& network,
     return nullptr;
   }
   return IndexIo::ReadDelay(network, in, error);
-}
-
-// --- string-message compatibility overloads ---
-
-bool SaveRrIndex(const RrIndex& index, std::ostream& out, std::string* error) {
-  IndexIoError typed;
-  const bool ok = SaveRrIndex(index, out, &typed);
-  if (!ok) CopyMessage(typed, error);
-  return ok;
-}
-
-bool SaveRrIndex(const RrIndex& index, const std::string& path,
-                 std::string* error) {
-  IndexIoError typed;
-  const bool ok = SaveRrIndex(index, path, &typed);
-  if (!ok) CopyMessage(typed, error);
-  return ok;
-}
-
-std::unique_ptr<RrIndex> LoadRrIndex(const SocialNetwork& network,
-                                     std::istream& in, std::string* error) {
-  IndexIoError typed;
-  auto index = LoadRrIndex(network, in, &typed);
-  if (index == nullptr) CopyMessage(typed, error);
-  return index;
-}
-
-std::unique_ptr<RrIndex> LoadRrIndex(const SocialNetwork& network,
-                                     const std::string& path,
-                                     std::string* error) {
-  IndexIoError typed;
-  auto index = LoadRrIndex(network, path, &typed);
-  if (index == nullptr) CopyMessage(typed, error);
-  return index;
-}
-
-bool SaveDelayMatIndex(const DelayMatIndex& index, std::ostream& out,
-                       std::string* error) {
-  IndexIoError typed;
-  const bool ok = SaveDelayMatIndex(index, out, &typed);
-  if (!ok) CopyMessage(typed, error);
-  return ok;
-}
-
-bool SaveDelayMatIndex(const DelayMatIndex& index, const std::string& path,
-                       std::string* error) {
-  IndexIoError typed;
-  const bool ok = SaveDelayMatIndex(index, path, &typed);
-  if (!ok) CopyMessage(typed, error);
-  return ok;
-}
-
-std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(const SocialNetwork& network,
-                                                 std::istream& in,
-                                                 std::string* error) {
-  IndexIoError typed;
-  auto index = LoadDelayMatIndex(network, in, &typed);
-  if (index == nullptr) CopyMessage(typed, error);
-  return index;
-}
-
-std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(const SocialNetwork& network,
-                                                 const std::string& path,
-                                                 std::string* error) {
-  IndexIoError typed;
-  auto index = LoadDelayMatIndex(network, path, &typed);
-  if (index == nullptr) CopyMessage(typed, error);
-  return index;
 }
 
 }  // namespace pitex

@@ -6,6 +6,7 @@
 // serving every process restart from disk. This module provides that:
 //
 //   SaveRrIndex(index, "dblp.rridx");
+//   IndexIoError error;
 //   auto loaded = LoadRrIndex(network, "dblp.rridx", &error);
 //
 // File format (binary little-endian, src/util/serialize.h):
@@ -110,7 +111,7 @@ enum class IndexIoCode : uint8_t {
 /// Stable identifier string for logs/metrics (e.g. "checksum-mismatch").
 const char* IndexIoCodeName(IndexIoCode code);
 
-/// Typed error report for the Save*/Load* overloads below.
+/// Error report for the Save*/Load* functions below.
 struct IndexIoError {
   IndexIoCode code = IndexIoCode::kNone;
   std::string message;
@@ -127,20 +128,17 @@ struct IndexIoError {
 };
 
 /// Writes a built RR-Graph index. Returns false (and sets `*error` when
-/// non-null) on I/O failure or when the index is not built. The
-/// std::string overloads report just the message; the IndexIoError
-/// overloads add the typed code. The path overloads are crash-atomic:
-/// the payload goes to `path + ".tmp"`, is fsynced, and is renamed over
-/// `path` (src/util/file_sync.h) -- a crash mid-save leaves the old
-/// file intact and never a torn file at the final path.
+/// non-null) on I/O failure or when the index is not built. There is one
+/// overload per (index kind, destination), each reporting a typed
+/// IndexIoError; a caller that wants only the text reads `.message`. The
+/// path overloads are crash-atomic: the payload goes to `path + ".tmp"`,
+/// is fsynced, and is renamed over `path` (src/util/file_sync.h) -- a
+/// crash mid-save leaves the old file intact and never a torn file at
+/// the final path.
 bool SaveRrIndex(const RrIndex& index, const std::string& path,
-                 std::string* error = nullptr);
+                 IndexIoError* error = nullptr);
 bool SaveRrIndex(const RrIndex& index, std::ostream& out,
-                 std::string* error = nullptr);
-bool SaveRrIndex(const RrIndex& index, const std::string& path,
-                 IndexIoError* error);
-bool SaveRrIndex(const RrIndex& index, std::ostream& out,
-                 IndexIoError* error);
+                 IndexIoError* error = nullptr);
 
 /// Loads an RR-Graph index previously written by SaveRrIndex. `network`
 /// must be the network the index was built from (checked via
@@ -149,39 +147,25 @@ bool SaveRrIndex(const RrIndex& index, std::ostream& out,
 /// and sets `*error` on failure.
 std::unique_ptr<RrIndex> LoadRrIndex(const SocialNetwork& network,
                                      const std::string& path,
-                                     std::string* error = nullptr);
+                                     IndexIoError* error = nullptr);
 std::unique_ptr<RrIndex> LoadRrIndex(const SocialNetwork& network,
                                      std::istream& in,
-                                     std::string* error = nullptr);
-std::unique_ptr<RrIndex> LoadRrIndex(const SocialNetwork& network,
-                                     const std::string& path,
-                                     IndexIoError* error);
-std::unique_ptr<RrIndex> LoadRrIndex(const SocialNetwork& network,
-                                     std::istream& in, IndexIoError* error);
+                                     IndexIoError* error = nullptr);
 
 /// Writes a built DelayMat index (one counter per vertex).
 bool SaveDelayMatIndex(const DelayMatIndex& index, const std::string& path,
-                       std::string* error = nullptr);
+                       IndexIoError* error = nullptr);
 bool SaveDelayMatIndex(const DelayMatIndex& index, std::ostream& out,
-                       std::string* error = nullptr);
-bool SaveDelayMatIndex(const DelayMatIndex& index, const std::string& path,
-                       IndexIoError* error);
-bool SaveDelayMatIndex(const DelayMatIndex& index, std::ostream& out,
-                       IndexIoError* error);
+                       IndexIoError* error = nullptr);
 
 /// Loads a DelayMat index previously written by SaveDelayMatIndex; its
 /// input must end at the checksum too.
 std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(
     const SocialNetwork& network, const std::string& path,
-    std::string* error = nullptr);
+    IndexIoError* error = nullptr);
 std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(
     const SocialNetwork& network, std::istream& in,
-    std::string* error = nullptr);
-std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(
-    const SocialNetwork& network, const std::string& path,
-    IndexIoError* error);
-std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(
-    const SocialNetwork& network, std::istream& in, IndexIoError* error);
+    IndexIoError* error = nullptr);
 
 }  // namespace pitex
 

@@ -146,10 +146,4 @@ size_t SketchOracle::SizeBytes() const {
          sketch_counts_.capacity() * sizeof(uint32_t) + sizeof(SketchOracle);
 }
 
-std::vector<float> SketchOracle::SketchOf(VertexId u) const {
-  const size_t k = options_.sketch_size;
-  return {sketches_.begin() + static_cast<ptrdiff_t>(u * k),
-          sketches_.begin() + static_cast<ptrdiff_t>(u * k + sketch_counts_[u])};
-}
-
 }  // namespace pitex

@@ -71,10 +71,6 @@ class SketchOracle {
   double build_seconds() const { return build_seconds_; }
 
  private:
-  /// u's combined sketch: the k smallest ranks over reachable
-  /// (world, vertex) pairs, sorted ascending.
-  std::vector<float> SketchOf(VertexId u) const;
-
   const SocialNetwork* network_;
   SketchOptions options_;
   // All sketches in one rectangle: sketch of u occupies

@@ -299,9 +299,9 @@ void PitexService::Start() {
       DelayMatIndex prototype(*network_, index_options);
       prototype.Build();
       std::stringstream snapshot_stream;
-      std::string error;
+      IndexIoError error;
       PITEX_CHECK_MSG(SaveDelayMatIndex(prototype, snapshot_stream, &error),
-                      error.c_str());
+                      error.message.c_str());
       snapshot =
           IndexSnapshot::Wrap(network_, nullptr, snapshot_stream.str(), 1);
     } else {
@@ -433,13 +433,13 @@ void PitexService::BindWorker(WorkerState* state,
     // declaring the worker unusable (the prototype bytes are in memory,
     // so a retry rereads identical data).
     std::unique_ptr<DelayMatIndex> replica;
-    std::string error;
+    IndexIoError error;
     for (int attempt = 0; attempt < 3 && replica == nullptr; ++attempt) {
       std::stringstream snapshot_stream(snapshot->delay_snapshot());
       replica = LoadDelayMatIndex(snapshot->network(), snapshot_stream,
                                   &error);
     }
-    PITEX_CHECK_MSG(replica != nullptr, error.c_str());
+    PITEX_CHECK_MSG(replica != nullptr, error.message.c_str());
     engine->AdoptDelayMatIndex(std::move(replica));
   }
   engine->BuildIndex();  // wraps/attaches; cheap for adopted indexes

@@ -57,12 +57,12 @@ bool DecodeCheckpointMsg(const ReplFrame& frame, ReplCheckpointMsg* msg) {
   return true;
 }
 
-ReplFrame EncodeRecordMsg(const ReplRecordMsg& msg) {
-  std::ostringstream out;
-  BinaryWriter writer(&out);
-  writer.WriteU64(msg.term);
-  WriteWalRecord(&writer, msg.lsn, msg.updates);
-  return ReplFrame{ReplFrameType::kRecord, std::move(out).str()};
+ReplFrame EncodeRecordMsg(uint64_t term, std::string_view body) {
+  std::string payload(sizeof(term) + body.size(), '\0');
+  EncodeLe(term, sizeof(term),
+           reinterpret_cast<unsigned char*>(payload.data()));
+  std::memcpy(payload.data() + sizeof(term), body.data(), body.size());
+  return ReplFrame{ReplFrameType::kRecord, std::move(payload)};
 }
 
 bool DecodeRecordMsg(const ReplFrame& frame, ReplRecordMsg* msg) {
@@ -466,15 +466,11 @@ void WalShipper::Loop() {
       // caught mid-scan): skip this round and re-tail on the next.
       if (read.ok()) {
         size_t sent = 0;
-        for (WalRecord& record : records) {
+        for (const WalRecord& record : records) {
           if (record.lsn > durable || sent >= options_.max_records_per_poll) {
             break;
           }
-          ReplRecordMsg msg;
-          msg.term = options_.term;
-          msg.lsn = record.lsn;
-          msg.updates = std::move(record.updates);
-          SendFrameWithFaults(EncodeRecordMsg(msg));
+          SendFrameWithFaults(EncodeRecordMsg(options_.term, record.body));
           cursor = record.lsn;
           records_shipped_->Inc();
           ++sent;
@@ -831,7 +827,6 @@ void FollowerService::Loop() {
         RequestResync();
         break;
       case ReplicationTransport::RecvStatus::kClosed:
-        transport_closed_ = true;
         std::this_thread::sleep_for(recv_timeout);
         break;
       case ReplicationTransport::RecvStatus::kTimeout:

@@ -17,7 +17,8 @@
 //
 //   * Frame codec (src/serve/wal.h) — every message on the wire is one
 //     frame of the same format the WAL stores its records in, and a
-//     kRecord payload is term u64 followed by the WAL's record body.
+//     kRecord payload is term u64 followed by the record's stored WAL
+//     payload, shipped as it is (never decoded and re-encoded).
 //     DecodeReplFrame distinguishes "incomplete" (a prefix of a valid
 //     frame: wait for more bytes — the WAL's torn tail) from "damaged"
 //     (checksum or header mismatch: discard and realign at the next
@@ -86,6 +87,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -113,6 +115,8 @@ struct ReplCheckpointMsg {
   uint64_t term = 0;
   ShippedCheckpoint checkpoint;
 };
+/// A kRecord frame as the follower decodes it (the primary sends the
+/// stored bytes through EncodeRecordMsg and never builds one).
 struct ReplRecordMsg {
   uint64_t term = 0;
   uint64_t lsn = 0;
@@ -124,7 +128,10 @@ struct ReplHeartbeatMsg {
 };
 
 ReplFrame EncodeCheckpointMsg(const ReplCheckpointMsg& msg);
-ReplFrame EncodeRecordMsg(const ReplRecordMsg& msg);
+/// `body` is a record's stored WAL payload (WalRecord::body): the frame
+/// is term u64 LE | body, and DecodeRecordMsg parses it into a
+/// ReplRecordMsg on the follower.
+ReplFrame EncodeRecordMsg(uint64_t term, std::string_view body);
 ReplFrame EncodeHeartbeatMsg(const ReplHeartbeatMsg& msg);
 ReplFrame EncodeAckMsg(uint64_t applied_lsn);
 ReplFrame EncodeResyncMsg(uint64_t from_lsn);
@@ -364,7 +371,6 @@ class FollowerService {
 
   // Loop-thread-only state (no lock needed).
   std::chrono::steady_clock::time_point last_traffic_;
-  bool transport_closed_ = false;
   /// Applied LSN as of the last heartbeat that showed lag; a second
   /// lagging heartbeat with no progress in between means the missing
   /// records are not merely in flight — request a resync. (A dropped

@@ -360,7 +360,7 @@ uint64_t WriteAheadLog::Append(std::span<const EdgeInfluenceUpdate> updates) {
   BinaryWriter writer(&payload);
   WriteWalRecord(&writer, lsn, updates);
   if (!writer.ok() ||
-      static_cast<uint64_t>(payload.tellp()) > kMaxReplPayloadBytes) {
+      static_cast<uint64_t>(payload.tellp()) > kMaxWalRecordBytes) {
     return 0;
   }
   const std::string frame =
@@ -553,6 +553,7 @@ WalReadResult ReadWalAfter(const std::string& dir, uint64_t after_lsn,
                          &record.updates)) {
         return MakeResult(WalReadStatus::kCorrupt, "unparsable record");
       }
+      record.body = std::move(payload).str();
       if (record.lsn != expected) {
         return MakeResult(WalReadStatus::kCorrupt,
                           "record LSN out of sequence");

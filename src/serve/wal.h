@@ -30,6 +30,11 @@
 //     header : magic "PITEXWAL" | version u32 LE (2) | start_lsn u64 LE
 //     record*: one kWalRecord frame, payload = lsn u64 | batch
 //
+// The stored payload is also the wire record: a replication kRecord
+// payload is the term u64 followed by this payload, shipped as it is
+// (ReadWalAfter hands it over in WalRecord::body), so no record is
+// re-encoded on its way to a follower.
+//
 // Torn-tail rule: a frame whose bytes run out exactly at end-of-log
 // (DecodeReplFrame says kNeedMore at the end of the *newest* segment)
 // is the expected artifact of a crash mid-append — the reader consumes
@@ -84,8 +89,8 @@ enum class ReplFrameType : uint8_t {
   /// term u64 | present u8 | manifest string | snapshot-name string |
   /// snapshot bytes string.
   kCheckpoint = 1,
-  /// One committed WAL record on the wire. Payload: term u64 | record
-  /// body (WriteWalRecord).
+  /// One committed WAL record on the wire. Payload: term u64 | the
+  /// record's stored kWalRecord payload, byte for byte.
   kRecord = 2,
   /// Liveness + lag beacon. Payload: term u64 | durable-lsn u64.
   kHeartbeat = 3,
@@ -104,6 +109,14 @@ enum class ReplFrameType : uint8_t {
 /// for a frame that never completes. A record is one ApplyUpdates
 /// batch, far below it.
 inline constexpr uint32_t kMaxReplPayloadBytes = 256u << 20;
+
+/// Largest payload WriteAheadLog::Append stores: a shipped record is
+/// its stored payload behind an 8-byte term, so anything longer would
+/// be acknowledged and then refused as kBad by every follower.
+inline constexpr uint32_t kMaxWalRecordBytes =
+    kMaxReplPayloadBytes - sizeof(uint64_t);
+static_assert(kMaxWalRecordBytes + sizeof(uint64_t) <= kMaxReplPayloadBytes,
+              "a stored record behind its term must fit one kRecord frame");
 
 struct ReplFrame {
   ReplFrameType type = ReplFrameType::kHeartbeat;
@@ -178,9 +191,12 @@ struct WalOptions {
 };
 
 /// One decoded log record: batch `updates` was acknowledged as `lsn`.
+/// `body` is the checksum-verified frame payload it was parsed from
+/// (lsn u64 | batch), which the WAL shipper sends as it is.
 struct WalRecord {
   uint64_t lsn = 0;
   std::vector<EdgeInfluenceUpdate> updates;
+  std::string body;
 };
 
 /// Registered minimum-retained-LSN holds: the fix for the truncation /
@@ -276,7 +292,6 @@ class WriteAheadLog {
   /// with stale uncommitted bytes, so every later Append/Sync fails
   /// instead and the on-disk committed prefix stays intact.
   void RollBackTo(uint64_t offset);
-  bool FsyncSegment();
 
   std::string dir_;
   WalOptions options_;

@@ -46,7 +46,6 @@ class PITEX_CAPABILITY("mutex") Mutex {
 
   void Lock() PITEX_ACQUIRE() { mu_.lock(); }
   void Unlock() PITEX_RELEASE() { mu_.unlock(); }
-  bool TryLock() PITEX_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

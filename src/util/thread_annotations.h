@@ -60,10 +60,6 @@
 #define PITEX_RELEASE(...) \
   PITEX_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability when it returns the given boolean.
-#define PITEX_TRY_ACQUIRE(...) \
-  PITEX_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
-
 /// Declares that the caller must NOT hold the given capabilities
 /// (deadlock prevention for self-locking public entry points).
 #define PITEX_EXCLUDES(...) \

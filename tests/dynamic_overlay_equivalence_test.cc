@@ -129,8 +129,8 @@ void ExpectSameEstimates(DynamicRrIndex& got, ReferenceDynamicRrIndex& want) {
 
 std::string Saved(const RrIndex& index) {
   std::ostringstream out;
-  std::string error;
-  EXPECT_TRUE(SaveRrIndex(index, out, &error)) << error;
+  IndexIoError error;
+  EXPECT_TRUE(SaveRrIndex(index, out, &error)) << error.message;
   return std::move(out).str();
 }
 
@@ -248,11 +248,11 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
       want2->RestoreModel(delta, want->version());
       std::istringstream got_in(bytes);
       std::istringstream want_in(bytes);
-      std::string error;
+      IndexIoError error;
       const auto got_loaded = LoadRrIndex(got2->network(), got_in, &error);
-      ASSERT_NE(got_loaded, nullptr) << error;
+      ASSERT_NE(got_loaded, nullptr) << error.message;
       const auto want_loaded = LoadRrIndex(want2->network(), want_in, &error);
-      ASSERT_NE(want_loaded, nullptr) << error;
+      ASSERT_NE(want_loaded, nullptr) << error.message;
       got2->AdoptSketches(*got_loaded);
       want2->AdoptSketches(*want_loaded);
       ExpectSameSketches(*got2, *want);

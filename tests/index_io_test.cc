@@ -64,10 +64,10 @@ TEST(IndexIoTest, RrIndexRoundTripsExactly) {
   index.Build();
 
   std::stringstream file;
-  std::string error;
-  ASSERT_TRUE(SaveRrIndex(index, file, &error)) << error;
+  IndexIoError error;
+  ASSERT_TRUE(SaveRrIndex(index, file, &error)) << error.message;
   const auto loaded = LoadRrIndex(n, file, &error);
-  ASSERT_NE(loaded, nullptr) << error;
+  ASSERT_NE(loaded, nullptr) << error.message;
 
   ASSERT_EQ(loaded->theta(), index.theta());
   ASSERT_EQ(loaded->num_graphs(), index.num_graphs());
@@ -110,12 +110,12 @@ TEST(IndexIoTest, WidthFourSketchRoundTripsByteIdentical) {
   }
 
   std::stringstream first;
-  std::string error;
-  ASSERT_TRUE(SaveRrIndex(index, first, &error)) << error;
+  IndexIoError error;
+  ASSERT_TRUE(SaveRrIndex(index, first, &error)) << error.message;
   const auto loaded = LoadRrIndex(n, first, &error);
-  ASSERT_NE(loaded, nullptr) << error;
+  ASSERT_NE(loaded, nullptr) << error.message;
   std::stringstream second;
-  ASSERT_TRUE(SaveRrIndex(*loaded, second, &error)) << error;
+  ASSERT_TRUE(SaveRrIndex(*loaded, second, &error)) << error.message;
   EXPECT_EQ(first.str(), second.str());
 
   ASSERT_EQ(loaded->num_graphs(), index.num_graphs());
@@ -237,9 +237,9 @@ TEST(IndexIoTest, UnbuiltRrIndexRefusesToSave) {
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());  // Build() not called
   std::stringstream file;
-  std::string error;
+  IndexIoError error;
   EXPECT_FALSE(SaveRrIndex(index, file, &error));
-  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(error.message.empty());
 }
 
 TEST(IndexIoTest, WrongNetworkRejected) {
@@ -250,9 +250,9 @@ TEST(IndexIoTest, WrongNetworkRejected) {
   ASSERT_TRUE(SaveRrIndex(index, file));
 
   const SocialNetwork other = MakeOtherNetwork();
-  std::string error;
+  IndexIoError error;
   EXPECT_EQ(LoadRrIndex(other, file, &error), nullptr);
-  EXPECT_NE(error.find("different network"), std::string::npos) << error;
+  EXPECT_NE(error.message.find("different network"), std::string::npos) << error.message;
 }
 
 TEST(IndexIoTest, KindMismatchRejected) {
@@ -262,17 +262,17 @@ TEST(IndexIoTest, KindMismatchRejected) {
   std::stringstream file;
   ASSERT_TRUE(SaveDelayMatIndex(delay, file));
 
-  std::string error;
+  IndexIoError error;
   EXPECT_EQ(LoadRrIndex(n, file, &error), nullptr);
-  EXPECT_NE(error.find("different index kind"), std::string::npos) << error;
+  EXPECT_NE(error.message.find("different index kind"), std::string::npos) << error.message;
 }
 
 TEST(IndexIoTest, GarbageRejected) {
   const SocialNetwork n = MakeRunningExample();
   std::stringstream file("this is not an index file at all");
-  std::string error;
+  IndexIoError error;
   EXPECT_EQ(LoadRrIndex(n, file, &error), nullptr);
-  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(error.message.empty());
 }
 
 TEST(IndexIoTest, TruncationRejected) {
@@ -286,7 +286,7 @@ TEST(IndexIoTest, TruncationRejected) {
   for (const size_t keep :
        {bytes.size() - 7, bytes.size() / 2, bytes.size() / 4}) {
     std::stringstream truncated(bytes.substr(0, keep));
-    std::string error;
+    IndexIoError error;
     EXPECT_EQ(LoadRrIndex(n, truncated, &error), nullptr)
         << "kept " << keep << " of " << bytes.size() << " bytes";
   }
@@ -303,7 +303,7 @@ TEST(IndexIoTest, PayloadCorruptionRejected) {
   // Flip a bit deep inside the payload (past header; before checksum).
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
   std::stringstream corrupted(bytes);
-  std::string error;
+  IndexIoError error;
   EXPECT_EQ(LoadRrIndex(n, corrupted, &error), nullptr);
 }
 
@@ -313,10 +313,10 @@ TEST(IndexIoTest, DelayMatRoundTripsExactly) {
   index.Build();
 
   std::stringstream file;
-  std::string error;
-  ASSERT_TRUE(SaveDelayMatIndex(index, file, &error)) << error;
+  IndexIoError error;
+  ASSERT_TRUE(SaveDelayMatIndex(index, file, &error)) << error.message;
   const auto loaded = LoadDelayMatIndex(n, file, &error);
-  ASSERT_NE(loaded, nullptr) << error;
+  ASSERT_NE(loaded, nullptr) << error.message;
 
   EXPECT_EQ(loaded->theta(), index.theta());
   for (VertexId v = 0; v < n.num_vertices(); ++v) {
@@ -444,9 +444,9 @@ TEST(IndexIoTest, UnbuiltDelayMatRefusesToSave) {
   const SocialNetwork n = MakeRunningExample();
   DelayMatIndex index(n, SmallOptions());
   std::stringstream file;
-  std::string error;
+  IndexIoError error;
   EXPECT_FALSE(SaveDelayMatIndex(index, file, &error));
-  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(error.message.empty());
 }
 
 TEST(IndexIoTest, FileRoundTripOnDisk) {
@@ -459,10 +459,10 @@ TEST(IndexIoTest, FileRoundTripOnDisk) {
   index.Build();
 
   const std::string path = ::testing::TempDir() + "/lastfm.rridx";
-  std::string error;
-  ASSERT_TRUE(SaveRrIndex(index, path, &error)) << error;
+  IndexIoError error;
+  ASSERT_TRUE(SaveRrIndex(index, path, &error)) << error.message;
   const auto loaded = LoadRrIndex(n, path, &error);
-  ASSERT_NE(loaded, nullptr) << error;
+  ASSERT_NE(loaded, nullptr) << error.message;
   EXPECT_EQ(loaded->num_graphs(), index.num_graphs());
   std::remove(path.c_str());
 }
@@ -518,9 +518,9 @@ TEST(IndexIoTest, TrailingBytesRejected) {
 
 TEST(IndexIoTest, MissingFileFailsCleanly) {
   const SocialNetwork n = MakeRunningExample();
-  std::string error;
+  IndexIoError error;
   EXPECT_EQ(LoadRrIndex(n, "/nonexistent/dir/file.rridx", &error), nullptr);
-  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+  EXPECT_NE(error.message.find("cannot open"), std::string::npos) << error.message;
 }
 
 // --- typed error codes (IndexIoError) ---------------------------------
@@ -711,24 +711,6 @@ TEST(IndexIoTypedErrorTest, PathSaveIsCrashAtomic) {
   EXPECT_NE(LoadRrIndex(n, path, &error), nullptr) << error.message;
 #endif
   std::remove(path.c_str());
-}
-
-TEST(IndexIoTypedErrorTest, StringAndTypedOverloadsAgree) {
-  const SocialNetwork n = MakeRunningExample();
-  RrIndex index(n, SmallOptions());
-  index.Build();
-  std::stringstream file;
-  ASSERT_TRUE(SaveRrIndex(index, file));
-  const std::string bytes = file.str();
-
-  const SocialNetwork other = MakeOtherNetwork();
-  std::stringstream typed_in(bytes), string_in(bytes);
-  IndexIoError typed;
-  std::string message;
-  EXPECT_EQ(LoadRrIndex(other, typed_in, &typed), nullptr);
-  EXPECT_EQ(LoadRrIndex(other, string_in, &message), nullptr);
-  EXPECT_EQ(typed.code, IndexIoCode::kFingerprintMismatch);
-  EXPECT_EQ(typed.message, message);  // one implementation, two views
 }
 
 TEST(IndexIoTypedErrorTest, CodeNamesAreStable) {

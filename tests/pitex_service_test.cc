@@ -55,8 +55,8 @@ class PerWorkerReference {
       DelayMatIndex prototype(n, index_options);
       prototype.Build();
       std::stringstream out;
-      std::string error;
-      EXPECT_TRUE(SaveDelayMatIndex(prototype, out, &error)) << error;
+      IndexIoError error;
+      EXPECT_TRUE(SaveDelayMatIndex(prototype, out, &error)) << error.message;
       prototype_bytes = out.str();
     }
     for (size_t w = 0; w < threads; ++w) {
@@ -67,9 +67,9 @@ class PerWorkerReference {
         engine->UseSharedRrIndex(shared_index_.get());
       } else if (!prototype_bytes.empty()) {
         std::stringstream in(prototype_bytes);
-        std::string error;
+        IndexIoError error;
         auto replica = LoadDelayMatIndex(n, in, &error);
-        EXPECT_NE(replica, nullptr) << error;
+        EXPECT_NE(replica, nullptr) << error.message;
         engine->AdoptDelayMatIndex(std::move(replica));
       }
       engine->BuildIndex();

@@ -770,9 +770,9 @@ TEST(PooledLayoutTest, MixedVertexWidthsRoundTripThroughIndexFile) {
           [&graphs](size_t i) { return graphs[i].View(); })));
   std::stringstream first;
   ASSERT_TRUE(SaveRrIndex(*index, first));
-  std::string error;
+  IndexIoError error;
   const auto loaded = LoadRrIndex(cycle, first, &error);
-  ASSERT_NE(loaded, nullptr) << error;
+  ASSERT_NE(loaded, nullptr) << error.message;
   std::stringstream second;
   ASSERT_TRUE(SaveRrIndex(*loaded, second));
   EXPECT_EQ(second.str(), first.str());
@@ -901,9 +901,9 @@ void ExpectIndexFileRoundTrip(const SocialNetwork& network,
                         std::make_shared<const RrSketchPool>(pool));
   std::stringstream first;
   ASSERT_TRUE(SaveRrIndex(*index, first));
-  std::string error;
+  IndexIoError error;
   const auto loaded = LoadRrIndex(network, first, &error);
-  ASSERT_NE(loaded, nullptr) << error;
+  ASSERT_NE(loaded, nullptr) << error.message;
   std::stringstream second;
   ASSERT_TRUE(SaveRrIndex(*loaded, second));
   EXPECT_EQ(second.str(), first.str());

@@ -12,11 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -44,6 +48,16 @@ bool WaitUntil(const std::function<bool()>& pred, int timeout_ms = 20000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return pred();
+}
+
+// A record's stored WAL payload (lsn u64 | batch), as ReadWalAfter hands
+// it to the shipper.
+std::string RecordBody(uint64_t lsn,
+                       const std::vector<EdgeInfluenceUpdate>& updates) {
+  std::ostringstream out;
+  BinaryWriter writer(&out);
+  WriteWalRecord(&writer, lsn, updates);
+  return std::move(out).str();
 }
 
 class ReplicationTest : public ::testing::Test {
@@ -108,12 +122,9 @@ class ReplicationTest : public ::testing::Test {
 // Frame codec
 
 TEST_F(ReplicationTest, TypedPayloadsRoundTrip) {
-  ReplRecordMsg record;
-  record.term = 7;
-  record.lsn = 42;
-  record.updates = {EdgeInfluenceUpdate{3, {{1, 0.25}, {2, 0.5}}},
-                    EdgeInfluenceUpdate{9, {}}};
-  const ReplFrame record_frame = EncodeRecordMsg(record);
+  const ReplFrame record_frame = EncodeRecordMsg(
+      7, RecordBody(42, {EdgeInfluenceUpdate{3, {{1, 0.25}, {2, 0.5}}},
+                         EdgeInfluenceUpdate{9, {}}}));
   ReplRecordMsg record2;
   ASSERT_TRUE(DecodeRecordMsg(record_frame, &record2));
   EXPECT_EQ(record2.term, 7u);
@@ -167,12 +178,10 @@ TEST_F(ReplicationTest, WireFramesMatchPinnedBytes) {
     fnv.Update(bytes.data(), bytes.size());
     return fnv.digest();
   };
-  ReplRecordMsg record;
-  record.term = 4;
-  record.lsn = 1001;
-  record.updates = {EdgeInfluenceUpdate{7, {{0, 0.125}, {3, 0.75}}},
-                    EdgeInfluenceUpdate{12, {{1, 0.5}}},
-                    EdgeInfluenceUpdate{40000, {}}};
+  const std::string record_body =
+      RecordBody(1001, {EdgeInfluenceUpdate{7, {{0, 0.125}, {3, 0.75}}},
+                        EdgeInfluenceUpdate{12, {{1, 0.5}}},
+                        EdgeInfluenceUpdate{40000, {}}});
   ReplCheckpointMsg checkpoint;
   checkpoint.term = 4;
   checkpoint.checkpoint.present = true;
@@ -183,7 +192,7 @@ TEST_F(ReplicationTest, WireFramesMatchPinnedBytes) {
   for (size_t i = 0; i < 4096; ++i) {
     checkpoint.checkpoint.snapshot_bytes[i] = static_cast<char>(i * 31 + 7);
   }
-  EXPECT_EQ(hash(EncodeRecordMsg(record)), 0x020248aa7e3ed114ull);
+  EXPECT_EQ(hash(EncodeRecordMsg(4, record_body)), 0x020248aa7e3ed114ull);
   EXPECT_EQ(hash(EncodeCheckpointMsg(checkpoint)), 0x7261798145fcac16ull);
   EXPECT_EQ(hash(EncodeHeartbeatMsg(ReplHeartbeatMsg{4, 1001})),
             0xa59a9bda88400e2cull);
@@ -392,6 +401,127 @@ TEST_F(ReplicationTest, FollowerBootstrapsReplaysAndMatchesBitForBit) {
 
   pair.shipper->Stop();
   pair.follower->Stop();
+}
+
+TEST_F(ReplicationTest, ShippedRecordIsTheTermAndTheStoredPayload) {
+  // The shipper sends each record as it is stored: the kRecord payload
+  // is the 8-byte term followed by the segment's kWalRecord payload,
+  // byte for byte, with no decode and re-encode in between.
+  const SocialNetwork n = MakeRunningExample();
+  auto [primary_end, follower_end] = MakeInProcessTransportPair();
+  InProcessTermAuthority authority;
+  constexpr uint64_t kTerm = 3;
+  ASSERT_TRUE(authority.Advance(kTerm));
+  ServeOptions primary_options =
+      DurableOptions(root_ + "/primary", /*checkpoint_every=*/100);
+  primary_options.term_authority = &authority;
+  primary_options.term = kTerm;
+  PitexService primary(&n, primary_options);
+  primary.Start();
+  constexpr uint64_t kRounds = 3;
+  for (uint64_t i = 0; i < kRounds; ++i) {
+    std::vector<EdgeInfluenceUpdate> batch{MakeUpdate(n, i),
+                                           MakeUpdate(n, i + 7)};
+    ASSERT_NE(primary.ApplyUpdates(batch), 0u);
+  }
+
+  WalShipperOptions ship;
+  ship.wal_dir = root_ + "/primary";
+  ship.term = kTerm;
+  WalShipper shipper(&primary, primary_end.get(), ship);
+  shipper.Start();
+  std::vector<std::string> shipped;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (shipped.size() < kRounds &&
+         std::chrono::steady_clock::now() < deadline) {
+    ReplFrame frame;
+    if (follower_end->Recv(&frame, std::chrono::milliseconds(50)) ==
+            ReplicationTransport::RecvStatus::kFrame &&
+        frame.type == ReplFrameType::kRecord) {
+      shipped.push_back(std::move(frame.payload));
+    }
+  }
+  shipper.Stop();
+  ASSERT_EQ(shipped.size(), kRounds);
+
+  // The stored payloads, straight from the segment files.
+  std::vector<std::string> segments;
+  for (const auto& entry : fs::directory_iterator(root_ + "/primary")) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("wal-", 0) == 0) segments.push_back(entry.path().string());
+  }
+  std::sort(segments.begin(), segments.end());
+  std::vector<std::string> stored;
+  for (const std::string& path : segments) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string bytes = buf.str();
+    // Skip the segment header: magic, version and start LSN.
+    std::string_view rest = std::string_view(bytes).substr(8 + 4 + 8);
+    ReplFrame frame;
+    size_t consumed = 0;
+    while (DecodeReplFrame(rest, &frame, &consumed) ==
+           ReplDecodeStatus::kFrame) {
+      ASSERT_EQ(frame.type, ReplFrameType::kWalRecord);
+      stored.push_back(std::move(frame.payload));
+      rest.remove_prefix(consumed);
+    }
+  }
+  ASSERT_EQ(stored.size(), kRounds);
+  std::string term(sizeof(uint64_t), '\0');
+  EncodeLe(kTerm, term.size(), reinterpret_cast<unsigned char*>(term.data()));
+  for (size_t i = 0; i < kRounds; ++i) {
+    EXPECT_EQ(shipped[i], term + stored[i]) << "record " << i + 1;
+  }
+}
+
+TEST_F(ReplicationTest, UnparsableRecordFrameIsRejectedAndResynced) {
+  // A kRecord frame whose checksum holds but whose body does not parse
+  // (a term and an LSN, then no batch) comes from a broken peer: the
+  // follower counts it as rejected, asks for everything after its last
+  // applied LSN, and applies nothing.
+  const SocialNetwork n = MakeRunningExample();
+  auto [primary_end, follower_end] = MakeInProcessTransportPair();
+  InProcessTermAuthority authority;
+  ReplCheckpointMsg bootstrap;
+  bootstrap.term = 1;
+  ASSERT_TRUE(primary_end->Send(EncodeCheckpointMsg(bootstrap)));
+  FollowerOptions fo;
+  fo.serve = DurableOptions(root_ + "/follower");
+  fo.heartbeat_timeout_ms = 60000;  // no promotion in this test
+  fo.authority = &authority;
+  FollowerService follower(&n, follower_end.get(), fo);
+  std::string error;
+  ASSERT_TRUE(follower.Start(&error)) << error;
+
+  std::ostringstream payload;
+  BinaryWriter writer(&payload);
+  writer.WriteU64(/*term=*/1);
+  writer.WriteU64(/*lsn=*/1);
+  ASSERT_TRUE(primary_end->Send(
+      ReplFrame{ReplFrameType::kRecord, std::move(payload).str()}));
+
+  uint64_t resync_from = UINT64_MAX;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (resync_from == UINT64_MAX &&
+         std::chrono::steady_clock::now() < deadline) {
+    ReplFrame frame;
+    if (primary_end->Recv(&frame, std::chrono::milliseconds(50)) ==
+            ReplicationTransport::RecvStatus::kFrame &&
+        frame.type == ReplFrameType::kResync) {
+      ASSERT_TRUE(DecodeResyncMsg(frame, &resync_from));
+    }
+  }
+  EXPECT_EQ(resync_from, 0u);
+  const obs::MetricsSnapshot metrics =
+      follower.service().metrics().Snapshot();
+  EXPECT_EQ(metrics.CounterValue("pitex_repl_frames_rejected_total"), 1u);
+  EXPECT_EQ(follower.applied_lsn(), 0u);
+  EXPECT_EQ(follower.service().durable_lsn(), 0u);
+  follower.Stop();
 }
 
 TEST_F(ReplicationTest, FollowerBootstrapsFromCheckpointOverOneMebibyte) {

@@ -83,6 +83,13 @@ class WalTest : public ::testing::Test {
     return fnv.digest();
   }
 
+  // Appends raw bytes to the first segment, behind what the writer left.
+  void AppendToSegment(const std::string& bytes) const {
+    std::ofstream out(dir_ + "/" + WalSegmentName(1),
+                      std::ios::binary | std::ios::app);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
   std::string dir_;
 };
 
@@ -311,6 +318,69 @@ TEST_F(WalTest, FinalRecordFailingItsChecksumIsATornTail) {
   records.clear();
   EXPECT_EQ(read_with_flip(last_frame, &records).status,
             WalReadStatus::kCorrupt);
+}
+
+TEST_F(WalTest, ChecksumValidRecordThatDoesNotParseIsCorrupt) {
+  // The frame checksum holds, so this is no torn tail: a record body
+  // the batch codec cannot read is corruption, even as the final frame
+  // of the newest segment.
+  std::string error;
+  auto wal = WriteAheadLog::Open(dir_, 1, WalOptions{}, &error);
+  ASSERT_NE(wal, nullptr) << error;
+  ASSERT_EQ(wal->Append(MakeBatch(0)), 1u);
+  ASSERT_TRUE(wal->Sync());
+  wal.reset();
+
+  std::ostringstream payload;
+  BinaryWriter writer(&payload);
+  writer.WriteU64(2);  // the LSN, then no batch
+  AppendToSegment(EncodeReplFrame(
+      ReplFrame{ReplFrameType::kWalRecord, std::move(payload).str()}));
+  std::vector<WalRecord> records;
+  const WalReadResult read = ReadWalAfter(dir_, 0, &records);
+  EXPECT_EQ(read.status, WalReadStatus::kCorrupt) << read.message;
+}
+
+TEST_F(WalTest, FrameOfAnotherTypeInsideASegmentIsCorrupt) {
+  // A segment holds only kWalRecord frames: a checksum-valid frame of
+  // any other type between two records is corruption.
+  std::string error;
+  auto wal = WriteAheadLog::Open(dir_, 1, WalOptions{}, &error);
+  ASSERT_NE(wal, nullptr) << error;
+  ASSERT_EQ(wal->Append(MakeBatch(0)), 1u);
+  ASSERT_TRUE(wal->Sync());
+  wal.reset();
+  const std::string segment = dir_ + "/" + WalSegmentName(1);
+  const uintmax_t one_record = fs::file_size(segment);
+  const auto record_frame = [](uint64_t lsn, std::string* body) {
+    std::ostringstream payload;
+    BinaryWriter writer(&payload);
+    WriteWalRecord(&writer, lsn, MakeBatch(static_cast<uint32_t>(lsn)));
+    *body = std::move(payload).str();
+    return EncodeReplFrame(ReplFrame{ReplFrameType::kWalRecord, *body});
+  };
+
+  // Record 2 appended by hand reads back, body and all...
+  std::string body;
+  AppendToSegment(record_frame(2, &body));
+  std::vector<WalRecord> records;
+  ASSERT_EQ(ReadWalAfter(dir_, 0, &records).status, WalReadStatus::kOk);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].body, body);
+
+  // ...but a heartbeat in its place does not, although its payload
+  // (term 2, durable LSN 0) would parse as an empty record 2.
+  fs::resize_file(segment, one_record);
+  std::ostringstream beat;
+  BinaryWriter beat_writer(&beat);
+  beat_writer.WriteU64(2);
+  beat_writer.WriteU64(0);
+  AppendToSegment(EncodeReplFrame(
+      ReplFrame{ReplFrameType::kHeartbeat, std::move(beat).str()}));
+  AppendToSegment(record_frame(3, &body));
+  records.clear();
+  const WalReadResult read = ReadWalAfter(dir_, 0, &records);
+  EXPECT_EQ(read.status, WalReadStatus::kCorrupt) << read.message;
 }
 
 TEST_F(WalTest, LogStartingPastCheckpointIsRefused) {
