@@ -275,11 +275,12 @@ void BM_IndexEstimate(benchmark::State& state) {
 BENCHMARK(BM_IndexEstimate);
 
 // Distinct 64-byte lines of pool memory an estimate walk over `rr` can
-// touch: its directory word (4 bytes, never across a line) and, for an
-// explicit sketch, its block, which runs without gaps from the varint
-// header of n << 4 and four flags before the vertices (1 byte while
-// n <= 7, 2 while n <= 1,023) through the last of its m records of
-// edge width + 4 bytes; an in-tree block has no offsets in between.
+// touch: its directory word (2 or 4 bytes, never across a line) and, for
+// an explicit sketch, its group's 4-byte base in the directory's base
+// array and its block, which runs without gaps from the varint header of
+// n << 4 and four flags before the vertices (1 byte while n <= 7, 2
+// while n <= 1,023) through the last of its m records of edge width + 4
+// bytes; an in-tree block has no offsets in between.
 uint64_t PoolLines(const RRView& rr) {
   // An implicit singleton's directory word is its vertex.
   if (rr.vertices.size() == 1 && rr.edges.empty()) return 1;
@@ -290,7 +291,7 @@ uint64_t PoolLines(const RRView& rr) {
       line(rr.vertices.data() - VarintLength(uint64_t{rr.vertices.size()} << 4));
   const std::byte* end =
       rr.edges.data() + rr.edges.size() * (rr.edges.width() + sizeof(float));
-  return 1 + (line(end - 1) - first + 1);  // directory, block
+  return 2 + (line(end - 1) - first + 1);  // word, base, block
 }
 
 void BM_IndexEstimateSweep(benchmark::State& state) {
@@ -484,6 +485,8 @@ void BM_SerializeRrIndex(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(bytes) *
                           static_cast<int64_t>(state.iterations()));
+  // Bytes serialized per save: an exact count, where the time is noisy.
+  state.counters["file_bytes"] = static_cast<double>(bytes);
 }
 BENCHMARK(BM_SerializeRrIndex);
 
@@ -503,6 +506,7 @@ void BM_LoadRrIndex(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(snapshot->size()) *
                           static_cast<int64_t>(state.iterations()));
+  state.counters["file_bytes"] = static_cast<double>(snapshot->size());
 }
 BENCHMARK(BM_LoadRrIndex);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <utility>
@@ -15,15 +16,16 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v7's RR-Graph payload is the RrSketchPool image: its directory words
-// and its body bytes as they are, each sketch's edge records inside its
-// block, and an in-tree block's CSR offsets left out. (v1, one record
-// per graph, v2, a wire format of per-sketch CSRs packed into a pool on
-// load, v3, whose edge records were a third array, v4, whose blocks
-// kept every vertex at 4 bytes, v5, whose body was word-padded u32
-// words with 4-byte headers and edge ids, and v6, whose blocks all
-// stored their offsets, are no longer read.)
-constexpr uint32_t kVersionCurrent = 7;
+// v8's RR-Graph payload is the RrSketchPool image: its directory's word
+// width and words (not its bases, which the loader derives) and its body
+// bytes as they are, each sketch's edge records inside its block, and an
+// in-tree block's CSR offsets left out. (v1, one record per graph, v2, a
+// wire format of per-sketch CSRs packed into a pool on load, v3, whose
+// edge records were a third array, v4, whose blocks kept every vertex at
+// 4 bytes, v5, whose body was word-padded u32 words with 4-byte headers
+// and edge ids, v6, whose blocks all stored their offsets, and v7, whose
+// directory held a u32 per sketch, are no longer read.)
+constexpr uint32_t kVersionCurrent = 8;
 constexpr uint8_t kKindRrGraphs = 1;
 constexpr uint8_t kKindDelayMat = 2;
 
@@ -164,7 +166,8 @@ class IndexIo {
     WriteHeader(&writer, kKindRrGraphs,
                 NetworkFingerprint(index.network_), index.options_);
     writer.WriteU64(index.theta_);
-    writer.WriteVector<uint32_t>(pool.slots_);
+    writer.WriteU8(static_cast<uint8_t>(pool.slots_.width()));
+    writer.WriteVector<uint8_t>(pool.slots_.bytes());
     writer.WriteVector<uint8_t>(pool.body_);
     writer.WriteF64(index.build_seconds_);
     writer.WriteChecksum();
@@ -235,23 +238,29 @@ class IndexIo {
     uint64_t theta = 0;
     // theta == 0 would make RrIndex derive its own theta: no writer
     // produces it, and the loaded index could not save the file back.
-    if (!reader.ReadU64(&theta) || theta == 0) {
+    // Sketch ids are u32.
+    if (!reader.ReadU64(&theta) || theta == 0 || theta >= UINT32_MAX) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt index payload header");
       return nullptr;
     }
     options.theta_override = theta;
     auto index = std::unique_ptr<RrIndex>(new RrIndex(network, options));
     RrSketchPool pool;
-    // Block offsets fit 31 bits, so the body holds at most 2^31 bytes.
     // The estimator divides by theta: the directory holds exactly theta
-    // sketches.
-    if (!reader.ReadVector(&pool.slots_, theta) ||
-        pool.slots_.size() != theta ||
+    // words of 2 or 4 bytes. Block offsets fit 31 bits, so the body
+    // holds at most 2^31 bytes.
+    uint8_t width = 0;
+    std::vector<uint8_t> words;
+    if (!reader.ReadU8(&width) || (width != 2 && width != 4) ||
+        !reader.ReadVector(&words, theta * width) ||
+        words.size() != theta * width ||
         !reader.ReadVector(&pool.body_, uint64_t{1} << 31)) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");
       return nullptr;
     }
-    pool.slots_.shrink_to_fit();
+    pool.slots_.SetWidth(width);
+    pool.slots_.units.resize(words.size() / sizeof(uint16_t));
+    std::memcpy(pool.slots_.units.data(), words.data(), words.size());
     pool.body_.shrink_to_fit();
     if (!reader.ReadF64(&index->build_seconds_)) {
       SetError(error, IndexIoCode::kTruncated, "truncated index trailer");

@@ -14,34 +14,45 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 7 is the only version read or written; a v1 to v6 header is
+// Version 8 is the only version read or written; a v1 to v7 header is
 // refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
 // image (src/index/rr_sketch_pool.h):
 //
-//   theta u64 | directory (u64 count = theta, u32 words) | body (u64
-//   count, bytes) | build_seconds f64
+//   theta u64 | directory width u8 (2 or 4) | directory words (u64
+//   count = theta * width, bytes) | body (u64 count, bytes) |
+//   build_seconds f64
 //
-// Each explicit sketch is one block of the body, with no padding: a
-// varint header (n, three width flags and the in-tree flag), its
-// vertices at 2 or 4 bytes, its packed local ids at 1 or 4 (the root
-// id, the CSR offsets unless the block is an in-tree, the heads), then
-// its records, each an edge id at 3 or 4 bytes and a threshold f32. A
-// directory whose length is not theta is kCorruptPayload.
+// The directory holds one word per sketch: a singleton's root vertex
+// (top bit clear), or the top bit and the start of the sketch's block
+// less its group's base. The bases, one per 64 sketches, are not saved:
+// the loader derives each as the offset where the next block must start
+// when its walk reaches the group's first sketch. A file takes 2-byte
+// words unless some root or offset needs bit 15 or above. Each explicit
+// sketch is one block of the body, with no padding: a varint header (n,
+// three width flags and the in-tree flag), its vertices at 2 or 4
+// bytes, its packed local ids at 1 or 4 (the root id, the CSR offsets
+// unless the block is an in-tree, the heads), then its records, each an
+// edge id at 3 or 4 bytes and a threshold f32. A directory whose length
+// is not theta words is kCorruptPayload.
 //
 // An index with repairs saves as its compaction (RrSketchPool::Pack of
 // its sketch views). The containing index is not stored: the loader
 // rebuilds it. A loaded image must be canonical, exactly what Pack
-// writes for its own views (RrSketchPool::FinishLoaded checks it), so a
-// file that loads saves back to the same bytes. A change to the pool's
-// layout is a new version. The body's multi-byte fields are stored in
-// the host's byte order, so a file reads back right only on a host of
-// the writer's byte order.
+// writes for its own views (RrSketchPool::FinishLoaded checks it: each
+// word is its block's start less its base, 4-byte words only where some
+// word needs them, an in-tree block's parents all lead to its root), so
+// a file that loads saves back to the same bytes. A change to the
+// pool's layout is a new version. The directory's words and the body's
+// multi-byte fields are stored in the host's byte order, so a file
+// reads back right only on a host of the writer's byte order.
 //
 // The fingerprint binds an index file to the network it was sampled
 // from: loading against a different graph (changed topology, edge count,
 // or influence entries) is rejected, because RR-Graphs reference global
 // EdgeIds and are meaningless — and silently wrong — on any other graph.
-// A trailing FNV-1a checksum rejects truncated or corrupted files.
+// It only catches an accidental mismatch: it is an unkeyed hash, not a
+// MAC, and a file crafted to match a network's fingerprint loads. A
+// trailing FNV-1a checksum rejects truncated or corrupted files.
 //
 // IndexEst+ needs no file of its own: PrunedRrIndex derives its edge-cut
 // filters lazily from a (possibly loaded) RrIndex.

@@ -104,4 +104,29 @@ bool IsReachable(const RRView& rr, VertexId u, const EdgeProbFn& probs,
   return IsReachable(rr, u, probs, edges_visited, &scratch);
 }
 
+bool ParentsReachRoot(const RRView& rr, std::vector<uint8_t>* marks) {
+  enum : uint8_t { kUnseen, kOnChase, kReachesRoot };
+  const auto n = static_cast<uint32_t>(rr.vertices.size());
+  marks->assign(n, kUnseen);
+  (*marks)[rr.root_local] = kReachesRoot;
+  return rr.VisitCsr([&](const auto& csr) {
+    const auto parent = [&csr](uint32_t v) { return csr.head(csr.offset(v)); };
+    for (uint32_t j = 0; j < n; ++j) {
+      uint32_t v = j;
+      for (; (*marks)[v] == kUnseen; v = parent(v)) (*marks)[v] = kOnChase;
+      // The chase met itself: a cycle that never reaches the root.
+      if ((*marks)[v] == kOnChase) return false;
+      for (v = j; (*marks)[v] == kOnChase; v = parent(v)) {
+        (*marks)[v] = kReachesRoot;
+      }
+    }
+    return true;
+  });
+}
+
+bool ParentsReachRoot(const RRView& rr) {
+  thread_local std::vector<uint8_t> marks;
+  return ParentsReachRoot(rr, &marks);
+}
+
 }  // namespace pitex

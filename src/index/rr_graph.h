@@ -376,6 +376,18 @@ PITEX_NOALLOC bool IsReachable(const RRView& rr, VertexId u,
 bool IsReachable(const RRView& rr, VertexId u, const EdgeProbFn& probs,
                  uint64_t* edges_visited);
 
+/// True when following each vertex's one out-edge (its parent) in
+/// in-tree sketch `rr` (RRView::InTree, heads below n) leads every
+/// vertex to the root: no parent pointers form a cycle, a vertex its
+/// own parent included. One O(n) pass: each vertex is marked once by
+/// the chase that first meets it and once more when that chase ends.
+/// `marks` is scratch, resized to n.
+bool ParentsReachRoot(const RRView& rr, std::vector<uint8_t>* marks);
+/// Overload with per-thread scratch, which stops allocating once it
+/// has grown to the largest sketch: the pool writers' debug check, on a
+/// generation path that must not allocate in steady state.
+bool ParentsReachRoot(const RRView& rr);
+
 /// A sampled live edge in global vertex coordinates, before local CSR
 /// assembly.
 struct GlobalEdgeSample {

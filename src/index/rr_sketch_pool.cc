@@ -22,16 +22,26 @@ void RrSketchPool::Append(const RRView& sketch) {
 }
 
 void RrSketchPool::Clear() {
-  slots_.clear();
+  slots_.Clear();
   body_.clear();
-  containing_starts_.clear();
+  containing_starts_.Clear();
   containing_.clear();
   max_sketch_vertices_ = 0;
 }
 
+void RrSketchPool::WidenDirectory() {
+  slots_.Widen([](uint32_t word) {
+    return (word & kNarrowExplicit) != 0
+               ? kExplicit | (word & ~kNarrowExplicit)
+               : word;
+  });
+}
+
 uint64_t RrSketchPool::BodyStart(size_t i) const {
   for (; i < num_sketches(); ++i) {
-    if ((slots_[i] & kExplicit) != 0) return slots_[i] & ~kExplicit;
+    const uint32_t slot = slots_.word(i);
+    const uint32_t flag = slots_.top_bit();
+    if ((slot & flag) != 0) return slots_.base(i) + (slot & ~flag);
   }
   return body_.size();
 }
@@ -46,6 +56,7 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
     const RrSketchPool* run;
     uint32_t first, count;
     uint64_t body_begin, body_end;
+    uint64_t out_begin;  // where the slice's blocks go in the pool
   };
   std::vector<Slice> slices;
   slices.reserve(segments.size());
@@ -58,15 +69,16 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
     const RrSketchPool& run = runs[seg.run];
     slices.push_back({seg.sample, &run, seg.first, seg.count,
                       run.BodyStart(seg.first),
-                      run.BodyStart(seg.first + seg.count)});
+                      run.BodyStart(seg.first + seg.count), 0});
   }
   std::ranges::sort(slices, {}, &Slice::sample);
   uint64_t covered = 0;
   uint64_t body = 0;
-  for (const Slice& s : slices) {
+  for (Slice& s : slices) {
     PITEX_CHECK_MSG(s.sample == covered,
                     "runs must cover every sample exactly once");
     covered += s.count;
+    s.out_begin = body;
     body += s.body_end - s.body_begin;
   }
   PITEX_CHECK_MSG(covered == num_sketches,
@@ -76,44 +88,65 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
   PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= kExplicit,
                   "sketch pool exceeds its directory words");
 
-  // Exact-size arrays, filled by appends (no zero-fill pass).
+  // Exact-size arrays, filled by appends (no zero-fill pass). A group's
+  // base is where the next block starts when the walk reaches the
+  // group's first sketch, so it waits for the next block's start (or the
+  // end of the body); a block's own group is resolved by the time its
+  // word is appended.
   RrSketchPool out;
-  out.slots_.reserve(num_sketches);
+  out.slots_.Reserve(num_sketches, 2);
   out.body_.reserve(body);
+  std::vector<uint32_t>& bases = out.slots_.bases;
+  size_t resolved = 0;  // bases[resolved ..] wait for a block's start
   for (const Slice& s : slices) {
-    const RrSketchPool& run = *s.run;
-    // Unsigned wrap-around makes the rebase exact whichever way a
-    // segment moves.
-    const auto body_shift =
-        static_cast<uint32_t>(out.body_.size() - s.body_begin);
-    out.body_.insert(out.body_.end(), run.body_.begin() + s.body_begin,
-                     run.body_.begin() + s.body_end);
-    const uint32_t end = s.first + s.count;
-    for (uint32_t j = s.first; j < end; ++j) {
-      const uint32_t slot = run.slots_[j];
-      out.slots_.push_back((slot & kExplicit) != 0
-                               ? kExplicit | ((slot & ~kExplicit) + body_shift)
-                               : slot);
-    }
+    out.body_.insert(out.body_.end(), s.run->body_.begin() + s.body_begin,
+                     s.run->body_.begin() + s.body_end);
+    s.run->ForEachSlot(s.first, s.first + s.count, [&](bool block,
+                                                       uint32_t value) {
+      if (out.num_sketches() % GroupWords::kGroup == 0) bases.push_back(0);
+      if (block) {
+        const uint64_t start = value - s.body_begin + s.out_begin;
+        for (; resolved < bases.size(); ++resolved) {
+          bases[resolved] = static_cast<uint32_t>(start);
+        }
+        value = static_cast<uint32_t>(start - bases.back());
+      }
+      out.PushSlot(value, block);
+    });
+  }
+  for (; resolved < bases.size(); ++resolved) {
+    bases[resolved] = static_cast<uint32_t>(body);
   }
   out.BuildContaining(num_vertices);
   return out;
 }
 
 bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
-  // Every vertex id also stays below the directory word's top bit.
+  // Every vertex id also stays below a wide directory word's top bit.
   const uint64_t vertex_bound = std::min<uint64_t>(num_vertices, kExplicit);
-  if (slots_.size() >= UINT32_MAX || body_.size() > kExplicit) return false;
+  const size_t s = num_sketches();
+  if (s >= UINT32_MAX || body_.size() > kExplicit) return false;
+  const uint32_t flag = slots_.top_bit();
+  slots_.bases.reserve((s + GroupWords::kGroup - 1) / GroupWords::kGroup);
   uint64_t body = 0;      // where the next block must start
   uint64_t vertices = 0;  // the total Totals::Fit bounds
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    const uint32_t slot = slots_[i];
-    if ((slot & kExplicit) == 0) {
+  uint64_t max_singleton = 0;
+  uint64_t max_offset = 0;
+  std::vector<uint8_t> marks;  // ParentsReachRoot's scratch
+  for (size_t i = 0; i < s; ++i) {
+    if (i % GroupWords::kGroup == 0) {
+      slots_.bases.push_back(static_cast<uint32_t>(body));
+    }
+    const uint32_t slot = slots_.word(i);
+    if ((slot & flag) == 0) {
       if (slot >= vertex_bound) return false;
+      max_singleton = std::max<uint64_t>(max_singleton, slot);
       ++vertices;
       continue;
     }
-    if ((slot & ~kExplicit) != body) return false;
+    const uint64_t offset = body - slots_.base(i);
+    if ((slot & ~flag) != offset) return false;
+    max_offset = std::max(max_offset, offset);
     // The header: a varint inside the body, of at most 32 bits (View
     // reads it as a u32) and at least one vertex.
     uint64_t header = 0;
@@ -176,7 +209,7 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
       }
       return true;
     });
-    if (!csr_ok) return false;
+    if (!csr_ok || (in_tree && !ParentsReachRoot(view, &marks))) return false;
     // Every sampler writes 0 <= c(e) <= p(e) <= 1. A NaN or negative
     // threshold would make the edge live under every tag set, one above
     // 1 dead under all.
@@ -188,7 +221,10 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
     vertices += n;
     body += header_bytes + length;
   }
-  if (body != body_.size() || vertices > UINT32_MAX) return false;
+  if (body != body_.size() || vertices > UINT32_MAX ||
+      slots_.width() != DirectoryWidth(max_singleton, max_offset)) {
+    return false;
+  }
   BuildContaining(num_vertices);
   return true;
 }
@@ -202,14 +238,12 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
     uint32_t bytes;  // the first pass's count, then the write cursor
     uint32_t last;
   };
-  const size_t s = num_sketches();
   std::vector<Tally> tally(num_vertices, Tally{0, 0});
   uint64_t bytes = 0;
   size_t max_vertices = 0;
-  for (size_t i = 0; i < s; ++i) {
-    const VertexIds sketch = Vertices(i);
+  uint32_t id = 0;
+  ForEachVertices([&](const VertexIds& sketch) {
     max_vertices = std::max(max_vertices, sketch.size());
-    const auto id = static_cast<uint32_t>(i);
     sketch.ForEach([&](VertexId v) {
       Tally& t = tally[v];
       const size_t length = VarintLength(id - t.last);
@@ -217,37 +251,53 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
       t.last = id;
       bytes += length;
     });
-  }
+    ++id;
+  });
   // No vertex's count wrapped if the total fits.
   PITEX_CHECK_MSG(bytes <= UINT32_MAX,
                   "containing index exceeds 32-bit offsets");
-  containing_starts_.resize(num_vertices + 1);
+  // Each vertex's start, then its group's largest word: the start of
+  // the group's last entry less the start of its first.
   uint32_t start = 0;
   for (size_t v = 0; v < num_vertices; ++v) {
-    containing_starts_[v] = start;
-    start += tally[v].bytes;
-    tally[v] = Tally{containing_starts_[v], 0};
+    const uint32_t length = tally[v].bytes;
+    tally[v] = Tally{start, 0};
+    start += length;
   }
-  containing_starts_[num_vertices] = start;
+  const auto start_of = [&](size_t v) {
+    return v < num_vertices ? tally[v].bytes : start;
+  };
+  constexpr size_t kGroup = GroupWords::kGroup;
+  uint32_t max_word = 0;
+  for (size_t first = 0; first <= num_vertices; first += kGroup) {
+    const size_t last = std::min(first + kGroup - 1, num_vertices);
+    max_word = std::max(max_word, start_of(last) - start_of(first));
+  }
+  containing_starts_.Clear();
+  containing_starts_.Reserve(num_vertices + 1, max_word <= UINT16_MAX ? 2 : 4);
+  for (size_t v = 0; v <= num_vertices; ++v) {
+    containing_starts_.OpenGroup(start_of(v));
+    containing_starts_.Push(start_of(v) - containing_starts_.base(v));
+  }
   containing_.resize(bytes);
   uint8_t* const out = containing_.data();
-  for (size_t i = 0; i < s; ++i) {
-    const auto id = static_cast<uint32_t>(i);
-    Vertices(i).ForEach([&](VertexId v) {
+  id = 0;
+  ForEachVertices([&](const VertexIds& sketch) {
+    sketch.ForEach([&](VertexId v) {
       Tally& t = tally[v];
       t.bytes = static_cast<uint32_t>(PutVarint(id - t.last, out + t.bytes) -
                                       out);
       t.last = id;
     });
-  }
+    ++id;
+  });
   max_sketch_vertices_ = static_cast<uint32_t>(max_vertices);
 }
 
 size_t RrSketchPool::SizeBytes() const {
-  return sizeof(RrSketchPool) +
-         (slots_.capacity() + containing_starts_.capacity()) *
-             sizeof(uint32_t) +
-         body_.capacity() + containing_.capacity();
+  return sizeof(RrSketchPool) + slots_.SizeBytes() +
+         containing_starts_.SizeBytes() + body_.capacity() +
+         containing_.capacity();
 }
 
 void RrSketchOverlay::Put(uint32_t id, const RRView& sketch) {

@@ -10,13 +10,18 @@
 // RRViews, and answers Containing(u) from one exact-size byte array — no
 // per-sketch or per-vertex heap objects at all, and SizeBytes() is O(1).
 //
-// Layout for sketch i (n_i vertices, m_i edges); the directory holds
-// 32-bit words and the body bytes, with no padding anywhere, and every
-// total is checked to fit:
-//   slots_[i]        one directory word: the root vertex id of an
-//                    implicit singleton (top bit clear), else
-//                    1 << 31 | the byte offset of sketch i's block in
-//                    body_
+// Layout for sketch i (n_i vertices, m_i edges), with no padding
+// anywhere, and every total checked to fit:
+//   slots_           the directory, two levels (GroupWords): one u32
+//                    base per group of 64 sketches, the byte offset in
+//                    body_ where the next block starts when sketch 64g
+//                    is appended, and one word per sketch: the root
+//                    vertex id of an implicit singleton (top bit
+//                    clear), else top bit | the start of sketch i's
+//                    block less its group's base. Every word takes 2
+//                    bytes (flag bit 15) while each singleton's root
+//                    and each block's start less its base are below
+//                    2^15, else every word takes 4 (flag bit 31)
 //   body_[start ..]  a header, the LEB128 varint (as the containing
 //                    lists code ids) of n_i << 4 | in-tree << 3 |
 //                    edge ids wide << 2 | vertices wide << 1 |
@@ -28,7 +33,10 @@
 //                    at w_i bytes each; then the m_i records of
 //                    e_i + 4 bytes, the edge id at e_i bytes and the
 //                    threshold's bits
-// A sketch's walk therefore reads its directory word and one block.
+// A sketch's walk therefore reads its directory word, its group's base
+// (a 12.5 KB array for 200,000 sketches) and one block. On pitexbench's
+// network the largest singleton root is 24,999 and the largest block
+// start less its base 1,713 B, so the directory takes 2-byte words.
 // An *in-tree* block is one whose CSR gives the root no out-edge and
 // every other vertex exactly one (IsInTree): m_i = n_i - 1 and offset j
 // is j, less one past the root (InTreeOffset), so the block stores no
@@ -53,19 +61,28 @@
 // edges; 57% of the sketches on pitexbench's network — has no block:
 // its directory word is its vertex, and View() serves its header and
 // root id from a static in-tree block, so the estimate walk over it
-// reads only the directory. The static block reads the vertex at 2
-// bytes while it fits them, so a graph whose vertices all fit 16 bits
-// reads every sketch at one vertex width, and nearly every sketch in
-// one CSR form.
+// reads only its directory word. The static block reads the vertex at
+// 2 bytes while it fits them, so a graph whose vertices all fit 16
+// bits reads every sketch at one vertex width, and nearly every sketch
+// in one CSR form. A 2-byte word is exactly the 2-byte vertex.
 //
 // Containing lists, for vertex u:
-//   containing_[containing_starts_[u] .. containing_starts_[u + 1])
+//   containing_[start(u) .. start(u + 1))
 // holds the ids of the sketches containing u, ascending, as LEB128
 // varints (ContainingList): the first id, then each gap to the next.
 // Seven bits go in each byte, low bits first, and the top bit is set on
 // every byte except a value's last, so theta(u) is the number of bytes
-// with the top bit clear. The starts are byte offsets. On pitexbench's
-// network every entry takes 1 to 3 bytes, against 4 for a u32 list.
+// with the top bit clear. On pitexbench's network every entry takes 1
+// to 3 bytes, against 4 for a u32 list. The starts are byte offsets,
+// stored in two levels like the directory: start(u) is
+// containing_starts_'s base for u's group of 64 vertices, start(64g),
+// plus u's word, at 2 bytes while every group's words fit 16 bits (the
+// largest on pitexbench's network is 4,449), else at 4.
+//
+// Both arrays use one two-level store, GroupWords, as FST stores its
+// succinct arrays: sparse absolute samples and narrow relative entries,
+// read in place. Each pool chooses each array's word width from its own
+// data, as each block chooses its widths, with no option.
 //
 // Every pool is written one way: sketches are appended in this layout
 // (AppendSketch, which Append and the generator call) into exact-size
@@ -74,13 +91,16 @@
 // index, one per worker slot — and FromRuns copies their segments, in
 // sample order, into the finished pool. Pack (compaction, saving an
 // index with repairs) sizes its arrays in one pass over its views and
-// appends straight into them. A loaded pool was written this way
-// before it was saved: the index loader (src/index/index_io.h) reads
-// the directory and body arrays back as they are, and
-// FinishLoaded accepts them only if they are exactly what Pack writes
-// for their own views. An overlay's sketch store is a run that is
-// never finished, and so are the two other runs SketchArena writes:
-// the one-sketch run DynamicRrIndex re-closes each repaired sketch
+// appends straight into them. Every writer starts the directory at
+// 2-byte words and widens it once, in place, when a word first fails to
+// fit them (PushSlot); the widening doubles the words' room, so Pack's
+// and FromRuns' exact-size arrays stay exact. A loaded pool was written
+// this way before it was saved: the index loader (src/index/index_io.h)
+// reads the directory's words and the body back as they are, and
+// FinishLoaded derives the directory's bases and accepts the arrays
+// only if they are exactly what Pack writes for their own views. An
+// overlay's sketch store is a run that is never finished, and so are
+// the two other runs SketchArena writes: the one-sketch run DynamicRrIndex re-closes each repaired sketch
 // into before the overlay copies it, and the run of graphs DelayMat
 // recovers for its cached query user.
 //
@@ -297,14 +317,26 @@ class RrSketchPool {
   void Clear();
 
   size_t num_sketches() const { return slots_.size(); }
-  bool empty() const { return slots_.empty(); }
+  bool empty() const { return num_sketches() == 0; }
 
   /// Non-owning view of sketch i (valid while the pool is alive).
   RRView View(size_t i) const {
-    const uint32_t* slot = &slots_[i];
+    const uint32_t slot = slots_.word(i);
+    const uint32_t flag = slots_.top_bit();
+    // Selects, not branches: the packing passes and the estimate walk
+    // meet singletons and explicit blocks interleaved at random, so the
+    // base is loaded for a singleton too, keeping the block's address
+    // free of a load that only one side of a branch makes. On a graph
+    // of up to 65,536 vertices every sketch, singletons too, then reads
+    // its vertices at 2 bytes, and singletons are in-trees like nearly
+    // every block, so the walk's one dispatch per sketch almost always
+    // goes the same way.
+    const uint8_t* block = body_.data() + slots_.base(i) + (slot & ~flag);
+    const uint8_t* singleton =
+        slot <= UINT16_MAX ? kNarrowSingleton : kWideSingleton;
     uint32_t header;
-    const auto* region =
-        reinterpret_cast<const std::byte*>(GetVarint(Block(*slot), &header));
+    const auto* region = reinterpret_cast<const std::byte*>(
+        GetVarint((slot & flag) != 0 ? block : singleton, &header));
     const uint32_t n = header >> kHeaderFlagBits;
     const bool in_tree = (header & kInTree) != 0;
     const uint32_t width = (header & kIdsWide) != 0 ? 4 : 1;
@@ -322,13 +354,17 @@ class RrSketchPool {
                        : narrow ? LoadId<uint8_t>(offsets, n)
                                 : LoadId<uint32_t>(offsets, n);
     const std::byte* heads = in_tree ? offsets : offsets + (n + 1) * width;
-    // A singleton's vertex is the low-order bytes of its directory word.
-    const std::byte* word =
-        reinterpret_cast<const std::byte*>(slot) +
-        (std::endian::native == std::endian::big ? 4 - vertex_width : 0);
+    // A singleton's vertex is the low-order bytes of its directory word
+    // (all of a 2-byte word).
     return RRView{root_local,
                   width,
-                  {(*slot & kExplicit) != 0 ? region : word, n, vertex_width},
+                  {(slot & flag) != 0
+                       ? region
+                       : slots_.word_data(i) +
+                             (std::endian::native == std::endian::big
+                                  ? slots_.width() - vertex_width
+                                  : 0),
+                   n, vertex_width},
                   in_tree ? nullptr : offsets,
                   heads,
                   {heads + m * width, m, edge_width}};
@@ -336,23 +372,125 @@ class RrSketchPool {
 
   /// Ids (sketch positions) of the sketches containing u, ascending.
   ContainingList Containing(VertexId u) const {
-    return ContainingList({containing_.data() + containing_starts_[u],
-                           containing_.data() + containing_starts_[u + 1]});
+    const auto start = [this](size_t v) {
+      return containing_starts_.base(v) + containing_starts_.word(v);
+    };
+    return ContainingList(
+        {containing_.data() + start(u), containing_.data() + start(u + 1)});
   }
   /// theta(u): how many sketches contain u (Sec. 6.3 notation).
   size_t CountContaining(VertexId u) const { return Containing(u).count(); }
   /// Number of vertices the containing index covers.
   size_t num_universe_vertices() const {
-    return containing_starts_.empty() ? 0 : containing_starts_.size() - 1;
+    return containing_starts_.size() == 0 ? 0 : containing_starts_.size() - 1;
   }
 
   /// Largest per-sketch vertex count (scratch pre-sizing).
   size_t max_sketch_vertices() const { return max_sketch_vertices_; }
 
+  /// Bytes per word of the directory and of the containing starts: 2
+  /// while every word fits them, else 4.
+  uint32_t directory_width() const { return slots_.width(); }
+  uint32_t containing_start_width() const {
+    return containing_starts_.width();
+  }
+
   /// Exact footprint of the pooled arrays, computed in O(1).
   size_t SizeBytes() const;
 
  private:
+  /// A u32 array in two levels: one 32-bit base per group of 64 entries
+  /// and one word per entry, every word 2 bytes or every word 4, in the
+  /// host's byte order. What a word adds to its base is the owner's to
+  /// say: the directory's words are block offsets behind a flag or
+  /// singleton vertices, the containing starts' are plain offsets.
+  /// Writers open each group before its first word (OpenGroup), so the
+  /// bases always cover the words. The words are kept as 2-byte units,
+  /// two to a 4-byte word, so an append is a push_back.
+  struct GroupWords {
+    static constexpr unsigned kGroupBits = 6;
+    static constexpr size_t kGroup = size_t{1} << kGroupBits;  // 64
+
+    size_t size() const { return units.size() >> (shift - 1); }
+    /// Bytes per word: 2 or 4.
+    uint32_t width() const { return 1u << shift; }
+    /// A word's top bit.
+    uint32_t top_bit() const { return top; }
+    uint32_t base(size_t i) const { return bases[i >> kGroupBits]; }
+    const std::byte* word_data(size_t i) const {
+      return reinterpret_cast<const std::byte*>(units.data()) + (i << shift);
+    }
+    uint32_t word(size_t i) const {
+      return shift == 1 ? units[i] : LoadId<uint32_t>(word_data(i), 0);
+    }
+    /// The words' bytes, as the index file stores them.
+    std::span<const uint8_t> bytes() const {
+      return {reinterpret_cast<const uint8_t*>(units.data()),
+              units.size() * sizeof(uint16_t)};
+    }
+
+    /// Makes room for exactly `count` words at `width` bytes: an empty
+    /// array's writers then never regrow it.
+    void Reserve(size_t count, uint32_t width) {
+      SetWidth(width);
+      bases.reserve((count + kGroup - 1) / kGroup);
+      units.reserve(count << (shift - 1));
+    }
+    /// Opens the group of entry size() at `base` if that entry starts
+    /// one.
+    void OpenGroup(uint64_t base) {
+      if (size() % kGroup == 0) bases.push_back(static_cast<uint32_t>(base));
+    }
+    /// Appends a word, which must fit the width.
+    void Push(uint32_t word) {
+      if (shift == 1) {
+        PITEX_DCHECK(word <= UINT16_MAX);
+        units.push_back(static_cast<uint16_t>(word));
+        return;
+      }
+      uint16_t halves[2];
+      std::memcpy(halves, &word, sizeof(word));
+      units.push_back(halves[0]);
+      units.push_back(halves[1]);
+    }
+    /// Rewrites 2-byte words at 4 bytes, word w as wide(w), in place:
+    /// back to front, so no word is overwritten before it is read. The
+    /// room doubles, so an array reserved exactly stays exact.
+    template <typename Wide>
+    void Widen(Wide&& wide) {
+      PITEX_DCHECK(shift == 1);
+      const size_t count = size();
+      units.reserve(2 * units.capacity());
+      units.resize(2 * count);
+      auto* data = reinterpret_cast<std::byte*>(units.data());
+      for (size_t i = count; i-- > 0;) {
+        StoreId<uint32_t>(data, i, wide(LoadId<uint16_t>(data, i)));
+      }
+      SetWidth(4);
+    }
+    /// Drops every entry, keeping capacity, and returns to 2-byte
+    /// words.
+    void Clear() {
+      bases.clear();
+      units.clear();
+      SetWidth(2);
+    }
+    /// Sets the word width, 2 or 4 bytes, of an empty or loaded array.
+    void SetWidth(uint32_t width) {
+      shift = width == 2 ? 1 : 2;
+      top = 1u << (8 * width - 1);
+    }
+    size_t SizeBytes() const {
+      return bases.capacity() * sizeof(uint32_t) +
+             units.capacity() * sizeof(uint16_t);
+    }
+
+    std::vector<uint32_t> bases;
+    std::vector<uint16_t> units;
+    uint32_t shift = 1;        // log2 of the word width
+    uint32_t top = 1u << 15;   // the words' top bit
+  };
+
   /// The header packs n << kHeaderFlagBits with three width flags and
   /// the in-tree flag into 32 bits, so a block holds at most this many
   /// vertices.
@@ -366,9 +504,11 @@ class RrSketchPool {
   static constexpr uint32_t kVerticesWide = 2;
   static constexpr uint32_t kEdgesWide = 4;
   static constexpr uint32_t kInTree = 8;
-  /// The directory word's top bit: set for a block offset, clear for a
-  /// singleton's vertex. Vertex ids and block offsets stay below it.
+  /// A wide directory word's top bit, the flag of a block offset: vertex
+  /// ids and block offsets stay below it. A narrow word's flag is bit
+  /// 15, and its vertex ids and offsets stay below that.
   static constexpr uint32_t kExplicit = 1u << 31;
+  static constexpr uint32_t kNarrowExplicit = 1u << 15;
   /// The blocks implicit singletons read: a one-byte in-tree header
   /// (n = 1, so no edges), the vertex's bytes (unread: the view reads
   /// the vertex from the directory word, at 2 bytes while it fits them
@@ -454,23 +594,75 @@ class RrSketchPool {
            m * (edge_width + sizeof(float));
   }
 
-  /// The block a directory word names, or the static block of an
-  /// implicit singleton's width.
-  const uint8_t* Block(uint32_t slot) const {
-    // Selects, not branches: the packing passes and the estimate walk
-    // meet singletons and explicit blocks interleaved at random. On a
-    // graph of up to 65,536 vertices every sketch, singletons too, then
-    // reads its vertices at 2 bytes, and singletons are in-trees like
-    // nearly every block, so the walk's one dispatch per sketch almost
-    // always goes the same way.
-    const uint8_t* singleton =
-        slot <= UINT16_MAX ? kNarrowSingleton : kWideSingleton;
-    return (slot & kExplicit) != 0 ? body_.data() + (slot & ~kExplicit)
-                                   : singleton;
+  /// Bytes per directory word of a pool whose largest singleton vertex
+  /// is `max_singleton` and whose largest block start less its group's
+  /// base is `max_offset`.
+  static uint32_t DirectoryWidth(uint64_t max_singleton, uint64_t max_offset) {
+    return max_singleton < kNarrowExplicit && max_offset < kNarrowExplicit
+               ? 2
+               : 4;
   }
 
-  /// Sketch i's sorted vertices.
-  VertexIds Vertices(size_t i) const { return View(i).vertices; }
+  /// Calls fn(block, value) for sketches first .. last - 1 in order:
+  /// value is where the sketch's block starts in body_, or a
+  /// singleton's vertex. One dispatch on the word width, then a loop at
+  /// that width that keeps the arrays' addresses in registers whatever
+  /// fn stores.
+  template <typename Fn>
+  void ForEachSlot(size_t first, size_t last, Fn&& fn) const {
+    const auto each = [&]<typename T>() {
+      const auto* words =
+          reinterpret_cast<const std::byte*>(slots_.units.data());
+      const uint32_t* bases = slots_.bases.data();
+      constexpr uint32_t kFlag = uint32_t{1} << (8 * sizeof(T) - 1);
+      for (size_t i = first; i < last; ++i) {
+        const uint32_t word = LoadId<T>(words, i);
+        if ((word & kFlag) != 0) {
+          fn(true, bases[i >> GroupWords::kGroupBits] + (word & ~kFlag));
+        } else {
+          fn(false, word);
+        }
+      }
+    };
+    if (slots_.shift == 1) {
+      each.template operator()<uint16_t>();
+    } else {
+      each.template operator()<uint32_t>();
+    }
+  }
+  /// Appends sketch num_sketches()'s directory word: a singleton's
+  /// vertex, or a block's start less its group's base behind the flag.
+  /// A 2-byte directory first widens, once, in place, if the value does
+  /// not fit below bit 15: every writer starts narrow and ends at the
+  /// width its own words call for (DirectoryWidth).
+  void PushSlot(uint32_t value, bool block) {
+    if (slots_.shift == 1 && value >= kNarrowExplicit) [[unlikely]] {
+      WidenDirectory();
+    }
+    slots_.Push(block ? slots_.top_bit() | value : value);
+  }
+  /// Rewrites a 2-byte directory at 4-byte words: out of line, as a
+  /// pool widens at most once.
+  void WidenDirectory();
+
+  /// Calls fn(vertices) with each sketch's sorted vertices, in order:
+  /// a singleton's one vertex from its directory word, a block's from
+  /// after its header, and none of the rest of a view.
+  template <typename Fn>
+  void ForEachVertices(Fn&& fn) const {
+    ForEachSlot(0, num_sketches(), [&](bool block, uint32_t value) {
+      if (!block) {
+        fn(VertexIds(reinterpret_cast<const std::byte*>(&value), 1,
+                     sizeof(value)));
+        return;
+      }
+      uint32_t header;
+      const auto* region = reinterpret_cast<const std::byte*>(
+          GetVarint(body_.data() + value, &header));
+      fn(VertexIds(region, header >> kHeaderFlagBits,
+                   (header & kVerticesWide) != 0 ? 4 : 2));
+    });
+  }
 
   /// AppendSketch for any sorted vertex range with size() and
   /// operator[]: a span, or a view's VertexIds that Append re-encodes
@@ -483,16 +675,21 @@ class RrSketchPool {
   /// explicit block at or after i, or the end of body_.
   uint64_t BodyStart(size_t i) const;
 
-  /// Checks a pool whose slots_ and body_ were read from a file
-  /// (src/index/index_io.h) and, if they hold, builds its containing
-  /// index. Walking the directory in order, each singleton's vertex and
-  /// each block's sorted vertices must lie below num_vertices, each
-  /// block must start where the one before it ended, its header must be
-  /// a varint of no more bytes than its value needs, with n > 0 and the
-  /// flags of the block's own widths and form (BlockHeader: a block of
-  /// an in-tree's shape stored with offsets fails), its root id and
-  /// heads below n, its offsets rise from 0, and its records' edge ids
-  /// below num_edges with thresholds in [0, 1]; the blocks end at
+  /// Checks a pool whose directory words and body_ were read from a
+  /// file (src/index/index_io.h) and, if they hold, derives the
+  /// directory's bases and builds its containing index. Walking the
+  /// directory in order, each group's base is where the next block must
+  /// start, each singleton's vertex and each block's sorted vertices
+  /// must lie below num_vertices, each block must start where the one
+  /// before it ended (its word is that start less its base), and the
+  /// words may take 4 bytes only if some word needs them
+  /// (DirectoryWidth). Each block's header must be a varint of no more
+  /// bytes than its value needs, with n > 0 and the flags of the
+  /// block's own widths and form (BlockHeader: a block of an in-tree's
+  /// shape stored with offsets fails), its root id and heads below n,
+  /// its offsets rise from 0, an in-tree's parent pointers lead every
+  /// vertex to its root (ParentsReachRoot), and its records' edge ids
+  /// lie below num_edges with thresholds in [0, 1]; the blocks end at
   /// body_'s end. So a pool that passes is exactly what Pack writes for
   /// its own views. False on the first check that fails.
   bool FinishLoaded(size_t num_vertices, size_t num_edges);
@@ -500,14 +697,15 @@ class RrSketchPool {
   /// Rebuilds containing_starts_/containing_ from the packed sketches in
   /// two serial passes in ascending sketch order (one sizes each
   /// vertex's list, one writes it), and recounts max_sketch_vertices_.
+  /// The starts take 2-byte words while every group's do.
   void BuildContaining(size_t num_vertices);
 
-  friend class IndexIo;  // saves and loads slots_ and body_
+  friend class IndexIo;  // saves and loads the directory words and body_
 
-  std::vector<uint32_t> slots_;  // one directory word per sketch
+  GroupWords slots_;             // the directory: one word per sketch
   std::vector<uint8_t> body_;    // blocks: header, region, records
-  std::vector<uint32_t> containing_starts_;  // num_vertices + 1 offsets
-  std::vector<uint8_t> containing_;          // varint lists, by vertex
+  GroupWords containing_starts_;     // num_vertices + 1 byte offsets
+  std::vector<uint8_t> containing_;  // varint lists, by vertex
   // Fits 32 bits: a block holds under 2^29 vertices.
   uint32_t max_sketch_vertices_ = 0;
 };
@@ -542,7 +740,7 @@ RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
   PITEX_CHECK_MSG(totals.Fit(num_sketches),
                   "sketch pool exceeds its directory words");
   RrSketchPool pool;
-  pool.slots_.reserve(num_sketches);
+  pool.slots_.Reserve(num_sketches, 2);
   pool.body_.reserve(totals.body);
   for (size_t i = 0; i < num_sketches; ++i) pool.Append(view_of(i));
   pool.BuildContaining(num_vertices);
@@ -563,9 +761,11 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
                   "sketch vertex id exceeds the directory word");
   const uint32_t vertex_width = VertexWidth(max_vertex);
   const uint64_t length = BodyLength(n, m, vertex_width, edge_width, in_tree);
+  const size_t i = slots_.size();
+  slots_.OpenGroup(body_.size());
   if (length == 0) {
     // Implicit singleton: its directory word is its vertex.
-    slots_.push_back(vertices[0]);
+    PushSlot(vertices[0], /*block=*/false);
   } else {
     PITEX_CHECK_MSG(n <= kMaxBlockVertices,
                     "sketch exceeds the block header's vertex count");
@@ -593,12 +793,14 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
       fill(LocalCsrOut<uint32_t>{offsets, heads, records, edge_width,
                                  root_local});
     }
-    slots_.push_back(kExplicit | static_cast<uint32_t>(start));
-    // Offsets stored only where they are not an in-tree's.
-    PITEX_DCHECK(View(slots_.size() - 1).InTree() == in_tree);
+    PushSlot(static_cast<uint32_t>(start - slots_.base(i)), /*block=*/true);
+    // Offsets stored only where they are not an in-tree's, and an
+    // in-tree's parents lead to its root.
+    PITEX_DCHECK(View(i).InTree() == in_tree);
+    PITEX_DCHECK(!in_tree || ParentsReachRoot(View(i)));
   }
-  // Sketch ids are u32 (containing_), and every block's offset stays
-  // below the directory word's top bit.
+  // Sketch ids are u32 (containing_), and every block's start stays
+  // below a wide directory word's top bit.
   PITEX_CHECK_MSG(slots_.size() < UINT32_MAX && body_.size() <= kExplicit,
                   "sketch pool exceeds its directory words");
   max_sketch_vertices_ =

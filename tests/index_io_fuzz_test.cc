@@ -42,6 +42,40 @@ std::string ValidRrIndexBytes(const SocialNetwork& n) {
   return file.str();
 }
 
+// The file of an index on `n` whose pool Pack makes of `graphs`.
+std::string PackedIndexBytes(const SocialNetwork& n,
+                             const std::vector<RRGraph>& graphs) {
+  RrIndexOptions options;
+  options.theta_override = graphs.size();
+  options.seed = 5;
+  const auto index = RrIndex::FromPool(
+      n, options, graphs.size(),
+      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+          graphs.size(), n.num_vertices(),
+          [&graphs](size_t i) { return graphs[i].View(); })));
+  std::stringstream file;
+  SaveRrIndex(*index, file);
+  return file.str();
+}
+
+RRGraph Singleton(VertexId v) { return RRGraph{v, {v}, {0, 0}, {}, {}}; }
+
+// The in-tree {v, v + 1} rooted at v + 1 over the certain cycle's edge v.
+RRGraph CyclePair(VertexId v) {
+  return RRGraph{v + 1, {v, v + 1}, {0, 1, 1}, {1}, {{v, 0.5f}}};
+}
+
+// Pairs between singletons whose vertices climb by 400 to 38,400, past
+// 2^15, on a 40,001-user certain cycle: a directory of 4-byte words.
+std::vector<RRGraph> WideDirectoryGraphs() {
+  std::vector<RRGraph> graphs;
+  for (VertexId v = 0; v <= 38400; v += 400) {
+    graphs.push_back(Singleton(v));
+    graphs.push_back(CyclePair(v + 1));
+  }
+  return graphs;
+}
+
 // Where a saved RR file's payload starts: after the header (the magic
 // as a u64 length and 8 bytes, version u32, kind u8, then fingerprint,
 // eps, delta, cap_k and seed at 8 bytes each). It ends before
@@ -162,45 +196,74 @@ TEST(IndexIoFuzzTest, ChecksumRepairedMutationsRoundTrip) {
   EXPECT_GE(loaded, 10);
 }
 
+TEST(IndexIoFuzzTest, WideDirectoryMutationsRoundTrip) {
+  // The seed's directory takes 4-byte words (its singletons' vertices
+  // pass 2^15), so single-byte edits reach a wide directory's flag bit
+  // and offsets as well as its blocks.
+  const SocialNetwork n = MakeCertainCycle(40001);
+  const std::string valid = PackedIndexBytes(n, WideDirectoryGraphs());
+  constexpr size_t kWidthOffset = kThetaOffset + 8;
+  ASSERT_EQ(valid[kWidthOffset], 4);
+  CheckConsistentIfLoaded(n, valid);
+  Rng rng(17);
+  int loaded = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string bytes = valid;
+    bytes[rng.NextBounded(bytes.size() - 8)] =
+        static_cast<char>(rng.NextBounded(256));
+    RepairChecksum(&bytes);
+    CheckConsistentIfLoaded(n, bytes);
+    std::stringstream file(bytes);
+    if (LoadRrIndex(n, file) != nullptr) ++loaded;
+  }
+  EXPECT_GE(loaded, 10);
+}
+
+constexpr uint32_t kExplicit = 1u << 31;
+constexpr size_t kGroup = 64;  // directory entries per base
+
+struct Block;
+struct Image;
+std::optional<Block> BlockOf(Image* image, size_t i);
+
 // A saved file taken apart into the pool arrays it images: the
-// directory words and the body bytes. The header before theta and the
-// trailer are kept as bytes. Encode puts it back together and repairs
-// the checksum, so an edit reaches the loader's checks.
+// directory's word width, its words decoded to kExplicit | a block's
+// start in the body or a singleton's vertex, the bases the loader
+// derives for them (where the next block starts at each group's first
+// sketch), and the body bytes. The header before theta and the trailer
+// are kept as bytes. Encode puts it back together, each block's word its
+// start less its group's base at the image's width, and repairs the
+// checksum, so an edit reaches the loader's checks.
 struct Image {
   std::string header;
   uint64_t theta = 0;
+  uint32_t width = 0;
   std::vector<uint32_t> slots;
+  std::vector<uint32_t> bases;
   std::vector<uint8_t> body;
   std::string trailer;
 
-  explicit Image(const std::string& bytes) {
-    size_t at = kThetaOffset;
-    const auto take = [&bytes, &at](size_t width) {
-      uint64_t value = 0;
-      for (size_t b = 0; b < width; ++b) {
-        value |= uint64_t{static_cast<unsigned char>(bytes[at++])} << (8 * b);
-      }
-      return value;
-    };
-    header = bytes.substr(0, kThetaOffset);
-    theta = take(8);
-    slots.resize(take(8));
-    for (uint32_t& slot : slots) slot = static_cast<uint32_t>(take(4));
-    body.resize(take(8));
-    for (uint8_t& byte : body) byte = static_cast<uint8_t>(take(1));
-    trailer = bytes.substr(at);
-  }
+  explicit Image(const std::string& bytes);
+
+  uint32_t flag() const { return 1u << (8 * width - 1); }
 
   std::string Encode() const {
     std::string bytes = header;
-    const auto put = [&bytes](uint64_t value, size_t width) {
-      for (size_t b = 0; b < width; ++b) {
+    const auto put = [&bytes](uint64_t value, size_t length) {
+      for (size_t b = 0; b < length; ++b) {
         bytes.push_back(static_cast<char>((value >> (8 * b)) & 0xff));
       }
     };
     put(theta, 8);
-    put(slots.size(), 8);
-    for (const uint32_t slot : slots) put(slot, 4);
+    put(width, 1);
+    put(slots.size() * width, 8);
+    for (size_t i = 0; i < slots.size(); ++i) {
+      const uint32_t slot = slots[i];
+      put((slot & kExplicit) != 0
+              ? flag() | ((slot & ~kExplicit) - bases[i / kGroup])
+              : slot,
+          width);
+    }
     put(body.size(), 8);
     for (const uint8_t byte : body) put(byte, 1);
     bytes += trailer;
@@ -209,10 +272,9 @@ struct Image {
   }
 };
 
-constexpr uint32_t kExplicit = 1u << 31;
-
 // Replaces body bytes [at, at + erase) of `image` with `insert` and
-// moves the blocks of the sketches after `sketch` with them.
+// moves the blocks of the sketches after `sketch` with them, and the
+// bases of the groups that open after it.
 void Splice(Image* image, size_t sketch, size_t at, size_t erase,
             const std::vector<uint8_t>& insert) {
   const auto begin = image->body.begin() + static_cast<std::ptrdiff_t>(at);
@@ -222,6 +284,9 @@ void Splice(Image* image, size_t sketch, size_t at, size_t erase,
   const auto shift = static_cast<uint32_t>(insert.size() - erase);
   for (size_t i = sketch + 1; i < image->slots.size(); ++i) {
     if ((image->slots[i] & kExplicit) != 0) image->slots[i] += shift;
+  }
+  for (size_t g = sketch / kGroup + 1; g < image->bases.size(); ++g) {
+    image->bases[g] += shift;
   }
 }
 
@@ -302,6 +367,18 @@ struct Block {
   void set_threshold(size_t k, float value) const {
     std::memcpy(record(k) + edge_width, &value, sizeof(value));
   }
+  /// In an in-tree, local j's parent: the head of its one edge.
+  uint32_t parent(uint32_t j) const { return id(heads_at() + offset(j)); }
+  /// In an in-tree, true when every vertex reaches the root within n
+  /// parent steps, so no parents form a cycle.
+  bool parents_reach_root() const {
+    for (uint32_t j = 0; j < n; ++j) {
+      uint32_t v = j;
+      for (uint32_t step = 0; step < n && v != id(0); ++step) v = parent(v);
+      if (v != id(0)) return false;
+    }
+    return true;
+  }
   /// Bytes the block takes: header, region and records.
   size_t bytes() const {
     return header_bytes + region_bytes() + m() * (edge_width + sizeof(float));
@@ -379,6 +456,35 @@ std::optional<Block> BlockOf(Image* image, size_t i) {
                (header & 8) != 0};
 }
 
+Image::Image(const std::string& bytes) {
+  size_t at = kThetaOffset;
+  const auto take = [&bytes, &at](size_t length) {
+    uint64_t value = 0;
+    for (size_t b = 0; b < length; ++b) {
+      value |= uint64_t{static_cast<unsigned char>(bytes[at++])} << (8 * b);
+    }
+    return value;
+  };
+  header = bytes.substr(0, kThetaOffset);
+  theta = take(8);
+  width = static_cast<uint32_t>(take(1));
+  slots.resize(take(8) / width);
+  for (uint32_t& slot : slots) slot = static_cast<uint32_t>(take(width));
+  body.resize(take(8));
+  for (uint8_t& byte : body) byte = static_cast<uint8_t>(take(1));
+  trailer = bytes.substr(at);
+  // The bases as the loader derives them: the blocks run back to back
+  // from the body's first byte.
+  uint32_t next = 0;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (i % kGroup == 0) bases.push_back(next);
+    if ((slots[i] & flag()) == 0) continue;
+    slots[i] = kExplicit | (bases.back() + (slots[i] & ~flag()));
+    next = static_cast<uint32_t>((slots[i] & ~kExplicit) +
+                                 BlockOf(this, i)->bytes());
+  }
+}
+
 // The first explicit block with at least `min_n` vertices and `min_m`
 // edges for which `also` holds, if any.
 template <typename Also>
@@ -398,11 +504,14 @@ std::optional<Block> FindBlock(Image* image, uint32_t min_n, uint32_t min_m) {
 
 TEST(IndexIoFuzzTest, MovedRootLoadsOnlyOntoAMember) {
   // A root id moved to another member of its sketch is a different but
-  // valid index: it loads and saves back byte-identical. A root id at or
-  // past the sketch's vertex count is corruption.
+  // valid index: it loads and saves back byte-identical. In an in-tree
+  // block, whose offsets follow from the root id, that holds only while
+  // every vertex's parent chase still reaches the new root; a root id
+  // at or past the sketch's vertex count is corruption.
   const SocialNetwork n = MakeRunningExample();
   Image image(ValidRrIndexBytes(n));
   int moved = 0;
+  int cyclic = 0;
   int off_sketch = 0;
   for (size_t i = 0; i < image.slots.size() && moved < 40; ++i) {
     const std::optional<Block> explicit_block = BlockOf(&image, i);
@@ -418,7 +527,7 @@ TEST(IndexIoFuzzTest, MovedRootLoadsOnlyOntoAMember) {
       std::stringstream file(bytes);
       IndexIoError error;
       const auto loaded = LoadRrIndex(n, file, &error);
-      if (local < block.n) {
+      if (local < block.n && (!block.tree || block.parents_reach_root())) {
         ASSERT_NE(loaded, nullptr) << "sketch " << i << ": " << error.message;
         EXPECT_EQ(loaded->graph(i).root(), block.vertex(local));
         CheckConsistentIfLoaded(n, bytes);
@@ -427,12 +536,13 @@ TEST(IndexIoFuzzTest, MovedRootLoadsOnlyOntoAMember) {
         EXPECT_EQ(loaded, nullptr) << "sketch " << i << ", root id " << local;
         EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload)
             << "sketch " << i << ": " << error.message;
-        ++off_sketch;
+        ++(local < block.n ? cyclic : off_sketch);
       }
     }
     block.set_id(0, root);
   }
   EXPECT_GE(moved, 10);
+  EXPECT_GE(cyclic, 10);
   EXPECT_GE(off_sketch, 10);
 }
 
@@ -450,6 +560,59 @@ std::vector<ValidatorRow> ValidatorRows() {
          const auto block = FindBlock(image, 1, 0);
          if (!block) return false;
          image->slots[block->sketch] += 1;
+         return true;
+       }},
+      {"block word one short of its start",
+       [](const SocialNetwork&, Image* image) {
+         // A block after the first of its group, whose word is not 0.
+         const auto block =
+             FindBlock(image, 1, 0, [image](const Block& b) {
+               return b.start != image->bases[b.sketch / kGroup];
+             });
+         if (!block) return false;
+         image->slots[block->sketch] -= 1;
+         return true;
+       }},
+      {"directory words at 4 B though they fit 2",
+       [](const SocialNetwork&, Image* image) {
+         if (image->width != 2) return false;
+         image->width = 4;
+         return true;
+       }},
+      {"2-byte singleton word = 2^15",
+       [](const SocialNetwork& n, Image* image) {
+         // Bit 15 is a 2-byte word's block flag: the word reads as a
+         // block at its base, which is not where a block starts.
+         if (image->width != 2 || n.num_vertices() <= 32768) return false;
+         for (uint32_t& slot : image->slots) {
+           if ((slot & kExplicit) == 0) {
+             slot = 32768;
+             return true;
+           }
+         }
+         return false;
+       }},
+      {"tree parents form a two-vertex cycle",
+       [](const SocialNetwork&, Image* image) {
+         const auto block =
+             FindBlock(image, 3, 2, [](const Block& b) { return b.tree; });
+         if (!block) return false;
+         // The two locals after the root, each other's parent; the
+         // offsets, header and heads' range stay an in-tree's.
+         const uint32_t root = block->id(0);
+         const uint32_t a = (root + 1) % block->n;
+         const uint32_t b = (root + 2) % block->n;
+         block->set_id(block->heads_at() + block->offset(a), b);
+         block->set_id(block->heads_at() + block->offset(b), a);
+         return true;
+       }},
+      {"tree vertex is its own parent",
+       [](const SocialNetwork&, Image* image) {
+         const auto block =
+             FindBlock(image, 2, 1, [](const Block& b) { return b.tree; });
+         if (!block) return false;
+         const uint32_t a = (block->id(0) + 1) % block->n;
+         block->set_id(block->heads_at() + block->offset(a), a);
          return true;
        }},
       {"width code flipped",
@@ -663,6 +826,8 @@ std::vector<ValidatorRow> ValidatorRows() {
        }},
       {"singleton word = |V|",
        [](const SocialNetwork& n, Image* image) {
+         // |V| must fit below the word's flag.
+         if (n.num_vertices() >= image->flag()) return false;
          for (uint32_t& slot : image->slots) {
            if ((slot & kExplicit) == 0) {
              slot = static_cast<uint32_t>(n.num_vertices());
@@ -707,11 +872,15 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   // Each row edits one field of a saved file, repairs its checksum and
   // must get kCorruptPayload: on the running example's file (1-byte ids,
   // 2-byte vertices, 3-byte edge ids and singletons), on the certain
-  // cycle's (4-byte ids and vertices), and on two sketches packed by
+  // cycle's (4-byte ids and vertices, and a directory of 4-byte words,
+  // as each block is longer than 2^15 bytes), and on sketches packed by
   // hand. The edgeless 300-vertex sketch's ids are all zero, so at
   // either width they read the same: only its id width (4 bytes, as
   // n > 256) tells a flipped width code. The one-vertex self-loop is
   // the block with the fewest bytes, and one no singleton may replace.
+  // Two pools of singletons and a pair on the cycle take 2-byte and
+  // 4-byte directory words: their largest singleton vertex is 32,767
+  // and 32,768.
   const SocialNetwork example = MakeRunningExample();
   const SocialNetwork cycle = MakeCertainCycle(65537);
   RrIndexOptions options;
@@ -725,34 +894,29 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   RRGraph edgeless{0, std::vector<VertexId>(300), {}, {}, {}};
   std::iota(edgeless.vertices.begin(), edgeless.vertices.end(), 0);
   edgeless.offsets.assign(301, 0);
-  const auto hand_packed = RrIndex::FromPool(
-      cycle, options, 1,
-      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
-          1, cycle.num_vertices(),
-          [&edgeless](size_t) { return edgeless.View(); })));
-  ASSERT_EQ(hand_packed->graph(0).id_width, 4u);
-  std::stringstream hand_file;
-  ASSERT_TRUE(SaveRrIndex(*hand_packed, hand_file));
+  ASSERT_EQ(edgeless.View().id_width, 4u);
   const RRGraph self_loop{4, {4}, {0, 1}, {0}, {{0, 0.5f}}};
-  const auto self_loop_packed = RrIndex::FromPool(
-      example, options, 1,
-      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
-          1, example.num_vertices(),
-          [&self_loop](size_t) { return self_loop.View(); })));
-  std::stringstream self_loop_file;
-  ASSERT_TRUE(SaveRrIndex(*self_loop_packed, self_loop_file));
   const struct {
     const SocialNetwork* network;
     std::string bytes;
-  } files[] = {{&example, ValidRrIndexBytes(example)},
-               {&cycle, wide_file.str()},
-               {&cycle, hand_file.str()},
-               {&example, self_loop_file.str()}};
+    uint32_t directory_width;
+  } files[] = {
+      {&example, ValidRrIndexBytes(example), 2},
+      {&cycle, wide_file.str(), 4},
+      {&cycle, PackedIndexBytes(cycle, {edgeless}), 2},
+      {&example, PackedIndexBytes(example, {self_loop}), 2},
+      {&cycle,
+       PackedIndexBytes(cycle, {Singleton(5), CyclePair(1), Singleton(32767)}),
+       2},
+      {&cycle,
+       PackedIndexBytes(cycle, {Singleton(5), CyclePair(1), Singleton(32768)}),
+       4}};
 
   for (const auto& file : files) {
     // Taking a file apart and putting it back changes nothing, and each
     // file loads before it is edited.
     ASSERT_EQ(Image(file.bytes).Encode(), file.bytes);
+    ASSERT_EQ(Image(file.bytes).width, file.directory_width);
     std::stringstream in(file.bytes);
     ASSERT_NE(LoadRrIndex(*file.network, in), nullptr);
   }

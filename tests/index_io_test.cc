@@ -178,11 +178,12 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v7 is read: a file claiming v1 (the old one-record-per-graph
+  // Only v8 is read: a file claiming v1 (the old one-record-per-graph
   // format), v2 (the old per-sketch wire format), v3 (the pool image
   // with its edge records in a third array), v4 (every block vertex at
-  // 4 bytes), v5 (a word-padded u32 body) or v6 (offsets in every
-  // block), whole or cut short, is refused by its header.
+  // 4 bytes), v5 (a word-padded u32 body), v6 (offsets in every block)
+  // or v7 (a u32 directory word per sketch), whole or cut short, is
+  // refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -191,8 +192,8 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 7);
-  for (const char version : {1, 2, 3, 4, 5, 6}) {
+  ASSERT_EQ(bytes[kVersionOffset], 8);
+  for (const char version : {1, 2, 3, 4, 5, 6, 7}) {
     bytes[kVersionOffset] = version;
     for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
       std::stringstream in(bytes.substr(0, keep));
@@ -388,16 +389,18 @@ TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
     std::stringstream in(bytes);
     ASSERT_NE(LoadRrIndex(n, in), nullptr);
   }
-  // theta u64 follows the header, then the directory's u64 count and
-  // its u32 words.
+  // theta u64 follows the header, then the directory's word width u8,
+  // the u64 count of its bytes and its 2-byte words.
   constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
-  constexpr size_t kCountOffset = kThetaOffset + 8;
-  const size_t last_slot = kCountOffset + 8 + 4 * (theta - 1);
-  ASSERT_EQ(static_cast<unsigned char>(bytes[last_slot + 3]) & 0x80, 0)
+  constexpr size_t kWidthOffset = kThetaOffset + 8;
+  constexpr size_t kCountOffset = kWidthOffset + 1;
+  ASSERT_EQ(bytes[kWidthOffset], 2);
+  const size_t last_slot = kCountOffset + 8 + 2 * (theta - 1);
+  ASSERT_EQ(static_cast<unsigned char>(bytes[last_slot + 1]) & 0x80, 0)
       << "the last sketch is an implicit singleton";
-  bytes.erase(last_slot, 4);
-  bytes[kCountOffset] = static_cast<char>(bytes[kCountOffset] - 1);
-  ASSERT_NE(static_cast<unsigned char>(bytes[kCountOffset]), 0xff)
+  bytes.erase(last_slot, 2);
+  bytes[kCountOffset] = static_cast<char>(bytes[kCountOffset] - 2);
+  ASSERT_LT(static_cast<unsigned char>(bytes[kCountOffset]), 0xfe)
       << "the count's low byte does not wrap";
   RepairChecksum(&bytes);
   std::stringstream in(bytes);
@@ -560,7 +563,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   const SocialNetwork n = MakeRunningExample();
   const uint64_t fp = NetworkFingerprint(n);
   constexpr uint8_t kRr = 1;
-  constexpr uint32_t kCurrent = 7;  // the one version the loader reads
+  constexpr uint32_t kCurrent = 8;  // the one version the loader reads
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),

@@ -20,6 +20,7 @@
 #include "certain_cycle.h"
 #include "owned_sketch.h"
 #include "running_example.h"
+#include "src/datasets/synthetic.h"
 #include "src/index/index_io.h"
 #include "src/index/rr_index.h"
 #include "src/index/rr_sketch_pool.h"
@@ -160,31 +161,68 @@ bool InTreeShape(const RRGraph& g) {
   return true;
 }
 
-// The pool's footprint from its layout: the directory (one word per
-// sketch) and the containing starts hold 32-bit words, the body and the
-// containing lists bytes. A sketch's body block is a varint header of
-// n << 4 and four flags, then n vertices at the block's vertex width,
-// then the root's local id, n + 1 offsets unless the sketch is an
-// in-tree, and m heads at its id width, then its m edge records of an
-// edge id at its edge width and a 4-byte threshold, with no padding,
-// unless it is an implicit singleton (one vertex, no edges).
+// Bytes of a two-level array of `entries` words at `width` bytes: a
+// 32-bit base per 64 entries, then the words.
+size_t TwoLevelBytes(size_t entries, size_t width) {
+  return sizeof(uint32_t) * ((entries + 63) / 64) + width * entries;
+}
+
+// The pool's footprint from its layout, and the word widths it calls
+// for, which it expects the pool to report. The directory and the
+// containing starts each hold a 32-bit base per 64 entries and one word
+// per entry, 2 bytes while every word fits them, else 4. A directory
+// word is a singleton's vertex or a block's start less its group's base
+// (where the next block starts at the group's first sketch) behind the
+// flag bit 15; a start's word is its list's start less its group's
+// first start. The body and the containing lists are bytes. A sketch's
+// body block is a varint header of n << 4 and four flags, then n
+// vertices at the block's vertex width, then the root's local id,
+// n + 1 offsets unless the sketch is an in-tree, and m heads at its id
+// width, then its m edge records of an edge id at its edge width and a
+// 4-byte threshold, with no padding, unless it is an implicit singleton
+// (one vertex, no edges).
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   size_t body = 0;
+  size_t base = 0;
+  size_t max_singleton = 0;
+  size_t max_offset = 0;
   for (size_t i = 0; i < s; ++i) {
+    if (i % 64 == 0) base = body;
     const RRView view = pool.View(i);
     const size_t n = view.vertices.size();
     const size_t m = view.edges.size();
-    if (n == 1 && m == 0) continue;
+    if (n == 1 && m == 0) {
+      max_singleton = std::max<size_t>(max_singleton, view.vertices[0]);
+      continue;
+    }
+    max_offset = std::max(max_offset, body - base);
     const size_t offsets = InTreeShape(Owned(view)) ? 0 : n + 1;
     body += VarintBytes(static_cast<uint32_t>(n << 4)) +
             n * ExpectedVertexWidth(view.vertices.back()) +
             (1 + offsets + m) * ExpectedWidth(n, m) +
             m * (ExpectedEdgeWidth(MaxEdgeId(view)) + 4);
   }
-  return sizeof(RrSketchPool) +
-         sizeof(uint32_t) * (s + pool.num_universe_vertices() + 1) + body +
-         CodedBytes(ContainingFromViews(pool));
+  const size_t directory_width =
+      max_singleton < 32768 && max_offset < 32768 ? 2 : 4;
+  std::vector<size_t> starts = {0};
+  for (const std::vector<uint32_t>& list : ContainingFromViews(pool)) {
+    starts.push_back(starts.back() + CodedBytes({list}));
+  }
+  size_t max_word = 0;
+  for (size_t v = 0; v < starts.size(); ++v) {
+    max_word = std::max(max_word, starts[v] - starts[v / 64 * 64]);
+  }
+  const size_t start_width = max_word <= 65535 ? 2 : 4;
+  EXPECT_EQ(pool.directory_width(), directory_width);
+  if (pool.num_universe_vertices() > 0) {
+    EXPECT_EQ(pool.containing_start_width(), start_width);
+  }
+  return sizeof(RrSketchPool) + TwoLevelBytes(s, directory_width) +
+         (pool.num_universe_vertices() > 0
+              ? TwoLevelBytes(starts.size(), start_width)
+              : 0) +
+         body + starts.back();
 }
 
 // The vertex total counted two ways, over the sketch views and over the
@@ -359,9 +397,10 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   // Only the two-vertex sketch, an in-tree, has a body block of 14
   // bytes: a one-byte header, its two 2-byte vertices, its root id and
   // 1 head at a byte each, and its 7-byte edge record. The lists of
-  // vertices 2, 5 and 7 take 1, 1 and 2 bytes.
-  EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (3 + 11) + 14 + 4);
+  // vertices 2, 5 and 7 take 1, 1 and 2 bytes. The directory and the
+  // 11 containing starts each take one 4-byte base and 2-byte words.
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 3) +
+                                  (4 + 2 * 11) + 14 + 4);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
   }
@@ -380,8 +419,8 @@ TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
       RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}}, Singleton(4)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (2 + 11) + 14 + 2);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 2) +
+                                  (4 + 2 * 11) + 14 + 2);
   EXPECT_TRUE(SameSketch(pool.View(0), graphs[0]));
   EXPECT_TRUE(SameSketch(pool.View(1), graphs[1]));
   EXPECT_TRUE(
@@ -397,7 +436,7 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
   const RrSketchPool pool = PackGraphs(graphs);
   // Each vertex's two ids take a byte each.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (20 + 0 + 11) + 20);
+            sizeof(RrSketchPool) + (4 + 2 * 20) + (4 + 2 * 11) + 20);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
@@ -464,7 +503,7 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
   // has an out-edge (header, region, records), and 12 containing
   // entries of a byte each.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + sizeof(uint32_t) * (8 + 11) + 69 + 12);
+            sizeof(RrSketchPool) + (4 + 2 * 8) + (4 + 2 * 11) + 69 + 12);
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
   EXPECT_EQ(pool.max_sketch_vertices(), 3u);
@@ -663,6 +702,14 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
   for (const RRGraph& g : graphs) run.Append(g);
   ExpectMatchesGraphs(run, graphs);
 
+  // An overlay's store: a run that is never finished.
+  RrSketchOverlay overlay;
+  for (uint32_t i = 0; i < graphs.size(); ++i) overlay.Put(i, graphs[i]);
+  for (uint32_t i = 0; i < graphs.size(); ++i) {
+    EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(i)), graphs[i]))
+        << "sketch " << i;
+  }
+
   // Pack, then Pack again from the packed views (compaction's path:
   // narrow blocks re-encoded from narrow views).
   const RrSketchPool packed =
@@ -670,6 +717,8 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
                          [&graphs](size_t i) { return graphs[i].View(); });
   ExpectMatchesGraphs(packed, graphs);
   EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
+  // The run took the same sketches in the same groups.
+  EXPECT_EQ(run.directory_width(), packed.directory_width());
   EXPECT_EQ(packed.max_sketch_vertices(),
             std::ranges::max(graphs, {}, [](const RRGraph& g) {
               return g.vertices.size();
@@ -847,9 +896,9 @@ TEST(PooledLayoutTest, EdgeWidthBoundariesSurviveEveryWriter) {
   // of 7 or 8) and 24 and 26 (header, region of 9, two records of 7 or
   // 8), and containing lists of 2 bytes for vertices 1, 2, 3, 6 and 7
   // and one for vertex 5.
-  EXPECT_EQ(packed.SizeBytes(), sizeof(RrSketchPool) +
-                                    sizeof(uint32_t) * (5 + 11) +
-                                    (14 + 15 + 24 + 26) + 11);
+  EXPECT_EQ(packed.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 5) +
+                                    (4 + 2 * 11) + (14 + 15 + 24 + 26) +
+                                    11);
   ExpectEveryWriterKeeps(graphs, 10);
 }
 
@@ -931,8 +980,8 @@ TEST(PooledLayoutTest, HeaderTakesTwoBytesFromEightVertices) {
   // Blocks with offsets of 1 + 14 + 9, 2 + 16 + 10 and
   // 2 + 16 + 19 + 9 * 7 bytes, and in-tree blocks of 1 + 14 + 7 + 6 * 7
   // and 2 + 16 + 8 + 7 * 7 (header, vertices, ids, records).
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) +
-                                  sizeof(uint32_t) * (6 + 21) +
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 6) +
+                                  (4 + 2 * 21) +
                                   (24 + 28 + 100 + 64 + 75) +
                                   CodedBytes(ContainingFromViews(pool)));
   // The loader reads both header lengths back.
@@ -981,9 +1030,8 @@ TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
   // The views read the offsets they left out as an in-tree's.
   EXPECT_EQ(Owned(pool.View(2)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) +
-                                  sizeof(uint32_t) * (5 + 11) +
-                                  (14 + 24 + 17) +
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 5) +
+                                  (4 + 2 * 11) + (14 + 24 + 17) +
                                   CodedBytes(ContainingFromViews(pool)));
   ExpectEveryWriterKeeps(graphs, 10);
   ExpectIndexFileRoundTrip(MakeCertainCycle(10), pool, graphs);
@@ -1125,6 +1173,155 @@ TEST(PooledLayoutTest, ContainingCodecCodesFiveByteValues) {
     EXPECT_EQ(list.count(), ids.size()) << "list " << v;
   }
   EXPECT_EQ(overlay.Containing(cases.size()), nullptr);
+}
+
+// Pairs {k, k + 1} on the certain cycle's edge k, rooted at k + 1, and
+// singletons, alternating over 70 sketches (so over two directory
+// groups), with a singleton rooted at `root` as sketch 40.
+std::vector<RRGraph> SingletonRootGraphs(VertexId root) {
+  std::vector<RRGraph> graphs;
+  for (VertexId k = 0; k < 70; ++k) {
+    graphs.push_back(k % 2 == 0 ? Singleton(k)
+                                : RRGraph{k + 1, {k, k + 1}, {0, 1, 1}, {1},
+                                          {{k, 0.5f}}});
+  }
+  graphs[40] = Singleton(root);
+  return graphs;
+}
+
+TEST(PooledLayoutTest, DirectoryWidthFollowsSingletonRoots) {
+  // A singleton rooted at 32,767 fits a 2-byte word below its flag bit
+  // 15; one rooted at 32,768 makes every word 4 bytes. The run the
+  // sketches are appended to widens when it takes that singleton.
+  for (const auto& [root, width] : {std::pair{32767u, 2u}, {32768u, 4u}}) {
+    SCOPED_TRACE("root " + std::to_string(root));
+    const std::vector<RRGraph> graphs = SingletonRootGraphs(root);
+    ExpectEveryWriterKeeps(graphs, 40000);
+    const RrSketchPool pool = RrSketchPool::Pack(
+        graphs.size(), 40000, [&graphs](size_t i) { return graphs[i].View(); });
+    EXPECT_EQ(pool.directory_width(), width);
+    EXPECT_EQ(pool.containing_start_width(), 2u);
+    EXPECT_EQ(pool.View(40).root(), root);
+    ExpectIndexFileRoundTrip(MakeCertainCycle(40000), pool, graphs);
+  }
+}
+
+// Edgeless sketches over vertices 0 .. n - 1 whose blocks take `bytes`
+// bytes in all. Each takes 3n + 2 bytes (n 2-byte vertices, then the
+// root id and n + 1 offsets at a byte each) and a header of one byte
+// while n <= 7, two from n = 8, for 2 <= n <= 256.
+std::vector<RRGraph> BlocksTaking(size_t bytes) {
+  const auto length = [](uint32_t n) {
+    return VarintBytes(n << 4) + 3 * n + 2;
+  };
+  std::vector<RRGraph> graphs;
+  const auto push = [&graphs](uint32_t n) {
+    std::vector<VertexId> vertices(n);
+    std::iota(vertices.begin(), vertices.end(), 0);
+    graphs.push_back(EdgelessSketch(std::move(vertices)));
+  };
+  for (; bytes > 4 * length(256); bytes -= length(256)) push(256);
+  // The rest by knapsack: last[x] is the largest n of a block that ends
+  // blocks of x bytes in all (0 when none do), last[0] a mark.
+  std::vector<uint32_t> last(bytes + 1, 0);
+  last[0] = 1;
+  for (size_t x = 1; x <= bytes; ++x) {
+    for (uint32_t n = 256; n >= 2 && last[x] == 0; --n) {
+      if (length(n) <= x && last[x - length(n)] != 0) last[x] = n;
+    }
+  }
+  EXPECT_NE(last[bytes], 0u) << bytes << " bytes";
+  for (size_t x = bytes; x > 0 && last[x] != 0; x -= length(last[x])) {
+    push(last[x]);
+  }
+  return graphs;
+}
+
+TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
+  // The last sketch of the first group of 64 is a block that starts
+  // 32,767 bytes past the group's base, the largest start less its base
+  // a 2-byte word holds below its flag bit 15, then 32,768. A second
+  // group opens with a block at its base.
+  for (const auto& [offset, width] :
+       {std::pair{size_t{32767}, 2u}, {size_t{32768}, 4u}}) {
+    SCOPED_TRACE("offset " + std::to_string(offset));
+    std::vector<RRGraph> graphs = BlocksTaking(offset);
+    ASSERT_LT(graphs.size(), 63u);
+    while (graphs.size() < 63) graphs.push_back(Singleton(9));
+    graphs.push_back(EdgelessSketch({1, 2}));
+    graphs.push_back(RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}});
+    graphs.push_back(Singleton(4));
+    ExpectEveryWriterKeeps(graphs, 300);
+    const RrSketchPool pool = RrSketchPool::Pack(
+        graphs.size(), 300, [&graphs](size_t i) { return graphs[i].View(); });
+    EXPECT_EQ(pool.directory_width(), width);
+    // Sanity of the fixture: sketch 63's block (a one-byte header)
+    // starts `offset` bytes past sketch 0's (a two-byte header), which
+    // begins the body.
+    const auto block_start = [&pool](size_t i, size_t header_bytes) {
+      return reinterpret_cast<const uint8_t*>(pool.View(i).vertices.data()) -
+             header_bytes;
+    };
+    EXPECT_EQ(block_start(63, 1) - block_start(0, 2),
+              static_cast<std::ptrdiff_t>(offset));
+    ExpectIndexFileRoundTrip(MakeCertainCycle(300), pool, graphs);
+  }
+}
+
+TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBytes) {
+  // Vertex 0 is in the first `bytes` sketches: a first id of 0 and gaps
+  // of 1, a byte each. Vertices 1 to 62 are in none, so vertex 63's
+  // start, the last word of the first group of 64, is `bytes`: 65,535
+  // fits a 2-byte word, 65,536 makes every start's word 4 bytes.
+  for (const auto& [bytes, width] :
+       {std::pair{size_t{65535}, 2u}, {size_t{65536}, 4u}}) {
+    SCOPED_TRACE("bytes " + std::to_string(bytes));
+    std::vector<RRGraph> graphs(bytes, Singleton(0));
+    graphs.push_back(EdgelessSketch({63, 64}));
+    graphs.push_back(Singleton(69));
+    ExpectEveryWriterKeeps(graphs, 70);
+    const RrSketchPool pool = RrSketchPool::Pack(
+        graphs.size(), 70, [&graphs](size_t i) { return graphs[i].View(); });
+    EXPECT_EQ(pool.containing_start_width(), width);
+    EXPECT_EQ(pool.directory_width(), 2u);
+    EXPECT_EQ(pool.CountContaining(0), bytes);
+    EXPECT_TRUE(std::ranges::equal(pool.Containing(63),
+                                   std::vector<uint32_t>{uint32_t(bytes)}));
+    ExpectContainingMatchesViews(pool);
+    ExpectIndexFileRoundTrip(MakeCertainCycle(70), pool, graphs);
+  }
+}
+
+TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
+  // pitexbench's index (pitexbench/workloads.cc): the dblp analog at
+  // scale 0.05 with 64 tags and dataset seed 1, eps 0.7, delta 1000,
+  // theta/vertex 8 and seed 7, so theta = 200,000 over 25,000 vertices.
+  // A change to the pool's layout that moves these bytes fails here, not
+  // only in the benchmark's heap reading; a change that means to move
+  // them updates the numbers and says so.
+  DatasetSpec dataset = DblpSpec(0.05);
+  dataset.num_tags = 64;
+  dataset.seed = 1;
+  const SocialNetwork network = GenerateDataset(dataset);
+  RrIndexOptions options;
+  options.eps = 0.7;
+  options.delta = 1000.0;
+  options.theta_per_vertex = 8.0;
+  options.seed = 7;
+  RrIndex index(network, options);
+  index.Build();
+  const RrSketchPool& pool = index.pool();
+  ASSERT_EQ(pool.num_sketches(), 200000u);
+  // Both offset arrays take 2-byte words: the directory (largest
+  // singleton vertex 24,999, largest block start less its base 1,713 B)
+  // and the containing starts (largest group 4,449 B).
+  EXPECT_EQ(pool.directory_width(), 2u);
+  EXPECT_EQ(pool.containing_start_width(), 2u);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 4345085);
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  std::stringstream file;
+  ASSERT_TRUE(SaveRrIndex(index, file));
+  EXPECT_EQ(file.str().size(), 3294164u);
 }
 
 TEST(PooledLayoutTest, EdgeRecordIsEightBytes) {
