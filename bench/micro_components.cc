@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -274,24 +273,35 @@ void BM_IndexEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexEstimate);
 
+// Where sketch `rr`'s block starts: its varint header of n << 4 and four
+// flags (1 byte while n <= 7, 2 while n <= 1,023) comes right before its
+// vertices.
+const std::byte* BlockStart(const RRView& rr) {
+  return rr.vertices.data() - VarintLength(uint64_t{rr.vertices.size()} << 4);
+}
+
+// True for an implicit singleton, which has no block: its directory word
+// is its vertex.
+bool IsSingleton(const RRView& rr) {
+  return rr.vertices.size() == 1 && rr.edges.empty();
+}
+
 // Distinct 64-byte lines of pool memory an estimate walk over `rr` can
 // touch: its directory word (2 or 4 bytes, never across a line) and, for
 // an explicit sketch, its group's 4-byte base in the directory's base
-// array and its block, which runs without gaps from the varint header of
-// n << 4 and four flags before the vertices (1 byte while n <= 7, 2
-// while n <= 1,023) through the last of its m records of edge width + 4
-// bytes; an in-tree block has no offsets in between.
-uint64_t PoolLines(const RRView& rr) {
-  // An implicit singleton's directory word is its vertex.
-  if (rr.vertices.size() == 1 && rr.edges.empty()) return 1;
-  const auto line = [](const void* p) {
-    return reinterpret_cast<uintptr_t>(p) / 64;
+// array and its block, which runs without gaps from its header through
+// the last of its m records of edge width + 4 bytes; an in-tree block
+// has no offsets in between. Lines are counted from `body`, the pool's
+// first block, as if the body started a line, so the count does not
+// depend on where the heap placed the body.
+uint64_t PoolLines(const RRView& rr, const std::byte* body) {
+  if (IsSingleton(rr)) return 1;
+  const auto line = [body](const std::byte* p) {
+    return static_cast<uint64_t>(p - body) / 64;
   };
-  const uintptr_t first =
-      line(rr.vertices.data() - VarintLength(uint64_t{rr.vertices.size()} << 4));
   const std::byte* end =
       rr.edges.data() + rr.edges.size() * (rr.edges.width() + sizeof(float));
-  return 2 + (line(end - 1) - first + 1);  // word, base, block
+  return 2 + (line(end - 1) - line(BlockStart(rr)) + 1);  // word, base, block
 }
 
 void BM_IndexEstimateSweep(benchmark::State& state) {
@@ -306,44 +316,48 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
     idx->Build();
     return idx;
   }();
-  // pool_lines: the mean over the swept users of PoolLines summed over
-  // Containing(u); containing_bytes: the mean coded bytes of
-  // Containing(u), the LEB128 lengths of its first id and each gap.
-  // Counted once outside the timed loop: exact counts of the memory one
-  // estimate spans, where the time is noisy.
-  static const std::pair<double, double> walked = [&n] {
-    uint64_t lines = 0;
-    uint64_t bytes = 0;
-    for (VertexId v = 0; v < n.num_vertices(); ++v) {
-      uint32_t last = 0;
-      for (const uint32_t id : index->Containing(v)) {
-        lines += PoolLines(index->graph(id));
-        const uint32_t gap = id - last;
-        bytes += 1 + static_cast<uint64_t>(std::bit_width(gap | 1) - 1) / 7;
-        last = id;
-      }
-    }
-    const auto users = static_cast<double>(n.num_vertices());
-    return std::pair{static_cast<double>(lines) / users,
-                     static_cast<double>(bytes) / users};
-  }();
   const TagId tags[] = {0, 3};
   const auto post = n.topics.Posterior(tags);
   const PosteriorProbs probs(n.influence, post);
+  // Means over one sweep of every user: edges_visited per estimate;
+  // pool_lines, PoolLines summed over Containing(u); containing_bytes,
+  // the coded length of Containing(u) as the pool stores it, in bytes
+  // (its bits / 8). Counted once outside the timed loop: exact counts
+  // of the work and memory one estimate spans, where the time is noisy,
+  // and the same whatever the iteration count or the heap's placement.
+  struct Sweep {
+    double edges_visited, pool_lines, containing_bytes;
+  };
+  static const Sweep sweep = [&n, &probs] {
+    const std::byte* body = nullptr;
+    for (size_t i = 0; body == nullptr && i < index->num_graphs(); ++i) {
+      if (!IsSingleton(index->graph(i))) body = BlockStart(index->graph(i));
+    }
+    uint64_t edges = 0;
+    uint64_t lines = 0;
+    uint64_t bits = 0;
+    for (VertexId v = 0; v < n.num_vertices(); ++v) {
+      edges += index->EstimateInfluence(v, probs).edges_visited;
+      const ContainingList list = index->Containing(v);
+      for (const uint32_t id : list) {
+        lines += PoolLines(index->graph(id), body);
+      }
+      bits += list.bits();
+    }
+    const auto users = static_cast<double>(n.num_vertices());
+    return Sweep{static_cast<double>(edges) / users,
+                 static_cast<double>(lines) / users,
+                 static_cast<double>(bits) / 8 / users};
+  }();
   VertexId u = 0;
-  uint64_t edges_visited = 0;
   for (auto _ : state) {
-    const Estimate est = index->EstimateInfluence(u, probs);
-    edges_visited += est.edges_visited;
-    benchmark::DoNotOptimize(est);
+    benchmark::DoNotOptimize(index->EstimateInfluence(u, probs));
     u = (u + 1) % static_cast<VertexId>(n.num_vertices());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.counters["edges_visited"] =
-      benchmark::Counter(static_cast<double>(edges_visited),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["pool_lines"] = walked.first;
-  state.counters["containing_bytes"] = walked.second;
+  state.counters["edges_visited"] = sweep.edges_visited;
+  state.counters["pool_lines"] = sweep.pool_lines;
+  state.counters["containing_bytes"] = sweep.containing_bytes;
 }
 BENCHMARK(BM_IndexEstimateSweep);
 

@@ -6,14 +6,19 @@
 # Usage:
 #   bench/run_bench.sh [output.json] [--compare baseline.json] [extra args...]
 #
-# --compare diffs the fresh run against a baseline BENCH_micro.json
-# (mean-aggregate real_time per benchmark) and flags regressions above
-# 25%. It is report-only: the exit code stays 0 so CI jobs can surface
-# the table without gating on noisy shared-runner timings. The baseline
-# is snapshotted before the run, so comparing against the output path
-# itself ("how does this commit compare to the committed numbers?") works.
-# The comparison table is also written to <output>.compare.txt next to
-# the JSON (the release-bench CI job uploads both as artifacts).
+# --compare diffs the fresh run against a baseline BENCH_micro.json.
+# Times (mean-aggregate real_time per benchmark) are report-only: a
+# regression above 25% is flagged, never failed on, as shared-runner
+# timings are noisy. Exact work counters (pool_lines, containing_bytes,
+# file_bytes, edges_visited) print as baseline -> current, and a rise in
+# any of them on BM_IndexEstimateSweep, BM_SerializeRrIndex or
+# BM_LoadRrIndex exits 1: counts need no repeats and no quiet host. A
+# change that means to move a count regenerates the baseline. The
+# baseline is snapshotted before the run, so comparing against the
+# output path itself ("how does this commit compare to the committed
+# numbers?") works. The comparison table is also written to
+# <output>.compare.txt next to the JSON (the release-bench CI job
+# uploads both as artifacts).
 #
 # The suite covers the query-side micro benchmarks plus the offline
 # pipeline: BM_IndexBuild (generation into per-slot runs finished by
@@ -91,13 +96,16 @@ echo "wrote ${out_json}"
 
 if [[ -n "${baseline_snapshot}" ]]; then
   compare_txt="${out_json%.json}.compare.txt"
-  python3 - "${baseline_snapshot}" "${out_json}" << 'PYEOF' | tee "${compare_txt}"
+  status=0
+  python3 - "${baseline_snapshot}" "${out_json}" > "${compare_txt}" << 'PYEOF' || status=$?
 import json
 import sys
 
 REGRESSION_PCT = 25.0
+COUNTERS = ("pool_lines", "containing_bytes", "file_bytes", "edges_visited")
+GATED = ("BM_IndexEstimateSweep", "BM_SerializeRrIndex", "BM_LoadRrIndex")
 
-def mean_times(path):
+def means(path):
     with open(path) as f:
         doc = json.load(f)
     out = {}
@@ -106,12 +114,11 @@ def mean_times(path):
         # to raw entries for baselines produced without repetitions.
         if bench.get("aggregate_name", "") not in ("", "mean"):
             continue
-        name = bench.get("run_name", bench.get("name", ""))
-        out[name] = (bench.get("real_time", 0.0), bench.get("time_unit", "ns"))
+        out[bench.get("run_name", bench.get("name", ""))] = bench
     return out
 
-base = mean_times(sys.argv[1])
-cur = mean_times(sys.argv[2])
+base = means(sys.argv[1])
+cur = means(sys.argv[2])
 
 shared = sorted(set(base) & set(cur))
 added = sorted(set(cur) - set(base))
@@ -123,8 +130,8 @@ print(f"=== benchmark comparison vs baseline (mean real_time, >"
 print(f"{'benchmark':<44} {'baseline':>12} {'current':>12} {'delta':>8}")
 regressions = []
 for name in shared:
-    b, unit = base[name]
-    c, _ = cur[name]
+    b, unit = base[name].get("real_time", 0.0), base[name].get("time_unit", "ns")
+    c = cur[name].get("real_time", 0.0)
     delta = 0.0 if b == 0 else (c - b) / b * 100.0
     flag = ""
     if delta > REGRESSION_PCT:
@@ -133,9 +140,11 @@ for name in shared:
     print(f"{name:<44} {b:>10.1f}{unit:<2} {c:>10.1f}{unit:<2} "
           f"{delta:>+7.1f}%{flag}")
 for name in added:
-    print(f"{name:<44} {'-':>12} {cur[name][0]:>10.1f}{cur[name][1]:<2}     new")
+    print(f"{name:<44} {'-':>12} {cur[name].get('real_time', 0.0):>10.1f}"
+          f"{cur[name].get('time_unit', 'ns'):<2}     new")
 for name in removed:
-    print(f"{name:<44} {base[name][0]:>10.1f}{base[name][1]:<2} {'-':>12} removed")
+    print(f"{name:<44} {base[name].get('real_time', 0.0):>10.1f}"
+          f"{base[name].get('time_unit', 'ns'):<2} {'-':>12} removed")
 print()
 if regressions:
     print(f"{len(regressions)} benchmark(s) regressed more than "
@@ -144,6 +153,34 @@ if regressions:
         print(f"  {name}: {delta:+.1f}%")
 else:
     print("no regressions above the threshold")
+
+print()
+print("=== exact counters vs baseline (a rise on "
+      + ", ".join(GATED) + " fails) ===")
+rises = []
+for name in shared:
+    gated = name.split("/")[0] in GATED
+    for counter in COUNTERS:
+        if counter not in base[name] or counter not in cur[name]:
+            continue
+        b, c = base[name][counter], cur[name][counter]
+        # The counts are exact; the slack only absorbs JSON rounding.
+        rose = c > b + 1e-9 * max(abs(b), 1.0)
+        flag = ""
+        if rose and gated:
+            flag = "  COUNT REGRESSION"
+            rises.append((name, counter, b, c))
+        print(f"{name:<32} {counter:<17} {b:>14.6g} -> {c:<14.6g}{flag}"
+              .rstrip())
+print()
+if rises:
+    print(f"{len(rises)} count(s) rose on the gated benchmarks:")
+    for name, counter, b, c in rises:
+        print(f"  {name} {counter}: {b:.6g} -> {c:.6g}")
+    sys.exit(1)
+print("no count rose on the gated benchmarks")
 PYEOF
+  cat "${compare_txt}"
   echo "wrote ${compare_txt}"
+  exit "${status}"
 fi

@@ -20,6 +20,10 @@ DelayMatIndex::DelayMatIndex(const SocialNetwork& network,
 
 void DelayMatIndex::Build() {
   PITEX_CHECK_MSG(!built_, "Build() called twice");
+  // A root drawn from no vertices is undefined: fail before the first
+  // draw.
+  PITEX_CHECK_MSG(theta_ == 0 || network_.num_vertices() > 0,
+                  "cannot sample RR-Graphs of a network with no vertices");
   Timer timer;
   Rng rng(options_.seed);
   // Counting pass: sample theta RR-Graphs, remember only membership

@@ -60,7 +60,7 @@ DynamicRrIndex::DynamicRrIndex(const SocialNetwork& network,
 
 void DynamicRrIndex::ResetBase(std::shared_ptr<const RrSketchPool> base) {
   base_ = std::move(base);
-  overlay_ = std::make_shared<RrSketchOverlay>();
+  overlay_ = std::make_shared<RrSketchOverlay>(base_->containing_k());
   view_ = RrIndex::FromPool(network_, options_, theta_, base_, overlay_);
 }
 
@@ -248,10 +248,8 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
   arena_.RebuildRepairedSketch(rr.root(), network_.num_vertices(), edges,
                                &repaired_);
   const auto splice = [&](VertexId v, bool insert) {
-    const std::vector<uint8_t>* replaced = overlay_->Containing(v);
-    const ContainingList current = replaced != nullptr
-                                       ? ContainingList(*replaced)
-                                       : base_->Containing(v);
+    const ContainingList current =
+        overlay_->Containing(v).value_or(base_->Containing(v));
     std::vector<uint32_t>& ids = splice_ids_;
     ids.assign(current.begin(), current.end());
     const auto at = std::lower_bound(ids.begin(), ids.end(), id);

@@ -59,6 +59,10 @@ RrSketchPool SampleSketchPool(const Graph& graph,
                               const EnvelopeTable& envelope, uint64_t theta,
                               uint64_t seed, size_t num_threads,
                               ThreadPool* pool) {
+  // A root drawn from no vertices is undefined: fail before the first
+  // draw.
+  PITEX_CHECK_MSG(theta == 0 || graph.num_vertices() > 0,
+                  "cannot sample RR-Graphs of a network with no vertices");
   // Every worker slot samples straight into its own run, in pool layout,
   // with its own scratch arena (zero allocations at steady state).
   // ParallelForSlots claims contiguous sample ranges, so a slot opens a

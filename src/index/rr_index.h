@@ -98,9 +98,7 @@ class RrIndex final : public InfluenceOracle {
   /// Ids (sketch positions) of the RR-Graphs containing u, ascending.
   ContainingList Containing(VertexId u) const {
     if (const RrSketchOverlay* overlay = repairs()) {
-      if (const std::vector<uint8_t>* list = overlay->Containing(u)) {
-        return ContainingList(*list);
-      }
+      if (const auto list = overlay->Containing(u)) return *list;
     }
     return pool_->Containing(u);
   }

@@ -27,6 +27,7 @@ void RrSketchPool::Clear() {
   containing_starts_.Clear();
   containing_.clear();
   max_sketch_vertices_ = 0;
+  containing_k_ = 0;
 }
 
 void RrSketchPool::WidenDirectory() {
@@ -230,67 +231,64 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
 }
 
 void RrSketchPool::BuildContaining(size_t num_vertices) {
-  // Each pass walks the sketches in ascending id and keeps, per vertex,
-  // the last id coded (0 before its first, so a list's first id is
-  // coded as itself) beside a byte count: the first pass sums each
-  // vertex's bytes, the second writes them at a cursor.
-  struct Tally {
-    uint32_t bytes;  // the first pass's count, then the write cursor
-    uint32_t last;
-  };
-  std::vector<Tally> tally(num_vertices, Tally{0, 0});
-  uint64_t bytes = 0;
+  // A counting sort of the (vertex, sketch id) pairs by vertex, in
+  // ascending sketch order: first[v] .. first[v + 1] - 1 index v's ids
+  // in `ids`. The counting pass also totals the vertices, which set k.
+  std::vector<uint32_t> first(num_vertices + 1, 0);
   size_t max_vertices = 0;
-  uint32_t id = 0;
   ForEachVertices([&](const VertexIds& sketch) {
     max_vertices = std::max(max_vertices, sketch.size());
-    sketch.ForEach([&](VertexId v) {
-      Tally& t = tally[v];
-      const size_t length = VarintLength(id - t.last);
-      t.bytes += static_cast<uint32_t>(length);
-      t.last = id;
-      bytes += length;
-    });
-    ++id;
+    sketch.ForEach([&](VertexId v) { ++first[v + 1]; });
   });
-  // No vertex's count wrapped if the total fits.
-  PITEX_CHECK_MSG(bytes <= UINT32_MAX,
-                  "containing index exceeds 32-bit offsets");
-  // Each vertex's start, then its group's largest word: the start of
-  // the group's last entry less the start of its first.
-  uint32_t start = 0;
-  for (size_t v = 0; v < num_vertices; ++v) {
-    const uint32_t length = tally[v].bytes;
-    tally[v] = Tally{start, 0};
-    start += length;
+  uint64_t occurrences = 0;
+  for (size_t v = 1; v <= num_vertices; ++v) {
+    occurrences += first[v];
+    first[v] = static_cast<uint32_t>(occurrences);
   }
-  const auto start_of = [&](size_t v) {
-    return v < num_vertices ? tally[v].bytes : start;
+  PITEX_CHECK_MSG(occurrences <= UINT32_MAX,
+                  "containing index exceeds 32-bit offsets");
+  std::vector<uint32_t> ids(occurrences);
+  {
+    std::vector<uint32_t> cursor(first.begin(), first.end() - 1);
+    uint32_t id = 0;
+    ForEachVertices([&](const VertexIds& sketch) {
+      sketch.ForEach([&](VertexId v) { ids[cursor[v]++] = id; });
+      ++id;
+    });
+  }
+  const auto list = [&](size_t v) {
+    return std::span<const uint32_t>(ids).subspan(first[v],
+                                                  first[v + 1] - first[v]);
   };
+  const uint32_t k = RiceParameter(num_sketches(), num_vertices, occurrences);
+  // Each list's start in bits, then each group's largest word: the
+  // start of the group's last entry less the start of its first.
+  std::vector<uint64_t> start(num_vertices + 1, 0);
+  for (size_t v = 0; v < num_vertices; ++v) {
+    start[v + 1] = start[v] + RiceListBits(list(v), k);
+  }
+  const uint64_t bits = start[num_vertices];
+  PITEX_CHECK_MSG(bits <= UINT32_MAX,
+                  "containing index exceeds 32-bit offsets");
   constexpr size_t kGroup = GroupWords::kGroup;
-  uint32_t max_word = 0;
-  for (size_t first = 0; first <= num_vertices; first += kGroup) {
-    const size_t last = std::min(first + kGroup - 1, num_vertices);
-    max_word = std::max(max_word, start_of(last) - start_of(first));
+  uint64_t max_word = 0;
+  for (size_t v = 0; v <= num_vertices; v += kGroup) {
+    const size_t last = std::min(v + kGroup - 1, num_vertices);
+    max_word = std::max(max_word, start[last] - start[v]);
   }
   containing_starts_.Clear();
   containing_starts_.Reserve(num_vertices + 1, max_word <= UINT16_MAX ? 2 : 4);
   for (size_t v = 0; v <= num_vertices; ++v) {
-    containing_starts_.OpenGroup(start_of(v));
-    containing_starts_.Push(start_of(v) - containing_starts_.base(v));
+    containing_starts_.OpenGroup(start[v]);
+    containing_starts_.Push(
+        static_cast<uint32_t>(start[v] - containing_starts_.base(v)));
   }
-  containing_.resize(bytes);
-  uint8_t* const out = containing_.data();
-  id = 0;
-  ForEachVertices([&](const VertexIds& sketch) {
-    sketch.ForEach([&](VertexId v) {
-      Tally& t = tally[v];
-      t.bytes = static_cast<uint32_t>(PutVarint(id - t.last, out + t.bytes) -
-                                      out);
-      t.last = id;
-    });
-    ++id;
-  });
+  containing_.assign(RiceBytes(bits), 0);
+  RiceWriter writer(containing_.data());
+  for (size_t v = 0; v < num_vertices; ++v) writer.PutList(list(v), k);
+  [[maybe_unused]] const uint64_t written = writer.Finish();
+  PITEX_DCHECK(written == bits);
+  containing_k_ = k;
   max_sketch_vertices_ = static_cast<uint32_t>(max_vertices);
 }
 
@@ -310,20 +308,12 @@ void RrSketchOverlay::Put(uint32_t id, const RRView& sketch) {
 
 void RrSketchOverlay::SetContaining(VertexId u,
                                     std::span<const uint32_t> ids) {
-  size_t length = 0;
-  uint32_t last = 0;
-  for (const uint32_t id : ids) {
-    length += VarintLength(id - last);
-    last = id;
-  }
-  std::vector<uint8_t>& bytes = containing_[u];
-  bytes.resize(length);
-  uint8_t* out = bytes.data();
-  last = 0;
-  for (const uint32_t id : ids) {
-    out = PutVarint(id - last, out);
-    last = id;
-  }
+  CodedList& list = containing_[u];
+  list.bits = RiceListBits(ids, containing_k_);
+  list.bytes.assign(RiceBytes(list.bits), 0);
+  RiceWriter writer(list.bytes.data());
+  writer.PutList(ids, containing_k_);
+  writer.Finish();
 }
 
 size_t RrSketchOverlay::SizeBytes() const {
@@ -333,7 +323,7 @@ size_t RrSketchOverlay::SizeBytes() const {
                  slot_of_.size() * (sizeof(uint64_t) + 2 * sizeof(void*));
   for (const auto& [u, list] : containing_) {
     bytes += sizeof(u) + sizeof(list) + 2 * sizeof(void*) +
-             list.capacity();
+             list.bytes.capacity();
   }
   return bytes;
 }

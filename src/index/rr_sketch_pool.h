@@ -1,13 +1,13 @@
 // Pooled storage for the offline RR-Graph index (Sec. 6.1): all theta
 // sketches flattened into a few contiguous arrays (a CSR of per-sketch
 // CSRs), plus an inverted "containing" index whose per-vertex lists are
-// delta-coded bytes.
+// Rice-coded gaps.
 //
 // The IndexEst estimate path walks theta(u) tiny sketches per query; with
 // one heap object per sketch (three vectors each) those walks chase
 // pointers all over the heap and the allocator dominates build time. The
 // pool keeps each sketch in one contiguous block, hands out non-owning
-// RRViews, and answers Containing(u) from one exact-size byte array — no
+// RRViews, and answers Containing(u) from one exact-size bit array — no
 // per-sketch or per-vertex heap objects at all, and SizeBytes() is O(1).
 //
 // Layout for sketch i (n_i vertices, m_i edges), with no padding
@@ -22,8 +22,8 @@
 //                    bytes (flag bit 15) while each singleton's root
 //                    and each block's start less its base are below
 //                    2^15, else every word takes 4 (flag bit 31)
-//   body_[start ..]  a header, the LEB128 varint (as the containing
-//                    lists code ids) of n_i << 4 | in-tree << 3 |
+//   body_[start ..]  a header, the LEB128 varint (PutVarint) of
+//                    n_i << 4 | in-tree << 3 |
 //                    edge ids wide << 2 | vertices wide << 1 |
 //                    ids wide: one byte while n_i <= 7, two while
 //                    n_i <= 1,023; then the n_i sorted vertex ids at
@@ -67,17 +67,25 @@
 // in one CSR form. A 2-byte word is exactly the 2-byte vertex.
 //
 // Containing lists, for vertex u:
-//   containing_[start(u) .. start(u + 1))
-// holds the ids of the sketches containing u, ascending, as LEB128
-// varints (ContainingList): the first id, then each gap to the next.
-// Seven bits go in each byte, low bits first, and the top bit is set on
-// every byte except a value's last, so theta(u) is the number of bytes
-// with the top bit clear. On pitexbench's network every entry takes 1
-// to 3 bytes, against 4 for a u32 list. The starts are byte offsets,
-// stored in two levels like the directory: start(u) is
-// containing_starts_'s base for u's group of 64 vertices, start(64g),
-// plus u's word, at 2 bytes while every group's words fit 16 bits (the
-// largest on pitexbench's network is 4,449), else at 4.
+//   bits [start(u), start(u + 1)) of containing_
+// hold the ids of the sketches containing u, ascending, as Rice codes
+// (ContainingList): the first id as itself, then each gap to the next
+// less 1 (the ids strictly ascend). A value x at parameter k is x >> k
+// one-bits, a zero, then the low k bits of x, LSB-first as in
+// little-endian 64-bit words; the array ends in 7 bytes of padding, so
+// the decoder's 8-byte loads stay inside it. One k serves the whole
+// pool, chosen from its own totals with no option: the log of the mean
+// gap, bit_width(floor(theta * |V| / occurrences)) - 1 (RiceParameter),
+// which bounds the lists at occurrences * (k + 3) bits. The gaps are
+// close to geometric, for which Rice coding at the mean is near the
+// entropy: on pitexbench's network (theta = 200,000, |V| = 25,000,
+// 454,185 ids) k = 13 and the lists take 14.8 bits per id, against
+// 17.4 for LEB128 gaps and 32 for a u32 list. An overlay codes its
+// replacement lists at its base pool's k, so one decoder reads both.
+// The starts are bit offsets, stored in two levels like the directory:
+// start(u) is containing_starts_'s base for u's group of 64 vertices,
+// start(64g), plus u's word, at 2 bytes while every group's words fit
+// 16 bits (the largest on pitexbench's network is 31,428), else at 4.
 //
 // Both arrays use one two-level store, GroupWords, as FST stores its
 // succinct arrays: sparse absolute samples and narrow relative entries,
@@ -119,6 +127,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -193,12 +202,122 @@ struct LocalCsrOut {
   }
 };
 
+/// Rice codes, as the containing lists store their ids: x at parameter
+/// k is x >> k one-bits, a zero, then the low k bits of x. Bits go
+/// LSB-first, as in little-endian 64-bit words. A list codes its first
+/// id as itself and each later id as its gap to the one before less 1,
+/// as the ids strictly ascend. A coded array ends in kRicePadding bytes
+/// past its last coded byte, so an 8-byte load at any of its coded bits
+/// stays inside it, and a load holds the array's next kRiceWindow bits
+/// whatever the bit's place in its byte.
+inline constexpr size_t kRicePadding = 7;
+inline constexpr uint32_t kRiceWindow = 57;
+
+/// Bytes a coded array of `bits` bits takes, its padding included (none
+/// when it codes nothing).
+inline size_t RiceBytes(uint64_t bits) {
+  return bits == 0 ? 0 : static_cast<size_t>((bits + 7) / 8) + kRicePadding;
+}
+
+/// Bits the Rice codes of the ascending `ids` take at parameter k.
+inline uint64_t RiceListBits(std::span<const uint32_t> ids, uint32_t k) {
+  uint64_t bits = 0;
+  uint32_t last = UINT32_MAX;  // one before id 0
+  for (const uint32_t id : ids) {
+    bits += ((id - last - 1) >> k) + 1 + k;
+    last = id;
+  }
+  return bits;
+}
+
+/// The 8 bytes of a coded array from bit `pos`'s byte, shifted down to
+/// bit `pos`: its low kRiceWindow bits are the array's.
+inline uint64_t LoadRiceBits(const uint8_t* data, uint64_t pos) {
+  uint64_t word;
+  std::memcpy(&word, data + (pos >> 3), sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word >> (pos & 7);
+}
+
+/// Writes lists of Rice codes one after another from bit 0 of an array
+/// of RiceBytes(bits) bytes, a 64-bit word at a time: codes gather in a
+/// register, so each byte is stored once and never read back.
+class RiceWriter {
+ public:
+  explicit RiceWriter(uint8_t* out) : out_(out) {}
+
+  /// Appends the codes of the ascending `ids` at parameter k (at most
+  /// 31).
+  void PutList(std::span<const uint32_t> ids, uint32_t k) {
+    constexpr uint32_t kRun = 31;  // ones per Put, so a code fits 63 bits
+    uint32_t last = UINT32_MAX;    // one before id 0
+    for (const uint32_t id : ids) {
+      const uint32_t x = id - last - 1;
+      last = id;
+      uint32_t q = x >> k;
+      for (; q > kRun; q -= kRun) Put((uint64_t{1} << kRun) - 1, kRun);
+      const uint64_t low = x & ((uint64_t{1} << k) - 1);
+      Put(((uint64_t{1} << q) - 1) | low << (q + 1), q + 1 + k);
+    }
+  }
+  /// Stores the last, partial word and returns the bits written.
+  uint64_t Finish() {
+    if ((pos_ & 63) != 0) Store(pos_ >> 6);
+    return pos_;
+  }
+
+ private:
+  /// Appends the low n (< 64) bits of `bits`.
+  void Put(uint64_t bits, uint32_t n) {
+    const uint32_t used = pos_ & 63;
+    word_ |= bits << used;
+    if (used + n >= 64) {
+      Store(pos_ >> 6);
+      // used > 0 here, as n < 64: the bits the stored word had no room
+      // for.
+      word_ = bits >> (64 - used);
+    }
+    pos_ += n;
+  }
+  /// Stores word_ as 64-bit word w of the array.
+  void Store(uint64_t w) {
+    uint64_t word = word_;
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
+    }
+    std::memcpy(out_ + w * sizeof(word), &word, sizeof(word));
+  }
+
+  uint8_t* out_;
+  uint64_t pos_ = 0;
+  uint64_t word_ = 0;  // the bits of word pos_ >> 6 written so far
+};
+
+/// The Rice parameter of a pool's containing lists: the log of their
+/// mean gap, k = bit_width(floor(theta * |V| / occurrences)) - 1, where
+/// `occurrences` is the total of the sketches' vertex counts (0 when
+/// there are none). A gap's quotients then sum, over one list, to at
+/// most theta >> k, and theta * |V| / 2^k < 2 * occurrences, so the
+/// lists take at most occurrences * (k + 3) bits. Ids fit 32 bits, so a
+/// larger k saves nothing, and k stays at most 31, as RiceWriter needs.
+inline uint32_t RiceParameter(uint64_t theta, uint64_t num_vertices,
+                              uint64_t occurrences) {
+  if (occurrences == 0) return 0;
+  // Every sketch holds at least one of fewer than 2^32 vertices and
+  // none twice, so the product fits 64 bits and 1 <= mean <= |V|.
+  const uint64_t mean = theta * num_vertices / occurrences;
+  return std::min<uint32_t>(31, static_cast<uint32_t>(std::bit_width(mean)) -
+                                    1);
+}
+
 /// One vertex's containing list as stored, in a pool or an overlay: its
-/// sketch ids, ascending, as LEB128 varints of the first id and then
-/// each gap to the next. A read-only forward range that decodes as it
-/// iterates, without allocating. Only this module's coder writes the
-/// bytes (a loaded pool rebuilds its lists, they are not saved), so the
-/// decoder trusts them.
+/// sketch ids, ascending, as Rice codes at the pool's parameter k
+/// (RiceWriter), bits [begin, end) of a coded array. A read-only
+/// forward range that decodes as it iterates, without allocating. Only
+/// this module's coder writes the bits (a loaded pool rebuilds its
+/// lists, they are not saved), so the decoder trusts them.
 class ContainingList {
  public:
   class Iterator {
@@ -226,38 +345,61 @@ class ContainingList {
 
    private:
     friend class ContainingList;
-    Iterator(const uint8_t* at, const uint8_t* end)
-        : at_(at), next_(at), end_(end) {
+    Iterator(const uint8_t* data, uint64_t at, uint64_t end, uint32_t k)
+        : data_(data), at_(at), next_(at), end_(end), k_(k) {
       if (at_ != end_) Decode();
     }
-    /// Adds the gap coded at next_ to id_ and steps next_ past it.
+    /// Adds the code at next_, plus 1, to id_ and steps next_ past it.
+    /// A load holds kRiceWindow bits: a unary run of that many ones or
+    /// more takes further loads, and low bits past the window one more.
     void Decode() {
-      uint32_t gap;
-      next_ = GetVarint(next_, &gap);
-      id_ += gap;
+      uint64_t window = LoadRiceBits(data_, next_);
+      uint64_t q = 0;
+      uint32_t ones;
+      while ((ones = static_cast<uint32_t>(std::countr_one(window))) >=
+             kRiceWindow) {
+        q += kRiceWindow;
+        next_ += kRiceWindow;
+        window = LoadRiceBits(data_, next_);
+      }
+      q += ones;
+      next_ += ones + 1;
+      const uint64_t mask = (uint64_t{1} << k_) - 1;
+      const uint64_t low = ones + 1 + k_ <= kRiceWindow
+                               ? (window >> (ones + 1)) & mask
+                               : LoadRiceBits(data_, next_) & mask;
+      next_ += k_;
+      id_ += static_cast<uint32_t>(q << k_ | low) + 1;
     }
 
-    const uint8_t* at_ = nullptr;    // the current id's first byte
-    const uint8_t* next_ = nullptr;  // the next id's first byte
-    const uint8_t* end_ = nullptr;
-    uint32_t id_ = 0;
+    const uint8_t* data_ = nullptr;
+    uint64_t at_ = 0;    // the current id's first bit
+    uint64_t next_ = 0;  // the next id's first bit
+    uint64_t end_ = 0;
+    uint32_t k_ = 0;
+    uint32_t id_ = UINT32_MAX;  // one before id 0: a first id codes as itself
   };
 
-  explicit ContainingList(std::span<const uint8_t> bytes)
-      : begin_(bytes.data()), end_(bytes.data() + bytes.size()) {}
+  ContainingList(const uint8_t* data, uint64_t begin, uint64_t end,
+                 uint32_t k)
+      : data_(data), begin_(begin), end_(end), k_(k) {}
 
-  Iterator begin() const { return {begin_, end_}; }
-  Iterator end() const { return {end_, end_}; }
-  /// How many ids the list holds: its bytes with the top bit clear,
-  /// counted in O(bytes).
+  Iterator begin() const { return {data_, begin_, end_, k_}; }
+  Iterator end() const { return {data_, end_, end_, k_}; }
+  /// How many ids the list holds, decoded in O(ids).
   size_t count() const {
-    return static_cast<size_t>(
-        std::count_if(begin_, end_, [](uint8_t b) { return b < 0x80; }));
+    size_t ids = 0;
+    for (Iterator it = begin(); it != end(); ++it) ++ids;
+    return ids;
   }
+  /// Bits the list's codes take.
+  uint64_t bits() const { return end_ - begin_; }
 
  private:
-  const uint8_t* begin_ = nullptr;
-  const uint8_t* end_ = nullptr;
+  const uint8_t* data_ = nullptr;
+  uint64_t begin_ = 0;
+  uint64_t end_ = 0;
+  uint32_t k_ = 0;
 };
 
 class RrSketchPool {
@@ -375,8 +517,8 @@ class RrSketchPool {
     const auto start = [this](size_t v) {
       return containing_starts_.base(v) + containing_starts_.word(v);
     };
-    return ContainingList(
-        {containing_.data() + start(u), containing_.data() + start(u + 1)});
+    return ContainingList(containing_.data(), start(u), start(u + 1),
+                          containing_k_);
   }
   /// theta(u): how many sketches contain u (Sec. 6.3 notation).
   size_t CountContaining(VertexId u) const { return Containing(u).count(); }
@@ -387,6 +529,10 @@ class RrSketchPool {
 
   /// Largest per-sketch vertex count (scratch pre-sizing).
   size_t max_sketch_vertices() const { return max_sketch_vertices_; }
+
+  /// The Rice parameter k every containing list is coded at
+  /// (RiceParameter), chosen from the pool's own totals.
+  uint32_t containing_k() const { return containing_k_; }
 
   /// Bytes per word of the directory and of the containing starts: 2
   /// while every word fits them, else 4.
@@ -694,20 +840,23 @@ class RrSketchPool {
   /// its own views. False on the first check that fails.
   bool FinishLoaded(size_t num_vertices, size_t num_edges);
 
-  /// Rebuilds containing_starts_/containing_ from the packed sketches in
-  /// two serial passes in ascending sketch order (one sizes each
-  /// vertex's list, one writes it), and recounts max_sketch_vertices_.
-  /// The starts take 2-byte words while every group's do.
+  /// Rebuilds containing_starts_/containing_ from the packed sketches:
+  /// two serial passes in ascending sketch order sort each vertex's ids
+  /// into a scratch array (the first counts them, which also sets
+  /// containing_k_ and recounts max_sketch_vertices_), then RiceWriter
+  /// codes the lists in vertex order into an exact-size array. The
+  /// starts take 2-byte words while every group's do.
   void BuildContaining(size_t num_vertices);
 
   friend class IndexIo;  // saves and loads the directory words and body_
 
   GroupWords slots_;             // the directory: one word per sketch
   std::vector<uint8_t> body_;    // blocks: header, region, records
-  GroupWords containing_starts_;     // num_vertices + 1 byte offsets
-  std::vector<uint8_t> containing_;  // varint lists, by vertex
+  GroupWords containing_starts_;     // num_vertices + 1 bit offsets
+  std::vector<uint8_t> containing_;  // Rice-coded lists, by vertex
   // Fits 32 bits: a block holds under 2^29 vertices.
   uint32_t max_sketch_vertices_ = 0;
+  uint32_t containing_k_ = 0;
 };
 
 // The view-function templates are defined here so that a caller's view
@@ -814,11 +963,16 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
 ///   * repaired sketches, appended to a run in pool layout (a sketch
 ///     repaired twice keeps its superseded copy until compaction);
 ///   * a sketch-id redirect to each repaired sketch's current copy;
-///   * replacement containing lists, coded as the pool codes them, for
+///   * replacement containing lists, Rice-coded at the base pool's k, for
 ///     the vertices whose membership changed.
 class RrSketchOverlay {
  public:
   static constexpr uint32_t kNotRepaired = UINT32_MAX;
+
+  /// An overlay whose lists are coded at `containing_k`, its base pool's
+  /// (RrSketchPool::containing_k), so one decoder reads both.
+  explicit RrSketchOverlay(uint32_t containing_k = 0)
+      : containing_k_(containing_k) {}
 
   /// Sketch copies stored, superseded ones included: the size
   /// compaction bounds.
@@ -838,11 +992,13 @@ class RrSketchOverlay {
   }
   RRView View(uint32_t slot) const { return store_.View(slot); }
 
-  /// u's replacement containing list (ContainingList's bytes), or
-  /// nullptr while u's membership is still the base's.
-  const std::vector<uint8_t>* Containing(VertexId u) const {
+  /// u's replacement containing list, or nothing while u's membership
+  /// is still the base's.
+  std::optional<ContainingList> Containing(VertexId u) const {
     const auto it = containing_.find(u);
-    return it == containing_.end() ? nullptr : &it->second;
+    if (it == containing_.end()) return std::nullopt;
+    const CodedList& list = it->second;
+    return ContainingList(list.bytes.data(), 0, list.bits, containing_k_);
   }
 
   size_t max_sketch_vertices() const { return store_.max_sketch_vertices(); }
@@ -856,10 +1012,17 @@ class RrSketchOverlay {
   void SetContaining(VertexId u, std::span<const uint32_t> ids);
 
  private:
+  /// One coded list: its bits from bit 0 of `bytes`, padded as a pool's.
+  struct CodedList {
+    std::vector<uint8_t> bytes;
+    uint64_t bits = 0;
+  };
+
   RrSketchPool store_;
   std::vector<uint64_t> repaired_bits_;  // bit id set <=> id in slot_of_
   std::unordered_map<uint32_t, uint32_t> slot_of_;
-  std::unordered_map<VertexId, std::vector<uint8_t>> containing_;
+  std::unordered_map<VertexId, CodedList> containing_;
+  uint32_t containing_k_ = 0;
 };
 
 }  // namespace pitex

@@ -275,6 +275,16 @@ TEST(DynamicRrIndexTest, UpdateValidatorNamesEachDefect) {
   EXPECT_EQ(reason(0, {{1, 0.2}, {1, 0.3}}), "duplicate topic");
 }
 
+TEST(DynamicRrIndexDeathTest, BuildOverNoVerticesDies) {
+  // A sampler has no root to draw from a network with no vertices.
+  SocialNetwork n;
+  n.graph = GraphBuilder(0).Build();
+  n.topics = TopicModel(1, 1);
+  n.influence = InfluenceGraphBuilder(0).Build();
+  DynamicRrIndex index(n, SmallOptions());
+  EXPECT_DEATH(index.Build(), "network with no vertices");
+}
+
 TEST(DynamicRrIndexTest, EmptyBatchIsNoop) {
   const SocialNetwork n = MakeRunningExample();
   DynamicRrIndex index(n, SmallOptions());
@@ -402,12 +412,13 @@ TEST(DynamicRrIndexTest, ContainmentStaysConsistentAfterRepairs) {
   EXPECT_EQ(listed, contained);
 }
 
-// Bytes the LEB128 varint of x takes, as the containing lists code it.
-size_t VarintBytes(uint32_t x) {
-  size_t bytes = 1;
-  for (; x >= 128; x >>= 7) ++bytes;
-  return bytes;
-}
+// The Rice parameter of the hub network's pool below: 40,000 sketches
+// over 12,000 vertices, nearly all singletons, a mean gap of ~12,000.
+constexpr uint32_t kHubK = 13;
+
+// The unary run of a gap's Rice code at kHubK: the gap less 1, shifted
+// down by k.
+uint32_t RunOfGap(uint32_t gap) { return (gap - 1) >> kHubK; }
 
 // 12,000 users with one edge each from candidates 1..200 into user 0
 // (the hub), none of them live: every sketch is its root alone, so each
@@ -430,18 +441,18 @@ SocialNetwork MakeHubNetwork() {
   return network;
 }
 
-// True when inserting `inserted`'s ids into `list` splits a gap of 3
-// bytes (>= 16384) into exactly two gaps of 2 bytes each.
-bool SplitsThreeByteGap(std::span<const uint32_t> list,
-                        std::span<const uint32_t> inserted) {
+// True when inserting `inserted`'s ids into `list` splits a gap whose
+// code has a unary run (a gap above 2^13) into exactly two gaps whose
+// codes have none.
+bool SplitsLongCode(std::span<const uint32_t> list,
+                    std::span<const uint32_t> inserted) {
   for (size_t k = 1; k < list.size(); ++k) {
     const uint32_t a = list[k - 1];
     const uint32_t b = list[k];
-    if (VarintBytes(b - a) != 3) continue;
+    if (RunOfGap(b - a) == 0) continue;
     const auto lo = std::ranges::upper_bound(inserted, a);
     const auto hi = std::ranges::lower_bound(inserted, b);
-    if (hi - lo == 1 && VarintBytes(*lo - a) == 2 &&
-        VarintBytes(b - *lo) == 2) {
+    if (hi - lo == 1 && RunOfGap(*lo - a) == 0 && RunOfGap(b - *lo) == 0) {
       return true;
     }
   }
@@ -459,10 +470,11 @@ void ExpectSameContaining(const DynamicRrIndex& got,
 TEST(DynamicRrIndexTest, RepairSpliceChangesCodedGapLengths) {
   // Raising a candidate's edge into the hub to certain puts the
   // candidate into every sketch holding the hub: its containing list
-  // gains the hub's ids, and one of them splits a 3-byte gap into two
-  // 2-byte gaps. Deleting the edge again takes them out, merging the
-  // two gaps back. The re-coded lists must match the reference's after
-  // each batch, and after compaction.
+  // gains the hub's ids, and one of them splits a gap whose Rice code
+  // has a unary run into two gaps whose codes have none. Deleting the
+  // edge again takes them out, merging the two gaps back. The re-coded
+  // lists must match the reference's after each batch, and after
+  // compaction.
   const SocialNetwork n = MakeHubNetwork();
   RrIndexOptions options;
   options.theta_override = 40000;
@@ -471,11 +483,13 @@ TEST(DynamicRrIndexTest, RepairSpliceChangesCodedGapLengths) {
   index.Build();
   ReferenceDynamicRrIndex reference(n, options);
   reference.Build();
+  // Sanity of the fixture: the pool codes its lists at kHubK.
+  ASSERT_EQ(index.Freeze(n, /*compact=*/false)->pool().containing_k(), kHubK);
 
   const std::vector<uint32_t>& hub = reference.Containing(kHub);
   VertexId candidate = kEndCandidate;
   for (VertexId c = kFirstCandidate; c < kEndCandidate; ++c) {
-    if (SplitsThreeByteGap(reference.Containing(c), hub)) {
+    if (SplitsLongCode(reference.Containing(c), hub)) {
       candidate = c;
       break;
     }

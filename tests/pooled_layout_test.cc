@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <map>
 #include <new>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "owned_sketch.h"
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
+#include "src/index/dynamic_index.h"
 #include "src/index/index_io.h"
 #include "src/index/rr_index.h"
 #include "src/index/rr_sketch_pool.h"
@@ -131,17 +134,52 @@ std::vector<std::vector<uint32_t>> ContainingFromViews(
   return lists;
 }
 
-// Bytes the lists take coded: the first id, then each gap to the next.
-size_t CodedBytes(const std::vector<std::vector<uint32_t>>& lists) {
-  size_t bytes = 0;
-  for (const std::vector<uint32_t>& list : lists) {
-    uint32_t last = 0;
-    for (const uint32_t id : list) {
-      bytes += VarintBytes(id - last);
-      last = id;
-    }
+// The Rice parameter of a pool of `theta` sketches over `vertices`
+// whose lists hold `occurrences` ids: the log of the mean gap,
+// bit_width(floor(theta * vertices / occurrences)) - 1, at most 31, and
+// 0 with no ids.
+uint32_t ExpectedRiceK(uint64_t theta, uint64_t vertices,
+                       uint64_t occurrences) {
+  if (occurrences == 0) return 0;
+  const uint64_t mean = std::max<uint64_t>(1, theta * vertices / occurrences);
+  uint32_t k = 0;
+  while ((mean >> (k + 1)) != 0) ++k;
+  return std::min<uint32_t>(k, 31);
+}
+
+// Bits the Rice codes of `list` take at parameter k: the first id, then
+// each gap less 1, each as x >> k one-bits, a zero and k low bits.
+uint64_t RiceBits(const std::vector<uint32_t>& list, uint32_t k) {
+  uint64_t bits = 0;
+  int64_t last = -1;
+  for (const uint32_t id : list) {
+    bits += ((id - last - 1) >> k) + 1 + k;
+    last = id;
   }
-  return bytes;
+  return bits;
+}
+
+// A pool's containing lists as its layout calls for: the parameter its
+// totals give, each vertex's start in bits, and the bytes of the coded
+// lists, whole bytes and then 7 of padding (none with no bits).
+struct ExpectedLists {
+  uint32_t k = 0;
+  std::vector<uint64_t> starts = {0};
+  size_t bytes = 0;
+};
+
+ExpectedLists ExpectedListsOf(const RrSketchPool& pool) {
+  const std::vector<std::vector<uint32_t>> lists = ContainingFromViews(pool);
+  uint64_t occurrences = 0;
+  for (const std::vector<uint32_t>& list : lists) occurrences += list.size();
+  ExpectedLists want;
+  want.k = ExpectedRiceK(pool.num_sketches(), lists.size(), occurrences);
+  for (const std::vector<uint32_t>& list : lists) {
+    want.starts.push_back(want.starts.back() + RiceBits(list, want.k));
+  }
+  const uint64_t bits = want.starts.back();
+  want.bytes = bits == 0 ? 0 : (bits + 7) / 8 + 7;
+  return want;
 }
 
 // The largest edge id of a sketch, 0 if it has no edges.
@@ -173,8 +211,9 @@ size_t TwoLevelBytes(size_t entries, size_t width) {
 // per entry, 2 bytes while every word fits them, else 4. A directory
 // word is a singleton's vertex or a block's start less its group's base
 // (where the next block starts at the group's first sketch) behind the
-// flag bit 15; a start's word is its list's start less its group's
-// first start. The body and the containing lists are bytes. A sketch's
+// flag bit 15; a start's word is its list's start, in bits, less its
+// group's first start. The body is bytes; the containing lists are Rice
+// codes at the pool's parameter (ExpectedListsOf). A sketch's
 // body block is a varint header of n << 4 and four flags, then n
 // vertices at the block's vertex width, then the root's local id,
 // n + 1 offsets unless the sketch is an in-tree, and m heads at its id
@@ -205,11 +244,9 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
   }
   const size_t directory_width =
       max_singleton < 32768 && max_offset < 32768 ? 2 : 4;
-  std::vector<size_t> starts = {0};
-  for (const std::vector<uint32_t>& list : ContainingFromViews(pool)) {
-    starts.push_back(starts.back() + CodedBytes({list}));
-  }
-  size_t max_word = 0;
+  const ExpectedLists lists = ExpectedListsOf(pool);
+  const std::vector<uint64_t>& starts = lists.starts;
+  uint64_t max_word = 0;
   for (size_t v = 0; v < starts.size(); ++v) {
     max_word = std::max(max_word, starts[v] - starts[v / 64 * 64]);
   }
@@ -217,12 +254,13 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
   EXPECT_EQ(pool.directory_width(), directory_width);
   if (pool.num_universe_vertices() > 0) {
     EXPECT_EQ(pool.containing_start_width(), start_width);
+    EXPECT_EQ(pool.containing_k(), lists.k);
   }
   return sizeof(RrSketchPool) + TwoLevelBytes(s, directory_width) +
          (pool.num_universe_vertices() > 0
               ? TwoLevelBytes(starts.size(), start_width)
               : 0) +
-         body + starts.back();
+         body + lists.bytes;
 }
 
 // The vertex total counted two ways, over the sketch views and over the
@@ -251,6 +289,21 @@ void ExpectContainingMatchesViews(const RrSketchPool& pool) {
     EXPECT_EQ(pool.CountContaining(v), want[v].size()) << "vertex " << v;
   }
   ExpectVertexTotalsAgree(pool);
+}
+
+// The overlay's coder, at `pool`'s parameter, codes every list of
+// `pool` in as many bits as the pool's coder, and decodes it back.
+void ExpectOverlayCodesAsPool(const RrSketchPool& pool) {
+  const std::vector<std::vector<uint32_t>> want = ContainingFromViews(pool);
+  RrSketchOverlay overlay(pool.containing_k());
+  for (VertexId v = 0; v < want.size(); ++v) {
+    overlay.SetContaining(v, want[v]);
+    const std::optional<ContainingList> list = overlay.Containing(v);
+    ASSERT_TRUE(list.has_value()) << "vertex " << v;
+    EXPECT_TRUE(std::ranges::equal(*list, want[v])) << "vertex " << v;
+    EXPECT_EQ(list->count(), want[v].size()) << "vertex " << v;
+    EXPECT_EQ(list->bits(), pool.Containing(v).bits()) << "vertex " << v;
+  }
 }
 
 TEST(PooledLayoutTest, SketchesMatchReferenceRebuild) {
@@ -397,10 +450,13 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   // Only the two-vertex sketch, an in-tree, has a body block of 14
   // bytes: a one-byte header, its two 2-byte vertices, its root id and
   // 1 head at a byte each, and its 7-byte edge record. The lists of
-  // vertices 2, 5 and 7 take 1, 1 and 2 bytes. The directory and the
-  // 11 containing starts each take one 4-byte base and 2-byte words.
+  // vertices 2, 5 and 7 take 3, 3 and 6 bits at k = 2 (3 sketches over
+  // 10 vertices holding 4 ids, a mean gap of 7): 2 bytes, then 7 of
+  // padding. The directory and the 11 containing starts each take one
+  // 4-byte base and 2-byte words.
+  EXPECT_EQ(pool.containing_k(), 2u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 3) +
-                                  (4 + 2 * 11) + 14 + 4);
+                                  (4 + 2 * 11) + 14 + (2 + 7));
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
   }
@@ -414,13 +470,15 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
 TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   // One vertex but one edge: the edge needs its header, offsets and
   // record, so the sketch keeps a block of 1 + 2 + 4 + 7 bytes (header,
-  // vertex, root id, 2 offsets and a head, record).
+  // vertex, root id, 2 offsets and a head, record). Vertex 4's list
+  // takes two 4-bit codes at k = 3: a byte, then 7 of padding.
   const std::vector<RRGraph> graphs = {
       RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}}, Singleton(4)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  EXPECT_EQ(pool.containing_k(), 3u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 2) +
-                                  (4 + 2 * 11) + 14 + 2);
+                                  (4 + 2 * 11) + 14 + (1 + 7));
   EXPECT_TRUE(SameSketch(pool.View(0), graphs[0]));
   EXPECT_TRUE(SameSketch(pool.View(1), graphs[1]));
   EXPECT_TRUE(
@@ -434,9 +492,11 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
     graphs.push_back(Singleton(9 - v));
   }
   const RrSketchPool pool = PackGraphs(graphs);
-  // Each vertex's two ids take a byte each.
+  // At k = 3 (a mean gap of 10) each vertex's two ids take 4 bits each
+  // plus their quotients, 90 bits in all: 12 bytes, then 7 of padding.
+  EXPECT_EQ(pool.containing_k(), 3u);
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + (4 + 2 * 20) + (4 + 2 * 11) + 20);
+            sizeof(RrSketchPool) + (4 + 2 * 20) + (4 + 2 * 11) + (12 + 7));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
@@ -501,9 +561,11 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
   // Blocks of 1 + 6 + 7 and 1 + 9 + 14 bytes for the two in-trees, and
   // 1 + 6 + 7 and 1 + 9 + 7 for the self-loop and the sketch whose root
   // has an out-edge (header, region, records), and 12 containing
-  // entries of a byte each.
+  // entries of 3 or 4 bits each at k = 2, 41 bits in all: 6 bytes, then
+  // 7 of padding.
+  EXPECT_EQ(pool.containing_k(), 2u);
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + (4 + 2 * 8) + (4 + 2 * 11) + 69 + 12);
+            sizeof(RrSketchPool) + (4 + 2 * 8) + (4 + 2 * 11) + 69 + (6 + 7));
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
   EXPECT_EQ(pool.max_sketch_vertices(), 3u);
@@ -717,6 +779,8 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
                          [&graphs](size_t i) { return graphs[i].View(); });
   ExpectMatchesGraphs(packed, graphs);
   EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
+  ExpectContainingMatchesViews(packed);
+  ExpectOverlayCodesAsPool(packed);
   // The run took the same sketches in the same groups.
   EXPECT_EQ(run.directory_width(), packed.directory_width());
   EXPECT_EQ(packed.max_sketch_vertices(),
@@ -894,11 +958,12 @@ TEST(PooledLayoutTest, EdgeWidthBoundariesSurviveEveryWriter) {
   EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
   // In-tree blocks of 14 and 15 bytes (header, region of 6, one record
   // of 7 or 8) and 24 and 26 (header, region of 9, two records of 7 or
-  // 8), and containing lists of 2 bytes for vertices 1, 2, 3, 6 and 7
-  // and one for vertex 5.
+  // 8), and containing lists at k = 2 of 6 bits for vertices 1, 2, 3, 6
+  // and 7 and 3 for vertex 5: 33 bits, 5 bytes, then 7 of padding.
+  EXPECT_EQ(packed.containing_k(), 2u);
   EXPECT_EQ(packed.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 5) +
                                     (4 + 2 * 11) + (14 + 15 + 24 + 26) +
-                                    11);
+                                    (5 + 7));
   ExpectEveryWriterKeeps(graphs, 10);
 }
 
@@ -940,8 +1005,8 @@ TEST(PooledLayoutTest, RootLocalIdSurvivesEveryWriter) {
 }
 
 // Saves `pool` as an index on `network`, loads it back and saves it
-// again: expects the same bytes both times and the loaded pool's views
-// to match `graphs`.
+// again: expects the same bytes both times, the loaded pool's views to
+// match `graphs` and its containing lists to match its views.
 void ExpectIndexFileRoundTrip(const SocialNetwork& network,
                               const RrSketchPool& pool,
                               const std::vector<RRGraph>& graphs) {
@@ -957,6 +1022,10 @@ void ExpectIndexFileRoundTrip(const SocialNetwork& network,
   ASSERT_TRUE(SaveRrIndex(*loaded, second));
   EXPECT_EQ(second.str(), first.str());
   ExpectMatchesGraphs(loaded->pool(), graphs);
+  // FinishLoaded rebuilt the containing index as the writer built it.
+  ExpectContainingMatchesViews(loaded->pool());
+  EXPECT_EQ(loaded->pool().containing_k(), pool.containing_k());
+  EXPECT_EQ(loaded->pool().SizeBytes(), pool.SizeBytes());
 }
 
 TEST(PooledLayoutTest, HeaderTakesTwoBytesFromEightVertices) {
@@ -983,7 +1052,7 @@ TEST(PooledLayoutTest, HeaderTakesTwoBytesFromEightVertices) {
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 6) +
                                   (4 + 2 * 21) +
                                   (24 + 28 + 100 + 64 + 75) +
-                                  CodedBytes(ContainingFromViews(pool)));
+                                  ExpectedListsOf(pool).bytes);
   // The loader reads both header lengths back.
   ExpectIndexFileRoundTrip(MakeCertainCycle(20), pool, graphs);
 }
@@ -1032,7 +1101,7 @@ TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 5) +
                                   (4 + 2 * 11) + (14 + 24 + 17) +
-                                  CodedBytes(ContainingFromViews(pool)));
+                                  ExpectedListsOf(pool).bytes);
   ExpectEveryWriterKeeps(graphs, 10);
   ExpectIndexFileRoundTrip(MakeCertainCycle(10), pool, graphs);
 }
@@ -1078,53 +1147,174 @@ TEST(PooledLayoutTest, NonTreeShapesKeepOffsetsThroughEveryWriter) {
   ExpectIndexFileRoundTrip(MakeCertainCycle(10), PackGraphs(graphs), graphs);
 }
 
-TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
-  // 2^21 + 2 sketches over 12 vertices. Vertex 0 is in every sketch (a
-  // first id of 0, then gaps of 1); vertices 10 and 11 are in none. The
-  // others sit where their lists' first ids or gaps cross each varint
-  // length boundary from 1 to 4 bytes.
-  constexpr uint32_t k21 = uint32_t{1} << 21;
-  const std::vector<std::vector<uint32_t>> placed = {
-      {},                                // 0: every sketch
-      {127},                             // 1 byte
-      {128},                             // 2 bytes
-      {16383},                           // 2 bytes
-      {16384},                           // 3 bytes
-      {k21 - 1},                         // 3 bytes
-      {k21},                             // 4 bytes
-      {0, 127, 255, 16638, 33022},       // gaps 127, 128, 16383, 16384
-      {0, k21 - 1},                      // gap 2^21 - 1
-      {1, k21 + 1},                      // gap 2^21
-  };
-  const size_t num_sketches = k21 + 2;
+// `num_sketches` sketches that each hold vertex 0, and vertex v >= 1
+// in the sketches placed[v] lists: singletons of vertex 0 where nothing
+// else is placed, edgeless blocks elsewhere.
+std::vector<RRGraph> PlacedGraphs(
+    size_t num_sketches, const std::vector<std::vector<uint32_t>>& placed) {
   std::map<uint32_t, std::vector<VertexId>> members;
   for (VertexId v = 1; v < placed.size(); ++v) {
     for (const uint32_t id : placed[v]) members[id].push_back(v);
   }
-  std::map<uint32_t, RRGraph> special;
+  std::vector<RRGraph> graphs(num_sketches, Singleton(0));
   for (auto& [id, vertices] : members) {
     vertices.insert(vertices.begin(), 0);
-    special.emplace(id, EdgelessSketch(vertices));
+    graphs[id] = EdgelessSketch(vertices);
   }
-  const RRGraph filler = Singleton(0);
-  const RrSketchPool pool =
-      RrSketchPool::Pack(num_sketches, 12, [&](size_t i) {
-        const auto it = special.find(static_cast<uint32_t>(i));
-        return it == special.end() ? filler.View() : it->second.View();
-      });
+  return graphs;
+}
 
-  ExpectContainingMatchesViews(pool);
+// The bits of every containing list of `pool`, summed.
+uint64_t ListBits(const RrSketchPool& pool) {
+  uint64_t bits = 0;
+  for (VertexId v = 0; v < pool.num_universe_vertices(); ++v) {
+    bits += pool.Containing(v).bits();
+  }
+  return bits;
+}
+
+TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
+  // 4,096 sketches over 12 vertices holding 4,110 ids: a mean gap of
+  // 11.96, so k = 3, and a code of x takes (x >> 3) + 4 bits. Vertex 0
+  // is in every sketch (a first id of 0, then gaps of 1: x = 0 each);
+  // vertices 10 and 11 are in none. The others place codes whose unary
+  // runs end on each side of the decoder's 57-bit window and the
+  // writer's 56-bit store, so that their low bits lie past the window
+  // (q = 55 and 56) or their run takes one more load or two (q = 57,
+  // 64, 113, 114, 511).
+  const std::vector<std::vector<uint32_t>> placed = {
+      {},                     // 0: every sketch
+      {7},                    // q = 0
+      {8},                    // q = 1
+      {447},                  // q = 55
+      {448},                  // q = 56
+      {456},                  // q = 57
+      {512},                  // q = 64
+      {917},                  // q = 114
+      {0, 1, 9, 466, 1371},   // x = 0, 0, 7, 456 (q = 57), 904 (q = 113)
+      {0, 4095},              // x = 0, 4,094 (q = 511): ids 0 and θ - 1
+  };
+  const std::vector<RRGraph> graphs = PlacedGraphs(4096, placed);
+  const RrSketchPool pool = RrSketchPool::Pack(
+      graphs.size(), 12, [&graphs](size_t i) { return graphs[i].View(); });
+  EXPECT_EQ(pool.containing_k(), 3u);
   // Sanity of the fixture: the brute force sees the lists placed.
   const std::vector<std::vector<uint32_t>> lists = ContainingFromViews(pool);
   for (VertexId v = 1; v < placed.size(); ++v) {
     EXPECT_EQ(lists[v], placed[v]) << "vertex " << v;
   }
-  EXPECT_EQ(lists[0].size(), num_sketches);
+  EXPECT_EQ(lists[0].size(), graphs.size());
   EXPECT_TRUE(lists[10].empty() && lists[11].empty());
-  // Vertex 0 takes a byte per sketch; the placed lists take
-  // 1 + 2 + 2 + 3 + 3 + 4, then 1 + 1 + 2 + 2 + 3, 1 + 3 and 1 + 4.
-  EXPECT_EQ(CodedBytes(lists), num_sketches + 33);
+  ExpectContainingMatchesViews(pool);
+  // Vertex 0 takes 4 bits per sketch; the placed lists take 4, 5, 59,
+  // 60, 61, 68 and 118 bits, then 4 + 4 + 4 + 61 + 117 and 4 + 515.
+  EXPECT_EQ(pool.Containing(7).bits(), 118u);
+  EXPECT_EQ(pool.Containing(9).bits(), 519u);
+  EXPECT_EQ(ListBits(pool), 4 * graphs.size() + 1084);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  ExpectEveryWriterKeeps(graphs, 12);
+  ExpectIndexFileRoundTrip(MakeCertainCycle(12), pool, graphs);
+}
+
+TEST(PooledLayoutTest, SparseVertexInDensePoolRunsPastAWord) {
+  // 200 sketches over 12 vertices, each holding vertices 0 to 9: 2,004
+  // ids, a mean gap of 1.2, so k = 0 and a code of x is x one-bits and
+  // a zero. Vertex 10, in sketches 70 and 199 only, codes runs of 70
+  // and 128 ones, past a 64-bit word and two; vertex 11, in sketches 0
+  // and 130, runs of 0 and 129.
+  std::vector<RRGraph> graphs;
+  for (uint32_t i = 0; i < 200; ++i) {
+    std::vector<VertexId> vertices(10);
+    std::iota(vertices.begin(), vertices.end(), 0);
+    if (i == 70 || i == 199) vertices.push_back(10);
+    if (i == 0 || i == 130) vertices.push_back(11);
+    graphs.push_back(EdgelessSketch(vertices));
+  }
+  const RrSketchPool pool = RrSketchPool::Pack(
+      graphs.size(), 12, [&graphs](size_t i) { return graphs[i].View(); });
+  EXPECT_EQ(pool.containing_k(), 0u);
+  ExpectContainingMatchesViews(pool);
+  EXPECT_TRUE(std::ranges::equal(pool.Containing(10),
+                                 std::vector<uint32_t>{70, 199}));
+  EXPECT_EQ(pool.Containing(10).bits(), 71u + 129u);
+  EXPECT_EQ(pool.Containing(11).bits(), 1u + 130u);
+  // Vertices 0 to 9 take a bit per sketch.
+  EXPECT_EQ(ListBits(pool), 10 * 200 + 200 + 131u);
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  ExpectEveryWriterKeeps(graphs, 12);
+  ExpectIndexFileRoundTrip(MakeCertainCycle(12), pool, graphs);
+}
+
+TEST(PooledLayoutTest, RiceListsMatchBruteForceOnRandomPools) {
+  // Random pools from sparse to dense, so k runs from 0 up to 8: through
+  // every writer each list decodes to the ids the brute force over the
+  // views gives, and the lists take at most occurrences * (k + 3) bits.
+  Rng rng(20261018);
+  std::vector<uint32_t> ks;
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const size_t universe = 2 + rng.NextBounded(300);
+    const size_t theta = 1 + rng.NextBounded(500);
+    const size_t max_n = std::array<size_t, 4>{
+        1, 2, universe / 4 + 1, universe}[trial % 4];
+    std::vector<VertexId> all(universe);
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<RRGraph> graphs;
+    for (size_t i = 0; i < theta; ++i) {
+      const size_t n = 1 + rng.NextBounded(max_n);
+      for (size_t j = 0; j < n; ++j) {
+        std::swap(all[j], all[j + rng.NextBounded(universe - j)]);
+      }
+      std::vector<VertexId> vertices(all.begin(), all.begin() + n);
+      std::ranges::sort(vertices);
+      graphs.push_back(n == 1 ? Singleton(vertices[0])
+                              : EdgelessSketch(std::move(vertices)));
+    }
+    ExpectEveryWriterKeeps(graphs, universe);
+    const RrSketchPool pool = RrSketchPool::Pack(
+        theta, universe, [&graphs](size_t i) { return graphs[i].View(); });
+    const uint64_t occurrences = ExpectVertexTotalsAgree(pool);
+    EXPECT_LE(ListBits(pool), occurrences * (pool.containing_k() + 3));
+    ks.push_back(pool.containing_k());
+    ExpectIndexFileRoundTrip(MakeCertainCycle(static_cast<VertexId>(universe)),
+                             pool, graphs);
+  }
+  // Sanity of the fixtures: the trials reach both ends.
+  EXPECT_EQ(std::ranges::min(ks), 0u);
+  EXPECT_GE(std::ranges::max(ks), 6u);
+}
+
+TEST(PooledLayoutTest, RepairedListsDecodeToBruteForce) {
+  // Repairs re-code the lists of the vertices whose membership changed
+  // into the overlay, at the base pool's parameter: the served lists,
+  // the master's and a frozen snapshot's, stay the brute force's.
+  DatasetSpec spec = LastfmSpec(0.3);
+  spec.seed = 23;
+  const SocialNetwork network = GenerateDataset(spec);
+  RrIndexOptions options;
+  options.theta_override = 3000;
+  DynamicRrIndex index(network, options);
+  index.Build();
+  for (int round = 0; round < 8; ++round) {
+    EdgeInfluenceUpdate update;
+    update.edge = static_cast<EdgeId>((round * 977) % network.num_edges());
+    update.entries = {
+        {static_cast<TopicId>(round % network.topics.num_topics()), 0.9}};
+    index.ApplyUpdates(std::span(&update, 1));
+  }
+  ASSERT_GT(index.overlay_sketches(), 0u);
+  const auto frozen = index.Freeze(network, /*compact=*/false);
+  ASSERT_GT(frozen->pool().containing_k(), 0u);
+  std::vector<std::vector<uint32_t>> want(network.num_vertices());
+  for (uint32_t i = 0; i < index.num_graphs(); ++i) {
+    for (const VertexId v : index.graph(i).vertices) want[v].push_back(i);
+  }
+  for (VertexId v = 0; v < want.size(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(index.Containing(v), want[v]))
+        << "vertex " << v;
+    ASSERT_TRUE(std::ranges::equal(frozen->Containing(v), want[v]))
+        << "vertex " << v;
+  }
 }
 
 TEST(PooledLayoutTest, VertexInEverySketchAndVerticesInNone) {
@@ -1146,33 +1336,64 @@ TEST(PooledLayoutTest, VertexInEverySketchAndVerticesInNone) {
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
 }
 
-TEST(PooledLayoutTest, ContainingCodecCodesFiveByteValues) {
-  // A pool's lists reach a 5-byte value only past 2^28 sketches (a
-  // 1 GiB directory), so the 4/5-byte boundary runs through an overlay's
-  // lists, which the pool's coder writes too. The bytes are pinned:
-  // seven bits per byte, low bits first, top bit set on all but a
-  // value's last byte.
-  constexpr uint32_t k28 = uint32_t{1} << 28;
-  const std::vector<std::pair<std::vector<uint32_t>, std::vector<uint8_t>>>
-      cases = {
-          {{k28 - 1}, {0xff, 0xff, 0xff, 0x7f}},
-          {{k28}, {0x80, 0x80, 0x80, 0x80, 0x01}},
-          {{0, k28 - 1, 2 * k28 - 1},
-           {0x00, 0xff, 0xff, 0xff, 0x7f, 0x80, 0x80, 0x80, 0x80, 0x01}},
-          {{UINT32_MAX - 1}, {0xfe, 0xff, 0xff, 0xff, 0x0f}},
-          {{}, {}},
-      };
-  RrSketchOverlay overlay;
-  for (VertexId v = 0; v < cases.size(); ++v) {
-    const auto& [ids, bytes] = cases[v];
-    overlay.SetContaining(v, ids);
-    ASSERT_NE(overlay.Containing(v), nullptr);
-    EXPECT_EQ(*overlay.Containing(v), bytes) << "list " << v;
-    const ContainingList list(*overlay.Containing(v));
-    EXPECT_TRUE(std::ranges::equal(list, ids)) << "list " << v;
-    EXPECT_EQ(list.count(), ids.size()) << "list " << v;
+TEST(PooledLayoutTest, ContainingCodecPinsRiceCodes) {
+  // The coder's bits are pinned, LSB-first: x >> k one-bits, a zero,
+  // then the low k bits of x, for the first id and for each gap less 1,
+  // then 7 bytes of padding. An overlay at the same k codes each list in
+  // the same bits, and both decode to the ids.
+  struct Case {
+    uint32_t k;
+    std::vector<uint32_t> ids;
+    uint64_t bits;
+    std::vector<uint8_t> bytes;  // before the padding
+  };
+  const std::vector<Case> cases = {
+      // x = 0, 0, 3, 8: 0|00 0|00 0|11 110|00.
+      {2, {0, 1, 5, 14}, 14, {0x80, 0x07}},
+      // A lone zero bit.
+      {0, {0}, 1, {0x00}},
+      // x = 70 at k = 0: 70 ones, past a 64-bit word, then the zero.
+      {0,
+       {70},
+       71,
+       {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f}},
+      // At k = 20, x = 2 << 20 (23 bits), then x = 40 << 20 | 2^20 - 1
+      // from bit 23, 7 bits into its byte: a load there holds 57 bits,
+      // and the code's 40 ones, zero and 20 low ones end at bit 83.
+      {20,
+       {2097152, 45088768},
+       84,
+       {0x03, 0x00, 0x80, 0xff, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0x0f}},
+      // x = 2^32 - 2 at k = 31: one 1, the zero, then 0x7ffffffe.
+      {31, {UINT32_MAX - 1}, 33, {0xf9, 0xff, 0xff, 0xff, 0x01}},
+      // An empty list codes nothing and needs no padding.
+      {13, {}, 0, {}},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const Case& want = cases[c];
+    std::vector<uint8_t> coded(RiceBytes(want.bits), 0);
+    ASSERT_EQ(coded.size(), want.bytes.empty() ? 0 : want.bytes.size() + 7);
+    RiceWriter writer(coded.data());
+    writer.PutList(want.ids, want.k);
+    const uint64_t at = writer.Finish();
+    EXPECT_EQ(at, want.bits);
+    EXPECT_EQ(RiceListBits(want.ids, want.k), want.bits);
+    std::vector<uint8_t> bytes = want.bytes;
+    if (!bytes.empty()) bytes.resize(bytes.size() + 7, 0);
+    EXPECT_EQ(coded, bytes);
+    const ContainingList list(coded.data(), 0, at, want.k);
+    EXPECT_TRUE(std::ranges::equal(list, want.ids));
+    EXPECT_EQ(list.count(), want.ids.size());
+
+    RrSketchOverlay overlay(want.k);
+    overlay.SetContaining(3, want.ids);
+    const std::optional<ContainingList> stored = overlay.Containing(3);
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(stored->bits(), want.bits);
+    EXPECT_TRUE(std::ranges::equal(*stored, want.ids));
+    EXPECT_FALSE(overlay.Containing(4).has_value());
   }
-  EXPECT_EQ(overlay.Containing(cases.size()), nullptr);
 }
 
 // Pairs {k, k + 1} on the certain cycle's edge k, rooted at k + 1, and
@@ -1268,25 +1489,33 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
   }
 }
 
-TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBytes) {
-  // Vertex 0 is in the first `bytes` sketches: a first id of 0 and gaps
-  // of 1, a byte each. Vertices 1 to 62 are in none, so vertex 63's
-  // start, the last word of the first group of 64, is `bytes`: 65,535
-  // fits a 2-byte word, 65,536 makes every start's word 4 bytes.
-  for (const auto& [bytes, width] :
-       {std::pair{size_t{65535}, 2u}, {size_t{65536}, 4u}}) {
-    SCOPED_TRACE("bytes " + std::to_string(bytes));
-    std::vector<RRGraph> graphs(bytes, Singleton(0));
+TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
+  // 9,362 sketches over 70 vertices holding 9,364 ids: k = 6, so a code
+  // of x takes (x >> 6) + 7 bits. Vertex 0 is in the first 9,360
+  // sketches (x = 0 each: 65,520 bits) and vertex 1 in sketch c alone,
+  // whose code takes 15 bits for c = 512 and 16 for c = 576. Vertices 2
+  // to 62 are in none, so vertex 63's start, the last word of the first
+  // group of 64, is 65,535 bits, which fits a 2-byte word, or 65,536,
+  // which makes every start's word 4 bytes.
+  for (const auto& [c, width] : {std::pair{512u, 2u}, {576u, 4u}}) {
+    SCOPED_TRACE("c " + std::to_string(c));
+    std::vector<RRGraph> graphs(9360, Singleton(0));
+    graphs[c] = EdgelessSketch({0, 1});
     graphs.push_back(EdgelessSketch({63, 64}));
     graphs.push_back(Singleton(69));
     ExpectEveryWriterKeeps(graphs, 70);
     const RrSketchPool pool = RrSketchPool::Pack(
         graphs.size(), 70, [&graphs](size_t i) { return graphs[i].View(); });
+    EXPECT_EQ(pool.containing_k(), 6u);
+    EXPECT_EQ(pool.Containing(0).bits() + pool.Containing(1).bits(),
+              width == 2 ? 65535u : 65536u);
     EXPECT_EQ(pool.containing_start_width(), width);
     EXPECT_EQ(pool.directory_width(), 2u);
-    EXPECT_EQ(pool.CountContaining(0), bytes);
-    EXPECT_TRUE(std::ranges::equal(pool.Containing(63),
-                                   std::vector<uint32_t>{uint32_t(bytes)}));
+    EXPECT_EQ(pool.CountContaining(0), 9360u);
+    EXPECT_TRUE(
+        std::ranges::equal(pool.Containing(1), std::vector<uint32_t>{c}));
+    EXPECT_TRUE(
+        std::ranges::equal(pool.Containing(63), std::vector<uint32_t>{9360}));
     ExpectContainingMatchesViews(pool);
     ExpectIndexFileRoundTrip(MakeCertainCycle(70), pool, graphs);
   }
@@ -1314,10 +1543,12 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   ASSERT_EQ(pool.num_sketches(), 200000u);
   // Both offset arrays take 2-byte words: the directory (largest
   // singleton vertex 24,999, largest block start less its base 1,713 B)
-  // and the containing starts (largest group 4,449 B).
+  // and the containing starts (largest group 31,428 bits). The lists'
+  // 454,185 ids have a mean gap of 11,008, so k = 13.
   EXPECT_EQ(pool.directory_width(), 2u);
   EXPECT_EQ(pool.containing_start_width(), 2u);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 4345085);
+  EXPECT_EQ(pool.containing_k(), 13u);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 4200372);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));

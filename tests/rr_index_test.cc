@@ -274,6 +274,27 @@ TEST(DelayMatTest, IndexFarSmallerThanRRGraphs) {
   EXPECT_LT(delay.SizeBytes() * 10, full.SizeBytes());
 }
 
+// A network with no vertices: a sampler has no root to draw.
+SocialNetwork EmptyNetwork() {
+  SocialNetwork network;
+  network.graph = GraphBuilder(0).Build();
+  network.topics = TopicModel(1, 1);
+  network.influence = InfluenceGraphBuilder(0).Build();
+  return network;
+}
+
+TEST(RrIndexDeathTest, BuildOverNoVerticesDies) {
+  const SocialNetwork n = EmptyNetwork();
+  RrIndex index(n, DenseOptions());
+  EXPECT_DEATH(index.Build(), "network with no vertices");
+}
+
+TEST(DelayMatDeathTest, BuildOverNoVerticesDies) {
+  const SocialNetwork n = EmptyNetwork();
+  DelayMatIndex delay(n, DenseOptions());
+  EXPECT_DEATH(delay.Build(), "network with no vertices");
+}
+
 TEST(DelayMatDeathTest, EstimateBeforeBuildDies) {
   SocialNetwork n = MakeRunningExample();
   DelayMatIndex delay(n, DenseOptions());
