@@ -273,11 +273,14 @@ void BM_IndexEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexEstimate);
 
-// Where sketch `rr`'s block starts: its varint header of n << 4 and four
-// flags (1 byte while n <= 7, 2 while n <= 1,023) comes right before its
-// vertices.
-const std::byte* BlockStart(const RRView& rr) {
-  return rr.vertices.data() - VarintLength(uint64_t{rr.vertices.size()} << 4);
+// Where sketch `rr`'s block starts: its varint header of n << 1 and the
+// in-tree flag (1 byte while n <= 63), and the varint of m in a block
+// that is not an in-tree, come right before its vertices.
+const uint8_t* BlockStart(const RRView& rr) {
+  const bool in_tree = rr.offsets.data == nullptr;
+  return rr.vertices.ids().data -
+         VarintLength(uint64_t{rr.vertices.size()} << 1 | in_tree) -
+         (in_tree ? 0 : VarintLength(rr.edges.size()));
 }
 
 // True for an implicit singleton, which has no block: its directory word
@@ -290,17 +293,16 @@ bool IsSingleton(const RRView& rr) {
 // touch: its directory word (2 or 4 bytes, never across a line) and, for
 // an explicit sketch, its group's 4-byte base in the directory's base
 // array and its block, which runs without gaps from its header through
-// the last of its m records of edge width + 4 bytes; an in-tree block
-// has no offsets in between. Lines are counted from `body`, the pool's
-// first block, as if the body started a line, so the count does not
-// depend on where the heap placed the body.
-uint64_t PoolLines(const RRView& rr, const std::byte* body) {
+// the byte of the last bit of its m records; an in-tree block has no
+// offsets in between. Lines are counted from `body`, the pool's first
+// block, as if the body started a line, so the count does not depend on
+// where the heap placed the body.
+uint64_t PoolLines(const RRView& rr, const uint8_t* body) {
   if (IsSingleton(rr)) return 1;
-  const auto line = [body](const std::byte* p) {
+  const auto line = [body](const uint8_t* p) {
     return static_cast<uint64_t>(p - body) / 64;
   };
-  const std::byte* end =
-      rr.edges.data() + rr.edges.size() * (rr.edges.width() + sizeof(float));
+  const uint8_t* end = rr.edges.end_byte();
   return 2 + (line(end - 1) - line(BlockStart(rr)) + 1);  // word, base, block
 }
 
@@ -329,7 +331,7 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
     double edges_visited, pool_lines, containing_bytes;
   };
   static const Sweep sweep = [&n, &probs] {
-    const std::byte* body = nullptr;
+    const uint8_t* body = nullptr;
     for (size_t i = 0; body == nullptr && i < index->num_graphs(); ++i) {
       if (!IsSingleton(index->graph(i))) body = BlockStart(index->graph(i));
     }
@@ -358,6 +360,8 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
   state.counters["edges_visited"] = sweep.edges_visited;
   state.counters["pool_lines"] = sweep.pool_lines;
   state.counters["containing_bytes"] = sweep.containing_bytes;
+  // The swept index's exact footprint.
+  state.counters["pool_bytes"] = static_cast<double>(index->SizeBytes());
 }
 BENCHMARK(BM_IndexEstimateSweep);
 
@@ -482,6 +486,53 @@ void BM_BestEffortQuery(benchmark::State& state) {
       static_cast<double>(sets), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_BestEffortQuery)->Arg(2)->Arg(3);
+
+void BM_IndexEstPlusQuery(benchmark::State& state) {
+  // A best-effort IndexEst+ query (Sec. 6.2) through the engine facade,
+  // as pitexbench serves it: the frontier and Lemma-8 bounds over the
+  // pooled index's estimate, which walks the blocks of the sketches
+  // holding the user that its edge-cut filter keeps. One engine per k,
+  // its index built once; the queries cycle over a fixed list of users.
+  const auto& n = Network();
+  const auto k = static_cast<size_t>(state.range(0));
+  static std::vector<std::unique_ptr<PitexEngine>> engines(4);
+  if (engines[k] == nullptr) {
+    EngineOptions options;
+    options.method = Method::kIndexEstPlus;
+    options.eps = 0.7;
+    options.delta = 1000.0;
+    options.min_samples = 32;
+    options.max_samples = 512;
+    options.index_theta_per_vertex = 8.0;
+    options.seed = 7;
+    engines[k] = std::make_unique<PitexEngine>(&n, options);
+    engines[k]->BuildIndex();
+  }
+  PitexEngine& engine = *engines[k];
+  const std::vector<VertexId> users =
+      SampleUserGroup(n.graph, UserGroup::kHigh, 16, 1);
+  // Means over one pass of the users: sets_evaluated and edges_visited
+  // per query. Counted outside the timed loop: exact counts of the work
+  // a query does, where the time is noisy, and the same whatever the
+  // iteration count.
+  uint64_t sets = 0;
+  uint64_t edges = 0;
+  for (const VertexId user : users) {
+    const PitexResult r = engine.Explore({.user = user, .k = k});
+    sets += r.sets_evaluated;
+    edges += r.edges_visited;
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    const PitexResult r = engine.Explore({.user = users[next], .k = k});
+    benchmark::DoNotOptimize(r.influence);
+    next = (next + 1) % users.size();
+  }
+  const auto queries = static_cast<double>(users.size());
+  state.counters["sets_evaluated"] = static_cast<double>(sets) / queries;
+  state.counters["edges_visited"] = static_cast<double>(edges) / queries;
+}
+BENCHMARK(BM_IndexEstPlusQuery)->Arg(2)->Arg(3);
 
 void BM_SerializeRrIndex(benchmark::State& state) {
   static RrIndex* index = [] {

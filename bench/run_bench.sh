@@ -7,21 +7,24 @@
 #   bench/run_bench.sh [output.json] [--compare baseline.json] [extra args...]
 #
 # --compare diffs the fresh run against a baseline BENCH_micro.json.
-# Times (mean-aggregate real_time per benchmark) are report-only: a
+# Times (mean-aggregate real_time per benchmark) stay report-only: a
 # regression above 25% is flagged, never failed on, as shared-runner
 # timings are noisy. Exact work counters (pool_lines, containing_bytes,
-# file_bytes, edges_visited) print as baseline -> current, and a rise in
-# any of them on BM_IndexEstimateSweep, BM_SerializeRrIndex or
-# BM_LoadRrIndex exits 1: counts need no repeats and no quiet host. A
-# change that means to move a count regenerates the baseline. The
+# pool_bytes, file_bytes, edges_visited, sets_evaluated) print as
+# baseline -> current, and a rise in any of them on
+# BM_IndexEstimateSweep, BM_IndexEstPlusQuery, BM_SerializeRrIndex or
+# BM_LoadRrIndex fails the run (exit 1), and so the CI job: counts need
+# no repeats and no quiet host. A change that means to move a count
+# regenerates the baseline. The
 # baseline is snapshotted before the run, so comparing against the
 # output path itself ("how does this commit compare to the committed
 # numbers?") works. The comparison table is also written to
 # <output>.compare.txt next to the JSON (the release-bench CI job
 # uploads both as artifacts).
 #
-# The suite covers the query-side micro benchmarks plus the offline
-# pipeline: BM_IndexBuild (generation into per-slot runs finished by
+# The suite covers the query-side micro benchmarks (BM_IndexEstPlusQuery
+# times the best-effort IndexEst+ query pitexbench serves) plus the
+# offline pipeline: BM_IndexBuild (generation into per-slot runs finished by
 # FromRuns, per-thread sweep), BM_SnapshotPublish (serve-mode epoch
 # freeze, empty vs populated overlay), BM_DynamicRepairSingleEdge and
 # BM_ApplyUpdatesBatch (one 4-update batch on the dblp analog the
@@ -102,8 +105,10 @@ import json
 import sys
 
 REGRESSION_PCT = 25.0
-COUNTERS = ("pool_lines", "containing_bytes", "file_bytes", "edges_visited")
-GATED = ("BM_IndexEstimateSweep", "BM_SerializeRrIndex", "BM_LoadRrIndex")
+COUNTERS = ("pool_lines", "containing_bytes", "pool_bytes", "file_bytes",
+            "edges_visited", "sets_evaluated")
+GATED = ("BM_IndexEstimateSweep", "BM_IndexEstPlusQuery",
+         "BM_SerializeRrIndex", "BM_LoadRrIndex")
 
 def means(path):
     with open(path) as f:

@@ -13,7 +13,8 @@ DelayMatIndex::DelayMatIndex(const SocialNetwork& network,
     : network_(network),
       options_(options),
       counts_(network.num_vertices(), 0),
-      query_rng_(options.seed ^ 0xd1b54a32d192ed03ULL) {
+      query_rng_(options.seed ^ 0xd1b54a32d192ed03ULL),
+      cached_graphs_(network.num_vertices(), network.num_edges()) {
   RrIndex sizing(network, options);  // reuse theta policy
   theta_ = sizing.theta();
 }

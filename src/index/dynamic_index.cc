@@ -42,7 +42,9 @@ const char* InvalidUpdateReason(const EdgeInfluenceUpdate& update,
 
 DynamicRrIndex::DynamicRrIndex(const SocialNetwork& network,
                                const RrIndexOptions& options)
-    : network_(network), options_(options) {
+    : network_(network),
+      options_(options),
+      repaired_(network.num_vertices(), network.num_edges()) {
   if (options_.theta_override > 0) {
     theta_ = options_.theta_override;
   } else {
@@ -60,7 +62,7 @@ DynamicRrIndex::DynamicRrIndex(const SocialNetwork& network,
 
 void DynamicRrIndex::ResetBase(std::shared_ptr<const RrSketchPool> base) {
   base_ = std::move(base);
-  overlay_ = std::make_shared<RrSketchOverlay>(base_->containing_k());
+  overlay_ = std::make_shared<RrSketchOverlay>(*base_);
   view_ = RrIndex::FromPool(network_, options_, theta_, base_, overlay_);
 }
 
@@ -163,7 +165,7 @@ void DynamicRrIndex::Compact() {
   if (overlay_->empty()) return;
   ++stats_.compactions;
   ResetBase(std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
-      theta_, network_.num_vertices(),
+      theta_, network_.num_vertices(), network_.num_edges(),
       [this](size_t i) { return view_->graph(i); })));
 }
 

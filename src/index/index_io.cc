@@ -16,16 +16,18 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v8's RR-Graph payload is the RrSketchPool image: its directory's word
+// v9's RR-Graph payload is the RrSketchPool image: its directory's word
 // width and words (not its bases, which the loader derives) and its body
-// bytes as they are, each sketch's edge records inside its block, and an
-// in-tree block's CSR offsets left out. (v1, one record per graph, v2, a
-// wire format of per-sketch CSRs packed into a pool on load, v3, whose
-// edge records were a third array, v4, whose blocks kept every vertex at
-// 4 bytes, v5, whose body was word-padded u32 words with 4-byte headers
-// and edge ids, v6, whose blocks all stored their offsets, and v7, whose
-// directory held a u32 per sketch, are no longer read.)
-constexpr uint32_t kVersionCurrent = 8;
+// bytes as they are stored, padding included: each sketch's block of
+// bit-granular fields at the widths its network and its own vertex count
+// call for, an in-tree block's CSR offsets left out. (v1, one record per
+// graph, v2, a wire format of per-sketch CSRs packed into a pool on load,
+// v3, whose edge records were a third array, v4, whose blocks kept every
+// vertex at 4 bytes, v5, whose body was word-padded u32 words with
+// 4-byte headers and edge ids, v6, whose blocks all stored their
+// offsets, v7, whose directory held a u32 per sketch, and v8, whose
+// blocks stored whole bytes per field, are no longer read.)
+constexpr uint32_t kVersionCurrent = 9;
 constexpr uint8_t kKindRrGraphs = 1;
 constexpr uint8_t kKindDelayMat = 2;
 
@@ -159,6 +161,7 @@ class IndexIo {
     if (index.repairs() != nullptr) {
       packed = RrSketchPool::Pack(
           index.num_graphs(), index.num_vertices(),
+          index.network_.num_edges(),
           [&index](size_t i) { return index.graph(i); });
     }
     const RrSketchPool& pool = packed ? *packed : *index.pool_;
@@ -248,13 +251,14 @@ class IndexIo {
     RrSketchPool pool;
     // The estimator divides by theta: the directory holds exactly theta
     // words of 2 or 4 bytes. Block offsets fit 31 bits, so the body
-    // holds at most 2^31 bytes.
+    // holds at most 2^31 bytes of blocks and then its padding.
     uint8_t width = 0;
     std::vector<uint8_t> words;
     if (!reader.ReadU8(&width) || (width != 2 && width != 4) ||
         !reader.ReadVector(&words, theta * width) ||
         words.size() != theta * width ||
-        !reader.ReadVector(&pool.body_, uint64_t{1} << 31)) {
+        !reader.ReadVector(&pool.body_,
+                           (uint64_t{1} << 31) + kBitPadding)) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");
       return nullptr;
     }

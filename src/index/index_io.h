@@ -14,7 +14,7 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 8 is the only version read or written; a v1 to v7 header is
+// Version 9 is the only version read or written; a v1 to v8 header is
 // refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
 // image (src/index/rr_sketch_pool.h):
 //
@@ -27,13 +27,17 @@
 // less its group's base. The bases, one per 64 sketches, are not saved:
 // the loader derives each as the offset where the next block must start
 // when its walk reaches the group's first sketch. A file takes 2-byte
-// words unless some root or offset needs bit 15 or above. Each explicit
-// sketch is one block of the body, with no padding: a varint header (n,
-// three width flags and the in-tree flag), its vertices at 2 or 4
-// bytes, its packed local ids at 1 or 4 (the root id, the CSR offsets
-// unless the block is an in-tree, the heads), then its records, each an
-// edge id at 3 or 4 bytes and a threshold f32. A directory whose length
-// is not theta words is kCorruptPayload.
+// words unless some root or offset needs bit 15 or above. The body is
+// stored as the pool holds it: each explicit sketch is one block, a
+// varint header (n and the in-tree flag, and m for a block that is not
+// an in-tree) and then bit-granular fields to the next byte: its
+// vertices at bit_width(|V| - 1) bits, its root id and heads at
+// bit_width(n - 1), its CSR offsets at bit_width(m) unless the block is
+// an in-tree, and its records, each an edge id at bit_width(|E| - 1)
+// bits and a threshold's f32 bits at 30. |V| and |E| are the network's
+// the file is loaded against, so the file names no width. Seven zero
+// bytes of padding end a body with blocks. A directory whose length is
+// not theta words is kCorruptPayload.
 //
 // An index with repairs saves as its compaction (RrSketchPool::Pack of
 // its sketch views). The containing index is not stored: the loader
@@ -42,9 +46,9 @@
 // word is its block's start less its base, 4-byte words only where some
 // word needs them, an in-tree block's parents all lead to its root), so
 // a file that loads saves back to the same bytes. A change to the
-// pool's layout is a new version. The directory's words and the body's
-// multi-byte fields are stored in the host's byte order, so a file
-// reads back right only on a host of the writer's byte order.
+// pool's layout is a new version. The directory's words are stored in
+// the host's byte order, so a file reads back right only on a host of
+// the writer's byte order; the body's bits are little-endian.
 //
 // The fingerprint binds an index file to the network it was sampled
 // from: loading against a different graph (changed topology, edge count,

@@ -29,8 +29,8 @@ void DecomposeRRGraphInto(const RRView& rr,
 namespace {
 
 // Forward DFS from local vertex `start` over the edges live under
-// `probs`, stopping at `target`; instantiated per CSR form and id width
-// so the inner loop reads offsets and heads with no branch on either.
+// `probs`, stopping at `target`; instantiated per CSR form so the inner
+// loop reads offsets and heads with no branch on it.
 template <typename Csr>
 PITEX_NOALLOC bool WalkToRoot(const Csr& csr,
                               const EdgeRecords& edges,
@@ -87,8 +87,7 @@ PITEX_NOALLOC bool IsReachable(const RRView& rr, VertexId u,
   }
   const uint32_t epoch = scratch->epoch_;
 
-  // One dispatch on the CSR form and id width; the walk is instantiated
-  // per form and width.
+  // One dispatch on the CSR form; the walk is instantiated per form.
   uint64_t probes = 0;
   const bool found = rr.VisitCsr([&](const auto& csr) {
     return WalkToRoot(csr, rr.edges, *start, rr.root_local, probs, epoch,

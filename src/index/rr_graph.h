@@ -8,13 +8,16 @@
 // p(e|W) >= c(e) — so one offline sample serves every query user and
 // every tag set, and the spread is never underestimated (p(e) >= p(e|W)).
 //
-// Sketches have one representation: the pooled CSR-of-CSRs layout of
+// Sketches have one representation: the pooled layout of
 // src/index/rr_sketch_pool.h, where a single-vertex sketch is its root
-// in the directory and every other sketch's vertices are packed at 2 or
-// 4 bytes, its local ids (its root's among them) at 1 or 4 and its edge
-// ids at 3 or 4. An in-tree sketch, whose root has no out-edge and
-// every other vertex exactly one, stores no CSR offsets: they follow
-// from the root's local id (TreeCsr).
+// in the directory and every other sketch is one block of bit-granular
+// fields: its vertices at the width the network's vertex count calls
+// for, its local ids (its root's among them) at the width its own
+// vertex count calls for, and its edge records, each an edge id at the
+// width the network's edge count calls for and a 30-bit threshold. An
+// in-tree sketch, whose root has no out-edge and every other vertex
+// exactly one, stores no CSR offsets: they follow from the root's local
+// id (TreeCsr).
 // SketchArena (src/index/sketch_arena.h) assembles every sketch straight
 // into a pool run: the offline build, DynamicRrIndex repair, DelayMat
 // recovery and the query planner's probes. RRView is the non-owning
@@ -26,52 +29,56 @@
 #ifndef PITEX_SRC_INDEX_RR_GRAPH_H_
 #define PITEX_SRC_INDEX_RR_GRAPH_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "src/sampling/influence_estimator.h"
+#include "src/util/bits.h"
 #include "src/util/thread_annotations.h"
 
 namespace pitex {
 
 /// One edge of a sketch's local CSR out-adjacency. Its head (a local
-/// vertex index) is stored apart, in the sketch's packed id array. A
-/// pool block stores each record as the edge id at its block's edge
-/// width (3 or 4 bytes), then the threshold's bits, which only memcpy
-/// reads and writes (EdgeRecords, LocalCsrOut::set_edge).
+/// vertex index) is stored apart, in the sketch's heads. A pool block
+/// stores each record as the edge id at its pool's edge width, then the
+/// threshold's f32 bits at kThresholdBits (EdgeRecords, BlockWriter).
 struct RRLocalEdge {
   EdgeId edge;      // global EdgeId (for p(e|W) lookups)
   float threshold;  // c(e)
 };
-static_assert(sizeof(RRLocalEdge) == 8,
-              "an RRLocalEdge array is an array of width-4 records");
 
-/// Entry j of a packed array of T (uint8_t, uint16_t or uint32_t)
-/// starting at `data`. memcpy keeps the access defined whatever storage
-/// the bytes live in; it compiles to one narrow load.
-template <typename T>
-inline uint32_t LoadId(const std::byte* data, size_t j) {
-  T id;
-  std::memcpy(&id, data + j * sizeof(T), sizeof(T));
-  return id;
-}
+/// A threshold c(e) lies in [0, 1], so its f32 bits are at most those
+/// of 1.0f and fit 30 bits: a record stores those 30.
+inline constexpr uint32_t kThresholdBits = 30;
+inline constexpr uint32_t kMaxThresholdBits = 0x3F800000;  // 1.0f
 
-/// One sketch's local CSR (n + 1 offsets, m edge heads) read at a fixed
-/// id width T: what a walk instantiated per width reads, with no
-/// per-edge width branch.
-template <typename T>
+/// Entries of `bits` bits each (at most 32), packed from bit `first` of
+/// `data`: entry j is one shifted 8-byte load and a mask. A pool block's
+/// fields take fewer than 2^32 bits, so every entry's bit fits 32 bits.
+struct PackedIds {
+  const uint8_t* data = nullptr;
+  uint32_t first = 0;
+  uint32_t bits = 0;
+
+  uint32_t operator[](size_t j) const {
+    return static_cast<uint32_t>(
+               LoadBits(data, first + bits * static_cast<uint32_t>(j))) &
+           static_cast<uint32_t>(LowMask(bits));
+  }
+};
+
+/// One sketch's local CSR (n + 1 offsets, m edge heads) as stored: what
+/// a walk instantiated per form reads.
 struct LocalCsr {
-  const std::byte* offsets;
-  const std::byte* heads;
+  PackedIds offsets;
+  PackedIds heads;
 
-  uint32_t offset(size_t j) const { return LoadId<T>(offsets, j); }
-  uint32_t head(size_t k) const { return LoadId<T>(heads, k); }
+  uint32_t offset(size_t j) const { return offsets[j]; }
+  uint32_t head(size_t k) const { return heads[k]; }
 };
 
 /// Local CSR offset j of an in-tree sketch rooted at local id
@@ -93,22 +100,20 @@ bool IsInTree(size_t n, uint32_t root_local, OffsetOf&& offset) {
 }
 
 /// The local CSR of an in-tree sketch: its offsets follow from the
-/// root's local id, and only its m = n - 1 edge heads are stored, at id
-/// width T. Readers take it as they take a LocalCsr.
-template <typename T>
+/// root's local id, and only its m = n - 1 edge heads are stored.
+/// Readers take it as they take a LocalCsr.
 struct TreeCsr {
   uint32_t root_local;
-  const std::byte* heads;
+  PackedIds heads;
 
   uint32_t offset(size_t j) const { return InTreeOffset(j, root_local); }
-  uint32_t head(size_t k) const { return LoadId<T>(heads, k); }
+  uint32_t head(size_t k) const { return heads[k]; }
 };
 
-/// A sketch's m edge records from `data`, each the edge id at `width`
-/// (3 or 4) bytes and then the threshold's f32 bits: a read-only range
-/// that copies each record out by value, so no RRLocalEdge lvalue
-/// aliases the bytes of a pool block. An RRLocalEdge array is the
-/// width-4 case.
+/// A sketch's m edge records, packed from bit `first` of `data`: each
+/// the edge id at `edge_bits` bits and then the threshold's low
+/// kThresholdBits bits. A read-only range that decodes each record by
+/// value.
 class EdgeRecords {
  public:
   class Iterator {
@@ -121,82 +126,85 @@ class EdgeRecords {
     using pointer = void;
 
     Iterator() = default;
-    RRLocalEdge operator*() const { return Load(at_, width_); }
+    RRLocalEdge operator*() const { return records_[at_]; }
     Iterator& operator++() {
-      at_ += width_ + sizeof(float);
+      ++at_;
       return *this;
     }
     Iterator operator++(int) {
       Iterator old = *this;
-      ++*this;
+      ++at_;
       return old;
     }
     bool operator==(const Iterator& other) const { return at_ == other.at_; }
 
    private:
     friend class EdgeRecords;
-    Iterator(const std::byte* at, uint32_t width) : at_(at), width_(width) {}
+    Iterator(const EdgeRecords& records, size_t at)
+        : records_{records.data_, records.first_, records.edge_bits_},
+          at_(at) {}
 
-    const std::byte* at_ = nullptr;
-    uint32_t width_ = sizeof(EdgeId);
+    // The records' fields, copied, so an iterator outlives its range.
+    struct Fields {
+      const uint8_t* data = nullptr;
+      uint32_t first = 0;
+      uint32_t edge_bits = 0;
+      RRLocalEdge operator[](size_t k) const {
+        return Load(data, first, edge_bits, k);
+      }
+    } records_;
+    size_t at_ = 0;
   };
 
   EdgeRecords() = default;
-  EdgeRecords(std::span<const RRLocalEdge> edges)  // NOLINT(runtime/explicit)
-      : EdgeRecords(reinterpret_cast<const std::byte*>(edges.data()),
-                    edges.size(), sizeof(EdgeId)) {}
-  EdgeRecords(const std::byte* data, size_t size, uint32_t width)
-      : data_(data), size_(size), width_(width) {}
+  EdgeRecords(PackedIds at, size_t size)
+      : data_(at.data), first_(at.first), edge_bits_(at.bits),
+        size_(static_cast<uint32_t>(size)) {}
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   RRLocalEdge operator[](size_t k) const {
-    return Load(data_ + k * (width_ + sizeof(float)), width_);
+    return Load(data_, first_, edge_bits_, k);
   }
-  Iterator begin() const { return {data_, width_}; }
-  Iterator end() const {
-    return {data_ + size_ * (width_ + sizeof(float)), width_};
-  }
-  /// Bytes per edge id: 3 or 4.
-  uint32_t width() const { return width_; }
-  /// The first record's first byte.
-  const std::byte* data() const { return data_; }
-
-  /// Writes `edge` as the record at `at`, its id at `width` bytes: the
-  /// inverse of a read. The id's 4-byte store spills into the
-  /// threshold's first byte at width 3, which the threshold then
-  /// overwrites, so both stores stay fixed-size.
-  static void Store(std::byte* at, uint32_t width, RRLocalEdge edge) {
-    const uint32_t raw = std::endian::native == std::endian::little
-                             ? edge.edge
-                             : edge.edge << (32 - 8 * width);
-    std::memcpy(at, &raw, sizeof(raw));
-    std::memcpy(at + width, &edge.threshold, sizeof(edge.threshold));
+  Iterator begin() const { return {*this, 0}; }
+  Iterator end() const { return {*this, size_}; }
+  /// Bits per edge id.
+  uint32_t edge_bits() const { return edge_bits_; }
+  /// Where the records end: the byte after their last bit's.
+  const uint8_t* end_byte() const {
+    return data_ +
+           (first_ + uint64_t{edge_bits_ + kThresholdBits} * size_ + 7) / 8;
   }
 
  private:
-  /// The record at `at`: a 4-byte load covers the id (and, at width 3,
-  /// the threshold's first byte, which the shift or mask drops).
-  static RRLocalEdge Load(const std::byte* at, uint32_t width) {
-    uint32_t raw;
-    std::memcpy(&raw, at, sizeof(raw));
+  static RRLocalEdge Load(const uint8_t* data, uint32_t first,
+                          uint32_t edge_bits, size_t k) {
+    const uint32_t stride = edge_bits + kThresholdBits;
+    const uint32_t pos = first + stride * static_cast<uint32_t>(k);
+    const uint64_t word = LoadBits(data, pos);
+    // One load holds the whole record while it fits the window: up to
+    // 27-bit edge ids.
+    const uint64_t threshold = stride <= kBitWindow
+                                   ? word >> edge_bits
+                                   : LoadBits(data, pos + edge_bits);
     RRLocalEdge edge;
-    edge.edge = std::endian::native == std::endian::little
-                    ? raw & (UINT32_MAX >> (32 - 8 * width))
-                    : raw >> (32 - 8 * width);
-    std::memcpy(&edge.threshold, at + width, sizeof(edge.threshold));
+    edge.edge = static_cast<EdgeId>(word & LowMask(edge_bits));
+    const auto bits =
+        static_cast<uint32_t>(threshold & LowMask(kThresholdBits));
+    std::memcpy(&edge.threshold, &bits, sizeof(bits));
     return edge;
   }
 
-  const std::byte* data_ = nullptr;
-  size_t size_ = 0;
-  uint32_t width_ = sizeof(EdgeId);
+  const uint8_t* data_ = nullptr;
+  uint32_t first_ = 0;
+  uint32_t edge_bits_ = 0;
+  uint32_t size_ = 0;
 };
 
-/// A sketch's sorted vertex ids, `width` (2 or 4) bytes each from
-/// `data`: a read-only range with random access by operator[] that
-/// loads each id by value, so no VertexId lvalue aliases the bytes of a
-/// pool block. A span of VertexId is the width-4 case.
+/// A sketch's sorted vertex ids: `base` plus entries of a PackedIds. A
+/// pool block stores its vertices at its pool's vertex width with base
+/// 0; an implicit singleton's one vertex is its base, at width 0. A
+/// read-only range with random access by operator[].
 class VertexIds {
  public:
   class Iterator {
@@ -209,7 +217,7 @@ class VertexIds {
     using pointer = void;
 
     Iterator() = default;
-    VertexId operator*() const { return Load(data_, width_, at_); }
+    VertexId operator*() const { return base_ + ids_[at_]; }
     Iterator& operator++() {
       ++at_;
       return *this;
@@ -223,116 +231,104 @@ class VertexIds {
 
    private:
     friend class VertexIds;
-    Iterator(const std::byte* data, uint32_t width, size_t at)
-        : data_(data), at_(at), width_(width) {}
+    Iterator(const VertexIds& ids, size_t at)
+        : ids_(ids.ids_), base_(ids.base_), at_(at) {}
 
-    const std::byte* data_ = nullptr;
+    // The ids' fields, copied, so an iterator outlives its range.
+    PackedIds ids_;
+    VertexId base_ = 0;
     size_t at_ = 0;
-    uint32_t width_ = sizeof(VertexId);
   };
 
   VertexIds() = default;
-  VertexIds(std::span<const VertexId> ids)  // NOLINT(runtime/explicit)
-      : VertexIds(reinterpret_cast<const std::byte*>(ids.data()), ids.size(),
-                  sizeof(VertexId)) {}
-  VertexIds(const std::byte* data, size_t size, uint32_t width)
-      : data_(data), size_(static_cast<uint32_t>(size)), width_(width) {}
+  VertexIds(PackedIds ids, size_t size, VertexId base)
+      : ids_(ids), size_(static_cast<uint32_t>(size)), base_(base) {}
 
   size_t size() const { return size_; }
-  VertexId operator[](size_t j) const { return Load(data_, width_, j); }
-  VertexId back() const { return Load(data_, width_, size_ - 1); }
-  Iterator begin() const { return {data_, width_, 0}; }
-  Iterator end() const { return {data_, width_, size_}; }
-  /// Bytes per id: 2 or 4.
-  uint32_t width() const { return width_; }
-  /// The first id's first byte.
-  const std::byte* data() const { return data_; }
+  VertexId operator[](size_t j) const { return base_ + ids_[j]; }
+  VertexId back() const { return (*this)[size_ - 1]; }
+  Iterator begin() const { return {*this, 0}; }
+  Iterator end() const { return {*this, size_}; }
+  /// The stored ids, which base() adds to.
+  const PackedIds& ids() const { return ids_; }
+  VertexId base() const { return base_; }
 
-  /// Calls fn(id) for each id in order: one width dispatch, then a loop
-  /// at that width.
+  /// Calls fn(id) for each id in order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    if (width_ == 2) {
-      for (uint32_t j = 0; j < size_; ++j) fn(LoadId<uint16_t>(data_, j));
-    } else {
-      for (uint32_t j = 0; j < size_; ++j) fn(LoadId<uint32_t>(data_, j));
-    }
+    for (uint32_t j = 0; j < size_; ++j) fn((*this)[j]);
   }
 
-  /// Position of v, or nullopt if absent: one width dispatch, then a
-  /// binary search at that width.
+  /// Position of v, or nullopt if absent: a scan up to v in a sketch of
+  /// at most kScanIds ids (nearly every sketch), whose loads wait on no
+  /// compare, else a binary search.
   std::optional<uint32_t> LocalIndex(VertexId v) const {
-    return width_ == 2 ? Find<uint16_t>(v) : Find<uint32_t>(v);
-  }
-
- private:
-  static VertexId Load(const std::byte* data, uint32_t width, size_t j) {
-    return width == 2 ? LoadId<uint16_t>(data, j) : LoadId<uint32_t>(data, j);
-  }
-
-  template <typename T>
-  std::optional<uint32_t> Find(VertexId v) const {
+    if (size_ <= kScanIds) {
+      for (uint32_t j = 0; j < size_; ++j) {
+        const VertexId id = (*this)[j];
+        if (id >= v) {
+          if (id != v) break;
+          return j;
+        }
+      }
+      return std::nullopt;
+    }
     uint32_t lo = 0;
     for (uint32_t len = size_; len > 0;) {
       const uint32_t half = len / 2;
-      if (LoadId<T>(data_, lo + half) < v) {
+      if ((*this)[lo + half] < v) {
         lo += half + 1;
         len -= half + 1;
       } else {
         len = half;
       }
     }
-    if (lo == size_ || LoadId<T>(data_, lo) != v) return std::nullopt;
+    if (lo == size_ || (*this)[lo] != v) return std::nullopt;
     return lo;
   }
 
-  const std::byte* data_ = nullptr;
+ private:
+  static constexpr uint32_t kScanIds = 16;
+
+  PackedIds ids_;
   uint32_t size_ = 0;
-  uint32_t width_ = sizeof(VertexId);
+  VertexId base_ = 0;
 };
 
 /// Non-owning view of one reverse-reachable sample graph. Vertices are
 /// sorted; edges are a local CSR out-adjacency so tag-aware reachability
 /// is a forward BFS from the query user towards the root. The root is
 /// held as its local id, so the walk knows its target without a search.
-/// The local ids (offsets and heads) share one width: the narrowest, 1
-/// or 4 bytes, that holds the sketch's size (RrSketchPool::IdWidth).
-/// The vertices have a width of their own, 2 or 4 bytes
-/// (RrSketchPool::VertexWidth), and so do the edge records' ids, 3 or 4
-/// bytes (RrSketchPool::EdgeWidth). A view of an in-tree sketch (the
-/// root has no out-edge, every other vertex exactly one; nearly every
-/// pooled sketch) has no stored offsets: its offset_ids is null and
-/// its readers take a TreeCsr.
+/// Every field is read at the width its block stores it at (see
+/// src/index/rr_sketch_pool.h): the heads at bit_width(n - 1) bits, any
+/// offsets at bit_width(m), the vertices and edge ids at their pool's
+/// widths. A view of an in-tree sketch (the root has no out-edge, every
+/// other vertex exactly one; nearly every pooled sketch) has no stored
+/// offsets: its offsets' data is null and its readers take a TreeCsr.
 struct RRView {
-  uint32_t root_local = 0;                // local index of the root
-  uint32_t id_width = 4;                  // bytes per local id: 1 or 4
-  VertexIds vertices;                     // sorted ascending
-  const std::byte* offset_ids = nullptr;  // CSR over local tails, n + 1;
-                                          // null for an in-tree sketch
-  const std::byte* head_ids = nullptr;    // local head of each edge, m
-  EdgeRecords edges;                      // m
+  uint32_t root_local = 0;  // local index of the root
+  VertexIds vertices;       // sorted ascending
+  PackedIds offsets;        // CSR over local tails, n + 1; no data for an
+                            // in-tree sketch
+  PackedIds heads;          // local head of each edge, m
+  EdgeRecords edges;        // m
 
-  /// Calls fn(csr) with csr a TreeCsr<T> for an in-tree sketch, else a
-  /// LocalCsr<T>, T the view's id width, and returns its result: one
-  /// dispatch per sketch, so fn's loops are form- and width-specific.
-  /// Every reader of the offsets and heads goes through here.
+  /// Calls fn(csr) with csr a TreeCsr for an in-tree sketch, else a
+  /// LocalCsr, and returns its result: one dispatch per sketch, so fn's
+  /// loops are form-specific. Every reader of the offsets and heads
+  /// goes through here.
   template <typename Fn>
   decltype(auto) VisitCsr(Fn&& fn) const {
-    if (offset_ids == nullptr) {
-      if (id_width == 1) return fn(TreeCsr<uint8_t>{root_local, head_ids});
-      return fn(TreeCsr<uint32_t>{root_local, head_ids});
-    }
-    if (id_width == 1) return fn(LocalCsr<uint8_t>{offset_ids, head_ids});
-    return fn(LocalCsr<uint32_t>{offset_ids, head_ids});
+    if (offsets.data == nullptr) return fn(TreeCsr{root_local, heads});
+    return fn(LocalCsr{offsets, heads});
   }
 
   /// True when the sketch is an in-tree (IsInTree), whether or not its
   /// offsets are stored.
   bool InTree() const {
-    return offset_ids == nullptr || VisitCsr([this](const auto& csr) {
-             return IsInTree(vertices.size(), root_local,
-                             [&csr](size_t j) { return csr.offset(j); });
-           });
+    return offsets.data == nullptr ||
+           IsInTree(vertices.size(), root_local,
+                    [this](size_t j) { return offsets[j]; });
   }
 
   /// The root's global vertex id.

@@ -88,6 +88,9 @@ RrSketchPool SampleSketchPool(const Graph& graph,
     std::vector<RrSketchPool::Segment> segments;
   };
   std::vector<SlotState> state(slots);
+  for (SlotState& s : state) {
+    s.run = RrSketchPool(graph.num_vertices(), graph.num_edges());
+  }
   auto generate = [&](size_t slot, size_t i) {
     RrSketchPool& run = state[slot].run;
     std::vector<RrSketchPool::Segment>& open = state[slot].segments;
@@ -113,7 +116,8 @@ RrSketchPool SampleSketchPool(const Graph& graph,
     runs.push_back(std::move(s.run));
     all.insert(all.end(), s.segments.begin(), s.segments.end());
   }
-  return RrSketchPool::FromRuns(runs, all, theta, graph.num_vertices());
+  return RrSketchPool::FromRuns(runs, all, theta, graph.num_vertices(),
+                                graph.num_edges());
 }
 
 void RrIndex::Build(ThreadPool* pool) {

@@ -1,23 +1,37 @@
 #include "src/index/rr_sketch_pool.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/util/check.h"
 
 namespace pitex {
 
+RrSketchPool::RrSketchPool(uint64_t num_vertices, uint64_t num_edges) {
+  SetNetwork(num_vertices, num_edges);
+}
+
+void RrSketchPool::SetNetwork(uint64_t num_vertices, uint64_t num_edges) {
+  num_vertices_ = std::min<uint64_t>(num_vertices, kExplicit);
+  num_edges_ = std::min<uint64_t>(num_edges, uint64_t{1} << 32);
+  vertex_bits_ = IdBits(num_vertices_);
+  edge_bits_ = IdBits(num_edges_);
+}
+
 void RrSketchPool::Append(const RRView& sketch) {
   const size_t n = sketch.vertices.size();
   const size_t m = sketch.edges.size();
-  AppendBlock(sketch.root_local, sketch.vertices, m,
-              EdgeWidthOf(sketch.edges), sketch.InTree(),
-              [&](const auto& out) {
+  const bool in_tree = sketch.InTree();
+  AppendBlock(sketch.root_local, sketch.vertices, m, in_tree,
+              [&](BlockWriter& out) {
     sketch.VisitCsr([&](const auto& in) {
       PITEX_DCHECK(in.offset(n) == m);
-      for (size_t j = 0; j <= n; ++j) out.set_offset(j, in.offset(j));
-      for (size_t k = 0; k < m; ++k) out.set_head(k, in.head(k));
+      if (!in_tree) {
+        for (size_t j = 0; j <= n; ++j) out.PutOffset(in.offset(j));
+      }
+      for (size_t k = 0; k < m; ++k) out.PutHead(in.head(k));
     });
-    for (size_t k = 0; k < m; ++k) out.set_edge(k, sketch.edges[k]);
+    for (size_t k = 0; k < m; ++k) out.PutEdge(sketch.edges[k]);
   });
 }
 
@@ -44,13 +58,14 @@ uint64_t RrSketchPool::BodyStart(size_t i) const {
     const uint32_t flag = slots_.top_bit();
     if ((slot & flag) != 0) return slots_.base(i) + (slot & ~flag);
   }
-  return body_.size();
+  return BodyEnd();
 }
 
 RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
                                     std::span<const Segment> segments,
                                     uint64_t num_sketches,
-                                    size_t num_vertices) {
+                                    size_t num_vertices, size_t num_edges) {
+  RrSketchPool out(num_vertices, num_edges);
   // Each segment's slices of its run, put in sample order.
   struct Slice {
     uint64_t sample;
@@ -68,6 +83,11 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
                     "run segment out of range");
     if (seg.count == 0) continue;
     const RrSketchPool& run = runs[seg.run];
+    // The blocks are copied as they are, so each run's fields take the
+    // pool's widths.
+    PITEX_CHECK_MSG(run.num_vertices_ == out.num_vertices_ &&
+                        run.num_edges_ == out.num_edges_,
+                    "run samples a different network");
     slices.push_back({seg.sample, &run, seg.first, seg.count,
                       run.BodyStart(seg.first),
                       run.BodyStart(seg.first + seg.count), 0});
@@ -89,14 +109,13 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
   PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= kExplicit,
                   "sketch pool exceeds its directory words");
 
-  // Exact-size arrays, filled by appends (no zero-fill pass). A group's
-  // base is where the next block starts when the walk reaches the
-  // group's first sketch, so it waits for the next block's start (or the
-  // end of the body); a block's own group is resolved by the time its
-  // word is appended.
-  RrSketchPool out;
+  // Exact-size arrays, filled by appends (no zero-fill pass but the
+  // padding's). A group's base is where the next block starts when the
+  // walk reaches the group's first sketch, so it waits for the next
+  // block's start (or the end of the body); a block's own group is
+  // resolved by the time its word is appended.
   out.slots_.Reserve(num_sketches, 2);
-  out.body_.reserve(body);
+  out.body_.reserve(PaddedBytes(8 * body));
   std::vector<uint32_t>& bases = out.slots_.bases;
   size_t resolved = 0;  // bases[resolved ..] wait for a block's start
   for (const Slice& s : slices) {
@@ -118,15 +137,18 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
   for (; resolved < bases.size(); ++resolved) {
     bases[resolved] = static_cast<uint32_t>(body);
   }
+  if (body != 0) out.body_.resize(body + kBitPadding);
   out.BuildContaining(num_vertices);
   return out;
 }
 
 bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
-  // Every vertex id also stays below a wide directory word's top bit.
-  const uint64_t vertex_bound = std::min<uint64_t>(num_vertices, kExplicit);
+  SetNetwork(num_vertices, num_edges);
   const size_t s = num_sketches();
-  if (s >= UINT32_MAX || body_.size() > kExplicit) return false;
+  // The blocks, then their padding (none without a block).
+  if (!body_.empty() && body_.size() <= kBitPadding) return false;
+  const uint64_t end = BodyEnd();
+  if (s >= UINT32_MAX || end > kExplicit) return false;
   const uint32_t flag = slots_.top_bit();
   slots_.bases.reserve((s + GroupWords::kGroup - 1) / GroupWords::kGroup);
   uint64_t body = 0;      // where the next block must start
@@ -134,13 +156,26 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
   uint64_t max_singleton = 0;
   uint64_t max_offset = 0;
   std::vector<uint8_t> marks;  // ParentsReachRoot's scratch
+  // A varint inside the blocks of at most 32 bits (View reads it as a
+  // u32) in no more bytes than its value needs; false if there is none.
+  const auto varint = [&](uint64_t* at, uint64_t* value) {
+    *value = 0;
+    const uint64_t first = *at;
+    for (unsigned shift = 0;; shift += 7) {
+      if (*at == end || shift > 28) return false;
+      const uint8_t byte = body_[(*at)++];
+      *value |= uint64_t{byte & 0x7fu} << shift;
+      if (byte < 0x80) break;
+    }
+    return *value <= UINT32_MAX && *at - first == VarintLength(*value);
+  };
   for (size_t i = 0; i < s; ++i) {
     if (i % GroupWords::kGroup == 0) {
       slots_.bases.push_back(static_cast<uint32_t>(body));
     }
     const uint32_t slot = slots_.word(i);
     if ((slot & flag) == 0) {
-      if (slot >= vertex_bound) return false;
+      if (slot >= num_vertices_) return false;
       max_singleton = std::max<uint64_t>(max_singleton, slot);
       ++vertices;
       continue;
@@ -148,60 +183,38 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
     const uint64_t offset = body - slots_.base(i);
     if ((slot & ~flag) != offset) return false;
     max_offset = std::max(max_offset, offset);
-    // The header: a varint inside the body, of at most 32 bits (View
-    // reads it as a u32) and at least one vertex.
+    // The header, and the edge count of a block that is not an in-tree:
+    // they size the block, which must fit before the padding. A
+    // one-vertex edgeless sketch is a singleton, not a block.
+    uint64_t at = body;
     uint64_t header = 0;
-    uint64_t header_bytes = 0;
-    for (unsigned shift = 0;; shift += 7) {
-      if (body + header_bytes == body_.size() || shift > 28) return false;
-      const uint8_t byte = body_[body + header_bytes++];
-      header |= uint64_t{byte & 0x7fu} << shift;
-      if (byte < 0x80) break;
-    }
-    const uint64_t n = header >> kHeaderFlagBits;
-    if (header > UINT32_MAX || n == 0) return false;
+    if (!varint(&at, &header)) return false;
+    const uint64_t n = header >> 1;
     const bool in_tree = (header & kInTree) != 0;
-    const uint64_t width = (header & kIdsWide) != 0 ? 4 : 1;
-    const uint64_t vertex_width = (header & kVerticesWide) != 0 ? 4 : 2;
-    const uint64_t edge_width = (header & kEdgesWide) != 0 ? 4 : 3;
-    // The vertices, root id and any offsets: what sizes the block.
-    const uint64_t left = body_.size() - body - header_bytes;
-    if (left < RegionBytes(n, 0, vertex_width, width, in_tree)) return false;
-    const auto* region =
-        reinterpret_cast<const std::byte*>(body_.data() + body + header_bytes);
-    const std::byte* ids = region + n * vertex_width;
-    // An in-tree has n - 1 edges; otherwise the last offset counts them.
-    const uint64_t m = in_tree      ? n - 1
-                       : width == 1 ? LoadId<uint8_t>(ids, n + 1)
-                                    : LoadId<uint32_t>(ids, n + 1);
-    const uint64_t length = RegionBytes(n, m, vertex_width, width, in_tree) +
-                            m * (edge_width + 4);
-    if (left < length) return false;
+    uint64_t m = n - 1;
+    if (n == 0 || (!in_tree && !varint(&at, &m))) return false;
+    const uint64_t length = BodyLength(n, m, in_tree);
+    if (length == 0 || length > end - body ||
+        FieldBits(n, m, in_tree) > UINT32_MAX) {
+      return false;
+    }
     const RRView view = View(i);
-    // The block is what AppendBlock writes for its own data: its header
-    // holds n, the widths that data calls for and the in-tree flag
-    // exactly when its offsets are an in-tree's, in no more bytes than
-    // the value needs, and a one-vertex edgeless sketch is a singleton,
-    // not a block. (The last vertex is the largest once the loop below
-    // finds the vertices sorted.)
-    const uint32_t canonical_vertex_width = VertexWidth(view.vertices.back());
-    const uint32_t canonical_edge_width = EdgeWidthOf(view.edges);
-    const bool canonical_in_tree = view.InTree();
-    if (header != BlockHeader(n, m, canonical_vertex_width,
-                              canonical_edge_width, canonical_in_tree) ||
-        header_bytes + length != BodyLength(n, m, canonical_vertex_width,
-                                            canonical_edge_width,
-                                            canonical_in_tree)) {
+    // The bits after the last field, to the block's end, are zero.
+    const uint64_t bits = FieldBits(n, m, in_tree);
+    if ((bits & 7) != 0 && (body_[body + length - 1] >> (bits & 7)) != 0) {
       return false;
     }
     for (uint64_t j = 0; j < n; ++j) {
-      if (view.vertices[j] >= vertex_bound ||
+      if (view.vertices[j] >= num_vertices_ ||
           (j > 0 && view.vertices[j] <= view.vertices[j - 1])) {
         return false;
       }
     }
+    // The in-tree flag is set exactly when the offsets are an in-tree's:
+    // a block of an in-tree's shape stored with offsets fails.
+    if (view.root_local >= n || (!in_tree && view.InTree())) return false;
     const bool csr_ok = view.VisitCsr([&](const auto& csr) {
-      if (view.root_local >= n || csr.offset(0) != 0) return false;
+      if (csr.offset(0) != 0 || csr.offset(n) != m) return false;
       for (uint64_t j = 0; j < n; ++j) {
         if (csr.offset(j) > csr.offset(j + 1)) return false;
       }
@@ -211,19 +224,22 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
       return true;
     });
     if (!csr_ok || (in_tree && !ParentsReachRoot(view, &marks))) return false;
-    // Every sampler writes 0 <= c(e) <= p(e) <= 1. A NaN or negative
-    // threshold would make the edge live under every tag set, one above
-    // 1 dead under all.
+    // Every sampler writes 0 <= c(e) <= p(e) <= 1, and 30 bits hold no
+    // NaN or negative threshold; one above 1 would make the edge dead
+    // under every tag set.
     for (const RRLocalEdge e : view.edges) {
-      if (e.edge >= num_edges || !(e.threshold >= 0 && e.threshold <= 1)) {
+      if (e.edge >= num_edges_ ||
+          std::bit_cast<uint32_t>(e.threshold) > kMaxThresholdBits) {
         return false;
       }
     }
     vertices += n;
-    body += header_bytes + length;
+    body += length;
   }
-  if (body != body_.size() || vertices > UINT32_MAX ||
-      slots_.width() != DirectoryWidth(max_singleton, max_offset)) {
+  if (body != end || vertices > UINT32_MAX ||
+      slots_.width() != DirectoryWidth(max_singleton, max_offset) ||
+      !std::all_of(body_.begin() + static_cast<std::ptrdiff_t>(end),
+                   body_.end(), [](uint8_t byte) { return byte == 0; })) {
     return false;
   }
   BuildContaining(num_vertices);
@@ -283,9 +299,9 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
     containing_starts_.Push(
         static_cast<uint32_t>(start[v] - containing_starts_.base(v)));
   }
-  containing_.assign(RiceBytes(bits), 0);
-  RiceWriter writer(containing_.data());
-  for (size_t v = 0; v < num_vertices; ++v) writer.PutList(list(v), k);
+  containing_.assign(PaddedBytes(bits), 0);
+  BitWriter writer(containing_.data());
+  for (size_t v = 0; v < num_vertices; ++v) PutRiceList(list(v), k, &writer);
   [[maybe_unused]] const uint64_t written = writer.Finish();
   PITEX_DCHECK(written == bits);
   containing_k_ = k;
@@ -310,9 +326,9 @@ void RrSketchOverlay::SetContaining(VertexId u,
                                     std::span<const uint32_t> ids) {
   CodedList& list = containing_[u];
   list.bits = RiceListBits(ids, containing_k_);
-  list.bytes.assign(RiceBytes(list.bits), 0);
-  RiceWriter writer(list.bytes.data());
-  writer.PutList(ids, containing_k_);
+  list.bytes.assign(PaddedBytes(list.bits), 0);
+  BitWriter writer(list.bytes.data());
+  PutRiceList(ids, containing_k_, &writer);
   writer.Finish();
 }
 

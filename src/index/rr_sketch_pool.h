@@ -10,8 +10,8 @@
 // RRViews, and answers Containing(u) from one exact-size bit array — no
 // per-sketch or per-vertex heap objects at all, and SizeBytes() is O(1).
 //
-// Layout for sketch i (n_i vertices, m_i edges), with no padding
-// anywhere, and every total checked to fit:
+// Layout for sketch i (n_i vertices, m_i edges), every total checked to
+// fit:
 //   slots_           the directory, two levels (GroupWords): one u32
 //                    base per group of 64 sketches, the byte offset in
 //                    body_ where the next block starts when sketch 64g
@@ -23,48 +23,48 @@
 //                    and each block's start less its base are below
 //                    2^15, else every word takes 4 (flag bit 31)
 //   body_[start ..]  a header, the LEB128 varint (PutVarint) of
-//                    n_i << 4 | in-tree << 3 |
-//                    edge ids wide << 2 | vertices wide << 1 |
-//                    ids wide: one byte while n_i <= 7, two while
-//                    n_i <= 1,023; then the n_i sorted vertex ids at
-//                    v_i bytes each, then the root's local id, the
-//                    n_i + 1 local CSR offsets (0 .. m_i) unless the
-//                    block is an in-tree, and the m_i local edge heads
-//                    at w_i bytes each; then the m_i records of
-//                    e_i + 4 bytes, the edge id at e_i bytes and the
-//                    threshold's bits
-// A sketch's walk therefore reads its directory word, its group's base
-// (a 12.5 KB array for 200,000 sketches) and one block. On pitexbench's
-// network the largest singleton root is 24,999 and the largest block
-// start less its base 1,713 B, so the directory takes 2-byte words.
+//                    n_i << 1 | in-tree (one byte while n_i <= 63), and
+//                    for a block that is not an in-tree a second varint,
+//                    m_i; then bit-granular fields, LSB-first from the
+//                    next byte (src/util/bits.h): the n_i sorted vertex
+//                    ids at V bits each, the root's local id at
+//                    L_i = bit_width(n_i - 1) bits, the n_i + 1 local
+//                    CSR offsets (0 .. m_i) at bit_width(m_i) bits
+//                    unless the block is an in-tree, the m_i local edge
+//                    heads at L_i bits, and the m_i records, each the
+//                    edge id at E bits and the threshold's f32 bits at
+//                    30 (kThresholdBits: a threshold in [0, 1] has bits
+//                    <= 0x3F800000); then zero bits to the next byte
+//   body_[end ..]    kBitPadding zero bytes after the last block, so
+//                    every field is one shifted 8-byte load (LoadBits)
+// V = bit_width(|V| - 1) and E = bit_width(|E| - 1) are the pool's, set
+// from the network it samples (its vertex and edge counts) when it is
+// constructed or loaded, with no option: on pitexbench's network
+// (25,000 vertices, 297,497 edges) V = 15 and E = 19, and a record takes
+// 49 bits. L_i is the block's own: 3 bits for a block of 5 to 8
+// vertices. A sketch's walk therefore reads its directory word, its
+// group's base (a 12.5 KB array for 200,000 sketches) and one block. On
+// pitexbench's network the largest singleton root is 24,999 and the
+// largest block start less its base 1,460 B, so the directory takes
+// 2-byte words.
 // An *in-tree* block is one whose CSR gives the root no out-edge and
 // every other vertex exactly one (IsInTree): m_i = n_i - 1 and offset j
 // is j, less one past the root (InTreeOffset), so the block stores no
 // offsets and its view hands readers a TreeCsr. On pitexbench's network
-// all but 5 of the 85,966 blocks are in-trees. Like the widths, the
-// form is chosen from the block's own data, and a block of an in-tree's
-// shape is never stored with offsets.
+// all but 5 of the 85,966 blocks are in-trees. The form is chosen from
+// the block's own data, and a block of an in-tree's shape is never
+// stored with offsets.
 // Vertex ids and block offsets fit 31 bits, so the body holds at most
-// 2 GiB. All three widths are chosen from the block's own data, with no
-// option. w_i is 1 byte while the block's local ids fit one (IdWidth:
-// n_i <= 256 and m_i <= 255), else 4; v_i is 2 bytes while its largest
-// vertex fits 16 bits (VertexWidth), else 4; e_i is 3 bytes while its
-// largest edge id fits 24 bits (EdgeWidth), else 4. On pitexbench's
-// network (25,000 vertices, 297,497 edges) every block takes 1, 2 and 3
-// bytes; a graph past 65,536 vertices or 2^24 edges keeps the wider
-// field in the blocks that reach beyond it. A view carries every width:
-// its CSR readers dispatch on the id width once per sketch
-// (RRView::VisitCsr), a vertex search on the vertex width once
-// (VertexIds::LocalIndex), and its records step by e_i + 4 bytes
-// (EdgeRecords).
+// 2 GiB, and a block's fields take fewer than 2^32 bits. Every field is
+// read at its width with the same load and mask (PackedIds,
+// EdgeRecords), so a view's readers take one of two CSR forms and no
+// width dispatch.
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has no block:
-// its directory word is its vertex, and View() serves its header and
-// root id from a static in-tree block, so the estimate walk over it
-// reads only its directory word. The static block reads the vertex at
-// 2 bytes while it fits them, so a graph whose vertices all fit 16
-// bits reads every sketch at one vertex width, and nearly every sketch
-// in one CSR form. A 2-byte word is exactly the 2-byte vertex.
+// its directory word is its vertex, and View() serves its header from a
+// static in-tree block whose vertex field is 0 bits wide, its vertex
+// the view's base (VertexIds), so the estimate walk over it reads only
+// its directory word.
 //
 // Containing lists, for vertex u:
 //   bits [start(u), start(u + 1)) of containing_
@@ -72,16 +72,16 @@
 // (ContainingList): the first id as itself, then each gap to the next
 // less 1 (the ids strictly ascend). A value x at parameter k is x >> k
 // one-bits, a zero, then the low k bits of x, LSB-first as in
-// little-endian 64-bit words; the array ends in 7 bytes of padding, so
-// the decoder's 8-byte loads stay inside it. One k serves the whole
-// pool, chosen from its own totals with no option: the log of the mean
-// gap, bit_width(floor(theta * |V| / occurrences)) - 1 (RiceParameter),
-// which bounds the lists at occurrences * (k + 3) bits. The gaps are
-// close to geometric, for which Rice coding at the mean is near the
-// entropy: on pitexbench's network (theta = 200,000, |V| = 25,000,
-// 454,185 ids) k = 13 and the lists take 14.8 bits per id, against
-// 17.4 for LEB128 gaps and 32 for a u32 list. An overlay codes its
-// replacement lists at its base pool's k, so one decoder reads both.
+// little-endian 64-bit words; the array ends in kBitPadding bytes of
+// padding, so the decoder's 8-byte loads stay inside it. One k serves
+// the whole pool, chosen from its own totals with no option: the log of
+// the mean gap, bit_width(floor(theta * |V| / occurrences)) - 1
+// (RiceParameter), which bounds the lists at occurrences * (k + 3) bits.
+// The gaps are close to geometric, for which Rice coding at the mean is
+// near the entropy: on pitexbench's network (theta = 200,000, |V| =
+// 25,000, 454,185 ids) k = 13 and the lists take 14.8 bits per id,
+// against 17.4 for LEB128 gaps and 32 for a u32 list. An overlay codes
+// its replacement lists at its base pool's k, so one decoder reads both.
 // The starts are bit offsets, stored in two levels like the directory:
 // start(u) is containing_starts_'s base for u's group of 64 vertices,
 // start(64g), plus u's word, at 2 bytes while every group's words fit
@@ -90,27 +90,30 @@
 // Both arrays use one two-level store, GroupWords, as FST stores its
 // succinct arrays: sparse absolute samples and narrow relative entries,
 // read in place. Each pool chooses each array's word width from its own
-// data, as each block chooses its widths, with no option.
+// data, with no option.
 //
 // Every pool is written one way: sketches are appended in this layout
-// (AppendSketch, which Append and the generator call) into exact-size
-// arrays, then the containing index is built once, serially. The
-// build's generator appends to *runs* — pools without a containing
-// index, one per worker slot — and FromRuns copies their segments, in
-// sample order, into the finished pool. Pack (compaction, saving an
-// index with repairs) sizes its arrays in one pass over its views and
-// appends straight into them. Every writer starts the directory at
-// 2-byte words and widens it once, in place, when a word first fails to
-// fit them (PushSlot); the widening doubles the words' room, so Pack's
-// and FromRuns' exact-size arrays stay exact. A loaded pool was written
-// this way before it was saved: the index loader (src/index/index_io.h)
-// reads the directory's words and the body back as they are, and
-// FinishLoaded derives the directory's bases and accepts the arrays
-// only if they are exactly what Pack writes for their own views. An
-// overlay's sketch store is a run that is never finished, and so are
-// the two other runs SketchArena writes: the one-sketch run DynamicRrIndex re-closes each repaired sketch
-// into before the overlay copies it, and the run of graphs DelayMat
-// recovers for its cached query user.
+// (AppendSketch, which Append and the generator call, each field put in
+// order through one BitWriter) into exact-size arrays, then the
+// containing index is built once, serially. The build's generator
+// appends to *runs* — pools without a containing index, one per worker
+// slot — and FromRuns copies their segments, in sample order, into the
+// finished pool. Pack (compaction, saving an index with repairs) sizes
+// its arrays in one pass over its views and appends straight into them.
+// Every writer starts the directory at 2-byte words and widens it once,
+// in place, when a word first fails to fit them (PushSlot); the widening
+// doubles the words' room, so Pack's and FromRuns' exact-size arrays
+// stay exact. A loaded pool was written this way before it was saved:
+// the index loader (src/index/index_io.h) reads the directory's words
+// and the body back as they are, and FinishLoaded derives the
+// directory's bases and accepts the arrays only if they are exactly what
+// Pack writes for their own views. An overlay's sketch store is a run
+// that is never finished, and so are the two other runs SketchArena
+// writes: the one-sketch run DynamicRrIndex re-closes each repaired
+// sketch into before the overlay copies it, and the run of graphs
+// DelayMat recovers for its cached query user. Every run takes its
+// network's widths, so FromRuns and the overlay copy blocks as they are
+// or re-encode views at them.
 //
 // A finished pool is immutable. DynamicRrIndex, which repairs
 // individual sketches, never mutates it: it shares one pool as its
@@ -134,15 +137,32 @@
 #include <vector>
 
 #include "src/index/rr_graph.h"
+#include "src/util/bits.h"
 #include "src/util/check.h"
 
 namespace pitex {
+
+/// Entry j of a packed array of T (uint16_t or uint32_t) starting at
+/// `data`. memcpy keeps the access defined whatever storage the bytes
+/// live in; it compiles to one narrow load.
+template <typename T>
+inline uint32_t LoadId(const std::byte* data, size_t j) {
+  T id;
+  std::memcpy(&id, data + j * sizeof(T), sizeof(T));
+  return id;
+}
 
 /// Writes entry j of a packed array of T: the inverse of LoadId.
 template <typename T>
 inline void StoreId(std::byte* data, size_t j, uint32_t id) {
   const auto narrow = static_cast<T>(id);
   std::memcpy(data + j * sizeof(T), &narrow, sizeof(T));
+}
+
+/// Bits a field takes that holds every id below `count`:
+/// bit_width(count - 1), and 0 when count <= 1.
+inline uint32_t IdBits(uint64_t count) {
+  return count <= 1 ? 0 : static_cast<uint32_t>(std::bit_width(count - 1));
 }
 
 /// Bytes the LEB128 varint of x takes: one per started group of seven
@@ -175,49 +195,48 @@ inline const uint8_t* GetVarint(const uint8_t* at, uint32_t* x) {
   return at;
 }
 
-/// The write side of LocalCsr: one pool block's packed offsets and heads
-/// at id width T, and its edge records at the block's edge width, as
-/// RrSketchPool::AppendSketch hands them to its fill. An in-tree block
-/// stores no offsets, so set_offset only checks the ones it is given.
-template <typename T>
-struct LocalCsrOut {
-  std::byte* offsets;   // n + 1 entries; null in an in-tree block
-  std::byte* heads;     // m entries
-  std::byte* records;   // m records (EdgeRecords' layout)
-  uint32_t edge_width;  // bytes per edge id: 3 or 4
-  uint32_t root_local;  // the root's local id
+/// The write side of one pool block's CSR, as RrSketchPool::AppendSketch
+/// hands it to its fill: the fill puts the block's n + 1 offsets (none in
+/// an in-tree block, which stores none), then its m heads, then its m
+/// edge records, each in order, and each field goes straight into the
+/// block's bits at its width.
+class BlockWriter {
+ public:
+  BlockWriter(BitWriter* bits, uint32_t offset_bits, uint32_t head_bits,
+              uint32_t edge_bits)
+      : bits_(bits),
+        offset_bits_(offset_bits),
+        head_bits_(head_bits),
+        edge_bits_(edge_bits) {}
 
-  void set_offset(size_t j, uint32_t id) const {
-    if (offsets == nullptr) {
-      PITEX_DCHECK(id == InTreeOffset(j, root_local));
-      return;
-    }
-    StoreId<T>(offsets, j, id);
+  void PutOffset(uint32_t offset) {
+    PITEX_DCHECK(offset <= LowMask(offset_bits_));
+    bits_->Put(offset, offset_bits_);
   }
-  void set_head(size_t k, uint32_t id) const { StoreId<T>(heads, k, id); }
-  void set_edge(size_t k, RRLocalEdge edge) const {
-    PITEX_DCHECK(edge_width == 4 || edge.edge < (uint32_t{1} << 24));
-    EdgeRecords::Store(records + k * (edge_width + sizeof(float)), edge_width,
-                       edge);
+  void PutHead(uint32_t head) {
+    PITEX_DCHECK(head <= LowMask(head_bits_));
+    bits_->Put(head, head_bits_);
   }
+  /// The edge id, then the threshold's bits, in one field.
+  void PutEdge(RRLocalEdge edge) {
+    const auto threshold = std::bit_cast<uint32_t>(edge.threshold);
+    PITEX_DCHECK(edge.edge <= LowMask(edge_bits_) &&
+                 threshold <= kMaxThresholdBits);
+    bits_->Put(edge.edge | uint64_t{threshold} << edge_bits_,
+               edge_bits_ + kThresholdBits);
+  }
+
+ private:
+  BitWriter* bits_;
+  uint32_t offset_bits_;
+  uint32_t head_bits_;
+  uint32_t edge_bits_;
 };
 
 /// Rice codes, as the containing lists store their ids: x at parameter
-/// k is x >> k one-bits, a zero, then the low k bits of x. Bits go
-/// LSB-first, as in little-endian 64-bit words. A list codes its first
-/// id as itself and each later id as its gap to the one before less 1,
-/// as the ids strictly ascend. A coded array ends in kRicePadding bytes
-/// past its last coded byte, so an 8-byte load at any of its coded bits
-/// stays inside it, and a load holds the array's next kRiceWindow bits
-/// whatever the bit's place in its byte.
-inline constexpr size_t kRicePadding = 7;
-inline constexpr uint32_t kRiceWindow = 57;
-
-/// Bytes a coded array of `bits` bits takes, its padding included (none
-/// when it codes nothing).
-inline size_t RiceBytes(uint64_t bits) {
-  return bits == 0 ? 0 : static_cast<size_t>((bits + 7) / 8) + kRicePadding;
-}
+/// k is x >> k one-bits, a zero, then the low k bits of x, in a bit array
+/// (src/util/bits.h). A list codes its first id as itself and each later
+/// id as its gap to the one before less 1, as the ids strictly ascend.
 
 /// Bits the Rice codes of the ascending `ids` take at parameter k.
 inline uint64_t RiceListBits(std::span<const uint32_t> ids, uint32_t k) {
@@ -230,70 +249,21 @@ inline uint64_t RiceListBits(std::span<const uint32_t> ids, uint32_t k) {
   return bits;
 }
 
-/// The 8 bytes of a coded array from bit `pos`'s byte, shifted down to
-/// bit `pos`: its low kRiceWindow bits are the array's.
-inline uint64_t LoadRiceBits(const uint8_t* data, uint64_t pos) {
-  uint64_t word;
-  std::memcpy(&word, data + (pos >> 3), sizeof(word));
-  if constexpr (std::endian::native == std::endian::big) {
-    word = __builtin_bswap64(word);
+/// Appends the Rice codes of the ascending `ids` at parameter k (at most
+/// 31) to `out`.
+inline void PutRiceList(std::span<const uint32_t> ids, uint32_t k,
+                        BitWriter* out) {
+  constexpr uint32_t kRun = 31;  // ones per Put, so a code fits 63 bits
+  uint32_t last = UINT32_MAX;    // one before id 0
+  for (const uint32_t id : ids) {
+    const uint32_t x = id - last - 1;
+    last = id;
+    uint32_t q = x >> k;
+    for (; q > kRun; q -= kRun) out->Put((uint64_t{1} << kRun) - 1, kRun);
+    const uint64_t low = x & LowMask(k);
+    out->Put(((uint64_t{1} << q) - 1) | low << (q + 1), q + 1 + k);
   }
-  return word >> (pos & 7);
 }
-
-/// Writes lists of Rice codes one after another from bit 0 of an array
-/// of RiceBytes(bits) bytes, a 64-bit word at a time: codes gather in a
-/// register, so each byte is stored once and never read back.
-class RiceWriter {
- public:
-  explicit RiceWriter(uint8_t* out) : out_(out) {}
-
-  /// Appends the codes of the ascending `ids` at parameter k (at most
-  /// 31).
-  void PutList(std::span<const uint32_t> ids, uint32_t k) {
-    constexpr uint32_t kRun = 31;  // ones per Put, so a code fits 63 bits
-    uint32_t last = UINT32_MAX;    // one before id 0
-    for (const uint32_t id : ids) {
-      const uint32_t x = id - last - 1;
-      last = id;
-      uint32_t q = x >> k;
-      for (; q > kRun; q -= kRun) Put((uint64_t{1} << kRun) - 1, kRun);
-      const uint64_t low = x & ((uint64_t{1} << k) - 1);
-      Put(((uint64_t{1} << q) - 1) | low << (q + 1), q + 1 + k);
-    }
-  }
-  /// Stores the last, partial word and returns the bits written.
-  uint64_t Finish() {
-    if ((pos_ & 63) != 0) Store(pos_ >> 6);
-    return pos_;
-  }
-
- private:
-  /// Appends the low n (< 64) bits of `bits`.
-  void Put(uint64_t bits, uint32_t n) {
-    const uint32_t used = pos_ & 63;
-    word_ |= bits << used;
-    if (used + n >= 64) {
-      Store(pos_ >> 6);
-      // used > 0 here, as n < 64: the bits the stored word had no room
-      // for.
-      word_ = bits >> (64 - used);
-    }
-    pos_ += n;
-  }
-  /// Stores word_ as 64-bit word w of the array.
-  void Store(uint64_t w) {
-    uint64_t word = word_;
-    if constexpr (std::endian::native == std::endian::big) {
-      word = __builtin_bswap64(word);
-    }
-    std::memcpy(out_ + w * sizeof(word), &word, sizeof(word));
-  }
-
-  uint8_t* out_;
-  uint64_t pos_ = 0;
-  uint64_t word_ = 0;  // the bits of word pos_ >> 6 written so far
-};
 
 /// The Rice parameter of a pool's containing lists: the log of their
 /// mean gap, k = bit_width(floor(theta * |V| / occurrences)) - 1, where
@@ -301,7 +271,7 @@ class RiceWriter {
 /// there are none). A gap's quotients then sum, over one list, to at
 /// most theta >> k, and theta * |V| / 2^k < 2 * occurrences, so the
 /// lists take at most occurrences * (k + 3) bits. Ids fit 32 bits, so a
-/// larger k saves nothing, and k stays at most 31, as RiceWriter needs.
+/// larger k saves nothing, and k stays at most 31, as PutRiceList needs.
 inline uint32_t RiceParameter(uint64_t theta, uint64_t num_vertices,
                               uint64_t occurrences) {
   if (occurrences == 0) return 0;
@@ -314,7 +284,7 @@ inline uint32_t RiceParameter(uint64_t theta, uint64_t num_vertices,
 
 /// One vertex's containing list as stored, in a pool or an overlay: its
 /// sketch ids, ascending, as Rice codes at the pool's parameter k
-/// (RiceWriter), bits [begin, end) of a coded array. A read-only
+/// (PutRiceList), bits [begin, end) of a coded array. A read-only
 /// forward range that decodes as it iterates, without allocating. Only
 /// this module's coder writes the bits (a loaded pool rebuilds its
 /// lists, they are not saved), so the decoder trusts them.
@@ -350,24 +320,24 @@ class ContainingList {
       if (at_ != end_) Decode();
     }
     /// Adds the code at next_, plus 1, to id_ and steps next_ past it.
-    /// A load holds kRiceWindow bits: a unary run of that many ones or
+    /// A load holds kBitWindow bits: a unary run of that many ones or
     /// more takes further loads, and low bits past the window one more.
     void Decode() {
-      uint64_t window = LoadRiceBits(data_, next_);
+      uint64_t window = LoadBits(data_, next_);
       uint64_t q = 0;
       uint32_t ones;
       while ((ones = static_cast<uint32_t>(std::countr_one(window))) >=
-             kRiceWindow) {
-        q += kRiceWindow;
-        next_ += kRiceWindow;
-        window = LoadRiceBits(data_, next_);
+             kBitWindow) {
+        q += kBitWindow;
+        next_ += kBitWindow;
+        window = LoadBits(data_, next_);
       }
       q += ones;
       next_ += ones + 1;
-      const uint64_t mask = (uint64_t{1} << k_) - 1;
-      const uint64_t low = ones + 1 + k_ <= kRiceWindow
+      const uint64_t mask = LowMask(k_);
+      const uint64_t low = ones + 1 + k_ <= kBitWindow
                                ? (window >> (ones + 1)) & mask
-                               : LoadRiceBits(data_, next_) & mask;
+                               : LoadBits(data_, next_) & mask;
       next_ += k_;
       id_ += static_cast<uint32_t>(q << k_ | low) + 1;
     }
@@ -413,46 +383,54 @@ class RrSketchPool {
     uint32_t count = 0;
   };
 
-  RrSketchPool() = default;
+  /// A pool whose fields hold any vertex id a directory word does
+  /// (below 2^31) and any edge id: 31- and 32-bit fields.
+  RrSketchPool() : RrSketchPool(kExplicit, uint64_t{1} << 32) {}
+  /// A pool of sketches of a network with `num_vertices` vertices and
+  /// `num_edges` edges: its vertex and edge fields take
+  /// IdBits(num_vertices) and IdBits(num_edges) bits.
+  RrSketchPool(uint64_t num_vertices, uint64_t num_edges);
 
-  /// Packs sketches view_of(0), ..., view_of(num_sketches - 1): sizes
+  /// Packs sketches view_of(0), ..., view_of(num_sketches - 1) of a
+  /// network with `num_vertices` vertices and `num_edges` edges: sizes
   /// every array exactly, appends each view, then builds the containing
-  /// index. `num_vertices` is the global vertex universe; every sketch
-  /// vertex must lie inside it. DynamicRrIndex compaction, and the
-  /// index writer for an index with repairs, pack this way.
+  /// index. Every sketch vertex and edge must lie inside the network.
+  /// DynamicRrIndex compaction, and the index writer for an index with
+  /// repairs, pack this way.
   template <typename ViewOf>
   static RrSketchPool Pack(size_t num_sketches, size_t num_vertices,
-                           ViewOf&& view_of);
+                           size_t num_edges, ViewOf&& view_of);
 
-  /// Finishes a pool from runs: copies every segment, in sample order,
-  /// into exact-size arrays (rebasing each explicit directory word), then
-  /// builds the containing index. The segments must cover samples
-  /// [0, num_sketches) exactly once, so sketch i of the result is sample
-  /// i whatever the runs and segments were: the pool is identical for
-  /// any thread count and claim interleaving.
+  /// Finishes a pool from runs, each a pool of the network with
+  /// `num_vertices` vertices and `num_edges` edges: copies every
+  /// segment, in sample order, into exact-size arrays (rebasing each
+  /// explicit directory word), then builds the containing index. The
+  /// segments must cover samples [0, num_sketches) exactly once, so
+  /// sketch i of the result is sample i whatever the runs and segments
+  /// were: the pool is identical for any thread count and claim
+  /// interleaving.
   static RrSketchPool FromRuns(std::span<const RrSketchPool> runs,
                                std::span<const Segment> segments,
-                               uint64_t num_sketches, size_t num_vertices);
+                               uint64_t num_sketches, size_t num_vertices,
+                               size_t num_edges);
 
   /// Appends one sketch in the pooled layout without touching the
   /// containing index: a pool appended to is a run, which only FromRuns
-  /// reads besides View(). The block takes its own widths and form
-  /// whatever widths and form `sketch` is stored in. `sketch` must not
-  /// view this pool.
+  /// reads besides View(). The block takes this pool's widths and its
+  /// own form whatever widths and form `sketch` is stored in. `sketch`
+  /// must not view this pool.
   void Append(const RRView& sketch);
   /// Appends the sketch with `vertices` (sorted), rooted at
-  /// vertices[root_local], and m edges whose largest id is `max_edge` (0
-  /// when m = 0), as Append does: fill(out) writes its n + 1 offsets, m
-  /// heads and m edge records through a LocalCsrOut<T> at the block's
-  /// widths. `in_tree` says whether those offsets are an in-tree's
-  /// (IsInTree), and the block then stores none of them. An implicit
-  /// singleton (one vertex, no edges) has nothing to write and calls no
-  /// fill.
+  /// vertices[root_local], and m edges, as Append does: fill(out) puts
+  /// its n + 1 offsets unless `in_tree`, then its m heads, then its m
+  /// edge records, in order, through a BlockWriter& `out`. `in_tree`
+  /// says whether those offsets are an in-tree's (IsInTree), and the
+  /// block then stores none of them. An implicit singleton (one vertex,
+  /// no edges) has nothing to write and calls no fill.
   template <typename Fill>
   void AppendSketch(uint32_t root_local, std::span<const VertexId> vertices,
-                    size_t m, EdgeId max_edge, bool in_tree, Fill&& fill) {
-    AppendBlock(root_local, vertices, m, EdgeWidth(max_edge), in_tree,
-                std::forward<Fill>(fill));
+                    size_t m, bool in_tree, Fill&& fill) {
+    AppendBlock(root_local, vertices, m, in_tree, std::forward<Fill>(fill));
   }
   /// Drops every sketch, keeping every array's capacity: a cleared run
   /// takes appends without allocating up to its high-water mark.
@@ -461,55 +439,27 @@ class RrSketchPool {
   size_t num_sketches() const { return slots_.size(); }
   bool empty() const { return num_sketches() == 0; }
 
+  /// The network counts the fields' widths come from.
+  uint64_t num_network_vertices() const { return num_vertices_; }
+  uint64_t num_network_edges() const { return num_edges_; }
+  /// Bits per vertex id and per edge id: IdBits of those counts.
+  uint32_t vertex_bits() const { return vertex_bits_; }
+  uint32_t edge_bits() const { return edge_bits_; }
+
   /// Non-owning view of sketch i (valid while the pool is alive).
   RRView View(size_t i) const {
     const uint32_t slot = slots_.word(i);
     const uint32_t flag = slots_.top_bit();
+    const bool block = (slot & flag) != 0;
     // Selects, not branches: the packing passes and the estimate walk
     // meet singletons and explicit blocks interleaved at random, so the
     // base is loaded for a singleton too, keeping the block's address
-    // free of a load that only one side of a branch makes. On a graph
-    // of up to 65,536 vertices every sketch, singletons too, then reads
-    // its vertices at 2 bytes, and singletons are in-trees like nearly
-    // every block, so the walk's one dispatch per sketch almost always
-    // goes the same way.
-    const uint8_t* block = body_.data() + slots_.base(i) + (slot & ~flag);
-    const uint8_t* singleton =
-        slot <= UINT16_MAX ? kNarrowSingleton : kWideSingleton;
-    uint32_t header;
-    const auto* region = reinterpret_cast<const std::byte*>(
-        GetVarint((slot & flag) != 0 ? block : singleton, &header));
-    const uint32_t n = header >> kHeaderFlagBits;
-    const bool in_tree = (header & kInTree) != 0;
-    const uint32_t width = (header & kIdsWide) != 0 ? 4 : 1;
-    const uint32_t vertex_width = (header & kVerticesWide) != 0 ? 4 : 2;
-    const uint32_t edge_width = (header & kEdgesWide) != 0 ? 4 : 3;
-    // After the vertices, the root's local id, then the offsets, whose
-    // last is the edge count, then the heads and the records. An
-    // in-tree block has n - 1 edges and no offsets.
-    const std::byte* ids = region + n * vertex_width;
-    const std::byte* offsets = ids + width;
-    const bool narrow = width == 1;
-    const uint32_t root_local =
-        narrow ? LoadId<uint8_t>(ids, 0) : LoadId<uint32_t>(ids, 0);
-    const uint32_t m = in_tree  ? n - 1
-                       : narrow ? LoadId<uint8_t>(offsets, n)
-                                : LoadId<uint32_t>(offsets, n);
-    const std::byte* heads = in_tree ? offsets : offsets + (n + 1) * width;
-    // A singleton's vertex is the low-order bytes of its directory word
-    // (all of a 2-byte word).
-    return RRView{root_local,
-                  width,
-                  {(slot & flag) != 0
-                       ? region
-                       : slots_.word_data(i) +
-                             (std::endian::native == std::endian::big
-                                  ? slots_.width() - vertex_width
-                                  : 0),
-                   n, vertex_width},
-                  in_tree ? nullptr : offsets,
-                  heads,
-                  {heads + m * width, m, edge_width}};
+    // free of a load that only one side of a branch makes. A singleton
+    // reads the static block's 0-bit vertex field plus its directory
+    // word.
+    const uint8_t* at =
+        block ? body_.data() + slots_.base(i) + (slot & ~flag) : kSingleton;
+    return ViewAt(at, block ? vertex_bits_ : 0, block ? 0 : slot);
   }
 
   /// Ids (sketch positions) of the sketches containing u, ascending.
@@ -637,107 +587,92 @@ class RrSketchPool {
     uint32_t top = 1u << 15;   // the words' top bit
   };
 
-  /// The header packs n << kHeaderFlagBits with three width flags and
-  /// the in-tree flag into 32 bits, so a block holds at most this many
-  /// vertices.
-  static constexpr uint32_t kHeaderFlagBits = 4;
-  static constexpr uint64_t kMaxBlockVertices =
-      (uint64_t{1} << (32 - kHeaderFlagBits)) - 1;
-  /// Header flags: the local ids take 4 bytes (else 1), the vertices 4
-  /// bytes (else 2), the edge ids 4 bytes (else 3); the block is an
-  /// in-tree and stores no offsets.
-  static constexpr uint32_t kIdsWide = 1;
-  static constexpr uint32_t kVerticesWide = 2;
-  static constexpr uint32_t kEdgesWide = 4;
-  static constexpr uint32_t kInTree = 8;
+  /// The header is n << 1 | in-tree in 32 bits, so a block holds at
+  /// most this many vertices.
+  static constexpr uint64_t kMaxBlockVertices = (uint64_t{1} << 31) - 1;
+  /// The header flag of a block that is an in-tree and stores no
+  /// offsets (and no edge count: m = n - 1).
+  static constexpr uint32_t kInTree = 1;
   /// A wide directory word's top bit, the flag of a block offset: vertex
   /// ids and block offsets stay below it. A narrow word's flag is bit
   /// 15, and its vertex ids and offsets stay below that.
   static constexpr uint32_t kExplicit = 1u << 31;
   static constexpr uint32_t kNarrowExplicit = 1u << 15;
-  /// The blocks implicit singletons read: a one-byte in-tree header
-  /// (n = 1, so no edges), the vertex's bytes (unread: the view reads
-  /// the vertex from the directory word, at 2 bytes while it fits them
-  /// and at 4 otherwise), then the 1-byte root id 0.
-  static constexpr uint8_t kNarrowSingleton[] = {
-      1u << kHeaderFlagBits | kInTree, 0, 0, 0};
-  static constexpr uint8_t kWideSingleton[] = {
-      1u << kHeaderFlagBits | kInTree | kVerticesWide, 0, 0, 0, 0, 0};
+  /// The block implicit singletons read: a one-byte in-tree header
+  /// (n = 1, so no edges), then zero bytes for the 8-byte loads of its
+  /// 0-bit fields (the vertex, whose value is the view's base, and the
+  /// root id 0).
+  static constexpr uint8_t kSingleton[1 + sizeof(uint64_t)] = {
+      1u << 1 | kInTree};
 
   /// Entries a list of sketches needs in each array: Pack's sizing
-  /// pass (the body in bytes).
+  /// pass (the body in bytes, its padding left out).
   struct Totals {
     uint64_t body = 0;
     uint64_t vertices = 0;
     uint64_t max_vertices = 0;
-    uint64_t max_vertex_id = 0;
     /// True when `num_sketches` sketches with these totals fit the
     /// directory words, 32-bit ids and block headers.
     bool Fit(uint64_t num_sketches) const {
       return num_sketches < UINT32_MAX && body <= kExplicit &&
-             vertices <= UINT32_MAX && max_vertices <= kMaxBlockVertices &&
-             max_vertex_id < kExplicit;
+             vertices <= UINT32_MAX && max_vertices <= kMaxBlockVertices;
     }
   };
   template <typename ViewOf>
-  static Totals Measure(size_t num_sketches, ViewOf&& view_of);
+  Totals Measure(size_t num_sketches, ViewOf&& view_of) const;
 
-  /// Bytes per local id of a block with n vertices and m edges: the
-  /// narrowest width holding every head (< n) and offset (<= m).
-  static uint32_t IdWidth(uint64_t n, uint64_t m) {
-    return n <= 256 && m <= 255 ? 1 : 4;
+  /// Bits of a block's fields after its header, with n vertices and m
+  /// edges, an in-tree or not: the vertices, the root id, any offsets,
+  /// the heads and the records.
+  uint64_t FieldBits(uint64_t n, uint64_t m, bool in_tree) const {
+    const uint64_t id_bits = IdBits(n);
+    return n * vertex_bits_ + id_bits +
+           (in_tree ? 0 : (n + 1) * IdBits(m + 1)) +
+           m * (id_bits + edge_bits_ + kThresholdBits);
   }
-
-  /// Bytes per vertex id of a block whose largest vertex is
-  /// `max_vertex`.
-  static uint32_t VertexWidth(uint64_t max_vertex) {
-    return max_vertex <= UINT16_MAX ? 2 : 4;
-  }
-
-  /// Bytes per edge id of a block whose largest edge id is `max_edge`.
-  static uint32_t EdgeWidth(uint64_t max_edge) {
-    return max_edge < (uint64_t{1} << 24) ? 3 : 4;
-  }
-
-  /// Bytes per edge id of a block holding `edges`. Records stored at 3
-  /// bytes hold ids below 2^24 already, so only wider ones are scanned
-  /// for their largest id.
-  static uint32_t EdgeWidthOf(const EdgeRecords& edges) {
-    if (edges.width() == 3) return 3;
-    EdgeId max_edge = 0;
-    for (const RRLocalEdge e : edges) max_edge = std::max(max_edge, e.edge);
-    return EdgeWidth(max_edge);
-  }
-
-  /// The header of a block with n vertices and m edges whose vertex ids
-  /// take `vertex_width` bytes and edge ids `edge_width`, an in-tree or
-  /// not: n, the block's widths and its form.
-  static uint32_t BlockHeader(uint64_t n, uint64_t m, uint32_t vertex_width,
-                              uint32_t edge_width, bool in_tree) {
-    return static_cast<uint32_t>(n << kHeaderFlagBits) |
-           (in_tree ? kInTree : 0) | (edge_width == 4 ? kEdgesWide : 0) |
-           (vertex_width == 4 ? kVerticesWide : 0) |
-           (IdWidth(n, m) == 4 ? kIdsWide : 0);
-  }
-
-  /// Bytes of a block's region: n vertices at `vertex_width` bytes, then
-  /// the root id, n + 1 offsets unless the block is an in-tree, and m
-  /// heads at `width` bytes.
-  static uint64_t RegionBytes(uint64_t n, uint64_t m, uint64_t vertex_width,
-                              uint64_t width, bool in_tree) {
-    return n * vertex_width + ((in_tree ? 0 : n + 1) + 1 + m) * width;
-  }
-
-  /// body_ bytes of a sketch with n vertices and m edges at these
-  /// widths and in this form: none for an implicit singleton, else the
-  /// header, the region and m records.
-  static uint64_t BodyLength(uint64_t n, uint64_t m, uint32_t vertex_width,
-                             uint32_t edge_width, bool in_tree) {
+  /// body_ bytes of a sketch with n vertices and m edges in this form:
+  /// none for an implicit singleton, else the header (and the edge
+  /// count of a block that is not an in-tree) and the fields' bytes.
+  uint64_t BodyLength(uint64_t n, uint64_t m, bool in_tree) const {
     if (n == 1 && m == 0) return 0;
-    return VarintLength(
-               BlockHeader(n, m, vertex_width, edge_width, in_tree)) +
-           RegionBytes(n, m, vertex_width, IdWidth(n, m), in_tree) +
-           m * (edge_width + sizeof(float));
+    return VarintLength(n << 1 | (in_tree ? kInTree : 0)) +
+           (in_tree ? 0 : VarintLength(m)) +
+           (FieldBits(n, m, in_tree) + 7) / 8;
+  }
+  /// The view of the block at `at`, its vertices `vertex_base` plus
+  /// fields of `vertex_bits` bits.
+  RRView ViewAt(const uint8_t* at, uint32_t vertex_bits,
+                VertexId vertex_base) const {
+    uint32_t header;
+    at = GetVarint(at, &header);
+    const uint32_t n = header >> 1;
+    const bool in_tree = (header & kInTree) != 0;
+    uint32_t m = n - 1;
+    if (!in_tree) [[unlikely]] at = GetVarint(at, &m);
+    // Where each field starts, in bits from `at`: every block's fields
+    // take fewer than 2^32 bits (AppendBlock, FinishLoaded).
+    const auto id_bits = static_cast<uint32_t>(std::bit_width(n - 1));
+    const auto offset_bits =
+        in_tree ? 0 : static_cast<uint32_t>(std::bit_width(m));
+    const uint32_t root_at = n * vertex_bits;
+    const uint32_t offsets_at = root_at + id_bits;
+    const uint32_t heads_at =
+        offsets_at + (in_tree ? 0 : (n + 1) * offset_bits);
+    // Every member given, so no member is first zeroed.
+    return RRView{
+        PackedIds{at, root_at, id_bits}[0],
+        VertexIds({at, 0, vertex_bits}, n, vertex_base),
+        // Edgeless, the offsets take 0 bits and may start at the block's
+        // last bit: they are read at its first, inside the body.
+        PackedIds{in_tree ? nullptr : at, m == 0 ? 0 : offsets_at,
+                  offset_bits},
+        PackedIds{at, heads_at, id_bits},
+        EdgeRecords({at, heads_at + m * id_bits, edge_bits_}, m)};
+  }
+
+  /// Where the blocks end in body_: before its padding.
+  uint64_t BodyEnd() const {
+    return body_.empty() ? 0 : body_.size() - kBitPadding;
   }
 
   /// Bytes per directory word of a pool whose largest singleton vertex
@@ -791,6 +726,9 @@ class RrSketchPool {
   /// pool widens at most once.
   void WidenDirectory();
 
+  /// Sets the network counts and the fields' widths they call for.
+  void SetNetwork(uint64_t num_vertices, uint64_t num_edges);
+
   /// Calls fn(vertices) with each sketch's sorted vertices, in order:
   /// a singleton's one vertex from its directory word, a block's from
   /// after its header, and none of the rest of a view.
@@ -798,52 +736,57 @@ class RrSketchPool {
   void ForEachVertices(Fn&& fn) const {
     ForEachSlot(0, num_sketches(), [&](bool block, uint32_t value) {
       if (!block) {
-        fn(VertexIds(reinterpret_cast<const std::byte*>(&value), 1,
-                     sizeof(value)));
+        fn(VertexIds({kSingleton + 1, 0, 0}, 1, value));
         return;
       }
       uint32_t header;
-      const auto* region = reinterpret_cast<const std::byte*>(
-          GetVarint(body_.data() + value, &header));
-      fn(VertexIds(region, header >> kHeaderFlagBits,
-                   (header & kVerticesWide) != 0 ? 4 : 2));
+      const uint8_t* at = GetVarint(body_.data() + value, &header);
+      if ((header & kInTree) == 0) {
+        uint32_t m;
+        at = GetVarint(at, &m);
+      }
+      fn(VertexIds({at, 0, vertex_bits_}, header >> 1, 0));
     });
   }
 
   /// AppendSketch for any sorted vertex range with size() and
   /// operator[]: a span, or a view's VertexIds that Append re-encodes
-  /// at the block's own width.
+  /// at this pool's width.
   template <typename VertexRange, typename Fill>
   void AppendBlock(uint32_t root_local, const VertexRange& vertices, size_t m,
-                   uint32_t edge_width, bool in_tree, Fill&& fill);
+                   bool in_tree, Fill&& fill);
 
   /// Where sketch i's block would start in body_: the start of the first
-  /// explicit block at or after i, or the end of body_.
+  /// explicit block at or after i, or the end of the blocks.
   uint64_t BodyStart(size_t i) const;
 
   /// Checks a pool whose directory words and body_ were read from a
-  /// file (src/index/index_io.h) and, if they hold, derives the
-  /// directory's bases and builds its containing index. Walking the
-  /// directory in order, each group's base is where the next block must
-  /// start, each singleton's vertex and each block's sorted vertices
-  /// must lie below num_vertices, each block must start where the one
-  /// before it ended (its word is that start less its base), and the
-  /// words may take 4 bytes only if some word needs them
-  /// (DirectoryWidth). Each block's header must be a varint of no more
-  /// bytes than its value needs, with n > 0 and the flags of the
-  /// block's own widths and form (BlockHeader: a block of an in-tree's
-  /// shape stored with offsets fails), its root id and heads below n,
-  /// its offsets rise from 0, an in-tree's parent pointers lead every
-  /// vertex to its root (ParentsReachRoot), and its records' edge ids
-  /// lie below num_edges with thresholds in [0, 1]; the blocks end at
-  /// body_'s end. So a pool that passes is exactly what Pack writes for
-  /// its own views. False on the first check that fails.
+  /// file (src/index/index_io.h) against the network it samples, with
+  /// `num_vertices` vertices and `num_edges` edges, which set its
+  /// fields' widths; if they hold, derives the directory's bases and
+  /// builds its containing index. Walking the directory in order, each
+  /// group's base is where the next block must start, each singleton's
+  /// vertex and each block's sorted vertices must lie below
+  /// num_vertices, each block must start where the one before it ended
+  /// (its word is that start less its base), and the words may take 4
+  /// bytes only if some word needs them (DirectoryWidth). Each block's
+  /// header (and edge count) must be a varint of no more bytes than its
+  /// value needs, with n > 0, not a singleton's shape, and the in-tree
+  /// flag exactly when its offsets are an in-tree's (a block of an
+  /// in-tree's shape stored with offsets fails); its root id and heads
+  /// lie below n, its offsets rise from 0 to m, an in-tree's parent
+  /// pointers lead every vertex to its root (ParentsReachRoot), its
+  /// records' edge ids lie below num_edges with threshold bits at most
+  /// 1.0f's, and the bits after its last field are zero; the blocks
+  /// end at body_'s padding, whose bytes are zero. So a pool that
+  /// passes is exactly what Pack writes for its own views. False on the
+  /// first check that fails.
   bool FinishLoaded(size_t num_vertices, size_t num_edges);
 
   /// Rebuilds containing_starts_/containing_ from the packed sketches:
   /// two serial passes in ascending sketch order sort each vertex's ids
   /// into a scratch array (the first counts them, which also sets
-  /// containing_k_ and recounts max_sketch_vertices_), then RiceWriter
+  /// containing_k_ and recounts max_sketch_vertices_), then a BitWriter
   /// codes the lists in vertex order into an exact-size array. The
   /// starts take 2-byte words while every group's do.
   void BuildContaining(size_t num_vertices);
@@ -851,10 +794,14 @@ class RrSketchPool {
   friend class IndexIo;  // saves and loads the directory words and body_
 
   GroupWords slots_;             // the directory: one word per sketch
-  std::vector<uint8_t> body_;    // blocks: header, region, records
+  std::vector<uint8_t> body_;    // blocks, then kBitPadding zero bytes
   GroupWords containing_starts_;     // num_vertices + 1 bit offsets
   std::vector<uint8_t> containing_;  // Rice-coded lists, by vertex
-  // Fits 32 bits: a block holds under 2^29 vertices.
+  uint64_t num_vertices_ = 0;  // the network's, below kExplicit
+  uint64_t num_edges_ = 0;     // the network's, at most 2^32
+  uint32_t vertex_bits_ = 0;
+  uint32_t edge_bits_ = 0;
+  // Fits 32 bits: a block holds under 2^31 vertices.
   uint32_t max_sketch_vertices_ = 0;
   uint32_t containing_k_ = 0;
 };
@@ -864,33 +811,29 @@ class RrSketchPool {
 
 template <typename ViewOf>
 RrSketchPool::Totals RrSketchPool::Measure(size_t num_sketches,
-                                           ViewOf&& view_of) {
+                                           ViewOf&& view_of) const {
   Totals totals;
   for (size_t i = 0; i < num_sketches; ++i) {
     const RRView rr = view_of(i);
-    totals.body += BodyLength(rr.vertices.size(), rr.edges.size(),
-                              VertexWidth(rr.vertices.back()),
-                              EdgeWidthOf(rr.edges), rr.InTree());
+    totals.body +=
+        BodyLength(rr.vertices.size(), rr.edges.size(), rr.InTree());
     totals.vertices += rr.vertices.size();
     totals.max_vertices =
         std::max<uint64_t>(totals.max_vertices, rr.vertices.size());
-    // Sorted, so the last vertex is the largest.
-    totals.max_vertex_id =
-        std::max<uint64_t>(totals.max_vertex_id, rr.vertices.back());
   }
   return totals;
 }
 
 template <typename ViewOf>
 RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
-                                ViewOf&& view_of) {
+                                size_t num_edges, ViewOf&& view_of) {
   // Exact-size arrays up front, so the appends never regrow them.
-  const Totals totals = Measure(num_sketches, view_of);
+  RrSketchPool pool(num_vertices, num_edges);
+  const Totals totals = pool.Measure(num_sketches, view_of);
   PITEX_CHECK_MSG(totals.Fit(num_sketches),
                   "sketch pool exceeds its directory words");
-  RrSketchPool pool;
   pool.slots_.Reserve(num_sketches, 2);
-  pool.body_.reserve(totals.body);
+  pool.body_.reserve(PaddedBytes(8 * totals.body));
   for (size_t i = 0; i < num_sketches; ++i) pool.Append(view_of(i));
   pool.BuildContaining(num_vertices);
   return pool;
@@ -899,49 +842,39 @@ RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
 template <typename VertexRange, typename Fill>
 void RrSketchPool::AppendBlock(uint32_t root_local,
                                const VertexRange& vertices, size_t m,
-                               uint32_t edge_width, bool in_tree,
-                               Fill&& fill) {
+                               bool in_tree, Fill&& fill) {
   const size_t n = vertices.size();
   PITEX_DCHECK(root_local < n);
   PITEX_DCHECK(!in_tree || m + 1 == n);
   // Sorted, so the last vertex is the largest.
-  const VertexId max_vertex = vertices[n - 1];
-  PITEX_CHECK_MSG(max_vertex < kExplicit,
-                  "sketch vertex id exceeds the directory word");
-  const uint32_t vertex_width = VertexWidth(max_vertex);
-  const uint64_t length = BodyLength(n, m, vertex_width, edge_width, in_tree);
+  PITEX_CHECK_MSG(vertices[n - 1] < num_vertices_,
+                  "sketch vertex lies outside the pool's network");
   const size_t i = slots_.size();
-  slots_.OpenGroup(body_.size());
+  const uint64_t start = BodyEnd();
+  slots_.OpenGroup(start);
+  const uint64_t length = BodyLength(n, m, in_tree);
   if (length == 0) {
     // Implicit singleton: its directory word is its vertex.
     PushSlot(vertices[0], /*block=*/false);
   } else {
-    PITEX_CHECK_MSG(n <= kMaxBlockVertices,
-                    "sketch exceeds the block header's vertex count");
-    const uint32_t width = IdWidth(n, m);
-    const size_t start = body_.size();
-    body_.resize(start + length);
-    auto* region = reinterpret_cast<std::byte*>(
-        PutVarint(BlockHeader(n, m, vertex_width, edge_width, in_tree),
-                  body_.data() + start));
-    if (vertex_width == 2) {
-      for (size_t j = 0; j < n; ++j) StoreId<uint16_t>(region, j, vertices[j]);
-    } else {
-      for (size_t j = 0; j < n; ++j) StoreId<uint32_t>(region, j, vertices[j]);
-    }
-    std::byte* ids = region + n * vertex_width;
-    std::byte* offsets = in_tree ? nullptr : ids + width;
-    std::byte* heads = ids + width + (in_tree ? 0 : (n + 1) * width);
-    std::byte* records = heads + m * width;
-    if (width == 1) {
-      StoreId<uint8_t>(ids, 0, root_local);
-      fill(LocalCsrOut<uint8_t>{offsets, heads, records, edge_width,
-                                root_local});
-    } else {
-      StoreId<uint32_t>(ids, 0, root_local);
-      fill(LocalCsrOut<uint32_t>{offsets, heads, records, edge_width,
-                                 root_local});
-    }
+    PITEX_CHECK_MSG(n <= kMaxBlockVertices && m <= UINT32_MAX &&
+                        FieldBits(n, m, in_tree) <= UINT32_MAX,
+                    "sketch exceeds the block header's counts");
+    // The old padding becomes the block's first bytes; new padding
+    // follows it, zero.
+    body_.resize(start + length + kBitPadding);
+    uint8_t* fields = PutVarint(uint64_t{n} << 1 | (in_tree ? kInTree : 0),
+                                body_.data() + start);
+    if (!in_tree) fields = PutVarint(m, fields);
+    BitWriter bits(fields);
+    for (size_t j = 0; j < n; ++j) bits.Put(vertices[j], vertex_bits_);
+    const uint32_t id_bits = IdBits(n);
+    bits.Put(root_local, id_bits);
+    BlockWriter out(&bits, in_tree ? 0 : IdBits(uint64_t{m} + 1), id_bits,
+                    edge_bits_);
+    fill(out);
+    [[maybe_unused]] const uint64_t written = bits.Finish();
+    PITEX_DCHECK(written == FieldBits(n, m, in_tree));
     PushSlot(static_cast<uint32_t>(start - slots_.base(i)), /*block=*/true);
     // Offsets stored only where they are not an in-tree's, and an
     // in-tree's parents lead to its root.
@@ -950,7 +883,7 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
   }
   // Sketch ids are u32 (containing_), and every block's start stays
   // below a wide directory word's top bit.
-  PITEX_CHECK_MSG(slots_.size() < UINT32_MAX && body_.size() <= kExplicit,
+  PITEX_CHECK_MSG(slots_.size() < UINT32_MAX && BodyEnd() <= kExplicit,
                   "sketch pool exceeds its directory words");
   max_sketch_vertices_ =
       std::max(max_sketch_vertices_, static_cast<uint32_t>(n));
@@ -960,8 +893,9 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
 /// as a copyable value: the master edits its own overlay, and each
 /// published snapshot serves an immutable copy beside the shared base
 /// (RrIndex::FromPool). It holds
-///   * repaired sketches, appended to a run in pool layout (a sketch
-///     repaired twice keeps its superseded copy until compaction);
+///   * repaired sketches, appended to a run in pool layout at the base
+///     pool's widths (a sketch repaired twice keeps its superseded copy
+///     until compaction);
 ///   * a sketch-id redirect to each repaired sketch's current copy;
 ///   * replacement containing lists, Rice-coded at the base pool's k, for
 ///     the vertices whose membership changed.
@@ -969,10 +903,16 @@ class RrSketchOverlay {
  public:
   static constexpr uint32_t kNotRepaired = UINT32_MAX;
 
-  /// An overlay whose lists are coded at `containing_k`, its base pool's
-  /// (RrSketchPool::containing_k), so one decoder reads both.
+  /// An overlay whose lists are coded at `containing_k` and whose
+  /// sketches take a default pool's widths (any network's).
   explicit RrSketchOverlay(uint32_t containing_k = 0)
       : containing_k_(containing_k) {}
+  /// An overlay of `base`: its sketches take the base's widths and its
+  /// lists the base's k (RrSketchPool::containing_k), so one decoder
+  /// reads both.
+  explicit RrSketchOverlay(const RrSketchPool& base)
+      : store_(base.num_network_vertices(), base.num_network_edges()),
+        containing_k_(base.containing_k()) {}
 
   /// Sketch copies stored, superseded ones included: the size
   /// compaction bounds.

@@ -18,6 +18,26 @@ uint32_t SketchArena::BeginTraversal(size_t num_vertices) {
   return epoch_;
 }
 
+template <typename Kept>
+PITEX_NOALLOC void SketchArena::PutSortedEdges(
+    std::span<const GlobalEdgeSample> edges, const Kept& kept,
+    BlockWriter* out) {
+  // counts_[j] starts tail j's edges; each kept edge takes the next
+  // place of its tail, and then the block's heads and records go in
+  // that order.
+  sorted_.resize(edges.size());
+  size_t m = 0;
+  for (const GlobalEdgeSample& s : edges) {
+    if (!kept(s)) continue;
+    sorted_[counts_[local_index_[s.tail]]++] = s;
+    ++m;
+  }
+  for (size_t k = 0; k < m; ++k) out->PutHead(local_index_[sorted_[k].head]);
+  for (size_t k = 0; k < m; ++k) {
+    out->PutEdge(RRLocalEdge{sorted_[k].edge, sorted_[k].threshold});
+  }
+}
+
 template <typename EnvOf>
 PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
                                              const EnvOf& env_of,
@@ -50,8 +70,7 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
   // No live in-edge: the root alone, an implicit singleton with no
   // block to assemble.
   if (staged_.empty()) {
-    run->AppendSketch(0, vertices, 0, 0, /*in_tree=*/true,
-                      [](const auto&) {});
+    run->AppendSketch(0, vertices, 0, /*in_tree=*/true, [](BlockWriter&) {});
     return;
   }
 
@@ -65,23 +84,18 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
     local_index_[vertices[j]] = static_cast<uint32_t>(j);
   }
   counts_.assign(n + 1, 0);
-  EdgeId max_edge = 0;
-  for (const GlobalEdgeSample& s : staged_) {
-    ++counts_[local_index_[s.tail] + 1];
-    max_edge = std::max(max_edge, s.edge);
-  }
+  for (const GlobalEdgeSample& s : staged_) ++counts_[local_index_[s.tail] + 1];
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
   const uint32_t root_local = local_index_[root];
   const bool in_tree =
       IsInTree(n, root_local, [this](size_t j) { return counts_[j]; });
-  run->AppendSketch(root_local, vertices, staged_.size(), max_edge, in_tree,
-                    [&](const auto& out) {
-    for (size_t j = 0; j <= n; ++j) out.set_offset(j, counts_[j]);
-    for (const GlobalEdgeSample& s : staged_) {
-      const uint32_t k = counts_[local_index_[s.tail]]++;
-      out.set_head(k, local_index_[s.head]);
-      out.set_edge(k, RRLocalEdge{s.edge, s.threshold});
+  run->AppendSketch(root_local, vertices, staged_.size(), in_tree,
+                    [&](BlockWriter& out) {
+    if (!in_tree) {
+      for (size_t j = 0; j <= n; ++j) out.PutOffset(counts_[j]);
     }
+    PutSortedEdges(staged_, [](const GlobalEdgeSample&) { return true; },
+                   &out);
   });
 }
 
@@ -182,7 +196,6 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
   // edge reaches is an implicit singleton, and the fill is not called.
   counts_.assign(n + 1, 0);
   size_t kept_edges = 0;
-  EdgeId max_edge = 0;
   auto kept = [&](const GlobalEdgeSample& s) {
     return mark_[s.tail] == epoch && mark_[s.head] == epoch;
   };
@@ -190,23 +203,18 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
     if (!kept(s)) continue;
     ++counts_[local_index_[s.tail] + 1];
     ++kept_edges;
-    max_edge = std::max(max_edge, s.edge);
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
   const uint32_t root_local = local_index_[root];
   const bool in_tree =
       IsInTree(n, root_local, [this](size_t j) { return counts_[j]; });
-  run->AppendSketch(
-      root_local, vertices_, kept_edges, max_edge, in_tree,
-      [&](const auto& out) {
-        for (size_t j = 0; j <= n; ++j) out.set_offset(j, counts_[j]);
-        for (const GlobalEdgeSample& s : edges) {
-          if (!kept(s)) continue;
-          const uint32_t k = counts_[local_index_[s.tail]]++;
-          out.set_head(k, local_index_[s.head]);
-          out.set_edge(k, RRLocalEdge{s.edge, s.threshold});
-        }
-      });
+  run->AppendSketch(root_local, vertices_, kept_edges, in_tree,
+                    [&](BlockWriter& out) {
+    if (!in_tree) {
+      for (size_t j = 0; j <= n; ++j) out.PutOffset(counts_[j]);
+    }
+    PutSortedEdges(edges, kept, &out);
+  });
 }
 
 }  // namespace pitex

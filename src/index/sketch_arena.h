@@ -4,9 +4,10 @@
 // A SketchArena is traversal and assembly scratch only: Generate runs
 // the reverse BFS of Definition 2 over epoch-stamped marks (no O(|V|)
 // clearing between sketches), sorts the sketch's vertices in a reused
-// buffer, and counting-sorts its staged live edges straight into a
-// packed block of a *run* — an RrSketchPool written in pool layout by
-// AppendSketch — so the sketch is copied once more only when
+// buffer, counting-sorts its staged live edges into CSR order in
+// another, and puts them in that order into a packed block of a *run* —
+// an RrSketchPool written in pool layout by AppendSketch — so the
+// sketch is copied once more only when
 // RrSketchPool::FromRuns finishes the runs into the served pool. A root
 // with no live in-edge is an implicit singleton and skips assembly.
 // Once its buffers and the run have grown to their high-water marks,
@@ -150,6 +151,15 @@ class SketchArena {
   PITEX_NOALLOC void GenerateImpl(const Graph& graph, const EnvOf& env_of,
                                   VertexId root, Rng* rng, RrSketchPool* run);
 
+  /// Puts the `edges` for which kept(edge) holds into `out` as a block's
+  /// heads, then its records, in CSR order: counting-sorted by local
+  /// tail through counts_, which must hold each tail's first place (and
+  /// then holds the next tail's), stably, so per-tail order is input
+  /// order.
+  template <typename Kept>
+  PITEX_NOALLOC void PutSortedEdges(std::span<const GlobalEdgeSample> edges,
+                                    const Kept& kept, BlockWriter* out);
+
   // The vertices of the sketch Generate or RebuildRepairedSketch
   // assembles, sorted ascending before its block is written.
   std::vector<VertexId> vertices_;
@@ -162,6 +172,7 @@ class SketchArena {
   std::vector<VertexId> stack_;
   std::vector<GlobalEdgeSample> staged_;  // one sketch's live edges
   std::vector<uint32_t> counts_;          // counting-sort cursors
+  std::vector<GlobalEdgeSample> sorted_;  // the edges in CSR order
   std::vector<float> env_scratch_;        // table-free envelope slice
   // RebuildRepairedSketch scratch (local-id space of one sketch).
   std::vector<VertexId> cand_;

@@ -141,6 +141,7 @@ std::string SavedReference(const ReferenceDynamicRrIndex& ref) {
       ref.network(), Options(), ref.theta(),
       std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
           ref.graphs().size(), ref.network().num_vertices(),
+          ref.network().num_edges(),
           [&ref](size_t i) { return ref.graphs()[i].View(); })));
   return Saved(*index);
 }

@@ -17,8 +17,11 @@
 //
 // Seed corpus: set PITEX_FUZZ_SEED_DIR=<dir> and the harness writes a
 // valid RR index and a valid DelayMat file there during
-// LLVMFuzzerInitialize -- the fuzzer then starts from real files instead
-// of discovering the magic string byte by byte:
+// LLVMFuzzerInitialize, and one file per loader rejection
+// (tests/pool_image.h's ValidatorRows: each a valid file with one field
+// edited past a check, checksum repaired) -- the fuzzer then starts from
+// real files, and from each check's edge, instead of discovering the
+// magic string byte by byte:
 //
 //   mkdir -p corpus
 //   PITEX_FUZZ_SEED_DIR=corpus ./index_io_fuzz -max_total_time=30 corpus
@@ -34,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "pool_image.h"
 #include "running_example.h"
 #include "src/index/index_io.h"
 #include "src/index/rr_index.h"
@@ -104,6 +108,17 @@ extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
   if (const char* dir = std::getenv("PITEX_FUZZ_SEED_DIR")) {
     WriteSeed(dir, "seed.idx", rr);
     WriteSeed(dir, "seed_delay.idx", delay);
+    int row = 0;
+    for (const pool_image::ValidatorRow& edit : pool_image::ValidatorRows()) {
+      pool_image::Image image(rr, Network());
+      if (!edit.edit(Network(), &image)) continue;
+      const std::string bytes = image.Encode();
+      std::stringstream file(bytes);
+      Require(LoadRrIndex(Network(), file) == nullptr,
+              "every rejection seed is rejected");
+      WriteSeed(dir, ("seed_reject_" + std::to_string(row++) + ".idx").c_str(),
+                bytes);
+    }
   }
   return 0;
 }
@@ -145,6 +160,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
           Network(), RrIndexOptions{}, loaded->theta(),
           std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
               loaded->num_graphs(), Network().num_vertices(),
+              Network().num_edges(),
               [&loaded](size_t i) { return loaded->graph(i); })));
       std::stringstream repacked;
       Require(SaveRrIndex(*packed, repacked), "packed index saves");

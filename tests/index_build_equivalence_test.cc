@@ -170,7 +170,7 @@ TEST(IndexBuildEquivalenceTest, ArenaPoolMatchesStandaloneGeneration) {
     staging[i] = GenerateRRGraph(n.graph, n.influence, root, &rng);
   }
   const RrSketchPool reference = RrSketchPool::Pack(
-      staging.size(), n.num_vertices(),
+      staging.size(), n.num_vertices(), n.num_edges(),
       [&staging](size_t i) { return staging[i].View(); });
 
   ASSERT_EQ(index.pool().num_sketches(), reference.num_sketches());
@@ -331,13 +331,13 @@ RRGraph ReferenceReclose(VertexId root,
 TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
   // RebuildRepairedSketch == ReferenceReclose, including orphaned-subtree
   // pruning and per-tail edge order, for each block shape a run stores:
-  // an implicit singleton, a 1-byte block and a 4-byte block.
+  // an implicit singleton, small blocks and a 300-vertex chain, each
+  // block's local ids at bit_width(n - 1) bits.
   struct Case {
     const char* name;
     VertexId root;
     size_t num_vertices;
     std::vector<GlobalEdgeSample> edges;
-    uint32_t id_width;  // of the re-closed sketch's block
   };
   std::vector<Case> cases;
   cases.push_back({"mixed",
@@ -350,18 +350,16 @@ TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
                        {4, 3, 3, 0.4f},  // reach the root
                        {6, 2, 4, 0.5f},  // 6 -> 2 -> root
                        {1, 2, 5, 0.6f},  // parallel edge, order preserved
-                   },
-                   1});
+                   }});
   // No live edge enters the root: the root alone, which the run stores
   // as an implicit singleton without calling the fill.
   cases.push_back({"no live in-edge",
                    0,
                    4,
-                   {{0, 1, 0, 0.1f}, {1, 2, 1, 0.2f}, {3, 2, 2, 0.3f}},
-                   1});
-  // A chain of 300 vertices into the root needs 4-byte local ids; a
-  // spur off the chain's middle does not reach the root.
-  Case chain{"4-byte chain", 299, 310, {}, 4};
+                   {{0, 1, 0, 0.1f}, {1, 2, 1, 0.2f}, {3, 2, 2, 0.3f}}});
+  // A chain of 300 vertices into the root takes 9-bit local ids; a spur
+  // off the chain's middle does not reach the root.
+  Case chain{"300-vertex chain", 299, 310, {}};
   for (VertexId v = 0; v + 1 < 300; ++v) {
     chain.edges.push_back({v, v + 1, v, 0.01f * static_cast<float>(v % 7)});
   }
@@ -384,8 +382,7 @@ TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
                        {6, 7, 7, 0.8f},
                        {2, 8, 8, 0.9f},
                        {1, 3, 9, 0.15f},  // second 1 -> root edge
-                   },
-                   1});
+                   }});
 
   SketchArena arena;
   RrSketchPool run;
@@ -396,7 +393,7 @@ TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
     arena.RebuildRepairedSketch(c.root, c.num_vertices, c.edges, &run);
     ASSERT_EQ(run.num_sketches(), 1u);
     const RRView view = run.View(0);
-    EXPECT_EQ(view.id_width, c.id_width);
+    EXPECT_EQ(view.heads.bits, IdBits(view.vertices.size()));
     const RRGraph got = Owned(view);
     EXPECT_EQ(got.root, want.root);
     EXPECT_EQ(got.vertices, want.vertices);

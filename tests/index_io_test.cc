@@ -93,9 +93,9 @@ TEST(IndexIoTest, RrIndexRoundTripsExactly) {
   EXPECT_EQ(loaded->SizeBytes(), index.SizeBytes());
 }
 
-TEST(IndexIoTest, WidthFourSketchRoundTripsByteIdentical) {
-  // 65,537 vertices and edges per sketch: too many for 1-byte local ids,
-  // so the pool, and so the file, stores them at 4 bytes.
+TEST(IndexIoTest, WideSketchRoundTripsByteIdentical) {
+  // 65,537 vertices and edges per sketch: the pool, and so the file,
+  // stores their local ids at 17 bits.
   const SocialNetwork n = MakeCertainCycle(65537);
   RrIndexOptions options;
   options.theta_override = 3;
@@ -106,7 +106,7 @@ TEST(IndexIoTest, WidthFourSketchRoundTripsByteIdentical) {
   for (size_t i = 0; i < index.num_graphs(); ++i) {
     ASSERT_EQ(index.graph(i).vertices.size(), 65537u);
     ASSERT_EQ(index.graph(i).edges.size(), 65537u);
-    ASSERT_EQ(index.graph(i).id_width, 4u);
+    ASSERT_EQ(index.graph(i).heads.bits, 17u);
   }
 
   std::stringstream first;
@@ -123,7 +123,7 @@ TEST(IndexIoTest, WidthFourSketchRoundTripsByteIdentical) {
   for (size_t i = 0; i < index.num_graphs(); ++i) {
     const RRView original = index.graph(i);
     const RRView restored = loaded->graph(i);
-    EXPECT_EQ(restored.id_width, 4u);
+    EXPECT_EQ(restored.heads.bits, 17u);
     EXPECT_EQ(restored.root(), original.root());
     EXPECT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
     EXPECT_EQ(Owned(restored).offsets, Owned(original).offsets);
@@ -178,12 +178,12 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v8 is read: a file claiming v1 (the old one-record-per-graph
+  // Only v9 is read: a file claiming v1 (the old one-record-per-graph
   // format), v2 (the old per-sketch wire format), v3 (the pool image
   // with its edge records in a third array), v4 (every block vertex at
-  // 4 bytes), v5 (a word-padded u32 body), v6 (offsets in every block)
-  // or v7 (a u32 directory word per sketch), whole or cut short, is
-  // refused by its header.
+  // 4 bytes), v5 (a word-padded u32 body), v6 (offsets in every block),
+  // v7 (a u32 directory word per sketch) or v8 (whole bytes per block
+  // field), whole or cut short, is refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -192,8 +192,8 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 8);
-  for (const char version : {1, 2, 3, 4, 5, 6, 7}) {
+  ASSERT_EQ(bytes[kVersionOffset], 9);
+  for (const char version : {1, 2, 3, 4, 5, 6, 7, 8}) {
     bytes[kVersionOffset] = version;
     for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
       std::stringstream in(bytes.substr(0, keep));
@@ -379,7 +379,8 @@ TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
   const auto longer = RrIndex::FromPool(
       n, SmallOptions(), theta,
       std::make_shared<const RrSketchPool>(
-          RrSketchPool::Pack(theta, n.num_vertices(), [&](size_t i) {
+          RrSketchPool::Pack(theta, n.num_vertices(), n.num_edges(),
+                             [&](size_t i) {
             return i + 1 < theta ? index.graph(i) : singleton.View();
           })));
   std::stringstream file;
@@ -563,7 +564,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   const SocialNetwork n = MakeRunningExample();
   const uint64_t fp = NetworkFingerprint(n);
   constexpr uint8_t kRr = 1;
-  constexpr uint32_t kCurrent = 8;  // the one version the loader reads
+  constexpr uint32_t kCurrent = 9;  // the one version the loader reads
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),

@@ -2,9 +2,11 @@
 //
 // src/ stores every sketch in pool layout (src/index/rr_sketch_pool.h).
 // Tests want a value they can build by hand, keep in a vector and
-// compare field by field, so this header keeps an owning copy: its local
-// ids are widened to 32 bits whatever width a view stores them at, so
-// offsets and heads compare as plain vectors. AssembleRRGraph is the
+// compare field by field, so this header keeps an owning copy: its
+// fields are plain 32-bit vectors whatever width a view stores them at,
+// so offsets and heads compare as vectors. Its view is the one a pool
+// gives: the graph packs itself into a one-sketch run at 31-bit
+// vertices and 32-bit edge ids each time it is viewed. AssembleRRGraph is the
 // reference assembler that SketchArena's generation and repair assembly
 // are checked against.
 
@@ -28,25 +30,39 @@
 
 namespace pitex {
 
-/// One storage-owning sketch with 4-byte local ids and edge ids.
+/// One storage-owning sketch with 32-bit fields.
 struct RRGraph {
   VertexId root = 0;
   std::vector<VertexId> vertices;  // sorted ascending
   std::vector<uint32_t> offsets;   // CSR over local tails
   std::vector<uint32_t> heads;     // local head of each edge
   std::vector<RRLocalEdge> edges;
+  mutable RrSketchPool packed = {};  // View()'s one-sketch run
 
-  /// Non-owning view over this graph (valid while the graph is alive and
-  /// unmodified). Implicit so every RRView consumer accepts an RRGraph.
+  /// View of this graph packed into `packed` (valid while the graph is
+  /// alive and neither modified nor viewed again). Implicit so every
+  /// RRView consumer accepts an RRGraph.
   RRView View() const {
-    const auto root_at =
-        std::lower_bound(vertices.begin(), vertices.end(), root);
-    return RRView{static_cast<uint32_t>(root_at - vertices.begin()),
-                  4,
-                  std::span<const VertexId>(vertices),
-                  reinterpret_cast<const std::byte*>(offsets.data()),
-                  reinterpret_cast<const std::byte*>(heads.data()),
-                  std::span<const RRLocalEdge>(edges)};
+    const auto root_local = static_cast<uint32_t>(
+        std::lower_bound(vertices.begin(), vertices.end(), root) -
+        vertices.begin());
+    const size_t n = vertices.size();
+    const bool in_tree = IsInTree(n, root_local,
+                                  [this](size_t j) { return offsets[j]; });
+    packed.Clear();
+    packed.AppendSketch(root_local, vertices, edges.size(), in_tree,
+                        [&](BlockWriter& out) {
+                          if (!in_tree) {
+                            for (const uint32_t offset : offsets) {
+                              out.PutOffset(offset);
+                            }
+                          }
+                          for (const uint32_t head : heads) out.PutHead(head);
+                          for (const RRLocalEdge edge : edges) {
+                            out.PutEdge(edge);
+                          }
+                        });
+    return packed.View(0);
   }
   operator RRView() const { return View(); }  // NOLINT(runtime/explicit)
 
@@ -67,7 +83,9 @@ struct RRGraph {
 
   /// Local index of global vertex v, or nullopt if absent.
   std::optional<uint32_t> LocalIndex(VertexId v) const {
-    return View().LocalIndex(v);
+    const auto at = std::lower_bound(vertices.begin(), vertices.end(), v);
+    if (at == vertices.end() || *at != v) return std::nullopt;
+    return static_cast<uint32_t>(at - vertices.begin());
   }
 };
 

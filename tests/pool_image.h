@@ -1,0 +1,680 @@
+// Test-only model of a saved RR index's pool image, shared by the index
+// loader's test suite (tests/index_io_fuzz_test.cc) and its libFuzzer
+// harness (tests/fuzz/index_io_fuzz.cc, which writes each edit below as
+// a seed). An Image takes a file apart into the pool arrays it holds,
+// a Block reads and writes one sketch block's bit fields, and
+// ValidatorRows lists single-field edits no saved pool can hold, each
+// of which the loader must refuse with kCorruptPayload.
+
+#ifndef PITEX_TESTS_POOL_IMAGE_H_
+#define PITEX_TESTS_POOL_IMAGE_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "src/index/rr_graph.h"
+#include "src/model/influence_graph.h"
+#include "src/util/serialize.h"
+
+namespace pitex {
+namespace pool_image {
+
+// Where a saved RR file's payload starts: after the header (the magic
+// as a u64 length and 8 bytes, version u32, kind u8, then fingerprint,
+// eps, delta, cap_k and seed at 8 bytes each). It ends before
+// build_seconds and the checksum, 8 bytes each.
+constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
+constexpr size_t kTrailerBytes = 16;
+constexpr uint32_t kExplicit = 1u << 31;
+constexpr size_t kGroup = 64;   // directory entries per base
+constexpr size_t kPadding = 7;  // zero bytes after a body's blocks
+
+// Overwrites the trailing checksum with the digest of everything before
+// it, so a mutation reaches the structural checks and, if it passes
+// them, the round trip.
+inline void RepairChecksum(std::string* bytes) {
+  constexpr size_t kDigestBytes = 8;
+  Fnv1a hash;
+  hash.Update(bytes->data(), bytes->size() - kDigestBytes);
+  uint64_t digest = hash.digest();
+  for (size_t i = bytes->size() - kDigestBytes; i < bytes->size(); ++i) {
+    (*bytes)[i] = static_cast<char>(digest & 0xff);
+    digest >>= 8;
+  }
+}
+
+// Bits of a field that holds every id below `count`.
+inline uint32_t FieldBits(uint64_t count) {
+  uint32_t bits = 0;
+  while ((uint64_t{1} << bits) < count) ++bits;
+  return bits;
+}
+
+// Bytes the LEB128 varint of x takes.
+inline size_t VarintBytes(uint64_t x) {
+  size_t bytes = 1;
+  for (; x >= 128; x >>= 7) ++bytes;
+  return bytes;
+}
+
+inline void PutVarintTo(uint64_t x, std::vector<uint8_t>* out) {
+  for (; x >= 0x80; x >>= 7) out->push_back(static_cast<uint8_t>(x | 0x80));
+  out->push_back(static_cast<uint8_t>(x));
+}
+
+// Bits [pos, pos + bits) of `data`, LSB-first, and their inverse.
+inline uint64_t GetBits(const std::vector<uint8_t>& data, uint64_t pos,
+                        uint32_t bits) {
+  uint64_t value = 0;
+  for (uint32_t b = 0; b < bits; ++b) {
+    const uint64_t at = pos + b;
+    value |= uint64_t{(data[at / 8] >> (at % 8)) & 1u} << b;
+  }
+  return value;
+}
+inline void SetBits(std::vector<uint8_t>* data, uint64_t pos, uint32_t bits,
+                    uint64_t value) {
+  for (uint32_t b = 0; b < bits; ++b) {
+    const uint64_t at = pos + b;
+    const auto mask = static_cast<uint8_t>(1u << (at % 8));
+    (*data)[at / 8] = static_cast<uint8_t>(
+        ((value >> b) & 1) != 0 ? (*data)[at / 8] | mask
+                                : (*data)[at / 8] & ~mask);
+  }
+}
+
+struct Block;
+
+// A saved file taken apart into the pool arrays it images: the
+// directory's word width, its words decoded to kExplicit | a block's
+// start in the body or a singleton's vertex, the bases the loader
+// derives for them (where the next block starts at each group's first
+// sketch), and the body bytes, padding included, with the field widths
+// the network calls for. The header before theta and the trailer are
+// kept as bytes. Encode puts it back together, each block's word its
+// start less its group's base at the image's width, and repairs the
+// checksum, so an edit reaches the loader's checks.
+struct Image {
+  std::string header;
+  uint64_t theta = 0;
+  uint32_t width = 0;
+  std::vector<uint32_t> slots;
+  std::vector<uint32_t> bases;
+  std::vector<uint8_t> body;
+  std::string trailer;
+  uint32_t vertex_bits = 0;
+  uint32_t edge_bits = 0;
+
+  Image(const std::string& bytes, const SocialNetwork& network);
+
+  uint32_t flag() const { return 1u << (8 * width - 1); }
+
+  std::string Encode() const {
+    std::string bytes = header;
+    const auto put = [&bytes](uint64_t value, size_t length) {
+      for (size_t b = 0; b < length; ++b) {
+        bytes.push_back(static_cast<char>((value >> (8 * b)) & 0xff));
+      }
+    };
+    put(theta, 8);
+    put(width, 1);
+    put(slots.size() * width, 8);
+    for (size_t i = 0; i < slots.size(); ++i) {
+      const uint32_t slot = slots[i];
+      put((slot & kExplicit) != 0
+              ? flag() | ((slot & ~kExplicit) - bases[i / kGroup])
+              : slot,
+          width);
+    }
+    put(body.size(), 8);
+    for (const uint8_t byte : body) put(byte, 1);
+    bytes += trailer;
+    RepairChecksum(&bytes);
+    return bytes;
+  }
+};
+
+// Replaces body bytes [at, at + erase) of `image` with `insert` and
+// moves the blocks of the sketches after `sketch` with them, and the
+// bases of the groups that open after it.
+inline void Splice(Image* image, size_t sketch, size_t at, size_t erase,
+                   const std::vector<uint8_t>& insert) {
+  const auto begin = image->body.begin() + static_cast<std::ptrdiff_t>(at);
+  image->body.erase(begin, begin + static_cast<std::ptrdiff_t>(erase));
+  image->body.insert(image->body.begin() + static_cast<std::ptrdiff_t>(at),
+                     insert.begin(), insert.end());
+  const auto shift = static_cast<uint32_t>(insert.size() - erase);
+  for (size_t i = sketch + 1; i < image->slots.size(); ++i) {
+    if ((image->slots[i] & kExplicit) != 0) image->slots[i] += shift;
+  }
+  for (size_t g = sketch / kGroup + 1; g < image->bases.size(); ++g) {
+    image->bases[g] += shift;
+  }
+}
+
+// One explicit block of an Image: where it sits, its header (n and the
+// in-tree flag, then m unless it is an in-tree) and its bit fields, each
+// read and written at its width: the vertices, the root's local id, the
+// n + 1 offsets unless the block is an in-tree, the m heads, then the m
+// records (the edge id, then the threshold's 30 bits).
+struct Block {
+  Image* image;
+  size_t sketch;
+  uint32_t start;
+  uint32_t header_bytes;  // n's varint, and m's unless an in-tree
+  uint32_t n;
+  uint32_t m;
+  bool tree;
+
+  uint32_t id_bits() const { return FieldBits(n); }
+  uint32_t offset_bits() const { return FieldBits(uint64_t{m} + 1); }
+  /// Bit positions in the body.
+  uint64_t fields() const { return uint64_t{start + header_bytes} * 8; }
+  uint64_t root_at() const {
+    return fields() + uint64_t{n} * image->vertex_bits;
+  }
+  uint64_t offsets_at() const { return root_at() + id_bits(); }
+  uint64_t heads_at() const {
+    return offsets_at() + (tree ? 0 : uint64_t{n + 1} * offset_bits());
+  }
+  uint64_t record_at(size_t k) const {
+    return heads_at() + uint64_t{m} * id_bits() +
+           k * (image->edge_bits + uint64_t{kThresholdBits});
+  }
+  /// Bits of the fields, and bytes of the whole block.
+  uint64_t bits() const { return record_at(m) - fields(); }
+  size_t bytes() const { return header_bytes + (bits() + 7) / 8; }
+
+  uint64_t get(uint64_t pos, uint32_t bits) const {
+    return GetBits(image->body, pos, bits);
+  }
+  void set(uint64_t pos, uint32_t bits, uint64_t value) const {
+    SetBits(&image->body, pos, bits, value);
+  }
+  uint32_t vertex(size_t j) const {
+    return static_cast<uint32_t>(
+        get(fields() + j * image->vertex_bits, image->vertex_bits));
+  }
+  void set_vertex(size_t j, uint64_t value) const {
+    set(fields() + j * image->vertex_bits, image->vertex_bits, value);
+  }
+  uint32_t root() const {
+    return static_cast<uint32_t>(get(root_at(), id_bits()));
+  }
+  void set_root(uint64_t value) const { set(root_at(), id_bits(), value); }
+  /// Offset j, stored or, in an in-tree, j less one past the root.
+  uint32_t offset(size_t j) const {
+    if (tree) return static_cast<uint32_t>(j - (j > root() ? 1 : 0));
+    return static_cast<uint32_t>(
+        get(offsets_at() + j * offset_bits(), offset_bits()));
+  }
+  void set_offset(size_t j, uint64_t value) const {
+    set(offsets_at() + j * offset_bits(), offset_bits(), value);
+  }
+  uint32_t head(size_t k) const {
+    return static_cast<uint32_t>(get(heads_at() + k * id_bits(), id_bits()));
+  }
+  void set_head(size_t k, uint64_t value) const {
+    set(heads_at() + k * id_bits(), id_bits(), value);
+  }
+  uint32_t edge_id(size_t k) const {
+    return static_cast<uint32_t>(get(record_at(k), image->edge_bits));
+  }
+  void set_edge_id(size_t k, uint64_t value) const {
+    set(record_at(k), image->edge_bits, value);
+  }
+  uint32_t threshold_bits(size_t k) const {
+    return static_cast<uint32_t>(
+        get(record_at(k) + image->edge_bits, kThresholdBits));
+  }
+  void set_threshold_bits(size_t k, uint64_t value) const {
+    set(record_at(k) + image->edge_bits, kThresholdBits, value);
+  }
+  /// The largest value a local id's field holds.
+  uint64_t max_id() const { return (uint64_t{1} << id_bits()) - 1; }
+  /// In an in-tree, local j's parent: the head of its one edge.
+  uint32_t parent(uint32_t j) const { return head(offset(j)); }
+  /// In an in-tree, true when every vertex reaches the root within n
+  /// parent steps, so no parents form a cycle.
+  bool parents_reach_root() const {
+    for (uint32_t j = 0; j < n; ++j) {
+      uint32_t v = j;
+      for (uint32_t step = 0; step < n && v != root(); ++step) v = parent(v);
+      if (v != root()) return false;
+    }
+    return true;
+  }
+
+  /// Re-encodes the block, every value intact, its header one byte
+  /// longer than it needs when `overlong`, an in-tree's offsets (and
+  /// edge count) stored when `with_offsets`, and moves the blocks after
+  /// it.
+  void Reencode(bool overlong, bool with_offsets) const {
+    const bool new_tree = tree && !with_offsets;
+    std::vector<uint8_t> out;
+    uint64_t header = uint64_t{n} << 1 | (new_tree ? 1 : 0);
+    if (overlong) {
+      // The groups with the last's top bit set, then an empty group.
+      for (; header >= 0x80; header >>= 7) {
+        out.push_back(static_cast<uint8_t>(header | 0x80));
+      }
+      out.push_back(static_cast<uint8_t>(header | 0x80));
+      out.push_back(0);
+    } else {
+      PutVarintTo(header, &out);
+    }
+    if (!new_tree) PutVarintTo(m, &out);
+    const uint64_t new_bits =
+        bits() + (new_tree == tree ? 0 : uint64_t{n + 1} * offset_bits());
+    uint64_t pos = out.size() * 8;
+    out.resize(out.size() + (new_bits + 7) / 8, 0);
+    const auto put = [&](uint32_t bits, uint64_t value) {
+      SetBits(&out, pos, bits, value);
+      pos += bits;
+    };
+    for (uint32_t j = 0; j < n; ++j) put(image->vertex_bits, vertex(j));
+    put(id_bits(), root());
+    if (!new_tree) {
+      for (uint32_t j = 0; j <= n; ++j) put(offset_bits(), offset(j));
+    }
+    for (uint32_t k = 0; k < m; ++k) put(id_bits(), head(k));
+    for (uint32_t k = 0; k < m; ++k) {
+      put(image->edge_bits, edge_id(k));
+      put(kThresholdBits, threshold_bits(k));
+    }
+    Splice(image, sketch, start, bytes(), out);
+  }
+};
+
+// Sketch i's block, or nullopt for an implicit singleton.
+inline std::optional<Block> BlockOf(Image* image, size_t i) {
+  if ((image->slots[i] & kExplicit) == 0) return std::nullopt;
+  const uint32_t start = image->slots[i] & ~kExplicit;
+  uint32_t at = start;
+  const auto varint = [image, &at]() {
+    uint32_t value = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      const uint8_t byte = image->body[at++];
+      value |= uint32_t{byte & 0x7fu} << shift;
+      if (byte < 0x80) break;
+    }
+    return value;
+  };
+  const uint32_t header = varint();
+  const bool tree = (header & 1) != 0;
+  const uint32_t n = header >> 1;
+  const uint32_t m = tree ? n - 1 : varint();
+  return Block{image, i, start, at - start, n, m, tree};
+}
+
+inline Image::Image(const std::string& bytes, const SocialNetwork& network)
+    : vertex_bits(FieldBits(network.num_vertices())),
+      edge_bits(FieldBits(network.num_edges())) {
+  size_t at = kThetaOffset;
+  const auto take = [&bytes, &at](size_t length) {
+    uint64_t value = 0;
+    for (size_t b = 0; b < length; ++b) {
+      value |= uint64_t{static_cast<unsigned char>(bytes[at++])} << (8 * b);
+    }
+    return value;
+  };
+  header = bytes.substr(0, kThetaOffset);
+  theta = take(8);
+  width = static_cast<uint32_t>(take(1));
+  slots.resize(take(8) / width);
+  for (uint32_t& slot : slots) slot = static_cast<uint32_t>(take(width));
+  body.resize(take(8));
+  for (uint8_t& byte : body) byte = static_cast<uint8_t>(take(1));
+  trailer = bytes.substr(at);
+  // The bases as the loader derives them: the blocks run back to back
+  // from the body's first byte.
+  uint32_t next = 0;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (i % kGroup == 0) bases.push_back(next);
+    if ((slots[i] & flag()) == 0) continue;
+    slots[i] = kExplicit | (bases.back() + (slots[i] & ~flag()));
+    next = static_cast<uint32_t>((slots[i] & ~kExplicit) +
+                                 BlockOf(this, i)->bytes());
+  }
+}
+
+// The first explicit block with at least `min_n` vertices and `min_m`
+// edges for which `also` holds, if any.
+template <typename Also>
+std::optional<Block> FindBlock(Image* image, uint32_t min_n, uint32_t min_m,
+                               Also also) {
+  for (size_t i = 0; i < image->slots.size(); ++i) {
+    const std::optional<Block> block = BlockOf(image, i);
+    if (block && block->n >= min_n && block->m >= min_m && also(*block)) {
+      return block;
+    }
+  }
+  return std::nullopt;
+}
+inline std::optional<Block> FindBlock(Image* image, uint32_t min_n,
+                                      uint32_t min_m) {
+  return FindBlock(image, min_n, min_m, [](const Block&) { return true; });
+}
+
+// One edit of a valid image that no saved pool can hold. Each returns
+// false when the image has no place to make it.
+struct ValidatorRow {
+  const char* name;
+  std::function<bool(const SocialNetwork&, Image*)> edit;
+};
+
+inline std::vector<ValidatorRow> ValidatorRows() {
+  return {
+      {"block start moved",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         image->slots[block->sketch] += 1;
+         return true;
+       }},
+      {"block word one short of its start",
+       [](const SocialNetwork&, Image* image) {
+         // A block after the first of its group, whose word is not 0.
+         const auto block =
+             FindBlock(image, 1, 0, [image](const Block& b) {
+               return b.start != image->bases[b.sketch / kGroup];
+             });
+         if (!block) return false;
+         image->slots[block->sketch] -= 1;
+         return true;
+       }},
+      {"directory words at 4 B though they fit 2",
+       [](const SocialNetwork&, Image* image) {
+         if (image->width != 2) return false;
+         image->width = 4;
+         return true;
+       }},
+      {"2-byte singleton word = 2^15",
+       [](const SocialNetwork& n, Image* image) {
+         // Bit 15 is a 2-byte word's block flag: the word reads as a
+         // block at its base, which is not where a block starts.
+         if (image->width != 2 || n.num_vertices() <= 32768) return false;
+         for (uint32_t& slot : image->slots) {
+           if ((slot & kExplicit) == 0) {
+             slot = 32768;
+             return true;
+           }
+         }
+         return false;
+       }},
+      {"tree parents form a two-vertex cycle",
+       [](const SocialNetwork&, Image* image) {
+         const auto block =
+             FindBlock(image, 3, 2, [](const Block& b) { return b.tree; });
+         if (!block) return false;
+         // The two locals after the root, each other's parent; the
+         // header and the heads' range stay an in-tree's.
+         const uint32_t root = block->root();
+         const uint32_t a = (root + 1) % block->n;
+         const uint32_t b = (root + 2) % block->n;
+         block->set_head(block->offset(a), b);
+         block->set_head(block->offset(b), a);
+         return true;
+       }},
+      {"tree vertex is its own parent",
+       [](const SocialNetwork&, Image* image) {
+         const auto block =
+             FindBlock(image, 2, 1, [](const Block& b) { return b.tree; });
+         if (!block) return false;
+         const uint32_t a = (block->root() + 1) % block->n;
+         block->set_head(block->offset(a), a);
+         return true;
+       }},
+      {"in-tree flag cleared",
+       [](const SocialNetwork&, Image* image) {
+         // Bit 0 of the header's first byte: the block's first field
+         // byte then reads as its edge count.
+         const auto block =
+             FindBlock(image, 2, 1, [](const Block& b) { return b.tree; });
+         if (!block) return false;
+         image->body[block->start] &= 0xfe;
+         return true;
+       }},
+      {"CSR block flagged tree",
+       [](const SocialNetwork&, Image* image) {
+         // Its edge count's byte then reads as its first field byte.
+         const auto block =
+             FindBlock(image, 1, 0, [](const Block& b) { return !b.tree; });
+         if (!block) return false;
+         image->body[block->start] |= 1;
+         return true;
+       }},
+      {"header n grown by one",
+       [](const SocialNetwork&, Image* image) {
+         // An in-tree's one-byte header that stays one byte: n no longer
+         // agrees with the block's length, which a vertex more would
+         // lengthen by an edge record at least.
+         const auto block = FindBlock(image, 2, 1, [](const Block& b) {
+           return b.tree && b.n < 63;
+         });
+         if (!block) return false;
+         image->body[block->start] += 2;
+         return true;
+       }},
+      {"header n shrunk by one",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 3, 2, [](const Block& b) {
+           return b.tree && b.n <= 63;
+         });
+         if (!block) return false;
+         image->body[block->start] -= 2;
+         return true;
+       }},
+      {"edge count grown by one",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
+           return !b.tree && b.m < 127 && b.n < 64;
+         });
+         if (!block) return false;
+         image->body[block->start + 1] += 1;
+         return true;
+       }},
+      {"header n = 0",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
+           return b.n < 64;
+         });
+         if (!block) return false;
+         // The in-tree flag stays; n << 1 is cleared.
+         image->body[block->start] &= 1;
+         return true;
+       }},
+      {"overlong header varint",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         block->Reencode(/*overlong=*/true, /*with_offsets=*/false);
+         return true;
+       }},
+      {"tree-shaped block stored in CSR form",
+       [](const SocialNetwork&, Image* image) {
+         const auto block =
+             FindBlock(image, 2, 1, [](const Block& b) { return b.tree; });
+         if (!block) return false;
+         block->Reencode(/*overlong=*/false, /*with_offsets=*/true);
+         return true;
+       }},
+      {"two vertices swapped",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 2, 0);
+         if (!block) return false;
+         const uint32_t first = block->vertex(0);
+         block->set_vertex(0, block->vertex(1));
+         block->set_vertex(1, first);
+         return true;
+       }},
+      {"last vertex >= |V| in its width",
+       [](const SocialNetwork& n, Image* image) {
+         // The largest value the vertex field holds, when |V| is not a
+         // power of two.
+         const uint64_t max = (uint64_t{1} << image->vertex_bits) - 1;
+         if (max < n.num_vertices()) return false;
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         block->set_vertex(block->n - 1, max);
+         return true;
+       }},
+      {"singleton word = |V|",
+       [](const SocialNetwork& n, Image* image) {
+         // |V| must fit below the word's flag.
+         if (n.num_vertices() >= image->flag()) return false;
+         for (uint32_t& slot : image->slots) {
+           if ((slot & kExplicit) == 0) {
+             slot = static_cast<uint32_t>(n.num_vertices());
+             return true;
+           }
+         }
+         return false;
+       }},
+      {"root id >= n in its width",
+       [](const SocialNetwork&, Image* image) {
+         // n not a power of two, so the field holds a value past it.
+         const auto block = FindBlock(image, 3, 0, [](const Block& b) {
+           return b.max_id() >= b.n;
+         });
+         if (!block) return false;
+         block->set_root(block->max_id());
+         return true;
+       }},
+      {"tree root id >= n in its width",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 3, 2, [](const Block& b) {
+           return b.tree && b.max_id() >= b.n;
+         });
+         if (!block) return false;
+         block->set_root(block->n);
+         return true;
+       }},
+      {"head >= n in its width",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 3, 1, [](const Block& b) {
+           return !b.tree && b.max_id() >= b.n;
+         });
+         if (!block) return false;
+         block->set_head(0, block->max_id());
+         return true;
+       }},
+      {"tree head >= n in its width",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 3, 2, [](const Block& b) {
+           return b.tree && b.max_id() >= b.n;
+         });
+         if (!block) return false;
+         block->set_head(block->m - 1, block->n);
+         return true;
+       }},
+      {"first offset = 1",
+       [](const SocialNetwork&, Image* image) {
+         const auto block =
+             FindBlock(image, 1, 1, [](const Block& b) { return !b.tree; });
+         if (!block) return false;
+         block->set_offset(0, 1);
+         return true;
+       }},
+      {"offset falls",
+       [](const SocialNetwork&, Image* image) {
+         // Offset 1 raised to m, above offset 2.
+         const auto block = FindBlock(image, 2, 1, [](const Block& b) {
+           return !b.tree && b.offset(2) < b.m;
+         });
+         if (!block) return false;
+         block->set_offset(1, block->m);
+         return true;
+       }},
+      {"last offset = m - 1",
+       [](const SocialNetwork&, Image* image) {
+         // The CSR then ends one edge before the edge count.
+         const auto block = FindBlock(image, 1, 1, [](const Block& b) {
+           return !b.tree && b.offset(b.n - 1) < b.m;
+         });
+         if (!block) return false;
+         block->set_offset(block->n, block->m - 1);
+         return true;
+       }},
+      {"edge id >= |E| in its width",
+       [](const SocialNetwork& n, Image* image) {
+         // The largest value the edge field holds, when |E| is not a
+         // power of two.
+         const uint64_t max = (uint64_t{1} << image->edge_bits) - 1;
+         if (max < n.num_edges()) return false;
+         const auto block = FindBlock(image, 1, 1);
+         if (!block) return false;
+         block->set_edge_id(block->m - 1, max);
+         return true;
+       }},
+      {"threshold = 1.5",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 1);
+         if (!block) return false;
+         block->set_threshold_bits(0, 0x3FC00000);
+         return true;
+       }},
+      {"threshold bits = 1.0f's + 1",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 1);
+         if (!block) return false;
+         block->set_threshold_bits(block->m - 1, 0x3F800001);
+         return true;
+       }},
+      {"threshold bits = 2^30 - 1",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 1);
+         if (!block) return false;
+         block->set_threshold_bits(0, (uint32_t{1} << 30) - 1);
+         return true;
+       }},
+      {"pad bit set in a block's last byte",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 1, 0, [](const Block& b) {
+           return b.bits() % 8 != 0;
+         });
+         if (!block) return false;
+         image->body[block->start + block->bytes() - 1] |= 0x80;
+         return true;
+       }},
+      {"block one byte longer than its fields",
+       [](const SocialNetwork&, Image* image) {
+         // A zero byte after a block's fields, with the blocks after it
+         // moved to make room: its fields' end is no longer where the
+         // next block starts.
+         const auto block = FindBlock(image, 1, 1, [image](const Block& b) {
+           return b.start + b.bytes() + kPadding < image->body.size();
+         });
+         if (!block) return false;
+         Splice(image, block->sketch, block->start + block->bytes(), 0, {0});
+         return true;
+       }},
+      {"body one byte short of its padding",
+       [](const SocialNetwork&, Image* image) {
+         if (image->body.empty()) return false;
+         image->body.pop_back();
+         return true;
+       }},
+      {"eight bytes of padding",
+       [](const SocialNetwork&, Image* image) {
+         if (image->body.empty()) return false;
+         image->body.push_back(0);
+         return true;
+       }},
+      {"padding byte set",
+       [](const SocialNetwork&, Image* image) {
+         if (image->body.empty()) return false;
+         image->body.back() = 1;
+         return true;
+       }},
+  };
+}
+
+}  // namespace pool_image
+}  // namespace pitex
+
+#endif  // PITEX_TESTS_POOL_IMAGE_H_

@@ -11,7 +11,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <new>
 #include <numeric>
@@ -99,21 +102,12 @@ bool SameSketch(const RRView& a, const RRView& b) {
   return true;
 }
 
-// Bytes per local id of an explicit block with n vertices and m edges.
-uint32_t ExpectedWidth(size_t n, size_t m) {
-  return n <= 256 && m <= 255 ? 1 : 4;
-}
-
-// Bytes per vertex id of an explicit block whose largest vertex is
-// `max_vertex`.
-uint32_t ExpectedVertexWidth(VertexId max_vertex) {
-  return max_vertex < 65536 ? 2 : 4;
-}
-
-// Bytes per edge id of an explicit block whose largest edge id is
-// `max_edge`.
-uint32_t ExpectedEdgeWidth(EdgeId max_edge) {
-  return max_edge < (EdgeId{1} << 24) ? 3 : 4;
+// Bits of a field that holds every id below `count`: the fewest b with
+// 2^b >= count.
+uint32_t BitsFor(uint64_t count) {
+  uint32_t bits = 0;
+  while ((uint64_t{1} << bits) < count) ++bits;
+  return bits;
 }
 
 // Bytes the LEB128 varint of x takes: one per started group of 7 bits.
@@ -182,13 +176,6 @@ ExpectedLists ExpectedListsOf(const RrSketchPool& pool) {
   return want;
 }
 
-// The largest edge id of a sketch, 0 if it has no edges.
-EdgeId MaxEdgeId(const RRView& view) {
-  EdgeId max_edge = 0;
-  for (const RRLocalEdge e : view.edges) max_edge = std::max(max_edge, e.edge);
-  return max_edge;
-}
-
 // True when `g`'s offsets give its root no out-edge and every other
 // vertex exactly one: offset j is j, less one past the root.
 bool InTreeShape(const RRGraph& g) {
@@ -212,16 +199,21 @@ size_t TwoLevelBytes(size_t entries, size_t width) {
 // word is a singleton's vertex or a block's start less its group's base
 // (where the next block starts at the group's first sketch) behind the
 // flag bit 15; a start's word is its list's start, in bits, less its
-// group's first start. The body is bytes; the containing lists are Rice
-// codes at the pool's parameter (ExpectedListsOf). A sketch's
-// body block is a varint header of n << 4 and four flags, then n
-// vertices at the block's vertex width, then the root's local id,
-// n + 1 offsets unless the sketch is an in-tree, and m heads at its id
-// width, then its m edge records of an edge id at its edge width and a
-// 4-byte threshold, with no padding, unless it is an implicit singleton
-// (one vertex, no edges).
+// group's first start. The containing lists are Rice codes at the
+// pool's parameter (ExpectedListsOf). A sketch's body block, unless it
+// is an implicit singleton (one vertex, no edges), is a varint header
+// of n << 1 | in-tree, a varint of m unless the sketch is an in-tree,
+// then bit fields to the next byte: n vertices at V bits, the root's
+// local id, n + 1 offsets at BitsFor(m + 1) bits unless the sketch is an
+// in-tree, and m heads at BitsFor(n) bits, then m records of an edge id
+// at E bits and a 30-bit threshold; V and E are BitsFor of the network's
+// vertex and edge counts, and 7 bytes of padding end a body of blocks.
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
+  const uint64_t vertex_bits = BitsFor(pool.num_network_vertices());
+  const uint64_t edge_bits = BitsFor(pool.num_network_edges());
+  EXPECT_EQ(pool.vertex_bits(), vertex_bits);
+  EXPECT_EQ(pool.edge_bits(), edge_bits);
   size_t body = 0;
   size_t base = 0;
   size_t max_singleton = 0;
@@ -229,19 +221,22 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
   for (size_t i = 0; i < s; ++i) {
     if (i % 64 == 0) base = body;
     const RRView view = pool.View(i);
-    const size_t n = view.vertices.size();
-    const size_t m = view.edges.size();
+    const uint64_t n = view.vertices.size();
+    const uint64_t m = view.edges.size();
     if (n == 1 && m == 0) {
       max_singleton = std::max<size_t>(max_singleton, view.vertices[0]);
       continue;
     }
     max_offset = std::max(max_offset, body - base);
-    const size_t offsets = InTreeShape(Owned(view)) ? 0 : n + 1;
-    body += VarintBytes(static_cast<uint32_t>(n << 4)) +
-            n * ExpectedVertexWidth(view.vertices.back()) +
-            (1 + offsets + m) * ExpectedWidth(n, m) +
-            m * (ExpectedEdgeWidth(MaxEdgeId(view)) + 4);
+    const bool tree = InTreeShape(Owned(view));
+    const uint64_t bits = n * vertex_bits + BitsFor(n) +
+                          (tree ? 0 : (n + 1) * BitsFor(m + 1)) +
+                          m * (BitsFor(n) + edge_bits + 30);
+    body += VarintBytes(static_cast<uint32_t>(n << 1 | tree)) +
+            (tree ? 0 : VarintBytes(static_cast<uint32_t>(m))) +
+            (bits + 7) / 8;
   }
+  if (body > 0) body += 7;
   const size_t directory_width =
       max_singleton < 32768 && max_offset < 32768 ? 2 : 4;
   const ExpectedLists lists = ExpectedListsOf(pool);
@@ -295,7 +290,7 @@ void ExpectContainingMatchesViews(const RrSketchPool& pool) {
 // `pool` in as many bits as the pool's coder, and decodes it back.
 void ExpectOverlayCodesAsPool(const RrSketchPool& pool) {
   const std::vector<std::vector<uint32_t>> want = ContainingFromViews(pool);
-  RrSketchOverlay overlay(pool.containing_k());
+  RrSketchOverlay overlay(pool);
   for (VertexId v = 0; v < want.size(); ++v) {
     overlay.SetContaining(v, want[v]);
     const std::optional<ContainingList> list = overlay.Containing(v);
@@ -421,8 +416,9 @@ TEST(PooledLayoutTest, PoolTotalsConsistent) {
     max_sketch = std::max(max_sketch, view.vertices.size());
     const RRGraph owned = Owned(view);
     ASSERT_EQ(owned.offsets.back(), view.edges.size());
-    ASSERT_EQ(view.id_width,
-              ExpectedWidth(view.vertices.size(), view.edges.size()));
+    if (view.vertices.size() > 1 || !view.edges.empty()) {
+      ASSERT_EQ(view.heads.bits, BitsFor(view.vertices.size()));
+    }
   }
   EXPECT_EQ(ExpectVertexTotalsAgree(pool), vertices);
   EXPECT_GT(edges, 0u);
@@ -432,9 +428,10 @@ TEST(PooledLayoutTest, PoolTotalsConsistent) {
   ExpectContainingMatchesViews(pool);
 }
 
-// Packs hand-made sketches over a 10-vertex universe.
+// Packs hand-made sketches over a network of 10 vertices and 10 edges:
+// 4-bit vertices and edge ids.
 RrSketchPool PackGraphs(const std::vector<RRGraph>& graphs) {
-  return RrSketchPool::Pack(graphs.size(), 10,
+  return RrSketchPool::Pack(graphs.size(), 10, 10,
                             [&graphs](size_t i) { return graphs[i].View(); });
 }
 
@@ -447,9 +444,10 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
       Singleton(7)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // Only the two-vertex sketch, an in-tree, has a body block of 14
-  // bytes: a one-byte header, its two 2-byte vertices, its root id and
-  // 1 head at a byte each, and its 7-byte edge record. The lists of
+  // Only the two-vertex sketch, an in-tree, has a body block: a one-byte
+  // header, then 44 bits in 6 bytes (its two 4-bit vertices, its root id
+  // and 1 head at a bit each, and its 34-bit edge record), then 7 bytes
+  // of padding: 14 in all. The lists of
   // vertices 2, 5 and 7 take 3, 3 and 6 bits at k = 2 (3 sketches over
   // 10 vertices holding 4 ids, a mean gap of 7): 2 bytes, then 7 of
   // padding. The directory and the 11 containing starts each take one
@@ -469,9 +467,11 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
 
 TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   // One vertex but one edge: the edge needs its header, offsets and
-  // record, so the sketch keeps a block of 1 + 2 + 4 + 7 bytes (header,
-  // vertex, root id, 2 offsets and a head, record). Vertex 4's list
-  // takes two 4-bit codes at k = 3: a byte, then 7 of padding.
+  // record, so the sketch keeps a block of 1 + 1 + 5 bytes (header, edge
+  // count, then 40 bits: the 4-bit vertex, a 0-bit root id, 2 offsets of
+  // a bit, a 0-bit head and the 34-bit record), then 7 of padding.
+  // Vertex 4's list takes two 4-bit codes at k = 3: a byte, then 7 of
+  // padding.
   const std::vector<RRGraph> graphs = {
       RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}}, Singleton(4)};
   const RrSketchPool pool = PackGraphs(graphs);
@@ -558,14 +558,15 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 1 + 6 + 7 and 1 + 9 + 14 bytes for the two in-trees, and
-  // 1 + 6 + 7 and 1 + 9 + 7 for the self-loop and the sketch whose root
-  // has an out-edge (header, region, records), and 12 containing
-  // entries of 3 or 4 bits each at k = 2, 41 bits in all: 6 bytes, then
-  // 7 of padding.
+  // Blocks of 1 + 6 (44 bits) and 1 + 11 (86 bits) bytes for the two
+  // in-trees, and 2 + 5 (40 bits) and 2 + 6 (47 bits) for the self-loop
+  // and the sketch whose root has an out-edge (header and edge count,
+  // fields), then 7 of padding, and 12 containing entries of 3 or 4 bits
+  // each at k = 2, 41 bits in all: 6 bytes, then 7 of padding.
   EXPECT_EQ(pool.containing_k(), 2u);
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + (4 + 2 * 8) + (4 + 2 * 11) + 69 + (6 + 7));
+            sizeof(RrSketchPool) + (4 + 2 * 8) + (4 + 2 * 11) + (34 + 7) +
+                (6 + 7));
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
   EXPECT_EQ(pool.max_sketch_vertices(), 3u);
@@ -581,7 +582,7 @@ TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
       {{0, 2}, {6, 1}},           // run 0: samples 0-1, then 6
       {{2, 3}},                   // run 1: samples 2-4
       {{5, 1}, {7, 1}}};          // run 2: sample 5, then 7
-  std::vector<RrSketchPool> runs(claims.size());
+  std::vector<RrSketchPool> runs(claims.size(), RrSketchPool(10, 10));
   std::vector<RrSketchPool::Segment> segments;
   for (uint32_t r = 0; r < claims.size(); ++r) {
     for (const auto& [sample, count] : claims[r]) {
@@ -596,50 +597,55 @@ TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
   // Segment order does not matter: the finish sorts by sample.
   std::ranges::reverse(segments);
   const RrSketchPool got =
-      RrSketchPool::FromRuns(runs, segments, graphs.size(), 10);
+      RrSketchPool::FromRuns(runs, segments, graphs.size(), 10, 10);
   ExpectSamePools(got, want);
   EXPECT_EQ(got.SizeBytes(), ExactSizeBytes(got));
 
   // A run that is one finished segment per sketch.
-  std::vector<RrSketchPool> singles(graphs.size());
+  std::vector<RrSketchPool> singles(graphs.size(), RrSketchPool(10, 10));
   std::vector<RrSketchPool::Segment> each;
   for (uint32_t i = 0; i < graphs.size(); ++i) {
     singles[i].Append(graphs[i]);
     each.push_back({i, i, 0, 1});
   }
-  ExpectSamePools(RrSketchPool::FromRuns(singles, each, graphs.size(), 10),
+  ExpectSamePools(RrSketchPool::FromRuns(singles, each, graphs.size(), 10, 10),
                   want);
+  // Runs must take the pool's widths: their blocks are copied as they
+  // are.
+  EXPECT_DEATH(RrSketchPool::FromRuns(singles, each, graphs.size(), 10, 11),
+               "different network");
 }
 
 TEST(PooledLayoutTest, FromRunsRequiresFullCoverage) {
   const std::vector<RRGraph> graphs = MixedGraphs();
-  RrSketchPool run;
+  RrSketchPool run(10, 10);
   for (const RRGraph& g : graphs) run.Append(g);
   const std::vector<RrSketchPool> runs = {run};
   const std::vector<RrSketchPool::Segment> gap = {{0, 0, 0, 3},
                                                   {4, 0, 4, 4}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(runs, gap, graphs.size(), 10),
+  EXPECT_DEATH(RrSketchPool::FromRuns(runs, gap, graphs.size(), 10, 10),
                "cover every sample");
   const std::vector<RrSketchPool::Segment> twice = {{0, 0, 0, 8},
                                                     {0, 0, 0, 8}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(runs, twice, graphs.size(), 10),
+  EXPECT_DEATH(RrSketchPool::FromRuns(runs, twice, graphs.size(), 10, 10),
                "cover every sample");
   const std::vector<RrSketchPool::Segment> short_run = {{0, 0, 0, 9}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(runs, short_run, 9, 10),
+  EXPECT_DEATH(RrSketchPool::FromRuns(runs, short_run, 9, 10, 10),
                "out of range");
 }
 
 TEST(PooledLayoutTest, VertexIdsMustFitThirtyOneBits) {
   // The directory word's top bit tells a block start from a singleton's
   // vertex, so no vertex id may reach it: the writers abort on such
-  // sketches (the index loader rejects them with a typed error).
+  // sketches (the index loader rejects them with a typed error). A
+  // default pool's vertex fields hold every id below that bit.
   constexpr VertexId kTooWide = VertexId{1} << 31;
   const RRGraph wide_singleton = Singleton(kTooWide);
   const RRGraph wide_block{0, {0, kTooWide}, {0, 0, 1}, {0}, {{3, 0.25f}}};
   const RRGraph fits = Singleton(kTooWide - 1);
   for (const RRGraph* g : {&wide_singleton, &wide_block}) {
     RrSketchPool run;
-    EXPECT_DEATH(run.Append(*g), "vertex id exceeds the directory word");
+    EXPECT_DEATH(run.Append(*g), "outside the pool's network");
   }
   RrSketchPool run;
   run.Append(fits);
@@ -698,16 +704,16 @@ class ConstantProbs final : public EdgeProbFn {
 
 constexpr size_t kWideUniverse = 65537;
 
-// Sketches on both sides of each width boundary, interleaved with
-// implicit singletons.
+// Sketches on both sides of the 8-bit boundaries of the local ids and
+// the offsets, interleaved with implicit singletons.
 std::vector<RRGraph> BoundaryGraphs() {
   const std::vector<std::pair<size_t, size_t>> sizes = {
-      {256, 255},      // width 1: the largest n and m it holds
-      {257, 255},      // width 4: one vertex too many
-      {256, 256},      // width 4: one edge too many
-      {257, 256},      // width 4: both
-      {65537, 65536},  // width 4: a 65,537-vertex path
-      {3, 2}};         // width 1 again after a wide block
+      {256, 255},      // 8-bit ids and offsets: the largest n and m
+      {257, 255},      // 9-bit ids: one vertex too many
+      {256, 256},      // 9-bit offsets: one edge too many
+      {257, 256},      // both
+      {65537, 65536},  // 17-bit ids and offsets: a 65,537-vertex path
+      {3, 2}};         // 2-bit ids again after a wide block
   std::vector<RRGraph> graphs;
   for (const auto& [n, m] : sizes) {
     graphs.push_back(WideSketch(n, m));
@@ -716,8 +722,9 @@ std::vector<RRGraph> BoundaryGraphs() {
   return graphs;
 }
 
-// Every view of `pool` equals its graph, at the width the graph's size
-// calls for, and answers every reachability query as the graph does.
+// Every view of `pool` equals its graph, each field at the width the
+// pool's network or the graph's size calls for, and answers every
+// reachability query as the graph does.
 void ExpectMatchesGraphs(const RrSketchPool& pool,
                          const std::vector<RRGraph>& graphs) {
   ASSERT_EQ(pool.num_sketches(), graphs.size());
@@ -728,18 +735,22 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
     const RRView want = graphs[i];
     ASSERT_TRUE(SameSketch(view, want));
     // An in-tree's block stores no offsets; any other stores them.
-    EXPECT_EQ(view.offset_ids == nullptr, InTreeShape(graphs[i]));
+    EXPECT_EQ(view.offsets.data == nullptr, InTreeShape(graphs[i]));
     EXPECT_EQ(view.root(), graphs[i].root);
     EXPECT_EQ(view.root_local, graphs[i].LocalIndex(graphs[i].root));
     const size_t n = want.vertices.size();
     const size_t m = want.edges.size();
-    if (n > 1 || m > 0) {
-      EXPECT_EQ(view.id_width, ExpectedWidth(n, m));
+    // A singleton's vertex is its view's base over a 0-bit field; a
+    // block's vertices take the pool's width.
+    const bool singleton = n == 1 && m == 0;
+    EXPECT_EQ(view.vertices.ids().bits,
+              singleton ? 0 : BitsFor(pool.num_network_vertices()));
+    EXPECT_EQ(view.vertices.base(), singleton ? want.vertices[0] : 0);
+    EXPECT_EQ(view.heads.bits, BitsFor(n));
+    if (view.offsets.data != nullptr) {
+      EXPECT_EQ(view.offsets.bits, BitsFor(m + 1));
     }
-    // A singleton's vertex reads at the width a block of it would take.
-    EXPECT_EQ(view.vertices.width(),
-              ExpectedVertexWidth(want.vertices.back()));
-    EXPECT_EQ(view.edges.width(), ExpectedEdgeWidth(MaxEdgeId(want)));
+    EXPECT_EQ(view.edges.edge_bits(), BitsFor(pool.num_network_edges()));
     const size_t r = want.root_local;
     for (const size_t u :
          {size_t{0}, size_t{1}, n / 2, n - 2, n - 1, r - 1, r, r + 1}) {
@@ -754,18 +765,21 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
   }
 }
 
-// Writes `graphs` through every pool writer — Append, Pack, Pack again
-// from the packed views, and FromRuns over one run and over three runs —
-// and checks each result against the graphs.
+// Writes `graphs`, sketches of a network of `universe` vertices and
+// `num_edges` edges (as many as vertices unless given), through every
+// pool writer — Append, Pack, Pack again from the packed views, and
+// FromRuns over one run and over three runs — and checks each result
+// against the graphs.
 void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
-                            size_t universe) {
+                            size_t universe, size_t num_edges = 0) {
+  if (num_edges == 0) num_edges = universe;
   // Append: a run written one sketch at a time.
-  RrSketchPool run;
+  RrSketchPool run(universe, num_edges);
   for (const RRGraph& g : graphs) run.Append(g);
   ExpectMatchesGraphs(run, graphs);
 
   // An overlay's store: a run that is never finished.
-  RrSketchOverlay overlay;
+  RrSketchOverlay overlay(run);
   for (uint32_t i = 0; i < graphs.size(); ++i) overlay.Put(i, graphs[i]);
   for (uint32_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(i)), graphs[i]))
@@ -775,7 +789,7 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
   // Pack, then Pack again from the packed views (compaction's path:
   // narrow blocks re-encoded from narrow views).
   const RrSketchPool packed =
-      RrSketchPool::Pack(graphs.size(), universe,
+      RrSketchPool::Pack(graphs.size(), universe, num_edges,
                          [&graphs](size_t i) { return graphs[i].View(); });
   ExpectMatchesGraphs(packed, graphs);
   EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
@@ -788,7 +802,7 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
               return g.vertices.size();
             }).vertices.size());
   const RrSketchPool repacked =
-      RrSketchPool::Pack(graphs.size(), universe,
+      RrSketchPool::Pack(graphs.size(), universe, num_edges,
                          [&packed](size_t i) { return packed.View(i); });
   ExpectSamePools(repacked, packed);
 
@@ -797,13 +811,14 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
   const std::vector<RrSketchPool::Segment> whole = {
       {0, 0, 0, static_cast<uint32_t>(graphs.size())}};
   const RrSketchPool from_one =
-      RrSketchPool::FromRuns(one_run, whole, graphs.size(), universe);
+      RrSketchPool::FromRuns(one_run, whole, graphs.size(), universe,
+                             num_edges);
   ExpectMatchesGraphs(from_one, graphs);
   ExpectSamePools(from_one, packed);
 
   // ... and over three runs that took the samples round robin, so every
   // block moves and every edge start is rebased.
-  std::vector<RrSketchPool> runs(3);
+  std::vector<RrSketchPool> runs(3, RrSketchPool(universe, num_edges));
   std::vector<RrSketchPool::Segment> segments;
   for (uint32_t i = 0; i < graphs.size(); ++i) {
     RrSketchPool& r = runs[i % 3];
@@ -812,7 +827,8 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
     r.Append(graphs[i]);
   }
   const RrSketchPool from_three =
-      RrSketchPool::FromRuns(runs, segments, graphs.size(), universe);
+      RrSketchPool::FromRuns(runs, segments, graphs.size(), universe,
+                             num_edges);
   ExpectMatchesGraphs(from_three, graphs);
   ExpectSamePools(from_three, packed);
   EXPECT_EQ(from_three.SizeBytes(), ExactSizeBytes(from_three));
@@ -827,72 +843,6 @@ TEST(PooledLayoutTest, WidthBoundariesSurviveEveryWriter) {
   ExpectEveryWriterKeeps(graphs, kWideUniverse);
 }
 
-// Sketches on both sides of the vertex-width boundary, largest vertex
-// 65,535 (2-byte vertices) and 65,536 (4-byte), with 1- and 4-byte local
-// ids, between implicit singletons past 16 bits and at 65,535.
-std::vector<RRGraph> VertexWidthGraphs() {
-  return {RRGraph{65535, {1, 65535}, {0, 1, 1}, {1}, {{3, 0.25f}}},
-          RRGraph{65536, {1, 65536}, {0, 1, 1}, {1}, {{4, 0.5f}}},
-          Singleton(70000),
-          RRGraph{65535,
-                  {65534, 65535, 65536},
-                  {0, 1, 1, 2},
-                  {1, 1},
-                  {{5, 0.1f}, {6, 0.2f}}},
-          Singleton(65535),
-          WideSketch(300, 299),
-          RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}}};
-}
-
-constexpr size_t kVertexWidthUniverse = 70001;
-
-TEST(PooledLayoutTest, VertexWidthBoundariesSurviveEveryWriter) {
-  const std::vector<RRGraph> graphs = VertexWidthGraphs();
-  ExpectEveryWriterKeeps(graphs, kVertexWidthUniverse);
-  const RrSketchPool pool =
-      RrSketchPool::Pack(graphs.size(), kVertexWidthUniverse,
-                         [&graphs](size_t i) { return graphs[i].View(); });
-  // Sanity of the fixtures: the widths each block was built to take. A
-  // singleton's vertex is its directory word, read at the width it
-  // needs.
-  const uint32_t widths[] = {2, 4, 4, 4, 2, 2, 2};
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    EXPECT_EQ(pool.View(i).vertices.width(), widths[i]) << "sketch " << i;
-  }
-  EXPECT_EQ(pool.View(5).id_width, 4u);
-  EXPECT_EQ(pool.View(2).root(), 70000u);
-  EXPECT_TRUE(
-      std::ranges::equal(pool.Containing(70000), std::vector<uint32_t>{2}));
-  EXPECT_TRUE(std::ranges::equal(pool.Containing(65535),
-                                 std::vector<uint32_t>{0, 3, 4}));
-  EXPECT_TRUE(std::ranges::equal(pool.Containing(65536),
-                                 std::vector<uint32_t>{1, 3}));
-  ExpectContainingMatchesViews(pool);
-}
-
-TEST(PooledLayoutTest, MixedVertexWidthsRoundTripThroughIndexFile) {
-  // A pool of 2- and 4-byte vertex blocks saves, loads and saves back
-  // to the same bytes, and loads as the pool it was.
-  const SocialNetwork cycle =
-      MakeCertainCycle(static_cast<VertexId>(kVertexWidthUniverse));
-  const std::vector<RRGraph> graphs = VertexWidthGraphs();
-  const auto index = RrIndex::FromPool(
-      cycle, Options(), graphs.size(),
-      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
-          graphs.size(), cycle.num_vertices(),
-          [&graphs](size_t i) { return graphs[i].View(); })));
-  std::stringstream first;
-  ASSERT_TRUE(SaveRrIndex(*index, first));
-  IndexIoError error;
-  const auto loaded = LoadRrIndex(cycle, first, &error);
-  ASSERT_NE(loaded, nullptr) << error.message;
-  std::stringstream second;
-  ASSERT_TRUE(SaveRrIndex(*loaded, second));
-  EXPECT_EQ(second.str(), first.str());
-  ExpectSamePools(loaded->pool(), index->pool());
-  ExpectMatchesGraphs(loaded->pool(), graphs);
-}
-
 // A sketch over `vertices` (sorted) rooted at the first, with no edges.
 RRGraph EdgelessSketch(std::vector<VertexId> vertices) {
   const VertexId root = vertices[0];
@@ -901,70 +851,20 @@ RRGraph EdgelessSketch(std::vector<VertexId> vertices) {
 }
 
 // Appends `g` to `run` through AppendSketch, as the generator and the
-// repair assembly do: its largest edge id and form first, then a fill.
+// repair assembly do: its form first, then a fill that puts its offsets
+// (unless it is an in-tree), its heads and its records, in order.
 void AppendThroughSketch(const RRGraph& g, RrSketchPool* run) {
+  const bool in_tree = InTreeShape(g);
   run->AppendSketch(*g.LocalIndex(g.root), g.vertices, g.edges.size(),
-                    MaxEdgeId(g), InTreeShape(g), [&g](const auto& out) {
-                      for (size_t j = 0; j < g.offsets.size(); ++j) {
-                        out.set_offset(j, g.offsets[j]);
+                    in_tree, [&g, in_tree](BlockWriter& out) {
+                      if (!in_tree) {
+                        for (const uint32_t offset : g.offsets) {
+                          out.PutOffset(offset);
+                        }
                       }
-                      for (size_t k = 0; k < g.edges.size(); ++k) {
-                        out.set_head(k, g.heads[k]);
-                        out.set_edge(k, g.edges[k]);
-                      }
+                      for (const uint32_t head : g.heads) out.PutHead(head);
+                      for (const RRLocalEdge edge : g.edges) out.PutEdge(edge);
                     });
-}
-
-constexpr EdgeId k24 = EdgeId{1} << 24;
-
-// Blocks on both sides of the edge-width boundary, largest edge id
-// 2^24 - 1 (3-byte edge ids) and 2^24 (4-byte), the largest first or
-// last among its edges, around an implicit singleton. Thresholds such as
-// 0.1f have a nonzero low byte, which a 3-byte id's 4-byte load must
-// drop.
-std::vector<RRGraph> EdgeWidthGraphs() {
-  return {RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{k24 - 1, 0.25f}}},
-          RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{k24, 0.25f}}},
-          Singleton(5),
-          RRGraph{6,
-                  {1, 3, 6},
-                  {0, 1, 2, 2},
-                  {2, 2},
-                  {{0, 0.1f}, {k24 - 1, 0.2f}}},
-          RRGraph{6,
-                  {1, 3, 6},
-                  {0, 1, 2, 2},
-                  {2, 2},
-                  {{k24, 0.1f}, {5, 0.2f}}}};
-}
-
-TEST(PooledLayoutTest, EdgeWidthBoundariesSurviveEveryWriter) {
-  const std::vector<RRGraph> graphs = EdgeWidthGraphs();
-  RrSketchPool run;
-  for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
-  ExpectMatchesGraphs(run, graphs);
-  // Sanity of the fixtures: the widths each block was built to take.
-  const uint32_t widths[] = {3, 4, 3, 3, 4};
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    EXPECT_EQ(run.View(i).edges.width(), widths[i]) << "sketch " << i;
-  }
-  // Append and Pack re-encode the run's views at their own widths.
-  RrSketchPool appended;
-  for (size_t i = 0; i < run.num_sketches(); ++i) appended.Append(run.View(i));
-  ExpectMatchesGraphs(appended, graphs);
-  const RrSketchPool packed = RrSketchPool::Pack(
-      graphs.size(), 10, [&run](size_t i) { return run.View(i); });
-  ExpectMatchesGraphs(packed, graphs);
-  EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
-  // In-tree blocks of 14 and 15 bytes (header, region of 6, one record
-  // of 7 or 8) and 24 and 26 (header, region of 9, two records of 7 or
-  // 8), and containing lists at k = 2 of 6 bits for vertices 1, 2, 3, 6
-  // and 7 and 3 for vertex 5: 33 bits, 5 bytes, then 7 of padding.
-  EXPECT_EQ(packed.containing_k(), 2u);
-  EXPECT_EQ(packed.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 5) +
-                                    (4 + 2 * 11) + (14 + 15 + 24 + 26) +
-                                    (5 + 7));
-  ExpectEveryWriterKeeps(graphs, 10);
 }
 
 // A sketch over vertices 0 .. n - 1 rooted at local id r: a path from
@@ -988,8 +888,8 @@ RRGraph RootedSketch(size_t n, size_t r) {
 
 TEST(PooledLayoutTest, RootLocalIdSurvivesEveryWriter) {
   // Roots first, in the middle and last in their blocks, at the largest
-  // local id one byte holds, and past it in a width-4 block, with
-  // implicit singletons in between.
+  // local id 8 bits hold, and past it in a 9-bit block, with implicit
+  // singletons in between.
   const std::vector<std::pair<size_t, size_t>> shapes = {
       {5, 0}, {5, 2}, {5, 4}, {256, 255}, {300, 280}, {2, 1}};
   std::vector<RRGraph> graphs;
@@ -997,10 +897,10 @@ TEST(PooledLayoutTest, RootLocalIdSurvivesEveryWriter) {
     graphs.push_back(RootedSketch(n, r));
     graphs.push_back(Singleton(static_cast<VertexId>(r % 10)));
   }
-  // Sanity of the fixtures: the 256-vertex block is narrow, the
-  // 300-vertex one wide.
-  ASSERT_EQ(ExpectedWidth(256, graphs[6].edges.size()), 1u);
-  ASSERT_EQ(ExpectedWidth(300, graphs[8].edges.size()), 4u);
+  // Sanity of the fixtures: the 256-vertex block's local ids take 8
+  // bits, the 300-vertex one's 9.
+  ASSERT_EQ(BitsFor(graphs[6].vertices.size()), 8u);
+  ASSERT_EQ(BitsFor(graphs[8].vertices.size()), 9u);
   ExpectEveryWriterKeeps(graphs, 300);
 }
 
@@ -1028,45 +928,52 @@ void ExpectIndexFileRoundTrip(const SocialNetwork& network,
   EXPECT_EQ(loaded->pool().SizeBytes(), pool.SizeBytes());
 }
 
-TEST(PooledLayoutTest, HeaderTakesTwoBytesFromEightVertices) {
-  // The header is the varint of n << 4 and four flags: one byte while
-  // n <= 7, two from n = 8, for blocks with offsets and in-tree blocks
-  // alike.
-  std::vector<VertexId> seven(7);
-  std::iota(seven.begin(), seven.end(), 0);
-  std::vector<VertexId> eight(8);
-  std::iota(eight.begin(), eight.end(), 0);
+TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixtyFourVertices) {
+  // The header is the varint of n << 1 | in-tree: one byte while
+  // n <= 63, two from n = 64, for blocks with offsets (whose edge count,
+  // another varint, follows it) and in-tree blocks alike.
+  std::vector<VertexId> low(63);
+  std::iota(low.begin(), low.end(), 0);
+  std::vector<VertexId> high(64);
+  std::iota(high.begin(), high.end(), 0);
   const std::vector<RRGraph> graphs = {
-      EdgelessSketch(seven), Singleton(3),        EdgelessSketch(eight),
-      WideSketch(8, 9),      RootedSketch(7, 2), RootedSketch(8, 5)};
-  RrSketchPool run;
+      EdgelessSketch(low), Singleton(3),        EdgelessSketch(high),
+      WideSketch(64, 65),  RootedSketch(63, 2), RootedSketch(64, 5)};
+  RrSketchPool run(70, 70);
   for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
   ExpectMatchesGraphs(run, graphs);
-  ExpectEveryWriterKeeps(graphs, 20);
+  ExpectEveryWriterKeeps(graphs, 70);
   const RrSketchPool pool = RrSketchPool::Pack(
-      graphs.size(), 20, [&graphs](size_t i) { return graphs[i].View(); });
+      graphs.size(), 70, 70, [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // Blocks with offsets of 1 + 14 + 9, 2 + 16 + 10 and
-  // 2 + 16 + 19 + 9 * 7 bytes, and in-tree blocks of 1 + 14 + 7 + 6 * 7
-  // and 2 + 16 + 8 + 7 * 7 (header, vertices, ids, records).
+  // At 7-bit vertices and edge ids, the edgeless blocks take 1 + 1 + 56
+  // and 2 + 1 + 57 bytes (header, edge count, 447 and 454 bits), the
+  // 65-edge block 2 + 1 + 463 (3,704 bits) and the in-trees 1 + 390 and
+  // 2 + 396 (3,113 and 3,163 bits), then 7 bytes of padding.
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 6) +
-                                  (4 + 2 * 21) +
-                                  (24 + 28 + 100 + 64 + 75) +
+                                  (8 + 2 * 71) +
+                                  (58 + 60 + 466 + 391 + 398 + 7) +
                                   ExpectedListsOf(pool).bytes);
   // The loader reads both header lengths back.
-  ExpectIndexFileRoundTrip(MakeCertainCycle(20), pool, graphs);
+  ExpectIndexFileRoundTrip(MakeCertainCycle(70), pool, graphs);
 }
 
-// The bytes of explicit sketch i's block in `pool`, from its
-// `header_bytes`-byte header through its last record.
-std::vector<uint8_t> BlockBytes(const RrSketchPool& pool, size_t i,
-                                size_t header_bytes) {
+// Where the block of `view` starts: its header, the varint of n << 1 |
+// in-tree, and the varint of m unless it is an in-tree, come right
+// before its vertices.
+const uint8_t* BlockStart(const RRView& view) {
+  const bool tree = view.offsets.data == nullptr;
+  const auto n = static_cast<uint32_t>(view.vertices.size());
+  const auto m = static_cast<uint32_t>(view.edges.size());
+  return view.vertices.ids().data - VarintBytes(n << 1 | tree) -
+         (tree ? 0 : VarintBytes(m));
+}
+
+// The bytes of explicit sketch i's block in `pool`, from its header
+// through the byte of its last record's last bit.
+std::vector<uint8_t> BlockBytes(const RrSketchPool& pool, size_t i) {
   const RRView view = pool.View(i);
-  const auto* begin =
-      reinterpret_cast<const uint8_t*>(view.vertices.data()) - header_bytes;
-  const auto* end = reinterpret_cast<const uint8_t*>(view.edges.data()) +
-                    view.edges.size() * (view.edges.width() + sizeof(float));
-  return {begin, end};
+  return {BlockStart(view), view.edges.end_byte()};
 }
 
 TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
@@ -1077,30 +984,32 @@ TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
       RootedSketch(3, 1), RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {{7, 0.75f}}},
       Singleton(6)};
   const RrSketchPool pool = PackGraphs(graphs);
-  // An in-tree block: header 2 << 4 | in-tree, vertices 2 and 7 at 2
-  // bytes, root id 0, one head, then edge id 3 at 3 bytes and 0.25f.
-  EXPECT_EQ(BlockBytes(pool, 0, 1),
-            (std::vector<uint8_t>{0x28, 2, 0, 7, 0, 0, 0,  //
-                                  3, 0, 0, 0x00, 0x00, 0x80, 0x3e}));
-  // Root id 1, then the heads of vertices 0 and 2 (both 1), then edge
-  // ids 0 and 1 with 0.1f each.
-  EXPECT_EQ(BlockBytes(pool, 2, 1),
-            (std::vector<uint8_t>{0x38, 0, 0, 1, 0, 2, 0, 1, 1, 1,  //
-                                  0, 0, 0, 0xcd, 0xcc, 0xcc, 0x3d,  //
-                                  1, 0, 0, 0xcd, 0xcc, 0xcc, 0x3d}));
-  // The root's out-edge keeps the offsets {0, 1, 1} after the root id.
-  EXPECT_EQ(BlockBytes(pool, 3, 1),
-            (std::vector<uint8_t>{0x20, 0, 0, 9, 0, 0, 0, 1, 1, 0,  //
-                                  7, 0, 0, 0x00, 0x00, 0x40, 0x3f}));
+  // Fields go LSB-first at 4-bit vertices and edge ids. An in-tree
+  // block: header 2 << 1 | in-tree, then vertices 2 and 7 (0x72), root
+  // id 0 and one head at a bit each, edge id 3, and 0.25f's 30 low bits
+  // (0x3e800000): 44 bits.
+  EXPECT_EQ(BlockBytes(pool, 0),
+            (std::vector<uint8_t>{0x05, 0x72, 0x0c, 0x00, 0x00, 0xa0, 0x0f}));
+  // Vertices 0, 1 and 2, root id 1 and the heads of vertices 0 and 2
+  // (both 1) at 2 bits, then edge ids 0 and 1 with 0.1f (0x3dcccccd)
+  // each: 86 bits.
+  EXPECT_EQ(BlockBytes(pool, 2),
+            (std::vector<uint8_t>{0x07, 0x10, 0x52, 0x41, 0x33, 0x33, 0x73,
+                                  0x1f, 0xcd, 0xcc, 0xcc, 0x3d}));
+  // The root's out-edge keeps its edge count 1 after the header and the
+  // offsets {0, 1, 1} at a bit each after the root id: 47 bits.
+  EXPECT_EQ(BlockBytes(pool, 3),
+            (std::vector<uint8_t>{0x04, 0x01, 0x90, 0xec, 0x00, 0x00, 0x80,
+                                  0x7e}));
   for (const size_t i : {0, 1, 2, 4}) {
-    EXPECT_EQ(pool.View(i).offset_ids, nullptr) << "sketch " << i;
+    EXPECT_EQ(pool.View(i).offsets.data, nullptr) << "sketch " << i;
   }
-  EXPECT_NE(pool.View(3).offset_ids, nullptr);
+  EXPECT_NE(pool.View(3).offsets.data, nullptr);
   // The views read the offsets they left out as an in-tree's.
   EXPECT_EQ(Owned(pool.View(2)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 5) +
-                                  (4 + 2 * 11) + (14 + 24 + 17) +
+                                  (4 + 2 * 11) + (7 + 12 + 8 + 7) +
                                   ExpectedListsOf(pool).bytes);
   ExpectEveryWriterKeeps(graphs, 10);
   ExpectIndexFileRoundTrip(MakeCertainCycle(10), pool, graphs);
@@ -1196,7 +1105,8 @@ TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
   };
   const std::vector<RRGraph> graphs = PlacedGraphs(4096, placed);
   const RrSketchPool pool = RrSketchPool::Pack(
-      graphs.size(), 12, [&graphs](size_t i) { return graphs[i].View(); });
+      graphs.size(), 12, 12,
+        [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.containing_k(), 3u);
   // Sanity of the fixture: the brute force sees the lists placed.
   const std::vector<std::vector<uint32_t>> lists = ContainingFromViews(pool);
@@ -1231,7 +1141,8 @@ TEST(PooledLayoutTest, SparseVertexInDensePoolRunsPastAWord) {
     graphs.push_back(EdgelessSketch(vertices));
   }
   const RrSketchPool pool = RrSketchPool::Pack(
-      graphs.size(), 12, [&graphs](size_t i) { return graphs[i].View(); });
+      graphs.size(), 12, 12,
+        [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.containing_k(), 0u);
   ExpectContainingMatchesViews(pool);
   EXPECT_TRUE(std::ranges::equal(pool.Containing(10),
@@ -1272,7 +1183,8 @@ TEST(PooledLayoutTest, RiceListsMatchBruteForceOnRandomPools) {
     }
     ExpectEveryWriterKeeps(graphs, universe);
     const RrSketchPool pool = RrSketchPool::Pack(
-        theta, universe, [&graphs](size_t i) { return graphs[i].View(); });
+        theta, universe, universe,
+        [&graphs](size_t i) { return graphs[i].View(); });
     const uint64_t occurrences = ExpectVertexTotalsAgree(pool);
     EXPECT_LE(ListBits(pool), occurrences * (pool.containing_k() + 3));
     ks.push_back(pool.containing_k());
@@ -1372,10 +1284,10 @@ TEST(PooledLayoutTest, ContainingCodecPinsRiceCodes) {
   for (size_t c = 0; c < cases.size(); ++c) {
     SCOPED_TRACE("case " + std::to_string(c));
     const Case& want = cases[c];
-    std::vector<uint8_t> coded(RiceBytes(want.bits), 0);
+    std::vector<uint8_t> coded(PaddedBytes(want.bits), 0);
     ASSERT_EQ(coded.size(), want.bytes.empty() ? 0 : want.bytes.size() + 7);
-    RiceWriter writer(coded.data());
-    writer.PutList(want.ids, want.k);
+    BitWriter writer(coded.data());
+    PutRiceList(want.ids, want.k, &writer);
     const uint64_t at = writer.Finish();
     EXPECT_EQ(at, want.bits);
     EXPECT_EQ(RiceListBits(want.ids, want.k), want.bits);
@@ -1419,7 +1331,8 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsSingletonRoots) {
     const std::vector<RRGraph> graphs = SingletonRootGraphs(root);
     ExpectEveryWriterKeeps(graphs, 40000);
     const RrSketchPool pool = RrSketchPool::Pack(
-        graphs.size(), 40000, [&graphs](size_t i) { return graphs[i].View(); });
+        graphs.size(), 40000, 40000,
+        [&graphs](size_t i) { return graphs[i].View(); });
     EXPECT_EQ(pool.directory_width(), width);
     EXPECT_EQ(pool.containing_start_width(), 2u);
     EXPECT_EQ(pool.View(40).root(), root);
@@ -1427,13 +1340,14 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsSingletonRoots) {
   }
 }
 
-// Edgeless sketches over vertices 0 .. n - 1 whose blocks take `bytes`
-// bytes in all. Each takes 3n + 2 bytes (n 2-byte vertices, then the
-// root id and n + 1 offsets at a byte each) and a header of one byte
-// while n <= 7, two from n = 8, for 2 <= n <= 256.
+// Edgeless sketches over vertices 0 .. n - 1 of a 4,096-vertex network
+// whose blocks take `bytes` bytes in all. Each takes a header of one
+// byte while n <= 63, two from n = 64, an edge count of one byte, and
+// then n 12-bit vertices, a BitsFor(n)-bit root id and n + 1 0-bit
+// offsets to the next byte, for 2 <= n <= 2,048.
 std::vector<RRGraph> BlocksTaking(size_t bytes) {
   const auto length = [](uint32_t n) {
-    return VarintBytes(n << 4) + 3 * n + 2;
+    return VarintBytes(n << 1) + 1 + (12 * n + BitsFor(n) + 7) / 8;
   };
   std::vector<RRGraph> graphs;
   const auto push = [&graphs](uint32_t n) {
@@ -1441,13 +1355,13 @@ std::vector<RRGraph> BlocksTaking(size_t bytes) {
     std::iota(vertices.begin(), vertices.end(), 0);
     graphs.push_back(EdgelessSketch(std::move(vertices)));
   };
-  for (; bytes > 4 * length(256); bytes -= length(256)) push(256);
+  for (; bytes > 4 * length(2048); bytes -= length(2048)) push(2048);
   // The rest by knapsack: last[x] is the largest n of a block that ends
   // blocks of x bytes in all (0 when none do), last[0] a mark.
   std::vector<uint32_t> last(bytes + 1, 0);
   last[0] = 1;
   for (size_t x = 1; x <= bytes; ++x) {
-    for (uint32_t n = 256; n >= 2 && last[x] == 0; --n) {
+    for (uint32_t n = 2048; n >= 2 && last[x] == 0; --n) {
       if (length(n) <= x && last[x - length(n)] != 0) last[x] = n;
     }
   }
@@ -1472,20 +1386,16 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
     graphs.push_back(EdgelessSketch({1, 2}));
     graphs.push_back(RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}});
     graphs.push_back(Singleton(4));
-    ExpectEveryWriterKeeps(graphs, 300);
+    ExpectEveryWriterKeeps(graphs, 4096);
     const RrSketchPool pool = RrSketchPool::Pack(
-        graphs.size(), 300, [&graphs](size_t i) { return graphs[i].View(); });
+        graphs.size(), 4096, 4096,
+        [&graphs](size_t i) { return graphs[i].View(); });
     EXPECT_EQ(pool.directory_width(), width);
-    // Sanity of the fixture: sketch 63's block (a one-byte header)
-    // starts `offset` bytes past sketch 0's (a two-byte header), which
-    // begins the body.
-    const auto block_start = [&pool](size_t i, size_t header_bytes) {
-      return reinterpret_cast<const uint8_t*>(pool.View(i).vertices.data()) -
-             header_bytes;
-    };
-    EXPECT_EQ(block_start(63, 1) - block_start(0, 2),
+    // Sanity of the fixture: sketch 63's block starts `offset` bytes
+    // past sketch 0's, which begins the body.
+    EXPECT_EQ(BlockStart(pool.View(63)) - BlockStart(pool.View(0)),
               static_cast<std::ptrdiff_t>(offset));
-    ExpectIndexFileRoundTrip(MakeCertainCycle(300), pool, graphs);
+    ExpectIndexFileRoundTrip(MakeCertainCycle(4096), pool, graphs);
   }
 }
 
@@ -1505,7 +1415,8 @@ TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
     graphs.push_back(Singleton(69));
     ExpectEveryWriterKeeps(graphs, 70);
     const RrSketchPool pool = RrSketchPool::Pack(
-        graphs.size(), 70, [&graphs](size_t i) { return graphs[i].View(); });
+        graphs.size(), 70, 70,
+        [&graphs](size_t i) { return graphs[i].View(); });
     EXPECT_EQ(pool.containing_k(), 6u);
     EXPECT_EQ(pool.Containing(0).bits() + pool.Containing(1).bits(),
               width == 2 ? 65535u : 65536u);
@@ -1518,6 +1429,108 @@ TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
         std::ranges::equal(pool.Containing(63), std::vector<uint32_t>{9360}));
     ExpectContainingMatchesViews(pool);
     ExpectIndexFileRoundTrip(MakeCertainCycle(70), pool, graphs);
+  }
+}
+
+// Thresholds a record stores: 0, the smallest denormal, values inside
+// (0, 1) with full mantissas, the largest below 1, and 1 itself.
+float SweepThreshold(size_t k) {
+  static const float kValues[] = {
+      0.0f, std::numeric_limits<float>::denorm_min(), 0.1f, 0.5f,
+      std::nextafter(1.0f, 0.0f), 1.0f};
+  return kValues[k % std::size(kValues)];
+}
+
+// Id k of ids spread over [0, count): alternately from the top and the
+// bottom, so the largest id and small ones both appear.
+uint64_t Spread(size_t k, uint64_t count) {
+  return k % 2 == 0 ? count - 1 - (k / 2) % count : (k / 2) % count;
+}
+
+// A sketch of n vertices of a network with `num_vertices` vertices and
+// `num_edges` edges: its n / 2 lowest ids and the rest of the highest,
+// the largest among them, and a path from the first to the last, the
+// root, with spread edge ids and thresholds (Spread, SweepThreshold). An
+// in-tree, or with `general` the path and an edge out of the root back
+// to the first vertex (a self-loop when n = 1).
+RRGraph SweepSketch(uint64_t num_vertices, uint64_t num_edges, size_t n,
+                    bool general) {
+  std::vector<VertexId> vertices(n);
+  for (size_t j = 0; j < n; ++j) {
+    vertices[j] = static_cast<VertexId>(j < n / 2 ? j : num_vertices - n + j);
+  }
+  std::vector<GlobalEdgeSample> edges;
+  for (size_t j = 0; j + 1 < n; ++j) {
+    edges.push_back({vertices[j], vertices[j + 1], 0, 0.0f});
+  }
+  if (general) edges.push_back({vertices[n - 1], vertices[0], 0, 0.0f});
+  for (size_t k = 0; k < edges.size(); ++k) {
+    edges[k].edge = static_cast<EdgeId>(Spread(k, num_edges));
+    edges[k].threshold = SweepThreshold(k);
+  }
+  return AssembleRRGraph(vertices[n - 1], vertices, edges);
+}
+
+TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
+  // Networks whose vertex fields take 0, 1, 15, 16, 17, 24, 25 and 31
+  // bits and whose edge fields take those and 32 (a vertex id stays
+  // below 2^31, the directory word's flag, so no vertex field takes
+  // 32), with sketches of n in {1, 2, 3, 4, 5, 8, 9, 256, 257}, in-trees
+  // and general, so local ids take 0 to 9 bits, between singletons at
+  // the highest and lowest vertex. Every writer that builds no
+  // containing index (AppendSketch, Append, an overlay) runs at every
+  // width. Pack and FromRuns, whose containing index holds an entry per
+  // vertex, run while the network has at most 2^17 vertices, and the
+  // index file on the certain cycles among those networks, which have
+  // as many edges as vertices.
+  constexpr uint64_t k1 = 1;
+  const std::pair<uint64_t, uint64_t> networks[] = {
+      {1, 1},          {2, 2},
+      {k1 << 15, k1 << 15}, {k1 << 16, k1 << 16},
+      {k1 << 17, k1 << 17}, {k1 << 24, k1 << 24},
+      {k1 << 25, k1 << 25}, {k1 << 31, k1 << 31},
+      {k1 << 31, k1 << 32}, {k1 << 31, 1},
+      {2, k1 << 32},        {k1 << 17, k1 << 32}};
+  for (const auto& [num_vertices, num_edges] : networks) {
+    SCOPED_TRACE("|V| = " + std::to_string(num_vertices) +
+                 ", |E| = " + std::to_string(num_edges));
+    std::vector<RRGraph> graphs = {
+        Singleton(static_cast<VertexId>(num_vertices - 1))};
+    for (const size_t n : {1, 2, 3, 4, 5, 8, 9, 256, 257}) {
+      if (n > num_vertices) continue;
+      for (const bool general : {false, true}) {
+        // The one-vertex in-tree is a singleton.
+        if (n == 1 && !general) continue;
+        graphs.push_back(SweepSketch(num_vertices, num_edges, n, general));
+        ASSERT_EQ(InTreeShape(graphs.back()), !general);
+      }
+      graphs.push_back(Singleton(0));
+    }
+    RrSketchPool run(num_vertices, num_edges);
+    ASSERT_EQ(run.vertex_bits(), BitsFor(num_vertices));
+    ASSERT_EQ(run.edge_bits(), BitsFor(num_edges));
+    for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
+    ExpectMatchesGraphs(run, graphs);
+    RrSketchPool appended(num_vertices, num_edges);
+    for (size_t i = 0; i < run.num_sketches(); ++i) {
+      appended.Append(run.View(i));
+    }
+    ExpectMatchesGraphs(appended, graphs);
+    EXPECT_EQ(appended.SizeBytes(), run.SizeBytes());
+    RrSketchOverlay overlay(run);
+    for (uint32_t i = 0; i < graphs.size(); ++i) overlay.Put(i, graphs[i]);
+    for (uint32_t i = 0; i < graphs.size(); ++i) {
+      EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(i)), graphs[i]))
+          << "sketch " << i;
+    }
+    if (num_vertices > (k1 << 17)) continue;
+    ExpectEveryWriterKeeps(graphs, num_vertices, num_edges);
+    if (num_vertices != num_edges) continue;
+    ExpectIndexFileRoundTrip(
+        MakeCertainCycle(static_cast<VertexId>(num_vertices)),
+        RrSketchPool::Pack(graphs.size(), num_vertices, num_edges,
+                           [&graphs](size_t i) { return graphs[i].View(); }),
+        graphs);
   }
 }
 
@@ -1542,17 +1555,21 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   const RrSketchPool& pool = index.pool();
   ASSERT_EQ(pool.num_sketches(), 200000u);
   // Both offset arrays take 2-byte words: the directory (largest
-  // singleton vertex 24,999, largest block start less its base 1,713 B)
+  // singleton vertex 24,999, largest block start less its base 1,460 B)
   // and the containing starts (largest group 31,428 bits). The lists'
-  // 454,185 ids have a mean gap of 11,008, so k = 13.
+  // 454,185 ids have a mean gap of 11,008, so k = 13. The network's
+  // 25,000 vertices and 297,497 edges give 15-bit vertices and 19-bit
+  // edge ids.
   EXPECT_EQ(pool.directory_width(), 2u);
   EXPECT_EQ(pool.containing_start_width(), 2u);
   EXPECT_EQ(pool.containing_k(), 13u);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 4200372);
+  EXPECT_EQ(pool.vertex_bits(), 15u);
+  EXPECT_EQ(pool.edge_bits(), 19u);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 3744418);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
-  EXPECT_EQ(file.str().size(), 3294164u);
+  EXPECT_EQ(file.str().size(), 2838210u);
 }
 
 TEST(PooledLayoutTest, EdgeRecordIsEightBytes) {

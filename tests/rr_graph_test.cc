@@ -11,40 +11,56 @@
 #include "running_example.h"
 #include "src/graph/generators.h"
 #include "src/index/rr_graph.h"
+#include "src/index/rr_sketch_pool.h"
 #include "src/sampling/exact.h"
 
 namespace pitex {
 namespace {
 
-TEST(VertexIdsTest, LocalIndexFindsEveryIdAtBothWidths) {
-  // Ids 3j + 1 for j < n, packed at 2 and at 4 bytes: every id is found
-  // at j, every value between or around them is absent, for each window
-  // size the search halves through.
+TEST(VertexIdsTest, LocalIndexFindsEveryIdAtEveryWidth) {
+  // Ids 3j + 1 for j < n, packed from bits 0 and 5 of a padded array at
+  // the narrowest width that holds them and at 16, 17 and 32 bits: every
+  // id is found at j, every value between or around them is absent, for
+  // each window size the search halves through.
   for (uint32_t n = 0; n <= 40; ++n) {
-    std::vector<VertexId> wide(n);
-    std::vector<uint16_t> narrow(n);
-    for (uint32_t j = 0; j < n; ++j) {
-      wide[j] = 3 * j + 1;
-      narrow[j] = static_cast<uint16_t>(wide[j]);
-    }
-    const VertexIds as_four(wide);
-    const VertexIds as_two(reinterpret_cast<const std::byte*>(narrow.data()),
-                           n, 2);
-    ASSERT_EQ(as_four.width(), 4u);
-    for (VertexId v = 0; v <= 3 * n + 2; ++v) {
-      const std::optional<uint32_t> want =
-          v % 3 == 1 && v / 3 < n ? std::optional<uint32_t>(v / 3)
-                                  : std::nullopt;
-      EXPECT_EQ(as_four.LocalIndex(v), want) << "n " << n << ", v " << v;
-      EXPECT_EQ(as_two.LocalIndex(v), want) << "n " << n << ", v " << v;
-    }
-    if (n > 0) {
-      EXPECT_EQ(as_two.back(), 3 * n - 2);
-      // A 2-byte block never holds an id past 16 bits, even one whose
-      // low bits match a stored id.
-      EXPECT_EQ(as_two.LocalIndex(65536 + 1), std::nullopt);
+    const uint32_t narrowest = IdBits(3 * n + 2);
+    for (const uint32_t bits : {narrowest, 16u, 17u, 32u}) {
+      for (const uint32_t first : {0u, 5u}) {
+        std::vector<uint8_t> data(PaddedBytes(first + uint64_t{bits} * n + 1),
+                                  0);
+        BitWriter writer(data.data());
+        writer.Put(0, first);
+        for (uint32_t j = 0; j < n; ++j) writer.Put(3 * j + 1, bits);
+        writer.Finish();
+        const VertexIds ids(PackedIds{data.data(), first, bits}, n, 0);
+        for (VertexId v = 0; v <= 3 * n + 2; ++v) {
+          const std::optional<uint32_t> want =
+              v % 3 == 1 && v / 3 < n ? std::optional<uint32_t>(v / 3)
+                                      : std::nullopt;
+          EXPECT_EQ(ids.LocalIndex(v), want)
+              << "n " << n << ", bits " << bits << ", v " << v;
+        }
+        if (n > 0) {
+          EXPECT_EQ(ids.back(), 3 * n - 2);
+        }
+      }
     }
   }
+  // A block never holds an id past its width, even one whose low bits
+  // match a stored id.
+  std::vector<uint8_t> data(PaddedBytes(16), 0);
+  BitWriter writer(data.data());
+  writer.Put(1, 16);
+  writer.Finish();
+  EXPECT_EQ(VertexIds(PackedIds{data.data(), 0, 16}, 1, 0)
+                .LocalIndex(65536 + 1),
+            std::nullopt);
+  // A singleton's vertex is its base over a 0-bit field.
+  const uint8_t zeros[8] = {};
+  const VertexIds singleton(PackedIds{zeros, 0, 0}, 1, 70000);
+  EXPECT_EQ(singleton[0], 70000u);
+  EXPECT_EQ(singleton.LocalIndex(70000), 0u);
+  EXPECT_EQ(singleton.LocalIndex(0), std::nullopt);
 }
 
 TEST(RRGraphTest, RootAlwaysPresent) {
