@@ -16,7 +16,9 @@
 #   --micro     a google-benchmark filter for bench/micro_components;
 #               each side is built in Release (PITEX_BUILD_TESTS and
 #               PITEX_BUILD_EXAMPLES off) and run once per pair with
-#               --benchmark_min_time=0.5
+#               --benchmark_min_time=0.5. The exact counters a side
+#               reports (the COUNTERS list in bench/run_bench.sh) print
+#               in a second table, flagged where the sides differ
 #   --pairs     number of pairs (default 10); odd pairs run the parent
 #               first, even pairs the change
 #   --cpus      run each side under `taskset -c LIST` (e.g. 0 for the
@@ -36,7 +38,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 usage() {
-  sed -n '2,32p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,35p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 
@@ -108,14 +110,21 @@ else
     [[ "$1" == change ]] && bin="$change_build/bench/micro_components"
     "${pin[@]}" "$bin" --benchmark_filter="$target" --benchmark_min_time=0.5 \
       --benchmark_format=json 2>/dev/null |
-      SIDE="$1" python3 -c '
-import json, os, sys
+      SIDE="$1" RUN_BENCH="$repo/bench/run_bench.sh" python3 -c '
+import ast, json, os, re, sys
 scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+counters = ast.literal_eval(re.search(
+    r"^COUNTERS = (\(.*?\))", open(os.environ["RUN_BENCH"]).read(),
+    re.M | re.S).group(1))
 for b in json.load(sys.stdin)["benchmarks"]:
     f = scale[b["time_unit"]]
     for key in ("real_time", "cpu_time"):
         print("%s\t%s.%s_ns\t%r" % (os.environ["SIDE"], b["name"], key,
                                    b[key] * f))
+    for key in counters:
+        if key in b:
+            print("%s\tcount:%s.%s\t%r" % (os.environ["SIDE"], b["name"],
+                                           key, b[key]))
 ' >>"$raw"
   }
 fi
@@ -173,9 +182,10 @@ if cpus:
     print()
 print("| metric | parent | change | change % | change wins |")
 print("|---|---|---|---|---|")
+counts = [name for name in order if name.startswith("count:")]
 for name in order:
     p, c = values[name]["parent"], values[name]["change"]
-    if not p or len(p) != len(c):
+    if name in counts or not p or len(p) != len(c):
         continue
     pq, cq = quartiles(p), quartiles(c)
     lower = better[name] == "lower"
@@ -184,4 +194,21 @@ for name in order:
     print("| %s | %s [%s, %s] | %s [%s, %s] | %+.1f%% | %d/%d |" % (
         name, fmt(pq[1]), fmt(pq[0]), fmt(pq[2]), fmt(cq[1]), fmt(cq[0]),
         fmt(cq[2]), delta, wins, len(p)))
+
+def show(xs):
+    return "/".join("%.10g" % x for x in sorted(set(xs))) or "-"
+
+
+# Exact counters: one value per side unless the count is not exact. A
+# counter one side lacks, or whose values differ, is flagged.
+if counts:
+    print()
+    print("| counter | parent | change | |")
+    print("|---|---|---|---|")
+for name in counts:
+    p, c = values[name]["parent"], values[name]["change"]
+    flag = "" if p and c and set(p) == set(c) and len(set(p)) == 1 \
+        else "DIFFERS"
+    print("| %s | %s | %s | %s |" % (name[len("count:"):], show(p), show(c),
+                                      flag))
 PYEOF

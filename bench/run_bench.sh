@@ -10,12 +10,14 @@
 # Times (mean-aggregate real_time per benchmark) stay report-only: a
 # regression above 25% is flagged, never failed on, as shared-runner
 # timings are noisy. Exact work counters (pool_lines, containing_bytes,
-# pool_bytes, file_bytes, edges_visited, sets_evaluated) print as
-# baseline -> current, and a rise in any of them on
-# BM_IndexEstimateSweep, BM_IndexEstPlusQuery, BM_SerializeRrIndex or
-# BM_LoadRrIndex fails the run (exit 1), and so the CI job: counts need
-# no repeats and no quiet host. A change that means to move a count
-# regenerates the baseline. The
+# pool_bytes, file_bytes, edges_visited, sets_evaluated,
+# overlay_sketches) print as baseline -> current, and a rise in any of
+# them on BM_IndexEstimateSweep, BM_IndexEstPlusQuery, BM_BestEffortQuery,
+# BM_SerializeRrIndex, BM_LoadRrIndex, BM_SnapshotPublish or
+# BM_CompactOverlay fails the run (exit 1), and so the CI job: counts
+# need no repeats and no quiet host. A change that means to move a count
+# regenerates the baseline. bench/paired.sh reads the COUNTERS list
+# below. The
 # baseline is snapshotted before the run, so comparing against the
 # output path itself ("how does this commit compare to the committed
 # numbers?") works. The comparison table is also written to
@@ -26,7 +28,8 @@
 # times the best-effort IndexEst+ query pitexbench serves) plus the
 # offline pipeline: BM_IndexBuild (generation into per-slot runs finished by
 # FromRuns, per-thread sweep), BM_SnapshotPublish (serve-mode epoch
-# freeze, empty vs populated overlay), BM_DynamicRepairSingleEdge and
+# freeze, empty vs populated overlay), BM_CompactOverlay (the fold of a
+# 64-batch overlay into a new base), BM_DynamicRepairSingleEdge and
 # BM_ApplyUpdatesBatch (one 4-update batch on the dblp analog the
 # end-to-end benchmark serves).
 #
@@ -106,9 +109,10 @@ import sys
 
 REGRESSION_PCT = 25.0
 COUNTERS = ("pool_lines", "containing_bytes", "pool_bytes", "file_bytes",
-            "edges_visited", "sets_evaluated")
+            "edges_visited", "sets_evaluated", "overlay_sketches")
 GATED = ("BM_IndexEstimateSweep", "BM_IndexEstPlusQuery",
-         "BM_SerializeRrIndex", "BM_LoadRrIndex")
+         "BM_BestEffortQuery", "BM_SerializeRrIndex", "BM_LoadRrIndex",
+         "BM_SnapshotPublish", "BM_CompactOverlay")
 
 def means(path):
     with open(path) as f:

@@ -164,9 +164,7 @@ std::unique_ptr<RrIndex> DynamicRrIndex::Freeze(const SocialNetwork& network,
 void DynamicRrIndex::Compact() {
   if (overlay_->empty()) return;
   ++stats_.compactions;
-  ResetBase(std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
-      theta_, network_.num_vertices(), network_.num_edges(),
-      [this](size_t i) { return view_->graph(i); })));
+  ResetBase(std::make_shared<const RrSketchPool>(overlay_->Fold(*base_)));
 }
 
 void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,

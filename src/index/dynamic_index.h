@@ -48,8 +48,9 @@
 // containing lists of the vertices whose membership changed are
 // replaced there. Freeze() hands snapshots an immutable copy of the
 // overlay, so a publish costs the overlay, not theta sketches. Compact()
-// packs base + overlay into a new base (same sketches, same id order,
-// so the pool is bit-identical to packing every current sketch).
+// folds base + overlay into a new base (RrSketchOverlay::Fold copies
+// each current sketch's block, in id order, so the pool is bit-identical
+// to re-encoding every current sketch).
 
 #ifndef PITEX_SRC_INDEX_DYNAMIC_INDEX_H_
 #define PITEX_SRC_INDEX_DYNAMIC_INDEX_H_
@@ -147,8 +148,8 @@ class DynamicRrIndex final : public InfluenceOracle {
   /// folded into a new base.
   std::unique_ptr<RrIndex> Freeze(const SocialNetwork& network, bool compact);
 
-  /// Packs base + overlay into a new base and empties the overlay; a
-  /// no-op while the overlay is empty.
+  /// Folds base + overlay into a new base (RrSketchOverlay::Fold) and
+  /// empties the overlay; a no-op while the overlay is empty.
   void Compact();
 
   Estimate EstimateInfluence(VertexId u, const EdgeProbFn& probs) override;
@@ -183,7 +184,7 @@ class DynamicRrIndex final : public InfluenceOracle {
     /// Graphs whose structure actually changed (edge died, resurrected,
     /// or membership shifted).
     uint64_t graphs_changed = 0;
-    /// Overlay folds into a new base (Compact calls that packed).
+    /// Overlay folds into a new base (Compact calls that folded).
     uint64_t compactions = 0;
   };
   const Stats& stats() const { return stats_; }

@@ -155,16 +155,13 @@ class IndexIo {
       return false;
     }
     // The payload is the base pool's arrays. An index with repairs saves
-    // as its compaction: the pool Pack makes of its views. The containing
-    // index is not written: the loader rebuilds it.
-    std::optional<RrSketchPool> packed;
-    if (index.repairs() != nullptr) {
-      packed = RrSketchPool::Pack(
-          index.num_graphs(), index.num_vertices(),
-          index.network_.num_edges(),
-          [&index](size_t i) { return index.graph(i); });
+    // as its compaction: the pool its overlay folds the base into. The
+    // containing index is not written: the loader rebuilds it.
+    std::optional<RrSketchPool> folded;
+    if (const RrSketchOverlay* overlay = index.repairs()) {
+      folded = overlay->Fold(*index.pool_);
     }
-    const RrSketchPool& pool = packed ? *packed : *index.pool_;
+    const RrSketchPool& pool = folded ? *folded : *index.pool_;
     BinaryWriter writer(&out);
     WriteHeader(&writer, kKindRrGraphs,
                 NetworkFingerprint(index.network_), index.options_);

@@ -39,13 +39,14 @@
 // bytes of padding end a body with blocks. A directory whose length is
 // not theta words is kCorruptPayload.
 //
-// An index with repairs saves as its compaction (RrSketchPool::Pack of
-// its sketch views). The containing index is not stored: the loader
-// rebuilds it. A loaded image must be canonical, exactly what Pack
-// writes for its own views (RrSketchPool::FinishLoaded checks it: each
-// word is its block's start less its base, 4-byte words only where some
-// word needs them, an in-tree block's parents all lead to its root), so
-// a file that loads saves back to the same bytes. A change to the
+// An index with repairs saves as its compaction (RrSketchOverlay::Fold,
+// a copy of the base's blocks and of each repaired sketch's current
+// block). The containing index is not stored: the loader rebuilds it. A
+// loaded image must be canonical, exactly what appending its own views
+// to a run and finishing it writes (RrSketchPool::FinishLoaded checks
+// it: each word is its block's start less its base, 4-byte words only
+// where some word needs them, an in-tree block's parents all lead to its
+// root), so a file that loads saves back to the same bytes. A change to the
 // pool's layout is a new version. The directory's words are stored in
 // the host's byte order, so a file reads back right only on a host of
 // the writer's byte order; the body's bits are little-endian.

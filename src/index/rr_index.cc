@@ -95,8 +95,7 @@ RrSketchPool SampleSketchPool(const Graph& graph,
     RrSketchPool& run = state[slot].run;
     std::vector<RrSketchPool::Segment>& open = state[slot].segments;
     if (open.empty() || open.back().sample + open.back().count != i) {
-      open.push_back({i, static_cast<uint32_t>(slot),
-                      static_cast<uint32_t>(run.num_sketches()), 0});
+      open.push_back({i, &run, static_cast<uint32_t>(run.num_sketches()), 0});
     }
     ++open.back().count;
     uint64_t mix = seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
@@ -110,13 +109,11 @@ RrSketchPool SampleSketchPool(const Graph& graph,
   } else {
     for (uint64_t i = 0; i < theta; ++i) generate(0, i);
   }
-  std::vector<RrSketchPool> runs;
   std::vector<RrSketchPool::Segment> all;
-  for (SlotState& s : state) {
-    runs.push_back(std::move(s.run));
+  for (const SlotState& s : state) {
     all.insert(all.end(), s.segments.begin(), s.segments.end());
   }
-  return RrSketchPool::FromRuns(runs, all, theta, graph.num_vertices(),
+  return RrSketchPool::FromRuns(all, theta, graph.num_vertices(),
                                 graph.num_edges());
 }
 

@@ -104,7 +104,7 @@ class RrIndex final : public InfluenceOracle {
   }
   /// theta(u): how many RR-Graphs contain u (Sec. 6.3 notation).
   size_t CountContaining(VertexId u) const { return Containing(u).count(); }
-  /// The base pool: every sketch as of the last pack, without the
+  /// The base pool: every sketch as of the last compaction, without the
   /// overlay's repairs.
   const RrSketchPool& pool() const { return *pool_; }
   /// Largest sketch served, base and overlay (scratch pre-sizing).

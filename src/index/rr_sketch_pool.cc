@@ -61,35 +61,29 @@ uint64_t RrSketchPool::BodyStart(size_t i) const {
   return BodyEnd();
 }
 
-RrSketchPool RrSketchPool::FromRuns(std::span<const RrSketchPool> runs,
-                                    std::span<const Segment> segments,
+RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
                                     uint64_t num_sketches,
                                     size_t num_vertices, size_t num_edges) {
   RrSketchPool out(num_vertices, num_edges);
-  // Each segment's slices of its run, put in sample order.
-  struct Slice {
-    uint64_t sample;
-    const RrSketchPool* run;
-    uint32_t first, count;
+  // Each segment's slice of its run, put in sample order.
+  struct Slice : Segment {
     uint64_t body_begin, body_end;
     uint64_t out_begin;  // where the slice's blocks go in the pool
   };
   std::vector<Slice> slices;
   slices.reserve(segments.size());
   for (const Segment& seg : segments) {
-    PITEX_CHECK_MSG(seg.run < runs.size() &&
-                        uint64_t{seg.first} + seg.count <=
-                            runs[seg.run].num_sketches(),
+    PITEX_CHECK_MSG(seg.run != nullptr && uint64_t{seg.first} + seg.count <=
+                                              seg.run->num_sketches(),
                     "run segment out of range");
     if (seg.count == 0) continue;
-    const RrSketchPool& run = runs[seg.run];
+    const RrSketchPool& run = *seg.run;
     // The blocks are copied as they are, so each run's fields take the
     // pool's widths.
     PITEX_CHECK_MSG(run.num_vertices_ == out.num_vertices_ &&
                         run.num_edges_ == out.num_edges_,
                     "run samples a different network");
-    slices.push_back({seg.sample, &run, seg.first, seg.count,
-                      run.BodyStart(seg.first),
+    slices.push_back({seg, run.BodyStart(seg.first),
                       run.BodyStart(seg.first + seg.count), 0});
   }
   std::ranges::sort(slices, {}, &Slice::sample);
@@ -152,7 +146,7 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
   const uint32_t flag = slots_.top_bit();
   slots_.bases.reserve((s + GroupWords::kGroup - 1) / GroupWords::kGroup);
   uint64_t body = 0;      // where the next block must start
-  uint64_t vertices = 0;  // the total Totals::Fit bounds
+  uint64_t vertices = 0;  // every sketch's, which must fit 32 bits
   uint64_t max_singleton = 0;
   uint64_t max_offset = 0;
   std::vector<uint8_t> marks;  // ParentsReachRoot's scratch
@@ -320,6 +314,32 @@ void RrSketchOverlay::Put(uint32_t id, const RRView& sketch) {
   repaired_bits_[word] |= uint64_t{1} << (id & 63);
   slot_of_[id] = static_cast<uint32_t>(store_.num_sketches());
   store_.Append(sketch);
+}
+
+RrSketchPool RrSketchOverlay::Fold(const RrSketchPool& base) const {
+  const uint64_t theta = base.num_sketches();
+  std::vector<RrSketchPool::Segment> segments;
+  segments.reserve(2 * slot_of_.size() + 1);
+  uint64_t next = 0;  // the first id not yet in a segment
+  for (size_t w = 0; w < repaired_bits_.size(); ++w) {
+    for (uint64_t bits = repaired_bits_[w]; bits != 0; bits &= bits - 1) {
+      const uint64_t id = 64 * w + static_cast<uint64_t>(
+                                       std::countr_zero(bits));
+      if (id > next) {
+        segments.push_back({next, &base, static_cast<uint32_t>(next),
+                            static_cast<uint32_t>(id - next)});
+      }
+      segments.push_back(
+          {id, &store_, slot_of_.at(static_cast<uint32_t>(id)), 1});
+      next = id + 1;
+    }
+  }
+  if (theta > next) {
+    segments.push_back({next, &base, static_cast<uint32_t>(next),
+                        static_cast<uint32_t>(theta - next)});
+  }
+  return RrSketchPool::FromRuns(segments, theta, base.num_network_vertices(),
+                                base.num_network_edges());
 }
 
 void RrSketchOverlay::SetContaining(VertexId u,

@@ -94,31 +94,35 @@
 //
 // Every pool is written one way: sketches are appended in this layout
 // (AppendSketch, which Append and the generator call, each field put in
-// order through one BitWriter) into exact-size arrays, then the
-// containing index is built once, serially. The build's generator
-// appends to *runs* — pools without a containing index, one per worker
-// slot — and FromRuns copies their segments, in sample order, into the
-// finished pool. Pack (compaction, saving an index with repairs) sizes
-// its arrays in one pass over its views and appends straight into them.
+// order through one BitWriter) to *runs*, pools without a containing
+// index, and FromRuns copies the runs' segments, in sample order, block
+// by block into a finished pool's exact-size arrays, then builds the
+// containing index once, serially. The build's generator appends to one
+// run per worker slot. Compaction and the save of an index with repairs
+// finish base + overlay the same way (RrSketchOverlay::Fold): each
+// stretch of unrepaired sketches is a segment of the base, and each
+// repaired sketch's current copy a segment of the overlay's store.
 // Every writer starts the directory at 2-byte words and widens it once,
-// in place, when a word first fails to fit them (PushSlot); the widening
-// doubles the words' room, so Pack's and FromRuns' exact-size arrays
-// stay exact. A loaded pool was written this way before it was saved:
-// the index loader (src/index/index_io.h) reads the directory's words
-// and the body back as they are, and FinishLoaded derives the
-// directory's bases and accepts the arrays only if they are exactly what
-// Pack writes for their own views. An overlay's sketch store is a run
-// that is never finished, and so are the two other runs SketchArena
-// writes: the one-sketch run DynamicRrIndex re-closes each repaired
-// sketch into before the overlay copies it, and the run of graphs
+// in place, when a word first fails to fit them (PushSlot); the
+// widening doubles the words' room, so FromRuns' exact-size arrays stay
+// exact. A loaded pool was written this way before it was saved: the
+// index loader (src/index/index_io.h) reads the directory's words and
+// the body back as they are, and FinishLoaded derives the directory's
+// bases and accepts the arrays only if they are exactly what appending
+// their own views to a run and finishing it writes. An overlay's sketch
+// store is a run that Fold copies from but never finishes, and the two
+// other runs SketchArena writes are never finished either: the
+// one-sketch run DynamicRrIndex re-closes each repaired sketch into
+// before the overlay re-encodes it (Append), and the run of graphs
 // DelayMat recovers for its cached query user. Every run takes its
-// network's widths, so FromRuns and the overlay copy blocks as they are
-// or re-encode views at them.
+// network's widths, and a block's bits are relative to its own first
+// byte, so a copied block is exactly the block a re-encoding of its view
+// would write.
 //
 // A finished pool is immutable. DynamicRrIndex, which repairs
 // individual sketches, never mutates it: it shares one pool as its
 // *base* with every snapshot it publishes and records repairs in an
-// RrSketchOverlay (below) until compaction packs base + overlay into a
+// RrSketchOverlay (below) until compaction folds base + overlay into a
 // new pool.
 
 #ifndef PITEX_SRC_INDEX_RR_SKETCH_POOL_H_
@@ -378,7 +382,7 @@ class RrSketchPool {
   /// [first, first + count) of run `run`: what FromRuns copies.
   struct Segment {
     uint64_t sample = 0;
-    uint32_t run = 0;
+    const RrSketchPool* run = nullptr;
     uint32_t first = 0;
     uint32_t count = 0;
   };
@@ -391,26 +395,16 @@ class RrSketchPool {
   /// IdBits(num_vertices) and IdBits(num_edges) bits.
   RrSketchPool(uint64_t num_vertices, uint64_t num_edges);
 
-  /// Packs sketches view_of(0), ..., view_of(num_sketches - 1) of a
-  /// network with `num_vertices` vertices and `num_edges` edges: sizes
-  /// every array exactly, appends each view, then builds the containing
-  /// index. Every sketch vertex and edge must lie inside the network.
-  /// DynamicRrIndex compaction, and the index writer for an index with
-  /// repairs, pack this way.
-  template <typename ViewOf>
-  static RrSketchPool Pack(size_t num_sketches, size_t num_vertices,
-                           size_t num_edges, ViewOf&& view_of);
-
   /// Finishes a pool from runs, each a pool of the network with
   /// `num_vertices` vertices and `num_edges` edges: copies every
-  /// segment, in sample order, into exact-size arrays (rebasing each
-  /// explicit directory word), then builds the containing index. The
-  /// segments must cover samples [0, num_sketches) exactly once, so
-  /// sketch i of the result is sample i whatever the runs and segments
-  /// were: the pool is identical for any thread count and claim
-  /// interleaving.
-  static RrSketchPool FromRuns(std::span<const RrSketchPool> runs,
-                               std::span<const Segment> segments,
+  /// segment's blocks as they are, in sample order, into exact-size
+  /// arrays (rebasing each explicit directory word), then builds the
+  /// containing index. The segments must cover samples
+  /// [0, num_sketches) exactly once, so sketch i of the result is sample
+  /// i whatever the runs and segments were: the pool is identical for
+  /// any thread count and claim interleaving. A run may be a finished
+  /// pool.
+  static RrSketchPool FromRuns(std::span<const Segment> segments,
                                uint64_t num_sketches, size_t num_vertices,
                                size_t num_edges);
 
@@ -451,7 +445,7 @@ class RrSketchPool {
     const uint32_t slot = slots_.word(i);
     const uint32_t flag = slots_.top_bit();
     const bool block = (slot & flag) != 0;
-    // Selects, not branches: the packing passes and the estimate walk
+    // Selects, not branches: the estimate walk and the view readers
     // meet singletons and explicit blocks interleaved at random, so the
     // base is loaded for a singleton too, keeping the block's address
     // free of a load that only one side of a branch makes. A singleton
@@ -604,22 +598,6 @@ class RrSketchPool {
   /// root id 0).
   static constexpr uint8_t kSingleton[1 + sizeof(uint64_t)] = {
       1u << 1 | kInTree};
-
-  /// Entries a list of sketches needs in each array: Pack's sizing
-  /// pass (the body in bytes, its padding left out).
-  struct Totals {
-    uint64_t body = 0;
-    uint64_t vertices = 0;
-    uint64_t max_vertices = 0;
-    /// True when `num_sketches` sketches with these totals fit the
-    /// directory words, 32-bit ids and block headers.
-    bool Fit(uint64_t num_sketches) const {
-      return num_sketches < UINT32_MAX && body <= kExplicit &&
-             vertices <= UINT32_MAX && max_vertices <= kMaxBlockVertices;
-    }
-  };
-  template <typename ViewOf>
-  Totals Measure(size_t num_sketches, ViewOf&& view_of) const;
 
   /// Bits of a block's fields after its header, with n vertices and m
   /// edges, an in-tree or not: the vertices, the root id, any offsets,
@@ -779,8 +757,9 @@ class RrSketchPool {
   /// records' edge ids lie below num_edges with threshold bits at most
   /// 1.0f's, and the bits after its last field are zero; the blocks
   /// end at body_'s padding, whose bytes are zero. So a pool that
-  /// passes is exactly what Pack writes for its own views. False on the
-  /// first check that fails.
+  /// passes is exactly what appending its own views to a run and
+  /// finishing it (FromRuns) writes. False on the first check that
+  /// fails.
   bool FinishLoaded(size_t num_vertices, size_t num_edges);
 
   /// Rebuilds containing_starts_/containing_ from the packed sketches:
@@ -805,39 +784,6 @@ class RrSketchPool {
   uint32_t max_sketch_vertices_ = 0;
   uint32_t containing_k_ = 0;
 };
-
-// The view-function templates are defined here so that a caller's view
-// function inlines into the per-sketch loops.
-
-template <typename ViewOf>
-RrSketchPool::Totals RrSketchPool::Measure(size_t num_sketches,
-                                           ViewOf&& view_of) const {
-  Totals totals;
-  for (size_t i = 0; i < num_sketches; ++i) {
-    const RRView rr = view_of(i);
-    totals.body +=
-        BodyLength(rr.vertices.size(), rr.edges.size(), rr.InTree());
-    totals.vertices += rr.vertices.size();
-    totals.max_vertices =
-        std::max<uint64_t>(totals.max_vertices, rr.vertices.size());
-  }
-  return totals;
-}
-
-template <typename ViewOf>
-RrSketchPool RrSketchPool::Pack(size_t num_sketches, size_t num_vertices,
-                                size_t num_edges, ViewOf&& view_of) {
-  // Exact-size arrays up front, so the appends never regrow them.
-  RrSketchPool pool(num_vertices, num_edges);
-  const Totals totals = pool.Measure(num_sketches, view_of);
-  PITEX_CHECK_MSG(totals.Fit(num_sketches),
-                  "sketch pool exceeds its directory words");
-  pool.slots_.Reserve(num_sketches, 2);
-  pool.body_.reserve(PaddedBytes(8 * totals.body));
-  for (size_t i = 0; i < num_sketches; ++i) pool.Append(view_of(i));
-  pool.BuildContaining(num_vertices);
-  return pool;
-}
 
 template <typename VertexRange, typename Fill>
 void RrSketchPool::AppendBlock(uint32_t root_local,
@@ -889,7 +835,7 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
       std::max(max_sketch_vertices_, static_cast<uint32_t>(n));
 }
 
-/// The repairs a DynamicRrIndex has made since its base pool was packed,
+/// The repairs a DynamicRrIndex has made since its base pool was built,
 /// as a copyable value: the master edits its own overlay, and each
 /// published snapshot serves an immutable copy beside the shared base
 /// (RrIndex::FromPool). It holds
@@ -948,6 +894,13 @@ class RrSketchOverlay {
   /// Appends `sketch` as sketch `id`'s current copy. `sketch` must not
   /// view this overlay.
   void Put(uint32_t id, const RRView& sketch);
+  /// The pool of every current sketch over `base`, the pool this
+  /// overlay's sketches take their widths from: FromRuns of `base`'s
+  /// stretches of unrepaired sketches and of each repaired sketch's
+  /// current copy in the store, so no block is re-encoded and superseded
+  /// copies are left out. Compaction, and the index writer for an index
+  /// with repairs, finish base + overlay this way.
+  RrSketchPool Fold(const RrSketchPool& base) const;
   /// Replaces u's containing list with `ids` (ascending), coded.
   void SetContaining(VertexId u, std::span<const uint32_t> ids);
 

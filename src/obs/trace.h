@@ -67,7 +67,8 @@ enum class SpanKind : uint8_t {
   kWalAppend,  // WriteAheadLog::Append
   kWalFsync,   // WriteAheadLog::Sync (the commit point)
   kFreeze,     // FreezeSnapshotLocked (retry loop included)
-  kPack,       // IndexSnapshot::FromDynamic (overlay freeze + any compaction)
+  kPack,       // IndexSnapshot::FromDynamic (overlay freeze + any
+               // compaction, which folds blocks; the name is the metric's)
   kSwap,       // IndexSnapshotRegistry::Publish (the epoch swap)
   kCheckpoint, // checkpoint write + WAL truncation
   kSpanKindCount,

@@ -5,7 +5,8 @@
 // expand sketches, and deletions (empty entries) -- across several
 // compactions and a checkpoint save / AdoptSketches round trip, and must
 // agree on every sketch, every containing list, every estimate, every
-// maintenance counter and every saved index byte. A second test checks
+// maintenance counter, every saved index byte and every compacted
+// base's arrays. A second test checks
 // that a durable service's snapshots alias the caller's topology instead
 // of copying it. Two more tests drive both masters through batches
 // whose updates interact: an expansion through a vertex whose in-edge an
@@ -19,12 +20,14 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "reference_dynamic_index.h"
 #include "owned_sketch.h"
+#include "pool_image.h"
 #include "src/datasets/synthetic.h"
 #include "src/index/dynamic_index.h"
 #include "src/index/index_io.h"
@@ -134,15 +137,20 @@ std::string Saved(const RrIndex& index) {
   return std::move(out).str();
 }
 
+// `graphs`, sketches of `n`, re-encoded into a pool (PackViews).
+RrSketchPool ReferencePool(const SocialNetwork& n,
+                           std::span<const RRGraph> graphs) {
+  return PackViews(graphs.size(), n.num_vertices(), n.num_edges(),
+                   [&graphs](size_t i) { return graphs[i].View(); });
+}
+
 // The reference's checkpoint bytes: its sketches packed into a pool, as
 // the old publish path did.
 std::string SavedReference(const ReferenceDynamicRrIndex& ref) {
   const auto index = RrIndex::FromPool(
       ref.network(), Options(), ref.theta(),
-      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
-          ref.graphs().size(), ref.network().num_vertices(),
-          ref.network().num_edges(),
-          [&ref](size_t i) { return ref.graphs()[i].View(); })));
+      std::make_shared<const RrSketchPool>(
+          ReferencePool(ref.network(), ref.graphs())));
   return Saved(*index);
 }
 
@@ -183,6 +191,20 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
   std::unique_ptr<SocialNetwork> frozen_network;
   std::unique_ptr<RrIndex> frozen;
   std::string frozen_bytes;
+  // Every compaction's base must be, array by array, the reference's
+  // sketches at that point re-encoded: the fold copies blocks, and the
+  // reference re-encodes each view.
+  uint64_t folds_seen = 0;  // the current master's compactions compared
+  uint64_t folds_checked = 0;
+  const auto check_fold = [&](const RrSketchPool& base,
+                              std::span<const RRGraph> graphs) {
+    if (got->stats().compactions == folds_seen) return;
+    ASSERT_EQ(got->stats().compactions, folds_seen + 1);
+    folds_seen = got->stats().compactions;
+    ++folds_checked;
+    EXPECT_EQ(pool_image::PoolDifference(n, base, ReferencePool(n, graphs)),
+              "");
+  };
   constexpr int kBatches = 90;
   constexpr int kCheckpointAt = 30;
   for (int b = 0; b < kBatches; ++b) {
@@ -192,8 +214,16 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
     for (const EdgeInfluenceUpdate& update : batch) touched.insert(update.edge);
     const uint64_t before = TotalSketchVertices(*want);
     const std::vector<bool> singletons_before = Singletons(*want);
+    const std::vector<RRGraph> graphs_before(want->graphs().begin(),
+                                             want->graphs().end());
     got->ApplyUpdates(batch);
     want->ApplyUpdates(batch);
+    if (got->stats().compactions != folds_seen) {
+      // The batch compacted before its repairs: the base holds the
+      // sketches as they were before it.
+      const auto base = got->Freeze(got->network(), /*compact=*/false);
+      check_fold(base->pool(), graphs_before);
+    }
     const uint64_t after = TotalSketchVertices(*want);
     grew = grew || after > before;
     shrank = shrank || after < before;
@@ -216,6 +246,7 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
       frozen.reset();
       frozen_network = std::make_unique<SocialNetwork>(got->network());
       frozen = got->Freeze(*frozen_network, /*compact=*/false);
+      check_fold(frozen->pool(), want->graphs());
       for (size_t i = 0; i < frozen->num_graphs(); ++i) {
         ASSERT_TRUE(ViewsEqual(frozen->graph(i), want->graphs()[i]));
       }
@@ -234,6 +265,7 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
       const auto checkpoint =
           got->Freeze(checkpoint_network, /*compact=*/true);
       EXPECT_EQ(got->overlay_sketches(), 0u);
+      check_fold(checkpoint->pool(), want->graphs());
       const std::string bytes = Saved(*checkpoint);
       ASSERT_EQ(bytes, SavedReference(*want));
 
@@ -259,11 +291,13 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
       ExpectSameSketches(*got2, *want);
       got = std::move(got2);
       want = std::move(want2);
+      folds_seen = 0;
       ExpectSameSketches(*got, *want);
       ExpectSameEstimates(*got, *want);
     }
   }
   compactions += got->stats().compactions;
+  EXPECT_EQ(folds_checked, compactions);
   EXPECT_GE(compactions, 2u) << "overlay never passed its compaction bound";
   EXPECT_TRUE(grew) << "no batch resurrected an edge into an expansion";
   EXPECT_TRUE(shrank) << "no batch killed an edge";

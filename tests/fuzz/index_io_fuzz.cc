@@ -11,9 +11,10 @@
 // lists its sketches imply (so the delta-coded lists decode right), it
 // saves back to the very bytes it was loaded from (the writer and the
 // reader are inverses), and those bytes are canonical: the payload
-// (the pool image) is exactly what RrSketchPool::Pack writes for the
-// loaded sketches. Any crash, sanitizer report, or violation (enforced
-// with abort() below) is a finding.
+// (the pool image) is exactly what the reference re-encoder PackViews
+// (tests/owned_sketch.h) writes for the loaded sketches. Any crash,
+// sanitizer report, or violation (enforced with abort() below) is a
+// finding.
 //
 // Seed corpus: set PITEX_FUZZ_SEED_DIR=<dir> and the harness writes a
 // valid RR index and a valid DelayMat file there during
@@ -37,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "owned_sketch.h"
 #include "pool_image.h"
 #include "running_example.h"
 #include "src/index/index_io.h"
@@ -158,7 +160,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       constexpr size_t kTrailerBytes = 16;
       const auto packed = RrIndex::FromPool(
           Network(), RrIndexOptions{}, loaded->theta(),
-          std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+          std::make_shared<const RrSketchPool>(PackViews(
               loaded->num_graphs(), Network().num_vertices(),
               Network().num_edges(),
               [&loaded](size_t i) { return loaded->graph(i); })));
@@ -172,7 +174,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                                     bytes, kPayloadBegin,
                                     bytes.size() - kPayloadBegin -
                                         kTrailerBytes) == 0,
-              "loaded payload is what Pack writes for its sketches");
+              "loaded payload is what PackViews writes for its sketches");
     }
   }
   {

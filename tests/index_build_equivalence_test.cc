@@ -169,7 +169,7 @@ TEST(IndexBuildEquivalenceTest, ArenaPoolMatchesStandaloneGeneration) {
         static_cast<VertexId>(rng.NextBounded(n.num_vertices()));
     staging[i] = GenerateRRGraph(n.graph, n.influence, root, &rng);
   }
-  const RrSketchPool reference = RrSketchPool::Pack(
+  const RrSketchPool reference = PackViews(
       staging.size(), n.num_vertices(), n.num_edges(),
       [&staging](size_t i) { return staging[i].View(); });
 

@@ -2,7 +2,7 @@
 // whatever bytes arrive, LoadRrIndex / LoadDelayMatIndex must either
 // return a valid index or fail cleanly — never crash, never hand back a
 // structurally inconsistent object — and an RR index that loads must
-// save back to identical bytes, which are what Pack writes for its
+// save back to identical bytes, which are what PackViews writes for its
 // views. A table of single-field edits pins each check of the
 // loader. (Deterministic seeds; a few hundred mutations per strategy.)
 
@@ -52,7 +52,7 @@ std::string ValidRrIndexBytes(const SocialNetwork& n) {
   return file.str();
 }
 
-// The file of an index on `n` whose pool Pack makes of `graphs`.
+// The file of an index on `n` whose pool PackViews makes of `graphs`.
 std::string PackedIndexBytes(const SocialNetwork& n,
                              const std::vector<RRGraph>& graphs) {
   RrIndexOptions options;
@@ -60,7 +60,7 @@ std::string PackedIndexBytes(const SocialNetwork& n,
   options.seed = 5;
   const auto index = RrIndex::FromPool(
       n, options, graphs.size(),
-      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+      std::make_shared<const RrSketchPool>(PackViews(
           graphs.size(), n.num_vertices(), n.num_edges(),
           [&graphs](size_t i) { return graphs[i].View(); })));
   std::stringstream file;
@@ -121,10 +121,10 @@ void CheckConsistentIfLoaded(const SocialNetwork& n, const std::string& bytes) {
   ASSERT_TRUE(SaveRrIndex(*loaded, saved));
   ASSERT_EQ(saved.str(), bytes);
   // And what loads is canonical: its payload, from theta up to
-  // build_seconds, is what Pack writes for its own views.
+  // build_seconds, is what PackViews writes for its own views.
   const auto packed = RrIndex::FromPool(
       n, RrIndexOptions{}, loaded->theta(),
-      std::make_shared<const RrSketchPool>(RrSketchPool::Pack(
+      std::make_shared<const RrSketchPool>(PackViews(
           loaded->num_graphs(), n.num_vertices(), n.num_edges(),
           [&loaded](size_t i) { return loaded->graph(i); })));
   std::stringstream repacked;

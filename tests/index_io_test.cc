@@ -379,8 +379,8 @@ TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
   const auto longer = RrIndex::FromPool(
       n, SmallOptions(), theta,
       std::make_shared<const RrSketchPool>(
-          RrSketchPool::Pack(theta, n.num_vertices(), n.num_edges(),
-                             [&](size_t i) {
+          PackViews(theta, n.num_vertices(), n.num_edges(),
+                    [&](size_t i) {
             return i + 1 < theta ? index.graph(i) : singleton.View();
           })));
   std::stringstream file;

@@ -8,6 +8,8 @@
 // gives: the graph packs itself into a one-sketch run at 31-bit
 // vertices and 32-bit edge ids each time it is viewed. AssembleRRGraph is the
 // reference assembler that SketchArena's generation and repair assembly
+// are checked against. PackViews is the reference re-encoder that the
+// block copies finishing every pool (FromRuns, RrSketchOverlay::Fold)
 // are checked against.
 
 #ifndef PITEX_TESTS_OWNED_SKETCH_H_
@@ -93,6 +95,22 @@ inline RRGraph Owned(const RRView& view) {
   RRGraph graph;
   graph.Assign(view);
   return graph;
+}
+
+/// Sketches view_of(0), ..., view_of(num_sketches - 1) of a network with
+/// `num_vertices` vertices and `num_edges` edges, re-encoded field by
+/// field from their views into a run (Append), which FromRuns then
+/// finishes into exact-size arrays. Every sketch vertex and edge must
+/// lie inside the network.
+template <typename ViewOf>
+RrSketchPool PackViews(size_t num_sketches, size_t num_vertices,
+                       size_t num_edges, ViewOf&& view_of) {
+  RrSketchPool run(num_vertices, num_edges);
+  for (size_t i = 0; i < num_sketches; ++i) run.Append(view_of(i));
+  const RrSketchPool::Segment all{0, &run, 0,
+                                  static_cast<uint32_t>(num_sketches)};
+  return RrSketchPool::FromRuns(std::span(&all, 1), num_sketches,
+                                num_vertices, num_edges);
 }
 
 /// Samples one RR-Graph rooted at `root` (Definition 2) through the

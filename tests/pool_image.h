@@ -4,19 +4,27 @@
 // a seed). An Image takes a file apart into the pool arrays it holds,
 // a Block reads and writes one sketch block's bit fields, and
 // ValidatorRows lists single-field edits no saved pool can hold, each
-// of which the loader must refuse with kCorruptPayload.
+// of which the loader must refuse with kCorruptPayload. PoolDifference
+// compares two finished pools array by array, through their images.
 
 #ifndef PITEX_TESTS_POOL_IMAGE_H_
 #define PITEX_TESTS_POOL_IMAGE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/index/index_io.h"
 #include "src/index/rr_graph.h"
+#include "src/index/rr_index.h"
+#include "src/index/rr_sketch_pool.h"
 #include "src/model/influence_graph.h"
 #include "src/util/serialize.h"
 
@@ -672,6 +680,48 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          return true;
        }},
   };
+}
+
+// The file of an index over `network` that serves `pool` as it is.
+inline std::string SavedPool(const SocialNetwork& network,
+                             const RrSketchPool& pool) {
+  const auto index =
+      RrIndex::FromPool(network, RrIndexOptions{}, pool.num_sketches(),
+                        std::make_shared<const RrSketchPool>(pool));
+  std::ostringstream out;
+  SaveRrIndex(*index, out);
+  return std::move(out).str();
+}
+
+// The first way finished pool `got` differs from `want`, both pools of
+// `network`'s sketches, or "" when there is none: the directory's word
+// width, words and bases, the body's bytes (each as the pool's image
+// holds it), the containing starts' word width, the Rice parameter,
+// each vertex's containing list and SizeBytes().
+inline std::string PoolDifference(const SocialNetwork& network,
+                                  const RrSketchPool& got,
+                                  const RrSketchPool& want) {
+  const Image a(SavedPool(network, got), network);
+  const Image b(SavedPool(network, want), network);
+  if (a.width != b.width) return "directory width";
+  if (a.slots != b.slots || a.bases != b.bases) return "directory words";
+  if (a.body != b.body) return "body bytes";
+  if (got.containing_start_width() != want.containing_start_width()) {
+    return "containing start width";
+  }
+  if (got.containing_k() != want.containing_k()) return "containing k";
+  if (got.num_universe_vertices() != want.num_universe_vertices()) {
+    return "containing universe";
+  }
+  for (VertexId v = 0; v < want.num_universe_vertices(); ++v) {
+    const ContainingList x = got.Containing(v);
+    const ContainingList y = want.Containing(v);
+    if (x.bits() != y.bits() || !std::ranges::equal(x, y)) {
+      return "containing list of vertex " + std::to_string(v);
+    }
+  }
+  if (got.SizeBytes() != want.SizeBytes()) return "SizeBytes";
+  return "";
 }
 
 }  // namespace pool_image

@@ -24,6 +24,7 @@
 
 #include "certain_cycle.h"
 #include "owned_sketch.h"
+#include "pool_image.h"
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
 #include "src/index/dynamic_index.h"
@@ -431,8 +432,8 @@ TEST(PooledLayoutTest, PoolTotalsConsistent) {
 // Packs hand-made sketches over a network of 10 vertices and 10 edges:
 // 4-bit vertices and edge ids.
 RrSketchPool PackGraphs(const std::vector<RRGraph>& graphs) {
-  return RrSketchPool::Pack(graphs.size(), 10, 10,
-                            [&graphs](size_t i) { return graphs[i].View(); });
+  return PackViews(graphs.size(), 10, 10,
+                   [&graphs](size_t i) { return graphs[i].View(); });
 }
 
 RRGraph Singleton(VertexId v) { return RRGraph{v, {v}, {0, 0}, {}, {}}; }
@@ -575,7 +576,7 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
 TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
   // Three runs take the samples in interleaved contiguous claims, as
   // ParallelForSlots' slots do; the finish must rebase every directory
-  // entry into the one pool Pack writes.
+  // entry into the one pool PackViews writes.
   const std::vector<RRGraph> graphs = MixedGraphs();
   const RrSketchPool want = PackGraphs(graphs);
   const std::vector<std::vector<std::pair<uint64_t, uint32_t>>> claims = {
@@ -586,7 +587,7 @@ TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
   std::vector<RrSketchPool::Segment> segments;
   for (uint32_t r = 0; r < claims.size(); ++r) {
     for (const auto& [sample, count] : claims[r]) {
-      segments.push_back({sample, r,
+      segments.push_back({sample, &runs[r],
                           static_cast<uint32_t>(runs[r].num_sketches()),
                           count});
       for (uint64_t i = sample; i < sample + count; ++i) {
@@ -597,7 +598,7 @@ TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
   // Segment order does not matter: the finish sorts by sample.
   std::ranges::reverse(segments);
   const RrSketchPool got =
-      RrSketchPool::FromRuns(runs, segments, graphs.size(), 10, 10);
+      RrSketchPool::FromRuns(segments, graphs.size(), 10, 10);
   ExpectSamePools(got, want);
   EXPECT_EQ(got.SizeBytes(), ExactSizeBytes(got));
 
@@ -606,13 +607,12 @@ TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
   std::vector<RrSketchPool::Segment> each;
   for (uint32_t i = 0; i < graphs.size(); ++i) {
     singles[i].Append(graphs[i]);
-    each.push_back({i, i, 0, 1});
+    each.push_back({i, &singles[i], 0, 1});
   }
-  ExpectSamePools(RrSketchPool::FromRuns(singles, each, graphs.size(), 10, 10),
-                  want);
+  ExpectSamePools(RrSketchPool::FromRuns(each, graphs.size(), 10, 10), want);
   // Runs must take the pool's widths: their blocks are copied as they
   // are.
-  EXPECT_DEATH(RrSketchPool::FromRuns(singles, each, graphs.size(), 10, 11),
+  EXPECT_DEATH(RrSketchPool::FromRuns(each, graphs.size(), 10, 11),
                "different network");
 }
 
@@ -620,18 +620,72 @@ TEST(PooledLayoutTest, FromRunsRequiresFullCoverage) {
   const std::vector<RRGraph> graphs = MixedGraphs();
   RrSketchPool run(10, 10);
   for (const RRGraph& g : graphs) run.Append(g);
-  const std::vector<RrSketchPool> runs = {run};
-  const std::vector<RrSketchPool::Segment> gap = {{0, 0, 0, 3},
-                                                  {4, 0, 4, 4}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(runs, gap, graphs.size(), 10, 10),
+  const std::vector<RrSketchPool::Segment> gap = {{0, &run, 0, 3},
+                                                  {4, &run, 4, 4}};
+  EXPECT_DEATH(RrSketchPool::FromRuns(gap, graphs.size(), 10, 10),
                "cover every sample");
-  const std::vector<RrSketchPool::Segment> twice = {{0, 0, 0, 8},
-                                                    {0, 0, 0, 8}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(runs, twice, graphs.size(), 10, 10),
+  const std::vector<RrSketchPool::Segment> twice = {{0, &run, 0, 8},
+                                                    {0, &run, 0, 8}};
+  EXPECT_DEATH(RrSketchPool::FromRuns(twice, graphs.size(), 10, 10),
                "cover every sample");
-  const std::vector<RrSketchPool::Segment> short_run = {{0, 0, 0, 9}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(runs, short_run, 9, 10, 10),
+  const std::vector<RrSketchPool::Segment> short_run = {{0, &run, 0, 9}};
+  EXPECT_DEATH(RrSketchPool::FromRuns(short_run, 9, 10, 10),
                "out of range");
+}
+
+TEST(PooledLayoutTest, FoldIsTheReEncodingOfEveryCurrentSketch) {
+  // RrSketchOverlay::Fold cuts the ids into stretches of the base and
+  // one-sketch segments of the store. Each case repairs some sketches,
+  // each with another base sketch's view, and requires the fold to be,
+  // array by array, the pool PackViews re-encodes from the same views.
+  DatasetSpec spec = LastfmSpec(0.3);
+  spec.seed = 23;
+  const SocialNetwork network = GenerateDataset(spec);
+  RrIndexOptions options;
+  options.theta_override = 3000;
+  RrIndex index(network, options);
+  index.Build();
+  const RrSketchPool& base = index.pool();
+  const auto theta = static_cast<uint32_t>(base.num_sketches());
+  const auto is_singleton = [&base](uint32_t i) {
+    const RRView view = base.View(i);
+    return view.vertices.size() == 1 && view.edges.empty();
+  };
+  uint32_t block = 0;
+  while (is_singleton(block)) ++block;
+  uint32_t singleton = 0;
+  while (!is_singleton(singleton)) ++singleton;
+
+  // Each case: (id, source) puts, in order, of base.View(source) as
+  // sketch id's current copy.
+  using Puts = std::vector<std::pair<uint32_t, uint32_t>>;
+  Puts every;
+  for (uint32_t i = 0; i < theta; ++i) every.emplace_back(i, (i + 1) % theta);
+  const std::pair<const char*, Puts> cases[] = {
+      {"no repair", {}},
+      {"group edges and the last id",
+       {{0, theta - 1}, {63, 64}, {64, 63}, {127, 0}, {theta - 1, 127}}},
+      {"repaired twice", {{100, block}, {100, singleton}}},
+      {"block to singleton and singleton to block",
+       {{block, singleton}, {singleton, block}}},
+      {"every sketch", every},
+  };
+  for (const auto& [name, puts] : cases) {
+    SCOPED_TRACE(name);
+    RrSketchOverlay overlay(base);
+    std::vector<uint32_t> current(theta);
+    std::iota(current.begin(), current.end(), 0u);
+    for (const auto& [id, source] : puts) {
+      overlay.Put(id, base.View(source));
+      current[id] = source;
+    }
+    EXPECT_EQ(overlay.num_stored(), puts.size());
+    const RrSketchPool want =
+        PackViews(theta, network.num_vertices(), network.num_edges(),
+                  [&](size_t i) { return base.View(current[i]); });
+    EXPECT_EQ(pool_image::PoolDifference(network, overlay.Fold(base), want),
+              "");
+  }
 }
 
 TEST(PooledLayoutTest, VertexIdsMustFitThirtyOneBits) {
@@ -767,9 +821,9 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
 
 // Writes `graphs`, sketches of a network of `universe` vertices and
 // `num_edges` edges (as many as vertices unless given), through every
-// pool writer — Append, Pack, Pack again from the packed views, and
-// FromRuns over one run and over three runs — and checks each result
-// against the graphs.
+// pool writer — Append, PackViews, PackViews again from the packed
+// views, and FromRuns over one run and over three runs — and checks
+// each result against the graphs.
 void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
                             size_t universe, size_t num_edges = 0) {
   if (num_edges == 0) num_edges = universe;
@@ -786,11 +840,11 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
         << "sketch " << i;
   }
 
-  // Pack, then Pack again from the packed views (compaction's path:
-  // narrow blocks re-encoded from narrow views).
+  // PackViews, then PackViews again from the packed views (narrow
+  // blocks re-encoded from narrow views).
   const RrSketchPool packed =
-      RrSketchPool::Pack(graphs.size(), universe, num_edges,
-                         [&graphs](size_t i) { return graphs[i].View(); });
+      PackViews(graphs.size(), universe, num_edges,
+                [&graphs](size_t i) { return graphs[i].View(); });
   ExpectMatchesGraphs(packed, graphs);
   EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
   ExpectContainingMatchesViews(packed);
@@ -802,17 +856,15 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
               return g.vertices.size();
             }).vertices.size());
   const RrSketchPool repacked =
-      RrSketchPool::Pack(graphs.size(), universe, num_edges,
-                         [&packed](size_t i) { return packed.View(i); });
+      PackViews(graphs.size(), universe, num_edges,
+                [&packed](size_t i) { return packed.View(i); });
   ExpectSamePools(repacked, packed);
 
   // FromRuns over the one run...
-  const std::vector<RrSketchPool> one_run = {run};
   const std::vector<RrSketchPool::Segment> whole = {
-      {0, 0, 0, static_cast<uint32_t>(graphs.size())}};
+      {0, &run, 0, static_cast<uint32_t>(graphs.size())}};
   const RrSketchPool from_one =
-      RrSketchPool::FromRuns(one_run, whole, graphs.size(), universe,
-                             num_edges);
+      RrSketchPool::FromRuns(whole, graphs.size(), universe, num_edges);
   ExpectMatchesGraphs(from_one, graphs);
   ExpectSamePools(from_one, packed);
 
@@ -822,13 +874,11 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
   std::vector<RrSketchPool::Segment> segments;
   for (uint32_t i = 0; i < graphs.size(); ++i) {
     RrSketchPool& r = runs[i % 3];
-    segments.push_back(
-        {i, i % 3, static_cast<uint32_t>(r.num_sketches()), 1});
+    segments.push_back({i, &r, static_cast<uint32_t>(r.num_sketches()), 1});
     r.Append(graphs[i]);
   }
   const RrSketchPool from_three =
-      RrSketchPool::FromRuns(runs, segments, graphs.size(), universe,
-                             num_edges);
+      RrSketchPool::FromRuns(segments, graphs.size(), universe, num_edges);
   ExpectMatchesGraphs(from_three, graphs);
   ExpectSamePools(from_three, packed);
   EXPECT_EQ(from_three.SizeBytes(), ExactSizeBytes(from_three));
@@ -943,7 +993,7 @@ TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixtyFourVertices) {
   for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
   ExpectMatchesGraphs(run, graphs);
   ExpectEveryWriterKeeps(graphs, 70);
-  const RrSketchPool pool = RrSketchPool::Pack(
+  const RrSketchPool pool = PackViews(
       graphs.size(), 70, 70, [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   // At 7-bit vertices and edge ids, the edgeless blocks take 1 + 1 + 56
@@ -1051,7 +1101,7 @@ TEST(PooledLayoutTest, NonTreeShapesKeepOffsetsThroughEveryWriter) {
     arena.RebuildRepairedSketch(g.root, 10, edges, &repaired);
   }
   ExpectMatchesGraphs(repaired, graphs);
-  // Append, Pack and FromRuns, then the index file.
+  // Append, PackViews and FromRuns, then the index file.
   ExpectEveryWriterKeeps(graphs, 10);
   ExpectIndexFileRoundTrip(MakeCertainCycle(10), PackGraphs(graphs), graphs);
 }
@@ -1104,9 +1154,8 @@ TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
       {0, 4095},              // x = 0, 4,094 (q = 511): ids 0 and θ - 1
   };
   const std::vector<RRGraph> graphs = PlacedGraphs(4096, placed);
-  const RrSketchPool pool = RrSketchPool::Pack(
-      graphs.size(), 12, 12,
-        [&graphs](size_t i) { return graphs[i].View(); });
+  const RrSketchPool pool = PackViews(
+      graphs.size(), 12, 12, [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.containing_k(), 3u);
   // Sanity of the fixture: the brute force sees the lists placed.
   const std::vector<std::vector<uint32_t>> lists = ContainingFromViews(pool);
@@ -1140,9 +1189,8 @@ TEST(PooledLayoutTest, SparseVertexInDensePoolRunsPastAWord) {
     if (i == 0 || i == 130) vertices.push_back(11);
     graphs.push_back(EdgelessSketch(vertices));
   }
-  const RrSketchPool pool = RrSketchPool::Pack(
-      graphs.size(), 12, 12,
-        [&graphs](size_t i) { return graphs[i].View(); });
+  const RrSketchPool pool = PackViews(
+      graphs.size(), 12, 12, [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.containing_k(), 0u);
   ExpectContainingMatchesViews(pool);
   EXPECT_TRUE(std::ranges::equal(pool.Containing(10),
@@ -1182,7 +1230,7 @@ TEST(PooledLayoutTest, RiceListsMatchBruteForceOnRandomPools) {
                               : EdgelessSketch(std::move(vertices)));
     }
     ExpectEveryWriterKeeps(graphs, universe);
-    const RrSketchPool pool = RrSketchPool::Pack(
+    const RrSketchPool pool = PackViews(
         theta, universe, universe,
         [&graphs](size_t i) { return graphs[i].View(); });
     const uint64_t occurrences = ExpectVertexTotalsAgree(pool);
@@ -1330,7 +1378,7 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsSingletonRoots) {
     SCOPED_TRACE("root " + std::to_string(root));
     const std::vector<RRGraph> graphs = SingletonRootGraphs(root);
     ExpectEveryWriterKeeps(graphs, 40000);
-    const RrSketchPool pool = RrSketchPool::Pack(
+    const RrSketchPool pool = PackViews(
         graphs.size(), 40000, 40000,
         [&graphs](size_t i) { return graphs[i].View(); });
     EXPECT_EQ(pool.directory_width(), width);
@@ -1387,7 +1435,7 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
     graphs.push_back(RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}});
     graphs.push_back(Singleton(4));
     ExpectEveryWriterKeeps(graphs, 4096);
-    const RrSketchPool pool = RrSketchPool::Pack(
+    const RrSketchPool pool = PackViews(
         graphs.size(), 4096, 4096,
         [&graphs](size_t i) { return graphs[i].View(); });
     EXPECT_EQ(pool.directory_width(), width);
@@ -1414,7 +1462,7 @@ TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
     graphs.push_back(EdgelessSketch({63, 64}));
     graphs.push_back(Singleton(69));
     ExpectEveryWriterKeeps(graphs, 70);
-    const RrSketchPool pool = RrSketchPool::Pack(
+    const RrSketchPool pool = PackViews(
         graphs.size(), 70, 70,
         [&graphs](size_t i) { return graphs[i].View(); });
     EXPECT_EQ(pool.containing_k(), 6u);
@@ -1479,10 +1527,10 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
   // and general, so local ids take 0 to 9 bits, between singletons at
   // the highest and lowest vertex. Every writer that builds no
   // containing index (AppendSketch, Append, an overlay) runs at every
-  // width. Pack and FromRuns, whose containing index holds an entry per
-  // vertex, run while the network has at most 2^17 vertices, and the
-  // index file on the certain cycles among those networks, which have
-  // as many edges as vertices.
+  // width. PackViews and FromRuns, whose containing index holds an entry
+  // per vertex, run while the network has at most 2^17 vertices, and
+  // the index file on the certain cycles among those networks, which
+  // have as many edges as vertices.
   constexpr uint64_t k1 = 1;
   const std::pair<uint64_t, uint64_t> networks[] = {
       {1, 1},          {2, 2},
@@ -1528,8 +1576,8 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
     if (num_vertices != num_edges) continue;
     ExpectIndexFileRoundTrip(
         MakeCertainCycle(static_cast<VertexId>(num_vertices)),
-        RrSketchPool::Pack(graphs.size(), num_vertices, num_edges,
-                           [&graphs](size_t i) { return graphs[i].View(); }),
+        PackViews(graphs.size(), num_vertices, num_edges,
+                  [&graphs](size_t i) { return graphs[i].View(); }),
         graphs);
   }
 }
