@@ -97,7 +97,7 @@ void BM_GenerateRRGraph(benchmark::State& state) {
   const auto& n = Network();
   Rng rng(2);
   SketchArena arena;
-  RrSketchPool run;
+  RrSketchPool run(n.graph);
   for (auto _ : state) {
     const auto root =
         static_cast<VertexId>(rng.NextBounded(n.num_vertices()));

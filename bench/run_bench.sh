@@ -7,13 +7,15 @@
 #   bench/run_bench.sh [output.json] [--compare baseline.json] [extra args...]
 #
 # --compare diffs the fresh run against a baseline BENCH_micro.json.
-# Times (mean-aggregate real_time per benchmark) stay report-only: a
-# regression above 25% is flagged, never failed on, as shared-runner
-# timings are noisy. Exact work counters (pool_lines, containing_bytes,
-# pool_bytes, file_bytes, edges_visited, sets_evaluated,
-# overlay_sketches) print as baseline -> current, and a rise in any of
-# them on BM_IndexEstimateSweep, BM_IndexEstPlusQuery, BM_BestEffortQuery,
-# BM_SerializeRrIndex, BM_LoadRrIndex, BM_SnapshotPublish or
+# Times (mean-aggregate real_time per benchmark, with the mean cpu_time
+# beside it: single-thread CPU time is the unit a one-CPU host reads)
+# stay report-only: a real_time regression above 25% is flagged, never
+# failed on, as shared-runner timings are noisy. Exact work counters
+# (pool_lines, containing_bytes, pool_bytes, file_bytes, edges_visited,
+# sets_evaluated, overlay_sketches) print as baseline -> current, and a
+# rise in any of them on BM_IndexEstimateSweep, BM_IndexEstPlusQuery,
+# BM_BestEffortQuery, BM_SerializeRrIndex, BM_LoadRrIndex,
+# BM_SnapshotPublish or
 # BM_CompactOverlay fails the run (exit 1), and so the CI job: counts
 # need no repeats and no quiet host. A change that means to move a count
 # regenerates the baseline. bench/paired.sh reads the COUNTERS list
@@ -135,19 +137,27 @@ removed = sorted(set(base) - set(cur))
 
 print()
 print(f"=== benchmark comparison vs baseline (mean real_time, >"
-      f"{REGRESSION_PCT:.0f}% slower flagged) ===")
-print(f"{'benchmark':<44} {'baseline':>12} {'current':>12} {'delta':>8}")
+      f"{REGRESSION_PCT:.0f}% slower flagged; mean cpu_time beside) ===")
+print(f"{'benchmark':<44} {'baseline':>12} {'current':>12} {'delta':>8}"
+      f" {'base cpu':>12} {'cur cpu':>12} {'cpu delta':>9}")
+
+def pct(b, c):
+    return 0.0 if b == 0 else (c - b) / b * 100.0
+
 regressions = []
 for name in shared:
     b, unit = base[name].get("real_time", 0.0), base[name].get("time_unit", "ns")
     c = cur[name].get("real_time", 0.0)
-    delta = 0.0 if b == 0 else (c - b) / b * 100.0
+    b_cpu = base[name].get("cpu_time", 0.0)
+    c_cpu = cur[name].get("cpu_time", 0.0)
+    delta = pct(b, c)
     flag = ""
     if delta > REGRESSION_PCT:
         flag = "  REGRESSION"
         regressions.append((name, delta))
     print(f"{name:<44} {b:>10.1f}{unit:<2} {c:>10.1f}{unit:<2} "
-          f"{delta:>+7.1f}%{flag}")
+          f"{delta:>+7.1f}% {b_cpu:>10.1f}{unit:<2} {c_cpu:>10.1f}{unit:<2} "
+          f"{pct(b_cpu, c_cpu):>+8.1f}%{flag}")
 for name in added:
     print(f"{name:<44} {'-':>12} {cur[name].get('real_time', 0.0):>10.1f}"
           f"{cur[name].get('time_unit', 'ns'):<2}     new")

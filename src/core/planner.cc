@@ -39,7 +39,7 @@ QueryPlanner::QueryPlanner(const SocialNetwork* network, size_t probe_samples,
   // Reverse probe: average RR-Graph footprint and the chance a random
   // user lands in a random RR-Graph (theta(u)/theta, Sec. 6.3 notation).
   SketchArena arena;
-  RrSketchPool run(network_->num_vertices(), network_->num_edges());
+  RrSketchPool run(network_->graph);
   double size_sum = 0.0;
   double containment_sum = 0.0;
   for (size_t i = 0; i < probe_samples; ++i) {

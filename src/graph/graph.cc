@@ -1,5 +1,7 @@
 #include "src/graph/graph.h"
 
+#include <algorithm>
+
 #include "src/util/check.h"
 
 namespace pitex {
@@ -19,6 +21,24 @@ double Graph::AverageDegree() const {
   if (num_vertices() == 0) return 0.0;
   return static_cast<double>(num_edges()) /
          static_cast<double>(num_vertices());
+}
+
+size_t Graph::MaxOutDegree() const {
+  size_t degree = 0;
+  for (VertexId u = 0; u < num_vertices_; ++u) {
+    degree = std::max(degree, OutDegree(u));
+  }
+  return degree;
+}
+
+uint32_t Graph::OutRank(VertexId tail, EdgeId e) const {
+  const std::span<const AdjEntry> out = OutEdges(tail);
+  const auto it = std::lower_bound(
+      out.begin(), out.end(), e,
+      [](const AdjEntry& a, EdgeId id) { return a.edge < id; });
+  PITEX_CHECK_MSG(it != out.end() && it->edge == e,
+                  "edge does not leave the given tail");
+  return static_cast<uint32_t>(it - out.begin());
 }
 
 GraphBuilder::GraphBuilder(size_t num_vertices)

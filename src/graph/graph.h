@@ -41,12 +41,14 @@ class Graph {
   size_t num_vertices() const { return num_vertices_; }
   size_t num_edges() const { return num_edges_; }
 
-  /// Out-neighbors of u with their EdgeIds.
+  /// Out-neighbors of u with their EdgeIds, in ascending EdgeId order
+  /// (GraphBuilder::Build's counting sort is stable); OutRank and
+  /// EnvelopeTable's rank pass rely on it.
   std::span<const AdjEntry> OutEdges(VertexId u) const {
     return {out_adj_ + out_offsets_[u], out_adj_ + out_offsets_[u + 1]};
   }
 
-  /// In-neighbors of v with their EdgeIds.
+  /// In-neighbors of v with their EdgeIds, in ascending EdgeId order.
   std::span<const AdjEntry> InEdges(VertexId v) const {
     return {in_adj_ + in_offsets_[v], in_adj_ + in_offsets_[v + 1]};
   }
@@ -60,6 +62,12 @@ class Graph {
   size_t OutDegree(VertexId u) const {
     return out_offsets_[u + 1] - out_offsets_[u];
   }
+  /// The longest out-list's length: 0 without edges.
+  size_t MaxOutDegree() const;
+  /// Place of edge e in the out-list of its tail `tail`: the j with
+  /// OutEdges(tail)[j].edge == e, found by binary search of that list
+  /// (O(log out-degree)). e must leave `tail`.
+  uint32_t OutRank(VertexId tail, EdgeId e) const;
   size_t InDegree(VertexId v) const {
     return in_offsets_[v + 1] - in_offsets_[v];
   }
@@ -71,6 +79,12 @@ class Graph {
 
   /// Average out-degree |E| / |V|.
   double AverageDegree() const;
+
+  /// True when both graphs alias one storage: the same topology, told
+  /// in O(1).
+  bool SharesStorage(const Graph& other) const {
+    return storage_ == other.storage_;
+  }
 
  private:
   friend class GraphBuilder;

@@ -14,7 +14,7 @@ DelayMatIndex::DelayMatIndex(const SocialNetwork& network,
       options_(options),
       counts_(network.num_vertices(), 0),
       query_rng_(options.seed ^ 0xd1b54a32d192ed03ULL),
-      cached_graphs_(network.num_vertices(), network.num_edges()) {
+      cached_graphs_(network.graph) {
   RrIndex sizing(network, options);  // reuse theta policy
   theta_ = sizing.theta();
 }
@@ -83,8 +83,7 @@ void DelayMatIndex::RecoverRRGraph(VertexId u) {
   // inside the live edge set, and the live edges between them.
   const VertexId root =
       live_vertices[query_rng_.NextBounded(live_vertices.size())];
-  arena_.RebuildRepairedSketch(root, network_.num_vertices(), live_edges,
-                               &cached_graphs_);
+  arena_.RebuildRepairedSketch(root, live_edges, &cached_graphs_);
   cached_weights_.push_back(live_vertices.size());
 }
 

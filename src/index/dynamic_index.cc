@@ -44,7 +44,7 @@ DynamicRrIndex::DynamicRrIndex(const SocialNetwork& network,
                                const RrIndexOptions& options)
     : network_(network),
       options_(options),
-      repaired_(network.num_vertices(), network.num_edges()) {
+      repaired_(network.graph) {
   if (options_.theta_override > 0) {
     theta_ = options_.theta_override;
   } else {
@@ -245,8 +245,7 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
   // (the overlay's, else the base's) once, adds or removes `id`, and
   // re-codes the list into the overlay.
   repaired_.Clear();
-  arena_.RebuildRepairedSketch(rr.root(), network_.num_vertices(), edges,
-                               &repaired_);
+  arena_.RebuildRepairedSketch(rr.root(), edges, &repaired_);
   const auto splice = [&](VertexId v, bool insert) {
     const ContainingList current =
         overlay_->Containing(v).value_or(base_->Containing(v));

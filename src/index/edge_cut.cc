@@ -40,22 +40,27 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
     double log_prune1 = 0.0;
     std::vector<std::pair<EdgeId, float>> cut2;
     double log_prune2 = 0.0;
+    const auto add = [&](uint32_t tail, uint32_t i,
+                         std::vector<std::pair<EdgeId, float>>* cut,
+                         double* log_prune) {
+      const RRLocalEdge record = rr.edges[i];
+      const EdgeId edge = rr.Edge(tail, record.rank);
+      const float threshold = record.threshold;
+      cut->emplace_back(edge, threshold);
+      const double p = influence_->MaxProb(edge);
+      *log_prune += std::log(std::max(1e-12, threshold / p));
+    };
     rr.VisitCsr([&](const auto& csr) {
       for (uint32_t i = csr.offset(*u_local); i < csr.offset(*u_local + 1);
            ++i) {
-        const RRLocalEdge e = rr.edges[i];
-        cut1.emplace_back(e.edge, e.threshold);
-        const double p = influence_->MaxProb(e.edge);
-        log_prune1 += std::log(std::max(1e-12, e.threshold / p));
+        add(*u_local, i, &cut1, &log_prune1);
       }
-      // Edges are stored tail by tail, so one pass over the heads meets
+      // Edges are stored tail by tail, so one pass over the tails meets
       // the root's in-edges in CSR order.
-      for (uint32_t i = 0; i < rr.edges.size(); ++i) {
-        if (csr.head(i) != rr.root_local) continue;
-        const RRLocalEdge e = rr.edges[i];
-        cut2.emplace_back(e.edge, e.threshold);
-        const double p = influence_->MaxProb(e.edge);
-        log_prune2 += std::log(std::max(1e-12, e.threshold / p));
+      for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
+        for (uint32_t i = csr.offset(tail); i < csr.offset(tail + 1); ++i) {
+          if (csr.head(i) == rr.root_local) add(tail, i, &cut2, &log_prune2);
+        }
       }
     });
     // An empty cut means the side is disconnected: always prunable (both

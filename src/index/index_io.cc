@@ -16,18 +16,20 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v9's RR-Graph payload is the RrSketchPool image: its directory's word
+// v10's RR-Graph payload is the RrSketchPool image: its directory's word
 // width and words (not its bases, which the loader derives) and its body
 // bytes as they are stored, padding included: each sketch's block of
 // bit-granular fields at the widths its network and its own vertex count
-// call for, an in-tree block's CSR offsets left out. (v1, one record per
-// graph, v2, a wire format of per-sketch CSRs packed into a pool on load,
-// v3, whose edge records were a third array, v4, whose blocks kept every
-// vertex at 4 bytes, v5, whose body was word-padded u32 words with
-// 4-byte headers and edge ids, v6, whose blocks all stored their
-// offsets, v7, whose directory held a u32 per sketch, and v8, whose
-// blocks stored whole bytes per field, are no longer read.)
-constexpr uint32_t kVersionCurrent = 9;
+// call for, an in-tree block's CSR offsets left out, each edge record
+// its edge's rank in its tail's out-list. (v1, one record per graph, v2,
+// a wire format of per-sketch CSRs packed into a pool on load, v3, whose
+// edge records were a third array, v4, whose blocks kept every vertex at
+// 4 bytes, v5, whose body was word-padded u32 words with 4-byte headers
+// and edge ids, v6, whose blocks all stored their offsets, v7, whose
+// directory held a u32 per sketch, v8, whose blocks stored whole bytes
+// per field, and v9, whose records held global edge ids, are no longer
+// read.)
+constexpr uint32_t kVersionCurrent = 10;
 constexpr uint8_t kKindRrGraphs = 1;
 constexpr uint8_t kKindDelayMat = 2;
 
@@ -268,7 +270,7 @@ class IndexIo {
       return nullptr;
     }
     if (!VerifyTrailer(&reader, error)) return nullptr;
-    if (!pool.FinishLoaded(network.num_vertices(), network.num_edges())) {
+    if (!pool.FinishLoaded(network.graph)) {
       SetError(error, IndexIoCode::kCorruptPayload,
                "pooled sketches are not a packed pool of this network");
       return nullptr;

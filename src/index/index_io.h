@@ -14,7 +14,7 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 9 is the only version read or written; a v1 to v8 header is
+// Version 10 is the only version read or written; a v1 to v9 header is
 // refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
 // image (src/index/rr_sketch_pool.h):
 //
@@ -33,11 +33,12 @@
 // an in-tree) and then bit-granular fields to the next byte: its
 // vertices at bit_width(|V| - 1) bits, its root id and heads at
 // bit_width(n - 1), its CSR offsets at bit_width(m) unless the block is
-// an in-tree, and its records, each an edge id at bit_width(|E| - 1)
-// bits and a threshold's f32 bits at 30. |V| and |E| are the network's
-// the file is loaded against, so the file names no width. Seven zero
-// bytes of padding end a body with blocks. A directory whose length is
-// not theta words is kCorruptPayload.
+// an in-tree, and its records, each the edge's rank in its tail's
+// out-list at bit_width(D - 1) bits, D the network's largest out-degree,
+// and a threshold's f32 bits at 30. |V| and D are the network's the file
+// is loaded against, so the file names no width. Seven zero bytes of
+// padding end a body with blocks. A directory whose length is not theta
+// words is kCorruptPayload.
 //
 // An index with repairs saves as its compaction (RrSketchOverlay::Fold,
 // a copy of the base's blocks and of each repaired sketch's current
@@ -46,15 +47,18 @@
 // to a run and finishing it writes (RrSketchPool::FinishLoaded checks
 // it: each word is its block's start less its base, 4-byte words only
 // where some word needs them, an in-tree block's parents all lead to its
-// root), so a file that loads saves back to the same bytes. A change to the
-// pool's layout is a new version. The directory's words are stored in
-// the host's byte order, so a file reads back right only on a host of
-// the writer's byte order; the body's bits are little-endian.
+// root, each rank lies below its tail's out-degree and names an out-edge
+// that ends at the record's head), so a file that loads saves back to
+// the same bytes. A change to the pool's layout is a new version. The
+// directory's words are stored in the host's byte order, so a file
+// reads back right only on a host of the writer's byte order; the
+// body's bits are little-endian.
 //
 // The fingerprint binds an index file to the network it was sampled
 // from: loading against a different graph (changed topology, edge count,
-// or influence entries) is rejected, because RR-Graphs reference global
-// EdgeIds and are meaningless — and silently wrong — on any other graph.
+// or influence entries) is rejected, because RR-Graphs reference edges
+// by their ranks in the graph's out-lists and are meaningless — and
+// silently wrong — on any other graph.
 // It only catches an accidental mismatch: it is an unkeyed hash, not a
 // MAC, and a file crafted to match a network's fingerprint loads. A
 // trailing FNV-1a checksum rejects truncated or corrupted files.

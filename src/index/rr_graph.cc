@@ -1,6 +1,7 @@
 #include "src/index/rr_graph.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "src/util/check.h"
 
@@ -17,10 +18,11 @@ void DecomposeRRGraphInto(const RRView& rr,
   rr.VisitCsr([&](const auto& csr) {
     for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
       for (uint32_t i = csr.offset(tail); i < csr.offset(tail + 1); ++i) {
-        const RRLocalEdge local = rr.edges[i];
+        const RRLocalEdge record = rr.edges[i];
         edges->push_back(GlobalEdgeSample{rr.vertices[tail],
                                           rr.vertices[csr.head(i)],
-                                          local.edge, local.threshold});
+                                          rr.Edge(tail, record.rank),
+                                          record.threshold});
       }
     }
   });
@@ -29,14 +31,11 @@ void DecomposeRRGraphInto(const RRView& rr,
 namespace {
 
 // Forward DFS from local vertex `start` over the edges live under
-// `probs`, stopping at `target`; instantiated per CSR form so the inner
-// loop reads offsets and heads with no branch on it.
-template <typename Csr>
-PITEX_NOALLOC bool WalkToRoot(const Csr& csr,
-                              const EdgeRecords& edges,
-                              uint32_t start, uint32_t target,
-                              const EdgeProbFn& probs, uint32_t epoch,
-                              std::vector<uint32_t>& visited,
+// `probs`, stopping at `target`: the walk over a sketch that is not an
+// in-tree.
+PITEX_NOALLOC bool WalkToRoot(const RRView& rr, const LocalCsr& csr,
+                              uint32_t start, const EdgeProbFn& probs,
+                              uint32_t epoch, std::vector<uint32_t>& visited,
                               std::vector<uint32_t>& stack,
                               uint64_t* probes) {
   uint64_t count = 0;  // a local, so it can live in a register
@@ -49,17 +48,41 @@ PITEX_NOALLOC bool WalkToRoot(const Csr& csr,
     stack.pop_back();
     const uint32_t end = csr.offset(v + 1);
     for (uint32_t i = csr.offset(v); i < end; ++i) {
-      const RRLocalEdge edge = edges[i];
       const uint32_t head = csr.head(i);
       ++count;
       if (visited[head] == epoch) continue;
-      if (probs.Prob(edge.edge) < edge.threshold) continue;  // dead under W
-      if (head == target) {
+      const RRLocalEdge record = rr.edges[i];
+      if (probs.Prob(rr.Edge(v, record.rank)) < record.threshold) continue;
+      if (head == rr.root_local) {
         found = true;
         break;
       }
       visited[head] = epoch;
       stack.push_back(head);
+    }
+  }
+  *probes += count;
+  return found;
+}
+
+// The walk over an in-tree: each vertex but the root has one out-edge,
+// to its parent, so the DFS from `start` is the chase of its parents,
+// which reaches the root (ParentsReachRoot) unless an edge on the way is
+// dead. No head is met twice, so no stamp is needed.
+PITEX_NOALLOC bool ChaseToRoot(const RRView& rr, const TreeCsr& csr,
+                               uint32_t start, const EdgeProbFn& probs,
+                               uint64_t* probes) {
+  uint64_t count = 0;
+  bool found = false;
+  for (uint32_t v = start;;) {
+    const uint32_t i = csr.offset(v);
+    const RRLocalEdge record = rr.edges[i];
+    ++count;
+    if (probs.Prob(rr.Edge(v, record.rank)) < record.threshold) break;
+    v = csr.head(i);
+    if (v == rr.root_local) {
+      found = true;
+      break;
     }
   }
   *probes += count;
@@ -76,22 +99,26 @@ PITEX_NOALLOC bool IsReachable(const RRView& rr, VertexId u,
   if (!start) return false;
   if (*start == rr.root_local) return true;
 
-  const size_t n = rr.vertices.size();
-  auto& visited = scratch->visited_;
-  if (visited.size() < n) visited.resize(n, 0);
-  // Epoch stamping: bumping the epoch invalidates every old mark without
-  // touching memory. On the (once per 2^32 calls) wrap, clear explicitly.
-  if (++scratch->epoch_ == 0) {
-    std::fill(visited.begin(), visited.end(), 0);
-    scratch->epoch_ = 1;
-  }
-  const uint32_t epoch = scratch->epoch_;
-
-  // One dispatch on the CSR form; the walk is instantiated per form.
+  // One dispatch on the CSR form: an in-tree chases, any other sketch
+  // takes the DFS.
   uint64_t probes = 0;
   const bool found = rr.VisitCsr([&](const auto& csr) {
-    return WalkToRoot(csr, rr.edges, *start, rr.root_local, probs, epoch,
-                      visited, scratch->stack_, &probes);
+    if constexpr (std::is_same_v<std::decay_t<decltype(csr)>, TreeCsr>) {
+      return ChaseToRoot(rr, csr, *start, probs, &probes);
+    } else {
+      const size_t n = rr.vertices.size();
+      auto& visited = scratch->visited_;
+      if (visited.size() < n) visited.resize(n, 0);
+      // Epoch stamping: bumping the epoch invalidates every old mark
+      // without touching memory. On the (once per 2^32 calls) wrap,
+      // clear explicitly.
+      if (++scratch->epoch_ == 0) {
+        std::fill(visited.begin(), visited.end(), 0);
+        scratch->epoch_ = 1;
+      }
+      return WalkToRoot(rr, csr, *start, probs, scratch->epoch_, visited,
+                        scratch->stack_, &probes);
+    }
   });
   if (edges_visited != nullptr) *edges_visited += probes;
   return found;

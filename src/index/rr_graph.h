@@ -13,8 +13,11 @@
 // in the directory and every other sketch is one block of bit-granular
 // fields: its vertices at the width the network's vertex count calls
 // for, its local ids (its root's among them) at the width its own
-// vertex count calls for, and its edge records, each an edge id at the
-// width the network's edge count calls for and a 30-bit threshold. An
+// vertex count calls for, and its edge records, each the edge's rank in
+// its tail's out-list (Graph::OutEdges) at the width the network's
+// longest out-list calls for and a 30-bit threshold. A record's edge
+// always leaves its own tail, so the rank names it: RRView::Edge turns
+// it back into the global EdgeId against the pool's topology. An
 // in-tree sketch, whose root has no out-edge and every other vertex
 // exactly one, stores no CSR offsets: they follow from the root's local
 // id (TreeCsr).
@@ -22,9 +25,11 @@
 // into a pool run: the offline build, DynamicRrIndex repair, DelayMat
 // recovery and the query planner's probes. RRView is the non-owning
 // view of one pooled sketch that every reader takes.
-// Reachability scratch (visited stamps + DFS stack) lives in a reusable
-// EstimateScratch so repeated IsReachable calls allocate nothing once the
-// scratch has grown to the largest sketch.
+// Reachability on an in-tree chases parent pointers and needs no
+// scratch; on any other sketch it is a DFS whose scratch (visited stamps
+// + stack) lives in a reusable EstimateScratch, so repeated IsReachable
+// calls allocate nothing once the scratch has grown to the largest
+// sketch.
 
 #ifndef PITEX_SRC_INDEX_RR_GRAPH_H_
 #define PITEX_SRC_INDEX_RR_GRAPH_H_
@@ -42,12 +47,13 @@
 
 namespace pitex {
 
-/// One edge of a sketch's local CSR out-adjacency. Its head (a local
-/// vertex index) is stored apart, in the sketch's heads. A pool block
-/// stores each record as the edge id at its pool's edge width, then the
+/// One edge of a sketch's local CSR out-adjacency, as stored. Its head
+/// (a local vertex index) is stored apart, in the sketch's heads, and
+/// its tail is the local vertex whose CSR range holds it. A pool block
+/// stores each record as the rank at its pool's rank width, then the
 /// threshold's f32 bits at kThresholdBits (EdgeRecords, BlockWriter).
 struct RRLocalEdge {
-  EdgeId edge;      // global EdgeId (for p(e|W) lookups)
+  uint32_t rank;    // place in the tail's out-list (RRView::Edge)
   float threshold;  // c(e)
 };
 
@@ -111,7 +117,7 @@ struct TreeCsr {
 };
 
 /// A sketch's m edge records, packed from bit `first` of `data`: each
-/// the edge id at `edge_bits` bits and then the threshold's low
+/// the rank at `rank_bits` bits and then the threshold's low
 /// kThresholdBits bits. A read-only range that decodes each record by
 /// value.
 class EdgeRecords {
@@ -141,16 +147,16 @@ class EdgeRecords {
    private:
     friend class EdgeRecords;
     Iterator(const EdgeRecords& records, size_t at)
-        : records_{records.data_, records.first_, records.edge_bits_},
+        : records_{records.data_, records.first_, records.rank_bits_},
           at_(at) {}
 
     // The records' fields, copied, so an iterator outlives its range.
     struct Fields {
       const uint8_t* data = nullptr;
       uint32_t first = 0;
-      uint32_t edge_bits = 0;
+      uint32_t rank_bits = 0;
       RRLocalEdge operator[](size_t k) const {
-        return Load(data, first, edge_bits, k);
+        return Load(data, first, rank_bits, k);
       }
     } records_;
     size_t at_ = 0;
@@ -158,37 +164,37 @@ class EdgeRecords {
 
   EdgeRecords() = default;
   EdgeRecords(PackedIds at, size_t size)
-      : data_(at.data), first_(at.first), edge_bits_(at.bits),
+      : data_(at.data), first_(at.first), rank_bits_(at.bits),
         size_(static_cast<uint32_t>(size)) {}
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   RRLocalEdge operator[](size_t k) const {
-    return Load(data_, first_, edge_bits_, k);
+    return Load(data_, first_, rank_bits_, k);
   }
   Iterator begin() const { return {*this, 0}; }
   Iterator end() const { return {*this, size_}; }
-  /// Bits per edge id.
-  uint32_t edge_bits() const { return edge_bits_; }
+  /// Bits per rank.
+  uint32_t rank_bits() const { return rank_bits_; }
   /// Where the records end: the byte after their last bit's.
   const uint8_t* end_byte() const {
     return data_ +
-           (first_ + uint64_t{edge_bits_ + kThresholdBits} * size_ + 7) / 8;
+           (first_ + uint64_t{rank_bits_ + kThresholdBits} * size_ + 7) / 8;
   }
 
  private:
   static RRLocalEdge Load(const uint8_t* data, uint32_t first,
-                          uint32_t edge_bits, size_t k) {
-    const uint32_t stride = edge_bits + kThresholdBits;
+                          uint32_t rank_bits, size_t k) {
+    const uint32_t stride = rank_bits + kThresholdBits;
     const uint32_t pos = first + stride * static_cast<uint32_t>(k);
     const uint64_t word = LoadBits(data, pos);
     // One load holds the whole record while it fits the window: up to
-    // 27-bit edge ids.
+    // 27-bit ranks.
     const uint64_t threshold = stride <= kBitWindow
-                                   ? word >> edge_bits
-                                   : LoadBits(data, pos + edge_bits);
+                                   ? word >> rank_bits
+                                   : LoadBits(data, pos + rank_bits);
     RRLocalEdge edge;
-    edge.edge = static_cast<EdgeId>(word & LowMask(edge_bits));
+    edge.rank = static_cast<uint32_t>(word & LowMask(rank_bits));
     const auto bits =
         static_cast<uint32_t>(threshold & LowMask(kThresholdBits));
     std::memcpy(&edge.threshold, &bits, sizeof(bits));
@@ -197,7 +203,7 @@ class EdgeRecords {
 
   const uint8_t* data_ = nullptr;
   uint32_t first_ = 0;
-  uint32_t edge_bits_ = 0;
+  uint32_t rank_bits_ = 0;
   uint32_t size_ = 0;
 };
 
@@ -301,10 +307,13 @@ class VertexIds {
 /// held as its local id, so the walk knows its target without a search.
 /// Every field is read at the width its block stores it at (see
 /// src/index/rr_sketch_pool.h): the heads at bit_width(n - 1) bits, any
-/// offsets at bit_width(m), the vertices and edge ids at their pool's
+/// offsets at bit_width(m), the vertices and ranks at their pool's
 /// widths. A view of an in-tree sketch (the root has no out-edge, every
 /// other vertex exactly one; nearly every pooled sketch) has no stored
 /// offsets: its offsets' data is null and its readers take a TreeCsr.
+/// `topology` is the graph of the pool the view reads, whose out-lists
+/// the ranks index; a pool that holds no topology gives an empty graph,
+/// and its views' ranks are read but not decoded.
 struct RRView {
   uint32_t root_local = 0;  // local index of the root
   VertexIds vertices;       // sorted ascending
@@ -312,6 +321,15 @@ struct RRView {
                             // in-tree sketch
   PackedIds heads;          // local head of each edge, m
   EdgeRecords edges;        // m
+  const Graph* topology = nullptr;
+
+  /// The global id of the edge at `rank` in the out-list of local
+  /// vertex `tail`, the id of a record in tail's CSR range:
+  /// OutEdges(vertices[tail])[rank].edge. Every reader that needs an
+  /// edge's id decodes it here.
+  EdgeId Edge(uint32_t tail, uint32_t rank) const {
+    return topology->OutEdges(vertices[tail])[rank].edge;
+  }
 
   /// Calls fn(csr) with csr a TreeCsr for an in-tree sketch, else a
   /// LocalCsr, and returns its result: one dispatch per sketch, so fn's
@@ -340,10 +358,11 @@ struct RRView {
   }
 };
 
-/// Reusable traversal scratch for IsReachable: an epoch-stamped visited
-/// array (no clearing between calls) plus the DFS stack. Grows to the
-/// largest sketch it has seen, then stays allocation-free. Not
-/// thread-safe; use one instance per thread.
+/// Reusable traversal scratch for IsReachable's DFS over a sketch that
+/// is not an in-tree: an epoch-stamped visited array (no clearing
+/// between calls) plus the stack. Grows to the largest sketch it has
+/// seen, then stays allocation-free. Not thread-safe; use one instance
+/// per thread.
 class EstimateScratch {
  public:
   /// Pre-sizes the visited array for sketches of up to `max_vertices`
@@ -361,8 +380,11 @@ class EstimateScratch {
 
 /// Definition 3: true iff `u` reaches the root of `rr` along edges with
 /// probs.Prob(e) >= c(e). Adds probed-edge counts to `edges_visited` when
-/// non-null. Uses `scratch` for the visited stamps and stack: zero
-/// allocations once the scratch has warmed up.
+/// non-null. On an in-tree it follows u's parents to the root or to the
+/// first dead edge, with no scratch; on any other sketch it runs a DFS
+/// that uses `scratch` for the visited stamps and stack: zero
+/// allocations once the scratch has warmed up. Both probe the edges a
+/// DFS would, in the same order.
 PITEX_NOALLOC bool IsReachable(const RRView& rr, VertexId u,
                                const EdgeProbFn& probs,
                                uint64_t* edges_visited,
@@ -384,8 +406,8 @@ bool ParentsReachRoot(const RRView& rr, std::vector<uint8_t>* marks);
 /// generation path that must not allocate in steady state.
 bool ParentsReachRoot(const RRView& rr);
 
-/// A sampled live edge in global vertex coordinates, before local CSR
-/// assembly.
+/// A sampled live edge in global vertex coordinates and its global id,
+/// before local CSR assembly: what repairs edit and recovery samples.
 struct GlobalEdgeSample {
   VertexId tail;
   VertexId head;
@@ -395,8 +417,9 @@ struct GlobalEdgeSample {
 
 /// Inverse of SketchArena::RebuildRepairedSketch: clears `*edges` and
 /// fills it with the sketch's live edges back in global vertex
-/// coordinates, in per-tail order, reusing capacity (incremental index
-/// repair decomposes one sketch per affected graph).
+/// coordinates, their ranks decoded to ids (RRView::Edge), in per-tail
+/// order, reusing capacity (incremental index repair decomposes one
+/// sketch per affected graph).
 void DecomposeRRGraphInto(const RRView& rr,
                           std::vector<GlobalEdgeSample>* edges);
 

@@ -88,9 +88,8 @@ RrSketchPool SampleSketchPool(const Graph& graph,
     std::vector<RrSketchPool::Segment> segments;
   };
   std::vector<SlotState> state(slots);
-  for (SlotState& s : state) {
-    s.run = RrSketchPool(graph.num_vertices(), graph.num_edges());
-  }
+  const RrSketchPool network(graph);
+  for (SlotState& s : state) s.run = network.EmptyLike();
   auto generate = [&](size_t slot, size_t i) {
     RrSketchPool& run = state[slot].run;
     std::vector<RrSketchPool::Segment>& open = state[slot].segments;
@@ -113,8 +112,7 @@ RrSketchPool SampleSketchPool(const Graph& graph,
   for (const SlotState& s : state) {
     all.insert(all.end(), s.segments.begin(), s.segments.end());
   }
-  return RrSketchPool::FromRuns(all, theta, graph.num_vertices(),
-                                graph.num_edges());
+  return RrSketchPool::FromRuns(all, theta, network);
 }
 
 void RrIndex::Build(ThreadPool* pool) {

@@ -7,15 +7,27 @@
 
 namespace pitex {
 
-RrSketchPool::RrSketchPool(uint64_t num_vertices, uint64_t num_edges) {
-  SetNetwork(num_vertices, num_edges);
+RrSketchPool::RrSketchPool(uint64_t num_vertices, uint64_t max_out_degree) {
+  SetNetwork(num_vertices, max_out_degree);
 }
 
-void RrSketchPool::SetNetwork(uint64_t num_vertices, uint64_t num_edges) {
+RrSketchPool::RrSketchPool(const Graph& topology)
+    : RrSketchPool(topology.num_vertices(), topology.MaxOutDegree()) {
+  topology_ = topology;
+}
+
+RrSketchPool RrSketchPool::EmptyLike() const {
+  RrSketchPool pool(num_vertices_, max_out_degree_);
+  pool.topology_ = topology_;
+  return pool;
+}
+
+void RrSketchPool::SetNetwork(uint64_t num_vertices,
+                              uint64_t max_out_degree) {
   num_vertices_ = std::min<uint64_t>(num_vertices, kExplicit);
-  num_edges_ = std::min<uint64_t>(num_edges, uint64_t{1} << 32);
+  max_out_degree_ = std::min<uint64_t>(max_out_degree, uint64_t{1} << 32);
   vertex_bits_ = IdBits(num_vertices_);
-  edge_bits_ = IdBits(num_edges_);
+  rank_bits_ = IdBits(max_out_degree_);
 }
 
 void RrSketchPool::Append(const RRView& sketch) {
@@ -63,8 +75,8 @@ uint64_t RrSketchPool::BodyStart(size_t i) const {
 
 RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
                                     uint64_t num_sketches,
-                                    size_t num_vertices, size_t num_edges) {
-  RrSketchPool out(num_vertices, num_edges);
+                                    const RrSketchPool& network) {
+  RrSketchPool out = network.EmptyLike();
   // Each segment's slice of its run, put in sample order.
   struct Slice : Segment {
     uint64_t body_begin, body_end;
@@ -79,9 +91,10 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
     if (seg.count == 0) continue;
     const RrSketchPool& run = *seg.run;
     // The blocks are copied as they are, so each run's fields take the
-    // pool's widths.
+    // pool's widths, and its ranks index the pool's topology.
     PITEX_CHECK_MSG(run.num_vertices_ == out.num_vertices_ &&
-                        run.num_edges_ == out.num_edges_,
+                        run.max_out_degree_ == out.max_out_degree_ &&
+                        run.topology_.SharesStorage(out.topology_),
                     "run samples a different network");
     slices.push_back({seg, run.BodyStart(seg.first),
                       run.BodyStart(seg.first + seg.count), 0});
@@ -132,12 +145,13 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
     bases[resolved] = static_cast<uint32_t>(body);
   }
   if (body != 0) out.body_.resize(body + kBitPadding);
-  out.BuildContaining(num_vertices);
+  out.BuildContaining(out.num_vertices_);
   return out;
 }
 
-bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
-  SetNetwork(num_vertices, num_edges);
+bool RrSketchPool::FinishLoaded(const Graph& topology) {
+  SetNetwork(topology.num_vertices(), topology.MaxOutDegree());
+  topology_ = topology;
   const size_t s = num_sketches();
   // The blocks, then their padding (none without a block).
   if (!body_.empty() && body_.size() <= kBitPadding) return false;
@@ -218,15 +232,25 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
       return true;
     });
     if (!csr_ok || (in_tree && !ParentsReachRoot(view, &marks))) return false;
-    // Every sampler writes 0 <= c(e) <= p(e) <= 1, and 30 bits hold no
-    // NaN or negative threshold; one above 1 would make the edge dead
-    // under every tag set.
-    for (const RRLocalEdge e : view.edges) {
-      if (e.edge >= num_edges_ ||
-          std::bit_cast<uint32_t>(e.threshold) > kMaxThresholdBits) {
-        return false;
+    // Each rank names an out-edge of its tail that ends at the record's
+    // head. Every sampler writes 0 <= c(e) <= p(e) <= 1, and 30 bits
+    // hold no NaN or negative threshold; one above 1 would make the edge
+    // dead under every tag set.
+    const bool records_ok = view.VisitCsr([&](const auto& csr) {
+      for (uint32_t tail = 0; tail < n; ++tail) {
+        const auto out = topology_.OutEdges(view.vertices[tail]);
+        for (uint32_t k = csr.offset(tail); k < csr.offset(tail + 1); ++k) {
+          const RRLocalEdge e = view.edges[k];
+          if (e.rank >= out.size() ||
+              out[e.rank].vertex != view.vertices[csr.head(k)] ||
+              std::bit_cast<uint32_t>(e.threshold) > kMaxThresholdBits) {
+            return false;
+          }
+        }
       }
-    }
+      return true;
+    });
+    if (!records_ok) return false;
     vertices += n;
     body += length;
   }
@@ -236,7 +260,7 @@ bool RrSketchPool::FinishLoaded(size_t num_vertices, size_t num_edges) {
                    body_.end(), [](uint8_t byte) { return byte == 0; })) {
     return false;
   }
-  BuildContaining(num_vertices);
+  BuildContaining(num_vertices_);
   return true;
 }
 
@@ -338,8 +362,7 @@ RrSketchPool RrSketchOverlay::Fold(const RrSketchPool& base) const {
     segments.push_back({next, &base, static_cast<uint32_t>(next),
                         static_cast<uint32_t>(theta - next)});
   }
-  return RrSketchPool::FromRuns(segments, theta, base.num_network_vertices(),
-                                base.num_network_edges());
+  return RrSketchPool::FromRuns(segments, theta, base);
 }
 
 void RrSketchOverlay::SetContaining(VertexId u,

@@ -32,21 +32,27 @@
 //                    CSR offsets (0 .. m_i) at bit_width(m_i) bits
 //                    unless the block is an in-tree, the m_i local edge
 //                    heads at L_i bits, and the m_i records, each the
-//                    edge id at E bits and the threshold's f32 bits at
-//                    30 (kThresholdBits: a threshold in [0, 1] has bits
-//                    <= 0x3F800000); then zero bits to the next byte
+//                    edge's rank in its tail's out-list at R bits and
+//                    the threshold's f32 bits at 30 (kThresholdBits: a
+//                    threshold in [0, 1] has bits <= 0x3F800000); then
+//                    zero bits to the next byte
 //   body_[end ..]    kBitPadding zero bytes after the last block, so
 //                    every field is one shifted 8-byte load (LoadBits)
-// V = bit_width(|V| - 1) and E = bit_width(|E| - 1) are the pool's, set
-// from the network it samples (its vertex and edge counts) when it is
-// constructed or loaded, with no option: on pitexbench's network
-// (25,000 vertices, 297,497 edges) V = 15 and E = 19, and a record takes
-// 49 bits. L_i is the block's own: 3 bits for a block of 5 to 8
-// vertices. A sketch's walk therefore reads its directory word, its
-// group's base (a 12.5 KB array for 200,000 sketches) and one block. On
-// pitexbench's network the largest singleton root is 24,999 and the
-// largest block start less its base 1,460 B, so the directory takes
-// 2-byte words.
+// V = bit_width(|V| - 1) and R = bit_width(D - 1), D the network's
+// largest out-degree, are the pool's, set from the network it samples
+// when it is constructed or loaded, with no option: on pitexbench's
+// network (25,000 vertices, at most 18 out-edges each) V = 15 and R = 5,
+// and a record takes 35 bits. A record's edge always leaves its own
+// tail, the local vertex whose CSR range holds it, so its rank in that
+// tail's out-list (Graph::OutEdges) names it; the pool holds the
+// network's topology (a Graph, whose copies share one storage) and its
+// views decode a rank to the edge's id there (RRView::Edge). L_i is the
+// block's own: 3 bits for a block of 5 to 8 vertices. A sketch's walk
+// therefore reads its directory word, its group's base (a 12.5 KB array
+// for 200,000 sketches), one block and, per probed edge, its tail's
+// out-list offset and entry in the graph. On pitexbench's network the
+// largest singleton root is 24,999 and the largest block start less its
+// base 1,183 B, so the directory takes 2-byte words.
 // An *in-tree* block is one whose CSR gives the root no out-edge and
 // every other vertex exactly one (IsInTree): m_i = n_i - 1 and offset j
 // is j, less one past the root (InTreeOffset), so the block stores no
@@ -115,9 +121,9 @@
 // one-sketch run DynamicRrIndex re-closes each repaired sketch into
 // before the overlay re-encodes it (Append), and the run of graphs
 // DelayMat recovers for its cached query user. Every run takes its
-// network's widths, and a block's bits are relative to its own first
-// byte, so a copied block is exactly the block a re-encoding of its view
-// would write.
+// network's widths and topology, and a block's bits are relative to its
+// own first byte, so a copied block is exactly the block a re-encoding
+// of its view would write.
 //
 // A finished pool is immutable. DynamicRrIndex, which repairs
 // individual sketches, never mutates it: it shares one pool as its
@@ -207,11 +213,11 @@ inline const uint8_t* GetVarint(const uint8_t* at, uint32_t* x) {
 class BlockWriter {
  public:
   BlockWriter(BitWriter* bits, uint32_t offset_bits, uint32_t head_bits,
-              uint32_t edge_bits)
+              uint32_t rank_bits)
       : bits_(bits),
         offset_bits_(offset_bits),
         head_bits_(head_bits),
-        edge_bits_(edge_bits) {}
+        rank_bits_(rank_bits) {}
 
   void PutOffset(uint32_t offset) {
     PITEX_DCHECK(offset <= LowMask(offset_bits_));
@@ -221,20 +227,20 @@ class BlockWriter {
     PITEX_DCHECK(head <= LowMask(head_bits_));
     bits_->Put(head, head_bits_);
   }
-  /// The edge id, then the threshold's bits, in one field.
+  /// The rank, then the threshold's bits, in one field.
   void PutEdge(RRLocalEdge edge) {
     const auto threshold = std::bit_cast<uint32_t>(edge.threshold);
-    PITEX_DCHECK(edge.edge <= LowMask(edge_bits_) &&
+    PITEX_DCHECK(edge.rank <= LowMask(rank_bits_) &&
                  threshold <= kMaxThresholdBits);
-    bits_->Put(edge.edge | uint64_t{threshold} << edge_bits_,
-               edge_bits_ + kThresholdBits);
+    bits_->Put(edge.rank | uint64_t{threshold} << rank_bits_,
+               rank_bits_ + kThresholdBits);
   }
 
  private:
   BitWriter* bits_;
   uint32_t offset_bits_;
   uint32_t head_bits_;
-  uint32_t edge_bits_;
+  uint32_t rank_bits_;
 };
 
 /// Rice codes, as the containing lists store their ids: x at parameter
@@ -388,31 +394,41 @@ class RrSketchPool {
   };
 
   /// A pool whose fields hold any vertex id a directory word does
-  /// (below 2^31) and any edge id: 31- and 32-bit fields.
+  /// (below 2^31) and any rank: 31- and 32-bit fields, and no topology.
   RrSketchPool() : RrSketchPool(kExplicit, uint64_t{1} << 32) {}
-  /// A pool of sketches of a network with `num_vertices` vertices and
-  /// `num_edges` edges: its vertex and edge fields take
-  /// IdBits(num_vertices) and IdBits(num_edges) bits.
-  RrSketchPool(uint64_t num_vertices, uint64_t num_edges);
+  /// A pool of sketches of `topology`: its vertex fields take
+  /// IdBits(|V|) bits, its ranks IdBits(largest out-degree), and its
+  /// views decode ranks against it (the pool keeps a copy, which shares
+  /// the graph's storage).
+  explicit RrSketchPool(const Graph& topology);
+  /// A pool of a network with `num_vertices` vertices and no out-list
+  /// longer than `max_out_degree`, as the graph constructor sizes it,
+  /// but holding no topology: its ranks are stored and read as they
+  /// are, and its views decode none (layout checks at any width).
+  RrSketchPool(uint64_t num_vertices, uint64_t max_out_degree);
 
-  /// Finishes a pool from runs, each a pool of the network with
-  /// `num_vertices` vertices and `num_edges` edges: copies every
-  /// segment's blocks as they are, in sample order, into exact-size
-  /// arrays (rebasing each explicit directory word), then builds the
-  /// containing index. The segments must cover samples
-  /// [0, num_sketches) exactly once, so sketch i of the result is sample
-  /// i whatever the runs and segments were: the pool is identical for
-  /// any thread count and claim interleaving. A run may be a finished
-  /// pool.
+  /// An empty pool of this pool's network: its widths and topology.
+  RrSketchPool EmptyLike() const;
+
+  /// Finishes a pool from runs, each a pool of `network`'s network (its
+  /// widths and the topology it shares, which FromRuns checks): copies
+  /// every segment's blocks as they are, in sample order, into
+  /// exact-size arrays (rebasing each explicit directory word), then
+  /// builds the containing index over the network's vertices. The
+  /// segments must cover samples [0, num_sketches) exactly once, so
+  /// sketch i of the result is sample i whatever the runs and segments
+  /// were: the pool is identical for any thread count and claim
+  /// interleaving. A run, and `network`, may be a finished pool.
   static RrSketchPool FromRuns(std::span<const Segment> segments,
-                               uint64_t num_sketches, size_t num_vertices,
-                               size_t num_edges);
+                               uint64_t num_sketches,
+                               const RrSketchPool& network);
 
   /// Appends one sketch in the pooled layout without touching the
   /// containing index: a pool appended to is a run, which only FromRuns
   /// reads besides View(). The block takes this pool's widths and its
-  /// own form whatever widths and form `sketch` is stored in. `sketch`
-  /// must not view this pool.
+  /// own form whatever widths and form `sketch` is stored in; its ranks
+  /// are copied as they are, so `sketch` must sample this pool's
+  /// network. `sketch` must not view this pool.
   void Append(const RRView& sketch);
   /// Appends the sketch with `vertices` (sorted), rooted at
   /// vertices[root_local], and m edges, as Append does: fill(out) puts
@@ -435,10 +451,13 @@ class RrSketchPool {
 
   /// The network counts the fields' widths come from.
   uint64_t num_network_vertices() const { return num_vertices_; }
-  uint64_t num_network_edges() const { return num_edges_; }
-  /// Bits per vertex id and per edge id: IdBits of those counts.
+  uint64_t max_out_degree() const { return max_out_degree_; }
+  /// Bits per vertex id and per rank: IdBits of those counts.
   uint32_t vertex_bits() const { return vertex_bits_; }
-  uint32_t edge_bits() const { return edge_bits_; }
+  uint32_t rank_bits() const { return rank_bits_; }
+  /// The graph the ranks decode against: empty for a pool built from
+  /// counts.
+  const Graph& topology() const { return topology_; }
 
   /// Non-owning view of sketch i (valid while the pool is alive).
   RRView View(size_t i) const {
@@ -606,7 +625,7 @@ class RrSketchPool {
     const uint64_t id_bits = IdBits(n);
     return n * vertex_bits_ + id_bits +
            (in_tree ? 0 : (n + 1) * IdBits(m + 1)) +
-           m * (id_bits + edge_bits_ + kThresholdBits);
+           m * (id_bits + rank_bits_ + kThresholdBits);
   }
   /// body_ bytes of a sketch with n vertices and m edges in this form:
   /// none for an implicit singleton, else the header (and the edge
@@ -645,7 +664,8 @@ class RrSketchPool {
         PackedIds{in_tree ? nullptr : at, m == 0 ? 0 : offsets_at,
                   offset_bits},
         PackedIds{at, heads_at, id_bits},
-        EdgeRecords({at, heads_at + m * id_bits, edge_bits_}, m)};
+        EdgeRecords({at, heads_at + m * id_bits, rank_bits_}, m),
+        &topology_};
   }
 
   /// Where the blocks end in body_: before its padding.
@@ -705,7 +725,7 @@ class RrSketchPool {
   void WidenDirectory();
 
   /// Sets the network counts and the fields' widths they call for.
-  void SetNetwork(uint64_t num_vertices, uint64_t num_edges);
+  void SetNetwork(uint64_t num_vertices, uint64_t max_out_degree);
 
   /// Calls fn(vertices) with each sketch's sorted vertices, in order:
   /// a singleton's one vertex from its directory word, a block's from
@@ -739,28 +759,29 @@ class RrSketchPool {
   uint64_t BodyStart(size_t i) const;
 
   /// Checks a pool whose directory words and body_ were read from a
-  /// file (src/index/index_io.h) against the network it samples, with
-  /// `num_vertices` vertices and `num_edges` edges, which set its
-  /// fields' widths; if they hold, derives the directory's bases and
-  /// builds its containing index. Walking the directory in order, each
-  /// group's base is where the next block must start, each singleton's
-  /// vertex and each block's sorted vertices must lie below
-  /// num_vertices, each block must start where the one before it ended
-  /// (its word is that start less its base), and the words may take 4
-  /// bytes only if some word needs them (DirectoryWidth). Each block's
+  /// file (src/index/index_io.h) against `topology`, the network it
+  /// samples, which sets its fields' widths and becomes the pool's; if
+  /// they hold, derives the directory's bases and builds its containing
+  /// index. Walking the directory in order, each group's base is where
+  /// the next block must start, each singleton's vertex and each block's
+  /// sorted vertices must lie below |V|, each block must start where the
+  /// one before it ended (its word is that start less its base), and the
+  /// words may take 4 bytes only if some word needs them
+  /// (DirectoryWidth). Each block's
   /// header (and edge count) must be a varint of no more bytes than its
   /// value needs, with n > 0, not a singleton's shape, and the in-tree
   /// flag exactly when its offsets are an in-tree's (a block of an
   /// in-tree's shape stored with offsets fails); its root id and heads
   /// lie below n, its offsets rise from 0 to m, an in-tree's parent
-  /// pointers lead every vertex to its root (ParentsReachRoot), its
-  /// records' edge ids lie below num_edges with threshold bits at most
-  /// 1.0f's, and the bits after its last field are zero; the blocks
-  /// end at body_'s padding, whose bytes are zero. So a pool that
+  /// pointers lead every vertex to its root (ParentsReachRoot), each
+  /// record's rank lies below its tail's out-degree and names an
+  /// out-edge whose head is the record's head vertex, its threshold bits
+  /// are at most 1.0f's, and the bits after its last field are zero; the
+  /// blocks end at body_'s padding, whose bytes are zero. So a pool that
   /// passes is exactly what appending its own views to a run and
   /// finishing it (FromRuns) writes. False on the first check that
   /// fails.
-  bool FinishLoaded(size_t num_vertices, size_t num_edges);
+  bool FinishLoaded(const Graph& topology);
 
   /// Rebuilds containing_starts_/containing_ from the packed sketches:
   /// two serial passes in ascending sketch order sort each vertex's ids
@@ -776,10 +797,11 @@ class RrSketchPool {
   std::vector<uint8_t> body_;    // blocks, then kBitPadding zero bytes
   GroupWords containing_starts_;     // num_vertices + 1 bit offsets
   std::vector<uint8_t> containing_;  // Rice-coded lists, by vertex
+  Graph topology_;             // what ranks decode against; may be empty
   uint64_t num_vertices_ = 0;  // the network's, below kExplicit
-  uint64_t num_edges_ = 0;     // the network's, at most 2^32
+  uint64_t max_out_degree_ = 0;  // the network's, at most 2^32
   uint32_t vertex_bits_ = 0;
-  uint32_t edge_bits_ = 0;
+  uint32_t rank_bits_ = 0;
   // Fits 32 bits: a block holds under 2^31 vertices.
   uint32_t max_sketch_vertices_ = 0;
   uint32_t containing_k_ = 0;
@@ -817,7 +839,7 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
     const uint32_t id_bits = IdBits(n);
     bits.Put(root_local, id_bits);
     BlockWriter out(&bits, in_tree ? 0 : IdBits(uint64_t{m} + 1), id_bits,
-                    edge_bits_);
+                    rank_bits_);
     fill(out);
     [[maybe_unused]] const uint64_t written = bits.Finish();
     PITEX_DCHECK(written == FieldBits(n, m, in_tree));
@@ -853,12 +875,11 @@ class RrSketchOverlay {
   /// sketches take a default pool's widths (any network's).
   explicit RrSketchOverlay(uint32_t containing_k = 0)
       : containing_k_(containing_k) {}
-  /// An overlay of `base`: its sketches take the base's widths and its
-  /// lists the base's k (RrSketchPool::containing_k), so one decoder
-  /// reads both.
+  /// An overlay of `base`: its sketches take the base's widths and
+  /// topology and its lists the base's k (RrSketchPool::containing_k),
+  /// so one decoder reads both.
   explicit RrSketchOverlay(const RrSketchPool& base)
-      : store_(base.num_network_vertices(), base.num_network_edges()),
-        containing_k_(base.containing_k()) {}
+      : store_(base.EmptyLike()), containing_k_(base.containing_k()) {}
 
   /// Sketch copies stored, superseded ones included: the size
   /// compaction bounds.

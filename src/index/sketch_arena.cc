@@ -18,29 +18,30 @@ uint32_t SketchArena::BeginTraversal(size_t num_vertices) {
   return epoch_;
 }
 
-template <typename Kept>
-PITEX_NOALLOC void SketchArena::PutSortedEdges(
-    std::span<const GlobalEdgeSample> edges, const Kept& kept,
-    BlockWriter* out) {
+template <typename Edge, typename Kept, typename RankOf>
+PITEX_NOALLOC void SketchArena::PutSortedEdges(std::span<const Edge> edges,
+                                               const Kept& kept,
+                                               const RankOf& rank_of,
+                                               BlockWriter* out) {
   // counts_[j] starts tail j's edges; each kept edge takes the next
   // place of its tail, and then the block's heads and records go in
   // that order.
   sorted_.resize(edges.size());
   size_t m = 0;
-  for (const GlobalEdgeSample& s : edges) {
+  for (const Edge& s : edges) {
     if (!kept(s)) continue;
-    sorted_[counts_[local_index_[s.tail]]++] = s;
+    sorted_[counts_[local_index_[s.tail]]++] =
+        SortedEdge{local_index_[s.head], RRLocalEdge{rank_of(s), s.threshold}};
     ++m;
   }
-  for (size_t k = 0; k < m; ++k) out->PutHead(local_index_[sorted_[k].head]);
-  for (size_t k = 0; k < m; ++k) {
-    out->PutEdge(RRLocalEdge{sorted_[k].edge, sorted_[k].threshold});
-  }
+  for (size_t k = 0; k < m; ++k) out->PutHead(sorted_[k].head);
+  for (size_t k = 0; k < m; ++k) out->PutEdge(sorted_[k].record);
 }
 
-template <typename EnvOf>
+template <typename EnvOf, typename RankOf>
 PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
                                              const EnvOf& env_of,
+                                             const RankOf& rank_of,
                                              VertexId root, Rng* rng,
                                              RrSketchPool* run) {
   const uint32_t epoch = BeginTraversal(graph.num_vertices());
@@ -58,8 +59,9 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
     const auto in = graph.InEdges(v);
     const auto [env, vmax] = env_of(v);
     SampleLiveInEdges(env, vmax, rng, [&](size_t j, double u) {
-      const auto& [w, e] = in[j];
-      staged_.push_back(GlobalEdgeSample{w, v, e, static_cast<float>(u)});
+      const VertexId w = in[j].vertex;
+      staged_.push_back(
+          RankedSample{w, v, rank_of(v, j), static_cast<float>(u)});
       if (mark_[w] != epoch) {
         mark_[w] = epoch;
         vertices.push_back(w);
@@ -84,7 +86,7 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
     local_index_[vertices[j]] = static_cast<uint32_t>(j);
   }
   counts_.assign(n + 1, 0);
-  for (const GlobalEdgeSample& s : staged_) ++counts_[local_index_[s.tail] + 1];
+  for (const RankedSample& s : staged_) ++counts_[local_index_[s.tail] + 1];
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
   const uint32_t root_local = local_index_[root];
   const bool in_tree =
@@ -94,8 +96,10 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
     if (!in_tree) {
       for (size_t j = 0; j <= n; ++j) out.PutOffset(counts_[j]);
     }
-    PutSortedEdges(staged_, [](const GlobalEdgeSample&) { return true; },
-                   &out);
+    PutSortedEdges(
+        std::span<const RankedSample>(staged_),
+        [](const RankedSample&) { return true; },
+        [](const RankedSample& s) { return s.rank; }, &out);
   });
 }
 
@@ -109,6 +113,7 @@ PITEX_NOALLOC void SketchArena::Generate(const Graph& graph,
         return std::pair<std::span<const float>, float>(
             envelope.InEnvelopes(graph, v), envelope.VertexMax(v));
       },
+      [&](VertexId v, size_t j) { return envelope.InRanks(graph, v)[j]; },
       root, rng, run);
 }
 
@@ -121,12 +126,18 @@ PITEX_NOALLOC void SketchArena::Generate(const Graph& graph,
       [&](VertexId v) {
         return InEnvelopeSlice(graph, influence, v, &env_scratch_);
       },
+      [&](VertexId v, size_t j) {
+        const AdjEntry in = graph.InEdges(v)[j];
+        return graph.OutRank(in.vertex, in.edge);
+      },
       root, rng, run);
 }
 
 PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
-    VertexId root, size_t num_vertices,
-    std::span<const GlobalEdgeSample> edges, RrSketchPool* run) {
+    VertexId root, std::span<const GlobalEdgeSample> edges,
+    RrSketchPool* run) {
+  const Graph& graph = run->topology();
+  const size_t num_vertices = graph.num_vertices();
   // 1. Candidate set = {root} + every edge endpoint, provisional local
   // ids in first-seen order via the epoch marks.
   uint32_t epoch = BeginTraversal(num_vertices);
@@ -213,7 +224,11 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
     if (!in_tree) {
       for (size_t j = 0; j <= n; ++j) out.PutOffset(counts_[j]);
     }
-    PutSortedEdges(edges, kept, &out);
+    PutSortedEdges(edges, kept,
+                   [&](const GlobalEdgeSample& s) {
+                     return graph.OutRank(s.tail, s.edge);
+                   },
+                   &out);
   });
 }
 

@@ -116,15 +116,17 @@ class SketchArena {
   SketchArena() = default;
 
   /// Samples one RR-Graph rooted at `root` (Definition 2) and appends it
-  /// to `run` (RrSketchPool::Append), reading envelopes from the dense
-  /// table.
+  /// to `run` (RrSketchPool::Append), reading envelopes and each live
+  /// edge's rank in its tail's out-list from the dense table.
   PITEX_NOALLOC void Generate(const Graph& graph,
                               const EnvelopeTable& envelope, VertexId root,
                               Rng* rng, RrSketchPool* run);
   /// Table-free overload for one-off callers (the query planner's
   /// probes, tests): envelope floats are materialized per visited vertex
   /// by InEnvelopeSlice into arena scratch, producing bit-identical
-  /// draws to the table path at ~2x the in-edge memory traffic.
+  /// draws to the table path at ~2x the in-edge memory traffic, and a
+  /// live edge's rank is found by binary search of its tail's out-list
+  /// (Graph::OutRank).
   PITEX_NOALLOC void Generate(const Graph& graph,
                               const InfluenceGraph& influence, VertexId root,
                               Rng* rng, RrSketchPool* run);
@@ -132,33 +134,53 @@ class SketchArena {
   /// Re-closes a sketch from its root and live edges (tail -> head):
   /// keeps exactly the vertices reaching `root` through `edges`, drops
   /// edges with a dropped endpoint, and appends the result to `run`
-  /// (RrSketchPool::AppendSketch) with per-tail edges in input order. A
-  /// root no edge reaches is an implicit singleton. It serves both
-  /// DynamicRrIndex repair (a sketch whose live edges an update changed)
-  /// and DelayMat recovery (Algorithm 4's step 2: the vertices of a
-  /// forward live sample that reach the chosen root). `num_vertices` is
-  /// the global vertex universe.
+  /// (RrSketchPool::AppendSketch) with per-tail edges in input order,
+  /// each edge's rank found by binary search of its tail's out-list in
+  /// the run's topology, which every edge must belong to. A root no edge
+  /// reaches is an implicit singleton. It serves both DynamicRrIndex
+  /// repair (a sketch whose live edges an update changed) and DelayMat
+  /// recovery (Algorithm 4's step 2: the vertices of a forward live
+  /// sample that reach the chosen root).
   PITEX_NOALLOC void RebuildRepairedSketch(
-      VertexId root, size_t num_vertices,
-      std::span<const GlobalEdgeSample> edges, RrSketchPool* run);
+      VertexId root, std::span<const GlobalEdgeSample> edges,
+      RrSketchPool* run);
 
  private:
   /// Starts a new traversal over `num_vertices` global ids; returns the
   /// epoch stamp marking "touched in this traversal".
   uint32_t BeginTraversal(size_t num_vertices);
 
-  template <typename EnvOf>
-  PITEX_NOALLOC void GenerateImpl(const Graph& graph, const EnvOf& env_of,
-                                  VertexId root, Rng* rng, RrSketchPool* run);
+  /// A staged live edge of Generate: its global endpoints, its rank in
+  /// the tail's out-list, and its threshold.
+  struct RankedSample {
+    VertexId tail;
+    VertexId head;
+    uint32_t rank;
+    float threshold;
+  };
+  /// One edge in CSR order: its local head and its record.
+  struct SortedEdge {
+    uint32_t head;
+    RRLocalEdge record;
+  };
 
-  /// Puts the `edges` for which kept(edge) holds into `out` as a block's
-  /// heads, then its records, in CSR order: counting-sorted by local
-  /// tail through counts_, which must hold each tail's first place (and
-  /// then holds the next tail's), stably, so per-tail order is input
-  /// order.
-  template <typename Kept>
-  PITEX_NOALLOC void PutSortedEdges(std::span<const GlobalEdgeSample> edges,
-                                    const Kept& kept, BlockWriter* out);
+  /// rank_of(v, j) is the rank, in its tail's out-list, of in-edge j of
+  /// v.
+  template <typename EnvOf, typename RankOf>
+  PITEX_NOALLOC void GenerateImpl(const Graph& graph, const EnvOf& env_of,
+                                  const RankOf& rank_of, VertexId root,
+                                  Rng* rng, RrSketchPool* run);
+
+  /// Puts the `edges` (each with global tail, head and threshold) for
+  /// which kept(edge) holds into `out` as a block's heads, then its
+  /// records, rank_of(edge) their ranks, in CSR order: counting-sorted
+  /// by local tail through counts_, which must hold each tail's first
+  /// place (and then holds the next tail's), stably, so per-tail order
+  /// is input order.
+  template <typename Edge, typename Kept, typename RankOf>
+  PITEX_NOALLOC void PutSortedEdges(std::span<const Edge> edges,
+                                    const Kept& kept, const RankOf& rank_of,
+                                    BlockWriter* out);
 
   // The vertices of the sketch Generate or RebuildRepairedSketch
   // assembles, sorted ascending before its block is written.
@@ -170,10 +192,10 @@ class SketchArena {
   std::vector<uint32_t> local_index_;  // valid where mark_ == epoch_
   uint32_t epoch_ = 0;
   std::vector<VertexId> stack_;
-  std::vector<GlobalEdgeSample> staged_;  // one sketch's live edges
-  std::vector<uint32_t> counts_;          // counting-sort cursors
-  std::vector<GlobalEdgeSample> sorted_;  // the edges in CSR order
-  std::vector<float> env_scratch_;        // table-free envelope slice
+  std::vector<RankedSample> staged_;  // one sketch's live edges
+  std::vector<uint32_t> counts_;      // counting-sort cursors
+  std::vector<SortedEdge> sorted_;    // the edges in CSR order
+  std::vector<float> env_scratch_;    // table-free envelope slice
   // RebuildRepairedSketch scratch (local-id space of one sketch).
   std::vector<VertexId> cand_;
   std::vector<uint32_t> adj_;

@@ -164,10 +164,14 @@ float EnvelopeProbability(double p);
 /// in-edges. The reverse-BFS probe loop of RR-Graph generation reads the
 /// per-vertex slice sequentially — no virtual MaxProb call, no sparse
 /// indirection — and the per-vertex maximum drives the geometric-skip
-/// decision (see SampleLiveInEdges in src/index/sketch_arena.h).
+/// decision (see SampleLiveInEdges in src/index/sketch_arena.h). Beside
+/// each envelope it holds the in-edge's rank in its tail's out-list,
+/// which the sampler stores as the edge's record (src/index/rr_graph.h).
 /// Build-only: materialized once per sampling pass (O(|E|)) and dropped
-/// after it. Repairs read the same floats table-free from the current
-/// model (InEnvelopeSlice in src/index/sketch_arena.h).
+/// after it, ranks included. Repairs read the same floats table-free
+/// from the current model (InEnvelopeSlice in src/index/sketch_arena.h)
+/// and find a rank by binary search of the tail's out-list
+/// (Graph::OutRank).
 class EnvelopeTable {
  public:
   EnvelopeTable() = default;
@@ -179,10 +183,16 @@ class EnvelopeTable {
   }
   /// max over InEnvelopes(v); 0 for in-degree-0 vertices.
   float VertexMax(VertexId v) const { return vertex_max_[v]; }
+  /// Ranks aligned with graph.InEdges(v): entry j is the place of
+  /// InEdges(v)[j] in its tail's out-list (Graph::OutEdges).
+  std::span<const uint32_t> InRanks(const Graph& graph, VertexId v) const {
+    return {in_rank_.data() + graph.InEdgeOffset(v), graph.InDegree(v)};
+  }
 
  private:
   std::vector<float> in_env_;      // in-adjacency order
   std::vector<float> vertex_max_;  // per-vertex max over in-edges
+  std::vector<uint32_t> in_rank_;  // in-adjacency order
 };
 
 /// The full PITEX input: topology + tag/topic model + p(e|z).

@@ -711,9 +711,15 @@ void FollowerService::MaybePromote(std::chrono::steady_clock::time_point now) {
   const double quiet_ms =
       std::chrono::duration<double, std::milli>(now - last_traffic_).count();
   if (quiet_ms < options_.heartbeat_timeout_ms) return;
+  const uint64_t current = options_.authority->Current();
+  if (current == TermAuthority::kUnreadableTerm) {
+    // No election while the authority cannot tell the term: keep
+    // following at the adopted term and look again a timeout later.
+    last_traffic_ = now;
+    return;
+  }
   const uint64_t observed =
-      std::max(term_.load(std::memory_order_relaxed),
-               options_.authority->Current());
+      std::max(term_.load(std::memory_order_relaxed), current);
   const uint64_t new_term = observed + 1;
   if (options_.authority->Advance(new_term)) {
     // Election won: from here on the inner service's fence admits OUR
@@ -728,8 +734,12 @@ void FollowerService::MaybePromote(std::chrono::steady_clock::time_point now) {
         applied_lsn_.load(std::memory_order_relaxed));
   } else {
     // Lost the election to another candidate: adopt the winner's term
-    // as its follower and restart the quiet timer.
-    term_.store(options_.authority->Current(), std::memory_order_release);
+    // as its follower and restart the quiet timer. A term that turned
+    // unreadable since is not adopted.
+    const uint64_t winner = options_.authority->Current();
+    if (winner != TermAuthority::kUnreadableTerm) {
+      term_.store(winner, std::memory_order_release);
+    }
     last_traffic_ = now;
   }
 }

@@ -33,6 +33,12 @@ namespace pitex {
 
 class TermAuthority {
  public:
+  /// What Current() returns when the authority cannot tell the term (a
+  /// term file that exists but cannot be read or parsed): a term no
+  /// writer holds, so every writer is fenced, Advance refuses, and no
+  /// candidate may hold an election or adopt it.
+  static constexpr uint64_t kUnreadableTerm = UINT64_MAX;
+
   virtual ~TermAuthority() = default;
   /// The current term. Writers compare against their own adopted term
   /// on every write; a mismatch means a newer primary was elected.
@@ -70,8 +76,10 @@ class InProcessTermAuthority final : public TermAuthority {
 /// value. Advance is read-check-replace — one candidate per election.
 class FileTermAuthority final : public TermAuthority {
  public:
-  /// `path` is the term file; an absent (or unreadable) file reads as
-  /// `initial`.
+  /// `path` is the term file; an absent file reads as `initial`, and
+  /// any other failure to read a decimal term from it as
+  /// kUnreadableTerm, rather than the initial term a deposed primary
+  /// may hold.
   explicit FileTermAuthority(std::string path, uint64_t initial = 1)
       : path_(std::move(path)), initial_(initial) {}
   uint64_t Current() const override;

@@ -47,7 +47,7 @@ bool GraphsEqual(const RRView& a, const RRView& b) {
     return false;
   }
   for (size_t i = 0; i < a.edges.size(); ++i) {
-    if (a.edges[i].edge != b.edges[i].edge ||
+    if (a.edges[i].rank != b.edges[i].rank ||
         a.edges[i].threshold != b.edges[i].threshold) {
       return false;
     }

@@ -46,7 +46,7 @@ bool ViewsEqual(const RRView& a, const RRView& b) {
     return false;
   }
   for (size_t i = 0; i < a.edges.size(); ++i) {
-    if (a.edges[i].edge != b.edges[i].edge ||
+    if (a.edges[i].rank != b.edges[i].rank ||
         a.edges[i].threshold != b.edges[i].threshold) {
       return false;
     }
@@ -140,7 +140,7 @@ std::string Saved(const RrIndex& index) {
 // `graphs`, sketches of `n`, re-encoded into a pool (PackViews).
 RrSketchPool ReferencePool(const SocialNetwork& n,
                            std::span<const RRGraph> graphs) {
-  return PackViews(graphs.size(), n.num_vertices(), n.num_edges(),
+  return PackViews(graphs.size(), RrSketchPool(n.graph),
                    [&graphs](size_t i) { return graphs[i].View(); });
 }
 
@@ -328,10 +328,13 @@ int DriveBoth(const SocialNetwork& n,
     ExpectSameStats(got, want);
     if (::testing::Test::HasFatalFailure()) return held;
     const std::vector<EdgeId> edges = must_hold(batch);
+    std::vector<GlobalEdgeSample> held_edges;
     for (const RRGraph& rr : want.graphs()) {
-      if (std::ranges::all_of(edges, [&rr](EdgeId e) {
+      DecomposeRRGraphInto(rr, &held_edges);
+      if (std::ranges::all_of(edges, [&held_edges](EdgeId e) {
             return std::ranges::any_of(
-                rr.edges, [e](const RRLocalEdge& s) { return s.edge == e; });
+                held_edges,
+                [e](const GlobalEdgeSample& s) { return s.edge == e; });
           })) {
         ++held;
         break;

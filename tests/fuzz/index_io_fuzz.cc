@@ -161,8 +161,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       const auto packed = RrIndex::FromPool(
           Network(), RrIndexOptions{}, loaded->theta(),
           std::make_shared<const RrSketchPool>(PackViews(
-              loaded->num_graphs(), Network().num_vertices(),
-              Network().num_edges(),
+              loaded->num_graphs(), RrSketchPool(Network().graph),
               [&loaded](size_t i) { return loaded->graph(i); })));
       std::stringstream repacked;
       Require(SaveRrIndex(*packed, repacked), "packed index saves");

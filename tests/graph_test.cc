@@ -95,6 +95,41 @@ TEST(GraphTest, AverageDegree) {
   EXPECT_DOUBLE_EQ(g.AverageDegree(), 1.0);
 }
 
+// Edges added out of tail and head order, with a parallel pair.
+Graph Scrambled() {
+  GraphBuilder b(4);
+  b.AddEdge(2, 0);
+  b.AddEdge(0, 3);
+  b.AddEdge(2, 3);
+  b.AddEdge(0, 1);
+  b.AddEdge(1, 3);
+  b.AddEdge(2, 0);
+  b.AddEdge(0, 3);
+  return b.Build();
+}
+
+TEST(GraphTest, AdjacencyListsAscendByEdgeId) {
+  const Graph g = Scrambled();
+  const auto by_id = [](const AdjEntry& a, const AdjEntry& b) {
+    return a.edge < b.edge;
+  };
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_TRUE(std::ranges::is_sorted(g.OutEdges(v), by_id)) << v;
+    EXPECT_TRUE(std::ranges::is_sorted(g.InEdges(v), by_id)) << v;
+  }
+}
+
+TEST(GraphTest, OutRankIsThePlaceInTheTailsOutList) {
+  const Graph g = Scrambled();
+  EXPECT_EQ(g.MaxOutDegree(), 3u);
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    const auto out = g.OutEdges(u);
+    for (uint32_t r = 0; r < out.size(); ++r) {
+      EXPECT_EQ(g.OutRank(u, out[r].edge), r);
+    }
+  }
+}
+
 TEST(GraphBuilderTest, ReturnsSequentialEdgeIds) {
   GraphBuilder b(3);
   EXPECT_EQ(b.AddEdge(0, 1), 0u);

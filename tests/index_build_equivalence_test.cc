@@ -100,8 +100,8 @@ uint64_t Fnv1a(uint64_t hash, const void* data, size_t bytes) {
 
 // Field-wise content hash of every sketch in a built index: vertices
 // and local ids enter as 32-bit values whatever width the pool stores
-// them at, so the hash is independent of the layout (and struct padding
-// never enters).
+// them at, and each record as its global edge id (RRView::Edge), so the
+// hash is independent of the layout (and struct padding never enters).
 uint64_t IndexContentHash(const RrIndex& index) {
   uint64_t hash = 0xcbf29ce484222325ULL;
   for (size_t i = 0; i < index.num_graphs(); ++i) {
@@ -113,11 +113,16 @@ uint64_t IndexContentHash(const RrIndex& index) {
                  owned.vertices.size() * sizeof(VertexId));
     hash = Fnv1a(hash, owned.offsets.data(),
                  owned.offsets.size() * sizeof(uint32_t));
-    for (size_t j = 0; j < rr.edges.size(); ++j) {
-      const RRLocalEdge& e = rr.edges[j];
-      hash = Fnv1a(hash, &owned.heads[j], sizeof(uint32_t));
-      hash = Fnv1a(hash, &e.edge, sizeof(e.edge));
-      hash = Fnv1a(hash, &e.threshold, sizeof(e.threshold));
+    for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
+      for (uint32_t j = owned.offsets[tail]; j < owned.offsets[tail + 1];
+           ++j) {
+        const RRLocalEdge record = rr.edges[j];
+        const EdgeId edge = rr.Edge(tail, record.rank);
+        const float threshold = record.threshold;
+        hash = Fnv1a(hash, &owned.heads[j], sizeof(uint32_t));
+        hash = Fnv1a(hash, &edge, sizeof(edge));
+        hash = Fnv1a(hash, &threshold, sizeof(threshold));
+      }
     }
   }
   return hash;
@@ -149,7 +154,7 @@ RRGraph ReferenceGenerateRRGraph(const Graph& graph,
       }
     }
   }
-  return AssembleRRGraph(root, std::move(vertices), live);
+  return AssembleRRGraph(graph, root, std::move(vertices), live);
 }
 
 TEST(IndexBuildEquivalenceTest, ArenaPoolMatchesStandaloneGeneration) {
@@ -170,7 +175,7 @@ TEST(IndexBuildEquivalenceTest, ArenaPoolMatchesStandaloneGeneration) {
     staging[i] = GenerateRRGraph(n.graph, n.influence, root, &rng);
   }
   const RrSketchPool reference = PackViews(
-      staging.size(), n.num_vertices(), n.num_edges(),
+      staging.size(), RrSketchPool(n.graph),
       [&staging](size_t i) { return staging[i].View(); });
 
   ASSERT_EQ(index.pool().num_sketches(), reference.num_sketches());
@@ -184,7 +189,7 @@ TEST(IndexBuildEquivalenceTest, ArenaPoolMatchesStandaloneGeneration) {
     ASSERT_EQ(Owned(got).heads, Owned(want).heads) << "sketch " << i;
     ASSERT_EQ(got.edges.size(), want.edges.size()) << "sketch " << i;
     for (size_t j = 0; j < want.edges.size(); ++j) {
-      ASSERT_EQ(got.edges[j].edge, want.edges[j].edge);
+      ASSERT_EQ(got.edges[j].rank, want.edges[j].rank);
       ASSERT_EQ(got.edges[j].threshold, want.edges[j].threshold);
     }
   }
@@ -282,7 +287,7 @@ TEST(IndexBuildEquivalenceTest, SteadyStateGenerationAllocatesNothing) {
   const SocialNetwork n = MakeRunningExample();
   const EnvelopeTable envelope(n.graph, n.influence);
   SketchArena arena;
-  RrSketchPool run;
+  RrSketchPool run(n.graph);
   // Each round clears the run and replays the same seed, so the working
   // set is identical and the warmup round establishes every buffer's
   // high-water mark, the run's arrays included.
@@ -305,8 +310,8 @@ TEST(IndexBuildEquivalenceTest, SteadyStateGenerationAllocatesNothing) {
 
 // The pipeline RebuildRepairedSketch replaced in repair and in DelayMat
 // recovery: a reverse BFS for the vertices reaching the root, then
-// AssembleRRGraph over the live edges.
-RRGraph ReferenceReclose(VertexId root,
+// AssembleRRGraph over the live edges of `graph`.
+RRGraph ReferenceReclose(const Graph& graph, VertexId root,
                          std::span<const GlobalEdgeSample> edges) {
   std::unordered_map<VertexId, std::vector<VertexId>> tails_of;
   for (const GlobalEdgeSample& e : edges) tails_of[e.head].push_back(e.tail);
@@ -325,7 +330,21 @@ RRGraph ReferenceReclose(VertexId root,
       }
     }
   }
-  return AssembleRRGraph(root, keep, edges);
+  return AssembleRRGraph(graph, root, keep, edges);
+}
+
+// A graph of `num_vertices` vertices whose edge e is the tail and head
+// of the sample in `edges` with id e, and a self-loop on vertex 0 for
+// an id no sample has.
+Graph GraphOfSamples(size_t num_vertices,
+                     std::span<const GlobalEdgeSample> edges) {
+  EdgeId max_id = 0;
+  for (const GlobalEdgeSample& e : edges) max_id = std::max(max_id, e.edge);
+  std::vector<std::pair<VertexId, VertexId>> ends(max_id + 1, {0, 0});
+  for (const GlobalEdgeSample& e : edges) ends[e.edge] = {e.tail, e.head};
+  GraphBuilder builder(num_vertices);
+  for (const auto& [tail, head] : ends) builder.AddEdge(tail, head);
+  return builder.Build();
 }
 
 TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
@@ -385,12 +404,12 @@ TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
                    }});
 
   SketchArena arena;
-  RrSketchPool run;
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    const RRGraph want = ReferenceReclose(c.root, c.edges);
-    run.Clear();
-    arena.RebuildRepairedSketch(c.root, c.num_vertices, c.edges, &run);
+    const Graph graph = GraphOfSamples(c.num_vertices, c.edges);
+    const RRGraph want = ReferenceReclose(graph, c.root, c.edges);
+    RrSketchPool run(graph);
+    arena.RebuildRepairedSketch(c.root, c.edges, &run);
     ASSERT_EQ(run.num_sketches(), 1u);
     const RRView view = run.View(0);
     EXPECT_EQ(view.heads.bits, IdBits(view.vertices.size()));
@@ -401,7 +420,7 @@ TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
     EXPECT_EQ(got.heads, want.heads);
     ASSERT_EQ(got.edges.size(), want.edges.size());
     for (size_t i = 0; i < want.edges.size(); ++i) {
-      EXPECT_EQ(got.edges[i].edge, want.edges[i].edge);
+      EXPECT_EQ(got.edges[i].rank, want.edges[i].rank);
       EXPECT_EQ(got.edges[i].threshold, want.edges[i].threshold);
     }
   }

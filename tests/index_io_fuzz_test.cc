@@ -61,7 +61,7 @@ std::string PackedIndexBytes(const SocialNetwork& n,
   const auto index = RrIndex::FromPool(
       n, options, graphs.size(),
       std::make_shared<const RrSketchPool>(PackViews(
-          graphs.size(), n.num_vertices(), n.num_edges(),
+          graphs.size(), RrSketchPool(n.graph),
           [&graphs](size_t i) { return graphs[i].View(); })));
   std::stringstream file;
   SaveRrIndex(*index, file);
@@ -70,9 +70,10 @@ std::string PackedIndexBytes(const SocialNetwork& n,
 
 RRGraph Singleton(VertexId v) { return RRGraph{v, {v}, {0, 0}, {}, {}}; }
 
-// The in-tree {v, v + 1} rooted at v + 1 over the certain cycle's edge v.
+// The in-tree {v, v + 1} rooted at v + 1 over the certain cycle's edge v,
+// the one edge out of v: rank 0.
 RRGraph CyclePair(VertexId v) {
-  return RRGraph{v + 1, {v, v + 1}, {0, 1, 1}, {1}, {{v, 0.5f}}};
+  return RRGraph{v + 1, {v, v + 1}, {0, 1, 1}, {1}, {{0, 0.5f}}};
 }
 
 // Pairs between singletons whose vertices climb by 400 to 38,400, past
@@ -125,7 +126,7 @@ void CheckConsistentIfLoaded(const SocialNetwork& n, const std::string& bytes) {
   const auto packed = RrIndex::FromPool(
       n, RrIndexOptions{}, loaded->theta(),
       std::make_shared<const RrSketchPool>(PackViews(
-          loaded->num_graphs(), n.num_vertices(), n.num_edges(),
+          loaded->num_graphs(), RrSketchPool(n.graph),
           [&loaded](size_t i) { return loaded->graph(i); })));
   std::stringstream repacked;
   ASSERT_TRUE(SaveRrIndex(*packed, repacked));
@@ -255,14 +256,15 @@ TEST(IndexIoFuzzTest, MovedRootLoadsOnlyOntoAMember) {
 TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   // Each row edits one field of a saved file, repairs its checksum and
   // must get kCorruptPayload: on the running example's file (3-bit
-  // vertices and edge ids, a few bits of local ids, and singletons), on
-  // the certain cycle's (17-bit vertices, edge ids and local ids, and a
-  // directory of 4-byte words, as each block is longer than 2^15 bytes),
-  // and on sketches packed by hand. The edgeless 300-vertex sketch's
-  // offsets take 0 bits. The one-vertex self-loop is the block with the
-  // fewest bytes, and one no singleton may replace. Two pools of
-  // singletons and a pair on the cycle take 2-byte and 4-byte directory
-  // words: their largest singleton vertex is 32,767 and 32,768.
+  // vertices, 1-bit ranks, a few bits of local ids, and singletons), on
+  // the certain cycle's (17-bit vertices and local ids, 0-bit ranks, and
+  // a directory of 4-byte words, as each block is longer than 2^15
+  // bytes), and on sketches packed by hand. The edgeless 300-vertex
+  // sketch's offsets take 0 bits. The one-vertex self-loop, on a network
+  // of its own edge, is the block with the fewest bytes, and one no
+  // singleton may replace. Two pools of singletons and a pair on the
+  // cycle take 2-byte and 4-byte directory words: their largest
+  // singleton vertex is 32,767 and 32,768.
   const SocialNetwork example = MakeRunningExample();
   const SocialNetwork cycle = MakeCertainCycle(65537);
   RrIndexOptions options;
@@ -278,6 +280,7 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   edgeless.offsets.assign(301, 0);
   ASSERT_EQ(edgeless.View().offsets.bits, 0u);
   const RRGraph self_loop{4, {4}, {0, 1}, {0}, {{0, 0.5f}}};
+  const SocialNetwork loop = NetworkOf(5, {self_loop});
   const struct {
     const SocialNetwork* network;
     std::string bytes;
@@ -286,7 +289,7 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
       {&example, ValidRrIndexBytes(example), 2},
       {&cycle, wide_file.str(), 4},
       {&cycle, PackedIndexBytes(cycle, {edgeless}), 2},
-      {&example, PackedIndexBytes(example, {self_loop}), 2},
+      {&loop, PackedIndexBytes(loop, {self_loop}), 2},
       {&cycle,
        PackedIndexBytes(cycle, {Singleton(5), CyclePair(1), Singleton(32767)}),
        2},

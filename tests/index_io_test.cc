@@ -80,7 +80,7 @@ TEST(IndexIoTest, RrIndexRoundTripsExactly) {
     EXPECT_EQ(Owned(restored).heads, Owned(original).heads);
     ASSERT_EQ(restored.edges.size(), original.edges.size());
     for (size_t j = 0; j < original.edges.size(); ++j) {
-      EXPECT_EQ(restored.edges[j].edge, original.edges[j].edge);
+      EXPECT_EQ(restored.edges[j].rank, original.edges[j].rank);
       EXPECT_EQ(restored.edges[j].threshold, original.edges[j].threshold);
     }
   }
@@ -178,12 +178,13 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v9 is read: a file claiming v1 (the old one-record-per-graph
+  // Only v10 is read: a file claiming v1 (the old one-record-per-graph
   // format), v2 (the old per-sketch wire format), v3 (the pool image
   // with its edge records in a third array), v4 (every block vertex at
   // 4 bytes), v5 (a word-padded u32 body), v6 (offsets in every block),
-  // v7 (a u32 directory word per sketch) or v8 (whole bytes per block
-  // field), whole or cut short, is refused by its header.
+  // v7 (a u32 directory word per sketch), v8 (whole bytes per block
+  // field) or v9 (edge ids in the records, not ranks), whole or cut
+  // short, is refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -192,8 +193,8 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 9);
-  for (const char version : {1, 2, 3, 4, 5, 6, 7, 8}) {
+  ASSERT_EQ(bytes[kVersionOffset], 10);
+  for (const char version : {1, 2, 3, 4, 5, 6, 7, 8, 9}) {
     bytes[kVersionOffset] = version;
     for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
       std::stringstream in(bytes.substr(0, keep));
@@ -379,7 +380,7 @@ TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
   const auto longer = RrIndex::FromPool(
       n, SmallOptions(), theta,
       std::make_shared<const RrSketchPool>(
-          PackViews(theta, n.num_vertices(), n.num_edges(),
+          PackViews(theta, RrSketchPool(n.graph),
                     [&](size_t i) {
             return i + 1 < theta ? index.graph(i) : singleton.View();
           })));
@@ -564,7 +565,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   const SocialNetwork n = MakeRunningExample();
   const uint64_t fp = NetworkFingerprint(n);
   constexpr uint8_t kRr = 1;
-  constexpr uint32_t kCurrent = 9;  // the one version the loader reads
+  constexpr uint32_t kCurrent = 10;  // the one version the loader reads
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "running_example.h"
+#include "src/datasets/synthetic.h"
 
 namespace pitex {
 namespace {
@@ -58,6 +59,22 @@ TEST(InfluenceGraphTest, MaxProbIsEnvelope) {
       for (EdgeId e = 0; e < n.num_edges(); ++e) {
         EXPECT_LE(n.influence.EdgeProb(e, post),
                   n.influence.MaxProb(e) + 1e-12);
+      }
+    }
+  }
+}
+
+TEST(InfluenceGraphTest, EnvelopeTableRanksEveryInEdgeInItsTailsOutList) {
+  for (const SocialNetwork& n :
+       {MakeRunningExample(), GenerateDataset(DblpSpec(0.01))}) {
+    const EnvelopeTable table(n.graph, n.influence);
+    for (VertexId v = 0; v < n.num_vertices(); ++v) {
+      const auto in = n.graph.InEdges(v);
+      const auto ranks = table.InRanks(n.graph, v);
+      ASSERT_EQ(ranks.size(), in.size());
+      for (size_t j = 0; j < in.size(); ++j) {
+        EXPECT_EQ(ranks[j], n.graph.OutRank(in[j].vertex, in[j].edge))
+            << "in-edge " << j << " of " << v;
       }
     }
   }

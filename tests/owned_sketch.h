@@ -4,13 +4,17 @@
 // Tests want a value they can build by hand, keep in a vector and
 // compare field by field, so this header keeps an owning copy: its
 // fields are plain 32-bit vectors whatever width a view stores them at,
-// so offsets and heads compare as vectors. Its view is the one a pool
-// gives: the graph packs itself into a one-sketch run at 31-bit
-// vertices and 32-bit edge ids each time it is viewed. AssembleRRGraph is the
-// reference assembler that SketchArena's generation and repair assembly
-// are checked against. PackViews is the reference re-encoder that the
-// block copies finishing every pool (FromRuns, RrSketchOverlay::Fold)
-// are checked against.
+// so offsets and heads compare as vectors. Its records hold ranks in
+// their tails' out-lists of its topology, a graph that may be empty for
+// a sketch made by hand to test layout alone. Its view is the one a
+// pool gives: the graph packs itself into a one-sketch run of its
+// topology (or, with none, at 31-bit vertices and 32-bit ranks) each
+// time it is viewed. AssembleRRGraph is the reference assembler that
+// SketchArena's generation and repair assembly are checked against.
+// PackViews is the reference re-encoder that the block copies finishing
+// every pool (FromRuns, RrSketchOverlay::Fold) are checked against.
+// NetworkOf and Rerank give hand-made sketches a network that holds
+// their edges, so they can be walked and loaded from an index file.
 
 #ifndef PITEX_TESTS_OWNED_SKETCH_H_
 #define PITEX_TESTS_OWNED_SKETCH_H_
@@ -39,12 +43,17 @@ struct RRGraph {
   std::vector<uint32_t> offsets;   // CSR over local tails
   std::vector<uint32_t> heads;     // local head of each edge
   std::vector<RRLocalEdge> edges;
+  Graph topology = {};               // what the ranks index; may be empty
   mutable RrSketchPool packed = {};  // View()'s one-sketch run
 
   /// View of this graph packed into `packed` (valid while the graph is
   /// alive and neither modified nor viewed again). Implicit so every
   /// RRView consumer accepts an RRGraph.
   RRView View() const {
+    if (!packed.topology().SharesStorage(topology)) {
+      packed = topology.num_vertices() == 0 ? RrSketchPool()
+                                            : RrSketchPool(topology);
+    }
     const auto root_local = static_cast<uint32_t>(
         std::lower_bound(vertices.begin(), vertices.end(), root) -
         vertices.begin());
@@ -70,6 +79,7 @@ struct RRGraph {
 
   /// Copies `view` into this graph, reusing its vectors' capacity.
   void Assign(const RRView& view) {
+    topology = *view.topology;
     root = view.root();
     vertices.assign(view.vertices.begin(), view.vertices.end());
     const size_t n = view.vertices.size();
@@ -89,6 +99,17 @@ struct RRGraph {
     if (at == vertices.end() || *at != v) return std::nullopt;
     return static_cast<uint32_t>(at - vertices.begin());
   }
+
+  /// Calls fn(tail, head, k) with the global tail and head of each
+  /// record k, in CSR order.
+  template <typename Fn>
+  void ForEachEdge(Fn&& fn) const {
+    for (size_t j = 0; j + 1 < offsets.size(); ++j) {
+      for (uint32_t k = offsets[j]; k < offsets[j + 1]; ++k) {
+        fn(vertices[j], vertices[heads[k]], k);
+      }
+    }
+  }
 };
 
 inline RRGraph Owned(const RRView& view) {
@@ -97,20 +118,19 @@ inline RRGraph Owned(const RRView& view) {
   return graph;
 }
 
-/// Sketches view_of(0), ..., view_of(num_sketches - 1) of a network with
-/// `num_vertices` vertices and `num_edges` edges, re-encoded field by
+/// Sketches view_of(0), ..., view_of(num_sketches - 1) of `network`'s
+/// network (a pool of it: its widths and topology), re-encoded field by
 /// field from their views into a run (Append), which FromRuns then
-/// finishes into exact-size arrays. Every sketch vertex and edge must
+/// finishes into exact-size arrays. Every sketch vertex and rank must
 /// lie inside the network.
 template <typename ViewOf>
-RrSketchPool PackViews(size_t num_sketches, size_t num_vertices,
-                       size_t num_edges, ViewOf&& view_of) {
-  RrSketchPool run(num_vertices, num_edges);
+RrSketchPool PackViews(size_t num_sketches, const RrSketchPool& network,
+                       ViewOf&& view_of) {
+  RrSketchPool run = network.EmptyLike();
   for (size_t i = 0; i < num_sketches; ++i) run.Append(view_of(i));
   const RrSketchPool::Segment all{0, &run, 0,
                                   static_cast<uint32_t>(num_sketches)};
-  return RrSketchPool::FromRuns(std::span(&all, 1), num_sketches,
-                                num_vertices, num_edges);
+  return RrSketchPool::FromRuns(std::span(&all, 1), num_sketches, network);
 }
 
 /// Samples one RR-Graph rooted at `root` (Definition 2) through the
@@ -120,17 +140,22 @@ inline RRGraph GenerateRRGraph(const Graph& graph,
                                const InfluenceGraph& influence,
                                VertexId root, Rng* rng) {
   SketchArena arena;
-  RrSketchPool run;
+  RrSketchPool run(graph);
   arena.Generate(graph, influence, root, rng, &run);
   return Owned(run.View(0));
 }
 
 /// Reference assembly: sorts and dedups `vertices`, drops edges with an
 /// endpoint outside them, and counting-sorts the rest by local tail
-/// (stable, so per-tail edge order is input order).
-inline RRGraph AssembleRRGraph(VertexId root, std::vector<VertexId> vertices,
+/// (stable, so per-tail edge order is input order). Each record's rank
+/// is its edge's place in its tail's out-list of `topology`, which
+/// becomes the sketch's; with an empty topology, a sketch made by hand
+/// for layout checks, each sample's id is stored as its rank.
+inline RRGraph AssembleRRGraph(const Graph& topology, VertexId root,
+                               std::vector<VertexId> vertices,
                                std::span<const GlobalEdgeSample> edges) {
   RRGraph rr;
+  rr.topology = topology;
   rr.root = root;
   std::sort(vertices.begin(), vertices.end());
   vertices.erase(std::unique(vertices.begin(), vertices.end()),
@@ -148,7 +173,11 @@ inline RRGraph AssembleRRGraph(VertexId root, std::vector<VertexId> vertices,
     const auto tail = rr.LocalIndex(e.tail);
     const auto head = rr.LocalIndex(e.head);
     if (!tail || !head) continue;
-    staged.push_back({*tail, *head, RRLocalEdge{e.edge, e.threshold}});
+    staged.push_back({*tail, *head,
+                      RRLocalEdge{topology.num_vertices() == 0
+                                      ? e.edge
+                                      : topology.OutRank(e.tail, e.edge),
+                                  e.threshold}});
   }
   rr.offsets.assign(n + 1, 0);
   for (const Staged& s : staged) ++rr.offsets[s.tail + 1];
@@ -162,6 +191,57 @@ inline RRGraph AssembleRRGraph(VertexId root, std::vector<VertexId> vertices,
     rr.edges[k] = s.edge;
   }
   return rr;
+}
+
+/// A network of `num_vertices` users whose edges are the distinct
+/// (tail, head) pairs of `graphs`' records, ascending, then self-loops
+/// on vertex 0 until it has `min_out_degree` out-edges, each certain
+/// under the one topic, so hand-made sketches over it can be walked and
+/// saved and loaded as an index of it.
+inline SocialNetwork NetworkOf(size_t num_vertices,
+                               const std::vector<RRGraph>& graphs,
+                               size_t min_out_degree = 0) {
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (const RRGraph& g : graphs) {
+    g.ForEachEdge([&pairs](VertexId tail, VertexId head, uint32_t) {
+      pairs.emplace_back(tail, head);
+    });
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  const auto from_zero = static_cast<size_t>(std::ranges::count_if(
+      pairs, [](const auto& pair) { return pair.first == 0; }));
+  for (size_t d = from_zero; d < min_out_degree; ++d) pairs.emplace_back(0, 0);
+  SocialNetwork network;
+  GraphBuilder builder(num_vertices);
+  for (const auto& [tail, head] : pairs) builder.AddEdge(tail, head);
+  network.graph = builder.Build();
+  network.topics = TopicModel(1, 1);
+  network.topics.SetTagTopic(0, 0, 1.0);
+  InfluenceGraphBuilder influence(network.graph.num_edges());
+  const EdgeTopicEntry certain{0, 1.0};
+  for (EdgeId e = 0; e < network.graph.num_edges(); ++e) {
+    influence.SetEdgeTopics(e, std::span(&certain, 1));
+  }
+  network.influence = influence.Build();
+  network.tags.Intern("w");
+  return network;
+}
+
+/// Makes `graph` the topology of each of `graphs`, each record's rank
+/// the place of the first out-edge of its tail to its head there.
+inline void Rerank(const Graph& graph, std::vector<RRGraph>* graphs) {
+  for (RRGraph& g : *graphs) {
+    g.topology = graph;
+    g.ForEachEdge([&](VertexId tail, VertexId head, uint32_t k) {
+      const auto out = graph.OutEdges(tail);
+      const auto at = std::find_if(out.begin(), out.end(),
+                                   [head](const AdjEntry& a) {
+                                     return a.vertex == head;
+                                   });
+      g.edges[k].rank = static_cast<uint32_t>(at - out.begin());
+    });
+  }
 }
 
 }  // namespace pitex

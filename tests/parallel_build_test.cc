@@ -29,7 +29,7 @@ void ExpectIndexesIdentical(const RrIndex& a, const RrIndex& b) {
     ASSERT_EQ(Owned(ga).heads, Owned(gb).heads) << "graph " << i;
     ASSERT_EQ(ga.edges.size(), gb.edges.size()) << "graph " << i;
     for (size_t j = 0; j < ga.edges.size(); ++j) {
-      EXPECT_EQ(ga.edges[j].edge, gb.edges[j].edge);
+      EXPECT_EQ(ga.edges[j].rank, gb.edges[j].rank);
       EXPECT_EQ(ga.edges[j].threshold, gb.edges[j].threshold);
     }
   }
@@ -106,7 +106,7 @@ void ExpectPoolsIdentical(const RrSketchPool& a, const RrSketchPool& b) {
     ASSERT_EQ(Owned(ga).heads, Owned(gb).heads) << "sketch " << i;
     ASSERT_EQ(ga.edges.size(), gb.edges.size()) << "sketch " << i;
     for (size_t j = 0; j < ga.edges.size(); ++j) {
-      ASSERT_EQ(ga.edges[j].edge, gb.edges[j].edge);
+      ASSERT_EQ(ga.edges[j].rank, gb.edges[j].rank);
       ASSERT_EQ(ga.edges[j].threshold, gb.edges[j].threshold);
     }
   }

@@ -115,7 +115,7 @@ struct Image {
   std::vector<uint8_t> body;
   std::string trailer;
   uint32_t vertex_bits = 0;
-  uint32_t edge_bits = 0;
+  uint32_t rank_bits = 0;
 
   Image(const std::string& bytes, const SocialNetwork& network);
 
@@ -168,7 +168,8 @@ inline void Splice(Image* image, size_t sketch, size_t at, size_t erase,
 // in-tree flag, then m unless it is an in-tree) and its bit fields, each
 // read and written at its width: the vertices, the root's local id, the
 // n + 1 offsets unless the block is an in-tree, the m heads, then the m
-// records (the edge id, then the threshold's 30 bits).
+// records (the rank in the tail's out-list, then the threshold's 30
+// bits).
 struct Block {
   Image* image;
   size_t sketch;
@@ -191,7 +192,7 @@ struct Block {
   }
   uint64_t record_at(size_t k) const {
     return heads_at() + uint64_t{m} * id_bits() +
-           k * (image->edge_bits + uint64_t{kThresholdBits});
+           k * (image->rank_bits + uint64_t{kThresholdBits});
   }
   /// Bits of the fields, and bytes of the whole block.
   uint64_t bits() const { return record_at(m) - fields(); }
@@ -229,18 +230,18 @@ struct Block {
   void set_head(size_t k, uint64_t value) const {
     set(heads_at() + k * id_bits(), id_bits(), value);
   }
-  uint32_t edge_id(size_t k) const {
-    return static_cast<uint32_t>(get(record_at(k), image->edge_bits));
+  uint32_t rank(size_t k) const {
+    return static_cast<uint32_t>(get(record_at(k), image->rank_bits));
   }
-  void set_edge_id(size_t k, uint64_t value) const {
-    set(record_at(k), image->edge_bits, value);
+  void set_rank(size_t k, uint64_t value) const {
+    set(record_at(k), image->rank_bits, value);
   }
   uint32_t threshold_bits(size_t k) const {
     return static_cast<uint32_t>(
-        get(record_at(k) + image->edge_bits, kThresholdBits));
+        get(record_at(k) + image->rank_bits, kThresholdBits));
   }
   void set_threshold_bits(size_t k, uint64_t value) const {
-    set(record_at(k) + image->edge_bits, kThresholdBits, value);
+    set(record_at(k) + image->rank_bits, kThresholdBits, value);
   }
   /// The largest value a local id's field holds.
   uint64_t max_id() const { return (uint64_t{1} << id_bits()) - 1; }
@@ -291,7 +292,7 @@ struct Block {
     }
     for (uint32_t k = 0; k < m; ++k) put(id_bits(), head(k));
     for (uint32_t k = 0; k < m; ++k) {
-      put(image->edge_bits, edge_id(k));
+      put(image->rank_bits, rank(k));
       put(kThresholdBits, threshold_bits(k));
     }
     Splice(image, sketch, start, bytes(), out);
@@ -321,7 +322,7 @@ inline std::optional<Block> BlockOf(Image* image, size_t i) {
 
 inline Image::Image(const std::string& bytes, const SocialNetwork& network)
     : vertex_bits(FieldBits(network.num_vertices())),
-      edge_bits(FieldBits(network.num_edges())) {
+      rank_bits(FieldBits(network.graph.MaxOutDegree())) {
   size_t at = kThetaOffset;
   const auto take = [&bytes, &at](size_t length) {
     uint64_t value = 0;
@@ -348,6 +349,23 @@ inline Image::Image(const std::string& bytes, const SocialNetwork& network)
     next = static_cast<uint32_t>((slots[i] & ~kExplicit) +
                                  BlockOf(this, i)->bytes());
   }
+}
+
+// Calls edit(block, k, tail) for each record k of each explicit block of
+// `image`, tail the global vertex whose CSR range holds it, until an
+// edit returns true; returns whether one did.
+template <typename Edit>
+bool EditFirstRecord(Image* image, Edit edit) {
+  for (size_t i = 0; i < image->slots.size(); ++i) {
+    const std::optional<Block> block = BlockOf(image, i);
+    if (!block) continue;
+    for (uint32_t j = 0; j < block->n; ++j) {
+      for (uint32_t k = block->offset(j); k < block->offset(j + 1); ++k) {
+        if (edit(*block, k, block->vertex(j))) return true;
+      }
+    }
+  }
+  return false;
 }
 
 // The first explicit block with at least `min_n` vertices and `min_m`
@@ -608,16 +626,35 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          block->set_offset(block->n, block->m - 1);
          return true;
        }},
-      {"edge id >= |E| in its width",
+      {"rank >= its tail's out-degree in its width",
        [](const SocialNetwork& n, Image* image) {
-         // The largest value the edge field holds, when |E| is not a
-         // power of two.
-         const uint64_t max = (uint64_t{1} << image->edge_bits) - 1;
-         if (max < n.num_edges()) return false;
-         const auto block = FindBlock(image, 1, 1);
-         if (!block) return false;
-         block->set_edge_id(block->m - 1, max);
-         return true;
+         // A record whose tail has fewer out-edges than the rank field
+         // holds values: its rank set to that out-degree.
+         const uint64_t values = uint64_t{1} << image->rank_bits;
+         return EditFirstRecord(
+             image, [&](const Block& block, uint32_t k, VertexId tail) {
+               const size_t degree = n.graph.OutDegree(tail);
+               if (degree >= values) return false;
+               block.set_rank(k, degree);
+               return true;
+             });
+       }},
+      {"rank names an out-edge to another head",
+       [](const SocialNetwork& n, Image* image) {
+         // A record whose tail has an out-edge to some vertex other than
+         // the record's head: its rank set to that edge's.
+         return EditFirstRecord(
+             image, [&](const Block& block, uint32_t k, VertexId tail) {
+               const auto out = n.graph.OutEdges(tail);
+               const VertexId head = block.vertex(block.head(k));
+               for (uint32_t r = 0; r < out.size(); ++r) {
+                 if (out[r].vertex != head) {
+                   block.set_rank(k, r);
+                   return true;
+                 }
+               }
+               return false;
+             });
        }},
       {"threshold = 1.5",
        [](const SocialNetwork&, Image* image) {

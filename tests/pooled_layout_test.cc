@@ -95,7 +95,7 @@ bool SameSketch(const RRView& a, const RRView& b) {
     return false;
   }
   for (size_t j = 0; j < a.edges.size(); ++j) {
-    if (a.edges[j].edge != b.edges[j].edge ||
+    if (a.edges[j].rank != b.edges[j].rank ||
         a.edges[j].threshold != b.edges[j].threshold) {
       return false;
     }
@@ -206,15 +206,16 @@ size_t TwoLevelBytes(size_t entries, size_t width) {
 // of n << 1 | in-tree, a varint of m unless the sketch is an in-tree,
 // then bit fields to the next byte: n vertices at V bits, the root's
 // local id, n + 1 offsets at BitsFor(m + 1) bits unless the sketch is an
-// in-tree, and m heads at BitsFor(n) bits, then m records of an edge id
-// at E bits and a 30-bit threshold; V and E are BitsFor of the network's
-// vertex and edge counts, and 7 bytes of padding end a body of blocks.
+// in-tree, and m heads at BitsFor(n) bits, then m records of a rank at
+// R bits and a 30-bit threshold; V and R are BitsFor of the network's
+// vertex count and largest out-degree, and 7 bytes of padding end a
+// body of blocks.
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   const uint64_t vertex_bits = BitsFor(pool.num_network_vertices());
-  const uint64_t edge_bits = BitsFor(pool.num_network_edges());
+  const uint64_t rank_bits = BitsFor(pool.max_out_degree());
   EXPECT_EQ(pool.vertex_bits(), vertex_bits);
-  EXPECT_EQ(pool.edge_bits(), edge_bits);
+  EXPECT_EQ(pool.rank_bits(), rank_bits);
   size_t body = 0;
   size_t base = 0;
   size_t max_singleton = 0;
@@ -232,7 +233,7 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     const bool tree = InTreeShape(Owned(view));
     const uint64_t bits = n * vertex_bits + BitsFor(n) +
                           (tree ? 0 : (n + 1) * BitsFor(m + 1)) +
-                          m * (BitsFor(n) + edge_bits + 30);
+                          m * (BitsFor(n) + rank_bits + 30);
     body += VarintBytes(static_cast<uint32_t>(n << 1 | tree)) +
             (tree ? 0 : VarintBytes(static_cast<uint32_t>(m))) +
             (bits + 7) / 8;
@@ -320,7 +321,7 @@ TEST(PooledLayoutTest, SketchesMatchReferenceRebuild) {
     ASSERT_EQ(owned.heads, reference[i].heads) << "graph " << i;
     ASSERT_EQ(pooled.edges.size(), ref.edges.size()) << "graph " << i;
     for (size_t j = 0; j < ref.edges.size(); ++j) {
-      ASSERT_EQ(pooled.edges[j].edge, ref.edges[j].edge);
+      ASSERT_EQ(pooled.edges[j].rank, ref.edges[j].rank);
       ASSERT_EQ(pooled.edges[j].threshold, ref.edges[j].threshold);
     }
   }
@@ -429,10 +430,10 @@ TEST(PooledLayoutTest, PoolTotalsConsistent) {
   ExpectContainingMatchesViews(pool);
 }
 
-// Packs hand-made sketches over a network of 10 vertices and 10 edges:
-// 4-bit vertices and edge ids.
+// Packs hand-made sketches over a network of 10 vertices and up to 10
+// out-edges a vertex, without its topology: 4-bit vertices and ranks.
 RrSketchPool PackGraphs(const std::vector<RRGraph>& graphs) {
-  return PackViews(graphs.size(), 10, 10,
+  return PackViews(graphs.size(), RrSketchPool(10, 10),
                    [&graphs](size_t i) { return graphs[i].View(); });
 }
 
@@ -583,7 +584,8 @@ TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
       {{0, 2}, {6, 1}},           // run 0: samples 0-1, then 6
       {{2, 3}},                   // run 1: samples 2-4
       {{5, 1}, {7, 1}}};          // run 2: sample 5, then 7
-  std::vector<RrSketchPool> runs(claims.size(), RrSketchPool(10, 10));
+  const RrSketchPool network(10, 10);
+  std::vector<RrSketchPool> runs(claims.size(), network);
   std::vector<RrSketchPool::Segment> segments;
   for (uint32_t r = 0; r < claims.size(); ++r) {
     for (const auto& [sample, count] : claims[r]) {
@@ -598,38 +600,51 @@ TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
   // Segment order does not matter: the finish sorts by sample.
   std::ranges::reverse(segments);
   const RrSketchPool got =
-      RrSketchPool::FromRuns(segments, graphs.size(), 10, 10);
+      RrSketchPool::FromRuns(segments, graphs.size(), network);
   ExpectSamePools(got, want);
   EXPECT_EQ(got.SizeBytes(), ExactSizeBytes(got));
 
   // A run that is one finished segment per sketch.
-  std::vector<RrSketchPool> singles(graphs.size(), RrSketchPool(10, 10));
+  std::vector<RrSketchPool> singles(graphs.size(), network);
   std::vector<RrSketchPool::Segment> each;
   for (uint32_t i = 0; i < graphs.size(); ++i) {
     singles[i].Append(graphs[i]);
     each.push_back({i, &singles[i], 0, 1});
   }
-  ExpectSamePools(RrSketchPool::FromRuns(each, graphs.size(), 10, 10), want);
-  // Runs must take the pool's widths: their blocks are copied as they
-  // are.
-  EXPECT_DEATH(RrSketchPool::FromRuns(each, graphs.size(), 10, 11),
-               "different network");
+  ExpectSamePools(RrSketchPool::FromRuns(each, graphs.size(), network), want);
+  // Runs must take the pool's widths and topology: their blocks are
+  // copied as they are, ranks and all.
+  EXPECT_DEATH(
+      RrSketchPool::FromRuns(each, graphs.size(), RrSketchPool(10, 11)),
+      "different network");
+  const SocialNetwork cycle = MakeCertainCycle(10);
+  const SocialNetwork same_cycle = MakeCertainCycle(10);
+  RrSketchPool cycle_run(cycle.graph);
+  cycle_run.Append(Singleton(3));
+  const std::vector<RrSketchPool::Segment> on_cycle = {{0, &cycle_run, 0, 1}};
+  EXPECT_EQ(RrSketchPool::FromRuns(on_cycle, 1, RrSketchPool(cycle.graph))
+                .num_sketches(),
+            1u);
+  EXPECT_DEATH(
+      RrSketchPool::FromRuns(on_cycle, 1, RrSketchPool(same_cycle.graph)),
+      "different network");
 }
 
 TEST(PooledLayoutTest, FromRunsRequiresFullCoverage) {
   const std::vector<RRGraph> graphs = MixedGraphs();
-  RrSketchPool run(10, 10);
+  const RrSketchPool network(10, 10);
+  RrSketchPool run = network.EmptyLike();
   for (const RRGraph& g : graphs) run.Append(g);
   const std::vector<RrSketchPool::Segment> gap = {{0, &run, 0, 3},
                                                   {4, &run, 4, 4}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(gap, graphs.size(), 10, 10),
+  EXPECT_DEATH(RrSketchPool::FromRuns(gap, graphs.size(), network),
                "cover every sample");
   const std::vector<RrSketchPool::Segment> twice = {{0, &run, 0, 8},
                                                     {0, &run, 0, 8}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(twice, graphs.size(), 10, 10),
+  EXPECT_DEATH(RrSketchPool::FromRuns(twice, graphs.size(), network),
                "cover every sample");
   const std::vector<RrSketchPool::Segment> short_run = {{0, &run, 0, 9}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(short_run, 9, 10, 10),
+  EXPECT_DEATH(RrSketchPool::FromRuns(short_run, 9, network),
                "out of range");
 }
 
@@ -681,7 +696,7 @@ TEST(PooledLayoutTest, FoldIsTheReEncodingOfEveryCurrentSketch) {
     }
     EXPECT_EQ(overlay.num_stored(), puts.size());
     const RrSketchPool want =
-        PackViews(theta, network.num_vertices(), network.num_edges(),
+        PackViews(theta, RrSketchPool(network.graph),
                   [&](size_t i) { return base.View(current[i]); });
     EXPECT_EQ(pool_image::PoolDifference(network, overlay.Fold(base), want),
               "");
@@ -747,8 +762,8 @@ RRGraph WideSketch(size_t n, size_t m) {
         static_cast<VertexId>(path ? k + 1 : n - 1), static_cast<EdgeId>(k),
         k % 7 == 3 ? 0.9f : 0.1f});
   }
-  return AssembleRRGraph(static_cast<VertexId>(n - 1), std::move(vertices),
-                         edges);
+  return AssembleRRGraph(Graph(), static_cast<VertexId>(n - 1),
+                         std::move(vertices), edges);
 }
 
 class ConstantProbs final : public EdgeProbFn {
@@ -777,7 +792,8 @@ std::vector<RRGraph> BoundaryGraphs() {
 }
 
 // Every view of `pool` equals its graph, each field at the width the
-// pool's network or the graph's size calls for, and answers every
+// pool's network or the graph's size calls for, and, when the pool holds
+// its network's topology (and the graphs share it), answers every
 // reachability query as the graph does.
 void ExpectMatchesGraphs(const RrSketchPool& pool,
                          const std::vector<RRGraph>& graphs) {
@@ -804,7 +820,9 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
     if (view.offsets.data != nullptr) {
       EXPECT_EQ(view.offsets.bits, BitsFor(m + 1));
     }
-    EXPECT_EQ(view.edges.edge_bits(), BitsFor(pool.num_network_edges()));
+    EXPECT_EQ(view.edges.rank_bits(), BitsFor(pool.max_out_degree()));
+    // Ranks decode only against a topology.
+    if (pool.topology().num_vertices() == 0) continue;
     const size_t r = want.root_local;
     for (const size_t u :
          {size_t{0}, size_t{1}, n / 2, n - 2, n - 1, r - 1, r, r + 1}) {
@@ -819,16 +837,14 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
   }
 }
 
-// Writes `graphs`, sketches of a network of `universe` vertices and
-// `num_edges` edges (as many as vertices unless given), through every
-// pool writer — Append, PackViews, PackViews again from the packed
-// views, and FromRuns over one run and over three runs — and checks
-// each result against the graphs.
-void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
-                            size_t universe, size_t num_edges = 0) {
-  if (num_edges == 0) num_edges = universe;
+// Writes `graphs` through every pool writer that finishes them — Append,
+// PackViews, PackViews again from the packed views, and FromRuns over
+// one run and over three runs — into pools of `network`'s network, and
+// checks each result against the graphs. Returns the PackViews pool.
+RrSketchPool ExpectWritersKeep(const std::vector<RRGraph>& graphs,
+                               const RrSketchPool& network) {
   // Append: a run written one sketch at a time.
-  RrSketchPool run(universe, num_edges);
+  RrSketchPool run = network.EmptyLike();
   for (const RRGraph& g : graphs) run.Append(g);
   ExpectMatchesGraphs(run, graphs);
 
@@ -842,9 +858,8 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
 
   // PackViews, then PackViews again from the packed views (narrow
   // blocks re-encoded from narrow views).
-  const RrSketchPool packed =
-      PackViews(graphs.size(), universe, num_edges,
-                [&graphs](size_t i) { return graphs[i].View(); });
+  RrSketchPool packed = PackViews(
+      graphs.size(), network, [&graphs](size_t i) { return graphs[i].View(); });
   ExpectMatchesGraphs(packed, graphs);
   EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
   ExpectContainingMatchesViews(packed);
@@ -856,7 +871,7 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
               return g.vertices.size();
             }).vertices.size());
   const RrSketchPool repacked =
-      PackViews(graphs.size(), universe, num_edges,
+      PackViews(graphs.size(), network,
                 [&packed](size_t i) { return packed.View(i); });
   ExpectSamePools(repacked, packed);
 
@@ -864,13 +879,13 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
   const std::vector<RrSketchPool::Segment> whole = {
       {0, &run, 0, static_cast<uint32_t>(graphs.size())}};
   const RrSketchPool from_one =
-      RrSketchPool::FromRuns(whole, graphs.size(), universe, num_edges);
+      RrSketchPool::FromRuns(whole, graphs.size(), network);
   ExpectMatchesGraphs(from_one, graphs);
   ExpectSamePools(from_one, packed);
 
   // ... and over three runs that took the samples round robin, so every
   // block moves and every edge start is rebased.
-  std::vector<RrSketchPool> runs(3, RrSketchPool(universe, num_edges));
+  std::vector<RrSketchPool> runs(3, network.EmptyLike());
   std::vector<RrSketchPool::Segment> segments;
   for (uint32_t i = 0; i < graphs.size(); ++i) {
     RrSketchPool& r = runs[i % 3];
@@ -878,10 +893,36 @@ void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
     r.Append(graphs[i]);
   }
   const RrSketchPool from_three =
-      RrSketchPool::FromRuns(segments, graphs.size(), universe, num_edges);
+      RrSketchPool::FromRuns(segments, graphs.size(), network);
   ExpectMatchesGraphs(from_three, graphs);
   ExpectSamePools(from_three, packed);
   EXPECT_EQ(from_three.SizeBytes(), ExactSizeBytes(from_three));
+  return packed;
+}
+
+void ExpectIndexFileRoundTrip(const SocialNetwork& network,
+                              const RrSketchPool& pool,
+                              const std::vector<RRGraph>& graphs);
+
+// Writes `graphs`, hand-made sketches over `universe` vertices, through
+// every writer (ExpectWritersKeep) twice: as made, into pools of
+// `universe` vertices and up to `max_out_degree` out-edges a vertex (the
+// universe unless given), which hold no topology; then re-ranked against
+// their own network (NetworkOf, its vertex 0 given at least
+// `max_out_degree` out-edges when that is given), so their walks are
+// checked too, and saved and loaded back as an index of it.
+void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
+                            size_t universe, size_t max_out_degree = 0) {
+  const bool padded = max_out_degree != 0;
+  if (!padded) max_out_degree = universe;
+  ExpectWritersKeep(graphs, RrSketchPool(universe, max_out_degree));
+  const SocialNetwork network =
+      NetworkOf(universe, graphs, padded ? max_out_degree : 0);
+  std::vector<RRGraph> ranked = graphs;
+  Rerank(network.graph, &ranked);
+  const RrSketchPool pool =
+      ExpectWritersKeep(ranked, RrSketchPool(network.graph));
+  ExpectIndexFileRoundTrip(network, pool, ranked);
 }
 
 TEST(PooledLayoutTest, WidthBoundariesSurviveEveryWriter) {
@@ -932,8 +973,8 @@ RRGraph RootedSketch(size_t n, size_t r) {
         static_cast<VertexId>(j), static_cast<VertexId>(j < r ? j + 1 : j - 1),
         static_cast<EdgeId>(k), k % 3 == 2 ? 0.9f : 0.1f});
   }
-  return AssembleRRGraph(static_cast<VertexId>(r), std::move(vertices),
-                         edges);
+  return AssembleRRGraph(Graph(), static_cast<VertexId>(r),
+                         std::move(vertices), edges);
 }
 
 TEST(PooledLayoutTest, RootLocalIdSurvivesEveryWriter) {
@@ -994,9 +1035,10 @@ TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixtyFourVertices) {
   ExpectMatchesGraphs(run, graphs);
   ExpectEveryWriterKeeps(graphs, 70);
   const RrSketchPool pool = PackViews(
-      graphs.size(), 70, 70, [&graphs](size_t i) { return graphs[i].View(); });
+      graphs.size(), RrSketchPool(70, 70),
+      [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // At 7-bit vertices and edge ids, the edgeless blocks take 1 + 1 + 56
+  // At 7-bit vertices and ranks, the edgeless blocks take 1 + 1 + 56
   // and 2 + 1 + 57 bytes (header, edge count, 447 and 454 bits), the
   // 65-edge block 2 + 1 + 463 (3,704 bits) and the in-trees 1 + 390 and
   // 2 + 396 (3,113 and 3,163 bits), then 7 bytes of padding.
@@ -1004,8 +1046,6 @@ TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixtyFourVertices) {
                                   (8 + 2 * 71) +
                                   (58 + 60 + 466 + 391 + 398 + 7) +
                                   ExpectedListsOf(pool).bytes);
-  // The loader reads both header lengths back.
-  ExpectIndexFileRoundTrip(MakeCertainCycle(70), pool, graphs);
 }
 
 // Where the block of `view` starts: its header, the varint of n << 1 |
@@ -1034,14 +1074,14 @@ TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
       RootedSketch(3, 1), RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {{7, 0.75f}}},
       Singleton(6)};
   const RrSketchPool pool = PackGraphs(graphs);
-  // Fields go LSB-first at 4-bit vertices and edge ids. An in-tree
+  // Fields go LSB-first at 4-bit vertices and ranks. An in-tree
   // block: header 2 << 1 | in-tree, then vertices 2 and 7 (0x72), root
-  // id 0 and one head at a bit each, edge id 3, and 0.25f's 30 low bits
+  // id 0 and one head at a bit each, rank 3, and 0.25f's 30 low bits
   // (0x3e800000): 44 bits.
   EXPECT_EQ(BlockBytes(pool, 0),
             (std::vector<uint8_t>{0x05, 0x72, 0x0c, 0x00, 0x00, 0xa0, 0x0f}));
   // Vertices 0, 1 and 2, root id 1 and the heads of vertices 0 and 2
-  // (both 1) at 2 bits, then edge ids 0 and 1 with 0.1f (0x3dcccccd)
+  // (both 1) at 2 bits, then ranks 0 and 1 with 0.1f (0x3dcccccd)
   // each: 86 bits.
   EXPECT_EQ(BlockBytes(pool, 2),
             (std::vector<uint8_t>{0x07, 0x10, 0x52, 0x41, 0x33, 0x33, 0x73,
@@ -1062,7 +1102,6 @@ TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
                                   (4 + 2 * 11) + (7 + 12 + 8 + 7) +
                                   ExpectedListsOf(pool).bytes);
   ExpectEveryWriterKeeps(graphs, 10);
-  ExpectIndexFileRoundTrip(MakeCertainCycle(10), pool, graphs);
 }
 
 // Sketches no in-tree block can hold, between implicit singletons: a
@@ -1092,18 +1131,21 @@ TEST(PooledLayoutTest, NonTreeShapesKeepOffsetsThroughEveryWriter) {
   for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
   ExpectMatchesGraphs(run, graphs);
   // RebuildRepairedSketch, as repair re-closes a sketch from its live
-  // edges: every vertex here reaches its root, so each comes back whole.
+  // edges, decoded and ranked again in the network that holds them:
+  // every vertex here reaches its root, so each comes back whole.
+  const SocialNetwork network = NetworkOf(10, graphs);
+  std::vector<RRGraph> ranked = graphs;
+  Rerank(network.graph, &ranked);
   SketchArena arena;
-  RrSketchPool repaired;
+  RrSketchPool repaired(network.graph);
   std::vector<GlobalEdgeSample> edges;
-  for (const RRGraph& g : graphs) {
+  for (const RRGraph& g : ranked) {
     DecomposeRRGraphInto(g, &edges);
-    arena.RebuildRepairedSketch(g.root, 10, edges, &repaired);
+    arena.RebuildRepairedSketch(g.root, edges, &repaired);
   }
-  ExpectMatchesGraphs(repaired, graphs);
+  ExpectMatchesGraphs(repaired, ranked);
   // Append, PackViews and FromRuns, then the index file.
   ExpectEveryWriterKeeps(graphs, 10);
-  ExpectIndexFileRoundTrip(MakeCertainCycle(10), PackGraphs(graphs), graphs);
 }
 
 // `num_sketches` sketches that each hold vertex 0, and vertex v >= 1
@@ -1155,7 +1197,8 @@ TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
   };
   const std::vector<RRGraph> graphs = PlacedGraphs(4096, placed);
   const RrSketchPool pool = PackViews(
-      graphs.size(), 12, 12, [&graphs](size_t i) { return graphs[i].View(); });
+      graphs.size(), RrSketchPool(12, 12),
+      [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.containing_k(), 3u);
   // Sanity of the fixture: the brute force sees the lists placed.
   const std::vector<std::vector<uint32_t>> lists = ContainingFromViews(pool);
@@ -1172,7 +1215,6 @@ TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
   EXPECT_EQ(ListBits(pool), 4 * graphs.size() + 1084);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   ExpectEveryWriterKeeps(graphs, 12);
-  ExpectIndexFileRoundTrip(MakeCertainCycle(12), pool, graphs);
 }
 
 TEST(PooledLayoutTest, SparseVertexInDensePoolRunsPastAWord) {
@@ -1190,7 +1232,8 @@ TEST(PooledLayoutTest, SparseVertexInDensePoolRunsPastAWord) {
     graphs.push_back(EdgelessSketch(vertices));
   }
   const RrSketchPool pool = PackViews(
-      graphs.size(), 12, 12, [&graphs](size_t i) { return graphs[i].View(); });
+      graphs.size(), RrSketchPool(12, 12),
+      [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.containing_k(), 0u);
   ExpectContainingMatchesViews(pool);
   EXPECT_TRUE(std::ranges::equal(pool.Containing(10),
@@ -1201,7 +1244,6 @@ TEST(PooledLayoutTest, SparseVertexInDensePoolRunsPastAWord) {
   EXPECT_EQ(ListBits(pool), 10 * 200 + 200 + 131u);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   ExpectEveryWriterKeeps(graphs, 12);
-  ExpectIndexFileRoundTrip(MakeCertainCycle(12), pool, graphs);
 }
 
 TEST(PooledLayoutTest, RiceListsMatchBruteForceOnRandomPools) {
@@ -1231,13 +1273,11 @@ TEST(PooledLayoutTest, RiceListsMatchBruteForceOnRandomPools) {
     }
     ExpectEveryWriterKeeps(graphs, universe);
     const RrSketchPool pool = PackViews(
-        theta, universe, universe,
+        theta, RrSketchPool(universe, universe),
         [&graphs](size_t i) { return graphs[i].View(); });
     const uint64_t occurrences = ExpectVertexTotalsAgree(pool);
     EXPECT_LE(ListBits(pool), occurrences * (pool.containing_k() + 3));
     ks.push_back(pool.containing_k());
-    ExpectIndexFileRoundTrip(MakeCertainCycle(static_cast<VertexId>(universe)),
-                             pool, graphs);
   }
   // Sanity of the fixtures: the trials reach both ends.
   EXPECT_EQ(std::ranges::min(ks), 0u);
@@ -1379,12 +1419,11 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsSingletonRoots) {
     const std::vector<RRGraph> graphs = SingletonRootGraphs(root);
     ExpectEveryWriterKeeps(graphs, 40000);
     const RrSketchPool pool = PackViews(
-        graphs.size(), 40000, 40000,
+        graphs.size(), RrSketchPool(40000, 40000),
         [&graphs](size_t i) { return graphs[i].View(); });
     EXPECT_EQ(pool.directory_width(), width);
     EXPECT_EQ(pool.containing_start_width(), 2u);
     EXPECT_EQ(pool.View(40).root(), root);
-    ExpectIndexFileRoundTrip(MakeCertainCycle(40000), pool, graphs);
   }
 }
 
@@ -1436,14 +1475,13 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
     graphs.push_back(Singleton(4));
     ExpectEveryWriterKeeps(graphs, 4096);
     const RrSketchPool pool = PackViews(
-        graphs.size(), 4096, 4096,
+        graphs.size(), RrSketchPool(4096, 4096),
         [&graphs](size_t i) { return graphs[i].View(); });
     EXPECT_EQ(pool.directory_width(), width);
     // Sanity of the fixture: sketch 63's block starts `offset` bytes
     // past sketch 0's, which begins the body.
     EXPECT_EQ(BlockStart(pool.View(63)) - BlockStart(pool.View(0)),
               static_cast<std::ptrdiff_t>(offset));
-    ExpectIndexFileRoundTrip(MakeCertainCycle(4096), pool, graphs);
   }
 }
 
@@ -1463,7 +1501,7 @@ TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
     graphs.push_back(Singleton(69));
     ExpectEveryWriterKeeps(graphs, 70);
     const RrSketchPool pool = PackViews(
-        graphs.size(), 70, 70,
+        graphs.size(), RrSketchPool(70, 70),
         [&graphs](size_t i) { return graphs[i].View(); });
     EXPECT_EQ(pool.containing_k(), 6u);
     EXPECT_EQ(pool.Containing(0).bits() + pool.Containing(1).bits(),
@@ -1476,7 +1514,6 @@ TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
     EXPECT_TRUE(
         std::ranges::equal(pool.Containing(63), std::vector<uint32_t>{9360}));
     ExpectContainingMatchesViews(pool);
-    ExpectIndexFileRoundTrip(MakeCertainCycle(70), pool, graphs);
   }
 }
 
@@ -1498,10 +1535,11 @@ uint64_t Spread(size_t k, uint64_t count) {
 // A sketch of n vertices of a network with `num_vertices` vertices and
 // `num_edges` edges: its n / 2 lowest ids and the rest of the highest,
 // the largest among them, and a path from the first to the last, the
-// root, with spread edge ids and thresholds (Spread, SweepThreshold). An
-// in-tree, or with `general` the path and an edge out of the root back
-// to the first vertex (a self-loop when n = 1).
-RRGraph SweepSketch(uint64_t num_vertices, uint64_t num_edges, size_t n,
+// root, with ranks spread below `max_out_degree` and spread thresholds
+// (Spread, SweepThreshold), and no topology. An in-tree, or with
+// `general` the path and an edge out of the root back to the first
+// vertex (a self-loop when n = 1).
+RRGraph SweepSketch(uint64_t num_vertices, uint64_t max_out_degree, size_t n,
                     bool general) {
   std::vector<VertexId> vertices(n);
   for (size_t j = 0; j < n; ++j) {
@@ -1513,35 +1551,42 @@ RRGraph SweepSketch(uint64_t num_vertices, uint64_t num_edges, size_t n,
   }
   if (general) edges.push_back({vertices[n - 1], vertices[0], 0, 0.0f});
   for (size_t k = 0; k < edges.size(); ++k) {
-    edges[k].edge = static_cast<EdgeId>(Spread(k, num_edges));
+    edges[k].edge = static_cast<EdgeId>(Spread(k, max_out_degree));
     edges[k].threshold = SweepThreshold(k);
   }
-  return AssembleRRGraph(vertices[n - 1], vertices, edges);
+  return AssembleRRGraph(Graph(), vertices[n - 1], vertices, edges);
 }
 
 TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
   // Networks whose vertex fields take 0, 1, 15, 16, 17, 24, 25 and 31
-  // bits and whose edge fields take those and 32 (a vertex id stays
+  // bits and whose rank fields take 0 (no out-list longer than 1), 1,
+  // 5 (pitexbench's), 15, 16, 17, 24, 25, 31 and 32 (a vertex id stays
   // below 2^31, the directory word's flag, so no vertex field takes
   // 32), with sketches of n in {1, 2, 3, 4, 5, 8, 9, 256, 257}, in-trees
   // and general, so local ids take 0 to 9 bits, between singletons at
   // the highest and lowest vertex. Every writer that builds no
   // containing index (AppendSketch, Append, an overlay) runs at every
-  // width. PackViews and FromRuns, whose containing index holds an entry
-  // per vertex, run while the network has at most 2^17 vertices, and
-  // the index file on the certain cycles among those networks, which
-  // have as many edges as vertices.
+  // width, a default pool's (31-bit vertices, 32-bit ranks) among them.
+  // PackViews and FromRuns, whose containing index holds an entry per
+  // vertex, run while the network has at most 2^17 vertices, at every
+  // rank width (ExpectWritersKeep); the walks and the index file, on a
+  // network that holds the sketches' edges, while it also has at most
+  // 2^17 out-edges a vertex (ExpectEveryWriterKeeps).
   constexpr uint64_t k1 = 1;
   const std::pair<uint64_t, uint64_t> networks[] = {
-      {1, 1},          {2, 2},
-      {k1 << 15, k1 << 15}, {k1 << 16, k1 << 16},
-      {k1 << 17, k1 << 17}, {k1 << 24, k1 << 24},
-      {k1 << 25, k1 << 25}, {k1 << 31, k1 << 31},
-      {k1 << 31, k1 << 32}, {k1 << 31, 1},
-      {2, k1 << 32},        {k1 << 17, k1 << 32}};
-  for (const auto& [num_vertices, num_edges] : networks) {
+      {1, 1},               {2, 2},
+      {k1 << 15, 18},       {k1 << 15, k1 << 15},
+      {k1 << 16, k1 << 16}, {k1 << 17, k1 << 17},
+      {k1 << 24, k1 << 24}, {k1 << 25, k1 << 25},
+      {k1 << 31, k1 << 31}, {k1 << 31, k1 << 32},
+      {k1 << 31, 1},        {2, k1 << 32},
+      {k1 << 17, k1 << 32}, {k1 << 17, 1}};
+  const RrSketchPool default_pool;
+  EXPECT_EQ(default_pool.vertex_bits(), 31u);
+  EXPECT_EQ(default_pool.rank_bits(), 32u);
+  for (const auto& [num_vertices, max_out_degree] : networks) {
     SCOPED_TRACE("|V| = " + std::to_string(num_vertices) +
-                 ", |E| = " + std::to_string(num_edges));
+                 ", largest out-degree " + std::to_string(max_out_degree));
     std::vector<RRGraph> graphs = {
         Singleton(static_cast<VertexId>(num_vertices - 1))};
     for (const size_t n : {1, 2, 3, 4, 5, 8, 9, 256, 257}) {
@@ -1549,17 +1594,18 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
       for (const bool general : {false, true}) {
         // The one-vertex in-tree is a singleton.
         if (n == 1 && !general) continue;
-        graphs.push_back(SweepSketch(num_vertices, num_edges, n, general));
+        graphs.push_back(
+            SweepSketch(num_vertices, max_out_degree, n, general));
         ASSERT_EQ(InTreeShape(graphs.back()), !general);
       }
       graphs.push_back(Singleton(0));
     }
-    RrSketchPool run(num_vertices, num_edges);
+    RrSketchPool run(num_vertices, max_out_degree);
     ASSERT_EQ(run.vertex_bits(), BitsFor(num_vertices));
-    ASSERT_EQ(run.edge_bits(), BitsFor(num_edges));
+    ASSERT_EQ(run.rank_bits(), BitsFor(max_out_degree));
     for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
     ExpectMatchesGraphs(run, graphs);
-    RrSketchPool appended(num_vertices, num_edges);
+    RrSketchPool appended(num_vertices, max_out_degree);
     for (size_t i = 0; i < run.num_sketches(); ++i) {
       appended.Append(run.View(i));
     }
@@ -1571,14 +1617,20 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
       EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(i)), graphs[i]))
           << "sketch " << i;
     }
+    if (num_vertices == (k1 << 31) && max_out_degree == (k1 << 32)) {
+      RrSketchPool wide = default_pool.EmptyLike();
+      for (const RRGraph& g : graphs) wide.Append(g);
+      ExpectMatchesGraphs(wide, graphs);
+      EXPECT_EQ(wide.SizeBytes(), run.SizeBytes());
+    }
     if (num_vertices > (k1 << 17)) continue;
-    ExpectEveryWriterKeeps(graphs, num_vertices, num_edges);
-    if (num_vertices != num_edges) continue;
-    ExpectIndexFileRoundTrip(
-        MakeCertainCycle(static_cast<VertexId>(num_vertices)),
-        PackViews(graphs.size(), num_vertices, num_edges,
-                  [&graphs](size_t i) { return graphs[i].View(); }),
-        graphs);
+    if (max_out_degree > (k1 << 17)) {
+      // Too many out-edges for a network to hold: the writers run at
+      // counts only, with no walk or index file.
+      ExpectWritersKeep(graphs, RrSketchPool(num_vertices, max_out_degree));
+      continue;
+    }
+    ExpectEveryWriterKeeps(graphs, num_vertices, max_out_degree);
   }
 }
 
@@ -1603,21 +1655,22 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   const RrSketchPool& pool = index.pool();
   ASSERT_EQ(pool.num_sketches(), 200000u);
   // Both offset arrays take 2-byte words: the directory (largest
-  // singleton vertex 24,999, largest block start less its base 1,460 B)
+  // singleton vertex 24,999, largest block start less its base 1,183 B)
   // and the containing starts (largest group 31,428 bits). The lists'
   // 454,185 ids have a mean gap of 11,008, so k = 13. The network's
-  // 25,000 vertices and 297,497 edges give 15-bit vertices and 19-bit
-  // edge ids.
+  // 25,000 vertices and at most 18 out-edges a vertex give 15-bit
+  // vertices and 5-bit ranks.
   EXPECT_EQ(pool.directory_width(), 2u);
   EXPECT_EQ(pool.containing_start_width(), 2u);
   EXPECT_EQ(pool.containing_k(), 13u);
   EXPECT_EQ(pool.vertex_bits(), 15u);
-  EXPECT_EQ(pool.edge_bits(), 19u);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 3744418);
+  EXPECT_EQ(pool.max_out_degree(), 18u);
+  EXPECT_EQ(pool.rank_bits(), 5u);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 3301564);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
-  EXPECT_EQ(file.str().size(), 2838210u);
+  EXPECT_EQ(file.str().size(), 2395356u);
 }
 
 TEST(PooledLayoutTest, EdgeRecordIsEightBytes) {

@@ -83,7 +83,7 @@ class ReferenceDynamicRrIndex {
  public:
   ReferenceDynamicRrIndex(const SocialNetwork& network,
                           const RrIndexOptions& options)
-      : network_(network), options_(options) {
+      : network_(network), options_(options), repaired_(network.graph) {
     if (options_.theta_override > 0) {
       theta_ = options_.theta_override;
     } else {
@@ -107,7 +107,7 @@ class ReferenceDynamicRrIndex {
     // RrIndex::Build with equal options and seed. Each sketch passes
     // through a one-sketch run into its owning graph.
     const EnvelopeTable table(network_.graph, network_.influence);
-    RrSketchPool run;
+    RrSketchPool run(network_.graph);
     for (uint64_t i = 0; i < theta_; ++i) {
       Rng rng = StreamFor(options_.seed, i, /*version=*/0);
       roots_[i] =
@@ -332,8 +332,7 @@ class ReferenceDynamicRrIndex {
       list.erase(std::find(list.begin(), list.end(), id));
     }
     repaired_.Clear();
-    arena_.RebuildRepairedSketch(roots_[id], network_.num_vertices(), edges,
-                                 &repaired_);
+    arena_.RebuildRepairedSketch(roots_[id], edges, &repaired_);
     rr.Assign(repaired_.View(0));
     for (const VertexId v : rr.vertices) {
       auto& list = containing_[v];

@@ -793,5 +793,98 @@ TEST_F(ReplicationTest, LosingCandidateAdoptsWinnersTermInsteadOfPromoting) {
   EXPECT_TRUE(authority.Advance(3));
 }
 
+TEST_F(ReplicationTest, GarbageTermFileFencesTheInitialTermWriter) {
+  // Only an absent term file reads as the initial term. One that holds
+  // no decimal term reads as a term no writer holds: a primary at the
+  // initial term is fenced, and no candidate can advance past it.
+  const std::string absent = root_ + "/ABSENT";
+  FileTermAuthority fresh(absent, 1);
+  EXPECT_EQ(fresh.Current(), 1u);
+  EXPECT_TRUE(fresh.Advance(2));
+  EXPECT_EQ(fresh.Current(), 2u);
+
+  const std::string term_file = root_ + "/TERM";
+  FileTermAuthority authority(term_file, 1);
+  for (const char* garbage : {"garbage\n", "", "12abc\n", "-1\n"}) {
+    std::ofstream(term_file, std::ios::trunc) << garbage;
+    EXPECT_EQ(authority.Current(), FileTermAuthority::kUnreadableTerm)
+        << "'" << garbage << "'";
+    EXPECT_FALSE(authority.Advance(2)) << "'" << garbage << "'";
+  }
+  std::ofstream(term_file, std::ios::trunc) << "garbage\n";
+
+  const SocialNetwork n = MakeRunningExample();
+  ServeOptions options = DurableOptions(root_ + "/primary");
+  options.term_authority = &authority;
+  options.term = 1;
+  PitexService primary(&n, options);
+  primary.Start();
+  std::vector<EdgeInfluenceUpdate> batch{MakeUpdate(n, 0)};
+  ApplyUpdatesOutcome outcome;
+  EXPECT_EQ(primary.ApplyUpdates(batch, &outcome), 0u);
+  EXPECT_EQ(outcome, ApplyUpdatesOutcome::kFencedStaleTerm);
+}
+
+TEST_F(ReplicationTest, ElectionTimerDuringUnreadableTermKeepsTheFollower) {
+#if !PITEX_FAILPOINTS_ENABLED
+  GTEST_SKIP() << "fail points compiled out (-DPITEX_FAILPOINTS=OFF)";
+#endif
+  // The follower's election timer fires while the term file holds
+  // garbage: no election is possible, and the follower must neither
+  // promote nor adopt the unreadable value, or it would drop every
+  // record of the live primary as stale once the file is repaired.
+  const std::string term_file = root_ + "/TERM";
+  FileTermAuthority authority(term_file, 1);
+  const SocialNetwork n = MakeRunningExample();
+  auto [primary_end, follower_end] = MakeInProcessTransportPair();
+  ServeOptions primary_options = DurableOptions(root_ + "/primary");
+  primary_options.term_authority = &authority;
+  primary_options.term = 1;
+  PitexService primary(&n, primary_options);
+  WalShipperOptions ship;
+  ship.wal_dir = root_ + "/primary";
+  WalShipper shipper(&primary, primary_end.get(), ship);
+  shipper.Start();
+  FollowerOptions fo;
+  fo.serve = DurableOptions(root_ + "/follower");
+  fo.heartbeat_timeout_ms = 150;
+  fo.authority = &authority;
+  FollowerService follower(&n, follower_end.get(), fo);
+  std::string error;
+  ASSERT_TRUE(follower.Start(&error)) << error;
+  std::vector<EdgeInfluenceUpdate> batch{MakeUpdate(n, 0)};
+  ASSERT_NE(primary.ApplyUpdates(batch), 0u);
+  ASSERT_TRUE(WaitUntil([&] { return follower.applied_lsn() >= 1; }));
+
+  // Garbage in the term file and silence from the primary for several
+  // timeouts.
+  std::ofstream(term_file, std::ios::trunc) << "garbage\n";
+  FailpointRegistry::Instance().Enable("repl/partition",
+                                       {.mode = FailpointMode::kError});
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  EXPECT_FALSE(follower.promoted());
+  EXPECT_EQ(follower.term(), 1u);
+
+  // The primary comes back; once its heartbeats reach the follower
+  // again, the file is repaired and its next record is applied.
+  const auto heartbeats = [&] {
+    return follower.service().metrics().Snapshot().CounterValue(
+        "pitex_repl_heartbeats_seen_total");
+  };
+  const uint64_t heard = heartbeats();
+  FailpointRegistry::Instance().DisableAll();
+  ASSERT_TRUE(WaitUntil([&] { return heartbeats() > heard; }));
+  std::ofstream(term_file, std::ios::trunc) << "1\n";
+  batch = {MakeUpdate(n, 1)};
+  ASSERT_NE(primary.ApplyUpdates(batch), 0u);
+  ASSERT_TRUE(WaitUntil([&] { return follower.applied_lsn() >= 2; }));
+  EXPECT_FALSE(follower.promoted());
+  EXPECT_EQ(follower.term(), 1u);
+  EXPECT_EQ(authority.Current(), 1u);
+
+  shipper.Stop();
+  follower.Stop();
+}
+
 }  // namespace
 }  // namespace pitex

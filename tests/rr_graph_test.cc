@@ -88,7 +88,9 @@ TEST(RRGraphTest, ThresholdsBelowEnvelope) {
   Rng rng(3);
   for (int i = 0; i < 100; ++i) {
     const RRGraph rr = GenerateRRGraph(n.graph, n.influence, 6, &rng);
-    for (const auto& e : rr.edges) {
+    std::vector<GlobalEdgeSample> edges;
+    DecomposeRRGraphInto(rr, &edges);
+    for (const GlobalEdgeSample& e : edges) {
       EXPECT_LT(static_cast<double>(e.threshold),
                 n.influence.MaxProb(e.edge));
       EXPECT_GE(e.threshold, 0.0f);
@@ -161,7 +163,7 @@ TEST(RRGraphTest, TagAwareReachabilityMatchesExample5) {
   // G_RR(u2): single edge u1->u2 with c = 0.3.
   {
     const GlobalEdgeSample edges[] = {{0, 1, 0, 0.3f}};
-    const RRGraph rr = AssembleRRGraph(1, {0, 1}, edges);
+    const RRGraph rr = AssembleRRGraph(n.graph, 1, {0, 1}, edges);
     EXPECT_FALSE(IsReachable(rr, 0, probs, nullptr));
   }
   // p(u1->u3 | {w3,w4}) = 0.5, p(u3->u6) = 4.5/13 ~= 0.346: live when the
@@ -171,7 +173,7 @@ TEST(RRGraphTest, TagAwareReachabilityMatchesExample5) {
         {0, 2, 1, 0.2f},  // u1 -> u3
         {2, 5, 3, 0.2f},  // u3 -> u6
     };
-    const RRGraph rr = AssembleRRGraph(5, {0, 2, 5}, edges);
+    const RRGraph rr = AssembleRRGraph(n.graph, 5, {0, 2, 5}, edges);
     EXPECT_TRUE(IsReachable(rr, 0, probs, nullptr));
   }
   // Same graph with a threshold above 0.346 on u3->u6: dead.
@@ -180,17 +182,18 @@ TEST(RRGraphTest, TagAwareReachabilityMatchesExample5) {
         {0, 2, 1, 0.2f},
         {2, 5, 3, 0.4f},
     };
-    const RRGraph rr = AssembleRRGraph(5, {0, 2, 5}, edges);
+    const RRGraph rr = AssembleRRGraph(n.graph, 5, {0, 2, 5}, edges);
     EXPECT_FALSE(IsReachable(rr, 0, probs, nullptr));
   }
 }
 
 TEST(RRGraphTest, AssembleDropsEdgesOutsideVertexSet) {
+  const SocialNetwork n = MakeRunningExample();
   const GlobalEdgeSample edges[] = {
       {0, 1, 0, 0.1f},
       {2, 1, 1, 0.1f},  // tail 2 not in vertex set
   };
-  const RRGraph rr = AssembleRRGraph(1, {0, 1}, edges);
+  const RRGraph rr = AssembleRRGraph(n.graph, 1, {0, 1}, edges);
   EXPECT_EQ(rr.edges.size(), 1u);
 }
 
