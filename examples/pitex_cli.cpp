@@ -50,6 +50,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -161,17 +162,19 @@ int CmdQuery(int argc, char** argv) {
 
   EngineOptions options;
   options.method = method;
-  PitexEngine engine(network.operator->(), options);
+  // Declared before the engine, which serves it by pointer.
+  std::unique_ptr<RrIndex> loaded;
   if (argc == 7) {
     IndexIoError error;
-    auto loaded = LoadRrIndex(*network, argv[6], &error);
+    loaded = LoadRrIndex(*network, argv[6], &error);
     if (loaded == nullptr) {
       std::fprintf(stderr, "error: %s\n", error.message.c_str());
       return 1;
     }
-    engine.AdoptRrIndex(std::move(loaded));
     std::printf("loaded index from %s\n", argv[6]);
   }
+  PitexEngine engine(network.operator->(), options);
+  if (loaded != nullptr) engine.UseSharedRrIndex(loaded.get());
   Timer build_timer;
   engine.BuildIndex();
   if (engine.IndexSizeBytes() > 0) {

@@ -94,13 +94,6 @@ void PitexEngine::UseSharedRrIndex(RrIndex* shared) {
   rr_index_ptr_ = shared;
 }
 
-void PitexEngine::AdoptRrIndex(std::unique_ptr<RrIndex> index) {
-  PITEX_CHECK(index != nullptr);
-  PITEX_CHECK_MSG(rr_index_ptr_ == nullptr, "index already set");
-  rr_index_ = std::move(index);
-  rr_index_ptr_ = rr_index_.get();
-}
-
 void PitexEngine::AdoptDelayMatIndex(std::unique_ptr<DelayMatIndex> index) {
   PITEX_CHECK(index != nullptr);
   PITEX_CHECK_MSG(delay_index_ == nullptr, "index already set");

@@ -98,14 +98,12 @@ class PitexEngine {
   /// outlive the engine. Call before BuildIndex().
   void UseSharedRrIndex(RrIndex* shared);
 
-  /// Like UseSharedRrIndex but transfers ownership (e.g. the result of
-  /// LoadRrIndex). Call before BuildIndex().
-  void AdoptRrIndex(std::unique_ptr<RrIndex> index);
-
-  /// Serves kDelayMat from an externally built (e.g. loaded) index.
-  /// DelayMat caches recovered graphs per query user, so an instance
-  /// must never be shared across engines — ownership transfers. Call
-  /// before BuildIndex().
+  /// Serves kDelayMat from an externally built index: a loaded one, or a
+  /// DelayMatIndex::Replica() of a shared prototype (how PitexService
+  /// binds its workers), never the prototype itself. DelayMat caches
+  /// recovered graphs per query user, so an instance must never be
+  /// shared across engines — ownership transfers. Call before
+  /// BuildIndex().
   void AdoptDelayMatIndex(std::unique_ptr<DelayMatIndex> index);
 
   /// Answers a PITEX query: the size-k tag set maximizing the target

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "src/util/check.h"
 #include "src/util/timer.h"
@@ -12,15 +13,12 @@ DelayMatIndex::DelayMatIndex(const SocialNetwork& network,
                              const RrIndexOptions& options)
     : network_(network),
       options_(options),
-      counts_(network.num_vertices(), 0),
+      theta_(RrIndex::ThetaFor(network.num_vertices(), options)),
       query_rng_(options.seed ^ 0xd1b54a32d192ed03ULL),
-      cached_graphs_(network.graph) {
-  RrIndex sizing(network, options);  // reuse theta policy
-  theta_ = sizing.theta();
-}
+      cached_graphs_(network.graph) {}
 
 void DelayMatIndex::Build() {
-  PITEX_CHECK_MSG(!built_, "Build() called twice");
+  PITEX_CHECK_MSG(counts_ == nullptr, "Build() called twice");
   // A root drawn from no vertices is undefined: fail before the first
   // draw.
   PITEX_CHECK_MSG(theta_ == 0 || network_.num_vertices() > 0,
@@ -31,6 +29,7 @@ void DelayMatIndex::Build() {
   // counts. The traversal mirrors SketchArena::Generate but skips edge
   // storage and CSR assembly, which is what makes the build cheaper
   // (Table 3).
+  std::vector<uint32_t> counts(network_.num_vertices(), 0);
   std::unordered_set<VertexId> visited;
   std::vector<VertexId> stack;
   for (uint64_t i = 0; i < theta_; ++i) {
@@ -39,7 +38,7 @@ void DelayMatIndex::Build() {
     visited.clear();
     visited.insert(root);
     stack.assign(1, root);
-    ++counts_[root];
+    ++counts[root];
     while (!stack.empty()) {
       const VertexId v = stack.back();
       stack.pop_back();
@@ -47,14 +46,24 @@ void DelayMatIndex::Build() {
         const double p = network_.influence.MaxProb(e);
         if (p <= 0.0 || !rng.NextBernoulli(p)) continue;
         if (visited.insert(w).second) {
-          ++counts_[w];
+          ++counts[w];
           stack.push_back(w);
         }
       }
     }
   }
+  counts_ = std::make_shared<const std::vector<uint32_t>>(std::move(counts));
   build_seconds_ = timer.Seconds();
-  built_ = true;
+}
+
+std::unique_ptr<DelayMatIndex> DelayMatIndex::Replica() const {
+  PITEX_CHECK_MSG(counts_ != nullptr, "index not built");
+  // The constructor seeds query_rng_ from options_.seed, which is the
+  // seed a loaded copy reads back from the file header.
+  auto replica = std::make_unique<DelayMatIndex>(network_, options_);
+  replica->counts_ = counts_;
+  replica->build_seconds_ = build_seconds_;
+  return replica;
 }
 
 void DelayMatIndex::RecoverRRGraph(VertexId u) {
@@ -91,14 +100,14 @@ void DelayMatIndex::RecoverFor(VertexId u) {
   if (has_cached_user_ && cached_user_ == u) return;
   cached_graphs_.Clear();
   cached_weights_.clear();
-  const uint32_t count = counts_[u];
+  const uint32_t count = (*counts_)[u];
   for (uint32_t i = 0; i < count; ++i) RecoverRRGraph(u);
   has_cached_user_ = true;
   cached_user_ = u;
 }
 
 Estimate DelayMatIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
-  PITEX_CHECK_MSG(built_, "index not built");
+  PITEX_CHECK_MSG(counts_ != nullptr, "index not built");
   Estimate result;
   // Importance-corrected estimator (see header): average of
   // |R_g(u)| * 1[u ~>_W root].
@@ -125,7 +134,8 @@ Estimate DelayMatIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
 }
 
 size_t DelayMatIndex::SizeBytes() const {
-  return sizeof(DelayMatIndex) + counts_.capacity() * sizeof(uint32_t);
+  return sizeof(DelayMatIndex) +
+         (counts_ == nullptr ? 0 : counts_->capacity() * sizeof(uint32_t));
 }
 
 }  // namespace pitex

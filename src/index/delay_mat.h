@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/index/rr_graph.h"
@@ -47,11 +48,16 @@ class DelayMatIndex final : public InfluenceOracle {
   /// RR-Graphs.
   void Build();
 
+  /// A built copy answering as a LoadDelayMatIndex of this index's file
+  /// would: shared counters, fresh recovery state (empty cache, query RNG
+  /// at its seed) whatever this index has served. Thread-safe.
+  std::unique_ptr<DelayMatIndex> Replica() const;
+
   Estimate EstimateInfluence(VertexId u, const EdgeProbFn& probs) override;
   const char* Name() const override { return "DELAYMAT"; }
 
   uint64_t theta() const { return theta_; }
-  size_t CountContaining(VertexId u) const { return counts_[u]; }
+  size_t CountContaining(VertexId u) const { return (*counts_)[u]; }
 
   /// Index footprint: one counter per vertex (Table 3 metric).
   size_t SizeBytes() const;
@@ -73,13 +79,13 @@ class DelayMatIndex final : public InfluenceOracle {
   const SocialNetwork& network_;
   RrIndexOptions options_;
   uint64_t theta_ = 0;
-  std::vector<uint32_t> counts_;
+  // Null until built; immutable after, and shared by every Replica().
+  std::shared_ptr<const std::vector<uint32_t>> counts_;
   Rng query_rng_;
-  // Per-instance reachability scratch (DelayMat caches per query user and
-  // is never shared across threads; see PitexService::BindWorker).
+  // Per-instance reachability scratch (DelayMat caches per query user, so
+  // an instance is never shared across threads; workers serve Replica()s).
   EstimateScratch scratch_;
   double build_seconds_ = 0.0;
-  bool built_ = false;
   bool has_cached_user_ = false;
   VertexId cached_user_ = 0;
   // Step 2 re-closes each recovered graph through the arena, straight

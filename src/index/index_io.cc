@@ -287,7 +287,7 @@ class IndexIo {
                "fault injected: index_io/save");
       return false;
     }
-    if (!index.built_) {
+    if (index.counts_ == nullptr) {
       SetError(error, IndexIoCode::kNotBuilt,
                "index not built; call Build() before saving");
       return false;
@@ -296,7 +296,7 @@ class IndexIo {
     WriteHeader(&writer, kKindDelayMat,
                 NetworkFingerprint(index.network_), index.options_);
     writer.WriteU64(index.theta_);
-    writer.WriteVector<uint32_t>(index.counts_);
+    writer.WriteVector<uint32_t>(*index.counts_);
     writer.WriteF64(index.build_seconds_);
     writer.WriteChecksum();
     if (!writer.ok()) {
@@ -339,12 +339,13 @@ class IndexIo {
     options.theta_override = theta;
     auto index =
         std::unique_ptr<DelayMatIndex>(new DelayMatIndex(network, options));
-    if (!reader.ReadVector(&index->counts_, network.num_vertices()) ||
-        index->counts_.size() != network.num_vertices()) {
+    std::vector<uint32_t> counts;
+    if (!reader.ReadVector(&counts, network.num_vertices()) ||
+        counts.size() != network.num_vertices()) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt counter payload");
       return nullptr;
     }
-    for (uint32_t count : index->counts_) {
+    for (uint32_t count : counts) {
       if (count > theta) {
         SetError(error, IndexIoCode::kCorruptPayload, "counter exceeds theta: corrupt payload");
         return nullptr;
@@ -355,7 +356,8 @@ class IndexIo {
       return nullptr;
     }
     if (!VerifyTrailer(&reader, error)) return nullptr;
-    index->built_ = true;
+    index->counts_ =
+        std::make_shared<const std::vector<uint32_t>>(std::move(counts));
     return index;
   }
 };

@@ -26,17 +26,17 @@ double RrIndex::TheoreticalTheta(const RrIndexOptions& options,
 RrIndex::RrIndex(const SocialNetwork& network, const RrIndexOptions& options)
     : network_(network),
       options_(options),
-      pool_(std::make_shared<const RrSketchPool>()) {
-  if (options_.theta_override > 0) {
-    theta_ = options_.theta_override;
-  } else {
-    const double theta =
-        options_.theta_per_vertex *
-        static_cast<double>(network.num_vertices());
-    theta_ = std::min<uint64_t>(
-        options_.max_theta,
-        std::max<uint64_t>(64, static_cast<uint64_t>(std::llround(theta))));
-  }
+      theta_(ThetaFor(network.num_vertices(), options)),
+      pool_(std::make_shared<const RrSketchPool>()) {}
+
+uint64_t RrIndex::ThetaFor(size_t num_vertices,
+                           const RrIndexOptions& options) {
+  if (options.theta_override > 0) return options.theta_override;
+  const double theta =
+      options.theta_per_vertex * static_cast<double>(num_vertices);
+  return std::min<uint64_t>(
+      options.max_theta,
+      std::max<uint64_t>(64, static_cast<uint64_t>(std::llround(theta))));
 }
 
 std::unique_ptr<RrIndex> RrIndex::FromPool(

@@ -54,6 +54,10 @@ class RrIndex final : public InfluenceOracle {
   static double TheoreticalTheta(const RrIndexOptions& options,
                                  size_t num_vertices, size_t num_tags);
 
+  /// Offline sample size, for RrIndex and DelayMatIndex alike:
+  /// theta_override, else theta_per_vertex * |V| within [64, max_theta].
+  static uint64_t ThetaFor(size_t num_vertices, const RrIndexOptions& options);
+
   RrIndex(const SocialNetwork& network, const RrIndexOptions& options);
 
   /// Snapshot hook (src/serve): a built index serving the shared `base`

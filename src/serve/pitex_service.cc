@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <thread>
 #include <utility>
 
-#include "src/index/index_io.h"
 #include "src/serve/recovery.h"
 #include "src/util/check.h"
 #include "src/util/failpoint.h"
@@ -290,23 +288,17 @@ void PitexService::Start() {
       // The pump pool doubles as the build pool (pumps are parked only
       // after the build); the index is bit-identical for any pool size.
       index->Build(pool_.get());
-      snapshot = IndexSnapshot::Wrap(network_, std::move(index), "", 1);
+      snapshot = IndexSnapshot::Wrap(network_, std::move(index), 1);
     }
   } else {
     PITEX_CHECK_MSG(!options_.enable_updates,
                     "enable_updates requires kIndexEst or kIndexEstPlus");
+    std::unique_ptr<DelayMatIndex> prototype;
     if (method == Method::kDelayMat) {
-      DelayMatIndex prototype(*network_, index_options);
-      prototype.Build();
-      std::stringstream snapshot_stream;
-      IndexIoError error;
-      PITEX_CHECK_MSG(SaveDelayMatIndex(prototype, snapshot_stream, &error),
-                      error.message.c_str());
-      snapshot =
-          IndexSnapshot::Wrap(network_, nullptr, snapshot_stream.str(), 1);
-    } else {
-      snapshot = IndexSnapshot::Wrap(network_, nullptr, "", 1);
+      prototype = std::make_unique<DelayMatIndex>(*network_, index_options);
+      prototype->Build();
     }
+    snapshot = IndexSnapshot::Wrap(network_, nullptr, 1, std::move(prototype));
   }
   const uint64_t first_epoch = snapshot->epoch();
   registry_.Publish(std::move(snapshot));
@@ -425,22 +417,10 @@ void PitexService::BindWorker(WorkerState* state,
       std::make_unique<PitexEngine>(&snapshot->network(), worker_options);
   if (snapshot->rr_index() != nullptr) {
     engine->UseSharedRrIndex(snapshot->rr_index());
-  } else if (!snapshot->delay_snapshot().empty()) {
-    // DelayMat caches recovered graphs per query user and must not be
-    // shared: hydrate a private replica from the serialized prototype.
-    // Hydration reads through index_io, whose fault-injectable error
-    // paths model transient I/O failures -- worth a bounded retry before
-    // declaring the worker unusable (the prototype bytes are in memory,
-    // so a retry rereads identical data).
-    std::unique_ptr<DelayMatIndex> replica;
-    IndexIoError error;
-    for (int attempt = 0; attempt < 3 && replica == nullptr; ++attempt) {
-      std::stringstream snapshot_stream(snapshot->delay_snapshot());
-      replica = LoadDelayMatIndex(snapshot->network(), snapshot_stream,
-                                  &error);
-    }
-    PITEX_CHECK_MSG(replica != nullptr, error.message.c_str());
-    engine->AdoptDelayMatIndex(std::move(replica));
+  } else if (snapshot->delay_index() != nullptr) {
+    // DelayMat caches recovered graphs per query user, so each worker
+    // serves its own replica, sharing the prototype's counters.
+    engine->AdoptDelayMatIndex(snapshot->delay_index()->Replica());
   }
   engine->BuildIndex();  // wraps/attaches; cheap for adopted indexes
   state->engine = std::move(engine);
@@ -951,7 +931,10 @@ size_t PitexService::SharedIndexSizeBytes() const {
   if (snapshot->rr_index() != nullptr) {
     return snapshot->rr_index()->SizeBytes();
   }
-  return snapshot->delay_snapshot().size();
+  if (snapshot->delay_index() != nullptr) {
+    return snapshot->delay_index()->SizeBytes();
+  }
+  return 0;
 }
 
 obs::MetricsSnapshot PitexService::SnapshotMetrics() {

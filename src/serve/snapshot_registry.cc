@@ -10,7 +10,7 @@ namespace pitex {
 
 std::shared_ptr<const IndexSnapshot> IndexSnapshot::Wrap(
     const SocialNetwork* network, std::unique_ptr<RrIndex> rr_index,
-    std::string delay_snapshot, uint64_t epoch) {
+    uint64_t epoch, std::unique_ptr<const DelayMatIndex> delay_index) {
   PITEX_CHECK(network != nullptr);
   auto snapshot = std::shared_ptr<IndexSnapshot>(new IndexSnapshot());
   // Non-owning alias: the control block holds nothing, the pointer is
@@ -18,7 +18,7 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::Wrap(
   snapshot->network_ =
       std::shared_ptr<const SocialNetwork>(std::shared_ptr<void>(), network);
   snapshot->rr_index_ = std::move(rr_index);
-  snapshot->delay_snapshot_ = std::move(delay_snapshot);
+  snapshot->delay_index_ = std::move(delay_index);
   snapshot->epoch_ = epoch;
   return snapshot;
 }

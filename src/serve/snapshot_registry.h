@@ -6,10 +6,12 @@
 // every in-flight query for the duration of a repair batch. Instead the
 // registry versions the index into immutable *snapshots*:
 //
-//   * an IndexSnapshot is a frozen (network, RrIndex replica) pair
-//     stamped with a monotonically increasing epoch. It is never mutated
-//     after construction, so any number of workers read it without
-//     synchronization (RrIndex estimation is const + per-thread scratch);
+//   * an IndexSnapshot is a frozen (network, shared index) pair stamped
+//     with a monotonically increasing epoch: an RrIndex or a built
+//     DelayMat prototype (neither for online methods). It is never
+//     mutated after construction, so any number of workers read it
+//     without synchronization (RrIndex estimation is const + per-thread
+//     scratch; DelayMat workers each serve a Replica() of the prototype);
 //   * repairs run on the writer's private master DynamicRrIndex — state
 //     no reader ever sees — and publishing freezes only what changed:
 //     the snapshot shares the master's topology, influence CSR and base
@@ -31,10 +33,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/index/delay_mat.h"
 #include "src/index/dynamic_index.h"
 #include "src/index/rr_index.h"
 #include "src/util/mutex.h"
@@ -55,17 +57,17 @@ class IndexSnapshot {
   /// Read-only after build; safe for concurrent engines (see
   /// PitexEngine::UseSharedRrIndex).
   RrIndex* rr_index() const { return rr_index_.get(); }
-  /// Serialized DelayMat prototype (kDelayMat), hydrated per worker via
-  /// LoadDelayMatIndex; empty otherwise.
-  const std::string& delay_snapshot() const { return delay_snapshot_; }
+  /// Built DelayMat prototype (kDelayMat), else null. It never serves
+  /// queries itself: each worker adopts its own Replica().
+  const DelayMatIndex* delay_index() const { return delay_index_.get(); }
   uint64_t epoch() const { return epoch_; }
 
   /// Aliases `network` without copying (initial snapshot on a caller-
-  /// owned network; `network` must outlive the snapshot). `rr_index` may
-  /// be null for online methods.
+  /// owned network; `network` must outlive the snapshot). At most one
+  /// index is non-null; neither is for online methods.
   static std::shared_ptr<const IndexSnapshot> Wrap(
       const SocialNetwork* network, std::unique_ptr<RrIndex> rr_index,
-      std::string delay_snapshot, uint64_t epoch);
+      uint64_t epoch, std::unique_ptr<const DelayMatIndex> delay_index = {});
 
   /// Freezes the master's current state — the publish path for
   /// serve-during-update. The snapshot's network is an O(1) copy of the
@@ -89,7 +91,7 @@ class IndexSnapshot {
 
   std::shared_ptr<const SocialNetwork> network_;
   std::unique_ptr<RrIndex> rr_index_;
-  std::string delay_snapshot_;
+  std::unique_ptr<const DelayMatIndex> delay_index_;
   uint64_t epoch_ = 0;
 };
 

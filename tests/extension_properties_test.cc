@@ -219,12 +219,13 @@ TEST_P(FamilySweepTest, EngineServesLoadedIndex) {
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
 
-  // ...and serve from a second engine that adopts the loaded replica.
+  // ...and serve from a second engine that shares the loaded replica
+  // (`loaded` is declared first, so it outlives `server`).
   auto loaded = LoadRrIndex(n, file);
   ASSERT_NE(loaded, nullptr);
   PitexEngine server(&n, options);
-  server.AdoptRrIndex(std::move(loaded));
-  server.BuildIndex();  // attaches the adopted index, builds nothing
+  server.UseSharedRrIndex(loaded.get());
+  server.BuildIndex();  // attaches the shared index, builds nothing
 
   const PitexResult from_builder = builder.Explore({.user = 0, .k = 1});
   const PitexResult from_server = server.Explore({.user = 0, .k = 1});

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
 #include "src/index/delay_mat.h"
 #include "src/index/edge_cut.h"
+#include "src/index/index_io.h"
 #include "src/index/rr_index.h"
 #include "src/sampling/exact.h"
 #include "src/util/serialize.h"
@@ -259,6 +262,46 @@ TEST(DelayMatTest, EstimatesMatchExact) {
       EXPECT_NEAR(est.influence, exact, 0.08 * exact)
           << "pair " << a << "," << b;
     }
+  }
+}
+
+TEST(DelayMatTest, ReplicaServesLikeAHydratedCopy) {
+  // A replica starts from the recovery state a loaded copy starts from
+  // (empty cache, query RNG at its seeded start), whatever its prototype
+  // has already served: their estimates agree bit for bit.
+  SocialNetwork n = MakeRunningExample();
+  RrIndexOptions options = DenseOptions();
+  options.theta_override = 4000;
+  DelayMatIndex prototype(n, options);
+  prototype.Build();
+  const auto posterior_for = [&n](TagId a, TagId b) {
+    const TagId tags[] = {a, b};
+    return n.topics.Posterior(tags);
+  };
+  for (const VertexId user : {0, 2}) {
+    const auto post = posterior_for(0, 1);
+    prototype.EstimateInfluence(user, PosteriorProbs(n.influence, post));
+  }
+
+  std::stringstream file;
+  ASSERT_TRUE(SaveDelayMatIndex(prototype, file));
+  const auto loaded = LoadDelayMatIndex(n, file);
+  ASSERT_NE(loaded, nullptr);
+  const auto replica = prototype.Replica();
+  // User 3 twice in a row: the second query is served from the cache.
+  const struct {
+    VertexId user;
+    TagId a, b;
+  } queries[] = {{0, 0, 1}, {3, 0, 2}, {3, 2, 3}, {2, 1, 3}};
+  for (const auto& query : queries) {
+    const auto post = posterior_for(query.a, query.b);
+    const PosteriorProbs probs(n.influence, post);
+    const Estimate want = loaded->EstimateInfluence(query.user, probs);
+    const Estimate got = replica->EstimateInfluence(query.user, probs);
+    EXPECT_EQ(got.influence, want.influence) << "user " << query.user;
+    EXPECT_EQ(got.std_error, want.std_error) << "user " << query.user;
+    EXPECT_EQ(got.samples, want.samples) << "user " << query.user;
+    EXPECT_EQ(got.edges_visited, want.edges_visited) << "user " << query.user;
   }
 }
 

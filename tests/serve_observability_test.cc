@@ -383,6 +383,23 @@ TEST_F(ServeObservabilityTest, OverlayGaugeRisesWithPublishesAndClearsAtCheckpoi
   fs::remove_all(dir);
 }
 
+TEST_F(ServeObservabilityTest, DelayMatIndexBytesAreThePrototypeFootprint) {
+  // A DelayMat service's footprint gauge reports the shared prototype's
+  // SizeBytes() (its counters), the same as any index built with the
+  // same options.
+  const SocialNetwork n = MakeRunningExample();
+  ServeOptions options = BaseOptions(ScheduleMode::kWorkStealing);
+  options.engine.method = Method::kDelayMat;
+  PitexService service(&n, options);
+  service.Start();
+
+  DelayMatIndex same(n, IndexOptionsFor(options.engine));
+  same.Build();
+  EXPECT_EQ(service.SnapshotMetrics().GaugeValue("pitex_index_bytes"),
+            static_cast<int64_t>(service.SharedIndexSizeBytes()));
+  EXPECT_EQ(service.SharedIndexSizeBytes(), same.SizeBytes());
+}
+
 TEST_F(ServeObservabilityTest, SnapshotMetricsConservesEveryQuery) {
   const SocialNetwork n = MakeRunningExample();
   ServeOptions options = BaseOptions(ScheduleMode::kWorkStealing);

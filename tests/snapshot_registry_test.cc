@@ -29,9 +29,9 @@ TEST(SnapshotRegistryTest, PublishSwapsCurrentAndBumpsEpoch) {
   EXPECT_EQ(registry.Current(), nullptr);
   EXPECT_EQ(registry.current_epoch(), 0u);
 
-  registry.Publish(IndexSnapshot::Wrap(&n, nullptr, "", 1));
+  registry.Publish(IndexSnapshot::Wrap(&n, nullptr, 1));
   EXPECT_EQ(registry.current_epoch(), 1u);
-  registry.Publish(IndexSnapshot::Wrap(&n, nullptr, "", 2));
+  registry.Publish(IndexSnapshot::Wrap(&n, nullptr, 2));
   EXPECT_EQ(registry.current_epoch(), 2u);
   EXPECT_EQ(registry.epochs_published(), 2u);
   EXPECT_EQ(&registry.Current()->network(), &n);
@@ -40,11 +40,11 @@ TEST(SnapshotRegistryTest, PublishSwapsCurrentAndBumpsEpoch) {
 TEST(SnapshotRegistryTest, RetiredEpochLivesWhilePinnedThenReclaims) {
   const SocialNetwork n = MakeRunningExample();
   IndexSnapshotRegistry registry;
-  registry.Publish(IndexSnapshot::Wrap(&n, nullptr, "", 1));
+  registry.Publish(IndexSnapshot::Wrap(&n, nullptr, 1));
 
   // An in-flight query pins epoch 1.
   std::shared_ptr<const IndexSnapshot> pinned = registry.Current();
-  registry.Publish(IndexSnapshot::Wrap(&n, nullptr, "", 2));
+  registry.Publish(IndexSnapshot::Wrap(&n, nullptr, 2));
 
   // The old epoch is retired but must stay alive for its reader.
   EXPECT_EQ(registry.AliveSnapshots(), 1u);
