@@ -103,7 +103,7 @@ void BM_GenerateRRGraph(benchmark::State& state) {
         static_cast<VertexId>(rng.NextBounded(n.num_vertices()));
     run.Clear();
     arena.Generate(n.graph, n.influence, root, &rng, &run);
-    benchmark::DoNotOptimize(run.View(0));
+    benchmark::DoNotOptimize(run.View(0, root));
   }
 }
 BENCHMARK(BM_GenerateRRGraph);
@@ -328,27 +328,28 @@ const uint8_t* BlockStart(const RRView& rr) {
          (in_tree ? 0 : VarintLength(rr.edges.size()));
 }
 
-// True for an implicit singleton, which has no block: its directory word
-// is its vertex.
+// True for an implicit singleton, which has no block and no directory
+// word: only its clear bit in its group's mask.
 bool IsSingleton(const RRView& rr) {
   return rr.vertices.size() == 1 && rr.edges.empty();
 }
 
 // Distinct 64-byte lines of pool memory an estimate walk over `rr` can
-// touch: its directory word (2 or 4 bytes, never across a line) and, for
-// an explicit sketch, its group's 4-byte base in the directory's base
-// array and its block, which runs without gaps from its header through
-// the byte of the last bit of its m records; an in-tree block has no
-// offsets in between. Lines are counted from `body`, the pool's first
-// block, as if the body started a line, so the count does not depend on
-// where the heap placed the body.
+// touch: its group's 16-byte directory record (aligned to 16 bytes, so
+// never across a line), all a singleton's walk reads, and, for a block,
+// its word (2 or 4 bytes, never across a line) and its block, which
+// runs without gaps from its header through the byte of the last bit of
+// its m records; an in-tree block has no offsets in between. Lines are
+// counted from `body`, the pool's first block, as if the body started a
+// line, so the count does not depend on where the heap placed the body.
 uint64_t PoolLines(const RRView& rr, const uint8_t* body) {
   if (IsSingleton(rr)) return 1;
   const auto line = [body](const uint8_t* p) {
     return static_cast<uint64_t>(p - body) / 64;
   };
   const uint8_t* end = rr.edges.end_byte();
-  return 2 + (line(end - 1) - line(BlockStart(rr)) + 1);  // word, base, block
+  // The record, the word and the block.
+  return 2 + (line(end - 1) - line(BlockStart(rr)) + 1);
 }
 
 void BM_IndexEstimateSweep(benchmark::State& state) {
@@ -376,9 +377,15 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
     double edges_visited, pool_lines, containing_bytes;
   };
   static const Sweep sweep = [&n, &probs] {
+    // The first block starts the body: every block is in some list.
     const uint8_t* body = nullptr;
-    for (size_t i = 0; body == nullptr && i < index->num_graphs(); ++i) {
-      if (!IsSingleton(index->graph(i))) body = BlockStart(index->graph(i));
+    for (VertexId v = 0; v < n.num_vertices(); ++v) {
+      for (const uint32_t id : index->Containing(v)) {
+        const RRView rr = index->graph(id, v);
+        if (!IsSingleton(rr) && (body == nullptr || BlockStart(rr) < body)) {
+          body = BlockStart(rr);
+        }
+      }
     }
     uint64_t edges = 0;
     uint64_t lines = 0;
@@ -387,7 +394,7 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
       edges += index->EstimateInfluence(v, probs).edges_visited;
       const ContainingList list = index->Containing(v);
       for (const uint32_t id : list) {
-        lines += PoolLines(index->graph(id), body);
+        lines += PoolLines(index->graph(id, v), body);
       }
       bits += list.bits();
     }
@@ -405,8 +412,10 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
   state.counters["edges_visited"] = sweep.edges_visited;
   state.counters["pool_lines"] = sweep.pool_lines;
   state.counters["containing_bytes"] = sweep.containing_bytes;
-  // The swept index's exact footprint.
+  // The swept index's exact footprint, and its directory's share.
   state.counters["pool_bytes"] = static_cast<double>(index->SizeBytes());
+  state.counters["directory_bytes"] =
+      static_cast<double>(index->pool().DirectoryBytes());
 }
 BENCHMARK(BM_IndexEstimateSweep);
 
@@ -426,11 +435,17 @@ void BM_IsReachable(benchmark::State& state) {
   const auto post = n.topics.Posterior(tags);
   const PosteriorProbs probs(n.influence, post);
   // (sketch, user) pairs where the user is a non-root member, gathered
-  // across the whole index so the BFS actually walks edges.
+  // across the whole index so the BFS actually walks edges: each
+  // sketch's first such member, in sketch order, viewed through a member
+  // its containing lists name.
+  std::vector<VertexId> member(index->num_graphs());
+  for (VertexId v = 0; v < n.num_vertices(); ++v) {
+    for (const uint32_t id : index->Containing(v)) member[id] = v;
+  }
   std::vector<std::pair<uint32_t, VertexId>> pairs;
   for (uint32_t id = 0; id < index->num_graphs() && pairs.size() < 1024;
        ++id) {
-    const RRView rr = index->graph(id);
+    const RRView rr = index->graph(id, member[id]);
     for (const VertexId v : rr.vertices) {
       if (v != rr.root()) {
         pairs.emplace_back(id, v);
@@ -448,7 +463,7 @@ void BM_IsReachable(benchmark::State& state) {
   for (auto _ : state) {
     const auto& [id, u] = pairs[next];
     benchmark::DoNotOptimize(
-        IsReachable(index->graph(id), u, probs, &visits, &scratch));
+        IsReachable(index->graph(id, u), u, probs, &visits, &scratch));
     next = (next + 1) % pairs.size();
   }
 }

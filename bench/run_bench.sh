@@ -11,11 +11,11 @@
 # beside it: single-thread CPU time is the unit a one-CPU host reads)
 # stay report-only: a real_time regression above 25% is flagged, never
 # failed on, as shared-runner timings are noisy. Exact work counters
-# (pool_lines, containing_bytes, pool_bytes, file_bytes, edges_visited,
-# sets_evaluated, overlay_sketches) print as baseline -> current, and a
-# rise in any of them on BM_IndexEstimateSweep, BM_IndexEstPlusQuery,
-# BM_BestEffortQuery, BM_SerializeRrIndex, BM_LoadRrIndex,
-# BM_SnapshotPublish or
+# (pool_lines, containing_bytes, pool_bytes, directory_bytes,
+# file_bytes, edges_visited, sets_evaluated, overlay_sketches) print as
+# baseline -> current, and a rise in any of them on
+# BM_IndexEstimateSweep, BM_IndexEstPlusQuery, BM_BestEffortQuery,
+# BM_SerializeRrIndex, BM_LoadRrIndex, BM_SnapshotPublish or
 # BM_CompactOverlay fails the run (exit 1), and so the CI job: counts
 # need no repeats and no quiet host. A change that means to move a count
 # regenerates the baseline. bench/paired.sh reads the COUNTERS list
@@ -110,8 +110,9 @@ import json
 import sys
 
 REGRESSION_PCT = 25.0
-COUNTERS = ("pool_lines", "containing_bytes", "pool_bytes", "file_bytes",
-            "edges_visited", "sets_evaluated", "overlay_sketches")
+COUNTERS = ("pool_lines", "containing_bytes", "pool_bytes",
+            "directory_bytes", "file_bytes", "edges_visited",
+            "sets_evaluated", "overlay_sketches")
 GATED = ("BM_IndexEstimateSweep", "BM_IndexEstPlusQuery",
          "BM_BestEffortQuery", "BM_SerializeRrIndex", "BM_LoadRrIndex",
          "BM_SnapshotPublish", "BM_CompactOverlay")

@@ -47,7 +47,7 @@ QueryPlanner::QueryPlanner(const SocialNetwork* network, size_t probe_samples,
         static_cast<VertexId>(rng.NextBounded(network_->num_vertices()));
     run.Clear();
     arena.Generate(network_->graph, network_->influence, root, &rng, &run);
-    const RRView rr = run.View(0);
+    const RRView rr = run.View(0, root);
     size_sum += static_cast<double>(rr.vertices.size() + rr.edges.size());
     containment_sum += static_cast<double>(rr.vertices.size()) /
                        static_cast<double>(network_->num_vertices());

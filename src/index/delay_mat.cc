@@ -114,10 +114,11 @@ Estimate DelayMatIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
   double weighted_hits = 0.0;
   double sum_squares = 0.0;
   RecoverFor(u);
+  // Every recovered graph contains u, which reaches its root.
   for (size_t i = 0; i < cached_graphs_.num_sketches(); ++i) {
     ++result.samples;
-    if (IsReachable(cached_graphs_.View(i), u, probs, &result.edges_visited,
-                    &scratch_)) {
+    if (IsReachable(cached_graphs_.View(i, u), u, probs,
+                    &result.edges_visited, &scratch_)) {
       const auto weight = static_cast<double>(cached_weights_[i]);
       weighted_hits += weight;
       sum_squares += weight * weight;

@@ -170,7 +170,9 @@ void DynamicRrIndex::Compact() {
 void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
                                  double p_new, Rng* rng) {
   // `rr` may view the overlay's store: read it fully before Put appends.
-  const RRView rr = graph(id);
+  // Every sketch repaired for e contains head(e), whose list holds it.
+  const RRView rr = graph(id, network_.graph.Head(e));
+  const VertexId root = rr.root();
   auto& edges = repair_edges_;
   DecomposeRRGraphInto(rr, &edges);
   const auto it =
@@ -245,7 +247,7 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
   // (the overlay's, else the base's) once, adds or removes `id`, and
   // re-codes the list into the overlay.
   repaired_.Clear();
-  arena_.RebuildRepairedSketch(rr.root(), edges, &repaired_);
+  arena_.RebuildRepairedSketch(root, edges, &repaired_);
   const auto splice = [&](VertexId v, bool insert) {
     const ContainingList current =
         overlay_->Containing(v).value_or(base_->Containing(v));
@@ -261,7 +263,7 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
     overlay_->SetContaining(v, ids);
   };
   const VertexIds before = rr.vertices;
-  const VertexIds after = repaired_.View(0).vertices;
+  const VertexIds after = repaired_.View(0, root).vertices;
   size_t i = 0;
   size_t j = 0;
   while (i < before.size() || j < after.size()) {
@@ -276,7 +278,7 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
       ++j;
     }
   }
-  overlay_->Put(id, repaired_.View(0));
+  overlay_->Put(id, repaired_.View(0, root));
 }
 
 Estimate DynamicRrIndex::EstimateInfluence(VertexId u,

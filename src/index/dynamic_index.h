@@ -164,8 +164,9 @@ class DynamicRrIndex final : public InfluenceOracle {
   /// The sketch accessors below read the index once Build() or
   /// AdoptSketches() has run.
   size_t num_graphs() const { return view_->num_graphs(); }
-  /// Current version of sketch i (valid until the next update).
-  RRView graph(size_t i) const { return view_->graph(i); }
+  /// Current version of sketch i (valid until the next update), `u` a
+  /// vertex it contains (RrIndex::graph).
+  RRView graph(size_t i, VertexId u) const { return view_->graph(i, u); }
   const RrIndexOptions& options() const { return options_; }
   /// Ids of the sketches containing u, ascending (valid until the next
   /// update).

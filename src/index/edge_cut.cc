@@ -24,7 +24,7 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
   std::unordered_map<EdgeId, size_t> list_of;
 
   for (uint32_t id : base_->Containing(u)) {
-    const RRView rr = base_->graph(id);
+    const RRView rr = base_->graph(id, u);
     const auto u_local = rr.LocalIndex(u);
     PITEX_DCHECK(u_local.has_value());
     if (*u_local == rr.root_local) {
@@ -115,7 +115,7 @@ Estimate PrunedRrIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
 
   // Verification step.
   for (uint32_t id : candidates) {
-    if (IsReachable(base_->graph(id), u, probs, &result.edges_visited,
+    if (IsReachable(base_->graph(id, u), u, probs, &result.edges_visited,
                     &scratch_)) {
       ++hits;
     }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <utility>
@@ -16,9 +15,12 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v10's RR-Graph payload is the RrSketchPool image: its directory's word
-// width and words (not its bases, which the loader derives) and its body
-// bytes as they are stored, padding included: each sketch's block of
+// v10's RR-Graph payload is the RrSketchPool image: its directory as one
+// word per sketch, a singleton's root or a flag | its block's start less
+// its group's base, at the width the words call for (the pool itself
+// keeps a word per block only, and the writer takes the singletons'
+// roots from its containing lists), and its body bytes as they are
+// stored, padding included: each sketch's block of
 // bit-granular fields at the widths its network and its own vertex count
 // call for, an in-tree block's CSR offsets left out, each edge record
 // its edge's rank in its tail's out-list. (v1, one record per graph, v2,
@@ -158,18 +160,25 @@ class IndexIo {
     }
     // The payload is the base pool's arrays. An index with repairs saves
     // as its compaction: the pool its overlay folds the base into. The
-    // containing index is not written: the loader rebuilds it.
+    // containing index is not written: the loader rebuilds it. The
+    // directory is written one word per sketch, a singleton's its root:
+    // the fold hands over the folded pool's roots, and a pool without
+    // repairs decodes its own, so a save decodes one pool's lists once.
     std::optional<RrSketchPool> folded;
+    std::vector<VertexId> roots;
     if (const RrSketchOverlay* overlay = index.repairs()) {
-      folded = overlay->Fold(*index.pool_);
+      folded = overlay->Fold(*index.pool_, &roots);
+    } else {
+      roots = index.pool_->SingletonRoots();
     }
     const RrSketchPool& pool = folded ? *folded : *index.pool_;
+    const RrSketchPool::FileDirectory directory = pool.SaveDirectory(roots);
     BinaryWriter writer(&out);
     WriteHeader(&writer, kKindRrGraphs,
                 NetworkFingerprint(index.network_), index.options_);
     writer.WriteU64(index.theta_);
-    writer.WriteU8(static_cast<uint8_t>(pool.slots_.width()));
-    writer.WriteVector<uint8_t>(pool.slots_.bytes());
+    writer.WriteU8(static_cast<uint8_t>(directory.width));
+    writer.WriteVector<uint8_t>(directory.words);
     writer.WriteVector<uint8_t>(pool.body_);
     writer.WriteF64(index.build_seconds_);
     writer.WriteChecksum();
@@ -261,16 +270,13 @@ class IndexIo {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");
       return nullptr;
     }
-    pool.slots_.SetWidth(width);
-    pool.slots_.units.resize(words.size() / sizeof(uint16_t));
-    std::memcpy(pool.slots_.units.data(), words.data(), words.size());
     pool.body_.shrink_to_fit();
     if (!reader.ReadF64(&index->build_seconds_)) {
       SetError(error, IndexIoCode::kTruncated, "truncated index trailer");
       return nullptr;
     }
     if (!VerifyTrailer(&reader, error)) return nullptr;
-    if (!pool.FinishLoaded(network.graph)) {
+    if (!pool.FinishLoaded(network.graph, width, words)) {
       SetError(error, IndexIoCode::kCorruptPayload,
                "pooled sketches are not a packed pool of this network");
       return nullptr;

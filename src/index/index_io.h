@@ -27,7 +27,10 @@
 // less its group's base. The bases, one per 64 sketches, are not saved:
 // the loader derives each as the offset where the next block must start
 // when its walk reaches the group's first sketch. A file takes 2-byte
-// words unless some root or offset needs bit 15 or above. The body is
+// words unless some root or offset needs bit 15 or above. The pool in
+// memory keeps a word per block only: the writer takes the singletons'
+// roots from one decode of its containing lists, and the loader builds
+// the lists from the words' roots and then drops them. The body is
 // stored as the pool holds it: each explicit sketch is one block, a
 // varint header (n and the in-tree flag, and m for a block that is not
 // an in-tree) and then bit-granular fields to the next byte: its

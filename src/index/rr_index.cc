@@ -138,12 +138,21 @@ PITEX_NOALLOC Estimate RrIndex::EstimateInfluence(
     if (IsReachable(rr, u, probs, &result.edges_visited, scratch)) ++hits;
   };
   // The overlay check is hoisted out of the loop: an index without
-  // repairs walks the base pool exactly as a freshly built one does.
+  // repairs walks the base pool exactly as a freshly built one does. A
+  // singleton in u's list is u alone, its root: a hit that visits no
+  // edge, read from its mask bit without a view.
   const RrSketchPool& base = *pool_;
   if (repairs() == nullptr) {
-    for (const uint32_t id : base.Containing(u)) count(base.View(id));
+    for (const uint32_t id : base.Containing(u)) {
+      if (base.IsSingleton(id)) {
+        ++result.samples;
+        ++hits;
+      } else {
+        count(base.View(id, u));
+      }
+    }
   } else {
-    for (const uint32_t id : Containing(u)) count(graph(id));
+    for (const uint32_t id : Containing(u)) count(graph(id, u));
   }
   result.influence = static_cast<double>(hits) /
                      static_cast<double>(theta_) *

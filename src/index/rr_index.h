@@ -91,13 +91,17 @@ class RrIndex final : public InfluenceOracle {
   uint64_t theta() const { return theta_; }
   size_t num_vertices() const { return network_.num_vertices(); }
   size_t num_graphs() const { return pool_->num_sketches(); }
-  /// Non-owning view of RR-Graph i (valid while the index is alive).
-  RRView graph(size_t i) const {
+  /// Non-owning view of RR-Graph i (valid while the index is alive), `u`
+  /// a vertex it contains (RrSketchPool::View): a reader walking
+  /// Containing(u) passes u.
+  RRView graph(size_t i, VertexId u) const {
     if (const RrSketchOverlay* overlay = repairs()) {
       const uint32_t slot = overlay->SlotOf(static_cast<uint32_t>(i));
-      if (slot != RrSketchOverlay::kNotRepaired) return overlay->View(slot);
+      if (slot != RrSketchOverlay::kNotRepaired) {
+        return overlay->View(slot, u);
+      }
     }
-    return pool_->View(i);
+    return pool_->View(i, u);
   }
   /// Ids (sketch positions) of the RR-Graphs containing u, ascending.
   ContainingList Containing(VertexId u) const {

@@ -48,7 +48,10 @@ void RrSketchPool::Append(const RRView& sketch) {
 }
 
 void RrSketchPool::Clear() {
-  slots_.Clear();
+  groups_.clear();
+  block_words_.Clear();
+  roots_.clear();
+  num_sketches_ = 0;
   body_.clear();
   containing_starts_.Clear();
   containing_.clear();
@@ -56,34 +59,71 @@ void RrSketchPool::Clear() {
   containing_k_ = 0;
 }
 
-void RrSketchPool::WidenDirectory() {
-  slots_.Widen([](uint32_t word) {
-    return (word & kNarrowExplicit) != 0
-               ? kExplicit | (word & ~kNarrowExplicit)
-               : word;
-  });
+void RrSketchPool::Words::Widen() {
+  PITEX_DCHECK(shift == 1);
+  const size_t count = size();
+  units.reserve(2 * units.capacity());
+  units.resize(2 * count);
+  auto* data = reinterpret_cast<std::byte*>(units.data());
+  for (size_t i = count; i-- > 0;) {
+    StoreId<uint32_t>(data, i, LoadId<uint16_t>(data, i));
+  }
+  shift = 2;
 }
 
 uint64_t RrSketchPool::BodyStart(size_t i) const {
-  for (; i < num_sketches(); ++i) {
-    const uint32_t slot = slots_.word(i);
-    const uint32_t flag = slots_.top_bit();
-    if ((slot & flag) != 0) return slots_.base(i) + (slot & ~flag);
+  // The first block at or after i is in i's group, or else it starts
+  // where the next group's base says the next block starts.
+  const size_t g = i >> kGroupBits;
+  if (g == groups_.size()) return BodyEnd();
+  const Group& group = groups_[g];
+  if ((group.mask >> (i & kGroupMask)) != 0) {
+    return group.base + block_words_[BlockRank(i)];
   }
-  return BodyEnd();
+  return g + 1 < groups_.size() ? groups_[g + 1].base : BodyEnd();
+}
+
+std::vector<VertexId> RrSketchPool::SingletonRoots() const {
+  if (!finished()) return roots_;
+  // A singleton's one vertex is its root, so the one list that names it
+  // is its root's.
+  std::vector<VertexId> roots(num_sketches_ - block_words_.size());
+  for (VertexId v = 0; v < num_universe_vertices(); ++v) {
+    for (const uint32_t id : Containing(v)) {
+      if (IsSingleton(id)) roots[id - BlockRank(id)] = v;
+    }
+  }
+  return roots;
 }
 
 RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
                                     uint64_t num_sketches,
-                                    const RrSketchPool& network) {
+                                    const RrSketchPool& network,
+                                    std::vector<VertexId>* roots) {
   RrSketchPool out = network.EmptyLike();
-  // Each segment's slice of its run, put in sample order.
+  // Each segment's slice of its run, put in sample order, with the
+  // run's singleton roots.
   struct Slice : Segment {
     uint64_t body_begin, body_end;
     uint64_t out_begin;  // where the slice's blocks go in the pool
+    const VertexId* roots;
+  };
+  // The one finished run (Fold's base) has its roots decoded once,
+  // however many segments it has.
+  const RrSketchPool* finished_run = nullptr;
+  std::optional<std::vector<VertexId>> finished_roots;
+  const auto roots_of = [&](const RrSketchPool& run) -> const VertexId* {
+    if (!run.finished()) return run.roots_.data();
+    if (!finished_roots) {
+      finished_run = &run;
+      finished_roots = run.SingletonRoots();
+    }
+    PITEX_CHECK_MSG(finished_run == &run, "at most one run may be finished");
+    return finished_roots->data();
   };
   std::vector<Slice> slices;
   slices.reserve(segments.size());
+  uint64_t blocks = 0;
   for (const Segment& seg : segments) {
     PITEX_CHECK_MSG(seg.run != nullptr && uint64_t{seg.first} + seg.count <=
                                               seg.run->num_sketches(),
@@ -96,8 +136,10 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
                         run.max_out_degree_ == out.max_out_degree_ &&
                         run.topology_.SharesStorage(out.topology_),
                     "run samples a different network");
+    blocks += run.BlockRank(seg.first + seg.count) - run.BlockRank(seg.first);
     slices.push_back({seg, run.BodyStart(seg.first),
-                      run.BodyStart(seg.first + seg.count), 0});
+                      run.BodyStart(seg.first + seg.count), 0,
+                      roots_of(run)});
   }
   std::ranges::sort(slices, {}, &Slice::sample);
   uint64_t covered = 0;
@@ -121,44 +163,89 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   // walk reaches the group's first sketch, so it waits for the next
   // block's start (or the end of the body); a block's own group is
   // resolved by the time its word is appended.
-  out.slots_.Reserve(num_sketches, 2);
+  out.groups_.reserve((num_sketches + kGroup - 1) / kGroup);
+  out.block_words_.Reserve(blocks, 2);
+  out.roots_.reserve(num_sketches - blocks);
   out.body_.reserve(PaddedBytes(8 * body));
-  std::vector<uint32_t>& bases = out.slots_.bases;
-  size_t resolved = 0;  // bases[resolved ..] wait for a block's start
+  size_t resolved = 0;  // groups_[resolved ..] wait for a block's start
   for (const Slice& s : slices) {
     out.body_.insert(out.body_.end(), s.run->body_.begin() + s.body_begin,
                      s.run->body_.begin() + s.body_end);
-    s.run->ForEachSlot(s.first, s.first + s.count, [&](bool block,
-                                                       uint32_t value) {
-      if (out.num_sketches() % GroupWords::kGroup == 0) bases.push_back(0);
-      if (block) {
-        const uint64_t start = value - s.body_begin + s.out_begin;
-        for (; resolved < bases.size(); ++resolved) {
-          bases[resolved] = static_cast<uint32_t>(start);
-        }
-        value = static_cast<uint32_t>(start - bases.back());
+    s.run->ForEachSketch(s.first, s.first + s.count, [&](bool block,
+                                                         uint64_t value) {
+      out.OpenGroup(0);
+      if (!block) {
+        out.PushSingleton(s.roots[value]);
+        return;
       }
-      out.PushSlot(value, block);
+      const uint64_t start = value - s.body_begin + s.out_begin;
+      for (; resolved < out.groups_.size(); ++resolved) {
+        out.groups_[resolved].base = static_cast<uint32_t>(start);
+      }
+      out.PushBlock(start - out.groups_.back().base);
     });
   }
-  for (; resolved < bases.size(); ++resolved) {
-    bases[resolved] = static_cast<uint32_t>(body);
+  for (; resolved < out.groups_.size(); ++resolved) {
+    out.groups_[resolved].base = static_cast<uint32_t>(body);
   }
   if (body != 0) out.body_.resize(body + kBitPadding);
   out.BuildContaining(out.num_vertices_);
+  if (roots != nullptr) *roots = std::move(out.roots_);
+  out.DropRoots();
   return out;
 }
 
-bool RrSketchPool::FinishLoaded(const Graph& topology) {
+RrSketchPool::FileDirectory RrSketchPool::SaveDirectory(
+    std::span<const VertexId> roots) const {
+  PITEX_CHECK(roots.size() == num_sketches_ - block_words_.size());
+  uint64_t max_singleton = 0;
+  for (const VertexId root : roots) {
+    max_singleton = std::max<uint64_t>(max_singleton, root);
+  }
+  uint64_t max_offset = 0;
+  for (size_t b = 0; b < block_words_.size(); ++b) {
+    max_offset = std::max<uint64_t>(max_offset, block_words_[b]);
+  }
+  FileDirectory file;
+  file.width = DirectoryWidth(max_singleton, max_offset);
+  file.words.resize(size_t{num_sketches_} * file.width);
+  auto* words = reinterpret_cast<std::byte*>(file.words.data());
+  const uint32_t flag = 1u << (8 * file.width - 1);
+  size_t i = 0;
+  ForEachSketch(0, num_sketches_, [&](bool block, uint64_t value) {
+    const uint32_t word =
+        block ? flag | static_cast<uint32_t>(
+                           value - groups_[i >> kGroupBits].base)
+              : roots[value];
+    if (file.width == 2) {
+      StoreId<uint16_t>(words, i, word);
+    } else {
+      StoreId<uint32_t>(words, i, word);
+    }
+    ++i;
+  });
+  return file;
+}
+
+bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
+                                std::span<const uint8_t> words) {
   SetNetwork(topology.num_vertices(), topology.MaxOutDegree());
   topology_ = topology;
-  const size_t s = num_sketches();
+  const size_t s = words.size() / width;
   // The blocks, then their padding (none without a block).
   if (!body_.empty() && body_.size() <= kBitPadding) return false;
   const uint64_t end = BodyEnd();
   if (s >= UINT32_MAX || end > kExplicit) return false;
-  const uint32_t flag = slots_.top_bit();
-  slots_.bases.reserve((s + GroupWords::kGroup - 1) / GroupWords::kGroup);
+  const uint32_t flag = 1u << (8 * width - 1);
+  const auto* bytes = reinterpret_cast<const std::byte*>(words.data());
+  const auto word_at = [&](size_t i) {
+    return width == 2 ? LoadId<uint16_t>(bytes, i) : LoadId<uint32_t>(bytes, i);
+  };
+  size_t blocks = 0;
+  for (size_t i = 0; i < s; ++i) blocks += (word_at(i) & flag) != 0;
+  groups_.reserve((s + kGroup - 1) / kGroup);
+  block_words_.Reserve(blocks, 2);
+  roots_.reserve(s - blocks);
   uint64_t body = 0;      // where the next block must start
   uint64_t vertices = 0;  // every sketch's, which must fit 32 bits
   uint64_t max_singleton = 0;
@@ -178,18 +265,17 @@ bool RrSketchPool::FinishLoaded(const Graph& topology) {
     return *value <= UINT32_MAX && *at - first == VarintLength(*value);
   };
   for (size_t i = 0; i < s; ++i) {
-    if (i % GroupWords::kGroup == 0) {
-      slots_.bases.push_back(static_cast<uint32_t>(body));
-    }
-    const uint32_t slot = slots_.word(i);
-    if ((slot & flag) == 0) {
-      if (slot >= num_vertices_) return false;
-      max_singleton = std::max<uint64_t>(max_singleton, slot);
+    OpenGroup(body);
+    const uint32_t word = word_at(i);
+    if ((word & flag) == 0) {
+      if (word >= num_vertices_) return false;
+      max_singleton = std::max<uint64_t>(max_singleton, word);
+      PushSingleton(word);
       ++vertices;
       continue;
     }
-    const uint64_t offset = body - slots_.base(i);
-    if ((slot & ~flag) != offset) return false;
+    const uint64_t offset = body - groups_.back().base;
+    if ((word & ~flag) != offset) return false;
     max_offset = std::max(max_offset, offset);
     // The header, and the edge count of a block that is not an in-tree:
     // they size the block, which must fit before the padding. A
@@ -206,7 +292,8 @@ bool RrSketchPool::FinishLoaded(const Graph& topology) {
         FieldBits(n, m, in_tree) > UINT32_MAX) {
       return false;
     }
-    const RRView view = View(i);
+    PushBlock(offset);
+    const RRView view = ViewAt(body_.data() + body, vertex_bits_, 0);
     // The bits after the last field, to the block's end, are zero.
     const uint64_t bits = FieldBits(n, m, in_tree);
     if ((bits & 7) != 0 && (body_[body + length - 1] >> (bits & 7)) != 0) {
@@ -255,12 +342,13 @@ bool RrSketchPool::FinishLoaded(const Graph& topology) {
     body += length;
   }
   if (body != end || vertices > UINT32_MAX ||
-      slots_.width() != DirectoryWidth(max_singleton, max_offset) ||
+      width != DirectoryWidth(max_singleton, max_offset) ||
       !std::all_of(body_.begin() + static_cast<std::ptrdiff_t>(end),
                    body_.end(), [](uint8_t byte) { return byte == 0; })) {
     return false;
   }
   BuildContaining(num_vertices_);
+  DropRoots();
   return true;
 }
 
@@ -304,17 +392,18 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   const uint64_t bits = start[num_vertices];
   PITEX_CHECK_MSG(bits <= UINT32_MAX,
                   "containing index exceeds 32-bit offsets");
-  constexpr size_t kGroup = GroupWords::kGroup;
   uint64_t max_word = 0;
   for (size_t v = 0; v <= num_vertices; v += kGroup) {
     const size_t last = std::min(v + kGroup - 1, num_vertices);
     max_word = std::max(max_word, start[last] - start[v]);
   }
   containing_starts_.Clear();
-  containing_starts_.Reserve(num_vertices + 1, max_word <= UINT16_MAX ? 2 : 4);
+  containing_starts_.bases.reserve((num_vertices + kGroup) / kGroup);
+  containing_starts_.words.Reserve(num_vertices + 1,
+                                   max_word <= UINT16_MAX ? 2 : 4);
   for (size_t v = 0; v <= num_vertices; ++v) {
     containing_starts_.OpenGroup(start[v]);
-    containing_starts_.Push(
+    containing_starts_.words.Push(
         static_cast<uint32_t>(start[v] - containing_starts_.base(v)));
   }
   containing_.assign(PaddedBytes(bits), 0);
@@ -327,7 +416,8 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
 }
 
 size_t RrSketchPool::SizeBytes() const {
-  return sizeof(RrSketchPool) + slots_.SizeBytes() +
+  return sizeof(RrSketchPool) + DirectoryBytes() +
+         roots_.capacity() * sizeof(VertexId) +
          containing_starts_.SizeBytes() + body_.capacity() +
          containing_.capacity();
 }
@@ -340,7 +430,8 @@ void RrSketchOverlay::Put(uint32_t id, const RRView& sketch) {
   store_.Append(sketch);
 }
 
-RrSketchPool RrSketchOverlay::Fold(const RrSketchPool& base) const {
+RrSketchPool RrSketchOverlay::Fold(const RrSketchPool& base,
+                                   std::vector<VertexId>* roots) const {
   const uint64_t theta = base.num_sketches();
   std::vector<RrSketchPool::Segment> segments;
   segments.reserve(2 * slot_of_.size() + 1);
@@ -362,7 +453,7 @@ RrSketchPool RrSketchOverlay::Fold(const RrSketchPool& base) const {
     segments.push_back({next, &base, static_cast<uint32_t>(next),
                         static_cast<uint32_t>(theta - next)});
   }
-  return RrSketchPool::FromRuns(segments, theta, base);
+  return RrSketchPool::FromRuns(segments, theta, base, roots);
 }
 
 void RrSketchOverlay::SetContaining(VertexId u,

@@ -12,16 +12,18 @@
 //
 // Layout for sketch i (n_i vertices, m_i edges), every total checked to
 // fit:
-//   slots_           the directory, two levels (GroupWords): one u32
-//                    base per group of 64 sketches, the byte offset in
-//                    body_ where the next block starts when sketch 64g
-//                    is appended, and one word per sketch: the root
-//                    vertex id of an implicit singleton (top bit
-//                    clear), else top bit | the start of sketch i's
-//                    block less its group's base. Every word takes 2
-//                    bytes (flag bit 15) while each singleton's root
-//                    and each block's start less its base are below
-//                    2^15, else every word takes 4 (flag bit 31)
+//   groups_          the directory's first level: one 16-byte Group per
+//                    64 sketches, aligned to 16 bytes so that none
+//                    straddles a cache line: a u32 base, the byte offset
+//                    in body_ where the next block starts when sketch 64g
+//                    is appended; a u32 rank, the blocks before sketch
+//                    64g; and a u64 mask whose bit j is set when sketch
+//                    64g + j has a block
+//   block_words_     its second level: one word per block, its start
+//                    less its group's base. Sketch i's word is word rank
+//                    + popcount(mask & the bits below i's) of its
+//                    group's. Every word takes 2 bytes while each fits
+//                    16 bits, else every word takes 4
 //   body_[start ..]  a header, the LEB128 varint (PutVarint) of
 //                    n_i << 1 | in-tree (one byte while n_i <= 63), and
 //                    for a block that is not an in-tree a second varint,
@@ -47,12 +49,12 @@
 // tail's out-list (Graph::OutEdges) names it; the pool holds the
 // network's topology (a Graph, whose copies share one storage) and its
 // views decode a rank to the edge's id there (RRView::Edge). L_i is the
-// block's own: 3 bits for a block of 5 to 8 vertices. A sketch's walk
-// therefore reads its directory word, its group's base (a 12.5 KB array
-// for 200,000 sketches), one block and, per probed edge, its tail's
-// out-list offset and entry in the graph. On pitexbench's network the
-// largest singleton root is 24,999 and the largest block start less its
-// base 1,183 B, so the directory takes 2-byte words.
+// block's own: 3 bits for a block of 5 to 8 vertices. A block's walk
+// therefore reads its group's record, its word, the block and, per
+// probed edge, its tail's out-list offset and entry in the graph. On
+// pitexbench's network (200,000 sketches, 85,966 of them blocks) the
+// largest block start less its base is 1,183 B, so the directory takes
+// 3,125 records and 2-byte words: 221,932 B.
 // An *in-tree* block is one whose CSR gives the root no out-edge and
 // every other vertex exactly one (IsInTree): m_i = n_i - 1 and offset j
 // is j, less one past the root (InTreeOffset), so the block stores no
@@ -66,11 +68,20 @@
 // EdgeRecords), so a view's readers take one of two CSR forms and no
 // width dispatch.
 // An *implicit singleton* — one vertex (necessarily the root) and no
-// edges; 57% of the sketches on pitexbench's network — has no block:
-// its directory word is its vertex, and View() serves its header from a
-// static in-tree block whose vertex field is 0 bits wide, its vertex
-// the view's base (VertexIds), so the estimate walk over it reads only
-// its directory word.
+// edges; 57% of the sketches on pitexbench's network — has no block and
+// no word, only its clear mask bit. Its root is the vertex whose
+// containing list names it, and is stored nowhere else: a reader views
+// sketch i as View(i, u), u a vertex the sketch contains, which every
+// reader holds (the estimate walk its user, whose list it iterates; a
+// repair the updated edge's head), and a singleton's view is a static
+// in-tree block whose vertex field is 0 bits wide, its vertex the view's
+// base u (VertexIds). The estimate walk counts a singleton in u's list a
+// hit from its mask bit alone. A run (below) records each singleton's
+// root in append order, as FromRuns and BuildContaining need them; a
+// finished pool holds none. The cold paths that need every root of a
+// finished pool, the index writer's words and Fold's stretches of the
+// base, take them from one decode of its containing lists
+// (SingletonRoots), at most once per save and per compaction.
 //
 // Containing lists, for vertex u:
 //   bits [start(u), start(u + 1)) of containing_
@@ -88,42 +99,51 @@
 // 25,000, 454,185 ids) k = 13 and the lists take 14.8 bits per id,
 // against 17.4 for LEB128 gaps and 32 for a u32 list. An overlay codes
 // its replacement lists at its base pool's k, so one decoder reads both.
-// The starts are bit offsets, stored in two levels like the directory:
-// start(u) is containing_starts_'s base for u's group of 64 vertices,
-// start(64g), plus u's word, at 2 bytes while every group's words fit
-// 16 bits (the largest on pitexbench's network is 31,428), else at 4.
+// The starts are bit offsets, stored in two levels: start(u) is
+// containing_starts_'s base for u's group of 64 vertices, start(64g),
+// plus u's word, at 2 bytes while every group's words fit 16 bits (the
+// largest on pitexbench's network is 31,428), else at 4.
 //
-// Both arrays use one two-level store, GroupWords, as FST stores its
-// succinct arrays: sparse absolute samples and narrow relative entries,
-// read in place. Each pool chooses each array's word width from its own
-// data, with no option.
+// Both arrays are two-level, as FST stores its succinct arrays: sparse
+// absolute samples, narrow relative entries read in place, and for the
+// directory a rank over a bitmap, so that only blocks take a word. The
+// starts use GroupWords, a base per 64 entries and a word per entry; the
+// directory its Group records and block_words_. Both keep their words
+// in Words, 2 or 4 bytes each. Each pool chooses each array's word
+// width from its own data, with no option.
 //
 // Every pool is written one way: sketches are appended in this layout
 // (AppendSketch, which Append and the generator call, each field put in
 // order through one BitWriter) to *runs*, pools without a containing
 // index, and FromRuns copies the runs' segments, in sample order, block
 // by block into a finished pool's exact-size arrays, then builds the
-// containing index once, serially. The build's generator appends to one
-// run per worker slot. Compaction and the save of an index with repairs
-// finish base + overlay the same way (RrSketchOverlay::Fold): each
-// stretch of unrepaired sketches is a segment of the base, and each
-// repaired sketch's current copy a segment of the overlay's store.
-// Every writer starts the directory at 2-byte words and widens it once,
-// in place, when a word first fails to fit them (PushSlot); the
-// widening doubles the words' room, so FromRuns' exact-size arrays stay
-// exact. A loaded pool was written this way before it was saved: the
-// index loader (src/index/index_io.h) reads the directory's words and
-// the body back as they are, and FinishLoaded derives the directory's
-// bases and accepts the arrays only if they are exactly what appending
-// their own views to a run and finishing it writes. An overlay's sketch
-// store is a run that Fold copies from but never finishes, and the two
-// other runs SketchArena writes are never finished either: the
-// one-sketch run DynamicRrIndex re-closes each repaired sketch into
-// before the overlay re-encodes it (Append), and the run of graphs
-// DelayMat recovers for its cached query user. Every run takes its
-// network's widths and topology, and a block's bits are relative to its
-// own first byte, so a copied block is exactly the block a re-encoding
-// of its view would write.
+// containing index once, serially, from the blocks and the runs'
+// singleton roots. The build's generator appends to one run per worker
+// slot. Compaction and the save of an index with repairs finish base +
+// overlay the same way (RrSketchOverlay::Fold): each stretch of
+// unrepaired sketches is a segment of the base, and each repaired
+// sketch's current copy a segment of the overlay's store. Every writer
+// starts the block words at 2 bytes and widens them once, in place,
+// when a word first fails to fit them (Words::Push); the widening
+// doubles the words' room, so FromRuns' exact-size arrays stay exact.
+// The index file (src/index/index_io.h, v10) keeps the directory as it
+// was before singletons left it: one word per sketch, a singleton's root
+// or the file flag (the word's top bit) | its block's start less its
+// group's base, every word at the width DirectoryWidth gives. The writer
+// builds those words from one decode of the lists (FileDirectory). A
+// loaded pool was written this way before it was saved: FinishLoaded
+// accepts the file's words and the body only if they are exactly what
+// appending the pool's own views to a run, finishing it and saving it
+// writes, builds the directory from them, builds the containing index
+// from the blocks and the words' roots, and drops the roots. An
+// overlay's sketch store is a run that Fold copies from but never
+// finishes, and the two other runs SketchArena writes are never finished
+// either: the one-sketch run DynamicRrIndex re-closes each repaired
+// sketch into before the overlay re-encodes it (Append), and the run of
+// graphs DelayMat recovers for its cached query user. Every run takes
+// its network's widths and topology, and a block's bits are relative to
+// its own first byte, so a copied block is exactly the block a
+// re-encoding of its view would write.
 //
 // A finished pool is immutable. DynamicRrIndex, which repairs
 // individual sketches, never mutates it: it shares one pool as its
@@ -393,8 +413,9 @@ class RrSketchPool {
     uint32_t count = 0;
   };
 
-  /// A pool whose fields hold any vertex id a directory word does
-  /// (below 2^31) and any rank: 31- and 32-bit fields, and no topology.
+  /// A pool whose fields hold any vertex id the index file's directory
+  /// words do (below 2^31) and any rank: 31- and 32-bit fields, and no
+  /// topology.
   RrSketchPool() : RrSketchPool(kExplicit, uint64_t{1} << 32) {}
   /// A pool of sketches of `topology`: its vertex fields take
   /// IdBits(|V|) bits, its ranks IdBits(largest out-degree), and its
@@ -413,15 +434,20 @@ class RrSketchPool {
   /// Finishes a pool from runs, each a pool of `network`'s network (its
   /// widths and the topology it shares, which FromRuns checks): copies
   /// every segment's blocks as they are, in sample order, into
-  /// exact-size arrays (rebasing each explicit directory word), then
-  /// builds the containing index over the network's vertices. The
-  /// segments must cover samples [0, num_sketches) exactly once, so
-  /// sketch i of the result is sample i whatever the runs and segments
-  /// were: the pool is identical for any thread count and claim
-  /// interleaving. A run, and `network`, may be a finished pool.
+  /// exact-size arrays (rebasing each block word), then builds the
+  /// containing index over the network's vertices from the blocks and
+  /// the runs' singleton roots, which the result does not keep; with
+  /// `roots`, they are moved there (SingletonRoots' order). The segments
+  /// must cover samples [0, num_sketches) exactly once, so sketch i of
+  /// the result is sample i whatever the runs and segments were: the
+  /// pool is identical for any thread count and claim interleaving. At
+  /// most one run may be a finished pool (Fold's base, which is also
+  /// `network`): its roots are decoded from its lists, once
+  /// (SingletonRoots).
   static RrSketchPool FromRuns(std::span<const Segment> segments,
                                uint64_t num_sketches,
-                               const RrSketchPool& network);
+                               const RrSketchPool& network,
+                               std::vector<VertexId>* roots = nullptr);
 
   /// Appends one sketch in the pooled layout without touching the
   /// containing index: a pool appended to is a run, which only FromRuns
@@ -436,7 +462,8 @@ class RrSketchPool {
   /// edge records, in order, through a BlockWriter& `out`. `in_tree`
   /// says whether those offsets are an in-tree's (IsInTree), and the
   /// block then stores none of them. An implicit singleton (one vertex,
-  /// no edges) has nothing to write and calls no fill.
+  /// no edges) has nothing to write and calls no fill: the run records
+  /// its root.
   template <typename Fill>
   void AppendSketch(uint32_t root_local, std::span<const VertexId> vertices,
                     size_t m, bool in_tree, Fill&& fill) {
@@ -446,7 +473,7 @@ class RrSketchPool {
   /// takes appends without allocating up to its high-water mark.
   void Clear();
 
-  size_t num_sketches() const { return slots_.size(); }
+  size_t num_sketches() const { return num_sketches_; }
   bool empty() const { return num_sketches() == 0; }
 
   /// The network counts the fields' widths come from.
@@ -459,21 +486,40 @@ class RrSketchPool {
   /// counts.
   const Graph& topology() const { return topology_; }
 
-  /// Non-owning view of sketch i (valid while the pool is alive).
-  RRView View(size_t i) const {
-    const uint32_t slot = slots_.word(i);
-    const uint32_t flag = slots_.top_bit();
-    const bool block = (slot & flag) != 0;
-    // Selects, not branches: the estimate walk and the view readers
-    // meet singletons and explicit blocks interleaved at random, so the
-    // base is loaded for a singleton too, keeping the block's address
-    // free of a load that only one side of a branch makes. A singleton
-    // reads the static block's 0-bit vertex field plus its directory
-    // word.
-    const uint8_t* at =
-        block ? body_.data() + slots_.base(i) + (slot & ~flag) : kSingleton;
-    return ViewAt(at, block ? vertex_bits_ : 0, block ? 0 : slot);
+  /// True when sketch i is an implicit singleton: its mask bit is clear.
+  bool IsSingleton(size_t i) const {
+    return ((groups_[i >> kGroupBits].mask >> (i & kGroupMask)) & 1) == 0;
   }
+
+  /// Non-owning view of sketch i (valid while the pool is alive), `u` a
+  /// vertex the sketch contains. A block's view reads its vertices from
+  /// its block; a singleton's only vertex is its root, which its view
+  /// takes from u.
+  RRView View(size_t i, VertexId u) const {
+    const Group& group = groups_[i >> kGroupBits];
+    const auto j = static_cast<uint32_t>(i & kGroupMask);
+    // One ViewAt for both forms, so View stays small enough to inline
+    // into the walks. A singleton has no word to load: its word index
+    // may be one past the last.
+    const uint8_t* at = kSingleton;
+    uint32_t vertex_bits = 0;
+    VertexId vertex_base = u;
+    if (((group.mask >> j) & 1) != 0) {
+      const size_t word = group.rank + PopCount(group.mask & LowMask(j));
+      at = body_.data() + group.base + block_words_[word];
+      vertex_bits = vertex_bits_;
+      vertex_base = 0;
+    } else {
+      PITEX_DCHECK(roots_.empty() || roots_[i - BlockRank(i)] == u);
+    }
+    return ViewAt(at, vertex_bits, vertex_base);
+  }
+
+  /// Every singleton's root, in sketch order: a run's as it recorded
+  /// them; a finished pool's, which it does not hold, from one decode of
+  /// its containing lists, in O(ids) — for the cold paths only (the
+  /// index writer, Fold, tests).
+  std::vector<VertexId> SingletonRoots() const;
 
   /// Ids (sketch positions) of the sketches containing u, ascending.
   ContainingList Containing(VertexId u) const {
@@ -497,107 +543,114 @@ class RrSketchPool {
   /// (RiceParameter), chosen from the pool's own totals.
   uint32_t containing_k() const { return containing_k_; }
 
-  /// Bytes per word of the directory and of the containing starts: 2
-  /// while every word fits them, else 4.
-  uint32_t directory_width() const { return slots_.width(); }
+  /// Bytes per block word and per containing start: 2 while every word
+  /// fits them, else 4.
+  uint32_t directory_width() const { return block_words_.width(); }
   uint32_t containing_start_width() const {
     return containing_starts_.width();
   }
 
   /// Exact footprint of the pooled arrays, computed in O(1).
   size_t SizeBytes() const;
+  /// The directory's share of it: the group records and the block words.
+  size_t DirectoryBytes() const {
+    return groups_.capacity() * sizeof(Group) + block_words_.SizeBytes();
+  }
 
  private:
-  /// A u32 array in two levels: one 32-bit base per group of 64 entries
-  /// and one word per entry, every word 2 bytes or every word 4, in the
-  /// host's byte order. What a word adds to its base is the owner's to
-  /// say: the directory's words are block offsets behind a flag or
-  /// singleton vertices, the containing starts' are plain offsets.
-  /// Writers open each group before its first word (OpenGroup), so the
-  /// bases always cover the words. The words are kept as 2-byte units,
-  /// two to a 4-byte word, so an append is a push_back.
-  struct GroupWords {
-    static constexpr unsigned kGroupBits = 6;
-    static constexpr size_t kGroup = size_t{1} << kGroupBits;  // 64
+  static constexpr unsigned kGroupBits = 6;
+  static constexpr size_t kGroup = size_t{1} << kGroupBits;  // 64
+  static constexpr uint32_t kGroupMask = kGroup - 1;
 
+  /// The directory's record of sketches 64g .. 64g + 63.
+  struct alignas(16) Group {
+    uint32_t base;  // where the next block starts at sketch 64g
+    uint32_t rank;  // blocks before sketch 64g: its first block's word
+    uint64_t mask;  // bit j set: sketch 64g + j is a block
+  };
+
+  /// Words of 2 bytes each or of 4 bytes each, in the host's byte order.
+  /// They are kept as 2-byte units, two to a 4-byte word, so an append
+  /// is a push_back.
+  struct Words {
     size_t size() const { return units.size() >> (shift - 1); }
     /// Bytes per word: 2 or 4.
     uint32_t width() const { return 1u << shift; }
-    /// A word's top bit.
-    uint32_t top_bit() const { return top; }
-    uint32_t base(size_t i) const { return bases[i >> kGroupBits]; }
-    const std::byte* word_data(size_t i) const {
-      return reinterpret_cast<const std::byte*>(units.data()) + (i << shift);
+    uint32_t operator[](size_t i) const {
+      return shift == 1 ? units[i]
+                        : LoadId<uint32_t>(
+                              reinterpret_cast<const std::byte*>(units.data()),
+                              i);
     }
-    uint32_t word(size_t i) const {
-      return shift == 1 ? units[i] : LoadId<uint32_t>(word_data(i), 0);
-    }
-    /// The words' bytes, as the index file stores them.
-    std::span<const uint8_t> bytes() const {
-      return {reinterpret_cast<const uint8_t*>(units.data()),
-              units.size() * sizeof(uint16_t)};
-    }
-
     /// Makes room for exactly `count` words at `width` bytes: an empty
     /// array's writers then never regrow it.
     void Reserve(size_t count, uint32_t width) {
-      SetWidth(width);
-      bases.reserve((count + kGroup - 1) / kGroup);
+      shift = width == 2 ? 1 : 2;
       units.reserve(count << (shift - 1));
     }
-    /// Opens the group of entry size() at `base` if that entry starts
-    /// one.
-    void OpenGroup(uint64_t base) {
-      if (size() % kGroup == 0) bases.push_back(static_cast<uint32_t>(base));
-    }
-    /// Appends a word, which must fit the width.
+    /// Appends a word. 2-byte words first widen, once, in place, if it
+    /// does not fit them, so every writer ends at the width its own
+    /// words call for.
     void Push(uint32_t word) {
       if (shift == 1) {
-        PITEX_DCHECK(word <= UINT16_MAX);
-        units.push_back(static_cast<uint16_t>(word));
-        return;
+        if (word <= UINT16_MAX) [[likely]] {
+          units.push_back(static_cast<uint16_t>(word));
+          return;
+        }
+        Widen();
       }
       uint16_t halves[2];
       std::memcpy(halves, &word, sizeof(word));
       units.push_back(halves[0]);
       units.push_back(halves[1]);
     }
-    /// Rewrites 2-byte words at 4 bytes, word w as wide(w), in place:
-    /// back to front, so no word is overwritten before it is read. The
-    /// room doubles, so an array reserved exactly stays exact.
-    template <typename Wide>
-    void Widen(Wide&& wide) {
-      PITEX_DCHECK(shift == 1);
-      const size_t count = size();
-      units.reserve(2 * units.capacity());
-      units.resize(2 * count);
-      auto* data = reinterpret_cast<std::byte*>(units.data());
-      for (size_t i = count; i-- > 0;) {
-        StoreId<uint32_t>(data, i, wide(LoadId<uint16_t>(data, i)));
-      }
-      SetWidth(4);
+    /// Rewrites 2-byte words at 4 bytes in place, back to front, so no
+    /// word is overwritten before it is read: out of line, as an array
+    /// widens at most once. The room doubles, so an array reserved
+    /// exactly stays exact.
+    void Widen();
+    /// Drops every word, keeping capacity, and returns to 2 bytes.
+    void Clear() {
+      units.clear();
+      shift = 1;
     }
-    /// Drops every entry, keeping capacity, and returns to 2-byte
-    /// words.
+    size_t SizeBytes() const { return units.capacity() * sizeof(uint16_t); }
+
+    std::vector<uint16_t> units;
+    uint32_t shift = 1;  // log2 of the word width
+  };
+
+  /// A u32 array in two levels: one 32-bit base per group of 64 entries
+  /// and one word per entry, what it adds to its base. Writers open each
+  /// group before its first word (OpenGroup), so the bases always cover
+  /// the words.
+  struct GroupWords {
+    size_t size() const { return words.size(); }
+    uint32_t width() const { return words.width(); }
+    uint32_t base(size_t i) const { return bases[i >> kGroupBits]; }
+    uint32_t word(size_t i) const { return words[i]; }
+    /// Opens the group of entry size() at `base` if that entry starts
+    /// one.
+    void OpenGroup(uint64_t base) {
+      if (size() % kGroup == 0) bases.push_back(static_cast<uint32_t>(base));
+    }
     void Clear() {
       bases.clear();
-      units.clear();
-      SetWidth(2);
-    }
-    /// Sets the word width, 2 or 4 bytes, of an empty or loaded array.
-    void SetWidth(uint32_t width) {
-      shift = width == 2 ? 1 : 2;
-      top = 1u << (8 * width - 1);
+      words.Clear();
     }
     size_t SizeBytes() const {
-      return bases.capacity() * sizeof(uint32_t) +
-             units.capacity() * sizeof(uint16_t);
+      return bases.capacity() * sizeof(uint32_t) + words.SizeBytes();
     }
 
     std::vector<uint32_t> bases;
-    std::vector<uint16_t> units;
-    uint32_t shift = 1;        // log2 of the word width
-    uint32_t top = 1u << 15;   // the words' top bit
+    Words words;
+  };
+
+  /// The directory as the index file holds it: one word per sketch at
+  /// `width` bytes (DirectoryWidth), in the host's byte order.
+  struct FileDirectory {
+    uint32_t width = 2;
+    std::vector<uint8_t> words;
   };
 
   /// The header is n << 1 | in-tree in 32 bits, so a block holds at
@@ -606,9 +659,10 @@ class RrSketchPool {
   /// The header flag of a block that is an in-tree and stores no
   /// offsets (and no edge count: m = n - 1).
   static constexpr uint32_t kInTree = 1;
-  /// A wide directory word's top bit, the flag of a block offset: vertex
-  /// ids and block offsets stay below it. A narrow word's flag is bit
-  /// 15, and its vertex ids and offsets stay below that.
+  /// A 4-byte file directory word's top bit, the flag of a block
+  /// offset: vertex ids and block offsets stay below it. A 2-byte
+  /// word's flag is bit 15, and its vertex ids and offsets stay below
+  /// that.
   static constexpr uint32_t kExplicit = 1u << 31;
   static constexpr uint32_t kNarrowExplicit = 1u << 15;
   /// The block implicit singletons read: a one-byte in-tree header
@@ -673,9 +727,24 @@ class RrSketchPool {
     return body_.empty() ? 0 : body_.size() - kBitPadding;
   }
 
-  /// Bytes per directory word of a pool whose largest singleton vertex
-  /// is `max_singleton` and whose largest block start less its group's
-  /// base is `max_offset`.
+  /// True for a pool FromRuns or the loader finished: it has a
+  /// containing index and no singleton roots. Any other pool is a run.
+  bool finished() const { return containing_starts_.size() != 0; }
+
+  /// The blocks before sketch i, for i <= num_sketches(): the word of
+  /// the first block at or after it.
+  size_t BlockRank(size_t i) const {
+    if ((i >> kGroupBits) == groups_.size()) return block_words_.size();
+    const Group& group = groups_[i >> kGroupBits];
+    return group.rank +
+           PopCount(group.mask &
+                    LowMask(static_cast<uint32_t>(i & kGroupMask)));
+  }
+
+  /// Bytes per word of the index file's directory, whose largest
+  /// singleton root is `max_singleton` and whose largest block start
+  /// less its group's base is `max_offset`: 2 while both lie below the
+  /// 2-byte word's flag bit 15, else 4.
   static uint32_t DirectoryWidth(uint64_t max_singleton, uint64_t max_offset) {
     return max_singleton < kNarrowExplicit && max_offset < kNarrowExplicit
                ? 2
@@ -683,58 +752,69 @@ class RrSketchPool {
   }
 
   /// Calls fn(block, value) for sketches first .. last - 1 in order:
-  /// value is where the sketch's block starts in body_, or a
-  /// singleton's vertex. One dispatch on the word width, then a loop at
-  /// that width that keeps the arrays' addresses in registers whatever
-  /// fn stores.
+  /// value is where a block starts in body_, or a singleton's rank among
+  /// the singletons (its root's place in roots_ or SingletonRoots). One
+  /// dispatch on the word width, then a loop at that width that keeps
+  /// the arrays' addresses in registers whatever fn stores.
   template <typename Fn>
-  void ForEachSlot(size_t first, size_t last, Fn&& fn) const {
+  void ForEachSketch(size_t first, size_t last, Fn&& fn) const {
     const auto each = [&]<typename T>() {
       const auto* words =
-          reinterpret_cast<const std::byte*>(slots_.units.data());
-      const uint32_t* bases = slots_.bases.data();
-      constexpr uint32_t kFlag = uint32_t{1} << (8 * sizeof(T) - 1);
+          reinterpret_cast<const std::byte*>(block_words_.units.data());
+      const Group* groups = groups_.data();
+      size_t block = BlockRank(first);
+      size_t singleton = first - block;
       for (size_t i = first; i < last; ++i) {
-        const uint32_t word = LoadId<T>(words, i);
-        if ((word & kFlag) != 0) {
-          fn(true, bases[i >> GroupWords::kGroupBits] + (word & ~kFlag));
+        const Group& group = groups[i >> kGroupBits];
+        if (((group.mask >> (i & kGroupMask)) & 1) != 0) {
+          fn(true, uint64_t{group.base} + LoadId<T>(words, block++));
         } else {
-          fn(false, word);
+          fn(false, uint64_t{singleton++});
         }
       }
     };
-    if (slots_.shift == 1) {
+    if (block_words_.shift == 1) {
       each.template operator()<uint16_t>();
     } else {
       each.template operator()<uint32_t>();
     }
   }
-  /// Appends sketch num_sketches()'s directory word: a singleton's
-  /// vertex, or a block's start less its group's base behind the flag.
-  /// A 2-byte directory first widens, once, in place, if the value does
-  /// not fit below bit 15: every writer starts narrow and ends at the
-  /// width its own words call for (DirectoryWidth).
-  void PushSlot(uint32_t value, bool block) {
-    if (slots_.shift == 1 && value >= kNarrowExplicit) [[unlikely]] {
-      WidenDirectory();
+
+  /// Opens sketch num_sketches()'s group if it starts one, with the
+  /// block words so far as its rank and `base` as its base.
+  void OpenGroup(uint64_t base) {
+    if (num_sketches_ % kGroup == 0) {
+      groups_.push_back({static_cast<uint32_t>(base),
+                         static_cast<uint32_t>(block_words_.size()), 0});
     }
-    slots_.Push(block ? slots_.top_bit() | value : value);
   }
-  /// Rewrites a 2-byte directory at 4-byte words: out of line, as a
-  /// pool widens at most once.
-  void WidenDirectory();
+  /// Appends sketch num_sketches() as a singleton rooted at `root`, or
+  /// as a block starting `offset` bytes past its group's base, the last.
+  void PushSingleton(VertexId root) {
+    roots_.push_back(root);
+    ++num_sketches_;
+  }
+  void PushBlock(uint64_t offset) {
+    block_words_.Push(static_cast<uint32_t>(offset));
+    groups_.back().mask |= uint64_t{1} << (num_sketches_ & kGroupMask);
+    ++num_sketches_;
+  }
+
+  /// Frees the singleton roots: a finished pool holds none.
+  void DropRoots() { std::vector<VertexId>().swap(roots_); }
 
   /// Sets the network counts and the fields' widths they call for.
   void SetNetwork(uint64_t num_vertices, uint64_t max_out_degree);
 
   /// Calls fn(vertices) with each sketch's sorted vertices, in order:
-  /// a singleton's one vertex from its directory word, a block's from
-  /// after its header, and none of the rest of a view.
+  /// a singleton's one vertex from roots_, a block's from after its
+  /// header, and none of the rest of a view. The pool must hold its
+  /// singletons' roots (a run, or a pool being finished).
   template <typename Fn>
   void ForEachVertices(Fn&& fn) const {
-    ForEachSlot(0, num_sketches(), [&](bool block, uint32_t value) {
+    ForEachSketch(0, num_sketches(), [&](bool block, uint64_t value) {
       if (!block) {
-        fn(VertexIds({kSingleton + 1, 0, 0}, 1, value));
+        fn(VertexIds({kSingleton + 1, 0, 0}, 1, roots_[value]));
         return;
       }
       uint32_t header;
@@ -755,19 +835,23 @@ class RrSketchPool {
                    bool in_tree, Fill&& fill);
 
   /// Where sketch i's block would start in body_: the start of the first
-  /// explicit block at or after i, or the end of the blocks.
+  /// block at or after i, or the end of the blocks.
   uint64_t BodyStart(size_t i) const;
 
-  /// Checks a pool whose directory words and body_ were read from a
-  /// file (src/index/index_io.h) against `topology`, the network it
-  /// samples, which sets its fields' widths and becomes the pool's; if
-  /// they hold, derives the directory's bases and builds its containing
-  /// index. Walking the directory in order, each group's base is where
-  /// the next block must start, each singleton's vertex and each block's
-  /// sorted vertices must lie below |V|, each block must start where the
-  /// one before it ended (its word is that start less its base), and the
-  /// words may take 4 bytes only if some word needs them
-  /// (DirectoryWidth). Each block's
+  /// The index file's directory words of this finished pool, whose
+  /// singletons' roots are `roots` (SingletonRoots' order).
+  FileDirectory SaveDirectory(std::span<const VertexId> roots) const;
+
+  /// Checks a pool whose body_ was read from a file (src/index/
+  /// index_io.h), with the file's directory `words`, one per sketch at
+  /// `width` bytes, against `topology`, the network it samples, which
+  /// sets its fields' widths and becomes the pool's; if they hold,
+  /// builds its directory and its containing index. Walking the words in
+  /// order, each group's base is where the next block must start, each
+  /// singleton's vertex and each block's sorted vertices must lie below
+  /// |V|, each block must start where the one before it ended (its word
+  /// is the flag | that start less its base), and the words may take 4
+  /// bytes only if some word needs them (DirectoryWidth). Each block's
   /// header (and edge count) must be a varint of no more bytes than its
   /// value needs, with n > 0, not a singleton's shape, and the in-tree
   /// flag exactly when its offsets are an in-tree's (a block of an
@@ -778,28 +862,32 @@ class RrSketchPool {
   /// out-edge whose head is the record's head vertex, its threshold bits
   /// are at most 1.0f's, and the bits after its last field are zero; the
   /// blocks end at body_'s padding, whose bytes are zero. So a pool that
-  /// passes is exactly what appending its own views to a run and
-  /// finishing it (FromRuns) writes. False on the first check that
+  /// passes is exactly what appending its own views to a run, finishing
+  /// it (FromRuns) and saving it writes. False on the first check that
   /// fails.
-  bool FinishLoaded(const Graph& topology);
+  bool FinishLoaded(const Graph& topology, uint32_t width,
+                    std::span<const uint8_t> words);
 
-  /// Rebuilds containing_starts_/containing_ from the packed sketches:
-  /// two serial passes in ascending sketch order sort each vertex's ids
-  /// into a scratch array (the first counts them, which also sets
-  /// containing_k_ and recounts max_sketch_vertices_), then a BitWriter
-  /// codes the lists in vertex order into an exact-size array. The
-  /// starts take 2-byte words while every group's do.
+  /// Rebuilds containing_starts_/containing_ from the packed sketches
+  /// and roots_: two serial passes in ascending sketch order sort each
+  /// vertex's ids into a scratch array (the first counts them, which
+  /// also sets containing_k_ and recounts max_sketch_vertices_), then a
+  /// BitWriter codes the lists in vertex order into an exact-size array.
+  /// The starts take 2-byte words while every group's do.
   void BuildContaining(size_t num_vertices);
 
-  friend class IndexIo;  // saves and loads the directory words and body_
+  friend class IndexIo;  // saves and loads the directory's words and body_
 
-  GroupWords slots_;             // the directory: one word per sketch
+  std::vector<Group> groups_;  // the directory: a record per 64 sketches
+  Words block_words_;          // and a word per block
+  std::vector<VertexId> roots_;  // a run's singletons' roots, in order
   std::vector<uint8_t> body_;    // blocks, then kBitPadding zero bytes
   GroupWords containing_starts_;     // num_vertices + 1 bit offsets
   std::vector<uint8_t> containing_;  // Rice-coded lists, by vertex
   Graph topology_;             // what ranks decode against; may be empty
   uint64_t num_vertices_ = 0;  // the network's, below kExplicit
   uint64_t max_out_degree_ = 0;  // the network's, at most 2^32
+  uint32_t num_sketches_ = 0;
   uint32_t vertex_bits_ = 0;
   uint32_t rank_bits_ = 0;
   // Fits 32 bits: a block holds under 2^31 vertices.
@@ -817,13 +905,17 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
   // Sorted, so the last vertex is the largest.
   PITEX_CHECK_MSG(vertices[n - 1] < num_vertices_,
                   "sketch vertex lies outside the pool's network");
-  const size_t i = slots_.size();
+  // Sketch ids are u32 (containing_).
+  PITEX_CHECK_MSG(num_sketches_ < UINT32_MAX - 1,
+                  "sketch pool exceeds its directory words");
+  [[maybe_unused]] const size_t i = num_sketches_;
   const uint64_t start = BodyEnd();
-  slots_.OpenGroup(start);
+  OpenGroup(start);
   const uint64_t length = BodyLength(n, m, in_tree);
   if (length == 0) {
-    // Implicit singleton: its directory word is its vertex.
-    PushSlot(vertices[0], /*block=*/false);
+    // Implicit singleton: the run records its root, and the directory
+    // only its clear mask bit.
+    PushSingleton(vertices[0]);
   } else {
     PITEX_CHECK_MSG(n <= kMaxBlockVertices && m <= UINT32_MAX &&
                         FieldBits(n, m, in_tree) <= UINT32_MAX,
@@ -843,15 +935,14 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
     fill(out);
     [[maybe_unused]] const uint64_t written = bits.Finish();
     PITEX_DCHECK(written == FieldBits(n, m, in_tree));
-    PushSlot(static_cast<uint32_t>(start - slots_.base(i)), /*block=*/true);
+    PushBlock(start - groups_.back().base);
     // Offsets stored only where they are not an in-tree's, and an
     // in-tree's parents lead to its root.
-    PITEX_DCHECK(View(i).InTree() == in_tree);
-    PITEX_DCHECK(!in_tree || ParentsReachRoot(View(i)));
+    PITEX_DCHECK(View(i, vertices[0]).InTree() == in_tree);
+    PITEX_DCHECK(!in_tree || ParentsReachRoot(View(i, vertices[0])));
   }
-  // Sketch ids are u32 (containing_), and every block's start stays
-  // below a wide directory word's top bit.
-  PITEX_CHECK_MSG(slots_.size() < UINT32_MAX && BodyEnd() <= kExplicit,
+  // Every block's start stays below the file directory word's flag.
+  PITEX_CHECK_MSG(BodyEnd() <= kExplicit,
                   "sketch pool exceeds its directory words");
   max_sketch_vertices_ =
       std::max(max_sketch_vertices_, static_cast<uint32_t>(n));
@@ -897,7 +988,11 @@ class RrSketchOverlay {
     }
     return slot_of_.find(id)->second;
   }
-  RRView View(uint32_t slot) const { return store_.View(slot); }
+  /// The copy in store slot `slot`, `u` a vertex it contains
+  /// (RrSketchPool::View).
+  RRView View(uint32_t slot, VertexId u) const {
+    return store_.View(slot, u);
+  }
 
   /// u's replacement containing list, or nothing while u's membership
   /// is still the base's.
@@ -920,8 +1015,11 @@ class RrSketchOverlay {
   /// stretches of unrepaired sketches and of each repaired sketch's
   /// current copy in the store, so no block is re-encoded and superseded
   /// copies are left out. Compaction, and the index writer for an index
-  /// with repairs, finish base + overlay this way.
-  RrSketchPool Fold(const RrSketchPool& base) const;
+  /// with repairs, finish base + overlay this way; FromRuns decodes the
+  /// base's singleton roots once, and with `roots` hands over the
+  /// result's.
+  RrSketchPool Fold(const RrSketchPool& base,
+                    std::vector<VertexId>* roots = nullptr) const;
   /// Replaces u's containing list with `ids` (ascending), coded.
   void SetContaining(VertexId u, std::span<const uint32_t> ids);
 

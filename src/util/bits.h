@@ -27,8 +27,17 @@ inline size_t PaddedBytes(uint64_t bits) {
   return bits == 0 ? 0 : static_cast<size_t>((bits + 7) / 8) + kBitPadding;
 }
 
-/// The low `bits` (at most 32) bits set.
+/// The low `bits` (at most 63) bits set.
 inline uint64_t LowMask(uint32_t bits) { return (uint64_t{1} << bits) - 1; }
+
+/// How many bits of x are set: an inline SWAR sum, since std::popcount
+/// is a library call on baseline x86-64, the default build's target.
+inline uint32_t PopCount(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<uint32_t>((x * 0x0101010101010101ULL) >> 56);
+}
 
 /// The 8 bytes of a coded array from bit `pos`'s byte, shifted down to
 /// bit `pos`: its low kBitWindow bits are the array's.

@@ -63,8 +63,10 @@ TEST(DynamicRrIndexTest, InitialStateMatchesStaticIndex) {
   dynamic_index.Build();
 
   ASSERT_EQ(dynamic_index.num_graphs(), static_index.num_graphs());
+  const IndexViews dynamic_views(dynamic_index, n.num_vertices());
+  const IndexViews static_views(static_index, n.num_vertices());
   for (size_t i = 0; i < static_index.num_graphs(); ++i) {
-    EXPECT_TRUE(GraphsEqual(dynamic_index.graph(i), static_index.graph(i)))
+    EXPECT_TRUE(GraphsEqual(dynamic_views(i), static_views(i)))
         << "graph " << i;
   }
   for (VertexId v = 0; v < n.num_vertices(); ++v) {
@@ -309,8 +311,10 @@ TEST(DynamicRrIndexTest, RepairHistoryIsDeterministic) {
     b.ApplyUpdates(std::span(&update, 1));
   }
   ASSERT_EQ(a.num_graphs(), b.num_graphs());
+  const IndexViews a_views(a, n.num_vertices());
+  const IndexViews b_views(b, n.num_vertices());
   for (size_t i = 0; i < a.num_graphs(); ++i) {
-    EXPECT_TRUE(GraphsEqual(a.graph(i), b.graph(i))) << "graph " << i;
+    EXPECT_TRUE(GraphsEqual(a_views(i), b_views(i))) << "graph " << i;
   }
 }
 
@@ -324,8 +328,9 @@ TEST(DynamicRrIndexTest, NoopUpdateLeavesEveryGraphIdentical) {
   DynamicRrIndex index(n, SmallOptions());
   index.Build();
   std::vector<RRGraph> snapshot;
+  const IndexViews views(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    snapshot.emplace_back().Assign(index.graph(i));
+    snapshot.emplace_back().Assign(views(i));
   }
 
   std::vector<EdgeTopicEntry> same(n.influence.EdgeTopics(1).begin(),
@@ -334,8 +339,9 @@ TEST(DynamicRrIndexTest, NoopUpdateLeavesEveryGraphIdentical) {
 
   EXPECT_GT(index.stats().graphs_examined, 0u);
   EXPECT_EQ(index.stats().graphs_changed, 0u);
+  const IndexViews after(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    ASSERT_TRUE(GraphsEqual(index.graph(i), snapshot[i])) << "graph " << i;
+    ASSERT_TRUE(GraphsEqual(after(i), snapshot[i])) << "graph " << i;
   }
 }
 
@@ -346,14 +352,16 @@ TEST(DynamicRrIndexTest, ProbabilityDropNeverGrowsGraphs) {
   DynamicRrIndex index(n, SmallOptions());
   index.Build();
   std::vector<size_t> before;
+  const IndexViews views(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    before.push_back(index.graph(i).vertices.size());
+    before.push_back(views(i).vertices.size());
   }
 
   const EdgeTopicEntry entries[] = {{2, 0.1}};  // e4 was z3:0.8
   index.UpdateEdgeTopics(4, entries);
+  const IndexViews after(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    EXPECT_LE(index.graph(i).vertices.size(), before[i]) << "graph " << i;
+    EXPECT_LE(after(i).vertices.size(), before[i]) << "graph " << i;
   }
 }
 
@@ -363,17 +371,19 @@ TEST(DynamicRrIndexTest, ProbabilityRaiseNeverShrinksGraphs) {
   index.Build();
   std::vector<size_t> before;
   size_t total_before = 0;
+  const IndexViews views(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    before.push_back(index.graph(i).vertices.size());
+    before.push_back(views(i).vertices.size());
     total_before += before.back();
   }
 
   const EdgeTopicEntry entries[] = {{2, 0.95}};  // e4 raised from 0.8
   index.UpdateEdgeTopics(4, entries);
   size_t total_after = 0;
+  const IndexViews after(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    EXPECT_GE(index.graph(i).vertices.size(), before[i]) << "graph " << i;
-    total_after += index.graph(i).vertices.size();
+    EXPECT_GE(after(i).vertices.size(), before[i]) << "graph " << i;
+    total_after += after(i).vertices.size();
   }
   // With thousands of graphs, some resurrection must have occurred.
   EXPECT_GT(total_after, total_before);
@@ -401,13 +411,14 @@ TEST(DynamicRrIndexTest, ContainmentStaysConsistentAfterRepairs) {
   size_t listed = 0;
   for (VertexId v = 0; v < n.num_vertices(); ++v) {
     for (const uint32_t id : index.Containing(v)) {
-      EXPECT_TRUE(index.graph(id).LocalIndex(v).has_value());
+      EXPECT_TRUE(index.graph(id, v).LocalIndex(v).has_value());
       ++listed;
     }
   }
   size_t contained = 0;
+  const IndexViews views(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    contained += index.graph(i).vertices.size();
+    contained += views(i).vertices.size();
   }
   EXPECT_EQ(listed, contained);
 }

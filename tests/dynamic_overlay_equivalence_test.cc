@@ -97,8 +97,9 @@ void ExpectSameSketches(const DynamicRrIndex& got,
                         const ReferenceDynamicRrIndex& want) {
   ASSERT_EQ(got.theta(), want.theta());
   ASSERT_EQ(got.num_graphs(), want.graphs().size());
+  const IndexViews views(got, got.network().num_vertices());
   for (size_t i = 0; i < got.num_graphs(); ++i) {
-    ASSERT_TRUE(ViewsEqual(got.graph(i), want.graphs()[i])) << "sketch " << i;
+    ASSERT_TRUE(ViewsEqual(views(i), want.graphs()[i])) << "sketch " << i;
   }
   for (VertexId v = 0; v < got.network().num_vertices(); ++v) {
     ASSERT_TRUE(std::ranges::equal(got.Containing(v), want.Containing(v)))
@@ -247,8 +248,9 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
       frozen_network = std::make_unique<SocialNetwork>(got->network());
       frozen = got->Freeze(*frozen_network, /*compact=*/false);
       check_fold(frozen->pool(), want->graphs());
+      const IndexViews views(*frozen, n.num_vertices());
       for (size_t i = 0; i < frozen->num_graphs(); ++i) {
-        ASSERT_TRUE(ViewsEqual(frozen->graph(i), want->graphs()[i]));
+        ASSERT_TRUE(ViewsEqual(views(i), want->graphs()[i]));
       }
       for (VertexId v = 0; v < n.num_vertices(); ++v) {
         ASSERT_TRUE(std::ranges::equal(frozen->Containing(v),

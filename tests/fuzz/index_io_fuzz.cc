@@ -139,8 +139,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       // containing list is exactly the ascending ids of the sketches
       // whose vertices include it.
       std::vector<std::vector<uint32_t>> want(Network().num_vertices());
+      const IndexViews views(*loaded, Network().num_vertices());
       for (uint32_t id = 0; id < loaded->num_graphs(); ++id) {
-        for (const VertexId v : loaded->graph(id).vertices) {
+        for (const VertexId v : views(id).vertices) {
           Require(v < want.size(), "sketch vertex in range");
           want[v].push_back(id);
         }
@@ -162,7 +163,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
           Network(), RrIndexOptions{}, loaded->theta(),
           std::make_shared<const RrSketchPool>(PackViews(
               loaded->num_graphs(), RrSketchPool(Network().graph),
-              [&loaded](size_t i) { return loaded->graph(i); })));
+              views)));
       std::stringstream repacked;
       Require(SaveRrIndex(*packed, repacked), "packed index saves");
       const std::string canonical = repacked.str();

@@ -89,45 +89,6 @@ SocialNetwork MakeSkipRegimeNetwork() {
   return n;
 }
 
-uint64_t Fnv1a(uint64_t hash, const void* data, size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-// Field-wise content hash of every sketch in a built index: vertices
-// and local ids enter as 32-bit values whatever width the pool stores
-// them at, and each record as its global edge id (RRView::Edge), so the
-// hash is independent of the layout (and struct padding never enters).
-uint64_t IndexContentHash(const RrIndex& index) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < index.num_graphs(); ++i) {
-    const RRView rr = index.graph(i);
-    const VertexId root = rr.root();
-    hash = Fnv1a(hash, &root, sizeof(root));
-    const RRGraph owned = Owned(rr);
-    hash = Fnv1a(hash, owned.vertices.data(),
-                 owned.vertices.size() * sizeof(VertexId));
-    hash = Fnv1a(hash, owned.offsets.data(),
-                 owned.offsets.size() * sizeof(uint32_t));
-    for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
-      for (uint32_t j = owned.offsets[tail]; j < owned.offsets[tail + 1];
-           ++j) {
-        const RRLocalEdge record = rr.edges[j];
-        const EdgeId edge = rr.Edge(tail, record.rank);
-        const float threshold = record.threshold;
-        hash = Fnv1a(hash, &owned.heads[j], sizeof(uint32_t));
-        hash = Fnv1a(hash, &edge, sizeof(edge));
-        hash = Fnv1a(hash, &threshold, sizeof(threshold));
-      }
-    }
-  }
-  return hash;
-}
-
 // Verbatim retained pre-arena generator (rr_graph.cc before the arena
 // rebuild): double envelopes, one Bernoulli draw plus one threshold draw
 // per live edge, no geometric skips. The new scheme must reproduce its
@@ -180,8 +141,8 @@ TEST(IndexBuildEquivalenceTest, ArenaPoolMatchesStandaloneGeneration) {
 
   ASSERT_EQ(index.pool().num_sketches(), reference.num_sketches());
   for (size_t i = 0; i < reference.num_sketches(); ++i) {
-    const RRView got = index.pool().View(i);
-    const RRView want = reference.View(i);
+    const RRView got = index.pool().View(i, staging[i].root);
+    const RRView want = reference.View(i, staging[i].root);
     ASSERT_EQ(got.root(), want.root()) << "sketch " << i;
     ASSERT_TRUE(std::ranges::equal(got.vertices, want.vertices))
         << "sketch " << i;
@@ -235,8 +196,9 @@ TEST(IndexBuildEquivalenceTest, SyntheticPoolGoldenHash) {
   RrIndex index(n, options);
   index.Build();
   uint64_t edges = 0;
+  const IndexViews views(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    edges += index.graph(i).edges.size();
+    edges += views(i).edges.size();
   }
   EXPECT_EQ(edges, 142718u);
   EXPECT_EQ(IndexContentHash(index), 0xdf3bcf5e14bccde9ULL)
@@ -411,7 +373,7 @@ TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
     RrSketchPool run(graph);
     arena.RebuildRepairedSketch(c.root, c.edges, &run);
     ASSERT_EQ(run.num_sketches(), 1u);
-    const RRView view = run.View(0);
+    const RRView view = run.View(0, c.root);
     EXPECT_EQ(view.heads.bits, IdBits(view.vertices.size()));
     const RRGraph got = Owned(view);
     EXPECT_EQ(got.root, want.root);

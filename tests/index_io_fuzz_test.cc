@@ -114,7 +114,7 @@ void CheckConsistentIfLoaded(const SocialNetwork& n, const std::string& bytes) {
   for (VertexId v = 0; v < n.num_vertices(); ++v) {
     for (const uint32_t id : loaded->Containing(v)) {
       ASSERT_LT(id, loaded->num_graphs());
-      ASSERT_TRUE(loaded->graph(id).LocalIndex(v).has_value());
+      ASSERT_TRUE(loaded->graph(id, v).LocalIndex(v).has_value());
     }
   }
   // Round trip: whatever loads saves back to the bytes it came from.
@@ -127,7 +127,7 @@ void CheckConsistentIfLoaded(const SocialNetwork& n, const std::string& bytes) {
       n, RrIndexOptions{}, loaded->theta(),
       std::make_shared<const RrSketchPool>(PackViews(
           loaded->num_graphs(), RrSketchPool(n.graph),
-          [&loaded](size_t i) { return loaded->graph(i); })));
+          IndexViews(*loaded, n.num_vertices()))));
   std::stringstream repacked;
   ASSERT_TRUE(SaveRrIndex(*packed, repacked));
   ASSERT_EQ(Payload(repacked.str()), Payload(bytes));
@@ -236,7 +236,8 @@ TEST(IndexIoFuzzTest, MovedRootLoadsOnlyOntoAMember) {
       const auto loaded = LoadRrIndex(n, file, &error);
       if (local < block.n && (!block.tree || block.parents_reach_root())) {
         ASSERT_NE(loaded, nullptr) << "sketch " << i << ": " << error.message;
-        EXPECT_EQ(loaded->graph(i).root(), block.vertex(local));
+        EXPECT_EQ(loaded->graph(i, block.vertex(local)).root(),
+                  block.vertex(local));
         CheckConsistentIfLoaded(n, bytes);
         ++moved;
       } else {
@@ -272,7 +273,7 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   options.seed = 5;
   RrIndex wide(cycle, options);
   wide.Build();
-  ASSERT_EQ(wide.graph(0).heads.bits, 17u);
+  ASSERT_EQ(IndexViews(wide, cycle.num_vertices())(0).heads.bits, 17u);
   std::stringstream wide_file;
   ASSERT_TRUE(SaveRrIndex(wide, wide_file));
   RRGraph edgeless{0, std::vector<VertexId>(300), {}, {}, {}};

@@ -71,9 +71,11 @@ TEST(IndexIoTest, RrIndexRoundTripsExactly) {
 
   ASSERT_EQ(loaded->theta(), index.theta());
   ASSERT_EQ(loaded->num_graphs(), index.num_graphs());
+  const IndexViews originals(index, n.num_vertices());
+  const IndexViews restoreds(*loaded, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    const RRView original = index.graph(i);
-    const RRView restored = loaded->graph(i);
+    const RRView original = originals(i);
+    const RRView restored = restoreds(i);
     EXPECT_EQ(restored.root(), original.root());
     EXPECT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
     EXPECT_EQ(Owned(restored).offsets, Owned(original).offsets);
@@ -103,10 +105,11 @@ TEST(IndexIoTest, WideSketchRoundTripsByteIdentical) {
   RrIndex index(n, options);
   index.Build();
   ASSERT_EQ(index.num_graphs(), 3u);
+  const IndexViews originals(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    ASSERT_EQ(index.graph(i).vertices.size(), 65537u);
-    ASSERT_EQ(index.graph(i).edges.size(), 65537u);
-    ASSERT_EQ(index.graph(i).heads.bits, 17u);
+    ASSERT_EQ(originals(i).vertices.size(), 65537u);
+    ASSERT_EQ(originals(i).edges.size(), 65537u);
+    ASSERT_EQ(originals(i).heads.bits, 17u);
   }
 
   std::stringstream first;
@@ -120,9 +123,10 @@ TEST(IndexIoTest, WideSketchRoundTripsByteIdentical) {
 
   ASSERT_EQ(loaded->num_graphs(), index.num_graphs());
   EXPECT_EQ(loaded->pool().SizeBytes(), index.pool().SizeBytes());
+  const IndexViews restoreds(*loaded, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    const RRView original = index.graph(i);
-    const RRView restored = loaded->graph(i);
+    const RRView original = originals(i);
+    const RRView restored = restoreds(i);
     EXPECT_EQ(restored.heads.bits, 17u);
     EXPECT_EQ(restored.root(), original.root());
     EXPECT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
@@ -228,9 +232,12 @@ TEST(IndexIoTest, IndexWithRepairsSavesAsItsCompaction) {
 
   const auto loaded = LoadRrIndex(dynamic.network(), with_repairs);
   ASSERT_NE(loaded, nullptr);
+  const IndexViews loaded_views(*loaded, dynamic.network().num_vertices());
+  const IndexViews repaired_views(*repaired,
+                                  dynamic.network().num_vertices());
   for (size_t i = 0; i < repaired->num_graphs(); ++i) {
-    EXPECT_EQ(Owned(loaded->graph(i)).vertices,
-              Owned(repaired->graph(i)).vertices)
+    EXPECT_EQ(Owned(loaded_views(i)).vertices,
+              Owned(repaired_views(i)).vertices)
         << "sketch " << i;
   }
 }
@@ -377,12 +384,13 @@ TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
   index.Build();
   const uint64_t theta = index.num_graphs() + 1;
   const RRGraph singleton{2, {2}, {0, 0}, {}, {}};
+  const IndexViews views(index, n.num_vertices());
   const auto longer = RrIndex::FromPool(
       n, SmallOptions(), theta,
       std::make_shared<const RrSketchPool>(
           PackViews(theta, RrSketchPool(n.graph),
                     [&](size_t i) {
-            return i + 1 < theta ? index.graph(i) : singleton.View();
+            return i + 1 < theta ? views(i) : singleton.View();
           })));
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(*longer, file));

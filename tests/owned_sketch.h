@@ -73,7 +73,7 @@ struct RRGraph {
                             out.PutEdge(edge);
                           }
                         });
-    return packed.View(0);
+    return packed.View(0, root);
   }
   operator RRView() const { return View(); }  // NOLINT(runtime/explicit)
 
@@ -118,6 +118,90 @@ inline RRGraph Owned(const RRView& view) {
   return graph;
 }
 
+/// Every sketch of `pool`, a run or a finished pool, viewed as
+/// View(i, u) views it: a singleton's u is its root, from one
+/// SingletonRoots() (a finished pool's decoded from its lists); a
+/// block's view reads its vertices from its block, and its u is 0.
+class PoolViews {
+ public:
+  explicit PoolViews(const RrSketchPool& pool) : pool_(&pool) {
+    const std::vector<VertexId> roots = pool.SingletonRoots();
+    size_t next = 0;
+    member_.reserve(pool.num_sketches());
+    for (size_t i = 0; i < pool.num_sketches(); ++i) {
+      member_.push_back(pool.IsSingleton(i) ? roots[next++] : 0);
+    }
+  }
+  RRView operator()(size_t i) const { return pool_->View(i, member_[i]); }
+
+ private:
+  const RrSketchPool* pool_;
+  std::vector<VertexId> member_;
+};
+
+/// Every sketch of `index`, an RrIndex or a DynamicRrIndex over
+/// `num_vertices` vertices, viewed as graph(i, u) views it: u is the last
+/// vertex whose containing list names sketch i, from one decode of every
+/// list (a singleton's is its root).
+template <typename Index>
+class IndexViews {
+ public:
+  IndexViews(const Index& index, size_t num_vertices)
+      : index_(&index), member_(index.num_graphs(), 0) {
+    for (VertexId v = 0; v < num_vertices; ++v) {
+      for (const uint32_t id : index.Containing(v)) member_[id] = v;
+    }
+  }
+  RRView operator()(size_t i) const { return index_->graph(i, member_[i]); }
+
+ private:
+  const Index* index_;
+  std::vector<VertexId> member_;
+};
+
+/// `hash` folded, as 64-bit FNV-1a, over the `bytes` bytes at `data`.
+inline uint64_t Fnv1aBytes(uint64_t hash, const void* data, size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Field-wise content hash of every sketch of `index`, an RrIndex:
+/// vertices and local ids enter as 32-bit values whatever width the
+/// pool stores them at, and each record as its global edge id
+/// (RRView::Edge), so the hash is independent of the layout (and struct
+/// padding never enters).
+template <typename Index>
+uint64_t IndexContentHash(const Index& index) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const IndexViews views(index, index.num_vertices());
+  for (size_t i = 0; i < index.num_graphs(); ++i) {
+    const RRView rr = views(i);
+    const VertexId root = rr.root();
+    hash = Fnv1aBytes(hash, &root, sizeof(root));
+    const RRGraph owned = Owned(rr);
+    hash = Fnv1aBytes(hash, owned.vertices.data(),
+                      owned.vertices.size() * sizeof(VertexId));
+    hash = Fnv1aBytes(hash, owned.offsets.data(),
+                      owned.offsets.size() * sizeof(uint32_t));
+    for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
+      for (uint32_t j = owned.offsets[tail]; j < owned.offsets[tail + 1];
+           ++j) {
+        const RRLocalEdge record = rr.edges[j];
+        const EdgeId edge = rr.Edge(tail, record.rank);
+        const float threshold = record.threshold;
+        hash = Fnv1aBytes(hash, &owned.heads[j], sizeof(uint32_t));
+        hash = Fnv1aBytes(hash, &edge, sizeof(edge));
+        hash = Fnv1aBytes(hash, &threshold, sizeof(threshold));
+      }
+    }
+  }
+  return hash;
+}
+
 /// Sketches view_of(0), ..., view_of(num_sketches - 1) of `network`'s
 /// network (a pool of it: its widths and topology), re-encoded field by
 /// field from their views into a run (Append), which FromRuns then
@@ -142,7 +226,7 @@ inline RRGraph GenerateRRGraph(const Graph& graph,
   SketchArena arena;
   RrSketchPool run(graph);
   arena.Generate(graph, influence, root, rng, &run);
-  return Owned(run.View(0));
+  return Owned(run.View(0, root));
 }
 
 /// Reference assembly: sorts and dedups `vertices`, drops edges with an

@@ -19,9 +19,11 @@ namespace {
 
 void ExpectIndexesIdentical(const RrIndex& a, const RrIndex& b) {
   ASSERT_EQ(a.num_graphs(), b.num_graphs());
+  const IndexViews a_views(a, a.num_vertices());
+  const IndexViews b_views(b, b.num_vertices());
   for (size_t i = 0; i < a.num_graphs(); ++i) {
-    const RRView ga = a.graph(i);
-    const RRView gb = b.graph(i);
+    const RRView ga = a_views(i);
+    const RRView gb = b_views(i);
     ASSERT_EQ(ga.root(), gb.root()) << "graph " << i;
     ASSERT_TRUE(std::ranges::equal(ga.vertices, gb.vertices))
         << "graph " << i;
@@ -96,9 +98,11 @@ TEST(ParallelBuildTest, EstimatesIdentical) {
 
 void ExpectPoolsIdentical(const RrSketchPool& a, const RrSketchPool& b) {
   ASSERT_EQ(a.num_sketches(), b.num_sketches());
+  const PoolViews a_views(a);
+  const PoolViews b_views(b);
   for (size_t i = 0; i < a.num_sketches(); ++i) {
-    const RRView ga = a.View(i);
-    const RRView gb = b.View(i);
+    const RRView ga = a_views(i);
+    const RRView gb = b_views(i);
     ASSERT_EQ(ga.root(), gb.root()) << "sketch " << i;
     ASSERT_TRUE(std::ranges::equal(ga.vertices, gb.vertices))
         << "sketch " << i;

@@ -16,10 +16,14 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
 #include <new>
 #include <numeric>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "certain_cycle.h"
@@ -123,8 +127,9 @@ size_t VarintBytes(uint32_t x) {
 std::vector<std::vector<uint32_t>> ContainingFromViews(
     const RrSketchPool& pool) {
   std::vector<std::vector<uint32_t>> lists(pool.num_universe_vertices());
+  const PoolViews views(pool);
   for (uint32_t i = 0; i < pool.num_sketches(); ++i) {
-    for (const VertexId v : pool.View(i).vertices) lists[v].push_back(i);
+    for (const VertexId v : views(i).vertices) lists[v].push_back(i);
   }
   return lists;
 }
@@ -193,15 +198,23 @@ size_t TwoLevelBytes(size_t entries, size_t width) {
   return sizeof(uint32_t) * ((entries + 63) / 64) + width * entries;
 }
 
+// Bytes of a directory of `sketches` sketches, `blocks` of them blocks,
+// whose words take `width` bytes: a 16-byte record per 64 sketches (a
+// 32-bit base and rank and a 64-bit mask), then a word per block.
+size_t DirectoryBytes(size_t sketches, size_t blocks, size_t width) {
+  return 16 * ((sketches + 63) / 64) + width * blocks;
+}
+
 // The pool's footprint from its layout, and the word widths it calls
-// for, which it expects the pool to report. The directory and the
-// containing starts each hold a 32-bit base per 64 entries and one word
-// per entry, 2 bytes while every word fits them, else 4. A directory
-// word is a singleton's vertex or a block's start less its group's base
-// (where the next block starts at the group's first sketch) behind the
-// flag bit 15; a start's word is its list's start, in bits, less its
-// group's first start. The containing lists are Rice codes at the
-// pool's parameter (ExpectedListsOf). A sketch's body block, unless it
+// for, which it expects the pool to report. The directory holds a
+// 16-byte record per 64 sketches and a word per block, its start less
+// its group's base (where the next block starts at the group's first
+// sketch); a singleton takes no word. The containing starts hold a
+// 32-bit base per 64 entries and one word per entry, its list's start,
+// in bits, less its group's first start. Either array's words take 2
+// bytes while every word fits them, else 4. The containing lists are
+// Rice codes at the pool's parameter (ExpectedListsOf). A sketch's body
+// block, unless it
 // is an implicit singleton (one vertex, no edges), is a varint header
 // of n << 1 | in-tree, a varint of m unless the sketch is an in-tree,
 // then bit fields to the next byte: n vertices at V bits, the root's
@@ -218,17 +231,17 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
   EXPECT_EQ(pool.rank_bits(), rank_bits);
   size_t body = 0;
   size_t base = 0;
-  size_t max_singleton = 0;
+  size_t blocks = 0;
   size_t max_offset = 0;
+  const PoolViews views(pool);
   for (size_t i = 0; i < s; ++i) {
     if (i % 64 == 0) base = body;
-    const RRView view = pool.View(i);
+    const RRView view = views(i);
     const uint64_t n = view.vertices.size();
     const uint64_t m = view.edges.size();
-    if (n == 1 && m == 0) {
-      max_singleton = std::max<size_t>(max_singleton, view.vertices[0]);
-      continue;
-    }
+    EXPECT_EQ(pool.IsSingleton(i), n == 1 && m == 0) << "sketch " << i;
+    if (n == 1 && m == 0) continue;
+    ++blocks;
     max_offset = std::max(max_offset, body - base);
     const bool tree = InTreeShape(Owned(view));
     const uint64_t bits = n * vertex_bits + BitsFor(n) +
@@ -239,8 +252,7 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
             (bits + 7) / 8;
   }
   if (body > 0) body += 7;
-  const size_t directory_width =
-      max_singleton < 32768 && max_offset < 32768 ? 2 : 4;
+  const size_t directory_width = max_offset <= 65535 ? 2 : 4;
   const ExpectedLists lists = ExpectedListsOf(pool);
   const std::vector<uint64_t>& starts = lists.starts;
   uint64_t max_word = 0;
@@ -253,7 +265,8 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     EXPECT_EQ(pool.containing_start_width(), start_width);
     EXPECT_EQ(pool.containing_k(), lists.k);
   }
-  return sizeof(RrSketchPool) + TwoLevelBytes(s, directory_width) +
+  EXPECT_EQ(pool.DirectoryBytes(), DirectoryBytes(s, blocks, directory_width));
+  return sizeof(RrSketchPool) + DirectoryBytes(s, blocks, directory_width) +
          (pool.num_universe_vertices() > 0
               ? TwoLevelBytes(starts.size(), start_width)
               : 0) +
@@ -265,8 +278,9 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
 // equal and returns it.
 uint64_t ExpectVertexTotalsAgree(const RrSketchPool& pool) {
   uint64_t from_views = 0;
+  const PoolViews views(pool);
   for (size_t i = 0; i < pool.num_sketches(); ++i) {
-    from_views += pool.View(i).vertices.size();
+    from_views += views(i).vertices.size();
   }
   uint64_t from_lists = 0;
   for (VertexId v = 0; v < pool.num_universe_vertices(); ++v) {
@@ -311,7 +325,7 @@ TEST(PooledLayoutTest, SketchesMatchReferenceRebuild) {
 
   ASSERT_EQ(index.num_graphs(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
-    const RRView pooled = index.graph(i);
+    const RRView pooled = index.graph(i, reference[i].root);
     const RRView ref = reference[i];
     ASSERT_EQ(pooled.root(), ref.root()) << "graph " << i;
     ASSERT_TRUE(std::ranges::equal(pooled.vertices, ref.vertices))
@@ -411,8 +425,9 @@ TEST(PooledLayoutTest, PoolTotalsConsistent) {
 
   uint64_t vertices = 0, edges = 0;
   size_t max_sketch = 0;
+  const PoolViews views(pool);
   for (size_t i = 0; i < pool.num_sketches(); ++i) {
-    const RRView view = pool.View(i);
+    const RRView view = views(i);
     vertices += view.vertices.size();
     edges += view.edges.size();
     max_sketch = std::max(max_sketch, view.vertices.size());
@@ -452,14 +467,17 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   // of padding: 14 in all. The lists of
   // vertices 2, 5 and 7 take 3, 3 and 6 bits at k = 2 (3 sketches over
   // 10 vertices holding 4 ids, a mean gap of 7): 2 bytes, then 7 of
-  // padding. The directory and the 11 containing starts each take one
-  // 4-byte base and 2-byte words.
+  // padding. The directory takes one 16-byte record and a 2-byte word
+  // for the block; the 11 containing starts one 4-byte base and 2-byte
+  // words.
   EXPECT_EQ(pool.containing_k(), 2u);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 3) +
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
                                   (4 + 2 * 11) + 14 + (2 + 7));
+  const PoolViews views(pool);
   for (size_t i = 0; i < graphs.size(); ++i) {
-    EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
+    EXPECT_TRUE(SameSketch(views(i), graphs[i])) << "sketch " << i;
   }
+  EXPECT_EQ(pool.SingletonRoots(), (std::vector<VertexId>{5, 7}));
   EXPECT_TRUE(std::ranges::equal(pool.Containing(5), std::vector<uint32_t>{0}));
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(7), std::vector<uint32_t>{1, 2}));
@@ -479,10 +497,11 @@ TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.containing_k(), 3u);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 2) +
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
                                   (4 + 2 * 11) + 14 + (1 + 7));
-  EXPECT_TRUE(SameSketch(pool.View(0), graphs[0]));
-  EXPECT_TRUE(SameSketch(pool.View(1), graphs[1]));
+  const PoolViews views(pool);
+  EXPECT_TRUE(SameSketch(views(0), graphs[0]));
+  EXPECT_TRUE(SameSketch(views(1), graphs[1]));
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(4), std::vector<uint32_t>{0, 1}));
 }
@@ -496,12 +515,14 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
   const RrSketchPool pool = PackGraphs(graphs);
   // At k = 3 (a mean gap of 10) each vertex's two ids take 4 bits each
   // plus their quotients, 90 bits in all: 12 bytes, then 7 of padding.
+  // The directory is one 16-byte record and no word.
   EXPECT_EQ(pool.containing_k(), 3u);
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + (4 + 2 * 20) + (4 + 2 * 11) + (12 + 7));
+            sizeof(RrSketchPool) + 16 + (4 + 2 * 11) + (12 + 7));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  const PoolViews views(pool);
   for (size_t i = 0; i < graphs.size(); ++i) {
-    EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
+    EXPECT_TRUE(SameSketch(views(i), graphs[i])) << "sketch " << i;
   }
   for (VertexId v = 0; v < 10; ++v) {
     const uint32_t a = 2 * v;
@@ -512,7 +533,7 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
   }
   EXPECT_EQ(ExpectVertexTotalsAgree(pool), 20u);
   for (size_t i = 0; i < pool.num_sketches(); ++i) {
-    EXPECT_TRUE(pool.View(i).edges.empty()) << "sketch " << i;
+    EXPECT_TRUE(views(i).edges.empty()) << "sketch " << i;
   }
   EXPECT_EQ(pool.max_sketch_vertices(), 1u);
 }
@@ -533,8 +554,10 @@ std::vector<RRGraph> MixedGraphs() {
 
 void ExpectSamePools(const RrSketchPool& got, const RrSketchPool& want) {
   ASSERT_EQ(got.num_sketches(), want.num_sketches());
+  const PoolViews got_views(got);
+  const PoolViews want_views(want);
   for (size_t i = 0; i < want.num_sketches(); ++i) {
-    EXPECT_TRUE(SameSketch(got.View(i), want.View(i))) << "sketch " << i;
+    EXPECT_TRUE(SameSketch(got_views(i), want_views(i))) << "sketch " << i;
   }
   for (VertexId v = 0; v < want.num_universe_vertices(); ++v) {
     EXPECT_TRUE(std::ranges::equal(got.Containing(v), want.Containing(v)))
@@ -555,8 +578,9 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
         MixedGraphs()}) {
     const RrSketchPool pool = PackGraphs(graphs);
     EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+    const PoolViews views(pool);
     for (size_t i = 0; i < graphs.size(); ++i) {
-      EXPECT_TRUE(SameSketch(pool.View(i), graphs[i])) << "sketch " << i;
+      EXPECT_TRUE(SameSketch(views(i), graphs[i])) << "sketch " << i;
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
@@ -567,7 +591,7 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
   // each at k = 2, 41 bits in all: 6 bytes, then 7 of padding.
   EXPECT_EQ(pool.containing_k(), 2u);
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + (4 + 2 * 8) + (4 + 2 * 11) + (34 + 7) +
+            sizeof(RrSketchPool) + (16 + 2 * 4) + (4 + 2 * 11) + (34 + 7) +
                 (6 + 7));
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
@@ -662,16 +686,13 @@ TEST(PooledLayoutTest, FoldIsTheReEncodingOfEveryCurrentSketch) {
   index.Build();
   const RrSketchPool& base = index.pool();
   const auto theta = static_cast<uint32_t>(base.num_sketches());
-  const auto is_singleton = [&base](uint32_t i) {
-    const RRView view = base.View(i);
-    return view.vertices.size() == 1 && view.edges.empty();
-  };
+  const PoolViews views(base);
   uint32_t block = 0;
-  while (is_singleton(block)) ++block;
+  while (base.IsSingleton(block)) ++block;
   uint32_t singleton = 0;
-  while (!is_singleton(singleton)) ++singleton;
+  while (!base.IsSingleton(singleton)) ++singleton;
 
-  // Each case: (id, source) puts, in order, of base.View(source) as
+  // Each case: (id, source) puts, in order, of views(source) as
   // sketch id's current copy.
   using Puts = std::vector<std::pair<uint32_t, uint32_t>>;
   Puts every;
@@ -691,21 +712,25 @@ TEST(PooledLayoutTest, FoldIsTheReEncodingOfEveryCurrentSketch) {
     std::vector<uint32_t> current(theta);
     std::iota(current.begin(), current.end(), 0u);
     for (const auto& [id, source] : puts) {
-      overlay.Put(id, base.View(source));
+      overlay.Put(id, views(source));
       current[id] = source;
     }
     EXPECT_EQ(overlay.num_stored(), puts.size());
     const RrSketchPool want =
         PackViews(theta, RrSketchPool(network.graph),
-                  [&](size_t i) { return base.View(current[i]); });
-    EXPECT_EQ(pool_image::PoolDifference(network, overlay.Fold(base), want),
-              "");
+                  [&](size_t i) { return views(current[i]); });
+    // The fold hands over its singletons' roots, which it does not keep.
+    std::vector<VertexId> roots;
+    const RrSketchPool folded = overlay.Fold(base, &roots);
+    EXPECT_EQ(pool_image::PoolDifference(network, folded, want), "");
+    EXPECT_EQ(roots, want.SingletonRoots());
+    EXPECT_EQ(folded.SizeBytes(), want.SizeBytes());
   }
 }
 
 TEST(PooledLayoutTest, VertexIdsMustFitThirtyOneBits) {
-  // The directory word's top bit tells a block start from a singleton's
-  // vertex, so no vertex id may reach it: the writers abort on such
+  // The index file's directory word's top bit tells a block start from a
+  // singleton's vertex, so no vertex id may reach it: the writers abort on such
   // sketches (the index loader rejects them with a typed error). A
   // default pool's vertex fields hold every id below that bit.
   constexpr VertexId kTooWide = VertexId{1} << 31;
@@ -718,7 +743,7 @@ TEST(PooledLayoutTest, VertexIdsMustFitThirtyOneBits) {
   }
   RrSketchPool run;
   run.Append(fits);
-  EXPECT_EQ(run.View(0).root(), kTooWide - 1);
+  EXPECT_EQ(run.View(0, kTooWide - 1).root(), kTooWide - 1);
 }
 
 TEST(PooledLayoutTest, OverlayStoreMixesSingletonsAndBlocks) {
@@ -730,17 +755,20 @@ TEST(PooledLayoutTest, OverlayStoreMixesSingletonsAndBlocks) {
   for (uint32_t i = 0; i < graphs.size(); ++i) {
     overlay.Put(100 + i, graphs[i]);
     // The newest copy is last in the store, after every earlier block.
-    EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(100 + i)), graphs[i]))
+    EXPECT_TRUE(SameSketch(
+        overlay.View(overlay.SlotOf(100 + i), graphs[i].root), graphs[i]))
         << "sketch " << i;
   }
   overlay.Put(100, Singleton(2));
   overlay.Put(105, graphs[0]);
   EXPECT_EQ(overlay.num_stored(), graphs.size() + 2);
-  EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(100)), Singleton(2)));
-  EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(105)), graphs[0]));
+  EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(100), 2), Singleton(2)));
+  EXPECT_TRUE(
+      SameSketch(overlay.View(overlay.SlotOf(105), graphs[0].root), graphs[0]));
   for (uint32_t i = 1; i < graphs.size(); ++i) {
     if (i == 5) continue;
-    EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(100 + i)), graphs[i]))
+    EXPECT_TRUE(SameSketch(
+        overlay.View(overlay.SlotOf(100 + i), graphs[i].root), graphs[i]))
         << "sketch " << i;
   }
   EXPECT_EQ(overlay.SlotOf(99), RrSketchOverlay::kNotRepaired);
@@ -799,9 +827,12 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
                          const std::vector<RRGraph>& graphs) {
   ASSERT_EQ(pool.num_sketches(), graphs.size());
   const ConstantProbs probs;
+  // A singleton's root as the pool holds it: a run's record, or where a
+  // finished pool's lists name it.
+  const PoolViews views(pool);
   for (size_t i = 0; i < graphs.size(); ++i) {
     SCOPED_TRACE("sketch " + std::to_string(i));
-    const RRView view = pool.View(i);
+    const RRView view = views(i);
     const RRView want = graphs[i];
     ASSERT_TRUE(SameSketch(view, want));
     // An in-tree's block stores no offsets; any other stores them.
@@ -852,7 +883,8 @@ RrSketchPool ExpectWritersKeep(const std::vector<RRGraph>& graphs,
   RrSketchOverlay overlay(run);
   for (uint32_t i = 0; i < graphs.size(); ++i) overlay.Put(i, graphs[i]);
   for (uint32_t i = 0; i < graphs.size(); ++i) {
-    EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(i)), graphs[i]))
+    EXPECT_TRUE(
+        SameSketch(overlay.View(overlay.SlotOf(i), graphs[i].root), graphs[i]))
         << "sketch " << i;
   }
 
@@ -871,8 +903,7 @@ RrSketchPool ExpectWritersKeep(const std::vector<RRGraph>& graphs,
               return g.vertices.size();
             }).vertices.size());
   const RrSketchPool repacked =
-      PackViews(graphs.size(), network,
-                [&packed](size_t i) { return packed.View(i); });
+      PackViews(graphs.size(), network, PoolViews(packed));
   ExpectSamePools(repacked, packed);
 
   // FromRuns over the one run...
@@ -1042,7 +1073,7 @@ TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixtyFourVertices) {
   // and 2 + 1 + 57 bytes (header, edge count, 447 and 454 bits), the
   // 65-edge block 2 + 1 + 463 (3,704 bits) and the in-trees 1 + 390 and
   // 2 + 396 (3,113 and 3,163 bits), then 7 bytes of padding.
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 6) +
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 5) +
                                   (8 + 2 * 71) +
                                   (58 + 60 + 466 + 391 + 398 + 7) +
                                   ExpectedListsOf(pool).bytes);
@@ -1062,7 +1093,7 @@ const uint8_t* BlockStart(const RRView& view) {
 // The bytes of explicit sketch i's block in `pool`, from its header
 // through the byte of its last record's last bit.
 std::vector<uint8_t> BlockBytes(const RrSketchPool& pool, size_t i) {
-  const RRView view = pool.View(i);
+  const RRView view = PoolViews(pool)(i);
   return {BlockStart(view), view.edges.end_byte()};
 }
 
@@ -1091,14 +1122,15 @@ TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
   EXPECT_EQ(BlockBytes(pool, 3),
             (std::vector<uint8_t>{0x04, 0x01, 0x90, 0xec, 0x00, 0x00, 0x80,
                                   0x7e}));
+  const PoolViews views(pool);
   for (const size_t i : {0, 1, 2, 4}) {
-    EXPECT_EQ(pool.View(i).offsets.data, nullptr) << "sketch " << i;
+    EXPECT_EQ(views(i).offsets.data, nullptr) << "sketch " << i;
   }
-  EXPECT_NE(pool.View(3).offsets.data, nullptr);
+  EXPECT_NE(views(3).offsets.data, nullptr);
   // The views read the offsets they left out as an in-tree's.
-  EXPECT_EQ(Owned(pool.View(2)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
+  EXPECT_EQ(Owned(views(2)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (4 + 2 * 5) +
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 3) +
                                   (4 + 2 * 11) + (7 + 12 + 8 + 7) +
                                   ExpectedListsOf(pool).bytes);
   ExpectEveryWriterKeeps(graphs, 10);
@@ -1306,8 +1338,9 @@ TEST(PooledLayoutTest, RepairedListsDecodeToBruteForce) {
   const auto frozen = index.Freeze(network, /*compact=*/false);
   ASSERT_GT(frozen->pool().containing_k(), 0u);
   std::vector<std::vector<uint32_t>> want(network.num_vertices());
+  const IndexViews views(index, network.num_vertices());
   for (uint32_t i = 0; i < index.num_graphs(); ++i) {
-    for (const VertexId v : index.graph(i).vertices) want[v].push_back(i);
+    for (const VertexId v : views(i).vertices) want[v].push_back(i);
   }
   for (VertexId v = 0; v < want.size(); ++v) {
     ASSERT_TRUE(std::ranges::equal(index.Containing(v), want[v]))
@@ -1410,20 +1443,45 @@ std::vector<RRGraph> SingletonRootGraphs(VertexId root) {
   return graphs;
 }
 
-TEST(PooledLayoutTest, DirectoryWidthFollowsSingletonRoots) {
-  // A singleton rooted at 32,767 fits a 2-byte word below its flag bit
-  // 15; one rooted at 32,768 makes every word 4 bytes. The run the
-  // sketches are appended to widens when it takes that singleton.
-  for (const auto& [root, width] : {std::pair{32767u, 2u}, {32768u, 4u}}) {
+// The word width of the directory in `pool`'s index file on `network`,
+// a network of its sketches.
+uint32_t FileDirectoryWidth(const SocialNetwork& network,
+                            const RrSketchPool& pool) {
+  const auto index =
+      RrIndex::FromPool(network, Options(), pool.num_sketches(),
+                        std::make_shared<const RrSketchPool>(pool));
+  std::stringstream file;
+  EXPECT_TRUE(SaveRrIndex(*index, file));
+  return pool_image::Image(file.str(), network).width;
+}
+
+// `graphs`, hand-made sketches over `universe` vertices, re-ranked
+// against their own network (NetworkOf) and packed into a pool of it.
+std::pair<SocialNetwork, RrSketchPool> PackOnOwnNetwork(
+    std::vector<RRGraph> graphs, size_t universe) {
+  SocialNetwork network = NetworkOf(universe, graphs);
+  Rerank(network.graph, &graphs);
+  RrSketchPool pool =
+      PackViews(graphs.size(), RrSketchPool(network.graph),
+                [&graphs](size_t i) { return graphs[i].View(); });
+  return {std::move(network), std::move(pool)};
+}
+
+TEST(PooledLayoutTest, SingletonRootsWidenOnlyTheFileDirectory) {
+  // A singleton rooted at 32,767 fits a 2-byte word of the index file's
+  // directory below its flag bit 15; one rooted at 32,768 makes every
+  // file word 4 bytes. The pool's own words hold no root, so they stay
+  // at 2 bytes either way.
+  for (const auto& [root, file_width] :
+       {std::pair{32767u, 2u}, {32768u, 4u}}) {
     SCOPED_TRACE("root " + std::to_string(root));
     const std::vector<RRGraph> graphs = SingletonRootGraphs(root);
     ExpectEveryWriterKeeps(graphs, 40000);
-    const RrSketchPool pool = PackViews(
-        graphs.size(), RrSketchPool(40000, 40000),
-        [&graphs](size_t i) { return graphs[i].View(); });
-    EXPECT_EQ(pool.directory_width(), width);
+    const auto [network, pool] = PackOnOwnNetwork(graphs, 40000);
+    EXPECT_EQ(pool.directory_width(), 2u);
     EXPECT_EQ(pool.containing_start_width(), 2u);
-    EXPECT_EQ(pool.View(40).root(), root);
+    EXPECT_EQ(PoolViews(pool)(40).root(), root);
+    EXPECT_EQ(FileDirectoryWidth(network, pool), file_width);
   }
 }
 
@@ -1461,11 +1519,13 @@ std::vector<RRGraph> BlocksTaking(size_t bytes) {
 
 TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
   // The last sketch of the first group of 64 is a block that starts
-  // 32,767 bytes past the group's base, the largest start less its base
-  // a 2-byte word holds below its flag bit 15, then 32,768. A second
-  // group opens with a block at its base.
-  for (const auto& [offset, width] :
-       {std::pair{size_t{32767}, 2u}, {size_t{32768}, 4u}}) {
+  // `offset` bytes past the group's base. The pool's words take 2 bytes
+  // up to 65,535, the largest start less its base they hold, and 4 from
+  // 65,536; the index file's words keep a flag in bit 15, so they widen
+  // from 32,768. A second group opens with a block at its base.
+  for (const auto& [offset, width, file_width] :
+       {std::tuple{size_t{32767}, 2u, 2u}, {size_t{32768}, 2u, 4u},
+        {size_t{65535}, 2u, 4u}, {size_t{65536}, 4u, 4u}}) {
     SCOPED_TRACE("offset " + std::to_string(offset));
     std::vector<RRGraph> graphs = BlocksTaking(offset);
     ASSERT_LT(graphs.size(), 63u);
@@ -1474,13 +1534,14 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
     graphs.push_back(RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}});
     graphs.push_back(Singleton(4));
     ExpectEveryWriterKeeps(graphs, 4096);
-    const RrSketchPool pool = PackViews(
-        graphs.size(), RrSketchPool(4096, 4096),
-        [&graphs](size_t i) { return graphs[i].View(); });
+    const auto [network, pool] = PackOnOwnNetwork(graphs, 4096);
     EXPECT_EQ(pool.directory_width(), width);
+    EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+    EXPECT_EQ(FileDirectoryWidth(network, pool), file_width);
     // Sanity of the fixture: sketch 63's block starts `offset` bytes
     // past sketch 0's, which begins the body.
-    EXPECT_EQ(BlockStart(pool.View(63)) - BlockStart(pool.View(0)),
+    const PoolViews views(pool);
+    EXPECT_EQ(BlockStart(views(63)) - BlockStart(views(0)),
               static_cast<std::ptrdiff_t>(offset));
   }
 }
@@ -1607,14 +1668,15 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
     ExpectMatchesGraphs(run, graphs);
     RrSketchPool appended(num_vertices, max_out_degree);
     for (size_t i = 0; i < run.num_sketches(); ++i) {
-      appended.Append(run.View(i));
+      appended.Append(run.View(i, graphs[i].root));
     }
     ExpectMatchesGraphs(appended, graphs);
     EXPECT_EQ(appended.SizeBytes(), run.SizeBytes());
     RrSketchOverlay overlay(run);
     for (uint32_t i = 0; i < graphs.size(); ++i) overlay.Put(i, graphs[i]);
     for (uint32_t i = 0; i < graphs.size(); ++i) {
-      EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(i)), graphs[i]))
+      EXPECT_TRUE(SameSketch(overlay.View(overlay.SlotOf(i), graphs[i].root),
+                             graphs[i]))
           << "sketch " << i;
     }
     if (num_vertices == (k1 << 31) && max_out_degree == (k1 << 32)) {
@@ -1634,6 +1696,22 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
   }
 }
 
+// The 64-bit FNV-1a of a saved index file's bytes before its trailer
+// (build_seconds, which is a wall-clock time, and the checksum over it).
+uint64_t FileHash(const std::string& bytes) {
+  return Fnv1aBytes(0xcbf29ce484222325ULL, bytes.data(),
+                    bytes.size() - pool_image::kTrailerBytes);
+}
+
+// A dblp analog at `scale` with 64 tags and dataset seed 1, as
+// pitexbench generates its network.
+SocialNetwork BenchmarkNetwork(double scale) {
+  DatasetSpec dataset = DblpSpec(scale);
+  dataset.num_tags = 64;
+  dataset.seed = 1;
+  return GenerateDataset(dataset);
+}
+
 TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   // pitexbench's index (pitexbench/workloads.cc): the dblp analog at
   // scale 0.05 with 64 tags and dataset seed 1, eps 0.7, delta 1000,
@@ -1641,10 +1719,7 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   // A change to the pool's layout that moves these bytes fails here, not
   // only in the benchmark's heap reading; a change that means to move
   // them updates the numbers and says so.
-  DatasetSpec dataset = DblpSpec(0.05);
-  dataset.num_tags = 64;
-  dataset.seed = 1;
-  const SocialNetwork network = GenerateDataset(dataset);
+  const SocialNetwork network = BenchmarkNetwork(0.05);
   RrIndexOptions options;
   options.eps = 0.7;
   options.delta = 1000.0;
@@ -1654,23 +1729,87 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   index.Build();
   const RrSketchPool& pool = index.pool();
   ASSERT_EQ(pool.num_sketches(), 200000u);
-  // Both offset arrays take 2-byte words: the directory (largest
-  // singleton vertex 24,999, largest block start less its base 1,183 B)
-  // and the containing starts (largest group 31,428 bits). The lists'
+  // Both offset arrays take 2-byte words: the block words (largest
+  // block start less its base 1,183 B) and the containing starts
+  // (largest group 31,428 bits). 85,966 sketches are blocks, so the
+  // directory takes 3,125 16-byte records and 85,966 words. The lists'
   // 454,185 ids have a mean gap of 11,008, so k = 13. The network's
   // 25,000 vertices and at most 18 out-edges a vertex give 15-bit
   // vertices and 5-bit ranks.
   EXPECT_EQ(pool.directory_width(), 2u);
+  EXPECT_EQ(pool.DirectoryBytes(), 3125u * 16 + 85966u * 2);
   EXPECT_EQ(pool.containing_start_width(), 2u);
   EXPECT_EQ(pool.containing_k(), 13u);
   EXPECT_EQ(pool.vertex_bits(), 15u);
   EXPECT_EQ(pool.max_out_degree(), 18u);
   EXPECT_EQ(pool.rank_bits(), 5u);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 3301564);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 3110996);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  // The file keeps a word per sketch, a singleton's its root (the
+  // largest 24,999, so 2 bytes each), and these exact bytes.
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
   EXPECT_EQ(file.str().size(), 2395356u);
+  EXPECT_EQ(FileHash(file.str()), 0xf52a55a2ee1fa9bfULL)
+      << std::hex << FileHash(file.str());
+  EXPECT_EQ(pool_image::Image(file.str(), network).width, 2u);
+
+  // With repairs, the save folds base + overlay: its bytes load and save
+  // back unchanged, and the loaded index holds the fold's sketches.
+  DynamicRrIndex dynamic(network, options);
+  dynamic.Build();
+  for (int round = 0; round < 16; ++round) {
+    EdgeInfluenceUpdate update;
+    update.edge = static_cast<EdgeId>((round * 7919) % network.num_edges());
+    update.entries = {
+        {static_cast<TopicId>(round % network.topics.num_topics()), 0.9}};
+    dynamic.ApplyUpdates(std::span(&update, 1));
+  }
+  ASSERT_GT(dynamic.overlay_sketches(), 0u);
+  const std::unique_ptr<RrIndex> repaired =
+      dynamic.Freeze(network, /*compact=*/false);
+  std::stringstream folded_file;
+  ASSERT_TRUE(SaveRrIndex(*repaired, folded_file));
+  IndexIoError error;
+  const auto loaded = LoadRrIndex(network, folded_file, &error);
+  ASSERT_NE(loaded, nullptr) << error.message;
+  std::stringstream again;
+  ASSERT_TRUE(SaveRrIndex(*loaded, again));
+  EXPECT_EQ(again.str(), folded_file.str());
+  // Compaction folds the same pool the save did.
+  const std::unique_ptr<RrIndex> folded =
+      dynamic.Freeze(network, /*compact=*/true);
+  EXPECT_EQ(IndexContentHash(*loaded), IndexContentHash(*folded));
+  EXPECT_EQ(IndexContentHash(*repaired), IndexContentHash(*folded));
+  EXPECT_EQ(loaded->pool().SizeBytes(), folded->pool().SizeBytes());
+}
+
+TEST(PooledLayoutTest, WideNetworkKeepsTwoByteWords) {
+  // The dblp analog at scale 0.08 has 40,000 vertices: singletons rooted
+  // at 2^15 and above, which made every directory word 4 bytes while
+  // the directory held the roots. The pool's words hold only block
+  // starts, so they take 2 bytes; the file's words hold the roots, so
+  // they take 4, and the file loads and saves back unchanged.
+  const SocialNetwork network = BenchmarkNetwork(0.08);
+  ASSERT_EQ(network.num_vertices(), 40000u);
+  RrIndexOptions options;
+  options.theta_per_vertex = 1.0;
+  options.seed = 7;
+  RrIndex index(network, options);
+  index.Build();
+  const RrSketchPool& pool = index.pool();
+  EXPECT_EQ(pool.directory_width(), 2u);
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  std::stringstream file;
+  ASSERT_TRUE(SaveRrIndex(index, file));
+  EXPECT_EQ(pool_image::Image(file.str(), network).width, 4u);
+  IndexIoError error;
+  const auto loaded = LoadRrIndex(network, file, &error);
+  ASSERT_NE(loaded, nullptr) << error.message;
+  EXPECT_EQ(loaded->pool().SizeBytes(), pool.SizeBytes());
+  std::stringstream again;
+  ASSERT_TRUE(SaveRrIndex(*loaded, again));
+  EXPECT_EQ(again.str(), file.str());
 }
 
 TEST(PooledLayoutTest, EdgeRecordIsEightBytes) {

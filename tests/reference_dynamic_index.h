@@ -114,7 +114,7 @@ class ReferenceDynamicRrIndex {
           static_cast<VertexId>(rng.NextBounded(network_.num_vertices()));
       run.Clear();
       arena_.Generate(network_.graph, table, roots_[i], &rng, &run);
-      graphs_[i].Assign(run.View(0));
+      graphs_[i].Assign(run.View(0, roots_[i]));
     }
     for (uint32_t id = 0; id < graphs_.size(); ++id) {
       for (VertexId v : graphs_[id].vertices) containing_[v].push_back(id);
@@ -195,8 +195,9 @@ class ReferenceDynamicRrIndex {
     const size_t n = pool.num_sketches();
     graphs_.resize(n);
     roots_.resize(n);
+    const PoolViews views(pool);
     for (size_t i = 0; i < n; ++i) {
-      const RRView view = pool.View(i);
+      const RRView view = views(i);
       graphs_[i].Assign(view);
       roots_[i] = view.root();
     }
@@ -333,7 +334,7 @@ class ReferenceDynamicRrIndex {
     }
     repaired_.Clear();
     arena_.RebuildRepairedSketch(roots_[id], edges, &repaired_);
-    rr.Assign(repaired_.View(0));
+    rr.Assign(repaired_.View(0, roots_[id]));
     for (const VertexId v : rr.vertices) {
       auto& list = containing_[v];
       list.insert(std::lower_bound(list.begin(), list.end(), id), id);

@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "owned_sketch.h"
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
 #include "src/index/delay_mat.h"
@@ -98,13 +99,14 @@ TEST(RrIndexTest, ContainingListsConsistent) {
   size_t total = 0;
   for (VertexId v = 0; v < n.num_vertices(); ++v) {
     for (uint32_t id : index.Containing(v)) {
-      EXPECT_TRUE(index.graph(id).LocalIndex(v).has_value());
+      EXPECT_TRUE(index.graph(id, v).LocalIndex(v).has_value());
     }
     total += index.CountContaining(v);
   }
   size_t expected = 0;
+  const IndexViews views(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    expected += index.graph(i).vertices.size();
+    expected += views(i).vertices.size();
   }
   EXPECT_EQ(total, expected);
 }

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "owned_sketch.h"
 #include "running_example.h"
 #include "src/index/rr_index.h"
 
@@ -108,9 +109,11 @@ TEST(SnapshotRegistryTest, FromPoolRoundTripsSketches) {
   const auto snapshot = IndexSnapshot::FromDynamic(master, 1);
   // Spot-check sketch-level equality between master and frozen replica.
   ASSERT_EQ(snapshot->rr_index()->num_graphs(), master.num_graphs());
+  const IndexViews packed_views(*snapshot->rr_index(), n.num_vertices());
+  const IndexViews original_views(master, n.num_vertices());
   for (size_t i = 0; i < master.num_graphs(); i += 97) {
-    const RRView packed = snapshot->rr_index()->graph(i);
-    const RRView original = master.graph(i);
+    const RRView packed = packed_views(i);
+    const RRView original = original_views(i);
     EXPECT_EQ(packed.root(), original.root());
     ASSERT_EQ(packed.vertices.size(), original.vertices.size());
     for (size_t v = 0; v < packed.vertices.size(); ++v) {
