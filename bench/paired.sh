@@ -6,13 +6,15 @@
 #
 # Usage:
 #   bench/paired.sh <parent-rev> --workload <name> [--pairs N] [--seed S]
-#                   [--cpus LIST]
+#                   [--cpus LIST] [--trace]
 #   bench/paired.sh <parent-rev> --micro <filter> [--pairs N] [--cpus LIST]
 #
 #   --workload  a pitexbench workload (read_hot, read_cold, write_mixed,
 #               availability); pair k runs seed S + k - 1 on both sides
 #               (default S = 1) through each tree's pitexbench/run.sh,
-#               and every run must report "correct": true
+#               and every run must report "correct": true; with
+#               --trace each run takes run.sh's --trace 1, which adds
+#               the per-layer ledger's metrics
 #   --micro     a google-benchmark filter for bench/micro_components;
 #               each side is built in Release (PITEX_BUILD_TESTS and
 #               PITEX_BUILD_EXAMPLES off) and run once per pair with
@@ -38,7 +40,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 usage() {
-  sed -n '2,35p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,37p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 
@@ -50,6 +52,7 @@ target=""
 pairs=10
 seed=1
 cpus=""
+trace=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --workload) mode=workload; target="${2:?}"; shift 2 ;;
@@ -57,6 +60,7 @@ while [[ $# -gt 0 ]]; do
     --pairs) pairs="${2:?}"; shift 2 ;;
     --seed) seed="${2:?}"; shift 2 ;;
     --cpus) cpus="${2:?}"; shift 2 ;;
+    --trace) trace=(--trace 1); shift ;;
     *) echo "paired: unknown argument $1" >&2; usage ;;
   esac
 done
@@ -86,7 +90,7 @@ if [[ "$mode" == workload ]]; then
     [[ "$1" == change ]] && tree="$repo"
     local out
     out="$("${pin[@]}" bash "$tree/pitexbench/run.sh" --workload "$target" \
-             --seed "$((seed + $2 - 1))" | tail -n 1)"
+             --seed "$((seed + $2 - 1))" "${trace[@]}" | tail -n 1)"
     SIDE="$1" python3 -c '
 import json, os, sys
 doc = json.loads(sys.stdin.read())

@@ -151,20 +151,22 @@ void DynamicRrIndex::AdoptSketches(const RrIndex& checkpoint) {
   ResetBase(checkpoint.pool_);
 }
 
-std::unique_ptr<RrIndex> DynamicRrIndex::Freeze(const SocialNetwork& network,
-                                                bool compact) {
+std::unique_ptr<RrIndex> DynamicRrIndex::Freeze(
+    const SocialNetwork& network, bool compact,
+    std::vector<VertexId>* singleton_roots) {
   PITEX_CHECK_MSG(built_, "call Build() before Freeze()");
-  if (compact || OverlayFull()) Compact();
+  if (compact || OverlayFull()) Compact(singleton_roots);
   return RrIndex::FromPool(
       network, options_, theta_, base_,
       overlay_->empty() ? nullptr
                         : std::make_shared<const RrSketchOverlay>(*overlay_));
 }
 
-void DynamicRrIndex::Compact() {
+void DynamicRrIndex::Compact(std::vector<VertexId>* singleton_roots) {
   if (overlay_->empty()) return;
   ++stats_.compactions;
-  ResetBase(std::make_shared<const RrSketchPool>(overlay_->Fold(*base_)));
+  ResetBase(std::make_shared<const RrSketchPool>(
+      overlay_->Fold(*base_, singleton_roots)));
 }
 
 void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,

@@ -145,12 +145,19 @@ class DynamicRrIndex final : public InfluenceOracle {
   /// over `network` serving the current sketches -- the shared base plus
   /// a frozen copy of the overlay. With `compact`, or once the overlay
   /// passes kOverlayCompactFraction of theta, the overlay is first
-  /// folded into a new base.
-  std::unique_ptr<RrIndex> Freeze(const SocialNetwork& network, bool compact);
+  /// folded into a new base, and `singleton_roots`, when given, gets
+  /// the new base's singleton roots (Compact); the returned index then
+  /// has no repairs, so a save given them (SaveRrIndex) decodes no
+  /// containing list. A checkpoint's freeze takes them this way.
+  std::unique_ptr<RrIndex> Freeze(
+      const SocialNetwork& network, bool compact,
+      std::vector<VertexId>* singleton_roots = nullptr);
 
   /// Folds base + overlay into a new base (RrSketchOverlay::Fold) and
-  /// empties the overlay; a no-op while the overlay is empty.
-  void Compact();
+  /// empties the overlay; a no-op while the overlay is empty. With
+  /// `singleton_roots`, the fold hands over the new base's singleton
+  /// roots (RrSketchPool::SingletonRoots' order); a no-op leaves them.
+  void Compact(std::vector<VertexId>* singleton_roots = nullptr);
 
   Estimate EstimateInfluence(VertexId u, const EdgeProbFn& probs) override;
   const char* Name() const override { return "DYN-INDEXEST"; }

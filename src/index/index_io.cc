@@ -1,11 +1,14 @@
 #include "src/index/index_io.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <utility>
 
+#include "src/util/check.h"
 #include "src/util/failpoint.h"
 #include "src/util/file_sync.h"
 #include "src/util/serialize.h"
@@ -15,7 +18,7 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v10's RR-Graph payload is the RrSketchPool image: its directory as one
+// v11's RR-Graph payload is the RrSketchPool image: its directory as one
 // word per sketch, a singleton's root or a flag | its block's start less
 // its group's base, at the width the words call for (the pool itself
 // keeps a word per block only, and the writer takes the singletons'
@@ -23,15 +26,16 @@ constexpr char kMagic[] = "PITEXIDX";
 // stored, padding included: each sketch's block of
 // bit-granular fields at the widths its network and its own vertex count
 // call for, an in-tree block's CSR offsets left out, each edge record
-// its edge's rank in its tail's out-list. (v1, one record per graph, v2,
+// its edge's rank in its tail's out-list and its threshold at the width
+// the block's thresholds call for. (v1, one record per graph, v2,
 // a wire format of per-sketch CSRs packed into a pool on load, v3, whose
 // edge records were a third array, v4, whose blocks kept every vertex at
 // 4 bytes, v5, whose body was word-padded u32 words with 4-byte headers
 // and edge ids, v6, whose blocks all stored their offsets, v7, whose
 // directory held a u32 per sketch, v8, whose blocks stored whole bytes
-// per field, and v9, whose records held global edge ids, are no longer
-// read.)
-constexpr uint32_t kVersionCurrent = 10;
+// per field, v9, whose records held global edge ids, and v10, whose
+// records held every threshold's f32 bits at 30, are no longer read.)
+constexpr uint32_t kVersionCurrent = 11;
 constexpr uint8_t kKindRrGraphs = 1;
 constexpr uint8_t kKindDelayMat = 2;
 
@@ -146,8 +150,11 @@ uint64_t NetworkFingerprint(const SocialNetwork& network) {
 // payloads.
 class IndexIo {
  public:
+  // `singleton_roots`, unless empty, are the singleton roots of the
+  // pool of `index`, which has no repairs.
   static bool WriteRr(const RrIndex& index, std::ostream& out,
-                      IndexIoError* error) {
+                      IndexIoError* error,
+                      std::span<const VertexId> singleton_roots = {}) {
     if (PITEX_FAILPOINT("index_io/save")) {
       SetError(error, IndexIoCode::kFaultInjected,
                "fault injected: index_io/save");
@@ -162,17 +169,24 @@ class IndexIo {
     // as its compaction: the pool its overlay folds the base into. The
     // containing index is not written: the loader rebuilds it. The
     // directory is written one word per sketch, a singleton's its root:
-    // the fold hands over the folded pool's roots, and a pool without
-    // repairs decodes its own, so a save decodes one pool's lists once.
+    // the fold hands over the folded pool's roots, a caller may hand
+    // over a pool's it holds, and a pool without either decodes its
+    // own, so a save decodes at most one pool's lists, once.
     std::optional<RrSketchPool> folded;
     std::vector<VertexId> roots;
     if (const RrSketchOverlay* overlay = index.repairs()) {
+      PITEX_CHECK_MSG(singleton_roots.empty(),
+                      "roots are given only for an index without repairs");
       folded = overlay->Fold(*index.pool_, &roots);
-    } else {
+      singleton_roots = roots;
+    } else if (singleton_roots.empty()) {
       roots = index.pool_->SingletonRoots();
+      singleton_roots = roots;
     }
     const RrSketchPool& pool = folded ? *folded : *index.pool_;
-    const RrSketchPool::FileDirectory directory = pool.SaveDirectory(roots);
+    PITEX_DCHECK(std::ranges::equal(singleton_roots, pool.SingletonRoots()));
+    const RrSketchPool::FileDirectory directory =
+        pool.SaveDirectory(singleton_roots);
     BinaryWriter writer(&out);
     WriteHeader(&writer, kKindRrGraphs,
                 NetworkFingerprint(index.network_), index.options_);
@@ -435,9 +449,10 @@ bool SaveRrIndex(const RrIndex& index, std::ostream& out,
 }
 
 bool SaveRrIndex(const RrIndex& index, const std::string& path,
-                 IndexIoError* error) {
+                 IndexIoError* error,
+                 std::span<const VertexId> singleton_roots) {
   return SaveAtomically(path, error, [&](std::ostream& out) {
-    return IndexIo::WriteRr(index, out, error);
+    return IndexIo::WriteRr(index, out, error, singleton_roots);
   });
 }
 

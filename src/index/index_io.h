@@ -14,7 +14,7 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 10 is the only version read or written; a v1 to v9 header is
+// Version 11 is the only version read or written; a v1 to v10 header is
 // refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
 // image (src/index/rr_sketch_pool.h):
 //
@@ -32,14 +32,16 @@
 // roots from one decode of its containing lists, and the loader builds
 // the lists from the words' roots and then drops them. The body is
 // stored as the pool holds it: each explicit sketch is one block, a
-// varint header (n and the in-tree flag, and m for a block that is not
-// an in-tree) and then bit-granular fields to the next byte: its
-// vertices at bit_width(|V| - 1) bits, its root id and heads at
-// bit_width(n - 1), its CSR offsets at bit_width(m) unless the block is
-// an in-tree, and its records, each the edge's rank in its tail's
-// out-list at bit_width(D - 1) bits, D the network's largest out-degree,
-// and a threshold's f32 bits at 30. |V| and D are the network's the file
-// is loaded against, so the file names no width. Seven zero bytes of
+// varint header (n, the block's threshold width w in [0, 7] and the
+// in-tree flag, and m for a block that is not an in-tree) and then
+// bit-granular fields to the next byte: its vertices at
+// bit_width(|V| - 1) bits, its root id and heads at bit_width(n - 1),
+// its CSR offsets at bit_width(m) unless the block is an in-tree, and
+// its records, each the edge's rank in its tail's out-list at
+// bit_width(D - 1) bits, D the network's largest out-degree, and its
+// threshold c as 1.0f's f32 bits less c's at 23 + w bits. |V| and D are
+// the network's the file is loaded against and w is the block's own, so
+// the file names no pool-wide width. Seven zero bytes of
 // padding end a body with blocks. A directory whose length is not theta
 // words is kCorruptPayload.
 //
@@ -51,7 +53,8 @@
 // it: each word is its block's start less its base, 4-byte words only
 // where some word needs them, an in-tree block's parents all lead to its
 // root, each rank lies below its tail's out-degree and names an out-edge
-// that ends at the record's head), so a file that loads saves back to
+// that ends at the record's head, each block's w is the fewest bits its
+// thresholds need), so a file that loads saves back to
 // the same bytes. A change to the pool's layout is a new version. The
 // directory's words are stored in the host's byte order, so a file
 // reads back right only on a host of the writer's byte order; the
@@ -75,6 +78,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "src/index/delay_mat.h"
@@ -157,9 +161,14 @@ struct IndexIoError {
 /// path overloads are crash-atomic: the payload goes to `path + ".tmp"`,
 /// is fsynced, and is renamed over `path` (src/util/file_sync.h) -- a
 /// crash mid-save leaves the old file intact and never a torn file at
-/// the final path.
+/// the final path. `singleton_roots`, unless empty, are the singleton
+/// roots of an index without repairs (RrSketchPool::SingletonRoots'
+/// order, as a compaction hands them over, DynamicRrIndex::Freeze): the
+/// writer takes them instead of decoding the pool's containing lists,
+/// and writes the same bytes.
 bool SaveRrIndex(const RrIndex& index, const std::string& path,
-                 IndexIoError* error = nullptr);
+                 IndexIoError* error = nullptr,
+                 std::span<const VertexId> singleton_roots = {});
 bool SaveRrIndex(const RrIndex& index, std::ostream& out,
                  IndexIoError* error = nullptr);
 

@@ -15,9 +15,11 @@
 // for, its local ids (its root's among them) at the width its own
 // vertex count calls for, and its edge records, each the edge's rank in
 // its tail's out-list (Graph::OutEdges) at the width the network's
-// longest out-list calls for and a 30-bit threshold. A record's edge
-// always leaves its own tail, so the rank names it: RRView::Edge turns
-// it back into the global EdgeId against the pool's topology. An
+// longest out-list calls for and its threshold, 1.0f's bits less the
+// threshold's at the width its block's smallest threshold calls for
+// (StoredThreshold, ThresholdWidth). A record's edge always leaves its
+// own tail, so the rank names it: RRView::Edge turns it back into the
+// global EdgeId against the pool's topology. An
 // in-tree sketch, whose root has no out-edge and every other vertex
 // exactly one, stores no CSR offsets: they follow from the root's local
 // id (TreeCsr).
@@ -34,6 +36,8 @@
 #ifndef PITEX_SRC_INDEX_RR_GRAPH_H_
 #define PITEX_SRC_INDEX_RR_GRAPH_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -51,16 +55,37 @@ namespace pitex {
 /// (a local vertex index) is stored apart, in the sketch's heads, and
 /// its tail is the local vertex whose CSR range holds it. A pool block
 /// stores each record as the rank at its pool's rank width, then the
-/// threshold's f32 bits at kThresholdBits (EdgeRecords, BlockWriter).
+/// threshold as StoredThreshold at kThresholdBits + w bits, w the
+/// block's threshold width (EdgeRecords, BlockWriter).
 struct RRLocalEdge {
   uint32_t rank;    // place in the tail's out-list (RRView::Edge)
   float threshold;  // c(e)
 };
 
-/// A threshold c(e) lies in [0, 1], so its f32 bits are at most those
-/// of 1.0f and fit 30 bits: a record stores those 30.
-inline constexpr uint32_t kThresholdBits = 30;
+/// A threshold c(e) lies in [+0, 1], so its f32 bits are at most 1.0f's,
+/// kMaxThresholdBits, and a record stores that less its bits
+/// (StoredThreshold): 0 for 1.0f, below 2^23 for every c(e) in
+/// (0.5, 1], and kMaxThresholdBits for +0.0f. A block stores its
+/// records' values at kThresholdBits + w bits, w in [0,
+/// kMaxThresholdWidth] the fewest its largest value needs
+/// (ThresholdWidth), and a reader gets the bits back with one subtract.
+/// Every float in [+0, 1], subnormals included, round-trips exactly.
+inline constexpr uint32_t kThresholdBits = 23;
+inline constexpr uint32_t kMaxThresholdWidth = 7;
 inline constexpr uint32_t kMaxThresholdBits = 0x3F800000;  // 1.0f
+
+/// What a record stores for threshold c: 1.0f's bits less c's.
+inline uint32_t StoredThreshold(float c) {
+  return kMaxThresholdBits - std::bit_cast<uint32_t>(c);
+}
+
+/// The threshold width w of a block whose largest stored threshold is
+/// `largest` (at most kMaxThresholdBits): the bits it needs beyond
+/// kThresholdBits, 0 when it fits those.
+inline uint32_t ThresholdWidth(uint32_t largest) {
+  const auto bits = static_cast<uint32_t>(std::bit_width(largest));
+  return bits > kThresholdBits ? bits - kThresholdBits : 0;
+}
 
 /// Entries of `bits` bits each (at most 32), packed from bit `first` of
 /// `data`: entry j is one shifted 8-byte load and a mask. A pool block's
@@ -117,9 +142,9 @@ struct TreeCsr {
 };
 
 /// A sketch's m edge records, packed from bit `first` of `data`: each
-/// the rank at `rank_bits` bits and then the threshold's low
-/// kThresholdBits bits. A read-only range that decodes each record by
-/// value.
+/// the rank at the rank width and then its stored threshold
+/// (StoredThreshold) at kThresholdBits + the block's threshold width. A
+/// read-only range that decodes each record by value.
 class EdgeRecords {
  public:
   class Iterator {
@@ -147,65 +172,93 @@ class EdgeRecords {
    private:
     friend class EdgeRecords;
     Iterator(const EdgeRecords& records, size_t at)
-        : records_{records.data_, records.first_, records.rank_bits_},
+        : records_{records.data_, records.first_, records.threshold_mask_,
+                   records.rank_bits_, records.stride_},
           at_(at) {}
 
     // The records' fields, copied, so an iterator outlives its range.
     struct Fields {
       const uint8_t* data = nullptr;
       uint32_t first = 0;
-      uint32_t rank_bits = 0;
+      uint32_t threshold_mask = 0;
+      uint8_t rank_bits = 0;
+      uint8_t stride = 0;
       RRLocalEdge operator[](size_t k) const {
-        return Load(data, first, rank_bits, k);
+        return Load(data, first, rank_bits, stride, threshold_mask, k);
       }
     } records_;
     size_t at_ = 0;
   };
 
   EdgeRecords() = default;
-  EdgeRecords(PackedIds at, size_t size)
-      : data_(at.data), first_(at.first), rank_bits_(at.bits),
-        size_(static_cast<uint32_t>(size)) {}
+  /// `at.bits` is the rank width; `threshold_width` the block's w.
+  EdgeRecords(PackedIds at, size_t size, uint32_t threshold_width)
+      : data_(at.data),
+        first_(at.first),
+        size_(static_cast<uint32_t>(size)),
+        threshold_mask_(
+            static_cast<uint32_t>(LowMask(kThresholdBits + threshold_width))),
+        rank_bits_(static_cast<uint8_t>(at.bits)),
+        stride_(static_cast<uint8_t>(at.bits + kThresholdBits +
+                                     threshold_width)) {}
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   RRLocalEdge operator[](size_t k) const {
-    return Load(data_, first_, rank_bits_, k);
+    return Load(data_, first_, rank_bits_, stride_, threshold_mask_, k);
   }
   Iterator begin() const { return {*this, 0}; }
   Iterator end() const { return {*this, size_}; }
   /// Bits per rank.
   uint32_t rank_bits() const { return rank_bits_; }
+  /// The block's threshold width w: each threshold takes
+  /// kThresholdBits + w bits.
+  uint32_t threshold_width() const {
+    return static_cast<uint32_t>(stride_) - rank_bits_ - kThresholdBits;
+  }
   /// Where the records end: the byte after their last bit's.
   const uint8_t* end_byte() const {
-    return data_ +
-           (first_ + uint64_t{rank_bits_ + kThresholdBits} * size_ + 7) / 8;
+    return data_ + (first_ + uint64_t{stride_} * size_ + 7) / 8;
   }
 
  private:
+  // The stride and the threshold's mask are set once per view, so a
+  // record's decode is a load, two shifts, two masks and a subtract.
   static RRLocalEdge Load(const uint8_t* data, uint32_t first,
-                          uint32_t rank_bits, size_t k) {
-    const uint32_t stride = rank_bits + kThresholdBits;
+                          uint32_t rank_bits, uint32_t stride,
+                          uint32_t threshold_mask, size_t k) {
     const uint32_t pos = first + stride * static_cast<uint32_t>(k);
     const uint64_t word = LoadBits(data, pos);
     // One load holds the whole record while it fits the window: up to
-    // 27-bit ranks.
+    // 27-bit ranks at any threshold width.
     const uint64_t threshold = stride <= kBitWindow
                                    ? word >> rank_bits
                                    : LoadBits(data, pos + rank_bits);
     RRLocalEdge edge;
     edge.rank = static_cast<uint32_t>(word & LowMask(rank_bits));
-    const auto bits =
-        static_cast<uint32_t>(threshold & LowMask(kThresholdBits));
+    const uint32_t bits =
+        kMaxThresholdBits - (static_cast<uint32_t>(threshold) & threshold_mask);
     std::memcpy(&edge.threshold, &bits, sizeof(bits));
     return edge;
   }
 
   const uint8_t* data_ = nullptr;
   uint32_t first_ = 0;
-  uint32_t rank_bits_ = 0;
   uint32_t size_ = 0;
+  uint32_t threshold_mask_ = static_cast<uint32_t>(LowMask(kThresholdBits));
+  uint8_t rank_bits_ = 0;  // at most 32
+  uint8_t stride_ = kThresholdBits;  // rank_bits_ + kThresholdBits + w
 };
+
+/// The threshold width the records' thresholds need (ThresholdWidth of
+/// their largest StoredThreshold): the width a writer stores them at.
+inline uint32_t NeededThresholdWidth(const EdgeRecords& records) {
+  uint32_t largest = 0;
+  for (const RRLocalEdge edge : records) {
+    largest = std::max(largest, StoredThreshold(edge.threshold));
+  }
+  return ThresholdWidth(largest);
+}
 
 /// A sketch's sorted vertex ids: `base` plus entries of a PackedIds. A
 /// pool block stores its vertices at its pool's vertex width with base
@@ -308,9 +361,10 @@ class VertexIds {
 /// Every field is read at the width its block stores it at (see
 /// src/index/rr_sketch_pool.h): the heads at bit_width(n - 1) bits, any
 /// offsets at bit_width(m), the vertices and ranks at their pool's
-/// widths. A view of an in-tree sketch (the root has no out-edge, every
-/// other vertex exactly one; nearly every pooled sketch) has no stored
-/// offsets: its offsets' data is null and its readers take a TreeCsr.
+/// widths, the thresholds at their block's. A view of an in-tree sketch
+/// (the root has no out-edge, every other vertex exactly one; nearly
+/// every pooled sketch) has no stored offsets: its offsets' data is null
+/// and its readers take a TreeCsr.
 /// `topology` is the graph of the pool the view reads, whose out-lists
 /// the ranks index; a pool that holds no topology gives an empty graph,
 /// and its views' ranks are read but not decoded.

@@ -34,8 +34,10 @@ void RrSketchPool::Append(const RRView& sketch) {
   const size_t n = sketch.vertices.size();
   const size_t m = sketch.edges.size();
   const bool in_tree = sketch.InTree();
+  // A view's block took the width its records need (AppendBlock,
+  // FinishLoaded), and so does this one.
   AppendBlock(sketch.root_local, sketch.vertices, m, in_tree,
-              [&](BlockWriter& out) {
+              sketch.edges.threshold_width(), [&](BlockWriter& out) {
     sketch.VisitCsr([&](const auto& in) {
       PITEX_DCHECK(in.offset(n) == m);
       if (!in_tree) {
@@ -283,19 +285,21 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
     uint64_t at = body;
     uint64_t header = 0;
     if (!varint(&at, &header)) return false;
-    const uint64_t n = header >> 1;
+    const uint64_t n = header >> kHeaderFlagBits;
+    const auto w = static_cast<uint32_t>(header >> 1) & kMaxThresholdWidth;
     const bool in_tree = (header & kInTree) != 0;
     uint64_t m = n - 1;
+    // A header of at most 32 bits holds n <= kMaxBlockVertices.
     if (n == 0 || (!in_tree && !varint(&at, &m))) return false;
-    const uint64_t length = BodyLength(n, m, in_tree);
+    const uint64_t length = BodyLength(n, m, in_tree, w);
     if (length == 0 || length > end - body ||
-        FieldBits(n, m, in_tree) > UINT32_MAX) {
+        FieldBits(n, m, in_tree, w) > UINT32_MAX) {
       return false;
     }
     PushBlock(offset);
     const RRView view = ViewAt(body_.data() + body, vertex_bits_, 0);
     // The bits after the last field, to the block's end, are zero.
-    const uint64_t bits = FieldBits(n, m, in_tree);
+    const uint64_t bits = FieldBits(n, m, in_tree, w);
     if ((bits & 7) != 0 && (body_[body + length - 1] >> (bits & 7)) != 0) {
       return false;
     }
@@ -320,9 +324,12 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
     });
     if (!csr_ok || (in_tree && !ParentsReachRoot(view, &marks))) return false;
     // Each rank names an out-edge of its tail that ends at the record's
-    // head. Every sampler writes 0 <= c(e) <= p(e) <= 1, and 30 bits
-    // hold no NaN or negative threshold; one above 1 would make the edge
-    // dead under every tag set.
+    // head. Every sampler writes 0 <= c(e) <= p(e) <= 1: a stored value
+    // above 1.0f's bits decodes below +0.0 (a negative or NaN float's
+    // bits, which lie above them too), and one above 1 would make the
+    // edge dead under every tag set. The thresholds take the width
+    // their largest stored value needs, no wider.
+    uint32_t largest = 0;
     const bool records_ok = view.VisitCsr([&](const auto& csr) {
       for (uint32_t tail = 0; tail < n; ++tail) {
         const auto out = topology_.OutEdges(view.vertices[tail]);
@@ -333,11 +340,12 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
               std::bit_cast<uint32_t>(e.threshold) > kMaxThresholdBits) {
             return false;
           }
+          largest = std::max(largest, StoredThreshold(e.threshold));
         }
       }
       return true;
     });
-    if (!records_ok) return false;
+    if (!records_ok || ThresholdWidth(largest) != w) return false;
     vertices += n;
     body += length;
   }

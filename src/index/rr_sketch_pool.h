@@ -25,36 +25,47 @@
 //                    group's. Every word takes 2 bytes while each fits
 //                    16 bits, else every word takes 4
 //   body_[start ..]  a header, the LEB128 varint (PutVarint) of
-//                    n_i << 1 | in-tree (one byte while n_i <= 63), and
-//                    for a block that is not an in-tree a second varint,
-//                    m_i; then bit-granular fields, LSB-first from the
-//                    next byte (src/util/bits.h): the n_i sorted vertex
-//                    ids at V bits each, the root's local id at
-//                    L_i = bit_width(n_i - 1) bits, the n_i + 1 local
-//                    CSR offsets (0 .. m_i) at bit_width(m_i) bits
-//                    unless the block is an in-tree, the m_i local edge
-//                    heads at L_i bits, and the m_i records, each the
-//                    edge's rank in its tail's out-list at R bits and
-//                    the threshold's f32 bits at 30 (kThresholdBits: a
-//                    threshold in [0, 1] has bits <= 0x3F800000); then
-//                    zero bits to the next byte
+//                    n_i << 4 | w_i << 1 | in-tree (one byte while
+//                    n_i <= 7), and for a block that is not an in-tree
+//                    a second varint, m_i; then bit-granular fields,
+//                    LSB-first from the next byte (src/util/bits.h): the
+//                    n_i sorted vertex ids at V bits each, the root's
+//                    local id at L_i = bit_width(n_i - 1) bits, the
+//                    n_i + 1 local CSR offsets (0 .. m_i) at
+//                    bit_width(m_i) bits unless the block is an in-tree,
+//                    the m_i local edge heads at L_i bits, and the m_i
+//                    records, each the edge's rank in its tail's
+//                    out-list at R bits and its threshold c as
+//                    0x3F800000 - bits(c), 1.0f's bits less c's
+//                    (StoredThreshold), at 23 + w_i bits; then zero bits
+//                    to the next byte
 //   body_[end ..]    kBitPadding zero bytes after the last block, so
 //                    every field is one shifted 8-byte load (LoadBits)
 // V = bit_width(|V| - 1) and R = bit_width(D - 1), D the network's
 // largest out-degree, are the pool's, set from the network it samples
 // when it is constructed or loaded, with no option: on pitexbench's
-// network (25,000 vertices, at most 18 out-edges each) V = 15 and R = 5,
-// and a record takes 35 bits. A record's edge always leaves its own
-// tail, the local vertex whose CSR range holds it, so its rank in that
-// tail's out-list (Graph::OutEdges) names it; the pool holds the
-// network's topology (a Graph, whose copies share one storage) and its
-// views decode a rank to the edge's id there (RRView::Edge). L_i is the
-// block's own: 3 bits for a block of 5 to 8 vertices. A block's walk
-// therefore reads its group's record, its word, the block and, per
-// probed edge, its tail's out-list offset and entry in the graph. On
-// pitexbench's network (200,000 sketches, 85,966 of them blocks) the
-// largest block start less its base is 1,183 B, so the directory takes
-// 3,125 records and 2-byte words: 221,932 B.
+// network (25,000 vertices, at most 18 out-edges each) V = 15 and R = 5.
+// The threshold width w_i in [0, 7] is the block's own, the fewest bits
+// past 23 its largest stored value needs (ThresholdWidth): thresholds in
+// (0.5, 1] take 23 bits, and +0.0f, whose stored value is 0x3F800000, 30.
+// Every writer takes w_i from the thresholds it puts, before the header
+// (the generator and the repair assembly from the edges they stage,
+// Append from its view's block), and a reader gets a threshold's bits
+// back with one subtract. Every float in [+0, 1], +0.0f and subnormals
+// included, round-trips exactly. On pitexbench's network w_i is 0 to 5
+// and a record takes 28 to 33 bits. A block's w_i comes from its own
+// records, not the pool's, as runs are written before the pool's
+// smallest threshold is known: FromRuns then copies blocks as they are.
+// A record's edge always leaves its own tail, the local vertex whose CSR
+// range holds it, so its rank in that tail's out-list (Graph::OutEdges)
+// names it; the pool holds the network's topology (a Graph, whose copies
+// share one storage) and its views decode a rank to the edge's id there
+// (RRView::Edge). L_i is the block's own: 3 bits for a block of 5 to 8
+// vertices. A block's walk therefore reads its group's record, its word,
+// the block and, per probed edge, its tail's out-list offset and entry
+// in the graph. On pitexbench's network (200,000 sketches, 85,966 of
+// them blocks) the largest block start less its base is 1,104 B, so the
+// directory takes 3,125 records and 2-byte words: 221,932 B.
 // An *in-tree* block is one whose CSR gives the root no out-edge and
 // every other vertex exactly one (IsInTree): m_i = n_i - 1 and offset j
 // is j, less one past the root (InTreeOffset), so the block stores no
@@ -63,10 +74,10 @@
 // the block's own data, and a block of an in-tree's shape is never
 // stored with offsets.
 // Vertex ids and block offsets fit 31 bits, so the body holds at most
-// 2 GiB, and a block's fields take fewer than 2^32 bits. Every field is
-// read at its width with the same load and mask (PackedIds,
-// EdgeRecords), so a view's readers take one of two CSR forms and no
-// width dispatch.
+// 2 GiB, a block's fields take fewer than 2^32 bits, and its header fits
+// 32 bits (kMaxBlockVertices). Every field is read at its width with the
+// same load and mask (PackedIds, EdgeRecords), so a view's readers take
+// one of two CSR forms and no width dispatch.
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has no block and
 // no word, only its clear mask bit. Its root is the vertex whose
@@ -126,7 +137,7 @@
 // starts the block words at 2 bytes and widens them once, in place,
 // when a word first fails to fit them (Words::Push); the widening
 // doubles the words' room, so FromRuns' exact-size arrays stay exact.
-// The index file (src/index/index_io.h, v10) keeps the directory as it
+// The index file (src/index/index_io.h, v11) keeps the directory as it
 // was before singletons left it: one word per sketch, a singleton's root
 // or the file flag (the word's top bit) | its block's start less its
 // group's base, every word at the width DirectoryWidth gives. The writer
@@ -233,11 +244,12 @@ inline const uint8_t* GetVarint(const uint8_t* at, uint32_t* x) {
 class BlockWriter {
  public:
   BlockWriter(BitWriter* bits, uint32_t offset_bits, uint32_t head_bits,
-              uint32_t rank_bits)
+              uint32_t rank_bits, uint32_t threshold_width)
       : bits_(bits),
         offset_bits_(offset_bits),
         head_bits_(head_bits),
-        rank_bits_(rank_bits) {}
+        rank_bits_(rank_bits),
+        threshold_bits_(kThresholdBits + threshold_width) {}
 
   void PutOffset(uint32_t offset) {
     PITEX_DCHECK(offset <= LowMask(offset_bits_));
@@ -247,13 +259,16 @@ class BlockWriter {
     PITEX_DCHECK(head <= LowMask(head_bits_));
     bits_->Put(head, head_bits_);
   }
-  /// The rank, then the threshold's bits, in one field.
+  /// The rank, then the stored threshold (StoredThreshold), in one
+  /// field.
   void PutEdge(RRLocalEdge edge) {
-    const auto threshold = std::bit_cast<uint32_t>(edge.threshold);
+    const uint32_t threshold = StoredThreshold(edge.threshold);
     PITEX_DCHECK(edge.rank <= LowMask(rank_bits_) &&
-                 threshold <= kMaxThresholdBits);
+                 std::bit_cast<uint32_t>(edge.threshold) <=
+                     kMaxThresholdBits &&
+                 threshold <= LowMask(threshold_bits_));
     bits_->Put(edge.rank | uint64_t{threshold} << rank_bits_,
-               rank_bits_ + kThresholdBits);
+               rank_bits_ + threshold_bits_);
   }
 
  private:
@@ -261,6 +276,7 @@ class BlockWriter {
   uint32_t offset_bits_;
   uint32_t head_bits_;
   uint32_t rank_bits_;
+  uint32_t threshold_bits_;
 };
 
 /// Rice codes, as the containing lists store their ids: x at parameter
@@ -404,6 +420,18 @@ class ContainingList {
 
 class RrSketchPool {
  public:
+  /// A block header is Header(n, w, in-tree): n above 4 bits that hold
+  /// the threshold width w (bits 1 to 3) and the in-tree flag (bit 0).
+  static constexpr uint32_t kHeaderFlagBits = 4;
+  /// The header fits 32 bits (GetVarint reads a u32), so a block holds
+  /// at most this many vertices. A block's fields fit 2^32 bits, which
+  /// already keeps n below it (n * bit_width(n - 1) < 2^32).
+  static constexpr uint64_t kMaxBlockVertices =
+      (uint64_t{1} << (32 - kHeaderFlagBits)) - 1;
+  static_assert((kMaxBlockVertices << kHeaderFlagBits |
+                 LowMask(kHeaderFlagBits)) == UINT32_MAX);
+  static_assert(kMaxThresholdWidth << 1 < (1u << kHeaderFlagBits));
+
   /// Samples [sample, sample + count) stored in order as sketches
   /// [first, first + count) of run `run`: what FromRuns copies.
   struct Segment {
@@ -461,13 +489,17 @@ class RrSketchPool {
   /// its n + 1 offsets unless `in_tree`, then its m heads, then its m
   /// edge records, in order, through a BlockWriter& `out`. `in_tree`
   /// says whether those offsets are an in-tree's (IsInTree), and the
-  /// block then stores none of them. An implicit singleton (one vertex,
-  /// no edges) has nothing to write and calls no fill: the run records
-  /// its root.
+  /// block then stores none of them. `threshold_width` is the width the
+  /// records' thresholds need (ThresholdWidth of their largest
+  /// StoredThreshold; 0 without edges), which the block's records take.
+  /// An implicit singleton (one vertex, no edges) has nothing to write
+  /// and calls no fill: the run records its root.
   template <typename Fill>
   void AppendSketch(uint32_t root_local, std::span<const VertexId> vertices,
-                    size_t m, bool in_tree, Fill&& fill) {
-    AppendBlock(root_local, vertices, m, in_tree, std::forward<Fill>(fill));
+                    size_t m, bool in_tree, uint32_t threshold_width,
+                    Fill&& fill) {
+    AppendBlock(root_local, vertices, m, in_tree, threshold_width,
+                std::forward<Fill>(fill));
   }
   /// Drops every sketch, keeping every array's capacity: a cleared run
   /// takes appends without allocating up to its high-water mark.
@@ -653,9 +685,6 @@ class RrSketchPool {
     std::vector<uint8_t> words;
   };
 
-  /// The header is n << 1 | in-tree in 32 bits, so a block holds at
-  /// most this many vertices.
-  static constexpr uint64_t kMaxBlockVertices = (uint64_t{1} << 31) - 1;
   /// The header flag of a block that is an in-tree and stores no
   /// offsets (and no edge count: m = n - 1).
   static constexpr uint32_t kInTree = 1;
@@ -665,30 +694,35 @@ class RrSketchPool {
   /// that.
   static constexpr uint32_t kExplicit = 1u << 31;
   static constexpr uint32_t kNarrowExplicit = 1u << 15;
+  /// The header of a block of n vertices whose thresholds take
+  /// threshold width w, an in-tree or not.
+  static uint64_t Header(uint64_t n, uint32_t w, bool in_tree) {
+    return n << kHeaderFlagBits | uint64_t{w} << 1 | (in_tree ? kInTree : 0);
+  }
   /// The block implicit singletons read: a one-byte in-tree header
-  /// (n = 1, so no edges), then zero bytes for the 8-byte loads of its
-  /// 0-bit fields (the vertex, whose value is the view's base, and the
-  /// root id 0).
+  /// (n = 1, so no edges, and w = 0), then zero bytes for the 8-byte
+  /// loads of its 0-bit fields (the vertex, whose value is the view's
+  /// base, and the root id 0).
   static constexpr uint8_t kSingleton[1 + sizeof(uint64_t)] = {
-      1u << 1 | kInTree};
+      1u << kHeaderFlagBits | kInTree};
 
   /// Bits of a block's fields after its header, with n vertices and m
-  /// edges, an in-tree or not: the vertices, the root id, any offsets,
-  /// the heads and the records.
-  uint64_t FieldBits(uint64_t n, uint64_t m, bool in_tree) const {
+  /// edges, an in-tree or not, and threshold width w: the vertices, the
+  /// root id, any offsets, the heads and the records.
+  uint64_t FieldBits(uint64_t n, uint64_t m, bool in_tree, uint32_t w) const {
     const uint64_t id_bits = IdBits(n);
     return n * vertex_bits_ + id_bits +
            (in_tree ? 0 : (n + 1) * IdBits(m + 1)) +
-           m * (id_bits + rank_bits_ + kThresholdBits);
+           m * (id_bits + rank_bits_ + kThresholdBits + w);
   }
   /// body_ bytes of a sketch with n vertices and m edges in this form:
   /// none for an implicit singleton, else the header (and the edge
   /// count of a block that is not an in-tree) and the fields' bytes.
-  uint64_t BodyLength(uint64_t n, uint64_t m, bool in_tree) const {
+  uint64_t BodyLength(uint64_t n, uint64_t m, bool in_tree, uint32_t w) const {
     if (n == 1 && m == 0) return 0;
-    return VarintLength(n << 1 | (in_tree ? kInTree : 0)) +
+    return VarintLength(Header(n, w, in_tree)) +
            (in_tree ? 0 : VarintLength(m)) +
-           (FieldBits(n, m, in_tree) + 7) / 8;
+           (FieldBits(n, m, in_tree, w) + 7) / 8;
   }
   /// The view of the block at `at`, its vertices `vertex_base` plus
   /// fields of `vertex_bits` bits.
@@ -696,7 +730,8 @@ class RrSketchPool {
                 VertexId vertex_base) const {
     uint32_t header;
     at = GetVarint(at, &header);
-    const uint32_t n = header >> 1;
+    const uint32_t n = header >> kHeaderFlagBits;
+    const uint32_t w = (header >> 1) & kMaxThresholdWidth;
     const bool in_tree = (header & kInTree) != 0;
     uint32_t m = n - 1;
     if (!in_tree) [[unlikely]] at = GetVarint(at, &m);
@@ -718,7 +753,7 @@ class RrSketchPool {
         PackedIds{in_tree ? nullptr : at, m == 0 ? 0 : offsets_at,
                   offset_bits},
         PackedIds{at, heads_at, id_bits},
-        EdgeRecords({at, heads_at + m * id_bits, rank_bits_}, m),
+        EdgeRecords({at, heads_at + m * id_bits, rank_bits_}, m, w),
         &topology_};
   }
 
@@ -823,7 +858,7 @@ class RrSketchPool {
         uint32_t m;
         at = GetVarint(at, &m);
       }
-      fn(VertexIds({at, 0, vertex_bits_}, header >> 1, 0));
+      fn(VertexIds({at, 0, vertex_bits_}, header >> kHeaderFlagBits, 0));
     });
   }
 
@@ -832,7 +867,7 @@ class RrSketchPool {
   /// at this pool's width.
   template <typename VertexRange, typename Fill>
   void AppendBlock(uint32_t root_local, const VertexRange& vertices, size_t m,
-                   bool in_tree, Fill&& fill);
+                   bool in_tree, uint32_t threshold_width, Fill&& fill);
 
   /// Where sketch i's block would start in body_: the start of the first
   /// block at or after i, or the end of the blocks.
@@ -853,14 +888,16 @@ class RrSketchPool {
   /// is the flag | that start less its base), and the words may take 4
   /// bytes only if some word needs them (DirectoryWidth). Each block's
   /// header (and edge count) must be a varint of no more bytes than its
-  /// value needs, with n > 0, not a singleton's shape, and the in-tree
-  /// flag exactly when its offsets are an in-tree's (a block of an
-  /// in-tree's shape stored with offsets fails); its root id and heads
-  /// lie below n, its offsets rise from 0 to m, an in-tree's parent
-  /// pointers lead every vertex to its root (ParentsReachRoot), each
-  /// record's rank lies below its tail's out-degree and names an
-  /// out-edge whose head is the record's head vertex, its threshold bits
-  /// are at most 1.0f's, and the bits after its last field are zero; the
+  /// value needs, with 0 < n <= kMaxBlockVertices, not a singleton's
+  /// shape, and the in-tree flag exactly when its offsets are an
+  /// in-tree's (a block of an in-tree's shape stored with offsets
+  /// fails); its root id and heads lie below n, its offsets rise from 0
+  /// to m, an in-tree's parent pointers lead every vertex to its root
+  /// (ParentsReachRoot), each record's rank lies below its tail's
+  /// out-degree and names an out-edge whose head is the record's head
+  /// vertex, its stored threshold is at most 1.0f's bits (so it decodes
+  /// to [+0, 1]), the threshold width is the one the records need
+  /// (ThresholdWidth), and the bits after its last field are zero; the
   /// blocks end at body_'s padding, whose bytes are zero. So a pool that
   /// passes is exactly what appending its own views to a run, finishing
   /// it (FromRuns) and saving it writes. False on the first check that
@@ -898,10 +935,13 @@ class RrSketchPool {
 template <typename VertexRange, typename Fill>
 void RrSketchPool::AppendBlock(uint32_t root_local,
                                const VertexRange& vertices, size_t m,
-                               bool in_tree, Fill&& fill) {
+                               bool in_tree, uint32_t threshold_width,
+                               Fill&& fill) {
   const size_t n = vertices.size();
+  const uint32_t w = threshold_width;
   PITEX_DCHECK(root_local < n);
   PITEX_DCHECK(!in_tree || m + 1 == n);
+  PITEX_DCHECK(w <= kMaxThresholdWidth && (m > 0 || w == 0));
   // Sorted, so the last vertex is the largest.
   PITEX_CHECK_MSG(vertices[n - 1] < num_vertices_,
                   "sketch vertex lies outside the pool's network");
@@ -911,35 +951,36 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
   [[maybe_unused]] const size_t i = num_sketches_;
   const uint64_t start = BodyEnd();
   OpenGroup(start);
-  const uint64_t length = BodyLength(n, m, in_tree);
+  const uint64_t length = BodyLength(n, m, in_tree, w);
   if (length == 0) {
     // Implicit singleton: the run records its root, and the directory
     // only its clear mask bit.
     PushSingleton(vertices[0]);
   } else {
     PITEX_CHECK_MSG(n <= kMaxBlockVertices && m <= UINT32_MAX &&
-                        FieldBits(n, m, in_tree) <= UINT32_MAX,
+                        FieldBits(n, m, in_tree, w) <= UINT32_MAX,
                     "sketch exceeds the block header's counts");
     // The old padding becomes the block's first bytes; new padding
     // follows it, zero.
     body_.resize(start + length + kBitPadding);
-    uint8_t* fields = PutVarint(uint64_t{n} << 1 | (in_tree ? kInTree : 0),
-                                body_.data() + start);
+    uint8_t* fields = PutVarint(Header(n, w, in_tree), body_.data() + start);
     if (!in_tree) fields = PutVarint(m, fields);
     BitWriter bits(fields);
     for (size_t j = 0; j < n; ++j) bits.Put(vertices[j], vertex_bits_);
     const uint32_t id_bits = IdBits(n);
     bits.Put(root_local, id_bits);
     BlockWriter out(&bits, in_tree ? 0 : IdBits(uint64_t{m} + 1), id_bits,
-                    rank_bits_);
+                    rank_bits_, w);
     fill(out);
     [[maybe_unused]] const uint64_t written = bits.Finish();
-    PITEX_DCHECK(written == FieldBits(n, m, in_tree));
+    PITEX_DCHECK(written == FieldBits(n, m, in_tree, w));
     PushBlock(start - groups_.back().base);
-    // Offsets stored only where they are not an in-tree's, and an
-    // in-tree's parents lead to its root.
+    // Offsets stored only where they are not an in-tree's, an in-tree's
+    // parents lead to its root, and the thresholds take the width they
+    // need.
     PITEX_DCHECK(View(i, vertices[0]).InTree() == in_tree);
     PITEX_DCHECK(!in_tree || ParentsReachRoot(View(i, vertices[0])));
+    PITEX_DCHECK(NeededThresholdWidth(View(i, vertices[0]).edges) == w);
   }
   // Every block's start stays below the file directory word's flag.
   PITEX_CHECK_MSG(BodyEnd() <= kExplicit,

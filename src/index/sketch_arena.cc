@@ -72,27 +72,33 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
   // No live in-edge: the root alone, an implicit singleton with no
   // block to assemble.
   if (staged_.empty()) {
-    run->AppendSketch(0, vertices, 0, /*in_tree=*/true, [](BlockWriter&) {});
+    run->AppendSketch(0, vertices, 0, /*in_tree=*/true, 0,
+                      [](BlockWriter&) {});
     return;
   }
 
   // Local assembly straight into the run's block: sort the vertices (no
   // duplicates by construction), dense global -> local map via the epoch
   // marks, then counting-sort the staged edges by local tail (stable, so
-  // per-tail edge order is probe order).
+  // per-tail edge order is probe order). The count pass also finds the
+  // largest stored threshold, which sets the block's threshold width.
   std::sort(vertices.begin(), vertices.end());
   const size_t n = vertices.size();
   for (size_t j = 0; j < n; ++j) {
     local_index_[vertices[j]] = static_cast<uint32_t>(j);
   }
   counts_.assign(n + 1, 0);
-  for (const RankedSample& s : staged_) ++counts_[local_index_[s.tail] + 1];
+  uint32_t largest = 0;
+  for (const RankedSample& s : staged_) {
+    ++counts_[local_index_[s.tail] + 1];
+    largest = std::max(largest, StoredThreshold(s.threshold));
+  }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
   const uint32_t root_local = local_index_[root];
   const bool in_tree =
       IsInTree(n, root_local, [this](size_t j) { return counts_[j]; });
   run->AppendSketch(root_local, vertices, staged_.size(), in_tree,
-                    [&](BlockWriter& out) {
+                    ThresholdWidth(largest), [&](BlockWriter& out) {
     if (!in_tree) {
       for (size_t j = 0; j <= n; ++j) out.PutOffset(counts_[j]);
     }
@@ -207,6 +213,7 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
   // edge reaches is an implicit singleton, and the fill is not called.
   counts_.assign(n + 1, 0);
   size_t kept_edges = 0;
+  uint32_t largest = 0;  // stored threshold, which sets the block's width
   auto kept = [&](const GlobalEdgeSample& s) {
     return mark_[s.tail] == epoch && mark_[s.head] == epoch;
   };
@@ -214,13 +221,14 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
     if (!kept(s)) continue;
     ++counts_[local_index_[s.tail] + 1];
     ++kept_edges;
+    largest = std::max(largest, StoredThreshold(s.threshold));
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
   const uint32_t root_local = local_index_[root];
   const bool in_tree =
       IsInTree(n, root_local, [this](size_t j) { return counts_[j]; });
   run->AppendSketch(root_local, vertices_, kept_edges, in_tree,
-                    [&](BlockWriter& out) {
+                    ThresholdWidth(largest), [&](BlockWriter& out) {
     if (!in_tree) {
       for (size_t j = 0; j <= n; ++j) out.PutOffset(counts_[j]);
     }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/serve/recovery.h"
 #include "src/util/check.h"
@@ -702,7 +703,7 @@ std::future<ServedResult> PitexService::Submit(const PitexQuery& query) {
 }
 
 std::shared_ptr<const IndexSnapshot> PitexService::FreezeSnapshotLocked(
-    uint64_t epoch, bool compact) {
+    uint64_t epoch, bool compact, std::vector<VertexId>* singleton_roots) {
   // Covers the whole retry loop (backoff sleeps included); the kPack
   // span inside IndexSnapshot::FromDynamic nests under it via the
   // thread's current trace. Inert when no trace is armed (Start()).
@@ -715,7 +716,8 @@ std::shared_ptr<const IndexSnapshot> PitexService::FreezeSnapshotLocked(
   double backoff_ms = options_.publish_backoff_initial_ms;
   const size_t attempts = std::max<size_t>(1, options_.publish_max_attempts);
   for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    snapshot = IndexSnapshot::FromDynamic(*master_, epoch, compact);
+    snapshot =
+        IndexSnapshot::FromDynamic(*master_, epoch, compact, singleton_roots);
     if (snapshot != nullptr) break;
     m_.publish_retries->Inc();
     journal_.Record(obs::EventKind::kPublishRetry, epoch, attempt + 1);
@@ -830,9 +832,14 @@ uint64_t PitexService::ApplyUpdates(
   const uint64_t epoch = registry_.current_epoch() + 1;
   // A checkpoint saves the snapshot it follows, so that snapshot is
   // frozen from a compacted master: the checkpoint file is its base pool
-  // verbatim, and the overlay restarts empty.
+  // verbatim, and the overlay restarts empty. The compaction's singleton
+  // roots save it without a decode of its containing lists, and go with
+  // this publish.
+  const bool checkpoint_due = CheckpointDueLocked();
+  std::vector<VertexId> singleton_roots;
   std::shared_ptr<const IndexSnapshot> snapshot =
-      FreezeSnapshotLocked(epoch, /*compact=*/CheckpointDueLocked());
+      FreezeSnapshotLocked(epoch, /*compact=*/checkpoint_due,
+                           checkpoint_due ? &singleton_roots : nullptr);
   if (snapshot == nullptr) {
     // Every freeze attempt failed. The repairs are NOT lost: they are
     // staged in the master, readers keep serving the previous epoch, and
@@ -855,7 +862,7 @@ uint64_t PitexService::ApplyUpdates(
   published_lsn_mirror_.store(last_durable_lsn_, std::memory_order_relaxed);
   journal_.Record(obs::EventKind::kEpochSwap, epoch, last_durable_lsn_);
   work_cv_.NotifyAll();  // idle pumps may rebind eagerly on next query
-  if (wal_ != nullptr) MaybeCheckpointLocked(*snapshot);
+  if (wal_ != nullptr) MaybeCheckpointLocked(*snapshot, singleton_roots);
   *outcome = ApplyUpdatesOutcome::kPublished;
   return epoch;
 }
@@ -865,7 +872,8 @@ bool PitexService::CheckpointDueLocked() const {
          publishes_since_checkpoint_ + 1 >= options_.checkpoint_every;
 }
 
-void PitexService::MaybeCheckpointLocked(const IndexSnapshot& snapshot) {
+void PitexService::MaybeCheckpointLocked(
+    const IndexSnapshot& snapshot, std::span<const VertexId> singleton_roots) {
   const bool due = CheckpointDueLocked();
   ++publishes_since_checkpoint_;
   if (!due) return;
@@ -893,7 +901,7 @@ void PitexService::MaybeCheckpointLocked(const IndexSnapshot& snapshot) {
     manifest.model_delta.push_back(std::move(update));
   }
   if (!WriteCheckpoint(options_.durability_dir, *snapshot.rr_index(),
-                       manifest)) {
+                       manifest, nullptr, singleton_roots)) {
     // Non-fatal: the previous checkpoint (or the full log) still
     // recovers everything. The counter stays >= the cadence, so the
     // next publish retries.

@@ -103,10 +103,12 @@ bool ReadCheckpointManifest(const std::string& dir,
 }
 
 bool WriteCheckpoint(const std::string& dir, const RrIndex& snapshot_index,
-                     const CheckpointManifest& manifest, std::string* error) {
+                     const CheckpointManifest& manifest, std::string* error,
+                     std::span<const VertexId> singleton_roots) {
   IndexIoError io_error;
   const std::string snapshot_path = dir + "/" + manifest.snapshot_file;
-  if (!SaveRrIndex(snapshot_index, snapshot_path, &io_error)) {
+  if (!SaveRrIndex(snapshot_index, snapshot_path, &io_error,
+                   singleton_roots)) {
     return Fail(error, "cannot save checkpoint snapshot (" +
                            std::string(IndexIoCodeName(io_error.code)) +
                            "): " + io_error.message);

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,10 +81,12 @@ bool ReadCheckpointManifest(const std::string& dir,
 /// Full checkpoint: saves `snapshot_index` crash-atomically as the
 /// manifest's snapshot file, publishes the manifest, then deletes
 /// superseded checkpoint files. On failure the previous checkpoint
-/// remains fully intact and authoritative.
+/// remains fully intact and authoritative. `singleton_roots` go to the
+/// save (SaveRrIndex).
 bool WriteCheckpoint(const std::string& dir, const RrIndex& snapshot_index,
                      const CheckpointManifest& manifest,
-                     std::string* error = nullptr);
+                     std::string* error = nullptr,
+                     std::span<const VertexId> singleton_roots = {});
 
 /// Everything a restarting service needs from disk.
 struct RecoveredState {

@@ -24,7 +24,8 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::Wrap(
 }
 
 std::shared_ptr<const IndexSnapshot> IndexSnapshot::FromDynamic(
-    DynamicRrIndex& master, uint64_t epoch, bool compact) {
+    DynamicRrIndex& master, uint64_t epoch, bool compact,
+    std::vector<VertexId>* singleton_roots) {
   // Chaos hook: a freeze that "fails" before any work models the
   // transient failures (allocation pressure) a real publish path must
   // survive. Callers treat nullptr as a retryable error
@@ -38,7 +39,7 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::FromDynamic(
   // The network must live in the snapshot (stable address) before the
   // RrIndex replica can reference it.
   auto network = std::make_shared<const SocialNetwork>(master.network());
-  snapshot->rr_index_ = master.Freeze(*network, compact);
+  snapshot->rr_index_ = master.Freeze(*network, compact, singleton_roots);
   snapshot->network_ = std::move(network);
   snapshot->epoch_ = epoch;
   return snapshot;

@@ -76,7 +76,8 @@ class IndexSnapshot {
   /// overlay (DynamicRrIndex::Freeze). With `compact` (the publish a
   /// checkpoint will save) the master first folds its overlay into a
   /// new base, as it also does once the overlay grows past
-  /// kOverlayCompactFraction of theta.
+  /// kOverlayCompactFraction of theta; `singleton_roots`, when given,
+  /// gets that base's singleton roots for the checkpoint's save.
   ///
   /// Returns nullptr when the freeze fails — today only via the
   /// "serve/publish_freeze" fail point (src/util/failpoint.h), standing
@@ -84,7 +85,8 @@ class IndexSnapshot {
   /// Callers must treat nullptr as retryable (see
   /// PitexService::ApplyUpdates for the retry/backoff policy).
   static std::shared_ptr<const IndexSnapshot> FromDynamic(
-      DynamicRrIndex& master, uint64_t epoch, bool compact = false);
+      DynamicRrIndex& master, uint64_t epoch, bool compact = false,
+      std::vector<VertexId>* singleton_roots = nullptr);
 
  private:
   IndexSnapshot() = default;

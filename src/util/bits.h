@@ -28,7 +28,7 @@ inline size_t PaddedBytes(uint64_t bits) {
 }
 
 /// The low `bits` (at most 63) bits set.
-inline uint64_t LowMask(uint32_t bits) { return (uint64_t{1} << bits) - 1; }
+constexpr uint64_t LowMask(uint32_t bits) { return (uint64_t{1} << bits) - 1; }
 
 /// How many bits of x are set: an inline SWAR sum, since std::popcount
 /// is a library call on baseline x86-64, the default build's target.

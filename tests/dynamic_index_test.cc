@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -254,6 +255,51 @@ TEST(DynamicRrIndexTest, FootprintAtRestHasNoPerEdgeTerm) {
                                    RrSketchOverlay().SizeBytes());
   // 64 sketches cost far less than one float per edge.
   EXPECT_LT(index.SizeBytes(), n.num_edges() * sizeof(float));
+}
+
+TEST(DynamicRrIndexTest, OverlayFullCompactionLeavesBasePlusOverlay) {
+  // A compaction the overlay's size forces -- in a freeze not asked to
+  // compact, or at the start of an update batch -- leaves the master
+  // holding its new base and an empty overlay, and nothing else.
+  DatasetSpec spec = LastfmSpec(0.3);
+  spec.seed = 31;
+  const SocialNetwork n = GenerateDataset(spec);
+  RrIndexOptions options = SmallOptions();
+  options.theta_override = 64;
+  DynamicRrIndex index(n, options);
+  index.Build();
+  const auto at_rest = [&] {
+    return sizeof(DynamicRrIndex) +
+           index.Freeze(index.network(), /*compact=*/false)->pool().SizeBytes() +
+           RrSketchOverlay().SizeBytes();
+  };
+  // Drops edges one at a time until the overlay passes its bound.
+  EdgeId next = 0;
+  const auto fill = [&] {
+    while (static_cast<double>(index.overlay_sketches()) <=
+           kOverlayCompactFraction * static_cast<double>(index.theta())) {
+      ASSERT_LT(next, n.num_edges()) << "fixture: too few repairs";
+      index.UpdateEdgeTopics(next++, {});
+    }
+  };
+
+  fill();
+  index.Freeze(index.network(), /*compact=*/false);
+  EXPECT_EQ(index.stats().compactions, 1u);
+  EXPECT_EQ(index.overlay_sketches(), 0u);
+  EXPECT_EQ(index.SizeBytes(), at_rest());
+
+  fill();
+  // An update to the edge's current topics repairs nothing, so only the
+  // batch's compaction changes the master.
+  EdgeInfluenceUpdate same;
+  same.edge = 0;
+  const auto topics = index.network().influence.EdgeTopics(same.edge);
+  same.entries.assign(topics.begin(), topics.end());
+  index.ApplyUpdates(std::span(&same, 1));
+  EXPECT_EQ(index.stats().compactions, 2u);
+  EXPECT_EQ(index.overlay_sketches(), 0u);
+  EXPECT_EQ(index.SizeBytes(), at_rest());
 }
 
 TEST(DynamicRrIndexTest, UpdateValidatorNamesEachDefect) {

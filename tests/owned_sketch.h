@@ -20,6 +20,7 @@
 #define PITEX_TESTS_OWNED_SKETCH_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -35,6 +36,19 @@
 #include "src/util/random.h"
 
 namespace pitex {
+
+/// The threshold width a block of `edges` takes: ThresholdWidth of
+/// their largest StoredThreshold, computed from the definition.
+inline uint32_t ThresholdWidthOf(std::span<const RRLocalEdge> edges) {
+  uint32_t largest = 0;
+  for (const RRLocalEdge& edge : edges) {
+    largest = std::max(largest, 0x3F800000u - std::bit_cast<uint32_t>(
+                                                   edge.threshold));
+  }
+  uint32_t bits = 0;
+  while (bits < 32 && (largest >> bits) != 0) ++bits;
+  return bits > 23 ? bits - 23 : 0;
+}
 
 /// One storage-owning sketch with 32-bit fields.
 struct RRGraph {
@@ -62,7 +76,7 @@ struct RRGraph {
                                   [this](size_t j) { return offsets[j]; });
     packed.Clear();
     packed.AppendSketch(root_local, vertices, edges.size(), in_tree,
-                        [&](BlockWriter& out) {
+                        ThresholdWidthOf(edges), [&](BlockWriter& out) {
                           if (!in_tree) {
                             for (const uint32_t offset : offsets) {
                               out.PutOffset(offset);

@@ -4,7 +4,8 @@
 // a seed). An Image takes a file apart into the pool arrays it holds,
 // a Block reads and writes one sketch block's bit fields, and
 // ValidatorRows lists single-field edits no saved pool can hold, each
-// of which the loader must refuse with kCorruptPayload. PoolDifference
+// of which the loader must refuse with its row's typed error
+// (kCorruptPayload unless the row says otherwise). PoolDifference
 // compares two finished pools array by array, through their images.
 
 #ifndef PITEX_TESTS_POOL_IMAGE_H_
@@ -36,6 +37,13 @@ namespace pool_image {
 // eps, delta, cap_k and seed at 8 bytes each). It ends before
 // build_seconds and the checksum, 8 bytes each.
 constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
+constexpr size_t kVersionOffset = 8 + 8;
+// A block header is n << 4 | w << 1 | in-tree, w the block's threshold
+// width; a record stores 1.0f's bits less its threshold's at 23 + w
+// bits.
+constexpr uint32_t kHeaderFlagBits = 4;
+constexpr uint32_t kOneBits = 0x3F800000;
+constexpr uint32_t kBaseThresholdBits = 23;
 constexpr size_t kTrailerBytes = 16;
 constexpr uint32_t kExplicit = 1u << 31;
 constexpr size_t kGroup = 64;   // directory entries per base
@@ -164,22 +172,25 @@ inline void Splice(Image* image, size_t sketch, size_t at, size_t erase,
   }
 }
 
-// One explicit block of an Image: where it sits, its header (n and the
-// in-tree flag, then m unless it is an in-tree) and its bit fields, each
-// read and written at its width: the vertices, the root's local id, the
-// n + 1 offsets unless the block is an in-tree, the m heads, then the m
-// records (the rank in the tail's out-list, then the threshold's 30
-// bits).
+// One explicit block of an Image: where it sits, its header (n, the
+// threshold width w and the in-tree flag, then m unless it is an
+// in-tree) and its bit fields, each read and written at its width: the
+// vertices, the root's local id, the n + 1 offsets unless the block is
+// an in-tree, the m heads, then the m records (the rank in the tail's
+// out-list, then the stored threshold, 1.0f's bits less the
+// threshold's, at 23 + w bits).
 struct Block {
   Image* image;
   size_t sketch;
   uint32_t start;
-  uint32_t header_bytes;  // n's varint, and m's unless an in-tree
+  uint32_t header_bytes;  // the header's varint, and m's unless an in-tree
   uint32_t n;
   uint32_t m;
+  uint32_t w;
   bool tree;
 
   uint32_t id_bits() const { return FieldBits(n); }
+  uint32_t stored_bits() const { return kBaseThresholdBits + w; }
   uint32_t offset_bits() const { return FieldBits(uint64_t{m} + 1); }
   /// Bit positions in the body.
   uint64_t fields() const { return uint64_t{start + header_bytes} * 8; }
@@ -192,7 +203,7 @@ struct Block {
   }
   uint64_t record_at(size_t k) const {
     return heads_at() + uint64_t{m} * id_bits() +
-           k * (image->rank_bits + uint64_t{kThresholdBits});
+           k * (image->rank_bits + uint64_t{stored_bits()});
   }
   /// Bits of the fields, and bytes of the whole block.
   uint64_t bits() const { return record_at(m) - fields(); }
@@ -236,12 +247,12 @@ struct Block {
   void set_rank(size_t k, uint64_t value) const {
     set(record_at(k), image->rank_bits, value);
   }
-  uint32_t threshold_bits(size_t k) const {
+  uint32_t stored_threshold(size_t k) const {
     return static_cast<uint32_t>(
-        get(record_at(k) + image->rank_bits, kThresholdBits));
+        get(record_at(k) + image->rank_bits, stored_bits()));
   }
-  void set_threshold_bits(size_t k, uint64_t value) const {
-    set(record_at(k) + image->rank_bits, kThresholdBits, value);
+  void set_stored_threshold(size_t k, uint64_t value) const {
+    set(record_at(k) + image->rank_bits, stored_bits(), value);
   }
   /// The largest value a local id's field holds.
   uint64_t max_id() const { return (uint64_t{1} << id_bits()) - 1; }
@@ -260,12 +271,17 @@ struct Block {
 
   /// Re-encodes the block, every value intact, its header one byte
   /// longer than it needs when `overlong`, an in-tree's offsets (and
-  /// edge count) stored when `with_offsets`, and moves the blocks after
-  /// it.
-  void Reencode(bool overlong, bool with_offsets) const {
+  /// edge count) stored when `with_offsets`, its thresholds at width
+  /// `new_w` (at least w) unless that is negative, n stored as `new_n`
+  /// when given, and moves the blocks after it. Returns the re-encoded
+  /// block.
+  Block Reencode(bool overlong, bool with_offsets, int new_w = -1,
+                 uint64_t new_n = 0) const {
     const bool new_tree = tree && !with_offsets;
+    const uint32_t width = new_w < 0 ? w : static_cast<uint32_t>(new_w);
     std::vector<uint8_t> out;
-    uint64_t header = uint64_t{n} << 1 | (new_tree ? 1 : 0);
+    uint64_t header = (new_n == 0 ? uint64_t{n} : new_n) << kHeaderFlagBits |
+                      uint64_t{width} << 1 | (new_tree ? 1 : 0);
     if (overlong) {
       // The groups with the last's top bit set, then an empty group.
       for (; header >= 0x80; header >>= 7) {
@@ -277,8 +293,10 @@ struct Block {
       PutVarintTo(header, &out);
     }
     if (!new_tree) PutVarintTo(m, &out);
+    const auto new_header_bytes = static_cast<uint32_t>(out.size());
     const uint64_t new_bits =
-        bits() + (new_tree == tree ? 0 : uint64_t{n + 1} * offset_bits());
+        bits() + (new_tree == tree ? 0 : uint64_t{n + 1} * offset_bits()) +
+        uint64_t{m} * (width - w);
     uint64_t pos = out.size() * 8;
     out.resize(out.size() + (new_bits + 7) / 8, 0);
     const auto put = [&](uint32_t bits, uint64_t value) {
@@ -293,9 +311,11 @@ struct Block {
     for (uint32_t k = 0; k < m; ++k) put(id_bits(), head(k));
     for (uint32_t k = 0; k < m; ++k) {
       put(image->rank_bits, rank(k));
-      put(kThresholdBits, threshold_bits(k));
+      put(kBaseThresholdBits + width, stored_threshold(k));
     }
     Splice(image, sketch, start, bytes(), out);
+    return Block{image, sketch, start, new_header_bytes, n, m, width,
+                 new_tree};
   }
 };
 
@@ -315,9 +335,10 @@ inline std::optional<Block> BlockOf(Image* image, size_t i) {
   };
   const uint32_t header = varint();
   const bool tree = (header & 1) != 0;
-  const uint32_t n = header >> 1;
+  const uint32_t n = header >> kHeaderFlagBits;
+  const uint32_t w = (header >> 1) & 7;
   const uint32_t m = tree ? n - 1 : varint();
-  return Block{image, i, start, at - start, n, m, tree};
+  return Block{image, i, start, at - start, n, m, w, tree};
 }
 
 inline Image::Image(const std::string& bytes, const SocialNetwork& network)
@@ -386,11 +407,13 @@ inline std::optional<Block> FindBlock(Image* image, uint32_t min_n,
   return FindBlock(image, min_n, min_m, [](const Block&) { return true; });
 }
 
-// One edit of a valid image that no saved pool can hold. Each returns
-// false when the image has no place to make it.
+// One edit of a valid image that no saved pool can hold, and the typed
+// error the loader must refuse it with. Each returns false when the
+// image has no place to make it.
 struct ValidatorRow {
   const char* name;
   std::function<bool(const SocialNetwork&, Image*)> edit;
+  IndexIoCode code = IndexIoCode::kCorruptPayload;
 };
 
 inline std::vector<ValidatorRow> ValidatorRows() {
@@ -480,25 +503,25 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          // agrees with the block's length, which a vertex more would
          // lengthen by an edge record at least.
          const auto block = FindBlock(image, 2, 1, [](const Block& b) {
-           return b.tree && b.n < 63;
+           return b.tree && b.n < 7;
          });
          if (!block) return false;
-         image->body[block->start] += 2;
+         image->body[block->start] += 1 << kHeaderFlagBits;
          return true;
        }},
       {"header n shrunk by one",
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 3, 2, [](const Block& b) {
-           return b.tree && b.n <= 63;
+           return b.tree && b.n <= 7;
          });
          if (!block) return false;
-         image->body[block->start] -= 2;
+         image->body[block->start] -= 1 << kHeaderFlagBits;
          return true;
        }},
       {"edge count grown by one",
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 0, [](const Block& b) {
-           return !b.tree && b.m < 127 && b.n < 64;
+           return !b.tree && b.m < 127 && b.n < 8;
          });
          if (!block) return false;
          image->body[block->start + 1] += 1;
@@ -507,11 +530,30 @@ inline std::vector<ValidatorRow> ValidatorRows() {
       {"header n = 0",
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 0, [](const Block& b) {
-           return b.n < 64;
+           return b.n < 8;
          });
          if (!block) return false;
-         // The in-tree flag stays; n << 1 is cleared.
-         image->body[block->start] &= 1;
+         // The threshold width and the in-tree flag stay; n is cleared.
+         image->body[block->start] &= (1 << kHeaderFlagBits) - 1;
+         return true;
+       }},
+      {"header n = the block bound, 2^28 - 1",
+       [](const SocialNetwork&, Image* image) {
+         // The largest n a header holds in 32 bits: the block it claims
+         // runs far past the body.
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         block->Reencode(false, false, -1, RrSketchPool::kMaxBlockVertices);
+         return true;
+       }},
+      {"header n = 2^28, past the block bound",
+       [](const SocialNetwork&, Image* image) {
+         // Its header takes 33 bits, which the view's 32-bit read would
+         // cut to n = 0.
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         block->Reencode(false, false, -1,
+                         RrSketchPool::kMaxBlockVertices + 1);
          return true;
        }},
       {"overlong header varint",
@@ -656,27 +698,50 @@ inline std::vector<ValidatorRow> ValidatorRows() {
                return false;
              });
        }},
-      {"threshold = 1.5",
+      {"stored threshold = 1.0f's bits + 1",
+       [](const SocialNetwork&, Image* image) {
+         // At the widest threshold width, which the value needs: it
+         // decodes to 0xFFFFFFFF's bits, below +0.0.
+         const auto block = FindBlock(image, 1, 1);
+         if (!block) return false;
+         block->Reencode(false, false, 7)
+             .set_stored_threshold(block->m - 1, kOneBits + 1);
+         return true;
+       }},
+      {"stored threshold = 2^30 - 1",
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 1);
          if (!block) return false;
-         block->set_threshold_bits(0, 0x3FC00000);
+         block->Reencode(false, false, 7)
+             .set_stored_threshold(0, (uint32_t{1} << 30) - 1);
          return true;
        }},
-      {"threshold bits = 1.0f's + 1",
+      {"threshold width one wider than its records need",
        [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 1, 1);
+         const auto block = FindBlock(image, 1, 1, [](const Block& b) {
+           return b.w < 7;
+         });
          if (!block) return false;
-         block->set_threshold_bits(block->m - 1, 0x3F800001);
+         block->Reencode(false, false, static_cast<int>(block->w) + 1);
          return true;
        }},
-      {"threshold bits = 2^30 - 1",
+      {"edgeless block with threshold width 1",
        [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 1, 1);
+         // No record needs a bit past 23.
+         const auto block = FindBlock(image, 2, 0, [](const Block& b) {
+           return b.m == 0;
+         });
          if (!block) return false;
-         block->set_threshold_bits(0, (uint32_t{1} << 30) - 1);
+         block->Reencode(false, false, 1);
          return true;
        }},
+      {"v10 file",
+       [](const SocialNetwork&, Image* image) {
+         // The format before thresholds took their block's width.
+         image->header[kVersionOffset] = 10;
+         return true;
+       },
+       IndexIoCode::kBadVersion},
       {"pad bit set in a block's last byte",
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 0, [](const Block& b) {

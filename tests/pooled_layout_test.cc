@@ -214,15 +214,15 @@ size_t DirectoryBytes(size_t sketches, size_t blocks, size_t width) {
 // in bits, less its group's first start. Either array's words take 2
 // bytes while every word fits them, else 4. The containing lists are
 // Rice codes at the pool's parameter (ExpectedListsOf). A sketch's body
-// block, unless it
-// is an implicit singleton (one vertex, no edges), is a varint header
-// of n << 1 | in-tree, a varint of m unless the sketch is an in-tree,
-// then bit fields to the next byte: n vertices at V bits, the root's
-// local id, n + 1 offsets at BitsFor(m + 1) bits unless the sketch is an
-// in-tree, and m heads at BitsFor(n) bits, then m records of a rank at
-// R bits and a 30-bit threshold; V and R are BitsFor of the network's
-// vertex count and largest out-degree, and 7 bytes of padding end a
-// body of blocks.
+// block, unless it is an implicit singleton (one vertex, no edges), is a
+// varint header of n << 4 | w << 1 | in-tree, a varint of m unless the
+// sketch is an in-tree, then bit fields to the next byte: n vertices at
+// V bits, the root's local id, n + 1 offsets at BitsFor(m + 1) bits
+// unless the sketch is an in-tree, and m heads at BitsFor(n) bits, then
+// m records of a rank at R bits and a threshold at 23 + w bits; V and R
+// are BitsFor of the network's vertex count and largest out-degree, w is
+// the block's threshold width (ThresholdWidthOf its records), and 7
+// bytes of padding end a body of blocks.
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   const uint64_t vertex_bits = BitsFor(pool.num_network_vertices());
@@ -243,11 +243,14 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     if (n == 1 && m == 0) continue;
     ++blocks;
     max_offset = std::max(max_offset, body - base);
-    const bool tree = InTreeShape(Owned(view));
+    const RRGraph owned = Owned(view);
+    const bool tree = InTreeShape(owned);
+    const uint32_t w = ThresholdWidthOf(owned.edges);
+    EXPECT_EQ(view.edges.threshold_width(), w) << "sketch " << i;
     const uint64_t bits = n * vertex_bits + BitsFor(n) +
                           (tree ? 0 : (n + 1) * BitsFor(m + 1)) +
-                          m * (BitsFor(n) + rank_bits + 30);
-    body += VarintBytes(static_cast<uint32_t>(n << 1 | tree)) +
+                          m * (BitsFor(n) + rank_bits + 23 + w);
+    body += VarintBytes(static_cast<uint32_t>(n << 4 | w << 1 | tree)) +
             (tree ? 0 : VarintBytes(static_cast<uint32_t>(m))) +
             (bits + 7) / 8;
   }
@@ -462,9 +465,10 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   // Only the two-vertex sketch, an in-tree, has a body block: a one-byte
-  // header, then 44 bits in 6 bytes (its two 4-bit vertices, its root id
-  // and 1 head at a bit each, and its 34-bit edge record), then 7 bytes
-  // of padding: 14 in all. The lists of
+  // header, then 39 bits in 5 bytes (its two 4-bit vertices, its root id
+  // and 1 head at a bit each, and its 29-bit edge record: a 4-bit rank
+  // and 0.25f at 23 + 2 bits, as 1.0f's bits less 0.25f's are 2^24),
+  // then 7 bytes of padding: 13 in all. The lists of
   // vertices 2, 5 and 7 take 3, 3 and 6 bits at k = 2 (3 sketches over
   // 10 vertices holding 4 ids, a mean gap of 7): 2 bytes, then 7 of
   // padding. The directory takes one 16-byte record and a 2-byte word
@@ -472,7 +476,7 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   // words.
   EXPECT_EQ(pool.containing_k(), 2u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
-                                  (4 + 2 * 11) + 14 + (2 + 7));
+                                  (4 + 2 * 11) + 13 + (2 + 7));
   const PoolViews views(pool);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(views(i), graphs[i])) << "sketch " << i;
@@ -488,8 +492,9 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
 TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   // One vertex but one edge: the edge needs its header, offsets and
   // record, so the sketch keeps a block of 1 + 1 + 5 bytes (header, edge
-  // count, then 40 bits: the 4-bit vertex, a 0-bit root id, 2 offsets of
-  // a bit, a 0-bit head and the 34-bit record), then 7 of padding.
+  // count, then 34 bits: the 4-bit vertex, a 0-bit root id, 2 offsets of
+  // a bit, a 0-bit head and the 28-bit record, 0.5f at 23 + 1 bits), then
+  // 7 of padding.
   // Vertex 4's list takes two 4-bit codes at k = 3: a byte, then 7 of
   // padding.
   const std::vector<RRGraph> graphs = {
@@ -584,14 +589,15 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 1 + 6 (44 bits) and 1 + 11 (86 bits) bytes for the two
-  // in-trees, and 2 + 5 (40 bits) and 2 + 6 (47 bits) for the self-loop
-  // and the sketch whose root has an out-edge (header and edge count,
-  // fields), then 7 of padding, and 12 containing entries of 3 or 4 bits
-  // each at k = 2, 41 bits in all: 6 bytes, then 7 of padding.
+  // Blocks of 1 + 5 (39 bits) and 1 + 10 (76 bits: 0.1f and 0.2f at
+  // 23 + 2) bytes for the two in-trees, and 2 + 5 (34 bits) and 2 + 5
+  // (40 bits: 0.75f at 23) for the self-loop and the sketch whose root
+  // has an out-edge (header and edge count, fields), then 7 of padding,
+  // and 12 containing entries of 3 or 4 bits each at k = 2, 41 bits in
+  // all: 6 bytes, then 7 of padding.
   EXPECT_EQ(pool.containing_k(), 2u);
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + (16 + 2 * 4) + (4 + 2 * 11) + (34 + 7) +
+            sizeof(RrSketchPool) + (16 + 2 * 4) + (4 + 2 * 11) + (31 + 7) +
                 (6 + 7));
   EXPECT_TRUE(
       std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
@@ -978,7 +984,8 @@ RRGraph EdgelessSketch(std::vector<VertexId> vertices) {
 void AppendThroughSketch(const RRGraph& g, RrSketchPool* run) {
   const bool in_tree = InTreeShape(g);
   run->AppendSketch(*g.LocalIndex(g.root), g.vertices, g.edges.size(),
-                    in_tree, [&g, in_tree](BlockWriter& out) {
+                    in_tree, ThresholdWidthOf(g.edges),
+                    [&g, in_tree](BlockWriter& out) {
                       if (!in_tree) {
                         for (const uint32_t offset : g.offsets) {
                           out.PutOffset(offset);
@@ -1050,43 +1057,50 @@ void ExpectIndexFileRoundTrip(const SocialNetwork& network,
   EXPECT_EQ(loaded->pool().SizeBytes(), pool.SizeBytes());
 }
 
-TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixtyFourVertices) {
-  // The header is the varint of n << 1 | in-tree: one byte while
-  // n <= 63, two from n = 64, for blocks with offsets (whose edge count,
-  // another varint, follows it) and in-tree blocks alike.
-  std::vector<VertexId> low(63);
-  std::iota(low.begin(), low.end(), 0);
-  std::vector<VertexId> high(64);
-  std::iota(high.begin(), high.end(), 0);
+TEST(PooledLayoutTest, HeaderTakesTwoBytesFromEightVertices) {
+  // The header is the varint of n << 4 | w << 1 | in-tree: one byte
+  // while n <= 7, two from n = 8 and three from n = 1,024, for blocks
+  // with offsets (whose edge count, another varint, follows it) and
+  // in-tree blocks alike, whatever their threshold width.
+  const auto first = [](size_t n) {
+    std::vector<VertexId> vertices(n);
+    std::iota(vertices.begin(), vertices.end(), 0);
+    return vertices;
+  };
   const std::vector<RRGraph> graphs = {
-      EdgelessSketch(low), Singleton(3),        EdgelessSketch(high),
-      WideSketch(64, 65),  RootedSketch(63, 2), RootedSketch(64, 5)};
-  RrSketchPool run(70, 70);
+      EdgelessSketch(first(7)),    Singleton(3),
+      EdgelessSketch(first(8)),    RootedSketch(7, 2),
+      RootedSketch(8, 5),          EdgelessSketch(first(1023)),
+      EdgelessSketch(first(1024)), WideSketch(1024, 1025)};
+  RrSketchPool run(1100, 1100);
   for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
   ExpectMatchesGraphs(run, graphs);
-  ExpectEveryWriterKeeps(graphs, 70);
+  ExpectEveryWriterKeeps(graphs, 1100);
   const RrSketchPool pool = PackViews(
-      graphs.size(), RrSketchPool(70, 70),
+      graphs.size(), RrSketchPool(1100, 1100),
       [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // At 7-bit vertices and ranks, the edgeless blocks take 1 + 1 + 56
-  // and 2 + 1 + 57 bytes (header, edge count, 447 and 454 bits), the
-  // 65-edge block 2 + 1 + 463 (3,704 bits) and the in-trees 1 + 390 and
-  // 2 + 396 (3,113 and 3,163 bits), then 7 bytes of padding.
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 5) +
-                                  (8 + 2 * 71) +
-                                  (58 + 60 + 466 + 391 + 398 + 7) +
-                                  ExpectedListsOf(pool).bytes);
+  // At 11-bit vertices and ranks, the edgeless blocks take 1 + 1 + 10,
+  // 2 + 1 + 12, 2 + 1 + 1,408 and 3 + 1 + 1,410 bytes (header, edge
+  // count, 80, 91, 11,263 and 11,274 bits), the in-trees, whose 0.1f
+  // thresholds take 23 + 2 bits, 1 + 40 and 2 + 46 (314 and 364 bits),
+  // and the 1,025-edge block 3 + 2 + 8,713 (69,699 bits), then 7 bytes
+  // of padding.
+  EXPECT_EQ(pool.SizeBytes(),
+            sizeof(RrSketchPool) + (16 + 2 * 7) + (4 * 18 + 2 * 1101) +
+                (12 + 15 + 41 + 48 + 1411 + 1414 + 8718 + 7) +
+                ExpectedListsOf(pool).bytes);
 }
 
-// Where the block of `view` starts: its header, the varint of n << 1 |
-// in-tree, and the varint of m unless it is an in-tree, come right
-// before its vertices.
+// Where the block of `view` starts: its header, the varint of n << 4 |
+// w << 1 | in-tree, and the varint of m unless it is an in-tree, come
+// right before its vertices.
 const uint8_t* BlockStart(const RRView& view) {
   const bool tree = view.offsets.data == nullptr;
   const auto n = static_cast<uint32_t>(view.vertices.size());
   const auto m = static_cast<uint32_t>(view.edges.size());
-  return view.vertices.ids().data - VarintBytes(n << 1 | tree) -
+  const uint32_t w = view.edges.threshold_width();
+  return view.vertices.ids().data - VarintBytes(n << 4 | w << 1 | tree) -
          (tree ? 0 : VarintBytes(m));
 }
 
@@ -1105,23 +1119,24 @@ TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
       RootedSketch(3, 1), RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {{7, 0.75f}}},
       Singleton(6)};
   const RrSketchPool pool = PackGraphs(graphs);
-  // Fields go LSB-first at 4-bit vertices and ranks. An in-tree
-  // block: header 2 << 1 | in-tree, then vertices 2 and 7 (0x72), root
-  // id 0 and one head at a bit each, rank 3, and 0.25f's 30 low bits
-  // (0x3e800000): 44 bits.
+  // Fields go LSB-first at 4-bit vertices and ranks, each threshold c
+  // stored as 0x3f800000 less c's bits. An in-tree block: header
+  // 2 << 4 | 2 << 1 | in-tree (threshold width 2), then vertices 2 and 7
+  // (0x72), root id 0 and one head at a bit each, rank 3, and 0.25f
+  // (0x3e800000) as 0x01000000 at 25 bits: 39 bits.
   EXPECT_EQ(BlockBytes(pool, 0),
-            (std::vector<uint8_t>{0x05, 0x72, 0x0c, 0x00, 0x00, 0xa0, 0x0f}));
+            (std::vector<uint8_t>{0x25, 0x72, 0x0c, 0x00, 0x00, 0x40}));
   // Vertices 0, 1 and 2, root id 1 and the heads of vertices 0 and 2
-  // (both 1) at 2 bits, then ranks 0 and 1 with 0.1f (0x3dcccccd)
-  // each: 86 bits.
+  // (both 1) at 2 bits, then ranks 0 and 1 with 0.1f (0x3dcccccd, stored
+  // as 0x01b33333 at 25 bits) each: 76 bits.
   EXPECT_EQ(BlockBytes(pool, 2),
-            (std::vector<uint8_t>{0x07, 0x10, 0x52, 0x41, 0x33, 0x33, 0x73,
-                                  0x1f, 0xcd, 0xcc, 0xcc, 0x3d}));
-  // The root's out-edge keeps its edge count 1 after the header and the
-  // offsets {0, 1, 1} at a bit each after the root id: 47 bits.
+            (std::vector<uint8_t>{0x35, 0x10, 0x52, 0xc1, 0xcc, 0xcc, 0xec,
+                                  0x98, 0x99, 0x99, 0x0d}));
+  // The root's out-edge keeps its edge count 1 after the header (width 0)
+  // and the offsets {0, 1, 1} at a bit each after the root id; 0.75f
+  // (0x3f400000) is stored as 0x00400000 at 23 bits: 40 bits.
   EXPECT_EQ(BlockBytes(pool, 3),
-            (std::vector<uint8_t>{0x04, 0x01, 0x90, 0xec, 0x00, 0x00, 0x80,
-                                  0x7e}));
+            (std::vector<uint8_t>{0x20, 0x01, 0x90, 0xec, 0x00, 0x00, 0x80}));
   const PoolViews views(pool);
   for (const size_t i : {0, 1, 2, 4}) {
     EXPECT_EQ(views(i).offsets.data, nullptr) << "sketch " << i;
@@ -1131,7 +1146,40 @@ TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
   EXPECT_EQ(Owned(views(2)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 3) +
-                                  (4 + 2 * 11) + (7 + 12 + 8 + 7) +
+                                  (4 + 2 * 11) + (6 + 11 + 7 + 7) +
+                                  ExpectedListsOf(pool).bytes);
+  ExpectEveryWriterKeeps(graphs, 10);
+}
+
+TEST(PooledLayoutTest, ThresholdWidthFollowsItsBlock) {
+  // Each block stores its thresholds as 1.0f's bits less theirs at
+  // 23 + w bits, w the fewest its own largest value needs. A block whose
+  // thresholds all lie in (0.5, 1] stores values below 2^23: width 0.
+  // One holding 1e-6f (0x358637bd, stored as 0x09f9c843, a 28-bit
+  // value) takes width 5, beside its 0.6f. Implicit singletons between
+  // them store none.
+  const std::vector<RRGraph> graphs = {
+      RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.75f}}}, Singleton(5),
+      RRGraph{1,
+              {0, 1, 2},
+              {0, 1, 1, 2},
+              {1, 1},
+              {{0, 0.6f}, {1, 1e-6f}}},
+      Singleton(9)};
+  const RrSketchPool pool = PackGraphs(graphs);
+  const PoolViews views(pool);
+  EXPECT_EQ(views(0).edges.threshold_width(), 0u);
+  EXPECT_EQ(views(2).edges.threshold_width(), 5u);
+  EXPECT_EQ(views(2).edges[1].threshold, 1e-6f);
+  // At 4-bit vertices and ranks: a one-byte header and 37 bits (two
+  // vertices, a root id and a head at a bit each, and a 27-bit record),
+  // and a one-byte header and 82 bits (three vertices, a 2-bit root id,
+  // two 2-bit heads and two 32-bit records).
+  EXPECT_EQ(BlockBytes(pool, 0).size(), 1u + 5);
+  EXPECT_EQ(BlockBytes(pool, 2).size(), 1u + 11);
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 2) +
+                                  (4 + 2 * 11) + (6 + 12 + 7) +
                                   ExpectedListsOf(pool).bytes);
   ExpectEveryWriterKeeps(graphs, 10);
 }
@@ -1487,12 +1535,12 @@ TEST(PooledLayoutTest, SingletonRootsWidenOnlyTheFileDirectory) {
 
 // Edgeless sketches over vertices 0 .. n - 1 of a 4,096-vertex network
 // whose blocks take `bytes` bytes in all. Each takes a header of one
-// byte while n <= 63, two from n = 64, an edge count of one byte, and
-// then n 12-bit vertices, a BitsFor(n)-bit root id and n + 1 0-bit
-// offsets to the next byte, for 2 <= n <= 2,048.
+// byte while n <= 7, two from n = 8 and three from n = 1,024, an edge
+// count of one byte, and then n 12-bit vertices, a BitsFor(n)-bit root
+// id and n + 1 0-bit offsets to the next byte, for 2 <= n <= 2,048.
 std::vector<RRGraph> BlocksTaking(size_t bytes) {
   const auto length = [](uint32_t n) {
-    return VarintBytes(n << 1) + 1 + (12 * n + BitsFor(n) + 7) / 8;
+    return VarintBytes(n << 4) + 1 + (12 * n + BitsFor(n) + 7) / 8;
   };
   std::vector<RRGraph> graphs;
   const auto push = [&graphs](uint32_t n) {
@@ -1579,13 +1627,17 @@ TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
 }
 
 // Thresholds a record stores: 0, the smallest denormal, values inside
-// (0, 1) with full mantissas, the largest below 1, and 1 itself.
-float SweepThreshold(size_t k) {
-  static const float kValues[] = {
-      0.0f, std::numeric_limits<float>::denorm_min(), 0.1f, 0.5f,
-      std::nextafter(1.0f, 0.0f), 1.0f};
-  return kValues[k % std::size(kValues)];
-}
+// (0, 1) with full mantissas, the largest below 1, and 1 itself. A block
+// holding +0.0f takes the widest threshold width, 7.
+const std::vector<float> kSweepThresholds = {
+    0.0f, std::numeric_limits<float>::denorm_min(), 0.1f, 0.5f,
+    std::nextafter(1.0f, 0.0f), 1.0f};
+// The two extremes alone: every threshold exactly 1.0f, whose blocks
+// store each as 0 at 23 bits (width 0), and +0.0f and the largest
+// denormal, which need 30 (width 7).
+const std::vector<float> kOneThresholds = {1.0f};
+const std::vector<float> kZeroThresholds = {
+    0.0f, std::nextafter(std::numeric_limits<float>::min(), 0.0f)};
 
 // Id k of ids spread over [0, count): alternately from the top and the
 // bottom, so the largest id and small ones both appear.
@@ -1596,12 +1648,12 @@ uint64_t Spread(size_t k, uint64_t count) {
 // A sketch of n vertices of a network with `num_vertices` vertices and
 // `num_edges` edges: its n / 2 lowest ids and the rest of the highest,
 // the largest among them, and a path from the first to the last, the
-// root, with ranks spread below `max_out_degree` and spread thresholds
-// (Spread, SweepThreshold), and no topology. An in-tree, or with
+// root, with ranks spread below `max_out_degree` (Spread) and edge k's
+// threshold thresholds[k % size], and no topology. An in-tree, or with
 // `general` the path and an edge out of the root back to the first
 // vertex (a self-loop when n = 1).
 RRGraph SweepSketch(uint64_t num_vertices, uint64_t max_out_degree, size_t n,
-                    bool general) {
+                    bool general, const std::vector<float>& thresholds) {
   std::vector<VertexId> vertices(n);
   for (size_t j = 0; j < n; ++j) {
     vertices[j] = static_cast<VertexId>(j < n / 2 ? j : num_vertices - n + j);
@@ -1613,9 +1665,32 @@ RRGraph SweepSketch(uint64_t num_vertices, uint64_t max_out_degree, size_t n,
   if (general) edges.push_back({vertices[n - 1], vertices[0], 0, 0.0f});
   for (size_t k = 0; k < edges.size(); ++k) {
     edges[k].edge = static_cast<EdgeId>(Spread(k, max_out_degree));
-    edges[k].threshold = SweepThreshold(k);
+    edges[k].threshold = thresholds[k % thresholds.size()];
   }
   return AssembleRRGraph(Graph(), vertices[n - 1], vertices, edges);
+}
+
+// Re-closes each of `graphs`, sketches of `network` (Rerank) each of
+// whose vertices reaches its root, from its decomposed live edges
+// through RebuildRepairedSketch, as repair does: each comes back whole,
+// and its block is the very bytes Append writes of it.
+void ExpectRebuildKeeps(const SocialNetwork& network,
+                        const std::vector<RRGraph>& graphs) {
+  SketchArena arena;
+  RrSketchPool rebuilt(network.graph);
+  RrSketchPool appended(network.graph);
+  std::vector<GlobalEdgeSample> edges;
+  for (const RRGraph& g : graphs) {
+    DecomposeRRGraphInto(g, &edges);
+    arena.RebuildRepairedSketch(g.root, edges, &rebuilt);
+    appended.Append(g);
+  }
+  ExpectMatchesGraphs(rebuilt, graphs);
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    if (rebuilt.IsSingleton(i)) continue;
+    EXPECT_EQ(BlockBytes(rebuilt, i), BlockBytes(appended, i))
+        << "sketch " << i;
+  }
 }
 
 TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
@@ -1625,14 +1700,18 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
   // below 2^31, the directory word's flag, so no vertex field takes
   // 32), with sketches of n in {1, 2, 3, 4, 5, 8, 9, 256, 257}, in-trees
   // and general, so local ids take 0 to 9 bits, between singletons at
-  // the highest and lowest vertex. Every writer that builds no
+  // the highest and lowest vertex. Each shape comes with three sets of
+  // thresholds: the sweep and the zeros, whose blocks' thresholds take
+  // 30 bits (threshold width 7), and the ones, which take 23 (width 0).
+  // Every writer that builds no
   // containing index (AppendSketch, Append, an overlay) runs at every
   // width, a default pool's (31-bit vertices, 32-bit ranks) among them.
   // PackViews and FromRuns, whose containing index holds an entry per
   // vertex, run while the network has at most 2^17 vertices, at every
   // rank width (ExpectWritersKeep); the walks and the index file, on a
   // network that holds the sketches' edges, while it also has at most
-  // 2^17 out-edges a vertex (ExpectEveryWriterKeeps).
+  // 2^17 out-edges a vertex (ExpectEveryWriterKeeps), where repair's
+  // RebuildRepairedSketch runs too (ExpectRebuildKeeps).
   constexpr uint64_t k1 = 1;
   const std::pair<uint64_t, uint64_t> networks[] = {
       {1, 1},               {2, 2},
@@ -1655,9 +1734,15 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
       for (const bool general : {false, true}) {
         // The one-vertex in-tree is a singleton.
         if (n == 1 && !general) continue;
-        graphs.push_back(
-            SweepSketch(num_vertices, max_out_degree, n, general));
-        ASSERT_EQ(InTreeShape(graphs.back()), !general);
+        for (const auto& [thresholds, width] :
+             {std::pair{&kSweepThresholds, 7u},
+              {&kOneThresholds, 0u},
+              {&kZeroThresholds, 7u}}) {
+          graphs.push_back(SweepSketch(num_vertices, max_out_degree, n,
+                                       general, *thresholds));
+          ASSERT_EQ(InTreeShape(graphs.back()), !general);
+          ASSERT_EQ(ThresholdWidthOf(graphs.back().edges), width);
+        }
       }
       graphs.push_back(Singleton(0));
     }
@@ -1693,6 +1778,11 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
       continue;
     }
     ExpectEveryWriterKeeps(graphs, num_vertices, max_out_degree);
+    const SocialNetwork network =
+        NetworkOf(num_vertices, graphs, max_out_degree);
+    std::vector<RRGraph> ranked = graphs;
+    Rerank(network.graph, &ranked);
+    ExpectRebuildKeeps(network, ranked);
   }
 }
 
@@ -1730,12 +1820,13 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   const RrSketchPool& pool = index.pool();
   ASSERT_EQ(pool.num_sketches(), 200000u);
   // Both offset arrays take 2-byte words: the block words (largest
-  // block start less its base 1,183 B) and the containing starts
+  // block start less its base 1,104 B) and the containing starts
   // (largest group 31,428 bits). 85,966 sketches are blocks, so the
   // directory takes 3,125 16-byte records and 85,966 words. The lists'
   // 454,185 ids have a mean gap of 11,008, so k = 13. The network's
   // 25,000 vertices and at most 18 out-edges a vertex give 15-bit
-  // vertices and 5-bit ranks.
+  // vertices and 5-bit ranks. Each block's thresholds take 23 + w bits,
+  // w from its smallest threshold: the blocks' w run from 0 to 5.
   EXPECT_EQ(pool.directory_width(), 2u);
   EXPECT_EQ(pool.DirectoryBytes(), 3125u * 16 + 85966u * 2);
   EXPECT_EQ(pool.containing_start_width(), 2u);
@@ -1743,16 +1834,33 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   EXPECT_EQ(pool.vertex_bits(), 15u);
   EXPECT_EQ(pool.max_out_degree(), 18u);
   EXPECT_EQ(pool.rank_bits(), 5u);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 3110996);
+  std::vector<size_t> widths(kMaxThresholdWidth + 1, 0);
+  const PoolViews views(pool);
+  for (size_t i = 0; i < pool.num_sketches(); ++i) {
+    if (!pool.IsSingleton(i)) ++widths[views(i).edges.threshold_width()];
+  }
+  EXPECT_EQ(widths, (std::vector<size_t>{15567, 15710, 26857, 23874, 3916,
+                                         42, 0, 0}));
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 2958564);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // The file keeps a word per sketch, a singleton's its root (the
-  // largest 24,999, so 2 bytes each), and these exact bytes.
+  // The file is v11, keeps a word per sketch, a singleton's its root
+  // (the largest 24,999, so 2 bytes each), and these exact bytes.
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
-  EXPECT_EQ(file.str().size(), 2395356u);
-  EXPECT_EQ(FileHash(file.str()), 0xf52a55a2ee1fa9bfULL)
+  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 11);
+  EXPECT_EQ(file.str().size(), 2242924u);
+  EXPECT_EQ(FileHash(file.str()), 0x74d05d6858e21468ULL)
       << std::hex << FileHash(file.str());
   EXPECT_EQ(pool_image::Image(file.str(), network).width, 2u);
+  // The same bytes under a v10 header, whose records held every
+  // threshold at 30 bits, are refused by their version.
+  std::string v10 = file.str();
+  v10[pool_image::kVersionOffset] = 10;
+  pool_image::RepairChecksum(&v10);
+  std::stringstream v10_file(v10);
+  IndexIoError v10_error;
+  EXPECT_EQ(LoadRrIndex(network, v10_file, &v10_error), nullptr);
+  EXPECT_EQ(v10_error.code, IndexIoCode::kBadVersion);
 
   // With repairs, the save folds base + overlay: its bytes load and save
   // back unchanged, and the loaded index holds the fold's sketches.
