@@ -15,9 +15,9 @@
 //                and hot-swaps a new immutable snapshot epoch while the
 //                service keeps answering;
 //   6. survive — overload drill: per-query deadlines degrade gracefully,
-//                admission control sheds a hot-user flood, and an
-//                injected publish fault is retried through
-//                (docs/robustness.md);
+//                admission control sheds a hot-user flood, and the
+//                publish watchdog reports a stalled freeze while it
+//                runs (docs/robustness.md);
 //   7. recover — restart drill: with a durability_dir every acknowledged
 //                update is in the write-ahead log before the caller
 //                hears about it, so a new process on the same directory
@@ -39,6 +39,7 @@
 //
 // Run: ./build/examples/index_server
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -249,21 +250,36 @@ int main() {
               static_cast<unsigned long long>(metrics.CounterValue(
                   "pitex_queries_shed_rate_limited_total")));
 
-  // Fault drill: inject one freeze failure into the next publish and
-  // watch the retry/backoff path absorb it — the epoch still advances.
+  // Watchdog drill: stall the next freeze for 100 ms and scrape the
+  // publish watchdog from this thread while another publishes. A scrape
+  // never waits on the publisher lock the stalled freeze holds.
   FailpointRegistry::Instance().Enable(
       "serve/publish_freeze",
-      {.mode = FailpointMode::kError, .fires = 1});
-  const uint64_t drilled_epoch = drilled.ApplyUpdates(drift);
+      {.mode = FailpointMode::kDelay, .fires = 1, .delay_ms = 100});
+  std::atomic<uint64_t> drilled_epoch{0};
+  std::thread publisher(
+      [&] { drilled_epoch.store(drilled.ApplyUpdates(drift)); });
+  int64_t stalled_in_flight = 0;
+  int64_t stalled_age_ms = 0;
+  while (drilled_epoch.load() == 0) {
+    metrics = drilled.SnapshotMetrics();
+    if (metrics.GaugeValue("pitex_publish_in_flight") == 1) {
+      stalled_in_flight = 1;
+      stalled_age_ms = metrics.GaugeValue("pitex_publish_age_ms");
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  publisher.join();
   FailpointRegistry::Instance().DisableAll();
   metrics = drilled.SnapshotMetrics();
-  std::printf("fault drill: 1 injected freeze failure -> publish retried "
-              "%llu time(s), epoch %llu published anyway (%llu failures)\n",
-              static_cast<unsigned long long>(
-                  metrics.CounterValue("pitex_publish_retries_total")),
-              static_cast<unsigned long long>(drilled_epoch),
-              static_cast<unsigned long long>(
-                  metrics.CounterValue("pitex_publish_failures_total")));
+  std::printf("watchdog drill: stalled freeze scraped at "
+              "pitex_publish_in_flight %lld, pitex_publish_age_ms %lld; "
+              "epoch %llu published, in flight %lld after\n",
+              static_cast<long long>(stalled_in_flight),
+              static_cast<long long>(stalled_age_ms),
+              static_cast<unsigned long long>(drilled_epoch.load()),
+              static_cast<long long>(
+                  metrics.GaugeValue("pitex_publish_in_flight")));
 
   // -- 7. restart and recover ----------------------------------------------
   // The same service, now durable: a directory holds the group-committed

@@ -481,20 +481,13 @@ int CmdServe(int argc, char** argv) {
   const double start_seconds = start_timer.Seconds();
 
   size_t rejected = 0;
-  size_t deferred = 0;
   for (size_t i = 0; i < num_updates; ++i) {
     std::vector<EdgeInfluenceUpdate> batch(1);
     batch[0].edge = static_cast<EdgeId>((i * 97) % network->num_edges());
     batch[0].entries = {
         {static_cast<TopicId>(i % network->topics.num_topics()),
          0.2 + 0.1 * static_cast<double>(i % 5)}};
-    ApplyUpdatesOutcome outcome;
-    if (service.ApplyUpdates(batch, &outcome) == 0) {
-      // A deferred publish is not a rejection: the batch is applied
-      // (and durable) -- only the epoch bump is pending.
-      if (outcome == ApplyUpdatesOutcome::kPublishFailed) ++deferred;
-      else ++rejected;
-    }
+    if (service.ApplyUpdates(batch) == 0) ++rejected;
   }
   const auto served = service.ServeAll(queries);
   double total_influence = 0.0;
@@ -513,13 +506,12 @@ int CmdServe(int argc, char** argv) {
   };
   std::printf("started in %.2f s (%llu WAL records replayed)\n",
               start_seconds, counter("pitex_recovery_replayed_lsns_total"));
-  std::printf(
-      "%zu queries, avg spread %.2f; %zu updates (%zu rejected, "
-      "%zu deferred)\n",
-      served.size(),
-      served.empty() ? 0.0
-                     : total_influence / static_cast<double>(served.size()),
-      num_updates, rejected, deferred);
+  std::printf("%zu queries, avg spread %.2f; %zu updates (%zu rejected)\n",
+              served.size(),
+              served.empty()
+                  ? 0.0
+                  : total_influence / static_cast<double>(served.size()),
+              num_updates, rejected);
   std::printf("serving:    epoch %lld, %lld published, %llu cache hits, "
               "%llu steals, p95 %.2f ms\n",
               gauge("pitex_current_epoch"), gauge("pitex_epochs_published"),

@@ -28,9 +28,7 @@ RrIndexOptions IndexOptionsFor(const EngineOptions& options) {
   RrIndexOptions index_options;
   index_options.eps = options.eps;
   index_options.delta = options.delta;
-  index_options.cap_k = options.index_cap_k;
   index_options.theta_per_vertex = options.index_theta_per_vertex;
-  index_options.max_theta = options.index_max_theta;
   index_options.seed = options.seed;
   return index_options;
 }
@@ -60,8 +58,7 @@ SampleSizePolicy PitexEngine::PolicyFor(size_t k) const {
 }
 
 void PitexEngine::BuildIndex() {
-  RrIndexOptions index_options = IndexOptionsFor(options_);
-  index_options.num_build_threads = options_.index_build_threads;
+  const RrIndexOptions index_options = IndexOptionsFor(options_);
   switch (options_.method) {
     case Method::kIndexEst:
     case Method::kIndexEstPlus:

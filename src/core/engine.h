@@ -58,21 +58,18 @@ struct EngineOptions {
   /// Sampling caps (see SampleSizePolicy).
   uint64_t min_samples = 32;
   uint64_t max_samples = 1 << 15;
-  /// Index parameters (methods kIndexEst / kIndexEstPlus / kDelayMat).
+  /// Index parameters (methods kIndexEst / kIndexEstPlus / kDelayMat);
+  /// cap_k, max_theta and the build's thread count keep RrIndexOptions'
+  /// defaults.
   double index_theta_per_vertex = 1.0;
-  uint64_t index_max_theta = 4'000'000;
-  int64_t index_cap_k = 10;
-  /// Threads for the offline RR-Graph sampling pass (result is
-  /// bit-identical for any thread count).
-  size_t index_build_threads = 1;
   /// TIM parameters.
   TimOptions tim;
   uint64_t seed = 1;
 };
 
 /// The index options an engine with `options` builds with: eps, delta,
-/// cap_k, theta_per_vertex, max_theta and seed. num_build_threads keeps
-/// its default; each caller sets it for its own build.
+/// theta_per_vertex and seed. The rest keep RrIndexOptions' defaults;
+/// a caller may set num_build_threads for its own build.
 RrIndexOptions IndexOptionsFor(const EngineOptions& options);
 
 class PitexEngine {

@@ -116,7 +116,7 @@ PlanDecision QueryPlanner::Plan(const PlannerInputs& inputs) const {
   // theta matching the engine's default policy (theta_per_vertex = 1).
   EngineOptions defaults;
   const double theta = std::min<double>(
-      static_cast<double>(defaults.index_max_theta),
+      static_cast<double>(RrIndexOptions{}.max_theta),
       std::max(64.0, defaults.index_theta_per_vertex *
                          static_cast<double>(network_->num_vertices())));
   decision.index_build_cost =

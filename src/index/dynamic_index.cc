@@ -8,18 +8,6 @@
 
 namespace pitex {
 
-namespace {
-
-// RNG stream for sample i at repair version `version`. version == 0
-// reproduces RrIndex::Build exactly (bit-identical initial index).
-Rng StreamFor(uint64_t seed, uint64_t i, uint64_t version) {
-  uint64_t mix = seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
-  if (version > 0) mix ^= 0xbf58476d1ce4e5b9ULL * version;
-  return Rng(SplitMix64(&mix));
-}
-
-}  // namespace
-
 const char* InvalidUpdateReason(const EdgeInfluenceUpdate& update,
                                 const SocialNetwork& network) {
   if (update.edge >= network.num_edges()) return "unknown edge";
@@ -44,16 +32,8 @@ DynamicRrIndex::DynamicRrIndex(const SocialNetwork& network,
                                const RrIndexOptions& options)
     : network_(network),
       options_(options),
+      theta_(RrIndex::ThetaFor(network.num_vertices(), options)),
       repaired_(network.graph) {
-  if (options_.theta_override > 0) {
-    theta_ = options_.theta_override;
-  } else {
-    const double theta = options_.theta_per_vertex *
-                         static_cast<double>(network_.num_vertices());
-    theta_ = std::min<uint64_t>(
-        options_.max_theta,
-        std::max<uint64_t>(64, static_cast<uint64_t>(std::llround(theta))));
-  }
   // No view until Build() or AdoptSketches() gives the base its theta
   // sketches.
   base_ = std::make_shared<const RrSketchPool>();
@@ -116,7 +96,7 @@ void DynamicRrIndex::ApplyUpdates(
     affected_.assign(containing.begin(), containing.end());
     for (const uint32_t id : affected_) {
       ++stats_.graphs_examined;
-      Rng rng = StreamFor(options_.seed, id, version_);
+      Rng rng = SampleStream(options_.seed, id, version_);
       RepairGraph(id, e, p_old, p_new, &rng);
     }
   }

@@ -137,7 +137,7 @@ class DynamicRrIndex final : public InfluenceOracle {
   void AdoptSketches(const RrIndex& checkpoint);
 
   /// Edge updates applied over this index's lifetime; salts the repair
-  /// RNG (StreamFor), so checkpoints persist it and recovery restores it
+  /// RNG (SampleStream), so checkpoints persist it and recovery restores it
   /// before replay -- replayed repairs then re-draw the same coins.
   uint64_t version() const { return version_; }
 

@@ -97,8 +97,7 @@ RrSketchPool SampleSketchPool(const Graph& graph,
       open.push_back({i, &run, static_cast<uint32_t>(run.num_sketches()), 0});
     }
     ++open.back().count;
-    uint64_t mix = seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
-    Rng rng(SplitMix64(&mix));
+    Rng rng = SampleStream(seed, i);
     const auto root =
         static_cast<VertexId>(rng.NextBounded(graph.num_vertices()));
     state[slot].arena.Generate(graph, envelope, root, &rng, &run);
@@ -113,6 +112,12 @@ RrSketchPool SampleSketchPool(const Graph& graph,
     all.insert(all.end(), s.segments.begin(), s.segments.end());
   }
   return RrSketchPool::FromRuns(all, theta, network);
+}
+
+Rng SampleStream(uint64_t seed, uint64_t i, uint64_t version) {
+  uint64_t mix = seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
+  if (version > 0) mix ^= 0xbf58476d1ce4e5b9ULL * version;
+  return Rng(SplitMix64(&mix));
 }
 
 void RrIndex::Build(ThreadPool* pool) {

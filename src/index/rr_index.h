@@ -25,6 +25,7 @@
 #include "src/index/rr_graph.h"
 #include "src/index/rr_sketch_pool.h"
 #include "src/sampling/influence_estimator.h"
+#include "src/util/random.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
 
@@ -150,6 +151,11 @@ RrSketchPool SampleSketchPool(const Graph& graph,
                               const EnvelopeTable& envelope, uint64_t theta,
                               uint64_t seed, size_t num_threads,
                               ThreadPool* pool);
+
+/// The RNG stream of sample i. Version 0 is the stream SampleSketchPool
+/// draws sample i from; DynamicRrIndex salts its repairs with its update
+/// version so each repair re-draws fresh coins.
+Rng SampleStream(uint64_t seed, uint64_t i, uint64_t version = 0);
 
 }  // namespace pitex
 

@@ -18,10 +18,6 @@ const char* EventKindName(EventKind kind) {
       return "deadline_expired";
     case EventKind::kWalFailure:
       return "wal_failure";
-    case EventKind::kPublishRetry:
-      return "publish_retry";
-    case EventKind::kPublishFailure:
-      return "publish_failure";
     case EventKind::kEpochSwap:
       return "epoch_swap";
     case EventKind::kCheckpoint:

@@ -2,11 +2,11 @@
 // (docs/observability.md, "Journal events").
 //
 // Answers "what happened in the 2s before the publish stalled?":
-// counters say HOW OFTEN the serving tier shed, degraded, retried or
-// failed; the journal says WHEN and in WHAT ORDER. It is a fixed-size
+// counters say HOW OFTEN the serving tier shed, degraded or failed; the
+// journal says WHEN and in WHAT ORDER. It is a fixed-size
 // lock-free ring of small structured events -- kind + monotonic
 // timestamp + two integer payload slots -- recorded on the rare-event
-// paths (shed, degraded, WAL failure, publish retry, epoch swap,
+// paths (shed, degraded, WAL failure, fenced write, epoch swap,
 // recovery replay), never on the per-query happy path. Treating these
 // as structured data instead of log lines keeps recording allocation-
 // free and makes the buffer queryable after the fact.
@@ -21,7 +21,7 @@
 //
 // Dumping: DumpTo(stderr) renders the ring oldest-first, and
 // PitexService invokes it automatically on its crash-adjacent paths
-// (recovery failure, initial-freeze failure) so the flight recorder is
+// (recovery failure, a WAL that will not open) so the flight recorder is
 // on the console exactly when the process is about to abort.
 
 #ifndef PITEX_SRC_OBS_JOURNAL_H_
@@ -46,11 +46,6 @@ enum class EventKind : uint8_t {
   kDeadlineExpired,
   /// WAL append/commit failed; the batch was rejected. a = batch size.
   kWalFailure,
-  /// One snapshot-freeze attempt failed and will back off. a = epoch,
-  /// b = retries so far this publish.
-  kPublishRetry,
-  /// Every freeze attempt failed; updates stay staged. a = epoch.
-  kPublishFailure,
   /// A new epoch became visible to queries. a = epoch, b = durable LSN.
   kEpochSwap,
   /// Checkpoint written and WAL truncated. a = LSN, b = epoch.

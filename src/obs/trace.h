@@ -66,7 +66,7 @@ enum class SpanKind : uint8_t {
   kPublish,    // whole ApplyUpdates critical section
   kWalAppend,  // WriteAheadLog::Append
   kWalFsync,   // WriteAheadLog::Sync (the commit point)
-  kFreeze,     // FreezeSnapshotLocked (retry loop included)
+  kFreeze,     // FreezeSnapshotLocked
   kPack,       // IndexSnapshot::FromDynamic (overlay freeze + any
                // compaction, which folds blocks; the name is the metric's)
   kSwap,       // IndexSnapshotRegistry::Publish (the epoch swap)

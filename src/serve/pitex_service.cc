@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/serve/recovery.h"
 #include "src/util/check.h"
-#include "src/util/failpoint.h"
 
 namespace pitex {
 
@@ -30,8 +28,9 @@ PitexService::PitexService(const SocialNetwork* network,
   // on that worker would diverge from the per-worker engine reference.
   if (options_.mode == ScheduleMode::kWorkStealing &&
       options_.cache_capacity > 0) {
+    constexpr size_t kCacheShards = 8;
     cache_ = std::make_unique<ResultCache>(options_.cache_capacity,
-                                           options_.cache_shards);
+                                           kCacheShards);
   }
   // Admission is load-shedding, and shedding is inherently
   // load-dependent -- deterministic mode must answer every query, so the
@@ -69,12 +68,6 @@ void PitexService::RegisterMetrics() {
       "pitex_cache_hits_total", "Result-cache hits observed by workers");
   m_.steals = metrics_.RegisterCounter(
       "pitex_steals_total", "Queries served off another worker's deque");
-  m_.publish_retries = metrics_.RegisterCounter(
-      "pitex_publish_retries_total",
-      "Snapshot-freeze attempts that failed and were retried");
-  m_.publish_failures = metrics_.RegisterCounter(
-      "pitex_publish_failures_total",
-      "Publishes abandoned after exhausting every retry");
   m_.wal_appends = metrics_.RegisterCounter(
       "pitex_wal_appends_total", "Update batches appended to the WAL");
   m_.wal_fsyncs = metrics_.RegisterCounter(
@@ -269,16 +262,7 @@ void PitexService::Start() {
         master_ = std::make_unique<DynamicRrIndex>(*network_, index_options);
         master_->Build();
       }
-      // Same retry policy as ApplyUpdates, but there is no previous
-      // epoch to fall back to: if the freeze cannot succeed within the
-      // retry budget, starting the service is impossible.
       snapshot = FreezeSnapshotLocked(initial_epoch, /*compact=*/false);
-      if (snapshot == nullptr) {
-        // The per-attempt kPublishRetry events are already in the ring.
-        journal_.DumpTo(stderr);
-        PITEX_CHECK_MSG(false,
-                        "initial snapshot freeze failed after retries");
-      }
       // The initial snapshot covers everything recovery acknowledged.
       published_lsn_mirror_.store(
           durable_lsn_mirror_.load(std::memory_order_relaxed),
@@ -704,33 +688,15 @@ std::future<ServedResult> PitexService::Submit(const PitexQuery& query) {
 
 std::shared_ptr<const IndexSnapshot> PitexService::FreezeSnapshotLocked(
     uint64_t epoch, bool compact, std::vector<VertexId>* singleton_roots) {
-  // Covers the whole retry loop (backoff sleeps included); the kPack
-  // span inside IndexSnapshot::FromDynamic nests under it via the
-  // thread's current trace. Inert when no trace is armed (Start()).
+  // The kPack span inside IndexSnapshot::FromDynamic nests under this
+  // one via the thread's current trace. Inert when no trace is armed
+  // (Start()).
   PITEX_SPAN(kFreeze);
   if (admission_ != nullptr) admission_->BeginPublish();
   publish_started_ns_.store(obs::NowNs(), std::memory_order_relaxed);
   publish_in_flight_.store(true, std::memory_order_release);
-
-  std::shared_ptr<const IndexSnapshot> snapshot;
-  double backoff_ms = options_.publish_backoff_initial_ms;
-  const size_t attempts = std::max<size_t>(1, options_.publish_max_attempts);
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    snapshot =
-        IndexSnapshot::FromDynamic(*master_, epoch, compact, singleton_roots);
-    if (snapshot != nullptr) break;
-    m_.publish_retries->Inc();
-    journal_.Record(obs::EventKind::kPublishRetry, epoch, attempt + 1);
-    if (attempt + 1 == attempts) break;
-    // Capped exponential backoff with multiplicative jitter in
-    // [0.5, 1.0): decorrelates retry timing so publishers racing the
-    // same transient fault don't re-collide in lockstep.
-    const double jitter = 0.5 + 0.5 * backoff_rng_.NextDouble();
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(backoff_ms * jitter));
-    backoff_ms = std::min(backoff_ms * 2.0, options_.publish_backoff_max_ms);
-  }
-
+  std::shared_ptr<const IndexSnapshot> snapshot =
+      IndexSnapshot::FromDynamic(*master_, epoch, compact, singleton_roots);
   publish_in_flight_.store(false, std::memory_order_release);
   if (admission_ != nullptr) admission_->EndPublish();
   m_.compactions->Inc(master_->stats().compactions - compactions_seen_);
@@ -840,18 +806,6 @@ uint64_t PitexService::ApplyUpdates(
   std::shared_ptr<const IndexSnapshot> snapshot =
       FreezeSnapshotLocked(epoch, /*compact=*/checkpoint_due,
                            checkpoint_due ? &singleton_roots : nullptr);
-  if (snapshot == nullptr) {
-    // Every freeze attempt failed. The repairs are NOT lost: they are
-    // staged in the master, readers keep serving the previous epoch, and
-    // the next successful publish folds them in. With durability on the
-    // batch IS already committed to the WAL -- recovery replays it even
-    // though no epoch carried it yet. The staleness gauges go nonzero
-    // here: applied/durable advanced, published did not.
-    m_.publish_failures->Inc();
-    journal_.Record(obs::EventKind::kPublishFailure, epoch);
-    *outcome = ApplyUpdatesOutcome::kPublishFailed;
-    return 0;
-  }
   {
     PITEX_SPAN(kSwap);
     registry_.Publish(snapshot);

@@ -60,7 +60,6 @@
 #include "src/serve/term_authority.h"
 #include "src/serve/wal.h"
 #include "src/util/mutex.h"
-#include "src/util/random.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
 
@@ -89,7 +88,6 @@ struct ServeOptions {
   /// Result-cache entry budget; 0 disables. Ignored (off) in
   /// deterministic mode.
   size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
   /// Keep a DynamicRrIndex master so ApplyUpdates can publish repaired
   /// snapshots. Requires an RR-Graph method (kIndexEst / kIndexEstPlus).
   bool enable_updates = false;
@@ -102,12 +100,6 @@ struct ServeOptions {
   /// deterministic mode never sheds -- admission would make the answer
   /// stream load-dependent.
   AdmissionOptions admission;
-  /// Snapshot-freeze attempts per publish before ApplyUpdates gives up
-  /// (the staged repairs stay in the master and fold into the next
-  /// publish). Failed attempts back off exponentially with jitter.
-  size_t publish_max_attempts = 5;
-  double publish_backoff_initial_ms = 1.0;
-  double publish_backoff_max_ms = 50.0;
 
   // --- durability (docs/robustness.md, "Durability") ---
 
@@ -157,9 +149,9 @@ enum class ServeStatus : uint8_t {
 
 /// Disposition of one ApplyUpdates call (optional out-parameter). The
 /// epoch return value alone cannot tell a caller what to do with a
-/// rejected batch: a WAL failure means "retry the same batch", while a
-/// publish failure means the batch IS applied (and durable, when
-/// enabled) and a retry would apply it twice.
+/// rejected batch: a WAL failure means "retry the same batch", an
+/// invalid batch fails again unchanged, and a fenced writer must
+/// re-route the batch to the current primary.
 enum class ApplyUpdatesOutcome : uint8_t {
   /// Applied and published; the return value is the new epoch.
   kPublished,
@@ -171,10 +163,6 @@ enum class ApplyUpdatesOutcome : uint8_t {
   /// The WAL append/commit failed: the batch is neither durable nor
   /// applied (the uncommitted bytes were rolled back). Retry the batch.
   kWalFailed,
-  /// Every snapshot-freeze attempt failed: the batch is applied to the
-  /// master (and durable, when enabled) but readers keep the previous
-  /// epoch until the next successful publish folds it in. Do NOT retry.
-  kPublishFailed,
   /// This writer's term is stale: a newer primary was elected since it
   /// last checked the term authority. Nothing was logged or applied.
   /// Do NOT retry here — re-route the write to the current primary.
@@ -239,15 +227,11 @@ class PitexService {
   /// unaffected; subsequent queries see the repaired index. Requires
   /// options.enable_updates.
   ///
-  /// Robustness: the snapshot freeze is retried up to
-  /// options.publish_max_attempts times with jittered exponential
-  /// backoff (failures are fault-injectable via the
-  /// "serve/publish_freeze" fail point). If every attempt fails the call
-  /// returns 0 and the repairs stay staged in the master copy -- readers
-  /// keep serving the previous epoch, and the next successful publish
-  /// folds the staged repairs in. While a freeze is in flight, admission
-  /// (when enabled) tightens the query queue bound so the publish is
-  /// never starved by a query storm.
+  /// The snapshot freeze cannot fail: a batch that passes the fence,
+  /// validation and the WAL is always published. While the freeze is in
+  /// flight, admission (when enabled) tightens the query queue bound so
+  /// the publish is never starved by a query storm, and the publish
+  /// watchdog gauges report its age.
   ///
   /// Durability: with options.durability_dir set, the batch is appended
   /// to the WAL and committed (fsync per policy) BEFORE the master is
@@ -261,8 +245,8 @@ class PitexService {
   ///
   /// All three failure modes return 0; `outcome` (when non-null) tells
   /// the caller which one happened -- and therefore whether retrying is
-  /// safe (kWalFailed), futile (kInvalidBatch), or double-applies the
-  /// batch (kPublishFailed).
+  /// safe (kWalFailed), futile (kInvalidBatch), or belongs on another
+  /// writer (kFencedStaleTerm).
   uint64_t ApplyUpdates(std::span<const EdgeInfluenceUpdate> updates,
                         ApplyUpdatesOutcome* outcome = nullptr)
       PITEX_EXCLUDES(update_mutex_);
@@ -283,7 +267,7 @@ class PitexService {
   obs::MetricsSnapshot SnapshotMetrics();
 
   /// The service's flight recorder: a lock-free ring of rare structured
-  /// events (shed, degraded, WAL failure, publish retry, epoch swap...).
+  /// events (shed, degraded, WAL failure, fenced write, epoch swap...).
   /// Dumped to stderr automatically on crash-adjacent Start() failures.
   const obs::EventJournal& journal() const { return journal_; }
 
@@ -362,8 +346,6 @@ class PitexService {
     obs::Counter* deadline_expired = nullptr;
     obs::Counter* cache_hits = nullptr;
     obs::Counter* steals = nullptr;
-    obs::Counter* publish_retries = nullptr;
-    obs::Counter* publish_failures = nullptr;
     obs::Counter* wal_appends = nullptr;
     obs::Counter* wal_fsyncs = nullptr;
     obs::Counter* wal_append_failures = nullptr;
@@ -404,11 +386,9 @@ class PitexService {
                   size_t worker);
   /// Freezes a snapshot of the master at `epoch` (compacting the
   /// master's overlay first when `compact`, the compaction's singleton
-  /// roots going to `singleton_roots` when given), retrying with jittered
-  /// exponential backoff on (possibly fault-injected) failure. Returns
-  /// nullptr after options_.publish_max_attempts failures. Maintains the
-  /// publish watchdog atomics, the admission publish-priority window and
-  /// the overlay metrics.
+  /// roots going to `singleton_roots` when given). Never returns null.
+  /// Maintains the publish watchdog atomics, the admission
+  /// publish-priority window and the overlay metrics.
   std::shared_ptr<const IndexSnapshot> FreezeSnapshotLocked(
       uint64_t epoch, bool compact,
       std::vector<VertexId>* singleton_roots = nullptr)
@@ -460,11 +440,6 @@ class PitexService {
   // The index repairs mutate privately (enable_updates only).
   std::unique_ptr<DynamicRrIndex> master_ PITEX_GUARDED_BY(update_mutex_);
   uint64_t compactions_seen_ PITEX_GUARDED_BY(update_mutex_) = 0;
-  // Backoff jitter for publish retries. The fixed seed is deliberate:
-  // jitter decorrelates retry timing across *publishers*, which a shared
-  // deterministic stream still provides, and keeping it off the query
-  // seed preserves "same options => same query answers".
-  Rng backoff_rng_ PITEX_GUARDED_BY(update_mutex_){0xB0FFu};
   // Publish watchdog feed (read by the collector without update_mutex_
   // -- a stuck publish holds that mutex, which is exactly when a scrape
   // must still make progress): the in-flight flag and its start time,
@@ -489,8 +464,8 @@ class PitexService {
   // under update_mutex_ serialization, read lock-free by the collector:
   //   staleness_batches = applied - published   (epoch lag)
   //   staleness_lsns    = durable - published   (ack lag)
-  // Both are zero in steady state; nonzero means readers serve an epoch
-  // that predates batches already applied/acked (publish failing).
+  // Both are zero in steady state; nonzero while a freeze runs, when
+  // readers serve an epoch that predates a batch already applied/acked.
   std::atomic<uint64_t> applied_batches_{0};
   std::atomic<uint64_t> published_batches_{0};
   std::atomic<uint64_t> durable_lsn_mirror_{0};

@@ -447,10 +447,13 @@ void WalShipper::Loop() {
   shipped_lsn_.store(cursor, std::memory_order_release);
   shipped_gauge_->Set(static_cast<int64_t>(cursor));
 
-  const auto heartbeat_interval =
-      std::chrono::duration<double, std::milli>(options_.heartbeat_interval_ms);
-  const auto poll_interval = std::chrono::milliseconds(
-      std::max<int64_t>(1, static_cast<int64_t>(options_.poll_interval_ms)));
+  // Heartbeat cadence (a follower's heartbeat_timeout_ms should be a
+  // small multiple of it), the idle poll for new WAL records and inbound
+  // acks, and the records shipped per poll wake (bounds the burst after
+  // a follower reconnects far behind).
+  constexpr std::chrono::milliseconds kHeartbeatInterval{20};
+  constexpr std::chrono::milliseconds kPollInterval{2};
+  constexpr size_t kMaxRecordsPerPoll = 256;
   auto last_heartbeat = std::chrono::steady_clock::time_point{};
 
   while (!stop_.load(std::memory_order_acquire)) {
@@ -467,7 +470,7 @@ void WalShipper::Loop() {
       if (read.ok()) {
         size_t sent = 0;
         for (const WalRecord& record : records) {
-          if (record.lsn > durable || sent >= options_.max_records_per_poll) {
+          if (record.lsn > durable || sent >= kMaxRecordsPerPoll) {
             break;
           }
           SendFrameWithFaults(EncodeRecordMsg(options_.term, record.body));
@@ -481,7 +484,7 @@ void WalShipper::Loop() {
     }
 
     const auto now = std::chrono::steady_clock::now();
-    if (now - last_heartbeat >= heartbeat_interval) {
+    if (now - last_heartbeat >= kHeartbeatInterval) {
       ReplHeartbeatMsg beat;
       beat.term = options_.term;
       beat.durable_lsn = durable;
@@ -491,14 +494,14 @@ void WalShipper::Loop() {
     }
 
     ReplFrame inbound;
-    switch (transport_->Recv(&inbound, poll_interval)) {
+    switch (transport_->Recv(&inbound, kPollInterval)) {
       case ReplicationTransport::RecvStatus::kFrame:
         HandleInbound(inbound, &cursor);
         break;
       case ReplicationTransport::RecvStatus::kClosed:
         // Follower gone. Keep looping at poll cadence so Stop() still
         // lands promptly; sends fail harmlessly in the meantime.
-        std::this_thread::sleep_for(poll_interval);
+        std::this_thread::sleep_for(kPollInterval);
         break;
       case ReplicationTransport::RecvStatus::kBadFrame:
       case ReplicationTransport::RecvStatus::kTimeout:
@@ -571,11 +574,9 @@ bool FollowerService::Start(std::string* error) {
     stop_.store(false, std::memory_order_release);
     thread_ = std::thread([this] { Loop(); });
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::duration<double, std::milli>(
-              options_.bootstrap_timeout_ms));
+  // How long Start() waits for the bootstrap checkpoint frame.
+  constexpr std::chrono::seconds kBootstrapTimeout{60};
+  const auto deadline = std::chrono::steady_clock::now() + kBootstrapTimeout;
   MutexLock lock(bootstrap_mutex_);
   while (!bootstrapped_ && !bootstrap_failed_) {
     const auto now = std::chrono::steady_clock::now();
@@ -689,11 +690,7 @@ void FollowerService::HandleRecord(const ReplRecordMsg& msg,
     RequestResync();
     return;
   }
-  ApplyUpdatesOutcome outcome = ApplyUpdatesOutcome::kPublished;
-  const uint64_t epoch = inner_->ApplyUpdates(msg.updates, &outcome);
-  const bool durable =
-      epoch != 0 || outcome == ApplyUpdatesOutcome::kPublishFailed;
-  if (!durable) {
+  if (inner_->ApplyUpdates(msg.updates) == 0) {
     // Local WAL trouble (or a fence, if an election raced this apply):
     // the record is NOT durable here, so it must not be acked. A resync
     // lets a transient failure heal by resend.
@@ -745,14 +742,15 @@ void FollowerService::MaybePromote(std::chrono::steady_clock::time_point now) {
 }
 
 void FollowerService::Loop() {
-  const auto recv_timeout = std::chrono::milliseconds(
-      std::max<int64_t>(1, static_cast<int64_t>(options_.recv_timeout_ms)));
+  // Transport receive granularity; also bounds how stale the promotion
+  // check can be.
+  constexpr std::chrono::milliseconds kRecvTimeout{5};
 
   // Phase 1: wait for the bootstrap checkpoint frame.
   bool up = false;
   while (!stop_.load(std::memory_order_acquire)) {
     ReplFrame frame;
-    const auto status = transport_->Recv(&frame, recv_timeout);
+    const auto status = transport_->Recv(&frame, kRecvTimeout);
     if (status == ReplicationTransport::RecvStatus::kClosed) {
       FailBootstrap("transport closed before the bootstrap checkpoint "
                     "arrived");
@@ -779,7 +777,7 @@ void FollowerService::Loop() {
   last_traffic_ = std::chrono::steady_clock::now();
   while (!stop_.load(std::memory_order_acquire)) {
     ReplFrame frame;
-    const auto status = transport_->Recv(&frame, recv_timeout);
+    const auto status = transport_->Recv(&frame, kRecvTimeout);
     const auto now = std::chrono::steady_clock::now();
     switch (status) {
       case ReplicationTransport::RecvStatus::kFrame:
@@ -837,7 +835,7 @@ void FollowerService::Loop() {
         RequestResync();
         break;
       case ReplicationTransport::RecvStatus::kClosed:
-        std::this_thread::sleep_for(recv_timeout);
+        std::this_thread::sleep_for(kRecvTimeout);
         break;
       case ReplicationTransport::RecvStatus::kTimeout:
         break;

@@ -204,14 +204,6 @@ struct WalShipperOptions {
   std::string wal_dir;
   /// The primary's current term, stamped on every shipped frame.
   uint64_t term = 1;
-  /// Heartbeat cadence. The follower's heartbeat_timeout should be a
-  /// small multiple of this.
-  double heartbeat_interval_ms = 20.0;
-  /// Idle poll cadence for new WAL records / inbound acks.
-  double poll_interval_ms = 2.0;
-  /// Records shipped per poll wake (bounds the burst after a follower
-  /// reconnects far behind).
-  size_t max_records_per_poll = 256;
 };
 
 /// Tails the primary's committed WAL and streams it to one follower.
@@ -292,13 +284,8 @@ struct FollowerOptions {
   /// bit-identical only when both sides run the same configuration.
   ServeOptions serve;
   /// Promote after this long without any primary frame. Should be a
-  /// small multiple of the shipper's heartbeat_interval_ms.
+  /// small multiple of the shipper's 20 ms heartbeat interval.
   double heartbeat_timeout_ms = 250.0;
-  /// Transport receive granularity; also bounds how stale the promotion
-  /// check can be.
-  double recv_timeout_ms = 5.0;
-  /// How long Start() waits for the bootstrap checkpoint frame.
-  double bootstrap_timeout_ms = 60000.0;
   /// Fencing oracle shared with the primary. Required: promotion
   /// without fencing would be a split-brain generator.
   TermAuthority* authority = nullptr;

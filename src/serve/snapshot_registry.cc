@@ -26,11 +26,10 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::Wrap(
 std::shared_ptr<const IndexSnapshot> IndexSnapshot::FromDynamic(
     DynamicRrIndex& master, uint64_t epoch, bool compact,
     std::vector<VertexId>* singleton_roots) {
-  // Chaos hook: a freeze that "fails" before any work models the
-  // transient failures (allocation pressure) a real publish path must
-  // survive. Callers treat nullptr as a retryable error
-  // (PitexService::FreezeSnapshotLocked backs off and retries).
-  if (PITEX_FAILPOINT("serve/publish_freeze")) return nullptr;
+  // Delay hook: a delay-armed fail point stalls the freeze so tests can
+  // watch the publish watchdog and staleness gauges mid-publish. An
+  // error-armed one is ignored — the freeze cannot fail.
+  (void)PITEX_FAILPOINT("serve/publish_freeze");
   // The pack span (overlay freeze plus any compaction) attributes to
   // whichever trace is current on this thread (the publish trace during
   // ApplyUpdates); with no current trace the span is inert.

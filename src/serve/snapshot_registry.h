@@ -78,12 +78,8 @@ class IndexSnapshot {
   /// new base, as it also does once the overlay grows past
   /// kOverlayCompactFraction of theta; `singleton_roots`, when given,
   /// gets that base's singleton roots for the checkpoint's save.
-  ///
-  /// Returns nullptr when the freeze fails — today only via the
-  /// "serve/publish_freeze" fail point (src/util/failpoint.h), standing
-  /// in for the transient failures a real publish path must survive.
-  /// Callers must treat nullptr as retryable (see
-  /// PitexService::ApplyUpdates for the retry/backoff policy).
+  /// Never returns null. The "serve/publish_freeze" fail point
+  /// (src/util/failpoint.h) can only delay the freeze.
   static std::shared_ptr<const IndexSnapshot> FromDynamic(
       DynamicRrIndex& master, uint64_t epoch, bool compact = false,
       std::vector<VertexId>* singleton_roots = nullptr);

@@ -197,7 +197,7 @@ TEST(EventJournalTest, SnapshotOldestFirst) {
 TEST(EventJournalTest, OverwritesOldestWhenFull) {
   EventJournal journal(4);  // rounds to 4
   for (uint64_t i = 0; i < 10; ++i) {
-    journal.Record(EventKind::kPublishRetry, i);
+    journal.Record(EventKind::kEpochSwap, i);
   }
   const std::vector<Event> events = journal.Snapshot();
   ASSERT_EQ(events.size(), 4u);

@@ -87,8 +87,6 @@ class ReplicationTest : public ::testing::Test {
     options.num_threads = 2;
     options.mode = ScheduleMode::kWorkStealing;
     options.enable_updates = true;
-    options.publish_backoff_initial_ms = 0.1;
-    options.publish_backoff_max_ms = 1.0;
     options.durability_dir = dir;
     options.checkpoint_every = checkpoint_every;
     return options;

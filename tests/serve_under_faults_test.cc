@@ -1,10 +1,8 @@
 // Chaos suite for the serving subsystem: queries and updates racing
-// while fail points (src/util/failpoint.h) fire in the publish path,
-// the cache shard locks, the pool dispatch, and the index-load path.
-// Nothing may crash; epochs stay monotone; answers served to completion
-// stay exactly correct for their epoch; publish failures degrade to
-// "keep serving the previous epoch" and fold staged repairs into the
-// next successful publish. This test is a ThreadSanitizer target (CI
+// while fail points (src/util/failpoint.h) fire in the cache shard
+// locks, the pool dispatch, and the index-load path. Nothing may crash;
+// epochs stay monotone; answers served to completion stay exactly
+// correct for their epoch. This test is a ThreadSanitizer target (CI
 // runs it with failpoints armed; see .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
@@ -45,10 +43,6 @@ class ServeUnderFaultsTest : public ::testing::Test {
     options.num_threads = 2;
     options.mode = ScheduleMode::kWorkStealing;
     options.enable_updates = true;
-    // Keep injected-failure retries fast; the policy, not the wall
-    // clock, is under test.
-    options.publish_backoff_initial_ms = 0.1;
-    options.publish_backoff_max_ms = 1.0;
     return options;
   }
 
@@ -86,89 +80,6 @@ class ServeUnderFaultsTest : public ::testing::Test {
     EXPECT_EQ(snap.GaugeValue("pitex_admission_in_flight"), 0);
   }
 };
-
-TEST_F(ServeUnderFaultsTest, PublishRetriesThroughInjectedFailures) {
-  const SocialNetwork n = MakeRunningExample();
-  PitexService service(&n, BaseOptions());
-  service.Start();  // epoch 1 publishes before any fault is armed
-
-  FailpointConfig config;
-  config.mode = FailpointMode::kError;
-  config.fires = 2;  // first two freeze attempts fail, the third works
-  FailpointRegistry::Instance().Enable("serve/publish_freeze", config);
-
-  std::vector<EdgeInfluenceUpdate> updates{MakeUpdate(n, 0)};
-  EXPECT_EQ(service.ApplyUpdates(updates), 2u);
-  EXPECT_EQ(
-      FailpointRegistry::Instance().FireCount("serve/publish_freeze"), 2u);
-
-  const obs::MetricsSnapshot snap = service.SnapshotMetrics();
-  EXPECT_EQ(snap.CounterValue("pitex_publish_retries_total"), 2u);
-  EXPECT_EQ(snap.CounterValue("pitex_publish_failures_total"), 0u);
-  EXPECT_EQ(snap.GaugeValue("pitex_epochs_published"), 2);
-  EXPECT_EQ(snap.GaugeValue("pitex_publish_in_flight"), 0);
-  EXPECT_EQ(snap.GaugeValue("pitex_publish_age_ms"), 0);
-
-  // The published epoch serves.
-  const ServedResult result = service.Submit({.user = 0, .k = 2}).get();
-  EXPECT_EQ(result.epoch, 2u);
-  EXPECT_EQ(result.status, ServeStatus::kOk);
-  EXPECT_EQ(result.result.tags.size(), 2u);
-}
-
-TEST_F(ServeUnderFaultsTest, ExhaustedRetriesFoldIntoNextPublish) {
-  const SocialNetwork n = MakeRunningExample();
-  ServeOptions options = BaseOptions();
-  options.publish_max_attempts = 2;
-  PitexService service(&n, options);
-  service.Start();
-
-  // Arm an unbounded freeze failure: this publish cannot succeed.
-  FailpointConfig config;
-  config.mode = FailpointMode::kError;
-  FailpointRegistry::Instance().Enable("serve/publish_freeze", config);
-
-  std::vector<EdgeInfluenceUpdate> first{MakeUpdate(n, 0)};
-  ApplyUpdatesOutcome outcome;
-  EXPECT_EQ(service.ApplyUpdates(first, &outcome), 0u);  // gave up gracefully
-  // The outcome distinguishes this from a WAL rejection: the batch IS
-  // applied to the master, so the caller must NOT retry it.
-  EXPECT_EQ(outcome, ApplyUpdatesOutcome::kPublishFailed);
-  EXPECT_EQ(service.current_epoch(), 1u);      // readers keep epoch 1
-  {
-    const obs::MetricsSnapshot snap = service.SnapshotMetrics();
-    EXPECT_EQ(snap.CounterValue("pitex_publish_failures_total"), 1u);
-    // Both attempts failed.
-    EXPECT_EQ(snap.CounterValue("pitex_publish_retries_total"), 2u);
-    EXPECT_EQ(snap.GaugeValue("pitex_epochs_published"), 1);
-  }
-  // Serving is unaffected by the failed publish.
-  EXPECT_EQ(service.Submit({.user = 1, .k = 2}).get().epoch, 1u);
-
-  // Heal the fault: the next publish must fold the staged repair in
-  // along with its own update.
-  FailpointRegistry::Instance().DisableAll();
-  std::vector<EdgeInfluenceUpdate> second{MakeUpdate(n, 1)};
-  EXPECT_EQ(service.ApplyUpdates(second), 2u);
-
-  // Reference: the same two updates applied without faults, published
-  // one epoch each. Its final master saw the identical repair sequence,
-  // so the frozen snapshots must answer identically.
-  PitexService reference(&n, BaseOptions());
-  reference.Start();
-  EXPECT_EQ(reference.ApplyUpdates(first), 2u);
-  EXPECT_EQ(reference.ApplyUpdates(second), 3u);
-
-  for (VertexId user = 0; user < n.num_vertices(); ++user) {
-    const PitexQuery query = {.user = user, .k = 2};
-    const ServedResult healed = service.Submit(query).get();
-    const ServedResult expected = reference.Submit(query).get();
-    ASSERT_EQ(healed.status, ServeStatus::kOk);
-    EXPECT_EQ(healed.result.tags, expected.result.tags) << "user " << user;
-    EXPECT_DOUBLE_EQ(healed.result.influence, expected.result.influence)
-        << "user " << user;
-  }
-}
 
 TEST_F(ServeUnderFaultsTest, ServesExactlyThroughFaultStorm) {
   const SocialNetwork n = MakeRunningExample();
