@@ -6,8 +6,8 @@
 //   pitex_cli query <net.pitex> <user> <k> [method] [index.rridx]
 //       Answer a PITEX query on a saved network. method is one of
 //       mc, rr, lazy, lt, tim, indexest, indexest+, delaymat
-//       (default: lazy). Index methods load `index.rridx` when given
-//       instead of rebuilding.
+//       (default: lazy). indexest and indexest+ load `index.rridx` when
+//       given instead of rebuilding; any other method refuses it.
 //   pitex_cli stats <net.pitex> [--format=json|prom] [--out=<file>]
 //       Print network statistics, then run a short deterministic
 //       serving burst and dump the metrics registry snapshot, the
@@ -145,6 +145,14 @@ bool ParseMethod(const std::string& name, Method* method) {
 
 int CmdQuery(int argc, char** argv) {
   if (argc < 5 || argc > 7) return Usage();
+  Method method = Method::kLazy;
+  if (argc >= 6 && !ParseMethod(argv[5], &method)) return Usage();
+  // Only the RR-Graph methods serve from an index file.
+  if (argc == 7 && method != Method::kIndexEst &&
+      method != Method::kIndexEstPlus) {
+    std::fprintf(stderr, "error: method %s reads no index file\n", argv[5]);
+    return Usage();
+  }
   auto network = LoadNetwork(argv[2]);
   if (!network) {
     std::fprintf(stderr, "error: cannot load %s\n", argv[2]);
@@ -157,8 +165,6 @@ int CmdQuery(int argc, char** argv) {
     std::fprintf(stderr, "error: user or k out of range\n");
     return 1;
   }
-  Method method = Method::kLazy;
-  if (argc >= 6 && !ParseMethod(argv[5], &method)) return Usage();
 
   EngineOptions options;
   options.method = method;

@@ -95,7 +95,7 @@ class PitexEngine {
   /// outlive the engine. Call before BuildIndex().
   void UseSharedRrIndex(RrIndex* shared);
 
-  /// Serves kDelayMat from an externally built index: a loaded one, or a
+  /// Serves kDelayMat from an externally built index, such as a
   /// DelayMatIndex::Replica() of a shared prototype (how PitexService
   /// binds its workers), never the prototype itself. DelayMat caches
   /// recovered graphs per query user, so an instance must never be

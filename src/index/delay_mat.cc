@@ -58,8 +58,8 @@ void DelayMatIndex::Build() {
 
 std::unique_ptr<DelayMatIndex> DelayMatIndex::Replica() const {
   PITEX_CHECK_MSG(counts_ != nullptr, "index not built");
-  // The constructor seeds query_rng_ from options_.seed, which is the
-  // seed a loaded copy reads back from the file header.
+  // The constructor seeds query_rng_ from options_.seed, as it seeds a
+  // fresh build's.
   auto replica = std::make_unique<DelayMatIndex>(network_, options_);
   replica->counts_ = counts_;
   replica->build_seconds_ = build_seconds_;

@@ -48,7 +48,7 @@ class DelayMatIndex final : public InfluenceOracle {
   /// RR-Graphs.
   void Build();
 
-  /// A built copy answering as a LoadDelayMatIndex of this index's file
+  /// A built copy answering as a fresh Build() with the same options
   /// would: shared counters, fresh recovery state (empty cache, query RNG
   /// at its seed) whatever this index has served. Thread-safe.
   std::unique_ptr<DelayMatIndex> Replica() const;
@@ -64,8 +64,6 @@ class DelayMatIndex final : public InfluenceOracle {
   double build_seconds() const { return build_seconds_; }
 
  private:
-  friend class IndexIo;  // persistence (src/index/index_io.h)
-
   /// Recovers one RR-Graph conditioned on containing u (Algorithm 4):
   /// appends it to cached_graphs_ and its importance weight |R_g(u)|
   /// to cached_weights_.

@@ -37,7 +37,6 @@ constexpr char kMagic[] = "PITEXIDX";
 // records held every threshold's f32 bits at 30, are no longer read.)
 constexpr uint32_t kVersionCurrent = 11;
 constexpr uint8_t kKindRrGraphs = 1;
-constexpr uint8_t kKindDelayMat = 2;
 
 void SetError(IndexIoError* error, IndexIoCode code, const char* message) {
   if (error != nullptr) {
@@ -50,12 +49,12 @@ void SetError(IndexIoError* error, IndexIoCode code, const char* message) {
 // this, and a header claiming more is corruption, not configuration.
 constexpr uint64_t kMaxPlausibleCapK = 1u << 20;
 
-// Writes the shared header (magic, version, kind, fingerprint, options).
-void WriteHeader(BinaryWriter* writer, uint8_t kind, uint64_t fingerprint,
+// Writes the header (magic, version, kind, fingerprint, options).
+void WriteHeader(BinaryWriter* writer, uint64_t fingerprint,
                  const RrIndexOptions& options) {
   writer->WriteString(kMagic);
   writer->WriteU32(kVersionCurrent);
-  writer->WriteU8(kind);
+  writer->WriteU8(kKindRrGraphs);
   writer->WriteU64(fingerprint);
   writer->WriteF64(options.eps);
   writer->WriteF64(options.delta);
@@ -63,11 +62,10 @@ void WriteHeader(BinaryWriter* writer, uint8_t kind, uint64_t fingerprint,
   writer->WriteU64(options.seed);
 }
 
-// Reads and validates the shared header; fills `options` fields that are
+// Reads and validates the header; fills `options` fields that are
 // persisted. Returns false with `*error` set on any mismatch.
-bool ReadHeader(BinaryReader* reader, uint8_t expected_kind,
-                uint64_t expected_fingerprint, RrIndexOptions* options,
-                IndexIoError* error) {
+bool ReadHeader(BinaryReader* reader, uint64_t expected_fingerprint,
+                RrIndexOptions* options, IndexIoError* error) {
   std::string magic;
   uint32_t version = 0;
   uint8_t kind = 0;
@@ -81,7 +79,7 @@ bool ReadHeader(BinaryReader* reader, uint8_t expected_kind,
              "unsupported index file version");
     return false;
   }
-  if (!reader->ReadU8(&kind) || kind != expected_kind) {
+  if (!reader->ReadU8(&kind) || kind != kKindRrGraphs) {
     SetError(error, IndexIoCode::kWrongKind,
              "index file holds a different index kind");
     return false;
@@ -146,7 +144,7 @@ uint64_t NetworkFingerprint(const SocialNetwork& network) {
   return hash.digest();
 }
 
-// Befriended by RrIndex and DelayMatIndex: reads/writes their private
+// Befriended by RrIndex and RrSketchPool: reads/writes their private
 // payloads.
 class IndexIo {
  public:
@@ -188,8 +186,7 @@ class IndexIo {
     const RrSketchPool::FileDirectory directory =
         pool.SaveDirectory(singleton_roots);
     BinaryWriter writer(&out);
-    WriteHeader(&writer, kKindRrGraphs,
-                NetworkFingerprint(index.network_), index.options_);
+    WriteHeader(&writer, NetworkFingerprint(index.network_), index.options_);
     writer.WriteU64(index.theta_);
     writer.WriteU8(static_cast<uint8_t>(directory.width));
     writer.WriteVector<uint8_t>(directory.words);
@@ -256,8 +253,7 @@ class IndexIo {
                                              IndexIoError* error) {
     BinaryReader& reader = *reader_ptr;
     RrIndexOptions options;
-    if (!ReadHeader(&reader, kKindRrGraphs, NetworkFingerprint(network),
-                    &options, error)) {
+    if (!ReadHeader(&reader, NetworkFingerprint(network), &options, error)) {
       return nullptr;
     }
     uint64_t theta = 0;
@@ -297,87 +293,6 @@ class IndexIo {
     }
     index->pool_ = std::make_shared<const RrSketchPool>(std::move(pool));
     index->built_ = true;
-    return index;
-  }
-
-  static bool WriteDelay(const DelayMatIndex& index, std::ostream& out,
-                         IndexIoError* error) {
-    if (PITEX_FAILPOINT("index_io/save")) {
-      SetError(error, IndexIoCode::kFaultInjected,
-               "fault injected: index_io/save");
-      return false;
-    }
-    if (index.counts_ == nullptr) {
-      SetError(error, IndexIoCode::kNotBuilt,
-               "index not built; call Build() before saving");
-      return false;
-    }
-    BinaryWriter writer(&out);
-    WriteHeader(&writer, kKindDelayMat,
-                NetworkFingerprint(index.network_), index.options_);
-    writer.WriteU64(index.theta_);
-    writer.WriteVector<uint32_t>(*index.counts_);
-    writer.WriteF64(index.build_seconds_);
-    writer.WriteChecksum();
-    if (!writer.ok()) {
-      SetError(error, IndexIoCode::kWriteFailed,
-               "I/O failure while writing index");
-      return false;
-    }
-    return true;
-  }
-
-  static std::unique_ptr<DelayMatIndex> ReadDelay(
-      const SocialNetwork& network, std::istream& in, IndexIoError* error) {
-    if (PITEX_FAILPOINT("index_io/load")) {
-      SetError(error, IndexIoCode::kFaultInjected,
-               "fault injected: index_io/load");
-      return nullptr;
-    }
-    BinaryReader reader(&in);
-    auto index = ReadDelayBody(network, &reader, error);
-    if (index == nullptr) UpgradeTornWrite(reader, error);
-    return index;
-  }
-
-  static std::unique_ptr<DelayMatIndex> ReadDelayBody(
-      const SocialNetwork& network, BinaryReader* reader_ptr,
-      IndexIoError* error) {
-    BinaryReader& reader = *reader_ptr;
-    RrIndexOptions options;
-    if (!ReadHeader(&reader, kKindDelayMat, NetworkFingerprint(network),
-                    &options, error)) {
-      return nullptr;
-    }
-    uint64_t theta = 0;
-    // As for RR files: theta == 0 would make DelayMatIndex derive its own
-    // theta, and the loaded index could not save the file back.
-    if (!reader.ReadU64(&theta) || theta == 0) {
-      SetError(error, IndexIoCode::kCorruptPayload, "corrupt index payload header");
-      return nullptr;
-    }
-    options.theta_override = theta;
-    auto index =
-        std::unique_ptr<DelayMatIndex>(new DelayMatIndex(network, options));
-    std::vector<uint32_t> counts;
-    if (!reader.ReadVector(&counts, network.num_vertices()) ||
-        counts.size() != network.num_vertices()) {
-      SetError(error, IndexIoCode::kCorruptPayload, "corrupt counter payload");
-      return nullptr;
-    }
-    for (uint32_t count : counts) {
-      if (count > theta) {
-        SetError(error, IndexIoCode::kCorruptPayload, "counter exceeds theta: corrupt payload");
-        return nullptr;
-      }
-    }
-    if (!reader.ReadF64(&index->build_seconds_)) {
-      SetError(error, IndexIoCode::kTruncated, "truncated index trailer");
-      return nullptr;
-    }
-    if (!VerifyTrailer(&reader, error)) return nullptr;
-    index->counts_ =
-        std::make_shared<const std::vector<uint32_t>>(std::move(counts));
     return index;
   }
 };
@@ -470,35 +385,6 @@ std::unique_ptr<RrIndex> LoadRrIndex(const SocialNetwork& network,
     return nullptr;
   }
   return IndexIo::ReadRr(network, in, error);
-}
-
-bool SaveDelayMatIndex(const DelayMatIndex& index, std::ostream& out,
-                       IndexIoError* error) {
-  return IndexIo::WriteDelay(index, out, error);
-}
-
-bool SaveDelayMatIndex(const DelayMatIndex& index, const std::string& path,
-                       IndexIoError* error) {
-  return SaveAtomically(path, error, [&](std::ostream& out) {
-    return IndexIo::WriteDelay(index, out, error);
-  });
-}
-
-std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(const SocialNetwork& network,
-                                                 std::istream& in,
-                                                 IndexIoError* error) {
-  return IndexIo::ReadDelay(network, in, error);
-}
-
-std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(const SocialNetwork& network,
-                                                 const std::string& path,
-                                                 IndexIoError* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    SetError(error, IndexIoCode::kOpenFailed, "cannot open file for reading");
-    return nullptr;
-  }
-  return IndexIo::ReadDelay(network, in, error);
 }
 
 }  // namespace pitex

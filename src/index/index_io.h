@@ -1,5 +1,6 @@
-// Persistence for the offline indexes (Sec. 6): RR-Graphs (IndexEst /
-// IndexEst+) and delay-materialization counters (DelayMat).
+// Persistence for the RR-Graph index (Sec. 6) that IndexEst and
+// IndexEst+ serve. DelayMat's counters have no file: every process
+// builds them.
 //
 // The paper's Table 3 charges index construction as a one-time offline
 // cost; a production deployment amortizes it by building once and
@@ -81,7 +82,6 @@
 #include <span>
 #include <string>
 
-#include "src/index/delay_mat.h"
 #include "src/index/rr_index.h"
 
 namespace pitex {
@@ -110,7 +110,8 @@ enum class IndexIoCode : uint8_t {
   kBadMagic,
   /// A PITEX file, but a format version this build cannot read.
   kBadVersion,
-  /// A PITEX file of the other index kind (RR-Graphs vs DelayMat).
+  /// A PITEX file of a kind this build does not read; kind 2 was
+  /// DelayMat's counters.
   kWrongKind,
   /// Built from a different network than the one supplied to Load.
   kFingerprintMismatch,
@@ -156,16 +157,16 @@ struct IndexIoError {
 
 /// Writes a built RR-Graph index. Returns false (and sets `*error` when
 /// non-null) on I/O failure or when the index is not built. There is one
-/// overload per (index kind, destination), each reporting a typed
-/// IndexIoError; a caller that wants only the text reads `.message`. The
-/// path overloads are crash-atomic: the payload goes to `path + ".tmp"`,
-/// is fsynced, and is renamed over `path` (src/util/file_sync.h) -- a
-/// crash mid-save leaves the old file intact and never a torn file at
-/// the final path. `singleton_roots`, unless empty, are the singleton
-/// roots of an index without repairs (RrSketchPool::SingletonRoots'
-/// order, as a compaction hands them over, DynamicRrIndex::Freeze): the
-/// writer takes them instead of decoding the pool's containing lists,
-/// and writes the same bytes.
+/// overload per destination, each reporting a typed IndexIoError; a
+/// caller that wants only the text reads `.message`. The path overloads
+/// are crash-atomic: the payload goes to `path + ".tmp"`, is fsynced, and
+/// is renamed over `path` (src/util/file_sync.h) -- a crash mid-save
+/// leaves the old file intact and never a torn file at the final path.
+/// `singleton_roots`, unless empty, are the singleton roots of an index
+/// without repairs (RrSketchPool::SingletonRoots' order, as a compaction
+/// hands them over, DynamicRrIndex::Freeze): the writer takes them
+/// instead of decoding the pool's containing lists, and writes the same
+/// bytes.
 bool SaveRrIndex(const RrIndex& index, const std::string& path,
                  IndexIoError* error = nullptr,
                  std::span<const VertexId> singleton_roots = {});
@@ -183,21 +184,6 @@ std::unique_ptr<RrIndex> LoadRrIndex(const SocialNetwork& network,
 std::unique_ptr<RrIndex> LoadRrIndex(const SocialNetwork& network,
                                      std::istream& in,
                                      IndexIoError* error = nullptr);
-
-/// Writes a built DelayMat index (one counter per vertex).
-bool SaveDelayMatIndex(const DelayMatIndex& index, const std::string& path,
-                       IndexIoError* error = nullptr);
-bool SaveDelayMatIndex(const DelayMatIndex& index, std::ostream& out,
-                       IndexIoError* error = nullptr);
-
-/// Loads a DelayMat index previously written by SaveDelayMatIndex; its
-/// input must end at the checksum too.
-std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(
-    const SocialNetwork& network, const std::string& path,
-    IndexIoError* error = nullptr);
-std::unique_ptr<DelayMatIndex> LoadDelayMatIndex(
-    const SocialNetwork& network, std::istream& in,
-    IndexIoError* error = nullptr);
 
 }  // namespace pitex
 

@@ -5,24 +5,22 @@
 // structure -- length prefixes, CSR layout checks, the checksum trailer
 // -- far more systematically.
 //
-// Contract under test: whatever bytes arrive, LoadRrIndex and
-// LoadDelayMatIndex either return a structurally consistent index or
-// fail cleanly, an RR index that loads holds exactly the containing
-// lists its sketches imply (so the delta-coded lists decode right), it
-// saves back to the very bytes it was loaded from (the writer and the
-// reader are inverses), and those bytes are canonical: the payload
-// (the pool image) is exactly what the reference re-encoder PackViews
-// (tests/owned_sketch.h) writes for the loaded sketches. Any crash,
-// sanitizer report, or violation (enforced with abort() below) is a
-// finding.
+// Contract under test: whatever bytes arrive, LoadRrIndex either
+// returns a structurally consistent index or fails cleanly, an index
+// that loads holds exactly the containing lists its sketches imply (so
+// the delta-coded lists decode right), it saves back to the very bytes
+// it was loaded from (the writer and the reader are inverses), and
+// those bytes are canonical: the payload (the pool image) is exactly
+// what the reference re-encoder PackViews (tests/owned_sketch.h) writes
+// for the loaded sketches. Any crash, sanitizer report, or violation
+// (enforced with abort() below) is a finding.
 //
 // Seed corpus: set PITEX_FUZZ_SEED_DIR=<dir> and the harness writes a
-// valid RR index and a valid DelayMat file there during
-// LLVMFuzzerInitialize, and one file per loader rejection
-// (tests/pool_image.h's ValidatorRows: each a valid file with one field
-// edited past a check, checksum repaired) -- the fuzzer then starts from
-// real files, and from each check's edge, instead of discovering the
-// magic string byte by byte:
+// valid RR index there during LLVMFuzzerInitialize, and one file per
+// loader rejection (tests/pool_image.h's ValidatorRows: each a valid
+// file with one field edited past a check, checksum repaired) -- the
+// fuzzer then starts from real files, and from each check's edge,
+// instead of discovering the magic string byte by byte:
 //
 //   mkdir -p corpus
 //   PITEX_FUZZ_SEED_DIR=corpus ./index_io_fuzz -max_total_time=30 corpus
@@ -67,14 +65,6 @@ std::string ValidBytes() {
   return file.str();
 }
 
-std::string ValidDelayBytes() {
-  DelayMatIndex index(Network(), SeedOptions());
-  index.Build();
-  std::stringstream file;
-  SaveDelayMatIndex(index, file);
-  return file.str();
-}
-
 void Require(bool condition, const char* what) {
   if (!condition) {
     std::fprintf(stderr, "index_io_fuzz invariant violated: %s\n", what);
@@ -93,23 +83,16 @@ void WriteSeed(const std::string& dir, const char* name,
 
 extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
   using namespace pitex;
-  // Self-check: both seeds must load before any fuzzing starts; a
+  // Self-check: the seed must load before any fuzzing starts; a
   // drifted format would otherwise silently reduce the run to garbage
   // inputs bouncing off the header checks.
   const std::string rr = ValidBytes();
-  const std::string delay = ValidDelayBytes();
   {
     std::stringstream file(rr);
     Require(LoadRrIndex(Network(), file) != nullptr, "RR seed must load");
   }
-  {
-    std::stringstream file(delay);
-    Require(LoadDelayMatIndex(Network(), file) != nullptr,
-            "DelayMat seed must load");
-  }
   if (const char* dir = std::getenv("PITEX_FUZZ_SEED_DIR")) {
     WriteSeed(dir, "seed.idx", rr);
-    WriteSeed(dir, "seed_delay.idx", delay);
     int row = 0;
     for (const pool_image::ValidatorRow& edit : pool_image::ValidatorRows()) {
       pool_image::Image image(rr, Network());
@@ -175,16 +158,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                                     bytes.size() - kPayloadBegin -
                                         kTrailerBytes) == 0,
               "loaded payload is what PackViews writes for its sketches");
-    }
-  }
-  {
-    std::stringstream file(bytes);
-    const auto loaded = LoadDelayMatIndex(Network(), file);
-    if (loaded != nullptr) {
-      for (VertexId v = 0; v < Network().num_vertices(); ++v) {
-        Require(loaded->CountContaining(v) <= loaded->theta(),
-                "DelayMat counter bounded by theta");
-      }
     }
   }
   return 0;

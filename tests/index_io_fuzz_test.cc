@@ -1,9 +1,8 @@
 // Randomized robustness fuzzing for the index persistence layer:
-// whatever bytes arrive, LoadRrIndex / LoadDelayMatIndex must either
-// return a valid index or fail cleanly — never crash, never hand back a
-// structurally inconsistent object — and an RR index that loads must
-// save back to identical bytes, which are what PackViews writes for its
-// views. A table of single-field edits pins each check of the
+// whatever bytes arrive, LoadRrIndex must either return a valid index or
+// fail cleanly — never crash, never hand back a structurally
+// inconsistent object — and an RR index that loads must save back to
+// identical bytes, which are what PackViews writes for its views. A table of single-field edits pins each check of the
 // loader. (Deterministic seeds; a few hundred mutations per strategy.)
 
 #include <gtest/gtest.h>
@@ -345,34 +344,6 @@ TEST(IndexIoFuzzTest, RandomGarbageNeverCrashes) {
     for (char& c : bytes) c = static_cast<char>(rng.NextBounded(256));
     std::stringstream file(bytes);
     EXPECT_EQ(LoadRrIndex(n, file), nullptr);
-    std::stringstream file2(bytes);
-    EXPECT_EQ(LoadDelayMatIndex(n, file2), nullptr);
-  }
-}
-
-TEST(IndexIoFuzzTest, DelayMatMutationsNeverCrash) {
-  const SocialNetwork n = MakeRunningExample();
-  RrIndexOptions options;
-  options.theta_override = 500;
-  DelayMatIndex index(n, options);
-  index.Build();
-  std::stringstream file;
-  SaveDelayMatIndex(index, file);
-  const std::string valid = file.str();
-
-  Rng rng(15);
-  for (int trial = 0; trial < 300; ++trial) {
-    std::string bytes = valid;
-    bytes[rng.NextBounded(bytes.size())] =
-        static_cast<char>(rng.NextBounded(256));
-    std::stringstream mutated(bytes);
-    const auto loaded = LoadDelayMatIndex(n, mutated);
-    if (loaded != nullptr) {
-      // Survivors must still satisfy the counter invariant.
-      for (VertexId v = 0; v < n.num_vertices(); ++v) {
-        ASSERT_LE(loaded->CountContaining(v), loaded->theta());
-      }
-    }
   }
 }
 

@@ -1,7 +1,6 @@
 // Tests for index persistence (src/index/index_io.h): byte-exact round
-// trips of RR-Graph and DelayMat indexes, fingerprint binding to the
-// source network, and rejection of truncated / corrupted / mismatched
-// files.
+// trips of RR-Graph indexes, fingerprint binding to the source network,
+// and rejection of truncated / corrupted / mismatched files.
 
 #include "src/index/index_io.h"
 
@@ -303,15 +302,38 @@ TEST(IndexIoTest, WrongNetworkRejected) {
 }
 
 TEST(IndexIoTest, KindMismatchRejected) {
+  // Kind 2 was DelayMat's counters, a format this build no longer reads.
+  // A saved RR file with its kind byte set to 2 is refused before its
+  // payload is read, from a stream and from a path.
   const SocialNetwork n = MakeRunningExample();
-  DelayMatIndex delay(n, SmallOptions());
-  delay.Build();
+  RrIndex index(n, SmallOptions());
+  index.Build();
   std::stringstream file;
-  ASSERT_TRUE(SaveDelayMatIndex(delay, file));
+  ASSERT_TRUE(SaveRrIndex(index, file));
+  std::string bytes = file.str();
+  // The kind follows the magic (a u64 length and 8 bytes) and the
+  // version u32.
+  constexpr size_t kKindOffset = 8 + 8 + 4;
+  ASSERT_EQ(bytes[kKindOffset], 1);
+  bytes[kKindOffset] = 2;
 
   IndexIoError error;
-  EXPECT_EQ(LoadRrIndex(n, file, &error), nullptr);
+  std::stringstream in(bytes);
+  EXPECT_EQ(LoadRrIndex(n, in, &error), nullptr);
+  EXPECT_EQ(error.code, IndexIoCode::kWrongKind) << error.message;
   EXPECT_NE(error.message.find("different index kind"), std::string::npos) << error.message;
+
+  const std::string path = ::testing::TempDir() + "/kind2.idx";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out);
+  }
+  error = {};
+  EXPECT_EQ(LoadRrIndex(n, path, &error), nullptr);
+  EXPECT_EQ(error.code, IndexIoCode::kWrongKind) << error.message;
+  EXPECT_NE(error.message.find("different index kind"), std::string::npos) << error.message;
+  std::remove(path.c_str());
 }
 
 TEST(IndexIoTest, GarbageRejected) {
@@ -354,24 +376,6 @@ TEST(IndexIoTest, PayloadCorruptionRejected) {
   EXPECT_EQ(LoadRrIndex(n, corrupted, &error), nullptr);
 }
 
-TEST(IndexIoTest, DelayMatRoundTripsExactly) {
-  const SocialNetwork n = MakeRunningExample();
-  DelayMatIndex index(n, SmallOptions());
-  index.Build();
-
-  std::stringstream file;
-  IndexIoError error;
-  ASSERT_TRUE(SaveDelayMatIndex(index, file, &error)) << error.message;
-  const auto loaded = LoadDelayMatIndex(n, file, &error);
-  ASSERT_NE(loaded, nullptr) << error.message;
-
-  EXPECT_EQ(loaded->theta(), index.theta());
-  for (VertexId v = 0; v < n.num_vertices(); ++v) {
-    EXPECT_EQ(loaded->CountContaining(v), index.CountContaining(v));
-  }
-  EXPECT_EQ(loaded->SizeBytes(), index.SizeBytes());
-}
-
 // Overwrites a saved file's trailing checksum with the digest of the
 // bytes before it, so an edit reaches the payload checks.
 void RepairChecksum(std::string* bytes) {
@@ -383,32 +387,6 @@ void RepairChecksum(std::string* bytes) {
     (*bytes)[i] = static_cast<char>(digest & 0xff);
     digest >>= 8;
   }
-}
-
-TEST(IndexIoTest, DelayMatZeroThetaRejected) {
-  // theta == 0 would make the loaded index derive its own theta from its
-  // options, so it could not save the file back: corrupt, as for RR
-  // files. The counters are zeroed too, so none exceeds that theta.
-  const SocialNetwork n = MakeRunningExample();
-  DelayMatIndex index(n, SmallOptions());
-  index.Build();
-  std::stringstream file;
-  ASSERT_TRUE(SaveDelayMatIndex(index, file));
-  std::string bytes = file.str();
-  // theta follows the header (the magic as a u64 length and 8 bytes,
-  // version u32, kind u8, then fingerprint, eps, delta, cap_k and seed
-  // at 8 bytes each); the counters' u64 length and the counters follow.
-  constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
-  const size_t counters_end = kThetaOffset + 8 + 8 + 4 * n.num_vertices();
-  std::fill(bytes.begin() + kThetaOffset, bytes.begin() + kThetaOffset + 8,
-            '\0');
-  std::fill(bytes.begin() + kThetaOffset + 16, bytes.begin() + counters_end,
-            '\0');
-  RepairChecksum(&bytes);
-  std::stringstream in(bytes);
-  IndexIoError error;
-  EXPECT_EQ(LoadDelayMatIndex(n, in, &error), nullptr);
-  EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
 }
 
 TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
@@ -470,36 +448,6 @@ TEST(IndexIoTest, FromPoolRequiresThetaEqualToSketchCount) {
             index.num_graphs());
 }
 
-TEST(IndexIoTest, LoadedDelayMatEstimatesWithinTolerance) {
-  const SocialNetwork n = MakeRunningExample();
-  DelayMatIndex index(n, SmallOptions());
-  index.Build();
-
-  std::stringstream file;
-  ASSERT_TRUE(SaveDelayMatIndex(index, file));
-  auto loaded = LoadDelayMatIndex(n, file);
-  ASSERT_NE(loaded, nullptr);
-
-  // DelayMat recovers fresh graphs per query, so estimates are stochastic;
-  // loaded counters must support estimation in the same accuracy regime.
-  const TagId tags[] = {2, 3};
-  const auto post = n.topics.Posterior(tags);
-  const PosteriorProbs probs(n.influence, post);
-  const Estimate original = index.EstimateInfluence(0, probs);
-  const Estimate restored = loaded->EstimateInfluence(0, probs);
-  EXPECT_NEAR(restored.influence, original.influence,
-              0.25 * original.influence + 0.25);
-}
-
-TEST(IndexIoTest, UnbuiltDelayMatRefusesToSave) {
-  const SocialNetwork n = MakeRunningExample();
-  DelayMatIndex index(n, SmallOptions());
-  std::stringstream file;
-  IndexIoError error;
-  EXPECT_FALSE(SaveDelayMatIndex(index, file, &error));
-  EXPECT_FALSE(error.message.empty());
-}
-
 TEST(IndexIoTest, FileRoundTripOnDisk) {
   DatasetSpec spec = LastfmSpec();
   spec.seed = 3;
@@ -519,17 +467,13 @@ TEST(IndexIoTest, FileRoundTripOnDisk) {
 }
 
 TEST(IndexIoTest, TrailingBytesRejected) {
-  // A file ends at its checksum: a valid RR or DelayMat file followed by
-  // one more byte is corrupt, read from a stream or from a path.
+  // A file ends at its checksum: a valid RR file followed by one more
+  // byte is corrupt, read from a stream or from a path.
   const SocialNetwork n = MakeRunningExample();
   RrIndex rr(n, SmallOptions());
   rr.Build();
-  DelayMatIndex delay(n, SmallOptions());
-  delay.Build();
   std::stringstream rr_file;
-  std::stringstream delay_file;
   ASSERT_TRUE(SaveRrIndex(rr, rr_file));
-  ASSERT_TRUE(SaveDelayMatIndex(delay, delay_file));
   const std::string path = ::testing::TempDir() + "/trailing.idx";
   const auto write = [&path](const std::string& bytes) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -539,31 +483,22 @@ TEST(IndexIoTest, TrailingBytesRejected) {
 
   for (const std::string& extra : {std::string(1, '\0'), std::string("x")}) {
     const std::string rr_bytes = rr_file.str() + extra;
-    const std::string delay_bytes = delay_file.str() + extra;
     IndexIoError error;
     std::stringstream rr_in(rr_bytes);
     EXPECT_EQ(LoadRrIndex(n, rr_in, &error), nullptr);
-    EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
-    error = {};
-    std::stringstream delay_in(delay_bytes);
-    EXPECT_EQ(LoadDelayMatIndex(n, delay_in, &error), nullptr);
     EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
 
     error = {};
     ASSERT_TRUE(write(rr_bytes));
     EXPECT_EQ(LoadRrIndex(n, path, &error), nullptr);
     EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
-    error = {};
-    ASSERT_TRUE(write(delay_bytes));
-    EXPECT_EQ(LoadDelayMatIndex(n, path, &error), nullptr);
-    EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
   }
 
-  // Without the extra byte both files load, from a stream and a path.
+  // Without the extra byte the file loads, from a stream and a path.
   std::stringstream rr_in(rr_file.str());
   EXPECT_NE(LoadRrIndex(n, rr_in), nullptr);
-  ASSERT_TRUE(write(delay_file.str()));
-  EXPECT_NE(LoadDelayMatIndex(n, path), nullptr);
+  ASSERT_TRUE(write(rr_file.str()));
+  EXPECT_NE(LoadRrIndex(n, path), nullptr);
   std::remove(path.c_str());
 }
 

@@ -12,14 +12,13 @@
 #include <future>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "running_example.h"
 #include "serve_metrics.h"
 #include "src/datasets/synthetic.h"
-#include "src/index/index_io.h"
+#include "src/index/delay_mat.h"
 #include "src/util/stats.h"
 
 namespace pitex {
@@ -38,26 +37,18 @@ std::vector<PitexQuery> MakeQueries(const SocialNetwork& n, size_t count,
 
 // The deterministic contract written out without a thread pool: worker
 // w is one PitexEngine seeded seed + w; IndexEst/IndexEst+ workers share
-// one RrIndex built from the base seed, DelayMat workers each adopt a
-// loaded copy of one saved prototype; query i goes to worker
-// i % threads, in order.
+// one RrIndex built from the base seed, DelayMat workers each adopt
+// their own DelayMatIndex built from the base seed; query i goes to
+// worker i % threads, in order.
 class PerWorkerReference {
  public:
   PerWorkerReference(const SocialNetwork& n, const EngineOptions& options,
                      size_t threads) {
     const RrIndexOptions index_options = IndexOptionsFor(options);
-    std::string prototype_bytes;
     if (options.method == Method::kIndexEst ||
         options.method == Method::kIndexEstPlus) {
       shared_index_ = std::make_unique<RrIndex>(n, index_options);
       shared_index_->Build();
-    } else if (options.method == Method::kDelayMat) {
-      DelayMatIndex prototype(n, index_options);
-      prototype.Build();
-      std::stringstream out;
-      IndexIoError error;
-      EXPECT_TRUE(SaveDelayMatIndex(prototype, out, &error)) << error.message;
-      prototype_bytes = out.str();
     }
     for (size_t w = 0; w < threads; ++w) {
       EngineOptions worker_options = options;
@@ -65,12 +56,12 @@ class PerWorkerReference {
       auto engine = std::make_unique<PitexEngine>(&n, worker_options);
       if (shared_index_ != nullptr) {
         engine->UseSharedRrIndex(shared_index_.get());
-      } else if (!prototype_bytes.empty()) {
-        std::stringstream in(prototype_bytes);
-        IndexIoError error;
-        auto replica = LoadDelayMatIndex(n, in, &error);
-        EXPECT_NE(replica, nullptr) << error.message;
-        engine->AdoptDelayMatIndex(std::move(replica));
+      } else if (options.method == Method::kDelayMat) {
+        // Not the engine's own BuildIndex(): it would seed the index
+        // with seed + w.
+        auto index = std::make_unique<DelayMatIndex>(n, index_options);
+        index->Build();
+        engine->AdoptDelayMatIndex(std::move(index));
       }
       engine->BuildIndex();
       workers_.push_back(std::move(engine));
