@@ -368,19 +368,22 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
   const auto post = n.topics.Posterior(tags);
   const PosteriorProbs probs(n.influence, post);
   // Means over one sweep of every user: edges_visited per estimate;
-  // pool_lines, PoolLines summed over Containing(u); containing_bytes,
-  // the coded length of Containing(u) as the pool stores it, in bytes
-  // (its bits / 8). Counted once outside the timed loop: exact counts
-  // of the work and memory one estimate spans, where the time is noisy,
-  // and the same whatever the iteration count or the heap's placement.
+  // pool_lines, PoolLines summed over NonRootContaining(u), the
+  // sketches an estimate views (its root range is counted from the
+  // range's size alone); containing_bytes, the coded length of
+  // NonRootContaining(u) as the pool stores it, in bytes (its bits / 8).
+  // Counted once outside the timed loop: exact counts of the work and
+  // memory one estimate spans, where the time is noisy, and the same
+  // whatever the iteration count or the heap's placement.
   struct Sweep {
     double edges_visited, pool_lines, containing_bytes;
   };
   static const Sweep sweep = [&n, &probs] {
-    // The first block starts the body: every block is in some list.
+    // The first block starts the body: every block is in some root
+    // range.
     const uint8_t* body = nullptr;
     for (VertexId v = 0; v < n.num_vertices(); ++v) {
-      for (const uint32_t id : index->Containing(v)) {
+      for (const uint32_t id : index->RootRange(v)) {
         const RRView rr = index->graph(id, v);
         if (!IsSingleton(rr) && (body == nullptr || BlockStart(rr) < body)) {
           body = BlockStart(rr);
@@ -392,7 +395,7 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
     uint64_t bits = 0;
     for (VertexId v = 0; v < n.num_vertices(); ++v) {
       edges += index->EstimateInfluence(v, probs).edges_visited;
-      const ContainingList list = index->Containing(v);
+      const ContainingList list = index->NonRootContaining(v);
       for (const uint32_t id : list) {
         lines += PoolLines(index->graph(id, v), body);
       }
@@ -434,24 +437,26 @@ void BM_IsReachable(benchmark::State& state) {
   const TagId tags[] = {0, 3};
   const auto post = n.topics.Posterior(tags);
   const PosteriorProbs probs(n.influence, post);
-  // (sketch, user) pairs where the user is a non-root member, gathered
-  // across the whole index so the BFS actually walks edges: each
-  // sketch's first such member, in sketch order, viewed through a member
-  // its containing lists name.
-  std::vector<VertexId> member(index->num_graphs());
-  for (VertexId v = 0; v < n.num_vertices(); ++v) {
-    for (const uint32_t id : index->Containing(v)) member[id] = v;
-  }
-  std::vector<std::pair<uint32_t, VertexId>> pairs;
-  for (uint32_t id = 0; id < index->num_graphs() && pairs.size() < 1024;
-       ++id) {
-    const RRView rr = index->graph(id, member[id]);
-    for (const VertexId v : rr.vertices) {
-      if (v != rr.root()) {
-        pairs.emplace_back(id, v);
-        break;
+  // (sketch, user) pairs where the user is a non-root member, so the
+  // BFS actually walks edges: each sketch's first such member, viewed
+  // through its root. 1,024 of them at an even stride across the whole
+  // index, so the pairs span every root's range (ids follow roots).
+  std::vector<std::pair<uint32_t, VertexId>> all;
+  for (VertexId root = 0; root < n.num_vertices(); ++root) {
+    for (const uint32_t id : index->RootRange(root)) {
+      const RRView rr = index->graph(id, root);
+      for (const VertexId v : rr.vertices) {
+        if (v != root) {
+          all.emplace_back(id, v);
+          break;
+        }
       }
     }
+  }
+  std::vector<std::pair<uint32_t, VertexId>> pairs;
+  const size_t stride = std::max<size_t>(1, all.size() / 1024);
+  for (size_t i = 0; i < all.size() && pairs.size() < 1024; i += stride) {
+    pairs.push_back(all[i]);
   }
   if (pairs.empty()) {
     state.SkipWithError("no RR-Graph has a non-root member");

@@ -52,7 +52,13 @@ void DelayMatIndex::Build() {
       }
     }
   }
-  counts_ = std::make_shared<const std::vector<uint32_t>>(std::move(counts));
+  auto packed = std::make_shared<Counts>();
+  if (std::ranges::all_of(counts, [](uint32_t c) { return c <= UINT16_MAX; })) {
+    packed->narrow.assign(counts.begin(), counts.end());
+  } else {
+    packed->wide = std::move(counts);
+  }
+  counts_ = std::move(packed);
   build_seconds_ = timer.Seconds();
 }
 
@@ -135,8 +141,10 @@ Estimate DelayMatIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
 }
 
 size_t DelayMatIndex::SizeBytes() const {
+  if (counts_ == nullptr) return sizeof(DelayMatIndex);
   return sizeof(DelayMatIndex) +
-         (counts_ == nullptr ? 0 : counts_->capacity() * sizeof(uint32_t));
+         counts_->narrow.capacity() * sizeof(uint16_t) +
+         counts_->wide.capacity() * sizeof(uint32_t);
 }
 
 }  // namespace pitex

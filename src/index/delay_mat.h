@@ -59,7 +59,8 @@ class DelayMatIndex final : public InfluenceOracle {
   uint64_t theta() const { return theta_; }
   size_t CountContaining(VertexId u) const { return (*counts_)[u]; }
 
-  /// Index footprint: one counter per vertex (Table 3 metric).
+  /// Index footprint: one counter per vertex (Table 3 metric), at 2
+  /// bytes while every counter fits them.
   size_t SizeBytes() const;
   double build_seconds() const { return build_seconds_; }
 
@@ -77,8 +78,18 @@ class DelayMatIndex final : public InfluenceOracle {
   const SocialNetwork& network_;
   RrIndexOptions options_;
   uint64_t theta_ = 0;
+  /// theta(u) for every u: 2-byte counters while the largest fits
+  /// them, else 4-byte ones.
+  struct Counts {
+    uint32_t operator[](VertexId u) const {
+      return wide.empty() ? narrow[u] : wide[u];
+    }
+    std::vector<uint16_t> narrow;
+    std::vector<uint32_t> wide;
+  };
+
   // Null until built; immutable after, and shared by every Replica().
-  std::shared_ptr<const std::vector<uint32_t>> counts_;
+  std::shared_ptr<const Counts> counts_;
   Rng query_rng_;
   // Per-instance reachability scratch (DelayMat caches per query user, so
   // an instance is never shared across threads; workers serve Replica()s).

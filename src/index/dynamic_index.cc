@@ -90,10 +90,14 @@ void DynamicRrIndex::ApplyUpdates(
     const auto p_new = static_cast<double>(
         EnvelopeProbability(network_.influence.MaxProb(e)));
 
-    // Only graphs containing head(e) ever probed e. Snapshot the list:
-    // repairs splice containment as membership changes.
-    const ContainingList containing = Containing(network_.graph.Head(e));
-    affected_.assign(containing.begin(), containing.end());
+    // Only graphs containing head(e) ever probed e: those it roots and
+    // those its list names. Snapshot the list: repairs splice
+    // containment as membership changes.
+    const VertexId head = network_.graph.Head(e);
+    const auto rooted = RootRange(head);
+    const ContainingList containing = NonRootContaining(head);
+    affected_.assign(rooted.begin(), rooted.end());
+    affected_.insert(affected_.end(), containing.begin(), containing.end());
     for (const uint32_t id : affected_) {
       ++stats_.graphs_examined;
       Rng rng = SampleStream(options_.seed, id, version_);
@@ -131,28 +135,26 @@ void DynamicRrIndex::AdoptSketches(const RrIndex& checkpoint) {
   ResetBase(checkpoint.pool_);
 }
 
-std::unique_ptr<RrIndex> DynamicRrIndex::Freeze(
-    const SocialNetwork& network, bool compact,
-    std::vector<VertexId>* singleton_roots) {
+std::unique_ptr<RrIndex> DynamicRrIndex::Freeze(const SocialNetwork& network,
+                                                bool compact) {
   PITEX_CHECK_MSG(built_, "call Build() before Freeze()");
-  if (compact || OverlayFull()) Compact(singleton_roots);
+  if (compact || OverlayFull()) Compact();
   return RrIndex::FromPool(
       network, options_, theta_, base_,
       overlay_->empty() ? nullptr
                         : std::make_shared<const RrSketchOverlay>(*overlay_));
 }
 
-void DynamicRrIndex::Compact(std::vector<VertexId>* singleton_roots) {
+void DynamicRrIndex::Compact() {
   if (overlay_->empty()) return;
   ++stats_.compactions;
-  ResetBase(std::make_shared<const RrSketchPool>(
-      overlay_->Fold(*base_, singleton_roots)));
+  ResetBase(std::make_shared<const RrSketchPool>(overlay_->Fold(*base_)));
 }
 
 void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
                                  double p_new, Rng* rng) {
   // `rr` may view the overlay's store: read it fully before Put appends.
-  // Every sketch repaired for e contains head(e), whose list holds it.
+  // Every sketch repaired for e contains head(e).
   const RRView rr = graph(id, network_.graph.Head(e));
   const VertexId root = rr.root();
   auto& edges = repair_edges_;
@@ -227,12 +229,14 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
   // (a merge over the two sorted vertex sets), and append the new
   // version to the overlay. A splice decodes the vertex's current list
   // (the overlay's, else the base's) once, adds or removes `id`, and
-  // re-codes the list into the overlay.
+  // re-codes the list into the overlay. The root stays in the sketch,
+  // so its list, which does not name the sketch, is never spliced.
   repaired_.Clear();
   arena_.RebuildRepairedSketch(root, edges, &repaired_);
   const auto splice = [&](VertexId v, bool insert) {
-    const ContainingList current =
-        overlay_->Containing(v).value_or(base_->Containing(v));
+    PITEX_DCHECK(v != root);
+    const ContainingList current = overlay_->NonRootContaining(v).value_or(
+        base_->NonRootContaining(v));
     std::vector<uint32_t>& ids = splice_ids_;
     ids.assign(current.begin(), current.end());
     const auto at = std::lower_bound(ids.begin(), ids.end(), id);

@@ -58,6 +58,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -145,19 +146,14 @@ class DynamicRrIndex final : public InfluenceOracle {
   /// over `network` serving the current sketches -- the shared base plus
   /// a frozen copy of the overlay. With `compact`, or once the overlay
   /// passes kOverlayCompactFraction of theta, the overlay is first
-  /// folded into a new base, and `singleton_roots`, when given, gets
-  /// the new base's singleton roots (Compact); the returned index then
-  /// has no repairs, so a save given them (SaveRrIndex) decodes no
-  /// containing list. A checkpoint's freeze takes them this way.
-  std::unique_ptr<RrIndex> Freeze(
-      const SocialNetwork& network, bool compact,
-      std::vector<VertexId>* singleton_roots = nullptr);
+  /// folded into a new base (Compact), and the returned index then has
+  /// no repairs.
+  std::unique_ptr<RrIndex> Freeze(const SocialNetwork& network,
+                                  bool compact);
 
   /// Folds base + overlay into a new base (RrSketchOverlay::Fold) and
-  /// empties the overlay; a no-op while the overlay is empty. With
-  /// `singleton_roots`, the fold hands over the new base's singleton
-  /// roots (RrSketchPool::SingletonRoots' order); a no-op leaves them.
-  void Compact(std::vector<VertexId>* singleton_roots = nullptr);
+  /// empties the overlay; a no-op while the overlay is empty.
+  void Compact();
 
   Estimate EstimateInfluence(VertexId u, const EdgeProbFn& probs) override;
   const char* Name() const override { return "DYN-INDEXEST"; }
@@ -175,10 +171,14 @@ class DynamicRrIndex final : public InfluenceOracle {
   /// vertex it contains (RrIndex::graph).
   RRView graph(size_t i, VertexId u) const { return view_->graph(i, u); }
   const RrIndexOptions& options() const { return options_; }
-  /// Ids of the sketches containing u, ascending (valid until the next
-  /// update).
-  ContainingList Containing(VertexId u) const {
-    return view_->Containing(u);
+  /// Ids of the sketches rooted at u (RrIndex::RootRange).
+  std::ranges::iota_view<uint32_t, uint32_t> RootRange(VertexId u) const {
+    return view_->RootRange(u);
+  }
+  /// Ids of the sketches containing u that u does not root, ascending
+  /// (valid until the next update).
+  ContainingList NonRootContaining(VertexId u) const {
+    return view_->NonRootContaining(u);
   }
   /// Sketch copies in the overlay (superseded ones included).
   size_t overlay_sketches() const { return overlay_->num_stored(); }
@@ -217,7 +217,8 @@ class DynamicRrIndex final : public InfluenceOracle {
   uint64_t version_ = 0;  // bumped per update; salts the repair RNG
   std::shared_ptr<const RrSketchPool> base_;
   std::shared_ptr<RrSketchOverlay> overlay_;
-  // Read path over base_ + overlay_ (graph, Containing, estimates);
+  // Read path over base_ + overlay_ (graph, the root ranges and lists,
+  // estimates);
   // private, never handed to a snapshot, since overlay_ mutates. Null
   // until Build() or AdoptSketches().
   std::unique_ptr<RrIndex> view_;

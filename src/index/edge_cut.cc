@@ -19,18 +19,16 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
   if (it != cache_.end()) return it->second;
 
   UserFilter filter;
-  filter.num_graphs = base_->CountContaining(u);
+  filter.trivial = base_->RootRange(u).size();
+  filter.num_graphs = filter.trivial;
   // edge -> list index, local to this filter.
   std::unordered_map<EdgeId, size_t> list_of;
 
-  for (uint32_t id : base_->Containing(u)) {
+  for (uint32_t id : base_->NonRootContaining(u)) {
+    ++filter.num_graphs;
     const RRView rr = base_->graph(id, u);
     const auto u_local = rr.LocalIndex(u);
-    PITEX_DCHECK(u_local.has_value());
-    if (*u_local == rr.root_local) {
-      filter.trivial.push_back(id);
-      continue;
-    }
+    PITEX_DCHECK(u_local.has_value() && *u_local != rr.root_local);
 
     // Candidate cut 1: u's out-edges inside the RR-Graph.
     // Candidate cut 2: the root's in-edges inside the RR-Graph.
@@ -97,7 +95,7 @@ Estimate PrunedRrIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
   Estimate result;
   result.samples = filter.num_graphs;
 
-  uint64_t hits = filter.trivial.size();
+  uint64_t hits = filter.trivial;
   // Filter step: scan each cut edge's inverted list while c(e) <= p(e|W).
   std::vector<uint32_t>& candidates = candidates_;
   candidates.clear();
@@ -122,7 +120,7 @@ Estimate PrunedRrIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
   }
   last_stats_.candidates = candidates.size();
   last_stats_.pruned =
-      filter.num_graphs - filter.trivial.size() - candidates.size();
+      filter.num_graphs - filter.trivial - candidates.size();
 
   result.influence = static_cast<double>(hits) /
                      static_cast<double>(base_->theta()) *

@@ -59,8 +59,8 @@ class PrunedRrIndex final : public InfluenceOracle {
     /// ascending threshold).
     std::vector<EdgeId> cut_edges;
     std::vector<std::vector<InvertedEntry>> lists;
-    /// RR-Graphs rooted at u itself: always reachable, never filtered.
-    std::vector<uint32_t> trivial;
+    /// How many RR-Graphs u roots: always reachable, never filtered.
+    uint64_t trivial = 0;
     uint64_t num_graphs = 0;
   };
 

@@ -1,11 +1,9 @@
 #include "src/index/index_io.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <span>
 #include <utility>
 
 #include "src/util/check.h"
@@ -18,12 +16,12 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v11's RR-Graph payload is the RrSketchPool image: its directory as one
-// word per sketch, a singleton's root or a flag | its block's start less
-// its group's base, at the width the words call for (the pool itself
-// keeps a word per block only, and the writer takes the singletons'
-// roots from its containing lists), and its body bytes as they are
-// stored, padding included: each sketch's block of
+// v12's RR-Graph payload is the RrSketchPool image, its sketches in root
+// order: its directory as one word per sketch, a singleton's root or a
+// flag | its block's start less its group's base, at the width the words
+// call for (the pool itself keeps a word per block only, and the writer
+// takes the singletons' roots from its root ranges), and its body bytes
+// as they are stored, padding included: each sketch's block of
 // bit-granular fields at the widths its network and its own vertex count
 // call for, an in-tree block's CSR offsets left out, each edge record
 // its edge's rank in its tail's out-list and its threshold at the width
@@ -33,9 +31,10 @@ constexpr char kMagic[] = "PITEXIDX";
 // 4 bytes, v5, whose body was word-padded u32 words with 4-byte headers
 // and edge ids, v6, whose blocks all stored their offsets, v7, whose
 // directory held a u32 per sketch, v8, whose blocks stored whole bytes
-// per field, v9, whose records held global edge ids, and v10, whose
-// records held every threshold's f32 bits at 30, are no longer read.)
-constexpr uint32_t kVersionCurrent = 11;
+// per field, v9, whose records held global edge ids, v10, whose records
+// held every threshold's f32 bits at 30, and v11, whose sketches were in
+// sample order, are no longer read.)
+constexpr uint32_t kVersionCurrent = 12;
 constexpr uint8_t kKindRrGraphs = 1;
 
 void SetError(IndexIoError* error, IndexIoCode code, const char* message) {
@@ -148,11 +147,8 @@ uint64_t NetworkFingerprint(const SocialNetwork& network) {
 // payloads.
 class IndexIo {
  public:
-  // `singleton_roots`, unless empty, are the singleton roots of the
-  // pool of `index`, which has no repairs.
   static bool WriteRr(const RrIndex& index, std::ostream& out,
-                      IndexIoError* error,
-                      std::span<const VertexId> singleton_roots = {}) {
+                      IndexIoError* error) {
     if (PITEX_FAILPOINT("index_io/save")) {
       SetError(error, IndexIoCode::kFaultInjected,
                "fault injected: index_io/save");
@@ -165,26 +161,15 @@ class IndexIo {
     }
     // The payload is the base pool's arrays. An index with repairs saves
     // as its compaction: the pool its overlay folds the base into. The
-    // containing index is not written: the loader rebuilds it. The
-    // directory is written one word per sketch, a singleton's its root:
-    // the fold hands over the folded pool's roots, a caller may hand
-    // over a pool's it holds, and a pool without either decodes its
-    // own, so a save decodes at most one pool's lists, once.
+    // root ranges and the containing index are not written: the loader
+    // rebuilds them. The directory is written one word per sketch, a
+    // singleton's its root, read from the root ranges.
     std::optional<RrSketchPool> folded;
-    std::vector<VertexId> roots;
     if (const RrSketchOverlay* overlay = index.repairs()) {
-      PITEX_CHECK_MSG(singleton_roots.empty(),
-                      "roots are given only for an index without repairs");
-      folded = overlay->Fold(*index.pool_, &roots);
-      singleton_roots = roots;
-    } else if (singleton_roots.empty()) {
-      roots = index.pool_->SingletonRoots();
-      singleton_roots = roots;
+      folded = overlay->Fold(*index.pool_);
     }
     const RrSketchPool& pool = folded ? *folded : *index.pool_;
-    PITEX_DCHECK(std::ranges::equal(singleton_roots, pool.SingletonRoots()));
-    const RrSketchPool::FileDirectory directory =
-        pool.SaveDirectory(singleton_roots);
+    const RrSketchPool::FileDirectory directory = pool.SaveDirectory();
     BinaryWriter writer(&out);
     WriteHeader(&writer, NetworkFingerprint(index.network_), index.options_);
     writer.WriteU64(index.theta_);
@@ -364,10 +349,9 @@ bool SaveRrIndex(const RrIndex& index, std::ostream& out,
 }
 
 bool SaveRrIndex(const RrIndex& index, const std::string& path,
-                 IndexIoError* error,
-                 std::span<const VertexId> singleton_roots) {
+                 IndexIoError* error) {
   return SaveAtomically(path, error, [&](std::ostream& out) {
-    return IndexIo::WriteRr(index, out, error, singleton_roots);
+    return IndexIo::WriteRr(index, out, error);
   });
 }
 

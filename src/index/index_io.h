@@ -15,9 +15,10 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 11 is the only version read or written; a v1 to v10 header is
+// Version 12 is the only version read or written; a v1 to v11 header is
 // refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
-// image (src/index/rr_sketch_pool.h):
+// image (src/index/rr_sketch_pool.h), its sketches in root order (by
+// root, and among one root's by sample):
 //
 //   theta u64 | directory width u8 (2 or 4) | directory words (u64
 //   count = theta * width, bytes) | body (u64 count, bytes) |
@@ -30,7 +31,7 @@
 // when its walk reaches the group's first sketch. A file takes 2-byte
 // words unless some root or offset needs bit 15 or above. The pool in
 // memory keeps a word per block only: the writer takes the singletons'
-// roots from one decode of its containing lists, and the loader builds
+// roots from its root ranges, and the loader builds the root ranges and
 // the lists from the words' roots and then drops them. The body is
 // stored as the pool holds it: each explicit sketch is one block, a
 // varint header (n, the block's threshold width w in [0, 7] and the
@@ -48,10 +49,11 @@
 //
 // An index with repairs saves as its compaction (RrSketchOverlay::Fold,
 // a copy of the base's blocks and of each repaired sketch's current
-// block). The containing index is not stored: the loader rebuilds it. A
-// loaded image must be canonical, exactly what appending its own views
-// to a run and finishing it writes (RrSketchPool::FinishLoaded checks
-// it: each word is its block's start less its base, 4-byte words only
+// block). The root ranges and the containing index are not stored: the
+// loader rebuilds them. A loaded image must be canonical, exactly what
+// appending its own views to a run and finishing it writes
+// (RrSketchPool::FinishLoaded checks it: the roots do not decrease in
+// id, each word is its block's start less its base, 4-byte words only
 // where some word needs them, an in-tree block's parents all lead to its
 // root, each rank lies below its tail's out-degree and names an out-edge
 // that ends at the record's head, each block's w is the fewest bits its
@@ -79,7 +81,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <span>
 #include <string>
 
 #include "src/index/rr_index.h"
@@ -162,14 +163,8 @@ struct IndexIoError {
 /// are crash-atomic: the payload goes to `path + ".tmp"`, is fsynced, and
 /// is renamed over `path` (src/util/file_sync.h) -- a crash mid-save
 /// leaves the old file intact and never a torn file at the final path.
-/// `singleton_roots`, unless empty, are the singleton roots of an index
-/// without repairs (RrSketchPool::SingletonRoots' order, as a compaction
-/// hands them over, DynamicRrIndex::Freeze): the writer takes them
-/// instead of decoding the pool's containing lists, and writes the same
-/// bytes.
 bool SaveRrIndex(const RrIndex& index, const std::string& path,
-                 IndexIoError* error = nullptr,
-                 std::span<const VertexId> singleton_roots = {});
+                 IndexIoError* error = nullptr);
 bool SaveRrIndex(const RrIndex& index, std::ostream& out,
                  IndexIoError* error = nullptr);
 

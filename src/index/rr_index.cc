@@ -137,27 +137,23 @@ PITEX_NOALLOC Estimate RrIndex::EstimateInfluence(
     VertexId u, const EdgeProbFn& probs, EstimateScratch* scratch) const {
   PITEX_CHECK_MSG(built_, "index not built");
   Estimate result;
-  uint64_t hits = 0;
+  // u reaches the root of every RR-Graph it roots, visiting no edge:
+  // its root range is that many hits. Only the rest are walked.
+  uint64_t hits = RootRange(u).size();
+  result.samples = hits;
   const auto count = [&](const RRView& rr) {
     ++result.samples;
     if (IsReachable(rr, u, probs, &result.edges_visited, scratch)) ++hits;
   };
   // The overlay check is hoisted out of the loop: an index without
-  // repairs walks the base pool exactly as a freshly built one does. A
-  // singleton in u's list is u alone, its root: a hit that visits no
-  // edge, read from its mask bit without a view.
+  // repairs walks the base pool exactly as a freshly built one does.
   const RrSketchPool& base = *pool_;
   if (repairs() == nullptr) {
-    for (const uint32_t id : base.Containing(u)) {
-      if (base.IsSingleton(id)) {
-        ++result.samples;
-        ++hits;
-      } else {
-        count(base.View(id, u));
-      }
+    for (const uint32_t id : base.NonRootContaining(u)) {
+      count(base.View(id, u));
     }
   } else {
-    for (const uint32_t id : Containing(u)) count(graph(id, u));
+    for (const uint32_t id : NonRootContaining(u)) count(graph(id, u));
   }
   result.influence = static_cast<double>(hits) /
                      static_cast<double>(theta_) *

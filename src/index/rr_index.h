@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -94,7 +95,7 @@ class RrIndex final : public InfluenceOracle {
   size_t num_graphs() const { return pool_->num_sketches(); }
   /// Non-owning view of RR-Graph i (valid while the index is alive), `u`
   /// a vertex it contains (RrSketchPool::View): a reader walking
-  /// Containing(u) passes u.
+  /// RootRange(u) or NonRootContaining(u) passes u.
   RRView graph(size_t i, VertexId u) const {
     if (const RrSketchOverlay* overlay = repairs()) {
       const uint32_t slot = overlay->SlotOf(static_cast<uint32_t>(i));
@@ -104,15 +105,22 @@ class RrIndex final : public InfluenceOracle {
     }
     return pool_->View(i, u);
   }
-  /// Ids (sketch positions) of the RR-Graphs containing u, ascending.
-  ContainingList Containing(VertexId u) const {
+  /// Ids (sketch positions) of the RR-Graphs rooted at u: one range of
+  /// the base pool, as a repair never changes a root.
+  std::ranges::iota_view<uint32_t, uint32_t> RootRange(VertexId u) const {
+    return pool_->RootRange(u);
+  }
+  /// Ids of the RR-Graphs containing u that u does not root, ascending.
+  ContainingList NonRootContaining(VertexId u) const {
     if (const RrSketchOverlay* overlay = repairs()) {
-      if (const auto list = overlay->Containing(u)) return *list;
+      if (const auto list = overlay->NonRootContaining(u)) return *list;
     }
-    return pool_->Containing(u);
+    return pool_->NonRootContaining(u);
   }
   /// theta(u): how many RR-Graphs contain u (Sec. 6.3 notation).
-  size_t CountContaining(VertexId u) const { return Containing(u).count(); }
+  size_t CountContaining(VertexId u) const {
+    return RootRange(u).size() + NonRootContaining(u).count();
+  }
   /// The base pool: every sketch as of the last compaction, without the
   /// overlay's repairs.
   const RrSketchPool& pool() const { return *pool_; }

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <memory>
+#include <numeric>
+#include <span>
 
 #include "src/util/check.h"
 
@@ -55,6 +59,7 @@ void RrSketchPool::Clear() {
   roots_.clear();
   num_sketches_ = 0;
   body_.clear();
+  root_starts_.Clear();
   containing_starts_.Clear();
   containing_.clear();
   max_sketch_vertices_ = 0;
@@ -87,12 +92,13 @@ uint64_t RrSketchPool::BodyStart(size_t i) const {
 
 std::vector<VertexId> RrSketchPool::SingletonRoots() const {
   if (!finished()) return roots_;
-  // A singleton's one vertex is its root, so the one list that names it
-  // is its root's.
-  std::vector<VertexId> roots(num_sketches_ - block_words_.size());
+  // The sketches rooted at v are one range, and a singleton's one
+  // vertex is its root.
+  std::vector<VertexId> roots;
+  roots.reserve(num_sketches_ - block_words_.size());
   for (VertexId v = 0; v < num_universe_vertices(); ++v) {
-    for (const uint32_t id : Containing(v)) {
-      if (IsSingleton(id)) roots[id - BlockRank(id)] = v;
+    for (const uint32_t id : RootRange(v)) {
+      if (IsSingleton(id)) roots.push_back(v);
     }
   }
   return roots;
@@ -100,18 +106,15 @@ std::vector<VertexId> RrSketchPool::SingletonRoots() const {
 
 RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
                                     uint64_t num_sketches,
-                                    const RrSketchPool& network,
-                                    std::vector<VertexId>* roots) {
+                                    const RrSketchPool& network) {
   RrSketchPool out = network.EmptyLike();
   // Each segment's slice of its run, put in sample order, with the
   // run's singleton roots.
   struct Slice : Segment {
-    uint64_t body_begin, body_end;
-    uint64_t out_begin;  // where the slice's blocks go in the pool
     const VertexId* roots;
   };
-  // The one finished run (Fold's base) has its roots decoded once,
-  // however many segments it has.
+  // The one finished run (Fold's base) has its roots read once, however
+  // many segments it has.
   const RrSketchPool* finished_run = nullptr;
   std::optional<std::vector<VertexId>> finished_roots;
   const auto roots_of = [&](const RrSketchPool& run) -> const VertexId* {
@@ -126,6 +129,7 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   std::vector<Slice> slices;
   slices.reserve(segments.size());
   uint64_t blocks = 0;
+  uint64_t body = 0;
   for (const Segment& seg : segments) {
     PITEX_CHECK_MSG(seg.run != nullptr && uint64_t{seg.first} + seg.count <=
                                               seg.run->num_sketches(),
@@ -139,19 +143,15 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
                         run.topology_.SharesStorage(out.topology_),
                     "run samples a different network");
     blocks += run.BlockRank(seg.first + seg.count) - run.BlockRank(seg.first);
-    slices.push_back({seg, run.BodyStart(seg.first),
-                      run.BodyStart(seg.first + seg.count), 0,
-                      roots_of(run)});
+    body += run.BodyStart(seg.first + seg.count) - run.BodyStart(seg.first);
+    slices.push_back({seg, roots_of(run)});
   }
   std::ranges::sort(slices, {}, &Slice::sample);
   uint64_t covered = 0;
-  uint64_t body = 0;
-  for (Slice& s : slices) {
+  for (const Slice& s : slices) {
     PITEX_CHECK_MSG(s.sample == covered,
                     "runs must cover every sample exactly once");
     covered += s.count;
-    s.out_begin = body;
-    body += s.body_end - s.body_begin;
   }
   PITEX_CHECK_MSG(covered == num_sketches,
                   "runs must cover every sample exactly once");
@@ -160,46 +160,89 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= kExplicit,
                   "sketch pool exceeds its directory words");
 
-  // Exact-size arrays, filled by appends (no zero-fill pass but the
-  // padding's). A group's base is where the next block starts when the
-  // walk reaches the group's first sketch, so it waits for the next
-  // block's start (or the end of the body); a block's own group is
-  // resolved by the time its word is appended.
+  // Where each sketch goes: a stable counting sort of the samples by
+  // root. The first pass counts each root's sketches and block bytes;
+  // the second, in sample order again, gives each sketch the next id of
+  // its root and copies its block, as it is, to the next bytes of its
+  // root's, so a root's sketches keep their sample order. A run's blocks
+  // are in its own sketch order, so a Fold, whose base is in root order
+  // and whose repairs keep their roots, comes out in the order it went
+  // in. Each id's slot keeps what the directory needs: a singleton's
+  // root, or kExplicit | its block's start.
+  const auto for_each_sketch = [&slices](auto&& fn) {
+    for (const Slice& s : slices) {
+      const RrSketchPool& run = *s.run;
+      run.ForEachSketch(s.first, s.first + s.count,
+                        [&](bool block, uint64_t value) {
+        if (!block) {
+          fn(s.roots[value], nullptr, uint32_t{0});
+          return;
+        }
+        const uint8_t* at = run.body_.data() + value;
+        const RRView view = run.ViewAt(at, run.vertex_bits_, 0);
+        fn(view.root(), at,
+           static_cast<uint32_t>(view.edges.end_byte() - at));
+      });
+    }
+  };
+  std::vector<uint32_t> next_id(out.num_vertices_ + 1, 0);
+  std::vector<uint32_t> next_at(out.num_vertices_ + 1, 0);
+  for_each_sketch([&](VertexId root, const uint8_t*, uint32_t length) {
+    ++next_id[root + 1];
+    next_at[root + 1] += length;
+  });
+  for (size_t v = 1; v < next_id.size(); ++v) {
+    next_id[v] += next_id[v - 1];
+    next_at[v] += next_at[v - 1];
+  }
+  // Each root's first id: the root starts.
+  out.root_starts_.Assign(std::span<const uint32_t>(next_id));
+  // Every slot and every body byte but the padding is written once.
+  const auto slots = std::make_unique_for_overwrite<uint32_t[]>(num_sketches);
+  if (body != 0) out.body_.resize(body + kBitPadding);
+  for_each_sketch([&](VertexId root, const uint8_t* block, uint32_t length) {
+    const uint32_t id = next_id[root]++;
+    if (block == nullptr) {
+      slots[id] = root;
+      return;
+    }
+    std::memcpy(out.body_.data() + next_at[root], block, length);
+    slots[id] = kExplicit | next_at[root];
+    next_at[root] += length;
+  });
+
+  // The directory, in id order, in exact-size arrays. A group's base is
+  // where the next block starts when the walk reaches the group's first
+  // sketch, so it waits for the next block's start (or the end of the
+  // body); a block's own group is resolved by the time its word is
+  // appended.
   out.groups_.reserve((num_sketches + kGroup - 1) / kGroup);
   out.block_words_.Reserve(blocks, 2);
   out.roots_.reserve(num_sketches - blocks);
-  out.body_.reserve(PaddedBytes(8 * body));
   size_t resolved = 0;  // groups_[resolved ..] wait for a block's start
-  for (const Slice& s : slices) {
-    out.body_.insert(out.body_.end(), s.run->body_.begin() + s.body_begin,
-                     s.run->body_.begin() + s.body_end);
-    s.run->ForEachSketch(s.first, s.first + s.count, [&](bool block,
-                                                         uint64_t value) {
-      out.OpenGroup(0);
-      if (!block) {
-        out.PushSingleton(s.roots[value]);
-        return;
-      }
-      const uint64_t start = value - s.body_begin + s.out_begin;
-      for (; resolved < out.groups_.size(); ++resolved) {
-        out.groups_[resolved].base = static_cast<uint32_t>(start);
-      }
-      out.PushBlock(start - out.groups_.back().base);
-    });
+  for (const uint32_t slot : std::span(slots.get(), num_sketches)) {
+    out.OpenGroup(0);
+    if ((slot & kExplicit) == 0) {
+      out.PushSingleton(slot);
+      continue;
+    }
+    const uint32_t start = slot & ~kExplicit;
+    for (; resolved < out.groups_.size(); ++resolved) {
+      out.groups_[resolved].base = start;
+    }
+    out.PushBlock(start - out.groups_.back().base);
   }
   for (; resolved < out.groups_.size(); ++resolved) {
     out.groups_[resolved].base = static_cast<uint32_t>(body);
   }
-  if (body != 0) out.body_.resize(body + kBitPadding);
+  PITEX_DCHECK(out.InRootOrder());
   out.BuildContaining(out.num_vertices_);
-  if (roots != nullptr) *roots = std::move(out.roots_);
   out.DropRoots();
   return out;
 }
 
-RrSketchPool::FileDirectory RrSketchPool::SaveDirectory(
-    std::span<const VertexId> roots) const {
-  PITEX_CHECK(roots.size() == num_sketches_ - block_words_.size());
+RrSketchPool::FileDirectory RrSketchPool::SaveDirectory() const {
+  const std::vector<VertexId> roots = SingletonRoots();
   uint64_t max_singleton = 0;
   for (const VertexId root : roots) {
     max_singleton = std::max<uint64_t>(max_singleton, root);
@@ -252,6 +295,10 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
   uint64_t vertices = 0;  // every sketch's, which must fit 32 bits
   uint64_t max_singleton = 0;
   uint64_t max_offset = 0;
+  VertexId last_root = 0;  // the roots must not decrease: root order
+  // Each root's sketch count at its successor's index, summed into
+  // the root starts once every sketch passes.
+  std::vector<uint32_t> root_start(num_vertices_ + 1, 0);
   std::vector<uint8_t> marks;  // ParentsReachRoot's scratch
   // A varint inside the blocks of at most 32 bits (View reads it as a
   // u32) in no more bytes than its value needs; false if there is none.
@@ -270,7 +317,9 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
     OpenGroup(body);
     const uint32_t word = word_at(i);
     if ((word & flag) == 0) {
-      if (word >= num_vertices_) return false;
+      if (word >= num_vertices_ || word < last_root) return false;
+      last_root = word;
+      ++root_start[word + 1];
       max_singleton = std::max<uint64_t>(max_singleton, word);
       PushSingleton(word);
       ++vertices;
@@ -311,7 +360,12 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
     }
     // The in-tree flag is set exactly when the offsets are an in-tree's:
     // a block of an in-tree's shape stored with offsets fails.
-    if (view.root_local >= n || (!in_tree && view.InTree())) return false;
+    if (view.root_local >= n || (!in_tree && view.InTree()) ||
+        view.root() < last_root) {
+      return false;
+    }
+    last_root = view.root();
+    ++root_start[last_root + 1];
     const bool csr_ok = view.VisitCsr([&](const auto& csr) {
       if (csr.offset(0) != 0 || csr.offset(n) != m) return false;
       for (uint64_t j = 0; j < n; ++j) {
@@ -355,6 +409,9 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
                    body_.end(), [](uint8_t byte) { return byte == 0; })) {
     return false;
   }
+  PITEX_DCHECK(InRootOrder());
+  std::partial_sum(root_start.begin(), root_start.end(), root_start.begin());
+  root_starts_.Assign(std::span<const uint32_t>(root_start));
   BuildContaining(num_vertices_);
   DropRoots();
   return true;
@@ -362,13 +419,16 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
 
 void RrSketchPool::BuildContaining(size_t num_vertices) {
   // A counting sort of the (vertex, sketch id) pairs by vertex, in
-  // ascending sketch order: first[v] .. first[v + 1] - 1 index v's ids
-  // in `ids`. The counting pass also totals the vertices, which set k.
+  // ascending sketch order, of every vertex but each sketch's root:
+  // first[v] .. first[v + 1] - 1 index v's ids in `ids`. The counting
+  // pass also totals those ids, which set k.
   std::vector<uint32_t> first(num_vertices + 1, 0);
   size_t max_vertices = 0;
-  ForEachVertices([&](const VertexIds& sketch) {
+  ForEachVertices([&](const VertexIds& sketch, uint32_t root_local) {
     max_vertices = std::max(max_vertices, sketch.size());
-    sketch.ForEach([&](VertexId v) { ++first[v + 1]; });
+    for (uint32_t j = 0; j < sketch.size(); ++j) {
+      if (j != root_local) ++first[sketch[j] + 1];
+    }
   });
   uint64_t occurrences = 0;
   for (size_t v = 1; v <= num_vertices; ++v) {
@@ -381,8 +441,10 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   {
     std::vector<uint32_t> cursor(first.begin(), first.end() - 1);
     uint32_t id = 0;
-    ForEachVertices([&](const VertexIds& sketch) {
-      sketch.ForEach([&](VertexId v) { ids[cursor[v]++] = id; });
+    ForEachVertices([&](const VertexIds& sketch, uint32_t root_local) {
+      for (uint32_t j = 0; j < sketch.size(); ++j) {
+        if (j != root_local) ids[cursor[sketch[j]]++] = id;
+      }
       ++id;
     });
   }
@@ -400,20 +462,7 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   const uint64_t bits = start[num_vertices];
   PITEX_CHECK_MSG(bits <= UINT32_MAX,
                   "containing index exceeds 32-bit offsets");
-  uint64_t max_word = 0;
-  for (size_t v = 0; v <= num_vertices; v += kGroup) {
-    const size_t last = std::min(v + kGroup - 1, num_vertices);
-    max_word = std::max(max_word, start[last] - start[v]);
-  }
-  containing_starts_.Clear();
-  containing_starts_.bases.reserve((num_vertices + kGroup) / kGroup);
-  containing_starts_.words.Reserve(num_vertices + 1,
-                                   max_word <= UINT16_MAX ? 2 : 4);
-  for (size_t v = 0; v <= num_vertices; ++v) {
-    containing_starts_.OpenGroup(start[v]);
-    containing_starts_.words.Push(
-        static_cast<uint32_t>(start[v] - containing_starts_.base(v)));
-  }
+  containing_starts_.Assign(std::span<const uint64_t>(start));
   containing_.assign(PaddedBytes(bits), 0);
   BitWriter writer(containing_.data());
   for (size_t v = 0; v < num_vertices; ++v) PutRiceList(list(v), k, &writer);
@@ -425,7 +474,7 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
 
 size_t RrSketchPool::SizeBytes() const {
   return sizeof(RrSketchPool) + DirectoryBytes() +
-         roots_.capacity() * sizeof(VertexId) +
+         roots_.capacity() * sizeof(VertexId) + root_starts_.SizeBytes() +
          containing_starts_.SizeBytes() + body_.capacity() +
          containing_.capacity();
 }
@@ -438,8 +487,7 @@ void RrSketchOverlay::Put(uint32_t id, const RRView& sketch) {
   store_.Append(sketch);
 }
 
-RrSketchPool RrSketchOverlay::Fold(const RrSketchPool& base,
-                                   std::vector<VertexId>* roots) const {
+RrSketchPool RrSketchOverlay::Fold(const RrSketchPool& base) const {
   const uint64_t theta = base.num_sketches();
   std::vector<RrSketchPool::Segment> segments;
   segments.reserve(2 * slot_of_.size() + 1);
@@ -461,7 +509,7 @@ RrSketchPool RrSketchOverlay::Fold(const RrSketchPool& base,
     segments.push_back({next, &base, static_cast<uint32_t>(next),
                         static_cast<uint32_t>(theta - next)});
   }
-  return RrSketchPool::FromRuns(segments, theta, base, roots);
+  return RrSketchPool::FromRuns(segments, theta, base);
 }
 
 void RrSketchOverlay::SetContaining(VertexId u,

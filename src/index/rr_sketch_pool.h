@@ -1,14 +1,22 @@
 // Pooled storage for the offline RR-Graph index (Sec. 6.1): all theta
 // sketches flattened into a few contiguous arrays (a CSR of per-sketch
-// CSRs), plus an inverted "containing" index whose per-vertex lists are
-// Rice-coded gaps.
+// CSRs), numbered in root order, plus an inverted "containing" index
+// whose per-vertex lists are Rice-coded gaps.
 //
 // The IndexEst estimate path walks theta(u) tiny sketches per query; with
 // one heap object per sketch (three vectors each) those walks chase
 // pointers all over the heap and the allocator dominates build time. The
 // pool keeps each sketch in one contiguous block, hands out non-owning
-// RRViews, and answers Containing(u) from one exact-size bit array — no
-// per-sketch or per-vertex heap objects at all, and SizeBytes() is O(1).
+// RRViews, and answers which sketches contain u from a root range and
+// one exact-size bit array — no per-sketch or per-vertex heap objects at
+// all, and SizeBytes() is O(1).
+//
+// Root order. A finished pool numbers its sketches by root, and among
+// sketches with the same root by sample index, so the sketches rooted at
+// u are the ids [RootStart(u), RootStart(u + 1)) (RootRange). IndexEst
+// counts the sketches containing u in which u reaches the root, so a
+// sketch rooted at u is always a hit: the root range answers those with
+// two reads, and u's containing list holds only the others.
 //
 // Layout for sketch i (n_i vertices, m_i edges), every total checked to
 // fit:
@@ -80,73 +88,85 @@
 // one of two CSR forms and no width dispatch.
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has no block and
-// no word, only its clear mask bit. Its root is the vertex whose
-// containing list names it, and is stored nowhere else: a reader views
-// sketch i as View(i, u), u a vertex the sketch contains, which every
-// reader holds (the estimate walk its user, whose list it iterates; a
-// repair the updated edge's head), and a singleton's view is a static
-// in-tree block whose vertex field is 0 bits wide, its vertex the view's
-// base u (VertexIds). The estimate walk counts a singleton in u's list a
-// hit from its mask bit alone. A run (below) records each singleton's
-// root in append order, as FromRuns and BuildContaining need them; a
-// finished pool holds none. The cold paths that need every root of a
-// finished pool, the index writer's words and Fold's stretches of the
-// base, take them from one decode of its containing lists
-// (SingletonRoots), at most once per save and per compaction.
+// no word, only its clear mask bit. Its root is the vertex whose root
+// range holds it, and is stored nowhere else: a reader views sketch i
+// as View(i, u), u a vertex the sketch contains, which every reader
+// holds (the estimate walk its user; a repair the updated edge's head),
+// and a singleton's view is a static in-tree block whose vertex field
+// is 0 bits wide, its vertex the view's base u (VertexIds). A singleton
+// is in no containing list: the estimate counts it, with every other
+// sketch of u's root range, a hit from the range's size alone. A run
+// (below) records each singleton's root in append order, as FromRuns
+// and BuildContaining need them; a finished pool holds none. The cold
+// paths that need every root of a finished pool, the index writer's
+// words and Fold's stretches of the base, take them from one walk of
+// the root ranges and mask bits (SingletonRoots), which decodes no
+// list.
+//
+// Root ranges: RootStart(u), the first sketch rooted at u or after it,
+// for u in [0, |V|], in root_starts_, a GroupWords (below) of sketch
+// ids: on pitexbench's network its largest word is 573, so its words
+// take 2 bytes and the array 51,566 B.
 //
 // Containing lists, for vertex u:
 //   bits [start(u), start(u + 1)) of containing_
-// hold the ids of the sketches containing u, ascending, as Rice codes
-// (ContainingList): the first id as itself, then each gap to the next
-// less 1 (the ids strictly ascend). A value x at parameter k is x >> k
-// one-bits, a zero, then the low k bits of x, LSB-first as in
-// little-endian 64-bit words; the array ends in kBitPadding bytes of
-// padding, so the decoder's 8-byte loads stay inside it. One k serves
-// the whole pool, chosen from its own totals with no option: the log of
-// the mean gap, bit_width(floor(theta * |V| / occurrences)) - 1
-// (RiceParameter), which bounds the lists at occurrences * (k + 3) bits.
-// The gaps are close to geometric, for which Rice coding at the mean is
-// near the entropy: on pitexbench's network (theta = 200,000, |V| =
-// 25,000, 454,185 ids) k = 13 and the lists take 14.8 bits per id,
-// against 17.4 for LEB128 gaps and 32 for a u32 list. An overlay codes
-// its replacement lists at its base pool's k, so one decoder reads both.
+// hold the ids of the sketches containing u that u does not root,
+// ascending, as Rice codes (ContainingList): the first id as itself,
+// then each gap to the next less 1 (the ids strictly ascend). A value x
+// at parameter k is x >> k one-bits, a zero, then the low k bits of x,
+// LSB-first as in little-endian 64-bit words; the array ends in
+// kBitPadding bytes of padding, so the decoder's 8-byte loads stay
+// inside it. One k serves the whole pool, chosen from its own totals
+// with no option: the log of the mean gap, bit_width(floor(theta * |V|
+// / occurrences)) - 1, occurrences the ids the lists hold
+// (RiceParameter), which bounds the lists at occurrences * (k + 3)
+// bits. The gaps are close to geometric, for which Rice coding at the
+// mean is near the entropy: on pitexbench's network (theta = 200,000,
+// |V| = 25,000, 254,185 ids, the 200,000 root incidences left out) k =
+// 14 and the lists take 15.2 bits per id, against 32 for a u32 list. An
+// overlay codes its replacement lists at its base pool's k, so one
+// decoder reads both.
 // The starts are bit offsets, stored in two levels: start(u) is
 // containing_starts_'s base for u's group of 64 vertices, start(64g),
-// plus u's word, at 2 bytes while every group's words fit 16 bits (the
-// largest on pitexbench's network is 31,428), else at 4.
+// plus u's word, at 2 bytes while every group's words fit 16 bits, else
+// at 4.
 //
-// Both arrays are two-level, as FST stores its succinct arrays: sparse
+// The arrays are two-level, as FST stores its succinct arrays: sparse
 // absolute samples, narrow relative entries read in place, and for the
-// directory a rank over a bitmap, so that only blocks take a word. The
-// starts use GroupWords, a base per 64 entries and a word per entry; the
-// directory its Group records and block_words_. Both keep their words
-// in Words, 2 or 4 bytes each. Each pool chooses each array's word
-// width from its own data, with no option.
+// directory a rank over a bitmap, so that only blocks take a word. Both
+// starts use GroupWords, a base per 64 entries and a word per entry;
+// the directory its Group records and block_words_. All keep their
+// words in Words, 2 or 4 bytes each. Each pool chooses each array's
+// word width from its own data, with no option.
 //
 // Every pool is written one way: sketches are appended in this layout
 // (AppendSketch, which Append and the generator call, each field put in
 // order through one BitWriter) to *runs*, pools without a containing
-// index, and FromRuns copies the runs' segments, in sample order, block
-// by block into a finished pool's exact-size arrays, then builds the
-// containing index once, serially, from the blocks and the runs'
+// index, and FromRuns copies the runs' segments' blocks as they are, in
+// root order (a stable counting sort of the samples by root), into a
+// finished pool's exact-size arrays, then builds the root ranges and
+// the containing index once, serially, from the blocks and the runs'
 // singleton roots. The build's generator appends to one run per worker
 // slot. Compaction and the save of an index with repairs finish base +
 // overlay the same way (RrSketchOverlay::Fold): each stretch of
 // unrepaired sketches is a segment of the base, and each repaired
-// sketch's current copy a segment of the overlay's store. Every writer
+// sketch's current copy a segment of the overlay's store; a repair
+// keeps its sketch's root, so the fold keeps every id. Every writer
 // starts the block words at 2 bytes and widens them once, in place,
 // when a word first fails to fit them (Words::Push); the widening
 // doubles the words' room, so FromRuns' exact-size arrays stay exact.
-// The index file (src/index/index_io.h, v11) keeps the directory as it
+// The index file (src/index/index_io.h, v12) keeps the directory as it
 // was before singletons left it: one word per sketch, a singleton's root
 // or the file flag (the word's top bit) | its block's start less its
 // group's base, every word at the width DirectoryWidth gives. The writer
-// builds those words from one decode of the lists (FileDirectory). A
-// loaded pool was written this way before it was saved: FinishLoaded
-// accepts the file's words and the body only if they are exactly what
-// appending the pool's own views to a run, finishing it and saving it
-// writes, builds the directory from them, builds the containing index
-// from the blocks and the words' roots, and drops the roots. An
+// builds those words from the root ranges (SingletonRoots). A loaded
+// pool was written this way before it was saved: FinishLoaded accepts
+// the file's words and the body only if they are exactly what appending
+// the pool's own views to a run, finishing it and saving it writes (the
+// roots, a singleton's word or a block's root vertex, must not decrease
+// in id), builds the directory from them, builds the root ranges and
+// the containing index from the blocks and the words' roots, and drops
+// the roots. An
 // overlay's sketch store is a run that Fold copies from but never
 // finishes, and the two other runs SketchArena writes are never finished
 // either: the one-sketch run DynamicRrIndex re-closes each repaired
@@ -172,6 +192,7 @@
 #include <cstring>
 #include <iterator>
 #include <optional>
+#include <ranges>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -313,16 +334,17 @@ inline void PutRiceList(std::span<const uint32_t> ids, uint32_t k,
 
 /// The Rice parameter of a pool's containing lists: the log of their
 /// mean gap, k = bit_width(floor(theta * |V| / occurrences)) - 1, where
-/// `occurrences` is the total of the sketches' vertex counts (0 when
-/// there are none). A gap's quotients then sum, over one list, to at
-/// most theta >> k, and theta * |V| / 2^k < 2 * occurrences, so the
-/// lists take at most occurrences * (k + 3) bits. Ids fit 32 bits, so a
+/// `occurrences` is the total of the ids the lists hold (0 when there
+/// are none). A gap's quotients then sum, over one list, to at most
+/// theta >> k, and theta * |V| / 2^k < 2 * occurrences, so the lists
+/// take at most occurrences * (k + 3) bits. Ids fit 32 bits, so a
 /// larger k saves nothing, and k stays at most 31, as PutRiceList needs.
 inline uint32_t RiceParameter(uint64_t theta, uint64_t num_vertices,
                               uint64_t occurrences) {
   if (occurrences == 0) return 0;
-  // Every sketch holds at least one of fewer than 2^32 vertices and
-  // none twice, so the product fits 64 bits and 1 <= mean <= |V|.
+  // A list holds each of fewer than 2^32 sketches at most once, and
+  // there are fewer than 2^32 vertices, so the product fits 64 bits and
+  // 1 <= mean.
   const uint64_t mean = theta * num_vertices / occurrences;
   return std::min<uint32_t>(31, static_cast<uint32_t>(std::bit_width(mean)) -
                                     1);
@@ -461,21 +483,19 @@ class RrSketchPool {
 
   /// Finishes a pool from runs, each a pool of `network`'s network (its
   /// widths and the topology it shares, which FromRuns checks): copies
-  /// every segment's blocks as they are, in sample order, into
-  /// exact-size arrays (rebasing each block word), then builds the
-  /// containing index over the network's vertices from the blocks and
-  /// the runs' singleton roots, which the result does not keep; with
-  /// `roots`, they are moved there (SingletonRoots' order). The segments
-  /// must cover samples [0, num_sketches) exactly once, so sketch i of
-  /// the result is sample i whatever the runs and segments were: the
-  /// pool is identical for any thread count and claim interleaving. At
-  /// most one run may be a finished pool (Fold's base, which is also
-  /// `network`): its roots are decoded from its lists, once
-  /// (SingletonRoots).
+  /// every segment's blocks as they are, in root order, into exact-size
+  /// arrays (rebasing each block word), then builds the root ranges and
+  /// the containing index over the network's vertices from the blocks
+  /// and the runs' singleton roots, which the result does not keep. The
+  /// segments must cover samples [0, num_sketches) exactly once; the
+  /// result's sketches are ordered by root, and among one root's by
+  /// sample, so the pool is identical for any thread count and claim
+  /// interleaving. At most one run may be a finished pool (Fold's base,
+  /// which is also `network`): its singletons' roots are read from its
+  /// root ranges, once (SingletonRoots).
   static RrSketchPool FromRuns(std::span<const Segment> segments,
                                uint64_t num_sketches,
-                               const RrSketchPool& network,
-                               std::vector<VertexId>* roots = nullptr);
+                               const RrSketchPool& network);
 
   /// Appends one sketch in the pooled layout without touching the
   /// containing index: a pool appended to is a run, which only FromRuns
@@ -542,19 +562,26 @@ class RrSketchPool {
       vertex_bits = vertex_bits_;
       vertex_base = 0;
     } else {
-      PITEX_DCHECK(roots_.empty() || roots_[i - BlockRank(i)] == u);
+      PITEX_DCHECK(finished() ? RootStart(u) <= i && i < RootStart(u + 1)
+                              : roots_[i - BlockRank(i)] == u);
     }
     return ViewAt(at, vertex_bits, vertex_base);
   }
 
   /// Every singleton's root, in sketch order: a run's as it recorded
-  /// them; a finished pool's, which it does not hold, from one decode of
-  /// its containing lists, in O(ids) — for the cold paths only (the
-  /// index writer, Fold, tests).
+  /// them; a finished pool's, which it does not hold, from one walk of
+  /// its root ranges and mask bits, in O(|V| + theta) — for the cold
+  /// paths only (the index writer, Fold, tests).
   std::vector<VertexId> SingletonRoots() const;
 
-  /// Ids (sketch positions) of the sketches containing u, ascending.
-  ContainingList Containing(VertexId u) const {
+  /// Ids (sketch positions) of the sketches rooted at u, one range: a
+  /// finished pool numbers its sketches in root order.
+  std::ranges::iota_view<uint32_t, uint32_t> RootRange(VertexId u) const {
+    return {RootStart(u), RootStart(u + 1)};
+  }
+  /// Ids of the sketches containing u that u does not root, ascending:
+  /// u's containing list. With RootRange(u), every sketch containing u.
+  ContainingList NonRootContaining(VertexId u) const {
     const auto start = [this](size_t v) {
       return containing_starts_.base(v) + containing_starts_.word(v);
     };
@@ -562,7 +589,9 @@ class RrSketchPool {
                           containing_k_);
   }
   /// theta(u): how many sketches contain u (Sec. 6.3 notation).
-  size_t CountContaining(VertexId u) const { return Containing(u).count(); }
+  size_t CountContaining(VertexId u) const {
+    return RootRange(u).size() + NonRootContaining(u).count();
+  }
   /// Number of vertices the containing index covers.
   size_t num_universe_vertices() const {
     return containing_starts_.size() == 0 ? 0 : containing_starts_.size() - 1;
@@ -575,12 +604,13 @@ class RrSketchPool {
   /// (RiceParameter), chosen from the pool's own totals.
   uint32_t containing_k() const { return containing_k_; }
 
-  /// Bytes per block word and per containing start: 2 while every word
-  /// fits them, else 4.
+  /// Bytes per block word, per containing start and per root start: 2
+  /// while every word fits them, else 4.
   uint32_t directory_width() const { return block_words_.width(); }
   uint32_t containing_start_width() const {
     return containing_starts_.width();
   }
+  uint32_t root_start_width() const { return root_starts_.width(); }
 
   /// Exact footprint of the pooled arrays, computed in O(1).
   size_t SizeBytes() const;
@@ -669,6 +699,24 @@ class RrSketchPool {
     void Clear() {
       bases.clear();
       words.Clear();
+    }
+    /// Makes the array exactly `values` (ascending, each below 2^32), at
+    /// 2-byte words while every group's last value less its first fits
+    /// them, else at 4.
+    template <typename T>
+    void Assign(std::span<const T> values) {
+      uint64_t max_word = 0;
+      for (size_t v = 0; v < values.size(); v += kGroup) {
+        const size_t last = std::min(v + kGroup, values.size()) - 1;
+        max_word = std::max<uint64_t>(max_word, values[last] - values[v]);
+      }
+      Clear();
+      bases.reserve((values.size() + kGroup - 1) / kGroup);
+      words.Reserve(values.size(), max_word <= UINT16_MAX ? 2 : 4);
+      for (size_t v = 0; v < values.size(); ++v) {
+        OpenGroup(values[v]);
+        words.Push(static_cast<uint32_t>(values[v] - base(v)));
+      }
     }
     size_t SizeBytes() const {
       return bases.capacity() * sizeof(uint32_t) + words.SizeBytes();
@@ -762,9 +810,15 @@ class RrSketchPool {
     return body_.empty() ? 0 : body_.size() - kBitPadding;
   }
 
-  /// True for a pool FromRuns or the loader finished: it has a
-  /// containing index and no singleton roots. Any other pool is a run.
+  /// True for a pool FromRuns or the loader finished: it has root ranges
+  /// and a containing index, and no singleton roots. Any other pool is a
+  /// run.
   bool finished() const { return containing_starts_.size() != 0; }
+
+  /// The first sketch rooted at v or after it, for v <= |V|.
+  uint32_t RootStart(size_t v) const {
+    return root_starts_.base(v) + root_starts_.word(v);
+  }
 
   /// The blocks before sketch i, for i <= num_sketches(): the word of
   /// the first block at or after it.
@@ -841,15 +895,16 @@ class RrSketchPool {
   /// Sets the network counts and the fields' widths they call for.
   void SetNetwork(uint64_t num_vertices, uint64_t max_out_degree);
 
-  /// Calls fn(vertices) with each sketch's sorted vertices, in order:
-  /// a singleton's one vertex from roots_, a block's from after its
-  /// header, and none of the rest of a view. The pool must hold its
-  /// singletons' roots (a run, or a pool being finished).
+  /// Calls fn(vertices, root_local) with each sketch's sorted vertices
+  /// and its root's local id, in order: a singleton's one vertex from
+  /// roots_, a block's fields from after its header, and none of the
+  /// rest of a view. The pool must hold its singletons' roots (a run, or
+  /// a pool being finished).
   template <typename Fn>
   void ForEachVertices(Fn&& fn) const {
     ForEachSketch(0, num_sketches(), [&](bool block, uint64_t value) {
       if (!block) {
-        fn(VertexIds({kSingleton + 1, 0, 0}, 1, roots_[value]));
+        fn(VertexIds({kSingleton + 1, 0, 0}, 1, roots_[value]), 0u);
         return;
       }
       uint32_t header;
@@ -858,8 +913,23 @@ class RrSketchPool {
         uint32_t m;
         at = GetVarint(at, &m);
       }
-      fn(VertexIds({at, 0, vertex_bits_}, header >> kHeaderFlagBits, 0));
+      const uint32_t n = header >> kHeaderFlagBits;
+      fn(VertexIds({at, 0, vertex_bits_}, n, 0),
+         PackedIds{at, n * vertex_bits_, IdBits(n)}[0]);
     });
+  }
+
+  /// True when no sketch's root is below the one before it's: the
+  /// pool's ids are in root order. The pool must hold its singletons'
+  /// roots, as ForEachVertices needs.
+  bool InRootOrder() const {
+    VertexId last = 0;
+    bool ordered = true;
+    ForEachVertices([&](const VertexIds& vertices, uint32_t root_local) {
+      ordered &= vertices[root_local] >= last;
+      last = vertices[root_local];
+    });
+    return ordered;
   }
 
   /// AppendSketch for any sorted vertex range with size() and
@@ -873,20 +943,21 @@ class RrSketchPool {
   /// block at or after i, or the end of the blocks.
   uint64_t BodyStart(size_t i) const;
 
-  /// The index file's directory words of this finished pool, whose
-  /// singletons' roots are `roots` (SingletonRoots' order).
-  FileDirectory SaveDirectory(std::span<const VertexId> roots) const;
+  /// The index file's directory words of this finished pool.
+  FileDirectory SaveDirectory() const;
 
   /// Checks a pool whose body_ was read from a file (src/index/
   /// index_io.h), with the file's directory `words`, one per sketch at
   /// `width` bytes, against `topology`, the network it samples, which
   /// sets its fields' widths and becomes the pool's; if they hold,
-  /// builds its directory and its containing index. Walking the words in
-  /// order, each group's base is where the next block must start, each
-  /// singleton's vertex and each block's sorted vertices must lie below
-  /// |V|, each block must start where the one before it ended (its word
-  /// is the flag | that start less its base), and the words may take 4
-  /// bytes only if some word needs them (DirectoryWidth). Each block's
+  /// builds its directory, its root ranges and its containing index.
+  /// Walking the words in order, each group's base is where the next
+  /// block must start, each singleton's vertex and each block's sorted
+  /// vertices must lie below |V|, the roots (a singleton's vertex, a
+  /// block's root vertex) must not decrease (root order), each block
+  /// must start where the one before it ended (its word is the flag |
+  /// that start less its base), and the words may take 4 bytes only if
+  /// some word needs them (DirectoryWidth). Each block's
   /// header (and edge count) must be a varint of no more bytes than its
   /// value needs, with 0 < n <= kMaxBlockVertices, not a singleton's
   /// shape, and the in-tree flag exactly when its offsets are an
@@ -905,12 +976,15 @@ class RrSketchPool {
   bool FinishLoaded(const Graph& topology, uint32_t width,
                     std::span<const uint8_t> words);
 
-  /// Rebuilds containing_starts_/containing_ from the packed sketches
-  /// and roots_: two serial passes in ascending sketch order sort each
-  /// vertex's ids into a scratch array (the first counts them, which
-  /// also sets containing_k_ and recounts max_sketch_vertices_), then a
-  /// BitWriter codes the lists in vertex order into an exact-size array.
-  /// The starts take 2-byte words while every group's do.
+  /// Rebuilds containing_starts_ and containing_ from the packed
+  /// sketches and roots_, after the caller, which counted each root's
+  /// sketches as it ordered or checked them, set root_starts_: two
+  /// serial passes in ascending sketch order sort each vertex's ids into
+  /// a scratch array, every sketch's root left out (the first counts
+  /// them, which also sets containing_k_, and recounts
+  /// max_sketch_vertices_), then a BitWriter codes the lists in vertex
+  /// order into an exact-size array. The starts take 2-byte words while
+  /// every group's do.
   void BuildContaining(size_t num_vertices);
 
   friend class IndexIo;  // saves and loads the directory's words and body_
@@ -919,6 +993,7 @@ class RrSketchPool {
   Words block_words_;          // and a word per block
   std::vector<VertexId> roots_;  // a run's singletons' roots, in order
   std::vector<uint8_t> body_;    // blocks, then kBitPadding zero bytes
+  GroupWords root_starts_;       // num_vertices + 1 sketch ids
   GroupWords containing_starts_;     // num_vertices + 1 bit offsets
   std::vector<uint8_t> containing_;  // Rice-coded lists, by vertex
   Graph topology_;             // what ranks decode against; may be empty
@@ -1035,9 +1110,10 @@ class RrSketchOverlay {
     return store_.View(slot, u);
   }
 
-  /// u's replacement containing list, or nothing while u's membership
-  /// is still the base's.
-  std::optional<ContainingList> Containing(VertexId u) const {
+  /// u's replacement containing list (the sketches containing u that u
+  /// does not root: a repair never changes a root), or nothing while
+  /// u's membership is still the base's.
+  std::optional<ContainingList> NonRootContaining(VertexId u) const {
     const auto it = containing_.find(u);
     if (it == containing_.end()) return std::nullopt;
     const CodedList& list = it->second;
@@ -1055,13 +1131,13 @@ class RrSketchOverlay {
   /// overlay's sketches take their widths from: FromRuns of `base`'s
   /// stretches of unrepaired sketches and of each repaired sketch's
   /// current copy in the store, so no block is re-encoded and superseded
-  /// copies are left out. Compaction, and the index writer for an index
-  /// with repairs, finish base + overlay this way; FromRuns decodes the
-  /// base's singleton roots once, and with `roots` hands over the
-  /// result's.
-  RrSketchPool Fold(const RrSketchPool& base,
-                    std::vector<VertexId>* roots = nullptr) const;
-  /// Replaces u's containing list with `ids` (ascending), coded.
+  /// copies are left out. A repair keeps its sketch's id and root, so
+  /// the segments are already in root order and every sketch keeps its
+  /// id. Compaction, and the index writer for an index with repairs,
+  /// finish base + overlay this way.
+  RrSketchPool Fold(const RrSketchPool& base) const;
+  /// Replaces u's containing list with `ids` (ascending, none rooted at
+  /// u), coded.
   void SetContaining(VertexId u, std::span<const uint32_t> ids);
 
  private:

@@ -687,7 +687,7 @@ std::future<ServedResult> PitexService::Submit(const PitexQuery& query) {
 }
 
 std::shared_ptr<const IndexSnapshot> PitexService::FreezeSnapshotLocked(
-    uint64_t epoch, bool compact, std::vector<VertexId>* singleton_roots) {
+    uint64_t epoch, bool compact) {
   // The kPack span inside IndexSnapshot::FromDynamic nests under this
   // one via the thread's current trace. Inert when no trace is armed
   // (Start()).
@@ -696,7 +696,7 @@ std::shared_ptr<const IndexSnapshot> PitexService::FreezeSnapshotLocked(
   publish_started_ns_.store(obs::NowNs(), std::memory_order_relaxed);
   publish_in_flight_.store(true, std::memory_order_release);
   std::shared_ptr<const IndexSnapshot> snapshot =
-      IndexSnapshot::FromDynamic(*master_, epoch, compact, singleton_roots);
+      IndexSnapshot::FromDynamic(*master_, epoch, compact);
   publish_in_flight_.store(false, std::memory_order_release);
   if (admission_ != nullptr) admission_->EndPublish();
   m_.compactions->Inc(master_->stats().compactions - compactions_seen_);
@@ -798,14 +798,9 @@ uint64_t PitexService::ApplyUpdates(
   const uint64_t epoch = registry_.current_epoch() + 1;
   // A checkpoint saves the snapshot it follows, so that snapshot is
   // frozen from a compacted master: the checkpoint file is its base pool
-  // verbatim, and the overlay restarts empty. The compaction's singleton
-  // roots save it without a decode of its containing lists, and go with
-  // this publish.
-  const bool checkpoint_due = CheckpointDueLocked();
-  std::vector<VertexId> singleton_roots;
+  // verbatim, and the overlay restarts empty.
   std::shared_ptr<const IndexSnapshot> snapshot =
-      FreezeSnapshotLocked(epoch, /*compact=*/checkpoint_due,
-                           checkpoint_due ? &singleton_roots : nullptr);
+      FreezeSnapshotLocked(epoch, /*compact=*/CheckpointDueLocked());
   {
     PITEX_SPAN(kSwap);
     registry_.Publish(snapshot);
@@ -816,7 +811,7 @@ uint64_t PitexService::ApplyUpdates(
   published_lsn_mirror_.store(last_durable_lsn_, std::memory_order_relaxed);
   journal_.Record(obs::EventKind::kEpochSwap, epoch, last_durable_lsn_);
   work_cv_.NotifyAll();  // idle pumps may rebind eagerly on next query
-  if (wal_ != nullptr) MaybeCheckpointLocked(*snapshot, singleton_roots);
+  if (wal_ != nullptr) MaybeCheckpointLocked(*snapshot);
   *outcome = ApplyUpdatesOutcome::kPublished;
   return epoch;
 }
@@ -826,8 +821,7 @@ bool PitexService::CheckpointDueLocked() const {
          publishes_since_checkpoint_ + 1 >= options_.checkpoint_every;
 }
 
-void PitexService::MaybeCheckpointLocked(
-    const IndexSnapshot& snapshot, std::span<const VertexId> singleton_roots) {
+void PitexService::MaybeCheckpointLocked(const IndexSnapshot& snapshot) {
   const bool due = CheckpointDueLocked();
   ++publishes_since_checkpoint_;
   if (!due) return;
@@ -855,7 +849,7 @@ void PitexService::MaybeCheckpointLocked(
     manifest.model_delta.push_back(std::move(update));
   }
   if (!WriteCheckpoint(options_.durability_dir, *snapshot.rr_index(),
-                       manifest, nullptr, singleton_roots)) {
+                       manifest)) {
     // Non-fatal: the previous checkpoint (or the full log) still
     // recovers everything. The counter stays >= the cadence, so the
     // next publish retries.

@@ -385,25 +385,20 @@ class PitexService {
                   std::shared_ptr<const IndexSnapshot> snapshot,
                   size_t worker);
   /// Freezes a snapshot of the master at `epoch` (compacting the
-  /// master's overlay first when `compact`, the compaction's singleton
-  /// roots going to `singleton_roots` when given). Never returns null.
+  /// master's overlay first when `compact`). Never returns null.
   /// Maintains the publish watchdog atomics, the admission
   /// publish-priority window and the overlay metrics.
-  std::shared_ptr<const IndexSnapshot> FreezeSnapshotLocked(
-      uint64_t epoch, bool compact,
-      std::vector<VertexId>* singleton_roots = nullptr)
+  std::shared_ptr<const IndexSnapshot> FreezeSnapshotLocked(uint64_t epoch,
+                                                            bool compact)
       PITEX_REQUIRES(update_mutex_);
   /// Whether the publish in progress completes the checkpoint cadence
   /// (its snapshot is then compacted and checkpointed).
   bool CheckpointDueLocked() const PITEX_REQUIRES(update_mutex_);
   /// After a successful publish: when the checkpoint cadence is due,
   /// persists `snapshot` + a manifest through src/serve/recovery.h and
-  /// truncates the WAL behind it. `singleton_roots` are those the
-  /// snapshot's compaction handed over (empty: the save decodes them).
-  /// Failure is non-fatal (counted in checkpoint_failures; the next
-  /// publish retries).
-  void MaybeCheckpointLocked(const IndexSnapshot& snapshot,
-                             std::span<const VertexId> singleton_roots)
+  /// truncates the WAL behind it. Failure is non-fatal (counted in
+  /// checkpoint_failures; the next publish retries).
+  void MaybeCheckpointLocked(const IndexSnapshot& snapshot)
       PITEX_REQUIRES(update_mutex_);
   /// Registers every per-service metric into metrics_ and installs the
   /// derived-gauge collector. Ctor only (handles are then immutable).

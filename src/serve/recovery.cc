@@ -103,12 +103,10 @@ bool ReadCheckpointManifest(const std::string& dir,
 }
 
 bool WriteCheckpoint(const std::string& dir, const RrIndex& snapshot_index,
-                     const CheckpointManifest& manifest, std::string* error,
-                     std::span<const VertexId> singleton_roots) {
+                     const CheckpointManifest& manifest, std::string* error) {
   IndexIoError io_error;
   const std::string snapshot_path = dir + "/" + manifest.snapshot_file;
-  if (!SaveRrIndex(snapshot_index, snapshot_path, &io_error,
-                   singleton_roots)) {
+  if (!SaveRrIndex(snapshot_index, snapshot_path, &io_error)) {
     return Fail(error, "cannot save checkpoint snapshot (" +
                            std::string(IndexIoCodeName(io_error.code)) +
                            "): " + io_error.message);

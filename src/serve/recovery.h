@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -81,12 +80,10 @@ bool ReadCheckpointManifest(const std::string& dir,
 /// Full checkpoint: saves `snapshot_index` crash-atomically as the
 /// manifest's snapshot file, publishes the manifest, then deletes
 /// superseded checkpoint files. On failure the previous checkpoint
-/// remains fully intact and authoritative. `singleton_roots` go to the
-/// save (SaveRrIndex).
+/// remains fully intact and authoritative.
 bool WriteCheckpoint(const std::string& dir, const RrIndex& snapshot_index,
                      const CheckpointManifest& manifest,
-                     std::string* error = nullptr,
-                     std::span<const VertexId> singleton_roots = {});
+                     std::string* error = nullptr);
 
 /// Everything a restarting service needs from disk.
 struct RecoveredState {

@@ -24,8 +24,7 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::Wrap(
 }
 
 std::shared_ptr<const IndexSnapshot> IndexSnapshot::FromDynamic(
-    DynamicRrIndex& master, uint64_t epoch, bool compact,
-    std::vector<VertexId>* singleton_roots) {
+    DynamicRrIndex& master, uint64_t epoch, bool compact) {
   // Delay hook: a delay-armed fail point stalls the freeze so tests can
   // watch the publish watchdog and staleness gauges mid-publish. An
   // error-armed one is ignored — the freeze cannot fail.
@@ -38,7 +37,7 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::FromDynamic(
   // The network must live in the snapshot (stable address) before the
   // RrIndex replica can reference it.
   auto network = std::make_shared<const SocialNetwork>(master.network());
-  snapshot->rr_index_ = master.Freeze(*network, compact, singleton_roots);
+  snapshot->rr_index_ = master.Freeze(*network, compact);
   snapshot->network_ = std::move(network);
   snapshot->epoch_ = epoch;
   return snapshot;

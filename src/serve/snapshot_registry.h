@@ -76,13 +76,11 @@ class IndexSnapshot {
   /// overlay (DynamicRrIndex::Freeze). With `compact` (the publish a
   /// checkpoint will save) the master first folds its overlay into a
   /// new base, as it also does once the overlay grows past
-  /// kOverlayCompactFraction of theta; `singleton_roots`, when given,
-  /// gets that base's singleton roots for the checkpoint's save.
-  /// Never returns null. The "serve/publish_freeze" fail point
-  /// (src/util/failpoint.h) can only delay the freeze.
+  /// kOverlayCompactFraction of theta. Never returns null. The
+  /// "serve/publish_freeze" fail point (src/util/failpoint.h) can only
+  /// delay the freeze.
   static std::shared_ptr<const IndexSnapshot> FromDynamic(
-      DynamicRrIndex& master, uint64_t epoch, bool compact = false,
-      std::vector<VertexId>* singleton_roots = nullptr);
+      DynamicRrIndex& master, uint64_t epoch, bool compact = false);
 
  private:
   IndexSnapshot() = default;

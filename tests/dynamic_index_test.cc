@@ -71,8 +71,7 @@ TEST(DynamicRrIndexTest, InitialStateMatchesStaticIndex) {
         << "graph " << i;
   }
   for (VertexId v = 0; v < n.num_vertices(); ++v) {
-    EXPECT_TRUE(std::ranges::equal(dynamic_index.Containing(v),
-                                   static_index.Containing(v)))
+    EXPECT_EQ(ContainingIds(dynamic_index, v), ContainingIds(static_index, v))
         << "vertex " << v;
   }
 }
@@ -84,7 +83,7 @@ TEST(DynamicRrIndexTest, AffectedSetIsContainingHead) {
 
   const EdgeId e = 4;  // u4 -> u6
   const VertexId head = n.graph.Head(e);
-  const size_t expected = index.Containing(head).count();
+  const size_t expected = ContainingIds(index, head).size();
 
   const EdgeTopicEntry entries[] = {{2, 0.3}};
   index.UpdateEdgeTopics(e, entries);
@@ -456,7 +455,7 @@ TEST(DynamicRrIndexTest, ContainmentStaysConsistentAfterRepairs) {
   // vertex set includes v.
   size_t listed = 0;
   for (VertexId v = 0; v < n.num_vertices(); ++v) {
-    for (const uint32_t id : index.Containing(v)) {
+    for (const uint32_t id : ContainingIds(index, v)) {
       EXPECT_TRUE(index.graph(id, v).LocalIndex(v).has_value());
       ++listed;
     }
@@ -470,30 +469,59 @@ TEST(DynamicRrIndexTest, ContainmentStaysConsistentAfterRepairs) {
 }
 
 // The Rice parameter of the hub network's pool below: 40,000 sketches
-// over 12,000 vertices, nearly all singletons, a mean gap of ~12,000.
+// over 12,000 vertices whose lists hold ~35,000 ids, a mean gap of
+// ~13,800.
 constexpr uint32_t kHubK = 13;
 
 // The unary run of a gap's Rice code at kHubK: the gap less 1, shifted
 // down by k.
 uint32_t RunOfGap(uint32_t gap) { return (gap - 1) >> kHubK; }
 
-// 12,000 users with one edge each from candidates 1..200 into user 0
-// (the hub), none of them live: every sketch is its root alone, so each
-// user's containing list is a few ids with gaps of thousands.
-constexpr VertexId kHub = 0;
+// 12,000 users. Candidates 1..200 each have a certain edge to two
+// anchors, 4,000 + c and 8,000 + c, and an edge into their own hub,
+// 6,000 + c, that no topic carries. Fillers 10,000..11,999 each have
+// certain edges to five targets, 5 (f - 10,000) to 5 (f - 10,000) + 4,
+// so a third of the sketches hold one and the lists' mean gap lies near
+// 2^13. A candidate's list is its anchors' root ranges (a repair keeps
+// roots, and sketch ids follow them): a gap of ~13,300 ids, whose code
+// has a unary run, around its hub's root range, ~6,700 ids from each
+// anchor's. A hub is the root of a few sketches, so some hubs are the
+// root of exactly one.
 constexpr VertexId kFirstCandidate = 1;
 constexpr VertexId kEndCandidate = 201;
+constexpr VertexId kFirstFiller = 10000;
+constexpr VertexId kNumUsers = 12000;
+
+VertexId HubOf(VertexId candidate) { return 6000 + candidate; }
 
 SocialNetwork MakeHubNetwork() {
   SocialNetwork network;
-  GraphBuilder graph(12000);
+  GraphBuilder graph(kNumUsers);
   for (VertexId c = kFirstCandidate; c < kEndCandidate; ++c) {
-    graph.AddEdge(c, kHub);
+    graph.AddEdge(c, 4000 + c);
+    graph.AddEdge(c, 8000 + c);
+    graph.AddEdge(c, HubOf(c));
+  }
+  for (VertexId f = kFirstFiller; f < kNumUsers; ++f) {
+    for (VertexId t = 0; t < 5; ++t) {
+      graph.AddEdge(f, 5 * (f - kFirstFiller) + t);
+    }
   }
   network.graph = graph.Build();
   network.topics = TopicModel(1, 1);
   network.topics.SetTagTopic(0, 0, 1.0);
-  network.influence = InfluenceGraphBuilder(network.graph.num_edges()).Build();
+  InfluenceGraphBuilder influence(network.graph.num_edges());
+  const EdgeTopicEntry one{0, 1.0};
+  for (VertexId v = 0; v < kNumUsers; ++v) {
+    for (const AdjEntry& out : network.graph.OutEdges(v)) {
+      // The candidates' edges into their hubs are the only ones no
+      // topic carries.
+      if (v >= kEndCandidate || out.vertex != HubOf(v)) {
+        influence.SetEdgeTopics(out.edge, std::span(&one, 1));
+      }
+    }
+  }
+  network.influence = influence.Build();
   network.tags.Intern("w");
   return network;
 }
@@ -519,13 +547,12 @@ bool SplitsLongCode(std::span<const uint32_t> list,
 void ExpectSameContaining(const DynamicRrIndex& got,
                           const ReferenceDynamicRrIndex& want) {
   for (VertexId v = 0; v < got.network().num_vertices(); ++v) {
-    ASSERT_TRUE(std::ranges::equal(got.Containing(v), want.Containing(v)))
-        << "vertex " << v;
+    ASSERT_EQ(ContainingIds(got, v), want.Containing(v)) << "vertex " << v;
   }
 }
 
 TEST(DynamicRrIndexTest, RepairSpliceChangesCodedGapLengths) {
-  // Raising a candidate's edge into the hub to certain puts the
+  // Raising a candidate's edge into its hub to certain puts the
   // candidate into every sketch holding the hub: its containing list
   // gains the hub's ids, and one of them splits a gap whose Rice code
   // has a unary run into two gaps whose codes have none. Deleting the
@@ -543,21 +570,23 @@ TEST(DynamicRrIndexTest, RepairSpliceChangesCodedGapLengths) {
   // Sanity of the fixture: the pool codes its lists at kHubK.
   ASSERT_EQ(index.Freeze(n, /*compact=*/false)->pool().containing_k(), kHubK);
 
-  const std::vector<uint32_t>& hub = reference.Containing(kHub);
   VertexId candidate = kEndCandidate;
   for (VertexId c = kFirstCandidate; c < kEndCandidate; ++c) {
-    if (SplitsLongCode(reference.Containing(c), hub)) {
+    const ContainingList list = index.NonRootContaining(c);
+    if (SplitsLongCode(std::vector<uint32_t>(list.begin(), list.end()),
+                       reference.Containing(HubOf(c)))) {
       candidate = c;
       break;
     }
   }
   ASSERT_NE(candidate, kEndCandidate) << "fixture: no gap to split";
+  const std::vector<uint32_t>& hub = reference.Containing(HubOf(candidate));
   const std::vector<uint32_t> before = reference.Containing(candidate);
   std::vector<uint32_t> merged;
   std::ranges::set_union(before, hub, std::back_inserter(merged));
 
   EdgeId edge = 0;
-  for (const AdjEntry& in : n.graph.InEdges(kHub)) {
+  for (const AdjEntry& in : n.graph.InEdges(HubOf(candidate))) {
     if (in.vertex == candidate) edge = in.edge;
   }
   EdgeInfluenceUpdate update;

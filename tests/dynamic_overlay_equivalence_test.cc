@@ -102,8 +102,7 @@ void ExpectSameSketches(const DynamicRrIndex& got,
     ASSERT_TRUE(ViewsEqual(views(i), want.graphs()[i])) << "sketch " << i;
   }
   for (VertexId v = 0; v < got.network().num_vertices(); ++v) {
-    ASSERT_TRUE(std::ranges::equal(got.Containing(v), want.Containing(v)))
-        << "vertex " << v;
+    ASSERT_EQ(ContainingIds(got, v), want.Containing(v)) << "vertex " << v;
   }
 }
 
@@ -253,8 +252,7 @@ TEST(DynamicOverlayEquivalenceTest, MatchesOwningReferenceThroughCompactions) {
         ASSERT_TRUE(ViewsEqual(views(i), want->graphs()[i]));
       }
       for (VertexId v = 0; v < n.num_vertices(); ++v) {
-        ASSERT_TRUE(std::ranges::equal(frozen->Containing(v),
-                                       want->Containing(v)));
+        ASSERT_EQ(ContainingIds(*frozen, v), want->Containing(v));
       }
       frozen_bytes = Saved(*frozen);
       EXPECT_EQ(frozen_bytes, SavedReference(*want));

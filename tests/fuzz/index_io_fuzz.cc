@@ -7,8 +7,9 @@
 //
 // Contract under test: whatever bytes arrive, LoadRrIndex either
 // returns a structurally consistent index or fails cleanly, an index
-// that loads holds exactly the containing lists its sketches imply (so
-// the delta-coded lists decode right), it saves back to the very bytes
+// that loads holds exactly the root ranges and containing lists its
+// sketches imply (so the delta-coded lists decode right), it saves back
+// to the very bytes
 // it was loaded from (the writer and the reader are inverses), and
 // those bytes are canonical: the payload (the pool image) is exactly
 // what the reference re-encoder PackViews (tests/owned_sketch.h) writes
@@ -118,9 +119,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       // The estimator divides by theta: it counts the sketches held.
       Require(loaded->theta() == loaded->num_graphs(),
               "theta equals the number of sketches");
-      // Survivors must be internally consistent: each vertex's decoded
-      // containing list is exactly the ascending ids of the sketches
-      // whose vertices include it.
+      // Survivors must be internally consistent: each vertex's root
+      // range and decoded containing list are together exactly the
+      // ascending ids of the sketches whose vertices include it.
       std::vector<std::vector<uint32_t>> want(Network().num_vertices());
       const IndexViews views(*loaded, Network().num_vertices());
       for (uint32_t id = 0; id < loaded->num_graphs(); ++id) {
@@ -130,7 +131,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         }
       }
       for (VertexId v = 0; v < Network().num_vertices(); ++v) {
-        Require(std::ranges::equal(loaded->Containing(v), want[v]),
+        Require(ContainingIds(*loaded, v) == want[v],
                 "containing list decodes to the sketches holding the vertex");
         Require(loaded->CountContaining(v) == want[v].size(),
                 "containing count matches the decoded list");

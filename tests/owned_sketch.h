@@ -134,7 +134,7 @@ inline RRGraph Owned(const RRView& view) {
 
 /// Every sketch of `pool`, a run or a finished pool, viewed as
 /// View(i, u) views it: a singleton's u is its root, from one
-/// SingletonRoots() (a finished pool's decoded from its lists); a
+/// SingletonRoots() (a finished pool's read from its root ranges); a
 /// block's view reads its vertices from its block, and its u is 0.
 class PoolViews {
  public:
@@ -154,16 +154,15 @@ class PoolViews {
 };
 
 /// Every sketch of `index`, an RrIndex or a DynamicRrIndex over
-/// `num_vertices` vertices, viewed as graph(i, u) views it: u is the last
-/// vertex whose containing list names sketch i, from one decode of every
-/// list (a singleton's is its root).
+/// `num_vertices` vertices, viewed as graph(i, u) views it: u is the
+/// vertex whose root range holds sketch i, its root.
 template <typename Index>
 class IndexViews {
  public:
   IndexViews(const Index& index, size_t num_vertices)
       : index_(&index), member_(index.num_graphs(), 0) {
     for (VertexId v = 0; v < num_vertices; ++v) {
-      for (const uint32_t id : index.Containing(v)) member_[id] = v;
+      for (const uint32_t id : index.RootRange(v)) member_[id] = v;
     }
   }
   RRView operator()(size_t i) const { return index_->graph(i, member_[i]); }
@@ -172,6 +171,30 @@ class IndexViews {
   const Index* index_;
   std::vector<VertexId> member_;
 };
+
+/// Ids of every sketch of `index` (a finished RrSketchPool, an RrIndex or
+/// a DynamicRrIndex) that contains v, ascending: v's root range merged
+/// with its containing list, which holds the rest.
+template <typename Index>
+std::vector<uint32_t> ContainingIds(const Index& index, VertexId v) {
+  const auto rooted = index.RootRange(v);
+  std::vector<uint32_t> ids(rooted.begin(), rooted.end());
+  const size_t roots = ids.size();
+  for (const uint32_t id : index.NonRootContaining(v)) ids.push_back(id);
+  std::inplace_merge(ids.begin(),
+                     ids.begin() + static_cast<std::ptrdiff_t>(roots),
+                     ids.end());
+  return ids;
+}
+
+/// `graphs` in root order, as a finished pool numbers its sketches: by
+/// root, and among sketches with the same root in their given order. A
+/// hand-made sketch set a test compares with a pool by index is given
+/// this way.
+inline std::vector<RRGraph> InRootOrder(std::vector<RRGraph> graphs) {
+  std::ranges::stable_sort(graphs, {}, &RRGraph::root);
+  return graphs;
+}
 
 /// `hash` folded, as 64-bit FNV-1a, over the `bytes` bytes at `data`.
 inline uint64_t Fnv1aBytes(uint64_t hash, const void* data, size_t bytes) {

@@ -341,6 +341,45 @@ inline std::optional<Block> BlockOf(Image* image, size_t i) {
   return Block{image, i, start, at - start, n, m, w, tree};
 }
 
+// Sketch i's root vertex: a singleton's word, or its block's root.
+inline uint32_t RootOf(Image* image, size_t i) {
+  const std::optional<Block> block = BlockOf(image, i);
+  return block ? block->vertex(block->root()) : image->slots[i];
+}
+
+// Swaps sketches i and i + 1 of `image`, which lie in one group: their
+// directory words and, for blocks, their bytes in the body, so each
+// sketch keeps its block whole and the blocks still run back to back.
+inline void SwapAdjacent(Image* image, size_t i) {
+  const std::optional<Block> a = BlockOf(image, i);
+  const std::optional<Block> b = BlockOf(image, i + 1);
+  if (a || b) {
+    const uint32_t start = a ? a->start : b->start;
+    const size_t a_bytes = a ? a->bytes() : 0;
+    const size_t b_bytes = b ? b->bytes() : 0;
+    const auto at = image->body.begin() + start;
+    std::rotate(at, at + static_cast<std::ptrdiff_t>(a_bytes),
+                at + static_cast<std::ptrdiff_t>(a_bytes + b_bytes));
+    if (b) image->slots[i + 1] = kExplicit | start;
+    if (a) image->slots[i] = kExplicit | static_cast<uint32_t>(start + b_bytes);
+  }
+  std::swap(image->slots[i], image->slots[i + 1]);
+}
+
+// The first i whose sketches i and i + 1 lie in one group, have
+// different roots and are blocks or not as `blocks` says, if any.
+inline std::optional<size_t> FindRootStep(Image* image, bool blocks) {
+  for (size_t i = 0; i + 1 < image->slots.size(); ++i) {
+    if (i % kGroup == kGroup - 1) continue;
+    if (BlockOf(image, i).has_value() != blocks ||
+        BlockOf(image, i + 1).has_value() != blocks) {
+      continue;
+    }
+    if (RootOf(image, i) != RootOf(image, i + 1)) return i;
+  }
+  return std::nullopt;
+}
+
 inline Image::Image(const std::string& bytes, const SocialNetwork& network)
     : vertex_bits(FieldBits(network.num_vertices())),
       rank_bits(FieldBits(network.graph.MaxOutDegree())) {
@@ -418,6 +457,20 @@ struct ValidatorRow {
 
 inline std::vector<ValidatorRow> ValidatorRows() {
   return {
+      {"two blocks out of root order",
+       [](const SocialNetwork&, Image* image) {
+         const std::optional<size_t> i = FindRootStep(image, true);
+         if (!i) return false;
+         SwapAdjacent(image, *i);
+         return true;
+       }},
+      {"two singletons out of root order",
+       [](const SocialNetwork&, Image* image) {
+         const std::optional<size_t> i = FindRootStep(image, false);
+         if (!i) return false;
+         SwapAdjacent(image, *i);
+         return true;
+       }},
       {"block start moved",
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 0);
@@ -735,10 +788,10 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          block->Reencode(false, false, 1);
          return true;
        }},
-      {"v10 file",
+      {"v11 file",
        [](const SocialNetwork&, Image* image) {
-         // The format before thresholds took their block's width.
-         image->header[kVersionOffset] = 10;
+         // The format before sketches were numbered in root order.
+         image->header[kVersionOffset] = 11;
          return true;
        },
        IndexIoCode::kBadVersion},
@@ -798,8 +851,9 @@ inline std::string SavedPool(const SocialNetwork& network,
 // The first way finished pool `got` differs from `want`, both pools of
 // `network`'s sketches, or "" when there is none: the directory's word
 // width, words and bases, the body's bytes (each as the pool's image
-// holds it), the containing starts' word width, the Rice parameter,
-// each vertex's containing list and SizeBytes().
+// holds it), the root and containing starts' word widths, the Rice
+// parameter, each vertex's root range and containing list and
+// SizeBytes().
 inline std::string PoolDifference(const SocialNetwork& network,
                                   const RrSketchPool& got,
                                   const RrSketchPool& want) {
@@ -811,13 +865,19 @@ inline std::string PoolDifference(const SocialNetwork& network,
   if (got.containing_start_width() != want.containing_start_width()) {
     return "containing start width";
   }
+  if (got.root_start_width() != want.root_start_width()) {
+    return "root start width";
+  }
   if (got.containing_k() != want.containing_k()) return "containing k";
   if (got.num_universe_vertices() != want.num_universe_vertices()) {
     return "containing universe";
   }
   for (VertexId v = 0; v < want.num_universe_vertices(); ++v) {
-    const ContainingList x = got.Containing(v);
-    const ContainingList y = want.Containing(v);
+    if (!std::ranges::equal(got.RootRange(v), want.RootRange(v))) {
+      return "root range of vertex " + std::to_string(v);
+    }
+    const ContainingList x = got.NonRootContaining(v);
+    const ContainingList y = want.NonRootContaining(v);
     if (x.bits() != y.bits() || !std::ranges::equal(x, y)) {
       return "containing list of vertex " + std::to_string(v);
     }

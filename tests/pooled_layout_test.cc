@@ -15,7 +15,6 @@
 #include <cstdlib>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <memory>
 #include <new>
 #include <numeric>
@@ -78,7 +77,8 @@ Rng StreamFor(uint64_t seed, uint64_t i) {
   return Rng(SplitMix64(&mix));
 }
 
-// The reference rebuild: standalone owning RRGraphs, no pool.
+// The reference rebuild: standalone owning RRGraphs, no pool, in the
+// pool's root order.
 std::vector<RRGraph> ReferenceGraphs(const SocialNetwork& n) {
   std::vector<RRGraph> graphs(kTheta);
   for (uint64_t i = 0; i < kTheta; ++i) {
@@ -87,7 +87,7 @@ std::vector<RRGraph> ReferenceGraphs(const SocialNetwork& n) {
         static_cast<VertexId>(rng.NextBounded(n.num_vertices()));
     graphs[i] = GenerateRRGraph(n.graph, n.influence, root, &rng);
   }
-  return graphs;
+  return InRootOrder(std::move(graphs));
 }
 
 bool SameSketch(const RRView& a, const RRView& b) {
@@ -123,15 +123,30 @@ size_t VarintBytes(uint32_t x) {
 }
 
 // Each vertex's containing list rebuilt by brute force from the pool's
-// views: the ascending ids of the sketches whose vertices include it.
+// views: the ascending ids of the sketches whose vertices include it
+// and whose root it is not.
 std::vector<std::vector<uint32_t>> ContainingFromViews(
     const RrSketchPool& pool) {
   std::vector<std::vector<uint32_t>> lists(pool.num_universe_vertices());
   const PoolViews views(pool);
   for (uint32_t i = 0; i < pool.num_sketches(); ++i) {
-    for (const VertexId v : views(i).vertices) lists[v].push_back(i);
+    const RRView view = views(i);
+    for (const VertexId v : view.vertices) {
+      if (v != view.root()) lists[v].push_back(i);
+    }
   }
   return lists;
+}
+
+// Each vertex's root range rebuilt by brute force from the pool's views:
+// the ascending ids of the sketches rooted at it.
+std::vector<std::vector<uint32_t>> RootsFromViews(const RrSketchPool& pool) {
+  std::vector<std::vector<uint32_t>> rooted(pool.num_universe_vertices());
+  const PoolViews views(pool);
+  for (uint32_t i = 0; i < pool.num_sketches(); ++i) {
+    rooted[views(i).root()].push_back(i);
+  }
+  return rooted;
 }
 
 // The Rice parameter of a pool of `theta` sketches over `vertices`
@@ -209,10 +224,12 @@ size_t DirectoryBytes(size_t sketches, size_t blocks, size_t width) {
 // for, which it expects the pool to report. The directory holds a
 // 16-byte record per 64 sketches and a word per block, its start less
 // its group's base (where the next block starts at the group's first
-// sketch); a singleton takes no word. The containing starts hold a
-// 32-bit base per 64 entries and one word per entry, its list's start,
-// in bits, less its group's first start. Either array's words take 2
-// bytes while every word fits them, else 4. The containing lists are
+// sketch); a singleton takes no word. The root starts hold a 32-bit
+// base per 64 entries and one word per entry, the sketches rooted below
+// it less its group's first such count; the containing starts the same,
+// each word its list's start, in bits, less its group's first start.
+// Each array's words take 2 bytes while every word fits them, else 4.
+// The containing lists are
 // Rice codes at the pool's parameter (ExpectedListsOf). A sketch's body
 // block, unless it is an implicit singleton (one vertex, no edges), is a
 // varint header of n << 4 | w << 1 | in-tree, a varint of m unless the
@@ -263,22 +280,34 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     max_word = std::max(max_word, starts[v] - starts[v / 64 * 64]);
   }
   const size_t start_width = max_word <= 65535 ? 2 : 4;
+  std::vector<uint64_t> root_starts = {0};
+  for (const std::vector<uint32_t>& rooted : RootsFromViews(pool)) {
+    root_starts.push_back(root_starts.back() + rooted.size());
+  }
+  uint64_t max_root_word = 0;
+  for (size_t v = 0; v < root_starts.size(); ++v) {
+    max_root_word =
+        std::max(max_root_word, root_starts[v] - root_starts[v / 64 * 64]);
+  }
+  const size_t root_width = max_root_word <= 65535 ? 2 : 4;
   EXPECT_EQ(pool.directory_width(), directory_width);
   if (pool.num_universe_vertices() > 0) {
     EXPECT_EQ(pool.containing_start_width(), start_width);
+    EXPECT_EQ(pool.root_start_width(), root_width);
     EXPECT_EQ(pool.containing_k(), lists.k);
   }
   EXPECT_EQ(pool.DirectoryBytes(), DirectoryBytes(s, blocks, directory_width));
   return sizeof(RrSketchPool) + DirectoryBytes(s, blocks, directory_width) +
          (pool.num_universe_vertices() > 0
-              ? TwoLevelBytes(starts.size(), start_width)
+              ? TwoLevelBytes(root_starts.size(), root_width) +
+                    TwoLevelBytes(starts.size(), start_width)
               : 0) +
          body + lists.bytes;
 }
 
 // The vertex total counted two ways, over the sketch views and over the
-// containing lists (a sketch's vertices each list it once); expects them
-// equal and returns it.
+// root ranges and containing lists (a sketch's root ranges it, and its
+// other vertices each list it once); expects them equal and returns it.
 uint64_t ExpectVertexTotalsAgree(const RrSketchPool& pool) {
   uint64_t from_views = 0;
   const PoolViews views(pool);
@@ -287,20 +316,30 @@ uint64_t ExpectVertexTotalsAgree(const RrSketchPool& pool) {
   }
   uint64_t from_lists = 0;
   for (VertexId v = 0; v < pool.num_universe_vertices(); ++v) {
-    from_lists += pool.Containing(v).count();
+    from_lists += pool.RootRange(v).size() + pool.NonRootContaining(v).count();
   }
   EXPECT_EQ(from_lists, from_views);
   return from_views;
 }
 
-// The pool's containing index against a brute-force rebuild from its
-// views: every decoded list, every count, and the vertex total.
+// The pool's root ranges and containing index against a brute-force
+// rebuild from its views: the roots do not decrease in id, each root
+// range is exactly the sketches rooted at its vertex, and every decoded
+// list, every count, and the vertex total match.
 void ExpectContainingMatchesViews(const RrSketchPool& pool) {
+  const PoolViews views(pool);
+  for (size_t i = 1; i < pool.num_sketches(); ++i) {
+    EXPECT_LE(views(i - 1).root(), views(i).root()) << "sketch " << i;
+  }
+  const std::vector<std::vector<uint32_t>> rooted = RootsFromViews(pool);
   const std::vector<std::vector<uint32_t>> want = ContainingFromViews(pool);
   for (VertexId v = 0; v < want.size(); ++v) {
-    EXPECT_TRUE(std::ranges::equal(pool.Containing(v), want[v]))
+    EXPECT_TRUE(std::ranges::equal(pool.RootRange(v), rooted[v]))
         << "vertex " << v;
-    EXPECT_EQ(pool.CountContaining(v), want[v].size()) << "vertex " << v;
+    EXPECT_TRUE(std::ranges::equal(pool.NonRootContaining(v), want[v]))
+        << "vertex " << v;
+    EXPECT_EQ(pool.CountContaining(v), rooted[v].size() + want[v].size())
+        << "vertex " << v;
   }
   ExpectVertexTotalsAgree(pool);
 }
@@ -312,11 +351,12 @@ void ExpectOverlayCodesAsPool(const RrSketchPool& pool) {
   RrSketchOverlay overlay(pool);
   for (VertexId v = 0; v < want.size(); ++v) {
     overlay.SetContaining(v, want[v]);
-    const std::optional<ContainingList> list = overlay.Containing(v);
+    const std::optional<ContainingList> list = overlay.NonRootContaining(v);
     ASSERT_TRUE(list.has_value()) << "vertex " << v;
     EXPECT_TRUE(std::ranges::equal(*list, want[v])) << "vertex " << v;
     EXPECT_EQ(list->count(), want[v].size()) << "vertex " << v;
-    EXPECT_EQ(list->bits(), pool.Containing(v).bits()) << "vertex " << v;
+    EXPECT_EQ(list->bits(), pool.NonRootContaining(v).bits())
+        << "vertex " << v;
   }
 }
 
@@ -355,8 +395,7 @@ TEST(PooledLayoutTest, ContainingMatchesReferenceRebuild) {
     for (uint32_t i = 0; i < reference.size(); ++i) {
       if (reference[i].LocalIndex(v).has_value()) expected.push_back(i);
     }
-    EXPECT_TRUE(std::ranges::equal(index.Containing(v), expected))
-        << "vertex " << v;
+    EXPECT_EQ(ContainingIds(index, v), expected) << "vertex " << v;
     EXPECT_EQ(index.CountContaining(v), expected.size());
   }
   ExpectVertexTotalsAgree(index.pool());
@@ -458,33 +497,36 @@ RrSketchPool PackGraphs(const std::vector<RRGraph>& graphs) {
 RRGraph Singleton(VertexId v) { return RRGraph{v, {v}, {0, 0}, {}, {}}; }
 
 TEST(PooledLayoutTest, SingletonIsImplicit) {
-  const std::vector<RRGraph> graphs = {
-      Singleton(5),
-      RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}},
-      Singleton(7)};
+  // In root order: the block rooted at 2, then the singletons of 5
+  // and 7.
+  const std::vector<RRGraph> graphs = InRootOrder(
+      {Singleton(5), RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}},
+       Singleton(7)});
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   // Only the two-vertex sketch, an in-tree, has a body block: a one-byte
   // header, then 39 bits in 5 bytes (its two 4-bit vertices, its root id
   // and 1 head at a bit each, and its 29-bit edge record: a 4-bit rank
   // and 0.25f at 23 + 2 bits, as 1.0f's bits less 0.25f's are 2^24),
-  // then 7 bytes of padding: 13 in all. The lists of
-  // vertices 2, 5 and 7 take 3, 3 and 6 bits at k = 2 (3 sketches over
-  // 10 vertices holding 4 ids, a mean gap of 7): 2 bytes, then 7 of
-  // padding. The directory takes one 16-byte record and a 2-byte word
-  // for the block; the 11 containing starts one 4-byte base and 2-byte
-  // words.
-  EXPECT_EQ(pool.containing_k(), 2u);
+  // then 7 bytes of padding: 13 in all. The one list, vertex 7's,
+  // takes 5 bits at k = 4 (3 sketches over 10 vertices holding 1 id
+  // past the roots, a mean gap of 30): 1 byte, then 7 of padding. The
+  // directory takes one 16-byte record and a 2-byte word for the block;
+  // the 11 root starts and the 11 containing starts each one 4-byte
+  // base and 2-byte words.
+  EXPECT_EQ(pool.containing_k(), 4u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
-                                  (4 + 2 * 11) + 13 + (2 + 7));
+                                  2 * (4 + 2 * 11) + 13 + (1 + 7));
   const PoolViews views(pool);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(views(i), graphs[i])) << "sketch " << i;
   }
   EXPECT_EQ(pool.SingletonRoots(), (std::vector<VertexId>{5, 7}));
-  EXPECT_TRUE(std::ranges::equal(pool.Containing(5), std::vector<uint32_t>{0}));
+  EXPECT_TRUE(std::ranges::equal(pool.RootRange(5), std::vector<uint32_t>{1}));
+  EXPECT_TRUE(std::ranges::empty(pool.NonRootContaining(5)));
+  EXPECT_TRUE(std::ranges::equal(pool.RootRange(7), std::vector<uint32_t>{2}));
   EXPECT_TRUE(
-      std::ranges::equal(pool.Containing(7), std::vector<uint32_t>{1, 2}));
+      std::ranges::equal(pool.NonRootContaining(7), std::vector<uint32_t>{0}));
   EXPECT_EQ(ExpectVertexTotalsAgree(pool), 4u);
   EXPECT_EQ(pool.max_sketch_vertices(), 2u);
 }
@@ -495,20 +537,21 @@ TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   // count, then 34 bits: the 4-bit vertex, a 0-bit root id, 2 offsets of
   // a bit, a 0-bit head and the 28-bit record, 0.5f at 23 + 1 bits), then
   // 7 of padding.
-  // Vertex 4's list takes two 4-bit codes at k = 3: a byte, then 7 of
-  // padding.
+  // Vertex 4 roots both sketches, so its root range holds them and no
+  // list holds an id: k = 0 and no list bytes.
   const std::vector<RRGraph> graphs = {
       RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}}, Singleton(4)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  EXPECT_EQ(pool.containing_k(), 3u);
+  EXPECT_EQ(pool.containing_k(), 0u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
-                                  (4 + 2 * 11) + 14 + (1 + 7));
+                                  2 * (4 + 2 * 11) + 14);
   const PoolViews views(pool);
   EXPECT_TRUE(SameSketch(views(0), graphs[0]));
   EXPECT_TRUE(SameSketch(views(1), graphs[1]));
   EXPECT_TRUE(
-      std::ranges::equal(pool.Containing(4), std::vector<uint32_t>{0, 1}));
+      std::ranges::equal(pool.RootRange(4), std::vector<uint32_t>{0, 1}));
+  EXPECT_TRUE(std::ranges::empty(pool.NonRootContaining(4)));
 }
 
 TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
@@ -517,24 +560,22 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
     graphs.push_back(Singleton(v));
     graphs.push_back(Singleton(9 - v));
   }
+  graphs = InRootOrder(std::move(graphs));
   const RrSketchPool pool = PackGraphs(graphs);
-  // At k = 3 (a mean gap of 10) each vertex's two ids take 4 bits each
-  // plus their quotients, 90 bits in all: 12 bytes, then 7 of padding.
-  // The directory is one 16-byte record and no word.
-  EXPECT_EQ(pool.containing_k(), 3u);
-  EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + 16 + (4 + 2 * 11) + (12 + 7));
+  // Each sketch is its root alone, so the root ranges hold every id
+  // and the lists none: k = 0 and no list bytes. The directory is one
+  // 16-byte record and no word.
+  EXPECT_EQ(pool.containing_k(), 0u);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 16 + 2 * (4 + 2 * 11));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   const PoolViews views(pool);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(views(i), graphs[i])) << "sketch " << i;
   }
   for (VertexId v = 0; v < 10; ++v) {
-    const uint32_t a = 2 * v;
-    const uint32_t b = 2 * (9 - v) + 1;
-    EXPECT_TRUE(std::ranges::equal(
-        pool.Containing(v), std::vector<uint32_t>{std::min(a, b),
-                                                  std::max(a, b)}));
+    EXPECT_TRUE(std::ranges::equal(pool.RootRange(v),
+                                   std::vector<uint32_t>{2 * v, 2 * v + 1}));
+    EXPECT_TRUE(std::ranges::empty(pool.NonRootContaining(v)));
   }
   EXPECT_EQ(ExpectVertexTotalsAgree(pool), 20u);
   for (size_t i = 0; i < pool.num_sketches(); ++i) {
@@ -565,8 +606,7 @@ void ExpectSamePools(const RrSketchPool& got, const RrSketchPool& want) {
     EXPECT_TRUE(SameSketch(got_views(i), want_views(i))) << "sketch " << i;
   }
   for (VertexId v = 0; v < want.num_universe_vertices(); ++v) {
-    EXPECT_TRUE(std::ranges::equal(got.Containing(v), want.Containing(v)))
-        << "vertex " << v;
+    EXPECT_EQ(ContainingIds(got, v), ContainingIds(want, v)) << "vertex " << v;
   }
   EXPECT_EQ(got.SizeBytes(), want.SizeBytes());
   EXPECT_EQ(got.max_sketch_vertices(), want.max_sketch_vertices());
@@ -584,8 +624,9 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     const RrSketchPool pool = PackGraphs(graphs);
     EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
     const PoolViews views(pool);
+    const std::vector<RRGraph> ordered = InRootOrder(graphs);
     for (size_t i = 0; i < graphs.size(); ++i) {
-      EXPECT_TRUE(SameSketch(views(i), graphs[i])) << "sketch " << i;
+      EXPECT_TRUE(SameSketch(views(i), ordered[i])) << "sketch " << i;
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
@@ -593,14 +634,17 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
   // 23 + 2) bytes for the two in-trees, and 2 + 5 (34 bits) and 2 + 5
   // (40 bits: 0.75f at 23) for the self-loop and the sketch whose root
   // has an out-edge (header and edge count, fields), then 7 of padding,
-  // and 12 containing entries of 3 or 4 bits each at k = 2, 41 bits in
-  // all: 6 bytes, then 7 of padding.
-  EXPECT_EQ(pool.containing_k(), 2u);
+  // and 4 containing entries past the roots, of 5 bits each at k = 4
+  // (8 sketches over 10 vertices), 20 bits in all: 3 bytes, then 7 of
+  // padding. In root order the sketch rooted at 0, which holds 9, is
+  // first and the singleton of 9 last.
+  EXPECT_EQ(pool.containing_k(), 4u);
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + (16 + 2 * 4) + (4 + 2 * 11) + (31 + 7) +
-                (6 + 7));
+            sizeof(RrSketchPool) + (16 + 2 * 4) + 2 * (4 + 2 * 11) +
+                (31 + 7) + (3 + 7));
+  EXPECT_TRUE(std::ranges::equal(pool.RootRange(9), std::vector<uint32_t>{7}));
   EXPECT_TRUE(
-      std::ranges::equal(pool.Containing(9), std::vector<uint32_t>{6, 7}));
+      std::ranges::equal(pool.NonRootContaining(9), std::vector<uint32_t>{0}));
   EXPECT_EQ(pool.max_sketch_vertices(), 3u);
 }
 
@@ -725,11 +769,8 @@ TEST(PooledLayoutTest, FoldIsTheReEncodingOfEveryCurrentSketch) {
     const RrSketchPool want =
         PackViews(theta, RrSketchPool(network.graph),
                   [&](size_t i) { return views(current[i]); });
-    // The fold hands over its singletons' roots, which it does not keep.
-    std::vector<VertexId> roots;
-    const RrSketchPool folded = overlay.Fold(base, &roots);
+    const RrSketchPool folded = overlay.Fold(base);
     EXPECT_EQ(pool_image::PoolDifference(network, folded, want), "");
-    EXPECT_EQ(roots, want.SingletonRoots());
     EXPECT_EQ(folded.SizeBytes(), want.SizeBytes());
   }
 }
@@ -941,15 +982,17 @@ void ExpectIndexFileRoundTrip(const SocialNetwork& network,
                               const RrSketchPool& pool,
                               const std::vector<RRGraph>& graphs);
 
-// Writes `graphs`, hand-made sketches over `universe` vertices, through
-// every writer (ExpectWritersKeep) twice: as made, into pools of
-// `universe` vertices and up to `max_out_degree` out-edges a vertex (the
-// universe unless given), which hold no topology; then re-ranked against
-// their own network (NetworkOf, its vertex 0 given at least
-// `max_out_degree` out-edges when that is given), so their walks are
-// checked too, and saved and loaded back as an index of it.
-void ExpectEveryWriterKeeps(const std::vector<RRGraph>& graphs,
+// Writes `made`, hand-made sketches over `universe` vertices, in root
+// order (so a finished pool's sketch i is graph i), through every writer
+// (ExpectWritersKeep) twice: as made, into pools of `universe` vertices
+// and up to `max_out_degree` out-edges a vertex (the universe unless
+// given), which hold no topology; then re-ranked against their own
+// network (NetworkOf, its vertex 0 given at least `max_out_degree`
+// out-edges when that is given), so their walks are checked too, and
+// saved and loaded back as an index of it.
+void ExpectEveryWriterKeeps(const std::vector<RRGraph>& made,
                             size_t universe, size_t max_out_degree = 0) {
+  const std::vector<RRGraph> graphs = InRootOrder(made);
   const bool padded = max_out_degree != 0;
   if (!padded) max_out_degree = universe;
   ExpectWritersKeep(graphs, RrSketchPool(universe, max_out_degree));
@@ -971,9 +1014,10 @@ TEST(PooledLayoutTest, WidthBoundariesSurviveEveryWriter) {
   ExpectEveryWriterKeeps(graphs, kWideUniverse);
 }
 
-// A sketch over `vertices` (sorted) rooted at the first, with no edges.
-RRGraph EdgelessSketch(std::vector<VertexId> vertices) {
-  const VertexId root = vertices[0];
+// A sketch over `vertices` (sorted) rooted at vertices[root_at], with no
+// edges.
+RRGraph EdgelessSketch(std::vector<VertexId> vertices, size_t root_at = 0) {
+  const VertexId root = vertices[root_at];
   std::vector<uint32_t> offsets(vertices.size() + 1, 0);
   return RRGraph{root, std::move(vertices), std::move(offsets), {}, {}};
 }
@@ -1085,9 +1129,10 @@ TEST(PooledLayoutTest, HeaderTakesTwoBytesFromEightVertices) {
   // count, 80, 91, 11,263 and 11,274 bits), the in-trees, whose 0.1f
   // thresholds take 23 + 2 bits, 1 + 40 and 2 + 46 (314 and 364 bits),
   // and the 1,025-edge block 3 + 2 + 8,713 (69,699 bits), then 7 bytes
-  // of padding.
+  // of padding. The root starts and the containing starts each take
+  // 18 bases and 1,101 2-byte words.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + (16 + 2 * 7) + (4 * 18 + 2 * 1101) +
+            sizeof(RrSketchPool) + (16 + 2 * 7) + 2 * (4 * 18 + 2 * 1101) +
                 (12 + 15 + 41 + 48 + 1411 + 1414 + 8718 + 7) +
                 ExpectedListsOf(pool).bytes);
 }
@@ -1113,40 +1158,40 @@ std::vector<uint8_t> BlockBytes(const RrSketchPool& pool, size_t i) {
 
 TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
   // Two in-trees, rooted first and in the middle, and a sketch whose
-  // root has an out-edge, between implicit singletons.
-  const std::vector<RRGraph> graphs = {
-      RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}}, Singleton(5),
-      RootedSketch(3, 1), RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {{7, 0.75f}}},
-      Singleton(6)};
+  // root has an out-edge, then implicit singletons, in root order.
+  const std::vector<RRGraph> graphs = InRootOrder(
+      {RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {{7, 0.75f}}}, RootedSketch(3, 1),
+       RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}}, Singleton(5),
+       Singleton(6)});
   const RrSketchPool pool = PackGraphs(graphs);
   // Fields go LSB-first at 4-bit vertices and ranks, each threshold c
   // stored as 0x3f800000 less c's bits. An in-tree block: header
   // 2 << 4 | 2 << 1 | in-tree (threshold width 2), then vertices 2 and 7
   // (0x72), root id 0 and one head at a bit each, rank 3, and 0.25f
   // (0x3e800000) as 0x01000000 at 25 bits: 39 bits.
-  EXPECT_EQ(BlockBytes(pool, 0),
+  EXPECT_EQ(BlockBytes(pool, 2),
             (std::vector<uint8_t>{0x25, 0x72, 0x0c, 0x00, 0x00, 0x40}));
   // Vertices 0, 1 and 2, root id 1 and the heads of vertices 0 and 2
   // (both 1) at 2 bits, then ranks 0 and 1 with 0.1f (0x3dcccccd, stored
   // as 0x01b33333 at 25 bits) each: 76 bits.
-  EXPECT_EQ(BlockBytes(pool, 2),
+  EXPECT_EQ(BlockBytes(pool, 1),
             (std::vector<uint8_t>{0x35, 0x10, 0x52, 0xc1, 0xcc, 0xcc, 0xec,
                                   0x98, 0x99, 0x99, 0x0d}));
   // The root's out-edge keeps its edge count 1 after the header (width 0)
   // and the offsets {0, 1, 1} at a bit each after the root id; 0.75f
   // (0x3f400000) is stored as 0x00400000 at 23 bits: 40 bits.
-  EXPECT_EQ(BlockBytes(pool, 3),
+  EXPECT_EQ(BlockBytes(pool, 0),
             (std::vector<uint8_t>{0x20, 0x01, 0x90, 0xec, 0x00, 0x00, 0x80}));
   const PoolViews views(pool);
-  for (const size_t i : {0, 1, 2, 4}) {
+  for (const size_t i : {1, 2, 3, 4}) {
     EXPECT_EQ(views(i).offsets.data, nullptr) << "sketch " << i;
   }
-  EXPECT_NE(views(3).offsets.data, nullptr);
+  EXPECT_NE(views(0).offsets.data, nullptr);
   // The views read the offsets they left out as an in-tree's.
-  EXPECT_EQ(Owned(views(2)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
+  EXPECT_EQ(Owned(views(1)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 3) +
-                                  (4 + 2 * 11) + (6 + 11 + 7 + 7) +
+                                  2 * (4 + 2 * 11) + (6 + 11 + 7 + 7) +
                                   ExpectedListsOf(pool).bytes);
   ExpectEveryWriterKeeps(graphs, 10);
 }
@@ -1157,29 +1202,29 @@ TEST(PooledLayoutTest, ThresholdWidthFollowsItsBlock) {
   // thresholds all lie in (0.5, 1] stores values below 2^23: width 0.
   // One holding 1e-6f (0x358637bd, stored as 0x09f9c843, a 28-bit
   // value) takes width 5, beside its 0.6f. Implicit singletons between
-  // them store none.
-  const std::vector<RRGraph> graphs = {
-      RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.75f}}}, Singleton(5),
-      RRGraph{1,
-              {0, 1, 2},
-              {0, 1, 1, 2},
-              {1, 1},
-              {{0, 0.6f}, {1, 1e-6f}}},
-      Singleton(9)};
+  // them store none. In root order, the block rooted at 1 comes first.
+  const std::vector<RRGraph> graphs = InRootOrder(
+      {RRGraph{1,
+               {0, 1, 2},
+               {0, 1, 1, 2},
+               {1, 1},
+               {{0, 0.6f}, {1, 1e-6f}}},
+       RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.75f}}}, Singleton(5),
+       Singleton(9)});
   const RrSketchPool pool = PackGraphs(graphs);
   const PoolViews views(pool);
-  EXPECT_EQ(views(0).edges.threshold_width(), 0u);
-  EXPECT_EQ(views(2).edges.threshold_width(), 5u);
-  EXPECT_EQ(views(2).edges[1].threshold, 1e-6f);
+  EXPECT_EQ(views(1).edges.threshold_width(), 0u);
+  EXPECT_EQ(views(0).edges.threshold_width(), 5u);
+  EXPECT_EQ(views(0).edges[1].threshold, 1e-6f);
   // At 4-bit vertices and ranks: a one-byte header and 37 bits (two
   // vertices, a root id and a head at a bit each, and a 27-bit record),
   // and a one-byte header and 82 bits (three vertices, a 2-bit root id,
   // two 2-bit heads and two 32-bit records).
-  EXPECT_EQ(BlockBytes(pool, 0).size(), 1u + 5);
-  EXPECT_EQ(BlockBytes(pool, 2).size(), 1u + 11);
+  EXPECT_EQ(BlockBytes(pool, 1).size(), 1u + 5);
+  EXPECT_EQ(BlockBytes(pool, 0).size(), 1u + 11);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 2) +
-                                  (4 + 2 * 11) + (6 + 12 + 7) +
+                                  2 * (4 + 2 * 11) + (6 + 12 + 7) +
                                   ExpectedListsOf(pool).bytes);
   ExpectEveryWriterKeeps(graphs, 10);
 }
@@ -1228,19 +1273,21 @@ TEST(PooledLayoutTest, NonTreeShapesKeepOffsetsThroughEveryWriter) {
   ExpectEveryWriterKeeps(graphs, 10);
 }
 
-// `num_sketches` sketches that each hold vertex 0, and vertex v >= 1
-// in the sketches placed[v] lists: singletons of vertex 0 where nothing
-// else is placed, edgeless blocks elsewhere.
+// `num_sketches` edgeless sketches rooted at vertex `root`, past every
+// placed vertex, that each hold vertex 0, and vertex v >= 1 in the
+// sketches placed[v] lists, so the lists hold exactly the placed ids
+// and vertex 0's.
 std::vector<RRGraph> PlacedGraphs(
-    size_t num_sketches, const std::vector<std::vector<uint32_t>>& placed) {
-  std::map<uint32_t, std::vector<VertexId>> members;
+    size_t num_sketches, const std::vector<std::vector<uint32_t>>& placed,
+    VertexId root) {
+  std::vector<std::vector<VertexId>> members(num_sketches, {0});
   for (VertexId v = 1; v < placed.size(); ++v) {
     for (const uint32_t id : placed[v]) members[id].push_back(v);
   }
-  std::vector<RRGraph> graphs(num_sketches, Singleton(0));
-  for (auto& [id, vertices] : members) {
-    vertices.insert(vertices.begin(), 0);
-    graphs[id] = EdgelessSketch(vertices);
+  std::vector<RRGraph> graphs;
+  for (std::vector<VertexId>& vertices : members) {
+    vertices.push_back(root);
+    graphs.push_back(EdgelessSketch(vertices, vertices.size() - 1));
   }
   return graphs;
 }
@@ -1249,16 +1296,18 @@ std::vector<RRGraph> PlacedGraphs(
 uint64_t ListBits(const RrSketchPool& pool) {
   uint64_t bits = 0;
   for (VertexId v = 0; v < pool.num_universe_vertices(); ++v) {
-    bits += pool.Containing(v).bits();
+    bits += pool.NonRootContaining(v).bits();
   }
   return bits;
 }
 
 TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
-  // 4,096 sketches over 12 vertices holding 4,110 ids: a mean gap of
-  // 11.96, so k = 3, and a code of x takes (x >> 3) + 4 bits. Vertex 0
-  // is in every sketch (a first id of 0, then gaps of 1: x = 0 each);
-  // vertices 10 and 11 are in none. The others place codes whose unary
+  // 4,096 sketches over 13 vertices, each rooted at vertex 12, whose
+  // lists hold 4,110 ids: a mean gap of 12.96, so k = 3, and a code of
+  // x takes (x >> 3) + 4 bits. Vertex 0 is in every sketch (a first id
+  // of 0, then gaps of 1: x = 0 each); vertices 10 and 11 are in none,
+  // and vertex 12 is in every root range. The others place codes whose
+  // unary
   // runs end on each side of the decoder's 57-bit window and the
   // writer's 56-bit store, so that their low bits lie past the window
   // (q = 55 and 56) or their run takes one more load or two (q = 57,
@@ -1275,9 +1324,9 @@ TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
       {0, 1, 9, 466, 1371},   // x = 0, 0, 7, 456 (q = 57), 904 (q = 113)
       {0, 4095},              // x = 0, 4,094 (q = 511): ids 0 and θ - 1
   };
-  const std::vector<RRGraph> graphs = PlacedGraphs(4096, placed);
+  const std::vector<RRGraph> graphs = PlacedGraphs(4096, placed, 12);
   const RrSketchPool pool = PackViews(
-      graphs.size(), RrSketchPool(12, 12),
+      graphs.size(), RrSketchPool(13, 13),
       [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.containing_k(), 3u);
   // Sanity of the fixture: the brute force sees the lists placed.
@@ -1286,21 +1335,23 @@ TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
     EXPECT_EQ(lists[v], placed[v]) << "vertex " << v;
   }
   EXPECT_EQ(lists[0].size(), graphs.size());
-  EXPECT_TRUE(lists[10].empty() && lists[11].empty());
+  EXPECT_TRUE(lists[10].empty() && lists[11].empty() && lists[12].empty());
+  EXPECT_EQ(pool.RootRange(12).size(), graphs.size());
   ExpectContainingMatchesViews(pool);
   // Vertex 0 takes 4 bits per sketch; the placed lists take 4, 5, 59,
   // 60, 61, 68 and 118 bits, then 4 + 4 + 4 + 61 + 117 and 4 + 515.
-  EXPECT_EQ(pool.Containing(7).bits(), 118u);
-  EXPECT_EQ(pool.Containing(9).bits(), 519u);
+  EXPECT_EQ(pool.NonRootContaining(7).bits(), 118u);
+  EXPECT_EQ(pool.NonRootContaining(9).bits(), 519u);
   EXPECT_EQ(ListBits(pool), 4 * graphs.size() + 1084);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  ExpectEveryWriterKeeps(graphs, 12);
+  ExpectEveryWriterKeeps(graphs, 13);
 }
 
 TEST(PooledLayoutTest, SparseVertexInDensePoolRunsPastAWord) {
-  // 200 sketches over 12 vertices, each holding vertices 0 to 9: 2,004
-  // ids, a mean gap of 1.2, so k = 0 and a code of x is x one-bits and
-  // a zero. Vertex 10, in sketches 70 and 199 only, codes runs of 70
+  // 200 sketches over 12 vertices, each holding vertices 0 to 9 and
+  // rooted at 0: 1,804 ids past the roots, a mean gap of 1.33, so k = 0
+  // and a code of x is x one-bits and a zero. Vertex 10, in sketches 70
+  // and 199 only, codes runs of 70
   // and 128 ones, past a 64-bit word and two; vertex 11, in sketches 0
   // and 130, runs of 0 and 129.
   std::vector<RRGraph> graphs;
@@ -1316,12 +1367,14 @@ TEST(PooledLayoutTest, SparseVertexInDensePoolRunsPastAWord) {
       [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.containing_k(), 0u);
   ExpectContainingMatchesViews(pool);
-  EXPECT_TRUE(std::ranges::equal(pool.Containing(10),
+  EXPECT_TRUE(std::ranges::equal(pool.NonRootContaining(10),
                                  std::vector<uint32_t>{70, 199}));
-  EXPECT_EQ(pool.Containing(10).bits(), 71u + 129u);
-  EXPECT_EQ(pool.Containing(11).bits(), 1u + 130u);
-  // Vertices 0 to 9 take a bit per sketch.
-  EXPECT_EQ(ListBits(pool), 10 * 200 + 200 + 131u);
+  EXPECT_EQ(pool.NonRootContaining(10).bits(), 71u + 129u);
+  EXPECT_EQ(pool.NonRootContaining(11).bits(), 1u + 130u);
+  // Vertices 1 to 9 take a bit per sketch; vertex 0's root range holds
+  // every sketch.
+  EXPECT_EQ(ListBits(pool), 9 * 200 + 200 + 131u);
+  EXPECT_EQ(pool.RootRange(0).size(), 200u);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   ExpectEveryWriterKeeps(graphs, 12);
 }
@@ -1364,6 +1417,57 @@ TEST(PooledLayoutTest, RiceListsMatchBruteForceOnRandomPools) {
   EXPECT_GE(std::ranges::max(ks), 6u);
 }
 
+TEST(PooledLayoutTest, RootOrderHoldsOnBuiltLoadedAndCompactedPools) {
+  // Every finished pool numbers its sketches in root order: the built
+  // one, the one its index file loads into, and the one a compaction
+  // folds after repairs. In each, the roots never fall, each root range
+  // is exactly the sketches rooted at its vertex, and the range and the
+  // vertex's list are its membership (ExpectContainingMatchesViews).
+  DatasetSpec spec = LastfmSpec(0.3);
+  spec.seed = 23;
+  const SocialNetwork network = GenerateDataset(spec);
+  RrIndexOptions options;
+  options.theta_override = 3000;
+  options.num_build_threads = 3;
+  RrIndex index(network, options);
+  index.Build();
+  ExpectContainingMatchesViews(index.pool());
+  EXPECT_EQ(index.pool().SizeBytes(), ExactSizeBytes(index.pool()));
+
+  std::stringstream file;
+  ASSERT_TRUE(SaveRrIndex(index, file));
+  IndexIoError error;
+  const auto loaded = LoadRrIndex(network, file, &error);
+  ASSERT_NE(loaded, nullptr) << error.message;
+  ExpectContainingMatchesViews(loaded->pool());
+  EXPECT_EQ(pool_image::PoolDifference(network, loaded->pool(), index.pool()),
+            "");
+
+  DynamicRrIndex dynamic(network, options);
+  dynamic.Build();
+  for (int round = 0; round < 8; ++round) {
+    EdgeInfluenceUpdate update;
+    update.edge = static_cast<EdgeId>((round * 977) % network.num_edges());
+    update.entries = {
+        {static_cast<TopicId>(round % network.topics.num_topics()), 0.9}};
+    dynamic.ApplyUpdates(std::span(&update, 1));
+  }
+  ASSERT_GT(dynamic.overlay_sketches(), 0u);
+  const IndexViews before(dynamic, network.num_vertices());
+  std::vector<VertexId> roots;
+  for (size_t i = 0; i < dynamic.num_graphs(); ++i) {
+    roots.push_back(before(i).root());
+  }
+  const auto compacted = dynamic.Freeze(network, /*compact=*/true);
+  ASSERT_EQ(dynamic.stats().compactions, 1u);
+  ExpectContainingMatchesViews(compacted->pool());
+  // A repair keeps its sketch's root, so the fold keeps every id.
+  const PoolViews after(compacted->pool());
+  for (size_t i = 0; i < roots.size(); ++i) {
+    ASSERT_EQ(after(i).root(), roots[i]) << "sketch " << i;
+  }
+}
+
 TEST(PooledLayoutTest, RepairedListsDecodeToBruteForce) {
   // Repairs re-code the lists of the vertices whose membership changed
   // into the overlay, at the base pool's parameter: the served lists,
@@ -1391,10 +1495,8 @@ TEST(PooledLayoutTest, RepairedListsDecodeToBruteForce) {
     for (const VertexId v : views(i).vertices) want[v].push_back(i);
   }
   for (VertexId v = 0; v < want.size(); ++v) {
-    ASSERT_TRUE(std::ranges::equal(index.Containing(v), want[v]))
-        << "vertex " << v;
-    ASSERT_TRUE(std::ranges::equal(frozen->Containing(v), want[v]))
-        << "vertex " << v;
+    ASSERT_EQ(ContainingIds(index, v), want[v]) << "vertex " << v;
+    ASSERT_EQ(ContainingIds(*frozen, v), want[v]) << "vertex " << v;
   }
 }
 
@@ -1411,7 +1513,7 @@ TEST(PooledLayoutTest, VertexInEverySketchAndVerticesInNone) {
   ExpectContainingMatchesViews(pool);
   EXPECT_EQ(pool.CountContaining(3), graphs.size());
   for (const VertexId v : {0u, 5u, 9u}) {
-    EXPECT_TRUE(std::ranges::empty(pool.Containing(v))) << "vertex " << v;
+    EXPECT_TRUE(std::ranges::empty(pool.NonRootContaining(v))) << "vertex " << v;
     EXPECT_EQ(pool.CountContaining(v), 0u) << "vertex " << v;
   }
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
@@ -1469,17 +1571,18 @@ TEST(PooledLayoutTest, ContainingCodecPinsRiceCodes) {
 
     RrSketchOverlay overlay(want.k);
     overlay.SetContaining(3, want.ids);
-    const std::optional<ContainingList> stored = overlay.Containing(3);
+    const std::optional<ContainingList> stored = overlay.NonRootContaining(3);
     ASSERT_TRUE(stored.has_value());
     EXPECT_EQ(stored->bits(), want.bits);
     EXPECT_TRUE(std::ranges::equal(*stored, want.ids));
-    EXPECT_FALSE(overlay.Containing(4).has_value());
+    EXPECT_FALSE(overlay.NonRootContaining(4).has_value());
   }
 }
 
 // Pairs {k, k + 1} on the certain cycle's edge k, rooted at k + 1, and
 // singletons, alternating over 70 sketches (so over two directory
-// groups), with a singleton rooted at `root` as sketch 40.
+// groups), with a singleton rooted at `root` as sketch 40: in root
+// order, the last sketch.
 std::vector<RRGraph> SingletonRootGraphs(VertexId root) {
   std::vector<RRGraph> graphs;
   for (VertexId k = 0; k < 70; ++k) {
@@ -1528,7 +1631,7 @@ TEST(PooledLayoutTest, SingletonRootsWidenOnlyTheFileDirectory) {
     const auto [network, pool] = PackOnOwnNetwork(graphs, 40000);
     EXPECT_EQ(pool.directory_width(), 2u);
     EXPECT_EQ(pool.containing_start_width(), 2u);
-    EXPECT_EQ(PoolViews(pool)(40).root(), root);
+    EXPECT_EQ(PoolViews(pool)(graphs.size() - 1).root(), root);
     EXPECT_EQ(FileDirectoryWidth(network, pool), file_width);
   }
 }
@@ -1575,9 +1678,11 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
        {std::tuple{size_t{32767}, 2u, 2u}, {size_t{32768}, 2u, 4u},
         {size_t{65535}, 2u, 4u}, {size_t{65536}, 4u, 4u}}) {
     SCOPED_TRACE("offset " + std::to_string(offset));
+    // Every sketch before sketch 63 is rooted at 0, as the blocks
+    // BlocksTaking makes are, so root order keeps their places.
     std::vector<RRGraph> graphs = BlocksTaking(offset);
     ASSERT_LT(graphs.size(), 63u);
-    while (graphs.size() < 63) graphs.push_back(Singleton(9));
+    while (graphs.size() < 63) graphs.push_back(Singleton(0));
     graphs.push_back(EdgelessSketch({1, 2}));
     graphs.push_back(RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}});
     graphs.push_back(Singleton(4));
@@ -1595,17 +1700,18 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
 }
 
 TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
-  // 9,362 sketches over 70 vertices holding 9,364 ids: k = 6, so a code
-  // of x takes (x >> 6) + 7 bits. Vertex 0 is in the first 9,360
-  // sketches (x = 0 each: 65,520 bits) and vertex 1 in sketch c alone,
-  // whose code takes 15 bits for c = 512 and 16 for c = 576. Vertices 2
-  // to 62 are in none, so vertex 63's start, the last word of the first
-  // group of 64, is 65,535 bits, which fits a 2-byte word, or 65,536,
-  // which makes every start's word 4 bytes.
+  // 9,362 sketches over 70 vertices whose lists hold 9,362 ids: k = 6,
+  // so a code of x takes (x >> 6) + 7 bits. Vertex 0 is in the first
+  // 9,360 sketches, which vertex 2 roots (x = 0 each: 65,520 bits), and
+  // vertex 1 in sketch c alone, whose code takes 15 bits for c = 512
+  // and 16 for c = 576. Vertices 2 to 62 are in no list, so vertex 63's
+  // start, the last word of the first group of 64, is 65,535 bits,
+  // which fits a 2-byte word, or 65,536, which makes every start's word
+  // 4 bytes.
   for (const auto& [c, width] : {std::pair{512u, 2u}, {576u, 4u}}) {
     SCOPED_TRACE("c " + std::to_string(c));
-    std::vector<RRGraph> graphs(9360, Singleton(0));
-    graphs[c] = EdgelessSketch({0, 1});
+    std::vector<RRGraph> graphs(9360, EdgelessSketch({0, 2}, 1));
+    graphs[c] = EdgelessSketch({0, 1, 2}, 2);
     graphs.push_back(EdgelessSketch({63, 64}));
     graphs.push_back(Singleton(69));
     ExpectEveryWriterKeeps(graphs, 70);
@@ -1613,15 +1719,17 @@ TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
         graphs.size(), RrSketchPool(70, 70),
         [&graphs](size_t i) { return graphs[i].View(); });
     EXPECT_EQ(pool.containing_k(), 6u);
-    EXPECT_EQ(pool.Containing(0).bits() + pool.Containing(1).bits(),
+    EXPECT_EQ(pool.NonRootContaining(0).bits() + pool.NonRootContaining(1).bits(),
               width == 2 ? 65535u : 65536u);
     EXPECT_EQ(pool.containing_start_width(), width);
     EXPECT_EQ(pool.directory_width(), 2u);
     EXPECT_EQ(pool.CountContaining(0), 9360u);
     EXPECT_TRUE(
-        std::ranges::equal(pool.Containing(1), std::vector<uint32_t>{c}));
+        std::ranges::equal(pool.NonRootContaining(1), std::vector<uint32_t>{c}));
     EXPECT_TRUE(
-        std::ranges::equal(pool.Containing(63), std::vector<uint32_t>{9360}));
+        std::ranges::equal(pool.RootRange(63), std::vector<uint32_t>{9360}));
+    EXPECT_TRUE(std::ranges::equal(pool.NonRootContaining(64),
+                                   std::vector<uint32_t>{9360}));
     ExpectContainingMatchesViews(pool);
   }
 }
@@ -1774,7 +1882,8 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
     if (max_out_degree > (k1 << 17)) {
       // Too many out-edges for a network to hold: the writers run at
       // counts only, with no walk or index file.
-      ExpectWritersKeep(graphs, RrSketchPool(num_vertices, max_out_degree));
+      ExpectWritersKeep(InRootOrder(graphs),
+                        RrSketchPool(num_vertices, max_out_degree));
       continue;
     }
     ExpectEveryWriterKeeps(graphs, num_vertices, max_out_degree);
@@ -1819,18 +1928,20 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   index.Build();
   const RrSketchPool& pool = index.pool();
   ASSERT_EQ(pool.num_sketches(), 200000u);
-  // Both offset arrays take 2-byte words: the block words (largest
-  // block start less its base 1,104 B) and the containing starts
-  // (largest group 31,428 bits). 85,966 sketches are blocks, so the
-  // directory takes 3,125 16-byte records and 85,966 words. The lists'
-  // 454,185 ids have a mean gap of 11,008, so k = 13. The network's
+  // The offset arrays take 2-byte words: the block words (largest
+  // block start less its base 1,104 B), the root starts (largest group
+  // 573 sketches) and the containing starts. 85,966 sketches are
+  // blocks, so the directory takes 3,125 16-byte records and 85,966
+  // words. The 200,000 root incidences are root ranges, and the lists'
+  // other 254,185 ids have a mean gap of 19,670, so k = 14. The network's
   // 25,000 vertices and at most 18 out-edges a vertex give 15-bit
   // vertices and 5-bit ranks. Each block's thresholds take 23 + w bits,
   // w from its smallest threshold: the blocks' w run from 0 to 5.
   EXPECT_EQ(pool.directory_width(), 2u);
   EXPECT_EQ(pool.DirectoryBytes(), 3125u * 16 + 85966u * 2);
   EXPECT_EQ(pool.containing_start_width(), 2u);
-  EXPECT_EQ(pool.containing_k(), 13u);
+  EXPECT_EQ(pool.root_start_width(), 2u);
+  EXPECT_EQ(pool.containing_k(), 14u);
   EXPECT_EQ(pool.vertex_bits(), 15u);
   EXPECT_EQ(pool.max_out_degree(), 18u);
   EXPECT_EQ(pool.rank_bits(), 5u);
@@ -1841,26 +1952,26 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   }
   EXPECT_EQ(widths, (std::vector<size_t>{15567, 15710, 26857, 23874, 3916,
                                          42, 0, 0}));
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 2958564);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 2649709);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // The file is v11, keeps a word per sketch, a singleton's its root
+  // The file is v12, keeps a word per sketch, a singleton's its root
   // (the largest 24,999, so 2 bytes each), and these exact bytes.
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
-  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 11);
+  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 12);
   EXPECT_EQ(file.str().size(), 2242924u);
-  EXPECT_EQ(FileHash(file.str()), 0x74d05d6858e21468ULL)
+  EXPECT_EQ(FileHash(file.str()), 0x85540741664c3a5fULL)
       << std::hex << FileHash(file.str());
   EXPECT_EQ(pool_image::Image(file.str(), network).width, 2u);
-  // The same bytes under a v10 header, whose records held every
-  // threshold at 30 bits, are refused by their version.
-  std::string v10 = file.str();
-  v10[pool_image::kVersionOffset] = 10;
-  pool_image::RepairChecksum(&v10);
-  std::stringstream v10_file(v10);
-  IndexIoError v10_error;
-  EXPECT_EQ(LoadRrIndex(network, v10_file, &v10_error), nullptr);
-  EXPECT_EQ(v10_error.code, IndexIoCode::kBadVersion);
+  // The same bytes under a v11 header, whose sketches were in sample
+  // order, are refused by their version.
+  std::string v11 = file.str();
+  v11[pool_image::kVersionOffset] = 11;
+  pool_image::RepairChecksum(&v11);
+  std::stringstream v11_file(v11);
+  IndexIoError v11_error;
+  EXPECT_EQ(LoadRrIndex(network, v11_file, &v11_error), nullptr);
+  EXPECT_EQ(v11_error.code, IndexIoCode::kBadVersion);
 
   // With repairs, the save folds base + overlay: its bytes load and save
   // back unchanged, and the loaded index holds the fold's sketches.

@@ -7,8 +7,9 @@
 // (EnvelopeMirror below) and folds the influence model once per batch.
 // Build, ApplyUpdates, RestoreModel, RepairGraph and AdoptSketches are
 // kept verbatim (only the class names differ, Build samples against a
-// temporary EnvelopeTable beside the mirror, and RepairGraph copies each
-// re-closed sketch out of a one-sketch run), so any divergence of the
+// temporary EnvelopeTable beside the mirror and numbers its sketches in
+// the pool's root order, and RepairGraph copies each re-closed sketch
+// out of a one-sketch run), so any divergence of the
 // production master from this one is a behaviour change, not a
 // representation change.
 
@@ -116,6 +117,10 @@ class ReferenceDynamicRrIndex {
       arena_.Generate(network_.graph, table, roots_[i], &rng, &run);
       graphs_[i].Assign(run.View(0, roots_[i]));
     }
+    // The built pool numbers its sketches in root order: the mirror
+    // takes the same ids, so its repairs draw from the same streams.
+    graphs_ = InRootOrder(std::move(graphs_));
+    for (uint64_t i = 0; i < theta_; ++i) roots_[i] = graphs_[i].root;
     for (uint32_t id = 0; id < graphs_.size(); ++id) {
       for (VertexId v : graphs_[id].vertices) containing_[v].push_back(id);
     }

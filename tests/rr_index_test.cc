@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "owned_sketch.h"
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
@@ -19,8 +25,9 @@ namespace pitex {
 // Reads PrunedRrIndex's per-user filters (befriended in edge_cut.h).
 struct PrunedRrIndexPeer {
   // FNV-1a over every user's filter under every cut policy: the sketch
-  // count, the trivial sketch ids, the cut edges, and each inverted
-  // list's (threshold, sketch id) entries in order.
+  // count, the trivial sketches' count and ids (the user's root range),
+  // the cut edges, and each inverted list's (threshold, sketch id)
+  // entries in order.
   static uint64_t FilterHash(const RrIndex& base, const SocialNetwork& n) {
     Fnv1a hash;
     const auto fold = [&hash](const auto& value) {
@@ -32,8 +39,8 @@ struct PrunedRrIndexPeer {
       for (VertexId u = 0; u < n.num_vertices(); ++u) {
         const PrunedRrIndex::UserFilter& filter = pruned.FilterFor(u);
         fold(filter.num_graphs);
-        fold(filter.trivial.size());
-        for (const uint32_t id : filter.trivial) fold(id);
+        fold(filter.trivial);
+        for (const uint32_t id : base.RootRange(u)) fold(id);
         fold(filter.cut_edges.size());
         for (size_t i = 0; i < filter.cut_edges.size(); ++i) {
           fold(filter.cut_edges[i]);
@@ -95,7 +102,7 @@ TEST(RrIndexTest, ContainingListsConsistent) {
   index.Build();
   size_t total = 0;
   for (VertexId v = 0; v < n.num_vertices(); ++v) {
-    for (uint32_t id : index.Containing(v)) {
+    for (uint32_t id : ContainingIds(index, v)) {
       EXPECT_TRUE(index.graph(id, v).LocalIndex(v).has_value());
     }
     total += index.CountContaining(v);
@@ -106,6 +113,129 @@ TEST(RrIndexTest, ContainingListsConsistent) {
     expected += views(i).vertices.size();
   }
   EXPECT_EQ(total, expected);
+}
+
+// The index's theta samples generated standalone (GenerateRRGraph from
+// each sample's stream, as IndexBuildEquivalenceTest's
+// ArenaPoolMatchesStandaloneGeneration stages them) and appended, in
+// sample order, to a run, which keeps the order it is given.
+RrSketchPool SampleOrderSketches(const SocialNetwork& n, uint64_t seed,
+                                 uint64_t theta) {
+  RrSketchPool run(n.graph);
+  for (uint64_t i = 0; i < theta; ++i) {
+    Rng rng = SampleStream(seed, i);
+    const auto root = static_cast<VertexId>(rng.NextBounded(n.num_vertices()));
+    run.Append(GenerateRRGraph(n.graph, n.influence, root, &rng).View());
+  }
+  return run;
+}
+
+// True when IndexEst+'s filter (its best-of-two edge cut, Example 7)
+// keeps `rr`, a sketch u is in but does not root, as a candidate under
+// `probs`: some edge of the chosen cut has c(e) <= p(e|W), p(e|W) > 0.
+bool KeptByCut(const RRView& rr, VertexId u, const InfluenceGraph& influence,
+               const EdgeProbFn& probs) {
+  const uint32_t local = *rr.LocalIndex(u);
+  std::vector<std::pair<EdgeId, float>> cuts[2];
+  double log_prune[2] = {0.0, 0.0};
+  const auto add = [&](int c, uint32_t tail, uint32_t k) {
+    const RRLocalEdge record = rr.edges[k];
+    const EdgeId edge = rr.Edge(tail, record.rank);
+    cuts[c].emplace_back(edge, record.threshold);
+    log_prune[c] += std::log(
+        std::max(1e-12, record.threshold / influence.MaxProb(edge)));
+  };
+  rr.VisitCsr([&](const auto& csr) {
+    for (uint32_t k = csr.offset(local); k < csr.offset(local + 1); ++k) {
+      add(0, local, k);
+    }
+    for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
+      for (uint32_t k = csr.offset(tail); k < csr.offset(tail + 1); ++k) {
+        if (csr.head(k) == rr.root_local) add(1, tail, k);
+      }
+    }
+  });
+  const int chosen = cuts[0].empty() || cuts[1].empty()
+                         ? (cuts[0].empty() ? 0 : 1)
+                         : (log_prune[0] >= log_prune[1] ? 0 : 1);
+  for (const auto& [edge, threshold] : cuts[chosen]) {
+    const double p = probs.Prob(edge);
+    if (p > 0.0 && static_cast<double>(threshold) <= p) return true;
+  }
+  return false;
+}
+
+TEST(RrIndexTest, EstimatesEqualSampleOrderReference) {
+  // A pool numbers its sketches in root order; the paper's estimators
+  // only count sketches, so IndexEst and IndexEst+ must return exactly
+  // what Algorithm 3 returns over the samples in the order they were
+  // drawn: the same influence, samples and edges visited, IndexEst+'s
+  // edges those of the sketches its filter keeps.
+  const SocialNetwork example = MakeRunningExample();
+  const SocialNetwork lastfm = GenerateDataset(LastfmSpec(0.1));
+  struct Case {
+    const SocialNetwork* n;
+    uint64_t theta;
+    size_t threads;
+  };
+  for (const Case& c : {Case{&example, 5000, 1}, Case{&lastfm, 20000, 1},
+                        Case{&lastfm, 20000, 3}}) {
+    const SocialNetwork& n = *c.n;
+    SCOPED_TRACE("|V| = " + std::to_string(n.num_vertices()) + ", " +
+                 std::to_string(c.threads) + " build threads");
+    // The (user, tag set) pairs, fixed before any estimate.
+    Rng pick(17);
+    std::vector<std::pair<VertexId, std::vector<TagId>>> queries;
+    for (int q = 0; q < 24; ++q) {
+      const auto user =
+          static_cast<VertexId>(pick.NextBounded(n.num_vertices()));
+      const auto a = static_cast<TagId>(pick.NextBounded(n.topics.num_tags()));
+      const auto b = static_cast<TagId>(pick.NextBounded(n.topics.num_tags()));
+      queries.push_back({user, a == b ? std::vector<TagId>{a}
+                                      : std::vector<TagId>{a, b}});
+    }
+    RrIndexOptions options = DenseOptions();
+    options.theta_override = c.theta;
+    options.num_build_threads = c.threads;
+    RrIndex index(n, options);
+    index.Build();
+    PrunedRrIndex pruned(&index, &n.influence);
+    const RrSketchPool samples = SampleOrderSketches(n, options.seed, c.theta);
+    const std::vector<VertexId> singleton_roots = samples.SingletonRoots();
+    uint64_t all_kept_edges = 0;
+    for (const auto& [u, tags] : queries) {
+      const auto post = n.topics.Posterior(tags);
+      const PosteriorProbs probs(n.influence, post);
+      uint64_t hits = 0, walked = 0, edges = 0, kept_edges = 0;
+      size_t singleton = 0;
+      for (size_t i = 0; i < samples.num_sketches(); ++i) {
+        const RRView rr = samples.View(
+            i, samples.IsSingleton(i) ? singleton_roots[singleton++] : u);
+        if (!rr.LocalIndex(u).has_value()) continue;
+        ++walked;
+        uint64_t visited = 0;
+        if (IsReachable(rr, u, probs, &visited)) ++hits;
+        edges += visited;
+        if (rr.root() != u && KeptByCut(rr, u, n.influence, probs)) {
+          kept_edges += visited;
+        }
+      }
+      const double influence = std::max(
+          1.0, static_cast<double>(hits) / static_cast<double>(c.theta) *
+                   static_cast<double>(n.num_vertices()));
+      const Estimate got = index.EstimateInfluence(u, probs);
+      EXPECT_EQ(got.influence, influence) << "user " << u;
+      EXPECT_EQ(got.samples, walked) << "user " << u;
+      EXPECT_EQ(got.edges_visited, edges) << "user " << u;
+      const Estimate got_pruned = pruned.EstimateInfluence(u, probs);
+      EXPECT_EQ(got_pruned.influence, influence) << "user " << u;
+      EXPECT_EQ(got_pruned.samples, walked) << "user " << u;
+      EXPECT_EQ(got_pruned.edges_visited, kept_edges) << "user " << u;
+      all_kept_edges += kept_edges;
+    }
+    // Sanity of the fixture: the filter keeps sketches that walk edges.
+    EXPECT_GT(all_kept_edges, 0u);
+  }
 }
 
 TEST(RrIndexTest, SizeBytesGrowsWithTheta) {
@@ -215,7 +345,7 @@ TEST(PrunedRrIndexTest, FiltersGoldenHash) {
   RrIndex example_index(example, options);
   example_index.Build();
   EXPECT_EQ(PrunedRrIndexPeer::FilterHash(example_index, example),
-            0x741e27c740469126ULL)
+            0x19bfc8fac3902915ULL)
       << std::hex << PrunedRrIndexPeer::FilterHash(example_index, example);
 
   const SocialNetwork lastfm = GenerateDataset(LastfmSpec(0.1));
@@ -223,7 +353,7 @@ TEST(PrunedRrIndexTest, FiltersGoldenHash) {
   RrIndex lastfm_index(lastfm, options);
   lastfm_index.Build();
   EXPECT_EQ(PrunedRrIndexPeer::FilterHash(lastfm_index, lastfm),
-            0xb61e87bf28a36d14ULL)
+            0x3d6a5921d2cf68a9ULL)
       << std::hex << PrunedRrIndexPeer::FilterHash(lastfm_index, lastfm);
 }
 
@@ -330,7 +460,8 @@ TEST(DelayMatTest, ReplicaServesLikeAFreshBuild) {
 }
 
 TEST(DelayMatTest, IndexFarSmallerThanRRGraphs) {
-  // Table 3's key relationship.
+  // Table 3's key relationship: DelayMat keeps a counter per vertex, the
+  // RR index theta sketches, here about 10 per vertex.
   SocialNetwork n = GenerateDataset(LastfmSpec(0.3));
   RrIndexOptions options;
   options.theta_override = 2000;

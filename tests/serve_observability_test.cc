@@ -356,10 +356,13 @@ TEST_F(ServeObservabilityTest, OverlayGaugeRisesWithPublishesAndClearsAtCheckpoi
     expect_index_bytes("after Start()");
     EXPECT_GT(service.SnapshotMetrics().GaugeValue("pitex_index_bytes"), 0);
 
-    // Publishes 1 and 2 append their repaired sketches to the overlay.
+    // Publishes 1 and 2 append their repaired sketches to the overlay:
+    // each makes an edge certain, so every sketch that holds its head
+    // without it gains it, whatever coins the repairs draw.
     int64_t last = 0;
     for (uint64_t round = 0; round < 2; ++round) {
       std::vector<EdgeInfluenceUpdate> updates{MakeUpdate(n, round)};
+      updates[0].entries[0].prob = 1.0;
       ASSERT_NE(service.ApplyUpdates(updates), 0u);
       EXPECT_GT(overlay(), last) << "publish " << round + 1;
       last = overlay();
