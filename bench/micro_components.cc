@@ -397,7 +397,7 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
       edges += index->EstimateInfluence(v, probs).edges_visited;
       const ContainingList list = index->NonRootContaining(v);
       for (const uint32_t id : list) {
-        lines += PoolLines(index->graph(id, v), body);
+        lines += PoolLines(index->WalkGraph(id), body);
       }
       bits += list.bits();
     }
@@ -468,7 +468,7 @@ void BM_IsReachable(benchmark::State& state) {
   for (auto _ : state) {
     const auto& [id, u] = pairs[next];
     benchmark::DoNotOptimize(
-        IsReachable(index->graph(id, u), u, probs, &visits, &scratch));
+        IsReachable(index->WalkGraph(id), u, probs, &visits, &scratch));
     next = (next + 1) % pairs.size();
   }
 }

@@ -26,7 +26,7 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
 
   for (uint32_t id : base_->NonRootContaining(u)) {
     ++filter.num_graphs;
-    const RRView rr = base_->graph(id, u);
+    const RRView rr = base_->WalkGraph(id);
     const auto u_local = rr.LocalIndex(u);
     PITEX_DCHECK(u_local.has_value() && *u_local != rr.root_local);
 
@@ -113,7 +113,7 @@ Estimate PrunedRrIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
 
   // Verification step.
   for (uint32_t id : candidates) {
-    if (IsReachable(base_->graph(id, u), u, probs, &result.edges_visited,
+    if (IsReachable(base_->WalkGraph(id), u, probs, &result.edges_visited,
                     &scratch_)) {
       ++hits;
     }

@@ -9,10 +9,11 @@
 // every tag set, and the spread is never underestimated (p(e) >= p(e|W)).
 //
 // Sketches have one representation: the pooled layout of
-// src/index/rr_sketch_pool.h, where a single-vertex sketch is its root
-// in the directory and every other sketch is one block of bit-granular
-// fields: its vertices at the width the network's vertex count calls
-// for, its local ids (its root's among them) at the width its own
+// src/index/rr_sketch_pool.h, where a sketch's root is the vertex whose
+// root range holds its id, a single-vertex sketch has no block, and
+// every other sketch is one block of bit-granular fields: its vertices
+// but the root at the width the network's vertex count calls for, its
+// local ids (its root's among them) at the width its own
 // vertex count calls for, and its edge records, each the edge's rank in
 // its tail's out-list (Graph::OutEdges) at the width the network's
 // longest out-list calls for and its threshold, 1.0f's bits less the
@@ -260,54 +261,37 @@ inline uint32_t NeededThresholdWidth(const EdgeRecords& records) {
   return ThresholdWidth(largest);
 }
 
-/// A sketch's sorted vertex ids: `base` plus entries of a PackedIds. A
-/// pool block stores its vertices at its pool's vertex width with base
-/// 0; an implicit singleton's one vertex is its base, at width 0. A
-/// read-only range with random access by operator[].
+/// The root vertex of a view whose reader never reads it
+/// (RrSketchPool::WalkView): no vertex has this id.
+inline constexpr VertexId kUnresolvedRoot = UINT32_MAX;
+
+/// A sketch's sorted vertex ids. Either every id is `base` plus an entry
+/// of a PackedIds (an implicit singleton's one vertex is its base, at
+/// width 0), or the id at local index `gap` is `root` and the others, in
+/// order, are the entries: a pool block stores every vertex but its
+/// root, at its pool's vertex width. A read-only range with random
+/// access by operator[].
 class VertexIds {
  public:
-  class Iterator {
-   public:
-    using iterator_concept = std::forward_iterator_tag;
-    using iterator_category = std::input_iterator_tag;
-    using value_type = VertexId;
-    using difference_type = std::ptrdiff_t;
-    using reference = VertexId;
-    using pointer = void;
-
-    Iterator() = default;
-    VertexId operator*() const { return base_ + ids_[at_]; }
-    Iterator& operator++() {
-      ++at_;
-      return *this;
-    }
-    Iterator operator++(int) {
-      Iterator old = *this;
-      ++at_;
-      return old;
-    }
-    bool operator==(const Iterator& other) const { return at_ == other.at_; }
-
-   private:
-    friend class VertexIds;
-    Iterator(const VertexIds& ids, size_t at)
-        : ids_(ids.ids_), base_(ids.base_), at_(at) {}
-
-    // The ids' fields, copied, so an iterator outlives its range.
-    PackedIds ids_;
-    VertexId base_ = 0;
-    size_t at_ = 0;
-  };
+  class Iterator;
 
   VertexIds() = default;
+  /// `size` ids, each `base` plus an entry of `ids`.
   VertexIds(PackedIds ids, size_t size, VertexId base)
       : ids_(ids), size_(static_cast<uint32_t>(size)), base_(base) {}
+  /// `size` ids, `root` at local index `gap` (below `size`) and the
+  /// entries of `ids` at the others.
+  VertexIds(PackedIds ids, size_t size, uint32_t gap, VertexId root)
+      : ids_(ids), size_(static_cast<uint32_t>(size)), gap_(gap), root_(root) {}
 
   size_t size() const { return size_; }
-  VertexId operator[](size_t j) const { return base_ + ids_[j]; }
+  VertexId operator[](size_t j) const {
+    const auto i = static_cast<uint32_t>(j);
+    return i == gap_ ? root_ : base_ + ids_[i - (i > gap_)];
+  }
   VertexId back() const { return (*this)[size_ - 1]; }
-  Iterator begin() const { return {*this, 0}; }
-  Iterator end() const { return {*this, size_}; }
+  Iterator begin() const;
+  Iterator end() const;
   /// The stored ids, which base() adds to.
   const PackedIds& ids() const { return ids_; }
   VertexId base() const { return base_; }
@@ -318,32 +302,30 @@ class VertexIds {
     for (uint32_t j = 0; j < size_; ++j) fn((*this)[j]);
   }
 
-  /// Position of v, or nullopt if absent: a scan up to v in a sketch of
-  /// at most kScanIds ids (nearly every sketch), whose loads wait on no
-  /// compare, else a binary search.
+  /// Position of v, or nullopt if absent: the first stored entry not
+  /// below v, found by a scan in a sketch of at most kScanIds entries
+  /// (nearly every sketch), whose loads wait on no compare, else by a
+  /// binary search; then the gap's id.
   std::optional<uint32_t> LocalIndex(VertexId v) const {
-    if (size_ <= kScanIds) {
-      for (uint32_t j = 0; j < size_; ++j) {
-        const VertexId id = (*this)[j];
-        if (id >= v) {
-          if (id != v) break;
-          return j;
+    const bool has_gap = gap_ < size_;
+    const uint32_t stored = size_ - (has_gap ? 1 : 0);
+    uint32_t lo = 0;
+    if (stored <= kScanIds) {
+      while (lo < stored && base_ + ids_[lo] < v) ++lo;
+    } else {
+      for (uint32_t len = stored; len > 0;) {
+        const uint32_t half = len / 2;
+        if (base_ + ids_[lo + half] < v) {
+          lo += half + 1;
+          len -= half + 1;
+        } else {
+          len = half;
         }
       }
-      return std::nullopt;
     }
-    uint32_t lo = 0;
-    for (uint32_t len = size_; len > 0;) {
-      const uint32_t half = len / 2;
-      if ((*this)[lo + half] < v) {
-        lo += half + 1;
-        len -= half + 1;
-      } else {
-        len = half;
-      }
-    }
-    if (lo == size_ || (*this)[lo] != v) return std::nullopt;
-    return lo;
+    if (lo < stored && base_ + ids_[lo] == v) return lo + (lo >= gap_);
+    if (has_gap && v == root_) return gap_;
+    return std::nullopt;
   }
 
  private:
@@ -352,12 +334,50 @@ class VertexIds {
   PackedIds ids_;
   uint32_t size_ = 0;
   VertexId base_ = 0;
+  uint32_t gap_ = UINT32_MAX;  // none
+  VertexId root_ = kUnresolvedRoot;
 };
+
+class VertexIds::Iterator {
+ public:
+  using iterator_concept = std::forward_iterator_tag;
+  using iterator_category = std::input_iterator_tag;
+  using value_type = VertexId;
+  using difference_type = std::ptrdiff_t;
+  using reference = VertexId;
+  using pointer = void;
+
+  Iterator() = default;
+  VertexId operator*() const { return ids_[at_]; }
+  Iterator& operator++() {
+    ++at_;
+    return *this;
+  }
+  Iterator operator++(int) {
+    Iterator old = *this;
+    ++at_;
+    return old;
+  }
+  bool operator==(const Iterator& other) const { return at_ == other.at_; }
+
+ private:
+  friend class VertexIds;
+  Iterator(const VertexIds& ids, size_t at) : ids_(ids), at_(at) {}
+
+  // A copy, so an iterator outlives its range.
+  VertexIds ids_;
+  size_t at_ = 0;
+};
+
+inline VertexIds::Iterator VertexIds::begin() const { return {*this, 0}; }
+inline VertexIds::Iterator VertexIds::end() const { return {*this, size_}; }
 
 /// Non-owning view of one reverse-reachable sample graph. Vertices are
 /// sorted; edges are a local CSR out-adjacency so tag-aware reachability
 /// is a forward BFS from the query user towards the root. The root is
-/// held as its local id, so the walk knows its target without a search.
+/// held as its local id, so the walk knows its target without a search,
+/// and a block's root vertex is the gap of its VertexIds: the estimate
+/// walks' view leaves it kUnresolvedRoot (RrSketchPool::WalkView).
 /// Every field is read at the width its block stores it at (see
 /// src/index/rr_sketch_pool.h): the heads at bit_width(n - 1) bits, any
 /// offsets at bit_width(m), the vertices and ranks at their pool's
@@ -403,7 +423,7 @@ struct RRView {
                     [this](size_t j) { return offsets[j]; });
   }
 
-  /// The root's global vertex id.
+  /// The root's global vertex id (kUnresolvedRoot in a walk's view).
   VertexId root() const { return vertices[root_local]; }
 
   /// Local index of global vertex v, or nullopt if absent.

@@ -63,13 +63,38 @@ RrSketchPool SampleSketchPool(const Graph& graph,
   // draw.
   PITEX_CHECK_MSG(theta == 0 || graph.num_vertices() > 0,
                   "cannot sample RR-Graphs of a network with no vertices");
-  // Every worker slot samples straight into its own run, in pool layout,
-  // with its own scratch arena (zero allocations at steady state).
-  // ParallelForSlots claims contiguous sample ranges, so a slot opens a
-  // segment whenever a sample does not follow its last one; FromRuns
-  // copies the segments into the pool in sample order. Each sample i owns
-  // an independent RNG stream derived from (seed, i), making the pool
-  // bit-identical regardless of thread count.
+  // Sketch ids, and so the root starts, are u32.
+  PITEX_CHECK_MSG(theta < UINT32_MAX,
+                  "sketch pool exceeds its directory words");
+  // Roots first: sample i's root is the first draw of its stream, so
+  // every root is drawn before any sketch is, and a stable counting sort
+  // of the samples by root gives each its final id (by root, and among
+  // one root's by sample) and the root starts. Sample i's stream is
+  // drawn again when its sketch is generated.
+  const size_t num_vertices = graph.num_vertices();
+  std::vector<uint32_t> starts(num_vertices + 1, 0);
+  std::vector<uint32_t> sample_of(theta);  // by id, once sorted
+  {
+    std::vector<VertexId> roots(theta);
+    for (uint64_t i = 0; i < theta; ++i) {
+      roots[i] = static_cast<VertexId>(
+          SampleStream(seed, i).NextBounded(num_vertices));
+      ++starts[roots[i] + 1];
+    }
+    for (size_t v = 0; v < num_vertices; ++v) starts[v + 1] += starts[v];
+    std::vector<uint32_t> next(starts.begin(), starts.end() - 1);
+    for (uint64_t i = 0; i < theta; ++i) {
+      sample_of[next[roots[i]]++] = static_cast<uint32_t>(i);
+    }
+  }
+  // Every worker slot generates straight into its own run, in pool
+  // layout, with its own scratch arena (zero allocations at steady
+  // state), each sketch at its final id. ParallelForSlots claims
+  // contiguous id ranges, so a slot opens a segment whenever an id does
+  // not follow its last one; FromRuns copies the segments into the pool
+  // with the root starts. Each sample i owns an independent RNG stream
+  // derived from (seed, i), making the pool bit-identical regardless of
+  // thread count.
   const size_t threads = std::max<size_t>(1, num_threads);
   std::unique_ptr<ThreadPool> local_pool;
   if (pool == nullptr && threads > 1 && theta >= 2 * threads) {
@@ -90,28 +115,32 @@ RrSketchPool SampleSketchPool(const Graph& graph,
   std::vector<SlotState> state(slots);
   const RrSketchPool network(graph);
   for (SlotState& s : state) s.run = network.EmptyLike();
-  auto generate = [&](size_t slot, size_t i) {
+  auto generate = [&](size_t slot, size_t id) {
     RrSketchPool& run = state[slot].run;
     std::vector<RrSketchPool::Segment>& open = state[slot].segments;
-    if (open.empty() || open.back().sample + open.back().count != i) {
-      open.push_back({i, &run, static_cast<uint32_t>(run.num_sketches()), 0});
+    if (open.empty() || open.back().id + open.back().count != id) {
+      open.push_back({id, &run, static_cast<uint32_t>(run.num_sketches()), 0});
     }
     ++open.back().count;
-    Rng rng = SampleStream(seed, i);
-    const auto root =
-        static_cast<VertexId>(rng.NextBounded(graph.num_vertices()));
+    Rng rng = SampleStream(seed, sample_of[id]);
+    const auto root = static_cast<VertexId>(rng.NextBounded(num_vertices));
     state[slot].arena.Generate(graph, envelope, root, &rng, &run);
+    // The sketch generated is rooted in its id's root range.
+    PITEX_DCHECK([&] {
+      const VertexId got = run.RootOf(run.num_sketches() - 1);
+      return starts[got] <= id && id < starts[got + 1];
+    }());
   };
   if (pool != nullptr) {
     ParallelForSlots(pool, 0, theta, generate);
   } else {
-    for (uint64_t i = 0; i < theta; ++i) generate(0, i);
+    for (uint64_t id = 0; id < theta; ++id) generate(0, id);
   }
   std::vector<RrSketchPool::Segment> all;
   for (const SlotState& s : state) {
     all.insert(all.end(), s.segments.begin(), s.segments.end());
   }
-  return RrSketchPool::FromRuns(all, theta, network);
+  return RrSketchPool::FromRuns(all, starts, network);
 }
 
 Rng SampleStream(uint64_t seed, uint64_t i, uint64_t version) {
@@ -150,10 +179,10 @@ PITEX_NOALLOC Estimate RrIndex::EstimateInfluence(
   const RrSketchPool& base = *pool_;
   if (repairs() == nullptr) {
     for (const uint32_t id : base.NonRootContaining(u)) {
-      count(base.View(id, u));
+      count(base.WalkView(id));
     }
   } else {
-    for (const uint32_t id : NonRootContaining(u)) count(graph(id, u));
+    for (const uint32_t id : NonRootContaining(u)) count(WalkGraph(id));
   }
   result.influence = static_cast<double>(hits) /
                      static_cast<double>(theta_) *

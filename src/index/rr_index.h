@@ -95,7 +95,9 @@ class RrIndex final : public InfluenceOracle {
   size_t num_graphs() const { return pool_->num_sketches(); }
   /// Non-owning view of RR-Graph i (valid while the index is alive), `u`
   /// a vertex it contains (RrSketchPool::View): a reader walking
-  /// RootRange(u) or NonRootContaining(u) passes u.
+  /// RootRange(u) or NonRootContaining(u) passes u. A block's root comes
+  /// from the id's range, by a search of the root starts: the estimate
+  /// walks take WalkGraph.
   RRView graph(size_t i, VertexId u) const {
     if (const RrSketchOverlay* overlay = repairs()) {
       const uint32_t slot = overlay->SlotOf(static_cast<uint32_t>(i));
@@ -104,6 +106,18 @@ class RrIndex final : public InfluenceOracle {
       }
     }
     return pool_->View(i, u);
+  }
+  /// The walk's view of RR-Graph i, a block containing a vertex other
+  /// than its root (RrSketchPool::WalkView): the estimate paths' view,
+  /// which leaves the root's vertex id unresolved.
+  RRView WalkGraph(size_t i) const {
+    if (const RrSketchOverlay* overlay = repairs()) {
+      const uint32_t slot = overlay->SlotOf(static_cast<uint32_t>(i));
+      if (slot != RrSketchOverlay::kNotRepaired) {
+        return overlay->WalkView(slot);
+      }
+    }
+    return pool_->WalkView(i);
   }
   /// Ids (sketch positions) of the RR-Graphs rooted at u: one range of
   /// the base pool, as a repair never changes a root.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <memory>
-#include <numeric>
 #include <span>
 
 #include "src/util/check.h"
@@ -91,11 +89,16 @@ uint64_t RrSketchPool::BodyStart(size_t i) const {
 }
 
 std::vector<VertexId> RrSketchPool::SingletonRoots() const {
-  if (!finished()) return roots_;
-  // The sketches rooted at v are one range, and a singleton's one
-  // vertex is its root.
   std::vector<VertexId> roots;
   roots.reserve(num_sketches_ - block_words_.size());
+  if (!finished()) {
+    for (size_t i = 0; i < num_sketches_; ++i) {
+      if (IsSingleton(i)) roots.push_back(roots_[i]);
+    }
+    return roots;
+  }
+  // The sketches rooted at v are one range, and a singleton's one
+  // vertex is its root.
   for (VertexId v = 0; v < num_universe_vertices(); ++v) {
     for (const uint32_t id : RootRange(v)) {
       if (IsSingleton(id)) roots.push_back(v);
@@ -104,30 +107,55 @@ std::vector<VertexId> RrSketchPool::SingletonRoots() const {
   return roots;
 }
 
+VertexId RrSketchPool::RootOf(size_t i) const {
+  if (!finished()) return roots_[i];
+  // The last group whose base is at most i holds the last vertex whose
+  // range starts at or before i, whose range holds i: a binary search of
+  // the bases without a branch, then a count of the group's words.
+  const uint32_t* base = root_starts_.bases.data();
+  for (size_t len = root_starts_.bases.size(); len > 1;) {
+    const size_t half = len / 2;
+    base = base[half] <= i ? base + half : base;
+    len -= half;
+  }
+  const size_t first =
+      static_cast<size_t>(base - root_starts_.bases.data()) << kGroupBits;
+  const size_t last = std::min(first + kGroup, root_starts_.size());
+  const auto offset = static_cast<uint32_t>(i - *base);
+  // The group's vertices whose ranges start by i, counted at the words'
+  // width with no branch, so the loop vectorizes.
+  const auto started = [&]<typename T>() {
+    const auto* words =
+        reinterpret_cast<const std::byte*>(root_starts_.words.units.data());
+    size_t count = 0;
+    for (size_t v = first; v < last; ++v) {
+      count += LoadId<T>(words, v) <= offset;
+    }
+    return count;
+  };
+  const size_t count = root_starts_.words.shift == 1
+                           ? started.template operator()<uint16_t>()
+                           : started.template operator()<uint32_t>();
+  return static_cast<VertexId>(first + count - 1);
+}
+
+std::vector<uint32_t> RrSketchPool::RootStarts() const {
+  std::vector<uint32_t> starts(root_starts_.size());
+  for (size_t v = 0; v < starts.size(); ++v) starts[v] = RootStart(v);
+  return starts;
+}
+
 RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
-                                    uint64_t num_sketches,
+                                    std::span<const uint32_t> root_starts,
                                     const RrSketchPool& network) {
   RrSketchPool out = network.EmptyLike();
-  // Each segment's slice of its run, put in sample order, with the
-  // run's singleton roots.
-  struct Slice : Segment {
-    const VertexId* roots;
-  };
-  // The one finished run (Fold's base) has its roots read once, however
-  // many segments it has.
-  const RrSketchPool* finished_run = nullptr;
-  std::optional<std::vector<VertexId>> finished_roots;
-  const auto roots_of = [&](const RrSketchPool& run) -> const VertexId* {
-    if (!run.finished()) return run.roots_.data();
-    if (!finished_roots) {
-      finished_run = &run;
-      finished_roots = run.SingletonRoots();
-    }
-    PITEX_CHECK_MSG(finished_run == &run, "at most one run may be finished");
-    return finished_roots->data();
-  };
-  std::vector<Slice> slices;
-  slices.reserve(segments.size());
+  PITEX_CHECK_MSG(root_starts.size() == out.num_vertices_ + 1 &&
+                      root_starts.front() == 0 &&
+                      std::ranges::is_sorted(root_starts),
+                  "root starts must ascend from 0 over the network");
+  const uint64_t num_sketches = root_starts.back();
+  std::vector<Segment> sorted;
+  sorted.reserve(segments.size());
   uint64_t blocks = 0;
   uint64_t body = 0;
   for (const Segment& seg : segments) {
@@ -144,14 +172,14 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
                     "run samples a different network");
     blocks += run.BlockRank(seg.first + seg.count) - run.BlockRank(seg.first);
     body += run.BodyStart(seg.first + seg.count) - run.BodyStart(seg.first);
-    slices.push_back({seg, roots_of(run)});
+    sorted.push_back(seg);
   }
-  std::ranges::sort(slices, {}, &Slice::sample);
+  std::ranges::sort(sorted, {}, &Segment::id);
   uint64_t covered = 0;
-  for (const Slice& s : slices) {
-    PITEX_CHECK_MSG(s.sample == covered,
+  for (const Segment& seg : sorted) {
+    PITEX_CHECK_MSG(seg.id == covered,
                     "runs must cover every sample exactly once");
-    covered += s.count;
+    covered += seg.count;
   }
   PITEX_CHECK_MSG(covered == num_sketches,
                   "runs must cover every sample exactly once");
@@ -160,84 +188,44 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= kExplicit,
                   "sketch pool exceeds its directory words");
 
-  // Where each sketch goes: a stable counting sort of the samples by
-  // root. The first pass counts each root's sketches and block bytes;
-  // the second, in sample order again, gives each sketch the next id of
-  // its root and copies its block, as it is, to the next bytes of its
-  // root's, so a root's sketches keep their sample order. A run's blocks
-  // are in its own sketch order, so a Fold, whose base is in root order
-  // and whose repairs keep their roots, comes out in the order it went
-  // in. Each id's slot keeps what the directory needs: a singleton's
-  // root, or kExplicit | its block's start.
-  const auto for_each_sketch = [&slices](auto&& fn) {
-    for (const Slice& s : slices) {
-      const RrSketchPool& run = *s.run;
-      run.ForEachSketch(s.first, s.first + s.count,
-                        [&](bool block, uint64_t value) {
-        if (!block) {
-          fn(s.roots[value], nullptr, uint32_t{0});
-          return;
-        }
-        const uint8_t* at = run.body_.data() + value;
-        const RRView view = run.ViewAt(at, run.vertex_bits_, 0);
-        fn(view.root(), at,
-           static_cast<uint32_t>(view.edges.end_byte() - at));
-      });
-    }
-  };
-  std::vector<uint32_t> next_id(out.num_vertices_ + 1, 0);
-  std::vector<uint32_t> next_at(out.num_vertices_ + 1, 0);
-  for_each_sketch([&](VertexId root, const uint8_t*, uint32_t length) {
-    ++next_id[root + 1];
-    next_at[root + 1] += length;
-  });
-  for (size_t v = 1; v < next_id.size(); ++v) {
-    next_id[v] += next_id[v - 1];
-    next_at[v] += next_at[v - 1];
-  }
-  // Each root's first id: the root starts.
-  out.root_starts_.Assign(std::span<const uint32_t>(next_id));
-  // Every slot and every body byte but the padding is written once.
-  const auto slots = std::make_unique_for_overwrite<uint32_t[]>(num_sketches);
+  // Each segment's blocks are one stretch of its run's body, copied in
+  // id order, so each block moves by its segment's shift. The directory
+  // goes in id order into exact-size arrays. A group's base is where the
+  // next block starts when the walk reaches the group's first sketch, so
+  // it waits for the next block's start (or the end of the body); a
+  // block's own group is resolved by the time its word is appended.
+  out.root_starts_.Assign(root_starts);
   if (body != 0) out.body_.resize(body + kBitPadding);
-  for_each_sketch([&](VertexId root, const uint8_t* block, uint32_t length) {
-    const uint32_t id = next_id[root]++;
-    if (block == nullptr) {
-      slots[id] = root;
-      return;
-    }
-    std::memcpy(out.body_.data() + next_at[root], block, length);
-    slots[id] = kExplicit | next_at[root];
-    next_at[root] += length;
-  });
-
-  // The directory, in id order, in exact-size arrays. A group's base is
-  // where the next block starts when the walk reaches the group's first
-  // sketch, so it waits for the next block's start (or the end of the
-  // body); a block's own group is resolved by the time its word is
-  // appended.
   out.groups_.reserve((num_sketches + kGroup - 1) / kGroup);
   out.block_words_.Reserve(blocks, 2);
-  out.roots_.reserve(num_sketches - blocks);
   size_t resolved = 0;  // groups_[resolved ..] wait for a block's start
-  for (const uint32_t slot : std::span(slots.get(), num_sketches)) {
-    out.OpenGroup(0);
-    if ((slot & kExplicit) == 0) {
-      out.PushSingleton(slot);
-      continue;
+  uint64_t at = 0;      // where the segment's blocks go
+  for (const Segment& seg : sorted) {
+    const RrSketchPool& run = *seg.run;
+    const uint64_t from = run.BodyStart(seg.first);
+    const uint64_t length = run.BodyStart(seg.first + seg.count) - from;
+    if (length != 0) {
+      std::memcpy(out.body_.data() + at, run.body_.data() + from, length);
     }
-    const uint32_t start = slot & ~kExplicit;
-    for (; resolved < out.groups_.size(); ++resolved) {
-      out.groups_[resolved].base = start;
-    }
-    out.PushBlock(start - out.groups_.back().base);
+    run.ForEachSketch(seg.first, seg.first + seg.count,
+                      [&](bool block, uint64_t value) {
+      out.OpenGroup(0);
+      if (!block) {
+        out.PushSingleton();
+        return;
+      }
+      const auto start = static_cast<uint32_t>(at + (value - from));
+      for (; resolved < out.groups_.size(); ++resolved) {
+        out.groups_[resolved].base = start;
+      }
+      out.PushBlock(start - out.groups_.back().base);
+    });
+    at += length;
   }
   for (; resolved < out.groups_.size(); ++resolved) {
     out.groups_[resolved].base = static_cast<uint32_t>(body);
   }
-  PITEX_DCHECK(out.InRootOrder());
   out.BuildContaining(out.num_vertices_);
-  out.DropRoots();
   return out;
 }
 
@@ -252,6 +240,23 @@ RrSketchPool::FileDirectory RrSketchPool::SaveDirectory() const {
     max_offset = std::max<uint64_t>(max_offset, block_words_[b]);
   }
   FileDirectory file;
+  uint64_t max_count = 0;
+  for (size_t v = 0; v < num_universe_vertices(); ++v) {
+    max_count = std::max<uint64_t>(max_count, RootRange(v).size());
+  }
+  file.count_width = CountWidth(max_count);
+  file.counts.resize(num_universe_vertices() * file.count_width);
+  auto* counts = reinterpret_cast<std::byte*>(file.counts.data());
+  for (size_t v = 0; v < num_universe_vertices(); ++v) {
+    const auto count = static_cast<uint32_t>(RootRange(v).size());
+    if (file.count_width == 1) {
+      file.counts[v] = static_cast<uint8_t>(count);
+    } else if (file.count_width == 2) {
+      StoreId<uint16_t>(counts, v, count);
+    } else {
+      StoreId<uint32_t>(counts, v, count);
+    }
+  }
   file.width = DirectoryWidth(max_singleton, max_offset);
   file.words.resize(size_t{num_sketches_} * file.width);
   auto* words = reinterpret_cast<std::byte*>(file.words.data());
@@ -272,17 +277,39 @@ RrSketchPool::FileDirectory RrSketchPool::SaveDirectory() const {
   return file;
 }
 
-bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
-                                std::span<const uint8_t> words) {
+bool RrSketchPool::FinishLoaded(const Graph& topology,
+                                const FileDirectory& file) {
   SetNetwork(topology.num_vertices(), topology.MaxOutDegree());
   topology_ = topology;
-  const size_t s = words.size() / width;
+  const uint32_t width = file.width;
+  const size_t s = file.words.size() / width;
   // The blocks, then their padding (none without a block).
   if (!body_.empty() && body_.size() <= kBitPadding) return false;
   const uint64_t end = BodyEnd();
   if (s >= UINT32_MAX || end > kExplicit) return false;
+  // Each root's sketches, summed into the root starts: they must count
+  // every sketch once, at the width the largest count needs.
+  if (file.counts.size() != num_vertices_ * file.count_width) return false;
+  const auto* counts = reinterpret_cast<const std::byte*>(file.counts.data());
+  std::vector<uint32_t> root_start(num_vertices_ + 1, 0);
+  uint64_t max_count = 0;
+  for (size_t v = 0; v < num_vertices_; ++v) {
+    const uint32_t count =
+        file.count_width == 1   ? file.counts[v]
+        : file.count_width == 2 ? LoadId<uint16_t>(counts, v)
+                                : LoadId<uint32_t>(counts, v);
+    const uint64_t next = uint64_t{root_start[v]} + count;
+    if (next > s) return false;
+    root_start[v + 1] = static_cast<uint32_t>(next);
+    max_count = std::max<uint64_t>(max_count, count);
+  }
+  if (root_start[num_vertices_] != s ||
+      file.count_width != CountWidth(max_count)) {
+    return false;
+  }
+  root_starts_.Assign(std::span<const uint32_t>(root_start));
   const uint32_t flag = 1u << (8 * width - 1);
-  const auto* bytes = reinterpret_cast<const std::byte*>(words.data());
+  const auto* bytes = reinterpret_cast<const std::byte*>(file.words.data());
   const auto word_at = [&](size_t i) {
     return width == 2 ? LoadId<uint16_t>(bytes, i) : LoadId<uint32_t>(bytes, i);
   };
@@ -290,15 +317,11 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
   for (size_t i = 0; i < s; ++i) blocks += (word_at(i) & flag) != 0;
   groups_.reserve((s + kGroup - 1) / kGroup);
   block_words_.Reserve(blocks, 2);
-  roots_.reserve(s - blocks);
   uint64_t body = 0;      // where the next block must start
   uint64_t vertices = 0;  // every sketch's, which must fit 32 bits
   uint64_t max_singleton = 0;
   uint64_t max_offset = 0;
-  VertexId last_root = 0;  // the roots must not decrease: root order
-  // Each root's sketch count at its successor's index, summed into
-  // the root starts once every sketch passes.
-  std::vector<uint32_t> root_start(num_vertices_ + 1, 0);
+  VertexId root = 0;  // the vertex whose root range holds sketch i
   std::vector<uint8_t> marks;  // ParentsReachRoot's scratch
   // A varint inside the blocks of at most 32 bits (View reads it as a
   // u32) in no more bytes than its value needs; false if there is none.
@@ -314,14 +337,13 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
     return *value <= UINT32_MAX && *at - first == VarintLength(*value);
   };
   for (size_t i = 0; i < s; ++i) {
+    while (root_start[root + 1] <= i) ++root;
     OpenGroup(body);
     const uint32_t word = word_at(i);
     if ((word & flag) == 0) {
-      if (word >= num_vertices_ || word < last_root) return false;
-      last_root = word;
-      ++root_start[word + 1];
+      if (word != root) return false;
       max_singleton = std::max<uint64_t>(max_singleton, word);
-      PushSingleton(word);
+      PushSingleton();
       ++vertices;
       continue;
     }
@@ -346,26 +368,28 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
       return false;
     }
     PushBlock(offset);
-    const RRView view = ViewAt(body_.data() + body, vertex_bits_, 0);
+    const RRView view = ViewAt(body_.data() + body, root);
     // The bits after the last field, to the block's end, are zero.
     const uint64_t bits = FieldBits(n, m, in_tree, w);
     if ((bits & 7) != 0 && (body_[body + length - 1] >> (bits & 7)) != 0) {
       return false;
     }
-    for (uint64_t j = 0; j < n; ++j) {
-      if (view.vertices[j] >= num_vertices_ ||
-          (j > 0 && view.vertices[j] <= view.vertices[j - 1])) {
+    // The stored vertices strictly ascend below |V|, and the root id
+    // places the root between its neighbours among them.
+    const PackedIds& stored = view.vertices.ids();
+    const uint32_t r = view.root_local;
+    if (r >= n || (r > 0 && stored[r - 1] >= root) ||
+        (r + 1 < n && stored[r] <= root)) {
+      return false;
+    }
+    for (uint32_t j = 0; j + 1 < n; ++j) {
+      if (stored[j] >= num_vertices_ || (j > 0 && stored[j] <= stored[j - 1])) {
         return false;
       }
     }
     // The in-tree flag is set exactly when the offsets are an in-tree's:
     // a block of an in-tree's shape stored with offsets fails.
-    if (view.root_local >= n || (!in_tree && view.InTree()) ||
-        view.root() < last_root) {
-      return false;
-    }
-    last_root = view.root();
-    ++root_start[last_root + 1];
+    if (!in_tree && view.InTree()) return false;
     const bool csr_ok = view.VisitCsr([&](const auto& csr) {
       if (csr.offset(0) != 0 || csr.offset(n) != m) return false;
       for (uint64_t j = 0; j < n; ++j) {
@@ -409,26 +433,20 @@ bool RrSketchPool::FinishLoaded(const Graph& topology, uint32_t width,
                    body_.end(), [](uint8_t byte) { return byte == 0; })) {
     return false;
   }
-  PITEX_DCHECK(InRootOrder());
-  std::partial_sum(root_start.begin(), root_start.end(), root_start.begin());
-  root_starts_.Assign(std::span<const uint32_t>(root_start));
   BuildContaining(num_vertices_);
-  DropRoots();
   return true;
 }
 
 void RrSketchPool::BuildContaining(size_t num_vertices) {
   // A counting sort of the (vertex, sketch id) pairs by vertex, in
-  // ascending sketch order, of every vertex but each sketch's root:
-  // first[v] .. first[v + 1] - 1 index v's ids in `ids`. The counting
-  // pass also totals those ids, which set k.
+  // ascending sketch order, of every block's stored vertices, which
+  // leave out its root: first[v] .. first[v + 1] - 1 index v's ids in
+  // `ids`. The counting pass also totals those ids, which set k.
   std::vector<uint32_t> first(num_vertices + 1, 0);
-  size_t max_vertices = 0;
-  ForEachVertices([&](const VertexIds& sketch, uint32_t root_local) {
-    max_vertices = std::max(max_vertices, sketch.size());
-    for (uint32_t j = 0; j < sketch.size(); ++j) {
-      if (j != root_local) ++first[sketch[j] + 1];
-    }
+  uint32_t max_vertices = num_sketches_ == 0 ? 0 : 1;
+  ForEachStoredIds([&](uint32_t, const PackedIds& stored, uint32_t count) {
+    max_vertices = std::max(max_vertices, count + 1);
+    for (uint32_t j = 0; j < count; ++j) ++first[stored[j] + 1];
   });
   uint64_t occurrences = 0;
   for (size_t v = 1; v <= num_vertices; ++v) {
@@ -440,12 +458,9 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   std::vector<uint32_t> ids(occurrences);
   {
     std::vector<uint32_t> cursor(first.begin(), first.end() - 1);
-    uint32_t id = 0;
-    ForEachVertices([&](const VertexIds& sketch, uint32_t root_local) {
-      for (uint32_t j = 0; j < sketch.size(); ++j) {
-        if (j != root_local) ids[cursor[sketch[j]]++] = id;
-      }
-      ++id;
+    ForEachStoredIds([&](uint32_t id, const PackedIds& stored,
+                         uint32_t count) {
+      for (uint32_t j = 0; j < count; ++j) ids[cursor[stored[j]]++] = id;
     });
   }
   const auto list = [&](size_t v) {
@@ -469,7 +484,7 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   [[maybe_unused]] const uint64_t written = writer.Finish();
   PITEX_DCHECK(written == bits);
   containing_k_ = k;
-  max_sketch_vertices_ = static_cast<uint32_t>(max_vertices);
+  max_sketch_vertices_ = max_vertices;
 }
 
 size_t RrSketchPool::SizeBytes() const {
@@ -480,6 +495,9 @@ size_t RrSketchPool::SizeBytes() const {
 }
 
 void RrSketchOverlay::Put(uint32_t id, const RRView& sketch) {
+  PITEX_CHECK_MSG(base_ == nullptr || (id < base_->num_sketches() &&
+                                       base_->RootOf(id) == sketch.root()),
+                  "a repair must keep its sketch's id and root");
   const size_t word = id >> 6;
   if (word >= repaired_bits_.size()) repaired_bits_.resize(word + 1, 0);
   repaired_bits_[word] |= uint64_t{1} << (id & 63);
@@ -509,7 +527,7 @@ RrSketchPool RrSketchOverlay::Fold(const RrSketchPool& base) const {
     segments.push_back({next, &base, static_cast<uint32_t>(next),
                         static_cast<uint32_t>(theta - next)});
   }
-  return RrSketchPool::FromRuns(segments, theta, base);
+  return RrSketchPool::FromRuns(segments, base.RootStarts(), base);
 }
 
 void RrSketchOverlay::SetContaining(VertexId u,

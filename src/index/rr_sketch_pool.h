@@ -16,7 +16,9 @@
 // u are the ids [RootStart(u), RootStart(u + 1)) (RootRange). IndexEst
 // counts the sketches containing u in which u reaches the root, so a
 // sketch rooted at u is always a hit: the root range answers those with
-// two reads, and u's containing list holds only the others.
+// two reads, and u's containing list holds only the others. A sketch's
+// root is the vertex whose range holds its id, and is stored nowhere
+// else: a block stores its other vertices and its root's local id.
 //
 // Layout for sketch i (n_i vertices, m_i edges), every total checked to
 // fit:
@@ -37,8 +39,10 @@
 //                    n_i <= 7), and for a block that is not an in-tree
 //                    a second varint, m_i; then bit-granular fields,
 //                    LSB-first from the next byte (src/util/bits.h): the
-//                    n_i sorted vertex ids at V bits each, the root's
-//                    local id at L_i = bit_width(n_i - 1) bits, the
+//                    n_i - 1 sorted vertex ids other than the root's at
+//                    V bits each, the root's local id (where the root
+//                    goes among them) at L_i = bit_width(n_i - 1) bits,
+//                    the
 //                    n_i + 1 local CSR offsets (0 .. m_i) at
 //                    bit_width(m_i) bits unless the block is an in-tree,
 //                    the m_i local edge heads at L_i bits, and the m_i
@@ -72,7 +76,7 @@
 // vertices. A block's walk therefore reads its group's record, its word,
 // the block and, per probed edge, its tail's out-list offset and entry
 // in the graph. On pitexbench's network (200,000 sketches, 85,966 of
-// them blocks) the largest block start less its base is 1,104 B, so the
+// them blocks) the largest block start less its base is 2,755 B, so the
 // directory takes 3,125 records and 2-byte words: 221,932 B.
 // An *in-tree* block is one whose CSR gives the root no out-edge and
 // every other vertex exactly one (IsInTree): m_i = n_i - 1 and offset j
@@ -88,20 +92,23 @@
 // one of two CSR forms and no width dispatch.
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has no block and
-// no word, only its clear mask bit. Its root is the vertex whose root
-// range holds it, and is stored nowhere else: a reader views sketch i
-// as View(i, u), u a vertex the sketch contains, which every reader
-// holds (the estimate walk its user; a repair the updated edge's head),
-// and a singleton's view is a static in-tree block whose vertex field
-// is 0 bits wide, its vertex the view's base u (VertexIds). A singleton
+// no word, only its clear mask bit. Its root, like a block's, is the
+// vertex whose root range holds it. A reader views sketch i as View(i,
+// u), u a vertex the sketch contains: a singleton's view is a static
+// in-tree whose vertex field is 0 bits wide, its vertex the view's base
+// u (VertexIds); a block's view reads its root from the id, a run's
+// record or a search of a finished pool's root starts (RootOf), which
+// the cold paths can afford (repairs, DecomposeRRGraphInto, the loader,
+// the saver and tests). The estimate walks take WalkView(i) instead,
+// which searches nothing: a walk from a vertex other than the root stops
+// when it reaches the root's local id and never decodes the root as a
+// tail, so the view leaves the root's vertex id unresolved. A singleton
 // is in no containing list: the estimate counts it, with every other
-// sketch of u's root range, a hit from the range's size alone. A run
-// (below) records each singleton's root in append order, as FromRuns
-// and BuildContaining need them; a finished pool holds none. The cold
-// paths that need every root of a finished pool, the index writer's
-// words and Fold's stretches of the base, take them from one walk of
-// the root ranges and mask bits (SingletonRoots), which decodes no
-// list.
+// sketch of u's root range, a hit from the range's size alone, and
+// every sketch a list names is a block. A run (below) records each
+// sketch's root in append order; a finished pool holds none. The index
+// writer's singleton words take the roots from one walk of the root
+// ranges and mask bits (SingletonRoots), which decodes no list.
 //
 // Root ranges: RootStart(u), the first sketch rooted at u or after it,
 // for u in [0, |V|], in root_starts_, a GroupWords (below) of sketch
@@ -142,31 +149,38 @@
 // Every pool is written one way: sketches are appended in this layout
 // (AppendSketch, which Append and the generator call, each field put in
 // order through one BitWriter) to *runs*, pools without a containing
-// index, and FromRuns copies the runs' segments' blocks as they are, in
-// root order (a stable counting sort of the samples by root), into a
-// finished pool's exact-size arrays, then builds the root ranges and
-// the containing index once, serially, from the blocks and the runs'
-// singleton roots. The build's generator appends to one run per worker
-// slot. Compaction and the save of an index with repairs finish base +
-// overlay the same way (RrSketchOverlay::Fold): each stretch of
+// index that record each sketch's root, already at their final ids, and
+// FromRuns copies each run segment's blocks as they are, one memcpy a
+// segment, into a finished pool's exact-size arrays, takes the root
+// starts from its caller, and builds the containing index once,
+// serially, from the blocks' stored vertices, which leave the roots out.
+// It reads no root and sorts no sketch: the build's sampler draws every
+// sample's root first (the first draw of its stream), counting-sorts the
+// samples by root into their final ids, and generates each sketch at its
+// id, into one run per worker slot; its pre-pass counts are the root
+// starts. Compaction and the save of an index with repairs finish base
+// + overlay the same way (RrSketchOverlay::Fold): each stretch of
 // unrepaired sketches is a segment of the base, and each repaired
-// sketch's current copy a segment of the overlay's store; a repair
-// keeps its sketch's root, so the fold keeps every id. Every writer
-// starts the block words at 2 bytes and widens them once, in place,
-// when a word first fails to fit them (Words::Push); the widening
-// doubles the words' room, so FromRuns' exact-size arrays stay exact.
-// The index file (src/index/index_io.h, v12) keeps the directory as it
-// was before singletons left it: one word per sketch, a singleton's root
-// or the file flag (the word's top bit) | its block's start less its
-// group's base, every word at the width DirectoryWidth gives. The writer
-// builds those words from the root ranges (SingletonRoots). A loaded
-// pool was written this way before it was saved: FinishLoaded accepts
-// the file's words and the body only if they are exactly what appending
-// the pool's own views to a run, finishing it and saving it writes (the
-// roots, a singleton's word or a block's root vertex, must not decrease
-// in id), builds the directory from them, builds the root ranges and
-// the containing index from the blocks and the words' roots, and drops
-// the roots. An
+// sketch's current copy a segment of the overlay's store; a repair keeps
+// its sketch's root (RrSketchOverlay::Put checks it), so the fold keeps
+// every id and passes the base's root starts. Every writer starts the
+// block words at 2 bytes and widens them once, in place, when a word
+// first fails to fit them (Words::Push); the widening doubles the words'
+// room, so FromRuns' exact-size arrays stay exact.
+// The index file (src/index/index_io.h, v13) keeps each vertex's count
+// of rooted sketches, at the width the largest needs (CountWidth), and
+// the directory as it was before singletons left it: one word per
+// sketch, a singleton's root or the file flag (the word's top bit) |
+// its block's start less its group's base, every word at the width
+// DirectoryWidth gives. The writer builds those words and counts from
+// the root ranges (SingletonRoots). A loaded pool was written this way
+// before it was saved: FinishLoaded builds the root ranges from the
+// counts, which must sum to the sketch count, and accepts the file's
+// words and the body only if they are exactly what appending the pool's
+// own views to a run, finishing it and saving it writes (a singleton's
+// word is its range's root; a block's vertices, its root among them at
+// its root id, strictly ascend), then builds the directory from them
+// and the containing index from the blocks. An
 // overlay's sketch store is a run that Fold copies from but never
 // finishes, and the two other runs SketchArena writes are never finished
 // either: the one-sketch run DynamicRrIndex re-closes each repaired
@@ -454,10 +468,10 @@ class RrSketchPool {
                  LowMask(kHeaderFlagBits)) == UINT32_MAX);
   static_assert(kMaxThresholdWidth << 1 < (1u << kHeaderFlagBits));
 
-  /// Samples [sample, sample + count) stored in order as sketches
-  /// [first, first + count) of run `run`: what FromRuns copies.
+  /// A finished pool's sketches [id, id + count), stored in order as
+  /// sketches [first, first + count) of run `run`: what FromRuns copies.
   struct Segment {
-    uint64_t sample = 0;
+    uint64_t id = 0;
     const RrSketchPool* run = nullptr;
     uint32_t first = 0;
     uint32_t count = 0;
@@ -482,24 +496,25 @@ class RrSketchPool {
   RrSketchPool EmptyLike() const;
 
   /// Finishes a pool from runs, each a pool of `network`'s network (its
-  /// widths and the topology it shares, which FromRuns checks): copies
-  /// every segment's blocks as they are, in root order, into exact-size
-  /// arrays (rebasing each block word), then builds the root ranges and
-  /// the containing index over the network's vertices from the blocks
-  /// and the runs' singleton roots, which the result does not keep. The
-  /// segments must cover samples [0, num_sketches) exactly once; the
-  /// result's sketches are ordered by root, and among one root's by
-  /// sample, so the pool is identical for any thread count and claim
-  /// interleaving. At most one run may be a finished pool (Fold's base,
-  /// which is also `network`): its singletons' roots are read from its
-  /// root ranges, once (SingletonRoots).
+  /// widths and the topology it shares, which FromRuns checks), whose
+  /// sketches are already at their final ids: `root_starts` holds
+  /// RootStart(v) for v in [0, |V|], ascending from 0 to the sketch
+  /// count, and the segments must cover those ids exactly once, in any
+  /// order. Copies each segment's blocks as they are, with one memcpy,
+  /// into exact-size arrays (rebasing each block word), takes the root
+  /// ranges as given, and builds the containing index from the blocks'
+  /// stored vertices. It reads no root: the caller put each sketch in
+  /// its root's range (the sampler draws every root first; Fold keeps
+  /// its base's ids and roots). A run may be a finished pool (Fold's
+  /// base).
   static RrSketchPool FromRuns(std::span<const Segment> segments,
-                               uint64_t num_sketches,
+                               std::span<const uint32_t> root_starts,
                                const RrSketchPool& network);
 
   /// Appends one sketch in the pooled layout without touching the
   /// containing index: a pool appended to is a run, which only FromRuns
-  /// reads besides View(). The block takes this pool's widths and its
+  /// reads besides View(), and which records the sketch's root. The
+  /// block takes this pool's widths and its
   /// own form whatever widths and form `sketch` is stored in; its ranks
   /// are copied as they are, so `sketch` must sample this pool's
   /// network. `sketch` must not view this pool.
@@ -512,8 +527,9 @@ class RrSketchPool {
   /// block then stores none of them. `threshold_width` is the width the
   /// records' thresholds need (ThresholdWidth of their largest
   /// StoredThreshold; 0 without edges), which the block's records take.
-  /// An implicit singleton (one vertex, no edges) has nothing to write
-  /// and calls no fill: the run records its root.
+  /// The block stores every vertex but the root; the run records the
+  /// root. An implicit singleton (one vertex, no edges) has nothing to
+  /// write and calls no fill.
   template <typename Fill>
   void AppendSketch(uint32_t root_local, std::span<const VertexId> vertices,
                     size_t m, bool in_tree, uint32_t threshold_width,
@@ -544,29 +560,35 @@ class RrSketchPool {
   }
 
   /// Non-owning view of sketch i (valid while the pool is alive), `u` a
-  /// vertex the sketch contains. A block's view reads its vertices from
-  /// its block; a singleton's only vertex is its root, which its view
-  /// takes from u.
+  /// vertex the sketch contains. A singleton's only vertex is its root,
+  /// which its view takes from u. A block's view reads its vertices from
+  /// its block and its root from the id: a run's record, or a finished
+  /// pool's root range that holds i (RootOf, a binary search): for the
+  /// cold paths and tests. The estimate walks take WalkView.
   RRView View(size_t i, VertexId u) const {
-    const Group& group = groups_[i >> kGroupBits];
-    const auto j = static_cast<uint32_t>(i & kGroupMask);
-    // One ViewAt for both forms, so View stays small enough to inline
-    // into the walks. A singleton has no word to load: its word index
-    // may be one past the last.
-    const uint8_t* at = kSingleton;
-    uint32_t vertex_bits = 0;
-    VertexId vertex_base = u;
-    if (((group.mask >> j) & 1) != 0) {
-      const size_t word = group.rank + PopCount(group.mask & LowMask(j));
-      at = body_.data() + group.base + block_words_[word];
-      vertex_bits = vertex_bits_;
-      vertex_base = 0;
-    } else {
-      PITEX_DCHECK(finished() ? RootStart(u) <= i && i < RootStart(u + 1)
-                              : roots_[i - BlockRank(i)] == u);
+    if (IsSingleton(i)) {
+      PITEX_DCHECK(RootOf(i) == u);
+      return SingletonView(u);
     }
-    return ViewAt(at, vertex_bits, vertex_base);
+    return ViewAt(BlockAt(i), RootOf(i));
   }
+  /// The view of block i that a walk from one of its vertices other than
+  /// its root takes: its root's local id, but not its vertex id, which
+  /// reads as kUnresolvedRoot. A walk stops when it reaches the root's
+  /// local id and never decodes the root as a tail, so it never looks a
+  /// root up. Every sketch in a vertex's containing list is a block.
+  RRView WalkView(size_t i) const {
+    PITEX_DCHECK(!IsSingleton(i));
+    return ViewAt(BlockAt(i), kUnresolvedRoot);
+  }
+
+  /// The root of sketch i: a run's record, or the vertex whose root
+  /// range holds i, found from the root starts' group bases and one
+  /// group's words.
+  VertexId RootOf(size_t i) const;
+  /// RootStart(v) for v in [0, |V|] of a finished pool: what Fold passes
+  /// FromRuns.
+  std::vector<uint32_t> RootStarts() const;
 
   /// Every singleton's root, in sketch order: a run's as it recorded
   /// them; a finished pool's, which it does not hold, from one walk of
@@ -726,9 +748,13 @@ class RrSketchPool {
     Words words;
   };
 
-  /// The directory as the index file holds it: one word per sketch at
-  /// `width` bytes (DirectoryWidth), in the host's byte order.
+  /// The directory as the index file holds it: each vertex's count of
+  /// rooted sketches at `count_width` bytes (CountWidth), then one word
+  /// per sketch at `width` bytes (DirectoryWidth), in the host's byte
+  /// order.
   struct FileDirectory {
+    uint32_t count_width = 1;
+    std::vector<uint8_t> counts;
     uint32_t width = 2;
     std::vector<uint8_t> words;
   };
@@ -747,19 +773,17 @@ class RrSketchPool {
   static uint64_t Header(uint64_t n, uint32_t w, bool in_tree) {
     return n << kHeaderFlagBits | uint64_t{w} << 1 | (in_tree ? kInTree : 0);
   }
-  /// The block implicit singletons read: a one-byte in-tree header
-  /// (n = 1, so no edges, and w = 0), then zero bytes for the 8-byte
-  /// loads of its 0-bit fields (the vertex, whose value is the view's
-  /// base, and the root id 0).
-  static constexpr uint8_t kSingleton[1 + sizeof(uint64_t)] = {
-      1u << kHeaderFlagBits | kInTree};
+  /// Zero bytes for the 8-byte loads of an implicit singleton's view's
+  /// 0-bit fields: its vertex, whose value is the view's base, its root
+  /// id 0 and its heads.
+  static constexpr uint8_t kZeros[sizeof(uint64_t)] = {};
 
   /// Bits of a block's fields after its header, with n vertices and m
-  /// edges, an in-tree or not, and threshold width w: the vertices, the
-  /// root id, any offsets, the heads and the records.
+  /// edges, an in-tree or not, and threshold width w: the vertices but
+  /// the root, the root id, any offsets, the heads and the records.
   uint64_t FieldBits(uint64_t n, uint64_t m, bool in_tree, uint32_t w) const {
     const uint64_t id_bits = IdBits(n);
-    return n * vertex_bits_ + id_bits +
+    return (n - 1) * vertex_bits_ + id_bits +
            (in_tree ? 0 : (n + 1) * IdBits(m + 1)) +
            m * (id_bits + rank_bits_ + kThresholdBits + w);
   }
@@ -772,10 +796,22 @@ class RrSketchPool {
            (in_tree ? 0 : VarintLength(m)) +
            (FieldBits(n, m, in_tree, w) + 7) / 8;
   }
-  /// The view of the block at `at`, its vertices `vertex_base` plus
-  /// fields of `vertex_bits` bits.
-  RRView ViewAt(const uint8_t* at, uint32_t vertex_bits,
-                VertexId vertex_base) const {
+  /// Where block i starts in body_.
+  const uint8_t* BlockAt(size_t i) const {
+    const Group& group = groups_[i >> kGroupBits];
+    const auto j = static_cast<uint32_t>(i & kGroupMask);
+    const size_t word = group.rank + PopCount(group.mask & LowMask(j));
+    return body_.data() + group.base + block_words_[word];
+  }
+  /// The view of an implicit singleton rooted at `root`: one vertex, no
+  /// edges, an in-tree.
+  RRView SingletonView(VertexId root) const {
+    const PackedIds none{kZeros, 0, 0};
+    return RRView{0, VertexIds(none, 1, root), PackedIds{}, none,
+                  EdgeRecords({kZeros, 0, rank_bits_}, 0, 0), &topology_};
+  }
+  /// The view of the block at `at`, whose root is `root`.
+  RRView ViewAt(const uint8_t* at, VertexId root) const {
     uint32_t header;
     at = GetVarint(at, &header);
     const uint32_t n = header >> kHeaderFlagBits;
@@ -788,14 +824,15 @@ class RrSketchPool {
     const auto id_bits = static_cast<uint32_t>(std::bit_width(n - 1));
     const auto offset_bits =
         in_tree ? 0 : static_cast<uint32_t>(std::bit_width(m));
-    const uint32_t root_at = n * vertex_bits;
+    const uint32_t root_at = (n - 1) * vertex_bits_;
     const uint32_t offsets_at = root_at + id_bits;
     const uint32_t heads_at =
         offsets_at + (in_tree ? 0 : (n + 1) * offset_bits);
+    const uint32_t root_local = PackedIds{at, root_at, id_bits}[0];
     // Every member given, so no member is first zeroed.
     return RRView{
-        PackedIds{at, root_at, id_bits}[0],
-        VertexIds({at, 0, vertex_bits}, n, vertex_base),
+        root_local,
+        VertexIds({at, 0, vertex_bits_}, n, root_local, root),
         // Edgeless, the offsets take 0 bits and may start at the block's
         // last bit: they are read at its first, inside the body.
         PackedIds{in_tree ? nullptr : at, m == 0 ? 0 : offsets_at,
@@ -811,7 +848,7 @@ class RrSketchPool {
   }
 
   /// True for a pool FromRuns or the loader finished: it has root ranges
-  /// and a containing index, and no singleton roots. Any other pool is a
+  /// and a containing index, and records no roots. Any other pool is a
   /// run.
   bool finished() const { return containing_starts_.size() != 0; }
 
@@ -839,10 +876,15 @@ class RrSketchPool {
                ? 2
                : 4;
   }
+  /// Bytes per root count of the index file, whose largest count is
+  /// `max_count`: 1, 2 or 4, the fewest that hold it.
+  static uint32_t CountWidth(uint64_t max_count) {
+    return max_count <= UINT8_MAX ? 1 : max_count <= UINT16_MAX ? 2 : 4;
+  }
 
   /// Calls fn(block, value) for sketches first .. last - 1 in order:
   /// value is where a block starts in body_, or a singleton's rank among
-  /// the singletons (its root's place in roots_ or SingletonRoots). One
+  /// the singletons (its root's place in SingletonRoots). One
   /// dispatch on the word width, then a loop at that width that keeps
   /// the arrays' addresses in registers whatever fn stores.
   template <typename Fn>
@@ -877,59 +919,37 @@ class RrSketchPool {
                          static_cast<uint32_t>(block_words_.size()), 0});
     }
   }
-  /// Appends sketch num_sketches() as a singleton rooted at `root`, or
+  /// Appends sketch num_sketches() to the directory as a singleton, or
   /// as a block starting `offset` bytes past its group's base, the last.
-  void PushSingleton(VertexId root) {
-    roots_.push_back(root);
-    ++num_sketches_;
-  }
+  void PushSingleton() { ++num_sketches_; }
   void PushBlock(uint64_t offset) {
     block_words_.Push(static_cast<uint32_t>(offset));
     groups_.back().mask |= uint64_t{1} << (num_sketches_ & kGroupMask);
     ++num_sketches_;
   }
 
-  /// Frees the singleton roots: a finished pool holds none.
-  void DropRoots() { std::vector<VertexId>().swap(roots_); }
-
   /// Sets the network counts and the fields' widths they call for.
   void SetNetwork(uint64_t num_vertices, uint64_t max_out_degree);
 
-  /// Calls fn(vertices, root_local) with each sketch's sorted vertices
-  /// and its root's local id, in order: a singleton's one vertex from
-  /// roots_, a block's fields from after its header, and none of the
-  /// rest of a view. The pool must hold its singletons' roots (a run, or
-  /// a pool being finished).
+  /// Calls fn(id, stored, count) for each block in id order: `stored`
+  /// its `count` stored vertex ids, every vertex but its root, ascending,
+  /// read from after its header and none of the rest of a view.
   template <typename Fn>
-  void ForEachVertices(Fn&& fn) const {
+  void ForEachStoredIds(Fn&& fn) const {
+    uint32_t id = 0;
     ForEachSketch(0, num_sketches(), [&](bool block, uint64_t value) {
-      if (!block) {
-        fn(VertexIds({kSingleton + 1, 0, 0}, 1, roots_[value]), 0u);
-        return;
+      if (block) {
+        uint32_t header;
+        const uint8_t* at = GetVarint(body_.data() + value, &header);
+        if ((header & kInTree) == 0) {
+          uint32_t m;
+          at = GetVarint(at, &m);
+        }
+        fn(id, PackedIds{at, 0, vertex_bits_},
+           (header >> kHeaderFlagBits) - 1);
       }
-      uint32_t header;
-      const uint8_t* at = GetVarint(body_.data() + value, &header);
-      if ((header & kInTree) == 0) {
-        uint32_t m;
-        at = GetVarint(at, &m);
-      }
-      const uint32_t n = header >> kHeaderFlagBits;
-      fn(VertexIds({at, 0, vertex_bits_}, n, 0),
-         PackedIds{at, n * vertex_bits_, IdBits(n)}[0]);
+      ++id;
     });
-  }
-
-  /// True when no sketch's root is below the one before it's: the
-  /// pool's ids are in root order. The pool must hold its singletons'
-  /// roots, as ForEachVertices needs.
-  bool InRootOrder() const {
-    VertexId last = 0;
-    bool ordered = true;
-    ForEachVertices([&](const VertexIds& vertices, uint32_t root_local) {
-      ordered &= vertices[root_local] >= last;
-      last = vertices[root_local];
-    });
-    return ordered;
   }
 
   /// AppendSketch for any sorted vertex range with size() and
@@ -943,21 +963,26 @@ class RrSketchPool {
   /// block at or after i, or the end of the blocks.
   uint64_t BodyStart(size_t i) const;
 
-  /// The index file's directory words of this finished pool.
+  /// The index file's root counts and directory words of this finished
+  /// pool.
   FileDirectory SaveDirectory() const;
 
   /// Checks a pool whose body_ was read from a file (src/index/
-  /// index_io.h), with the file's directory `words`, one per sketch at
-  /// `width` bytes, against `topology`, the network it samples, which
-  /// sets its fields' widths and becomes the pool's; if they hold,
-  /// builds its directory, its root ranges and its containing index.
-  /// Walking the words in order, each group's base is where the next
-  /// block must start, each singleton's vertex and each block's sorted
-  /// vertices must lie below |V|, the roots (a singleton's vertex, a
-  /// block's root vertex) must not decrease (root order), each block
-  /// must start where the one before it ended (its word is the flag |
-  /// that start less its base), and the words may take 4 bytes only if
-  /// some word needs them (DirectoryWidth). Each block's
+  /// index_io.h), with the file's directory `file`, against `topology`,
+  /// the network it samples, which sets its fields' widths and becomes
+  /// the pool's; if they hold, builds its directory, its root ranges
+  /// and its containing index. The file's counts hold each vertex's
+  /// count of rooted sketches, at the width the largest needs
+  /// (CountWidth), and must sum to the word count: they set the root
+  /// ranges, and each sketch's root is the vertex whose range holds it.
+  /// Walking the words
+  /// in order, each group's base is where the next block must start,
+  /// each singleton's vertex must be its root, each block's vertices,
+  /// its stored ones and its root at its root id, must strictly ascend
+  /// and lie below |V|, each block must start where the one before it
+  /// ended (its word is the flag | that start less its base), and the
+  /// words may take 4 bytes only if some word needs them
+  /// (DirectoryWidth). Each block's
   /// header (and edge count) must be a varint of no more bytes than its
   /// value needs, with 0 < n <= kMaxBlockVertices, not a singleton's
   /// shape, and the in-tree flag exactly when its offsets are an
@@ -973,15 +998,12 @@ class RrSketchPool {
   /// passes is exactly what appending its own views to a run, finishing
   /// it (FromRuns) and saving it writes. False on the first check that
   /// fails.
-  bool FinishLoaded(const Graph& topology, uint32_t width,
-                    std::span<const uint8_t> words);
+  bool FinishLoaded(const Graph& topology, const FileDirectory& file);
 
-  /// Rebuilds containing_starts_ and containing_ from the packed
-  /// sketches and roots_, after the caller, which counted each root's
-  /// sketches as it ordered or checked them, set root_starts_: two
-  /// serial passes in ascending sketch order sort each vertex's ids into
-  /// a scratch array, every sketch's root left out (the first counts
-  /// them, which also sets containing_k_, and recounts
+  /// Rebuilds containing_starts_ and containing_ from the blocks' stored
+  /// vertices, which leave out each block's root: two serial passes over
+  /// the blocks in id order sort each vertex's ids into a scratch array
+  /// (the first counts them, which also sets containing_k_, and recounts
   /// max_sketch_vertices_), then a BitWriter codes the lists in vertex
   /// order into an exact-size array. The starts take 2-byte words while
   /// every group's do.
@@ -991,7 +1013,7 @@ class RrSketchPool {
 
   std::vector<Group> groups_;  // the directory: a record per 64 sketches
   Words block_words_;          // and a word per block
-  std::vector<VertexId> roots_;  // a run's singletons' roots, in order
+  std::vector<VertexId> roots_;  // a run's sketches' roots, in order
   std::vector<uint8_t> body_;    // blocks, then kBitPadding zero bytes
   GroupWords root_starts_;       // num_vertices + 1 sketch ids
   GroupWords containing_starts_;     // num_vertices + 1 bit offsets
@@ -1026,11 +1048,13 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
   [[maybe_unused]] const size_t i = num_sketches_;
   const uint64_t start = BodyEnd();
   OpenGroup(start);
+  const VertexId root = vertices[root_local];
+  PITEX_DCHECK(root != kUnresolvedRoot);
+  roots_.push_back(root);
   const uint64_t length = BodyLength(n, m, in_tree, w);
   if (length == 0) {
-    // Implicit singleton: the run records its root, and the directory
-    // only its clear mask bit.
-    PushSingleton(vertices[0]);
+    // Implicit singleton: the directory holds only its clear mask bit.
+    PushSingleton();
   } else {
     PITEX_CHECK_MSG(n <= kMaxBlockVertices && m <= UINT32_MAX &&
                         FieldBits(n, m, in_tree, w) <= UINT32_MAX,
@@ -1041,7 +1065,9 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
     uint8_t* fields = PutVarint(Header(n, w, in_tree), body_.data() + start);
     if (!in_tree) fields = PutVarint(m, fields);
     BitWriter bits(fields);
-    for (size_t j = 0; j < n; ++j) bits.Put(vertices[j], vertex_bits_);
+    for (size_t j = 0; j < n; ++j) {
+      if (j != root_local) bits.Put(vertices[j], vertex_bits_);
+    }
     const uint32_t id_bits = IdBits(n);
     bits.Put(root_local, id_bits);
     BlockWriter out(&bits, in_tree ? 0 : IdBits(uint64_t{m} + 1), id_bits,
@@ -1053,9 +1079,9 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
     // Offsets stored only where they are not an in-tree's, an in-tree's
     // parents lead to its root, and the thresholds take the width they
     // need.
-    PITEX_DCHECK(View(i, vertices[0]).InTree() == in_tree);
-    PITEX_DCHECK(!in_tree || ParentsReachRoot(View(i, vertices[0])));
-    PITEX_DCHECK(NeededThresholdWidth(View(i, vertices[0]).edges) == w);
+    PITEX_DCHECK(View(i, root).InTree() == in_tree);
+    PITEX_DCHECK(!in_tree || ParentsReachRoot(View(i, root)));
+    PITEX_DCHECK(NeededThresholdWidth(View(i, root).edges) == w);
   }
   // Every block's start stays below the file directory word's flag.
   PITEX_CHECK_MSG(BodyEnd() <= kExplicit,
@@ -1079,14 +1105,18 @@ class RrSketchOverlay {
   static constexpr uint32_t kNotRepaired = UINT32_MAX;
 
   /// An overlay whose lists are coded at `containing_k` and whose
-  /// sketches take a default pool's widths (any network's).
+  /// sketches take a default pool's widths (any network's), of no base
+  /// whose roots Put checks.
   explicit RrSketchOverlay(uint32_t containing_k = 0)
       : containing_k_(containing_k) {}
-  /// An overlay of `base`: its sketches take the base's widths and
-  /// topology and its lists the base's k (RrSketchPool::containing_k),
-  /// so one decoder reads both.
+  /// An overlay of `base`, which must outlive it: its sketches take the
+  /// base's widths and topology and its lists the base's k
+  /// (RrSketchPool::containing_k), so one decoder reads both, and each
+  /// copy Put stores must keep its id's root in the base.
   explicit RrSketchOverlay(const RrSketchPool& base)
-      : store_(base.EmptyLike()), containing_k_(base.containing_k()) {}
+      : store_(base.EmptyLike()),
+        base_(&base),
+        containing_k_(base.containing_k()) {}
 
   /// Sketch copies stored, superseded ones included: the size
   /// compaction bounds.
@@ -1109,6 +1139,9 @@ class RrSketchOverlay {
   RRView View(uint32_t slot, VertexId u) const {
     return store_.View(slot, u);
   }
+  /// The walk's view of the block in store slot `slot`
+  /// (RrSketchPool::WalkView).
+  RRView WalkView(uint32_t slot) const { return store_.WalkView(slot); }
 
   /// u's replacement containing list (the sketches containing u that u
   /// does not root: a repair never changes a root), or nothing while
@@ -1125,14 +1158,15 @@ class RrSketchOverlay {
   size_t SizeBytes() const;
 
   /// Appends `sketch` as sketch `id`'s current copy. `sketch` must not
-  /// view this overlay.
+  /// view this overlay, and a repair keeps its sketch's root: in an
+  /// overlay of a base, sketch.root() must be id's root there.
   void Put(uint32_t id, const RRView& sketch);
   /// The pool of every current sketch over `base`, the pool this
   /// overlay's sketches take their widths from: FromRuns of `base`'s
   /// stretches of unrepaired sketches and of each repaired sketch's
   /// current copy in the store, so no block is re-encoded and superseded
-  /// copies are left out. A repair keeps its sketch's id and root, so
-  /// the segments are already in root order and every sketch keeps its
+  /// copies are left out. A repair keeps its sketch's id and root (Put),
+  /// so the fold takes `base`'s root starts, and every sketch keeps its
   /// id. Compaction, and the index writer for an index with repairs,
   /// finish base + overlay this way.
   RrSketchPool Fold(const RrSketchPool& base) const;
@@ -1148,6 +1182,7 @@ class RrSketchOverlay {
   };
 
   RrSketchPool store_;
+  const RrSketchPool* base_ = nullptr;  // whose roots each copy keeps
   std::vector<uint64_t> repaired_bits_;  // bit id set <=> id in slot_of_
   std::unordered_map<uint32_t, uint32_t> slot_of_;
   std::unordered_map<VertexId, CodedList> containing_;

@@ -1,18 +1,10 @@
 #include "src/model/influence_graph.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/util/check.h"
 
 namespace pitex {
-
-float EnvelopeProbability(double p) {
-  PITEX_DCHECK(p >= 0.0 && p <= 1.0);
-  auto f = static_cast<float>(p);  // round-to-nearest
-  if (static_cast<double>(f) < p) f = std::nextafterf(f, 2.0f);
-  return f;
-}
 
 EnvelopeTable::EnvelopeTable(const Graph& graph,
                              const InfluenceGraph& influence) {

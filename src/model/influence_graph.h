@@ -13,6 +13,7 @@
 #ifndef PITEX_SRC_MODEL_INFLUENCE_GRAPH_H_
 #define PITEX_SRC_MODEL_INFLUENCE_GRAPH_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -22,6 +23,7 @@
 
 #include "src/graph/graph.h"
 #include "src/model/topic_model.h"
+#include "src/util/check.h"
 
 namespace pitex {
 
@@ -155,8 +157,20 @@ InfluenceGraph ReplaceEdgeTopics(
 /// double array, so the reverse-BFS inner loop streams twice the edges
 /// per cache line); rounding *up* preserves the Definition-2 envelope
 /// invariant p(e) >= p(e|W) for every tag set W that the double value
-/// guaranteed. Requires p in [0, 1].
-float EnvelopeProbability(double p);
+/// guaranteed. Requires p in [0, 1]. Inline and without a libm call: the
+/// envelope table, every repair's slice (InEnvelopeSlice) and every
+/// update's transition take it once per edge.
+inline float EnvelopeProbability(double p) {
+  PITEX_DCHECK(p >= 0.0 && p <= 1.0);
+  auto f = static_cast<float>(p);  // round-to-nearest
+  // Rounded below p, so f is a float in [+0, 1): the float one ulp up,
+  // the next float's bits (a subnormal's, from +0), is the smallest
+  // float >= p.
+  if (static_cast<double>(f) < p) {
+    f = std::bit_cast<float>(std::bit_cast<uint32_t>(f) + 1);
+  }
+  return f;
+}
 
 /// Dense envelope table for index construction: p(e) = max_z p(e|z) as
 /// floats laid out in *in-adjacency order* (entry Graph::InEdgeOffset(v)

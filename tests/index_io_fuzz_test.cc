@@ -189,17 +189,24 @@ TEST(IndexIoFuzzTest, ChecksumRepairedMutationsRoundTrip) {
 TEST(IndexIoFuzzTest, WideDirectoryMutationsRoundTrip) {
   // The seed's directory takes 4-byte words (its singletons' vertices
   // pass 2^15), so single-byte edits reach a wide directory's flag bit
-  // and offsets as well as its blocks.
+  // and offsets as well as its blocks. The edits fall past the root
+  // counts, which take a byte for each of the cycle's 40,001 users and
+  // would otherwise draw nearly every edit.
   const SocialNetwork n = MakeCertainCycle(40001);
   const std::string valid = PackedIndexBytes(n, WideDirectoryGraphs());
-  constexpr size_t kWidthOffset = kThetaOffset + 8;
-  ASSERT_EQ(valid[kWidthOffset], 4);
+  // After theta, the root counts: their width, their length and a count
+  // per vertex.
+  const size_t width_offset =
+      kThetaOffset + 8 + 1 + 8 +
+      size_t{static_cast<uint8_t>(valid[kThetaOffset + 8])} *
+          n.num_vertices();
+  ASSERT_EQ(valid[width_offset], 4);
   CheckConsistentIfLoaded(n, valid);
   Rng rng(17);
   int loaded = 0;
   for (int trial = 0; trial < 200; ++trial) {
     std::string bytes = valid;
-    bytes[rng.NextBounded(bytes.size() - 8)] =
+    bytes[width_offset + rng.NextBounded(bytes.size() - 8 - width_offset)] =
         static_cast<char>(rng.NextBounded(256));
     RepairChecksum(&bytes);
     CheckConsistentIfLoaded(n, bytes);
@@ -222,46 +229,54 @@ std::vector<RRGraph> SpacedPairs(VertexId pairs) {
 }
 
 TEST(IndexIoFuzzTest, MovedRootLoadsOnlyOntoAMember) {
-  // A root id moved to another member of its sketch is a different but
-  // valid index while the sketches stay in root order (the new root
-  // vertex lies between its neighbours' roots): it loads and saves back
-  // byte-identical. In an in-tree block, whose offsets follow from the
-  // root id, that holds only while every vertex's parent chase still
-  // reaches the new root; a root id at or past the sketch's vertex
-  // count, which its field holds unless the count is a power of two, is
-  // corruption, and so is a root out of order. The running example's
-  // 500 sketches over 8 users hold long runs of one root, so its moves
-  // are refused; the spaced pairs' moves stay in order.
+  // A root moved to another member of its sketch (the old root stored
+  // with the other vertices, the new one's local id the root id, and the
+  // root counts moving the sketch to the new root's range) is a
+  // different but valid index while the sketches stay in root order
+  // (the new root vertex lies between its neighbours' roots): it loads
+  // and saves back byte-identical. In an in-tree block, whose offsets
+  // follow from the root id, that holds only while every vertex's parent
+  // chase still reaches the new root; a root id at or past the sketch's
+  // vertex count, which its field holds unless the count is a power of
+  // two, is corruption, and so is a root out of order. The running
+  // example's 500 sketches over 8 users hold long runs of one root, so
+  // its moves are refused; the spaced pairs' moves stay in order.
   int moved = 0;
   int cyclic = 0;
   int unordered = 0;
   int off_sketch = 0;
-  const auto move_roots = [&](const SocialNetwork& n, Image* image) {
-    for (size_t i = 0; i < image->slots.size() && moved < 40; ++i) {
-      const std::optional<Block> explicit_block = BlockOf(image, i);
-      if (!explicit_block) continue;
-      const Block& block = *explicit_block;
-      const uint32_t root = block.root();
-      ASSERT_LT(root, block.n) << "sketch " << i;
-      for (uint32_t local = 0; local <= block.max_id(); ++local) {
-        if (local == root) continue;
-        block.set_root(local);
-        const std::string bytes = image->Encode();
+  const auto move_roots = [&](const SocialNetwork& n, const Image& image) {
+    for (size_t i = 0; i < image.slots.size() && moved < 40; ++i) {
+      Image original = image;
+      const std::optional<Block> block = BlockOf(&original, i);
+      if (!block) continue;
+      ASSERT_LT(block->root(), block->n) << "sketch " << i;
+      for (uint32_t local = 0; local <= block->max_id(); ++local) {
+        if (local == block->root()) continue;
+        Image edited = image;
+        const Block moved_block = *BlockOf(&edited, i);
+        if (local < block->n) {
+          moved_block.MoveRoot(local);
+        } else {
+          moved_block.set_root(local);
+        }
+        const std::string bytes = edited.Encode();
         std::stringstream file(bytes);
         IndexIoError error;
         const auto loaded = LoadRrIndex(n, file, &error);
         const bool in_order =
-            local < block.n &&
-            (i == 0 || RootOf(image, i - 1) <= block.vertex(local)) &&
-            (i + 1 == image->slots.size() ||
-             block.vertex(local) <= RootOf(image, i + 1));
+            local < block->n &&
+            (i == 0 || RootOf(&original, i - 1) <= block->vertex(local)) &&
+            (i + 1 == image.slots.size() ||
+             block->vertex(local) <= RootOf(&original, i + 1));
         const bool reaches =
-            local < block.n && (!block.tree || block.parents_reach_root());
+            local < block->n &&
+            (!moved_block.tree || moved_block.parents_reach_root());
         if (in_order && reaches) {
           ASSERT_NE(loaded, nullptr)
               << "sketch " << i << ": " << error.message;
-          EXPECT_EQ(loaded->graph(i, block.vertex(local)).root(),
-                    block.vertex(local));
+          EXPECT_EQ(loaded->graph(i, block->vertex(local)).root(),
+                    block->vertex(local));
           CheckConsistentIfLoaded(n, bytes);
           ++moved;
         } else {
@@ -269,21 +284,18 @@ TEST(IndexIoFuzzTest, MovedRootLoadsOnlyOntoAMember) {
               << "sketch " << i << ", root id " << local;
           EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload)
               << "sketch " << i << ": " << error.message;
-          ++(local >= block.n ? off_sketch : !reaches ? cyclic : unordered);
+          ++(local >= block->n ? off_sketch : !reaches ? cyclic : unordered);
         }
       }
-      block.set_root(root);
     }
   };
   const SocialNetwork example = MakeRunningExample();
-  Image example_image(ValidRrIndexBytes(example), example);
-  move_roots(example, &example_image);
+  move_roots(example, Image(ValidRrIndexBytes(example), example));
   const std::vector<RRGraph> pairs = SpacedPairs(32);
   const SocialNetwork spaced = NetworkOf(64, pairs);
   std::vector<RRGraph> ranked = pairs;
   Rerank(spaced.graph, &ranked);
-  Image spaced_image(PackedIndexBytes(spaced, ranked), spaced);
-  move_roots(spaced, &spaced_image);
+  move_roots(spaced, Image(PackedIndexBytes(spaced, ranked), spaced));
   EXPECT_GE(moved, 10);
   EXPECT_GE(cyclic, 10);
   EXPECT_GE(unordered, 10);

@@ -17,6 +17,7 @@
 
 #include "certain_cycle.h"
 #include "owned_sketch.h"
+#include "pool_image.h"
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
 #include "src/index/dynamic_index.h"
@@ -181,14 +182,15 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v11 is read: a file claiming v1 (the old one-record-per-graph
+  // Only v13 is read: a file claiming v1 (the old one-record-per-graph
   // format), v2 (the old per-sketch wire format), v3 (the pool image
   // with its edge records in a third array), v4 (every block vertex at
   // 4 bytes), v5 (a word-padded u32 body), v6 (offsets in every block),
   // v7 (a u32 directory word per sketch), v8 (whole bytes per block
   // field), v9 (edge ids in the records, not ranks), v10 (every
-  // threshold at 30 bits) or v11 (sketches in sample order, not root
-  // order), whole or cut short, is refused by its header.
+  // threshold at 30 bits), v11 (sketches in sample order, not root
+  // order) or v12 (each block storing its root's vertex id), whole or
+  // cut short, is refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -197,8 +199,8 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 12);
-  for (const char version : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) {
+  ASSERT_EQ(bytes[kVersionOffset], 13);
+  for (const char version : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}) {
     bytes[kVersionOffset] = version;
     for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
       std::stringstream in(bytes.substr(0, keep));
@@ -352,6 +354,49 @@ void RepairChecksum(std::string* bytes) {
   }
 }
 
+TEST(IndexIoTest, RootCountsSetTheRootRanges) {
+  // A v13 file stores each vertex's count of rooted sketches, and a
+  // block no root vertex: the counts set the root ranges. Counts that do
+  // not sum to theta, or a singleton word outside its id's range, are a
+  // corrupt payload; the same bytes under a v12 header are refused by
+  // their version.
+  const SocialNetwork n = MakeRunningExample();
+  RrIndex index(n, SmallOptions());
+  index.Build();
+  std::stringstream file;
+  ASSERT_TRUE(SaveRrIndex(index, file));
+  const std::string bytes = file.str();
+  const pool_image::Image image(bytes, n);
+  ASSERT_EQ(image.root_counts.size(), n.num_vertices());
+  for (VertexId v = 0; v < n.num_vertices(); ++v) {
+    EXPECT_EQ(image.root_counts[v], index.RootRange(v).size());
+  }
+  const auto load_code = [&n](const std::string& edited) {
+    std::stringstream in(edited);
+    IndexIoError error;
+    EXPECT_EQ(LoadRrIndex(n, in, &error), nullptr);
+    return error.code;
+  };
+  pool_image::Image more = image;
+  ++more.root_counts[3];
+  EXPECT_EQ(load_code(more.Encode()), IndexIoCode::kCorruptPayload);
+  pool_image::Image fewer = image;
+  --fewer.root_counts[3];
+  EXPECT_EQ(load_code(fewer.Encode()), IndexIoCode::kCorruptPayload);
+  // The first singleton's word names the next vertex: its range's root
+  // is another.
+  pool_image::Image moved = image;
+  const auto singleton = std::ranges::find_if(
+      moved.slots, [](uint32_t slot) { return (slot & (1u << 31)) == 0; });
+  ASSERT_NE(singleton, moved.slots.end());
+  *singleton = (*singleton + 1) % n.num_vertices();
+  EXPECT_EQ(load_code(moved.Encode()), IndexIoCode::kCorruptPayload);
+  std::string v12 = bytes;
+  v12[pool_image::kVersionOffset] = 12;
+  pool_image::RepairChecksum(&v12);
+  EXPECT_EQ(load_code(v12), IndexIoCode::kBadVersion);
+}
+
 TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
   // The estimator divides by theta, so a file whose directory holds
   // fewer sketches than its theta would estimate with the wrong
@@ -378,11 +423,15 @@ TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
     std::stringstream in(bytes);
     ASSERT_NE(LoadRrIndex(n, in), nullptr);
   }
-  // theta u64 follows the header, then the directory's word width u8,
-  // the u64 count of its bytes and its 2-byte words.
+  // theta u64 follows the header, then the root counts (their width
+  // u8, a u64 length and a count per vertex), the directory's word
+  // width u8, the u64 count of its bytes and its 2-byte words.
   constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
-  constexpr size_t kWidthOffset = kThetaOffset + 8;
-  constexpr size_t kCountOffset = kWidthOffset + 1;
+  const size_t kWidthOffset =
+      kThetaOffset + 8 + 1 + 8 +
+      size_t{static_cast<uint8_t>(bytes[kThetaOffset + 8])} *
+          n.num_vertices();
+  const size_t kCountOffset = kWidthOffset + 1;
   ASSERT_EQ(bytes[kWidthOffset], 2);
   const size_t last_slot = kCountOffset + 8 + 2 * (theta - 1);
   ASSERT_EQ(static_cast<unsigned char>(bytes[last_slot + 1]) & 0x80, 0)
@@ -509,7 +558,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   const SocialNetwork n = MakeRunningExample();
   const uint64_t fp = NetworkFingerprint(n);
   constexpr uint8_t kRr = 1;
-  constexpr uint32_t kCurrent = 12;  // the one version the loader reads
+  constexpr uint32_t kCurrent = 13;  // the one version the loader reads
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),

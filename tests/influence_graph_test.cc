@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <ios>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
+#include "src/util/random.h"
 
 namespace pitex {
 namespace {
@@ -62,6 +68,45 @@ TEST(InfluenceGraphTest, MaxProbIsEnvelope) {
       }
     }
   }
+}
+
+// The smallest float >= p as the libm form computes it.
+float NextAfterEnvelope(double p) {
+  auto f = static_cast<float>(p);
+  if (static_cast<double>(f) < p) f = std::nextafterf(f, 2.0f);
+  return f;
+}
+
+TEST(InfluenceGraphTest, EnvelopeProbabilityMatchesNextAfter) {
+  // EnvelopeProbability steps a float rounded below p up by one ulp with
+  // a bit increment: the same float as nextafterf towards 2, over 10^7
+  // uniform doubles in [0, 1], and over the edges of the range: 0, the
+  // subnormal doubles and floats, 1, and 1 - 2^-53, which rounds to 1.
+  std::vector<double> edges = {0.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               std::numeric_limits<double>::min(),
+                               std::numeric_limits<float>::denorm_min(),
+                               std::numeric_limits<float>::denorm_min() / 3,
+                               std::numeric_limits<float>::min(),
+                               std::numeric_limits<float>::min() * 0.75,
+                               1.0,
+                               1.0 - std::ldexp(1.0, -53),
+                               0.5,
+                               0.1};
+  for (const double p : edges) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(EnvelopeProbability(p)),
+              std::bit_cast<uint32_t>(NextAfterEnvelope(p)))
+        << std::hexfloat << p;
+    EXPECT_GE(static_cast<double>(EnvelopeProbability(p)), p);
+  }
+  Rng rng(2024);
+  uint64_t mismatches = 0;
+  for (int i = 0; i < 10000000; ++i) {
+    const double p = rng.NextDouble();
+    mismatches += std::bit_cast<uint32_t>(EnvelopeProbability(p)) !=
+                  std::bit_cast<uint32_t>(NextAfterEnvelope(p));
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(InfluenceGraphTest, EnvelopeTableRanksEveryInEdgeInItsTailsOutList) {

@@ -12,7 +12,9 @@
 // time it is viewed. AssembleRRGraph is the reference assembler that
 // SketchArena's generation and repair assembly are checked against.
 // PackViews is the reference re-encoder that the block copies finishing
-// every pool (FromRuns, RrSketchOverlay::Fold) are checked against.
+// every pool (FromRuns, RrSketchOverlay::Fold) are checked against: it
+// puts the sketches in root order itself and gives FromRuns their root
+// starts (RootStartsOf).
 // NetworkOf and Rerank give hand-made sketches a network that holds
 // their edges, so they can be walked and loaded from an index file.
 
@@ -239,19 +241,45 @@ uint64_t IndexContentHash(const Index& index) {
   return hash;
 }
 
+/// The root starts of sketches whose roots, in id order, are `roots`
+/// (ascending) over `num_vertices` vertices: each vertex's first id,
+/// then the sketch count, as FromRuns takes them.
+inline std::vector<uint32_t> RootStartsOf(size_t num_vertices,
+                                          std::span<const VertexId> roots) {
+  std::vector<uint32_t> starts(num_vertices + 1, 0);
+  for (const VertexId root : roots) ++starts[root + 1];
+  for (size_t v = 0; v < num_vertices; ++v) starts[v + 1] += starts[v];
+  return starts;
+}
+
+/// The root starts of `run`'s sketches, its recorded roots ascending,
+/// over its network's vertices.
+inline std::vector<uint32_t> RootStartsOf(const RrSketchPool& run) {
+  std::vector<VertexId> roots(run.num_sketches());
+  for (size_t i = 0; i < roots.size(); ++i) roots[i] = run.RootOf(i);
+  return RootStartsOf(run.num_network_vertices(), roots);
+}
+
 /// Sketches view_of(0), ..., view_of(num_sketches - 1) of `network`'s
-/// network (a pool of it: its widths and topology), re-encoded field by
-/// field from their views into a run (Append), which FromRuns then
+/// network (a pool of it: its widths and topology), in root order (by
+/// root, and among one root's in their given order), re-encoded field
+/// by field from their views into a run (Append), which FromRuns then
 /// finishes into exact-size arrays. Every sketch vertex and rank must
 /// lie inside the network.
 template <typename ViewOf>
 RrSketchPool PackViews(size_t num_sketches, const RrSketchPool& network,
                        ViewOf&& view_of) {
+  std::vector<std::pair<VertexId, size_t>> order;
+  for (size_t i = 0; i < num_sketches; ++i) {
+    order.emplace_back(view_of(i).root(), i);
+  }
+  std::ranges::stable_sort(order, {}, &std::pair<VertexId, size_t>::first);
   RrSketchPool run = network.EmptyLike();
-  for (size_t i = 0; i < num_sketches; ++i) run.Append(view_of(i));
+  for (const auto& [root, i] : order) run.Append(view_of(i));
   const RrSketchPool::Segment all{0, &run, 0,
                                   static_cast<uint32_t>(num_sketches)};
-  return RrSketchPool::FromRuns(std::span(&all, 1), num_sketches, network);
+  return RrSketchPool::FromRuns(std::span(&all, 1), RootStartsOf(run),
+                                network);
 }
 
 /// Samples one RR-Graph rooted at `root` (Definition 2) through the

@@ -1,14 +1,19 @@
 // Deterministic parallel index construction: the index must be
-// bit-identical for every thread count. Each worker slot appends the
-// samples it claims to its own run and RrSketchPool::FromRuns copies the
-// runs' segments in sample order, so these tests pin that finish too.
+// bit-identical for every thread count. The sampler draws every root
+// first and gives each sample its final id; each worker slot appends the
+// ids it claims to its own run and RrSketchPool::FromRuns copies the
+// runs' segments in id order, so these tests pin that finish too.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "owned_sketch.h"
+#include "pool_image.h"
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
 #include "src/index/rr_index.h"
@@ -144,6 +149,47 @@ TEST(ParallelBuildTest, PoolsIdenticalForEveryThreadCount) {
       RrIndex b(n, serial);
       b.Build(&workers);
       ExpectPoolsIdentical(b.pool(), reference.pool());
+    }
+  }
+}
+
+TEST(ParallelBuildTest, RootsFirstPlacesEverySketchAtItsPrePassId) {
+  // The sampler draws every sample's root, the first draw of its stream,
+  // before it generates any sketch, and generates sample i at the id a
+  // stable counting sort by root gives it. On pools built with 1, 2 and
+  // 3 threads every id's root is that pre-pass root, and the pools are
+  // byte-identical, array by array.
+  const SocialNetwork n = GenerateDataset(LastfmSpec(0.1));
+  RrIndexOptions options;
+  options.theta_override = 1500;
+  options.seed = 9;
+  std::vector<std::pair<VertexId, uint64_t>> pre_pass;
+  for (uint64_t i = 0; i < options.theta_override; ++i) {
+    pre_pass.emplace_back(static_cast<VertexId>(
+                              SampleStream(options.seed, i)
+                                  .NextBounded(n.num_vertices())),
+                          i);
+  }
+  std::ranges::stable_sort(pre_pass, {},
+                           &std::pair<VertexId, uint64_t>::first);
+  std::unique_ptr<RrIndex> serial;
+  for (const size_t threads : {1, 2, 3}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    RrIndexOptions built = options;
+    built.num_build_threads = threads;
+    auto index = std::make_unique<RrIndex>(n, built);
+    index->Build();
+    const RrSketchPool& pool = index->pool();
+    ASSERT_EQ(pool.num_sketches(), pre_pass.size());
+    const IndexViews views(*index, n.num_vertices());
+    for (uint32_t id = 0; id < pool.num_sketches(); ++id) {
+      ASSERT_EQ(pool.RootOf(id), pre_pass[id].first) << "sketch " << id;
+      ASSERT_EQ(views(id).root(), pre_pass[id].first) << "sketch " << id;
+    }
+    if (serial == nullptr) {
+      serial = std::move(index);
+    } else {
+      EXPECT_EQ(pool_image::PoolDifference(n, pool, serial->pool()), "");
     }
   }
 }

@@ -105,7 +105,9 @@ inline void SetBits(std::vector<uint8_t>* data, uint64_t pos, uint32_t bits,
 
 struct Block;
 
-// A saved file taken apart into the pool arrays it images: the
+// A saved file taken apart into the pool arrays it images: each
+// vertex's count of rooted sketches (decoded from the count width the
+// file names), which set the root ranges, the
 // directory's word width, its words decoded to kExplicit | a block's
 // start in the body or a singleton's vertex, the bases the loader
 // derives for them (where the next block starts at each group's first
@@ -117,6 +119,8 @@ struct Block;
 struct Image {
   std::string header;
   uint64_t theta = 0;
+  uint32_t count_width = 0;  // bytes per root count: 1, 2 or 4
+  std::vector<uint32_t> root_counts;
   uint32_t width = 0;
   std::vector<uint32_t> slots;
   std::vector<uint32_t> bases;
@@ -129,6 +133,19 @@ struct Image {
 
   uint32_t flag() const { return 1u << (8 * width - 1); }
 
+  // Sketch i's root: the vertex whose root range, as the counts set the
+  // ranges, holds i (the last vertex when the counts end before i).
+  uint32_t root_of(size_t i) const {
+    uint64_t end = 0;
+    for (uint32_t v = 0; v < root_counts.size(); ++v) {
+      end += root_counts[v];
+      if (i < end) return v;
+    }
+    return root_counts.empty()
+               ? 0
+               : static_cast<uint32_t>(root_counts.size() - 1);
+  }
+
   std::string Encode() const {
     std::string bytes = header;
     const auto put = [&bytes](uint64_t value, size_t length) {
@@ -137,6 +154,9 @@ struct Image {
       }
     };
     put(theta, 8);
+    put(count_width, 1);
+    put(root_counts.size() * count_width, 8);
+    for (const uint32_t count : root_counts) put(count, count_width);
     put(width, 1);
     put(slots.size() * width, 8);
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -175,10 +195,11 @@ inline void Splice(Image* image, size_t sketch, size_t at, size_t erase,
 // One explicit block of an Image: where it sits, its header (n, the
 // threshold width w and the in-tree flag, then m unless it is an
 // in-tree) and its bit fields, each read and written at its width: the
-// vertices, the root's local id, the n + 1 offsets unless the block is
-// an in-tree, the m heads, then the m records (the rank in the tail's
-// out-list, then the stored threshold, 1.0f's bits less the
-// threshold's, at 23 + w bits).
+// n - 1 vertices other than the root, the root's local id, the n + 1
+// offsets unless the block is an in-tree, the m heads, then the m
+// records (the rank in the tail's out-list, then the stored threshold,
+// 1.0f's bits less the threshold's, at 23 + w bits). The root's vertex
+// is the one whose root range holds the sketch.
 struct Block {
   Image* image;
   size_t sketch;
@@ -195,7 +216,7 @@ struct Block {
   /// Bit positions in the body.
   uint64_t fields() const { return uint64_t{start + header_bytes} * 8; }
   uint64_t root_at() const {
-    return fields() + uint64_t{n} * image->vertex_bits;
+    return fields() + uint64_t{n - 1} * image->vertex_bits;
   }
   uint64_t offsets_at() const { return root_at() + id_bits(); }
   uint64_t heads_at() const {
@@ -215,12 +236,19 @@ struct Block {
   void set(uint64_t pos, uint32_t bits, uint64_t value) const {
     SetBits(&image->body, pos, bits, value);
   }
-  uint32_t vertex(size_t j) const {
+  /// Stored vertex j: the vertices but the root, ascending.
+  uint32_t stored(size_t j) const {
     return static_cast<uint32_t>(
         get(fields() + j * image->vertex_bits, image->vertex_bits));
   }
-  void set_vertex(size_t j, uint64_t value) const {
+  void set_stored(size_t j, uint64_t value) const {
     set(fields() + j * image->vertex_bits, image->vertex_bits, value);
+  }
+  /// Local vertex j's global id: the root's from its range, any other's
+  /// stored.
+  uint32_t vertex(size_t j) const {
+    const uint32_t r = root();
+    return j == r ? image->root_of(sketch) : stored(j - (j > r ? 1 : 0));
   }
   uint32_t root() const {
     return static_cast<uint32_t>(get(root_at(), id_bits()));
@@ -258,6 +286,20 @@ struct Block {
   uint64_t max_id() const { return (uint64_t{1} << id_bits()) - 1; }
   /// In an in-tree, local j's parent: the head of its one edge.
   uint32_t parent(uint32_t j) const { return head(offset(j)); }
+  /// Makes local vertex `local` (below n) the sketch's root: the old
+  /// root joins the stored vertices, which stay ascending, the root id
+  /// becomes `local`, and the root counts move the sketch from its old
+  /// root's range to its new root's (which keeps its id while the roots
+  /// stay in order).
+  void MoveRoot(uint32_t local) const {
+    std::vector<uint32_t> vertices;
+    for (uint32_t j = 0; j < n; ++j) vertices.push_back(vertex(j));
+    --image->root_counts[image->root_of(sketch)];
+    ++image->root_counts[vertices[local]];
+    vertices.erase(vertices.begin() + local);
+    for (uint32_t j = 0; j + 1 < n; ++j) set_stored(j, vertices[j]);
+    set_root(local);
+  }
   /// In an in-tree, true when every vertex reaches the root within n
   /// parent steps, so no parents form a cycle.
   bool parents_reach_root() const {
@@ -303,7 +345,7 @@ struct Block {
       SetBits(&out, pos, bits, value);
       pos += bits;
     };
-    for (uint32_t j = 0; j < n; ++j) put(image->vertex_bits, vertex(j));
+    for (uint32_t j = 0; j + 1 < n; ++j) put(image->vertex_bits, stored(j));
     put(id_bits(), root());
     if (!new_tree) {
       for (uint32_t j = 0; j <= n; ++j) put(offset_bits(), offset(j));
@@ -341,15 +383,13 @@ inline std::optional<Block> BlockOf(Image* image, size_t i) {
   return Block{image, i, start, at - start, n, m, w, tree};
 }
 
-// Sketch i's root vertex: a singleton's word, or its block's root.
-inline uint32_t RootOf(Image* image, size_t i) {
-  const std::optional<Block> block = BlockOf(image, i);
-  return block ? block->vertex(block->root()) : image->slots[i];
-}
+// Sketch i's root vertex: the vertex whose root range holds it.
+inline uint32_t RootOf(Image* image, size_t i) { return image->root_of(i); }
 
 // Swaps sketches i and i + 1 of `image`, which lie in one group: their
 // directory words and, for blocks, their bytes in the body, so each
 // sketch keeps its block whole and the blocks still run back to back.
+// The root counts stay: each sketch lands in the other's root range.
 inline void SwapAdjacent(Image* image, size_t i) {
   const std::optional<Block> a = BlockOf(image, i);
   const std::optional<Block> b = BlockOf(image, i + 1);
@@ -393,6 +433,11 @@ inline Image::Image(const std::string& bytes, const SocialNetwork& network)
   };
   header = bytes.substr(0, kThetaOffset);
   theta = take(8);
+  count_width = static_cast<uint32_t>(take(1));
+  root_counts.resize(take(8) / count_width);
+  for (uint32_t& count : root_counts) {
+    count = static_cast<uint32_t>(take(count_width));
+  }
   width = static_cast<uint32_t>(take(1));
   slots.resize(take(8) / width);
   for (uint32_t& slot : slots) slot = static_cast<uint32_t>(take(width));
@@ -626,11 +671,11 @@ inline std::vector<ValidatorRow> ValidatorRows() {
        }},
       {"two vertices swapped",
        [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 2, 0);
+         const auto block = FindBlock(image, 3, 0);
          if (!block) return false;
-         const uint32_t first = block->vertex(0);
-         block->set_vertex(0, block->vertex(1));
-         block->set_vertex(1, first);
+         const uint32_t first = block->stored(0);
+         block->set_stored(0, block->stored(1));
+         block->set_stored(1, first);
          return true;
        }},
       {"last vertex >= |V| in its width",
@@ -639,9 +684,9 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          // power of two.
          const uint64_t max = (uint64_t{1} << image->vertex_bits) - 1;
          if (max < n.num_vertices()) return false;
-         const auto block = FindBlock(image, 1, 0);
+         const auto block = FindBlock(image, 2, 0);
          if (!block) return false;
-         block->set_vertex(block->n - 1, max);
+         block->set_stored(block->n - 2, max);
          return true;
        }},
       {"singleton word = |V|",
@@ -795,6 +840,69 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          return true;
        },
        IndexIoCode::kBadVersion},
+      {"v12 file",
+       [](const SocialNetwork&, Image* image) {
+         // The format whose blocks stored their root's vertex id.
+         image->header[kVersionOffset] = 12;
+         return true;
+       },
+       IndexIoCode::kBadVersion},
+      {"root counts sum to theta + 1",
+       [](const SocialNetwork&, Image* image) {
+         ++image->root_counts.front();
+         return true;
+       }},
+      {"root counts sum to theta - 1",
+       [](const SocialNetwork&, Image* image) {
+         for (uint32_t& count : image->root_counts) {
+           if (count != 0) {
+             --count;
+             return true;
+           }
+         }
+         return false;
+       }},
+      {"root counts at 2 bytes though they fit 1",
+       [](const SocialNetwork&, Image* image) {
+         if (image->count_width != 1) return false;
+         image->count_width = 2;
+         return true;
+       }},
+      {"root counts one short of |V|",
+       [](const SocialNetwork&, Image* image) {
+         // The last count, a vertex's, folded into the one before.
+         if (image->root_counts.size() < 2) return false;
+         const uint32_t last = image->root_counts.back();
+         image->root_counts.pop_back();
+         image->root_counts.back() += last;
+         return true;
+       }},
+      {"root count moved to the next vertex",
+       [](const SocialNetwork&, Image* image) {
+         // The last sketch of a root's range then lies in the next
+         // vertex's range, which its singleton word or its block's
+         // vertices and edges do not fit.
+         for (size_t v = 0; v + 1 < image->root_counts.size(); ++v) {
+           if (image->root_counts[v] != 0) {
+             --image->root_counts[v];
+             ++image->root_counts[v + 1];
+             return true;
+           }
+         }
+         return false;
+       }},
+      {"singleton word one past its range's root",
+       [](const SocialNetwork& n, Image* image) {
+         for (size_t i = 0; i < image->slots.size(); ++i) {
+           const uint32_t root = image->root_of(i);
+           if ((image->slots[i] & kExplicit) == 0 &&
+               root + 1 < n.num_vertices() && root + 1 < image->flag()) {
+             image->slots[i] = root + 1;
+             return true;
+           }
+         }
+         return false;
+       }},
       {"pad bit set in a block's last byte",
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 0, [](const Block& b) {

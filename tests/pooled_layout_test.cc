@@ -264,7 +264,7 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     const bool tree = InTreeShape(owned);
     const uint32_t w = ThresholdWidthOf(owned.edges);
     EXPECT_EQ(view.edges.threshold_width(), w) << "sketch " << i;
-    const uint64_t bits = n * vertex_bits + BitsFor(n) +
+    const uint64_t bits = (n - 1) * vertex_bits + BitsFor(n) +
                           (tree ? 0 : (n + 1) * BitsFor(m + 1)) +
                           m * (BitsFor(n) + rank_bits + 23 + w);
     body += VarintBytes(static_cast<uint32_t>(n << 4 | w << 1 | tree)) +
@@ -496,6 +496,15 @@ RrSketchPool PackGraphs(const std::vector<RRGraph>& graphs) {
 
 RRGraph Singleton(VertexId v) { return RRGraph{v, {v}, {0, 0}, {}, {}}; }
 
+// The root starts of `graphs`, in root order, over `num_vertices`
+// vertices: what FromRuns takes for runs that hold them in that order.
+std::vector<uint32_t> StartsOf(size_t num_vertices,
+                               const std::vector<RRGraph>& graphs) {
+  std::vector<VertexId> roots;
+  for (const RRGraph& g : graphs) roots.push_back(g.root);
+  return RootStartsOf(num_vertices, roots);
+}
+
 TEST(PooledLayoutTest, SingletonIsImplicit) {
   // In root order: the block rooted at 2, then the singletons of 5
   // and 7.
@@ -505,8 +514,9 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   // Only the two-vertex sketch, an in-tree, has a body block: a one-byte
-  // header, then 39 bits in 5 bytes (its two 4-bit vertices, its root id
-  // and 1 head at a bit each, and its 29-bit edge record: a 4-bit rank
+  // header, then 35 bits in 5 bytes (its 4-bit vertex other than the
+  // root, its root id and 1 head at a bit each, and its 29-bit edge
+  // record: a 4-bit rank
   // and 0.25f at 23 + 2 bits, as 1.0f's bits less 0.25f's are 2^24),
   // then 7 bytes of padding: 13 in all. The one list, vertex 7's,
   // takes 5 bits at k = 4 (3 sketches over 10 vertices holding 1 id
@@ -533,10 +543,10 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
 
 TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   // One vertex but one edge: the edge needs its header, offsets and
-  // record, so the sketch keeps a block of 1 + 1 + 5 bytes (header, edge
-  // count, then 34 bits: the 4-bit vertex, a 0-bit root id, 2 offsets of
-  // a bit, a 0-bit head and the 28-bit record, 0.5f at 23 + 1 bits), then
-  // 7 of padding.
+  // record, so the sketch keeps a block of 1 + 1 + 4 bytes (header, edge
+  // count, then 30 bits: no stored vertex, as the one vertex is the
+  // root, a 0-bit root id, 2 offsets of a bit, a 0-bit head and the
+  // 28-bit record, 0.5f at 23 + 1 bits), then 7 of padding.
   // Vertex 4 roots both sketches, so its root range holds them and no
   // list holds an id: k = 0 and no list bytes.
   const std::vector<RRGraph> graphs = {
@@ -545,7 +555,7 @@ TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.containing_k(), 0u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
-                                  2 * (4 + 2 * 11) + 14);
+                                  2 * (4 + 2 * 11) + 13);
   const PoolViews views(pool);
   EXPECT_TRUE(SameSketch(views(0), graphs[0]));
   EXPECT_TRUE(SameSketch(views(1), graphs[1]));
@@ -630,10 +640,11 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 1 + 5 (39 bits) and 1 + 10 (76 bits: 0.1f and 0.2f at
-  // 23 + 2) bytes for the two in-trees, and 2 + 5 (34 bits) and 2 + 5
-  // (40 bits: 0.75f at 23) for the self-loop and the sketch whose root
-  // has an out-edge (header and edge count, fields), then 7 of padding,
+  // Blocks of 1 + 5 (35 bits) and 1 + 9 (72 bits: 0.1f and 0.2f at
+  // 23 + 2) bytes for the two in-trees, and 2 + 4 (30 bits) and 2 + 5
+  // (36 bits: 0.75f at 23) for the self-loop and the sketch whose root
+  // has an out-edge (header and edge count, fields; no block stores its
+  // root's vertex), then 7 of padding,
   // and 4 containing entries past the roots, of 5 bits each at k = 4
   // (8 sketches over 10 vertices), 20 bits in all: 3 bytes, then 7 of
   // padding. In root order the sketch rooted at 0, which holds 9, is
@@ -641,7 +652,7 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
   EXPECT_EQ(pool.containing_k(), 4u);
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) + (16 + 2 * 4) + 2 * (4 + 2 * 11) +
-                (31 + 7) + (3 + 7));
+                (29 + 7) + (3 + 7));
   EXPECT_TRUE(std::ranges::equal(pool.RootRange(9), std::vector<uint32_t>{7}));
   EXPECT_TRUE(
       std::ranges::equal(pool.NonRootContaining(9), std::vector<uint32_t>{0}));
@@ -649,10 +660,11 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
 }
 
 TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
-  // Three runs take the samples in interleaved contiguous claims, as
+  // Three runs take the ids in interleaved contiguous claims, as
   // ParallelForSlots' slots do; the finish must rebase every directory
   // entry into the one pool PackViews writes.
-  const std::vector<RRGraph> graphs = MixedGraphs();
+  const std::vector<RRGraph> graphs = InRootOrder(MixedGraphs());
+  const std::vector<uint32_t> starts = StartsOf(10, graphs);
   const RrSketchPool want = PackGraphs(graphs);
   const std::vector<std::vector<std::pair<uint64_t, uint32_t>>> claims = {
       {{0, 2}, {6, 1}},           // run 0: samples 0-1, then 6
@@ -673,8 +685,7 @@ TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
   }
   // Segment order does not matter: the finish sorts by sample.
   std::ranges::reverse(segments);
-  const RrSketchPool got =
-      RrSketchPool::FromRuns(segments, graphs.size(), network);
+  const RrSketchPool got = RrSketchPool::FromRuns(segments, starts, network);
   ExpectSamePools(got, want);
   EXPECT_EQ(got.SizeBytes(), ExactSizeBytes(got));
 
@@ -685,23 +696,25 @@ TEST(PooledLayoutTest, FromRunsMatchesPackForAnySegmentation) {
     singles[i].Append(graphs[i]);
     each.push_back({i, &singles[i], 0, 1});
   }
-  ExpectSamePools(RrSketchPool::FromRuns(each, graphs.size(), network), want);
+  ExpectSamePools(RrSketchPool::FromRuns(each, starts, network), want);
   // Runs must take the pool's widths and topology: their blocks are
   // copied as they are, ranks and all.
   EXPECT_DEATH(
-      RrSketchPool::FromRuns(each, graphs.size(), RrSketchPool(10, 11)),
+      RrSketchPool::FromRuns(each, starts, RrSketchPool(10, 11)),
       "different network");
   const SocialNetwork cycle = MakeCertainCycle(10);
   const SocialNetwork same_cycle = MakeCertainCycle(10);
   RrSketchPool cycle_run(cycle.graph);
   cycle_run.Append(Singleton(3));
   const std::vector<RrSketchPool::Segment> on_cycle = {{0, &cycle_run, 0, 1}};
-  EXPECT_EQ(RrSketchPool::FromRuns(on_cycle, 1, RrSketchPool(cycle.graph))
+  const std::vector<uint32_t> on_cycle_starts = RootStartsOf(cycle_run);
+  EXPECT_EQ(RrSketchPool::FromRuns(on_cycle, on_cycle_starts,
+                                   RrSketchPool(cycle.graph))
                 .num_sketches(),
             1u);
-  EXPECT_DEATH(
-      RrSketchPool::FromRuns(on_cycle, 1, RrSketchPool(same_cycle.graph)),
-      "different network");
+  EXPECT_DEATH(RrSketchPool::FromRuns(on_cycle, on_cycle_starts,
+                                      RrSketchPool(same_cycle.graph)),
+               "different network");
 }
 
 TEST(PooledLayoutTest, FromRunsRequiresFullCoverage) {
@@ -709,24 +722,26 @@ TEST(PooledLayoutTest, FromRunsRequiresFullCoverage) {
   const RrSketchPool network(10, 10);
   RrSketchPool run = network.EmptyLike();
   for (const RRGraph& g : graphs) run.Append(g);
+  const std::vector<uint32_t> starts = StartsOf(10, InRootOrder(graphs));
   const std::vector<RrSketchPool::Segment> gap = {{0, &run, 0, 3},
                                                   {4, &run, 4, 4}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(gap, graphs.size(), network),
+  EXPECT_DEATH(RrSketchPool::FromRuns(gap, starts, network),
                "cover every sample");
   const std::vector<RrSketchPool::Segment> twice = {{0, &run, 0, 8},
                                                     {0, &run, 0, 8}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(twice, graphs.size(), network),
+  EXPECT_DEATH(RrSketchPool::FromRuns(twice, starts, network),
                "cover every sample");
   const std::vector<RrSketchPool::Segment> short_run = {{0, &run, 0, 9}};
-  EXPECT_DEATH(RrSketchPool::FromRuns(short_run, 9, network),
+  EXPECT_DEATH(RrSketchPool::FromRuns(short_run, starts, network),
                "out of range");
 }
 
 TEST(PooledLayoutTest, FoldIsTheReEncodingOfEveryCurrentSketch) {
   // RrSketchOverlay::Fold cuts the ids into stretches of the base and
   // one-sketch segments of the store. Each case repairs some sketches,
-  // each with another base sketch's view, and requires the fold to be,
-  // array by array, the pool PackViews re-encodes from the same views.
+  // each with the view of a base sketch of the same root (a repair keeps
+  // its sketch's root), and requires the fold to be, array by array, the
+  // pool PackViews re-encodes from the same views.
   DatasetSpec spec = LastfmSpec(0.3);
   spec.seed = 23;
   const SocialNetwork network = GenerateDataset(spec);
@@ -737,21 +752,42 @@ TEST(PooledLayoutTest, FoldIsTheReEncodingOfEveryCurrentSketch) {
   const RrSketchPool& base = index.pool();
   const auto theta = static_cast<uint32_t>(base.num_sketches());
   const PoolViews views(base);
+  // The next id of i's root range after i, wrapping to its first: i
+  // itself when its root roots no other sketch.
+  const auto same_root = [&base](uint32_t i) {
+    const auto range = base.RootRange(base.RootOf(i));
+    return i + 1 < range.back() + 1 ? i + 1 : range.front();
+  };
+  // A root range that holds a block and a singleton.
   uint32_t block = 0;
-  while (base.IsSingleton(block)) ++block;
   uint32_t singleton = 0;
-  while (!base.IsSingleton(singleton)) ++singleton;
+  for (VertexId v = 0; v < base.num_universe_vertices(); ++v) {
+    const auto range = base.RootRange(v);
+    const auto b = std::ranges::find_if_not(
+        range, [&base](uint32_t i) { return base.IsSingleton(i); });
+    const auto s = std::ranges::find_if(
+        range, [&base](uint32_t i) { return base.IsSingleton(i); });
+    if (b != range.end() && s != range.end()) {
+      block = *b;
+      singleton = *s;
+      break;
+    }
+  }
+  ASSERT_NE(block, singleton);
 
   // Each case: (id, source) puts, in order, of views(source) as
   // sketch id's current copy.
   using Puts = std::vector<std::pair<uint32_t, uint32_t>>;
   Puts every;
-  for (uint32_t i = 0; i < theta; ++i) every.emplace_back(i, (i + 1) % theta);
+  for (uint32_t i = 0; i < theta; ++i) every.emplace_back(i, same_root(i));
+  Puts group_edges;
+  for (const uint32_t i : {0u, 63u, 64u, 127u, theta - 1}) {
+    group_edges.emplace_back(i, same_root(i));
+  }
   const std::pair<const char*, Puts> cases[] = {
       {"no repair", {}},
-      {"group edges and the last id",
-       {{0, theta - 1}, {63, 64}, {64, 63}, {127, 0}, {theta - 1, 127}}},
-      {"repaired twice", {{100, block}, {100, singleton}}},
+      {"group edges and the last id", group_edges},
+      {"repaired twice", {{block, block}, {block, singleton}}},
       {"block to singleton and singleton to block",
        {{block, singleton}, {singleton, block}}},
       {"every sketch", every},
@@ -773,6 +809,11 @@ TEST(PooledLayoutTest, FoldIsTheReEncodingOfEveryCurrentSketch) {
     EXPECT_EQ(pool_image::PoolDifference(network, folded, want), "");
     EXPECT_EQ(folded.SizeBytes(), want.SizeBytes());
   }
+  // A repair keeps its sketch's root: a copy of another root's sketch is
+  // refused.
+  RrSketchOverlay overlay(base);
+  EXPECT_DEATH(overlay.Put(0, views(theta - 1)),
+               "keep its sketch's id and root");
 }
 
 TEST(PooledLayoutTest, VertexIdsMustFitThirtyOneBits) {
@@ -957,7 +998,7 @@ RrSketchPool ExpectWritersKeep(const std::vector<RRGraph>& graphs,
   const std::vector<RrSketchPool::Segment> whole = {
       {0, &run, 0, static_cast<uint32_t>(graphs.size())}};
   const RrSketchPool from_one =
-      RrSketchPool::FromRuns(whole, graphs.size(), network);
+      RrSketchPool::FromRuns(whole, RootStartsOf(run), network);
   ExpectMatchesGraphs(from_one, graphs);
   ExpectSamePools(from_one, packed);
 
@@ -970,8 +1011,8 @@ RrSketchPool ExpectWritersKeep(const std::vector<RRGraph>& graphs,
     segments.push_back({i, &r, static_cast<uint32_t>(r.num_sketches()), 1});
     r.Append(graphs[i]);
   }
-  const RrSketchPool from_three =
-      RrSketchPool::FromRuns(segments, graphs.size(), network);
+  const RrSketchPool from_three = RrSketchPool::FromRuns(
+      segments, RootStartsOf(run), network);
   ExpectMatchesGraphs(from_three, graphs);
   ExpectSamePools(from_three, packed);
   EXPECT_EQ(from_three.SizeBytes(), ExactSizeBytes(from_three));
@@ -1124,16 +1165,17 @@ TEST(PooledLayoutTest, HeaderTakesTwoBytesFromEightVertices) {
       graphs.size(), RrSketchPool(1100, 1100),
       [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // At 11-bit vertices and ranks, the edgeless blocks take 1 + 1 + 10,
-  // 2 + 1 + 12, 2 + 1 + 1,408 and 3 + 1 + 1,410 bytes (header, edge
-  // count, 80, 91, 11,263 and 11,274 bits), the in-trees, whose 0.1f
-  // thresholds take 23 + 2 bits, 1 + 40 and 2 + 46 (314 and 364 bits),
-  // and the 1,025-edge block 3 + 2 + 8,713 (69,699 bits), then 7 bytes
-  // of padding. The root starts and the containing starts each take
-  // 18 bases and 1,101 2-byte words.
+  // At 11-bit vertices and ranks, each block storing every vertex but
+  // its root, the edgeless blocks take 1 + 1 + 9, 2 + 1 + 10,
+  // 2 + 1 + 1,407 and 3 + 1 + 1,408 bytes (header, edge count, 69, 80,
+  // 11,252 and 11,263 bits), the in-trees, whose 0.1f thresholds take
+  // 23 + 2 bits, 1 + 38 and 2 + 45 (303 and 353 bits), and the
+  // 1,025-edge block 3 + 2 + 8,711 (69,688 bits), then 7 bytes of
+  // padding. The root starts and the containing starts each take 18
+  // bases and 1,101 2-byte words.
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) + (16 + 2 * 7) + 2 * (4 * 18 + 2 * 1101) +
-                (12 + 15 + 41 + 48 + 1411 + 1414 + 8718 + 7) +
+                (11 + 13 + 39 + 47 + 1410 + 1412 + 8716 + 7) +
                 ExpectedListsOf(pool).bytes);
 }
 
@@ -1165,23 +1207,25 @@ TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
        Singleton(6)});
   const RrSketchPool pool = PackGraphs(graphs);
   // Fields go LSB-first at 4-bit vertices and ranks, each threshold c
-  // stored as 0x3f800000 less c's bits. An in-tree block: header
-  // 2 << 4 | 2 << 1 | in-tree (threshold width 2), then vertices 2 and 7
-  // (0x72), root id 0 and one head at a bit each, rank 3, and 0.25f
-  // (0x3e800000) as 0x01000000 at 25 bits: 39 bits.
+  // stored as 0x3f800000 less c's bits, and a block stores every vertex
+  // but its root. An in-tree block: header 2 << 4 | 2 << 1 | in-tree
+  // (threshold width 2), then vertex 7 (root 2 left out), root id 0 and
+  // one head at a bit each (0xc7 with rank 3's low bits), rank 3, and
+  // 0.25f (0x3e800000) as 0x01000000 at 25 bits: 35 bits.
   EXPECT_EQ(BlockBytes(pool, 2),
-            (std::vector<uint8_t>{0x25, 0x72, 0x0c, 0x00, 0x00, 0x40}));
-  // Vertices 0, 1 and 2, root id 1 and the heads of vertices 0 and 2
-  // (both 1) at 2 bits, then ranks 0 and 1 with 0.1f (0x3dcccccd, stored
-  // as 0x01b33333 at 25 bits) each: 76 bits.
+            (std::vector<uint8_t>{0x25, 0xc7, 0x00, 0x00, 0x00, 0x04}));
+  // Vertices 0 and 2 (root 1 left out), root id 1 and the heads of
+  // vertices 0 and 2 (both 1) at 2 bits, then ranks 0 and 1 with 0.1f
+  // (0x3dcccccd, stored as 0x01b33333 at 25 bits) each: 72 bits.
   EXPECT_EQ(BlockBytes(pool, 1),
-            (std::vector<uint8_t>{0x35, 0x10, 0x52, 0xc1, 0xcc, 0xcc, 0xec,
-                                  0x98, 0x99, 0x99, 0x0d}));
+            (std::vector<uint8_t>{0x35, 0x20, 0x15, 0xcc, 0xcc, 0xcc, 0x8e,
+                                  0x99, 0x99, 0xd9}));
   // The root's out-edge keeps its edge count 1 after the header (width 0)
-  // and the offsets {0, 1, 1} at a bit each after the root id; 0.75f
-  // (0x3f400000) is stored as 0x00400000 at 23 bits: 40 bits.
+  // and the offsets {0, 1, 1} at a bit each after the root id; vertex 9
+  // is stored, root 0 left out; 0.75f (0x3f400000) is stored as
+  // 0x00400000 at 23 bits: 36 bits.
   EXPECT_EQ(BlockBytes(pool, 0),
-            (std::vector<uint8_t>{0x20, 0x01, 0x90, 0xec, 0x00, 0x00, 0x80}));
+            (std::vector<uint8_t>{0x20, 0x01, 0xc9, 0x0e, 0x00, 0x00, 0x08}));
   const PoolViews views(pool);
   for (const size_t i : {1, 2, 3, 4}) {
     EXPECT_EQ(views(i).offsets.data, nullptr) << "sketch " << i;
@@ -1191,7 +1235,7 @@ TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
   EXPECT_EQ(Owned(views(1)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 3) +
-                                  2 * (4 + 2 * 11) + (6 + 11 + 7 + 7) +
+                                  2 * (4 + 2 * 11) + (6 + 10 + 7 + 7) +
                                   ExpectedListsOf(pool).bytes);
   ExpectEveryWriterKeeps(graphs, 10);
 }
@@ -1216,15 +1260,16 @@ TEST(PooledLayoutTest, ThresholdWidthFollowsItsBlock) {
   EXPECT_EQ(views(1).edges.threshold_width(), 0u);
   EXPECT_EQ(views(0).edges.threshold_width(), 5u);
   EXPECT_EQ(views(0).edges[1].threshold, 1e-6f);
-  // At 4-bit vertices and ranks: a one-byte header and 37 bits (two
-  // vertices, a root id and a head at a bit each, and a 27-bit record),
-  // and a one-byte header and 82 bits (three vertices, a 2-bit root id,
-  // two 2-bit heads and two 32-bit records).
+  // At 4-bit vertices and ranks: a one-byte header and 33 bits (the
+  // vertex other than the root, a root id and a head at a bit each, and
+  // a 27-bit record), and a one-byte header and 78 bits (the two
+  // vertices other than the root, a 2-bit root id, two 2-bit heads and
+  // two 32-bit records).
   EXPECT_EQ(BlockBytes(pool, 1).size(), 1u + 5);
-  EXPECT_EQ(BlockBytes(pool, 0).size(), 1u + 11);
+  EXPECT_EQ(BlockBytes(pool, 0).size(), 1u + 10);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 2) +
-                                  2 * (4 + 2 * 11) + (6 + 12 + 7) +
+                                  2 * (4 + 2 * 11) + (6 + 11 + 7) +
                                   ExpectedListsOf(pool).bytes);
   ExpectEveryWriterKeeps(graphs, 10);
 }
@@ -1639,11 +1684,12 @@ TEST(PooledLayoutTest, SingletonRootsWidenOnlyTheFileDirectory) {
 // Edgeless sketches over vertices 0 .. n - 1 of a 4,096-vertex network
 // whose blocks take `bytes` bytes in all. Each takes a header of one
 // byte while n <= 7, two from n = 8 and three from n = 1,024, an edge
-// count of one byte, and then n 12-bit vertices, a BitsFor(n)-bit root
-// id and n + 1 0-bit offsets to the next byte, for 2 <= n <= 2,048.
+// count of one byte, and then n - 1 12-bit vertices (all but the
+// root), a BitsFor(n)-bit root id and n + 1 0-bit offsets to the next
+// byte, for 2 <= n <= 2,048.
 std::vector<RRGraph> BlocksTaking(size_t bytes) {
   const auto length = [](uint32_t n) {
-    return VarintBytes(n << 4) + 1 + (12 * n + BitsFor(n) + 7) / 8;
+    return VarintBytes(n << 4) + 1 + (12 * (n - 1) + BitsFor(n) + 7) / 8;
   };
   std::vector<RRGraph> graphs;
   const auto push = [&graphs](uint32_t n) {
@@ -1929,7 +1975,7 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   const RrSketchPool& pool = index.pool();
   ASSERT_EQ(pool.num_sketches(), 200000u);
   // The offset arrays take 2-byte words: the block words (largest
-  // block start less its base 1,104 B), the root starts (largest group
+  // block start less its base 2,755 B), the root starts (largest group
   // 573 sketches) and the containing starts. 85,966 sketches are
   // blocks, so the directory takes 3,125 16-byte records and 85,966
   // words. The 200,000 root incidences are root ranges, and the lists'
@@ -1952,26 +1998,28 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   }
   EXPECT_EQ(widths, (std::vector<size_t>{15567, 15710, 26857, 23874, 3916,
                                          42, 0, 0}));
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 2649709);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 2480670);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // The file is v12, keeps a word per sketch, a singleton's its root
-  // (the largest 24,999, so 2 bytes each), and these exact bytes.
+  // The file is v13, keeps each vertex's count of rooted sketches (each
+  // below 256, so 1 byte each) and a word per sketch, a singleton's its
+  // root (the largest 24,999, so 2 bytes each), and these exact bytes.
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
-  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 12);
-  EXPECT_EQ(file.str().size(), 2242924u);
-  EXPECT_EQ(FileHash(file.str()), 0x85540741664c3a5fULL)
+  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 13);
+  EXPECT_EQ(file.str().size(), 2098894u);
+  EXPECT_EQ(FileHash(file.str()), 0x21570205303e4e73ULL)
       << std::hex << FileHash(file.str());
+  EXPECT_EQ(pool_image::Image(file.str(), network).count_width, 1u);
   EXPECT_EQ(pool_image::Image(file.str(), network).width, 2u);
-  // The same bytes under a v11 header, whose sketches were in sample
-  // order, are refused by their version.
-  std::string v11 = file.str();
-  v11[pool_image::kVersionOffset] = 11;
-  pool_image::RepairChecksum(&v11);
-  std::stringstream v11_file(v11);
-  IndexIoError v11_error;
-  EXPECT_EQ(LoadRrIndex(network, v11_file, &v11_error), nullptr);
-  EXPECT_EQ(v11_error.code, IndexIoCode::kBadVersion);
+  // The same bytes under a v12 header, whose blocks stored their root's
+  // vertex id, are refused by their version.
+  std::string v12 = file.str();
+  v12[pool_image::kVersionOffset] = 12;
+  pool_image::RepairChecksum(&v12);
+  std::stringstream v12_file(v12);
+  IndexIoError v12_error;
+  EXPECT_EQ(LoadRrIndex(network, v12_file, &v12_error), nullptr);
+  EXPECT_EQ(v12_error.code, IndexIoCode::kBadVersion);
 
   // With repairs, the save folds base + overlay: its bytes load and save
   // back unchanged, and the loaded index holds the fold's sketches.
