@@ -26,7 +26,10 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
 
   for (uint32_t id : base_->NonRootContaining(u)) {
     ++filter.num_graphs;
-    const RRView rr = base_->WalkGraph(id);
+    // Cut 2 decodes the edge of every tail into the root, the root's own
+    // when it has a self-loop, so the filter takes a view that resolves
+    // the root; it is built once per user.
+    const RRView rr = base_->graph(id, u);
     const auto u_local = rr.LocalIndex(u);
     PITEX_DCHECK(u_local.has_value() && *u_local != rr.root_local);
 

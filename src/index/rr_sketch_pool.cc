@@ -139,21 +139,26 @@ VertexId RrSketchPool::RootOf(size_t i) const {
   return static_cast<VertexId>(first + count - 1);
 }
 
-std::vector<uint32_t> RrSketchPool::RootStarts() const {
-  std::vector<uint32_t> starts(root_starts_.size());
-  for (size_t v = 0; v < starts.size(); ++v) starts[v] = RootStart(v);
-  return starts;
-}
-
 RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
                                     std::span<const uint32_t> root_starts,
                                     const RrSketchPool& network) {
-  RrSketchPool out = network.EmptyLike();
-  PITEX_CHECK_MSG(root_starts.size() == out.num_vertices_ + 1 &&
+  PITEX_CHECK_MSG(root_starts.size() == network.num_vertices_ + 1 &&
                       root_starts.front() == 0 &&
                       std::ranges::is_sorted(root_starts),
                   "root starts must ascend from 0 over the network");
-  const uint64_t num_sketches = root_starts.back();
+  GroupWords starts;
+  starts.Assign(root_starts);
+  return FromRuns(segments, std::move(starts), network);
+}
+
+RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
+                                    GroupWords root_starts,
+                                    const RrSketchPool& network) {
+  RrSketchPool out = network.EmptyLike();
+  PITEX_CHECK_MSG(root_starts.size() == out.num_vertices_ + 1,
+                  "root starts must cover the network");
+  const uint64_t num_sketches = root_starts.base(out.num_vertices_) +
+                                root_starts.word(out.num_vertices_);
   std::vector<Segment> sorted;
   sorted.reserve(segments.size());
   uint64_t blocks = 0;
@@ -194,7 +199,7 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   // next block starts when the walk reaches the group's first sketch, so
   // it waits for the next block's start (or the end of the body); a
   // block's own group is resolved by the time its word is appended.
-  out.root_starts_.Assign(root_starts);
+  out.root_starts_ = std::move(root_starts);
   if (body != 0) out.body_.resize(body + kBitPadding);
   out.groups_.reserve((num_sketches + kGroup - 1) / kGroup);
   out.block_words_.Reserve(blocks, 2);
@@ -527,7 +532,7 @@ RrSketchPool RrSketchOverlay::Fold(const RrSketchPool& base) const {
     segments.push_back({next, &base, static_cast<uint32_t>(next),
                         static_cast<uint32_t>(theta - next)});
   }
-  return RrSketchPool::FromRuns(segments, base.RootStarts(), base);
+  return RrSketchPool::FromRuns(segments, base.root_starts_, base);
 }
 
 void RrSketchOverlay::SetContaining(VertexId u,

@@ -98,11 +98,12 @@
 // in-tree whose vertex field is 0 bits wide, its vertex the view's base
 // u (VertexIds); a block's view reads its root from the id, a run's
 // record or a search of a finished pool's root starts (RootOf), which
-// the cold paths can afford (repairs, DecomposeRRGraphInto, the loader,
-// the saver and tests). The estimate walks take WalkView(i) instead,
-// which searches nothing: a walk from a vertex other than the root stops
-// when it reaches the root's local id and never decodes the root as a
-// tail, so the view leaves the root's vertex id unresolved. A singleton
+// the cold paths can afford (repairs, DecomposeRRGraphInto, IndexEst+'s
+// per-user filters, the loader, the saver and tests). The estimate
+// walks take WalkView(i) instead, which searches nothing: a walk from a
+// vertex other than the root stops when it reaches the root's local id
+// and never decodes the root as a tail, so the view leaves the root's
+// vertex id unresolved. A singleton
 // is in no containing list: the estimate counts it, with every other
 // sketch of u's root range, a hit from the range's size alone, and
 // every sketch a list names is a block. A run (below) records each
@@ -586,9 +587,6 @@ class RrSketchPool {
   /// range holds i, found from the root starts' group bases and one
   /// group's words.
   VertexId RootOf(size_t i) const;
-  /// RootStart(v) for v in [0, |V|] of a finished pool: what Fold passes
-  /// FromRuns.
-  std::vector<uint32_t> RootStarts() const;
 
   /// Every singleton's root, in sketch order: a run's as it recorded
   /// them; a finished pool's, which it does not hold, from one walk of
@@ -1009,7 +1007,14 @@ class RrSketchPool {
   /// every group's do.
   void BuildContaining(size_t num_vertices);
 
+  /// FromRuns with the root starts already in their array: Fold passes
+  /// its base's.
+  static RrSketchPool FromRuns(std::span<const Segment> segments,
+                               GroupWords root_starts,
+                               const RrSketchPool& network);
+
   friend class IndexIo;  // saves and loads the directory's words and body_
+  friend class RrSketchOverlay;  // Fold keeps its base's root starts
 
   std::vector<Group> groups_;  // the directory: a record per 64 sketches
   Words block_words_;          // and a word per block

@@ -189,25 +189,27 @@ TEST(IndexIoFuzzTest, ChecksumRepairedMutationsRoundTrip) {
 TEST(IndexIoFuzzTest, WideDirectoryMutationsRoundTrip) {
   // The seed's directory takes 4-byte words (its singletons' vertices
   // pass 2^15), so single-byte edits reach a wide directory's flag bit
-  // and offsets as well as its blocks. The edits fall past the root
-  // counts, which take a byte for each of the cycle's 40,001 users and
-  // would otherwise draw nearly every edit.
+  // and offsets as well as its blocks. The edits skip the root counts
+  // themselves, which take a byte for each of the cycle's 40,001 users
+  // and would otherwise draw nearly every edit; the header, theta and
+  // the counts' width and length stay in the draw.
   const SocialNetwork n = MakeCertainCycle(40001);
   const std::string valid = PackedIndexBytes(n, WideDirectoryGraphs());
   // After theta, the root counts: their width, their length and a count
   // per vertex.
-  const size_t width_offset =
-      kThetaOffset + 8 + 1 + 8 +
+  const size_t counts_offset = kThetaOffset + 8 + 1 + 8;
+  const size_t count_bytes =
       size_t{static_cast<uint8_t>(valid[kThetaOffset + 8])} *
-          n.num_vertices();
-  ASSERT_EQ(valid[width_offset], 4);
+      n.num_vertices();
+  ASSERT_EQ(valid[counts_offset + count_bytes], 4);
   CheckConsistentIfLoaded(n, valid);
   Rng rng(17);
   int loaded = 0;
   for (int trial = 0; trial < 200; ++trial) {
     std::string bytes = valid;
-    bytes[width_offset + rng.NextBounded(bytes.size() - 8 - width_offset)] =
-        static_cast<char>(rng.NextBounded(256));
+    size_t at = rng.NextBounded(bytes.size() - 8 - count_bytes);
+    if (at >= counts_offset) at += count_bytes;
+    bytes[at] = static_cast<char>(rng.NextBounded(256));
     RepairChecksum(&bytes);
     CheckConsistentIfLoaded(n, bytes);
     std::stringstream file(bytes);

@@ -7,9 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "owned_sketch.h"
@@ -130,12 +128,26 @@ TEST(ParallelBuildTest, PoolsIdenticalForEveryThreadCount) {
   // theta values not divisible by the thread counts, and below
   // 2 * threads: an internal pool is only spun up from 2 * threads
   // samples, but an external pool runs every theta >= 2 in parallel.
+  // The sampler draws every sample's root, the first draw of its
+  // stream, before it generates any sketch, and builds each sample at
+  // the id a counting sort by root gives it: every id's root is the
+  // pre-pass's, and every thread count gives the same bytes.
   const SocialNetwork n = GenerateDataset(LastfmSpec(0.1));
   for (const uint64_t theta : {1, 2, 5, 13, 997}) {
     RrIndexOptions serial;
     serial.theta_override = theta;
     RrIndex reference(n, serial);
     reference.Build();
+    std::vector<VertexId> pre_pass;
+    for (uint64_t i = 0; i < theta; ++i) {
+      pre_pass.push_back(static_cast<VertexId>(
+          SampleStream(serial.seed, i).NextBounded(n.num_vertices())));
+    }
+    std::ranges::sort(pre_pass);
+    ASSERT_EQ(reference.pool().num_sketches(), theta);
+    for (uint32_t id = 0; id < theta; ++id) {
+      ASSERT_EQ(reference.pool().RootOf(id), pre_pass[id]) << "sketch " << id;
+    }
     for (const size_t threads : {1, 2, 3, 4, 7}) {
       SCOPED_TRACE("theta " + std::to_string(theta) + ", threads " +
                    std::to_string(threads));
@@ -144,52 +156,13 @@ TEST(ParallelBuildTest, PoolsIdenticalForEveryThreadCount) {
       RrIndex a(n, internal);
       a.Build();
       ExpectPoolsIdentical(a.pool(), reference.pool());
+      EXPECT_EQ(pool_image::PoolDifference(n, a.pool(), reference.pool()), "");
 
       ThreadPool workers(threads);
       RrIndex b(n, serial);
       b.Build(&workers);
       ExpectPoolsIdentical(b.pool(), reference.pool());
-    }
-  }
-}
-
-TEST(ParallelBuildTest, RootsFirstPlacesEverySketchAtItsPrePassId) {
-  // The sampler draws every sample's root, the first draw of its stream,
-  // before it generates any sketch, and generates sample i at the id a
-  // stable counting sort by root gives it. On pools built with 1, 2 and
-  // 3 threads every id's root is that pre-pass root, and the pools are
-  // byte-identical, array by array.
-  const SocialNetwork n = GenerateDataset(LastfmSpec(0.1));
-  RrIndexOptions options;
-  options.theta_override = 1500;
-  options.seed = 9;
-  std::vector<std::pair<VertexId, uint64_t>> pre_pass;
-  for (uint64_t i = 0; i < options.theta_override; ++i) {
-    pre_pass.emplace_back(static_cast<VertexId>(
-                              SampleStream(options.seed, i)
-                                  .NextBounded(n.num_vertices())),
-                          i);
-  }
-  std::ranges::stable_sort(pre_pass, {},
-                           &std::pair<VertexId, uint64_t>::first);
-  std::unique_ptr<RrIndex> serial;
-  for (const size_t threads : {1, 2, 3}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    RrIndexOptions built = options;
-    built.num_build_threads = threads;
-    auto index = std::make_unique<RrIndex>(n, built);
-    index->Build();
-    const RrSketchPool& pool = index->pool();
-    ASSERT_EQ(pool.num_sketches(), pre_pass.size());
-    const IndexViews views(*index, n.num_vertices());
-    for (uint32_t id = 0; id < pool.num_sketches(); ++id) {
-      ASSERT_EQ(pool.RootOf(id), pre_pass[id].first) << "sketch " << id;
-      ASSERT_EQ(views(id).root(), pre_pass[id].first) << "sketch " << id;
-    }
-    if (serial == nullptr) {
-      serial = std::move(index);
-    } else {
-      EXPECT_EQ(pool_image::PoolDifference(n, pool, serial->pool()), "");
+      EXPECT_EQ(pool_image::PoolDifference(n, b.pool(), reference.pool()), "");
     }
   }
 }

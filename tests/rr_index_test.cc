@@ -273,6 +273,34 @@ TEST(PrunedRrIndexTest, AgreesExactlyWithBaseIndex) {
   }
 }
 
+TEST(PrunedRrIndexTest, RootSelfLoopFiltersLikeTheBaseIndex) {
+  // Two users, u = 0 and r = 1, with certain edges u -> r and r -> r: each
+  // sketch rooted at r holds u and both edges, so its root has an
+  // out-edge (the self-loop). IndexEst+'s filter for u reads every
+  // edge into the root, the self-loop's tail (the root) included.
+  const RRGraph looped{1, {0, 1}, {0, 1, 2}, {1, 1}, {{0, 0.5f}, {0, 0.5f}}};
+  const SocialNetwork n = NetworkOf(2, {looped});
+  RrIndexOptions options;
+  options.theta_override = 64;
+  options.seed = 3;
+  RrIndex base(n, options);
+  base.Build();
+  ASSERT_FALSE(base.RootRange(1).empty());
+  ASSERT_EQ(base.CountContaining(0),
+            base.RootRange(0).size() + base.RootRange(1).size());
+  for (const CutPolicy policy : {CutPolicy::kBestOfTwo, CutPolicy::kOutEdges,
+                                 CutPolicy::kRootInEdges}) {
+    PrunedRrIndex pruned(&base, &n.influence, policy);
+    const TagId tags[] = {0};
+    const auto post = n.topics.Posterior(tags);
+    const PosteriorProbs probs(n.influence, post);
+    const Estimate base_est = base.EstimateInfluence(0, probs);
+    const Estimate pruned_est = pruned.EstimateInfluence(0, probs);
+    EXPECT_DOUBLE_EQ(base_est.influence, pruned_est.influence);
+    EXPECT_EQ(base_est.samples, pruned_est.samples);
+  }
+}
+
 TEST(PrunedRrIndexTest, ActuallyPrunes) {
   SocialNetwork n = MakeRunningExample();
   RrIndex base(n, DenseOptions());
