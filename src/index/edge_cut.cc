@@ -26,10 +26,7 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
 
   for (uint32_t id : base_->NonRootContaining(u)) {
     ++filter.num_graphs;
-    // Cut 2 decodes the edge of every tail into the root, the root's own
-    // when it has a self-loop, so the filter takes a view that resolves
-    // the root; it is built once per user.
-    const RRView rr = base_->graph(id, u);
+    const RRView rr = base_->WalkGraph(id);
     const auto u_local = rr.LocalIndex(u);
     PITEX_DCHECK(u_local.has_value() && *u_local != rr.root_local);
 
@@ -45,7 +42,12 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
                          std::vector<std::pair<EdgeId, float>>* cut,
                          double* log_prune) {
       const RRLocalEdge record = rr.edges[i];
-      const EdgeId edge = rr.Edge(tail, record.rank);
+      // The walk's view leaves the root's vertex id unresolved. Only a
+      // root self-loop, in cut 2, has the root as its tail: that edge
+      // takes the view that looks the root up.
+      const EdgeId edge = tail == rr.root_local
+                              ? base_->graph(id, u).Edge(tail, record.rank)
+                              : rr.Edge(tail, record.rank);
       const float threshold = record.threshold;
       cut->emplace_back(edge, threshold);
       const double p = influence_->MaxProb(edge);

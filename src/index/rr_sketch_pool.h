@@ -98,12 +98,13 @@
 // in-tree whose vertex field is 0 bits wide, its vertex the view's base
 // u (VertexIds); a block's view reads its root from the id, a run's
 // record or a search of a finished pool's root starts (RootOf), which
-// the cold paths can afford (repairs, DecomposeRRGraphInto, IndexEst+'s
-// per-user filters, the loader, the saver and tests). The estimate
-// walks take WalkView(i) instead, which searches nothing: a walk from a
-// vertex other than the root stops when it reaches the root's local id
-// and never decodes the root as a tail, so the view leaves the root's
-// vertex id unresolved. A singleton
+// the cold paths can afford (repairs, DecomposeRRGraphInto, the loader,
+// the saver and tests). The estimate walks take WalkView(i) instead,
+// which searches nothing: a walk from a vertex other than the root stops
+// when it reaches the root's local id and never decodes the root as a
+// tail, so the view leaves the root's vertex id unresolved. IndexEst+'s
+// per-user filter decodes the edge of every tail into the root, so it
+// looks the root up for a root self-loop alone. A singleton
 // is in no containing list: the estimate counts it, with every other
 // sketch of u's root range, a hit from the range's size alone, and
 // every sketch a list names is a block. A run (below) records each
