@@ -91,17 +91,16 @@ void DynamicRrIndex::ApplyUpdates(
         EnvelopeProbability(network_.influence.MaxProb(e)));
 
     // Only graphs containing head(e) ever probed e: those it roots and
-    // those its list names. Snapshot the list: repairs splice
-    // containment as membership changes.
+    // those its list names, each with its root. Snapshot the list:
+    // repairs splice containment as membership changes.
     const VertexId head = network_.graph.Head(e);
-    const auto rooted = RootRange(head);
-    const ContainingList containing = NonRootContaining(head);
-    affected_.assign(rooted.begin(), rooted.end());
-    affected_.insert(affected_.end(), containing.begin(), containing.end());
-    for (const uint32_t id : affected_) {
+    affected_.clear();
+    for (const uint32_t id : RootRange(head)) affected_.push_back({head, id});
+    AppendRooted(NonRootContaining(head), &affected_);
+    for (const RootedId& sketch : affected_) {
       ++stats_.graphs_examined;
-      Rng rng = SampleStream(options_.seed, id, version_);
-      RepairGraph(id, e, p_old, p_new, &rng);
+      Rng rng = SampleStream(options_.seed, sketch.id, version_);
+      RepairGraph(sketch, e, p_old, p_new, &rng);
     }
   }
 }
@@ -151,12 +150,12 @@ void DynamicRrIndex::Compact() {
   ResetBase(std::make_shared<const RrSketchPool>(overlay_->Fold(*base_)));
 }
 
-void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
+void DynamicRrIndex::RepairGraph(RootedId sketch, EdgeId e, double p_old,
                                  double p_new, Rng* rng) {
   // `rr` may view the overlay's store: read it fully before Put appends.
-  // Every sketch repaired for e contains head(e).
-  const RRView rr = graph(id, network_.graph.Head(e));
-  const VertexId root = rr.root();
+  const uint32_t id = sketch.id;
+  const VertexId root = sketch.root;
+  const RRView rr = view_->RootedGraph(id, root);
   auto& edges = repair_edges_;
   DecomposeRRGraphInto(rr, &edges);
   const auto it =
@@ -228,7 +227,8 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
   // then splice containment for the vertices whose membership changed
   // (a merge over the two sorted vertex sets), and append the new
   // version to the overlay. A splice decodes the vertex's current list
-  // (the overlay's, else the base's) once, adds or removes `id`, and
+  // (the overlay's, else the base's) once, with each id's root, adds or
+  // removes `id` (rooted at `root`: a repair keeps its root), and
   // re-codes the list into the overlay. The root stays in the sketch,
   // so its list, which does not name the sketch, is never spliced.
   repaired_.Clear();
@@ -237,13 +237,14 @@ void DynamicRrIndex::RepairGraph(uint32_t id, EdgeId e, double p_old,
     PITEX_DCHECK(v != root);
     const ContainingList current = overlay_->NonRootContaining(v).value_or(
         base_->NonRootContaining(v));
-    std::vector<uint32_t>& ids = splice_ids_;
-    ids.assign(current.begin(), current.end());
-    const auto at = std::lower_bound(ids.begin(), ids.end(), id);
+    std::vector<RootedId>& ids = splice_ids_;
+    ids.clear();
+    AppendRooted(current, &ids);
+    const auto at = std::ranges::lower_bound(ids, id, {}, &RootedId::id);
     if (insert) {
-      ids.insert(at, id);
+      ids.insert(at, {root, id});
     } else {
-      PITEX_DCHECK(at != ids.end() && *at == id);
+      PITEX_DCHECK(at != ids.end() && (*at == RootedId{root, id}));
       ids.erase(at);
     }
     overlay_->SetContaining(v, ids);

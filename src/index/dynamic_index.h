@@ -203,9 +203,10 @@ class DynamicRrIndex final : public InfluenceOracle {
   size_t SizeBytes() const;
 
  private:
-  // Repairs graph `id` for edge `e` transitioning envelope p_old ->
-  // p_new. Precondition: the graph contains head(e).
-  void RepairGraph(uint32_t id, EdgeId e, double p_old, double p_new,
+  // Repairs `sketch`, graph sketch.id rooted at sketch.root, for edge
+  // `e` transitioning envelope p_old -> p_new. Precondition: the graph
+  // contains head(e).
+  void RepairGraph(RootedId sketch, EdgeId e, double p_old, double p_new,
                    Rng* rng);
   // Makes `base` the base under an empty overlay.
   void ResetBase(std::shared_ptr<const RrSketchPool> base);
@@ -232,8 +233,8 @@ class DynamicRrIndex final : public InfluenceOracle {
   // sets and staging vectors.
   SketchArena arena_;
   RrSketchPool repaired_;
-  std::vector<uint32_t> affected_;
-  std::vector<uint32_t> splice_ids_;  // one containing list, decoded
+  std::vector<RootedId> affected_;
+  std::vector<RootedId> splice_ids_;  // one containing list, decoded
   std::vector<GlobalEdgeSample> repair_edges_;
   std::vector<VertexId> repair_stack_;
   // Expansion envelope slice (InEnvelopeSlice): the floats an

@@ -24,7 +24,10 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
   // edge -> list index, local to this filter.
   std::unordered_map<EdgeId, size_t> list_of;
 
-  for (uint32_t id : base_->NonRootContaining(u)) {
+  const ContainingList containing = base_->NonRootContaining(u);
+  for (auto sketch = containing.begin(); sketch != containing.end();
+       ++sketch) {
+    const uint32_t id = *sketch;
     ++filter.num_graphs;
     const RRView rr = base_->WalkGraph(id);
     const auto u_local = rr.LocalIndex(u);
@@ -44,10 +47,11 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
       const RRLocalEdge record = rr.edges[i];
       // The walk's view leaves the root's vertex id unresolved. Only a
       // root self-loop, in cut 2, has the root as its tail: that edge
-      // takes the view that looks the root up.
-      const EdgeId edge = tail == rr.root_local
-                              ? base_->graph(id, u).Edge(tail, record.rank)
-                              : rr.Edge(tail, record.rank);
+      // takes the view rooted at the list's root for the sketch.
+      const EdgeId edge =
+          tail == rr.root_local
+              ? base_->RootedGraph(id, sketch.root()).Edge(tail, record.rank)
+              : rr.Edge(tail, record.rank);
       const float threshold = record.threshold;
       cut->emplace_back(edge, threshold);
       const double p = influence_->MaxProb(edge);

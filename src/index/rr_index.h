@@ -107,6 +107,18 @@ class RrIndex final : public InfluenceOracle {
     }
     return pool_->View(i, u);
   }
+  /// The view of RR-Graph i rooted at `root` (RrSketchPool::RootedView):
+  /// a reader that knows the root, from a root range or a list entry,
+  /// takes it without a search.
+  RRView RootedGraph(size_t i, VertexId root) const {
+    if (const RrSketchOverlay* overlay = repairs()) {
+      const uint32_t slot = overlay->SlotOf(static_cast<uint32_t>(i));
+      if (slot != RrSketchOverlay::kNotRepaired) {
+        return overlay->View(slot, root);
+      }
+    }
+    return pool_->RootedView(i, root);
+  }
   /// The walk's view of RR-Graph i, a block containing a vertex other
   /// than its root (RrSketchPool::WalkView): the estimate paths' view,
   /// which leaves the root's vertex id unresolved.

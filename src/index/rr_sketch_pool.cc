@@ -64,7 +64,7 @@ void RrSketchPool::Clear() {
   containing_k_ = 0;
 }
 
-void RrSketchPool::Words::Widen() {
+void WordArray::Widen() {
   PITEX_DCHECK(shift == 1);
   const size_t count = size();
   units.reserve(2 * units.capacity());
@@ -157,8 +157,7 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   RrSketchPool out = network.EmptyLike();
   PITEX_CHECK_MSG(root_starts.size() == out.num_vertices_ + 1,
                   "root starts must cover the network");
-  const uint64_t num_sketches = root_starts.base(out.num_vertices_) +
-                                root_starts.word(out.num_vertices_);
+  const uint64_t num_sketches = root_starts[out.num_vertices_];
   std::vector<Segment> sorted;
   sorted.reserve(segments.size());
   uint64_t blocks = 0;
@@ -443,51 +442,87 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
 }
 
 void RrSketchPool::BuildContaining(size_t num_vertices) {
-  // A counting sort of the (vertex, sketch id) pairs by vertex, in
-  // ascending sketch order, of every block's stored vertices, which
-  // leave out its root: first[v] .. first[v + 1] - 1 index v's ids in
-  // `ids`. The counting pass also totals those ids, which set k.
-  std::vector<uint32_t> first(num_vertices + 1, 0);
+  // Calls fn(id, root, range, stored, count) for each block in id order:
+  // `root` its root, from a cursor over the root starts that only moves
+  // forward, `range` the sketches that root roots, and `stored` its
+  // `count` stored vertices.
+  const auto each_block = [&](auto&& fn) {
+    VertexId root = 0;
+    uint32_t range = num_vertices == 0 ? 0 : RootStart(1);
+    ForEachStoredIds([&](uint32_t id, const PackedIds& stored,
+                         uint32_t count) {
+      if (RootStart(root + 1) <= id) {
+        do {
+          ++root;
+        } while (RootStart(root + 1) <= id);
+        range = RootStart(root + 1) - RootStart(root);
+      }
+      fn(id, root, range, stored, count);
+    });
+  };
+  // Each vertex's list, its ids in ascending sketch order: an id opens an
+  // entry when its root is not the root of the vertex's id before it.
+  // The first pass counts each vertex's ids and tallies its entries'
+  // gaps and mask bits, which set k and the lists' size; `at` then turns
+  // into where the vertex's next id goes, and the second pass scatters
+  // the ids, each with its root, into `ids`, a counting sort by vertex.
+  struct List {
+    uint32_t at;    // ids counted, then where the next one goes
+    VertexId last;  // the root of the id before, or one before 0
+  };
+  std::vector<List> lists(num_vertices, {0, UINT32_MAX});
+  RiceTally gaps(num_vertices);
+  uint64_t mask_bits = 0;
   uint32_t max_vertices = num_sketches_ == 0 ? 0 : 1;
-  ForEachStoredIds([&](uint32_t, const PackedIds& stored, uint32_t count) {
+  each_block([&](uint32_t, VertexId root, uint32_t range,
+                 const PackedIds& stored, uint32_t count) {
     max_vertices = std::max(max_vertices, count + 1);
-    for (uint32_t j = 0; j < count; ++j) ++first[stored[j] + 1];
+    for (uint32_t j = 0; j < count; ++j) {
+      const VertexId v = stored[j];
+      List& list = lists[v];
+      ++list.at;
+      // Without a branch: about half the ids open an entry. An id that
+      // opens none adds no code at a vertex's own value, not one shared
+      // value, so no chain of increments forms.
+      const uint32_t opens = root != list.last;
+      gaps.Add(opens != 0 ? root - list.last - 1 : v, opens);
+      mask_bits += range & (0 - opens);
+      list.last = root;
+    }
   });
   uint64_t occurrences = 0;
-  for (size_t v = 1; v <= num_vertices; ++v) {
-    occurrences += first[v];
-    first[v] = static_cast<uint32_t>(occurrences);
+  for (List& list : lists) {
+    const uint32_t count = list.at;
+    list.at = static_cast<uint32_t>(occurrences);
+    occurrences += count;
   }
   PITEX_CHECK_MSG(occurrences <= UINT32_MAX,
                   "containing index exceeds 32-bit offsets");
-  std::vector<uint32_t> ids(occurrences);
-  {
-    std::vector<uint32_t> cursor(first.begin(), first.end() - 1);
-    ForEachStoredIds([&](uint32_t id, const PackedIds& stored,
-                         uint32_t count) {
-      for (uint32_t j = 0; j < count; ++j) ids[cursor[stored[j]]++] = id;
-    });
-  }
-  const auto list = [&](size_t v) {
-    return std::span<const uint32_t>(ids).subspan(first[v],
-                                                  first[v + 1] - first[v]);
-  };
-  const uint32_t k = RiceParameter(num_sketches(), num_vertices, occurrences);
-  // Each list's start in bits, then each group's largest word: the
-  // start of the group's last entry less the start of its first.
-  std::vector<uint64_t> start(num_vertices + 1, 0);
-  for (size_t v = 0; v < num_vertices; ++v) {
-    start[v + 1] = start[v] + RiceListBits(list(v), k);
-  }
-  const uint64_t bits = start[num_vertices];
+  std::vector<RootedId> ids(occurrences);
+  each_block([&](uint32_t id, VertexId root, uint32_t,
+                 const PackedIds& stored, uint32_t count) {
+    for (uint32_t j = 0; j < count; ++j) {
+      ids[lists[stored[j]].at++] = {root, id};
+    }
+  });
+  const uint32_t k = RiceParameter(gaps, num_vertices);
+  const uint64_t bits = gaps.Bits(k) + mask_bits;
   PITEX_CHECK_MSG(bits <= UINT32_MAX,
                   "containing index exceeds 32-bit offsets");
-  containing_starts_.Assign(std::span<const uint64_t>(start));
+  // The lists in vertex order, each starting where the one before ended;
+  // vertex v's ids end where `at` stopped.
+  std::vector<uint64_t> start(num_vertices + 1, 0);
   containing_.assign(PaddedBytes(bits), 0);
   BitWriter writer(containing_.data());
-  for (size_t v = 0; v < num_vertices; ++v) PutRiceList(list(v), k, &writer);
+  for (size_t v = 0, begin = 0; v < num_vertices; begin = lists[v++].at) {
+    PutRootList(std::span<const RootedId>(ids).subspan(
+                    begin, lists[v].at - begin),
+                k, root_starts_, &writer);
+    start[v + 1] = writer.position();
+  }
   [[maybe_unused]] const uint64_t written = writer.Finish();
   PITEX_DCHECK(written == bits);
+  containing_starts_.Assign(std::span<const uint64_t>(start));
   containing_k_ = k;
   max_sketch_vertices_ = max_vertices;
 }
@@ -536,12 +571,15 @@ RrSketchPool RrSketchOverlay::Fold(const RrSketchPool& base) const {
 }
 
 void RrSketchOverlay::SetContaining(VertexId u,
-                                    std::span<const uint32_t> ids) {
+                                    std::span<const RootedId> ids) {
+  PITEX_CHECK_MSG(base_ != nullptr && base_->finished(),
+                  "an overlay's lists take a finished base's root starts");
   CodedList& list = containing_[u];
-  list.bits = RiceListBits(ids, containing_k_);
+  const GroupWords& root_starts = base_->root_starts_;
+  list.bits = RootListBits(ids, containing_k_, root_starts);
   list.bytes.assign(PaddedBytes(list.bits), 0);
   BitWriter writer(list.bytes.data());
-  PutRiceList(ids, containing_k_, &writer);
+  PutRootList(ids, containing_k_, root_starts, &writer);
   writer.Finish();
 }
 

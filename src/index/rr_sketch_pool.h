@@ -1,7 +1,8 @@
 // Pooled storage for the offline RR-Graph index (Sec. 6.1): all theta
 // sketches flattened into a few contiguous arrays (a CSR of per-sketch
 // CSRs), numbered in root order, plus an inverted "containing" index
-// whose per-vertex lists are Rice-coded gaps.
+// whose per-vertex lists name each root once, as a Rice-coded gap, with
+// a mask over its root range.
 //
 // The IndexEst estimate path walks theta(u) tiny sketches per query; with
 // one heap object per sketch (three vectors each) those walks chase
@@ -119,22 +120,33 @@
 //
 // Containing lists, for vertex u:
 //   bits [start(u), start(u + 1)) of containing_
-// hold the ids of the sketches containing u that u does not root,
-// ascending, as Rice codes (ContainingList): the first id as itself,
-// then each gap to the next less 1 (the ids strictly ascend). A value x
-// at parameter k is x >> k one-bits, a zero, then the low k bits of x,
-// LSB-first as in little-endian 64-bit words; the array ends in
-// kBitPadding bytes of padding, so the decoder's 8-byte loads stay
-// inside it. One k serves the whole pool, chosen from its own totals
-// with no option: the log of the mean gap, bit_width(floor(theta * |V|
-// / occurrences)) - 1, occurrences the ids the lists hold
-// (RiceParameter), which bounds the lists at occurrences * (k + 3)
-// bits. The gaps are close to geometric, for which Rice coding at the
-// mean is near the entropy: on pitexbench's network (theta = 200,000,
-// |V| = 25,000, 254,185 ids, the 200,000 root incidences left out) k =
-// 14 and the lists take 15.2 bits per id, against 32 for a u32 list. An
-// overlay codes its replacement lists at its base pool's k, so one
-// decoder reads both.
+// hold the sketches containing u that u does not root, by root: for
+// each root r one of them has, ascending, an *entry*, the Rice code of
+// r's gap, then a mask of RootRange(r).size() raw bits, bit j set when
+// sketch RootStart(r) + j contains u (PutRootList). The first root's
+// gap is r itself, and each later root's the root less the one before
+// less 1 (the roots strictly ascend). A gap x at parameter k is x >> k
+// one-bits, a zero, then the low k bits of x, LSB-first as in
+// little-endian 64-bit words; the array ends in kBitPadding bytes of
+// padding, so the decoder's 8-byte loads stay inside it. The decoder
+// (ContainingList) reads the masks against the root starts and yields
+// the ids ascending, each with its root, and a count is the masks' set
+// bits. Since root order makes a root's sketches adjacent ids, a vertex
+// in several of them names the root once: on pitexbench's network
+// (theta = 200,000, |V| = 25,000) the lists' 254,185 ids, the 200,000
+// root incidences left out, are 101,074 entries, and no root range
+// holds more than 25 sketches, so one load nearly always reads an
+// entry's code and mask. One k serves the whole pool, chosen from its
+// own gaps with no option: the k at which their codes take the fewest
+// bits, the smallest of a tie (RiceParameter), as the masks take the
+// same bits at any k. There k = 10, and the lists take 2,081,217 bits,
+// 260,160 B with padding: 8.2 bits per id, against 15.2 for the same
+// ids coded as gaps between ids and 32 for a u32 list. With E entries
+// over |V| lists, the mean-gap parameter k' = bit_width(floor(|V|^2 /
+// E)) - 1 codes the gaps in fewer than E * (k' + 3) bits, which bounds
+// the lists at that plus their masks. An overlay codes its replacement
+// lists at its base pool's k against its root starts, so one decoder
+// reads both.
 // The starts are bit offsets, stored in two levels: start(u) is
 // containing_starts_'s base for u's group of 64 vertices, start(64g),
 // plus u's word, at 2 bytes while every group's words fit 16 bits, else
@@ -145,8 +157,8 @@
 // directory a rank over a bitmap, so that only blocks take a word. Both
 // starts use GroupWords, a base per 64 entries and a word per entry;
 // the directory its Group records and block_words_. All keep their
-// words in Words, 2 or 4 bytes each. Each pool chooses each array's
-// word width from its own data, with no option.
+// words in a WordArray, 2 or 4 bytes each. Each pool chooses each
+// array's word width from its own data, with no option.
 //
 // Every pool is written one way: sketches are appended in this layout
 // (AppendSketch, which Append and the generator call, each field put in
@@ -167,8 +179,8 @@
 // its sketch's root (RrSketchOverlay::Put checks it), so the fold keeps
 // every id and passes the base's root starts. Every writer starts the
 // block words at 2 bytes and widens them once, in place, when a word
-// first fails to fit them (Words::Push); the widening doubles the words'
-// room, so FromRuns' exact-size arrays stay exact.
+// first fails to fit them (WordArray::Push); the widening doubles the
+// words' room, so FromRuns' exact-size arrays stay exact.
 // The index file (src/index/index_io.h, v13) keeps each vertex's count
 // of rooted sketches, at the width the largest needs (CountWidth), and
 // the directory as it was before singletons left it: one word per
@@ -316,62 +328,283 @@ class BlockWriter {
   uint32_t threshold_bits_;
 };
 
-/// Rice codes, as the containing lists store their ids: x at parameter
-/// k is x >> k one-bits, a zero, then the low k bits of x, in a bit array
-/// (src/util/bits.h). A list codes its first id as itself and each later
-/// id as its gap to the one before less 1, as the ids strictly ascend.
+/// Words of 2 bytes each or of 4 bytes each, in the host's byte order.
+/// They are kept as 2-byte units, two to a 4-byte word, so an append is
+/// a push_back.
+struct WordArray {
+  size_t size() const { return units.size() >> (shift - 1); }
+  /// Bytes per word: 2 or 4.
+  uint32_t width() const { return 1u << shift; }
+  uint32_t operator[](size_t i) const {
+    return shift == 1 ? units[i]
+                      : LoadId<uint32_t>(
+                            reinterpret_cast<const std::byte*>(units.data()),
+                            i);
+  }
+  /// Makes room for exactly `count` words at `width` bytes: an empty
+  /// array's writers then never regrow it.
+  void Reserve(size_t count, uint32_t width) {
+    shift = width == 2 ? 1 : 2;
+    units.reserve(count << (shift - 1));
+  }
+  /// Appends a word. 2-byte words first widen, once, in place, if it
+  /// does not fit them, so every writer ends at the width its own words
+  /// call for.
+  void Push(uint32_t word) {
+    if (shift == 1) {
+      if (word <= UINT16_MAX) [[likely]] {
+        units.push_back(static_cast<uint16_t>(word));
+        return;
+      }
+      Widen();
+    }
+    uint16_t halves[2];
+    std::memcpy(halves, &word, sizeof(word));
+    units.push_back(halves[0]);
+    units.push_back(halves[1]);
+  }
+  /// Rewrites 2-byte words at 4 bytes in place, back to front, so no
+  /// word is overwritten before it is read: out of line, as an array
+  /// widens at most once. The room doubles, so an array reserved exactly
+  /// stays exact.
+  void Widen();
+  /// Drops every word, keeping capacity, and returns to 2 bytes.
+  void Clear() {
+    units.clear();
+    shift = 1;
+  }
+  size_t SizeBytes() const { return units.capacity() * sizeof(uint16_t); }
 
-/// Bits the Rice codes of the ascending `ids` take at parameter k.
-inline uint64_t RiceListBits(std::span<const uint32_t> ids, uint32_t k) {
+  std::vector<uint16_t> units;
+  uint32_t shift = 1;  // log2 of the word width
+};
+
+/// A u32 array in two levels: one 32-bit base per group of 64 entries
+/// and one word per entry, what it adds to its base. Writers open each
+/// group before its first word (OpenGroup), so the bases always cover
+/// the words.
+struct GroupWords {
+  static constexpr unsigned kGroupBits = 6;
+  static constexpr size_t kGroup = size_t{1} << kGroupBits;  // 64
+
+  size_t size() const { return words.size(); }
+  uint32_t width() const { return words.width(); }
+  uint32_t base(size_t i) const { return bases[i >> kGroupBits]; }
+  /// A reader of the entries that holds the arrays' addresses by value,
+  /// so a loop that also stores bytes need not reload them.
+  struct Reader {
+    /// Entry i: its group's base plus its word.
+    uint32_t operator[](size_t i) const {
+      return bases[i >> kGroupBits] +
+             (shift == 1 ? units[i]
+                         : LoadId<uint32_t>(
+                               reinterpret_cast<const std::byte*>(units), i));
+    }
+    const uint32_t* bases = nullptr;
+    const uint16_t* units = nullptr;
+    uint32_t shift = 1;
+  };
+  Reader reader() const {
+    return {bases.data(), words.units.data(), words.shift};
+  }
+  uint32_t operator[](size_t i) const { return reader()[i]; }
+  /// Opens the group of entry size() at `base` if that entry starts one.
+  void OpenGroup(uint64_t base) {
+    if (size() % kGroup == 0) bases.push_back(static_cast<uint32_t>(base));
+  }
+  void Clear() {
+    bases.clear();
+    words.Clear();
+  }
+  /// Makes the array exactly `values` (ascending, each below 2^32), at
+  /// 2-byte words while every group's last value less its first fits
+  /// them, else at 4.
+  template <typename T>
+  void Assign(std::span<const T> values) {
+    uint64_t max_word = 0;
+    for (size_t v = 0; v < values.size(); v += kGroup) {
+      const size_t last = std::min(v + kGroup, values.size()) - 1;
+      max_word = std::max<uint64_t>(max_word, values[last] - values[v]);
+    }
+    Clear();
+    bases.reserve((values.size() + kGroup - 1) / kGroup);
+    words.Reserve(values.size(), max_word <= UINT16_MAX ? 2 : 4);
+    for (size_t v = 0; v < values.size(); ++v) {
+      OpenGroup(values[v]);
+      words.Push(static_cast<uint32_t>(values[v] - base(v)));
+    }
+  }
+  size_t SizeBytes() const {
+    return bases.capacity() * sizeof(uint32_t) + words.SizeBytes();
+  }
+
+  std::vector<uint32_t> bases;
+  WordArray words;
+};
+
+/// Rice codes, as the containing lists store their root gaps: x at
+/// parameter k is x >> k one-bits, a zero, then the low k bits of x, in
+/// a bit array (src/util/bits.h).
+
+/// Appends the Rice code of x at parameter k (at most 31) to `out`.
+inline void PutRice(uint32_t x, uint32_t k, BitWriter* out) {
+  constexpr uint32_t kRun = 31;  // ones per Put, so a code fits 63 bits
+  uint32_t q = x >> k;
+  for (; q > kRun; q -= kRun) out->Put((uint64_t{1} << kRun) - 1, kRun);
+  const uint64_t low = x & LowMask(k);
+  out->Put(((uint64_t{1} << q) - 1) | low << (q + 1), q + 1 + k);
+}
+
+/// Reads the Rice code at bit *at of `data` at parameter k and steps *at
+/// past it. A load holds kBitWindow bits: a unary run of that many ones
+/// or more takes further loads, and low bits past the window one more.
+/// Only this module's coder writes the bits, so it trusts them.
+inline uint32_t GetRice(const uint8_t* data, uint64_t* at, uint32_t k) {
+  uint64_t window = LoadBits(data, *at);
+  uint64_t q = 0;
+  uint32_t ones;
+  while ((ones = static_cast<uint32_t>(std::countr_one(window))) >=
+         kBitWindow) {
+    q += kBitWindow;
+    *at += kBitWindow;
+    window = LoadBits(data, *at);
+  }
+  q += ones;
+  *at += ones + 1;
+  const uint64_t mask = LowMask(k);
+  const uint64_t low = ones + 1 + k <= kBitWindow
+                           ? (window >> (ones + 1)) & mask
+                           : LoadBits(data, *at) & mask;
+  *at += k;
+  return static_cast<uint32_t>(q << k | low);
+}
+
+/// The values a set of Rice codes holds, each below a bound, tallied by
+/// value: enough to give exactly how many bits the codes take at every
+/// parameter. Adding a value is one increment, with no branch.
+class RiceTally {
+ public:
+  /// A tally of values below `bound`.
+  explicit RiceTally(size_t bound) : counts_(bound, 0) {}
+  /// Adds `times` codes of x.
+  void Add(uint32_t x, uint32_t times = 1) {
+    PITEX_DCHECK(x < counts_.size());
+    counts_[x] += times;
+    total_ += times;
+  }
+  /// Bits the codes take at parameter k: the sum of x >> k, plus 1 + k
+  /// per code. It fits 64 bits: fewer than 2^32 values, each x >> k
+  /// below 2^32.
+  uint64_t Bits(uint32_t k) const {
+    uint64_t bits = total_ * (1 + k);
+    for (size_t x = 0; x < counts_.size(); ++x) {
+      bits += uint64_t{counts_[x]} * (x >> k);
+    }
+    return bits;
+  }
+
+ private:
+  std::vector<uint32_t> counts_;  // codes of each value
+  uint64_t total_ = 0;
+};
+
+/// The Rice parameter of a pool's containing lists, chosen from their
+/// root gaps with no option: the k in [0, 31] at which the gaps' codes
+/// take the fewest bits (RiceTally::Bits), the smallest such k on a tie,
+/// and 0 with no gap. A list's masks take the same bits at every k, so
+/// this k codes the lists in the fewest bits. PutRice needs k <= 31.
+/// Past the bound's width every gap's quotient is 0, and a larger k only
+/// adds bits, so the search stops there.
+inline uint32_t RiceParameter(const RiceTally& gaps, size_t bound) {
+  uint32_t best = 0;
+  uint64_t fewest = gaps.Bits(0);
+  const auto last = std::min<uint32_t>(
+      31, static_cast<uint32_t>(std::bit_width(bound)));
+  for (uint32_t k = 1; k <= last; ++k) {
+    const uint64_t bits = gaps.Bits(k);
+    if (bits < fewest) {
+      best = k;
+      fewest = bits;
+    }
+  }
+  return best;
+}
+
+/// One sketch of a containing list: its id and its root.
+struct RootedId {
+  VertexId root = 0;
+  uint32_t id = 0;
+  bool operator==(const RootedId&) const = default;
+};
+
+/// Bits a containing list of `ids` (ascending by id) takes at parameter
+/// k, the sketches rooted at v being [root_starts[v], root_starts[v +
+/// 1]): per root, its gap's Rice code and a bit per sketch it roots.
+inline uint64_t RootListBits(std::span<const RootedId> ids, uint32_t k,
+                             const GroupWords& root_starts) {
   uint64_t bits = 0;
-  uint32_t last = UINT32_MAX;  // one before id 0
-  for (const uint32_t id : ids) {
-    bits += ((id - last - 1) >> k) + 1 + k;
-    last = id;
+  VertexId last = UINT32_MAX;  // one before vertex 0
+  for (const RootedId& sketch : ids) {
+    if (sketch.root == last) continue;
+    bits += ((sketch.root - last - 1) >> k) + 1 + k +
+            root_starts[sketch.root + 1] - root_starts[sketch.root];
+    last = sketch.root;
   }
   return bits;
 }
 
-/// Appends the Rice codes of the ascending `ids` at parameter k (at most
-/// 31) to `out`.
-inline void PutRiceList(std::span<const uint32_t> ids, uint32_t k,
-                        BitWriter* out) {
-  constexpr uint32_t kRun = 31;  // ones per Put, so a code fits 63 bits
-  uint32_t last = UINT32_MAX;    // one before id 0
-  for (const uint32_t id : ids) {
-    const uint32_t x = id - last - 1;
-    last = id;
-    uint32_t q = x >> k;
-    for (; q > kRun; q -= kRun) out->Put((uint64_t{1} << kRun) - 1, kRun);
-    const uint64_t low = x & LowMask(k);
-    out->Put(((uint64_t{1} << q) - 1) | low << (q + 1), q + 1 + k);
+/// Appends the containing list of `ids` (ascending by id) at parameter k
+/// (at most 31) to `out`: per root r, the Rice code of its gap, r less
+/// the root before less 1 (the first root as itself), then a mask of one
+/// bit per sketch r roots, bit j set when sketch root_starts[r] + j is
+/// in the list.
+inline void PutRootList(std::span<const RootedId> ids, uint32_t k,
+                        const GroupWords& starts, BitWriter* out) {
+  const GroupWords::Reader root_starts = starts.reader();
+  VertexId last = UINT32_MAX;  // one before vertex 0
+  const RootedId* at = ids.data();
+  const RootedId* const end = at + ids.size();
+  while (at != end) {
+    const VertexId root = at->root;
+    const uint32_t start = root_starts[root];
+    const uint32_t size = root_starts[root + 1] - start;
+    const uint32_t gap = root - last - 1;
+    last = root;
+    if (uint64_t{gap >> k} + 1 + k + size < 64) {
+      // The code and the mask in one Put, as nearly every entry takes.
+      const uint32_t q = gap >> k;
+      uint64_t bits = 0;
+      for (; at != end && at->id < start + size; ++at) {
+        bits |= uint64_t{1} << (at->id - start);
+      }
+      out->Put(((uint64_t{1} << q) - 1) | uint64_t{gap & LowMask(k)}
+                                              << (q + 1) |
+                   bits << (q + 1 + k),
+               q + 1 + k + size);
+      continue;
+    }
+    PutRice(gap, k, out);
+    // The mask in pieces of up to 32 bits.
+    for (uint32_t piece = start; piece < start + size; piece += 32) {
+      const uint32_t width = std::min<uint32_t>(32, start + size - piece);
+      uint64_t bits = 0;
+      for (; at != end && at->id < piece + width; ++at) {
+        bits |= uint64_t{1} << (at->id - piece);
+      }
+      out->Put(bits, width);
+    }
   }
 }
 
-/// The Rice parameter of a pool's containing lists: the log of their
-/// mean gap, k = bit_width(floor(theta * |V| / occurrences)) - 1, where
-/// `occurrences` is the total of the ids the lists hold (0 when there
-/// are none). A gap's quotients then sum, over one list, to at most
-/// theta >> k, and theta * |V| / 2^k < 2 * occurrences, so the lists
-/// take at most occurrences * (k + 3) bits. Ids fit 32 bits, so a
-/// larger k saves nothing, and k stays at most 31, as PutRiceList needs.
-inline uint32_t RiceParameter(uint64_t theta, uint64_t num_vertices,
-                              uint64_t occurrences) {
-  if (occurrences == 0) return 0;
-  // A list holds each of fewer than 2^32 sketches at most once, and
-  // there are fewer than 2^32 vertices, so the product fits 64 bits and
-  // 1 <= mean.
-  const uint64_t mean = theta * num_vertices / occurrences;
-  return std::min<uint32_t>(31, static_cast<uint32_t>(std::bit_width(mean)) -
-                                    1);
-}
-
-/// One vertex's containing list as stored, in a pool or an overlay: its
-/// sketch ids, ascending, as Rice codes at the pool's parameter k
-/// (PutRiceList), bits [begin, end) of a coded array. A read-only
-/// forward range that decodes as it iterates, without allocating. Only
-/// this module's coder writes the bits (a loaded pool rebuilds its
-/// lists, they are not saved), so the decoder trusts them.
+/// One vertex's containing list as stored, in a pool or an overlay, bits
+/// [begin, end) of a coded array (PutRootList): for each root whose
+/// sketches the list names, ascending, the Rice code at the pool's
+/// parameter k of its gap, then a mask over the root's range, read
+/// against the pool's root starts. A read-only forward range of sketch
+/// ids, ascending, that decodes as it iterates, without allocating; its
+/// iterator also names each id's root. Only this module's coder writes
+/// the bits (a loaded pool rebuilds its lists, they are not saved), so
+/// the decoder trusts them.
 class ContainingList {
  public:
   class Iterator {
@@ -385,9 +618,10 @@ class ContainingList {
 
     Iterator() = default;
     uint32_t operator*() const { return id_; }
+    /// The root of the current sketch.
+    VertexId root() const { return root_; }
     Iterator& operator++() {
-      at_ = next_;
-      if (at_ != end_) Decode();
+      Next();
       return *this;
     }
     Iterator operator++(int) {
@@ -395,66 +629,130 @@ class ContainingList {
       ++*this;
       return old;
     }
-    bool operator==(const Iterator& other) const { return at_ == other.at_; }
+    /// Ids strictly ascend in a list, so an id names a place in it; the
+    /// end's is kEnd.
+    bool operator==(const Iterator& other) const { return id_ == other.id_; }
 
    private:
     friend class ContainingList;
-    Iterator(const uint8_t* data, uint64_t at, uint64_t end, uint32_t k)
-        : data_(data), at_(at), next_(at), end_(end), k_(k) {
-      if (at_ != end_) Decode();
+    static constexpr uint32_t kEnd = UINT32_MAX;  // no sketch has this id
+
+    Iterator(const uint8_t* data, uint64_t at, uint64_t end, uint32_t k,
+             GroupWords::Reader root_starts)
+        : data_(data),
+          root_starts_(root_starts),
+          next_(at),
+          end_(end),
+          k_(k) {
+      Next();
     }
-    /// Adds the code at next_, plus 1, to id_ and steps next_ past it.
-    /// A load holds kBitWindow bits: a unary run of that many ones or
-    /// more takes further loads, and low bits past the window one more.
-    void Decode() {
-      uint64_t window = LoadBits(data_, next_);
-      uint64_t q = 0;
-      uint32_t ones;
-      while ((ones = static_cast<uint32_t>(std::countr_one(window))) >=
-             kBitWindow) {
-        q += kBitWindow;
-        next_ += kBitWindow;
-        window = LoadBits(data_, next_);
+    /// Steps to the next set mask bit: through the rest of the current
+    /// piece, then the mask's next piece of up to kBitWindow bits, then
+    /// the next root's entry.
+    void Next() {
+      while (piece_ == 0) {
+        if (left_ == 0) {
+          if (next_ == end_) {
+            id_ = kEnd;
+            return;
+          }
+          NextEntry();
+          continue;
+        }
+        const uint32_t take = std::min(left_, kBitWindow);
+        piece_ = LoadBits(data_, next_) & LowMask(take);
+        piece_id_ = next_id_;
+        next_ += take;
+        next_id_ += take;
+        left_ -= take;
       }
-      q += ones;
-      next_ += ones + 1;
-      const uint64_t mask = LowMask(k_);
-      const uint64_t low = ones + 1 + k_ <= kBitWindow
-                               ? (window >> (ones + 1)) & mask
-                               : LoadBits(data_, next_) & mask;
-      next_ += k_;
-      id_ += static_cast<uint32_t>(q << k_ | low) + 1;
+      id_ = piece_id_ + static_cast<uint32_t>(std::countr_zero(piece_));
+      piece_ &= piece_ - 1;
+    }
+    /// Reads the next root's code and opens its mask. An entry whose
+    /// code and mask fit one load, as nearly all do, takes that load as
+    /// its first piece.
+    void NextEntry() {
+      const uint64_t window = LoadBits(data_, next_);
+      const auto ones = static_cast<uint32_t>(std::countr_one(window));
+      const uint32_t code = ones + 1 + k_;
+      if (code > kBitWindow) [[unlikely]] {
+        root_ += GetRice(data_, &next_, k_) + 1;
+        next_id_ = root_starts_[root_];
+        left_ = root_starts_[root_ + 1] - next_id_;
+        return;
+      }
+      root_ += (ones << k_ | ((window >> (ones + 1)) & LowMask(k_))) + 1;
+      next_ += code;
+      next_id_ = root_starts_[root_];
+      left_ = root_starts_[root_ + 1] - next_id_;
+      if (code + left_ <= kBitWindow) {
+        piece_ = (window >> code) & LowMask(left_);
+        piece_id_ = next_id_;
+        next_ += left_;
+        left_ = 0;
+      }
     }
 
     const uint8_t* data_ = nullptr;
-    uint64_t at_ = 0;    // the current id's first bit
-    uint64_t next_ = 0;  // the next id's first bit
+    GroupWords::Reader root_starts_{};
+    uint64_t next_ = 0;   // the first bit not yet read
     uint64_t end_ = 0;
+    uint64_t piece_ = 0;  // the mask bits loaded and not yet visited
+    uint32_t piece_id_ = 0;  // the id of the piece's bit 0
+    uint32_t next_id_ = 0;   // the id of the mask's next bit to load
+    uint32_t left_ = 0;      // the mask's bits not yet loaded
     uint32_t k_ = 0;
-    uint32_t id_ = UINT32_MAX;  // one before id 0: a first id codes as itself
+    VertexId root_ = UINT32_MAX;  // one before vertex 0: a first root
+                                  // codes as itself
+    uint32_t id_ = kEnd;
   };
 
   ContainingList(const uint8_t* data, uint64_t begin, uint64_t end,
-                 uint32_t k)
-      : data_(data), begin_(begin), end_(end), k_(k) {}
+                 uint32_t k, const GroupWords& root_starts)
+      : data_(data),
+        root_starts_(root_starts.reader()),
+        begin_(begin),
+        end_(end),
+        k_(k) {}
 
-  Iterator begin() const { return {data_, begin_, end_, k_}; }
-  Iterator end() const { return {data_, end_, end_, k_}; }
-  /// How many ids the list holds, decoded in O(ids).
+  Iterator begin() const { return {data_, begin_, end_, k_, root_starts_}; }
+  Iterator end() const { return {}; }
+  /// How many ids the list holds: its masks' set bits, counted a piece
+  /// at a time in O(roots + mask bits / 57).
   size_t count() const {
     size_t ids = 0;
-    for (Iterator it = begin(); it != end(); ++it) ++ids;
+    VertexId root = UINT32_MAX;
+    for (uint64_t at = begin_; at != end_;) {
+      root += GetRice(data_, &at, k_) + 1;
+      uint32_t left = root_starts_[root + 1] - root_starts_[root];
+      while (left != 0) {
+        const uint32_t take = std::min(left, kBitWindow);
+        ids += PopCount(LoadBits(data_, at) & LowMask(take));
+        at += take;
+        left -= take;
+      }
+    }
     return ids;
   }
-  /// Bits the list's codes take.
+  /// Bits the list's codes and masks take.
   uint64_t bits() const { return end_ - begin_; }
 
  private:
   const uint8_t* data_ = nullptr;
+  GroupWords::Reader root_starts_{};
   uint64_t begin_ = 0;
   uint64_t end_ = 0;
   uint32_t k_ = 0;
 };
+
+/// Appends the ids of `list`, ascending, each with its root, to `out`.
+inline void AppendRooted(const ContainingList& list,
+                         std::vector<RootedId>* out) {
+  for (auto it = list.begin(); it != list.end(); ++it) {
+    out->push_back({it.root(), *it});
+  }
+}
 
 class RrSketchPool {
  public:
@@ -583,6 +881,13 @@ class RrSketchPool {
     PITEX_DCHECK(!IsSingleton(i));
     return ViewAt(BlockAt(i), kUnresolvedRoot);
   }
+  /// The view of sketch i, whose root the caller knows: from a root
+  /// range, or a containing list's entry (ContainingList::Iterator::
+  /// root). It searches nothing.
+  RRView RootedView(size_t i, VertexId root) const {
+    PITEX_DCHECK(RootOf(i) == root);
+    return IsSingleton(i) ? SingletonView(root) : ViewAt(BlockAt(i), root);
+  }
 
   /// The root of sketch i: a run's record, or the vertex whose root
   /// range holds i, found from the root starts' group bases and one
@@ -603,13 +908,12 @@ class RrSketchPool {
   /// Ids of the sketches containing u that u does not root, ascending:
   /// u's containing list. With RootRange(u), every sketch containing u.
   ContainingList NonRootContaining(VertexId u) const {
-    const auto start = [this](size_t v) {
-      return containing_starts_.base(v) + containing_starts_.word(v);
-    };
-    return ContainingList(containing_.data(), start(u), start(u + 1),
-                          containing_k_);
+    return ContainingList(containing_.data(), containing_starts_[u],
+                          containing_starts_[u + 1], containing_k_,
+                          root_starts_);
   }
-  /// theta(u): how many sketches contain u (Sec. 6.3 notation).
+  /// theta(u): how many sketches contain u (Sec. 6.3 notation): its root
+  /// range's size and its list's masks' set bits.
   size_t CountContaining(VertexId u) const {
     return RootRange(u).size() + NonRootContaining(u).count();
   }
@@ -621,8 +925,8 @@ class RrSketchPool {
   /// Largest per-sketch vertex count (scratch pre-sizing).
   size_t max_sketch_vertices() const { return max_sketch_vertices_; }
 
-  /// The Rice parameter k every containing list is coded at
-  /// (RiceParameter), chosen from the pool's own totals.
+  /// The Rice parameter k every containing list's root gaps are coded at
+  /// (RiceParameter), chosen from the pool's own gaps.
   uint32_t containing_k() const { return containing_k_; }
 
   /// Bytes per block word, per containing start and per root start: 2
@@ -641,8 +945,8 @@ class RrSketchPool {
   }
 
  private:
-  static constexpr unsigned kGroupBits = 6;
-  static constexpr size_t kGroup = size_t{1} << kGroupBits;  // 64
+  static constexpr unsigned kGroupBits = GroupWords::kGroupBits;
+  static constexpr size_t kGroup = GroupWords::kGroup;  // 64
   static constexpr uint32_t kGroupMask = kGroup - 1;
 
   /// The directory's record of sketches 64g .. 64g + 63.
@@ -650,101 +954,6 @@ class RrSketchPool {
     uint32_t base;  // where the next block starts at sketch 64g
     uint32_t rank;  // blocks before sketch 64g: its first block's word
     uint64_t mask;  // bit j set: sketch 64g + j is a block
-  };
-
-  /// Words of 2 bytes each or of 4 bytes each, in the host's byte order.
-  /// They are kept as 2-byte units, two to a 4-byte word, so an append
-  /// is a push_back.
-  struct Words {
-    size_t size() const { return units.size() >> (shift - 1); }
-    /// Bytes per word: 2 or 4.
-    uint32_t width() const { return 1u << shift; }
-    uint32_t operator[](size_t i) const {
-      return shift == 1 ? units[i]
-                        : LoadId<uint32_t>(
-                              reinterpret_cast<const std::byte*>(units.data()),
-                              i);
-    }
-    /// Makes room for exactly `count` words at `width` bytes: an empty
-    /// array's writers then never regrow it.
-    void Reserve(size_t count, uint32_t width) {
-      shift = width == 2 ? 1 : 2;
-      units.reserve(count << (shift - 1));
-    }
-    /// Appends a word. 2-byte words first widen, once, in place, if it
-    /// does not fit them, so every writer ends at the width its own
-    /// words call for.
-    void Push(uint32_t word) {
-      if (shift == 1) {
-        if (word <= UINT16_MAX) [[likely]] {
-          units.push_back(static_cast<uint16_t>(word));
-          return;
-        }
-        Widen();
-      }
-      uint16_t halves[2];
-      std::memcpy(halves, &word, sizeof(word));
-      units.push_back(halves[0]);
-      units.push_back(halves[1]);
-    }
-    /// Rewrites 2-byte words at 4 bytes in place, back to front, so no
-    /// word is overwritten before it is read: out of line, as an array
-    /// widens at most once. The room doubles, so an array reserved
-    /// exactly stays exact.
-    void Widen();
-    /// Drops every word, keeping capacity, and returns to 2 bytes.
-    void Clear() {
-      units.clear();
-      shift = 1;
-    }
-    size_t SizeBytes() const { return units.capacity() * sizeof(uint16_t); }
-
-    std::vector<uint16_t> units;
-    uint32_t shift = 1;  // log2 of the word width
-  };
-
-  /// A u32 array in two levels: one 32-bit base per group of 64 entries
-  /// and one word per entry, what it adds to its base. Writers open each
-  /// group before its first word (OpenGroup), so the bases always cover
-  /// the words.
-  struct GroupWords {
-    size_t size() const { return words.size(); }
-    uint32_t width() const { return words.width(); }
-    uint32_t base(size_t i) const { return bases[i >> kGroupBits]; }
-    uint32_t word(size_t i) const { return words[i]; }
-    /// Opens the group of entry size() at `base` if that entry starts
-    /// one.
-    void OpenGroup(uint64_t base) {
-      if (size() % kGroup == 0) bases.push_back(static_cast<uint32_t>(base));
-    }
-    void Clear() {
-      bases.clear();
-      words.Clear();
-    }
-    /// Makes the array exactly `values` (ascending, each below 2^32), at
-    /// 2-byte words while every group's last value less its first fits
-    /// them, else at 4.
-    template <typename T>
-    void Assign(std::span<const T> values) {
-      uint64_t max_word = 0;
-      for (size_t v = 0; v < values.size(); v += kGroup) {
-        const size_t last = std::min(v + kGroup, values.size()) - 1;
-        max_word = std::max<uint64_t>(max_word, values[last] - values[v]);
-      }
-      Clear();
-      bases.reserve((values.size() + kGroup - 1) / kGroup);
-      words.Reserve(values.size(), max_word <= UINT16_MAX ? 2 : 4);
-      for (size_t v = 0; v < values.size(); ++v) {
-        OpenGroup(values[v]);
-        words.Push(static_cast<uint32_t>(values[v] - base(v)));
-      }
-    }
-    size_t SizeBytes() const {
-      return bases.capacity() * sizeof(uint32_t) + words.SizeBytes();
-    }
-
-    std::vector<uint32_t> bases;
-    Words words;
   };
 
   /// The directory as the index file holds it: each vertex's count of
@@ -852,9 +1061,7 @@ class RrSketchPool {
   bool finished() const { return containing_starts_.size() != 0; }
 
   /// The first sketch rooted at v or after it, for v <= |V|.
-  uint32_t RootStart(size_t v) const {
-    return root_starts_.base(v) + root_starts_.word(v);
-  }
+  uint32_t RootStart(size_t v) const { return root_starts_[v]; }
 
   /// The blocks before sketch i, for i <= num_sketches(): the word of
   /// the first block at or after it.
@@ -1000,12 +1207,14 @@ class RrSketchPool {
   bool FinishLoaded(const Graph& topology, const FileDirectory& file);
 
   /// Rebuilds containing_starts_ and containing_ from the blocks' stored
-  /// vertices, which leave out each block's root: two serial passes over
-  /// the blocks in id order sort each vertex's ids into a scratch array
-  /// (the first counts them, which also sets containing_k_, and recounts
-  /// max_sketch_vertices_), then a BitWriter codes the lists in vertex
-  /// order into an exact-size array. The starts take 2-byte words while
-  /// every group's do.
+  /// vertices, which leave out each block's root, and the root starts:
+  /// two serial passes over the blocks in id order sort each vertex's
+  /// ids into a scratch array (the first counts them, and recounts
+  /// max_sketch_vertices_; the second pairs each id with its root, from
+  /// a root cursor that only moves forward), a pass over the lists
+  /// tallies their root gaps, which set containing_k_, then a BitWriter
+  /// codes the lists in vertex order into an exact-size array. The
+  /// starts take 2-byte words while every group's do.
   void BuildContaining(size_t num_vertices);
 
   /// FromRuns with the root starts already in their array: Fold passes
@@ -1018,7 +1227,7 @@ class RrSketchPool {
   friend class RrSketchOverlay;  // Fold keeps its base's root starts
 
   std::vector<Group> groups_;  // the directory: a record per 64 sketches
-  Words block_words_;          // and a word per block
+  WordArray block_words_;      // and a word per block
   std::vector<VertexId> roots_;  // a run's sketches' roots, in order
   std::vector<uint8_t> body_;    // blocks, then kBitPadding zero bytes
   GroupWords root_starts_;       // num_vertices + 1 sketch ids
@@ -1104,21 +1313,19 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
 ///     pool's widths (a sketch repaired twice keeps its superseded copy
 ///     until compaction);
 ///   * a sketch-id redirect to each repaired sketch's current copy;
-///   * replacement containing lists, Rice-coded at the base pool's k, for
-///     the vertices whose membership changed.
+///   * replacement containing lists, coded at the base pool's k against
+///     its root starts, for the vertices whose membership changed.
 class RrSketchOverlay {
  public:
   static constexpr uint32_t kNotRepaired = UINT32_MAX;
 
-  /// An overlay whose lists are coded at `containing_k` and whose
-  /// sketches take a default pool's widths (any network's), of no base
-  /// whose roots Put checks.
-  explicit RrSketchOverlay(uint32_t containing_k = 0)
-      : containing_k_(containing_k) {}
+  /// An overlay of no base: its sketches take a default pool's widths
+  /// (any network's), Put checks no root, and it holds no list.
+  RrSketchOverlay() = default;
   /// An overlay of `base`, which must outlive it: its sketches take the
   /// base's widths and topology and its lists the base's k
-  /// (RrSketchPool::containing_k), so one decoder reads both, and each
-  /// copy Put stores must keep its id's root in the base.
+  /// (RrSketchPool::containing_k) and root starts, so one decoder reads
+  /// both, and each copy Put stores must keep its id's root in the base.
   explicit RrSketchOverlay(const RrSketchPool& base)
       : store_(base.EmptyLike()),
         base_(&base),
@@ -1156,7 +1363,8 @@ class RrSketchOverlay {
     const auto it = containing_.find(u);
     if (it == containing_.end()) return std::nullopt;
     const CodedList& list = it->second;
-    return ContainingList(list.bytes.data(), 0, list.bits, containing_k_);
+    return ContainingList(list.bytes.data(), 0, list.bits, containing_k_,
+                          base_->root_starts_);
   }
 
   size_t max_sketch_vertices() const { return store_.max_sketch_vertices(); }
@@ -1176,9 +1384,10 @@ class RrSketchOverlay {
   /// id. Compaction, and the index writer for an index with repairs,
   /// finish base + overlay this way.
   RrSketchPool Fold(const RrSketchPool& base) const;
-  /// Replaces u's containing list with `ids` (ascending, none rooted at
-  /// u), coded.
-  void SetContaining(VertexId u, std::span<const uint32_t> ids);
+  /// Replaces u's containing list with `ids` (ascending by id, each with
+  /// its root in the base, none rooted at u), coded. The overlay must
+  /// have a finished base.
+  void SetContaining(VertexId u, std::span<const RootedId> ids);
 
  private:
   /// One coded list: its bits from bit 0 of `bytes`, padded as a pool's.

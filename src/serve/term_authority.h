@@ -13,13 +13,11 @@
 //
 // Two implementations: an atomic in-process counter (tests and
 // single-process drills) and a file-backed one (cross-process drills —
-// a SIGCONT'd deposed primary re-reads the file and observes the
+// a SIGCONT'd deposed primary re-reads the files and observes the
 // election it slept through). Both model the third-party coordination
 // service a production deployment would consult; the single-writer
-// guarantee is exactly as strong as Advance's atomicity, and the file
-// variant's read-check-replace is atomic only against readers — the
-// drills run one promotion candidate per election, and docs state the
-// restriction.
+// guarantee is exactly as strong as Advance's atomicity, and both are a
+// compare-and-set: of racing candidates, exactly one wins each term.
 
 #ifndef PITEX_SRC_SERVE_TERM_AUTHORITY_H_
 #define PITEX_SRC_SERVE_TERM_AUTHORITY_H_
@@ -70,10 +68,12 @@ class InProcessTermAuthority final : public TermAuthority {
   std::atomic<uint64_t> term_;
 };
 
-/// File-backed authority for cross-process drills: the term lives in a
-/// decimal text file replaced atomically (temp + rename + parent
-/// fsync), so Current() re-reading it every call always sees a complete
-/// value. Advance is read-check-replace — one candidate per election.
+/// File-backed authority for cross-process drills. Each term is claimed
+/// by creating the empty file `path.<term>` (decimal) beside the term
+/// file `path` with O_CREAT | O_EXCL, so of candidates racing for one
+/// term exactly one creates it, and the directory is fsynced before the
+/// winner acts on its claim. The term file itself holds the decimal
+/// term the authority starts from, and is never written by Advance.
 class FileTermAuthority final : public TermAuthority {
  public:
   /// `path` is the term file; an absent file reads as `initial`, and
@@ -82,7 +82,17 @@ class FileTermAuthority final : public TermAuthority {
   /// may hold.
   explicit FileTermAuthority(std::string path, uint64_t initial = 1)
       : path_(std::move(path)), initial_(initial) {}
+  /// The largest of the term file's term and every claimed term;
+  /// kUnreadableTerm when the term file or its directory cannot be read.
+  /// It reads the whole directory, and claims are never removed, so a
+  /// call costs O(elections + files beside the term file). Removing
+  /// claims below the winner's would make it O(1) claims, but a scan
+  /// that runs while one claim is removed and a larger one created may
+  /// see neither, and read a term older than an election it followed.
   uint64_t Current() const override;
+  /// Claims `to` if the current term is below it: true for the one
+  /// candidate whose exclusive create made the claim, once the claim is
+  /// durable and no larger term was claimed meanwhile.
   bool Advance(uint64_t to) override;
 
  private:

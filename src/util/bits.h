@@ -3,10 +3,11 @@
 // shifted 8-byte load and written a 64-bit word at a time.
 //
 // The pooled sketch store (src/index/rr_sketch_pool.h) keeps both its
-// sketch blocks and its Rice-coded containing lists this way. A coded
-// array ends in kBitPadding bytes past its last coded byte, so an 8-byte
-// load at any of its coded bits stays inside it, and a load holds the
-// array's next kBitWindow bits whatever the bit's place in its byte.
+// sketch blocks and its containing lists (Rice-coded root gaps, each
+// with a raw mask) this way. A coded array ends in kBitPadding bytes
+// past its last coded byte, so an 8-byte load at any of its coded bits
+// stays inside it, and a load holds the array's next kBitWindow bits
+// whatever the bit's place in its byte.
 
 #ifndef PITEX_SRC_UTIL_BITS_H_
 #define PITEX_SRC_UTIL_BITS_H_
@@ -72,6 +73,8 @@ class BitWriter {
     }
     pos_ += n;
   }
+  /// Bits put so far.
+  uint64_t position() const { return pos_; }
   /// Stores the last, partial word and returns the bits written.
   uint64_t Finish() {
     if ((pos_ & 63) != 0) Store(pos_ >> 6);

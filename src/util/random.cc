@@ -1,76 +1,11 @@
 #include "src/util/random.h"
 
-#include <cmath>
-
-#include "src/util/check.h"
-
 namespace pitex {
-
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
-Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> uniform double in [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Rng::NextBounded(uint64_t bound) {
-  PITEX_DCHECK(bound > 0);
-  // Lemire's method: multiply-shift with rejection to remove modulo bias.
-  uint64_t x = NextU64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto l = static_cast<uint64_t>(m);
-  if (l < bound) {
-    uint64_t t = -bound % bound;
-    while (l < t) {
-      x = NextU64();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
 
 bool Rng::NextBernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return NextDouble() < p;
-}
-
-uint64_t Rng::NextGeometric(double p) {
-  PITEX_DCHECK(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 1;
-  // Inverse transform: X = floor(log(U) / log(1-p)) + 1 with U in (0, 1].
-  double u = 1.0 - NextDouble();  // in (0, 1]
-  double x = std::floor(std::log(u) / std::log1p(-p)) + 1.0;
-  if (!(x < static_cast<double>(kGeometricInfinity))) return kGeometricInfinity;
-  if (x < 1.0) return 1;
-  return static_cast<uint64_t>(x);
 }
 
 Rng Rng::Split() { return Rng(NextU64()); }

@@ -469,37 +469,36 @@ TEST(DynamicRrIndexTest, ContainmentStaysConsistentAfterRepairs) {
 }
 
 // The Rice parameter of the hub network's pool below: 40,000 sketches
-// over 12,000 vertices whose lists hold ~35,000 ids, a mean gap of
-// ~13,800.
-constexpr uint32_t kHubK = 13;
+// over 12,000 vertices, whose lists' root gaps k = 10 codes in the
+// fewest bits.
+constexpr uint32_t kHubK = 10;
 
-// The unary run of a gap's Rice code at kHubK: the gap less 1, shifted
-// down by k.
-uint32_t RunOfGap(uint32_t gap) { return (gap - 1) >> kHubK; }
+// The unary run of a root gap's Rice code at kHubK.
+uint32_t RunOfGap(uint32_t gap) { return gap >> kHubK; }
 
 // 12,000 users. Candidates 1..200 each have a certain edge to two
-// anchors, 4,000 + c and 8,000 + c, and an edge into their own hub,
-// 6,000 + c, that no topic carries. Fillers 10,000..11,999 each have
+// anchors, 4,000 + c and 5,500 + c, and an edge into their own hub,
+// 4,750 + c, that no topic carries. Fillers 10,000..11,999 each have
 // certain edges to five targets, 5 (f - 10,000) to 5 (f - 10,000) + 4,
-// so a third of the sketches hold one and the lists' mean gap lies near
-// 2^13. A candidate's list is its anchors' root ranges (a repair keeps
-// roots, and sketch ids follow them): a gap of ~13,300 ids, whose code
-// has a unary run, around its hub's root range, ~6,700 ids from each
-// anchor's. A hub is the root of a few sketches, so some hubs are the
-// root of exactly one.
+// so a third of the sketches hold one. A candidate's list is its
+// anchors' root ranges (a repair keeps roots): two entries, roots
+// 4,000 + c and 5,500 + c, whose gap of 1,499 codes a unary run of 1 at
+// kHubK, around its hub's root, whose gaps of 749 from each anchor's
+// code none. A hub is the root of a few sketches, so some hubs are the
+// root of none.
 constexpr VertexId kFirstCandidate = 1;
 constexpr VertexId kEndCandidate = 201;
 constexpr VertexId kFirstFiller = 10000;
 constexpr VertexId kNumUsers = 12000;
 
-VertexId HubOf(VertexId candidate) { return 6000 + candidate; }
+VertexId HubOf(VertexId candidate) { return 4750 + candidate; }
 
 SocialNetwork MakeHubNetwork() {
   SocialNetwork network;
   GraphBuilder graph(kNumUsers);
   for (VertexId c = kFirstCandidate; c < kEndCandidate; ++c) {
     graph.AddEdge(c, 4000 + c);
-    graph.AddEdge(c, 8000 + c);
+    graph.AddEdge(c, 5500 + c);
     graph.AddEdge(c, HubOf(c));
   }
   for (VertexId f = kFirstFiller; f < kNumUsers; ++f) {
@@ -526,22 +525,48 @@ SocialNetwork MakeHubNetwork() {
   return network;
 }
 
-// True when inserting `inserted`'s ids into `list` splits a gap whose
-// code has a unary run (a gap above 2^13) into exactly two gaps whose
-// codes have none.
-bool SplitsLongCode(std::span<const uint32_t> list,
-                    std::span<const uint32_t> inserted) {
-  for (size_t k = 1; k < list.size(); ++k) {
-    const uint32_t a = list[k - 1];
-    const uint32_t b = list[k];
-    if (RunOfGap(b - a) == 0) continue;
-    const auto lo = std::ranges::upper_bound(inserted, a);
-    const auto hi = std::ranges::lower_bound(inserted, b);
-    if (hi - lo == 1 && RunOfGap(*lo - a) == 0 && RunOfGap(b - *lo) == 0) {
-      return true;
+// True when a list naming `roots` (ascending, each once) gains an
+// entry for root h between two of them whose gap's code has a unary
+// run, splitting it into two gaps whose codes have none.
+bool SplitsLongCode(const std::vector<VertexId>& roots, VertexId h) {
+  for (size_t j = 1; j < roots.size(); ++j) {
+    const VertexId a = roots[j - 1];
+    const VertexId b = roots[j];
+    if (a < h && h < b) {
+      const uint32_t whole = RunOfGap(b - a - 1);
+      return whole > 0 && RunOfGap(h - a - 1) == 0 &&
+             RunOfGap(b - h - 1) == 0;
     }
   }
   return false;
+}
+
+// The roots a list names, ascending, each once.
+std::vector<VertexId> RootsOf(const ContainingList& list) {
+  std::vector<VertexId> roots;
+  for (auto it = list.begin(); it != list.end(); ++it) {
+    if (roots.empty() || roots.back() != it.root()) {
+      roots.push_back(it.root());
+    }
+  }
+  return roots;
+}
+
+// Every list `before` serves, repairs in its overlay re-coded by
+// splices, against the lists of `folded`, its base and overlay folded
+// into one pool: the same ids in the same order, each with the same
+// root, and at the same k the same bits.
+void ExpectListsAsFolded(const RrIndex& before, const RrIndex& folded) {
+  const bool same_k =
+      before.pool().containing_k() == folded.pool().containing_k();
+  for (VertexId v = 0; v < before.num_vertices(); ++v) {
+    const ContainingList got = before.NonRootContaining(v);
+    const ContainingList want = folded.NonRootContaining(v);
+    ASSERT_EQ(RootedIds(got), RootedIds(want)) << "vertex " << v;
+    if (same_k) {
+      ASSERT_EQ(got.bits(), want.bits()) << "vertex " << v;
+    }
+  }
 }
 
 void ExpectSameContaining(const DynamicRrIndex& got,
@@ -553,12 +578,13 @@ void ExpectSameContaining(const DynamicRrIndex& got,
 
 TEST(DynamicRrIndexTest, RepairSpliceChangesCodedGapLengths) {
   // Raising a candidate's edge into its hub to certain puts the
-  // candidate into every sketch holding the hub: its containing list
-  // gains the hub's ids, and one of them splits a gap whose Rice code
-  // has a unary run into two gaps whose codes have none. Deleting the
-  // edge again takes them out, merging the two gaps back. The re-coded
-  // lists must match the reference's after each batch, and after
-  // compaction.
+  // candidate into every sketch holding the hub, which are its root
+  // range: the candidate's list gains an entry for the hub, which splits
+  // a root gap whose Rice code has a unary run into two whose codes have
+  // none. Deleting the edge again takes it out, merging the two
+  // gaps back. The re-coded lists must match the reference's after each
+  // batch, and the lists a compaction folds from them (overlay inserts
+  // and removes alike).
   const SocialNetwork n = MakeHubNetwork();
   RrIndexOptions options;
   options.theta_override = 40000;
@@ -572,9 +598,8 @@ TEST(DynamicRrIndexTest, RepairSpliceChangesCodedGapLengths) {
 
   VertexId candidate = kEndCandidate;
   for (VertexId c = kFirstCandidate; c < kEndCandidate; ++c) {
-    const ContainingList list = index.NonRootContaining(c);
-    if (SplitsLongCode(std::vector<uint32_t>(list.begin(), list.end()),
-                       reference.Containing(HubOf(c)))) {
+    if (!reference.Containing(HubOf(c)).empty() &&
+        SplitsLongCode(RootsOf(index.NonRootContaining(c)), HubOf(c))) {
       candidate = c;
       break;
     }
@@ -584,6 +609,7 @@ TEST(DynamicRrIndexTest, RepairSpliceChangesCodedGapLengths) {
   const std::vector<uint32_t> before = reference.Containing(candidate);
   std::vector<uint32_t> merged;
   std::ranges::set_union(before, hub, std::back_inserter(merged));
+  const uint64_t bits_before = index.NonRootContaining(candidate).bits();
 
   EdgeId edge = 0;
   for (const AdjEntry& in : n.graph.InEdges(HubOf(candidate))) {
@@ -596,17 +622,27 @@ TEST(DynamicRrIndexTest, RepairSpliceChangesCodedGapLengths) {
   reference.ApplyUpdates(std::span(&update, 1));
   EXPECT_EQ(reference.Containing(candidate), merged);
   ExpectSameContaining(index, reference);
+  EXPECT_NE(index.NonRootContaining(candidate).bits(), bits_before);
+  {
+    const auto repaired = index.Freeze(n, /*compact=*/false);
+    ASSERT_GT(index.overlay_sketches(), 0u);
+    index.Compact();
+    ExpectListsAsFolded(*repaired, *index.Freeze(n, /*compact=*/false));
+  }
 
   update.entries.clear();
   index.ApplyUpdates(std::span(&update, 1));
   reference.ApplyUpdates(std::span(&update, 1));
   EXPECT_EQ(reference.Containing(candidate), before);
   ExpectSameContaining(index, reference);
+  EXPECT_EQ(index.NonRootContaining(candidate).bits(), bits_before);
 
   ASSERT_GT(index.overlay_sketches(), 0u);
+  const auto repaired = index.Freeze(n, /*compact=*/false);
   index.Compact();
   EXPECT_EQ(index.overlay_sketches(), 0u);
   ExpectSameContaining(index, reference);
+  ExpectListsAsFolded(*repaired, *index.Freeze(n, /*compact=*/false));
 }
 
 }  // namespace

@@ -20,6 +20,10 @@
 //      it) instead of forking history — the no-split-brain invariant,
 //      demonstrated across real process boundaries.
 //
+//   3. Election race — K candidate processes, released together, race
+//      FileTermAuthority::Advance(t + 1) from the same term t, round
+//      after round: exactly one may win each term.
+//
 // Fork discipline matches tests/crash_recovery_test.cc: fork first,
 // spawn parent-side threads only after, and the child never returns
 // into gtest (it is killed, or _exits a distinctive code).
@@ -30,6 +34,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -44,6 +49,7 @@
 #include "src/serve/replication.h"
 #include "src/serve/term_authority.h"
 #include "src/util/failpoint.h"
+#include "src/util/random.h"
 
 namespace pitex {
 namespace {
@@ -333,6 +339,68 @@ TEST_F(FailoverDrillTest, SigstopElectionFencesTheDeposedPrimary) {
   ASSERT_NE(follower.service().ApplyUpdates(post, &outcome), 0u);
   EXPECT_EQ(outcome, ApplyUpdatesOutcome::kPublished);
   follower.Stop();
+}
+
+TEST_F(FailoverDrillTest, RacingCandidatesWinEachTermExactlyOnce) {
+  // Each round forks K candidates that block on a pipe until the parent
+  // closes it, so they call Advance(t + 1) together, each after a short
+  // spin drawn from the round's seed. A term two candidates both win is
+  // two acknowledging writers: the split brain fencing exists to stop.
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    const std::string term_file = root_ + "/TERM" + std::to_string(seed);
+    FileTermAuthority authority(term_file, 1);
+    Rng rng(seed);
+    for (int round = 0; round < 64; ++round) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " round " +
+                   std::to_string(round));
+      const uint64_t term = authority.Current();
+      ASSERT_EQ(term, 1u + static_cast<uint64_t>(round));
+      const int candidates = 2 + static_cast<int>(rng.NextBounded(7));
+      int start[2];
+      int results[2];
+      ASSERT_EQ(::pipe(start), 0);
+      ASSERT_EQ(::pipe(results), 0);
+      std::vector<pid_t> pids;
+      for (int c = 0; c < candidates; ++c) {
+        const uint64_t spin = rng.NextBounded(200);
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+          ::close(start[1]);
+          ::close(results[0]);
+          char byte;
+          (void)!::read(start[0], &byte, 1);  // EOF: the race starts
+          for (uint64_t i = 0; i < spin; ++i) {
+            std::atomic_signal_fence(std::memory_order_seq_cst);
+          }
+          FileTermAuthority candidate(term_file, 1);
+          const char won = candidate.Advance(term + 1) ? 1 : 0;
+          (void)!::write(results[1], &won, 1);
+          ::_exit(0);
+        }
+        pids.push_back(pid);
+      }
+      ::close(start[0]);
+      ::close(results[1]);
+      ::close(start[1]);  // releases every candidate at once
+      int winners = 0;
+      int reported = 0;
+      char won;
+      while (::read(results[0], &won, 1) == 1) {
+        ++reported;
+        winners += won;
+      }
+      ::close(results[0]);
+      for (const pid_t pid : pids) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+      }
+      ASSERT_EQ(reported, candidates);
+      ASSERT_EQ(winners, 1) << candidates << " candidates";
+      ASSERT_EQ(authority.Current(), term + 1);
+    }
+  }
 }
 
 }  // namespace

@@ -189,6 +189,13 @@ std::vector<uint32_t> ContainingIds(const Index& index, VertexId v) {
   return ids;
 }
 
+/// The ids of `list`, ascending, each with the root its iterator names.
+inline std::vector<RootedId> RootedIds(const ContainingList& list) {
+  std::vector<RootedId> ids;
+  AppendRooted(list, &ids);
+  return ids;
+}
+
 /// `graphs` in root order, as a finished pool numbers its sketches: by
 /// root, and among sketches with the same root in their given order. A
 /// hand-made sketch set a test compares with a pool by index is given

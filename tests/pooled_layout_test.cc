@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <iterator>
@@ -149,34 +150,42 @@ std::vector<std::vector<uint32_t>> RootsFromViews(const RrSketchPool& pool) {
   return rooted;
 }
 
-// The Rice parameter of a pool of `theta` sketches over `vertices`
-// whose lists hold `occurrences` ids: the log of the mean gap,
-// bit_width(floor(theta * vertices / occurrences)) - 1, at most 31, and
-// 0 with no ids.
-uint32_t ExpectedRiceK(uint64_t theta, uint64_t vertices,
-                       uint64_t occurrences) {
-  if (occurrences == 0) return 0;
-  const uint64_t mean = std::max<uint64_t>(1, theta * vertices / occurrences);
-  uint32_t k = 0;
-  while ((mean >> (k + 1)) != 0) ++k;
-  return std::min<uint32_t>(k, 31);
+// Each vertex's containing list with each id's root, by brute force
+// from the pool's views.
+std::vector<std::vector<RootedId>> RootedFromViews(const RrSketchPool& pool) {
+  std::vector<std::vector<RootedId>> lists(pool.num_universe_vertices());
+  const PoolViews views(pool);
+  for (uint32_t i = 0; i < pool.num_sketches(); ++i) {
+    const RRView view = views(i);
+    for (const VertexId v : view.vertices) {
+      if (v != view.root()) lists[v].push_back({view.root(), i});
+    }
+  }
+  return lists;
 }
 
-// Bits the Rice codes of `list` take at parameter k: the first id, then
-// each gap less 1, each as x >> k one-bits, a zero and k low bits.
-uint64_t RiceBits(const std::vector<uint32_t>& list, uint32_t k) {
+// Bits the containing list `list` (ascending ids, with their roots)
+// takes at parameter k, the sketches rooted at v being `rooted[v]`: per
+// root r it names, the Rice code of its gap (r as itself for the first
+// root, then r less the root before less 1), x >> k one-bits, a zero
+// and k low bits, then a bit per sketch r roots.
+uint64_t RootListBitsOf(const std::vector<RootedId>& list, uint32_t k,
+                        const std::vector<std::vector<uint32_t>>& rooted) {
   uint64_t bits = 0;
   int64_t last = -1;
-  for (const uint32_t id : list) {
-    bits += ((id - last - 1) >> k) + 1 + k;
-    last = id;
+  for (size_t j = 0; j < list.size(); ++j) {
+    const VertexId r = list[j].root;
+    if (j > 0 && list[j - 1].root == r) continue;
+    bits += ((r - last - 1) >> k) + 1 + k + rooted[r].size();
+    last = r;
   }
   return bits;
 }
 
-// A pool's containing lists as its layout calls for: the parameter its
-// totals give, each vertex's start in bits, and the bytes of the coded
-// lists, whole bytes and then 7 of padding (none with no bits).
+// A pool's containing lists as its layout calls for: the parameter that
+// codes them in the fewest bits, the smallest of a tie, each vertex's
+// start in bits, and the bytes of the coded lists, whole bytes and then
+// 7 of padding (none with no bits).
 struct ExpectedLists {
   uint32_t k = 0;
   std::vector<uint64_t> starts = {0};
@@ -184,13 +193,22 @@ struct ExpectedLists {
 };
 
 ExpectedLists ExpectedListsOf(const RrSketchPool& pool) {
-  const std::vector<std::vector<uint32_t>> lists = ContainingFromViews(pool);
-  uint64_t occurrences = 0;
-  for (const std::vector<uint32_t>& list : lists) occurrences += list.size();
+  const std::vector<std::vector<RootedId>> lists = RootedFromViews(pool);
+  const std::vector<std::vector<uint32_t>> rooted = RootsFromViews(pool);
+  const auto total = [&](uint32_t k) {
+    uint64_t bits = 0;
+    for (const std::vector<RootedId>& list : lists) {
+      bits += RootListBitsOf(list, k, rooted);
+    }
+    return bits;
+  };
   ExpectedLists want;
-  want.k = ExpectedRiceK(pool.num_sketches(), lists.size(), occurrences);
-  for (const std::vector<uint32_t>& list : lists) {
-    want.starts.push_back(want.starts.back() + RiceBits(list, want.k));
+  for (uint32_t k = 1; k < 32; ++k) {
+    if (total(k) < total(want.k)) want.k = k;
+  }
+  for (const std::vector<RootedId>& list : lists) {
+    want.starts.push_back(want.starts.back() +
+                          RootListBitsOf(list, want.k, rooted));
   }
   const uint64_t bits = want.starts.back();
   want.bytes = bits == 0 ? 0 : (bits + 7) / 8 + 7;
@@ -325,7 +343,8 @@ uint64_t ExpectVertexTotalsAgree(const RrSketchPool& pool) {
 // The pool's root ranges and containing index against a brute-force
 // rebuild from its views: the roots do not decrease in id, each root
 // range is exactly the sketches rooted at its vertex, and every decoded
-// list, every count, and the vertex total match.
+// list (its ids in order, each with its root), every count, and the
+// vertex total match.
 void ExpectContainingMatchesViews(const RrSketchPool& pool) {
   const PoolViews views(pool);
   for (size_t i = 1; i < pool.num_sketches(); ++i) {
@@ -333,10 +352,13 @@ void ExpectContainingMatchesViews(const RrSketchPool& pool) {
   }
   const std::vector<std::vector<uint32_t>> rooted = RootsFromViews(pool);
   const std::vector<std::vector<uint32_t>> want = ContainingFromViews(pool);
+  const std::vector<std::vector<RootedId>> want_rooted = RootedFromViews(pool);
   for (VertexId v = 0; v < want.size(); ++v) {
     EXPECT_TRUE(std::ranges::equal(pool.RootRange(v), rooted[v]))
         << "vertex " << v;
     EXPECT_TRUE(std::ranges::equal(pool.NonRootContaining(v), want[v]))
+        << "vertex " << v;
+    EXPECT_EQ(RootedIds(pool.NonRootContaining(v)), want_rooted[v])
         << "vertex " << v;
     EXPECT_EQ(pool.CountContaining(v), rooted[v].size() + want[v].size())
         << "vertex " << v;
@@ -348,12 +370,16 @@ void ExpectContainingMatchesViews(const RrSketchPool& pool) {
 // `pool` in as many bits as the pool's coder, and decodes it back.
 void ExpectOverlayCodesAsPool(const RrSketchPool& pool) {
   const std::vector<std::vector<uint32_t>> want = ContainingFromViews(pool);
+  const std::vector<std::vector<RootedId>> rooted = RootedFromViews(pool);
   RrSketchOverlay overlay(pool);
   for (VertexId v = 0; v < want.size(); ++v) {
-    overlay.SetContaining(v, want[v]);
+    // A vertex the overlay has not coded has no list of its own.
+    EXPECT_FALSE(overlay.NonRootContaining(v).has_value()) << "vertex " << v;
+    overlay.SetContaining(v, rooted[v]);
     const std::optional<ContainingList> list = overlay.NonRootContaining(v);
     ASSERT_TRUE(list.has_value()) << "vertex " << v;
     EXPECT_TRUE(std::ranges::equal(*list, want[v])) << "vertex " << v;
+    EXPECT_EQ(RootedIds(*list), rooted[v]) << "vertex " << v;
     EXPECT_EQ(list->count(), want[v].size()) << "vertex " << v;
     EXPECT_EQ(list->bits(), pool.NonRootContaining(v).bits())
         << "vertex " << v;
@@ -399,6 +425,26 @@ TEST(PooledLayoutTest, ContainingMatchesReferenceRebuild) {
     EXPECT_EQ(index.CountContaining(v), expected.size());
   }
   ExpectVertexTotalsAgree(index.pool());
+}
+
+TEST(PooledLayoutTest, RootMasksSpanSeveralPiecesOnABuiltPool) {
+  // 2,000 sketches over the running example's 7 vertices: every vertex
+  // roots far more than 64, so each mask spans several of the decoder's
+  // 57-bit pieces. Every list, its ids in order with their roots, is
+  // the transpose of the pool's blocks, and the overlay's coder writes
+  // it in the same bits.
+  const SocialNetwork n = MakeRunningExample();
+  RrIndex index(n, Options());
+  index.Build();
+  const RrSketchPool& pool = index.pool();
+  size_t smallest = pool.num_sketches();
+  for (VertexId v = 0; v < n.num_vertices(); ++v) {
+    smallest = std::min<size_t>(smallest, pool.RootRange(v).size());
+  }
+  EXPECT_GT(smallest, 2 * size_t{kBitWindow});
+  ExpectContainingMatchesViews(pool);
+  ExpectOverlayCodesAsPool(pool);
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
 }
 
 TEST(PooledLayoutTest, EstimatesBitIdenticalToReference) {
@@ -519,12 +565,13 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   // record: a 4-bit rank
   // and 0.25f at 23 + 2 bits, as 1.0f's bits less 0.25f's are 2^24),
   // then 7 bytes of padding: 13 in all. The one list, vertex 7's,
-  // takes 5 bits at k = 4 (3 sketches over 10 vertices holding 1 id
-  // past the roots, a mean gap of 30): 1 byte, then 7 of padding. The
+  // names root 2, whose range holds 1 sketch: a gap of 2, which k = 0,
+  // 1 and 2 code in 3 bits (the smallest k wins the tie), and a 1-bit
+  // mask: 1 byte, then 7 of padding. The
   // directory takes one 16-byte record and a 2-byte word for the block;
   // the 11 root starts and the 11 containing starts each one 4-byte
   // base and 2-byte words.
-  EXPECT_EQ(pool.containing_k(), 4u);
+  EXPECT_EQ(pool.containing_k(), 0u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
                                   2 * (4 + 2 * 11) + 13 + (1 + 7));
   const PoolViews views(pool);
@@ -645,11 +692,13 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
   // (36 bits: 0.75f at 23) for the self-loop and the sketch whose root
   // has an out-edge (header and edge count, fields; no block stores its
   // root's vertex), then 7 of padding,
-  // and 4 containing entries past the roots, of 5 bits each at k = 4
-  // (8 sketches over 10 vertices), 20 bits in all: 3 bytes, then 7 of
-  // padding. In root order the sketch rooted at 0, which holds 9, is
-  // first and the singleton of 9 last.
-  EXPECT_EQ(pool.containing_k(), 4u);
+  // and 4 containing lists past the roots, each one root of a 1-sketch
+  // range: vertex 9's root 0, 7's root 2, and 1's and 3's root 6, gaps
+  // of 0, 2, 6 and 6, which k = 2 codes in the fewest bits, 3, 3, 4
+  // and 4, each with a 1-bit mask: 18 bits, 3 bytes, then 7 of padding.
+  // In root order the sketch rooted at 0, which holds 9, is first and
+  // the singleton of 9 last.
+  EXPECT_EQ(pool.containing_k(), 2u);
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) + (16 + 2 * 4) + 2 * (4 + 2 * 11) +
                 (29 + 7) + (3 + 7));
@@ -1346,28 +1395,27 @@ uint64_t ListBits(const RrSketchPool& pool) {
   return bits;
 }
 
-TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
-  // 4,096 sketches over 13 vertices, each rooted at vertex 12, whose
-  // lists hold 4,110 ids: a mean gap of 12.96, so k = 3, and a code of
-  // x takes (x >> 3) + 4 bits. Vertex 0 is in every sketch (a first id
-  // of 0, then gaps of 1: x = 0 each); vertices 10 and 11 are in none,
-  // and vertex 12 is in every root range. The others place codes whose
-  // unary
-  // runs end on each side of the decoder's 57-bit window and the
-  // writer's 56-bit store, so that their low bits lie past the window
-  // (q = 55 and 56) or their run takes one more load or two (q = 57,
-  // 64, 113, 114, 511).
+TEST(PooledLayoutTest, ContainingMasksCrossEveryPieceBoundary) {
+  // 4,096 sketches over 13 vertices, each rooted at vertex 12, so each
+  // list is one entry: the gap 12, which k = 3 codes in the fewest bits
+  // (5: 1, a zero and 100), then a 4,096-bit mask. Vertex 0 is in every
+  // sketch (every mask bit set); vertices 10 and 11 are in none, and
+  // vertex 12 is in every root range. The others place ids on each side
+  // of the decoder's 57-bit pieces of a mask (56 and 57, 113 and 114),
+  // past the writer's 32-bit pieces and 64-bit stores, and at the
+  // range's ends (0 and 4,095), so that a piece between two ids may
+  // hold none.
   const std::vector<std::vector<uint32_t>> placed = {
       {},                     // 0: every sketch
-      {7},                    // q = 0
-      {8},                    // q = 1
-      {447},                  // q = 55
-      {448},                  // q = 56
-      {456},                  // q = 57
-      {512},                  // q = 64
-      {917},                  // q = 114
-      {0, 1, 9, 466, 1371},   // x = 0, 0, 7, 456 (q = 57), 904 (q = 113)
-      {0, 4095},              // x = 0, 4,094 (q = 511): ids 0 and θ - 1
+      {7},                    // inside the first piece
+      {56},                   // the first piece's last bit
+      {57},                   // the second piece's first bit
+      {113},                  // the second piece's last bit
+      {114},                  // the third piece's first bit
+      {512},                  // eight zero pieces before it
+      {917},
+      {0, 1, 9, 466, 1371},
+      {0, 4095},              // ids 0 and θ - 1: 70 zero pieces between
   };
   const std::vector<RRGraph> graphs = PlacedGraphs(4096, placed, 12);
   const RrSketchPool pool = PackViews(
@@ -1383,22 +1431,22 @@ TEST(PooledLayoutTest, ContainingListsCrossEveryLengthBoundary) {
   EXPECT_TRUE(lists[10].empty() && lists[11].empty() && lists[12].empty());
   EXPECT_EQ(pool.RootRange(12).size(), graphs.size());
   ExpectContainingMatchesViews(pool);
-  // Vertex 0 takes 4 bits per sketch; the placed lists take 4, 5, 59,
-  // 60, 61, 68 and 118 bits, then 4 + 4 + 4 + 61 + 117 and 4 + 515.
-  EXPECT_EQ(pool.NonRootContaining(7).bits(), 118u);
-  EXPECT_EQ(pool.NonRootContaining(9).bits(), 519u);
-  EXPECT_EQ(ListBits(pool), 4 * graphs.size() + 1084);
+  // Each of vertices 0 to 9 takes 5 + 4,096 bits.
+  EXPECT_EQ(pool.NonRootContaining(7).bits(), 4101u);
+  EXPECT_EQ(pool.NonRootContaining(9).bits(), 4101u);
+  EXPECT_EQ(ListBits(pool), 10 * 4101u);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   ExpectEveryWriterKeeps(graphs, 13);
 }
 
 TEST(PooledLayoutTest, SparseVertexInDensePoolRunsPastAWord) {
   // 200 sketches over 12 vertices, each holding vertices 0 to 9 and
-  // rooted at 0: 1,804 ids past the roots, a mean gap of 1.33, so k = 0
-  // and a code of x is x one-bits and a zero. Vertex 10, in sketches 70
-  // and 199 only, codes runs of 70
-  // and 128 ones, past a 64-bit word and two; vertex 11, in sketches 0
-  // and 130, runs of 0 and 129.
+  // rooted at 0: every list is one entry, the gap 0, which k = 0 codes
+  // in 1 bit, then a 200-bit mask, four pieces of up to 57 bits to the
+  // decoder. Vertex 10, in sketches 70 and 199 only, sets one bit in
+  // the second piece and one in the fourth, the other two all zeros;
+  // vertex 11, in sketches 0 and 130, one in the first and one in the
+  // third.
   std::vector<RRGraph> graphs;
   for (uint32_t i = 0; i < 200; ++i) {
     std::vector<VertexId> vertices(10);
@@ -1414,20 +1462,28 @@ TEST(PooledLayoutTest, SparseVertexInDensePoolRunsPastAWord) {
   ExpectContainingMatchesViews(pool);
   EXPECT_TRUE(std::ranges::equal(pool.NonRootContaining(10),
                                  std::vector<uint32_t>{70, 199}));
-  EXPECT_EQ(pool.NonRootContaining(10).bits(), 71u + 129u);
-  EXPECT_EQ(pool.NonRootContaining(11).bits(), 1u + 130u);
-  // Vertices 1 to 9 take a bit per sketch; vertex 0's root range holds
+  EXPECT_TRUE(std::ranges::equal(pool.NonRootContaining(11),
+                                 std::vector<uint32_t>{0, 130}));
+  EXPECT_EQ(pool.NonRootContaining(10).bits(), 1u + 200u);
+  EXPECT_EQ(pool.NonRootContaining(11).bits(), 1u + 200u);
+  // Vertices 1 to 11 take 201 bits each; vertex 0's root range holds
   // every sketch.
-  EXPECT_EQ(ListBits(pool), 9 * 200 + 200 + 131u);
+  EXPECT_EQ(ListBits(pool), 11 * 201u);
   EXPECT_EQ(pool.RootRange(0).size(), 200u);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   ExpectEveryWriterKeeps(graphs, 12);
 }
 
-TEST(PooledLayoutTest, RiceListsMatchBruteForceOnRandomPools) {
-  // Random pools from sparse to dense, so k runs from 0 up to 8: through
-  // every writer each list decodes to the ids the brute force over the
-  // views gives, and the lists take at most occurrences * (k + 3) bits.
+TEST(PooledLayoutTest, RootListsMatchBruteForceOnRandomPools) {
+  // Random pools from sparse to dense, so k runs from 0 up: through
+  // every writer each list decodes to the ids, with their roots, that
+  // the brute force over the views gives. The pool's k codes the lists
+  // in no more bits than any other k, which bounds them: E root entries
+  // over |V| lists, each list's gaps plus one summing to at most |V|,
+  // at the mean-gap parameter k' = bit_width(floor(|V|^2 / E)) - 1 take
+  // quotients below |V|^2 / 2^k' < 2E, so the lists take at most
+  // E * (k' + 3) bits and their masks, a bit per sketch of each entry's
+  // root range.
   Rng rng(20261018);
   std::vector<uint32_t> ks;
   for (int trial = 0; trial < 12; ++trial) {
@@ -1453,13 +1509,35 @@ TEST(PooledLayoutTest, RiceListsMatchBruteForceOnRandomPools) {
     const RrSketchPool pool = PackViews(
         theta, RrSketchPool(universe, universe),
         [&graphs](size_t i) { return graphs[i].View(); });
-    const uint64_t occurrences = ExpectVertexTotalsAgree(pool);
-    EXPECT_LE(ListBits(pool), occurrences * (pool.containing_k() + 3));
+    ExpectVertexTotalsAgree(pool);
+    const std::vector<std::vector<RootedId>> lists = RootedFromViews(pool);
+    const std::vector<std::vector<uint32_t>> rooted = RootsFromViews(pool);
+    uint64_t entries = 0;
+    uint64_t mask_bits = 0;
+    for (const std::vector<RootedId>& list : lists) {
+      for (size_t j = 0; j < list.size(); ++j) {
+        if (j > 0 && list[j - 1].root == list[j].root) continue;
+        ++entries;
+        mask_bits += rooted[list[j].root].size();
+      }
+    }
+    for (uint32_t k = 0; k < 32; ++k) {
+      uint64_t bits = 0;
+      for (const std::vector<RootedId>& list : lists) {
+        bits += RootListBitsOf(list, k, rooted);
+      }
+      EXPECT_LE(ListBits(pool), bits) << "k " << k;
+    }
+    if (entries > 0) {
+      const uint64_t mean = universe * universe / entries;
+      const auto mean_k = static_cast<uint64_t>(std::bit_width(mean)) - 1;
+      EXPECT_LE(ListBits(pool), entries * (mean_k + 3) + mask_bits);
+    }
     ks.push_back(pool.containing_k());
   }
   // Sanity of the fixtures: the trials reach both ends.
   EXPECT_EQ(std::ranges::min(ks), 0u);
-  EXPECT_GE(std::ranges::max(ks), 6u);
+  EXPECT_GE(std::ranges::max(ks), 6u) << ::testing::PrintToString(ks);
 }
 
 TEST(PooledLayoutTest, RootOrderHoldsOnBuiltLoadedAndCompactedPools) {
@@ -1564,63 +1642,196 @@ TEST(PooledLayoutTest, VertexInEverySketchAndVerticesInNone) {
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
 }
 
-TEST(PooledLayoutTest, ContainingCodecPinsRiceCodes) {
-  // The coder's bits are pinned, LSB-first: x >> k one-bits, a zero,
-  // then the low k bits of x, for the first id and for each gap less 1,
-  // then 7 bytes of padding. An overlay at the same k codes each list in
-  // the same bits, and both decode to the ids.
+TEST(PooledLayoutTest, ContainingCodecPinsRootEntries) {
+  // The coder's bits are pinned, LSB-first: per root r the list names,
+  // its gap (r, then r less the root before less 1) as x >> k one-bits,
+  // a zero and the low k bits of x, then a mask of a bit per sketch r
+  // roots, bit j for sketch RootStart(r) + j; then 7 bytes of padding.
+  // Each list decodes to its ids with their roots, and counts them.
   struct Case {
     uint32_t k;
-    std::vector<uint32_t> ids;
+    std::vector<uint32_t> rooted;  // sketches each vertex roots
+    std::vector<RootedId> ids;
     uint64_t bits;
     std::vector<uint8_t> bytes;  // before the padding
   };
+  std::vector<uint32_t> forty_first(41, 0);
+  forty_first[40] = 1;
+  const std::vector<Case> cases = {
+      // Roots 0, 2 and 3 over ranges [0, 3), [3, 5) and [5, 10): gaps
+      // 0, 1 and 0 at k = 2, 000 010 000 (the low bits LSB-first), and
+      // masks 011, 01 and 01001.
+      {2,
+       {3, 0, 2, 5},
+       {{0, 1}, {0, 2}, {2, 4}, {3, 6}, {3, 9}},
+       19,
+       {0xb0, 0x84, 0x04}},
+      // A gap of 40 at k = 0: 40 ones, past the writer's 31-bit run,
+      // then the zero and the mask's one bit.
+      {0, forty_first, {{40, 0}}, 42, {0xff, 0xff, 0xff, 0xff, 0xff, 0x02}},
+      // A 130-sketch range at k = 3: its mask takes three loads of up to
+      // 57 bits, the middle one all zeros, then root 1's 2-bit mask.
+      {3,
+       {130, 2},
+       {{0, 0}, {0, 129}, {1, 131}},
+       140,
+       {0x10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x20, 0x08}},
+      // An empty list codes nothing and needs no padding.
+      {13, {1, 1}, {}, 0, {}},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const Case& want = cases[c];
+    std::vector<uint32_t> starts = {0};
+    for (const uint32_t count : want.rooted) {
+      starts.push_back(starts.back() + count);
+    }
+    GroupWords root_starts;
+    root_starts.Assign(std::span<const uint32_t>(starts));
+    std::vector<uint8_t> coded(PaddedBytes(want.bits), 0);
+    ASSERT_EQ(coded.size(), want.bytes.empty() ? 0 : want.bytes.size() + 7);
+    BitWriter writer(coded.data());
+    PutRootList(want.ids, want.k, root_starts, &writer);
+    const uint64_t at = writer.Finish();
+    EXPECT_EQ(at, want.bits);
+    EXPECT_EQ(RootListBits(want.ids, want.k, root_starts), want.bits);
+    std::vector<uint8_t> bytes = want.bytes;
+    if (!bytes.empty()) bytes.resize(bytes.size() + 7, 0);
+    EXPECT_EQ(coded, bytes);
+    const ContainingList list(coded.data(), 0, at, want.k, root_starts);
+    EXPECT_EQ(RootedIds(list), want.ids);
+    EXPECT_EQ(list.count(), want.ids.size());
+    EXPECT_EQ(list.bits(), want.bits);
+  }
+}
+
+TEST(PooledLayoutTest, RootGapsPastALoadDecode) {
+  // Root gaps whose codes do not fit the decoder's 57-bit load with
+  // their entry: a unary run that reaches it (the entry's code is read
+  // by GetRice, in one more load or several), or low bits that end past
+  // it (read by one more load). Each entry's mask follows at once, so
+  // masks start at every offset those codes end on. Each list decodes
+  // to its ids with their roots, counts them, and takes per entry its
+  // gap's (gap >> k) + 1 + k bits and its range's size.
+  struct Entry {
+    uint32_t gap;   // the root less the root before less 1
+    uint32_t size;  // sketches the root roots
+    std::vector<uint32_t> bits;  // set mask bits
+  };
+  struct Case {
+    uint32_t k;
+    std::vector<Entry> entries;
+  };
+  const std::vector<Case> cases = {
+      // k = 0: runs of 56 ones (the code fills the load; its mask takes
+      // the next), 57 and 63 (one more load), 113 (the second load's
+      // last bit is the zero), 114 and 511 (two loads and more). A
+      // 70-bit mask takes two pieces after the 57 run.
+      {0,
+       {{56, 3, {0, 2}},
+        {57, 70, {1, 56, 57, 69}},
+        {63, 1, {0}},
+        {113, 2, {1}},
+        {114, 1, {0}},
+        {511, 5, {4}}}},
+      // k = 3: runs of 54, 55 and 56 ones, whose 3 low bits end past the
+      // load (at bits 58, 59 and 60); a run of 57 (one more load, whose
+      // low bits are in it); a run of 511.
+      {3,
+       {{54 << 3 | 5, 1, {0}},
+        {55 << 3 | 7, 2, {0, 1}},
+        {56 << 3 | 2, 1, {0}},
+        {57 << 3, 4, {3}},
+        {511 << 3 | 6, 1, {0}}}},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const Case& want = cases[c];
+    std::vector<std::pair<VertexId, uint32_t>> roots;  // (root, size)
+    VertexId root = UINT32_MAX;  // one before vertex 0
+    uint64_t bits = 0;
+    for (const Entry& entry : want.entries) {
+      root += entry.gap + 1;
+      roots.emplace_back(root, entry.size);
+      bits += (entry.gap >> want.k) + 1 + want.k + entry.size;
+    }
+    std::vector<uint32_t> starts(root + 2, 0);
+    for (const auto& [r, size] : roots) starts[r + 1] = size;
+    std::partial_sum(starts.begin(), starts.end(), starts.begin());
+    std::vector<RootedId> ids;
+    for (size_t e = 0; e < roots.size(); ++e) {
+      for (const uint32_t j : want.entries[e].bits) {
+        ids.push_back({roots[e].first, starts[roots[e].first] + j});
+      }
+    }
+    GroupWords root_starts;
+    root_starts.Assign(std::span<const uint32_t>(starts));
+    std::vector<uint8_t> coded(PaddedBytes(bits), 0);
+    BitWriter writer(coded.data());
+    PutRootList(ids, want.k, root_starts, &writer);
+    const uint64_t at = writer.Finish();
+    EXPECT_EQ(at, bits);
+    EXPECT_EQ(RootListBits(ids, want.k, root_starts), bits);
+    const ContainingList list(coded.data(), 0, at, want.k, root_starts);
+    EXPECT_EQ(RootedIds(list), ids);
+    EXPECT_EQ(list.count(), ids.size());
+  }
+}
+
+TEST(PooledLayoutTest, RiceCodesPinnedAcrossLoads) {
+  // PutRice's bits, LSB-first: x >> k one-bits, a zero, then the low k
+  // bits of x; then 7 bytes of padding. GetRice reads each code back
+  // and steps past it, including codes whose run reaches the 57-bit
+  // load (q = 57, 64, 113, 114, 511: more loads) and codes whose low
+  // bits end past it (q = 55 and 56 at k = 3, q = 40 at k = 20).
+  struct Case {
+    uint32_t k;
+    std::vector<uint32_t> values;
+    uint64_t bits;
+    std::vector<uint8_t> bytes;  // before the padding; empty: not pinned
+  };
   const std::vector<Case> cases = {
       // x = 0, 0, 3, 8: 0|00 0|00 0|11 110|00.
-      {2, {0, 1, 5, 14}, 14, {0x80, 0x07}},
+      {2, {0, 0, 3, 8}, 14, {0x80, 0x07}},
       // A lone zero bit.
       {0, {0}, 1, {0x00}},
       // x = 70 at k = 0: 70 ones, past a 64-bit word, then the zero.
-      {0,
-       {70},
-       71,
-       {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f}},
+      {0, {70}, 71, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f}},
       // At k = 20, x = 2 << 20 (23 bits), then x = 40 << 20 | 2^20 - 1
       // from bit 23, 7 bits into its byte: a load there holds 57 bits,
       // and the code's 40 ones, zero and 20 low ones end at bit 83.
       {20,
-       {2097152, 45088768},
+       {2u << 20, 40u << 20 | ((1u << 20) - 1)},
        84,
        {0x03, 0x00, 0x80, 0xff, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0x0f}},
       // x = 2^32 - 2 at k = 31: one 1, the zero, then 0x7ffffffe.
       {31, {UINT32_MAX - 1}, 33, {0xf9, 0xff, 0xff, 0xff, 0x01}},
-      // An empty list codes nothing and needs no padding.
-      {13, {}, 0, {}},
+      // q = 55, 56, 57, 64, 113, 114 and 511 at k = 3, each after a
+      // 4-bit code, so no code starts on a byte: 4 + 59, 4 + 60, ...
+      {3,
+       {0, 55 << 3 | 7, 0, 56 << 3, 0, 57 << 3 | 1, 0, 64 << 3, 0,
+        113 << 3 | 4, 0, 114 << 3, 0, 511 << 3 | 6},
+       7 * 4 + (55 + 56 + 57 + 64 + 113 + 114 + 511) + 7 * 4,
+       {}},
   };
   for (size_t c = 0; c < cases.size(); ++c) {
     SCOPED_TRACE("case " + std::to_string(c));
     const Case& want = cases[c];
     std::vector<uint8_t> coded(PaddedBytes(want.bits), 0);
-    ASSERT_EQ(coded.size(), want.bytes.empty() ? 0 : want.bytes.size() + 7);
     BitWriter writer(coded.data());
-    PutRiceList(want.ids, want.k, &writer);
-    const uint64_t at = writer.Finish();
-    EXPECT_EQ(at, want.bits);
-    EXPECT_EQ(RiceListBits(want.ids, want.k), want.bits);
-    std::vector<uint8_t> bytes = want.bytes;
-    if (!bytes.empty()) bytes.resize(bytes.size() + 7, 0);
-    EXPECT_EQ(coded, bytes);
-    const ContainingList list(coded.data(), 0, at, want.k);
-    EXPECT_TRUE(std::ranges::equal(list, want.ids));
-    EXPECT_EQ(list.count(), want.ids.size());
-
-    RrSketchOverlay overlay(want.k);
-    overlay.SetContaining(3, want.ids);
-    const std::optional<ContainingList> stored = overlay.NonRootContaining(3);
-    ASSERT_TRUE(stored.has_value());
-    EXPECT_EQ(stored->bits(), want.bits);
-    EXPECT_TRUE(std::ranges::equal(*stored, want.ids));
-    EXPECT_FALSE(overlay.NonRootContaining(4).has_value());
+    for (const uint32_t x : want.values) PutRice(x, want.k, &writer);
+    const uint64_t end = writer.Finish();
+    EXPECT_EQ(end, want.bits);
+    if (!want.bytes.empty()) {
+      std::vector<uint8_t> bytes = want.bytes;
+      bytes.resize(bytes.size() + 7, 0);
+      EXPECT_EQ(coded, bytes);
+    }
+    uint64_t at = 0;
+    for (const uint32_t x : want.values) {
+      EXPECT_EQ(GetRice(coded.data(), &at, want.k), x) << "at bit " << at;
+    }
+    EXPECT_EQ(at, end);
   }
 }
 
@@ -1746,36 +1957,44 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
 }
 
 TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
-  // 9,362 sketches over 70 vertices whose lists hold 9,362 ids: k = 6,
-  // so a code of x takes (x >> 6) + 7 bits. Vertex 0 is in the first
-  // 9,360 sketches, which vertex 2 roots (x = 0 each: 65,520 bits), and
-  // vertex 1 in sketch c alone, whose code takes 15 bits for c = 512
-  // and 16 for c = 576. Vertices 2 to 62 are in no list, so vertex 63's
-  // start, the last word of the first group of 64, is 65,535 bits,
-  // which fits a 2-byte word, or 65,536, which makes every start's word
-  // 4 bytes.
-  for (const auto& [c, width] : {std::pair{512u, 2u}, {576u, 4u}}) {
-    SCOPED_TRACE("c " + std::to_string(c));
-    std::vector<RRGraph> graphs(9360, EdgelessSketch({0, 2}, 1));
-    graphs[c] = EdgelessSketch({0, 1, 2}, 2);
+  // 9,364 sketches over 70 vertices. The first 9,358, rooted at 2, hold
+  // vertices 0 and 10 to 15: seven lists of one entry, the gap 2 and a
+  // 9,358-bit mask. Vertex rho (7 or 8) roots the next 4, the first
+  // holding vertex 1 and the rest singletons: vertex 1's list is the
+  // gap rho and a 4-bit mask. Vertex 63 roots a sketch holding 64,
+  // whose list is the gap 63 and a 1-bit mask. Over the gaps (seven 2s,
+  // rho and 63) k = 2 takes the fewest bits, 43 or 44, tied with k = 3
+  // (so the smaller wins): a gap of 2 codes in 3 bits, 7 in 4 and 8 in
+  // 5. Vertices 2 to 62 hold no other list, so vertex 63's start, the
+  // last word of the first group of 64, is 7 (3 + 9,358) + 4 + 4 =
+  // 65,535 bits for rho = 7, which fits a 2-byte word, or 65,536 for
+  // rho = 8, which makes every start's word 4 bytes.
+  for (const auto& [rho, width] : {std::pair{7u, 2u}, {8u, 4u}}) {
+    SCOPED_TRACE("rho " + std::to_string(rho));
+    std::vector<RRGraph> graphs(9358,
+                                EdgelessSketch({0, 2, 10, 11, 12, 13, 14, 15},
+                                               1));
+    graphs.push_back(EdgelessSketch({1, rho}, 1));
+    for (int i = 0; i < 3; ++i) graphs.push_back(Singleton(rho));
     graphs.push_back(EdgelessSketch({63, 64}));
     graphs.push_back(Singleton(69));
     ExpectEveryWriterKeeps(graphs, 70);
     const RrSketchPool pool = PackViews(
         graphs.size(), RrSketchPool(70, 70),
         [&graphs](size_t i) { return graphs[i].View(); });
-    EXPECT_EQ(pool.containing_k(), 6u);
-    EXPECT_EQ(pool.NonRootContaining(0).bits() + pool.NonRootContaining(1).bits(),
-              width == 2 ? 65535u : 65536u);
+    EXPECT_EQ(pool.containing_k(), 2u);
+    uint64_t bits = 0;
+    for (VertexId v = 0; v < 63; ++v) bits += pool.NonRootContaining(v).bits();
+    EXPECT_EQ(bits, width == 2 ? 65535u : 65536u);
     EXPECT_EQ(pool.containing_start_width(), width);
     EXPECT_EQ(pool.directory_width(), 2u);
-    EXPECT_EQ(pool.CountContaining(0), 9360u);
+    EXPECT_EQ(pool.CountContaining(0), 9358u);
+    EXPECT_TRUE(std::ranges::equal(pool.NonRootContaining(1),
+                                   std::vector<uint32_t>{9358}));
     EXPECT_TRUE(
-        std::ranges::equal(pool.NonRootContaining(1), std::vector<uint32_t>{c}));
-    EXPECT_TRUE(
-        std::ranges::equal(pool.RootRange(63), std::vector<uint32_t>{9360}));
+        std::ranges::equal(pool.RootRange(63), std::vector<uint32_t>{9362}));
     EXPECT_TRUE(std::ranges::equal(pool.NonRootContaining(64),
-                                   std::vector<uint32_t>{9360}));
+                                   std::vector<uint32_t>{9362}));
     ExpectContainingMatchesViews(pool);
   }
 }
@@ -1979,7 +2198,9 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   // 573 sketches) and the containing starts. 85,966 sketches are
   // blocks, so the directory takes 3,125 16-byte records and 85,966
   // words. The 200,000 root incidences are root ranges, and the lists'
-  // other 254,185 ids have a mean gap of 19,670, so k = 14. The network's
+  // other 254,185 ids are 101,074 root entries, whose gaps k = 10 codes
+  // in the fewest bits: with their masks, 2,081,217 bits, 260,160 B with
+  // padding (481,823 B as gaps between ids at k = 14). The network's
   // 25,000 vertices and at most 18 out-edges a vertex give 15-bit
   // vertices and 5-bit ranks. Each block's thresholds take 23 + w bits,
   // w from its smallest threshold: the blocks' w run from 0 to 5.
@@ -1987,7 +2208,7 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   EXPECT_EQ(pool.DirectoryBytes(), 3125u * 16 + 85966u * 2);
   EXPECT_EQ(pool.containing_start_width(), 2u);
   EXPECT_EQ(pool.root_start_width(), 2u);
-  EXPECT_EQ(pool.containing_k(), 14u);
+  EXPECT_EQ(pool.containing_k(), 10u);
   EXPECT_EQ(pool.vertex_bits(), 15u);
   EXPECT_EQ(pool.max_out_degree(), 18u);
   EXPECT_EQ(pool.rank_bits(), 5u);
@@ -1998,7 +2219,13 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   }
   EXPECT_EQ(widths, (std::vector<size_t>{15567, 15710, 26857, 23874, 3916,
                                          42, 0, 0}));
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 2480670);
+  uint64_t list_bits = 0;
+  for (VertexId v = 0; v < pool.num_universe_vertices(); ++v) {
+    list_bits += pool.NonRootContaining(v).bits();
+  }
+  EXPECT_EQ(list_bits, 2081217u);
+  ExpectContainingMatchesViews(pool);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 2259007);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   // The file is v13, keeps each vertex's count of rooted sketches (each
   // below 256, so 1 byte each) and a word per sketch, a singleton's its
