@@ -248,6 +248,43 @@ uint64_t IndexContentHash(const Index& index) {
   return hash;
 }
 
+/// Hash of every sketch's shape in `index` (an RrIndex or a
+/// DynamicRrIndex over `num_vertices` vertices), leaving thresholds out:
+/// each sketch's root, vertices, CSR offsets, heads and ranks, in id
+/// order, then each vertex's root range and containing list. Equal
+/// hashes mean the same sketches, lists and root starts under any
+/// threshold scheme.
+template <typename Index>
+uint64_t ShapeHash(const Index& index, size_t num_vertices) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const IndexViews views(index, num_vertices);
+  for (size_t i = 0; i < index.num_graphs(); ++i) {
+    const RRView rr = views(i);
+    const VertexId root = rr.root();
+    hash = Fnv1aBytes(hash, &root, sizeof(root));
+    const RRGraph owned = Owned(rr);
+    hash = Fnv1aBytes(hash, owned.vertices.data(),
+                      owned.vertices.size() * sizeof(VertexId));
+    hash = Fnv1aBytes(hash, owned.offsets.data(),
+                      owned.offsets.size() * sizeof(uint32_t));
+    hash = Fnv1aBytes(hash, owned.heads.data(),
+                      owned.heads.size() * sizeof(uint32_t));
+    for (size_t j = 0; j < owned.heads.size(); ++j) {
+      const uint32_t rank = rr.edges[j].rank;
+      hash = Fnv1aBytes(hash, &rank, sizeof(rank));
+    }
+  }
+  for (VertexId v = 0; v < num_vertices; ++v) {
+    const auto rooted = index.RootRange(v);
+    const uint32_t range[2] = {*rooted.begin(), *rooted.end()};
+    hash = Fnv1aBytes(hash, range, sizeof(range));
+    for (const uint32_t id : index.NonRootContaining(v)) {
+      hash = Fnv1aBytes(hash, &id, sizeof(id));
+    }
+  }
+  return hash;
+}
+
 /// The root starts of sketches whose roots, in id order, are `roots`
 /// (ascending) over `num_vertices` vertices: each vertex's first id,
 /// then the sketch count, as FromRuns takes them.
