@@ -325,13 +325,13 @@ const uint8_t* BlockStart(const RRView& rr) {
   const bool in_tree = rr.offsets.data == nullptr;
   return rr.vertices.ids().data -
          VarintLength(uint64_t{rr.vertices.size()} << 1 | in_tree) -
-         (in_tree ? 0 : VarintLength(rr.edges.size()));
+         (in_tree ? 0 : VarintLength(rr.num_edges()));
 }
 
 // True for an implicit singleton, which has no block and no directory
 // word: only its clear bit in its group's mask.
 bool IsSingleton(const RRView& rr) {
-  return rr.vertices.size() == 1 && rr.edges.empty();
+  return rr.vertices.size() == 1 && rr.num_edges() == 0;
 }
 
 // Distinct 64-byte lines of pool memory an estimate walk over `rr` can
@@ -347,7 +347,9 @@ uint64_t PoolLines(const RRView& rr, const uint8_t* body) {
   const auto line = [body](const uint8_t* p) {
     return static_cast<uint64_t>(p - body) / 64;
   };
-  const uint8_t* end = rr.edges.end_byte();
+  const uint8_t* end =
+      rr.ranks.data +
+      (rr.ranks.first + uint64_t{rr.ranks.bits} * rr.num_edges() + 7) / 8;
   // The record, the word and the block.
   return 2 + (line(end - 1) - line(BlockStart(rr)) + 1);
 }

@@ -48,7 +48,7 @@ QueryPlanner::QueryPlanner(const SocialNetwork* network, size_t probe_samples,
     run.Clear();
     arena.Generate(network_->graph, network_->influence, root, &rng, &run);
     const RRView rr = run.View(0, root);
-    size_sum += static_cast<double>(rr.vertices.size() + rr.edges.size());
+    size_sum += static_cast<double>(rr.vertices.size() + rr.num_edges());
     containment_sum += static_cast<double>(rr.vertices.size()) /
                        static_cast<double>(network_->num_vertices());
   }

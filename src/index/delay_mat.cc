@@ -73,7 +73,8 @@ std::unique_ptr<DelayMatIndex> DelayMatIndex::Replica() const {
 }
 
 void DelayMatIndex::RecoverRRGraph(VertexId u) {
-  // Step 1: forward live sample G' = (V', E') from u under p(e).
+  // Step 1: forward live sample G' = (V', E') from u under p(e), the
+  // float envelope its thresholds scale with.
   std::vector<VertexId> live_vertices{u};
   std::vector<GlobalEdgeSample> live_edges;
   std::unordered_set<VertexId> visited{u};
@@ -82,11 +83,10 @@ void DelayMatIndex::RecoverRRGraph(VertexId u) {
     const VertexId v = stack.back();
     stack.pop_back();
     for (const auto& [w, e] : network_.graph.OutEdges(v)) {
-      const double p = network_.influence.MaxProb(e);
-      if (p <= 0.0 || !query_rng_.NextBernoulli(p)) continue;
-      // Step 3 (folded in): c(e) ~ U[0, p(e)) for live edges.
-      live_edges.push_back(GlobalEdgeSample{
-          v, w, e, static_cast<float>(query_rng_.NextDouble() * p)});
+      const auto p = static_cast<double>(
+          EnvelopeProbability(network_.influence.MaxProb(e)));
+      if (!query_rng_.NextBernoulli(p)) continue;
+      live_edges.push_back(GlobalEdgeSample{v, w, e});
       if (visited.insert(w).second) {
         live_vertices.push_back(w);
         stack.push_back(w);
@@ -100,12 +100,16 @@ void DelayMatIndex::RecoverRRGraph(VertexId u) {
       live_vertices[query_rng_.NextBounded(live_vertices.size())];
   arena_.RebuildRepairedSketch(root, live_edges, &cached_graphs_);
   cached_weights_.push_back(live_vertices.size());
+  // Step 3: c(e) ~ U(0, p(e)] for the surviving edges, a function of
+  // this recovery's key (SketchThresholds), drawn from the query stream.
+  cached_keys_.push_back(query_rng_.NextU64());
 }
 
 void DelayMatIndex::RecoverFor(VertexId u) {
   if (has_cached_user_ && cached_user_ == u) return;
   cached_graphs_.Clear();
   cached_weights_.clear();
+  cached_keys_.clear();
   const uint32_t count = (*counts_)[u];
   for (uint32_t i = 0; i < count; ++i) RecoverRRGraph(u);
   has_cached_user_ = true;
@@ -123,8 +127,9 @@ Estimate DelayMatIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
   // Every recovered graph contains u, which reaches its root.
   for (size_t i = 0; i < cached_graphs_.num_sketches(); ++i) {
     ++result.samples;
-    if (IsReachable(cached_graphs_.View(i, u), u, probs,
-                    &result.edges_visited, &scratch_)) {
+    RRView rr = cached_graphs_.View(i, u);
+    rr.thresholds = {&network_.influence, cached_keys_[i]};
+    if (IsReachable(rr, u, probs, &result.edges_visited, &scratch_)) {
       const auto weight = static_cast<double>(cached_weights_[i]);
       weighted_hits += weight;
       sum_squares += weight * weight;

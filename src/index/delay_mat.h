@@ -9,8 +9,11 @@
 //      root on "contains u" is exactly "root uniform over R_g(u)");
 //   2. pick the root v' uniformly from G' and keep the vertices of G'
 //      that reach v' inside G';
-//   3. re-draw c(e) ~ U[0, p(e)) for surviving edges (conditioned on
-//      being live, the original c(e) had exactly this distribution).
+//   3. re-draw c(e) ~ U(0, p(e)] for surviving edges (conditioned on
+//      being live, the original c(e) had exactly this distribution):
+//      each recovered graph draws one key from the query stream, and
+//      its thresholds are a function of it (SketchThresholds in
+//      src/index/rr_graph.h), computed where a walk probes them.
 //
 // Estimation note: conditioning an offline RR-Graph on "contains u"
 // re-weights the live world g proportionally to |R_g(u)| (a uniform root
@@ -102,6 +105,7 @@ class DelayMatIndex final : public InfluenceOracle {
   SketchArena arena_;
   RrSketchPool cached_graphs_;
   std::vector<uint64_t> cached_weights_;  // |R_g(u)| per cached graph
+  std::vector<uint64_t> cached_keys_;     // threshold key per cached graph
 };
 
 }  // namespace pitex

@@ -9,22 +9,32 @@
 // repairs the index instead of rebuilding it.
 //
 // Repair rule (coin coupling). Model each edge's sampling randomness as
-// a latent uniform U(e): the edge is live in a world iff U(e) < p(e),
-// and the stored threshold c(e) of a live edge is exactly U(e). An
-// RR-Graph probed edge e = (t, v) iff it contains v, so:
+// a latent uniform U(e): the edge is live in a world iff U(e) < p(e). A
+// live edge's threshold is not part of that world and is not stored:
+// c(e) = p(e) * H(seed, i, e) is computed from the current envelope
+// where the record is probed (SketchThresholds, src/index/rr_graph.h),
+// and H is a uniform no repair reads. An RR-Graph probed edge e = (t, v)
+// iff it contains v, so:
 //
 //   * graphs without v never examined U(e) — untouched, distribution
 //     unchanged (they probed only edges whose probabilities are
 //     unchanged);
-//   * e live in the graph (c < p_old): stays live iff c < p_new — the
-//     exact conditional P[U < p_new | U < p_old]; on death the graph is
-//     pruned back to the vertices still reaching the root;
+//   * e live in the graph (U < p_old): stays live with probability
+//     min(1, p_new / p_old) — the exact conditional P[U < p_new | U <
+//     p_old] — by a coin of the repair stream, drawn only when the
+//     envelope falls; its threshold, which scales with the envelope, is
+//     uniform on (0, p_new] either way; on death the graph is pruned
+//     back to the vertices still reaching the root;
 //   * e dead (v present, e absent; latent U uniform on [p_old, 1)):
-//     resurrects with probability (p_new - p_old)/(1 - p_old), drawing
-//     c uniform on [p_old, p_new); if the tail t was outside the graph
-//     the reverse sampling *expands* from t, flipping the in-edge coins
-//     of every newly reached vertex for the first time.
+//     resurrects with probability (p_new - p_old)/(1 - p_old), with no
+//     threshold to draw; if the tail t was outside the graph the reverse
+//     sampling *expands* from t, flipping the in-edge coins of every
+//     newly reached vertex for the first time.
 //
+// No branch reads H, so given any sketch's shape its thresholds are
+// independent and uniform on (0, p(e)] under the current model after
+// any update history, compaction or load, and a sketch needs no repair
+// version to key them: its id and the index seed do.
 // Every branch is the exact conditional law of the new model given the
 // old world, so after any update history the ensemble is distributed as
 // a freshly built index on the current model — same estimator, same

@@ -37,22 +37,24 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
     // Candidate cut 2: the root's in-edges inside the RR-Graph.
     // Pruning probability of a cut = prod_e Pr[p(e|W) < c(e)] under the
     // uniform heuristic = prod_e c(e)/p(e); pick the larger (Example 7).
-    std::vector<std::pair<EdgeId, float>> cut1;
+    // Each cut edge's threshold is computed as it is taken
+    // (rr.thresholds).
+    std::vector<std::pair<EdgeId, double>> cut1;
     double log_prune1 = 0.0;
-    std::vector<std::pair<EdgeId, float>> cut2;
+    std::vector<std::pair<EdgeId, double>> cut2;
     double log_prune2 = 0.0;
     const auto add = [&](uint32_t tail, uint32_t i,
-                         std::vector<std::pair<EdgeId, float>>* cut,
+                         std::vector<std::pair<EdgeId, double>>* cut,
                          double* log_prune) {
-      const RRLocalEdge record = rr.edges[i];
+      const uint32_t rank = rr.ranks[i];
       // The walk's view leaves the root's vertex id unresolved. Only a
       // root self-loop, in cut 2, has the root as its tail: that edge
       // takes the view rooted at the list's root for the sketch.
       const EdgeId edge =
           tail == rr.root_local
-              ? base_->RootedGraph(id, sketch.root()).Edge(tail, record.rank)
-              : rr.Edge(tail, record.rank);
-      const float threshold = record.threshold;
+              ? base_->RootedGraph(id, sketch.root()).Edge(tail, rank)
+              : rr.Edge(tail, rank);
+      const double threshold = rr.thresholds(edge);
       cut->emplace_back(edge, threshold);
       const double p = influence_->MaxProb(edge);
       *log_prune += std::log(std::max(1e-12, threshold / p));
@@ -72,7 +74,7 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
     });
     // An empty cut means the side is disconnected: always prunable (both
     // candidate cuts are sound filters, so a forced policy stays correct).
-    const auto& cut = [&]() -> const std::vector<std::pair<EdgeId, float>>& {
+    const auto& cut = [&]() -> const std::vector<std::pair<EdgeId, double>>& {
       if (cut1.empty() || cut2.empty()) return cut1.empty() ? cut1 : cut2;
       switch (policy_) {
         case CutPolicy::kOutEdges: return cut1;
@@ -112,7 +114,7 @@ Estimate PrunedRrIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
     const double p = probs.Prob(filter.cut_edges[i]);
     if (p <= 0.0) continue;
     for (const auto& entry : filter.lists[i]) {
-      if (static_cast<double>(entry.threshold) > p) break;
+      if (entry.threshold > p) break;
       candidates.push_back(entry.graph_id);
     }
   }

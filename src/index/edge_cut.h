@@ -51,7 +51,7 @@ class PrunedRrIndex final : public InfluenceOracle {
 
  private:
   struct InvertedEntry {
-    float threshold;   // c(e) in the owning RR-Graph
+    double threshold;   // c(e) in the owning RR-Graph
     uint32_t graph_id;  // position in the base index
   };
   struct UserFilter {

@@ -17,28 +17,29 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v13's RR-Graph payload is the RrSketchPool image, its sketches in
+// v14's RR-Graph payload is the RrSketchPool image, its sketches in
 // root order: each vertex's count of rooted sketches, at the width the
-// largest needs, which sets the root ranges; its directory as one word
-// per sketch, a singleton's root or a flag | its block's start less its
-// group's base, at the width the words call for (the pool itself keeps
-// a word per block only, and the writer takes the singletons' roots
-// from its root ranges); and its body bytes as they are stored, padding
-// included: each sketch's block of bit-granular fields at the widths
-// its network and its own vertex count call for, its root's vertex id
-// and an in-tree block's CSR offsets left out, each edge record its
-// edge's rank in its tail's out-list and its threshold at the width the
-// block's thresholds call for. (v1, one record per graph, v2, a wire
-// format of per-sketch CSRs packed into a pool on load, v3, whose edge
-// records were a third array, v4, whose blocks kept every vertex at 4
-// bytes, v5, whose body was word-padded u32 words with 4-byte headers
-// and edge ids, v6, whose blocks all stored their offsets, v7, whose
-// directory held a u32 per sketch, v8, whose blocks stored whole bytes
-// per field, v9, whose records held global edge ids, v10, whose records
-// held every threshold's f32 bits at 30, v11, whose sketches were in
-// sample order, and v12, whose blocks stored their root's vertex id,
-// are no longer read.)
-constexpr uint32_t kVersionCurrent = 13;
+// largest needs, which sets the root ranges; its directory as the pool
+// holds it, each group's mask of blocks and a word per block, its start
+// less its group's base, at the width the words call for; and its body
+// bytes as they are stored, padding included: each sketch's block of
+// bit-granular fields at the widths its network and its own vertex
+// count call for, its root's vertex id and an in-tree block's CSR
+// offsets left out, each edge record its edge's rank in its tail's
+// out-list. Thresholds are not stored: they are a function of the
+// header's seed, the sketch's id and the network's model. (v1, one
+// record per graph, v2, a wire format of per-sketch CSRs packed into a
+// pool on load, v3, whose edge records were a third array, v4, whose
+// blocks kept every vertex at 4 bytes, v5, whose body was word-padded
+// u32 words with 4-byte headers and edge ids, v6, whose blocks all
+// stored their offsets, v7, whose directory held a u32 per sketch, v8,
+// whose blocks stored whole bytes per field, v9, whose records held
+// global edge ids, v10, whose records held every threshold's f32 bits
+// at 30, v11, whose sketches were in sample order, v12, whose blocks
+// stored their root's vertex id, and v13, whose records stored their
+// thresholds and whose directory held a word per sketch, a singleton's
+// its root, are no longer read.)
+constexpr uint32_t kVersionCurrent = 14;
 constexpr uint8_t kKindRrGraphs = 1;
 
 void SetError(IndexIoError* error, IndexIoCode code, const char* message) {
@@ -167,9 +168,7 @@ class IndexIo {
     // as its compaction: the pool its overlay folds the base into. The
     // root ranges are written as each vertex's count of rooted sketches,
     // at the width the largest needs, and the containing index not at
-    // all: the loader rebuilds it. The
-    // directory is written one word per sketch, a singleton's its root,
-    // read from the root ranges.
+    // all: the loader rebuilds it.
     std::optional<RrSketchPool> folded;
     if (const RrSketchOverlay* overlay = index.repairs()) {
       folded = overlay->Fold(*index.pool_);
@@ -181,6 +180,7 @@ class IndexIo {
     writer.WriteU64(index.theta_);
     writer.WriteU8(static_cast<uint8_t>(directory.count_width));
     writer.WriteVector<uint8_t>(directory.counts);
+    writer.WriteVector<uint64_t>(directory.masks);
     writer.WriteU8(static_cast<uint8_t>(directory.width));
     writer.WriteVector<uint8_t>(directory.words);
     writer.WriteVector<uint8_t>(pool.body_);
@@ -261,11 +261,12 @@ class IndexIo {
     auto index = std::unique_ptr<RrIndex>(new RrIndex(network, options));
     RrSketchPool pool;
     // A root count of 1, 2 or 4 bytes per vertex of the network
-    // (FinishLoaded checks that they sum to theta). The estimator
-    // divides by theta: the directory holds exactly theta words of 2 or
-    // 4 bytes. Block offsets fit 31 bits, so the body holds at most 2^31
-    // bytes of blocks and then its padding.
+    // (FinishLoaded checks that they sum to theta), a mask per 64
+    // sketches and at most theta words of 2 or 4 bytes (FinishLoaded
+    // checks one per mask bit). Block offsets fit 31 bits, so the body
+    // holds at most 2^31 bytes of blocks and then its padding.
     RrSketchPool::FileDirectory file;
+    file.num_sketches = theta;
     uint8_t count_width = 0;
     uint8_t width = 0;
     if (!reader.ReadU8(&count_width) ||
@@ -273,9 +274,9 @@ class IndexIo {
         !reader.ReadVector(&file.counts,
                            uint64_t{network.num_vertices()} * count_width) ||
         file.counts.size() != network.num_vertices() * count_width ||
+        !reader.ReadVector(&file.masks, (theta + 63) / 64) ||
         !reader.ReadU8(&width) || (width != 2 && width != 4) ||
         !reader.ReadVector(&file.words, theta * width) ||
-        file.words.size() != theta * width ||
         !reader.ReadVector(&pool.body_,
                            (uint64_t{1} << 31) + kBitPadding)) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");

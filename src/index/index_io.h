@@ -15,61 +15,58 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 13 is the only version read or written; a v1 to v12 header is
+// Version 14 is the only version read or written; a v1 to v13 header is
 // refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
 // image (src/index/rr_sketch_pool.h), its sketches in root order (by
 // root, and among one root's by sample):
 //
 //   theta u64 | count width u8 (1, 2 or 4) | root counts (u64 count =
-//   |V| * count width, bytes) | directory width u8 (2 or 4) | directory
-//   words (u64 count = theta * width, bytes) | body (u64 count, bytes) |
+//   |V| * count width, bytes) | group masks (u64 count = ceil(theta /
+//   64), u64 each) | directory width u8 (2 or 4) | block words (u64
+//   count = blocks * width, bytes) | body (u64 count, bytes) |
 //   build_seconds f64
 //
 // The root counts hold each vertex's count of rooted sketches, at the
 // fewest bytes the largest needs, in the host's byte order: they set
 // the root ranges, and a sketch's root is the vertex whose range holds
 // it. Counts that do not sum to theta, or at a width wider than the
-// largest needs, are kCorruptPayload. The
-// directory holds one word per sketch: a singleton's root vertex
-// (top bit clear), or the top bit and the start of the sketch's block
-// less its group's base. The bases, one per 64 sketches, are not saved:
-// the loader derives each as the offset where the next block must start
-// when its walk reaches the group's first sketch. A file takes 2-byte
-// words unless some root or offset needs bit 15 or above. The pool in
-// memory keeps a word per block only: the writer takes the singletons'
-// roots from its root ranges, and the loader requires each to be its
-// range's root (kCorruptPayload otherwise) and drops it. The body is
-// stored as the pool holds it: each explicit sketch is one block, a
-// varint header (n, the block's threshold width w in [0, 7] and the
+// largest needs, are kCorruptPayload. The directory is the pool's own:
+// a mask per 64 sketches, bit j set when sketch 64g + j is a block, and
+// a word per block, the start of its block less its group's base. The
+// bases are not saved: the loader derives each as the offset where the
+// next block must start when its walk reaches the group's first
+// sketch. A mask bit set past theta, or masks whose set bits are not
+// the block words' count, are kCorruptPayload. A file takes 2-byte
+// words unless some word needs more. A singleton, whose one vertex is
+// its root, takes its clear mask bit and nothing else. The body is
+// stored as the pool holds it: each block a varint header (n and the
 // in-tree flag, and m for a block that is not an in-tree) and then
 // bit-granular fields to the next byte: its vertices but its root at
 // bit_width(|V| - 1) bits, its root id (where its range's root goes
-// among them) and heads at bit_width(n - 1),
-// its CSR offsets at bit_width(m) unless the block is an in-tree, and
-// its records, each the edge's rank in its tail's out-list at
-// bit_width(D - 1) bits, D the network's largest out-degree, and its
-// threshold c as 1.0f's f32 bits less c's at 23 + w bits. |V| and D are
-// the network's the file is loaded against and w is the block's own, so
-// the file names no pool-wide width. Seven zero bytes of
-// padding end a body with blocks. A directory whose length is not theta
-// words is kCorruptPayload.
+// among them) and heads at bit_width(n - 1), its CSR offsets at
+// bit_width(m) unless the block is an in-tree, and its records, each
+// the edge's rank in its tail's out-list at bit_width(D - 1) bits, D
+// the network's largest out-degree. |V| and D are the network's the
+// file is loaded against, so the file names no pool-wide width. Seven
+// zero bytes of padding end a body with blocks. No threshold is
+// stored: a record's threshold is a function of the header's seed, the
+// sketch's id and the network's model (SketchThresholds in
+// src/index/rr_graph.h), which the fingerprint pins.
 //
 // An index with repairs saves as its compaction (RrSketchOverlay::Fold,
 // a copy of the base's blocks and of each repaired sketch's current
 // block). The containing index is not stored: the loader rebuilds it.
-// A loaded image must be
-// canonical, exactly what appending its own views to a run and
-// finishing it writes (RrSketchPool::FinishLoaded checks it: each
-// block's vertices, its root among them, strictly ascend, each word is
-// its block's start less its base, 4-byte words only
-// where some word needs them, an in-tree block's parents all lead to its
-// root, each rank lies below its tail's out-degree and names an out-edge
-// that ends at the record's head, each block's w is the fewest bits its
-// thresholds need), so a file that loads saves back to
-// the same bytes. A change to the pool's layout is a new version. The
-// directory's words are stored in the host's byte order, so a file
-// reads back right only on a host of the writer's byte order; the
-// body's bits are little-endian.
+// A loaded image must be canonical, exactly what appending its own
+// views to a run and finishing it writes (RrSketchPool::FinishLoaded
+// checks it: each block's vertices, its root among them, strictly
+// ascend, each word is its block's start less its base, 4-byte words
+// only where some word needs them, an in-tree block's parents all lead
+// to its root, each rank lies below its tail's out-degree and names an
+// out-edge that ends at the record's head), so a file that loads saves
+// back to the same bytes. A change to the pool's layout is a new
+// version. The directory's masks and words are stored in the host's
+// byte order, so a file reads back right only on a host of the writer's
+// byte order; the body's bits are little-endian.
 //
 // The fingerprint binds an index file to the network it was sampled
 // from: loading against a different graph (changed topology, edge count,

@@ -14,15 +14,13 @@ void EstimateScratch::Reserve(size_t max_vertices) {
 void DecomposeRRGraphInto(const RRView& rr,
                           std::vector<GlobalEdgeSample>* edges) {
   edges->clear();
-  edges->reserve(rr.edges.size());
+  edges->reserve(rr.num_edges());
   rr.VisitCsr([&](const auto& csr) {
     for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
       for (uint32_t i = csr.offset(tail); i < csr.offset(tail + 1); ++i) {
-        const RRLocalEdge record = rr.edges[i];
         edges->push_back(GlobalEdgeSample{rr.vertices[tail],
                                           rr.vertices[csr.head(i)],
-                                          rr.Edge(tail, record.rank),
-                                          record.threshold});
+                                          rr.Edge(tail, rr.ranks[i])});
       }
     }
   });
@@ -51,8 +49,8 @@ PITEX_NOALLOC bool WalkToRoot(const RRView& rr, const LocalCsr& csr,
       const uint32_t head = csr.head(i);
       ++count;
       if (visited[head] == epoch) continue;
-      const RRLocalEdge record = rr.edges[i];
-      if (probs.Prob(rr.Edge(v, record.rank)) < record.threshold) continue;
+      const EdgeId e = rr.Edge(v, rr.ranks[i]);
+      if (probs.Prob(e) < rr.thresholds(e)) continue;
       if (head == rr.root_local) {
         found = true;
         break;
@@ -76,9 +74,9 @@ PITEX_NOALLOC bool ChaseToRoot(const RRView& rr, const TreeCsr& csr,
   bool found = false;
   for (uint32_t v = start;;) {
     const uint32_t i = csr.offset(v);
-    const RRLocalEdge record = rr.edges[i];
+    const EdgeId e = rr.Edge(v, rr.ranks[i]);
     ++count;
-    if (probs.Prob(rr.Edge(v, record.rank)) < record.threshold) break;
+    if (probs.Prob(e) < rr.thresholds(e)) break;
     v = csr.head(i);
     if (v == rr.root_local) {
       found = true;

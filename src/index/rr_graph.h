@@ -2,28 +2,29 @@
 // tag-aware reachability check of Definition 3.
 //
 // An RR-Graph for root v is a reverse IC sample drawn under the envelope
-// probabilities p(e) = max_z p(e|z). Every kept edge carries the threshold
-// c(e) it was sampled with; conditioned on the edge being live, c(e) is
-// uniform on [0, p(e)). At query time the edge is live for tag set W iff
-// p(e|W) >= c(e) — so one offline sample serves every query user and
-// every tag set, and the spread is never underestimated (p(e) >= p(e|W)).
+// probabilities p(e) = max_z p(e|z). Every kept edge has a threshold
+// c(e); conditioned on the edge being live, c(e) is uniform on (0,
+// p(e)]. At query time the edge is live for tag set W iff p(e|W) >=
+// c(e) — so one offline sample serves every query user and every tag
+// set, and the spread is never underestimated (p(e) >= p(e|W)). No
+// threshold is stored: c(e) = p(e) * H(key, e), H a counter-based
+// uniform keyed by the index's seed and the sketch's id, is computed
+// where a record is probed (SketchThresholds), and the draw that made
+// the edge live is spent on its shape alone.
 //
 // Sketches have one representation: the pooled layout of
 // src/index/rr_sketch_pool.h, where a sketch's root is the vertex whose
 // root range holds its id, a single-vertex sketch has no block, and
 // every other sketch is one block of bit-granular fields: its vertices
 // but the root at the width the network's vertex count calls for, its
-// local ids (its root's among them) at the width its own
-// vertex count calls for, and its edge records, each the edge's rank in
-// its tail's out-list (Graph::OutEdges) at the width the network's
-// longest out-list calls for and its threshold, 1.0f's bits less the
-// threshold's at the width its block's smallest threshold calls for
-// (StoredThreshold, ThresholdWidth). A record's edge always leaves its
-// own tail, so the rank names it: RRView::Edge turns it back into the
-// global EdgeId against the pool's topology. An
-// in-tree sketch, whose root has no out-edge and every other vertex
-// exactly one, stores no CSR offsets: they follow from the root's local
-// id (TreeCsr).
+// local ids (its root's among them) at the width its own vertex count
+// calls for, and its edge records, each the edge's rank in its tail's
+// out-list (Graph::OutEdges) at the width the network's longest
+// out-list calls for. A record's edge always leaves its own tail, so
+// the rank names it: RRView::Edge turns it back into the global EdgeId
+// against the pool's topology. An in-tree sketch, whose root has no
+// out-edge and every other vertex exactly one, stores no CSR offsets:
+// they follow from the root's local id (TreeCsr).
 // SketchArena (src/index/sketch_arena.h) assembles every sketch straight
 // into a pool run: the offline build, DynamicRrIndex repair, DelayMat
 // recovery and the query planner's probes. RRView is the non-owning
@@ -48,45 +49,10 @@
 
 #include "src/sampling/influence_estimator.h"
 #include "src/util/bits.h"
+#include "src/util/check.h"
 #include "src/util/thread_annotations.h"
 
 namespace pitex {
-
-/// One edge of a sketch's local CSR out-adjacency, as stored. Its head
-/// (a local vertex index) is stored apart, in the sketch's heads, and
-/// its tail is the local vertex whose CSR range holds it. A pool block
-/// stores each record as the rank at its pool's rank width, then the
-/// threshold as StoredThreshold at kThresholdBits + w bits, w the
-/// block's threshold width (EdgeRecords, BlockWriter).
-struct RRLocalEdge {
-  uint32_t rank;    // place in the tail's out-list (RRView::Edge)
-  float threshold;  // c(e)
-};
-
-/// A threshold c(e) lies in [+0, 1], so its f32 bits are at most 1.0f's,
-/// kMaxThresholdBits, and a record stores that less its bits
-/// (StoredThreshold): 0 for 1.0f, below 2^23 for every c(e) in
-/// (0.5, 1], and kMaxThresholdBits for +0.0f. A block stores its
-/// records' values at kThresholdBits + w bits, w in [0,
-/// kMaxThresholdWidth] the fewest its largest value needs
-/// (ThresholdWidth), and a reader gets the bits back with one subtract.
-/// Every float in [+0, 1], subnormals included, round-trips exactly.
-inline constexpr uint32_t kThresholdBits = 23;
-inline constexpr uint32_t kMaxThresholdWidth = 7;
-inline constexpr uint32_t kMaxThresholdBits = 0x3F800000;  // 1.0f
-
-/// What a record stores for threshold c: 1.0f's bits less c's.
-inline uint32_t StoredThreshold(float c) {
-  return kMaxThresholdBits - std::bit_cast<uint32_t>(c);
-}
-
-/// The threshold width w of a block whose largest stored threshold is
-/// `largest` (at most kMaxThresholdBits): the bits it needs beyond
-/// kThresholdBits, 0 when it fits those.
-inline uint32_t ThresholdWidth(uint32_t largest) {
-  const auto bits = static_cast<uint32_t>(std::bit_width(largest));
-  return bits > kThresholdBits ? bits - kThresholdBits : 0;
-}
 
 /// Entries of `bits` bits each (at most 32), packed from bit `first` of
 /// `data`: entry j is one shifted 8-byte load and a mask. A pool block's
@@ -142,124 +108,60 @@ struct TreeCsr {
   uint32_t head(size_t k) const { return heads[k]; }
 };
 
-/// A sketch's m edge records, packed from bit `first` of `data`: each
-/// the rank at the rank width and then its stored threshold
-/// (StoredThreshold) at kThresholdBits + the block's threshold width. A
-/// read-only range that decodes each record by value.
-class EdgeRecords {
- public:
-  class Iterator {
-   public:
-    using iterator_concept = std::forward_iterator_tag;
-    using iterator_category = std::input_iterator_tag;
-    using value_type = RRLocalEdge;
-    using difference_type = std::ptrdiff_t;
-    using reference = RRLocalEdge;
-    using pointer = void;
+/// Bits of the counter-based uniform H a threshold is drawn from
+/// (ThresholdUniform): a float's precision, so c(e) = env(e) * H, the
+/// product of two 24-bit significands, is exact in a double.
+inline constexpr uint32_t kThresholdUniformBits = 24;
 
-    Iterator() = default;
-    RRLocalEdge operator*() const { return records_[at_]; }
-    Iterator& operator++() {
-      ++at_;
-      return *this;
-    }
-    Iterator operator++(int) {
-      Iterator old = *this;
-      ++at_;
-      return old;
-    }
-    bool operator==(const Iterator& other) const { return at_ == other.at_; }
-
-   private:
-    friend class EdgeRecords;
-    Iterator(const EdgeRecords& records, size_t at)
-        : records_{records.data_, records.first_, records.threshold_mask_,
-                   records.rank_bits_, records.stride_},
-          at_(at) {}
-
-    // The records' fields, copied, so an iterator outlives its range.
-    struct Fields {
-      const uint8_t* data = nullptr;
-      uint32_t first = 0;
-      uint32_t threshold_mask = 0;
-      uint8_t rank_bits = 0;
-      uint8_t stride = 0;
-      RRLocalEdge operator[](size_t k) const {
-        return Load(data, first, rank_bits, stride, threshold_mask, k);
-      }
-    } records_;
-    size_t at_ = 0;
-  };
-
-  EdgeRecords() = default;
-  /// `at.bits` is the rank width; `threshold_width` the block's w.
-  EdgeRecords(PackedIds at, size_t size, uint32_t threshold_width)
-      : data_(at.data),
-        first_(at.first),
-        size_(static_cast<uint32_t>(size)),
-        threshold_mask_(
-            static_cast<uint32_t>(LowMask(kThresholdBits + threshold_width))),
-        rank_bits_(static_cast<uint8_t>(at.bits)),
-        stride_(static_cast<uint8_t>(at.bits + kThresholdBits +
-                                     threshold_width)) {}
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  RRLocalEdge operator[](size_t k) const {
-    return Load(data_, first_, rank_bits_, stride_, threshold_mask_, k);
-  }
-  Iterator begin() const { return {*this, 0}; }
-  Iterator end() const { return {*this, size_}; }
-  /// Bits per rank.
-  uint32_t rank_bits() const { return rank_bits_; }
-  /// The block's threshold width w: each threshold takes
-  /// kThresholdBits + w bits.
-  uint32_t threshold_width() const {
-    return static_cast<uint32_t>(stride_) - rank_bits_ - kThresholdBits;
-  }
-  /// Where the records end: the byte after their last bit's.
-  const uint8_t* end_byte() const {
-    return data_ + (first_ + uint64_t{stride_} * size_ + 7) / 8;
-  }
-
- private:
-  // The stride and the threshold's mask are set once per view, so a
-  // record's decode is a load, two shifts, two masks and a subtract.
-  static RRLocalEdge Load(const uint8_t* data, uint32_t first,
-                          uint32_t rank_bits, uint32_t stride,
-                          uint32_t threshold_mask, size_t k) {
-    const uint32_t pos = first + stride * static_cast<uint32_t>(k);
-    const uint64_t word = LoadBits(data, pos);
-    // One load holds the whole record while it fits the window: up to
-    // 27-bit ranks at any threshold width.
-    const uint64_t threshold = stride <= kBitWindow
-                                   ? word >> rank_bits
-                                   : LoadBits(data, pos + rank_bits);
-    RRLocalEdge edge;
-    edge.rank = static_cast<uint32_t>(word & LowMask(rank_bits));
-    const uint32_t bits =
-        kMaxThresholdBits - (static_cast<uint32_t>(threshold) & threshold_mask);
-    std::memcpy(&edge.threshold, &bits, sizeof(bits));
-    return edge;
-  }
-
-  const uint8_t* data_ = nullptr;
-  uint32_t first_ = 0;
-  uint32_t size_ = 0;
-  uint32_t threshold_mask_ = static_cast<uint32_t>(LowMask(kThresholdBits));
-  uint8_t rank_bits_ = 0;  // at most 32
-  uint8_t stride_ = kThresholdBits;  // rank_bits_ + kThresholdBits + w
-};
-
-/// The threshold width the records' thresholds need (ThresholdWidth of
-/// their largest StoredThreshold): the width a writer stores them at.
-inline uint32_t NeededThresholdWidth(const EdgeRecords& records) {
-  uint32_t largest = 0;
-  for (const RRLocalEdge edge : records) {
-    largest = std::max(largest, StoredThreshold(edge.threshold));
-  }
-  return ThresholdWidth(largest);
+/// The murmur3 finalizer: a bijective mix of 64 bits, every output bit
+/// depending on every input bit. Its constants are not SplitMix64's, so
+/// no threshold key or draw repeats a sample stream's state
+/// (SampleStream).
+inline uint64_t ThresholdMix(uint64_t z) {
+  z = (z ^ (z >> 33)) * 0xff51afd7ed558ccdULL;
+  z = (z ^ (z >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+  return z ^ (z >> 33);
 }
+
+/// The key of sketch `id`'s thresholds in an index sampled with `seed`:
+/// a function of the two alone, so a repair, a compaction or a load
+/// keeps every threshold key.
+inline uint64_t ThresholdKey(uint64_t seed, uint64_t id) {
+  return ThresholdMix((seed ^ 0x5851f42d4c957f2dULL) +
+                      0x9e3779b97f4a7c15ULL * (id + 1));
+}
+
+/// H(key, e): a counter-based uniform (Salmon et al., "Parallel Random
+/// Numbers: As Easy as 1, 2, 3", SC'11), the keyed mix of counter e, on
+/// the 2^24 points k * 2^-24, k in [1, 2^24]: uniform on (0, 1] to
+/// 2^-24, so a threshold is never 0 and an edge with p(e|W) = 0 is
+/// never live.
+inline double ThresholdUniform(uint64_t key, EdgeId e) {
+  const uint64_t bits =
+      ThresholdMix(key ^ 0xda942042e4dd58b5ULL * (uint64_t{e} + 1)) >>
+      (64 - kThresholdUniformBits);
+  return static_cast<double>(bits + 1) * 0x1.0p-24;
+}
+
+/// The thresholds of one sketch's records, as a function (Definition 2
+/// with nothing stored): a live edge e has c(e) = env(e) * H(key, e),
+/// env(e) = EnvelopeProbability(model.MaxProb(e)), the float the
+/// sampler drew e live under, read from the model as it is now. No
+/// shape decision reads H (the sampler's coins, the repairs' keep, drop
+/// and resurrect coins and their expansions draw from their own
+/// streams), so given a sketch's shape its thresholds are independent
+/// and c(e) is uniform on (0, env(e)] to 2^-24 after any repair
+/// history, compaction or load.
+struct SketchThresholds {
+  const InfluenceGraph* model = nullptr;
+  uint64_t key = 0;
+
+  double operator()(EdgeId e) const {
+    PITEX_DCHECK(model != nullptr);
+    return static_cast<double>(EnvelopeProbability(model->MaxProb(e))) *
+           ThresholdUniform(key, e);
+  }
+};
 
 /// The root vertex of a view whose reader never reads it
 /// (RrSketchPool::WalkView): no vertex has this id.
@@ -381,7 +283,10 @@ inline VertexIds::Iterator VertexIds::end() const { return {*this, size_}; }
 /// Every field is read at the width its block stores it at (see
 /// src/index/rr_sketch_pool.h): the heads at bit_width(n - 1) bits, any
 /// offsets at bit_width(m), the vertices and ranks at their pool's
-/// widths, the thresholds at their block's. A view of an in-tree sketch
+/// widths. A record is its rank alone: its threshold is a function of
+/// the edge (SketchThresholds), which a view of an index carries
+/// (RrIndex::graph and the like) and a pool's view leaves unset. A
+/// view of an in-tree sketch
 /// (the root has no out-edge, every other vertex exactly one; nearly
 /// every pooled sketch) has no stored offsets: its offsets' data is null
 /// and its readers take a TreeCsr.
@@ -394,8 +299,9 @@ struct RRView {
   PackedIds offsets;        // CSR over local tails, n + 1; no data for an
                             // in-tree sketch
   PackedIds heads;          // local head of each edge, m
-  EdgeRecords edges;        // m
+  PackedIds ranks;          // each edge's rank in its tail's out-list, m
   const Graph* topology = nullptr;
+  SketchThresholds thresholds;  // unset in a pool's own views
 
   /// The global id of the edge at `rank` in the out-list of local
   /// vertex `tail`, the id of a record in tail's CSR range:
@@ -413,6 +319,12 @@ struct RRView {
   decltype(auto) VisitCsr(Fn&& fn) const {
     if (offsets.data == nullptr) return fn(TreeCsr{root_local, heads});
     return fn(LocalCsr{offsets, heads});
+  }
+
+  /// m: an in-tree's n - 1, else the last offset.
+  size_t num_edges() const {
+    return offsets.data == nullptr ? vertices.size() - 1
+                                   : offsets[vertices.size()];
   }
 
   /// True when the sketch is an in-tree (IsInTree), whether or not its
@@ -453,7 +365,8 @@ class EstimateScratch {
 };
 
 /// Definition 3: true iff `u` reaches the root of `rr` along edges with
-/// probs.Prob(e) >= c(e). Adds probed-edge counts to `edges_visited` when
+/// probs.Prob(e) >= c(e), each c(e) computed as the edge is probed
+/// (rr.thresholds). Adds probed-edge counts to `edges_visited` when
 /// non-null. On an in-tree it follows u's parents to the root or to the
 /// first dead edge, with no scratch; on any other sketch it runs a DFS
 /// that uses `scratch` for the visited stamps and stack: zero
@@ -486,7 +399,6 @@ struct GlobalEdgeSample {
   VertexId tail;
   VertexId head;
   EdgeId edge;
-  float threshold;  // c(e)
 };
 
 /// Inverse of SketchArena::RebuildRepairedSketch: clears `*edges` and

@@ -179,7 +179,9 @@ PITEX_NOALLOC Estimate RrIndex::EstimateInfluence(
   const RrSketchPool& base = *pool_;
   if (repairs() == nullptr) {
     for (const uint32_t id : base.NonRootContaining(u)) {
-      count(base.WalkView(id));
+      RRView rr = base.WalkView(id);
+      rr.thresholds = Thresholds(id);
+      count(rr);
     }
   } else {
     for (const uint32_t id : NonRootContaining(u)) count(WalkGraph(id));

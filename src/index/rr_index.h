@@ -94,42 +94,45 @@ class RrIndex final : public InfluenceOracle {
   size_t num_vertices() const { return network_.num_vertices(); }
   size_t num_graphs() const { return pool_->num_sketches(); }
   /// Non-owning view of RR-Graph i (valid while the index is alive), `u`
-  /// a vertex it contains (RrSketchPool::View): a reader walking
-  /// RootRange(u) or NonRootContaining(u) passes u. A block's root comes
-  /// from the id's range, by a search of the root starts: the estimate
-  /// walks take WalkGraph.
+  /// a vertex it contains (RrSketchPool::View), with its thresholds
+  /// (Thresholds): a reader walking RootRange(u) or NonRootContaining(u)
+  /// passes u. A block's root comes from the id's range, by a search of
+  /// the root starts: the estimate walks take WalkGraph.
   RRView graph(size_t i, VertexId u) const {
-    if (const RrSketchOverlay* overlay = repairs()) {
-      const uint32_t slot = overlay->SlotOf(static_cast<uint32_t>(i));
-      if (slot != RrSketchOverlay::kNotRepaired) {
-        return overlay->View(slot, u);
-      }
-    }
-    return pool_->View(i, u);
+    const uint32_t slot = RepairSlot(i);
+    RRView rr = slot == RrSketchOverlay::kNotRepaired
+                    ? pool_->View(i, u)
+                    : overlay_->View(slot, u);
+    rr.thresholds = Thresholds(i);
+    return rr;
   }
   /// The view of RR-Graph i rooted at `root` (RrSketchPool::RootedView):
   /// a reader that knows the root, from a root range or a list entry,
   /// takes it without a search.
   RRView RootedGraph(size_t i, VertexId root) const {
-    if (const RrSketchOverlay* overlay = repairs()) {
-      const uint32_t slot = overlay->SlotOf(static_cast<uint32_t>(i));
-      if (slot != RrSketchOverlay::kNotRepaired) {
-        return overlay->View(slot, root);
-      }
-    }
-    return pool_->RootedView(i, root);
+    const uint32_t slot = RepairSlot(i);
+    RRView rr = slot == RrSketchOverlay::kNotRepaired
+                    ? pool_->RootedView(i, root)
+                    : overlay_->View(slot, root);
+    rr.thresholds = Thresholds(i);
+    return rr;
   }
   /// The walk's view of RR-Graph i, a block containing a vertex other
   /// than its root (RrSketchPool::WalkView): the estimate paths' view,
   /// which leaves the root's vertex id unresolved.
   RRView WalkGraph(size_t i) const {
-    if (const RrSketchOverlay* overlay = repairs()) {
-      const uint32_t slot = overlay->SlotOf(static_cast<uint32_t>(i));
-      if (slot != RrSketchOverlay::kNotRepaired) {
-        return overlay->WalkView(slot);
-      }
-    }
-    return pool_->WalkView(i);
+    const uint32_t slot = RepairSlot(i);
+    RRView rr = slot == RrSketchOverlay::kNotRepaired
+                    ? pool_->WalkView(i)
+                    : overlay_->WalkView(slot);
+    rr.thresholds = Thresholds(i);
+    return rr;
+  }
+  /// RR-Graph i's thresholds: c(e) = env(e) * H(ThresholdKey(seed, i),
+  /// e), env(e) from this index's model (src/index/rr_graph.h). A
+  /// repair keeps the id, so its copy in the overlay keeps the key.
+  SketchThresholds Thresholds(size_t i) const {
+    return {&network_.influence, ThresholdKey(options_.seed, i)};
   }
   /// Ids (sketch positions) of the RR-Graphs rooted at u: one range of
   /// the base pool, as a repair never changes a root.
@@ -165,6 +168,12 @@ class RrIndex final : public InfluenceOracle {
   const RrSketchOverlay* repairs() const {
     return overlay_ != nullptr && !overlay_->empty() ? overlay_.get()
                                                      : nullptr;
+  }
+  /// Sketch i's slot in the overlay, or kNotRepaired.
+  uint32_t RepairSlot(size_t i) const {
+    const RrSketchOverlay* overlay = repairs();
+    return overlay == nullptr ? RrSketchOverlay::kNotRepaired
+                              : overlay->SlotOf(static_cast<uint32_t>(i));
   }
 
   const SocialNetwork& network_;

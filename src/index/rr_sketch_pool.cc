@@ -26,7 +26,7 @@ RrSketchPool RrSketchPool::EmptyLike() const {
 
 void RrSketchPool::SetNetwork(uint64_t num_vertices,
                               uint64_t max_out_degree) {
-  num_vertices_ = std::min<uint64_t>(num_vertices, kExplicit);
+  num_vertices_ = std::min<uint64_t>(num_vertices, kIdLimit);
   max_out_degree_ = std::min<uint64_t>(max_out_degree, uint64_t{1} << 32);
   vertex_bits_ = IdBits(num_vertices_);
   rank_bits_ = IdBits(max_out_degree_);
@@ -34,20 +34,17 @@ void RrSketchPool::SetNetwork(uint64_t num_vertices,
 
 void RrSketchPool::Append(const RRView& sketch) {
   const size_t n = sketch.vertices.size();
-  const size_t m = sketch.edges.size();
+  const size_t m = sketch.num_edges();
   const bool in_tree = sketch.InTree();
-  // A view's block took the width its records need (AppendBlock,
-  // FinishLoaded), and so does this one.
   AppendBlock(sketch.root_local, sketch.vertices, m, in_tree,
-              sketch.edges.threshold_width(), [&](BlockWriter& out) {
+              [&](BlockWriter& out) {
     sketch.VisitCsr([&](const auto& in) {
-      PITEX_DCHECK(in.offset(n) == m);
       if (!in_tree) {
         for (size_t j = 0; j <= n; ++j) out.PutOffset(in.offset(j));
       }
       for (size_t k = 0; k < m; ++k) out.PutHead(in.head(k));
     });
-    for (size_t k = 0; k < m; ++k) out.PutEdge(sketch.edges[k]);
+    for (size_t k = 0; k < m; ++k) out.PutRank(sketch.ranks[k]);
   });
 }
 
@@ -86,25 +83,6 @@ uint64_t RrSketchPool::BodyStart(size_t i) const {
     return group.base + block_words_[BlockRank(i)];
   }
   return g + 1 < groups_.size() ? groups_[g + 1].base : BodyEnd();
-}
-
-std::vector<VertexId> RrSketchPool::SingletonRoots() const {
-  std::vector<VertexId> roots;
-  roots.reserve(num_sketches_ - block_words_.size());
-  if (!finished()) {
-    for (size_t i = 0; i < num_sketches_; ++i) {
-      if (IsSingleton(i)) roots.push_back(roots_[i]);
-    }
-    return roots;
-  }
-  // The sketches rooted at v are one range, and a singleton's one
-  // vertex is its root.
-  for (VertexId v = 0; v < num_universe_vertices(); ++v) {
-    for (const uint32_t id : RootRange(v)) {
-      if (IsSingleton(id)) roots.push_back(v);
-    }
-  }
-  return roots;
 }
 
 VertexId RrSketchPool::RootOf(size_t i) const {
@@ -189,7 +167,7 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
                   "runs must cover every sample exactly once");
   // The totals only grow, so checking them once covers every entry (the
   // runs checked each vertex id as they took it).
-  PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= kExplicit,
+  PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= kIdLimit,
                   "sketch pool exceeds its directory words");
 
   // Each segment's blocks are one stretch of its run's body, copied in
@@ -234,16 +212,8 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
 }
 
 RrSketchPool::FileDirectory RrSketchPool::SaveDirectory() const {
-  const std::vector<VertexId> roots = SingletonRoots();
-  uint64_t max_singleton = 0;
-  for (const VertexId root : roots) {
-    max_singleton = std::max<uint64_t>(max_singleton, root);
-  }
-  uint64_t max_offset = 0;
-  for (size_t b = 0; b < block_words_.size(); ++b) {
-    max_offset = std::max<uint64_t>(max_offset, block_words_[b]);
-  }
   FileDirectory file;
+  file.num_sketches = num_sketches_;
   uint64_t max_count = 0;
   for (size_t v = 0; v < num_universe_vertices(); ++v) {
     max_count = std::max<uint64_t>(max_count, RootRange(v).size());
@@ -261,23 +231,16 @@ RrSketchPool::FileDirectory RrSketchPool::SaveDirectory() const {
       StoreId<uint32_t>(counts, v, count);
     }
   }
-  file.width = DirectoryWidth(max_singleton, max_offset);
-  file.words.resize(size_t{num_sketches_} * file.width);
-  auto* words = reinterpret_cast<std::byte*>(file.words.data());
-  const uint32_t flag = 1u << (8 * file.width - 1);
-  size_t i = 0;
-  ForEachSketch(0, num_sketches_, [&](bool block, uint64_t value) {
-    const uint32_t word =
-        block ? flag | static_cast<uint32_t>(
-                           value - groups_[i >> kGroupBits].base)
-              : roots[value];
-    if (file.width == 2) {
-      StoreId<uint16_t>(words, i, word);
-    } else {
-      StoreId<uint32_t>(words, i, word);
-    }
-    ++i;
-  });
+  // The masks and the block words as the pool holds them: a word is its
+  // block's start less its group's base, at the width the words need.
+  file.masks.reserve(groups_.size());
+  for (const Group& group : groups_) file.masks.push_back(group.mask);
+  file.width = block_words_.width();
+  file.words.resize(block_words_.size() * file.width);
+  if (!file.words.empty()) {
+    std::memcpy(file.words.data(), block_words_.units.data(),
+                file.words.size());
+  }
   return file;
 }
 
@@ -285,12 +248,12 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
                                 const FileDirectory& file) {
   SetNetwork(topology.num_vertices(), topology.MaxOutDegree());
   topology_ = topology;
+  const uint64_t s = file.num_sketches;
   const uint32_t width = file.width;
-  const size_t s = file.words.size() / width;
   // The blocks, then their padding (none without a block).
   if (!body_.empty() && body_.size() <= kBitPadding) return false;
   const uint64_t end = BodyEnd();
-  if (s >= UINT32_MAX || end > kExplicit) return false;
+  if (s >= UINT32_MAX || end > kIdLimit) return false;
   // Each root's sketches, summed into the root starts: they must count
   // every sketch once, at the width the largest count needs.
   if (file.counts.size() != num_vertices_ * file.count_width) return false;
@@ -311,20 +274,29 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
       file.count_width != CountWidth(max_count)) {
     return false;
   }
+  // A mask per group of 64 sketches, no bit set past the last sketch,
+  // and a word per set bit.
+  if (file.masks.size() != (s + kGroup - 1) / kGroup ||
+      ((width != 2 && width != 4) || file.words.size() % width != 0)) {
+    return false;
+  }
+  uint64_t blocks = 0;
+  for (const uint64_t mask : file.masks) blocks += PopCount(mask);
+  if ((s % kGroup != 0 && (file.masks.back() >> (s % kGroup)) != 0) ||
+      blocks != file.words.size() / width) {
+    return false;
+  }
   root_starts_.Assign(std::span<const uint32_t>(root_start));
-  const uint32_t flag = 1u << (8 * width - 1);
   const auto* bytes = reinterpret_cast<const std::byte*>(file.words.data());
-  const auto word_at = [&](size_t i) {
-    return width == 2 ? LoadId<uint16_t>(bytes, i) : LoadId<uint32_t>(bytes, i);
+  const auto word_at = [&](size_t b) {
+    return width == 2 ? LoadId<uint16_t>(bytes, b) : LoadId<uint32_t>(bytes, b);
   };
-  size_t blocks = 0;
-  for (size_t i = 0; i < s; ++i) blocks += (word_at(i) & flag) != 0;
-  groups_.reserve((s + kGroup - 1) / kGroup);
+  groups_.reserve(file.masks.size());
   block_words_.Reserve(blocks, 2);
   uint64_t body = 0;      // where the next block must start
   uint64_t vertices = 0;  // every sketch's, which must fit 32 bits
-  uint64_t max_singleton = 0;
   uint64_t max_offset = 0;
+  size_t block = 0;   // the next block's word
   VertexId root = 0;  // the vertex whose root range holds sketch i
   std::vector<uint8_t> marks;  // ParentsReachRoot's scratch
   // A varint inside the blocks of at most 32 bits (View reads it as a
@@ -343,16 +315,13 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
   for (size_t i = 0; i < s; ++i) {
     while (root_start[root + 1] <= i) ++root;
     OpenGroup(body);
-    const uint32_t word = word_at(i);
-    if ((word & flag) == 0) {
-      if (word != root) return false;
-      max_singleton = std::max<uint64_t>(max_singleton, word);
+    if (((file.masks[i >> kGroupBits] >> (i & kGroupMask)) & 1) == 0) {
       PushSingleton();
       ++vertices;
       continue;
     }
     const uint64_t offset = body - groups_.back().base;
-    if ((word & ~flag) != offset) return false;
+    if (word_at(block++) != offset) return false;
     max_offset = std::max(max_offset, offset);
     // The header, and the edge count of a block that is not an in-tree:
     // they size the block, which must fit before the padding. A
@@ -361,20 +330,19 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
     uint64_t header = 0;
     if (!varint(&at, &header)) return false;
     const uint64_t n = header >> kHeaderFlagBits;
-    const auto w = static_cast<uint32_t>(header >> 1) & kMaxThresholdWidth;
     const bool in_tree = (header & kInTree) != 0;
     uint64_t m = n - 1;
     // A header of at most 32 bits holds n <= kMaxBlockVertices.
     if (n == 0 || (!in_tree && !varint(&at, &m))) return false;
-    const uint64_t length = BodyLength(n, m, in_tree, w);
+    const uint64_t length = BodyLength(n, m, in_tree);
     if (length == 0 || length > end - body ||
-        FieldBits(n, m, in_tree, w) > UINT32_MAX) {
+        FieldBits(n, m, in_tree) > UINT32_MAX) {
       return false;
     }
     PushBlock(offset);
     const RRView view = ViewAt(body_.data() + body, root);
     // The bits after the last field, to the block's end, are zero.
-    const uint64_t bits = FieldBits(n, m, in_tree, w);
+    const uint64_t bits = FieldBits(n, m, in_tree);
     if ((bits & 7) != 0 && (body_[body + length - 1] >> (bits & 7)) != 0) {
       return false;
     }
@@ -406,33 +374,26 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
     });
     if (!csr_ok || (in_tree && !ParentsReachRoot(view, &marks))) return false;
     // Each rank names an out-edge of its tail that ends at the record's
-    // head. Every sampler writes 0 <= c(e) <= p(e) <= 1: a stored value
-    // above 1.0f's bits decodes below +0.0 (a negative or NaN float's
-    // bits, which lie above them too), and one above 1 would make the
-    // edge dead under every tag set. The thresholds take the width
-    // their largest stored value needs, no wider.
-    uint32_t largest = 0;
+    // head.
     const bool records_ok = view.VisitCsr([&](const auto& csr) {
       for (uint32_t tail = 0; tail < n; ++tail) {
         const auto out = topology_.OutEdges(view.vertices[tail]);
         for (uint32_t k = csr.offset(tail); k < csr.offset(tail + 1); ++k) {
-          const RRLocalEdge e = view.edges[k];
-          if (e.rank >= out.size() ||
-              out[e.rank].vertex != view.vertices[csr.head(k)] ||
-              std::bit_cast<uint32_t>(e.threshold) > kMaxThresholdBits) {
+          const uint32_t rank = view.ranks[k];
+          if (rank >= out.size() ||
+              out[rank].vertex != view.vertices[csr.head(k)]) {
             return false;
           }
-          largest = std::max(largest, StoredThreshold(e.threshold));
         }
       }
       return true;
     });
-    if (!records_ok || ThresholdWidth(largest) != w) return false;
+    if (!records_ok) return false;
     vertices += n;
     body += length;
   }
   if (body != end || vertices > UINT32_MAX ||
-      width != DirectoryWidth(max_singleton, max_offset) ||
+      width != (max_offset > UINT16_MAX ? 4u : 2u) ||
       !std::all_of(body_.begin() + static_cast<std::ptrdiff_t>(end),
                    body_.end(), [](uint8_t byte) { return byte == 0; })) {
     return false;

@@ -36,40 +36,28 @@
 //                    group's. Every word takes 2 bytes while each fits
 //                    16 bits, else every word takes 4
 //   body_[start ..]  a header, the LEB128 varint (PutVarint) of
-//                    n_i << 4 | w_i << 1 | in-tree (one byte while
-//                    n_i <= 7), and for a block that is not an in-tree
-//                    a second varint, m_i; then bit-granular fields,
-//                    LSB-first from the next byte (src/util/bits.h): the
-//                    n_i - 1 sorted vertex ids other than the root's at
-//                    V bits each, the root's local id (where the root
-//                    goes among them) at L_i = bit_width(n_i - 1) bits,
-//                    the
+//                    n_i << 1 | in-tree (one byte while n_i <= 63), and
+//                    for a block that is not an in-tree a second
+//                    varint, m_i; then bit-granular fields, LSB-first
+//                    from the next byte (src/util/bits.h): the n_i - 1
+//                    sorted vertex ids other than the root's at V bits
+//                    each, the root's local id (where the root goes
+//                    among them) at L_i = bit_width(n_i - 1) bits, the
 //                    n_i + 1 local CSR offsets (0 .. m_i) at
 //                    bit_width(m_i) bits unless the block is an in-tree,
 //                    the m_i local edge heads at L_i bits, and the m_i
 //                    records, each the edge's rank in its tail's
-//                    out-list at R bits and its threshold c as
-//                    0x3F800000 - bits(c), 1.0f's bits less c's
-//                    (StoredThreshold), at 23 + w_i bits; then zero bits
-//                    to the next byte
+//                    out-list at R bits; then zero bits to the next byte
 //   body_[end ..]    kBitPadding zero bytes after the last block, so
 //                    every field is one shifted 8-byte load (LoadBits)
 // V = bit_width(|V| - 1) and R = bit_width(D - 1), D the network's
 // largest out-degree, are the pool's, set from the network it samples
 // when it is constructed or loaded, with no option: on pitexbench's
 // network (25,000 vertices, at most 18 out-edges each) V = 15 and R = 5.
-// The threshold width w_i in [0, 7] is the block's own, the fewest bits
-// past 23 its largest stored value needs (ThresholdWidth): thresholds in
-// (0.5, 1] take 23 bits, and +0.0f, whose stored value is 0x3F800000, 30.
-// Every writer takes w_i from the thresholds it puts, before the header
-// (the generator and the repair assembly from the edges they stage,
-// Append from its view's block), and a reader gets a threshold's bits
-// back with one subtract. Every float in [+0, 1], +0.0f and subnormals
-// included, round-trips exactly. On pitexbench's network w_i is 0 to 5
-// and a record takes 28 to 33 bits. A block's w_i comes from its own
-// records, not the pool's, as runs are written before the pool's
-// smallest threshold is known: FromRuns then copies blocks as they are.
-// A record's edge always leaves its own tail, the local vertex whose CSR
+// A record is its rank alone: its threshold is not stored but computed
+// where the record is probed, from the index's seed, the sketch's id and
+// the edge's current envelope (SketchThresholds in src/index/rr_graph.h),
+// so a pool holds sketch shapes only. A record's edge always leaves its own tail, the local vertex whose CSR
 // range holds it, so its rank in that tail's out-list (Graph::OutEdges)
 // names it; the pool holds the network's topology (a Graph, whose copies
 // share one storage) and its views decode a rank to the edge's id there
@@ -77,7 +65,7 @@
 // vertices. A block's walk therefore reads its group's record, its word,
 // the block and, per probed edge, its tail's out-list offset and entry
 // in the graph. On pitexbench's network (200,000 sketches, 85,966 of
-// them blocks) the largest block start less its base is 2,755 B, so the
+// them blocks) the largest block start less its base is 1,336 B, so the
 // directory takes 3,125 records and 2-byte words: 221,932 B.
 // An *in-tree* block is one whose CSR gives the root no out-edge and
 // every other vertex exactly one (IsInTree): m_i = n_i - 1 and offset j
@@ -109,9 +97,7 @@
 // is in no containing list: the estimate counts it, with every other
 // sketch of u's root range, a hit from the range's size alone, and
 // every sketch a list names is a block. A run (below) records each
-// sketch's root in append order; a finished pool holds none. The index
-// writer's singleton words take the roots from one walk of the root
-// ranges and mask bits (SingletonRoots), which decodes no list.
+// sketch's root in append order; a finished pool holds none.
 //
 // Root ranges: RootStart(u), the first sketch rooted at u or after it,
 // for u in [0, |V|], in root_starts_, a GroupWords (below) of sketch
@@ -181,20 +167,17 @@
 // block words at 2 bytes and widens them once, in place, when a word
 // first fails to fit them (WordArray::Push); the widening doubles the
 // words' room, so FromRuns' exact-size arrays stay exact.
-// The index file (src/index/index_io.h, v13) keeps each vertex's count
+// The index file (src/index/index_io.h, v14) keeps each vertex's count
 // of rooted sketches, at the width the largest needs (CountWidth), and
-// the directory as it was before singletons left it: one word per
-// sketch, a singleton's root or the file flag (the word's top bit) |
-// its block's start less its group's base, every word at the width
-// DirectoryWidth gives. The writer builds those words and counts from
-// the root ranges (SingletonRoots). A loaded pool was written this way
-// before it was saved: FinishLoaded builds the root ranges from the
-// counts, which must sum to the sketch count, and accepts the file's
-// words and the body only if they are exactly what appending the pool's
-// own views to a run, finishing it and saving it writes (a singleton's
-// word is its range's root; a block's vertices, its root among them at
-// its root id, strictly ascend), then builds the directory from them
-// and the containing index from the blocks. An
+// the directory as the pool holds it: each group's mask and a word per
+// block, its start less its group's base. A loaded pool was written
+// this way before it was saved: FinishLoaded builds the root ranges
+// from the counts, which must sum to the sketch count, and accepts the
+// file's masks, words and body only if they are exactly what appending
+// the pool's own views to a run, finishing it and saving it writes (a
+// block's vertices, its root among them at its root id, strictly
+// ascend), then builds the directory from them and the containing index
+// from the blocks. An
 // overlay's sketch store is a run that Fold copies from but never
 // finishes, and the two other runs SketchArena writes are never finished
 // either: the one-sketch run DynamicRrIndex re-closes each repaired
@@ -288,17 +271,16 @@ inline const uint8_t* GetVarint(const uint8_t* at, uint32_t* x) {
 /// The write side of one pool block's CSR, as RrSketchPool::AppendSketch
 /// hands it to its fill: the fill puts the block's n + 1 offsets (none in
 /// an in-tree block, which stores none), then its m heads, then its m
-/// edge records, each in order, and each field goes straight into the
-/// block's bits at its width.
+/// edge records (ranks), each in order, and each field goes straight
+/// into the block's bits at its width.
 class BlockWriter {
  public:
   BlockWriter(BitWriter* bits, uint32_t offset_bits, uint32_t head_bits,
-              uint32_t rank_bits, uint32_t threshold_width)
+              uint32_t rank_bits)
       : bits_(bits),
         offset_bits_(offset_bits),
         head_bits_(head_bits),
-        rank_bits_(rank_bits),
-        threshold_bits_(kThresholdBits + threshold_width) {}
+        rank_bits_(rank_bits) {}
 
   void PutOffset(uint32_t offset) {
     PITEX_DCHECK(offset <= LowMask(offset_bits_));
@@ -308,16 +290,10 @@ class BlockWriter {
     PITEX_DCHECK(head <= LowMask(head_bits_));
     bits_->Put(head, head_bits_);
   }
-  /// The rank, then the stored threshold (StoredThreshold), in one
-  /// field.
-  void PutEdge(RRLocalEdge edge) {
-    const uint32_t threshold = StoredThreshold(edge.threshold);
-    PITEX_DCHECK(edge.rank <= LowMask(rank_bits_) &&
-                 std::bit_cast<uint32_t>(edge.threshold) <=
-                     kMaxThresholdBits &&
-                 threshold <= LowMask(threshold_bits_));
-    bits_->Put(edge.rank | uint64_t{threshold} << rank_bits_,
-               rank_bits_ + threshold_bits_);
+  /// An edge record: the edge's rank in its tail's out-list.
+  void PutRank(uint32_t rank) {
+    PITEX_DCHECK(rank <= LowMask(rank_bits_));
+    bits_->Put(rank, rank_bits_);
   }
 
  private:
@@ -325,7 +301,6 @@ class BlockWriter {
   uint32_t offset_bits_;
   uint32_t head_bits_;
   uint32_t rank_bits_;
-  uint32_t threshold_bits_;
 };
 
 /// Words of 2 bytes each or of 4 bytes each, in the host's byte order.
@@ -756,9 +731,9 @@ inline void AppendRooted(const ContainingList& list,
 
 class RrSketchPool {
  public:
-  /// A block header is Header(n, w, in-tree): n above 4 bits that hold
-  /// the threshold width w (bits 1 to 3) and the in-tree flag (bit 0).
-  static constexpr uint32_t kHeaderFlagBits = 4;
+  /// A block header is Header(n, in-tree): n above the in-tree flag
+  /// (bit 0).
+  static constexpr uint32_t kHeaderFlagBits = 1;
   /// The header fits 32 bits (GetVarint reads a u32), so a block holds
   /// at most this many vertices. A block's fields fit 2^32 bits, which
   /// already keeps n below it (n * bit_width(n - 1) < 2^32).
@@ -766,7 +741,6 @@ class RrSketchPool {
       (uint64_t{1} << (32 - kHeaderFlagBits)) - 1;
   static_assert((kMaxBlockVertices << kHeaderFlagBits |
                  LowMask(kHeaderFlagBits)) == UINT32_MAX);
-  static_assert(kMaxThresholdWidth << 1 < (1u << kHeaderFlagBits));
 
   /// A finished pool's sketches [id, id + count), stored in order as
   /// sketches [first, first + count) of run `run`: what FromRuns copies.
@@ -777,10 +751,9 @@ class RrSketchPool {
     uint32_t count = 0;
   };
 
-  /// A pool whose fields hold any vertex id the index file's directory
-  /// words do (below 2^31) and any rank: 31- and 32-bit fields, and no
-  /// topology.
-  RrSketchPool() : RrSketchPool(kExplicit, uint64_t{1} << 32) {}
+  /// A pool whose fields hold any vertex id (below 2^31) and any rank:
+  /// 31- and 32-bit fields, and no topology.
+  RrSketchPool() : RrSketchPool(kIdLimit, uint64_t{1} << 32) {}
   /// A pool of sketches of `topology`: its vertex fields take
   /// IdBits(|V|) bits, its ranks IdBits(largest out-degree), and its
   /// views decode ranks against it (the pool keeps a copy, which shares
@@ -822,20 +795,15 @@ class RrSketchPool {
   /// Appends the sketch with `vertices` (sorted), rooted at
   /// vertices[root_local], and m edges, as Append does: fill(out) puts
   /// its n + 1 offsets unless `in_tree`, then its m heads, then its m
-  /// edge records, in order, through a BlockWriter& `out`. `in_tree`
-  /// says whether those offsets are an in-tree's (IsInTree), and the
-  /// block then stores none of them. `threshold_width` is the width the
-  /// records' thresholds need (ThresholdWidth of their largest
-  /// StoredThreshold; 0 without edges), which the block's records take.
-  /// The block stores every vertex but the root; the run records the
-  /// root. An implicit singleton (one vertex, no edges) has nothing to
-  /// write and calls no fill.
+  /// ranks, in order, through a BlockWriter& `out`. `in_tree` says
+  /// whether those offsets are an in-tree's (IsInTree), and the block
+  /// then stores none of them. The block stores every vertex but the
+  /// root; the run records the root. An implicit singleton (one vertex,
+  /// no edges) has nothing to write and calls no fill.
   template <typename Fill>
   void AppendSketch(uint32_t root_local, std::span<const VertexId> vertices,
-                    size_t m, bool in_tree, uint32_t threshold_width,
-                    Fill&& fill) {
-    AppendBlock(root_local, vertices, m, in_tree, threshold_width,
-                std::forward<Fill>(fill));
+                    size_t m, bool in_tree, Fill&& fill) {
+    AppendBlock(root_local, vertices, m, in_tree, std::forward<Fill>(fill));
   }
   /// Drops every sketch, keeping every array's capacity: a cleared run
   /// takes appends without allocating up to its high-water mark.
@@ -894,12 +862,6 @@ class RrSketchPool {
   /// group's words.
   VertexId RootOf(size_t i) const;
 
-  /// Every singleton's root, in sketch order: a run's as it recorded
-  /// them; a finished pool's, which it does not hold, from one walk of
-  /// its root ranges and mask bits, in O(|V| + theta) — for the cold
-  /// paths only (the index writer, Fold, tests).
-  std::vector<VertexId> SingletonRoots() const;
-
   /// Ids (sketch positions) of the sketches rooted at u, one range: a
   /// finished pool numbers its sketches in root order.
   std::ranges::iota_view<uint32_t, uint32_t> RootRange(VertexId u) const {
@@ -956,13 +918,15 @@ class RrSketchPool {
     uint64_t mask;  // bit j set: sketch 64g + j is a block
   };
 
-  /// The directory as the index file holds it: each vertex's count of
-  /// rooted sketches at `count_width` bytes (CountWidth), then one word
-  /// per sketch at `width` bytes (DirectoryWidth), in the host's byte
-  /// order.
+  /// The directory as the index file holds it, for `num_sketches`
+  /// sketches: each vertex's count of rooted sketches at `count_width`
+  /// bytes (CountWidth), each group's mask, then one word per block at
+  /// `width` bytes, in the host's byte order.
   struct FileDirectory {
+    uint64_t num_sketches = 0;
     uint32_t count_width = 1;
     std::vector<uint8_t> counts;
+    std::vector<uint64_t> masks;
     uint32_t width = 2;
     std::vector<uint8_t> words;
   };
@@ -970,16 +934,11 @@ class RrSketchPool {
   /// The header flag of a block that is an in-tree and stores no
   /// offsets (and no edge count: m = n - 1).
   static constexpr uint32_t kInTree = 1;
-  /// A 4-byte file directory word's top bit, the flag of a block
-  /// offset: vertex ids and block offsets stay below it. A 2-byte
-  /// word's flag is bit 15, and its vertex ids and offsets stay below
-  /// that.
-  static constexpr uint32_t kExplicit = 1u << 31;
-  static constexpr uint32_t kNarrowExplicit = 1u << 15;
-  /// The header of a block of n vertices whose thresholds take
-  /// threshold width w, an in-tree or not.
-  static uint64_t Header(uint64_t n, uint32_t w, bool in_tree) {
-    return n << kHeaderFlagBits | uint64_t{w} << 1 | (in_tree ? kInTree : 0);
+  /// Vertex ids and block offsets stay below it: 31 bits.
+  static constexpr uint32_t kIdLimit = 1u << 31;
+  /// The header of a block of n vertices, an in-tree or not.
+  static uint64_t Header(uint64_t n, bool in_tree) {
+    return n << kHeaderFlagBits | (in_tree ? kInTree : 0);
   }
   /// Zero bytes for the 8-byte loads of an implicit singleton's view's
   /// 0-bit fields: its vertex, whose value is the view's base, its root
@@ -987,22 +946,20 @@ class RrSketchPool {
   static constexpr uint8_t kZeros[sizeof(uint64_t)] = {};
 
   /// Bits of a block's fields after its header, with n vertices and m
-  /// edges, an in-tree or not, and threshold width w: the vertices but
-  /// the root, the root id, any offsets, the heads and the records.
-  uint64_t FieldBits(uint64_t n, uint64_t m, bool in_tree, uint32_t w) const {
+  /// edges, an in-tree or not: the vertices but the root, the root id,
+  /// any offsets, the heads and the ranks.
+  uint64_t FieldBits(uint64_t n, uint64_t m, bool in_tree) const {
     const uint64_t id_bits = IdBits(n);
     return (n - 1) * vertex_bits_ + id_bits +
-           (in_tree ? 0 : (n + 1) * IdBits(m + 1)) +
-           m * (id_bits + rank_bits_ + kThresholdBits + w);
+           (in_tree ? 0 : (n + 1) * IdBits(m + 1)) + m * (id_bits + rank_bits_);
   }
   /// body_ bytes of a sketch with n vertices and m edges in this form:
   /// none for an implicit singleton, else the header (and the edge
   /// count of a block that is not an in-tree) and the fields' bytes.
-  uint64_t BodyLength(uint64_t n, uint64_t m, bool in_tree, uint32_t w) const {
+  uint64_t BodyLength(uint64_t n, uint64_t m, bool in_tree) const {
     if (n == 1 && m == 0) return 0;
-    return VarintLength(Header(n, w, in_tree)) +
-           (in_tree ? 0 : VarintLength(m)) +
-           (FieldBits(n, m, in_tree, w) + 7) / 8;
+    return VarintLength(Header(n, in_tree)) +
+           (in_tree ? 0 : VarintLength(m)) + (FieldBits(n, m, in_tree) + 7) / 8;
   }
   /// Where block i starts in body_.
   const uint8_t* BlockAt(size_t i) const {
@@ -1016,14 +973,14 @@ class RrSketchPool {
   RRView SingletonView(VertexId root) const {
     const PackedIds none{kZeros, 0, 0};
     return RRView{0, VertexIds(none, 1, root), PackedIds{}, none,
-                  EdgeRecords({kZeros, 0, rank_bits_}, 0, 0), &topology_};
+                  PackedIds{kZeros, 0, rank_bits_}, &topology_,
+                  SketchThresholds{}};
   }
   /// The view of the block at `at`, whose root is `root`.
   RRView ViewAt(const uint8_t* at, VertexId root) const {
     uint32_t header;
     at = GetVarint(at, &header);
     const uint32_t n = header >> kHeaderFlagBits;
-    const uint32_t w = (header >> 1) & kMaxThresholdWidth;
     const bool in_tree = (header & kInTree) != 0;
     uint32_t m = n - 1;
     if (!in_tree) [[unlikely]] at = GetVarint(at, &m);
@@ -1046,8 +1003,9 @@ class RrSketchPool {
         PackedIds{in_tree ? nullptr : at, m == 0 ? 0 : offsets_at,
                   offset_bits},
         PackedIds{at, heads_at, id_bits},
-        EdgeRecords({at, heads_at + m * id_bits, rank_bits_}, m, w),
-        &topology_};
+        PackedIds{at, heads_at + m * id_bits, rank_bits_},
+        &topology_,
+        SketchThresholds{}};
   }
 
   /// Where the blocks end in body_: before its padding.
@@ -1073,24 +1031,14 @@ class RrSketchPool {
                     LowMask(static_cast<uint32_t>(i & kGroupMask)));
   }
 
-  /// Bytes per word of the index file's directory, whose largest
-  /// singleton root is `max_singleton` and whose largest block start
-  /// less its group's base is `max_offset`: 2 while both lie below the
-  /// 2-byte word's flag bit 15, else 4.
-  static uint32_t DirectoryWidth(uint64_t max_singleton, uint64_t max_offset) {
-    return max_singleton < kNarrowExplicit && max_offset < kNarrowExplicit
-               ? 2
-               : 4;
-  }
   /// Bytes per root count of the index file, whose largest count is
   /// `max_count`: 1, 2 or 4, the fewest that hold it.
   static uint32_t CountWidth(uint64_t max_count) {
     return max_count <= UINT8_MAX ? 1 : max_count <= UINT16_MAX ? 2 : 4;
   }
 
-  /// Calls fn(block, value) for sketches first .. last - 1 in order:
-  /// value is where a block starts in body_, or a singleton's rank among
-  /// the singletons (its root's place in SingletonRoots). One
+  /// Calls fn(block, start) for sketches first .. last - 1 in order:
+  /// start is where a block starts in body_, and 0 for a singleton. One
   /// dispatch on the word width, then a loop at that width that keeps
   /// the arrays' addresses in registers whatever fn stores.
   template <typename Fn>
@@ -1100,13 +1048,12 @@ class RrSketchPool {
           reinterpret_cast<const std::byte*>(block_words_.units.data());
       const Group* groups = groups_.data();
       size_t block = BlockRank(first);
-      size_t singleton = first - block;
       for (size_t i = first; i < last; ++i) {
         const Group& group = groups[i >> kGroupBits];
         if (((group.mask >> (i & kGroupMask)) & 1) != 0) {
           fn(true, uint64_t{group.base} + LoadId<T>(words, block++));
         } else {
-          fn(false, uint64_t{singleton++});
+          fn(false, uint64_t{0});
         }
       }
     };
@@ -1163,14 +1110,14 @@ class RrSketchPool {
   /// at this pool's width.
   template <typename VertexRange, typename Fill>
   void AppendBlock(uint32_t root_local, const VertexRange& vertices, size_t m,
-                   bool in_tree, uint32_t threshold_width, Fill&& fill);
+                   bool in_tree, Fill&& fill);
 
   /// Where sketch i's block would start in body_: the start of the first
   /// block at or after i, or the end of the blocks.
   uint64_t BodyStart(size_t i) const;
 
-  /// The index file's root counts and directory words of this finished
-  /// pool.
+  /// The index file's root counts, group masks and block words of this
+  /// finished pool.
   FileDirectory SaveDirectory() const;
 
   /// Checks a pool whose body_ was read from a file (src/index/
@@ -1179,31 +1126,27 @@ class RrSketchPool {
   /// the pool's; if they hold, builds its directory, its root ranges
   /// and its containing index. The file's counts hold each vertex's
   /// count of rooted sketches, at the width the largest needs
-  /// (CountWidth), and must sum to the word count: they set the root
+  /// (CountWidth), and must sum to the sketch count: they set the root
   /// ranges, and each sketch's root is the vertex whose range holds it.
-  /// Walking the words
-  /// in order, each group's base is where the next block must start,
-  /// each singleton's vertex must be its root, each block's vertices,
+  /// The file holds one mask per group of 64 sketches, with no bit set
+  /// past the last sketch, and one word per set bit, at 4 bytes only if
+  /// some word needs them. Walking the sketches in order, each group's
+  /// base is where the next block must start, each block's vertices,
   /// its stored ones and its root at its root id, must strictly ascend
-  /// and lie below |V|, each block must start where the one before it
-  /// ended (its word is the flag | that start less its base), and the
-  /// words may take 4 bytes only if some word needs them
-  /// (DirectoryWidth). Each block's
+  /// and lie below |V|, and each block must start where the one before
+  /// it ended (its word is that start less its base). Each block's
   /// header (and edge count) must be a varint of no more bytes than its
   /// value needs, with 0 < n <= kMaxBlockVertices, not a singleton's
   /// shape, and the in-tree flag exactly when its offsets are an
   /// in-tree's (a block of an in-tree's shape stored with offsets
   /// fails); its root id and heads lie below n, its offsets rise from 0
   /// to m, an in-tree's parent pointers lead every vertex to its root
-  /// (ParentsReachRoot), each record's rank lies below its tail's
-  /// out-degree and names an out-edge whose head is the record's head
-  /// vertex, its stored threshold is at most 1.0f's bits (so it decodes
-  /// to [+0, 1]), the threshold width is the one the records need
-  /// (ThresholdWidth), and the bits after its last field are zero; the
-  /// blocks end at body_'s padding, whose bytes are zero. So a pool that
-  /// passes is exactly what appending its own views to a run, finishing
-  /// it (FromRuns) and saving it writes. False on the first check that
-  /// fails.
+  /// (ParentsReachRoot), each rank lies below its tail's out-degree and
+  /// names an out-edge whose head is the record's head vertex, and the
+  /// bits after its last field are zero; the blocks end at body_'s
+  /// padding, whose bytes are zero. So a pool that passes is exactly
+  /// what appending its own views to a run, finishing it (FromRuns) and
+  /// saving it writes. False on the first check that fails.
   bool FinishLoaded(const Graph& topology, const FileDirectory& file);
 
   /// Rebuilds containing_starts_ and containing_ from the blocks' stored
@@ -1234,7 +1177,7 @@ class RrSketchPool {
   GroupWords containing_starts_;     // num_vertices + 1 bit offsets
   std::vector<uint8_t> containing_;  // Rice-coded lists, by vertex
   Graph topology_;             // what ranks decode against; may be empty
-  uint64_t num_vertices_ = 0;  // the network's, below kExplicit
+  uint64_t num_vertices_ = 0;  // the network's, at most kIdLimit
   uint64_t max_out_degree_ = 0;  // the network's, at most 2^32
   uint32_t num_sketches_ = 0;
   uint32_t vertex_bits_ = 0;
@@ -1247,13 +1190,10 @@ class RrSketchPool {
 template <typename VertexRange, typename Fill>
 void RrSketchPool::AppendBlock(uint32_t root_local,
                                const VertexRange& vertices, size_t m,
-                               bool in_tree, uint32_t threshold_width,
-                               Fill&& fill) {
+                               bool in_tree, Fill&& fill) {
   const size_t n = vertices.size();
-  const uint32_t w = threshold_width;
   PITEX_DCHECK(root_local < n);
   PITEX_DCHECK(!in_tree || m + 1 == n);
-  PITEX_DCHECK(w <= kMaxThresholdWidth && (m > 0 || w == 0));
   // Sorted, so the last vertex is the largest.
   PITEX_CHECK_MSG(vertices[n - 1] < num_vertices_,
                   "sketch vertex lies outside the pool's network");
@@ -1266,18 +1206,18 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
   const VertexId root = vertices[root_local];
   PITEX_DCHECK(root != kUnresolvedRoot);
   roots_.push_back(root);
-  const uint64_t length = BodyLength(n, m, in_tree, w);
+  const uint64_t length = BodyLength(n, m, in_tree);
   if (length == 0) {
     // Implicit singleton: the directory holds only its clear mask bit.
     PushSingleton();
   } else {
     PITEX_CHECK_MSG(n <= kMaxBlockVertices && m <= UINT32_MAX &&
-                        FieldBits(n, m, in_tree, w) <= UINT32_MAX,
+                        FieldBits(n, m, in_tree) <= UINT32_MAX,
                     "sketch exceeds the block header's counts");
     // The old padding becomes the block's first bytes; new padding
     // follows it, zero.
     body_.resize(start + length + kBitPadding);
-    uint8_t* fields = PutVarint(Header(n, w, in_tree), body_.data() + start);
+    uint8_t* fields = PutVarint(Header(n, in_tree), body_.data() + start);
     if (!in_tree) fields = PutVarint(m, fields);
     BitWriter bits(fields);
     for (size_t j = 0; j < n; ++j) {
@@ -1286,20 +1226,18 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
     const uint32_t id_bits = IdBits(n);
     bits.Put(root_local, id_bits);
     BlockWriter out(&bits, in_tree ? 0 : IdBits(uint64_t{m} + 1), id_bits,
-                    rank_bits_, w);
+                    rank_bits_);
     fill(out);
     [[maybe_unused]] const uint64_t written = bits.Finish();
-    PITEX_DCHECK(written == FieldBits(n, m, in_tree, w));
+    PITEX_DCHECK(written == FieldBits(n, m, in_tree));
     PushBlock(start - groups_.back().base);
-    // Offsets stored only where they are not an in-tree's, an in-tree's
-    // parents lead to its root, and the thresholds take the width they
-    // need.
+    // Offsets stored only where they are not an in-tree's, and an
+    // in-tree's parents lead to its root.
     PITEX_DCHECK(View(i, root).InTree() == in_tree);
     PITEX_DCHECK(!in_tree || ParentsReachRoot(View(i, root)));
-    PITEX_DCHECK(NeededThresholdWidth(View(i, root).edges) == w);
   }
-  // Every block's start stays below the file directory word's flag.
-  PITEX_CHECK_MSG(BodyEnd() <= kExplicit,
+  // Every block's start stays below 2^31.
+  PITEX_CHECK_MSG(BodyEnd() <= kIdLimit,
                   "sketch pool exceeds its directory words");
   max_sketch_vertices_ =
       std::max(max_sketch_vertices_, static_cast<uint32_t>(n));

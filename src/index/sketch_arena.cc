@@ -24,18 +24,18 @@ PITEX_NOALLOC void SketchArena::PutSortedEdges(std::span<const Edge> edges,
                                                const RankOf& rank_of,
                                                BlockWriter* out) {
   // counts_[j] starts tail j's edges; each kept edge takes the next
-  // place of its tail, and then the block's heads and records go in
-  // that order.
+  // place of its tail, and then the block's heads and ranks go in that
+  // order.
   sorted_.resize(edges.size());
   size_t m = 0;
   for (const Edge& s : edges) {
     if (!kept(s)) continue;
     sorted_[counts_[local_index_[s.tail]]++] =
-        SortedEdge{local_index_[s.head], RRLocalEdge{rank_of(s), s.threshold}};
+        SortedEdge{local_index_[s.head], rank_of(s)};
     ++m;
   }
   for (size_t k = 0; k < m; ++k) out->PutHead(sorted_[k].head);
-  for (size_t k = 0; k < m; ++k) out->PutEdge(sorted_[k].record);
+  for (size_t k = 0; k < m; ++k) out->PutRank(sorted_[k].rank);
 }
 
 template <typename EnvOf, typename RankOf>
@@ -58,10 +58,9 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
     stack_.pop_back();
     const auto in = graph.InEdges(v);
     const auto [env, vmax] = env_of(v);
-    SampleLiveInEdges(env, vmax, rng, [&](size_t j, double u) {
+    SampleLiveInEdges(env, vmax, rng, [&](size_t j) {
       const VertexId w = in[j].vertex;
-      staged_.push_back(
-          RankedSample{w, v, rank_of(v, j), static_cast<float>(u)});
+      staged_.push_back(RankedSample{w, v, rank_of(v, j)});
       if (mark_[w] != epoch) {
         mark_[w] = epoch;
         vertices.push_back(w);
@@ -72,33 +71,27 @@ PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
   // No live in-edge: the root alone, an implicit singleton with no
   // block to assemble.
   if (staged_.empty()) {
-    run->AppendSketch(0, vertices, 0, /*in_tree=*/true, 0,
-                      [](BlockWriter&) {});
+    run->AppendSketch(0, vertices, 0, /*in_tree=*/true, [](BlockWriter&) {});
     return;
   }
 
   // Local assembly straight into the run's block: sort the vertices (no
   // duplicates by construction), dense global -> local map via the epoch
   // marks, then counting-sort the staged edges by local tail (stable, so
-  // per-tail edge order is probe order). The count pass also finds the
-  // largest stored threshold, which sets the block's threshold width.
+  // per-tail edge order is probe order).
   std::sort(vertices.begin(), vertices.end());
   const size_t n = vertices.size();
   for (size_t j = 0; j < n; ++j) {
     local_index_[vertices[j]] = static_cast<uint32_t>(j);
   }
   counts_.assign(n + 1, 0);
-  uint32_t largest = 0;
-  for (const RankedSample& s : staged_) {
-    ++counts_[local_index_[s.tail] + 1];
-    largest = std::max(largest, StoredThreshold(s.threshold));
-  }
+  for (const RankedSample& s : staged_) ++counts_[local_index_[s.tail] + 1];
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
   const uint32_t root_local = local_index_[root];
   const bool in_tree =
       IsInTree(n, root_local, [this](size_t j) { return counts_[j]; });
   run->AppendSketch(root_local, vertices, staged_.size(), in_tree,
-                    ThresholdWidth(largest), [&](BlockWriter& out) {
+                    [&](BlockWriter& out) {
     if (!in_tree) {
       for (size_t j = 0; j <= n; ++j) out.PutOffset(counts_[j]);
     }
@@ -213,7 +206,6 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
   // edge reaches is an implicit singleton, and the fill is not called.
   counts_.assign(n + 1, 0);
   size_t kept_edges = 0;
-  uint32_t largest = 0;  // stored threshold, which sets the block's width
   auto kept = [&](const GlobalEdgeSample& s) {
     return mark_[s.tail] == epoch && mark_[s.head] == epoch;
   };
@@ -221,14 +213,13 @@ PITEX_NOALLOC void SketchArena::RebuildRepairedSketch(
     if (!kept(s)) continue;
     ++counts_[local_index_[s.tail] + 1];
     ++kept_edges;
-    largest = std::max(largest, StoredThreshold(s.threshold));
   }
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
   const uint32_t root_local = local_index_[root];
   const bool in_tree =
       IsInTree(n, root_local, [this](size_t j) { return counts_[j]; });
   run->AppendSketch(root_local, vertices_, kept_edges, in_tree,
-                    ThresholdWidth(largest), [&](BlockWriter& out) {
+                    [&](BlockWriter& out) {
     if (!in_tree) {
       for (size_t j = 0; j <= n; ++j) out.PutOffset(counts_[j]);
     }

@@ -14,14 +14,16 @@
 // generation performs zero heap allocations.
 //
 // In-edge probing uses SampleLiveInEdges below: one uniform draw per
-// probed edge (the draw doubles as the Bernoulli coin and, on success,
-// the threshold c(e) — conditioned on u < p, u is exactly U[0, p)), and
-// geometric skips across low-probability in-edge runs (vertex max
-// envelope < kGeometricSkipMax): the skip selects each edge as a
-// candidate with probability q = vmax, and the candidate's uniform
-// thins it to its own envelope p <= q, so the joint law of (live,
-// threshold) per edge is exactly the per-edge Bernoulli + uniform of
-// Definition 2 while the RNG consumes ~q*d + |live| draws instead of d.
+// probed edge, the Bernoulli coin, and geometric skips across
+// low-probability in-edge runs (vertex max envelope <
+// kGeometricSkipMax): the skip selects each edge as a candidate with
+// probability q = vmax, and the candidate's uniform thins it to its own
+// envelope p <= q, so each edge is live with exactly the probability p
+// of Definition 2 while the RNG consumes ~q*d + |live| draws instead of
+// d. The draw decides the sketch's shape and nothing else: a live
+// edge's threshold is not drawn here but computed where the record is
+// probed (SketchThresholds in src/index/rr_graph.h), from a uniform no
+// shape decision reads.
 // The draw *sequence* differs from the pre-arena generator, which is
 // pinned by tests/index_build_equivalence_test.cc (fixed-seed golden +
 // chi-squared spread-distribution agreement with a verbatim reference).
@@ -51,10 +53,10 @@ inline constexpr float kGeometricSkipMax = 1.0f / 16.0f;
 
 /// Probes one vertex's in-edge run under float envelope probabilities
 /// `env` (aligned with the InEdges span it was built from; `vmax` must
-/// be max(env)). Invokes sink(j, u) for every live in-edge index j,
-/// where u ~ U[0, env[j]) is the threshold draw. Per-edge law is
-/// identical across both regimes (see file comment); only the RNG draw
-/// sequence depends on the regime.
+/// be max(env)). Invokes sink(j) for every live in-edge index j, each
+/// live with probability env[j]. The per-edge law is identical across
+/// both regimes (see file comment); only the RNG draw sequence depends
+/// on the regime.
 template <typename Sink>
 PITEX_NOALLOC inline void SampleLiveInEdges(std::span<const float> env,
                                             float vmax, Rng* rng,
@@ -69,18 +71,15 @@ PITEX_NOALLOC inline void SampleLiveInEdges(std::span<const float> env,
       if (skip > d - j) break;  // next candidate lies beyond the run
       j += static_cast<size_t>(skip) - 1;
       // Thinning: candidate (selected w.p. q) survives w.p. env[j]/q,
-      // so it is live w.p. env[j]; conditioned on u*q < env[j], u*q is
-      // exactly U[0, env[j]) — the acceptance coin IS the threshold.
-      const double u = rng->NextDouble() * q;
-      if (u < static_cast<double>(env[j])) sink(j, u);
+      // so it is live w.p. env[j].
+      if (rng->NextDouble() * q < static_cast<double>(env[j])) sink(j);
       ++j;
     }
   } else {
     for (size_t j = 0; j < d; ++j) {
       const auto p = static_cast<double>(env[j]);
       if (p <= 0.0) continue;  // dead for every W, no draw
-      const double u = rng->NextDouble();
-      if (u < p) sink(j, u);
+      if (rng->NextDouble() < p) sink(j);
     }
   }
 }
@@ -150,18 +149,17 @@ class SketchArena {
   /// epoch stamp marking "touched in this traversal".
   uint32_t BeginTraversal(size_t num_vertices);
 
-  /// A staged live edge of Generate: its global endpoints, its rank in
-  /// the tail's out-list, and its threshold.
+  /// A staged live edge of Generate: its global endpoints and its rank
+  /// in the tail's out-list.
   struct RankedSample {
     VertexId tail;
     VertexId head;
     uint32_t rank;
-    float threshold;
   };
-  /// One edge in CSR order: its local head and its record.
+  /// One edge in CSR order: its local head and its rank.
   struct SortedEdge {
     uint32_t head;
-    RRLocalEdge record;
+    uint32_t rank;
   };
 
   /// rank_of(v, j) is the rank, in its tail's out-list, of in-edge j of
@@ -171,9 +169,9 @@ class SketchArena {
                                   const RankOf& rank_of, VertexId root,
                                   Rng* rng, RrSketchPool* run);
 
-  /// Puts the `edges` (each with global tail, head and threshold) for
-  /// which kept(edge) holds into `out` as a block's heads, then its
-  /// records, rank_of(edge) their ranks, in CSR order: counting-sorted
+  /// Puts the `edges` (each with global tail and head) for which
+  /// kept(edge) holds into `out` as a block's heads, then its ranks,
+  /// rank_of(edge), in CSR order: counting-sorted
   /// by local tail through counts_, which must hold each tail's first
   /// place (and then holds the next tail's), stably, so per-tail order
   /// is input order.

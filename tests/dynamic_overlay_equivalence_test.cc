@@ -37,21 +37,14 @@
 namespace pitex {
 namespace {
 
+// A record's threshold is a function of the index's seed, the sketch's
+// id and the model, so equal shapes at one id are equal sketches.
 bool ViewsEqual(const RRView& a, const RRView& b) {
   const RRGraph ga = Owned(a);
   const RRGraph gb = Owned(b);
-  if (ga.root != gb.root || ga.vertices != gb.vertices ||
-      ga.offsets != gb.offsets || ga.heads != gb.heads ||
-      ga.edges.size() != gb.edges.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.edges.size(); ++i) {
-    if (a.edges[i].rank != b.edges[i].rank ||
-        a.edges[i].threshold != b.edges[i].threshold) {
-      return false;
-    }
-  }
-  return true;
+  return ga.root == gb.root && ga.vertices == gb.vertices &&
+         ga.offsets == gb.offsets && ga.heads == gb.heads &&
+         ga.ranks == gb.ranks;
 }
 
 SocialNetwork MakeNetwork() {
@@ -165,7 +158,7 @@ uint64_t TotalSketchVertices(const ReferenceDynamicRrIndex& ref) {
 std::vector<bool> Singletons(const ReferenceDynamicRrIndex& ref) {
   std::vector<bool> singletons;
   for (const RRGraph& rr : ref.graphs()) {
-    singletons.push_back(rr.vertices.size() == 1 && rr.edges.empty());
+    singletons.push_back(rr.vertices.size() == 1 && rr.ranks.empty());
   }
   return singletons;
 }

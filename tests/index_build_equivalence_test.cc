@@ -10,7 +10,7 @@
 //     silently, and a chi-squared test checks the sketch-size (spread)
 //     distribution against a verbatim retained copy of the pre-arena
 //     two-draw generator — the distributions must agree because the
-//     per-edge law (live w.p. p(e), threshold U[0, p(e))) is unchanged;
+//     per-edge law (live w.p. p(e)) is unchanged;
 //   * allocations: steady-state sketch generation into a cleared, reused
 //     run is measured allocation-free;
 //   * repairs and DelayMat recovery: SketchArena::RebuildRepairedSketch
@@ -107,8 +107,8 @@ RRGraph ReferenceGenerateRRGraph(const Graph& graph,
       const double p = influence.MaxProb(e);
       if (p <= 0.0) continue;
       if (!rng->NextBernoulli(p)) continue;  // dead for every W
-      const auto threshold = static_cast<float>(rng->NextDouble() * p);
-      live.push_back(GlobalEdgeSample{w, v, e, threshold});
+      (void)rng->NextDouble();  // its threshold draw, which no sketch keeps
+      live.push_back(GlobalEdgeSample{w, v, e});
       if (visited.insert(w).second) {
         vertices.push_back(w);
         stack.push_back(w);
@@ -150,11 +150,7 @@ TEST(IndexBuildEquivalenceTest, ArenaPoolMatchesStandaloneGeneration) {
         << "sketch " << i;
     ASSERT_EQ(Owned(got).offsets, Owned(want).offsets) << "sketch " << i;
     ASSERT_EQ(Owned(got).heads, Owned(want).heads) << "sketch " << i;
-    ASSERT_EQ(got.edges.size(), want.edges.size()) << "sketch " << i;
-    for (size_t j = 0; j < want.edges.size(); ++j) {
-      ASSERT_EQ(got.edges[j].rank, want.edges[j].rank);
-      ASSERT_EQ(got.edges[j].threshold, want.edges[j].threshold);
-    }
+    ASSERT_EQ(Owned(got).ranks, Owned(want).ranks) << "sketch " << i;
   }
   for (VertexId v = 0; v < n.num_vertices(); ++v) {
     ASSERT_EQ(ContainingIds(index.pool(), v), ContainingIds(reference, v))
@@ -199,7 +195,7 @@ TEST(IndexBuildEquivalenceTest, SyntheticPoolGoldenHash) {
   uint64_t edges = 0;
   const IndexViews views(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    edges += views(i).edges.size();
+    edges += views(i).num_edges();
   }
   EXPECT_EQ(edges, 142718u);
   EXPECT_EQ(IndexContentHash(index), 0xbe3e31716ed92069ULL)
@@ -326,26 +322,26 @@ TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
                    5,
                    8,
                    {
-                       {2, 5, 0, 0.1f},  // 2 -> root
-                       {1, 2, 1, 0.2f},  // 1 -> 2 -> root
-                       {3, 4, 2, 0.3f},  // orphan pair: 3 -> 4 does not
-                       {4, 3, 3, 0.4f},  // reach the root
-                       {6, 2, 4, 0.5f},  // 6 -> 2 -> root
-                       {1, 2, 5, 0.6f},  // parallel edge, order preserved
+                       {2, 5, 0},  // 2 -> root
+                       {1, 2, 1},  // 1 -> 2 -> root
+                       {3, 4, 2},  // orphan pair: 3 -> 4 does not
+                       {4, 3, 3},  // reach the root
+                       {6, 2, 4},  // 6 -> 2 -> root
+                       {1, 2, 5},  // parallel edge, order preserved
                    }});
   // No live edge enters the root: the root alone, which the run stores
   // as an implicit singleton without calling the fill.
   cases.push_back({"no live in-edge",
                    0,
                    4,
-                   {{0, 1, 0, 0.1f}, {1, 2, 1, 0.2f}, {3, 2, 2, 0.3f}}});
+                   {{0, 1, 0}, {1, 2, 1}, {3, 2, 2}}});
   // A chain of 300 vertices into the root takes 9-bit local ids; a spur
   // off the chain's middle does not reach the root.
   Case chain{"300-vertex chain", 299, 310, {}};
   for (VertexId v = 0; v + 1 < 300; ++v) {
-    chain.edges.push_back({v, v + 1, v, 0.01f * static_cast<float>(v % 7)});
+    chain.edges.push_back({v, v + 1, v});
   }
-  chain.edges.push_back({150, 305, 400, 0.5f});
+  chain.edges.push_back({150, 305, 400});
   cases.push_back(chain);
   // DelayMat's step-2 shape: a forward live sample from vertex 0, with
   // the root drawn inside it, so most live edges' tails (0's other
@@ -354,16 +350,16 @@ TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
                    3,
                    12,
                    {
-                       {0, 1, 0, 0.1f},
-                       {0, 2, 1, 0.2f},
-                       {1, 3, 2, 0.3f},   // 0 -> 1 -> root
-                       {2, 4, 3, 0.4f},   // 2's branch misses the root
-                       {3, 5, 4, 0.5f},   // out of the root
-                       {5, 6, 5, 0.6f},
-                       {4, 3, 6, 0.7f},   // 0 -> 2 -> 4 -> root after all
-                       {6, 7, 7, 0.8f},
-                       {2, 8, 8, 0.9f},
-                       {1, 3, 9, 0.15f},  // second 1 -> root edge
+                       {0, 1, 0},
+                       {0, 2, 1},
+                       {1, 3, 2},   // 0 -> 1 -> root
+                       {2, 4, 3},   // 2's branch misses the root
+                       {3, 5, 4},   // out of the root
+                       {5, 6, 5},
+                       {4, 3, 6},   // 0 -> 2 -> 4 -> root after all
+                       {6, 7, 7},
+                       {2, 8, 8},
+                       {1, 3, 9},  // second 1 -> root edge
                    }});
 
   SketchArena arena;
@@ -381,11 +377,7 @@ TEST(IndexBuildEquivalenceTest, RebuildRepairedSketchMatchesAssemble) {
     EXPECT_EQ(got.vertices, want.vertices);
     EXPECT_EQ(got.offsets, want.offsets);
     EXPECT_EQ(got.heads, want.heads);
-    ASSERT_EQ(got.edges.size(), want.edges.size());
-    for (size_t i = 0; i < want.edges.size(); ++i) {
-      EXPECT_EQ(got.edges[i].rank, want.edges[i].rank);
-      EXPECT_EQ(got.edges[i].threshold, want.edges[i].threshold);
-    }
+    EXPECT_EQ(got.ranks, want.ranks);
   }
 }
 

@@ -73,18 +73,25 @@ RRGraph Singleton(VertexId v) { return RRGraph{v, {v}, {0, 0}, {}, {}}; }
 // The in-tree {v, v + 1} rooted at v + 1 over the certain cycle's edge v,
 // the one edge out of v: rank 0.
 RRGraph CyclePair(VertexId v) {
-  return RRGraph{v + 1, {v, v + 1}, {0, 1, 1}, {1}, {{0, 0.5f}}};
+  return RRGraph{v + 1, {v, v + 1}, {0, 1, 1}, {1}, {0}};
 }
 
-// Pairs between singletons whose vertices climb by 400 to 38,400, past
-// 2^15, on a 40,001-user certain cycle: a directory of 4-byte words.
+// The cycle's path 0 -> 1 -> ... -> 19,999, an in-tree rooted at its
+// end, whose block takes 77,501 bytes on a 40,001-user certain cycle,
+// then pairs between singletons past 2^15: the pairs' blocks start more
+// than 65,535 bytes past their group's base, so the directory takes
+// 4-byte words.
+constexpr VertexId kWidePath = 20000;
 std::vector<RRGraph> WideDirectoryGraphs() {
-  std::vector<RRGraph> graphs;
-  for (VertexId v = 0; v <= 38400; v += 400) {
-    graphs.push_back(Singleton(v));
-    graphs.push_back(CyclePair(v + 1));
+  RRGraph path{kWidePath - 1, std::vector<VertexId>(kWidePath), {}, {}, {}};
+  std::iota(path.vertices.begin(), path.vertices.end(), 0);
+  for (VertexId v = 0; v <= kWidePath; ++v) {
+    path.offsets.push_back(std::min(v, kWidePath - 1));
   }
-  return graphs;
+  for (VertexId v = 1; v < kWidePath; ++v) path.heads.push_back(v);
+  path.ranks.assign(kWidePath - 1, 0);
+  return {path, Singleton(32767), CyclePair(32768), Singleton(32770),
+          CyclePair(38400)};
 }
 
 std::string Payload(const std::string& bytes) {
@@ -187,28 +194,46 @@ TEST(IndexIoFuzzTest, ChecksumRepairedMutationsRoundTrip) {
 }
 
 TEST(IndexIoFuzzTest, WideDirectoryMutationsRoundTrip) {
-  // The seed's directory takes 4-byte words (its singletons' vertices
-  // pass 2^15), so single-byte edits reach a wide directory's flag bit
-  // and offsets as well as its blocks. The edits skip the root counts
-  // themselves, which take a byte for each of the cycle's 40,001 users
-  // and would otherwise draw nearly every edit; the header, theta and
-  // the counts' width and length stay in the draw.
+  // The seed's directory takes 4-byte words (the blocks after the long
+  // path start past 65,535 bytes from their base), so single-byte edits
+  // reach a wide directory's masks and words as well as its blocks. The
+  // edits skip the root counts, which take a byte for each of the
+  // cycle's 40,001 users, and the long path's fields, which would
+  // otherwise draw nearly every edit; the header, theta, the counts'
+  // width and length and the path's header stay in the draw.
   const SocialNetwork n = MakeCertainCycle(40001);
   const std::string valid = PackedIndexBytes(n, WideDirectoryGraphs());
   // After theta, the root counts: their width, their length and a count
-  // per vertex.
+  // per vertex. Then the group masks, after their u64 count, the
+  // directory's width and its words, after the u64 count of their
+  // bytes, and the body, after its own, which opens with the path.
   const size_t counts_offset = kThetaOffset + 8 + 1 + 8;
   const size_t count_bytes =
       size_t{static_cast<uint8_t>(valid[kThetaOffset + 8])} *
       n.num_vertices();
-  ASSERT_EQ(valid[counts_offset + count_bytes], 4);
+  const size_t width_offset =
+      counts_offset + count_bytes + 8 +
+      8 * static_cast<uint8_t>(valid[counts_offset + count_bytes]);
+  ASSERT_EQ(valid[width_offset], 4);
+  const size_t body_offset =
+      width_offset + 1 + 8 + static_cast<uint8_t>(valid[width_offset + 1]) +
+      8;
+  Image image(valid, n);
+  const std::optional<Block> path = BlockOf(&image, 0);
+  ASSERT_TRUE(path.has_value() && path->n == kWidePath);
+  ASSERT_EQ(path->bytes(), 77501u);
+  ASSERT_EQ(static_cast<uint8_t>(valid[body_offset]), image.body[0]);
+  const size_t path_fields = body_offset + path->header_bytes;
+  const size_t path_field_bytes = path->bytes() - path->header_bytes;
   CheckConsistentIfLoaded(n, valid);
   Rng rng(17);
   int loaded = 0;
   for (int trial = 0; trial < 200; ++trial) {
     std::string bytes = valid;
-    size_t at = rng.NextBounded(bytes.size() - 8 - count_bytes);
+    size_t at =
+        rng.NextBounded(bytes.size() - 8 - count_bytes - path_field_bytes);
     if (at >= counts_offset) at += count_bytes;
+    if (at >= path_fields) at += path_field_bytes;
     bytes[at] = static_cast<char>(rng.NextBounded(256));
     RepairChecksum(&bytes);
     CheckConsistentIfLoaded(n, bytes);
@@ -225,7 +250,7 @@ std::vector<RRGraph> SpacedPairs(VertexId pairs) {
   std::vector<RRGraph> graphs;
   for (VertexId k = 0; k < pairs; ++k) {
     graphs.push_back(RRGraph{2 * k + 1, {2 * k, 2 * k + 1}, {0, 1, 2}, {1, 0},
-                             {{0, 0.5f}, {0, 0.25f}}});
+                             {0, 0}});
   }
   return graphs;
 }
@@ -309,13 +334,13 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   // must get kCorruptPayload: on the running example's file (3-bit
   // vertices, 1-bit ranks, a few bits of local ids, and singletons), on
   // the certain cycle's (17-bit vertices and local ids, 0-bit ranks, and
-  // a directory of 4-byte words, as each block is longer than 2^15
+  // a directory of 4-byte words, as each block is longer than 2^16
   // bytes), and on sketches packed by hand. The edgeless 300-vertex
   // sketch's offsets take 0 bits. The one-vertex self-loop, on a network
   // of its own edge, is the block with the fewest bytes, and one no
   // singleton may replace. Two pools of singletons and a pair on the
-  // cycle take 2-byte and 4-byte directory words: their largest
-  // singleton vertex is 32,767 and 32,768.
+  // cycle, whose largest singleton vertex is 32,767 and 32,768, both
+  // take 2-byte directory words: a singleton has no word.
   const SocialNetwork example = MakeRunningExample();
   const SocialNetwork cycle = MakeCertainCycle(65537);
   RrIndexOptions options;
@@ -330,7 +355,7 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   std::iota(edgeless.vertices.begin(), edgeless.vertices.end(), 0);
   edgeless.offsets.assign(301, 0);
   ASSERT_EQ(edgeless.View().offsets.bits, 0u);
-  const RRGraph self_loop{4, {4}, {0, 1}, {0}, {{0, 0.5f}}};
+  const RRGraph self_loop{4, {4}, {0, 1}, {0}, {0}};
   const SocialNetwork loop = NetworkOf(5, {self_loop});
   const struct {
     const SocialNetwork* network;
@@ -346,7 +371,7 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
        2},
       {&cycle,
        PackedIndexBytes(cycle, {Singleton(5), CyclePair(1), Singleton(32768)}),
-       4}};
+       2}};
 
   for (const auto& file : files) {
     // Taking a file apart and putting it back changes nothing, and each

@@ -81,11 +81,7 @@ TEST(IndexIoTest, RrIndexRoundTripsExactly) {
     EXPECT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
     EXPECT_EQ(Owned(restored).offsets, Owned(original).offsets);
     EXPECT_EQ(Owned(restored).heads, Owned(original).heads);
-    ASSERT_EQ(restored.edges.size(), original.edges.size());
-    for (size_t j = 0; j < original.edges.size(); ++j) {
-      EXPECT_EQ(restored.edges[j].rank, original.edges[j].rank);
-      EXPECT_EQ(restored.edges[j].threshold, original.edges[j].threshold);
-    }
+    ASSERT_EQ(Owned(restored).ranks, Owned(original).ranks);
   }
   for (VertexId v = 0; v < n.num_vertices(); ++v) {
     EXPECT_EQ(ContainingIds(*loaded, v), ContainingIds(index, v))
@@ -108,7 +104,7 @@ TEST(IndexIoTest, WideSketchRoundTripsByteIdentical) {
   const IndexViews originals(index, n.num_vertices());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
     ASSERT_EQ(originals(i).vertices.size(), 65537u);
-    ASSERT_EQ(originals(i).edges.size(), 65537u);
+    ASSERT_EQ(originals(i).num_edges(), 65537u);
     ASSERT_EQ(originals(i).heads.bits, 17u);
   }
 
@@ -182,15 +178,16 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v13 is read: a file claiming v1 (the old one-record-per-graph
+  // Only v14 is read: a file claiming v1 (the old one-record-per-graph
   // format), v2 (the old per-sketch wire format), v3 (the pool image
   // with its edge records in a third array), v4 (every block vertex at
   // 4 bytes), v5 (a word-padded u32 body), v6 (offsets in every block),
   // v7 (a u32 directory word per sketch), v8 (whole bytes per block
   // field), v9 (edge ids in the records, not ranks), v10 (every
   // threshold at 30 bits), v11 (sketches in sample order, not root
-  // order) or v12 (each block storing its root's vertex id), whole or
-  // cut short, is refused by its header.
+  // order), v12 (each block storing its root's vertex id) or v13 (each
+  // record storing its threshold, and a directory word per sketch),
+  // whole or cut short, is refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -199,8 +196,8 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 13);
-  for (const char version : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}) {
+  ASSERT_EQ(bytes[kVersionOffset], 14);
+  for (const char version : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}) {
     bytes[kVersionOffset] = version;
     for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
       std::stringstream in(bytes.substr(0, keep));
@@ -355,11 +352,10 @@ void RepairChecksum(std::string* bytes) {
 }
 
 TEST(IndexIoTest, RootCountsSetTheRootRanges) {
-  // A v13 file stores each vertex's count of rooted sketches, and a
-  // block no root vertex: the counts set the root ranges. Counts that do
-  // not sum to theta, or a singleton word outside its id's range, are a
-  // corrupt payload; the same bytes under a v12 header are refused by
-  // their version.
+  // A v14 file stores each vertex's count of rooted sketches, and a
+  // block no root vertex, a singleton nothing: the counts set the root
+  // ranges. Counts that do not sum to theta are a corrupt payload; the
+  // same bytes under a v13 header are refused by their version.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -383,26 +379,19 @@ TEST(IndexIoTest, RootCountsSetTheRootRanges) {
   pool_image::Image fewer = image;
   --fewer.root_counts[3];
   EXPECT_EQ(load_code(fewer.Encode()), IndexIoCode::kCorruptPayload);
-  // The first singleton's word names the next vertex: its range's root
-  // is another.
-  pool_image::Image moved = image;
-  const auto singleton = std::ranges::find_if(
-      moved.slots, [](uint32_t slot) { return (slot & (1u << 31)) == 0; });
-  ASSERT_NE(singleton, moved.slots.end());
-  *singleton = (*singleton + 1) % n.num_vertices();
-  EXPECT_EQ(load_code(moved.Encode()), IndexIoCode::kCorruptPayload);
-  std::string v12 = bytes;
-  v12[pool_image::kVersionOffset] = 12;
-  pool_image::RepairChecksum(&v12);
-  EXPECT_EQ(load_code(v12), IndexIoCode::kBadVersion);
+  std::string v13 = bytes;
+  v13[pool_image::kVersionOffset] = 13;
+  pool_image::RepairChecksum(&v13);
+  EXPECT_EQ(load_code(v13), IndexIoCode::kBadVersion);
 }
 
 TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
   // The estimator divides by theta, so a file whose directory holds
-  // fewer sketches than its theta would estimate with the wrong
+  // more sketches than its theta would estimate with the wrong
   // denominator. The file is valid but for that: a pool of theta + 1
-  // sketches, the last an implicit singleton, saved, then its last
-  // directory word dropped and the checksum recomputed.
+  // sketches, the last an implicit singleton, saved, then its header's
+  // theta lowered by one, which leaves its count of group masks as it
+  // is, and the checksum recomputed: its root counts sum to theta + 1.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -418,30 +407,15 @@ TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
           })));
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(*longer, file));
-  std::string bytes = file.str();
   {
-    std::stringstream in(bytes);
+    std::stringstream in(file.str());
     ASSERT_NE(LoadRrIndex(n, in), nullptr);
   }
-  // theta u64 follows the header, then the root counts (their width
-  // u8, a u64 length and a count per vertex), the directory's word
-  // width u8, the u64 count of its bytes and its 2-byte words.
-  constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
-  const size_t kWidthOffset =
-      kThetaOffset + 8 + 1 + 8 +
-      size_t{static_cast<uint8_t>(bytes[kThetaOffset + 8])} *
-          n.num_vertices();
-  const size_t kCountOffset = kWidthOffset + 1;
-  ASSERT_EQ(bytes[kWidthOffset], 2);
-  const size_t last_slot = kCountOffset + 8 + 2 * (theta - 1);
-  ASSERT_EQ(static_cast<unsigned char>(bytes[last_slot + 1]) & 0x80, 0)
-      << "the last sketch is an implicit singleton";
-  bytes.erase(last_slot, 2);
-  bytes[kCountOffset] = static_cast<char>(bytes[kCountOffset] - 2);
-  ASSERT_LT(static_cast<unsigned char>(bytes[kCountOffset]), 0xfe)
-      << "the count's low byte does not wrap";
-  RepairChecksum(&bytes);
-  std::stringstream in(bytes);
+  pool_image::Image image(file.str(), n);
+  ASSERT_EQ(image.theta, theta);
+  ASSERT_EQ((theta - 1 + 63) / 64, (theta + 63) / 64);
+  --image.theta;
+  std::stringstream in(image.Encode());
   IndexIoError error;
   EXPECT_EQ(LoadRrIndex(n, in, &error), nullptr);
   EXPECT_EQ(error.code, IndexIoCode::kCorruptPayload) << error.message;
@@ -558,7 +532,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   const SocialNetwork n = MakeRunningExample();
   const uint64_t fp = NetworkFingerprint(n);
   constexpr uint8_t kRr = 1;
-  constexpr uint32_t kCurrent = 13;  // the one version the loader reads
+  constexpr uint32_t kCurrent = 14;  // the one version the loader reads
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),

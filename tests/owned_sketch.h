@@ -39,28 +39,16 @@
 
 namespace pitex {
 
-/// The threshold width a block of `edges` takes: ThresholdWidth of
-/// their largest StoredThreshold, computed from the definition.
-inline uint32_t ThresholdWidthOf(std::span<const RRLocalEdge> edges) {
-  uint32_t largest = 0;
-  for (const RRLocalEdge& edge : edges) {
-    largest = std::max(largest, 0x3F800000u - std::bit_cast<uint32_t>(
-                                                   edge.threshold));
-  }
-  uint32_t bits = 0;
-  while (bits < 32 && (largest >> bits) != 0) ++bits;
-  return bits > 23 ? bits - 23 : 0;
-}
-
 /// One storage-owning sketch with 32-bit fields.
 struct RRGraph {
   VertexId root = 0;
   std::vector<VertexId> vertices;  // sorted ascending
   std::vector<uint32_t> offsets;   // CSR over local tails
   std::vector<uint32_t> heads;     // local head of each edge
-  std::vector<RRLocalEdge> edges;
+  std::vector<uint32_t> ranks;     // each edge's rank in its tail's out-list
   Graph topology = {};               // what the ranks index; may be empty
   mutable RrSketchPool packed = {};  // View()'s one-sketch run
+  SketchThresholds thresholds = {};  // its view's; unset by default
 
   /// View of this graph packed into `packed` (valid while the graph is
   /// alive and neither modified nor viewed again). Implicit so every
@@ -77,36 +65,38 @@ struct RRGraph {
     const bool in_tree = IsInTree(n, root_local,
                                   [this](size_t j) { return offsets[j]; });
     packed.Clear();
-    packed.AppendSketch(root_local, vertices, edges.size(), in_tree,
-                        ThresholdWidthOf(edges), [&](BlockWriter& out) {
+    packed.AppendSketch(root_local, vertices, ranks.size(), in_tree,
+                        [&](BlockWriter& out) {
                           if (!in_tree) {
                             for (const uint32_t offset : offsets) {
                               out.PutOffset(offset);
                             }
                           }
                           for (const uint32_t head : heads) out.PutHead(head);
-                          for (const RRLocalEdge edge : edges) {
-                            out.PutEdge(edge);
-                          }
+                          for (const uint32_t rank : ranks) out.PutRank(rank);
                         });
-    return packed.View(0, root);
+    RRView view = packed.View(0, root);
+    view.thresholds = thresholds;
+    return view;
   }
   operator RRView() const { return View(); }  // NOLINT(runtime/explicit)
 
   /// Copies `view` into this graph, reusing its vectors' capacity.
   void Assign(const RRView& view) {
     topology = *view.topology;
+    thresholds = view.thresholds;
     root = view.root();
     vertices.assign(view.vertices.begin(), view.vertices.end());
     const size_t n = view.vertices.size();
-    const size_t m = view.edges.size();
+    const size_t m = view.num_edges();
     offsets.resize(n + 1);
     heads.resize(m);
+    ranks.resize(m);
     view.VisitCsr([&](const auto& csr) {
       for (size_t j = 0; j <= n; ++j) offsets[j] = csr.offset(j);
       for (size_t k = 0; k < m; ++k) heads[k] = csr.head(k);
     });
-    edges.assign(view.edges.begin(), view.edges.end());
+    for (size_t k = 0; k < m; ++k) ranks[k] = view.ranks[k];
   }
 
   /// Local index of global vertex v, or nullopt if absent.
@@ -135,17 +125,14 @@ inline RRGraph Owned(const RRView& view) {
 }
 
 /// Every sketch of `pool`, a run or a finished pool, viewed as
-/// View(i, u) views it: a singleton's u is its root, from one
-/// SingletonRoots() (a finished pool's read from its root ranges); a
-/// block's view reads its vertices from its block, and its u is 0.
+/// View(i, u) views it: a singleton's u is its root (RootOf); a block's
+/// view reads its vertices from its block, and its u is 0.
 class PoolViews {
  public:
   explicit PoolViews(const RrSketchPool& pool) : pool_(&pool) {
-    const std::vector<VertexId> roots = pool.SingletonRoots();
-    size_t next = 0;
     member_.reserve(pool.num_sketches());
     for (size_t i = 0; i < pool.num_sketches(); ++i) {
-      member_.push_back(pool.IsSingleton(i) ? roots[next++] : 0);
+      member_.push_back(pool.IsSingleton(i) ? pool.RootOf(i) : 0);
     }
   }
   RRView operator()(size_t i) const { return pool_->View(i, member_[i]); }
@@ -218,8 +205,9 @@ inline uint64_t Fnv1aBytes(uint64_t hash, const void* data, size_t bytes) {
 /// Field-wise content hash of every sketch of `index`, an RrIndex:
 /// vertices and local ids enter as 32-bit values whatever width the
 /// pool stores them at, and each record as its global edge id
-/// (RRView::Edge), so the hash is independent of the layout (and struct
-/// padding never enters).
+/// (RRView::Edge) and its threshold as the index computes it
+/// (SketchThresholds), so the hash is independent of the layout (and
+/// struct padding never enters).
 template <typename Index>
 uint64_t IndexContentHash(const Index& index) {
   uint64_t hash = 0xcbf29ce484222325ULL;
@@ -236,9 +224,8 @@ uint64_t IndexContentHash(const Index& index) {
     for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
       for (uint32_t j = owned.offsets[tail]; j < owned.offsets[tail + 1];
            ++j) {
-        const RRLocalEdge record = rr.edges[j];
-        const EdgeId edge = rr.Edge(tail, record.rank);
-        const float threshold = record.threshold;
+        const EdgeId edge = rr.Edge(tail, rr.ranks[j]);
+        const double threshold = rr.thresholds(edge);
         hash = Fnv1aBytes(hash, &owned.heads[j], sizeof(uint32_t));
         hash = Fnv1aBytes(hash, &edge, sizeof(edge));
         hash = Fnv1aBytes(hash, &threshold, sizeof(threshold));
@@ -270,7 +257,7 @@ uint64_t ShapeHash(const Index& index, size_t num_vertices) {
     hash = Fnv1aBytes(hash, owned.heads.data(),
                       owned.heads.size() * sizeof(uint32_t));
     for (size_t j = 0; j < owned.heads.size(); ++j) {
-      const uint32_t rank = rr.edges[j].rank;
+      const uint32_t rank = rr.ranks[j];
       hash = Fnv1aBytes(hash, &rank, sizeof(rank));
     }
   }
@@ -357,8 +344,7 @@ inline RRGraph AssembleRRGraph(const Graph& topology, VertexId root,
   const size_t n = rr.vertices.size();
 
   struct Staged {
-    uint32_t tail, head;
-    RRLocalEdge edge;
+    uint32_t tail, head, rank;
   };
   std::vector<Staged> staged;
   staged.reserve(edges.size());
@@ -367,21 +353,20 @@ inline RRGraph AssembleRRGraph(const Graph& topology, VertexId root,
     const auto head = rr.LocalIndex(e.head);
     if (!tail || !head) continue;
     staged.push_back({*tail, *head,
-                      RRLocalEdge{topology.num_vertices() == 0
-                                      ? e.edge
-                                      : topology.OutRank(e.tail, e.edge),
-                                  e.threshold}});
+                      topology.num_vertices() == 0
+                          ? e.edge
+                          : topology.OutRank(e.tail, e.edge)});
   }
   rr.offsets.assign(n + 1, 0);
   for (const Staged& s : staged) ++rr.offsets[s.tail + 1];
   for (size_t i = 0; i < n; ++i) rr.offsets[i + 1] += rr.offsets[i];
   rr.heads.resize(staged.size());
-  rr.edges.resize(staged.size());
+  rr.ranks.resize(staged.size());
   std::vector<uint32_t> pos(rr.offsets.begin(), rr.offsets.end() - 1);
   for (const Staged& s : staged) {
     const uint32_t k = pos[s.tail]++;
     rr.heads[k] = s.head;
-    rr.edges[k] = s.edge;
+    rr.ranks[k] = s.rank;
   }
   return rr;
 }
@@ -432,7 +417,7 @@ inline void Rerank(const Graph& graph, std::vector<RRGraph>* graphs) {
                                    [head](const AdjEntry& a) {
                                      return a.vertex == head;
                                    });
-      g.edges[k].rank = static_cast<uint32_t>(at - out.begin());
+      g.ranks[k] = static_cast<uint32_t>(at - out.begin());
     });
   }
 }

@@ -32,11 +32,7 @@ void ExpectIndexesIdentical(const RrIndex& a, const RrIndex& b) {
         << "graph " << i;
     ASSERT_EQ(Owned(ga).offsets, Owned(gb).offsets) << "graph " << i;
     ASSERT_EQ(Owned(ga).heads, Owned(gb).heads) << "graph " << i;
-    ASSERT_EQ(ga.edges.size(), gb.edges.size()) << "graph " << i;
-    for (size_t j = 0; j < ga.edges.size(); ++j) {
-      EXPECT_EQ(ga.edges[j].rank, gb.edges[j].rank);
-      EXPECT_EQ(ga.edges[j].threshold, gb.edges[j].threshold);
-    }
+    ASSERT_EQ(Owned(ga).ranks, Owned(gb).ranks) << "graph " << i;
   }
 }
 
@@ -110,11 +106,7 @@ void ExpectPoolsIdentical(const RrSketchPool& a, const RrSketchPool& b) {
         << "sketch " << i;
     ASSERT_EQ(Owned(ga).offsets, Owned(gb).offsets) << "sketch " << i;
     ASSERT_EQ(Owned(ga).heads, Owned(gb).heads) << "sketch " << i;
-    ASSERT_EQ(ga.edges.size(), gb.edges.size()) << "sketch " << i;
-    for (size_t j = 0; j < ga.edges.size(); ++j) {
-      ASSERT_EQ(ga.edges[j].rank, gb.edges[j].rank);
-      ASSERT_EQ(ga.edges[j].threshold, gb.edges[j].threshold);
-    }
+    ASSERT_EQ(Owned(ga).ranks, Owned(gb).ranks) << "sketch " << i;
   }
   ASSERT_EQ(a.num_universe_vertices(), b.num_universe_vertices());
   for (VertexId v = 0; v < a.num_universe_vertices(); ++v) {

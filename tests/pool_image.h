@@ -38,12 +38,8 @@ namespace pool_image {
 // build_seconds and the checksum, 8 bytes each.
 constexpr size_t kThetaOffset = 8 + 8 + 4 + 1 + 5 * 8;
 constexpr size_t kVersionOffset = 8 + 8;
-// A block header is n << 4 | w << 1 | in-tree, w the block's threshold
-// width; a record stores 1.0f's bits less its threshold's at 23 + w
-// bits.
-constexpr uint32_t kHeaderFlagBits = 4;
-constexpr uint32_t kOneBits = 0x3F800000;
-constexpr uint32_t kBaseThresholdBits = 23;
+// A block header is n << 1 | in-tree; a record is its rank alone.
+constexpr uint32_t kHeaderFlagBits = 1;
 constexpr size_t kTrailerBytes = 16;
 constexpr uint32_t kExplicit = 1u << 31;
 constexpr size_t kGroup = 64;   // directory entries per base
@@ -107,15 +103,17 @@ struct Block;
 
 // A saved file taken apart into the pool arrays it images: each
 // vertex's count of rooted sketches (decoded from the count width the
-// file names), which set the root ranges, the
-// directory's word width, its words decoded to kExplicit | a block's
-// start in the body or a singleton's vertex, the bases the loader
-// derives for them (where the next block starts at each group's first
-// sketch), and the body bytes, padding included, with the field widths
-// the network calls for. The header before theta and the trailer are
-// kept as bytes. Encode puts it back together, each block's word its
-// start less its group's base at the image's width, and repairs the
-// checksum, so an edit reaches the loader's checks.
+// file names), which set the root ranges, the directory's word width,
+// its group masks and block words decoded to a slot per sketch,
+// kExplicit | a block's start in the body or 0 for a singleton, the
+// bases the loader derives for them (where the next block starts at
+// each group's first sketch), and the body bytes, padding included,
+// with the field widths the network calls for. The header before theta
+// and the trailer are kept as bytes. Encode puts it back together, each
+// group's mask from its slots, XOR its `mask_flips` entry, and each
+// block's word its start less its group's base at the image's width,
+// then `extra_words`, and repairs the checksum, so an edit reaches the
+// loader's checks.
 struct Image {
   std::string header;
   uint64_t theta = 0;
@@ -124,14 +122,14 @@ struct Image {
   uint32_t width = 0;
   std::vector<uint32_t> slots;
   std::vector<uint32_t> bases;
+  std::vector<uint64_t> mask_flips;    // one per group, XORed on encode
+  std::vector<uint32_t> extra_words;   // written after the blocks' words
   std::vector<uint8_t> body;
   std::string trailer;
   uint32_t vertex_bits = 0;
   uint32_t rank_bits = 0;
 
   Image(const std::string& bytes, const SocialNetwork& network);
-
-  uint32_t flag() const { return 1u << (8 * width - 1); }
 
   // Sketch i's root: the vertex whose root range, as the counts set the
   // ranges, holds i (the last vertex when the counts end before i).
@@ -157,15 +155,19 @@ struct Image {
     put(count_width, 1);
     put(root_counts.size() * count_width, 8);
     for (const uint32_t count : root_counts) put(count, count_width);
-    put(width, 1);
-    put(slots.size() * width, 8);
+    std::vector<uint64_t> masks(mask_flips);
+    std::vector<uint32_t> words;
     for (size_t i = 0; i < slots.size(); ++i) {
-      const uint32_t slot = slots[i];
-      put((slot & kExplicit) != 0
-              ? flag() | ((slot & ~kExplicit) - bases[i / kGroup])
-              : slot,
-          width);
+      if ((slots[i] & kExplicit) == 0) continue;
+      masks[i / kGroup] ^= uint64_t{1} << (i % kGroup);
+      words.push_back((slots[i] & ~kExplicit) - bases[i / kGroup]);
     }
+    words.insert(words.end(), extra_words.begin(), extra_words.end());
+    put(masks.size(), 8);
+    for (const uint64_t mask : masks) put(mask, 8);
+    put(width, 1);
+    put(words.size() * width, 8);
+    for (const uint32_t word : words) put(word, width);
     put(body.size(), 8);
     for (const uint8_t byte : body) put(byte, 1);
     bytes += trailer;
@@ -192,14 +194,13 @@ inline void Splice(Image* image, size_t sketch, size_t at, size_t erase,
   }
 }
 
-// One explicit block of an Image: where it sits, its header (n, the
-// threshold width w and the in-tree flag, then m unless it is an
-// in-tree) and its bit fields, each read and written at its width: the
-// n - 1 vertices other than the root, the root's local id, the n + 1
-// offsets unless the block is an in-tree, the m heads, then the m
-// records (the rank in the tail's out-list, then the stored threshold,
-// 1.0f's bits less the threshold's, at 23 + w bits). The root's vertex
-// is the one whose root range holds the sketch.
+// One explicit block of an Image: where it sits, its header (n and the
+// in-tree flag, then m unless it is an in-tree) and its bit fields, each
+// read and written at its width: the n - 1 vertices other than the
+// root, the root's local id, the n + 1 offsets unless the block is an
+// in-tree, the m heads, then the m records (the rank in the tail's
+// out-list). The root's vertex is the one whose root range holds the
+// sketch.
 struct Block {
   Image* image;
   size_t sketch;
@@ -207,11 +208,9 @@ struct Block {
   uint32_t header_bytes;  // the header's varint, and m's unless an in-tree
   uint32_t n;
   uint32_t m;
-  uint32_t w;
   bool tree;
 
   uint32_t id_bits() const { return FieldBits(n); }
-  uint32_t stored_bits() const { return kBaseThresholdBits + w; }
   uint32_t offset_bits() const { return FieldBits(uint64_t{m} + 1); }
   /// Bit positions in the body.
   uint64_t fields() const { return uint64_t{start + header_bytes} * 8; }
@@ -223,8 +222,7 @@ struct Block {
     return offsets_at() + (tree ? 0 : uint64_t{n + 1} * offset_bits());
   }
   uint64_t record_at(size_t k) const {
-    return heads_at() + uint64_t{m} * id_bits() +
-           k * (image->rank_bits + uint64_t{stored_bits()});
+    return heads_at() + uint64_t{m} * id_bits() + k * image->rank_bits;
   }
   /// Bits of the fields, and bytes of the whole block.
   uint64_t bits() const { return record_at(m) - fields(); }
@@ -275,13 +273,6 @@ struct Block {
   void set_rank(size_t k, uint64_t value) const {
     set(record_at(k), image->rank_bits, value);
   }
-  uint32_t stored_threshold(size_t k) const {
-    return static_cast<uint32_t>(
-        get(record_at(k) + image->rank_bits, stored_bits()));
-  }
-  void set_stored_threshold(size_t k, uint64_t value) const {
-    set(record_at(k) + image->rank_bits, stored_bits(), value);
-  }
   /// The largest value a local id's field holds.
   uint64_t max_id() const { return (uint64_t{1} << id_bits()) - 1; }
   /// In an in-tree, local j's parent: the head of its one edge.
@@ -313,17 +304,13 @@ struct Block {
 
   /// Re-encodes the block, every value intact, its header one byte
   /// longer than it needs when `overlong`, an in-tree's offsets (and
-  /// edge count) stored when `with_offsets`, its thresholds at width
-  /// `new_w` (at least w) unless that is negative, n stored as `new_n`
-  /// when given, and moves the blocks after it. Returns the re-encoded
-  /// block.
-  Block Reencode(bool overlong, bool with_offsets, int new_w = -1,
-                 uint64_t new_n = 0) const {
+  /// edge count) stored when `with_offsets`, n stored as `new_n` when
+  /// given, and moves the blocks after it. Returns the re-encoded block.
+  Block Reencode(bool overlong, bool with_offsets, uint64_t new_n = 0) const {
     const bool new_tree = tree && !with_offsets;
-    const uint32_t width = new_w < 0 ? w : static_cast<uint32_t>(new_w);
     std::vector<uint8_t> out;
     uint64_t header = (new_n == 0 ? uint64_t{n} : new_n) << kHeaderFlagBits |
-                      uint64_t{width} << 1 | (new_tree ? 1 : 0);
+                      (new_tree ? 1 : 0);
     if (overlong) {
       // The groups with the last's top bit set, then an empty group.
       for (; header >= 0x80; header >>= 7) {
@@ -337,8 +324,7 @@ struct Block {
     if (!new_tree) PutVarintTo(m, &out);
     const auto new_header_bytes = static_cast<uint32_t>(out.size());
     const uint64_t new_bits =
-        bits() + (new_tree == tree ? 0 : uint64_t{n + 1} * offset_bits()) +
-        uint64_t{m} * (width - w);
+        bits() + (new_tree == tree ? 0 : uint64_t{n + 1} * offset_bits());
     uint64_t pos = out.size() * 8;
     out.resize(out.size() + (new_bits + 7) / 8, 0);
     const auto put = [&](uint32_t bits, uint64_t value) {
@@ -351,13 +337,9 @@ struct Block {
       for (uint32_t j = 0; j <= n; ++j) put(offset_bits(), offset(j));
     }
     for (uint32_t k = 0; k < m; ++k) put(id_bits(), head(k));
-    for (uint32_t k = 0; k < m; ++k) {
-      put(image->rank_bits, rank(k));
-      put(kBaseThresholdBits + width, stored_threshold(k));
-    }
+    for (uint32_t k = 0; k < m; ++k) put(image->rank_bits, rank(k));
     Splice(image, sketch, start, bytes(), out);
-    return Block{image, sketch, start, new_header_bytes, n, m, width,
-                 new_tree};
+    return Block{image, sketch, start, new_header_bytes, n, m, new_tree};
   }
 };
 
@@ -378,9 +360,8 @@ inline std::optional<Block> BlockOf(Image* image, size_t i) {
   const uint32_t header = varint();
   const bool tree = (header & 1) != 0;
   const uint32_t n = header >> kHeaderFlagBits;
-  const uint32_t w = (header >> 1) & 7;
   const uint32_t m = tree ? n - 1 : varint();
-  return Block{image, i, start, at - start, n, m, w, tree};
+  return Block{image, i, start, at - start, n, m, tree};
 }
 
 // Sketch i's root vertex: the vertex whose root range holds it.
@@ -438,19 +419,24 @@ inline Image::Image(const std::string& bytes, const SocialNetwork& network)
   for (uint32_t& count : root_counts) {
     count = static_cast<uint32_t>(take(count_width));
   }
+  std::vector<uint64_t> masks(take(8));
+  for (uint64_t& mask : masks) mask = take(8);
+  mask_flips.assign(masks.size(), 0);
   width = static_cast<uint32_t>(take(1));
-  slots.resize(take(8) / width);
-  for (uint32_t& slot : slots) slot = static_cast<uint32_t>(take(width));
+  std::vector<uint32_t> words(take(8) / width);
+  for (uint32_t& word : words) word = static_cast<uint32_t>(take(width));
   body.resize(take(8));
   for (uint8_t& byte : body) byte = static_cast<uint8_t>(take(1));
   trailer = bytes.substr(at);
   // The bases as the loader derives them: the blocks run back to back
   // from the body's first byte.
+  slots.assign(theta, 0);
   uint32_t next = 0;
+  size_t block = 0;
   for (size_t i = 0; i < slots.size(); ++i) {
     if (i % kGroup == 0) bases.push_back(next);
-    if ((slots[i] & flag()) == 0) continue;
-    slots[i] = kExplicit | (bases.back() + (slots[i] & ~flag()));
+    if (((masks[i / kGroup] >> (i % kGroup)) & 1) == 0) continue;
+    slots[i] = kExplicit | (bases.back() + words[block++]);
     next = static_cast<uint32_t>((slots[i] & ~kExplicit) +
                                  BlockOf(this, i)->bytes());
   }
@@ -509,13 +495,6 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          SwapAdjacent(image, *i);
          return true;
        }},
-      {"two singletons out of root order",
-       [](const SocialNetwork&, Image* image) {
-         const std::optional<size_t> i = FindRootStep(image, false);
-         if (!i) return false;
-         SwapAdjacent(image, *i);
-         return true;
-       }},
       {"block start moved",
        [](const SocialNetwork&, Image* image) {
          const auto block = FindBlock(image, 1, 0);
@@ -539,19 +518,6 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          if (image->width != 2) return false;
          image->width = 4;
          return true;
-       }},
-      {"2-byte singleton word = 2^15",
-       [](const SocialNetwork& n, Image* image) {
-         // Bit 15 is a 2-byte word's block flag: the word reads as a
-         // block at its base, which is not where a block starts.
-         if (image->width != 2 || n.num_vertices() <= 32768) return false;
-         for (uint32_t& slot : image->slots) {
-           if ((slot & kExplicit) == 0) {
-             slot = 32768;
-             return true;
-           }
-         }
-         return false;
        }},
       {"tree parents form a two-vertex cycle",
        [](const SocialNetwork&, Image* image) {
@@ -631,27 +597,26 @@ inline std::vector<ValidatorRow> ValidatorRows() {
            return b.n < 8;
          });
          if (!block) return false;
-         // The threshold width and the in-tree flag stay; n is cleared.
+         // The in-tree flag stays; n is cleared.
          image->body[block->start] &= (1 << kHeaderFlagBits) - 1;
          return true;
        }},
-      {"header n = the block bound, 2^28 - 1",
+      {"header n = the block bound, 2^31 - 1",
        [](const SocialNetwork&, Image* image) {
          // The largest n a header holds in 32 bits: the block it claims
          // runs far past the body.
          const auto block = FindBlock(image, 1, 0);
          if (!block) return false;
-         block->Reencode(false, false, -1, RrSketchPool::kMaxBlockVertices);
+         block->Reencode(false, false, RrSketchPool::kMaxBlockVertices);
          return true;
        }},
-      {"header n = 2^28, past the block bound",
+      {"header n = 2^31, past the block bound",
        [](const SocialNetwork&, Image* image) {
          // Its header takes 33 bits, which the view's 32-bit read would
          // cut to n = 0.
          const auto block = FindBlock(image, 1, 0);
          if (!block) return false;
-         block->Reencode(false, false, -1,
-                         RrSketchPool::kMaxBlockVertices + 1);
+         block->Reencode(false, false, RrSketchPool::kMaxBlockVertices + 1);
          return true;
        }},
       {"overlong header varint",
@@ -688,18 +653,6 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          if (!block) return false;
          block->set_stored(block->n - 2, max);
          return true;
-       }},
-      {"singleton word = |V|",
-       [](const SocialNetwork& n, Image* image) {
-         // |V| must fit below the word's flag.
-         if (n.num_vertices() >= image->flag()) return false;
-         for (uint32_t& slot : image->slots) {
-           if ((slot & kExplicit) == 0) {
-             slot = static_cast<uint32_t>(n.num_vertices());
-             return true;
-           }
-         }
-         return false;
        }},
       {"root id >= n in its width",
        [](const SocialNetwork&, Image* image) {
@@ -796,43 +749,6 @@ inline std::vector<ValidatorRow> ValidatorRows() {
                return false;
              });
        }},
-      {"stored threshold = 1.0f's bits + 1",
-       [](const SocialNetwork&, Image* image) {
-         // At the widest threshold width, which the value needs: it
-         // decodes to 0xFFFFFFFF's bits, below +0.0.
-         const auto block = FindBlock(image, 1, 1);
-         if (!block) return false;
-         block->Reencode(false, false, 7)
-             .set_stored_threshold(block->m - 1, kOneBits + 1);
-         return true;
-       }},
-      {"stored threshold = 2^30 - 1",
-       [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 1, 1);
-         if (!block) return false;
-         block->Reencode(false, false, 7)
-             .set_stored_threshold(0, (uint32_t{1} << 30) - 1);
-         return true;
-       }},
-      {"threshold width one wider than its records need",
-       [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 1, 1, [](const Block& b) {
-           return b.w < 7;
-         });
-         if (!block) return false;
-         block->Reencode(false, false, static_cast<int>(block->w) + 1);
-         return true;
-       }},
-      {"edgeless block with threshold width 1",
-       [](const SocialNetwork&, Image* image) {
-         // No record needs a bit past 23.
-         const auto block = FindBlock(image, 2, 0, [](const Block& b) {
-           return b.m == 0;
-         });
-         if (!block) return false;
-         block->Reencode(false, false, 1);
-         return true;
-       }},
       {"v11 file",
        [](const SocialNetwork&, Image* image) {
          // The format before sketches were numbered in root order.
@@ -847,6 +763,43 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          return true;
        },
        IndexIoCode::kBadVersion},
+      {"v13 file",
+       [](const SocialNetwork&, Image* image) {
+         // The format whose records stored their thresholds and whose
+         // directory held a word per sketch.
+         image->header[kVersionOffset] = 13;
+         return true;
+       },
+       IndexIoCode::kBadVersion},
+      {"singleton's mask bit set, with no word",
+       [](const SocialNetwork&, Image* image) {
+         // The masks then count one block more than the words hold.
+         for (size_t i = 0; i < image->slots.size(); ++i) {
+           if ((image->slots[i] & kExplicit) == 0) {
+             image->mask_flips[i / kGroup] ^= uint64_t{1} << (i % kGroup);
+             return true;
+           }
+         }
+         return false;
+       }},
+      {"block's mask bit cleared, its word kept",
+       [](const SocialNetwork&, Image* image) {
+         // The masks then count one block fewer than the words hold.
+         const auto block = FindBlock(image, 1, 0);
+         if (!block) return false;
+         image->mask_flips[block->sketch / kGroup] ^=
+             uint64_t{1} << (block->sketch % kGroup);
+         return true;
+       }},
+      {"mask bit set past theta, with a word",
+       [](const SocialNetwork&, Image* image) {
+         // The first bit past the last sketch, in its group's mask, and a
+         // word for it, so the masks' count of blocks is the words'.
+         if (image->theta % kGroup == 0) return false;
+         image->mask_flips.back() ^= uint64_t{1} << (image->theta % kGroup);
+         image->extra_words.push_back(0);
+         return true;
+       }},
       {"root counts sum to theta + 1",
        [](const SocialNetwork&, Image* image) {
          ++image->root_counts.front();
@@ -879,25 +832,16 @@ inline std::vector<ValidatorRow> ValidatorRows() {
        }},
       {"root count moved to the next vertex",
        [](const SocialNetwork&, Image* image) {
-         // The last sketch of a root's range then lies in the next
-         // vertex's range, which its singleton word or its block's
-         // vertices and edges do not fit.
+         // The last sketch of a root's range, a block, then lies in the
+         // next vertex's range, which its vertices and edges do not fit.
+         // (A singleton stores nothing its root must fit.)
+         size_t end = 0;
          for (size_t v = 0; v + 1 < image->root_counts.size(); ++v) {
-           if (image->root_counts[v] != 0) {
+           end += image->root_counts[v];
+           if (image->root_counts[v] != 0 &&
+               (image->slots[end - 1] & kExplicit) != 0) {
              --image->root_counts[v];
              ++image->root_counts[v + 1];
-             return true;
-           }
-         }
-         return false;
-       }},
-      {"singleton word one past its range's root",
-       [](const SocialNetwork& n, Image* image) {
-         for (size_t i = 0; i < image->slots.size(); ++i) {
-           const uint32_t root = image->root_of(i);
-           if ((image->slots[i] & kExplicit) == 0 &&
-               root + 1 < n.num_vertices() && root + 1 < image->flag()) {
-             image->slots[i] = root + 1;
              return true;
            }
          }

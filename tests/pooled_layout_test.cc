@@ -79,7 +79,7 @@ Rng StreamFor(uint64_t seed, uint64_t i) {
 }
 
 // The reference rebuild: standalone owning RRGraphs, no pool, in the
-// pool's root order.
+// pool's root order, each with the thresholds of its id there.
 std::vector<RRGraph> ReferenceGraphs(const SocialNetwork& n) {
   std::vector<RRGraph> graphs(kTheta);
   for (uint64_t i = 0; i < kTheta; ++i) {
@@ -88,24 +88,19 @@ std::vector<RRGraph> ReferenceGraphs(const SocialNetwork& n) {
         static_cast<VertexId>(rng.NextBounded(n.num_vertices()));
     graphs[i] = GenerateRRGraph(n.graph, n.influence, root, &rng);
   }
-  return InRootOrder(std::move(graphs));
+  graphs = InRootOrder(std::move(graphs));
+  for (uint64_t id = 0; id < kTheta; ++id) {
+    graphs[id].thresholds = {&n.influence, ThresholdKey(kSeed, id)};
+  }
+  return graphs;
 }
 
 bool SameSketch(const RRView& a, const RRView& b) {
   const RRGraph ga = Owned(a);
   const RRGraph gb = Owned(b);
-  if (ga.root != gb.root || ga.vertices != gb.vertices ||
-      ga.offsets != gb.offsets || ga.heads != gb.heads ||
-      ga.edges.size() != gb.edges.size()) {
-    return false;
-  }
-  for (size_t j = 0; j < a.edges.size(); ++j) {
-    if (a.edges[j].rank != b.edges[j].rank ||
-        a.edges[j].threshold != b.edges[j].threshold) {
-      return false;
-    }
-  }
-  return true;
+  return ga.root == gb.root && ga.vertices == gb.vertices &&
+         ga.offsets == gb.offsets && ga.heads == gb.heads &&
+         ga.ranks == gb.ranks;
 }
 
 // Bits of a field that holds every id below `count`: the fewest b with
@@ -250,14 +245,13 @@ size_t DirectoryBytes(size_t sketches, size_t blocks, size_t width) {
 // The containing lists are
 // Rice codes at the pool's parameter (ExpectedListsOf). A sketch's body
 // block, unless it is an implicit singleton (one vertex, no edges), is a
-// varint header of n << 4 | w << 1 | in-tree, a varint of m unless the
-// sketch is an in-tree, then bit fields to the next byte: n vertices at
-// V bits, the root's local id, n + 1 offsets at BitsFor(m + 1) bits
-// unless the sketch is an in-tree, and m heads at BitsFor(n) bits, then
-// m records of a rank at R bits and a threshold at 23 + w bits; V and R
-// are BitsFor of the network's vertex count and largest out-degree, w is
-// the block's threshold width (ThresholdWidthOf its records), and 7
-// bytes of padding end a body of blocks.
+// varint header of n << 1 | in-tree, a varint of m unless the sketch is
+// an in-tree, then bit fields to the next byte: n vertices at V bits,
+// the root's local id, n + 1 offsets at BitsFor(m + 1) bits unless the
+// sketch is an in-tree, and m heads at BitsFor(n) bits, then m records,
+// each a rank at R bits; V and R are BitsFor of the network's vertex
+// count and largest out-degree, and 7 bytes of padding end a body of
+// blocks.
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   const uint64_t vertex_bits = BitsFor(pool.num_network_vertices());
@@ -273,19 +267,17 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     if (i % 64 == 0) base = body;
     const RRView view = views(i);
     const uint64_t n = view.vertices.size();
-    const uint64_t m = view.edges.size();
+    const uint64_t m = view.num_edges();
     EXPECT_EQ(pool.IsSingleton(i), n == 1 && m == 0) << "sketch " << i;
     if (n == 1 && m == 0) continue;
     ++blocks;
     max_offset = std::max(max_offset, body - base);
     const RRGraph owned = Owned(view);
     const bool tree = InTreeShape(owned);
-    const uint32_t w = ThresholdWidthOf(owned.edges);
-    EXPECT_EQ(view.edges.threshold_width(), w) << "sketch " << i;
     const uint64_t bits = (n - 1) * vertex_bits + BitsFor(n) +
                           (tree ? 0 : (n + 1) * BitsFor(m + 1)) +
-                          m * (BitsFor(n) + rank_bits + 23 + w);
-    body += VarintBytes(static_cast<uint32_t>(n << 4 | w << 1 | tree)) +
+                          m * (BitsFor(n) + rank_bits);
+    body += VarintBytes(static_cast<uint32_t>(n << 1 | tree)) +
             (tree ? 0 : VarintBytes(static_cast<uint32_t>(m))) +
             (bits + 7) / 8;
   }
@@ -402,11 +394,7 @@ TEST(PooledLayoutTest, SketchesMatchReferenceRebuild) {
     const RRGraph owned = Owned(pooled);
     ASSERT_EQ(owned.offsets, reference[i].offsets) << "graph " << i;
     ASSERT_EQ(owned.heads, reference[i].heads) << "graph " << i;
-    ASSERT_EQ(pooled.edges.size(), ref.edges.size()) << "graph " << i;
-    for (size_t j = 0; j < ref.edges.size(); ++j) {
-      ASSERT_EQ(pooled.edges[j].rank, ref.edges[j].rank);
-      ASSERT_EQ(pooled.edges[j].threshold, ref.edges[j].threshold);
-    }
+    ASSERT_EQ(owned.ranks, reference[i].ranks) << "graph " << i;
   }
 }
 
@@ -517,11 +505,11 @@ TEST(PooledLayoutTest, PoolTotalsConsistent) {
   for (size_t i = 0; i < pool.num_sketches(); ++i) {
     const RRView view = views(i);
     vertices += view.vertices.size();
-    edges += view.edges.size();
+    edges += view.num_edges();
     max_sketch = std::max(max_sketch, view.vertices.size());
     const RRGraph owned = Owned(view);
-    ASSERT_EQ(owned.offsets.back(), view.edges.size());
-    if (view.vertices.size() > 1 || !view.edges.empty()) {
+    ASSERT_EQ(owned.offsets.back(), view.num_edges());
+    if (view.vertices.size() > 1 || view.num_edges() > 0) {
       ASSERT_EQ(view.heads.bits, BitsFor(view.vertices.size()));
     }
   }
@@ -555,16 +543,14 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   // In root order: the block rooted at 2, then the singletons of 5
   // and 7.
   const std::vector<RRGraph> graphs = InRootOrder(
-      {Singleton(5), RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}},
+      {Singleton(5), RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {3}},
        Singleton(7)});
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   // Only the two-vertex sketch, an in-tree, has a body block: a one-byte
-  // header, then 35 bits in 5 bytes (its 4-bit vertex other than the
-  // root, its root id and 1 head at a bit each, and its 29-bit edge
-  // record: a 4-bit rank
-  // and 0.25f at 23 + 2 bits, as 1.0f's bits less 0.25f's are 2^24),
-  // then 7 bytes of padding: 13 in all. The one list, vertex 7's,
+  // header, then 10 bits in 2 bytes (its 4-bit vertex other than the
+  // root, its root id and 1 head at a bit each, and its edge record, a
+  // 4-bit rank), then 7 bytes of padding: 10 in all. The one list, vertex 7's,
   // names root 2, whose range holds 1 sketch: a gap of 2, which k = 0,
   // 1 and 2 code in 3 bits (the smallest k wins the tie), and a 1-bit
   // mask: 1 byte, then 7 of padding. The
@@ -573,12 +559,16 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   // base and 2-byte words.
   EXPECT_EQ(pool.containing_k(), 0u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
-                                  2 * (4 + 2 * 11) + 13 + (1 + 7));
+                                  2 * (4 + 2 * 11) + 10 + (1 + 7));
   const PoolViews views(pool);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(views(i), graphs[i])) << "sketch " << i;
   }
-  EXPECT_EQ(pool.SingletonRoots(), (std::vector<VertexId>{5, 7}));
+  std::vector<VertexId> singleton_roots;
+  for (size_t i = 0; i < pool.num_sketches(); ++i) {
+    if (pool.IsSingleton(i)) singleton_roots.push_back(pool.RootOf(i));
+  }
+  EXPECT_EQ(singleton_roots, (std::vector<VertexId>{5, 7}));
   EXPECT_TRUE(std::ranges::equal(pool.RootRange(5), std::vector<uint32_t>{1}));
   EXPECT_TRUE(std::ranges::empty(pool.NonRootContaining(5)));
   EXPECT_TRUE(std::ranges::equal(pool.RootRange(7), std::vector<uint32_t>{2}));
@@ -590,19 +580,19 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
 
 TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   // One vertex but one edge: the edge needs its header, offsets and
-  // record, so the sketch keeps a block of 1 + 1 + 4 bytes (header, edge
-  // count, then 30 bits: no stored vertex, as the one vertex is the
+  // record, so the sketch keeps a block of 1 + 1 + 1 bytes (header, edge
+  // count, then 6 bits: no stored vertex, as the one vertex is the
   // root, a 0-bit root id, 2 offsets of a bit, a 0-bit head and the
-  // 28-bit record, 0.5f at 23 + 1 bits), then 7 of padding.
+  // 4-bit rank), then 7 of padding.
   // Vertex 4 roots both sketches, so its root range holds them and no
   // list holds an id: k = 0 and no list bytes.
   const std::vector<RRGraph> graphs = {
-      RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}}, Singleton(4)};
+      RRGraph{4, {4}, {0, 1}, {0}, {9}}, Singleton(4)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.containing_k(), 0u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
-                                  2 * (4 + 2 * 11) + 13);
+                                  2 * (4 + 2 * 11) + 10);
   const PoolViews views(pool);
   EXPECT_TRUE(SameSketch(views(0), graphs[0]));
   EXPECT_TRUE(SameSketch(views(1), graphs[1]));
@@ -636,7 +626,7 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
   }
   EXPECT_EQ(ExpectVertexTotalsAgree(pool), 20u);
   for (size_t i = 0; i < pool.num_sketches(); ++i) {
-    EXPECT_TRUE(views(i).edges.empty()) << "sketch " << i;
+    EXPECT_EQ(views(i).num_edges(), 0u) << "sketch " << i;
   }
   EXPECT_EQ(pool.max_sketch_vertices(), 1u);
 }
@@ -645,13 +635,13 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
 // (self-loop one-vertex sketches among them) and end in a singleton
 // right after an explicit block.
 std::vector<RRGraph> MixedGraphs() {
-  return {RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}},
+  return {RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {3}},
           Singleton(5),
-          RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}},
+          RRGraph{4, {4}, {0, 1}, {0}, {9}},
           Singleton(1),
           Singleton(8),
-          RRGraph{6, {1, 3, 6}, {0, 1, 2, 2}, {2, 2}, {{4, 0.1f}, {5, 0.2f}}},
-          RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {{7, 0.75f}}},
+          RRGraph{6, {1, 3, 6}, {0, 1, 2, 2}, {2, 2}, {4, 5}},
+          RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {7}},
           Singleton(9)};
 }
 
@@ -673,9 +663,9 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
   // A singleton right after an explicit block, last in the pool: View()
   // must take its header from the static block, never from body_.
   for (const std::vector<RRGraph>& graphs :
-       {std::vector<RRGraph>{RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}},
+       {std::vector<RRGraph>{RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {3}},
                              Singleton(7)},
-        std::vector<RRGraph>{RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}},
+        std::vector<RRGraph>{RRGraph{4, {4}, {0, 1}, {0}, {9}},
                              Singleton(4), Singleton(3)},
         MixedGraphs()}) {
     const RrSketchPool pool = PackGraphs(graphs);
@@ -687,11 +677,11 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 1 + 5 (35 bits) and 1 + 9 (72 bits: 0.1f and 0.2f at
-  // 23 + 2) bytes for the two in-trees, and 2 + 4 (30 bits) and 2 + 5
-  // (36 bits: 0.75f at 23) for the self-loop and the sketch whose root
-  // has an out-edge (header and edge count, fields; no block stores its
-  // root's vertex), then 7 of padding,
+  // Blocks of 1 + 2 (10 bits) and 1 + 3 (22 bits: two 4-bit vertices, a
+  // 2-bit root id, two 2-bit heads and two 4-bit ranks) bytes for the two
+  // in-trees, and 2 + 1 (6 bits) and 2 + 2 (13 bits) for the self-loop
+  // and the sketch whose root has an out-edge (header and edge count,
+  // fields; no block stores its root's vertex), then 7 of padding,
   // and 4 containing lists past the roots, each one root of a 1-sketch
   // range: vertex 9's root 0, 7's root 2, and 1's and 3's root 6, gaps
   // of 0, 2, 6 and 6, which k = 2 codes in the fewest bits, 3, 3, 4
@@ -701,7 +691,7 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
   EXPECT_EQ(pool.containing_k(), 2u);
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) + (16 + 2 * 4) + 2 * (4 + 2 * 11) +
-                (29 + 7) + (3 + 7));
+                (14 + 7) + (3 + 7));
   EXPECT_TRUE(std::ranges::equal(pool.RootRange(9), std::vector<uint32_t>{7}));
   EXPECT_TRUE(
       std::ranges::equal(pool.NonRootContaining(9), std::vector<uint32_t>{0}));
@@ -872,7 +862,7 @@ TEST(PooledLayoutTest, VertexIdsMustFitThirtyOneBits) {
   // default pool's vertex fields hold every id below that bit.
   constexpr VertexId kTooWide = VertexId{1} << 31;
   const RRGraph wide_singleton = Singleton(kTooWide);
-  const RRGraph wide_block{0, {0, kTooWide}, {0, 0, 1}, {0}, {{3, 0.25f}}};
+  const RRGraph wide_block{0, {0, kTooWide}, {0, 0, 1}, {0}, {3}};
   const RRGraph fits = Singleton(kTooWide - 1);
   for (const RRGraph* g : {&wide_singleton, &wide_block}) {
     RrSketchPool run;
@@ -914,8 +904,7 @@ TEST(PooledLayoutTest, OverlayStoreMixesSingletonsAndBlocks) {
 
 // A sketch over vertices 0 .. n - 1 rooted at n - 1: edge k is the path
 // edge k -> k + 1 while k + 1 < n, and a parallel shortcut 0 -> n - 1
-// after that, so n and m can be set apart. Edge k has id k; every
-// seventh threshold is too high for ConstantProbs, cutting the path.
+// after that, so n and m can be set apart. Edge k has id k.
 RRGraph WideSketch(size_t n, size_t m) {
   std::vector<VertexId> vertices(n);
   std::iota(vertices.begin(), vertices.end(), 0);
@@ -924,8 +913,7 @@ RRGraph WideSketch(size_t n, size_t m) {
     const bool path = k + 1 < n;
     edges.push_back(GlobalEdgeSample{
         static_cast<VertexId>(path ? k : 0),
-        static_cast<VertexId>(path ? k + 1 : n - 1), static_cast<EdgeId>(k),
-        k % 7 == 3 ? 0.9f : 0.1f});
+        static_cast<VertexId>(path ? k + 1 : n - 1), static_cast<EdgeId>(k)});
   }
   return AssembleRRGraph(Graph(), static_cast<VertexId>(n - 1),
                          std::move(vertices), edges);
@@ -935,6 +923,18 @@ class ConstantProbs final : public EdgeProbFn {
  public:
   double Prob(EdgeId) const override { return 0.5; }
 };
+
+// A model of every edge of `graph` certain: a sketch's thresholds over
+// it are its uniforms H themselves, about half above ConstantProbs'
+// 0.5, which cut the walks there.
+InfluenceGraph CertainModel(const Graph& graph) {
+  InfluenceGraphBuilder influence(graph.num_edges());
+  const EdgeTopicEntry certain{0, 1.0};
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    influence.SetEdgeTopics(e, std::span(&certain, 1));
+  }
+  return influence.Build();
+}
 
 constexpr size_t kWideUniverse = 65537;
 
@@ -964,20 +964,22 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
                          const std::vector<RRGraph>& graphs) {
   ASSERT_EQ(pool.num_sketches(), graphs.size());
   const ConstantProbs probs;
+  const InfluenceGraph model = CertainModel(pool.topology());
   // A singleton's root as the pool holds it: a run's record, or where a
   // finished pool's lists name it.
   const PoolViews views(pool);
   for (size_t i = 0; i < graphs.size(); ++i) {
     SCOPED_TRACE("sketch " + std::to_string(i));
-    const RRView view = views(i);
-    const RRView want = graphs[i];
+    RRView view = views(i);
+    RRView want = graphs[i];
+    view.thresholds = want.thresholds = {&model, ThresholdKey(0, i)};
     ASSERT_TRUE(SameSketch(view, want));
     // An in-tree's block stores no offsets; any other stores them.
     EXPECT_EQ(view.offsets.data == nullptr, InTreeShape(graphs[i]));
     EXPECT_EQ(view.root(), graphs[i].root);
     EXPECT_EQ(view.root_local, graphs[i].LocalIndex(graphs[i].root));
     const size_t n = want.vertices.size();
-    const size_t m = want.edges.size();
+    const size_t m = want.num_edges();
     // A singleton's vertex is its view's base over a 0-bit field; a
     // block's vertices take the pool's width.
     const bool singleton = n == 1 && m == 0;
@@ -988,7 +990,7 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
     if (view.offsets.data != nullptr) {
       EXPECT_EQ(view.offsets.bits, BitsFor(m + 1));
     }
-    EXPECT_EQ(view.edges.rank_bits(), BitsFor(pool.max_out_degree()));
+    EXPECT_EQ(view.ranks.bits, BitsFor(pool.max_out_degree()));
     // Ranks decode only against a topology.
     if (pool.topology().num_vertices() == 0) continue;
     const size_t r = want.root_local;
@@ -1099,8 +1101,8 @@ TEST(PooledLayoutTest, WidthBoundariesSurviveEveryWriter) {
   const std::vector<RRGraph> graphs = BoundaryGraphs();
   // Sanity of the fixtures: the shortcut edges make m independent of n.
   ASSERT_EQ(graphs[2].vertices.size(), 257u);
-  ASSERT_EQ(graphs[2].edges.size(), 255u);
-  ASSERT_EQ(graphs[8].edges.size(), 65536u);
+  ASSERT_EQ(graphs[2].ranks.size(), 255u);
+  ASSERT_EQ(graphs[8].ranks.size(), 65536u);
   ExpectEveryWriterKeeps(graphs, kWideUniverse);
 }
 
@@ -1114,26 +1116,24 @@ RRGraph EdgelessSketch(std::vector<VertexId> vertices, size_t root_at = 0) {
 
 // Appends `g` to `run` through AppendSketch, as the generator and the
 // repair assembly do: its form first, then a fill that puts its offsets
-// (unless it is an in-tree), its heads and its records, in order.
+// (unless it is an in-tree), its heads and its ranks, in order.
 void AppendThroughSketch(const RRGraph& g, RrSketchPool* run) {
   const bool in_tree = InTreeShape(g);
-  run->AppendSketch(*g.LocalIndex(g.root), g.vertices, g.edges.size(),
-                    in_tree, ThresholdWidthOf(g.edges),
-                    [&g, in_tree](BlockWriter& out) {
+  run->AppendSketch(*g.LocalIndex(g.root), g.vertices, g.ranks.size(),
+                    in_tree, [&g, in_tree](BlockWriter& out) {
                       if (!in_tree) {
                         for (const uint32_t offset : g.offsets) {
                           out.PutOffset(offset);
                         }
                       }
                       for (const uint32_t head : g.heads) out.PutHead(head);
-                      for (const RRLocalEdge edge : g.edges) out.PutEdge(edge);
+                      for (const uint32_t rank : g.ranks) out.PutRank(rank);
                     });
 }
 
 // A sketch over vertices 0 .. n - 1 rooted at local id r: a path from
 // each end converging on the root (j -> j + 1 below it, j -> j - 1
-// above it). Edge k has id k; every third threshold is too high for
-// ConstantProbs, cutting the path there.
+// above it). Edge k has id k.
 RRGraph RootedSketch(size_t n, size_t r) {
   std::vector<VertexId> vertices(n);
   std::iota(vertices.begin(), vertices.end(), 0);
@@ -1143,7 +1143,7 @@ RRGraph RootedSketch(size_t n, size_t r) {
     const size_t k = edges.size();
     edges.push_back(GlobalEdgeSample{
         static_cast<VertexId>(j), static_cast<VertexId>(j < r ? j + 1 : j - 1),
-        static_cast<EdgeId>(k), k % 3 == 2 ? 0.9f : 0.1f});
+        static_cast<EdgeId>(k)});
   }
   return AssembleRRGraph(Graph(), static_cast<VertexId>(r),
                          std::move(vertices), edges);
@@ -1191,52 +1191,50 @@ void ExpectIndexFileRoundTrip(const SocialNetwork& network,
   EXPECT_EQ(loaded->pool().SizeBytes(), pool.SizeBytes());
 }
 
-TEST(PooledLayoutTest, HeaderTakesTwoBytesFromEightVertices) {
-  // The header is the varint of n << 4 | w << 1 | in-tree: one byte
-  // while n <= 7, two from n = 8 and three from n = 1,024, for blocks
-  // with offsets (whose edge count, another varint, follows it) and
-  // in-tree blocks alike, whatever their threshold width.
+TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixtyFourVertices) {
+  // The header is the varint of n << 1 | in-tree: one byte while
+  // n <= 63, two from n = 64 and three from n = 8,192, for blocks with
+  // offsets (whose edge count, another varint, follows it) and in-tree
+  // blocks alike.
   const auto first = [](size_t n) {
     std::vector<VertexId> vertices(n);
     std::iota(vertices.begin(), vertices.end(), 0);
     return vertices;
   };
   const std::vector<RRGraph> graphs = {
-      EdgelessSketch(first(7)),    Singleton(3),
-      EdgelessSketch(first(8)),    RootedSketch(7, 2),
-      RootedSketch(8, 5),          EdgelessSketch(first(1023)),
-      EdgelessSketch(first(1024)), WideSketch(1024, 1025)};
-  RrSketchPool run(1100, 1100);
+      EdgelessSketch(first(63)),   Singleton(3),
+      EdgelessSketch(first(64)),   RootedSketch(63, 2),
+      RootedSketch(64, 5),         EdgelessSketch(first(8191)),
+      EdgelessSketch(first(8192)), WideSketch(8192, 8193)};
+  RrSketchPool run(8300, 8300);
   for (const RRGraph& g : graphs) AppendThroughSketch(g, &run);
   ExpectMatchesGraphs(run, graphs);
-  ExpectEveryWriterKeeps(graphs, 1100);
+  ExpectEveryWriterKeeps(graphs, 8300);
   const RrSketchPool pool = PackViews(
-      graphs.size(), RrSketchPool(1100, 1100),
+      graphs.size(), RrSketchPool(8300, 8300),
       [&graphs](size_t i) { return graphs[i].View(); });
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // At 11-bit vertices and ranks, each block storing every vertex but
-  // its root, the edgeless blocks take 1 + 1 + 9, 2 + 1 + 10,
-  // 2 + 1 + 1,407 and 3 + 1 + 1,408 bytes (header, edge count, 69, 80,
-  // 11,252 and 11,263 bits), the in-trees, whose 0.1f thresholds take
-  // 23 + 2 bits, 1 + 38 and 2 + 45 (303 and 353 bits), and the
-  // 1,025-edge block 3 + 2 + 8,711 (69,688 bits), then 7 bytes of
-  // padding. The root starts and the containing starts each take 18
-  // bases and 1,101 2-byte words.
+  // At 14-bit vertices and ranks, each block storing every vertex but
+  // its root, the edgeless blocks take 1 + 1 + 110, 2 + 1 + 111,
+  // 2 + 1 + 14,335 and 3 + 1 + 14,336 bytes (header, edge count, 874,
+  // 888, 114,673 and 114,687 bits), the in-trees 1 + 265 and 2 + 269
+  // (2,114 and 2,148 bits), and the 8,193-edge block 3 + 2 + 56,325
+  // (450,600 bits), then 7 bytes of padding. The root starts and the
+  // containing starts each take 130 bases and 8,301 2-byte words.
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + (16 + 2 * 7) + 2 * (4 * 18 + 2 * 1101) +
-                (11 + 13 + 39 + 47 + 1410 + 1412 + 8716 + 7) +
+            sizeof(RrSketchPool) + (16 + 2 * 7) + 2 * (4 * 130 + 2 * 8301) +
+                (112 + 114 + 266 + 271 + 14338 + 14340 + 56330 + 7) +
                 ExpectedListsOf(pool).bytes);
 }
 
-// Where the block of `view` starts: its header, the varint of n << 4 |
-// w << 1 | in-tree, and the varint of m unless it is an in-tree, come
-// right before its vertices.
+// Where the block of `view` starts: its header, the varint of n << 1 |
+// in-tree, and the varint of m unless it is an in-tree, come right
+// before its vertices.
 const uint8_t* BlockStart(const RRView& view) {
   const bool tree = view.offsets.data == nullptr;
   const auto n = static_cast<uint32_t>(view.vertices.size());
-  const auto m = static_cast<uint32_t>(view.edges.size());
-  const uint32_t w = view.edges.threshold_width();
-  return view.vertices.ids().data - VarintBytes(n << 4 | w << 1 | tree) -
+  const auto m = static_cast<uint32_t>(view.num_edges());
+  return view.vertices.ids().data - VarintBytes(n << 1 | tree) -
          (tree ? 0 : VarintBytes(m));
 }
 
@@ -1244,37 +1242,35 @@ const uint8_t* BlockStart(const RRView& view) {
 // through the byte of its last record's last bit.
 std::vector<uint8_t> BlockBytes(const RrSketchPool& pool, size_t i) {
   const RRView view = PoolViews(pool)(i);
-  return {BlockStart(view), view.edges.end_byte()};
+  const PackedIds& ranks = view.ranks;
+  return {BlockStart(view),
+          ranks.data + (ranks.first + uint64_t{ranks.bits} * view.num_edges() +
+                        7) / 8};
 }
 
 TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
   // Two in-trees, rooted first and in the middle, and a sketch whose
   // root has an out-edge, then implicit singletons, in root order.
   const std::vector<RRGraph> graphs = InRootOrder(
-      {RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {{7, 0.75f}}}, RootedSketch(3, 1),
-       RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}}, Singleton(5),
+      {RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {7}}, RootedSketch(3, 1),
+       RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {3}}, Singleton(5),
        Singleton(6)});
   const RrSketchPool pool = PackGraphs(graphs);
-  // Fields go LSB-first at 4-bit vertices and ranks, each threshold c
-  // stored as 0x3f800000 less c's bits, and a block stores every vertex
-  // but its root. An in-tree block: header 2 << 4 | 2 << 1 | in-tree
-  // (threshold width 2), then vertex 7 (root 2 left out), root id 0 and
-  // one head at a bit each (0xc7 with rank 3's low bits), rank 3, and
-  // 0.25f (0x3e800000) as 0x01000000 at 25 bits: 35 bits.
-  EXPECT_EQ(BlockBytes(pool, 2),
-            (std::vector<uint8_t>{0x25, 0xc7, 0x00, 0x00, 0x00, 0x04}));
+  // Fields go LSB-first at 4-bit vertices and ranks, a record is its
+  // rank alone, and a block stores every vertex but its root. An
+  // in-tree block: header 2 << 1 | in-tree, then vertex 7 (root 2 left
+  // out), root id 0 and one head at a bit each (0xc7 with rank 3's low
+  // bits), and rank 3: 10 bits.
+  EXPECT_EQ(BlockBytes(pool, 2), (std::vector<uint8_t>{0x05, 0xc7, 0x00}));
   // Vertices 0 and 2 (root 1 left out), root id 1 and the heads of
-  // vertices 0 and 2 (both 1) at 2 bits, then ranks 0 and 1 with 0.1f
-  // (0x3dcccccd, stored as 0x01b33333 at 25 bits) each: 72 bits.
+  // vertices 0 and 2 (both 1) at 2 bits, then ranks 0 and 1: 22 bits.
   EXPECT_EQ(BlockBytes(pool, 1),
-            (std::vector<uint8_t>{0x35, 0x20, 0x15, 0xcc, 0xcc, 0xcc, 0x8e,
-                                  0x99, 0x99, 0xd9}));
-  // The root's out-edge keeps its edge count 1 after the header (width 0)
-  // and the offsets {0, 1, 1} at a bit each after the root id; vertex 9
-  // is stored, root 0 left out; 0.75f (0x3f400000) is stored as
-  // 0x00400000 at 23 bits: 36 bits.
+            (std::vector<uint8_t>{0x07, 0x20, 0x15, 0x04}));
+  // The root's out-edge keeps its edge count 1 after the header and the
+  // offsets {0, 1, 1} at a bit each after the root id; vertex 9 is
+  // stored, root 0 left out, then head 0 and rank 7: 13 bits.
   EXPECT_EQ(BlockBytes(pool, 0),
-            (std::vector<uint8_t>{0x20, 0x01, 0xc9, 0x0e, 0x00, 0x00, 0x08}));
+            (std::vector<uint8_t>{0x04, 0x01, 0xc9, 0x0e}));
   const PoolViews views(pool);
   for (const size_t i : {1, 2, 3, 4}) {
     EXPECT_EQ(views(i).offsets.data, nullptr) << "sketch " << i;
@@ -1284,41 +1280,7 @@ TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
   EXPECT_EQ(Owned(views(1)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 3) +
-                                  2 * (4 + 2 * 11) + (6 + 10 + 7 + 7) +
-                                  ExpectedListsOf(pool).bytes);
-  ExpectEveryWriterKeeps(graphs, 10);
-}
-
-TEST(PooledLayoutTest, ThresholdWidthFollowsItsBlock) {
-  // Each block stores its thresholds as 1.0f's bits less theirs at
-  // 23 + w bits, w the fewest its own largest value needs. A block whose
-  // thresholds all lie in (0.5, 1] stores values below 2^23: width 0.
-  // One holding 1e-6f (0x358637bd, stored as 0x09f9c843, a 28-bit
-  // value) takes width 5, beside its 0.6f. Implicit singletons between
-  // them store none. In root order, the block rooted at 1 comes first.
-  const std::vector<RRGraph> graphs = InRootOrder(
-      {RRGraph{1,
-               {0, 1, 2},
-               {0, 1, 1, 2},
-               {1, 1},
-               {{0, 0.6f}, {1, 1e-6f}}},
-       RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.75f}}}, Singleton(5),
-       Singleton(9)});
-  const RrSketchPool pool = PackGraphs(graphs);
-  const PoolViews views(pool);
-  EXPECT_EQ(views(1).edges.threshold_width(), 0u);
-  EXPECT_EQ(views(0).edges.threshold_width(), 5u);
-  EXPECT_EQ(views(0).edges[1].threshold, 1e-6f);
-  // At 4-bit vertices and ranks: a one-byte header and 33 bits (the
-  // vertex other than the root, a root id and a head at a bit each, and
-  // a 27-bit record), and a one-byte header and 78 bits (the two
-  // vertices other than the root, a 2-bit root id, two 2-bit heads and
-  // two 32-bit records).
-  EXPECT_EQ(BlockBytes(pool, 1).size(), 1u + 5);
-  EXPECT_EQ(BlockBytes(pool, 0).size(), 1u + 10);
-  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 2) +
-                                  2 * (4 + 2 * 11) + (6 + 11 + 7) +
+                                  2 * (4 + 2 * 11) + (3 + 4 + 4 + 7) +
                                   ExpectedListsOf(pool).bytes);
   ExpectEveryWriterKeeps(graphs, 10);
 }
@@ -1331,15 +1293,15 @@ std::vector<RRGraph> NonTreeGraphs() {
                   {0, 1, 2},
                   {0, 1, 2, 3},
                   {1, 0, 1},
-                  {{0, 0.1f}, {1, 0.2f}, {2, 0.3f}}},
+                  {0, 1, 2}},
           Singleton(3),
           RRGraph{2,
                   {0, 1, 2},
                   {0, 2, 3, 3},
                   {1, 2, 2},
-                  {{3, 0.1f}, {4, 0.2f}, {5, 0.3f}}},
+                  {3, 4, 5}},
           Singleton(4),
-          RRGraph{4, {4}, {0, 1}, {0}, {{9, 0.5f}}}};
+          RRGraph{4, {4}, {0, 1}, {0}, {9}}};
 }
 
 TEST(PooledLayoutTest, NonTreeShapesKeepOffsetsThroughEveryWriter) {
@@ -1631,7 +1593,7 @@ TEST(PooledLayoutTest, VertexInEverySketchAndVerticesInNone) {
     graphs.push_back(k % 3 == 0 ? Singleton(3)
                                 : EdgelessSketch({3, 6 + k % 3}));
   }
-  graphs.push_back(RRGraph{3, {1, 3}, {0, 0, 1}, {0}, {{2, 0.5f}}});
+  graphs.push_back(RRGraph{3, {1, 3}, {0, 0, 1}, {0}, {2}});
   const RrSketchPool pool = PackGraphs(graphs);
   ExpectContainingMatchesViews(pool);
   EXPECT_EQ(pool.CountContaining(3), graphs.size());
@@ -1844,7 +1806,7 @@ std::vector<RRGraph> SingletonRootGraphs(VertexId root) {
   for (VertexId k = 0; k < 70; ++k) {
     graphs.push_back(k % 2 == 0 ? Singleton(k)
                                 : RRGraph{k + 1, {k, k + 1}, {0, 1, 1}, {1},
-                                          {{k, 0.5f}}});
+                                          {k}});
   }
   graphs[40] = Singleton(root);
   return graphs;
@@ -1874,13 +1836,13 @@ std::pair<SocialNetwork, RrSketchPool> PackOnOwnNetwork(
   return {std::move(network), std::move(pool)};
 }
 
-TEST(PooledLayoutTest, SingletonRootsWidenOnlyTheFileDirectory) {
-  // A singleton rooted at 32,767 fits a 2-byte word of the index file's
-  // directory below its flag bit 15; one rooted at 32,768 makes every
-  // file word 4 bytes. The pool's own words hold no root, so they stay
-  // at 2 bytes either way.
+TEST(PooledLayoutTest, SingletonRootsWidenNoDirectory) {
+  // A singleton has no word in the pool's directory or in the index
+  // file's, which holds a mask bit per sketch and a word per block: one
+  // rooted at 32,767 and one rooted at 32,768 leave both at 2-byte
+  // words.
   for (const auto& [root, file_width] :
-       {std::pair{32767u, 2u}, {32768u, 4u}}) {
+       {std::pair{32767u, 2u}, {32768u, 2u}}) {
     SCOPED_TRACE("root " + std::to_string(root));
     const std::vector<RRGraph> graphs = SingletonRootGraphs(root);
     ExpectEveryWriterKeeps(graphs, 40000);
@@ -1894,13 +1856,13 @@ TEST(PooledLayoutTest, SingletonRootsWidenOnlyTheFileDirectory) {
 
 // Edgeless sketches over vertices 0 .. n - 1 of a 4,096-vertex network
 // whose blocks take `bytes` bytes in all. Each takes a header of one
-// byte while n <= 7, two from n = 8 and three from n = 1,024, an edge
-// count of one byte, and then n - 1 12-bit vertices (all but the
-// root), a BitsFor(n)-bit root id and n + 1 0-bit offsets to the next
-// byte, for 2 <= n <= 2,048.
+// byte while n <= 63 and two from n = 64, an edge count of one byte,
+// and then n - 1 12-bit vertices (all but the root), a BitsFor(n)-bit
+// root id and n + 1 0-bit offsets to the next byte, for
+// 2 <= n <= 2,048.
 std::vector<RRGraph> BlocksTaking(size_t bytes) {
   const auto length = [](uint32_t n) {
-    return VarintBytes(n << 4) + 1 + (12 * (n - 1) + BitsFor(n) + 7) / 8;
+    return VarintBytes(n << 1) + 1 + (12 * (n - 1) + BitsFor(n) + 7) / 8;
   };
   std::vector<RRGraph> graphs;
   const auto push = [&graphs](uint32_t n) {
@@ -1929,11 +1891,11 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
   // The last sketch of the first group of 64 is a block that starts
   // `offset` bytes past the group's base. The pool's words take 2 bytes
   // up to 65,535, the largest start less its base they hold, and 4 from
-  // 65,536; the index file's words keep a flag in bit 15, so they widen
-  // from 32,768. A second group opens with a block at its base.
+  // 65,536, and the index file's words are the pool's. A second group
+  // opens with a block at its base.
   for (const auto& [offset, width, file_width] :
-       {std::tuple{size_t{32767}, 2u, 2u}, {size_t{32768}, 2u, 4u},
-        {size_t{65535}, 2u, 4u}, {size_t{65536}, 4u, 4u}}) {
+       {std::tuple{size_t{32767}, 2u, 2u}, {size_t{32768}, 2u, 2u},
+        {size_t{65535}, 2u, 2u}, {size_t{65536}, 4u, 4u}}) {
     SCOPED_TRACE("offset " + std::to_string(offset));
     // Every sketch before sketch 63 is rooted at 0, as the blocks
     // BlocksTaking makes are, so root order keeps their places.
@@ -1941,7 +1903,7 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
     ASSERT_LT(graphs.size(), 63u);
     while (graphs.size() < 63) graphs.push_back(Singleton(0));
     graphs.push_back(EdgelessSketch({1, 2}));
-    graphs.push_back(RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {{3, 0.25f}}});
+    graphs.push_back(RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {3}});
     graphs.push_back(Singleton(4));
     ExpectEveryWriterKeeps(graphs, 4096);
     const auto [network, pool] = PackOnOwnNetwork(graphs, 4096);
@@ -1999,19 +1961,6 @@ TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
   }
 }
 
-// Thresholds a record stores: 0, the smallest denormal, values inside
-// (0, 1) with full mantissas, the largest below 1, and 1 itself. A block
-// holding +0.0f takes the widest threshold width, 7.
-const std::vector<float> kSweepThresholds = {
-    0.0f, std::numeric_limits<float>::denorm_min(), 0.1f, 0.5f,
-    std::nextafter(1.0f, 0.0f), 1.0f};
-// The two extremes alone: every threshold exactly 1.0f, whose blocks
-// store each as 0 at 23 bits (width 0), and +0.0f and the largest
-// denormal, which need 30 (width 7).
-const std::vector<float> kOneThresholds = {1.0f};
-const std::vector<float> kZeroThresholds = {
-    0.0f, std::nextafter(std::numeric_limits<float>::min(), 0.0f)};
-
 // Id k of ids spread over [0, count): alternately from the top and the
 // bottom, so the largest id and small ones both appear.
 uint64_t Spread(size_t k, uint64_t count) {
@@ -2021,24 +1970,22 @@ uint64_t Spread(size_t k, uint64_t count) {
 // A sketch of n vertices of a network with `num_vertices` vertices and
 // `num_edges` edges: its n / 2 lowest ids and the rest of the highest,
 // the largest among them, and a path from the first to the last, the
-// root, with ranks spread below `max_out_degree` (Spread) and edge k's
-// threshold thresholds[k % size], and no topology. An in-tree, or with
-// `general` the path and an edge out of the root back to the first
-// vertex (a self-loop when n = 1).
+// root, with ranks spread below `max_out_degree` (Spread), and no
+// topology. An in-tree, or with `general` the path and an edge out of
+// the root back to the first vertex (a self-loop when n = 1).
 RRGraph SweepSketch(uint64_t num_vertices, uint64_t max_out_degree, size_t n,
-                    bool general, const std::vector<float>& thresholds) {
+                    bool general) {
   std::vector<VertexId> vertices(n);
   for (size_t j = 0; j < n; ++j) {
     vertices[j] = static_cast<VertexId>(j < n / 2 ? j : num_vertices - n + j);
   }
   std::vector<GlobalEdgeSample> edges;
   for (size_t j = 0; j + 1 < n; ++j) {
-    edges.push_back({vertices[j], vertices[j + 1], 0, 0.0f});
+    edges.push_back({vertices[j], vertices[j + 1], 0});
   }
-  if (general) edges.push_back({vertices[n - 1], vertices[0], 0, 0.0f});
+  if (general) edges.push_back({vertices[n - 1], vertices[0], 0});
   for (size_t k = 0; k < edges.size(); ++k) {
     edges[k].edge = static_cast<EdgeId>(Spread(k, max_out_degree));
-    edges[k].threshold = thresholds[k % thresholds.size()];
   }
   return AssembleRRGraph(Graph(), vertices[n - 1], vertices, edges);
 }
@@ -2073,10 +2020,7 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
   // below 2^31, the directory word's flag, so no vertex field takes
   // 32), with sketches of n in {1, 2, 3, 4, 5, 8, 9, 256, 257}, in-trees
   // and general, so local ids take 0 to 9 bits, between singletons at
-  // the highest and lowest vertex. Each shape comes with three sets of
-  // thresholds: the sweep and the zeros, whose blocks' thresholds take
-  // 30 bits (threshold width 7), and the ones, which take 23 (width 0).
-  // Every writer that builds no
+  // the highest and lowest vertex. Every writer that builds no
   // containing index (AppendSketch, Append, an overlay) runs at every
   // width, a default pool's (31-bit vertices, 32-bit ranks) among them.
   // PackViews and FromRuns, whose containing index holds an entry per
@@ -2107,15 +2051,9 @@ TEST(PooledLayoutTest, EveryFieldWidthSurvivesEveryWriter) {
       for (const bool general : {false, true}) {
         // The one-vertex in-tree is a singleton.
         if (n == 1 && !general) continue;
-        for (const auto& [thresholds, width] :
-             {std::pair{&kSweepThresholds, 7u},
-              {&kOneThresholds, 0u},
-              {&kZeroThresholds, 7u}}) {
-          graphs.push_back(SweepSketch(num_vertices, max_out_degree, n,
-                                       general, *thresholds));
-          ASSERT_EQ(InTreeShape(graphs.back()), !general);
-          ASSERT_EQ(ThresholdWidthOf(graphs.back().edges), width);
-        }
+        graphs.push_back(
+            SweepSketch(num_vertices, max_out_degree, n, general));
+        ASSERT_EQ(InTreeShape(graphs.back()), !general);
       }
       graphs.push_back(Singleton(0));
     }
@@ -2194,16 +2132,20 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   const RrSketchPool& pool = index.pool();
   ASSERT_EQ(pool.num_sketches(), 200000u);
   // The offset arrays take 2-byte words: the block words (largest
-  // block start less its base 2,755 B), the root starts (largest group
-  // 573 sketches) and the containing starts. 85,966 sketches are
-  // blocks, so the directory takes 3,125 16-byte records and 85,966
-  // words. The 200,000 root incidences are root ranges, and the lists'
-  // other 254,185 ids are 101,074 root entries, whose gaps k = 10 codes
-  // in the fewest bits: with their masks, 2,081,217 bits, 260,160 B with
-  // padding (481,823 B as gaps between ids at k = 14). The network's
-  // 25,000 vertices and at most 18 out-edges a vertex give 15-bit
-  // vertices and 5-bit ranks. Each block's thresholds take 23 + w bits,
-  // w from its smallest threshold: the blocks' w run from 0 to 5.
+  // block start less its base 1,336 B), the root starts (largest group
+  // 573 sketches) and the containing starts, 391 bases and 25,001 words
+  // each: 51,566 B. 85,966 sketches are blocks, so the directory takes
+  // 3,125 16-byte records and 85,966 words: 221,932 B. The 200,000 root
+  // incidences are root ranges, and the lists' other 254,185 ids are
+  // 101,074 root entries, whose gaps k = 10 codes in the fewest bits:
+  // with their masks, 2,081,217 bits, 260,160 B with padding (481,823 B
+  // as gaps between ids at k = 14). The network's 25,000 vertices and
+  // at most 18 out-edges a vertex give 15-bit vertices and 5-bit ranks.
+  // A record is its rank alone: the 254,190 records take 1,270,950
+  // bits. Every block has fewer than 64 vertices, so a one-byte header;
+  // 5 blocks store offsets, and an edge count of one byte; the blocks'
+  // fields take 770,373 B, each to its next byte: a body of 856,344 B
+  // and 7 of padding.
   EXPECT_EQ(pool.directory_width(), 2u);
   EXPECT_EQ(pool.DirectoryBytes(), 3125u * 16 + 85966u * 2);
   EXPECT_EQ(pool.containing_start_width(), 2u);
@@ -2212,41 +2154,38 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   EXPECT_EQ(pool.vertex_bits(), 15u);
   EXPECT_EQ(pool.max_out_degree(), 18u);
   EXPECT_EQ(pool.rank_bits(), 5u);
-  std::vector<size_t> widths(kMaxThresholdWidth + 1, 0);
-  const PoolViews views(pool);
-  for (size_t i = 0; i < pool.num_sketches(); ++i) {
-    if (!pool.IsSingleton(i)) ++widths[views(i).edges.threshold_width()];
-  }
-  EXPECT_EQ(widths, (std::vector<size_t>{15567, 15710, 26857, 23874, 3916,
-                                         42, 0, 0}));
   uint64_t list_bits = 0;
   for (VertexId v = 0; v < pool.num_universe_vertices(); ++v) {
     list_bits += pool.NonRootContaining(v).bits();
   }
   EXPECT_EQ(list_bits, 2081217u);
   ExpectContainingMatchesViews(pool);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 2259007);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 221932 + 2 * 51566 +
+                                  856351 + 260160);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // The file is v13, keeps each vertex's count of rooted sketches (each
-  // below 256, so 1 byte each) and a word per sketch, a singleton's its
-  // root (the largest 24,999, so 2 bytes each), and these exact bytes.
+  // The file is v14: its 61-byte header, theta, each vertex's count of
+  // rooted sketches (each below 256, so 1 byte each), the 3,125 group
+  // masks, the pool's 85,966 2-byte block words and its body, each
+  // array after its u64 length, then build_seconds and the checksum:
+  // these exact bytes.
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
-  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 13);
-  EXPECT_EQ(file.str().size(), 2098894u);
-  EXPECT_EQ(FileHash(file.str()), 0x21570205303e4e73ULL)
+  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 14);
+  EXPECT_EQ(file.str().size(), 61u + 8 + (1 + 8 + 25000) + (8 + 3125 * 8) +
+                                   (1 + 8 + 85966 * 2) + (8 + 856351) + 16);
+  EXPECT_EQ(FileHash(file.str()), 0x4bc6df87b88f46beULL)
       << std::hex << FileHash(file.str());
   EXPECT_EQ(pool_image::Image(file.str(), network).count_width, 1u);
   EXPECT_EQ(pool_image::Image(file.str(), network).width, 2u);
-  // The same bytes under a v12 header, whose blocks stored their root's
-  // vertex id, are refused by their version.
-  std::string v12 = file.str();
-  v12[pool_image::kVersionOffset] = 12;
-  pool_image::RepairChecksum(&v12);
-  std::stringstream v12_file(v12);
-  IndexIoError v12_error;
-  EXPECT_EQ(LoadRrIndex(network, v12_file, &v12_error), nullptr);
-  EXPECT_EQ(v12_error.code, IndexIoCode::kBadVersion);
+  // The same bytes under a v13 header, whose records stored their
+  // thresholds, are refused by their version.
+  std::string v13 = file.str();
+  v13[pool_image::kVersionOffset] = 13;
+  pool_image::RepairChecksum(&v13);
+  std::stringstream v13_file(v13);
+  IndexIoError v13_error;
+  EXPECT_EQ(LoadRrIndex(network, v13_file, &v13_error), nullptr);
+  EXPECT_EQ(v13_error.code, IndexIoCode::kBadVersion);
 
   // With repairs, the save folds base + overlay: its bytes load and save
   // back unchanged, and the loaded index holds the fold's sketches.
@@ -2281,9 +2220,9 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
 TEST(PooledLayoutTest, WideNetworkKeepsTwoByteWords) {
   // The dblp analog at scale 0.08 has 40,000 vertices: singletons rooted
   // at 2^15 and above, which made every directory word 4 bytes while
-  // the directory held the roots. The pool's words hold only block
-  // starts, so they take 2 bytes; the file's words hold the roots, so
-  // they take 4, and the file loads and saves back unchanged.
+  // the directory held the roots. The pool's words and the file's hold
+  // only block starts, so both take 2 bytes, and the file loads and
+  // saves back unchanged.
   const SocialNetwork network = BenchmarkNetwork(0.08);
   ASSERT_EQ(network.num_vertices(), 40000u);
   RrIndexOptions options;
@@ -2296,7 +2235,7 @@ TEST(PooledLayoutTest, WideNetworkKeepsTwoByteWords) {
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
-  EXPECT_EQ(pool_image::Image(file.str(), network).width, 4u);
+  EXPECT_EQ(pool_image::Image(file.str(), network).width, 2u);
   IndexIoError error;
   const auto loaded = LoadRrIndex(network, file, &error);
   ASSERT_NE(loaded, nullptr) << error.message;
@@ -2304,11 +2243,6 @@ TEST(PooledLayoutTest, WideNetworkKeepsTwoByteWords) {
   std::stringstream again;
   ASSERT_TRUE(SaveRrIndex(*loaded, again));
   EXPECT_EQ(again.str(), file.str());
-}
-
-TEST(PooledLayoutTest, EdgeRecordIsEightBytes) {
-  // The head lives in the block's packed ids, not in the edge record.
-  EXPECT_EQ(sizeof(RRLocalEdge), 8u);
 }
 
 }  // namespace

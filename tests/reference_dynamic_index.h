@@ -141,8 +141,8 @@ class ReferenceDynamicRrIndex {
       ++stats_.edges_updated;
 
       // Transitions are taken in the float-quantized envelope space the
-      // sketches were sampled in (EnvelopeProbability), so the coupling
-      // conditionals below are exact w.r.t. the stored thresholds.
+      // sketches were sampled in and their thresholds scale with
+      // (EnvelopeProbability), so the conditionals below are exact.
       const auto p_old = static_cast<double>(envelope_.Prob(e));
       double p_new_raw = 0.0;
       for (const EdgeTopicEntry& entry : update.entries) {
@@ -219,8 +219,9 @@ class ReferenceDynamicRrIndex {
     uint64_t hits = 0;
     for (const uint32_t id : containing_[u]) {
       ++result.samples;
-      if (IsReachable(graphs_[id], u, probs, &result.edges_visited,
-                      &scratch_)) {
+      RRView rr = graphs_[id].View();
+      rr.thresholds = {&network_.influence, ThresholdKey(options_.seed, id)};
+      if (IsReachable(rr, u, probs, &result.edges_visited, &scratch_)) {
         ++hits;
       }
     }
@@ -271,21 +272,20 @@ class ReferenceDynamicRrIndex {
 
     bool changed = false;
     if (it != edges.end()) {
-      // Live under the old model with threshold c = U(e) < p_old. The
-      // exact conditional keeps it live iff U(e) < p_new.
-      if (static_cast<double>(it->threshold) >= p_new) {
+      // Live under the old model, where P[live] = p_old: it stays live
+      // with probability p_new / p_old, by a coin of the repair stream
+      // (always when the envelope did not fall), and its threshold, a
+      // function of the envelope, is uniform on (0, p_new] either way.
+      if (p_new < p_old && rng->NextDouble() * p_old >= p_new) {
         edges.erase(it);
         changed = true;  // prune below: some vertices may lose the root
       }
-      // else: survives, threshold unchanged (U(e) < p_new already).
     } else if (p_new > p_old && p_old < 1.0) {
       // Dead under the old model: latent U(e) uniform on [p_old, 1).
       if (rng->NextDouble() < (p_new - p_old) / (1.0 - p_old)) {
         const VertexId tail = network_.graph.Tail(e);
         const VertexId head = network_.graph.Head(e);
-        const auto threshold = static_cast<float>(
-            p_old + rng->NextDouble() * (p_new - p_old));
-        edges.push_back(GlobalEdgeSample{tail, head, e, threshold});
+        edges.push_back(GlobalEdgeSample{tail, head, e});
         changed = true;
 
         // If the tail newly reaches the root, reverse sampling expands:
@@ -312,10 +312,10 @@ class ReferenceDynamicRrIndex {
             const auto in = network_.graph.InEdges(x);
             SampleLiveInEdges(envelope_.InEnvelopes(network_.graph, x),
                               envelope_.VertexMax(x), rng,
-                              [&](size_t j, double u) {
+                              [&](size_t j) {
                                 const auto& [y, in_edge] = in[j];
-                                edges.push_back(GlobalEdgeSample{
-                                    y, x, in_edge, static_cast<float>(u)});
+                                edges.push_back(
+                                    GlobalEdgeSample{y, x, in_edge});
                                 if (present_mark_[y] != epoch) {
                                   present_mark_[y] = epoch;
                                   stack.push_back(y);

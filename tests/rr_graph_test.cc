@@ -83,17 +83,17 @@ TEST(RRGraphTest, VerticesSortedUnique) {
   }
 }
 
-TEST(RRGraphTest, ThresholdsBelowEnvelope) {
+TEST(RRGraphTest, ThresholdsWithinEnvelope) {
+  // c(e) = env(e) * H lies in (0, env(e)], env(e) the float envelope
+  // the sampler draws e live under.
   SocialNetwork n = MakeRunningExample();
-  Rng rng(3);
-  for (int i = 0; i < 100; ++i) {
-    const RRGraph rr = GenerateRRGraph(n.graph, n.influence, 6, &rng);
-    std::vector<GlobalEdgeSample> edges;
-    DecomposeRRGraphInto(rr, &edges);
-    for (const GlobalEdgeSample& e : edges) {
-      EXPECT_LT(static_cast<double>(e.threshold),
-                n.influence.MaxProb(e.edge));
-      EXPECT_GE(e.threshold, 0.0f);
+  for (uint64_t id = 0; id < 100; ++id) {
+    const SketchThresholds thresholds{&n.influence, ThresholdKey(3, id)};
+    for (EdgeId e = 0; e < n.num_edges(); ++e) {
+      const double c = thresholds(e);
+      EXPECT_GT(c, 0.0);
+      EXPECT_LE(c, static_cast<double>(
+                       EnvelopeProbability(n.influence.MaxProb(e))));
     }
   }
 }
@@ -104,8 +104,9 @@ TEST(RRGraphTest, EveryVertexReachesRootUnderEnvelope) {
   SocialNetwork n = MakeRunningExample();
   const EnvelopeProbs envelope(n.influence);
   Rng rng(4);
-  for (int i = 0; i < 100; ++i) {
-    const RRGraph rr = GenerateRRGraph(n.graph, n.influence, 6, &rng);
+  for (uint64_t i = 0; i < 100; ++i) {
+    RRGraph rr = GenerateRRGraph(n.graph, n.influence, 6, &rng);
+    rr.thresholds = {&n.influence, ThresholdKey(4, i)};
     for (VertexId v : rr.vertices) {
       EXPECT_TRUE(IsReachable(rr, v, envelope, nullptr))
           << "vertex " << v << " cannot reach root";
@@ -116,7 +117,8 @@ TEST(RRGraphTest, EveryVertexReachesRootUnderEnvelope) {
 TEST(RRGraphTest, RootTriviallyReachable) {
   SocialNetwork n = MakeRunningExample();
   Rng rng(5);
-  const RRGraph rr = GenerateRRGraph(n.graph, n.influence, 3, &rng);
+  RRGraph rr = GenerateRRGraph(n.graph, n.influence, 3, &rng);
+  rr.thresholds = {&n.influence, ThresholdKey(5, 0)};
   const TopicPosterior zero(3, 0.0);
   const PosteriorProbs probs(n.influence, zero);
   EXPECT_TRUE(IsReachable(rr, 3, probs, nullptr));  // u == root
@@ -125,7 +127,8 @@ TEST(RRGraphTest, RootTriviallyReachable) {
 TEST(RRGraphTest, AbsentVertexNotReachable) {
   SocialNetwork n = MakeRunningExample();
   Rng rng(6);
-  const RRGraph rr = GenerateRRGraph(n.graph, n.influence, 1, &rng);
+  RRGraph rr = GenerateRRGraph(n.graph, n.influence, 1, &rng);
+  rr.thresholds = {&n.influence, ThresholdKey(6, 0)};
   // u5 (id 4) has no outgoing edges and can never appear in u2's RR-Graph.
   const EnvelopeProbs envelope(n.influence);
   EXPECT_FALSE(IsReachable(rr, 4, envelope, nullptr));
@@ -151,50 +154,62 @@ TEST(RRGraphTest, MembershipFrequencyMatchesInfluence) {
   EXPECT_NEAR(estimated, exact, 0.05 * exact);
 }
 
+// The first sketch key (ThresholdKey(0, id), id = 0, 1, ...) whose
+// thresholds satisfy `holds`.
+template <typename Holds>
+SketchThresholds FirstThresholdsWhere(const InfluenceGraph& model,
+                                      Holds&& holds) {
+  for (uint64_t id = 0;; ++id) {
+    const SketchThresholds thresholds{&model, ThresholdKey(0, id)};
+    if (holds(thresholds)) return thresholds;
+  }
+}
+
 TEST(RRGraphTest, TagAwareReachabilityMatchesExample5) {
-  // Example 5's specific thresholds: c(u1->u2) = 0.3 blocks {w3,w4}
-  // (p = 0.13), while the path u1->u3->u4->u6 with small thresholds is
-  // live. Build the RR-Graphs by hand to pin the c(e) values.
+  // Example 5's rule, live iff p(e|W) >= c(e), at thresholds on each
+  // side of p(e|W): a large c(u1->u2) blocks {w3,w4} (p = 0.13), while
+  // the path u1->u3->u6 is live when its thresholds are small. The
+  // thresholds are a function of the sketch's key, so each case takes
+  // the first key whose thresholds fall where the case needs them.
   SocialNetwork n = MakeRunningExample();
   const TagId tags[] = {2, 3};
   const auto post = n.topics.Posterior(tags);
   const PosteriorProbs probs(n.influence, post);
 
-  // G_RR(u2): single edge u1->u2 with c = 0.3.
+  // G_RR(u2): single edge u1->u2 (e0) with c above 0.13.
   {
-    const GlobalEdgeSample edges[] = {{0, 1, 0, 0.3f}};
-    const RRGraph rr = AssembleRRGraph(n.graph, 1, {0, 1}, edges);
+    const GlobalEdgeSample edges[] = {{0, 1, 0}};
+    RRGraph rr = AssembleRRGraph(n.graph, 1, {0, 1}, edges);
+    rr.thresholds = FirstThresholdsWhere(
+        n.influence, [](const SketchThresholds& c) { return c(0) > 0.3; });
     EXPECT_FALSE(IsReachable(rr, 0, probs, nullptr));
   }
   // p(u1->u3 | {w3,w4}) = 0.5, p(u3->u6) = 4.5/13 ~= 0.346: live when the
   // thresholds are small.
-  {
-    const GlobalEdgeSample edges[] = {
-        {0, 2, 1, 0.2f},  // u1 -> u3
-        {2, 5, 3, 0.2f},  // u3 -> u6
-    };
-    const RRGraph rr = AssembleRRGraph(n.graph, 5, {0, 2, 5}, edges);
-    EXPECT_TRUE(IsReachable(rr, 0, probs, nullptr));
-  }
+  const GlobalEdgeSample path[] = {
+      {0, 2, 1},  // u1 -> u3 (e1)
+      {2, 5, 3},  // u3 -> u6 (e3)
+  };
+  RRGraph rr = AssembleRRGraph(n.graph, 5, {0, 2, 5}, path);
+  rr.thresholds = FirstThresholdsWhere(
+      n.influence,
+      [](const SketchThresholds& c) { return c(1) < 0.2 && c(3) < 0.2; });
+  EXPECT_TRUE(IsReachable(rr, 0, probs, nullptr));
   // Same graph with a threshold above 0.346 on u3->u6: dead.
-  {
-    const GlobalEdgeSample edges[] = {
-        {0, 2, 1, 0.2f},
-        {2, 5, 3, 0.4f},
-    };
-    const RRGraph rr = AssembleRRGraph(n.graph, 5, {0, 2, 5}, edges);
-    EXPECT_FALSE(IsReachable(rr, 0, probs, nullptr));
-  }
+  rr.thresholds = FirstThresholdsWhere(
+      n.influence,
+      [](const SketchThresholds& c) { return c(1) < 0.2 && c(3) > 0.4; });
+  EXPECT_FALSE(IsReachable(rr, 0, probs, nullptr));
 }
 
 TEST(RRGraphTest, AssembleDropsEdgesOutsideVertexSet) {
   const SocialNetwork n = MakeRunningExample();
   const GlobalEdgeSample edges[] = {
-      {0, 1, 0, 0.1f},
-      {2, 1, 1, 0.1f},  // tail 2 not in vertex set
+      {0, 1, 0},
+      {2, 1, 1},  // tail 2 not in vertex set
   };
   const RRGraph rr = AssembleRRGraph(n.graph, 1, {0, 1}, edges);
-  EXPECT_EQ(rr.edges.size(), 1u);
+  EXPECT_EQ(rr.ranks.size(), 1u);
 }
 
 TEST(RRGraphTest, EdgeVisitCounterAccumulates) {
@@ -202,8 +217,9 @@ TEST(RRGraphTest, EdgeVisitCounterAccumulates) {
   Rng rng(9);
   const EnvelopeProbs envelope(n.influence);
   uint64_t visits = 0;
-  for (int i = 0; i < 10; ++i) {
-    const RRGraph rr = GenerateRRGraph(n.graph, n.influence, 6, &rng);
+  for (uint64_t i = 0; i < 10; ++i) {
+    RRGraph rr = GenerateRRGraph(n.graph, n.influence, 6, &rng);
+    rr.thresholds = {&n.influence, ThresholdKey(9, i)};
     IsReachable(rr, 0, envelope, &visits);
   }
   // At least some probing must have happened over 10 graphs.

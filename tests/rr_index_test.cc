@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,14 +137,14 @@ RrSketchPool SampleOrderSketches(const SocialNetwork& n, uint64_t seed,
 bool KeptByCut(const RRView& rr, VertexId u, const InfluenceGraph& influence,
                const EdgeProbFn& probs) {
   const uint32_t local = *rr.LocalIndex(u);
-  std::vector<std::pair<EdgeId, float>> cuts[2];
+  std::vector<std::pair<EdgeId, double>> cuts[2];
   double log_prune[2] = {0.0, 0.0};
   const auto add = [&](int c, uint32_t tail, uint32_t k) {
-    const RRLocalEdge record = rr.edges[k];
-    const EdgeId edge = rr.Edge(tail, record.rank);
-    cuts[c].emplace_back(edge, record.threshold);
-    log_prune[c] += std::log(
-        std::max(1e-12, record.threshold / influence.MaxProb(edge)));
+    const EdgeId edge = rr.Edge(tail, rr.ranks[k]);
+    const double threshold = rr.thresholds(edge);
+    cuts[c].emplace_back(edge, threshold);
+    log_prune[c] +=
+        std::log(std::max(1e-12, threshold / influence.MaxProb(edge)));
   };
   rr.VisitCsr([&](const auto& csr) {
     for (uint32_t k = csr.offset(local); k < csr.offset(local + 1); ++k) {
@@ -160,7 +161,7 @@ bool KeptByCut(const RRView& rr, VertexId u, const InfluenceGraph& influence,
                          : (log_prune[0] >= log_prune[1] ? 0 : 1);
   for (const auto& [edge, threshold] : cuts[chosen]) {
     const double p = probs.Prob(edge);
-    if (p > 0.0 && static_cast<double>(threshold) <= p) return true;
+    if (p > 0.0 && threshold <= p) return true;
   }
   return false;
 }
@@ -201,16 +202,23 @@ TEST(RrIndexTest, EstimatesEqualSampleOrderReference) {
     index.Build();
     PrunedRrIndex pruned(&index, &n.influence);
     const RrSketchPool samples = SampleOrderSketches(n, options.seed, c.theta);
-    const std::vector<VertexId> singleton_roots = samples.SingletonRoots();
+    // Sample i's id in the index, by root and among one root's by
+    // sample, which keys its thresholds.
+    std::vector<uint32_t> by_id(c.theta);
+    std::iota(by_id.begin(), by_id.end(), 0);
+    std::ranges::stable_sort(
+        by_id, {}, [&samples](uint32_t i) { return samples.RootOf(i); });
+    std::vector<uint32_t> id_of(c.theta);
+    for (uint32_t id = 0; id < c.theta; ++id) id_of[by_id[id]] = id;
     uint64_t all_kept_edges = 0;
     for (const auto& [u, tags] : queries) {
       const auto post = n.topics.Posterior(tags);
       const PosteriorProbs probs(n.influence, post);
       uint64_t hits = 0, walked = 0, edges = 0, kept_edges = 0;
-      size_t singleton = 0;
       for (size_t i = 0; i < samples.num_sketches(); ++i) {
-        const RRView rr = samples.View(
-            i, samples.IsSingleton(i) ? singleton_roots[singleton++] : u);
+        RRView rr =
+            samples.View(i, samples.IsSingleton(i) ? samples.RootOf(i) : u);
+        rr.thresholds = index.Thresholds(id_of[i]);
         if (!rr.LocalIndex(u).has_value()) continue;
         ++walked;
         uint64_t visited = 0;
@@ -278,7 +286,7 @@ TEST(PrunedRrIndexTest, RootSelfLoopFiltersLikeTheBaseIndex) {
   // sketch rooted at r holds u and both edges, so its root has an
   // out-edge (the self-loop). IndexEst+'s filter for u reads every
   // edge into the root, the self-loop's tail (the root) included.
-  const RRGraph looped{1, {0, 1}, {0, 1, 2}, {1, 1}, {{0, 0.5f}, {0, 0.5f}}};
+  const RRGraph looped{1, {0, 1}, {0, 1, 2}, {1, 1}, {0, 0}};
   const SocialNetwork n = NetworkOf(2, {looped});
   RrIndexOptions options;
   options.theta_override = 64;
