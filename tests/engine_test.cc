@@ -183,9 +183,10 @@ TEST(EngineTest, AdoptedDelayMatServesQueries) {
 
 TEST(EngineTest, DelayMatAnswersArePinned) {
   // DelayMat's recovered graphs (Algorithm 4: the forward live sample,
-  // the uniform root, the thresholds and the re-closed sketch) pinned
-  // through the answers they give, recorded from the hash-map recovery
-  // this one replaced. The users are SampleUserGroup(kMid, 4, 3); each
+  // the uniform root, the thresholds' key and the re-closed sketch)
+  // pinned through the answers they give, recorded when each recovered
+  // graph's thresholds became a function of a key drawn from the query
+  // stream. The users are SampleUserGroup(kMid, 4, 3); each
   // asks k = 2, then k = 3 from the cached graphs. User 346's edge
   // probes also pin the recovered sketches' per-tail edge order.
   const SocialNetwork n = GenerateDataset(LastfmSpec(0.5));
@@ -205,14 +206,14 @@ TEST(EngineTest, DelayMatAnswersArePinned) {
     uint64_t sets_evaluated;
   };
   const Pinned pinned[] = {
-      {96, 2, {17, 38}, 0x3fff6db6db6db6dbull, 4928, 3199, 38},
-      {96, 3, {38, 44, 47}, 0x3fff6db6db6db6dbull, 7000, 4522, 7},
-      {346, 2, {13, 14}, 0x3ffc8590b21642c8ull, 4554, 1425, 49},
-      {346, 3, {13, 14, 35}, 0x3ffc8590b21642c8ull, 8142, 2534, 34},
-      {628, 2, {37, 44}, 0x4007bf53896e7bf5ull, 16530, 15834, 124},
-      {628, 3, {2, 11, 32}, 0x4006bca1af286bcaull, 28025, 26905, 112},
-      {603, 2, {5, 7}, 0x3ffa6f4de9bd37a7ull, 299, 104, 2},
-      {603, 3, {7, 27, 32}, 0x3ffa6f4de9bd37a7ull, 805, 280, 5},
+      {96, 2, {17, 38}, 0x3fffb6db6db6db6eull, 4928, 3047, 38},
+      {96, 3, {38, 44, 47}, 0x3fffb6db6db6db6eull, 7000, 4308, 7},
+      {346, 2, {14, 47}, 0x3ff9642c8590b216ull, 8740, 3168, 140},
+      {346, 3, {14, 35, 47}, 0x3ff9642c8590b216ull, 10074, 3662, 34},
+      {628, 2, {32, 37}, 0x400a86bca1af286cull, 15485, 14314, 113},
+      {628, 3, {11, 32, 44}, 0x400a308158ed2308ull, 24700, 22879, 101},
+      {603, 2, {5, 7}, 0x3ff4de9bd37a6f4eull, 299, 52, 2},
+      {603, 3, {7, 27, 32}, 0x3ff4de9bd37a6f4eull, 805, 140, 5},
   };
   for (const Pinned& want : pinned) {
     const PitexResult got = engine.Explore({.user = want.user, .k = want.k});

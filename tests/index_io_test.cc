@@ -338,19 +338,6 @@ TEST(IndexIoTest, PayloadCorruptionRejected) {
   EXPECT_EQ(LoadRrIndex(n, corrupted, &error), nullptr);
 }
 
-// Overwrites a saved file's trailing checksum with the digest of the
-// bytes before it, so an edit reaches the payload checks.
-void RepairChecksum(std::string* bytes) {
-  constexpr size_t kDigestBytes = 8;
-  Fnv1a hash;
-  hash.Update(bytes->data(), bytes->size() - kDigestBytes);
-  uint64_t digest = hash.digest();
-  for (size_t i = bytes->size() - kDigestBytes; i < bytes->size(); ++i) {
-    (*bytes)[i] = static_cast<char>(digest & 0xff);
-    digest >>= 8;
-  }
-}
-
 TEST(IndexIoTest, RootCountsSetTheRootRanges) {
   // A v14 file stores each vertex's count of rooted sketches, and a
   // block no root vertex, a singleton nothing: the counts set the root

@@ -527,13 +527,14 @@ TEST_F(ReplicationTest, FollowerBootstrapsFromCheckpointOverOneMebibyte) {
   // so a follower could only join before the primary's first real
   // checkpoint. Ship one well past that size: at 200 sketches per
   // vertex it measured 2,655,306 bytes (index format v7), over twice
-  // the cap, so a smaller index format still clears it.
+  // the cap, and 627,071 at v14, whose records hold no thresholds, so
+  // the index now samples 400 per vertex.
   DatasetSpec spec = LastfmSpec(0.5);
   spec.seed = 11;
   const SocialNetwork n = GenerateDataset(spec);
   const auto options = [&](const std::string& dir) {
     ServeOptions serve = DurableOptions(dir);
-    serve.engine.index_theta_per_vertex = 200.0;
+    serve.engine.index_theta_per_vertex = 400.0;
     return serve;
   };
   ReplicaPair pair;

@@ -381,7 +381,7 @@ TEST(PrunedRrIndexTest, FiltersGoldenHash) {
   RrIndex example_index(example, options);
   example_index.Build();
   EXPECT_EQ(PrunedRrIndexPeer::FilterHash(example_index, example),
-            0x19bfc8fac3902915ULL)
+            0x8e66af663a6c7f54ULL)
       << std::hex << PrunedRrIndexPeer::FilterHash(example_index, example);
 
   const SocialNetwork lastfm = GenerateDataset(LastfmSpec(0.1));
@@ -389,7 +389,7 @@ TEST(PrunedRrIndexTest, FiltersGoldenHash) {
   RrIndex lastfm_index(lastfm, options);
   lastfm_index.Build();
   EXPECT_EQ(PrunedRrIndexPeer::FilterHash(lastfm_index, lastfm),
-            0x3d6a5921d2cf68a9ULL)
+            0xbb7231aebf40342dULL)
       << std::hex << PrunedRrIndexPeer::FilterHash(lastfm_index, lastfm);
 }
 
@@ -497,10 +497,10 @@ TEST(DelayMatTest, ReplicaServesLikeAFreshBuild) {
 
 TEST(DelayMatTest, IndexFarSmallerThanRRGraphs) {
   // Table 3's key relationship: DelayMat keeps a counter per vertex, the
-  // RR index theta sketches, here about 10 per vertex.
+  // RR index theta sketches, here 10 per vertex.
   SocialNetwork n = GenerateDataset(LastfmSpec(0.3));
   RrIndexOptions options;
-  options.theta_override = 2000;
+  options.theta_per_vertex = 10.0;
   RrIndex full(n, options);
   full.Build();
   DelayMatIndex delay(n, options);
