@@ -50,7 +50,7 @@ PITEX_NOALLOC bool WalkToRoot(const RRView& rr, const LocalCsr& csr,
       ++count;
       if (visited[head] == epoch) continue;
       const EdgeId e = rr.Edge(v, rr.ranks[i]);
-      if (probs.Prob(e) < rr.thresholds(e)) continue;
+      if (!rr.thresholds.Live(e, probs.Prob(e))) continue;
       if (head == rr.root_local) {
         found = true;
         break;
@@ -76,7 +76,7 @@ PITEX_NOALLOC bool ChaseToRoot(const RRView& rr, const TreeCsr& csr,
     const uint32_t i = csr.offset(v);
     const EdgeId e = rr.Edge(v, rr.ranks[i]);
     ++count;
-    if (probs.Prob(e) < rr.thresholds(e)) break;
+    if (!rr.thresholds.Live(e, probs.Prob(e))) break;
     v = csr.head(i);
     if (v == rr.root_local) {
       found = true;

@@ -161,6 +161,9 @@ struct SketchThresholds {
     return static_cast<double>(EnvelopeProbability(model->MaxProb(e))) *
            ThresholdUniform(key, e);
   }
+  /// Definition 3's test, p >= c(e), for e probed under probability p.
+  /// Every c(e) is above 0, so an edge with p = 0 is dead without one.
+  bool Live(EdgeId e, double p) const { return p > 0.0 && p >= (*this)(e); }
 };
 
 /// The root vertex of a view whose reader never reads it

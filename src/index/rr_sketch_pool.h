@@ -77,7 +77,7 @@
 // Vertex ids and block offsets fit 31 bits, so the body holds at most
 // 2 GiB, a block's fields take fewer than 2^32 bits, and its header fits
 // 32 bits (kMaxBlockVertices). Every field is read at its width with the
-// same load and mask (PackedIds, EdgeRecords), so a view's readers take
+// same load and mask (PackedIds), so a view's readers take
 // one of two CSR forms and no width dispatch.
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has no block and
