@@ -213,7 +213,6 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
 
 RrSketchPool::FileDirectory RrSketchPool::SaveDirectory() const {
   FileDirectory file;
-  file.num_sketches = num_sketches_;
   uint64_t max_count = 0;
   for (size_t v = 0; v < num_universe_vertices(); ++v) {
     max_count = std::max<uint64_t>(max_count, RootRange(v).size());

@@ -918,10 +918,10 @@ class RrSketchPool {
     uint64_t mask;  // bit j set: sketch 64g + j is a block
   };
 
-  /// The directory as the index file holds it, for `num_sketches`
-  /// sketches: each vertex's count of rooted sketches at `count_width`
-  /// bytes (CountWidth), each group's mask, then one word per block at
-  /// `width` bytes, in the host's byte order.
+  /// The directory as the index file holds it: each vertex's count of
+  /// rooted sketches at `count_width` bytes (CountWidth), each group's
+  /// mask, then one word per block at `width` bytes, in the host's byte
+  /// order, and, read from the file's header, `num_sketches`.
   struct FileDirectory {
     uint64_t num_sketches = 0;
     uint32_t count_width = 1;
