@@ -5,8 +5,9 @@
 // than eps * exact is tested against the promised miss rate 1/delta.
 //
 // The estimators: IndexEst (RrIndex at Eq. 7's theta), the online RR
-// sampler (its own Eq. 2 stopping rule), and a DynamicRrIndex after a
-// fixed update history, against the exact spread on the updated model.
+// sampler (its own Eq. 2 stopping rule), DelayMat (its counters from
+// Eq. 7's theta), and a DynamicRrIndex after a fixed update history,
+// against the exact spread on the updated model.
 //
 // The test is a one-sided binomial test: with X misses out of N, it
 // fails when P[Bin(N, 1/delta) >= X] < kAlpha, that is when the miss
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "running_example.h"
+#include "src/index/delay_mat.h"
 #include "src/index/dynamic_index.h"
 #include "src/index/rr_index.h"
 #include "src/sampling/exact.h"
@@ -226,6 +228,19 @@ TEST(EstimateCoverageTest, OnlineRrMeetsEpsDelta) {
         const TopicPosterior posterior = c.network.topics.Posterior(tags);
         const PosteriorProbs probs(c.network.influence, posterior);
         return sampler.EstimateInfluence(c.user, probs).influence;
+      },
+      BaseModel);
+}
+
+TEST(EstimateCoverageTest, DelayMatMeetsEpsDelta) {
+  CheckCoverage(
+      "DelayMat",
+      [](const Case& c, uint64_t seed, std::span<const TagId> tags) {
+        DelayMatIndex index(c.network, IndexOptions(c.network, seed));
+        index.Build();
+        const TopicPosterior posterior = c.network.topics.Posterior(tags);
+        const PosteriorProbs probs(c.network.influence, posterior);
+        return index.EstimateInfluence(c.user, probs).influence;
       },
       BaseModel);
 }
