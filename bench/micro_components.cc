@@ -334,24 +334,28 @@ bool IsSingleton(const RRView& rr) {
   return rr.vertices.size() == 1 && rr.num_edges() == 0;
 }
 
-// Distinct 64-byte lines of pool memory an estimate walk over `rr` can
-// touch: its group's 16-byte directory record (aligned to 16 bytes, so
-// never across a line), all a singleton's walk reads, and, for a block,
-// its word (2 or 4 bytes, never across a line) and its block, which
-// runs without gaps from its header through the byte of the last bit of
-// its m records; an in-tree block has no offsets in between. Lines are
-// counted from `body`, the pool's first block, as if the body started a
-// line, so the count does not depend on where the heap placed the body.
-uint64_t PoolLines(const RRView& rr, const uint8_t* body) {
-  if (IsSingleton(rr)) return 1;
+// The 64-byte lines of pool memory an estimate walk over `rr` reads
+// outside its block: its group's 16-byte directory record (aligned to 16
+// bytes, so never across a line), all a singleton's walk reads, and, for
+// a block, its word (2 or 4 bytes, never across a line).
+uint64_t DirectoryLines(const RRView& rr) { return IsSingleton(rr) ? 1 : 2; }
+
+// Appends the 64-byte lines of a block to `lines`: it runs without gaps
+// from its header through the byte of the last bit of its m records; an
+// in-tree block has no offsets in between. Lines are counted from
+// `body`, the pool's first block, as if the body started a line, so the
+// count does not depend on where the heap placed the body.
+void AppendBlockLines(const RRView& rr, const uint8_t* body,
+                      std::vector<uint64_t>* lines) {
   const auto line = [body](const uint8_t* p) {
     return static_cast<uint64_t>(p - body) / 64;
   };
   const uint8_t* end =
       rr.ranks.data +
       (rr.ranks.first + uint64_t{rr.ranks.bits} * rr.num_edges() + 7) / 8;
-  // The record, the word and the block.
-  return 2 + (line(end - 1) - line(BlockStart(rr)) + 1);
+  for (uint64_t l = line(BlockStart(rr)); l <= line(end - 1); ++l) {
+    lines->push_back(l);
+  }
 }
 
 void BM_IndexEstimateSweep(benchmark::State& state) {
@@ -370,9 +374,11 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
   const auto post = n.topics.Posterior(tags);
   const PosteriorProbs probs(n.influence, post);
   // Means over one sweep of every user: edges_visited per estimate;
-  // pool_lines, PoolLines summed over NonRootContaining(u), the
-  // sketches an estimate views (its root range is counted from the
-  // range's size alone); containing_bytes, the coded length of
+  // pool_lines, the lines of pool memory an estimate's walks over
+  // NonRootContaining(u) read, the sketches it views (its root range is
+  // counted from the range's size alone): each sketch's DirectoryLines,
+  // and each distinct line of their blocks once, however many of the
+  // blocks it holds; containing_bytes, the coded length of
   // NonRootContaining(u) as the pool stores it, in bytes (its bits / 8).
   // Counted once outside the timed loop: exact counts of the work and
   // memory one estimate spans, where the time is noisy, and the same
@@ -395,12 +401,19 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
     uint64_t edges = 0;
     uint64_t lines = 0;
     uint64_t bits = 0;
+    std::vector<uint64_t> block_lines;
     for (VertexId v = 0; v < n.num_vertices(); ++v) {
       edges += index->EstimateInfluence(v, probs).edges_visited;
       const ContainingList list = index->NonRootContaining(v);
+      block_lines.clear();
       for (const uint32_t id : list) {
-        lines += PoolLines(index->WalkGraph(id), body);
+        const RRView rr = index->WalkGraph(id);
+        lines += DirectoryLines(rr);
+        if (!IsSingleton(rr)) AppendBlockLines(rr, body, &block_lines);
       }
+      std::ranges::sort(block_lines);
+      lines += static_cast<uint64_t>(
+          std::ranges::unique(block_lines).begin() - block_lines.begin());
       bits += list.bits();
     }
     const auto users = static_cast<double>(n.num_vertices());
