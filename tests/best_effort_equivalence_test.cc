@@ -16,6 +16,7 @@
 #include <queue>
 #include <vector>
 
+#include "allocation_counter.h"
 #include "running_example.h"
 #include "src/core/best_effort_solver.h"
 #include "src/core/upper_bound.h"
@@ -23,27 +24,6 @@
 #include "src/sampling/lazy_sampler.h"
 #include "src/sampling/mc_sampler.h"
 #include "src/util/random.h"
-
-// Global allocation counter: every operator new in the test binary bumps
-// it, so "zero allocations" is measured, not assumed (same machinery as
-// tests/pooled_layout_test.cc).
-#if defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pitex {
 namespace {

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "allocation_counter.h"
 #include "certain_cycle.h"
 #include "owned_sketch.h"
 #include "pool_image.h"
@@ -36,28 +37,6 @@
 #include "src/index/rr_index.h"
 #include "src/index/rr_sketch_pool.h"
 #include "src/sampling/exact.h"
-
-// Global allocation counter: every operator new in the test binary bumps
-// it, so "zero allocations" is measured, not assumed. The replacement
-// operators are malloc-backed; GCC's heuristic flags inlined new/free
-// pairs from replacement allocators, which is exactly what we intend.
-#if defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pitex {
 namespace {
