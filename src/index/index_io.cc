@@ -17,29 +17,32 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v14's RR-Graph payload is the RrSketchPool image, its sketches in
+// v15's RR-Graph payload is the RrSketchPool image, its sketches in
 // root order: each vertex's count of rooted sketches, at the width the
 // largest needs, which sets the root ranges; its directory as the pool
 // holds it, each group's mask of blocks and a word per block, its start
-// less its group's base, at the width the words call for; and its body
-// bytes as they are stored, padding included: each sketch's block of
-// bit-granular fields at the widths its network and its own vertex
-// count call for, its root's vertex id and an in-tree block's CSR
-// offsets left out, each edge record its edge's rank in its tail's
-// out-list. Thresholds are not stored: they are a function of the
-// header's seed, the sketch's id and the network's model. (v1, one
-// record per graph, v2, a wire format of per-sketch CSRs packed into a
-// pool on load, v3, whose edge records were a third array, v4, whose
-// blocks kept every vertex at 4 bytes, v5, whose body was word-padded
-// u32 words with 4-byte headers and edge ids, v6, whose blocks all
-// stored their offsets, v7, whose directory held a u32 per sketch, v8,
-// whose blocks stored whole bytes per field, v9, whose records held
-// global edge ids, v10, whose records held every threshold's f32 bits
-// at 30, v11, whose sketches were in sample order, v12, whose blocks
-// stored their root's vertex id, and v13, whose records stored their
-// thresholds and whose directory held a word per sketch, a singleton's
-// its root, are no longer read.)
-constexpr uint32_t kVersionCurrent = 14;
+// less its group's base in two's complement, at the width the words call
+// for; and its body bytes as they are stored, padding included: each
+// first copy's block of bit-granular fields at the widths its network
+// and its own vertex count call for, its root's vertex id and an
+// in-tree block's CSR offsets left out, each edge record its edge's rank
+// in its tail's out-list. A block byte-equal to an earlier one of its
+// root range stores no bytes: its word names that first copy's start.
+// Thresholds are not stored: they are a function of the header's seed,
+// the sketch's id and the network's model. (v1, one record per graph,
+// v2, a wire format of per-sketch CSRs packed into a pool on load, v3,
+// whose edge records were a third array, v4, whose blocks kept every
+// vertex at 4 bytes, v5, whose body was word-padded u32 words with
+// 4-byte headers and edge ids, v6, whose blocks all stored their
+// offsets, v7, whose directory held a u32 per sketch, v8, whose blocks
+// stored whole bytes per field, v9, whose records held global edge ids,
+// v10, whose records held every threshold's f32 bits at 30, v11, whose
+// sketches were in sample order, v12, whose blocks stored their root's
+// vertex id, v13, whose records stored their thresholds and whose
+// directory held a word per sketch, a singleton's its root, and v14,
+// whose words were unsigned and whose repeated blocks each stored their
+// bytes, are no longer read.)
+constexpr uint32_t kVersionCurrent = 15;
 constexpr uint8_t kKindRrGraphs = 1;
 
 void SetError(IndexIoError* error, IndexIoCode code, const char* message) {

@@ -15,7 +15,7 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 14 is the only version read or written; a v1 to v13 header is
+// Version 15 is the only version read or written; a v1 to v14 header is
 // refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
 // image (src/index/rr_sketch_pool.h), its sketches in root order (by
 // root, and among one root's by sample):
@@ -32,14 +32,23 @@
 // it. Counts that do not sum to theta, or at a width wider than the
 // largest needs, are kCorruptPayload. The directory is the pool's own:
 // a mask per 64 sketches, bit j set when sketch 64g + j is a block, and
-// a word per block, the start of its block less its group's base. The
-// bases are not saved: the loader derives each as the offset where the
-// next block must start when its walk reaches the group's first
-// sketch. A mask bit set past theta, or masks whose set bits are not
-// the block words' count, are kCorruptPayload. A file takes 2-byte
-// words unless some word needs more. A singleton, whose one vertex is
-// its root, takes its clear mask bit and nothing else. The body is
-// stored as the pool holds it: each block a varint header (n and the
+// a word per block, the start of its block less its group's base, in
+// two's complement. The bases are not saved: the loader derives each as
+// the offset where the next first copy must start when its walk reaches
+// the group's first sketch. A mask bit set past theta, or masks whose
+// set bits are not the block words' count, are kCorruptPayload. A file
+// takes 2-byte words unless some word does not fit int16. A singleton,
+// whose one vertex is its root, takes its clear mask bit and nothing
+// else. Shared shapes: a block byte-equal to an earlier block of its
+// root range is a *repeat*; it stores no bytes, and its word names the
+// start of the range's first block of those bytes, its *first copy*.
+// Every other block is a first copy, stored where the one before it
+// ended. So a word either starts a new block at that running offset, or
+// equals the start of an earlier first copy of the same root range; a
+// word that points into another range, into a block's middle, forward,
+// or a new block equal to an earlier first copy of its range, is
+// kCorruptPayload. The body is stored as the pool holds it, each first
+// copy once: each block a varint header (n and the
 // in-tree flag, and m for a block that is not an in-tree) and then
 // bit-granular fields to the next byte: its vertices but its root at
 // bit_width(|V| - 1) bits, its root id (where its range's root goes
@@ -59,8 +68,9 @@
 // A loaded image must be canonical, exactly what appending its own
 // views to a run and finishing it writes (RrSketchPool::FinishLoaded
 // checks it: each block's vertices, its root among them, strictly
-// ascend, each word is its block's start less its base, 4-byte words
-// only where some word needs them, an in-tree block's parents all lead
+// ascend, each word is its block's start less its base, each repeat
+// shared with its range's first copy, 4-byte words only where some word
+// needs them, an in-tree block's parents all lead
 // to its root, each rank lies below its tail's out-degree and names an
 // out-edge that ends at the record's head), so a file that loads saves
 // back to the same bytes. A change to the pool's layout is a new

@@ -61,29 +61,20 @@ void RrSketchPool::Clear() {
   containing_k_ = 0;
 }
 
-void WordArray::Widen() {
+template <typename Narrow>
+void WordArrayOf<Narrow>::Widen() {
   PITEX_DCHECK(shift == 1);
   const size_t count = size();
   units.reserve(2 * units.capacity());
   units.resize(2 * count);
   auto* data = reinterpret_cast<std::byte*>(units.data());
   for (size_t i = count; i-- > 0;) {
-    StoreId<uint32_t>(data, i, LoadId<uint16_t>(data, i));
+    StoreId<uint32_t>(data, i, LoadId<Narrow>(data, i));
   }
   shift = 2;
 }
-
-uint64_t RrSketchPool::BodyStart(size_t i) const {
-  // The first block at or after i is in i's group, or else it starts
-  // where the next group's base says the next block starts.
-  const size_t g = i >> kGroupBits;
-  if (g == groups_.size()) return BodyEnd();
-  const Group& group = groups_[g];
-  if ((group.mask >> (i & kGroupMask)) != 0) {
-    return group.base + block_words_[BlockRank(i)];
-  }
-  return g + 1 < groups_.size() ? groups_[g + 1].base : BodyEnd();
-}
+template struct WordArrayOf<uint16_t>;
+template struct WordArrayOf<int16_t>;
 
 VertexId RrSketchPool::RootOf(size_t i) const {
   if (!finished()) return roots_[i];
@@ -138,8 +129,9 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   const uint64_t num_sketches = root_starts[out.num_vertices_];
   std::vector<Segment> sorted;
   sorted.reserve(segments.size());
+  std::vector<const RrSketchPool*> runs;  // each run once
   uint64_t blocks = 0;
-  uint64_t body = 0;
+  uint64_t bound = 0;  // the runs' bodies: no byte of them is copied twice
   for (const Segment& seg : segments) {
     PITEX_CHECK_MSG(seg.run != nullptr && uint64_t{seg.first} + seg.count <=
                                               seg.run->num_sketches(),
@@ -153,7 +145,10 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
                         run.topology_.SharesStorage(out.topology_),
                     "run samples a different network");
     blocks += run.BlockRank(seg.first + seg.count) - run.BlockRank(seg.first);
-    body += run.BodyStart(seg.first + seg.count) - run.BodyStart(seg.first);
+    if (std::ranges::find(runs, &run) == runs.end()) {
+      runs.push_back(&run);
+      bound += run.BodyEnd();
+    }
     sorted.push_back(seg);
   }
   std::ranges::sort(sorted, {}, &Segment::id);
@@ -165,47 +160,67 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   }
   PITEX_CHECK_MSG(covered == num_sketches,
                   "runs must cover every sample exactly once");
-  // The totals only grow, so checking them once covers every entry (the
-  // runs checked each vertex id as they took it).
-  PITEX_CHECK_MSG(num_sketches < UINT32_MAX && body <= kIdLimit,
+  PITEX_CHECK_MSG(num_sketches < UINT32_MAX,
                   "sketch pool exceeds its directory words");
 
-  // Each segment's blocks are one stretch of its run's body, copied in
-  // id order, so each block moves by its segment's shift. The directory
-  // goes in id order into exact-size arrays. A group's base is where the
-  // next block starts when the walk reaches the group's first sketch, so
-  // it waits for the next block's start (or the end of the body); a
-  // block's own group is resolved by the time its word is appended.
+  // The blocks in id order, one at a time. A block byte-equal to an
+  // earlier first copy of its root range shares that copy's bytes: its
+  // word names them. Any other block is a first copy, appended to the
+  // new body. Blocks of equal bytes have equal bytes in any run (a
+  // block's bits are relative to its first byte, at the pool's widths),
+  // so the runs' bytes are compared. A group's base is where the next
+  // first copy goes when the walk reaches the group's first sketch.
   out.root_starts_ = std::move(root_starts);
-  if (body != 0) out.body_.resize(body + kBitPadding);
   out.groups_.reserve((num_sketches + kGroup - 1) / kGroup);
   out.block_words_.Reserve(blocks, 2);
-  size_t resolved = 0;  // groups_[resolved ..] wait for a block's start
-  uint64_t at = 0;      // where the segment's blocks go
+  std::vector<uint8_t> body;
+  body.reserve(bound);
+  struct FirstCopy {
+    const uint8_t* from;  // its bytes in its run
+    uint64_t length;
+    uint64_t start;  // its start in the new body
+  };
+  std::vector<FirstCopy> firsts;  // the current root range's
+  uint64_t range_end = 0;         // the first id past that range
+  VertexId root = 0;
+  uint64_t id = 0;
   for (const Segment& seg : sorted) {
     const RrSketchPool& run = *seg.run;
-    const uint64_t from = run.BodyStart(seg.first);
-    const uint64_t length = run.BodyStart(seg.first + seg.count) - from;
-    if (length != 0) {
-      std::memcpy(out.body_.data() + at, run.body_.data() + from, length);
-    }
     run.ForEachSketch(seg.first, seg.first + seg.count,
-                      [&](bool block, uint64_t value) {
-      out.OpenGroup(0);
+                      [&](bool block, uint64_t start) {
+      out.OpenGroup(body.size());
       if (!block) {
         out.PushSingleton();
+        ++id;
         return;
       }
-      const auto start = static_cast<uint32_t>(at + (value - from));
-      for (; resolved < out.groups_.size(); ++resolved) {
-        out.groups_[resolved].base = start;
+      if (id >= range_end) {
+        while (out.RootStart(root + 1) <= id) ++root;
+        range_end = out.RootStart(root + 1);
+        firsts.clear();
       }
-      out.PushBlock(start - out.groups_.back().base);
+      ++id;
+      const uint8_t* from = run.body_.data() + start;
+      const uint64_t length = run.BlockLength(from);
+      for (const FirstCopy& first : firsts) {
+        if (first.length == length &&
+            std::memcmp(first.from, from, length) == 0) {
+          out.PushBlock(first.start);
+          return;
+        }
+      }
+      firsts.push_back({from, length, body.size()});
+      out.PushBlock(body.size());
+      body.insert(body.end(), from, from + length);
     });
-    at += length;
   }
-  for (; resolved < out.groups_.size(); ++resolved) {
-    out.groups_[resolved].base = static_cast<uint32_t>(body);
+  // The total only grows, so checking it once covers every start (the
+  // runs checked each vertex id as they took it).
+  PITEX_CHECK_MSG(body.size() <= kIdLimit,
+                  "sketch pool exceeds its directory words");
+  if (!body.empty()) {
+    out.body_.resize(body.size() + kBitPadding);
+    std::memcpy(out.body_.data(), body.data(), body.size());
   }
   out.BuildContaining(out.num_vertices_);
   return out;
@@ -287,16 +302,29 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
   }
   root_starts_.Assign(std::span<const uint32_t>(root_start));
   const auto* bytes = reinterpret_cast<const std::byte*>(file.words.data());
-  const auto word_at = [&](size_t b) {
-    return width == 2 ? LoadId<uint16_t>(bytes, b) : LoadId<uint32_t>(bytes, b);
+  // Word b as the block start it names, its group's base plus the word
+  // in two's complement.
+  const auto start_at = [&](size_t b) {
+    const int64_t word =
+        width == 2 ? int64_t{static_cast<int16_t>(LoadId<uint16_t>(bytes, b))}
+                   : int64_t{static_cast<int32_t>(LoadId<uint32_t>(bytes, b))};
+    return int64_t{groups_.back().base} + word;
   };
   groups_.reserve(file.masks.size());
   block_words_.Reserve(blocks, 2);
-  uint64_t body = 0;      // where the next block must start
+  uint64_t body = 0;      // where the next first copy must start
   uint64_t vertices = 0;  // every sketch's, which must fit 32 bits
-  uint64_t max_offset = 0;
+  bool narrow = true;     // every word fits 2 bytes
   size_t block = 0;   // the next block's word
   VertexId root = 0;  // the vertex whose root range holds sketch i
+  // The first copies of root's range: where each starts, its length and
+  // its vertex count.
+  struct FirstCopy {
+    uint64_t start;
+    uint64_t length;
+    uint64_t n;
+  };
+  std::vector<FirstCopy> firsts;
   std::vector<uint8_t> marks;  // ParentsReachRoot's scratch
   // A varint inside the blocks of at most 32 bits (View reads it as a
   // u32) in no more bytes than its value needs; false if there is none.
@@ -312,16 +340,31 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
     return *value <= UINT32_MAX && *at - first == VarintLength(*value);
   };
   for (size_t i = 0; i < s; ++i) {
-    while (root_start[root + 1] <= i) ++root;
+    if (root_start[root + 1] <= i) {
+      do {
+        ++root;
+      } while (root_start[root + 1] <= i);
+      firsts.clear();
+    }
     OpenGroup(body);
     if (((file.masks[i >> kGroupBits] >> (i & kGroupMask)) & 1) == 0) {
       PushSingleton();
       ++vertices;
       continue;
     }
-    const uint64_t offset = body - groups_.back().base;
-    if (word_at(block++) != offset) return false;
-    max_offset = std::max(max_offset, offset);
+    // A word names the next first copy's start, or an earlier first
+    // copy's of the same root range, whose checks cover it.
+    const int64_t start = start_at(block++);
+    narrow = narrow && SignedWordArray::FitsNarrow(static_cast<uint32_t>(
+                           start - int64_t{groups_.back().base}));
+    if (start != static_cast<int64_t>(body)) {
+      const auto first = std::ranges::find(
+          firsts, static_cast<uint64_t>(start), &FirstCopy::start);
+      if (start < 0 || first == firsts.end()) return false;
+      PushBlock(first->start);
+      vertices += first->n;
+      continue;
+    }
     // The header, and the edge count of a block that is not an in-tree:
     // they size the block, which must fit before the padding. A
     // one-vertex edgeless sketch is a singleton, not a block.
@@ -338,7 +381,16 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
         FieldBits(n, m, in_tree) > UINT32_MAX) {
       return false;
     }
-    PushBlock(offset);
+    // A block byte-equal to an earlier first copy of its range shares it.
+    for (const FirstCopy& first : firsts) {
+      if (first.length == length &&
+          std::memcmp(body_.data() + first.start, body_.data() + body,
+                      length) == 0) {
+        return false;
+      }
+    }
+    firsts.push_back({body, length, n});
+    PushBlock(body);
     const RRView view = ViewAt(body_.data() + body, root);
     // The bits after the last field, to the block's end, are zero.
     const uint64_t bits = FieldBits(n, m, in_tree);
@@ -391,8 +443,7 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
     vertices += n;
     body += length;
   }
-  if (body != end || vertices > UINT32_MAX ||
-      width != (max_offset > UINT16_MAX ? 4u : 2u) ||
+  if (body != end || vertices > UINT32_MAX || width != (narrow ? 2u : 4u) ||
       !std::all_of(body_.begin() + static_cast<std::ptrdiff_t>(end),
                    body_.end(), [](uint8_t byte) { return byte == 0; })) {
     return false;
@@ -405,19 +456,56 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   // Calls fn(id, root, range, stored, count) for each block in id order:
   // `root` its root, from a cursor over the root starts that only moves
   // forward, `range` the sketches that root roots, and `stored` its
-  // `count` stored vertices.
+  // `count` stored vertices, every vertex but its root, ascending. A
+  // first copy's are decoded from after its header, into `decoded`; a
+  // block that starts before the next first copy shares an earlier one
+  // of its range, and reuses its decoded ids.
+  struct FirstCopy {
+    uint64_t start;
+    uint32_t begin;  // its ids in `decoded`
+    uint32_t count;
+  };
+  std::vector<FirstCopy> firsts;  // the current root range's
+  std::vector<VertexId> decoded;
   const auto each_block = [&](auto&& fn) {
     VertexId root = 0;
     uint32_t range = num_vertices == 0 ? 0 : RootStart(1);
-    ForEachStoredIds([&](uint32_t id, const PackedIds& stored,
-                         uint32_t count) {
+    uint64_t next = 0;  // where the next first copy starts
+    uint32_t id = 0;
+    firsts.clear();
+    decoded.clear();
+    ForEachSketch(0, num_sketches(), [&](bool block, uint64_t start) {
+      if (!block) {
+        ++id;
+        return;
+      }
       if (RootStart(root + 1) <= id) {
         do {
           ++root;
         } while (RootStart(root + 1) <= id);
         range = RootStart(root + 1) - RootStart(root);
+        firsts.clear();
+        decoded.clear();
       }
-      fn(id, root, range, stored, count);
+      const FirstCopy* first;
+      if (start == next) {
+        const uint8_t* at = body_.data() + start;
+        next += BlockLength(at);
+        uint32_t header;
+        at = GetVarint(at, &header);
+        if ((header & kInTree) == 0) {
+          uint32_t m;
+          at = GetVarint(at, &m);
+        }
+        const uint32_t count = (header >> kHeaderFlagBits) - 1;
+        const PackedIds stored{at, 0, vertex_bits_};
+        firsts.push_back({start, static_cast<uint32_t>(decoded.size()), count});
+        for (uint32_t j = 0; j < count; ++j) decoded.push_back(stored[j]);
+        first = &firsts.back();
+      } else {
+        first = &*std::ranges::find(firsts, start, &FirstCopy::start);
+      }
+      fn(id++, root, range, decoded.data() + first->begin, first->count);
     });
   };
   // Each vertex's list, its ids in ascending sketch order: an id opens an
@@ -435,7 +523,7 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   uint64_t mask_bits = 0;
   uint32_t max_vertices = num_sketches_ == 0 ? 0 : 1;
   each_block([&](uint32_t, VertexId root, uint32_t range,
-                 const PackedIds& stored, uint32_t count) {
+                 const VertexId* stored, uint32_t count) {
     max_vertices = std::max(max_vertices, count + 1);
     for (uint32_t j = 0; j < count; ++j) {
       const VertexId v = stored[j];
@@ -460,7 +548,7 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
                   "containing index exceeds 32-bit offsets");
   std::vector<RootedId> ids(occurrences);
   each_block([&](uint32_t id, VertexId root, uint32_t,
-                 const PackedIds& stored, uint32_t count) {
+                 const VertexId* stored, uint32_t count) {
     for (uint32_t j = 0; j < count; ++j) {
       ids[lists[stored[j]].at++] = {root, id};
     }

@@ -26,15 +26,16 @@
 //   groups_          the directory's first level: one 16-byte Group per
 //                    64 sketches, aligned to 16 bytes so that none
 //                    straddles a cache line: a u32 base, the byte offset
-//                    in body_ where the next block starts when sketch 64g
-//                    is appended; a u32 rank, the blocks before sketch
-//                    64g; and a u64 mask whose bit j is set when sketch
-//                    64g + j has a block
-//   block_words_     its second level: one word per block, its start
-//                    less its group's base. Sketch i's word is word rank
-//                    + popcount(mask & the bits below i's) of its
-//                    group's. Every word takes 2 bytes while each fits
-//                    16 bits, else every word takes 4
+//                    in body_ where the next first copy (below) starts
+//                    when sketch 64g is appended; a u32 rank, the blocks
+//                    before sketch 64g; and a u64 mask whose bit j is set
+//                    when sketch 64g + j has a block
+//   block_words_     its second level: one signed word per block, its
+//                    start less its group's base in two's complement
+//                    (a repeat's start may lie before the base). Sketch
+//                    i's word is word rank + popcount(mask & the bits
+//                    below i's) of its group's. Every word takes 2 bytes
+//                    while each fits int16, else every word takes 4
 //   body_[start ..]  a header, the LEB128 varint (PutVarint) of
 //                    n_i << 1 | in-tree (one byte while n_i <= 63), and
 //                    for a block that is not an in-tree a second
@@ -62,11 +63,25 @@
 // names it; the pool holds the network's topology (a Graph, whose copies
 // share one storage) and its views decode a rank to the edge's id there
 // (RRView::Edge). L_i is the block's own: 3 bits for a block of 5 to 8
-// vertices. A block's walk therefore reads its group's record, its word,
-// the block and, per probed edge, its tail's out-list offset and entry
-// in the graph. On pitexbench's network (200,000 sketches, 85,966 of
-// them blocks) the largest block start less its base is 1,336 B, so the
-// directory takes 3,125 records and 2-byte words: 221,932 B.
+// vertices. A block's walk therefore reads its group's record, its word
+// (sign-extended), the block and, per probed edge, its tail's out-list
+// offset and entry in the graph. On pitexbench's network (200,000
+// sketches, 85,966 of them blocks) the block starts less their bases
+// run from -254 to 1,336 B, so the directory takes 3,125 records and
+// 2-byte words: 221,932 B.
+// Shared shapes. A finished pool stores each shape once per root range:
+// a block byte-equal to an earlier block of its root range is a
+// *repeat*, which stores nothing in body_, and its word names the start
+// of the range's first block of those bytes, its *first copy*. Every
+// other block is a first copy, stored where the first copy before it
+// ended. The rule is canonical: a repeat must be shared, and with its
+// range's first copy. Sharing within the range keeps the root: a block
+// does not store its root's vertex, and every id of a range has one
+// root. A record's threshold is keyed by its sketch's id, not stored, so
+// ids that share a block still draw their own thresholds. On
+// pitexbench's network 41,710 of the 85,966 blocks are repeats (24,228
+// of the 34,251 two-vertex blocks), and the body holds the 44,256 first
+// copies: 596,679 B, against 856,344 B unshared.
 // An *in-tree* block is one whose CSR gives the root no out-edge and
 // every other vertex exactly one (IsInTree): m_i = n_i - 1 and offset j
 // is j, less one past the root (InTreeOffset), so the block stores no
@@ -150,10 +165,13 @@
 // (AppendSketch, which Append and the generator call, each field put in
 // order through one BitWriter) to *runs*, pools without a containing
 // index that record each sketch's root, already at their final ids, and
-// FromRuns copies each run segment's blocks as they are, one memcpy a
-// segment, into a finished pool's exact-size arrays, takes the root
-// starts from its caller, and builds the containing index once,
-// serially, from the blocks' stored vertices, which leave the roots out.
+// FromRuns copies the runs' blocks in id order, one at a time, its
+// length from its header (BodyLength), into a finished pool's exact-size
+// arrays: it compares each block with the earlier first copies of its
+// root range, and shares it with the one it equals, or else stores it as
+// a first copy; it takes the root starts from its caller, and builds the
+// containing index once, serially, from the blocks' stored vertices,
+// which leave the roots out.
 // It reads no root and sorts no sketch: the build's sampler draws every
 // sample's root first (the first draw of its stream), counting-sorts the
 // samples by root into their final ids, and generates each sketch at its
@@ -163,21 +181,25 @@
 // unrepaired sketches is a segment of the base, and each repaired
 // sketch's current copy a segment of the overlay's store; a repair keeps
 // its sketch's root (RrSketchOverlay::Put checks it), so the fold keeps
-// every id and passes the base's root starts. Every writer starts the
+// every id and passes the base's root starts. Runs share nothing, and a
+// repair is copy-on-write per id (an overlay's copy replaces one id's
+// view alone), so the fold re-shares: a repeat whose first copy was
+// repaired is stored again, as the new first copy. Every writer starts the
 // block words at 2 bytes and widens them once, in place, when a word
 // first fails to fit them (WordArray::Push); the widening doubles the
 // words' room, so FromRuns' exact-size arrays stay exact.
-// The index file (src/index/index_io.h, v14) keeps each vertex's count
+// The index file (src/index/index_io.h, v15) keeps each vertex's count
 // of rooted sketches, at the width the largest needs (CountWidth), and
-// the directory as the pool holds it: each group's mask and a word per
-// block, its start less its group's base. A loaded pool was written
-// this way before it was saved: FinishLoaded builds the root ranges
-// from the counts, which must sum to the sketch count, and accepts the
-// file's masks, words and body only if they are exactly what appending
-// the pool's own views to a run, finishing it and saving it writes (a
-// block's vertices, its root among them at its root id, strictly
-// ascend), then builds the directory from them and the containing index
-// from the blocks. An
+// the directory as the pool holds it: each group's mask and a signed
+// word per block, its start less its group's base. A loaded pool was
+// written this way before it was saved: FinishLoaded builds the root
+// ranges from the counts, which must sum to the sketch count, and
+// accepts the file's masks, words and body only if they are exactly what
+// appending the pool's own views to a run, finishing it and saving it
+// writes (a block's vertices, its root among them at its root id,
+// strictly ascend; every repeat is shared with its range's first copy),
+// then builds the directory from them and the containing index from the
+// blocks. An
 // overlay's sketch store is a run that Fold copies from but never
 // finishes, and the two other runs SketchArena writes are never finished
 // either: the one-sketch run DynamicRrIndex re-closes each repaired
@@ -205,6 +227,7 @@
 #include <optional>
 #include <ranges>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -303,18 +326,28 @@ class BlockWriter {
   uint32_t rank_bits_;
 };
 
-/// Words of 2 bytes each or of 4 bytes each, in the host's byte order.
-/// They are kept as 2-byte units, two to a 4-byte word, so an append is
-/// a push_back.
-struct WordArray {
+/// Words of 2 bytes each or of 4 bytes each, in the host's byte order:
+/// unsigned for a Narrow of uint16_t, two's complement for int16_t. They
+/// are kept as 2-byte units, two to a 4-byte word, so an append is a
+/// push_back. A signed word reads as its 32-bit two's complement, so
+/// adding it to an offset in u32 arithmetic gives the offset it names.
+template <typename Narrow>
+struct WordArrayOf {
   size_t size() const { return units.size() >> (shift - 1); }
   /// Bytes per word: 2 or 4.
   uint32_t width() const { return 1u << shift; }
   uint32_t operator[](size_t i) const {
-    return shift == 1 ? units[i]
-                      : LoadId<uint32_t>(
-                            reinterpret_cast<const std::byte*>(units.data()),
-                            i);
+    const auto* bytes = reinterpret_cast<const std::byte*>(units.data());
+    return shift == 1 ? LoadId<Narrow>(bytes, i) : LoadId<uint32_t>(bytes, i);
+  }
+  /// True when `word` fits a 2-byte word.
+  static bool FitsNarrow(uint32_t word) {
+    if constexpr (std::is_signed_v<Narrow>) {
+      const auto value = static_cast<int32_t>(word);
+      return value >= INT16_MIN && value <= INT16_MAX;
+    } else {
+      return word <= UINT16_MAX;
+    }
   }
   /// Makes room for exactly `count` words at `width` bytes: an empty
   /// array's writers then never regrow it.
@@ -327,7 +360,7 @@ struct WordArray {
   /// call for.
   void Push(uint32_t word) {
     if (shift == 1) {
-      if (word <= UINT16_MAX) [[likely]] {
+      if (FitsNarrow(word)) [[likely]] {
         units.push_back(static_cast<uint16_t>(word));
         return;
       }
@@ -353,6 +386,8 @@ struct WordArray {
   std::vector<uint16_t> units;
   uint32_t shift = 1;  // log2 of the word width
 };
+using WordArray = WordArrayOf<uint16_t>;
+using SignedWordArray = WordArrayOf<int16_t>;
 
 /// A u32 array in two levels: one 32-bit base per group of 64 entries
 /// and one word per entry, what it adds to its base. Writers open each
@@ -773,13 +808,14 @@ class RrSketchPool {
   /// sketches are already at their final ids: `root_starts` holds
   /// RootStart(v) for v in [0, |V|], ascending from 0 to the sketch
   /// count, and the segments must cover those ids exactly once, in any
-  /// order. Copies each segment's blocks as they are, with one memcpy,
-  /// into exact-size arrays (rebasing each block word), takes the root
-  /// ranges as given, and builds the containing index from the blocks'
-  /// stored vertices. It reads no root: the caller put each sketch in
-  /// its root's range (the sampler draws every root first; Fold keeps
-  /// its base's ids and roots). A run may be a finished pool (Fold's
-  /// base).
+  /// order. Copies the blocks in id order, one at a time, into exact-size
+  /// arrays: a block byte-equal to an earlier first copy of its root
+  /// range shares that copy's bytes, and any other is stored as a first
+  /// copy. Takes the root ranges as given, and builds the containing
+  /// index from the blocks' stored vertices. It reads no root: the
+  /// caller put each sketch in its root's range (the sampler draws every
+  /// root first; Fold keeps its base's ids and roots). A run may be a
+  /// finished pool, whose repeats share their bytes (Fold's base).
   static RrSketchPool FromRuns(std::span<const Segment> segments,
                                std::span<const uint32_t> root_starts,
                                const RrSketchPool& network);
@@ -961,12 +997,24 @@ class RrSketchPool {
     return VarintLength(Header(n, in_tree)) +
            (in_tree ? 0 : VarintLength(m)) + (FieldBits(n, m, in_tree) + 7) / 8;
   }
-  /// Where block i starts in body_.
+  /// Where block i starts in body_: its group's base plus its signed
+  /// word, summed in u32 arithmetic.
   const uint8_t* BlockAt(size_t i) const {
     const Group& group = groups_[i >> kGroupBits];
     const auto j = static_cast<uint32_t>(i & kGroupMask);
     const size_t word = group.rank + PopCount(group.mask & LowMask(j));
-    return body_.data() + group.base + block_words_[word];
+    const uint32_t start = group.base + block_words_[word];
+    return body_.data() + start;
+  }
+  /// body_ bytes of the block at `at`, read from its header.
+  uint64_t BlockLength(const uint8_t* at) const {
+    uint32_t header;
+    at = GetVarint(at, &header);
+    const uint32_t n = header >> kHeaderFlagBits;
+    const bool in_tree = (header & kInTree) != 0;
+    uint32_t m = n - 1;
+    if (!in_tree) GetVarint(at, &m);
+    return BodyLength(n, m, in_tree);
   }
   /// The view of an implicit singleton rooted at `root`: one vertex, no
   /// edges, an in-tree.
@@ -1051,14 +1099,15 @@ class RrSketchPool {
       for (size_t i = first; i < last; ++i) {
         const Group& group = groups[i >> kGroupBits];
         if (((group.mask >> (i & kGroupMask)) & 1) != 0) {
-          fn(true, uint64_t{group.base} + LoadId<T>(words, block++));
+          fn(true, uint64_t{static_cast<uint32_t>(
+                       group.base + LoadId<T>(words, block++))});
         } else {
           fn(false, uint64_t{0});
         }
       }
     };
     if (block_words_.shift == 1) {
-      each.template operator()<uint16_t>();
+      each.template operator()<int16_t>();
     } else {
       each.template operator()<uint32_t>();
     }
@@ -1073,10 +1122,11 @@ class RrSketchPool {
     }
   }
   /// Appends sketch num_sketches() to the directory as a singleton, or
-  /// as a block starting `offset` bytes past its group's base, the last.
+  /// as a block starting at `start` in body_ (below 2^31): its word is
+  /// `start` less its group's base, the last, in two's complement.
   void PushSingleton() { ++num_sketches_; }
-  void PushBlock(uint64_t offset) {
-    block_words_.Push(static_cast<uint32_t>(offset));
+  void PushBlock(uint64_t start) {
+    block_words_.Push(static_cast<uint32_t>(start) - groups_.back().base);
     groups_.back().mask |= uint64_t{1} << (num_sketches_ & kGroupMask);
     ++num_sketches_;
   }
@@ -1084,37 +1134,12 @@ class RrSketchPool {
   /// Sets the network counts and the fields' widths they call for.
   void SetNetwork(uint64_t num_vertices, uint64_t max_out_degree);
 
-  /// Calls fn(id, stored, count) for each block in id order: `stored`
-  /// its `count` stored vertex ids, every vertex but its root, ascending,
-  /// read from after its header and none of the rest of a view.
-  template <typename Fn>
-  void ForEachStoredIds(Fn&& fn) const {
-    uint32_t id = 0;
-    ForEachSketch(0, num_sketches(), [&](bool block, uint64_t value) {
-      if (block) {
-        uint32_t header;
-        const uint8_t* at = GetVarint(body_.data() + value, &header);
-        if ((header & kInTree) == 0) {
-          uint32_t m;
-          at = GetVarint(at, &m);
-        }
-        fn(id, PackedIds{at, 0, vertex_bits_},
-           (header >> kHeaderFlagBits) - 1);
-      }
-      ++id;
-    });
-  }
-
   /// AppendSketch for any sorted vertex range with size() and
   /// operator[]: a span, or a view's VertexIds that Append re-encodes
   /// at this pool's width.
   template <typename VertexRange, typename Fill>
   void AppendBlock(uint32_t root_local, const VertexRange& vertices, size_t m,
                    bool in_tree, Fill&& fill);
-
-  /// Where sketch i's block would start in body_: the start of the first
-  /// block at or after i, or the end of the blocks.
-  uint64_t BodyStart(size_t i) const;
 
   /// The index file's root counts, group masks and block words of this
   /// finished pool.
@@ -1129,14 +1154,18 @@ class RrSketchPool {
   /// (CountWidth), and must sum to the sketch count: they set the root
   /// ranges, and each sketch's root is the vertex whose range holds it.
   /// The file holds one mask per group of 64 sketches, with no bit set
-  /// past the last sketch, and one word per set bit, at 4 bytes only if
-  /// some word needs them. Walking the sketches in order, each group's
-  /// base is where the next block must start, each block's vertices,
-  /// its stored ones and its root at its root id, must strictly ascend
-  /// and lie below |V|, and each block must start where the one before
-  /// it ended (its word is that start less its base). Each block's
-  /// header (and edge count) must be a varint of no more bytes than its
-  /// value needs, with 0 < n <= kMaxBlockVertices, not a singleton's
+  /// past the last sketch, and one signed word per set bit, at 4 bytes
+  /// only if some word does not fit int16. Walking the sketches in
+  /// order, each group's base is where the next first copy must start,
+  /// and a block's word (its start less its base) either starts a new
+  /// block where the first copy before it ended, or equals the start of
+  /// an earlier first copy of the same root range, which the block then
+  /// shares; any other word fails, and so does a new block byte-equal to
+  /// an earlier first copy of its range. Each new block's vertices, its
+  /// stored ones and its root at its root id, must strictly ascend and
+  /// lie below |V|, and its header (and edge count) must be a varint of
+  /// no more bytes than its value needs, with 0 < n <= kMaxBlockVertices,
+  /// not a singleton's
   /// shape, and the in-tree flag exactly when its offsets are an
   /// in-tree's (a block of an in-tree's shape stored with offsets
   /// fails); its root id and heads lie below n, its offsets rise from 0
@@ -1154,7 +1183,8 @@ class RrSketchPool {
   /// two serial passes over the blocks in id order sort each vertex's
   /// ids into a scratch array (the first counts them, and recounts
   /// max_sketch_vertices_; the second pairs each id with its root, from
-  /// a root cursor that only moves forward), a pass over the lists
+  /// a root cursor that only moves forward; each decodes a first copy's
+  /// stored vertices once, and a repeat reuses them), a pass over the lists
   /// tallies their root gaps, which set containing_k_, then a BitWriter
   /// codes the lists in vertex order into an exact-size array. The
   /// starts take 2-byte words while every group's do.
@@ -1169,8 +1199,8 @@ class RrSketchPool {
   friend class IndexIo;  // saves and loads the directory's words and body_
   friend class RrSketchOverlay;  // Fold keeps its base's root starts
 
-  std::vector<Group> groups_;  // the directory: a record per 64 sketches
-  WordArray block_words_;      // and a word per block
+  std::vector<Group> groups_;    // the directory: a record per 64 sketches
+  SignedWordArray block_words_;  // and a word per block
   std::vector<VertexId> roots_;  // a run's sketches' roots, in order
   std::vector<uint8_t> body_;    // blocks, then kBitPadding zero bytes
   GroupWords root_starts_;       // num_vertices + 1 sketch ids
@@ -1230,7 +1260,7 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
     fill(out);
     [[maybe_unused]] const uint64_t written = bits.Finish();
     PITEX_DCHECK(written == FieldBits(n, m, in_tree));
-    PushBlock(start - groups_.back().base);
+    PushBlock(start);
     // Offsets stored only where they are not an in-tree's, and an
     // in-tree's parents lead to its root.
     PITEX_DCHECK(View(i, root).InTree() == in_tree);

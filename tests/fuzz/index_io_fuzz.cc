@@ -11,9 +11,11 @@
 // sketches imply (so the delta-coded lists decode right), it saves back
 // to the very bytes
 // it was loaded from (the writer and the reader are inverses), and
-// those bytes are canonical: the payload (the pool image) is exactly
-// what the reference re-encoder PackViews (tests/owned_sketch.h) writes
-// for the loaded sketches. Any crash, sanitizer report, or violation
+// those bytes are canonical: the payload (the pool image, index file
+// v15, each repeated block shared with its root range's first copy) is
+// exactly what the reference re-encoder PackViews (tests/owned_sketch.h)
+// writes for the loaded sketches. A v14 image is refused by its version
+// (a ValidatorRows seed). Any crash, sanitizer report, or violation
 // (enforced with abort() below) is a finding.
 //
 // Seed corpus: set PITEX_FUZZ_SEED_DIR=<dir> and the harness writes a

@@ -178,15 +178,16 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v14 is read: a file claiming v1 (the old one-record-per-graph
+  // Only v15 is read: a file claiming v1 (the old one-record-per-graph
   // format), v2 (the old per-sketch wire format), v3 (the pool image
   // with its edge records in a third array), v4 (every block vertex at
   // 4 bytes), v5 (a word-padded u32 body), v6 (offsets in every block),
   // v7 (a u32 directory word per sketch), v8 (whole bytes per block
   // field), v9 (edge ids in the records, not ranks), v10 (every
   // threshold at 30 bits), v11 (sketches in sample order, not root
-  // order), v12 (each block storing its root's vertex id) or v13 (each
-  // record storing its threshold, and a directory word per sketch),
+  // order), v12 (each block storing its root's vertex id), v13 (each
+  // record storing its threshold, and a directory word per sketch) or
+  // v14 (unsigned directory words, and every repeated block stored),
   // whole or cut short, is refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
@@ -196,8 +197,8 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 14);
-  for (const char version : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}) {
+  ASSERT_EQ(bytes[kVersionOffset], 15);
+  for (const char version : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}) {
     bytes[kVersionOffset] = version;
     for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
       std::stringstream in(bytes.substr(0, keep));
@@ -339,10 +340,10 @@ TEST(IndexIoTest, PayloadCorruptionRejected) {
 }
 
 TEST(IndexIoTest, RootCountsSetTheRootRanges) {
-  // A v14 file stores each vertex's count of rooted sketches, and a
+  // A v15 file stores each vertex's count of rooted sketches, and a
   // block no root vertex, a singleton nothing: the counts set the root
   // ranges. Counts that do not sum to theta are a corrupt payload; the
-  // same bytes under a v13 header are refused by their version.
+  // same bytes under a v14 header are refused by their version.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -366,10 +367,10 @@ TEST(IndexIoTest, RootCountsSetTheRootRanges) {
   pool_image::Image fewer = image;
   --fewer.root_counts[3];
   EXPECT_EQ(load_code(fewer.Encode()), IndexIoCode::kCorruptPayload);
-  std::string v13 = bytes;
-  v13[pool_image::kVersionOffset] = 13;
-  pool_image::RepairChecksum(&v13);
-  EXPECT_EQ(load_code(v13), IndexIoCode::kBadVersion);
+  std::string v14 = bytes;
+  v14[pool_image::kVersionOffset] = 14;
+  pool_image::RepairChecksum(&v14);
+  EXPECT_EQ(load_code(v14), IndexIoCode::kBadVersion);
 }
 
 TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
@@ -519,7 +520,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   const SocialNetwork n = MakeRunningExample();
   const uint64_t fp = NetworkFingerprint(n);
   constexpr uint8_t kRr = 1;
-  constexpr uint32_t kCurrent = 14;  // the one version the loader reads
+  constexpr uint32_t kCurrent = 15;  // the one version the loader reads
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),

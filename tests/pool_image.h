@@ -104,16 +104,18 @@ struct Block;
 // A saved file taken apart into the pool arrays it images: each
 // vertex's count of rooted sketches (decoded from the count width the
 // file names), which set the root ranges, the directory's word width,
-// its group masks and block words decoded to a slot per sketch,
+// its group masks and signed block words decoded to a slot per sketch,
 // kExplicit | a block's start in the body or 0 for a singleton, the
-// bases the loader derives for them (where the next block starts at
-// each group's first sketch), and the body bytes, padding included,
-// with the field widths the network calls for. The header before theta
+// bases the loader derives for them (where the next first copy starts
+// at each group's first sketch), and the body bytes, padding included,
+// with the field widths the network calls for. A repeat (a block
+// byte-equal to an earlier one of its root range) has the slot of that
+// range's first copy and no bytes of its own. The header before theta
 // and the trailer are kept as bytes. Encode puts it back together, each
 // group's mask from its slots, XOR its `mask_flips` entry, and each
-// block's word its start less its group's base at the image's width,
-// then `extra_words`, and repairs the checksum, so an edit reaches the
-// loader's checks.
+// block's word its start less its group's base in two's complement at
+// the image's width, then `extra_words`, and repairs the checksum, so an
+// edit reaches the loader's checks.
 struct Image {
   std::string header;
   uint64_t theta = 0;
@@ -130,6 +132,26 @@ struct Image {
   uint32_t rank_bits = 0;
 
   Image(const std::string& bytes, const SocialNetwork& network);
+
+  // The first sketch whose slot is sketch i's: i itself unless i is a
+  // repeat.
+  size_t first_of(size_t i) const {
+    return static_cast<size_t>(std::ranges::find(slots, slots[i]) -
+                               slots.begin());
+  }
+  bool is_repeat(size_t i) const {
+    return (slots[i] & kExplicit) != 0 && first_of(i) != i;
+  }
+  // Where the next first copy at or after sketch i starts, or the end of
+  // the blocks: where an unshared block i would go.
+  uint32_t running_offset(size_t i) const {
+    for (size_t j = i; j < slots.size(); ++j) {
+      if ((slots[j] & kExplicit) != 0 && first_of(j) == j) {
+        return slots[j] & ~kExplicit;
+      }
+    }
+    return static_cast<uint32_t>(body.size() - kPadding);
+  }
 
   // Sketch i's root: the vertex whose root range, as the counts set the
   // ranges, holds i (the last vertex when the counts end before i).
@@ -176,9 +198,10 @@ struct Image {
   }
 };
 
-// Replaces body bytes [at, at + erase) of `image` with `insert` and
-// moves the blocks of the sketches after `sketch` with them, and the
-// bases of the groups that open after it.
+// Replaces body bytes [at, at + erase) of `image` with `insert`, where
+// sketch `sketch`'s first copy ends or starts, and moves the blocks that
+// start at or after at + erase with them (their repeats too), and the
+// bases of the groups that open after `sketch`.
 inline void Splice(Image* image, size_t sketch, size_t at, size_t erase,
                    const std::vector<uint8_t>& insert) {
   const auto begin = image->body.begin() + static_cast<std::ptrdiff_t>(at);
@@ -186,8 +209,10 @@ inline void Splice(Image* image, size_t sketch, size_t at, size_t erase,
   image->body.insert(image->body.begin() + static_cast<std::ptrdiff_t>(at),
                      insert.begin(), insert.end());
   const auto shift = static_cast<uint32_t>(insert.size() - erase);
-  for (size_t i = sketch + 1; i < image->slots.size(); ++i) {
-    if ((image->slots[i] & kExplicit) != 0) image->slots[i] += shift;
+  for (uint32_t& slot : image->slots) {
+    if ((slot & kExplicit) != 0 && (slot & ~kExplicit) >= at + erase) {
+      slot += shift;
+    }
   }
   for (size_t g = sketch / kGroup + 1; g < image->bases.size(); ++g) {
     image->bases[g] += shift;
@@ -367,9 +392,10 @@ inline std::optional<Block> BlockOf(Image* image, size_t i) {
 // Sketch i's root vertex: the vertex whose root range holds it.
 inline uint32_t RootOf(Image* image, size_t i) { return image->root_of(i); }
 
-// Swaps sketches i and i + 1 of `image`, which lie in one group: their
-// directory words and, for blocks, their bytes in the body, so each
-// sketch keeps its block whole and the blocks still run back to back.
+// Swaps sketches i and i + 1 of `image`, which lie in one group and are
+// no repeats: their directory words and, for blocks, their bytes in the
+// body, so each sketch keeps its block whole and the blocks still run
+// back to back.
 // The root counts stay: each sketch lands in the other's root range.
 inline void SwapAdjacent(Image* image, size_t i) {
   const std::optional<Block> a = BlockOf(image, i);
@@ -388,12 +414,14 @@ inline void SwapAdjacent(Image* image, size_t i) {
 }
 
 // The first i whose sketches i and i + 1 lie in one group, have
-// different roots and are blocks or not as `blocks` says, if any.
+// different roots, are no repeats and are blocks or not as `blocks`
+// says, if any.
 inline std::optional<size_t> FindRootStep(Image* image, bool blocks) {
   for (size_t i = 0; i + 1 < image->slots.size(); ++i) {
     if (i % kGroup == kGroup - 1) continue;
     if (BlockOf(image, i).has_value() != blocks ||
-        BlockOf(image, i + 1).has_value() != blocks) {
+        BlockOf(image, i + 1).has_value() != blocks ||
+        image->is_repeat(i) || image->is_repeat(i + 1)) {
       continue;
     }
     if (RootOf(image, i) != RootOf(image, i + 1)) return i;
@@ -423,13 +451,19 @@ inline Image::Image(const std::string& bytes, const SocialNetwork& network)
   for (uint64_t& mask : masks) mask = take(8);
   mask_flips.assign(masks.size(), 0);
   width = static_cast<uint32_t>(take(1));
+  // Each word sign-extended to 32 bits, so a base plus it wraps to the
+  // start it names.
   std::vector<uint32_t> words(take(8) / width);
-  for (uint32_t& word : words) word = static_cast<uint32_t>(take(width));
+  for (uint32_t& word : words) {
+    word = static_cast<uint32_t>(take(width));
+    if (width == 2) word = static_cast<uint32_t>(static_cast<int16_t>(word));
+  }
   body.resize(take(8));
   for (uint8_t& byte : body) byte = static_cast<uint8_t>(take(1));
   trailer = bytes.substr(at);
-  // The bases as the loader derives them: the blocks run back to back
-  // from the body's first byte.
+  // The bases as the loader derives them: the first copies run back to
+  // back from the body's first byte, and a repeat's word names an
+  // earlier one's start.
   slots.assign(theta, 0);
   uint32_t next = 0;
   size_t block = 0;
@@ -437,8 +471,7 @@ inline Image::Image(const std::string& bytes, const SocialNetwork& network)
     if (i % kGroup == 0) bases.push_back(next);
     if (((masks[i / kGroup] >> (i % kGroup)) & 1) == 0) continue;
     slots[i] = kExplicit | (bases.back() + words[block++]);
-    next = static_cast<uint32_t>((slots[i] & ~kExplicit) +
-                                 BlockOf(this, i)->bytes());
+    if ((slots[i] & ~kExplicit) == next) next += BlockOf(this, i)->bytes();
   }
 }
 
@@ -477,6 +510,29 @@ inline std::optional<Block> FindBlock(Image* image, uint32_t min_n,
   return FindBlock(image, min_n, min_m, [](const Block&) { return true; });
 }
 
+// The first repeat i of `image` for which also(i) holds, if any.
+template <typename Also>
+std::optional<size_t> FindRepeat(const Image& image, Also also) {
+  for (size_t i = 0; i < image.slots.size(); ++i) {
+    if (image.is_repeat(i) && also(i)) return i;
+  }
+  return std::nullopt;
+}
+
+// Gives repeat i bytes of its own, a copy of its first copy's, where the
+// next first copy would start, and returns their start.
+inline uint32_t Unshare(Image* image, size_t i) {
+  const uint32_t at = image->running_offset(i);
+  const Block first = *BlockOf(image, image->first_of(i));
+  const std::vector<uint8_t> copy(
+      image->body.begin() + first.start,
+      image->body.begin() + static_cast<std::ptrdiff_t>(first.start +
+                                                        first.bytes()));
+  Splice(image, i, at, 0, copy);
+  image->slots[i] = kExplicit | at;
+  return at;
+}
+
 // One edit of a valid image that no saved pool can hold, and the typed
 // error the loader must refuse it with. Each returns false when the
 // image has no place to make it.
@@ -504,10 +560,12 @@ inline std::vector<ValidatorRow> ValidatorRows() {
        }},
       {"block word one short of its start",
        [](const SocialNetwork&, Image* image) {
-         // A block after the first of its group, whose word is not 0.
+         // A first copy after the first of its group, whose word is not
+         // 0.
          const auto block =
              FindBlock(image, 1, 0, [image](const Block& b) {
-               return b.start != image->bases[b.sketch / kGroup];
+               return b.start != image->bases[b.sketch / kGroup] &&
+                      !image->is_repeat(b.sketch);
              });
          if (!block) return false;
          image->slots[block->sketch] -= 1;
@@ -771,6 +829,76 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          return true;
        },
        IndexIoCode::kBadVersion},
+      {"v14 file",
+       [](const SocialNetwork&, Image* image) {
+         // The format whose words were unsigned and whose repeated
+         // blocks each stored their bytes.
+         image->header[kVersionOffset] = 14;
+         return true;
+       },
+       IndexIoCode::kBadVersion},
+      {"repeat stored unshared",
+       [](const SocialNetwork&, Image* image) {
+         const auto i = FindRepeat(*image, [](size_t) { return true; });
+         if (!i) return false;
+         Unshare(image, *i);
+         return true;
+       }},
+      {"repeat's word points into another root range",
+       [](const SocialNetwork&, Image* image) {
+         // At a first copy of an earlier range.
+         for (size_t i = 0; i < image->slots.size(); ++i) {
+           if (!image->is_repeat(i)) continue;
+           for (size_t j = 0; j < i; ++j) {
+             if ((image->slots[j] & kExplicit) != 0 &&
+                 image->root_of(j) != image->root_of(i)) {
+               image->slots[i] = image->slots[j];
+               return true;
+             }
+           }
+         }
+         return false;
+       }},
+      {"repeat's word points into the middle of its first copy",
+       [](const SocialNetwork&, Image* image) {
+         const auto i = FindRepeat(*image, [](size_t) { return true; });
+         if (!i) return false;
+         image->slots[*i] += 1;
+         return true;
+       }},
+      {"repeat's word points forward",
+       [](const SocialNetwork&, Image* image) {
+         // At a first copy past the one that would start where the walk
+         // is (a word naming that one starts a new block there).
+         for (size_t i = 0; i < image->slots.size(); ++i) {
+           if (!image->is_repeat(i)) continue;
+           const uint32_t running = image->running_offset(i);
+           for (size_t j = i + 1; j < image->slots.size(); ++j) {
+             if ((image->slots[j] & kExplicit) != 0 &&
+                 (image->slots[j] & ~kExplicit) > running) {
+               image->slots[i] = image->slots[j];
+               return true;
+             }
+           }
+         }
+         return false;
+       }},
+      {"repeat's word points at a repeat rather than its first copy",
+       [](const SocialNetwork&, Image* image) {
+         // A second repeat of one first copy, at the first repeat's own
+         // bytes (which make that one an unshared repeat: a shared one
+         // has no bytes to point at).
+         for (size_t i = 0; i < image->slots.size(); ++i) {
+           if (!image->is_repeat(i)) continue;
+           for (size_t j = i + 1; j < image->slots.size(); ++j) {
+             if (image->slots[j] == image->slots[i]) {
+               image->slots[j] = kExplicit | Unshare(image, i);
+               return true;
+             }
+           }
+         }
+         return false;
+       }},
       {"singleton's mask bit set, with no word",
        [](const SocialNetwork&, Image* image) {
          // The masks then count one block more than the words hold.

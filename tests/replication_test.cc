@@ -527,14 +527,15 @@ TEST_F(ReplicationTest, FollowerBootstrapsFromCheckpointOverOneMebibyte) {
   // so a follower could only join before the primary's first real
   // checkpoint. Ship one well past that size: at 200 sketches per
   // vertex it measured 2,655,306 bytes (index format v7), over twice
-  // the cap, and 627,071 at v14, whose records hold no thresholds, so
-  // the index now samples 400 per vertex.
+  // the cap, 627,071 at v14, whose records hold no thresholds, and
+  // 720,658 at 400 per vertex at v15, whose repeated blocks share their
+  // bytes, so the index now samples 800 per vertex: 1,363,709 bytes.
   DatasetSpec spec = LastfmSpec(0.5);
   spec.seed = 11;
   const SocialNetwork n = GenerateDataset(spec);
   const auto options = [&](const std::string& dir) {
     ServeOptions serve = DurableOptions(dir);
-    serve.engine.index_theta_per_vertex = 400.0;
+    serve.engine.index_theta_per_vertex = 800.0;
     return serve;
   };
   ReplicaPair pair;
