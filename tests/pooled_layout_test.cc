@@ -212,11 +212,21 @@ size_t DirectoryBytes(size_t sketches, size_t blocks, size_t width) {
   return 16 * ((sketches + 63) / 64) + width * blocks;
 }
 
+// True when sketches a and b have one shape: the same root, vertices,
+// CSR and ranks, which a pool's encoding of each maps to the same bytes.
+bool SameShape(const RRGraph& a, const RRGraph& b) {
+  return a.root == b.root && a.vertices == b.vertices &&
+         a.offsets == b.offsets && a.heads == b.heads && a.ranks == b.ranks;
+}
+
 // The pool's footprint from its layout, and the word widths it calls
 // for, which it expects the pool to report. The directory holds a
 // 16-byte record per 64 sketches and a word per block, its start less
-// its group's base (where the next block starts at the group's first
-// sketch); a singleton takes no word. The root starts hold a 32-bit
+// its group's base (where the next first copy starts at the group's
+// first sketch), signed; a singleton takes no word. A block of the same
+// shape as an earlier block of its root range (the same vertices, root,
+// CSR and ranks) is a repeat: it takes no body bytes, and its word names
+// that range's first block of the shape. The root starts hold a 32-bit
 // base per 64 entries and one word per entry, the sketches rooted below
 // it less its group's first such count; the containing starts the same,
 // each word its list's start, in bits, less its group's first start.
@@ -230,7 +240,7 @@ size_t DirectoryBytes(size_t sketches, size_t blocks, size_t width) {
 // sketch is an in-tree, and m heads at BitsFor(n) bits, then m records,
 // each a rank at R bits; V and R are BitsFor of the network's vertex
 // count and largest out-degree, and 7 bytes of padding end a body of
-// blocks.
+// blocks. The words take 2 bytes while every word fits int16, else 4.
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   const uint64_t vertex_bits = BitsFor(pool.num_network_vertices());
@@ -240,7 +250,9 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
   size_t body = 0;
   size_t base = 0;
   size_t blocks = 0;
-  size_t max_offset = 0;
+  bool narrow = true;
+  // The first copies of the current root's range, each with its start.
+  std::vector<std::pair<RRGraph, size_t>> firsts;
   const PoolViews views(pool);
   for (size_t i = 0; i < s; ++i) {
     if (i % 64 == 0) base = body;
@@ -250,9 +262,19 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     EXPECT_EQ(pool.IsSingleton(i), n == 1 && m == 0) << "sketch " << i;
     if (n == 1 && m == 0) continue;
     ++blocks;
-    max_offset = std::max(max_offset, body - base);
-    const RRGraph owned = Owned(view);
+    RRGraph owned = Owned(view);
+    if (!firsts.empty() && firsts.front().first.root != owned.root) {
+      firsts.clear();
+    }
+    const auto first = std::ranges::find_if(firsts, [&owned](const auto& f) {
+      return SameShape(f.first, owned);
+    });
+    const size_t start = first == firsts.end() ? body : first->second;
+    const auto word = static_cast<int64_t>(start) - static_cast<int64_t>(base);
+    narrow = narrow && word >= INT16_MIN && word <= INT16_MAX;
+    if (first != firsts.end()) continue;
     const bool tree = InTreeShape(owned);
+    firsts.emplace_back(std::move(owned), body);
     const uint64_t bits = (n - 1) * vertex_bits + BitsFor(n) +
                           (tree ? 0 : (n + 1) * BitsFor(m + 1)) +
                           m * (BitsFor(n) + rank_bits);
@@ -261,7 +283,7 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
             (bits + 7) / 8;
   }
   if (body > 0) body += 7;
-  const size_t directory_width = max_offset <= 65535 ? 2 : 4;
+  const size_t directory_width = narrow ? 2 : 4;
   const ExpectedLists lists = ExpectedListsOf(pool);
   const std::vector<uint64_t>& starts = lists.starts;
   uint64_t max_word = 0;
@@ -986,6 +1008,21 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
   }
 }
 
+// True when some graph of `graphs` (in root order) has the shape of an
+// earlier one with its root: a finished pool shares its block.
+bool HasRepeats(const std::vector<RRGraph>& graphs) {
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      const RRGraph& a = graphs[i];
+      if (SameShape(a, graphs[j]) &&
+          (a.vertices.size() > 1 || !a.ranks.empty())) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 // Writes `graphs` through every pool writer that finishes them — Append,
 // PackViews, PackViews again from the packed views, and FromRuns over
 // one run and over three runs — into pools of `network`'s network, and
@@ -1014,8 +1051,11 @@ RrSketchPool ExpectWritersKeep(const std::vector<RRGraph>& graphs,
   EXPECT_EQ(packed.SizeBytes(), ExactSizeBytes(packed));
   ExpectContainingMatchesViews(packed);
   ExpectOverlayCodesAsPool(packed);
-  // The run took the same sketches in the same groups.
-  EXPECT_EQ(run.directory_width(), packed.directory_width());
+  // The run took the same sketches in the same groups, so without a
+  // repeat to share, the same words.
+  if (!HasRepeats(graphs)) {
+    EXPECT_EQ(run.directory_width(), packed.directory_width());
+  }
   EXPECT_EQ(packed.max_sketch_vertices(),
             std::ranges::max(graphs, {}, [](const RRGraph& g) {
               return g.vertices.size();
@@ -1833,12 +1873,12 @@ TEST(PooledLayoutTest, SingletonRootsWidenNoDirectory) {
   }
 }
 
-// Edgeless sketches over vertices 0 .. n - 1 of a 4,096-vertex network
-// whose blocks take `bytes` bytes in all. Each takes a header of one
-// byte while n <= 63 and two from n = 64, an edge count of one byte,
-// and then n - 1 12-bit vertices (all but the root), a BitsFor(n)-bit
-// root id and n + 1 0-bit offsets to the next byte, for
-// 2 <= n <= 2,048.
+// Edgeless sketches rooted at 0 of a 4,096-vertex network whose blocks
+// take `bytes` bytes in all, no two alike: the k-th holds 0 and k + 1 ..
+// k + n - 1. Each takes a header of one byte while n <= 63 and two from
+// n = 64, an edge count of one byte, and then n - 1 12-bit vertices
+// (all but the root), a BitsFor(n)-bit root id and n + 1 0-bit offsets
+// to the next byte, for 2 <= n <= 2,048.
 std::vector<RRGraph> BlocksTaking(size_t bytes) {
   const auto length = [](uint32_t n) {
     return VarintBytes(n << 1) + 1 + (12 * (n - 1) + BitsFor(n) + 7) / 8;
@@ -1846,7 +1886,9 @@ std::vector<RRGraph> BlocksTaking(size_t bytes) {
   std::vector<RRGraph> graphs;
   const auto push = [&graphs](uint32_t n) {
     std::vector<VertexId> vertices(n);
-    std::iota(vertices.begin(), vertices.end(), 0);
+    std::iota(vertices.begin(), vertices.end(),
+              static_cast<VertexId>(graphs.size()));
+    vertices[0] = 0;
     graphs.push_back(EdgelessSketch(std::move(vertices)));
   };
   for (; bytes > 4 * length(2048); bytes -= length(2048)) push(2048);
@@ -1868,13 +1910,13 @@ std::vector<RRGraph> BlocksTaking(size_t bytes) {
 
 TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
   // The last sketch of the first group of 64 is a block that starts
-  // `offset` bytes past the group's base. The pool's words take 2 bytes
-  // up to 65,535, the largest start less its base they hold, and 4 from
-  // 65,536, and the index file's words are the pool's. A second group
-  // opens with a block at its base.
+  // `offset` bytes past the group's base. The pool's words are signed:
+  // they take 2 bytes up to 32,767, the largest start less its base they
+  // hold, and 4 from 32,768, and the index file's words are the pool's.
+  // A second group opens with a block at its base.
   for (const auto& [offset, width, file_width] :
-       {std::tuple{size_t{32767}, 2u, 2u}, {size_t{32768}, 2u, 2u},
-        {size_t{65535}, 2u, 2u}, {size_t{65536}, 4u, 4u}}) {
+       {std::tuple{size_t{32767}, 2u, 2u}, {size_t{32768}, 4u, 4u},
+        {size_t{65535}, 4u, 4u}, {size_t{65536}, 4u, 4u}}) {
     SCOPED_TRACE("offset " + std::to_string(offset));
     // Every sketch before sketch 63 is rooted at 0, as the blocks
     // BlocksTaking makes are, so root order keeps their places.
@@ -1894,6 +1936,33 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
     const PoolViews views(pool);
     EXPECT_EQ(BlockStart(views(63)) - BlockStart(views(0)),
               static_cast<std::ptrdiff_t>(offset));
+  }
+}
+
+TEST(PooledLayoutTest, RepeatWordsReachBackToMinus32768AtTwoBytes) {
+  // The first group's blocks, all rooted at 0, take `back` bytes, and the
+  // second group opens with a repeat of sketch 0's block in the same
+  // root range: its word, sketch 0's start less the second group's base,
+  // is -back. 2-byte words hold it down to -32,768, and -32,769 takes 4.
+  for (const auto& [back, width] :
+       {std::pair{size_t{32768}, 2u}, {size_t{32769}, 4u}}) {
+    SCOPED_TRACE("back " + std::to_string(back));
+    std::vector<RRGraph> graphs = BlocksTaking(back);
+    ASSERT_LT(graphs.size(), 64u);
+    while (graphs.size() < 64) graphs.push_back(Singleton(0));
+    graphs.push_back(graphs.front());
+    graphs.push_back(RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {3}});
+    ExpectEveryWriterKeeps(graphs, 4096);
+    const auto [network, pool] = PackOnOwnNetwork(graphs, 4096);
+    EXPECT_EQ(pool.directory_width(), width);
+    EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+    EXPECT_EQ(FileDirectoryWidth(network, pool), width);
+    // Sanity of the fixture: sketch 64 shares sketch 0's bytes, and the
+    // first block after it starts `back` bytes past sketch 0's.
+    const PoolViews views(pool);
+    EXPECT_EQ(BlockStart(views(64)), BlockStart(views(0)));
+    EXPECT_EQ(BlockStart(views(65)) - BlockStart(views(0)),
+              static_cast<std::ptrdiff_t>(back));
   }
 }
 
@@ -2110,21 +2179,24 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   index.Build();
   const RrSketchPool& pool = index.pool();
   ASSERT_EQ(pool.num_sketches(), 200000u);
-  // The offset arrays take 2-byte words: the block words (largest
-  // block start less its base 1,336 B), the root starts (largest group
-  // 573 sketches) and the containing starts, 391 bases and 25,001 words
-  // each: 51,566 B. 85,966 sketches are blocks, so the directory takes
-  // 3,125 16-byte records and 85,966 words: 221,932 B. The 200,000 root
+  // The offset arrays take 2-byte words: the block words (signed, from
+  // -254 to 1,336 B), the root starts (largest group 573 sketches) and
+  // the containing starts, 391 bases and 25,001 words each: 51,566 B.
+  // 85,966 sketches are blocks, so the directory takes 3,125 16-byte
+  // records and 85,966 words: 221,932 B. 41,710 blocks repeat an
+  // earlier block of their root range and share its bytes (2,840 of
+  // them in an earlier group, with a negative word), so 44,256 first
+  // copies are stored. The 200,000 root
   // incidences are root ranges, and the lists' other 254,185 ids are
   // 101,074 root entries, whose gaps k = 10 codes in the fewest bits:
   // with their masks, 2,081,217 bits, 260,160 B with padding (481,823 B
   // as gaps between ids at k = 14). The network's 25,000 vertices and
   // at most 18 out-edges a vertex give 15-bit vertices and 5-bit ranks.
-  // A record is its rank alone: the 254,190 records take 1,270,950
-  // bits. Every block has fewer than 64 vertices, so a one-byte header;
-  // 5 blocks store offsets, and an edge count of one byte; the blocks'
-  // fields take 770,373 B, each to its next byte: a body of 856,344 B
-  // and 7 of padding.
+  // A record is its rank alone. Every block has fewer than 64 vertices,
+  // so a one-byte header; 5 blocks, all first copies, store offsets, and
+  // an edge count of one byte; the first copies' fields take 4,305,055
+  // bits, 552,418 B each to its next byte: a body of 596,679 B and 7 of
+  // padding.
   EXPECT_EQ(pool.directory_width(), 2u);
   EXPECT_EQ(pool.DirectoryBytes(), 3125u * 16 + 85966u * 2);
   EXPECT_EQ(pool.containing_start_width(), 2u);
@@ -2140,31 +2212,31 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   EXPECT_EQ(list_bits, 2081217u);
   ExpectContainingMatchesViews(pool);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 221932 + 2 * 51566 +
-                                  856351 + 260160);
+                                  596686 + 260160);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // The file is v14: its 61-byte header, theta, each vertex's count of
+  // The file is v15: its 61-byte header, theta, each vertex's count of
   // rooted sketches (each below 256, so 1 byte each), the 3,125 group
   // masks, the pool's 85,966 2-byte block words and its body, each
   // array after its u64 length, then build_seconds and the checksum:
   // these exact bytes.
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
-  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 14);
+  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 15);
   EXPECT_EQ(file.str().size(), 61u + 8 + (1 + 8 + 25000) + (8 + 3125 * 8) +
-                                   (1 + 8 + 85966 * 2) + (8 + 856351) + 16);
-  EXPECT_EQ(FileHash(file.str()), 0x4bc6df87b88f46beULL)
+                                   (1 + 8 + 85966 * 2) + (8 + 596686) + 16);
+  EXPECT_EQ(FileHash(file.str()), 0x96ff64678d55a474ULL)
       << std::hex << FileHash(file.str());
   EXPECT_EQ(pool_image::Image(file.str(), network).count_width, 1u);
   EXPECT_EQ(pool_image::Image(file.str(), network).width, 2u);
-  // The same bytes under a v13 header, whose records stored their
-  // thresholds, are refused by their version.
-  std::string v13 = file.str();
-  v13[pool_image::kVersionOffset] = 13;
-  pool_image::RepairChecksum(&v13);
-  std::stringstream v13_file(v13);
-  IndexIoError v13_error;
-  EXPECT_EQ(LoadRrIndex(network, v13_file, &v13_error), nullptr);
-  EXPECT_EQ(v13_error.code, IndexIoCode::kBadVersion);
+  // The same bytes under a v14 header, whose words were unsigned and
+  // whose repeats stored their bytes, are refused by their version.
+  std::string v14 = file.str();
+  v14[pool_image::kVersionOffset] = 14;
+  pool_image::RepairChecksum(&v14);
+  std::stringstream v14_file(v14);
+  IndexIoError v14_error;
+  EXPECT_EQ(LoadRrIndex(network, v14_file, &v14_error), nullptr);
+  EXPECT_EQ(v14_error.code, IndexIoCode::kBadVersion);
 
   // With repairs, the save folds base + overlay: its bytes load and save
   // back unchanged, and the loaded index holds the fold's sketches.
