@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -16,6 +18,7 @@
 
 #include "running_example.h"
 #include "owned_sketch.h"
+#include "pool_image.h"
 #include "reference_dynamic_index.h"
 #include "src/datasets/synthetic.h"
 #include "src/sampling/exact.h"
@@ -636,6 +639,88 @@ TEST(DynamicRrIndexTest, RepairSpliceChangesCodedGapLengths) {
   EXPECT_EQ(index.overlay_sketches(), 0u);
   ExpectSameContaining(index, reference);
   ExpectListsAsFolded(*repaired, *index.Freeze(n, /*compact=*/false));
+}
+
+TEST(DynamicRrIndexTest, CompactionSharesAsFromRunsOfItsViews) {
+  // After a fixed repair history (raises, lowerings and deletions), the
+  // compaction's pool (RrSketchOverlay::Fold, which copies blocks and
+  // shares each repeat of a range's first copy) is byte for byte the
+  // pool FromRuns finishes from the same sketches appended from their
+  // views (PackViews): the build and the fold share by one rule.
+  const SocialNetwork n = GenerateDataset(LastfmSpec(0.1));
+  RrIndexOptions options = SmallOptions();
+  options.theta_override = 20000;
+  DynamicRrIndex index(n, options);
+  index.Build();
+  for (int round = 0; round < 9; ++round) {
+    EdgeInfluenceUpdate update;
+    update.edge = static_cast<EdgeId>((round * 7919) % n.num_edges());
+    const auto topic = static_cast<TopicId>(round % n.topics.num_topics());
+    if (round % 3 == 1) update.entries = {{topic, 0.9}};
+    if (round % 3 == 2) update.entries = {{topic, 0.05}};
+    index.ApplyUpdates(std::span(&update, 1));
+  }
+  ASSERT_GT(index.overlay_sketches(), 0u);
+  const std::unique_ptr<RrIndex> repaired =
+      index.Freeze(index.network(), /*compact=*/false);
+  ASSERT_EQ(index.stats().compactions, 0u);
+  const IndexViews views(*repaired, n.num_vertices());
+  const RrSketchPool packed =
+      PackViews(repaired->num_graphs(), RrSketchPool(n.graph), views);
+  const std::unique_ptr<RrIndex> folded =
+      index.Freeze(index.network(), /*compact=*/true);
+  ASSERT_EQ(index.stats().compactions, 1u);
+  EXPECT_EQ(pool_image::PoolDifference(n, folded->pool(), packed), "");
+}
+
+TEST(DynamicRrIndexTest, RepairOfASharedIdLeavesItsRangeAlone) {
+  // A repair is copy-on-write per id. Replacing the first copy of a
+  // shared block (here by a singleton of its root) changes that id's
+  // view alone, in the overlay and after Fold, which stores the block
+  // again at its next repeat; the fold is the pool PackViews makes of
+  // the same views.
+  const SocialNetwork n = MakeRunningExample();
+  RrIndexOptions options = SmallOptions();
+  options.theta_override = 512;
+  RrIndex index(n, options);
+  index.Build();
+  const RrSketchPool& base = index.pool();
+  std::vector<RRGraph> before;
+  for (uint32_t i = 0; i < base.num_sketches(); ++i) {
+    before.push_back(Owned(base.View(i, base.RootOf(i))));
+  }
+  // The first id of a range whose block a later id of the range repeats.
+  std::optional<uint32_t> shared;
+  for (uint32_t i = 0; i < before.size() && !shared; ++i) {
+    if (base.IsSingleton(i)) continue;
+    for (const uint32_t j : base.RootRange(before[i].root)) {
+      if (j > i && GraphsEqual(before[j], before[i])) {
+        shared = i;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(shared.has_value()) << "fixture: no shared block";
+  const VertexId root = before[*shared].root;
+  const RRGraph replacement{root, {root}, {0, 0}, {}, {}};
+
+  RrSketchOverlay overlay(base);
+  overlay.Put(*shared, replacement);
+  const RrSketchPool folded = overlay.Fold(base);
+  for (uint32_t i = 0; i < before.size(); ++i) {
+    const VertexId u = before[i].root;
+    const uint32_t slot = overlay.SlotOf(i);
+    const RRView current = slot == RrSketchOverlay::kNotRepaired
+                               ? base.View(i, u)
+                               : overlay.View(slot, u);
+    const RRGraph& want = i == *shared ? replacement : before[i];
+    EXPECT_TRUE(GraphsEqual(current, want)) << "overlay, sketch " << i;
+    EXPECT_TRUE(GraphsEqual(folded.View(i, u), want)) << "fold, sketch " << i;
+  }
+  const RrSketchPool packed =
+      PackViews(folded.num_sketches(), RrSketchPool(n.graph),
+                [&](size_t i) { return folded.View(i, before[i].root); });
+  EXPECT_EQ(pool_image::PoolDifference(n, folded, packed), "");
 }
 
 }  // namespace

@@ -1257,14 +1257,79 @@ const uint8_t* BlockStart(const RRView& view) {
          (tree ? 0 : VarintBytes(m));
 }
 
-// The bytes of explicit sketch i's block in `pool`, from its header
-// through the byte of its last record's last bit.
-std::vector<uint8_t> BlockBytes(const RrSketchPool& pool, size_t i) {
-  const RRView view = PoolViews(pool)(i);
+// The bytes of a pool's explicit sketch's block, viewed, from its
+// header through the byte of its last record's last bit.
+std::vector<uint8_t> ViewBytes(const RRView& view) {
   const PackedIds& ranks = view.ranks;
   return {BlockStart(view),
           ranks.data + (ranks.first + uint64_t{ranks.bits} * view.num_edges() +
                         7) / 8};
+}
+
+// The bytes of explicit sketch i's block in `pool`.
+std::vector<uint8_t> BlockBytes(const RrSketchPool& pool, size_t i) {
+  return ViewBytes(PoolViews(pool)(i));
+}
+
+// Checks the sharing rule on finished `pool`: in each root range, a
+// block of the shape of an earlier block of the range is a repeat and
+// starts where the range's first block of that shape starts; any other
+// block is a first copy, which holds other bytes than the range's other
+// first copies and starts apart from every other first copy of the
+// pool. Returns the repeats.
+size_t ExpectCanonicalSharing(const RrSketchPool& pool) {
+  const PoolViews views(pool);
+  size_t repeats = 0;
+  std::vector<const uint8_t*> starts;  // every first copy's
+  for (VertexId v = 0; v < pool.num_universe_vertices(); ++v) {
+    std::vector<std::pair<RRGraph, uint32_t>> firsts;  // shape, id
+    for (const uint32_t i : pool.RootRange(v)) {
+      if (pool.IsSingleton(i)) continue;
+      const RRView view = views(i);
+      RRGraph shape = Owned(view);
+      const auto first = std::ranges::find_if(
+          firsts, [&shape](const auto& f) { return SameShape(f.first, shape); });
+      if (first != firsts.end()) {
+        ++repeats;
+        EXPECT_EQ(BlockStart(view), BlockStart(views(first->second)))
+            << "sketch " << i << " repeats sketch " << first->second;
+        continue;
+      }
+      const std::vector<uint8_t> bytes = ViewBytes(view);
+      for (const auto& [other, id] : firsts) {
+        EXPECT_NE(bytes, ViewBytes(views(id)))
+            << "first copies " << id << " and " << i;
+      }
+      firsts.emplace_back(std::move(shape), i);
+      starts.push_back(BlockStart(view));
+    }
+  }
+  std::ranges::sort(starts);
+  EXPECT_EQ(std::ranges::adjacent_find(starts), starts.end())
+      << "two first copies share a start";
+  return repeats;
+}
+
+TEST(PooledLayoutTest, SharingIsCanonical) {
+  // Built pools share every repeat with its range's first copy, and
+  // store no first copy twice: the running example at theta 512 (about
+  // 73 sketches a root over 7 vertices), and lastfm at scale 0.1 at
+  // theta 100,000, built by 3 threads.
+  const SocialNetwork example = MakeRunningExample();
+  RrIndexOptions options;
+  options.theta_override = 512;
+  options.seed = 7;
+  RrIndex small(example, options);
+  small.Build();
+  EXPECT_GT(ExpectCanonicalSharing(small.pool()), 0u);
+  EXPECT_EQ(small.pool().SizeBytes(), ExactSizeBytes(small.pool()));
+  const SocialNetwork lastfm = GenerateDataset(LastfmSpec(0.1));
+  options.theta_override = 100000;
+  options.num_build_threads = 3;
+  RrIndex large(lastfm, options);
+  large.Build();
+  EXPECT_GT(ExpectCanonicalSharing(large.pool()), 0u);
+  EXPECT_EQ(large.pool().SizeBytes(), ExactSizeBytes(large.pool()));
 }
 
 TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
@@ -2211,6 +2276,7 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   }
   EXPECT_EQ(list_bits, 2081217u);
   ExpectContainingMatchesViews(pool);
+  EXPECT_EQ(ExpectCanonicalSharing(pool), 41710u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 221932 + 2 * 51566 +
                                   596686 + 260160);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
