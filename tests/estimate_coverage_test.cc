@@ -4,7 +4,8 @@
 // of estimates that miss the exact spread (src/sampling/exact.h) by more
 // than eps * exact is tested against the promised miss rate 1/delta.
 //
-// The estimators: IndexEst (RrIndex at Eq. 7's theta), the online RR
+// The estimators: IndexEst (RrIndex at Eq. 7's theta), IndexEst+ (the
+// same index read through its per-user edge-cut filter), the online RR
 // sampler (its own Eq. 2 stopping rule), DelayMat (its counters from
 // Eq. 7's theta), and a DynamicRrIndex after a fixed update history,
 // against the exact spread on the updated model.
@@ -34,6 +35,7 @@
 #include "running_example.h"
 #include "src/index/delay_mat.h"
 #include "src/index/dynamic_index.h"
+#include "src/index/edge_cut.h"
 #include "src/index/rr_index.h"
 #include "src/sampling/exact.h"
 #include "src/sampling/rr_sampler.h"
@@ -211,6 +213,20 @@ TEST(EstimateCoverageTest, IndexEstMeetsEpsDelta) {
         const TopicPosterior posterior = c.network.topics.Posterior(tags);
         const PosteriorProbs probs(c.network.influence, posterior);
         return index.EstimateInfluence(c.user, probs).influence;
+      },
+      BaseModel);
+}
+
+TEST(EstimateCoverageTest, IndexEstPlusMeetsEpsDelta) {
+  CheckCoverage(
+      "IndexEst+",
+      [](const Case& c, uint64_t seed, std::span<const TagId> tags) {
+        RrIndex index(c.network, IndexOptions(c.network, seed));
+        index.Build();
+        PrunedRrIndex pruned(&index, &c.network.influence);
+        const TopicPosterior posterior = c.network.topics.Posterior(tags);
+        const PosteriorProbs probs(c.network.influence, posterior);
+        return pruned.EstimateInfluence(c.user, probs).influence;
       },
       BaseModel);
 }
