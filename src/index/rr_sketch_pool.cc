@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <span>
 
 #include "src/util/check.h"
@@ -168,15 +169,21 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   // word names them. Any other block is a first copy, appended to the
   // new body. Blocks of equal bytes have equal bytes in any run (a
   // block's bits are relative to its first byte, at the pool's widths),
-  // so the runs' bytes are compared. A group's base is where the next
-  // first copy goes when the walk reaches the group's first sketch.
+  // so the runs' bytes are compared: first their lengths and first 8
+  // bytes, which decide most blocks, as most are shorter. A run's body
+  // ends in kBitPadding bytes, so 8 bytes load from any block's start.
+  // A group's base is where the next first copy goes when the walk
+  // reaches the group's first sketch.
   out.root_starts_ = std::move(root_starts);
   out.groups_.reserve((num_sketches + kGroup - 1) / kGroup);
   out.block_words_.Reserve(blocks, 2);
-  std::vector<uint8_t> body;
-  body.reserve(bound);
+  constexpr uint64_t kHead = sizeof(uint64_t);
+  // The first copies, back to back, then room for one more 8-byte store.
+  const auto body = std::make_unique_for_overwrite<uint8_t[]>(bound + kHead);
+  uint64_t at = 0;  // where the next first copy goes
   struct FirstCopy {
     const uint8_t* from;  // its bytes in its run
+    uint64_t head;        // its first 8 bytes, as LoadBits reads them
     uint64_t length;
     uint64_t start;  // its start in the new body
   };
@@ -188,7 +195,7 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
     const RrSketchPool& run = *seg.run;
     run.ForEachSketch(seg.first, seg.first + seg.count,
                       [&](bool block, uint64_t start) {
-      out.OpenGroup(body.size());
+      out.OpenGroup(at);
       if (!block) {
         out.PushSingleton();
         ++id;
@@ -202,25 +209,30 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
       ++id;
       const uint8_t* from = run.body_.data() + start;
       const uint64_t length = run.BlockLength(from);
+      const uint64_t head =
+          LoadBits(from, 0) &
+          (length < kHead ? LowMask(static_cast<uint32_t>(8 * length))
+                          : UINT64_MAX);
       for (const FirstCopy& first : firsts) {
-        if (first.length == length &&
-            std::memcmp(first.from, from, length) == 0) {
+        if (first.head == head && first.length == length &&
+            (length <= kHead || std::memcmp(first.from + kHead, from + kHead,
+                                            length - kHead) == 0)) {
           out.PushBlock(first.start);
           return;
         }
       }
-      firsts.push_back({from, length, body.size()});
-      out.PushBlock(body.size());
-      body.insert(body.end(), from, from + length);
+      firsts.push_back({from, head, length, at});
+      out.PushBlock(at);
+      std::memcpy(body.get() + at, from, std::max(length, kHead));
+      at += length;
     });
   }
   // The total only grows, so checking it once covers every start (the
   // runs checked each vertex id as they took it).
-  PITEX_CHECK_MSG(body.size() <= kIdLimit,
-                  "sketch pool exceeds its directory words");
-  if (!body.empty()) {
-    out.body_.resize(body.size() + kBitPadding);
-    std::memcpy(out.body_.data(), body.data(), body.size());
+  PITEX_CHECK_MSG(at <= kIdLimit, "sketch pool exceeds its directory words");
+  if (at != 0) {
+    out.body_.resize(at + kBitPadding);
+    std::memcpy(out.body_.data(), body.get(), at);
   }
   out.BuildContaining(out.num_vertices_);
   return out;
@@ -456,56 +468,19 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   // Calls fn(id, root, range, stored, count) for each block in id order:
   // `root` its root, from a cursor over the root starts that only moves
   // forward, `range` the sketches that root roots, and `stored` its
-  // `count` stored vertices, every vertex but its root, ascending. A
-  // first copy's are decoded from after its header, into `decoded`; a
-  // block that starts before the next first copy shares an earlier one
-  // of its range, and reuses its decoded ids.
-  struct FirstCopy {
-    uint64_t start;
-    uint32_t begin;  // its ids in `decoded`
-    uint32_t count;
-  };
-  std::vector<FirstCopy> firsts;  // the current root range's
-  std::vector<VertexId> decoded;
+  // `count` stored vertices.
   const auto each_block = [&](auto&& fn) {
     VertexId root = 0;
     uint32_t range = num_vertices == 0 ? 0 : RootStart(1);
-    uint64_t next = 0;  // where the next first copy starts
-    uint32_t id = 0;
-    firsts.clear();
-    decoded.clear();
-    ForEachSketch(0, num_sketches(), [&](bool block, uint64_t start) {
-      if (!block) {
-        ++id;
-        return;
-      }
+    ForEachStoredIds([&](uint32_t id, const PackedIds& stored,
+                         uint32_t count) {
       if (RootStart(root + 1) <= id) {
         do {
           ++root;
         } while (RootStart(root + 1) <= id);
         range = RootStart(root + 1) - RootStart(root);
-        firsts.clear();
-        decoded.clear();
       }
-      const FirstCopy* first;
-      if (start == next) {
-        const uint8_t* at = body_.data() + start;
-        next += BlockLength(at);
-        uint32_t header;
-        at = GetVarint(at, &header);
-        if ((header & kInTree) == 0) {
-          uint32_t m;
-          at = GetVarint(at, &m);
-        }
-        const uint32_t count = (header >> kHeaderFlagBits) - 1;
-        const PackedIds stored{at, 0, vertex_bits_};
-        firsts.push_back({start, static_cast<uint32_t>(decoded.size()), count});
-        for (uint32_t j = 0; j < count; ++j) decoded.push_back(stored[j]);
-        first = &firsts.back();
-      } else {
-        first = &*std::ranges::find(firsts, start, &FirstCopy::start);
-      }
-      fn(id++, root, range, decoded.data() + first->begin, first->count);
+      fn(id, root, range, stored, count);
     });
   };
   // Each vertex's list, its ids in ascending sketch order: an id opens an
@@ -523,7 +498,7 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   uint64_t mask_bits = 0;
   uint32_t max_vertices = num_sketches_ == 0 ? 0 : 1;
   each_block([&](uint32_t, VertexId root, uint32_t range,
-                 const VertexId* stored, uint32_t count) {
+                 const PackedIds& stored, uint32_t count) {
     max_vertices = std::max(max_vertices, count + 1);
     for (uint32_t j = 0; j < count; ++j) {
       const VertexId v = stored[j];
@@ -548,7 +523,7 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
                   "containing index exceeds 32-bit offsets");
   std::vector<RootedId> ids(occurrences);
   each_block([&](uint32_t id, VertexId root, uint32_t,
-                 const VertexId* stored, uint32_t count) {
+                 const PackedIds& stored, uint32_t count) {
     for (uint32_t j = 0; j < count; ++j) {
       ids[lists[stored[j]].at++] = {root, id};
     }

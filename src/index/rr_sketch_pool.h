@@ -1134,6 +1134,28 @@ class RrSketchPool {
   /// Sets the network counts and the fields' widths they call for.
   void SetNetwork(uint64_t num_vertices, uint64_t max_out_degree);
 
+  /// Calls fn(id, stored, count) for each block in id order: `stored`
+  /// its `count` stored vertex ids, every vertex but its root, ascending,
+  /// read from after its header and none of the rest of a view. A
+  /// repeat's are read from its first copy.
+  template <typename Fn>
+  void ForEachStoredIds(Fn&& fn) const {
+    uint32_t id = 0;
+    ForEachSketch(0, num_sketches(), [&](bool block, uint64_t value) {
+      if (block) {
+        uint32_t header;
+        const uint8_t* at = GetVarint(body_.data() + value, &header);
+        if ((header & kInTree) == 0) {
+          uint32_t m;
+          at = GetVarint(at, &m);
+        }
+        fn(id, PackedIds{at, 0, vertex_bits_},
+           (header >> kHeaderFlagBits) - 1);
+      }
+      ++id;
+    });
+  }
+
   /// AppendSketch for any sorted vertex range with size() and
   /// operator[]: a span, or a view's VertexIds that Append re-encodes
   /// at this pool's width.
@@ -1183,8 +1205,7 @@ class RrSketchPool {
   /// two serial passes over the blocks in id order sort each vertex's
   /// ids into a scratch array (the first counts them, and recounts
   /// max_sketch_vertices_; the second pairs each id with its root, from
-  /// a root cursor that only moves forward; each decodes a first copy's
-  /// stored vertices once, and a repeat reuses them), a pass over the lists
+  /// a root cursor that only moves forward), a pass over the lists
   /// tallies their root gaps, which set containing_k_, then a BitWriter
   /// codes the lists in vertex order into an exact-size array. The
   /// starts take 2-byte words while every group's do.
