@@ -221,6 +221,9 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
           return;
         }
       }
+      // A run's block is copied once unless two segments name it.
+      PITEX_CHECK_MSG(at + length <= bound,
+                      "run segments name one sketch twice");
       firsts.push_back({from, head, length, at});
       out.PushBlock(at);
       std::memcpy(body.get() + at, from, std::max(length, kHead));
