@@ -158,7 +158,8 @@
 // directory a rank over a bitmap, so that only blocks take a word. Both
 // starts use GroupWords, a base per 64 entries and a word per entry;
 // the directory its Group records and block_words_. All keep their
-// words in a WordArray, 2 or 4 bytes each. Each pool chooses each
+// words in a WordArrayOf, 2 or 4 bytes each, unsigned but for the
+// directory's (SignedWordArray). Each pool chooses each
 // array's word width from its own data, with no option.
 //
 // Every pool is written one way: sketches are appended in this layout
@@ -186,7 +187,7 @@
 // view alone), so the fold re-shares: a repeat whose first copy was
 // repaired is stored again, as the new first copy. Every writer starts the
 // block words at 2 bytes and widens them once, in place, when a word
-// first fails to fit them (WordArray::Push); the widening doubles the
+// first fails to fit them (WordArrayOf::Push); the widening doubles the
 // words' room, so FromRuns' exact-size arrays stay exact.
 // The index file (src/index/index_io.h, v15) keeps each vertex's count
 // of rooted sketches, at the width the largest needs (CountWidth), and
