@@ -10,6 +10,120 @@
 
 namespace pitex {
 
+namespace {
+
+/// The first copies of one root range, as the sharing rule keeps them
+/// (src/index/rr_sketch_pool.h, "Shared shapes"), each found by its
+/// bytes: by a scan of the few a range mostly holds, and past kScan of
+/// them in expected O(1) through an open-addressing table, so a range
+/// of many distinct blocks costs no more per block than a small one.
+/// Both compare a block's length and first 8 bytes, which decide every
+/// block of up to 8 bytes, and the rest with memcmp. A block's first 8
+/// bytes load inside its pool's body, whose blocks end in kBitPadding
+/// zero bytes.
+class FirstCopies {
+ public:
+  struct Copy {
+    const uint8_t* bytes;
+    uint64_t length;
+    uint64_t start;  // where the copy starts in the pool being written
+  };
+
+  /// Empties the set for the next range, in O(copies held).
+  void Clear() {
+    if (entries_.size() > kScan) {
+      for (size_t i = 0; i < entries_.size(); ++i) table_[SlotOf(i)] = 0;
+    }
+    entries_.clear();
+  }
+  /// The copy byte-equal to the `length` bytes at `bytes`, if any;
+  /// else adds them as the copy starting at `start`, past every copy
+  /// held, and returns nullptr.
+  const Copy* FindOrAdd(const uint8_t* bytes, uint64_t length,
+                        uint64_t start) {
+    const uint64_t head = Head(bytes, length);
+    if (entries_.size() < kScan) {
+      for (const Entry& entry : entries_) {
+        if (Equal(entry, bytes, length, head)) return &entry.copy;
+      }
+      entries_.push_back({{bytes, length, start}, head});
+      return nullptr;
+    }
+    if (2 * (entries_.size() + 1) > table_.size() ||
+        entries_.size() == kScan) {
+      Index();
+    }
+    size_t slot = Slot(head, length);
+    for (uint32_t index; (index = table_[slot]) != 0;
+         slot = (slot + 1) & Mask()) {
+      const Entry& entry = entries_[index - 1];
+      if (Equal(entry, bytes, length, head)) return &entry.copy;
+    }
+    entries_.push_back({{bytes, length, start}, head});
+    table_[slot] = static_cast<uint32_t>(entries_.size());
+    return nullptr;
+  }
+  /// The copy that starts at `start`, if any: copies are added in
+  /// ascending start order.
+  const Copy* AtStart(uint64_t start) const {
+    const auto it = std::ranges::lower_bound(
+        entries_, start, {}, [](const Entry& e) { return e.copy.start; });
+    return it != entries_.end() && it->copy.start == start ? &it->copy
+                                                           : nullptr;
+  }
+
+ private:
+  static constexpr size_t kScan = 8;  // copies held before the table
+  static constexpr uint64_t kHead = sizeof(uint64_t);
+  struct Entry {
+    Copy copy;
+    uint64_t head;  // its first 8 bytes, masked to its length
+  };
+
+  static uint64_t Head(const uint8_t* bytes, uint64_t length) {
+    return LoadBits(bytes, 0) &
+           (length < kHead ? LowMask(static_cast<uint32_t>(8 * length))
+                           : UINT64_MAX);
+  }
+  static bool Equal(const Entry& entry, const uint8_t* bytes, uint64_t length,
+                    uint64_t head) {
+    return entry.head == head && entry.copy.length == length &&
+           (length <= kHead || std::memcmp(entry.copy.bytes + kHead,
+                                           bytes + kHead, length - kHead) == 0);
+  }
+  size_t Mask() const { return table_.size() - 1; }
+  size_t Slot(uint64_t head, uint64_t length) const {
+    return static_cast<size_t>(
+               ((head ^ (length * 0x9e3779b97f4a7c15ULL)) *
+                0xbf58476d1ce4e5b9ULL) >>
+               32) &
+           Mask();
+  }
+  /// The slot of entry i, which the table holds.
+  size_t SlotOf(size_t i) const {
+    size_t slot = Slot(entries_[i].head, entries_[i].copy.length);
+    while (table_[slot] != i + 1) slot = (slot + 1) & Mask();
+    return slot;
+  }
+  /// Slots every copy held in a table of at least twice as many slots
+  /// as copies, a power of two.
+  void Index() {
+    size_t slots = std::max<size_t>(table_.size(), 4 * kScan);
+    while (slots < 2 * (entries_.size() + 1)) slots *= 2;
+    table_.assign(slots, 0);
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      size_t slot = Slot(entries_[i].head, entries_[i].copy.length);
+      while (table_[slot] != 0) slot = (slot + 1) & Mask();
+      table_[slot] = static_cast<uint32_t>(i + 1);
+    }
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> table_;  // an entry's index + 1, or 0 when empty
+};
+
+}  // namespace
+
 RrSketchPool::RrSketchPool(uint64_t num_vertices, uint64_t max_out_degree) {
   SetNetwork(num_vertices, max_out_degree);
 }
@@ -169,11 +283,8 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   // word names them. Any other block is a first copy, appended to the
   // new body. Blocks of equal bytes have equal bytes in any run (a
   // block's bits are relative to its first byte, at the pool's widths),
-  // so the runs' bytes are compared: first their lengths and first 8
-  // bytes, which decide most blocks, as most are shorter. A run's body
-  // ends in kBitPadding bytes, so 8 bytes load from any block's start.
-  // A group's base is where the next first copy goes when the walk
-  // reaches the group's first sketch.
+  // so the runs' bytes are compared. A group's base is where the next
+  // first copy goes when the walk reaches the group's first sketch.
   out.root_starts_ = std::move(root_starts);
   out.groups_.reserve((num_sketches + kGroup - 1) / kGroup);
   out.block_words_.Reserve(blocks, 2);
@@ -181,14 +292,8 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   // The first copies, back to back, then room for one more 8-byte store.
   const auto body = std::make_unique_for_overwrite<uint8_t[]>(bound + kHead);
   uint64_t at = 0;  // where the next first copy goes
-  struct FirstCopy {
-    const uint8_t* from;  // its bytes in its run
-    uint64_t head;        // its first 8 bytes, as LoadBits reads them
-    uint64_t length;
-    uint64_t start;  // its start in the new body
-  };
-  std::vector<FirstCopy> firsts;  // the current root range's
-  uint64_t range_end = 0;         // the first id past that range
+  FirstCopies firsts;      // the current root range's, by their runs' bytes
+  uint64_t range_end = 0;  // the first id past that range
   VertexId root = 0;
   uint64_t id = 0;
   for (const Segment& seg : sorted) {
@@ -204,27 +309,18 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
       if (id >= range_end) {
         while (out.RootStart(root + 1) <= id) ++root;
         range_end = out.RootStart(root + 1);
-        firsts.clear();
+        firsts.Clear();
       }
       ++id;
       const uint8_t* from = run.body_.data() + start;
       const uint64_t length = run.BlockLength(from);
-      const uint64_t head =
-          LoadBits(from, 0) &
-          (length < kHead ? LowMask(static_cast<uint32_t>(8 * length))
-                          : UINT64_MAX);
-      for (const FirstCopy& first : firsts) {
-        if (first.head == head && first.length == length &&
-            (length <= kHead || std::memcmp(first.from + kHead, from + kHead,
-                                            length - kHead) == 0)) {
-          out.PushBlock(first.start);
-          return;
-        }
+      if (const FirstCopies::Copy* first = firsts.FindOrAdd(from, length, at)) {
+        out.PushBlock(first->start);
+        return;
       }
       // A run's block is copied once unless two segments name it.
       PITEX_CHECK_MSG(at + length <= bound,
                       "run segments name one sketch twice");
-      firsts.push_back({from, head, length, at});
       out.PushBlock(at);
       std::memcpy(body.get() + at, from, std::max(length, kHead));
       at += length;
@@ -332,14 +428,7 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
   bool narrow = true;     // every word fits 2 bytes
   size_t block = 0;   // the next block's word
   VertexId root = 0;  // the vertex whose root range holds sketch i
-  // The first copies of root's range: where each starts, its length and
-  // its vertex count.
-  struct FirstCopy {
-    uint64_t start;
-    uint64_t length;
-    uint64_t n;
-  };
-  std::vector<FirstCopy> firsts;
+  FirstCopies firsts;  // root's range's
   std::vector<uint8_t> marks;  // ParentsReachRoot's scratch
   // A varint inside the blocks of at most 32 bits (View reads it as a
   // u32) in no more bytes than its value needs; false if there is none.
@@ -359,7 +448,7 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
       do {
         ++root;
       } while (root_start[root + 1] <= i);
-      firsts.clear();
+      firsts.Clear();
     }
     OpenGroup(body);
     if (((file.masks[i >> kGroupBits] >> (i & kGroupMask)) & 1) == 0) {
@@ -373,11 +462,13 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
     narrow = narrow && SignedWordArray::FitsNarrow(static_cast<uint32_t>(
                            start - int64_t{groups_.back().base}));
     if (start != static_cast<int64_t>(body)) {
-      const auto first = std::ranges::find(
-          firsts, static_cast<uint64_t>(start), &FirstCopy::start);
-      if (start < 0 || first == firsts.end()) return false;
+      const FirstCopies::Copy* first =
+          start < 0 ? nullptr : firsts.AtStart(static_cast<uint64_t>(start));
+      if (first == nullptr) return false;
       PushBlock(first->start);
-      vertices += first->n;
+      uint32_t header;
+      GetVarint(first->bytes, &header);
+      vertices += header >> kHeaderFlagBits;
       continue;
     }
     // The header, and the edge count of a block that is not an in-tree:
@@ -397,14 +488,9 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
       return false;
     }
     // A block byte-equal to an earlier first copy of its range shares it.
-    for (const FirstCopy& first : firsts) {
-      if (first.length == length &&
-          std::memcmp(body_.data() + first.start, body_.data() + body,
-                      length) == 0) {
-        return false;
-      }
+    if (firsts.FindOrAdd(body_.data() + body, length, body) != nullptr) {
+      return false;
     }
-    firsts.push_back({body, length, n});
     PushBlock(body);
     const RRView view = ViewAt(body_.data() + body, root);
     // The bits after the last field, to the block's end, are zero.

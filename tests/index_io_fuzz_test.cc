@@ -340,7 +340,10 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   // of its own edge, is the block with the fewest bytes, and one no
   // singleton may replace. Two pools of singletons and a pair on the
   // cycle, whose largest singleton vertex is 32,767 and 32,768, both
-  // take 2-byte directory words: a singleton has no word.
+  // take 2-byte directory words: a singleton has no word. Twelve
+  // distinct pairs rooted at 0, then each again, are a range of more
+  // first copies than the loader scans, whose repeats it finds by
+  // their bytes in a table.
   const SocialNetwork example = MakeRunningExample();
   const SocialNetwork cycle = MakeCertainCycle(65537);
   RrIndexOptions options;
@@ -357,6 +360,13 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   ASSERT_EQ(edgeless.View().offsets.bits, 0u);
   const RRGraph self_loop{4, {4}, {0, 1}, {0}, {0}};
   const SocialNetwork loop = NetworkOf(5, {self_loop});
+  std::vector<RRGraph> pairs;
+  for (VertexId v = 1; v <= 12; ++v) {
+    pairs.push_back(RRGraph{0, {0, v}, {0, 0, 1}, {0}, {0}});
+  }
+  for (VertexId v = 1; v <= 12; ++v) pairs.push_back(pairs[v - 1]);
+  const SocialNetwork star = NetworkOf(16, pairs);
+  Rerank(star.graph, &pairs);
   const struct {
     const SocialNetwork* network;
     std::string bytes;
@@ -371,7 +381,8 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
        2},
       {&cycle,
        PackedIndexBytes(cycle, {Singleton(5), CyclePair(1), Singleton(32768)}),
-       2}};
+       2},
+      {&star, PackedIndexBytes(star, pairs), 2}};
 
   for (const auto& file : files) {
     // Taking a file apart and putting it back changes nothing, and each

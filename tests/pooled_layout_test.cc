@@ -2031,6 +2031,24 @@ TEST(PooledLayoutTest, RepeatWordsReachBackToMinus32768AtTwoBytes) {
   }
 }
 
+TEST(PooledLayoutTest, RangeOfManyShapesSharesEachOnce) {
+  // Twelve distinct pairs rooted at 0, {0, v} with the edge v -> 0, then
+  // the same twelve again and again in reverse: a range of more first
+  // copies than a scan serves (FromRuns and the loader index them), whose
+  // 24 repeats each share their pair's first copy, through every writer
+  // and the index file.
+  std::vector<RRGraph> graphs;
+  for (VertexId v = 1; v <= 12; ++v) {
+    graphs.push_back(RRGraph{0, {0, v}, {0, 0, 1}, {0}, {0}});
+  }
+  for (VertexId v = 1; v <= 12; ++v) graphs.push_back(graphs[v - 1]);
+  for (VertexId v = 12; v >= 1; --v) graphs.push_back(graphs[v - 1]);
+  ExpectEveryWriterKeeps(graphs, 16);
+  const auto [network, pool] = PackOnOwnNetwork(graphs, 16);
+  EXPECT_EQ(ExpectCanonicalSharing(pool), 24u);
+  EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+}
+
 TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
   // 9,364 sketches over 70 vertices. The first 9,358, rooted at 2, hold
   // vertices 0 and 10 to 15: seven lists of one entry, the gap 2 and a
