@@ -6,123 +6,10 @@
 #include <memory>
 #include <span>
 
+#include "src/index/first_copies.h"
 #include "src/util/check.h"
 
 namespace pitex {
-
-namespace {
-
-/// The first copies of one root range, as the sharing rule keeps them
-/// (src/index/rr_sketch_pool.h, "Shared shapes"), each found by its
-/// bytes: by a scan of the few a range mostly holds, and past kScan of
-/// them in expected O(1) through an open-addressing table, so a range
-/// of many distinct blocks costs no more per block than a small one.
-/// Both compare a block's length and first 8 bytes, which decide every
-/// block of up to 8 bytes, and the rest with memcmp. A block's first 8
-/// bytes load inside its pool's body, whose blocks end in kBitPadding
-/// zero bytes.
-class FirstCopies {
- public:
-  struct Copy {
-    const uint8_t* bytes;
-    uint64_t length;
-    uint64_t start;  // where the copy starts in the pool being written
-  };
-
-  /// Empties the set for the next range, in O(copies held).
-  void Clear() {
-    if (entries_.size() > kScan) {
-      for (size_t i = 0; i < entries_.size(); ++i) table_[SlotOf(i)] = 0;
-    }
-    entries_.clear();
-  }
-  /// The copy byte-equal to the `length` bytes at `bytes`, if any;
-  /// else adds them as the copy starting at `start`, past every copy
-  /// held, and returns nullptr.
-  const Copy* FindOrAdd(const uint8_t* bytes, uint64_t length,
-                        uint64_t start) {
-    const uint64_t head = Head(bytes, length);
-    if (entries_.size() < kScan) {
-      for (const Entry& entry : entries_) {
-        if (Equal(entry, bytes, length, head)) return &entry.copy;
-      }
-      entries_.push_back({{bytes, length, start}, head});
-      return nullptr;
-    }
-    if (2 * (entries_.size() + 1) > table_.size() ||
-        entries_.size() == kScan) {
-      Index();
-    }
-    size_t slot = Slot(head, length);
-    for (uint32_t index; (index = table_[slot]) != 0;
-         slot = (slot + 1) & Mask()) {
-      const Entry& entry = entries_[index - 1];
-      if (Equal(entry, bytes, length, head)) return &entry.copy;
-    }
-    entries_.push_back({{bytes, length, start}, head});
-    table_[slot] = static_cast<uint32_t>(entries_.size());
-    return nullptr;
-  }
-  /// The copy that starts at `start`, if any: copies are added in
-  /// ascending start order.
-  const Copy* AtStart(uint64_t start) const {
-    const auto it = std::ranges::lower_bound(
-        entries_, start, {}, [](const Entry& e) { return e.copy.start; });
-    return it != entries_.end() && it->copy.start == start ? &it->copy
-                                                           : nullptr;
-  }
-
- private:
-  static constexpr size_t kScan = 8;  // copies held before the table
-  static constexpr uint64_t kHead = sizeof(uint64_t);
-  struct Entry {
-    Copy copy;
-    uint64_t head;  // its first 8 bytes, masked to its length
-  };
-
-  static uint64_t Head(const uint8_t* bytes, uint64_t length) {
-    return LoadBits(bytes, 0) &
-           (length < kHead ? LowMask(static_cast<uint32_t>(8 * length))
-                           : UINT64_MAX);
-  }
-  static bool Equal(const Entry& entry, const uint8_t* bytes, uint64_t length,
-                    uint64_t head) {
-    return entry.head == head && entry.copy.length == length &&
-           (length <= kHead || std::memcmp(entry.copy.bytes + kHead,
-                                           bytes + kHead, length - kHead) == 0);
-  }
-  size_t Mask() const { return table_.size() - 1; }
-  size_t Slot(uint64_t head, uint64_t length) const {
-    return static_cast<size_t>(
-               ((head ^ (length * 0x9e3779b97f4a7c15ULL)) *
-                0xbf58476d1ce4e5b9ULL) >>
-               32) &
-           Mask();
-  }
-  /// The slot of entry i, which the table holds.
-  size_t SlotOf(size_t i) const {
-    size_t slot = Slot(entries_[i].head, entries_[i].copy.length);
-    while (table_[slot] != i + 1) slot = (slot + 1) & Mask();
-    return slot;
-  }
-  /// Slots every copy held in a table of at least twice as many slots
-  /// as copies, a power of two.
-  void Index() {
-    size_t slots = std::max<size_t>(table_.size(), 4 * kScan);
-    while (slots < 2 * (entries_.size() + 1)) slots *= 2;
-    table_.assign(slots, 0);
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      size_t slot = Slot(entries_[i].head, entries_[i].copy.length);
-      while (table_[slot] != 0) slot = (slot + 1) & Mask();
-      table_[slot] = static_cast<uint32_t>(i + 1);
-    }
-  }
-
-  std::vector<Entry> entries_;
-  std::vector<uint32_t> table_;  // an entry's index + 1, or 0 when empty
-};
-
-}  // namespace
 
 RrSketchPool::RrSketchPool(uint64_t num_vertices, uint64_t max_out_degree) {
   SetNetwork(num_vertices, max_out_degree);

@@ -341,9 +341,11 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   // singleton may replace. Two pools of singletons and a pair on the
   // cycle, whose largest singleton vertex is 32,767 and 32,768, both
   // take 2-byte directory words: a singleton has no word. Twelve
-  // distinct pairs rooted at 0, then each again, are a range of more
-  // first copies than the loader scans, whose repeats it finds by
-  // their bytes in a table.
+  // distinct pairs rooted at 0, then each again, are a range whose
+  // first copies outgrow the loader's smallest table, and whose repeats
+  // it finds by their bytes. Forty distinct pairs rooted at 0, then
+  // twenty ranges of nine distinct pairs and a repeat, are ranges after
+  // a wide one, each with a table of its own size.
   const SocialNetwork example = MakeRunningExample();
   const SocialNetwork cycle = MakeCertainCycle(65537);
   RrIndexOptions options;
@@ -367,6 +369,18 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   for (VertexId v = 1; v <= 12; ++v) pairs.push_back(pairs[v - 1]);
   const SocialNetwork star = NetworkOf(16, pairs);
   Rerank(star.graph, &pairs);
+  std::vector<RRGraph> ranges;
+  for (VertexId v = 1; v <= 40; ++v) {
+    ranges.push_back(RRGraph{0, {0, v}, {0, 0, 1}, {0}, {0}});
+  }
+  for (VertexId r = 41; r <= 60; ++r) {
+    for (VertexId w = 61; w <= 69; ++w) {
+      ranges.push_back(RRGraph{r, {r, w}, {0, 0, 1}, {0}, {0}});
+    }
+    ranges.push_back(ranges.back());
+  }
+  const SocialNetwork wide_then_narrow = NetworkOf(70, ranges);
+  Rerank(wide_then_narrow.graph, &ranges);
   const struct {
     const SocialNetwork* network;
     std::string bytes;
@@ -382,7 +396,8 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
       {&cycle,
        PackedIndexBytes(cycle, {Singleton(5), CyclePair(1), Singleton(32768)}),
        2},
-      {&star, PackedIndexBytes(star, pairs), 2}};
+      {&star, PackedIndexBytes(star, pairs), 2},
+      {&wide_then_narrow, PackedIndexBytes(wide_then_narrow, ranges), 2}};
 
   for (const auto& file : files) {
     // Taking a file apart and putting it back changes nothing, and each

@@ -12,6 +12,7 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <iterator>
@@ -33,6 +34,7 @@
 #include "running_example.h"
 #include "src/datasets/synthetic.h"
 #include "src/index/dynamic_index.h"
+#include "src/index/first_copies.h"
 #include "src/index/index_io.h"
 #include "src/index/rr_index.h"
 #include "src/index/rr_sketch_pool.h"
@@ -2047,6 +2049,92 @@ TEST(PooledLayoutTest, RangeOfManyShapesSharesEachOnce) {
   const auto [network, pool] = PackOnOwnNetwork(graphs, 16);
   EXPECT_EQ(ExpectCanonicalSharing(pool), 24u);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
+}
+
+TEST(PooledLayoutTest, FirstCopiesTableFollowsItsRange) {
+  // 40,000 distinct 8-byte blocks as one range, then 5,000 ranges of 9:
+  // the table stays under four slots a copy (16 at least) in each, so
+  // clearing and growing it cost O(copies) a range, and no range after
+  // the wide one pays for the wide one's table. Each range then finds
+  // every copy it added, at the start it added it at.
+  constexpr uint64_t kWide = 40000;
+  std::vector<uint8_t> body(8 * kWide + kBitPadding, 0);
+  for (uint64_t i = 0; i < kWide; ++i) {
+    for (int b = 0; b < 8; ++b) {
+      body[8 * i + b] = static_cast<uint8_t>(i >> (8 * b));
+    }
+  }
+  FirstCopies firsts;
+  const auto add_range = [&](uint64_t first, uint64_t count) {
+    firsts.Clear();
+    EXPECT_EQ(firsts.slots(), 0u);
+    for (uint64_t i = first; i < first + count; ++i) {
+      EXPECT_EQ(firsts.FindOrAdd(&body[8 * i], 8, 8 * i), nullptr);
+      EXPECT_LT(firsts.slots(), std::max<uint64_t>(17, 4 * (i - first + 1)));
+    }
+    for (uint64_t i = first; i < first + count; ++i) {
+      const FirstCopies::Copy* copy = firsts.FindOrAdd(&body[8 * i], 8, 0);
+      ASSERT_NE(copy, nullptr);
+      EXPECT_EQ(copy->start, 8 * i);
+      EXPECT_EQ(firsts.AtStart(8 * i), copy);
+    }
+  };
+  add_range(0, kWide);
+  EXPECT_EQ(firsts.slots(), 131072u);
+  for (uint64_t r = 0; r < 5000; ++r) {
+    add_range(9 * r % (kWide - 9), 9);
+    ASSERT_EQ(firsts.slots(), 32u);
+  }
+}
+
+TEST(PooledLayoutTest, RangesAfterAWideOneLoadInLinearTime) {
+  // A file whose first root range holds 100,576 distinct edgeless
+  // triples {0, a, b} (1 <= a < b <= 449), then 20,000 ranges of 9
+  // distinct pairs, loads as fast as the same sketches with the wide
+  // range rooted last. A loader whose table kept the wide range's size
+  // would clear its 262,144 slots for each later range: 21 GB of writes
+  // in all, quadratic in the file. Best of three loads of each, against
+  // a margin far inside that gap.
+  constexpr VertexId kWide = 449;
+  constexpr VertexId kNarrow = 20000;
+  constexpr VertexId kVertices = kWide + kNarrow + 2;
+  const auto best_load_seconds = [&](VertexId wide_root) {
+    std::vector<RRGraph> graphs;
+    for (VertexId a = 1; a <= kWide; ++a) {
+      for (VertexId b = a + 1; b <= kWide; ++b) {
+        graphs.push_back(wide_root == 0
+                             ? EdgelessSketch({0, a, b})
+                             : EdgelessSketch({a, b, wide_root}, 2));
+      }
+    }
+    for (VertexId r = kWide + 1; r <= kWide + kNarrow; ++r) {
+      for (VertexId x = 1; x <= 9; ++x) {
+        graphs.push_back(EdgelessSketch({x, r}, 1));
+      }
+    }
+    const SocialNetwork network = NetworkOf(kVertices, graphs);
+    const std::string file = pool_image::SavedPool(
+        network,
+        PackViews(graphs.size(), RrSketchPool(network.graph),
+                  [&graphs](size_t i) { return graphs[i].View(); }));
+    double best = std::numeric_limits<double>::infinity();
+    for (int round = 0; round < 3; ++round) {
+      std::istringstream in(file);
+      IndexIoError error;
+      const auto begin = std::chrono::steady_clock::now();
+      const auto loaded = LoadRrIndex(network, in, &error);
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - begin;
+      EXPECT_NE(loaded, nullptr) << error.message;
+      best = std::min(best, took.count());
+    }
+    return best;
+  };
+  const double wide_first = best_load_seconds(0);
+  const double wide_last = best_load_seconds(kVertices - 1);
+  EXPECT_LT(wide_first, 3 * wide_last + 0.05)
+      << "wide range first: " << wide_first << " s, last: " << wide_last
+      << " s";
 }
 
 TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
