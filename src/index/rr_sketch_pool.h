@@ -169,7 +169,8 @@
 // FromRuns copies the runs' blocks in id order, one at a time, its
 // length from its header (BodyLength), into a finished pool's exact-size
 // arrays: it compares each block with the earlier first copies of its
-// root range, and shares it with the one it equals, or else stores it as
+// root range (FirstCopies, src/index/first_copies.h, a table sized to
+// the range), and shares it with the one it equals, or else stores it as
 // a first copy; it takes the root starts from its caller, and builds the
 // containing index once, serially, from the blocks' stored vertices,
 // which leave the roots out.
