@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -358,6 +359,50 @@ void AppendBlockLines(const RRView& rr, const uint8_t* body,
   }
 }
 
+// Forwards Prob to `probs` and records each edge it is asked for: the
+// edges a walk probes, in order, as IsReachable asks each probed edge's
+// probability once, right after it decodes the edge's id.
+class RecordingProbs final : public EdgeProbFn {
+ public:
+  explicit RecordingProbs(const EdgeProbFn& probs) : probs_(&probs) {}
+  double Prob(EdgeId e) const override {
+    edges.push_back(e);
+    return probs_->Prob(e);
+  }
+  mutable std::vector<EdgeId> edges;
+
+ private:
+  const EdgeProbFn* probs_;
+};
+
+// The graph's adjacency arrays, as GraphLine names their lines.
+enum class GraphArray : uint64_t { kOutOffsets, kOutEntries };
+
+// The key of the 64-byte line that holds entry `index` of `array`, of
+// `entry_bytes` each: the array, then the line, counted from the array's
+// first entry as if it started a line, so the count does not depend on
+// where the heap placed the arrays.
+uint64_t GraphLine(GraphArray array, uint64_t index, uint64_t entry_bytes) {
+  return static_cast<uint64_t>(array) << 58 | index * entry_bytes / 64;
+}
+
+// Appends the lines of the graph's adjacency arrays a walk reads to
+// decode each probed edge of `probed` (RRView::Edge): its tail's
+// out-list offset and its entry in that out-list.
+void AppendGraphLines(const Graph& graph, std::span<const EdgeId> probed,
+                      std::vector<uint64_t>* lines) {
+  const AdjEntry* entries = graph.OutEdges(0).data();
+  for (const EdgeId e : probed) {
+    const VertexId tail = graph.Tail(e);
+    lines->push_back(
+        GraphLine(GraphArray::kOutOffsets, tail, sizeof(uint64_t)));
+    const auto entry = static_cast<uint64_t>(
+        graph.OutEdges(tail).data() - entries + graph.OutRank(tail, e));
+    lines->push_back(
+        GraphLine(GraphArray::kOutEntries, entry, sizeof(AdjEntry)));
+  }
+}
+
 void BM_IndexEstimateSweep(benchmark::State& state) {
   // Sweeps the query user round-robin over the whole vertex set: the
   // aggregate estimate hot path (thousands of tiny sketch walks), which is
@@ -379,12 +424,13 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
   // counted from the range's size alone): each sketch's DirectoryLines,
   // and each distinct line of their blocks once, however many of the
   // blocks it holds; containing_bytes, the coded length of
-  // NonRootContaining(u) as the pool stores it, in bytes (its bits / 8).
-  // Counted once outside the timed loop: exact counts of the work and
+  // NonRootContaining(u) as the pool stores it, in bytes (its bits / 8);
+  // graph_lines, the distinct lines of the graph's adjacency arrays those
+  // walks read (AppendGraphLines), counted like pool_lines. Counted once outside the timed loop: exact counts of the work and
   // memory one estimate spans, where the time is noisy, and the same
   // whatever the iteration count or the heap's placement.
   struct Sweep {
-    double edges_visited, pool_lines, containing_bytes;
+    double edges_visited, pool_lines, containing_bytes, graph_lines;
   };
   static const Sweep sweep = [&n, &probs] {
     // The first block starts the body: every block is in some root
@@ -401,25 +447,37 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
     uint64_t edges = 0;
     uint64_t lines = 0;
     uint64_t bits = 0;
+    uint64_t graph_lines = 0;
     std::vector<uint64_t> block_lines;
+    std::vector<uint64_t> adjacency_lines;
+    const auto distinct = [](std::vector<uint64_t>* keys) {
+      std::ranges::sort(*keys);
+      return static_cast<uint64_t>(std::ranges::unique(*keys).begin() -
+                                   keys->begin());
+    };
+    RecordingProbs recording(probs);
     for (VertexId v = 0; v < n.num_vertices(); ++v) {
       edges += index->EstimateInfluence(v, probs).edges_visited;
       const ContainingList list = index->NonRootContaining(v);
       block_lines.clear();
+      adjacency_lines.clear();
       for (const uint32_t id : list) {
         const RRView rr = index->WalkGraph(id);
         lines += DirectoryLines(rr);
         if (!IsSingleton(rr)) AppendBlockLines(rr, body, &block_lines);
+        recording.edges.clear();
+        IsReachable(rr, v, recording, nullptr);
+        AppendGraphLines(n.graph, recording.edges, &adjacency_lines);
       }
-      std::ranges::sort(block_lines);
-      lines += static_cast<uint64_t>(
-          std::ranges::unique(block_lines).begin() - block_lines.begin());
+      lines += distinct(&block_lines);
+      graph_lines += distinct(&adjacency_lines);
       bits += list.bits();
     }
     const auto users = static_cast<double>(n.num_vertices());
     return Sweep{static_cast<double>(edges) / users,
                  static_cast<double>(lines) / users,
-                 static_cast<double>(bits) / 8 / users};
+                 static_cast<double>(bits) / 8 / users,
+                 static_cast<double>(graph_lines) / users};
   }();
   VertexId u = 0;
   for (auto _ : state) {
@@ -430,6 +488,7 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
   state.counters["edges_visited"] = sweep.edges_visited;
   state.counters["pool_lines"] = sweep.pool_lines;
   state.counters["containing_bytes"] = sweep.containing_bytes;
+  state.counters["graph_lines"] = sweep.graph_lines;
   // The swept index's exact footprint, and its directory's share.
   state.counters["pool_bytes"] = static_cast<double>(index->SizeBytes());
   state.counters["directory_bytes"] =

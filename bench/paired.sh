@@ -19,7 +19,8 @@
 #               each side is built in Release (PITEX_BUILD_TESTS and
 #               PITEX_BUILD_EXAMPLES off) and run once per pair with
 #               --benchmark_min_time=0.5. The exact counters a side
-#               reports (the COUNTERS list in bench/run_bench.sh) print
+#               reports (the COUNTERS and REPORTED lists in
+#               bench/run_bench.sh) print
 #               in a second table, flagged where the sides differ
 #   --pairs     number of pairs (default 10); odd pairs run the parent
 #               first, even pairs the change
@@ -117,9 +118,10 @@ else
       SIDE="$1" RUN_BENCH="$repo/bench/run_bench.sh" python3 -c '
 import ast, json, os, re, sys
 scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-counters = ast.literal_eval(re.search(
-    r"^COUNTERS = (\(.*?\))", open(os.environ["RUN_BENCH"]).read(),
-    re.M | re.S).group(1))
+run_bench = open(os.environ["RUN_BENCH"]).read()
+counters = sum((ast.literal_eval(re.search(
+    r"^%s = (\(.*?\))" % name, run_bench, re.M | re.S).group(1))
+    for name in ("COUNTERS", "REPORTED")), ())
 for b in json.load(sys.stdin)["benchmarks"]:
     f = scale[b["time_unit"]]
     for key in ("real_time", "cpu_time"):
