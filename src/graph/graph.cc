@@ -31,14 +31,31 @@ size_t Graph::MaxOutDegree() const {
   return degree;
 }
 
-uint32_t Graph::OutRank(VertexId tail, EdgeId e) const {
-  const std::span<const AdjEntry> out = OutEdges(tail);
+namespace {
+
+// Place of edge e in `list`, which ascends by EdgeId, or list.size().
+uint32_t RankIn(std::span<const AdjEntry> list, EdgeId e) {
   const auto it = std::lower_bound(
-      out.begin(), out.end(), e,
+      list.begin(), list.end(), e,
       [](const AdjEntry& a, EdgeId id) { return a.edge < id; });
-  PITEX_CHECK_MSG(it != out.end() && it->edge == e,
+  return it != list.end() && it->edge == e
+             ? static_cast<uint32_t>(it - list.begin())
+             : static_cast<uint32_t>(list.size());
+}
+
+}  // namespace
+
+uint32_t Graph::OutRank(VertexId tail, EdgeId e) const {
+  const uint32_t rank = RankIn(OutEdges(tail), e);
+  PITEX_CHECK_MSG(rank < OutDegree(tail),
                   "edge does not leave the given tail");
-  return static_cast<uint32_t>(it - out.begin());
+  return rank;
+}
+
+uint32_t Graph::InRank(VertexId head, EdgeId e) const {
+  const uint32_t rank = RankIn(InEdges(head), e);
+  PITEX_CHECK_MSG(rank < InDegree(head), "edge does not enter the given head");
+  return rank;
 }
 
 GraphBuilder::GraphBuilder(size_t num_vertices)

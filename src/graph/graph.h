@@ -42,13 +42,14 @@ class Graph {
   size_t num_edges() const { return num_edges_; }
 
   /// Out-neighbors of u with their EdgeIds, in ascending EdgeId order
-  /// (GraphBuilder::Build's counting sort is stable); OutRank and
-  /// EnvelopeTable's rank pass rely on it.
+  /// (GraphBuilder::Build's counting sort is stable); OutRank relies on
+  /// it.
   std::span<const AdjEntry> OutEdges(VertexId u) const {
     return {out_adj_ + out_offsets_[u], out_adj_ + out_offsets_[u + 1]};
   }
 
-  /// In-neighbors of v with their EdgeIds, in ascending EdgeId order.
+  /// In-neighbors of v with their EdgeIds, in ascending EdgeId order;
+  /// InRank relies on it.
   std::span<const AdjEntry> InEdges(VertexId v) const {
     return {in_adj_ + in_offsets_[v], in_adj_ + in_offsets_[v + 1]};
   }
@@ -68,6 +69,10 @@ class Graph {
   /// OutEdges(tail)[j].edge == e, found by binary search of that list
   /// (O(log out-degree)). e must leave `tail`.
   uint32_t OutRank(VertexId tail, EdgeId e) const;
+  /// Place of edge e in the in-list of its head `head`: the j with
+  /// InEdges(head)[j].edge == e, found by binary search of that list
+  /// (O(log in-degree)). e must enter `head`.
+  uint32_t InRank(VertexId head, EdgeId e) const;
   size_t InDegree(VertexId v) const {
     return in_offsets_[v + 1] - in_offsets_[v];
   }

@@ -130,6 +130,17 @@ TEST(GraphTest, OutRankIsThePlaceInTheTailsOutList) {
   }
 }
 
+TEST(GraphTest, InRankIsThePlaceInTheHeadsInList) {
+  const Graph g = Scrambled();
+  EXPECT_EQ(g.InDegree(3), 4u);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto in = g.InEdges(v);
+    for (uint32_t r = 0; r < in.size(); ++r) {
+      EXPECT_EQ(g.InRank(v, in[r].edge), r);
+    }
+  }
+}
+
 TEST(GraphBuilderTest, ReturnsSequentialEdgeIds) {
   GraphBuilder b(3);
   EXPECT_EQ(b.AddEdge(0, 1), 0u);
