@@ -321,12 +321,33 @@ BENCHMARK(BM_IndexEstimate);
 
 // Where sketch `rr`'s block starts: its varint header of n << 1 and the
 // in-tree flag (1 byte while n <= 63), and the varint of m in a block
-// that is not an in-tree, come right before its vertices.
+// that is not an in-tree, come right before its fields.
 const uint8_t* BlockStart(const RRView& rr) {
-  const bool in_tree = rr.offsets.data == nullptr;
+  if (rr.IsTree()) {
+    return rr.tree - VarintLength(uint64_t{rr.vertices.size()} << 1 | 1);
+  }
   return rr.vertices.ids().data -
-         VarintLength(uint64_t{rr.vertices.size()} << 1 | in_tree) -
-         (in_tree ? 0 : VarintLength(rr.num_edges()));
+         VarintLength(uint64_t{rr.vertices.size()} << 1) -
+         VarintLength(rr.num_edges());
+}
+
+// Where block `rr` ends: past the byte of its last field's last bit (a
+// parent tree's last rank, another block's last record).
+const uint8_t* BlockEnd(const RRView& rr) {
+  if (!rr.IsTree()) {
+    return rr.ranks.data +
+           (rr.ranks.first + uint64_t{rr.ranks.bits} * rr.num_edges() + 7) /
+               8;
+  }
+  static TreeScratch tree;
+  const auto n = static_cast<uint32_t>(rr.vertices.size());
+  DecodeTree(rr, kNoVertex, &tree);
+  uint64_t bits = 0;
+  for (uint32_t j = 1; j < n; ++j) {
+    bits += IdBits(n - 1) +
+            IdBits(rr.topology->InDegree(tree.vertex(tree.parent(j))));
+  }
+  return rr.tree + (bits + 7) / 8;
 }
 
 // True for an implicit singleton, which has no block and no directory
@@ -342,8 +363,8 @@ bool IsSingleton(const RRView& rr) {
 uint64_t DirectoryLines(const RRView& rr) { return IsSingleton(rr) ? 1 : 2; }
 
 // Appends the 64-byte lines of a block to `lines`: it runs without gaps
-// from its header through the byte of the last bit of its m records; an
-// in-tree block has no offsets in between. Lines are counted from
+// from its header through the byte of its last field's last bit. Lines
+// are counted from
 // `body`, the pool's first block, as if the body started a line, so the
 // count does not depend on where the heap placed the body.
 void AppendBlockLines(const RRView& rr, const uint8_t* body,
@@ -351,9 +372,7 @@ void AppendBlockLines(const RRView& rr, const uint8_t* body,
   const auto line = [body](const uint8_t* p) {
     return static_cast<uint64_t>(p - body) / 64;
   };
-  const uint8_t* end =
-      rr.ranks.data +
-      (rr.ranks.first + uint64_t{rr.ranks.bits} * rr.num_edges() + 7) / 8;
+  const uint8_t* end = BlockEnd(rr);
   for (uint64_t l = line(BlockStart(rr)); l <= line(end - 1); ++l) {
     lines->push_back(l);
   }
@@ -376,7 +395,12 @@ class RecordingProbs final : public EdgeProbFn {
 };
 
 // The graph's adjacency arrays, as GraphLine names their lines.
-enum class GraphArray : uint64_t { kOutOffsets, kOutEntries };
+enum class GraphArray : uint64_t {
+  kOutOffsets,
+  kOutEntries,
+  kInOffsets,
+  kInEntries
+};
 
 // The key of the 64-byte line that holds entry `index` of `array`, of
 // `entry_bytes` each: the array, then the line, counted from the array's
@@ -386,11 +410,36 @@ uint64_t GraphLine(GraphArray array, uint64_t index, uint64_t entry_bytes) {
   return static_cast<uint64_t>(array) << 58 | index * entry_bytes / 64;
 }
 
-// Appends the lines of the graph's adjacency arrays a walk reads to
-// decode each probed edge of `probed` (RRView::Edge): its tail's
-// out-list offset and its entry in that out-list.
-void AppendGraphLines(const Graph& graph, std::span<const EdgeId> probed,
+// Appends the lines of the graph's adjacency arrays IsReachable reads
+// over `rr` from `u`, whose probed edges were `probed`. A parent tree is
+// decoded up to u (DecodeTree): each vertex decoded reads its parent's
+// in-list offsets (its length sets the rank's width) and its entry in
+// that in-list, and the chase that follows reads none. A general-form
+// walk decodes each probed edge (RRView::Edge): its tail's out-list
+// offset and its entry in that out-list.
+void AppendGraphLines(const RRView& rr, VertexId u,
+                      std::span<const EdgeId> probed,
                       std::vector<uint64_t>* lines) {
+  const Graph& graph = *rr.topology;
+  if (rr.IsTree()) {
+    static TreeScratch tree;
+    const AdjEntry* entries = graph.InEdges(0).data();
+    const uint32_t last = std::min<uint32_t>(
+        DecodeTree(rr, u, &tree),
+        static_cast<uint32_t>(rr.vertices.size()) - 1);
+    for (uint32_t j = 1; j <= last; ++j) {
+      const VertexId parent = tree.vertex(tree.parent(j));
+      lines->push_back(
+          GraphLine(GraphArray::kInOffsets, parent, sizeof(uint64_t)));
+      lines->push_back(
+          GraphLine(GraphArray::kInOffsets, parent + 1, sizeof(uint64_t)));
+      const auto entry = static_cast<uint64_t>(
+          graph.InEdges(parent).data() - entries + tree.rank(j));
+      lines->push_back(
+          GraphLine(GraphArray::kInEntries, entry, sizeof(AdjEntry)));
+    }
+    return;
+  }
   const AdjEntry* entries = graph.OutEdges(0).data();
   for (const EdgeId e : probed) {
     const VertexId tail = graph.Tail(e);
@@ -461,13 +510,13 @@ void BM_IndexEstimateSweep(benchmark::State& state) {
       const ContainingList list = index->NonRootContaining(v);
       block_lines.clear();
       adjacency_lines.clear();
-      for (const uint32_t id : list) {
-        const RRView rr = index->WalkGraph(id);
+      for (auto it = list.begin(); it != list.end(); ++it) {
+        const RRView rr = index->RootedGraph(*it, it.root());
         lines += DirectoryLines(rr);
         if (!IsSingleton(rr)) AppendBlockLines(rr, body, &block_lines);
         recording.edges.clear();
         IsReachable(rr, v, recording, nullptr);
-        AppendGraphLines(n.graph, recording.edges, &adjacency_lines);
+        AppendGraphLines(rr, v, recording.edges, &adjacency_lines);
       }
       lines += distinct(&block_lines);
       graph_lines += distinct(&adjacency_lines);
@@ -515,19 +564,25 @@ void BM_IsReachable(benchmark::State& state) {
   // BFS actually walks edges: each sketch's first such member, viewed
   // through its root. 1,024 of them at an even stride across the whole
   // index, so the pairs span every root's range (ids follow roots).
-  std::vector<std::pair<uint32_t, VertexId>> all;
+  struct Pair {
+    uint32_t id;
+    VertexId root;
+    VertexId u;
+  };
+  std::vector<Pair> all;
+  DecodedSketch decoded;
   for (VertexId root = 0; root < n.num_vertices(); ++root) {
     for (const uint32_t id : index->RootRange(root)) {
-      const RRView rr = index->graph(id, root);
-      for (const VertexId v : rr.vertices) {
+      Decode(index->graph(id, root), &decoded);
+      for (const VertexId v : decoded.vertices) {
         if (v != root) {
-          all.emplace_back(id, v);
+          all.push_back({id, root, v});
           break;
         }
       }
     }
   }
-  std::vector<std::pair<uint32_t, VertexId>> pairs;
+  std::vector<Pair> pairs;
   const size_t stride = std::max<size_t>(1, all.size() / 1024);
   for (size_t i = 0; i < all.size() && pairs.size() < 1024; i += stride) {
     pairs.push_back(all[i]);
@@ -540,9 +595,9 @@ void BM_IsReachable(benchmark::State& state) {
   size_t next = 0;
   uint64_t visits = 0;
   for (auto _ : state) {
-    const auto& [id, u] = pairs[next];
-    benchmark::DoNotOptimize(
-        IsReachable(index->WalkGraph(id), u, probs, &visits, &scratch));
+    const Pair& pair = pairs[next];
+    benchmark::DoNotOptimize(IsReachable(index->RootedGraph(pair.id, pair.root),
+                                         pair.u, probs, &visits, &scratch));
     next = (next + 1) % pairs.size();
   }
 }

@@ -152,12 +152,13 @@ void DynamicRrIndex::Compact() {
 
 void DynamicRrIndex::RepairGraph(RootedId sketch, EdgeId e, double p_old,
                                  double p_new, Rng* rng) {
-  // `rr` may view the overlay's store: read it fully before Put appends.
+  // The sketch may sit in the overlay's store: it is decoded before Put
+  // appends.
   const uint32_t id = sketch.id;
   const VertexId root = sketch.root;
-  const RRView rr = view_->RootedGraph(id, root);
+  Decode(view_->RootedGraph(id, root), &before_);
   auto& edges = repair_edges_;
-  DecomposeRRGraphInto(rr, &edges);
+  DecomposeRRGraphInto(before_, &edges);
   const auto it =
       std::find_if(edges.begin(), edges.end(),
                    [e](const GlobalEdgeSample& s) { return s.edge == e; });
@@ -185,7 +186,7 @@ void DynamicRrIndex::RepairGraph(RootedId sketch, EdgeId e, double p_old,
       // first time, through the same combined-draw + geometric-skip
       // probe the bulk build uses (SampleLiveInEdges) against the
       // current model's envelope slice.
-      if (!rr.LocalIndex(tail).has_value()) {
+      if (!before_.LocalIndex(tail).has_value()) {
         if (present_mark_.size() < network_.num_vertices()) {
           present_mark_.resize(network_.num_vertices(), 0);
         }
@@ -194,7 +195,7 @@ void DynamicRrIndex::RepairGraph(RootedId sketch, EdgeId e, double p_old,
           present_epoch_ = 1;
         }
         const uint32_t epoch = present_epoch_;
-        for (const VertexId v : rr.vertices) present_mark_[v] = epoch;
+        for (const VertexId v : before_.vertices) present_mark_[v] = epoch;
         present_mark_[tail] = epoch;
         std::vector<VertexId>& stack = repair_stack_;
         stack.assign(1, tail);
@@ -246,8 +247,9 @@ void DynamicRrIndex::RepairGraph(RootedId sketch, EdgeId e, double p_old,
     }
     overlay_->SetContaining(v, ids);
   };
-  const VertexIds before = rr.vertices;
-  const VertexIds after = repaired_.View(0, root).vertices;
+  Decode(repaired_.View(0, root), &after_);
+  const std::vector<VertexId>& before = before_.vertices;
+  const std::vector<VertexId>& after = after_.vertices;
   size_t i = 0;
   size_t j = 0;
   while (i < before.size() || j < after.size()) {

@@ -246,6 +246,8 @@ class DynamicRrIndex final : public InfluenceOracle {
   std::vector<RootedId> affected_;
   std::vector<RootedId> splice_ids_;  // one containing list, decoded
   std::vector<GlobalEdgeSample> repair_edges_;
+  DecodedSketch before_;  // the sketch being repaired, decoded
+  DecodedSketch after_;   // and its repaired copy
   std::vector<VertexId> repair_stack_;
   // Expansion envelope slice (InEnvelopeSlice): the floats an
   // EnvelopeTable of the current model holds, so repair coins are drawn

@@ -29,9 +29,11 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
        ++sketch) {
     const uint32_t id = *sketch;
     ++filter.num_graphs;
-    const RRView rr = base_->WalkGraph(id);
-    const auto u_local = rr.LocalIndex(u);
-    PITEX_DCHECK(u_local.has_value() && *u_local != rr.root_local);
+    const RRView rr = base_->RootedGraph(id, sketch.root());
+    DecodedSketch& decoded = decoded_;
+    Decode(rr, &decoded);
+    const auto u_local = decoded.LocalIndex(u);
+    PITEX_DCHECK(u_local.has_value() && *u_local != decoded.root_local);
 
     // Candidate cut 1: u's out-edges inside the RR-Graph.
     // Candidate cut 2: the root's in-edges inside the RR-Graph.
@@ -43,35 +45,24 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
     double log_prune1 = 0.0;
     std::vector<std::pair<EdgeId, double>> cut2;
     double log_prune2 = 0.0;
-    const auto add = [&](uint32_t tail, uint32_t i,
+    const auto add = [&](uint32_t k,
                          std::vector<std::pair<EdgeId, double>>* cut,
                          double* log_prune) {
-      const uint32_t rank = rr.ranks[i];
-      // The walk's view leaves the root's vertex id unresolved. Only a
-      // root self-loop, in cut 2, has the root as its tail: that edge
-      // takes the view rooted at the list's root for the sketch.
-      const EdgeId edge =
-          tail == rr.root_local
-              ? base_->RootedGraph(id, sketch.root()).Edge(tail, rank)
-              : rr.Edge(tail, rank);
+      const EdgeId edge = decoded.edges[k];
       const double threshold = rr.thresholds(edge);
       cut->emplace_back(edge, threshold);
       const double p = influence_->MaxProb(edge);
       *log_prune += std::log(std::max(1e-12, threshold / p));
     };
-    rr.VisitCsr([&](const auto& csr) {
-      for (uint32_t i = csr.offset(*u_local); i < csr.offset(*u_local + 1);
-           ++i) {
-        add(*u_local, i, &cut1, &log_prune1);
-      }
-      // Edges are stored tail by tail, so one pass over the tails meets
-      // the root's in-edges in CSR order.
-      for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
-        for (uint32_t i = csr.offset(tail); i < csr.offset(tail + 1); ++i) {
-          if (csr.head(i) == rr.root_local) add(tail, i, &cut2, &log_prune2);
-        }
-      }
-    });
+    for (uint32_t k = decoded.offsets[*u_local];
+         k < decoded.offsets[*u_local + 1]; ++k) {
+      add(k, &cut1, &log_prune1);
+    }
+    // The decoded edges are tail by tail, so one pass over them meets
+    // the root's in-edges in ascending tail id.
+    for (uint32_t k = 0; k < decoded.heads.size(); ++k) {
+      if (decoded.heads[k] == decoded.root_local) add(k, &cut2, &log_prune2);
+    }
     // An empty cut means the side is disconnected: always prunable (both
     // candidate cuts are sound filters, so a forced policy stays correct).
     const auto& cut = [&]() -> const std::vector<std::pair<EdgeId, double>>& {
@@ -89,7 +80,8 @@ const PrunedRrIndex::UserFilter& PrunedRrIndex::FilterFor(VertexId u) {
         filter.cut_edges.push_back(edge);
         filter.lists.emplace_back();
       }
-      filter.lists[entry->second].push_back(InvertedEntry{threshold, id});
+      filter.lists[entry->second].push_back(
+          InvertedEntry{threshold, id, sketch.root()});
     }
   }
   for (auto& list : filter.lists) {
@@ -108,24 +100,25 @@ Estimate PrunedRrIndex::EstimateInfluence(VertexId u, const EdgeProbFn& probs) {
 
   uint64_t hits = filter.trivial;
   // Filter step: scan each cut edge's inverted list while c(e) <= p(e|W).
-  std::vector<uint32_t>& candidates = candidates_;
+  std::vector<RootedId>& candidates = candidates_;
   candidates.clear();
   for (size_t i = 0; i < filter.cut_edges.size(); ++i) {
     const double p = probs.Prob(filter.cut_edges[i]);
     if (p <= 0.0) continue;
     for (const auto& entry : filter.lists[i]) {
       if (entry.threshold > p) break;
-      candidates.push_back(entry.graph_id);
+      candidates.push_back({entry.root, entry.graph_id});
     }
   }
-  std::sort(candidates.begin(), candidates.end());
+  // By id; an id has one root, so equal ids are equal entries.
+  std::ranges::sort(candidates, {}, &RootedId::id);
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
 
   // Verification step.
-  for (uint32_t id : candidates) {
-    if (IsReachable(base_->WalkGraph(id), u, probs, &result.edges_visited,
-                    &scratch_)) {
+  for (const RootedId& candidate : candidates) {
+    if (IsReachable(base_->RootedGraph(candidate.id, candidate.root), u,
+                    probs, &result.edges_visited, &scratch_)) {
       ++hits;
     }
   }

@@ -53,7 +53,9 @@ class PrunedRrIndex final : public InfluenceOracle {
   struct InvertedEntry {
     double threshold;   // c(e) in the owning RR-Graph
     uint32_t graph_id;  // position in the base index
+    VertexId root;      // its root, in what would be padding
   };
+  static_assert(sizeof(InvertedEntry) == 16);
   struct UserFilter {
     /// Distinct cut edges, paralleled by their inverted lists (sorted by
     /// ascending threshold).
@@ -78,7 +80,8 @@ class PrunedRrIndex final : public InfluenceOracle {
   // candidate buffer, both reused so estimation stops allocating once
   // warmed up.
   EstimateScratch scratch_;
-  std::vector<uint32_t> candidates_;
+  std::vector<RootedId> candidates_;
+  DecodedSketch decoded_;  // FilterFor's sketch
 };
 
 }  // namespace pitex

@@ -17,16 +17,18 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v15's RR-Graph payload is the RrSketchPool image, its sketches in
+// v16's RR-Graph payload is the RrSketchPool image, its sketches in
 // root order: each vertex's count of rooted sketches, at the width the
 // largest needs, which sets the root ranges; its directory as the pool
 // holds it, each group's mask of blocks and a word per block, its start
 // less its group's base in two's complement, at the width the words call
 // for; and its body bytes as they are stored, padding included: each
-// first copy's block of bit-granular fields at the widths its network
-// and its own vertex count call for, its root's vertex id and an
-// in-tree block's CSR offsets left out, each edge record its edge's rank
-// in its tail's out-list. A block byte-equal to an earlier one of its
+// first copy's block of bit-granular fields: an in-tree's, a parent
+// tree, each vertex but the root as its parent's local id and its edge's
+// rank in the parent's in-list; any other's, at the widths its network
+// and its own vertex count call for, its root's vertex id left out, each
+// edge record its edge's rank in its tail's out-list. A block
+// byte-equal to an earlier one of its
 // root range stores no bytes: its word names that first copy's start.
 // Thresholds are not stored: they are a function of the header's seed,
 // the sketch's id and the network's model. (v1, one record per graph,
@@ -41,8 +43,9 @@ constexpr char kMagic[] = "PITEXIDX";
 // vertex id, v13, whose records stored their thresholds and whose
 // directory held a word per sketch, a singleton's its root, and v14,
 // whose words were unsigned and whose repeated blocks each stored their
-// bytes, are no longer read.)
-constexpr uint32_t kVersionCurrent = 15;
+// bytes, and v15, whose in-tree blocks stored their vertex ids and
+// out-list ranks, are no longer read.)
+constexpr uint32_t kVersionCurrent = 16;
 constexpr uint8_t kKindRrGraphs = 1;
 
 void SetError(IndexIoError* error, IndexIoCode code, const char* message) {

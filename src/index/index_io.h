@@ -15,7 +15,7 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 15 is the only version read or written; a v1 to v14 header is
+// Version 16 is the only version read or written; a v1 to v15 header is
 // refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
 // image (src/index/rr_sketch_pool.h), its sketches in root order (by
 // root, and among one root's by sample):
@@ -48,15 +48,20 @@
 // word that points into another range, into a block's middle, forward,
 // or a new block equal to an earlier first copy of its range, is
 // kCorruptPayload. The body is stored as the pool holds it, each first
-// copy once: each block a varint header (n and the
-// in-tree flag, and m for a block that is not an in-tree) and then
-// bit-granular fields to the next byte: its vertices but its root at
-// bit_width(|V| - 1) bits, its root id (where its range's root goes
-// among them) and heads at bit_width(n - 1), its CSR offsets at
-// bit_width(m) unless the block is an in-tree, and its records, each
-// the edge's rank in its tail's out-list at bit_width(D - 1) bits, D
-// the network's largest out-degree. |V| and D are the network's the
-// file is loaded against, so the file names no pool-wide width. Seven
+// copy once: each block a varint header (n and the in-tree flag, and m
+// for a block that is not an in-tree) and then bit-granular fields to
+// the next byte. An in-tree's block is a parent tree: its root is local
+// 0 and its vertices come in the sampler's order, every parent before
+// its children, and each vertex but the root holds its parent's local
+// id at bit_width(n - 2) bits and the rank of its edge in the parent's
+// in-list at bit_width(d - 1) bits, d the parent's in-degree: the
+// network names the vertex and the edge. Any other block holds its
+// vertices but its root at bit_width(|V| - 1) bits, its root id (where
+// its range's root goes among them) and heads at bit_width(n - 1), its
+// CSR offsets at bit_width(m), and its records, each the edge's rank in
+// its tail's out-list at bit_width(D - 1) bits, D the network's largest
+// out-degree. |V|, D and the in-degrees are the network's the file is
+// loaded against, so the file names no pool-wide width. Seven
 // zero bytes of padding end a body with blocks. No threshold is
 // stored: a record's threshold is a function of the header's seed, the
 // sketch's id and the network's model (SketchThresholds in
@@ -67,13 +72,15 @@
 // block). The containing index is not stored: the loader rebuilds it.
 // A loaded image must be canonical, exactly what appending its own
 // views to a run and finishing it writes (RrSketchPool::FinishLoaded
-// checks it: each block's vertices, its root among them, strictly
-// ascend, each word is its block's start less its base, each repeat
+// checks it: each word is its block's start less its base, each repeat
 // shared with its range's first copy, 4-byte words only where some word
-// needs them, an in-tree block's parents all lead
-// to its root, each rank lies below its tail's out-degree and names an
-// out-edge that ends at the record's head), so a file that loads saves
-// back to the same bytes. A change to the pool's layout is a new
+// needs them; a parent tree's parents each come before their children,
+// its ranks lie below their parents' in-degrees, no vertex comes twice
+// and its order is the sampler's; any other block's vertices, its root
+// among them, strictly ascend, its shape is not an in-tree's, and each
+// rank lies below its tail's out-degree and names an out-edge that ends
+// at the record's head), so a file that loads saves back to the same
+// bytes. A change to the pool's layout is a new
 // version. The directory's masks and words are stored in the host's
 // byte order, so a file reads back right only on a host of the writer's
 // byte order; the body's bits are little-endian.
@@ -81,7 +88,7 @@
 // The fingerprint binds an index file to the network it was sampled
 // from: loading against a different graph (changed topology, edge count,
 // or influence entries) is rejected, because RR-Graphs reference edges
-// by their ranks in the graph's out-lists and are meaningless — and
+// by their ranks in the graph's in- and out-lists and are meaningless — and
 // silently wrong — on any other graph.
 // It only catches an accidental mismatch: it is an unkeyed hash, not a
 // MAC, and a file crafted to match a network's fingerprint loads. A

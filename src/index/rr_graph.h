@@ -15,25 +15,31 @@
 // Sketches have one representation: the pooled layout of
 // src/index/rr_sketch_pool.h, where a sketch's root is the vertex whose
 // root range holds its id, a single-vertex sketch has no block, and
-// every other sketch is one block of bit-granular fields: its vertices
-// but the root at the width the network's vertex count calls for, its
-// local ids (its root's among them) at the width its own vertex count
-// calls for, and its edge records, each the edge's rank in its tail's
-// out-list (Graph::OutEdges) at the width the network's longest
-// out-list calls for. A record's edge always leaves its own tail, so
-// the rank names it: RRView::Edge turns it back into the global EdgeId
-// against the pool's topology. An in-tree sketch, whose root has no
-// out-edge and every other vertex exactly one, stores no CSR offsets:
-// they follow from the root's local id (TreeCsr).
+// every other sketch is one block of bit-granular fields in one of two
+// forms. An in-tree sketch, whose root has no out-edge and every other
+// vertex exactly one (to its *parent*), is a *parent tree*: its root is
+// local 0, its vertices follow in the order the sampler discovers them
+// (every parent before its children), and each vertex but the root
+// stores its parent's local id and the rank of its edge in its parent's
+// in-list (Graph::InEdges), which names both the vertex and the edge. A
+// reader decodes it top-down from the root, which the caller passes
+// (TreeScratch, DecodeTree). Any other sketch keeps the general form:
+// its vertices but the root, sorted, at the width the network's vertex
+// count calls for, its local ids (its root's among them) at the width
+// its own vertex count calls for, its CSR offsets, and its edge
+// records, each the edge's rank in its tail's out-list (Graph::OutEdges)
+// at the width the network's longest out-list calls for: RRView::Edge
+// turns it back into the global EdgeId against the pool's topology.
 // SketchArena (src/index/sketch_arena.h) assembles every sketch straight
 // into a pool run: the offline build, DynamicRrIndex repair, DelayMat
 // recovery and the query planner's probes. RRView is the non-owning
-// view of one pooled sketch that every reader takes.
-// Reachability on an in-tree chases parent pointers and needs no
-// scratch; on any other sketch it is a DFS whose scratch (visited stamps
-// + stack) lives in a reusable EstimateScratch, so repeated IsReachable
-// calls allocate nothing once the scratch has grown to the largest
-// sketch.
+// view of one pooled sketch that every reader takes; the cold readers
+// decode it to plain arrays (DecodedSketch).
+// Reachability on a parent tree decodes the tree until it meets the
+// query user, then chases parent pointers; on any other sketch it is a
+// DFS. Both keep their scratch in a reusable EstimateScratch, so
+// repeated IsReachable calls allocate nothing once the scratch has
+// grown to the largest sketch.
 
 #ifndef PITEX_SRC_INDEX_RR_GRAPH_H_
 #define PITEX_SRC_INDEX_RR_GRAPH_H_
@@ -94,17 +100,6 @@ bool IsInTree(size_t n, uint32_t root_local, OffsetOf&& offset) {
   return true;
 }
 
-/// The local CSR of an in-tree sketch: its offsets follow from the
-/// root's local id, and only its m = n - 1 edge heads are stored.
-/// Readers take it as they take a LocalCsr.
-struct TreeCsr {
-  uint32_t root_local;
-  PackedIds heads;
-
-  uint32_t offset(size_t j) const { return InTreeOffset(j, root_local); }
-  uint32_t head(size_t k) const { return heads[k]; }
-};
-
 /// Bits of the counter-based uniform H a threshold is drawn from
 /// (ThresholdUniform): a float's precision, so c(e) = env(e) * H, the
 /// product of two 24-bit significands, is exact in a double.
@@ -163,24 +158,20 @@ struct SketchThresholds {
   bool Live(EdgeId e, double p) const { return p > 0.0 && p >= (*this)(e); }
 };
 
-/// The root vertex of a view whose reader never reads it
-/// (RrSketchPool::WalkView): no vertex has this id.
-inline constexpr VertexId kUnresolvedRoot = UINT32_MAX;
-
-/// A sketch's sorted vertex ids. Either every id is `base` plus an entry
-/// of a PackedIds (an implicit singleton's one vertex is its base, at
-/// width 0), or the id at local index `gap` is `root` and the others, in
-/// order, are the entries: a pool block stores every vertex but its
-/// root, at its pool's vertex width. A read-only range with random
-/// access by operator[].
+/// A sketch's sorted vertex ids: the id at local index `gap` is `root`
+/// and the others, in order, are the entries of a PackedIds (a
+/// general-form block stores every vertex but its root, at its pool's
+/// vertex width), or, with no gap, every id is an entry. A parent
+/// tree's view holds its size and its root, at gap 0, alone. A
+/// read-only range with random access by operator[].
 class VertexIds {
  public:
   class Iterator;
 
   VertexIds() = default;
-  /// `size` ids, each `base` plus an entry of `ids`.
-  VertexIds(PackedIds ids, size_t size, VertexId base)
-      : ids_(ids), size_(static_cast<uint32_t>(size)), base_(base) {}
+  /// `size` ids, each an entry of `ids`.
+  VertexIds(PackedIds ids, size_t size)
+      : ids_(ids), size_(static_cast<uint32_t>(size)) {}
   /// `size` ids, `root` at local index `gap` (below `size`) and the
   /// entries of `ids` at the others.
   VertexIds(PackedIds ids, size_t size, uint32_t gap, VertexId root)
@@ -189,14 +180,13 @@ class VertexIds {
   size_t size() const { return size_; }
   VertexId operator[](size_t j) const {
     const auto i = static_cast<uint32_t>(j);
-    return i == gap_ ? root_ : base_ + ids_[i - (i > gap_)];
+    return i == gap_ ? root_ : ids_[i - (i > gap_)];
   }
   VertexId back() const { return (*this)[size_ - 1]; }
   Iterator begin() const;
   Iterator end() const;
-  /// The stored ids, which base() adds to.
+  /// The stored ids.
   const PackedIds& ids() const { return ids_; }
-  VertexId base() const { return base_; }
 
   /// Calls fn(id) for each id in order.
   template <typename Fn>
@@ -213,11 +203,11 @@ class VertexIds {
     const uint32_t stored = size_ - (has_gap ? 1 : 0);
     uint32_t lo = 0;
     if (stored <= kScanIds) {
-      while (lo < stored && base_ + ids_[lo] < v) ++lo;
+      while (lo < stored && ids_[lo] < v) ++lo;
     } else {
       for (uint32_t len = stored; len > 0;) {
         const uint32_t half = len / 2;
-        if (base_ + ids_[lo + half] < v) {
+        if (ids_[lo + half] < v) {
           lo += half + 1;
           len -= half + 1;
         } else {
@@ -225,7 +215,7 @@ class VertexIds {
         }
       }
     }
-    if (lo < stored && base_ + ids_[lo] == v) return lo + (lo >= gap_);
+    if (lo < stored && ids_[lo] == v) return lo + (lo >= gap_);
     if (has_gap && v == root_) return gap_;
     return std::nullopt;
   }
@@ -235,9 +225,8 @@ class VertexIds {
 
   PackedIds ids_;
   uint32_t size_ = 0;
-  VertexId base_ = 0;
   uint32_t gap_ = UINT32_MAX;  // none
-  VertexId root_ = kUnresolvedRoot;
+  VertexId root_ = 0;
 };
 
 class VertexIds::Iterator {
@@ -274,91 +263,197 @@ class VertexIds::Iterator {
 inline VertexIds::Iterator VertexIds::begin() const { return {*this, 0}; }
 inline VertexIds::Iterator VertexIds::end() const { return {*this, size_}; }
 
-/// Non-owning view of one reverse-reachable sample graph. Vertices are
-/// sorted; edges are a local CSR out-adjacency so tag-aware reachability
-/// is a forward BFS from the query user towards the root. The root is
-/// held as its local id, so the walk knows its target without a search,
-/// and a block's root vertex is the gap of its VertexIds: the estimate
-/// walks' view leaves it kUnresolvedRoot (RrSketchPool::WalkView).
-/// Every field is read at the width its block stores it at (see
-/// src/index/rr_sketch_pool.h): the heads at bit_width(n - 1) bits, any
-/// offsets at bit_width(m), the vertices and ranks at their pool's
-/// widths. A record is its rank alone: its threshold is a function of
-/// the edge (SketchThresholds), which a view of an index carries
-/// (RrIndex::graph and the like) and a pool's view leaves unset. A
-/// view of an in-tree sketch
-/// (the root has no out-edge, every other vertex exactly one; nearly
-/// every pooled sketch) has no stored offsets: its offsets' data is null
-/// and its readers take a TreeCsr.
-/// `topology` is the graph of the pool the view reads, whose out-lists
-/// the ranks index; a pool that holds no topology gives an empty graph,
-/// and its views' ranks are read but not decoded.
+/// Non-owning view of one reverse-reachable sample graph, in either of
+/// its block's forms (see src/index/rr_sketch_pool.h). Its root is the
+/// vertex at local id root_local, which the view always knows: the
+/// reader passes it (from a root range or a containing list's entry).
+///
+/// A *parent tree* (IsTree(); every in-tree sketch a pool with a
+/// topology holds, and every singleton) has its root at local 0 and
+/// `tree` pointing at its fields: for each vertex j = 1 .. n - 1 in
+/// order, its parent's local id (below j) at bit_width(n - 2) bits, then
+/// the rank of its edge in its parent's in-list at bit_width(d - 1)
+/// bits, d the parent's in-degree. Its `vertices` hold the size and the
+/// root alone: the other vertices and the edges are decoded top-down
+/// (DecodeTree), and its offsets, heads and ranks are unset.
+///
+/// Any other view is the *general form*: vertices sorted, a local CSR
+/// out-adjacency, so tag-aware reachability is a forward DFS from the
+/// query user towards the root, and each record the rank of its edge in
+/// its tail's out-list. Every field is read at the width its block
+/// stores it at: the heads at bit_width(n - 1) bits, the offsets at
+/// bit_width(m), the vertices and ranks at their pool's widths. A
+/// record's threshold is a function of the edge (SketchThresholds),
+/// which a view of an index carries (RrIndex::graph and the like) and a
+/// pool's view leaves unset.
+/// `topology` is the graph of the pool the view reads, whose lists the
+/// ranks index; a pool that holds no topology gives an empty graph,
+/// holds no parent tree, and its views' ranks are read but not decoded.
 struct RRView {
   uint32_t root_local = 0;  // local index of the root
-  VertexIds vertices;       // sorted ascending
-  PackedIds offsets;        // CSR over local tails, n + 1; no data for an
-                            // in-tree sketch
-  PackedIds heads;          // local head of each edge, m
-  PackedIds ranks;          // each edge's rank in its tail's out-list, m
+  VertexIds vertices;       // general form: sorted ascending
+  PackedIds offsets;        // general form: CSR over local tails, n + 1
+  PackedIds heads;          // general form: local head of each edge, m
+  PackedIds ranks;          // general form: each edge's out-list rank, m
   const Graph* topology = nullptr;
   SketchThresholds thresholds;  // unset in a pool's own views
+  const uint8_t* tree = nullptr;  // a parent tree's fields, from bit 0
+
+  /// True for a parent tree, false for the general form.
+  bool IsTree() const { return tree != nullptr; }
 
   /// The global id of the edge at `rank` in the out-list of local
-  /// vertex `tail`, the id of a record in tail's CSR range:
-  /// OutEdges(vertices[tail])[rank].edge. Every reader that needs an
-  /// edge's id decodes it here.
+  /// vertex `tail` of a general-form view, the id of a record in tail's
+  /// CSR range: OutEdges(vertices[tail])[rank].edge.
   EdgeId Edge(uint32_t tail, uint32_t rank) const {
+    PITEX_DCHECK(!IsTree());
     return topology->OutEdges(vertices[tail])[rank].edge;
   }
 
-  /// Calls fn(csr) with csr a TreeCsr for an in-tree sketch, else a
-  /// LocalCsr, and returns its result: one dispatch per sketch, so fn's
-  /// loops are form-specific. Every reader of the offsets and heads
-  /// goes through here.
+  /// Calls fn(csr), csr the LocalCsr of a general-form view, and returns
+  /// its result. Every reader of the offsets and heads goes through
+  /// here.
   template <typename Fn>
   decltype(auto) VisitCsr(Fn&& fn) const {
-    if (offsets.data == nullptr) return fn(TreeCsr{root_local, heads});
+    PITEX_DCHECK(!IsTree());
     return fn(LocalCsr{offsets, heads});
   }
 
-  /// m: an in-tree's n - 1, else the last offset.
+  /// n.
+  size_t num_vertices() const { return vertices.size(); }
+  /// m: a parent tree's n - 1, else the last offset.
   size_t num_edges() const {
-    return offsets.data == nullptr ? vertices.size() - 1
-                                   : offsets[vertices.size()];
+    return IsTree() ? vertices.size() - 1 : offsets[vertices.size()];
   }
 
-  /// True when the sketch is an in-tree (IsInTree), whether or not its
-  /// offsets are stored.
+  /// True when the sketch is an in-tree (IsInTree): every parent tree,
+  /// and a general-form view whose offsets are an in-tree's.
   bool InTree() const {
-    return offsets.data == nullptr ||
-           IsInTree(vertices.size(), root_local,
-                    [this](size_t j) { return offsets[j]; });
+    return IsTree() || IsInTree(vertices.size(), root_local,
+                                [this](size_t j) { return offsets[j]; });
   }
 
-  /// The root's global vertex id (kUnresolvedRoot in a walk's view).
+  /// The root's global vertex id.
   VertexId root() const { return vertices[root_local]; }
 
-  /// Local index of global vertex v, or nullopt if absent.
+  /// Local index of global vertex v, or nullopt if absent: in a
+  /// general-form view a search of the sorted ids; in a parent tree a
+  /// decode into per-thread scratch (for the cold paths and tests).
   std::optional<uint32_t> LocalIndex(VertexId v) const {
+    if (IsTree()) return TreeLocalIndex(v);
     return vertices.LocalIndex(v);
   }
+
+ private:
+  std::optional<uint32_t> TreeLocalIndex(VertexId v) const;
 };
 
-/// Reusable traversal scratch for IsReachable's DFS over a sketch that
-/// is not an in-tree: an epoch-stamped visited array (no clearing
-/// between calls) plus the stack. Grows to the largest sketch it has
-/// seen, then stays allocation-free. Not thread-safe; use one instance
-/// per thread.
+/// A vertex id no sketch holds (vertex ids stay below 2^31): the stop
+/// that makes DecodeTree decode every vertex.
+inline constexpr VertexId kNoVertex = UINT32_MAX;
+
+class TreeScratch;
+inline uint32_t DecodeTree(const RRView& rr, VertexId stop,
+                           TreeScratch* out);
+
+/// A parent tree decoded top-down (DecodeTree): for each local id j in
+/// the tree's order, its vertex, its parent's local id and the global id
+/// of its edge to that parent (entry 0 is the root's, which has no
+/// parent and no edge), and the edge's rank in the parent's in-list.
+/// Grows to the largest tree it has decoded, then stays allocation-free.
+class TreeScratch {
+ public:
+  /// Pre-sizes the arrays for trees of up to `max_vertices` vertices.
+  void Reserve(size_t max_vertices) {
+    if (vertices_.size() < max_vertices) {
+      vertices_.resize(max_vertices);
+      parents_.resize(max_vertices);
+      edges_.resize(max_vertices);
+      ranks_.resize(max_vertices);
+    }
+  }
+  VertexId vertex(uint32_t j) const { return vertices_[j]; }
+  const VertexId* vertex_data() const { return vertices_.data(); }
+  uint32_t parent(uint32_t j) const { return parents_[j]; }
+  EdgeId edge(uint32_t j) const { return edges_[j]; }
+  uint32_t rank(uint32_t j) const { return ranks_[j]; }
+
+ private:
+  friend uint32_t DecodeTree(const RRView&, VertexId, TreeScratch*);
+
+  std::vector<VertexId> vertices_;
+  std::vector<uint32_t> parents_;
+  std::vector<EdgeId> edges_;
+  std::vector<uint32_t> ranks_;
+};
+
+/// Decodes parent tree `rr` top-down into `out`, vertex by vertex, and
+/// stops at the first vertex equal to `stop`: returns its local id, or n
+/// once every vertex is decoded and none is `stop`. Local ids below the
+/// one returned are decoded. Each vertex's parent is decoded before it,
+/// so its in-list (and the width of its rank field) is known; the
+/// fields were checked when the block was written or loaded.
+PITEX_NOALLOC inline uint32_t DecodeTree(const RRView& rr, VertexId stop,
+                                         TreeScratch* out) {
+  PITEX_DCHECK(rr.IsTree());
+  const auto n = static_cast<uint32_t>(rr.vertices.size());
+  out->Reserve(n);
+  VertexId* const vertices = out->vertices_.data();
+  uint32_t* const parents = out->parents_.data();
+  EdgeId* const edges = out->edges_.data();
+  uint32_t* const ranks = out->ranks_.data();
+  vertices[0] = rr.root();
+  if (vertices[0] == stop) return 0;
+  const Graph& graph = *rr.topology;
+  const uint32_t parent_bits = IdBits(n - 1);
+  const auto parent_mask = static_cast<uint32_t>(LowMask(parent_bits));
+  uint64_t at = 0;
+  for (uint32_t j = 1; j < n; ++j) {
+    // Loads start at a field's first bit, so they stay inside the
+    // block's bits and the body's padding: a 2-vertex tree's parent
+    // takes 0 bits, and its rank may too.
+    uint64_t window = parent_bits == 0 ? 0 : LoadBits(rr.tree, at);
+    const uint32_t parent = static_cast<uint32_t>(window) & parent_mask;
+    PITEX_DCHECK(parent < j);
+    const auto in = graph.InEdges(vertices[parent]);
+    const uint32_t rank_bits = IdBits(in.size());
+    // Both fields fit one load unless the rank is wider than 57 bits
+    // less the parent's.
+    if (parent_bits == 0 ? rank_bits != 0
+                         : parent_bits + rank_bits > kBitWindow) {
+      window = LoadBits(rr.tree, at + parent_bits);
+    } else {
+      window >>= parent_bits;
+    }
+    const auto rank = static_cast<uint32_t>(window & LowMask(rank_bits));
+    PITEX_DCHECK(rank < in.size());
+    at += parent_bits + rank_bits;
+    const AdjEntry entry = in[rank];
+    vertices[j] = entry.vertex;
+    parents[j] = parent;
+    edges[j] = entry.edge;
+    ranks[j] = rank;
+    if (entry.vertex == stop) return j;
+  }
+  return n;
+}
+
+/// Reusable traversal scratch for IsReachable: the decoded parent tree,
+/// and for a general-form sketch an epoch-stamped visited array (no
+/// clearing between calls) plus the DFS stack. Grows to the largest
+/// sketch it has seen, then stays allocation-free. Not thread-safe; use
+/// one instance per thread.
 class EstimateScratch {
  public:
-  /// Pre-sizes the visited array for sketches of up to `max_vertices`
-  /// local vertices (optional; the scratch also grows on demand).
+  /// Pre-sizes the arrays for sketches of up to `max_vertices` local
+  /// vertices (optional; the scratch also grows on demand).
   void Reserve(size_t max_vertices);
 
  private:
   friend bool IsReachable(const RRView&, VertexId, const EdgeProbFn&,
                           uint64_t*, EstimateScratch*);
 
+  TreeScratch tree_;
   std::vector<uint32_t> visited_;  // visited_[i] == epoch_ <=> visited
   std::vector<uint32_t> stack_;
   uint32_t epoch_ = 0;
@@ -367,11 +462,11 @@ class EstimateScratch {
 /// Definition 3: true iff `u` reaches the root of `rr` along edges with
 /// probs.Prob(e) >= c(e), each c(e) computed as the edge is probed
 /// (rr.thresholds). Adds probed-edge counts to `edges_visited` when
-/// non-null. On an in-tree it follows u's parents to the root or to the
-/// first dead edge, with no scratch; on any other sketch it runs a DFS
-/// that uses `scratch` for the visited stamps and stack: zero
-/// allocations once the scratch has warmed up. Both probe the edges a
-/// DFS would, in the same order.
+/// non-null. On a parent tree it decodes the tree until it meets u, then
+/// follows u's parents to the root or to the first dead edge; on any
+/// other sketch it runs a DFS that uses `scratch` for the visited stamps
+/// and stack: zero allocations once the scratch has warmed up. Both
+/// probe the edges a DFS would, in the same order.
 PITEX_NOALLOC bool IsReachable(const RRView& rr, VertexId u,
                                const EdgeProbFn& probs,
                                uint64_t* edges_visited,
@@ -381,17 +476,29 @@ PITEX_NOALLOC bool IsReachable(const RRView& rr, VertexId u,
 bool IsReachable(const RRView& rr, VertexId u, const EdgeProbFn& probs,
                  uint64_t* edges_visited);
 
-/// True when following each vertex's one out-edge (its parent) in
-/// in-tree sketch `rr` (RRView::InTree, heads below n) leads every
-/// vertex to the root: no parent pointers form a cycle, a vertex its
-/// own parent included. One O(n) pass: each vertex is marked once by
-/// the chase that first meets it and once more when that chase ends.
-/// `marks` is scratch, resized to n.
-bool ParentsReachRoot(const RRView& rr, std::vector<uint8_t>* marks);
-/// Overload with per-thread scratch, which stops allocating once it
-/// has grown to the largest sketch: the pool writers' debug check, on a
-/// generation path that must not allocate in steady state.
-bool ParentsReachRoot(const RRView& rr);
+/// A sketch decoded to the general form's plain arrays, whichever form
+/// its view reads: its root, its vertices sorted ascending, the root's
+/// local id among them, the CSR offsets over them, and per edge, in CSR
+/// order, its local head, its rank in its tail's out-list and its global
+/// id (left empty for a view without a topology). A parent tree's
+/// vertices each have one edge, so its edges come in the order of their
+/// tails' ids. The cold readers (repairs, IndexEst+'s filters, tests)
+/// read sketches this way.
+struct DecodedSketch {
+  VertexId root = 0;
+  uint32_t root_local = 0;
+  std::vector<VertexId> vertices;
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> heads;
+  std::vector<uint32_t> ranks;
+  std::vector<EdgeId> edges;
+
+  /// Local index of global vertex v, or nullopt if absent.
+  std::optional<uint32_t> LocalIndex(VertexId v) const;
+};
+
+/// Decodes `rr` into `out`, reusing its vectors' capacity.
+void Decode(const RRView& rr, DecodedSketch* out);
 
 /// A sampled live edge in global vertex coordinates and its global id,
 /// before local CSR assembly: what repairs edit and recovery samples.
@@ -402,10 +509,12 @@ struct GlobalEdgeSample {
 };
 
 /// Inverse of SketchArena::RebuildRepairedSketch: clears `*edges` and
-/// fills it with the sketch's live edges back in global vertex
-/// coordinates, their ranks decoded to ids (RRView::Edge), in per-tail
-/// order, reusing capacity (incremental index repair decomposes one
-/// sketch per affected graph).
+/// fills it with the sketch's live edges in global vertex coordinates,
+/// by tail id and per tail in CSR order, reusing capacity (incremental
+/// index repair decomposes one sketch per affected graph).
+void DecomposeRRGraphInto(const DecodedSketch& sketch,
+                          std::vector<GlobalEdgeSample>* edges);
+/// The same for a view, decoded into per-thread scratch.
 void DecomposeRRGraphInto(const RRView& rr,
                           std::vector<GlobalEdgeSample>* edges);
 

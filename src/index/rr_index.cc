@@ -178,13 +178,17 @@ PITEX_NOALLOC Estimate RrIndex::EstimateInfluence(
   // repairs walks the base pool exactly as a freshly built one does.
   const RrSketchPool& base = *pool_;
   if (repairs() == nullptr) {
-    for (const uint32_t id : base.NonRootContaining(u)) {
-      RRView rr = base.WalkView(id);
-      rr.thresholds = Thresholds(id);
+    const ContainingList list = base.NonRootContaining(u);
+    for (auto it = list.begin(); it != list.end(); ++it) {
+      RRView rr = base.RootedView(*it, it.root());
+      rr.thresholds = Thresholds(*it);
       count(rr);
     }
   } else {
-    for (const uint32_t id : NonRootContaining(u)) count(WalkGraph(id));
+    const ContainingList list = NonRootContaining(u);
+    for (auto it = list.begin(); it != list.end(); ++it) {
+      count(RootedGraph(*it, it.root()));
+    }
   }
   result.influence = static_cast<double>(hits) /
                      static_cast<double>(theta_) *

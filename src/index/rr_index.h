@@ -97,7 +97,7 @@ class RrIndex final : public InfluenceOracle {
   /// a vertex it contains (RrSketchPool::View), with its thresholds
   /// (Thresholds): a reader walking RootRange(u) or NonRootContaining(u)
   /// passes u. A block's root comes from the id's range, by a search of
-  /// the root starts: the estimate walks take WalkGraph.
+  /// the root starts: the estimate walks take RootedGraph.
   RRView graph(size_t i, VertexId u) const {
     const uint32_t slot = RepairSlot(i);
     RRView rr = slot == RrSketchOverlay::kNotRepaired
@@ -107,24 +107,13 @@ class RrIndex final : public InfluenceOracle {
     return rr;
   }
   /// The view of RR-Graph i rooted at `root` (RrSketchPool::RootedView):
-  /// a reader that knows the root, from a root range or a list entry,
-  /// takes it without a search.
+  /// a reader that knows the root, from a root range or a list entry
+  /// (ContainingList::Iterator::root), takes it without a search.
   RRView RootedGraph(size_t i, VertexId root) const {
     const uint32_t slot = RepairSlot(i);
     RRView rr = slot == RrSketchOverlay::kNotRepaired
                     ? pool_->RootedView(i, root)
                     : overlay_->View(slot, root);
-    rr.thresholds = Thresholds(i);
-    return rr;
-  }
-  /// The walk's view of RR-Graph i, a block containing a vertex other
-  /// than its root (RrSketchPool::WalkView): the estimate paths' view,
-  /// which leaves the root's vertex id unresolved.
-  RRView WalkGraph(size_t i) const {
-    const uint32_t slot = RepairSlot(i);
-    RRView rr = slot == RrSketchOverlay::kNotRepaired
-                    ? pool_->WalkView(i)
-                    : overlay_->WalkView(slot);
     rr.thresholds = Thresholds(i);
     return rr;
   }

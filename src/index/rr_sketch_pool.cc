@@ -36,17 +36,88 @@ void RrSketchPool::SetNetwork(uint64_t num_vertices,
 
 void RrSketchPool::Append(const RRView& sketch) {
   const size_t n = sketch.vertices.size();
-  const size_t m = sketch.num_edges();
-  const bool in_tree = sketch.InTree();
-  AppendBlock(sketch.root_local, sketch.vertices, m, in_tree,
-              [&](BlockWriter& out) {
-    sketch.VisitCsr([&](const auto& in) {
-      if (!in_tree) {
-        for (size_t j = 0; j <= n; ++j) out.PutOffset(in.offset(j));
+  if (sketch.IsTree() && (n == 1 || topology_.num_vertices() != 0)) {
+    // A parent tree's fields, copied as they are.
+    thread_local TreeScratch tree;
+    DecodeTree(sketch, kNoVertex, &tree);
+    uint64_t rank_bits = 0;
+    for (uint32_t j = 1; j < n; ++j) {
+      rank_bits += IdBits(topology_.InDegree(tree.vertex(tree.parent(j))));
+    }
+    AppendTree(sketch.root(), n, rank_bits, [&](TreeWriter& out) {
+      for (uint32_t j = 1; j < n; ++j) {
+        out.PutChild(tree.parent(j), tree.rank(j),
+                     topology_.InDegree(tree.vertex(tree.parent(j))));
       }
-      for (size_t k = 0; k < m; ++k) out.PutHead(in.head(k));
     });
-    for (size_t k = 0; k < m; ++k) out.PutRank(sketch.ranks[k]);
+    return;
+  }
+  thread_local DecodedSketch decoded;
+  Decode(sketch, &decoded);
+  const size_t m = decoded.heads.size();
+  const bool in_tree = IsInTree(
+      n, decoded.root_local, [&](size_t j) { return decoded.offsets[j]; });
+  AppendSketch(decoded.root_local, decoded.vertices, m, in_tree,
+               [&](BlockWriter& out) {
+    if (!in_tree) {
+      for (size_t j = 0; j <= n; ++j) out.PutOffset(decoded.offsets[j]);
+    }
+    for (size_t k = 0; k < m; ++k) out.PutHead(decoded.heads[k]);
+    for (size_t k = 0; k < m; ++k) out.PutRank(decoded.ranks[k]);
+  });
+}
+
+void RrSketchPool::AppendInTree(uint32_t root_local,
+                                std::span<const VertexId> vertices,
+                                const PackedIds& heads,
+                                const PackedIds& ranks) {
+  const auto n = static_cast<uint32_t>(vertices.size());
+  // Each vertex but the root under its parent, by its edge's in-rank
+  // there: the children of each vertex, ascending, are one run.
+  struct Child {
+    uint32_t parent;
+    uint32_t rank;
+    uint32_t local;
+    auto operator<=>(const Child&) const = default;
+  };
+  thread_local std::vector<Child> children;
+  thread_local std::vector<uint32_t> first;  // parent -> its first child
+  thread_local std::vector<uint32_t> stack;
+  children.clear();
+  for (uint32_t j = 0; j < n; ++j) {
+    if (j == root_local) continue;
+    const uint32_t k = InTreeOffset(j, root_local);
+    const uint32_t parent = heads[k];
+    PITEX_CHECK_MSG(parent < n, "an in-tree's heads must be its vertices");
+    const EdgeId e = topology_.OutEdges(vertices[j])[ranks[k]].edge;
+    children.push_back({parent, topology_.InRank(vertices[parent], e), j});
+  }
+  std::ranges::sort(children);
+  first.assign(n + 1, 0);
+  for (const Child& child : children) ++first[child.parent + 1];
+  for (uint32_t v = 0; v < n; ++v) first[v + 1] += first[v];
+  // The sampler's order: pop a vertex, give its children the next local
+  // ids and push them. Children are put as they are numbered.
+  uint64_t rank_bits = 0;
+  for (const Child& child : children) {
+    rank_bits += IdBits(topology_.InDegree(vertices[child.parent]));
+  }
+  AppendTree(vertices[root_local], n, rank_bits, [&](TreeWriter& out) {
+    thread_local std::vector<uint32_t> local_of;
+    local_of.assign(n, 0);
+    uint32_t next = 1;
+    stack.assign(1, root_local);
+    while (!stack.empty()) {
+      const uint32_t v = stack.back();
+      stack.pop_back();
+      const size_t in_degree = topology_.InDegree(vertices[v]);
+      for (uint32_t c = first[v]; c < first[v + 1]; ++c) {
+        out.PutChild(local_of[v], children[c].rank, in_degree);
+        local_of[children[c].local] = next++;
+        stack.push_back(children[c].local);
+      }
+    }
+    PITEX_CHECK_MSG(next == n, "an in-tree's parents must lead to its root");
   });
 }
 
@@ -132,6 +203,7 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   std::vector<Segment> sorted;
   sorted.reserve(segments.size());
   std::vector<const RrSketchPool*> runs;  // each run once
+  std::vector<std::vector<uint32_t>> ends;  // each run's BlockEnds
   uint64_t blocks = 0;
   uint64_t bound = 0;  // the runs' bodies: no byte of them is copied twice
   for (const Segment& seg : segments) {
@@ -149,6 +221,7 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
     blocks += run.BlockRank(seg.first + seg.count) - run.BlockRank(seg.first);
     if (std::ranges::find(runs, &run) == runs.end()) {
       runs.push_back(&run);
+      ends.push_back(run.BlockEnds());
       bound += run.BodyEnd();
     }
     sorted.push_back(seg);
@@ -185,6 +258,9 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   uint64_t id = 0;
   for (const Segment& seg : sorted) {
     const RrSketchPool& run = *seg.run;
+    const std::vector<uint32_t>& run_ends =
+        ends[static_cast<size_t>(std::ranges::find(runs, &run) - runs.begin())];
+    size_t rank = run.BlockRank(seg.first);  // the next block's word
     run.ForEachSketch(seg.first, seg.first + seg.count,
                       [&](bool block, uint64_t start) {
       out.OpenGroup(at);
@@ -200,7 +276,7 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
       }
       ++id;
       const uint8_t* from = run.body_.data() + start;
-      const uint64_t length = run.BlockLength(from);
+      const uint64_t length = run_ends[rank++] - start;
       if (const FirstCopies::Copy* first = firsts.FindOrAdd(from, length, at)) {
         out.PushBlock(first->start);
         return;
@@ -222,6 +298,32 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   }
   out.BuildContaining(out.num_vertices_);
   return out;
+}
+
+std::vector<uint32_t> RrSketchPool::BlockEnds() const {
+  // The first copies' starts, ascending, and the body's end after them.
+  std::vector<uint32_t> firsts;
+  ForEachSketch(0, num_sketches(), [&](bool block, uint64_t start) {
+    if (block && (firsts.empty() || start > firsts.back())) {
+      firsts.push_back(static_cast<uint32_t>(start));
+    }
+  });
+  firsts.push_back(static_cast<uint32_t>(BodyEnd()));
+  std::vector<uint32_t> ends;
+  ends.reserve(block_words_.size());
+  size_t next = 0;  // the next first copy in storage order
+  ForEachSketch(0, num_sketches(), [&](bool block, uint64_t start) {
+    if (!block) return;
+    if (start == firsts[next]) {
+      ends.push_back(firsts[++next]);
+      return;
+    }
+    // A repeat: the first copy it shares, found by its start.
+    const auto copy =
+        std::ranges::lower_bound(firsts, static_cast<uint32_t>(start));
+    ends.push_back(copy[1]);
+  });
+  return ends;
 }
 
 RrSketchPool::FileDirectory RrSketchPool::SaveDirectory() const {
@@ -316,7 +418,13 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
   size_t block = 0;   // the next block's word
   VertexId root = 0;  // the vertex whose root range holds sketch i
   FirstCopies firsts;  // root's range's
-  std::vector<uint8_t> marks;  // ParentsReachRoot's scratch
+  // A parent tree's vertices, decoded; the vertices met in the block
+  // being checked (seen[v] == epoch); and the stack of its vertices whose
+  // children come later.
+  std::vector<VertexId> tree;
+  std::vector<uint32_t> seen(num_vertices_, 0);
+  uint32_t epoch = 0;
+  std::vector<uint32_t> stack;
   // A varint inside the blocks of at most 32 bits (View reads it as a
   // u32) in no more bytes than its value needs; false if there is none.
   const auto varint = [&](uint64_t* at, uint64_t* value) {
@@ -358,9 +466,10 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
       vertices += header >> kHeaderFlagBits;
       continue;
     }
-    // The header, and the edge count of a block that is not an in-tree:
-    // they size the block, which must fit before the padding. A
-    // one-vertex edgeless sketch is a singleton, not a block.
+    // The header, and the edge count of a general-form block: with a
+    // parent tree's fields they size the block, which must end before
+    // the padding. A one-vertex edgeless sketch is a singleton, not a
+    // block.
     uint64_t at = body;
     uint64_t header = 0;
     if (!varint(&at, &header)) return false;
@@ -368,10 +477,67 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
     const bool in_tree = (header & kInTree) != 0;
     uint64_t m = n - 1;
     // A header of at most 32 bits holds n <= kMaxBlockVertices.
-    if (n == 0 || (!in_tree && !varint(&at, &m))) return false;
-    const uint64_t length = BodyLength(n, m, in_tree);
-    if (length == 0 || length > end - body ||
-        FieldBits(n, m, in_tree) > UINT32_MAX) {
+    if (n == 0 || (!in_tree && !varint(&at, &m)) || (n == 1 && m == 0)) {
+      return false;
+    }
+    uint64_t bits = 0;  // the fields'
+    if (in_tree) {
+      // Decoded top-down: each parent comes before its child, each rank
+      // names an in-edge of the parent, no vertex comes twice, and the
+      // order is the sampler's (AppendTree): a vertex's children are the
+      // next ids when it is popped off the stack of vertices met, in
+      // ascending in-rank.
+      const uint8_t* fields = body_.data() + at;
+      const uint64_t limit = 8 * (end - at);
+      const uint32_t parent_bits = IdBits(n - 1);
+      // A field of `size` bits at bit `pos`, loaded only when it has a
+      // bit, so no load starts past the blocks' padding.
+      const auto field = [fields](uint64_t pos, uint32_t size) {
+        return size == 0 ? 0 : LoadBits(fields, pos) & LowMask(size);
+      };
+      tree.resize(n);
+      tree[0] = root;
+      if (++epoch == 0) {
+        std::ranges::fill(seen, 0);
+        epoch = 1;
+      }
+      seen[root] = epoch;
+      stack.clear();
+      uint32_t popped = 0;  // the vertex whose children come next
+      uint64_t last_rank = UINT64_MAX;  // none yet
+      for (uint32_t j = 1; j < n; ++j) {
+        if (bits + parent_bits > limit) return false;
+        const auto parent = static_cast<uint32_t>(field(bits, parent_bits));
+        bits += parent_bits;
+        if (parent >= j) return false;
+        const auto in = topology_.InEdges(tree[parent]);
+        const uint32_t rank_bits = IdBits(in.size());
+        if (bits + rank_bits > limit) return false;
+        const uint64_t rank = field(bits, rank_bits);
+        bits += rank_bits;
+        if (rank >= in.size()) return false;
+        const VertexId v = in[rank].vertex;
+        if (seen[v] == epoch) return false;
+        seen[v] = epoch;
+        tree[j] = v;
+        while (parent != popped) {
+          if (stack.empty()) return false;
+          popped = stack.back();
+          stack.pop_back();
+          last_rank = UINT64_MAX;
+        }
+        if (last_rank != UINT64_MAX && rank <= last_rank) return false;
+        last_rank = rank;
+        stack.push_back(j);
+      }
+    } else {
+      bits = FieldBits(n, m);
+      if (bits > 8 * (end - at)) return false;
+    }
+    if (bits > UINT32_MAX) return false;
+    const uint64_t length = at - body + (bits + 7) / 8;
+    // The bits after the last field, to the block's end, are zero.
+    if ((bits & 7) != 0 && (body_[body + length - 1] >> (bits & 7)) != 0) {
       return false;
     }
     // A block byte-equal to an earlier first copy of its range shares it.
@@ -379,55 +545,51 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
       return false;
     }
     PushBlock(body);
-    const RRView view = ViewAt(body_.data() + body, root);
-    // The bits after the last field, to the block's end, are zero.
-    const uint64_t bits = FieldBits(n, m, in_tree);
-    if ((bits & 7) != 0 && (body_[body + length - 1] >> (bits & 7)) != 0) {
-      return false;
-    }
-    // The stored vertices strictly ascend below |V|, and the root id
-    // places the root between its neighbours among them.
-    const PackedIds& stored = view.vertices.ids();
-    const uint32_t r = view.root_local;
-    if (r >= n || (r > 0 && stored[r - 1] >= root) ||
-        (r + 1 < n && stored[r] <= root)) {
-      return false;
-    }
-    for (uint32_t j = 0; j + 1 < n; ++j) {
-      if (stored[j] >= num_vertices_ || (j > 0 && stored[j] <= stored[j - 1])) {
+    if (!in_tree) {
+      const RRView view = ViewAt(body_.data() + body, root);
+      // The stored vertices strictly ascend below |V|, and the root id
+      // places the root between its neighbours among them.
+      const PackedIds& stored = view.vertices.ids();
+      const uint32_t r = view.root_local;
+      if (r >= n || (r > 0 && stored[r - 1] >= root) ||
+          (r + 1 < n && stored[r] <= root)) {
         return false;
       }
-    }
-    // The in-tree flag is set exactly when the offsets are an in-tree's:
-    // a block of an in-tree's shape stored with offsets fails.
-    if (!in_tree && view.InTree()) return false;
-    const bool csr_ok = view.VisitCsr([&](const auto& csr) {
-      if (csr.offset(0) != 0 || csr.offset(n) != m) return false;
-      for (uint64_t j = 0; j < n; ++j) {
-        if (csr.offset(j) > csr.offset(j + 1)) return false;
-      }
-      for (uint64_t k = 0; k < m; ++k) {
-        if (csr.head(k) >= n) return false;
-      }
-      return true;
-    });
-    if (!csr_ok || (in_tree && !ParentsReachRoot(view, &marks))) return false;
-    // Each rank names an out-edge of its tail that ends at the record's
-    // head.
-    const bool records_ok = view.VisitCsr([&](const auto& csr) {
-      for (uint32_t tail = 0; tail < n; ++tail) {
-        const auto out = topology_.OutEdges(view.vertices[tail]);
-        for (uint32_t k = csr.offset(tail); k < csr.offset(tail + 1); ++k) {
-          const uint32_t rank = view.ranks[k];
-          if (rank >= out.size() ||
-              out[rank].vertex != view.vertices[csr.head(k)]) {
-            return false;
-          }
+      for (uint32_t j = 0; j + 1 < n; ++j) {
+        if (stored[j] >= num_vertices_ ||
+            (j > 0 && stored[j] <= stored[j - 1])) {
+          return false;
         }
       }
-      return true;
-    });
-    if (!records_ok) return false;
+      const bool csr_ok = view.VisitCsr([&](const LocalCsr& csr) {
+        if (csr.offset(0) != 0 || csr.offset(n) != m) return false;
+        for (uint64_t j = 0; j < n; ++j) {
+          if (csr.offset(j) > csr.offset(j + 1)) return false;
+        }
+        for (uint64_t k = 0; k < m; ++k) {
+          if (csr.head(k) >= n) return false;
+        }
+        return true;
+      });
+      // An in-tree's shape is stored as a parent tree.
+      if (!csr_ok || view.InTree()) return false;
+      // Each rank names an out-edge of its tail that ends at the
+      // record's head.
+      const bool records_ok = view.VisitCsr([&](const LocalCsr& csr) {
+        for (uint32_t tail = 0; tail < n; ++tail) {
+          const auto out = topology_.OutEdges(view.vertices[tail]);
+          for (uint32_t k = csr.offset(tail); k < csr.offset(tail + 1); ++k) {
+            const uint32_t rank = view.ranks[k];
+            if (rank >= out.size() ||
+                out[rank].vertex != view.vertices[csr.head(k)]) {
+              return false;
+            }
+          }
+        }
+        return true;
+      });
+      if (!records_ok) return false;
+    }
     vertices += n;
     body += length;
   }
@@ -441,22 +603,12 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
 }
 
 void RrSketchPool::BuildContaining(size_t num_vertices) {
-  // Calls fn(id, root, range, stored, count) for each block in id order:
-  // `root` its root, from a cursor over the root starts that only moves
-  // forward, `range` the sketches that root roots, and `stored` its
-  // `count` stored vertices.
+  // Calls fn(id, root, range, others) for each block in id order
+  // (ForEachBlockVertices): `range` the sketches its root roots.
   const auto each_block = [&](auto&& fn) {
-    VertexId root = 0;
-    uint32_t range = num_vertices == 0 ? 0 : RootStart(1);
-    ForEachStoredIds([&](uint32_t id, const PackedIds& stored,
-                         uint32_t count) {
-      if (RootStart(root + 1) <= id) {
-        do {
-          ++root;
-        } while (RootStart(root + 1) <= id);
-        range = RootStart(root + 1) - RootStart(root);
-      }
-      fn(id, root, range, stored, count);
+    ForEachBlockVertices([&](uint32_t id, VertexId root,
+                             std::span<const VertexId> others) {
+      fn(id, root, RootStart(root + 1) - RootStart(root), others);
     });
   };
   // Each vertex's list, its ids in ascending sketch order: an id opens an
@@ -474,10 +626,10 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   uint64_t mask_bits = 0;
   uint32_t max_vertices = num_sketches_ == 0 ? 0 : 1;
   each_block([&](uint32_t, VertexId root, uint32_t range,
-                 const PackedIds& stored, uint32_t count) {
-    max_vertices = std::max(max_vertices, count + 1);
-    for (uint32_t j = 0; j < count; ++j) {
-      const VertexId v = stored[j];
+                 std::span<const VertexId> others) {
+    max_vertices =
+        std::max(max_vertices, static_cast<uint32_t>(others.size()) + 1);
+    for (const VertexId v : others) {
       List& list = lists[v];
       ++list.at;
       // Without a branch: about half the ids open an entry. An id that
@@ -499,10 +651,8 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
                   "containing index exceeds 32-bit offsets");
   std::vector<RootedId> ids(occurrences);
   each_block([&](uint32_t id, VertexId root, uint32_t,
-                 const PackedIds& stored, uint32_t count) {
-    for (uint32_t j = 0; j < count; ++j) {
-      ids[lists[stored[j]].at++] = {root, id};
-    }
+                 std::span<const VertexId> others) {
+    for (const VertexId v : others) ids[lists[v].at++] = {root, id};
   });
   const uint32_t k = RiceParameter(gaps, num_vertices);
   const uint64_t bits = gaps.Bits(k) + mask_bits;

@@ -19,7 +19,8 @@
 // sketch rooted at u is always a hit: the root range answers those with
 // two reads, and u's containing list holds only the others. A sketch's
 // root is the vertex whose range holds its id, and is stored nowhere
-// else: a block stores its other vertices and its root's local id.
+// else: every reader passes it to the view (RootedView), from the root
+// range it walks or the containing list's entry.
 //
 // Layout for sketch i (n_i vertices, m_i edges), every total checked to
 // fit:
@@ -37,38 +38,54 @@
 //                    below i's) of its group's. Every word takes 2 bytes
 //                    while each fits int16, else every word takes 4
 //   body_[start ..]  a header, the LEB128 varint (PutVarint) of
-//                    n_i << 1 | in-tree (one byte while n_i <= 63), and
-//                    for a block that is not an in-tree a second
-//                    varint, m_i; then bit-granular fields, LSB-first
-//                    from the next byte (src/util/bits.h): the n_i - 1
-//                    sorted vertex ids other than the root's at V bits
-//                    each, the root's local id (where the root goes
-//                    among them) at L_i = bit_width(n_i - 1) bits, the
-//                    n_i + 1 local CSR offsets (0 .. m_i) at
-//                    bit_width(m_i) bits unless the block is an in-tree,
-//                    the m_i local edge heads at L_i bits, and the m_i
-//                    records, each the edge's rank in its tail's
-//                    out-list at R bits; then zero bits to the next byte
+//                    n_i << 1 | in-tree (one byte while n_i <= 63), then
+//                    bit-granular fields, LSB-first from the next byte
+//                    (src/util/bits.h), in one of two forms (below), then
+//                    zero bits to the next byte
 //   body_[end ..]    kBitPadding zero bytes after the last block, so
 //                    every field is one shifted 8-byte load (LoadBits)
-// V = bit_width(|V| - 1) and R = bit_width(D - 1), D the network's
+// A block holds no length: blocks tile the body, so a first copy ends
+// where the next first copy starts (BlockEnds), and its reader decodes
+// it from its header.
+//
+// Parent trees. An *in-tree*, whose CSR gives the root no out-edge and
+// every other vertex exactly one, to its *parent* (IsInTree), is stored
+// as a *parent tree* (the in-tree flag set; m_i = n_i - 1): its root is
+// local 0, and its vertices are in the order the sampler meets them
+// (SketchArena::Generate): over a stack that starts with the root, the
+// vertex popped gives its children, in ascending rank, the next local
+// ids and pushes them in that order. So every parent comes before its
+// children, and a shape has one order. For j = 1 .. n_i - 1 the block
+// holds vertex j's parent's local id at bit_width(n_i - 2) bits, then
+// the rank of its edge in the parent's in-list (Graph::InEdges) at
+// bit_width(d - 1) bits, d the parent's in-degree: InEdges(parent)[rank]
+// names both the vertex and the edge. The widths come from the
+// topology, so no width is stored, and a reader decodes the tree
+// top-down from the root (DecodeTree). On pitexbench's network all but
+// 5 of the 85,966 blocks are parent trees, and 17,016 of its 25,000
+// vertices have at most one in-edge, so a rank of 0 bits under them.
+// A pool without a topology (layout checks at any width) stores no
+// parent tree: its in-trees keep the general form.
+//
+// The general form, every other block: the varint of m_i after the
+// header, then the n_i - 1 sorted vertex ids other than the root's at V
+// bits each, the root's local id (where the root goes among them) at
+// L_i = bit_width(n_i - 1) bits, the n_i + 1 local CSR offsets (0 ..
+// m_i) at bit_width(m_i) bits, the m_i local edge heads at L_i bits, and
+// the m_i records, each the edge's rank in its tail's out-list at R
+// bits. V = bit_width(|V| - 1) and R = bit_width(D - 1), D the network's
 // largest out-degree, are the pool's, set from the network it samples
 // when it is constructed or loaded, with no option: on pitexbench's
 // network (25,000 vertices, at most 18 out-edges each) V = 15 and R = 5.
-// A record is its rank alone: its threshold is not stored but computed
-// where the record is probed, from the index's seed, the sketch's id and
-// the edge's current envelope (SketchThresholds in src/index/rr_graph.h),
-// so a pool holds sketch shapes only. A record's edge always leaves its own tail, the local vertex whose CSR
-// range holds it, so its rank in that tail's out-list (Graph::OutEdges)
-// names it; the pool holds the network's topology (a Graph, whose copies
-// share one storage) and its views decode a rank to the edge's id there
-// (RRView::Edge). L_i is the block's own: 3 bits for a block of 5 to 8
-// vertices. A block's walk therefore reads its group's record, its word
-// (sign-extended), the block and, per probed edge, its tail's out-list
-// offset and entry in the graph. On pitexbench's network (200,000
-// sketches, 85,966 of them blocks) the block starts less their bases
-// run from -254 to 1,336 B, so the directory takes 3,125 records and
-// 2-byte words: 221,932 B.
+// A record's edge always leaves its own tail, the local vertex whose
+// CSR range holds it, so its rank in that tail's out-list
+// (Graph::OutEdges) names it (RRView::Edge). No record stores its
+// threshold: it is computed where the record is probed, from the
+// index's seed, the sketch's id and the edge's current envelope
+// (SketchThresholds in src/index/rr_graph.h), so a pool holds sketch
+// shapes only. On pitexbench's network (200,000 sketches, 85,966 of them
+// blocks) the block starts less their bases run from -80 to 483 B, so
+// the directory takes 3,125 records and 2-byte words: 221,932 B.
 // Shared shapes. A finished pool stores each shape once per root range:
 // a block byte-equal to an earlier block of its root range is a
 // *repeat*, which stores nothing in body_, and its word names the start
@@ -79,40 +96,24 @@
 // does not store its root's vertex, and every id of a range has one
 // root. A record's threshold is keyed by its sketch's id, not stored, so
 // ids that share a block still draw their own thresholds. On
-// pitexbench's network 41,710 of the 85,966 blocks are repeats (24,228
-// of the 34,251 two-vertex blocks), and the body holds the 44,256 first
-// copies: 596,679 B, against 856,344 B unshared.
-// An *in-tree* block is one whose CSR gives the root no out-edge and
-// every other vertex exactly one (IsInTree): m_i = n_i - 1 and offset j
-// is j, less one past the root (InTreeOffset), so the block stores no
-// offsets and its view hands readers a TreeCsr. On pitexbench's network
-// all but 5 of the 85,966 blocks are in-trees. The form is chosen from
-// the block's own data, and a block of an in-tree's shape is never
-// stored with offsets.
+// pitexbench's network 41,710 of the 85,966 blocks are repeats, and the
+// body holds the 44,256 first copies: 182,439 B, against 596,679 B with
+// in-trees in the general form less their offsets.
 // Vertex ids and block offsets fit 31 bits, so the body holds at most
 // 2 GiB, a block's fields take fewer than 2^32 bits, and its header fits
-// 32 bits (kMaxBlockVertices). Every field is read at its width with the
-// same load and mask (PackedIds), so a view's readers take
-// one of two CSR forms and no width dispatch.
+// 32 bits (kMaxBlockVertices).
 // An *implicit singleton* — one vertex (necessarily the root) and no
 // edges; 57% of the sketches on pitexbench's network — has no block and
 // no word, only its clear mask bit. Its root, like a block's, is the
-// vertex whose root range holds it. A reader views sketch i as View(i,
-// u), u a vertex the sketch contains: a singleton's view is a static
-// in-tree whose vertex field is 0 bits wide, its vertex the view's base
-// u (VertexIds); a block's view reads its root from the id, a run's
-// record or a search of a finished pool's root starts (RootOf), which
-// the cold paths can afford (repairs, DecomposeRRGraphInto, the loader,
-// the saver and tests). The estimate walks take WalkView(i) instead,
-// which searches nothing: a walk from a vertex other than the root stops
-// when it reaches the root's local id and never decodes the root as a
-// tail, so the view leaves the root's vertex id unresolved. IndexEst+'s
-// per-user filter decodes the edge of every tail into the root, so it
-// looks the root up for a root self-loop alone. A singleton
-// is in no containing list: the estimate counts it, with every other
-// sketch of u's root range, a hit from the range's size alone, and
-// every sketch a list names is a block. A run (below) records each
-// sketch's root in append order; a finished pool holds none.
+// vertex whose root range holds it, and its view is a one-vertex parent
+// tree. A reader views sketch i as RootedView(i, root), or as View(i,
+// u), u a vertex the sketch contains, which finds a block's root from a
+// run's record or a search of a finished pool's root starts (RootOf):
+// for the cold paths (repairs, the loader, the saver and tests). A
+// singleton is in no containing list: the estimate counts it, with
+// every other sketch of u's root range, a hit from the range's size
+// alone, and every sketch a list names is a block. A run (below) records
+// each sketch's root in append order; a finished pool holds none.
 //
 // Root ranges: RootStart(u), the first sketch rooted at u or after it,
 // for u in [0, |V|], in root_starts_, a GroupWords (below) of sketch
@@ -163,17 +164,18 @@
 // array's word width from its own data, with no option.
 //
 // Every pool is written one way: sketches are appended in this layout
-// (AppendSketch, which Append and the generator call, each field put in
-// order through one BitWriter) to *runs*, pools without a containing
-// index that record each sketch's root, already at their final ids, and
-// FromRuns copies the runs' blocks in id order, one at a time, its
-// length from its header (BodyLength), into a finished pool's exact-size
-// arrays: it compares each block with the earlier first copies of its
+// (AppendTree, which the generator calls for an in-tree, and
+// AppendSketch, which Append, repairs and the generator's other
+// sketches call; each field put in order through one BitWriter) to
+// *runs*, pools without a containing index that record each sketch's
+// root, already at their final ids, and FromRuns copies the runs' blocks
+// in id order, one at a time, its length from the run's directory
+// (BlockEnds), into a finished pool's exact-size arrays: it compares each block with the earlier first copies of its
 // root range (FirstCopies, src/index/first_copies.h, a table sized to
 // the range), and shares it with the one it equals, or else stores it as
 // a first copy; it takes the root starts from its caller, and builds the
-// containing index once, serially, from the blocks' stored vertices,
-// which leave the roots out.
+// containing index once, serially, from the blocks' vertices but their
+// roots, decoded.
 // It reads no root and sorts no sketch: the build's sampler draws every
 // sample's root first (the first draw of its stream), counting-sorts the
 // samples by root into their final ids, and generates each sketch at its
@@ -190,7 +192,7 @@
 // block words at 2 bytes and widens them once, in place, when a word
 // first fails to fit them (WordArrayOf::Push); the widening doubles the
 // words' room, so FromRuns' exact-size arrays stay exact.
-// The index file (src/index/index_io.h, v15) keeps each vertex's count
+// The index file (src/index/index_io.h, v16) keeps each vertex's count
 // of rooted sketches, at the width the largest needs (CountWidth), and
 // the directory as the pool holds it: each group's mask and a signed
 // word per block, its start less its group's base. A loaded pool was
@@ -198,8 +200,9 @@
 // ranges from the counts, which must sum to the sketch count, and
 // accepts the file's masks, words and body only if they are exactly what
 // appending the pool's own views to a run, finishing it and saving it
-// writes (a block's vertices, its root among them at its root id,
-// strictly ascend; every repeat is shared with its range's first copy),
+// writes (a parent tree's order is the sampler's, a general block's
+// vertices, its root among them at its root id, strictly ascend; every
+// repeat is shared with its range's first copy),
 // then builds the directory from them and the containing index from the
 // blocks. An
 // overlay's sketch store is a run that Fold copies from but never
@@ -257,12 +260,6 @@ inline void StoreId(std::byte* data, size_t j, uint32_t id) {
   std::memcpy(data + j * sizeof(T), &narrow, sizeof(T));
 }
 
-/// Bits a field takes that holds every id below `count`:
-/// bit_width(count - 1), and 0 when count <= 1.
-inline uint32_t IdBits(uint64_t count) {
-  return count <= 1 ? 0 : static_cast<uint32_t>(std::bit_width(count - 1));
-}
-
 /// Bytes the LEB128 varint of x takes: one per started group of seven
 /// bits.
 inline size_t VarintLength(uint64_t x) {
@@ -293,11 +290,12 @@ inline const uint8_t* GetVarint(const uint8_t* at, uint32_t* x) {
   return at;
 }
 
-/// The write side of one pool block's CSR, as RrSketchPool::AppendSketch
-/// hands it to its fill: the fill puts the block's n + 1 offsets (none in
-/// an in-tree block, which stores none), then its m heads, then its m
-/// edge records (ranks), each in order, and each field goes straight
-/// into the block's bits at its width.
+/// The write side of one general-form pool block's CSR, as
+/// RrSketchPool::AppendSketch hands it to its fill: the fill puts the
+/// block's n + 1 offsets (none for an in-tree, whose offsets the pool
+/// knows), then its m heads, then its m edge records (out-list ranks),
+/// each in order, and each field goes straight into the block's bits at
+/// its width.
 class BlockWriter {
  public:
   BlockWriter(BitWriter* bits, uint32_t offset_bits, uint32_t head_bits,
@@ -326,6 +324,26 @@ class BlockWriter {
   uint32_t offset_bits_;
   uint32_t head_bits_;
   uint32_t rank_bits_;
+};
+
+/// The write side of a parent tree, as RrSketchPool::AppendTree hands it
+/// to its fill: for each vertex but the root, in the tree's order, its
+/// parent's local id and the rank of its edge in the parent's in-list,
+/// whose length `in_degree` sets the rank's width.
+class TreeWriter {
+ public:
+  TreeWriter(BitWriter* bits, uint32_t parent_bits)
+      : bits_(bits), parent_bits_(parent_bits) {}
+
+  void PutChild(uint32_t parent, uint32_t rank, size_t in_degree) {
+    PITEX_DCHECK(parent <= LowMask(parent_bits_) && rank < in_degree);
+    bits_->Put(parent, parent_bits_);
+    bits_->Put(rank, IdBits(in_degree));
+  }
+
+ private:
+  BitWriter* bits_;
+  uint32_t parent_bits_;
 };
 
 /// Words of 2 bytes each or of 4 bytes each, in the host's byte order:
@@ -825,24 +843,37 @@ class RrSketchPool {
   /// Appends one sketch in the pooled layout without touching the
   /// containing index: a pool appended to is a run, which only FromRuns
   /// reads besides View(), and which records the sketch's root. The
-  /// block takes this pool's widths and its
-  /// own form whatever widths and form `sketch` is stored in; its ranks
-  /// are copied as they are, so `sketch` must sample this pool's
-  /// network. `sketch` must not view this pool.
+  /// block takes this pool's widths and the form its shape calls for
+  /// whatever widths and form `sketch` is stored in; its ranks are
+  /// copied as they are, so `sketch` must sample this pool's network.
+  /// `sketch` must not view this pool.
   void Append(const RRView& sketch);
   /// Appends the sketch with `vertices` (sorted), rooted at
-  /// vertices[root_local], and m edges, as Append does: fill(out) puts
-  /// its n + 1 offsets unless `in_tree`, then its m heads, then its m
-  /// ranks, in order, through a BlockWriter& `out`. `in_tree` says
-  /// whether those offsets are an in-tree's (IsInTree), and the block
-  /// then stores none of them. The block stores every vertex but the
-  /// root; the run records the root. An implicit singleton (one vertex,
-  /// no edges) has nothing to write and calls no fill.
+  /// vertices[root_local], and m edges, given in the general form:
+  /// fill(out) puts its n + 1 offsets unless `in_tree`, then its m
+  /// heads, then its m out-list ranks, in order, through a BlockWriter&
+  /// `out`. `in_tree` says whether those offsets are an in-tree's
+  /// (IsInTree). In a pool with a topology an in-tree is stored as a
+  /// parent tree: the fill's fields are gathered first, and its vertices
+  /// put in the tree's order (AppendTree). Any other sketch, and every
+  /// sketch of a pool without a topology, is stored in the general form,
+  /// every vertex but the root. The run records the root. An implicit
+  /// singleton (one vertex, no edges) has nothing to write and calls no
+  /// fill.
   template <typename Fill>
   void AppendSketch(uint32_t root_local, std::span<const VertexId> vertices,
-                    size_t m, bool in_tree, Fill&& fill) {
-    AppendBlock(root_local, vertices, m, in_tree, std::forward<Fill>(fill));
-  }
+                    size_t m, bool in_tree, Fill&& fill);
+  /// Appends the parent tree rooted at `root` with n vertices: fill(out)
+  /// puts, for each vertex but the root in the tree's order, its
+  /// parent's local id and its edge's rank in that parent's in-list
+  /// through a TreeWriter& `out`, and `rank_bits` is the sum of those
+  /// ranks' widths. The tree's order is the sampler's: the root is local
+  /// 0; then, over a stack that starts with the root, the vertex popped
+  /// takes its children, in ascending in-rank, as the next local ids and
+  /// pushes them in that order. The pool must hold a topology unless the
+  /// sketch is a singleton (n = 1), which calls no fill.
+  template <typename Fill>
+  void AppendTree(VertexId root, size_t n, uint64_t rank_bits, Fill&& fill);
   /// Drops every sketch, keeping every array's capacity: a cleared run
   /// takes appends without allocating up to its high-water mark.
   void Clear();
@@ -867,10 +898,10 @@ class RrSketchPool {
 
   /// Non-owning view of sketch i (valid while the pool is alive), `u` a
   /// vertex the sketch contains. A singleton's only vertex is its root,
-  /// which its view takes from u. A block's view reads its vertices from
+  /// which its view takes from u. A block's view reads its fields from
   /// its block and its root from the id: a run's record, or a finished
   /// pool's root range that holds i (RootOf, a binary search): for the
-  /// cold paths and tests. The estimate walks take WalkView.
+  /// cold paths and tests. The estimate walks take RootedView.
   RRView View(size_t i, VertexId u) const {
     if (IsSingleton(i)) {
       PITEX_DCHECK(RootOf(i) == u);
@@ -878,18 +909,9 @@ class RrSketchPool {
     }
     return ViewAt(BlockAt(i), RootOf(i));
   }
-  /// The view of block i that a walk from one of its vertices other than
-  /// its root takes: its root's local id, but not its vertex id, which
-  /// reads as kUnresolvedRoot. A walk stops when it reaches the root's
-  /// local id and never decodes the root as a tail, so it never looks a
-  /// root up. Every sketch in a vertex's containing list is a block.
-  RRView WalkView(size_t i) const {
-    PITEX_DCHECK(!IsSingleton(i));
-    return ViewAt(BlockAt(i), kUnresolvedRoot);
-  }
   /// The view of sketch i, whose root the caller knows: from a root
   /// range, or a containing list's entry (ContainingList::Iterator::
-  /// root). It searches nothing.
+  /// root). It searches nothing: the estimate walks take it.
   RRView RootedView(size_t i, VertexId root) const {
     PITEX_DCHECK(RootOf(i) == root);
     return IsSingleton(i) ? SingletonView(root) : ViewAt(BlockAt(i), root);
@@ -969,35 +991,34 @@ class RrSketchPool {
     std::vector<uint8_t> words;
   };
 
-  /// The header flag of a block that is an in-tree and stores no
-  /// offsets (and no edge count: m = n - 1).
+  /// The header flag of a parent tree, which stores no edge count
+  /// (m = n - 1).
   static constexpr uint32_t kInTree = 1;
   /// Vertex ids and block offsets stay below it: 31 bits.
   static constexpr uint32_t kIdLimit = 1u << 31;
-  /// The header of a block of n vertices, an in-tree or not.
+  /// The header of a block of n vertices, a parent tree or not.
   static uint64_t Header(uint64_t n, bool in_tree) {
     return n << kHeaderFlagBits | (in_tree ? kInTree : 0);
   }
-  /// Zero bytes for the 8-byte loads of an implicit singleton's view's
-  /// 0-bit fields: its vertex, whose value is the view's base, its root
-  /// id 0 and its heads.
+  /// The fields of an implicit singleton's view: none, but the 8-byte
+  /// loads of a tree's fields read here.
   static constexpr uint8_t kZeros[sizeof(uint64_t)] = {};
 
-  /// Bits of a block's fields after its header, with n vertices and m
-  /// edges, an in-tree or not: the vertices but the root, the root id,
-  /// any offsets, the heads and the ranks.
-  uint64_t FieldBits(uint64_t n, uint64_t m, bool in_tree) const {
+  /// Bits of a general-form block's fields after its header, with n
+  /// vertices and m edges: the vertices but the root, the root id, the
+  /// offsets, the heads and the ranks.
+  uint64_t FieldBits(uint64_t n, uint64_t m) const {
     const uint64_t id_bits = IdBits(n);
-    return (n - 1) * vertex_bits_ + id_bits +
-           (in_tree ? 0 : (n + 1) * IdBits(m + 1)) + m * (id_bits + rank_bits_);
+    return (n - 1) * vertex_bits_ + id_bits + (n + 1) * IdBits(m + 1) +
+           m * (id_bits + rank_bits_);
   }
-  /// body_ bytes of a sketch with n vertices and m edges in this form:
-  /// none for an implicit singleton, else the header (and the edge
-  /// count of a block that is not an in-tree) and the fields' bytes.
-  uint64_t BodyLength(uint64_t n, uint64_t m, bool in_tree) const {
+  /// body_ bytes of a general-form sketch with n vertices and m edges:
+  /// none for an implicit singleton, else the header, the edge count and
+  /// the fields' bytes.
+  uint64_t BodyLength(uint64_t n, uint64_t m) const {
     if (n == 1 && m == 0) return 0;
-    return VarintLength(Header(n, in_tree)) +
-           (in_tree ? 0 : VarintLength(m)) + (FieldBits(n, m, in_tree) + 7) / 8;
+    return VarintLength(Header(n, false)) + VarintLength(m) +
+           (FieldBits(n, m) + 7) / 8;
   }
   /// Where block i starts in body_: its group's base plus its signed
   /// word, summed in u32 arithmetic.
@@ -1008,41 +1029,34 @@ class RrSketchPool {
     const uint32_t start = group.base + block_words_[word];
     return body_.data() + start;
   }
-  /// body_ bytes of the block at `at`, read from its header.
-  uint64_t BlockLength(const uint8_t* at) const {
-    uint32_t header;
-    at = GetVarint(at, &header);
-    const uint32_t n = header >> kHeaderFlagBits;
-    const bool in_tree = (header & kInTree) != 0;
-    uint32_t m = n - 1;
-    if (!in_tree) GetVarint(at, &m);
-    return BodyLength(n, m, in_tree);
-  }
-  /// The view of an implicit singleton rooted at `root`: one vertex, no
-  /// edges, an in-tree.
+  /// The view of an implicit singleton rooted at `root`: a parent tree
+  /// of one vertex.
   RRView SingletonView(VertexId root) const {
-    const PackedIds none{kZeros, 0, 0};
-    return RRView{0, VertexIds(none, 1, root), PackedIds{}, none,
-                  PackedIds{kZeros, 0, rank_bits_}, &topology_,
-                  SketchThresholds{}};
+    return RRView{0,           VertexIds(PackedIds{}, 1, 0, root),
+                  PackedIds{}, PackedIds{},
+                  PackedIds{}, &topology_,
+                  SketchThresholds{}, kZeros};
   }
   /// The view of the block at `at`, whose root is `root`.
   RRView ViewAt(const uint8_t* at, VertexId root) const {
     uint32_t header;
     at = GetVarint(at, &header);
     const uint32_t n = header >> kHeaderFlagBits;
-    const bool in_tree = (header & kInTree) != 0;
-    uint32_t m = n - 1;
-    if (!in_tree) [[unlikely]] at = GetVarint(at, &m);
+    if ((header & kInTree) != 0) [[likely]] {
+      return RRView{0,           VertexIds(PackedIds{}, n, 0, root),
+                    PackedIds{}, PackedIds{},
+                    PackedIds{}, &topology_,
+                    SketchThresholds{}, at};
+    }
+    uint32_t m;
+    at = GetVarint(at, &m);
     // Where each field starts, in bits from `at`: every block's fields
     // take fewer than 2^32 bits (AppendBlock, FinishLoaded).
     const auto id_bits = static_cast<uint32_t>(std::bit_width(n - 1));
-    const auto offset_bits =
-        in_tree ? 0 : static_cast<uint32_t>(std::bit_width(m));
+    const auto offset_bits = static_cast<uint32_t>(std::bit_width(m));
     const uint32_t root_at = (n - 1) * vertex_bits_;
     const uint32_t offsets_at = root_at + id_bits;
-    const uint32_t heads_at =
-        offsets_at + (in_tree ? 0 : (n + 1) * offset_bits);
+    const uint32_t heads_at = offsets_at + (n + 1) * offset_bits;
     const uint32_t root_local = PackedIds{at, root_at, id_bits}[0];
     // Every member given, so no member is first zeroed.
     return RRView{
@@ -1050,12 +1064,12 @@ class RrSketchPool {
         VertexIds({at, 0, vertex_bits_}, n, root_local, root),
         // Edgeless, the offsets take 0 bits and may start at the block's
         // last bit: they are read at its first, inside the body.
-        PackedIds{in_tree ? nullptr : at, m == 0 ? 0 : offsets_at,
-                  offset_bits},
+        PackedIds{at, m == 0 ? 0 : offsets_at, offset_bits},
         PackedIds{at, heads_at, id_bits},
         PackedIds{at, heads_at + m * id_bits, rank_bits_},
         &topology_,
-        SketchThresholds{}};
+        SketchThresholds{},
+        nullptr};
   }
 
   /// Where the blocks end in body_: before its padding.
@@ -1136,34 +1150,32 @@ class RrSketchPool {
   /// Sets the network counts and the fields' widths they call for.
   void SetNetwork(uint64_t num_vertices, uint64_t max_out_degree);
 
-  /// Calls fn(id, stored, count) for each block in id order: `stored`
-  /// its `count` stored vertex ids, every vertex but its root, ascending,
-  /// read from after its header and none of the rest of a view. A
-  /// repeat's are read from its first copy.
+  /// Calls fn(id, root, others) for each block of this finished pool in
+  /// id order: `root` its root, from a cursor over the root starts that
+  /// only moves forward, and `others` a span of its other vertices: a
+  /// general-form block's stored ids, ascending, or a parent tree's
+  /// vertices decoded top-down, in the tree's order.
   template <typename Fn>
-  void ForEachStoredIds(Fn&& fn) const {
-    uint32_t id = 0;
-    ForEachSketch(0, num_sketches(), [&](bool block, uint64_t value) {
-      if (block) {
-        uint32_t header;
-        const uint8_t* at = GetVarint(body_.data() + value, &header);
-        if ((header & kInTree) == 0) {
-          uint32_t m;
-          at = GetVarint(at, &m);
-        }
-        fn(id, PackedIds{at, 0, vertex_bits_},
-           (header >> kHeaderFlagBits) - 1);
-      }
-      ++id;
-    });
-  }
+  void ForEachBlockVertices(Fn&& fn) const;
 
-  /// AppendSketch for any sorted vertex range with size() and
-  /// operator[]: a span, or a view's VertexIds that Append re-encodes
-  /// at this pool's width.
-  template <typename VertexRange, typename Fill>
-  void AppendBlock(uint32_t root_local, const VertexRange& vertices, size_t m,
-                   bool in_tree, Fill&& fill);
+  /// The end of each block in body_, by block word: blocks tile the body
+  /// in storage order, so a first copy ends where the next first copy
+  /// starts (or at the body's end), and a repeat where its first copy
+  /// does. A first copy's start exceeds every start before it, and a
+  /// repeat's equals an earlier one's, so the words alone give every
+  /// length: blocks store none.
+  std::vector<uint32_t> BlockEnds() const;
+
+  /// AppendSketch's general form.
+  template <typename Fill>
+  void AppendBlock(uint32_t root_local, std::span<const VertexId> vertices,
+                   size_t m, bool in_tree, Fill&& fill);
+  /// AppendSketch's parent tree: its vertices, rooted at
+  /// vertices[root_local], and its m = n - 1 edges, each tail's one edge
+  /// given as its local head `heads`[k] and its out-list rank `ranks`[k],
+  /// k = InTreeOffset(tail, root_local), are put in the tree's order.
+  void AppendInTree(uint32_t root_local, std::span<const VertexId> vertices,
+                    const PackedIds& heads, const PackedIds& ranks);
 
   /// The index file's root counts, group masks and block words of this
   /// finished pool.
@@ -1185,25 +1197,28 @@ class RrSketchPool {
   /// block where the first copy before it ended, or equals the start of
   /// an earlier first copy of the same root range, which the block then
   /// shares; any other word fails, and so does a new block byte-equal to
-  /// an earlier first copy of its range. Each new block's vertices, its
-  /// stored ones and its root at its root id, must strictly ascend and
-  /// lie below |V|, and its header (and edge count) must be a varint of
-  /// no more bytes than its value needs, with 0 < n <= kMaxBlockVertices,
-  /// not a singleton's
-  /// shape, and the in-tree flag exactly when its offsets are an
-  /// in-tree's (a block of an in-tree's shape stored with offsets
-  /// fails); its root id and heads lie below n, its offsets rise from 0
-  /// to m, an in-tree's parent pointers lead every vertex to its root
-  /// (ParentsReachRoot), each rank lies below its tail's out-degree and
-  /// names an out-edge whose head is the record's head vertex, and the
-  /// bits after its last field are zero; the blocks end at body_'s
+  /// an earlier first copy of its range. Each new block's header (and a
+  /// general block's edge count) must be a varint of no more bytes than
+  /// its value needs, with 0 < n <= kMaxBlockVertices and not a
+  /// singleton's shape, and its fields must end before the padding. A
+  /// parent tree, decoded top-down from its range's root, must give
+  /// each vertex a parent before it and a rank below that parent's
+  /// in-degree, name no vertex twice, and keep the sampler's order: each
+  /// vertex's children come, in ascending rank, when it is popped off
+  /// the stack of vertices met (AppendTree). A general block's vertices,
+  /// its stored ones and its root at its root id, must strictly ascend
+  /// and lie below |V|, its shape must not be an in-tree's (an in-tree
+  /// is a parent tree), its root id and heads lie below n, its offsets
+  /// rise from 0 to m, and each rank lies below its tail's out-degree and
+  /// names an out-edge whose head is the record's head vertex. The bits
+  /// after a block's last field are zero; the blocks end at body_'s
   /// padding, whose bytes are zero. So a pool that passes is exactly
   /// what appending its own views to a run, finishing it (FromRuns) and
   /// saving it writes. False on the first check that fails.
   bool FinishLoaded(const Graph& topology, const FileDirectory& file);
 
-  /// Rebuilds containing_starts_ and containing_ from the blocks' stored
-  /// vertices, which leave out each block's root, and the root starts:
+  /// Rebuilds containing_starts_ and containing_ from the blocks'
+  /// vertices but their roots (ForEachBlockVertices) and the root starts:
   /// two serial passes over the blocks in id order sort each vertex's
   /// ids into a scratch array (the first counts them, and recounts
   /// max_sketch_vertices_; the second pairs each id with its root, from
@@ -1240,9 +1255,67 @@ class RrSketchPool {
   uint32_t containing_k_ = 0;
 };
 
-template <typename VertexRange, typename Fill>
+template <typename Fill>
+void RrSketchPool::AppendSketch(uint32_t root_local,
+                                std::span<const VertexId> vertices, size_t m,
+                                bool in_tree, Fill&& fill) {
+  if (!in_tree || vertices.size() == 1 || topology_.num_vertices() == 0) {
+    AppendBlock(root_local, vertices, m, in_tree, std::forward<Fill>(fill));
+    return;
+  }
+  // The fill's heads and ranks, gathered at 32 bits each.
+  PITEX_DCHECK(m + 1 == vertices.size());
+  thread_local std::vector<uint8_t> fields;
+  fields.assign(8 * m + kBitPadding, 0);
+  BitWriter bits(fields.data());
+  BlockWriter out(&bits, 0, 32, 32);
+  fill(out);
+  bits.Finish();
+  AppendInTree(root_local, vertices, PackedIds{fields.data(), 0, 32},
+               PackedIds{fields.data(), static_cast<uint32_t>(32 * m), 32});
+}
+
+template <typename Fill>
+void RrSketchPool::AppendTree(VertexId root, size_t n, uint64_t rank_bits,
+                              Fill&& fill) {
+  PITEX_CHECK_MSG(root < num_vertices_,
+                  "sketch vertex lies outside the pool's network");
+  // Sketch ids are u32 (containing_).
+  PITEX_CHECK_MSG(num_sketches_ < UINT32_MAX - 1,
+                  "sketch pool exceeds its directory words");
+  const uint64_t start = BodyEnd();
+  OpenGroup(start);
+  roots_.push_back(root);
+  if (n == 1) {
+    // Implicit singleton: the directory holds only its clear mask bit.
+    PushSingleton();
+  } else {
+    PITEX_DCHECK(topology_.num_vertices() != 0);
+    const uint32_t parent_bits = IdBits(n - 1);
+    const uint64_t bits = (n - 1) * parent_bits + rank_bits;
+    PITEX_CHECK_MSG(n <= kMaxBlockVertices && bits <= UINT32_MAX,
+                    "sketch exceeds the block header's counts");
+    const uint64_t length = VarintLength(Header(n, true)) + (bits + 7) / 8;
+    // The old padding becomes the block's first bytes; new padding
+    // follows it, zero.
+    body_.resize(start + length + kBitPadding);
+    BitWriter writer(PutVarint(Header(n, true), body_.data() + start));
+    TreeWriter out(&writer, parent_bits);
+    fill(out);
+    [[maybe_unused]] const uint64_t written = writer.Finish();
+    PITEX_DCHECK(written == bits);
+    PushBlock(start);
+  }
+  // Every block's start stays below 2^31.
+  PITEX_CHECK_MSG(BodyEnd() <= kIdLimit,
+                  "sketch pool exceeds its directory words");
+  max_sketch_vertices_ =
+      std::max(max_sketch_vertices_, static_cast<uint32_t>(n));
+}
+
+template <typename Fill>
 void RrSketchPool::AppendBlock(uint32_t root_local,
-                               const VertexRange& vertices, size_t m,
+                               std::span<const VertexId> vertices, size_t m,
                                bool in_tree, Fill&& fill) {
   const size_t n = vertices.size();
   PITEX_DCHECK(root_local < n);
@@ -1253,47 +1326,69 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
   // Sketch ids are u32 (containing_).
   PITEX_CHECK_MSG(num_sketches_ < UINT32_MAX - 1,
                   "sketch pool exceeds its directory words");
-  [[maybe_unused]] const size_t i = num_sketches_;
   const uint64_t start = BodyEnd();
   OpenGroup(start);
-  const VertexId root = vertices[root_local];
-  PITEX_DCHECK(root != kUnresolvedRoot);
-  roots_.push_back(root);
-  const uint64_t length = BodyLength(n, m, in_tree);
+  roots_.push_back(vertices[root_local]);
+  const uint64_t length = BodyLength(n, m);
   if (length == 0) {
     // Implicit singleton: the directory holds only its clear mask bit.
     PushSingleton();
   } else {
     PITEX_CHECK_MSG(n <= kMaxBlockVertices && m <= UINT32_MAX &&
-                        FieldBits(n, m, in_tree) <= UINT32_MAX,
+                        FieldBits(n, m) <= UINT32_MAX,
                     "sketch exceeds the block header's counts");
     // The old padding becomes the block's first bytes; new padding
     // follows it, zero.
     body_.resize(start + length + kBitPadding);
-    uint8_t* fields = PutVarint(Header(n, in_tree), body_.data() + start);
-    if (!in_tree) fields = PutVarint(m, fields);
+    uint8_t* fields = PutVarint(Header(n, false), body_.data() + start);
+    fields = PutVarint(m, fields);
     BitWriter bits(fields);
     for (size_t j = 0; j < n; ++j) {
       if (j != root_local) bits.Put(vertices[j], vertex_bits_);
     }
     const uint32_t id_bits = IdBits(n);
     bits.Put(root_local, id_bits);
-    BlockWriter out(&bits, in_tree ? 0 : IdBits(uint64_t{m} + 1), id_bits,
-                    rank_bits_);
+    BlockWriter out(&bits, IdBits(uint64_t{m} + 1), id_bits, rank_bits_);
+    // An in-tree's fill puts no offsets: they are its InTreeOffsets.
+    if (in_tree) {
+      for (size_t j = 0; j <= n; ++j) {
+        out.PutOffset(InTreeOffset(j, root_local));
+      }
+    }
     fill(out);
     [[maybe_unused]] const uint64_t written = bits.Finish();
-    PITEX_DCHECK(written == FieldBits(n, m, in_tree));
+    PITEX_DCHECK(written == FieldBits(n, m));
     PushBlock(start);
-    // Offsets stored only where they are not an in-tree's, and an
-    // in-tree's parents lead to its root.
-    PITEX_DCHECK(View(i, root).InTree() == in_tree);
-    PITEX_DCHECK(!in_tree || ParentsReachRoot(View(i, root)));
   }
   // Every block's start stays below 2^31.
   PITEX_CHECK_MSG(BodyEnd() <= kIdLimit,
                   "sketch pool exceeds its directory words");
   max_sketch_vertices_ =
       std::max(max_sketch_vertices_, static_cast<uint32_t>(n));
+}
+
+template <typename Fn>
+void RrSketchPool::ForEachBlockVertices(Fn&& fn) const {
+  TreeScratch tree;
+  std::vector<VertexId> stored;
+  VertexId root = 0;
+  uint32_t id = 0;
+  ForEachSketch(0, num_sketches(), [&](bool block, uint64_t start) {
+    if (block) {
+      while (RootStart(root + 1) <= id) ++root;
+      const RRView view = ViewAt(body_.data() + start, root);
+      const size_t n = view.vertices.size();
+      if (view.IsTree()) {
+        DecodeTree(view, kNoVertex, &tree);
+        fn(id, root, std::span<const VertexId>(tree.vertex_data() + 1, n - 1));
+      } else {
+        stored.resize(n - 1);
+        for (size_t j = 0; j + 1 < n; ++j) stored[j] = view.vertices.ids()[j];
+        fn(id, root, std::span<const VertexId>(stored));
+      }
+    }
+    ++id;
+  });
 }
 
 /// The repairs a DynamicRrIndex has made since its base pool was built,
@@ -1343,9 +1438,6 @@ class RrSketchOverlay {
   RRView View(uint32_t slot, VertexId u) const {
     return store_.View(slot, u);
   }
-  /// The walk's view of the block in store slot `slot`
-  /// (RrSketchPool::WalkView).
-  RRView WalkView(uint32_t slot) const { return store_.WalkView(slot); }
 
   /// u's replacement containing list (the sketches containing u that u
   /// does not root: a repair never changes a root), or nothing while

@@ -38,67 +38,76 @@ PITEX_NOALLOC void SketchArena::PutSortedEdges(std::span<const Edge> edges,
   for (size_t k = 0; k < m; ++k) out->PutRank(sorted_[k].rank);
 }
 
-template <typename EnvOf, typename RankOf>
+template <typename EnvOf>
 PITEX_NOALLOC void SketchArena::GenerateImpl(const Graph& graph,
                                              const EnvOf& env_of,
-                                             const RankOf& rank_of,
                                              VertexId root, Rng* rng,
                                              RrSketchPool* run) {
   const uint32_t epoch = BeginTraversal(graph.num_vertices());
   std::vector<VertexId>& vertices = vertices_;
 
-  // Reverse BFS from the root over live in-edges; each in-edge of a
-  // visited vertex is probed exactly once (its head is unique).
+  // Reverse walk from the root over live in-edges; each in-edge of a
+  // visited vertex is probed exactly once (its head is unique). A vertex
+  // takes the next local id when it is first met, so an in-tree's
+  // vertices come in the tree's order (RrSketchPool::AppendTree).
   staged_.clear();
   mark_[root] = epoch;
+  local_index_[root] = 0;
   vertices.assign(1, root);
   stack_.assign(1, root);
+  uint64_t rank_bits = 0;  // an in-tree's rank fields'
   while (!stack_.empty()) {
     const VertexId v = stack_.back();
     stack_.pop_back();
     const auto in = graph.InEdges(v);
     const auto [env, vmax] = env_of(v);
+    const uint32_t width = IdBits(in.size());
     SampleLiveInEdges(env, vmax, rng, [&](size_t j) {
       const VertexId w = in[j].vertex;
-      staged_.push_back(RankedSample{w, v, rank_of(v, j)});
+      staged_.push_back(StagedEdge{w, v, static_cast<uint32_t>(j)});
+      rank_bits += width;
       if (mark_[w] != epoch) {
         mark_[w] = epoch;
+        local_index_[w] = static_cast<uint32_t>(vertices.size());
         vertices.push_back(w);
         stack_.push_back(w);
       }
     });
   }
-  // No live in-edge: the root alone, an implicit singleton with no
-  // block to assemble.
-  if (staged_.empty()) {
-    run->AppendSketch(0, vertices, 0, /*in_tree=*/true, [](BlockWriter&) {});
+  const size_t n = vertices.size();
+  if (staged_.size() + 1 == n) {
+    // An in-tree (a lone root included, an implicit singleton): every
+    // live edge met a new vertex, its tail, which took the next local
+    // id, so the edges in probe order are vertices 1 .. n - 1's.
+    run->AppendTree(root, n, rank_bits, [&](TreeWriter& out) {
+      for (const StagedEdge& s : staged_) {
+        out.PutChild(local_index_[s.head], s.in_rank, graph.InDegree(s.head));
+      }
+    });
     return;
   }
 
-  // Local assembly straight into the run's block: sort the vertices (no
+  // Any other sketch, in the general form: sort the vertices (no
   // duplicates by construction), dense global -> local map via the epoch
   // marks, then counting-sort the staged edges by local tail (stable, so
-  // per-tail edge order is probe order).
+  // per-tail edge order is probe order), each with its out-list rank.
   std::sort(vertices.begin(), vertices.end());
-  const size_t n = vertices.size();
   for (size_t j = 0; j < n; ++j) {
     local_index_[vertices[j]] = static_cast<uint32_t>(j);
   }
   counts_.assign(n + 1, 0);
-  for (const RankedSample& s : staged_) ++counts_[local_index_[s.tail] + 1];
+  for (const StagedEdge& s : staged_) ++counts_[local_index_[s.tail] + 1];
   for (size_t j = 0; j < n; ++j) counts_[j + 1] += counts_[j];
-  const uint32_t root_local = local_index_[root];
-  const bool in_tree =
-      IsInTree(n, root_local, [this](size_t j) { return counts_[j]; });
-  run->AppendSketch(root_local, vertices, staged_.size(), in_tree,
-                    [&](BlockWriter& out) {
-    if (!in_tree) {
-      for (size_t j = 0; j <= n; ++j) out.PutOffset(counts_[j]);
-    }
+  run->AppendSketch(local_index_[root], vertices, staged_.size(),
+                    /*in_tree=*/false, [&](BlockWriter& out) {
+    for (size_t j = 0; j <= n; ++j) out.PutOffset(counts_[j]);
     PutSortedEdges(
-        std::span<const RankedSample>(staged_),
-        [](const RankedSample&) { return true; },
-        [](const RankedSample& s) { return s.rank; }, &out);
+        std::span<const StagedEdge>(staged_),
+        [](const StagedEdge&) { return true; },
+        [&](const StagedEdge& s) {
+          return graph.OutRank(s.tail, graph.InEdges(s.head)[s.in_rank].edge);
+        },
+        &out);
   });
 }
 
@@ -112,7 +121,6 @@ PITEX_NOALLOC void SketchArena::Generate(const Graph& graph,
         return std::pair<std::span<const float>, float>(
             envelope.InEnvelopes(graph, v), envelope.VertexMax(v));
       },
-      [&](VertexId v, size_t j) { return envelope.InRanks(graph, v)[j]; },
       root, rng, run);
 }
 
@@ -124,10 +132,6 @@ PITEX_NOALLOC void SketchArena::Generate(const Graph& graph,
       graph,
       [&](VertexId v) {
         return InEnvelopeSlice(graph, influence, v, &env_scratch_);
-      },
-      [&](VertexId v, size_t j) {
-        const AdjEntry in = graph.InEdges(v)[j];
-        return graph.OutRank(in.vertex, in.edge);
       },
       root, rng, run);
 }

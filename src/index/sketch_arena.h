@@ -2,14 +2,17 @@
 // pooled read-side store in src/index/rr_sketch_pool.h).
 //
 // A SketchArena is traversal and assembly scratch only: Generate runs
-// the reverse BFS of Definition 2 over epoch-stamped marks (no O(|V|)
-// clearing between sketches), sorts the sketch's vertices in a reused
-// buffer, counting-sorts its staged live edges into CSR order in
-// another, and puts them in that order into a packed block of a *run* —
-// an RrSketchPool written in pool layout by AppendSketch — so the
-// sketch is copied once more only when
-// RrSketchPool::FromRuns finishes the runs into the served pool. A root
-// with no live in-edge is an implicit singleton and skips assembly.
+// the reverse walk of Definition 2 over epoch-stamped marks (no O(|V|)
+// clearing between sketches), numbering each vertex as it first meets
+// it. An in-tree (nearly every sketch) is written as it was walked, as
+// a parent tree (RrSketchPool::AppendTree): each vertex's parent and its
+// edge's rank in the parent's in-list, with no sort. Any other sketch
+// sorts its vertices in a reused buffer and counting-sorts its staged
+// live edges into CSR order in another (AppendSketch). Either way the
+// block goes into a *run* — an RrSketchPool written in pool layout — so
+// the sketch is copied once more only when RrSketchPool::FromRuns
+// finishes the runs into the served pool. A root with no live in-edge is
+// an implicit singleton and skips assembly.
 // Once its buffers and the run have grown to their high-water marks,
 // generation performs zero heap allocations.
 //
@@ -115,17 +118,17 @@ class SketchArena {
   SketchArena() = default;
 
   /// Samples one RR-Graph rooted at `root` (Definition 2) and appends it
-  /// to `run` (RrSketchPool::Append), reading envelopes and each live
-  /// edge's rank in its tail's out-list from the dense table.
+  /// to `run`, reading envelopes from the dense table. A sketch that is
+  /// not an in-tree finds each live edge's rank in its tail's out-list
+  /// by binary search of that list (Graph::OutRank).
   PITEX_NOALLOC void Generate(const Graph& graph,
                               const EnvelopeTable& envelope, VertexId root,
                               Rng* rng, RrSketchPool* run);
   /// Table-free overload for one-off callers (the query planner's
   /// probes, tests): envelope floats are materialized per visited vertex
   /// by InEnvelopeSlice into arena scratch, producing bit-identical
-  /// draws to the table path at ~2x the in-edge memory traffic, and a
-  /// live edge's rank is found by binary search of its tail's out-list
-  /// (Graph::OutRank).
+  /// draws and blocks to the table path at ~2x the in-edge memory
+  /// traffic.
   PITEX_NOALLOC void Generate(const Graph& graph,
                               const InfluenceGraph& influence, VertexId root,
                               Rng* rng, RrSketchPool* run);
@@ -133,7 +136,8 @@ class SketchArena {
   /// Re-closes a sketch from its root and live edges (tail -> head):
   /// keeps exactly the vertices reaching `root` through `edges`, drops
   /// edges with a dropped endpoint, and appends the result to `run`
-  /// (RrSketchPool::AppendSketch) with per-tail edges in input order,
+  /// (RrSketchPool::AppendSketch, which puts an in-tree in the tree's
+  /// order) with per-tail edges in input order,
   /// each edge's rank found by binary search of its tail's out-list in
   /// the run's topology, which every edge must belong to. A root no edge
   /// reaches is an implicit singleton. It serves both DynamicRrIndex
@@ -150,11 +154,11 @@ class SketchArena {
   uint32_t BeginTraversal(size_t num_vertices);
 
   /// A staged live edge of Generate: its global endpoints and its rank
-  /// in the tail's out-list.
-  struct RankedSample {
+  /// in the head's in-list.
+  struct StagedEdge {
     VertexId tail;
     VertexId head;
-    uint32_t rank;
+    uint32_t in_rank;
   };
   /// One edge in CSR order: its local head and its rank.
   struct SortedEdge {
@@ -162,12 +166,10 @@ class SketchArena {
     uint32_t rank;
   };
 
-  /// rank_of(v, j) is the rank, in its tail's out-list, of in-edge j of
-  /// v.
-  template <typename EnvOf, typename RankOf>
+  /// env_of(v) is v's in-edges' envelope slice and its maximum.
+  template <typename EnvOf>
   PITEX_NOALLOC void GenerateImpl(const Graph& graph, const EnvOf& env_of,
-                                  const RankOf& rank_of, VertexId root,
-                                  Rng* rng, RrSketchPool* run);
+                                  VertexId root, Rng* rng, RrSketchPool* run);
 
   /// Puts the `edges` (each with global tail and head) for which
   /// kept(edge) holds into `out` as a block's heads, then its ranks,
@@ -181,7 +183,8 @@ class SketchArena {
                                     BlockWriter* out);
 
   // The vertices of the sketch Generate or RebuildRepairedSketch
-  // assembles, sorted ascending before its block is written.
+  // assembles: in the order met, then, unless Generate met an in-tree,
+  // sorted ascending before its block is written.
   std::vector<VertexId> vertices_;
 
   // Traversal / assembly scratch (epoch-stamped over global vertex ids:
@@ -190,7 +193,7 @@ class SketchArena {
   std::vector<uint32_t> local_index_;  // valid where mark_ == epoch_
   uint32_t epoch_ = 0;
   std::vector<VertexId> stack_;
-  std::vector<RankedSample> staged_;  // one sketch's live edges
+  std::vector<StagedEdge> staged_;  // one sketch's live edges
   std::vector<uint32_t> counts_;      // counting-sort cursors
   std::vector<SortedEdge> sorted_;    // the edges in CSR order
   std::vector<float> env_scratch_;    // table-free envelope slice

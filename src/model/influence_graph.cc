@@ -10,19 +10,6 @@ EnvelopeTable::EnvelopeTable(const Graph& graph,
                              const InfluenceGraph& influence) {
   in_env_.resize(graph.num_edges());
   vertex_max_.resize(graph.num_vertices());
-  // Both adjacency lists hold their edges in ascending id order
-  // (graph.h), so edge e, taken in id order, is the next out-edge of its
-  // tail and the next in-edge of its head: per-vertex cursors rank every
-  // edge with no per-edge scratch.
-  in_rank_.resize(graph.num_edges());
-  std::vector<uint32_t> out_seen(graph.num_vertices(), 0);
-  std::vector<uint64_t> in_next(graph.num_vertices());
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    in_next[v] = graph.InEdgeOffset(v);
-  }
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    in_rank_[in_next[graph.Head(e)]++] = out_seen[graph.Tail(e)]++;
-  }
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     const uint64_t base = graph.InEdgeOffset(v);
     const auto in = graph.InEdges(v);

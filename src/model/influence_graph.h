@@ -178,14 +178,10 @@ inline float EnvelopeProbability(double p) {
 /// in-edges. The reverse-BFS probe loop of RR-Graph generation reads the
 /// per-vertex slice sequentially — no virtual MaxProb call, no sparse
 /// indirection — and the per-vertex maximum drives the geometric-skip
-/// decision (see SampleLiveInEdges in src/index/sketch_arena.h). Beside
-/// each envelope it holds the in-edge's rank in its tail's out-list,
-/// which the sampler stores as the edge's record (src/index/rr_graph.h).
+/// decision (see SampleLiveInEdges in src/index/sketch_arena.h).
 /// Build-only: materialized once per sampling pass (O(|E|)) and dropped
-/// after it, ranks included. Repairs read the same floats table-free
-/// from the current model (InEnvelopeSlice in src/index/sketch_arena.h)
-/// and find a rank by binary search of the tail's out-list
-/// (Graph::OutRank).
+/// after it. Repairs read the same floats table-free from the current
+/// model (InEnvelopeSlice in src/index/sketch_arena.h).
 class EnvelopeTable {
  public:
   EnvelopeTable() = default;
@@ -197,16 +193,10 @@ class EnvelopeTable {
   }
   /// max over InEnvelopes(v); 0 for in-degree-0 vertices.
   float VertexMax(VertexId v) const { return vertex_max_[v]; }
-  /// Ranks aligned with graph.InEdges(v): entry j is the place of
-  /// InEdges(v)[j] in its tail's out-list (Graph::OutEdges).
-  std::span<const uint32_t> InRanks(const Graph& graph, VertexId v) const {
-    return {in_rank_.data() + graph.InEdgeOffset(v), graph.InDegree(v)};
-  }
 
  private:
   std::vector<float> in_env_;      // in-adjacency order
   std::vector<float> vertex_max_;  // per-vertex max over in-edges
-  std::vector<uint32_t> in_rank_;  // in-adjacency order
 };
 
 /// The full PITEX input: topology + tag/topic model + p(e|z).

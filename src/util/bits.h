@@ -31,6 +31,12 @@ inline size_t PaddedBytes(uint64_t bits) {
 /// The low `bits` (at most 63) bits set.
 constexpr uint64_t LowMask(uint32_t bits) { return (uint64_t{1} << bits) - 1; }
 
+/// Bits a field takes that holds every id below `count`:
+/// bit_width(count - 1), and 0 when count <= 1.
+inline uint32_t IdBits(uint64_t count) {
+  return count <= 1 ? 0 : static_cast<uint32_t>(std::bit_width(count - 1));
+}
+
 /// How many bits of x are set: an inline SWAR sum, since std::popcount
 /// is a library call on baseline x86-64, the default build's target.
 inline uint32_t PopCount(uint64_t x) {

@@ -12,9 +12,9 @@
 // to the very bytes
 // it was loaded from (the writer and the reader are inverses), and
 // those bytes are canonical: the payload (the pool image, index file
-// v15, each repeated block shared with its root range's first copy) is
+// v16, each repeated block shared with its root range's first copy) is
 // exactly what the reference re-encoder PackViews (tests/owned_sketch.h)
-// writes for the loaded sketches. A v14 image is refused by its version
+// writes for the loaded sketches. A v15 image is refused by its version
 // (a ValidatorRows seed). Any crash, sanitizer report, or violation
 // (enforced with abort() below) is a finding.
 //
@@ -127,7 +127,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       std::vector<std::vector<uint32_t>> want(Network().num_vertices());
       const IndexViews views(*loaded, Network().num_vertices());
       for (uint32_t id = 0; id < loaded->num_graphs(); ++id) {
-        for (const VertexId v : views(id).vertices) {
+        for (const VertexId v : Owned(views(id)).vertices) {
           Require(v < want.size(), "sketch vertex in range");
           want[v].push_back(id);
         }

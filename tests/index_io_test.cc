@@ -78,7 +78,7 @@ TEST(IndexIoTest, RrIndexRoundTripsExactly) {
     const RRView original = originals(i);
     const RRView restored = restoreds(i);
     EXPECT_EQ(restored.root(), original.root());
-    EXPECT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
+    EXPECT_TRUE(Owned(restored).vertices == Owned(original).vertices);
     EXPECT_EQ(Owned(restored).offsets, Owned(original).offsets);
     EXPECT_EQ(Owned(restored).heads, Owned(original).heads);
     ASSERT_EQ(Owned(restored).ranks, Owned(original).ranks);
@@ -125,7 +125,7 @@ TEST(IndexIoTest, WideSketchRoundTripsByteIdentical) {
     const RRView restored = restoreds(i);
     EXPECT_EQ(restored.heads.bits, 17u);
     EXPECT_EQ(restored.root(), original.root());
-    EXPECT_TRUE(std::ranges::equal(restored.vertices, original.vertices));
+    EXPECT_TRUE(Owned(restored).vertices == Owned(original).vertices);
     EXPECT_EQ(Owned(restored).offsets, Owned(original).offsets);
     EXPECT_EQ(Owned(restored).heads, Owned(original).heads);
   }

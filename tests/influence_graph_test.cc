@@ -109,22 +109,6 @@ TEST(InfluenceGraphTest, EnvelopeProbabilityMatchesNextAfter) {
   EXPECT_EQ(mismatches, 0u);
 }
 
-TEST(InfluenceGraphTest, EnvelopeTableRanksEveryInEdgeInItsTailsOutList) {
-  for (const SocialNetwork& n :
-       {MakeRunningExample(), GenerateDataset(DblpSpec(0.01))}) {
-    const EnvelopeTable table(n.graph, n.influence);
-    for (VertexId v = 0; v < n.num_vertices(); ++v) {
-      const auto in = n.graph.InEdges(v);
-      const auto ranks = table.InRanks(n.graph, v);
-      ASSERT_EQ(ranks.size(), in.size());
-      for (size_t j = 0; j < in.size(); ++j) {
-        EXPECT_EQ(ranks[j], n.graph.OutRank(in[j].vertex, in[j].edge))
-            << "in-edge " << j << " of " << v;
-      }
-    }
-  }
-}
-
 TEST(InfluenceGraphTest, ZeroPosteriorZeroesEveryEdge) {
   SocialNetwork n = MakeRunningExample();
   const TopicPosterior zero(3, 0.0);

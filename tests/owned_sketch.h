@@ -81,22 +81,24 @@ struct RRGraph {
   }
   operator RRView() const { return View(); }  // NOLINT(runtime/explicit)
 
-  /// Copies `view` into this graph, reusing its vectors' capacity.
+  /// Copies `view` into this graph (decoded to the general form's
+  /// arrays, src/index/rr_graph.h's Decode), reusing its vectors'
+  /// capacity.
   void Assign(const RRView& view) {
     topology = *view.topology;
     thresholds = view.thresholds;
-    root = view.root();
-    vertices.assign(view.vertices.begin(), view.vertices.end());
-    const size_t n = view.vertices.size();
-    const size_t m = view.num_edges();
-    offsets.resize(n + 1);
-    heads.resize(m);
-    ranks.resize(m);
-    view.VisitCsr([&](const auto& csr) {
-      for (size_t j = 0; j <= n; ++j) offsets[j] = csr.offset(j);
-      for (size_t k = 0; k < m; ++k) heads[k] = csr.head(k);
-    });
-    for (size_t k = 0; k < m; ++k) ranks[k] = view.ranks[k];
+    DecodedSketch decoded;
+    Decode(view, &decoded);
+    root = decoded.root;
+    vertices = std::move(decoded.vertices);
+    offsets = std::move(decoded.offsets);
+    heads = std::move(decoded.heads);
+    ranks = std::move(decoded.ranks);
+  }
+
+  /// The global id of record k, whose tail is local vertex `tail`.
+  EdgeId Edge(uint32_t tail, uint32_t k) const {
+    return topology.OutEdges(vertices[tail])[ranks[k]].edge;
   }
 
   /// Local index of global vertex v, or nullopt if absent.
@@ -221,10 +223,10 @@ uint64_t IndexContentHash(const Index& index) {
                       owned.vertices.size() * sizeof(VertexId));
     hash = Fnv1aBytes(hash, owned.offsets.data(),
                       owned.offsets.size() * sizeof(uint32_t));
-    for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
+    for (uint32_t tail = 0; tail < owned.vertices.size(); ++tail) {
       for (uint32_t j = owned.offsets[tail]; j < owned.offsets[tail + 1];
            ++j) {
-        const EdgeId edge = rr.Edge(tail, rr.ranks[j]);
+        const EdgeId edge = owned.Edge(tail, j);
         const double threshold = rr.thresholds(edge);
         hash = Fnv1aBytes(hash, &owned.heads[j], sizeof(uint32_t));
         hash = Fnv1aBytes(hash, &edge, sizeof(edge));
@@ -256,8 +258,7 @@ uint64_t ShapeHash(const Index& index, size_t num_vertices) {
                       owned.offsets.size() * sizeof(uint32_t));
     hash = Fnv1aBytes(hash, owned.heads.data(),
                       owned.heads.size() * sizeof(uint32_t));
-    for (size_t j = 0; j < owned.heads.size(); ++j) {
-      const uint32_t rank = rr.ranks[j];
+    for (const uint32_t rank : owned.ranks) {
       hash = Fnv1aBytes(hash, &rank, sizeof(rank));
     }
   }

@@ -28,7 +28,7 @@ void ExpectIndexesIdentical(const RrIndex& a, const RrIndex& b) {
     const RRView ga = a_views(i);
     const RRView gb = b_views(i);
     ASSERT_EQ(ga.root(), gb.root()) << "graph " << i;
-    ASSERT_TRUE(std::ranges::equal(ga.vertices, gb.vertices))
+    ASSERT_TRUE(Owned(ga).vertices == Owned(gb).vertices)
         << "graph " << i;
     ASSERT_EQ(Owned(ga).offsets, Owned(gb).offsets) << "graph " << i;
     ASSERT_EQ(Owned(ga).heads, Owned(gb).heads) << "graph " << i;
@@ -102,7 +102,7 @@ void ExpectPoolsIdentical(const RrSketchPool& a, const RrSketchPool& b) {
     const RRView ga = a_views(i);
     const RRView gb = b_views(i);
     ASSERT_EQ(ga.root(), gb.root()) << "sketch " << i;
-    ASSERT_TRUE(std::ranges::equal(ga.vertices, gb.vertices))
+    ASSERT_TRUE(Owned(ga).vertices == Owned(gb).vertices)
         << "sketch " << i;
     ASSERT_EQ(Owned(ga).offsets, Owned(gb).offsets) << "sketch " << i;
     ASSERT_EQ(Owned(ga).heads, Owned(gb).heads) << "sketch " << i;

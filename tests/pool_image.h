@@ -130,6 +130,7 @@ struct Image {
   std::string trailer;
   uint32_t vertex_bits = 0;
   uint32_t rank_bits = 0;
+  Graph graph;  // the network's: a parent tree's ranks index its in-lists
 
   Image(const std::string& bytes, const SocialNetwork& network);
 
@@ -221,11 +222,13 @@ inline void Splice(Image* image, size_t sketch, size_t at, size_t erase,
 
 // One explicit block of an Image: where it sits, its header (n and the
 // in-tree flag, then m unless it is an in-tree) and its bit fields, each
-// read and written at its width: the n - 1 vertices other than the
-// root, the root's local id, the n + 1 offsets unless the block is an
-// in-tree, the m heads, then the m records (the rank in the tail's
-// out-list). The root's vertex is the one whose root range holds the
-// sketch.
+// read and written at its width. A parent tree (`tree`) holds, for each
+// vertex j = 1 .. n - 1, its parent's local id at FieldBits(n - 1) bits
+// and its edge's rank in its parent's in-list at FieldBits(the parent's
+// in-degree) bits; its root, local 0, is the vertex whose root range
+// holds the sketch. Any other block holds the n - 1 vertices other than
+// the root, the root's local id, the n + 1 offsets, the m heads, then
+// the m records (the rank in the tail's out-list).
 struct Block {
   Image* image;
   size_t sketch;
@@ -235,7 +238,19 @@ struct Block {
   uint32_t m;
   bool tree;
 
+  /// One vertex of a parent tree, decoded: where its parent's field
+  /// starts in the body, its parent, its rank's width and its rank, and
+  /// its vertex id.
+  struct TreeField {
+    uint64_t at = 0;
+    uint32_t parent = 0;
+    uint32_t rank_bits = 0;
+    uint32_t rank = 0;
+    uint32_t vertex = 0;
+  };
+
   uint32_t id_bits() const { return FieldBits(n); }
+  uint32_t parent_bits() const { return FieldBits(uint64_t{n} - 1); }
   uint32_t offset_bits() const { return FieldBits(uint64_t{m} + 1); }
   /// Bit positions in the body.
   uint64_t fields() const { return uint64_t{start + header_bytes} * 8; }
@@ -243,14 +258,40 @@ struct Block {
     return fields() + uint64_t{n - 1} * image->vertex_bits;
   }
   uint64_t offsets_at() const { return root_at() + id_bits(); }
-  uint64_t heads_at() const {
-    return offsets_at() + (tree ? 0 : uint64_t{n + 1} * offset_bits());
-  }
+  uint64_t heads_at() const { return offsets_at() + uint64_t{n + 1} * offset_bits(); }
   uint64_t record_at(size_t k) const {
     return heads_at() + uint64_t{m} * id_bits() + k * image->rank_bits;
   }
+  /// A parent tree's vertices, decoded top-down (entry 0 the root's,
+  /// which has no fields): stops early at a field that names no vertex.
+  std::vector<TreeField> tree_fields() const {
+    std::vector<TreeField> out(1);
+    out[0].at = fields();
+    out[0].vertex = image->root_of(sketch);
+    uint64_t at = fields();
+    for (uint32_t j = 1; j < n; ++j) {
+      TreeField field;
+      field.at = at;
+      field.parent = static_cast<uint32_t>(get(at, parent_bits()));
+      if (field.parent >= j) break;
+      const auto in = image->graph.InEdges(out[field.parent].vertex);
+      field.rank_bits = FieldBits(in.size());
+      field.rank = static_cast<uint32_t>(
+          get(at + parent_bits(), field.rank_bits));
+      if (field.rank >= in.size()) break;
+      field.vertex = in[field.rank].vertex;
+      at += parent_bits() + field.rank_bits;
+      out.push_back(field);
+    }
+    return out;
+  }
   /// Bits of the fields, and bytes of the whole block.
-  uint64_t bits() const { return record_at(m) - fields(); }
+  uint64_t bits() const {
+    if (!tree) return record_at(m) - fields();
+    const TreeField last = tree_fields().back();
+    return n == 1 ? 0
+                  : last.at + parent_bits() + last.rank_bits - fields();
+  }
   size_t bytes() const { return header_bytes + (bits() + 7) / 8; }
 
   uint64_t get(uint64_t pos, uint32_t bits) const {
@@ -258,6 +299,14 @@ struct Block {
   }
   void set(uint64_t pos, uint32_t bits, uint64_t value) const {
     SetBits(&image->body, pos, bits, value);
+  }
+  /// A parent tree's fields of vertex j, set in place at their widths.
+  void set_parent(uint32_t j, uint64_t value) const {
+    set(tree_fields()[j].at, parent_bits(), value);
+  }
+  void set_tree_rank(uint32_t j, uint64_t value) const {
+    const TreeField field = tree_fields()[j];
+    set(field.at + parent_bits(), field.rank_bits, value);
   }
   /// Stored vertex j: the vertices but the root, ascending.
   uint32_t stored(size_t j) const {
@@ -268,18 +317,18 @@ struct Block {
     set(fields() + j * image->vertex_bits, image->vertex_bits, value);
   }
   /// Local vertex j's global id: the root's from its range, any other's
-  /// stored.
+  /// stored, or a parent tree's decoded.
   uint32_t vertex(size_t j) const {
+    if (tree) return tree_fields()[j].vertex;
     const uint32_t r = root();
     return j == r ? image->root_of(sketch) : stored(j - (j > r ? 1 : 0));
   }
+  /// The root's local id: stored, or a parent tree's 0.
   uint32_t root() const {
-    return static_cast<uint32_t>(get(root_at(), id_bits()));
+    return tree ? 0 : static_cast<uint32_t>(get(root_at(), id_bits()));
   }
   void set_root(uint64_t value) const { set(root_at(), id_bits(), value); }
-  /// Offset j, stored or, in an in-tree, j less one past the root.
   uint32_t offset(size_t j) const {
-    if (tree) return static_cast<uint32_t>(j - (j > root() ? 1 : 0));
     return static_cast<uint32_t>(
         get(offsets_at() + j * offset_bits(), offset_bits()));
   }
@@ -300,13 +349,11 @@ struct Block {
   }
   /// The largest value a local id's field holds.
   uint64_t max_id() const { return (uint64_t{1} << id_bits()) - 1; }
-  /// In an in-tree, local j's parent: the head of its one edge.
-  uint32_t parent(uint32_t j) const { return head(offset(j)); }
-  /// Makes local vertex `local` (below n) the sketch's root: the old
-  /// root joins the stored vertices, which stay ascending, the root id
-  /// becomes `local`, and the root counts move the sketch from its old
-  /// root's range to its new root's (which keeps its id while the roots
-  /// stay in order).
+  /// Makes local vertex `local` (below n) of a block that is not a
+  /// parent tree the sketch's root: the old root joins the stored
+  /// vertices, which stay ascending, the root id becomes `local`, and
+  /// the root counts move the sketch from its old root's range to its
+  /// new root's (which keeps its id while the roots stay in order).
   void MoveRoot(uint32_t local) const {
     std::vector<uint32_t> vertices;
     for (uint32_t j = 0; j < n; ++j) vertices.push_back(vertex(j));
@@ -316,21 +363,13 @@ struct Block {
     for (uint32_t j = 0; j + 1 < n; ++j) set_stored(j, vertices[j]);
     set_root(local);
   }
-  /// In an in-tree, true when every vertex reaches the root within n
-  /// parent steps, so no parents form a cycle.
-  bool parents_reach_root() const {
-    for (uint32_t j = 0; j < n; ++j) {
-      uint32_t v = j;
-      for (uint32_t step = 0; step < n && v != root(); ++step) v = parent(v);
-      if (v != root()) return false;
-    }
-    return true;
-  }
 
   /// Re-encodes the block, every value intact, its header one byte
-  /// longer than it needs when `overlong`, an in-tree's offsets (and
-  /// edge count) stored when `with_offsets`, n stored as `new_n` when
-  /// given, and moves the blocks after it. Returns the re-encoded block.
+  /// longer than it needs when `overlong`, a parent tree in the general
+  /// form (its vertices sorted, its offsets an in-tree's, its records
+  /// the edges' out-list ranks) when `with_offsets`, n stored as `new_n`
+  /// when given, and moves the blocks after it. Returns the re-encoded
+  /// block.
   Block Reencode(bool overlong, bool with_offsets, uint64_t new_n = 0) const {
     const bool new_tree = tree && !with_offsets;
     std::vector<uint8_t> out;
@@ -348,21 +387,52 @@ struct Block {
     }
     if (!new_tree) PutVarintTo(m, &out);
     const auto new_header_bytes = static_cast<uint32_t>(out.size());
-    const uint64_t new_bits =
-        bits() + (new_tree == tree ? 0 : uint64_t{n + 1} * offset_bits());
     uint64_t pos = out.size() * 8;
-    out.resize(out.size() + (new_bits + 7) / 8, 0);
     const auto put = [&](uint32_t bits, uint64_t value) {
+      out.resize(out.size() + 8, 0);
       SetBits(&out, pos, bits, value);
       pos += bits;
     };
-    for (uint32_t j = 0; j + 1 < n; ++j) put(image->vertex_bits, stored(j));
-    put(id_bits(), root());
-    if (!new_tree) {
+    if (new_tree) {
+      // The fields' bits as they are.
+      const uint64_t bits = this->bits();
+      for (uint64_t b = 0; b < bits; ++b) put(1, get(fields() + b, 1));
+    } else if (tree) {
+      // The general form of the parent tree's shape.
+      const std::vector<TreeField> decoded = tree_fields();
+      std::vector<std::pair<uint32_t, uint32_t>> order;  // vertex, local
+      for (uint32_t j = 0; j < n; ++j) order.emplace_back(decoded[j].vertex, j);
+      std::sort(order.begin(), order.end());
+      std::vector<uint32_t> sorted_of(n);
+      for (uint32_t i = 0; i < n; ++i) sorted_of[order[i].second] = i;
+      const uint32_t root_local = sorted_of[0];
+      for (uint32_t i = 0; i < n; ++i) {
+        if (i != root_local) put(image->vertex_bits, order[i].first);
+      }
+      put(id_bits(), root_local);
+      for (uint32_t i = 0; i <= n; ++i) {
+        put(offset_bits(), i - (i > root_local ? 1 : 0));
+      }
+      for (uint32_t i = 0; i < n; ++i) {
+        if (i != root_local) {
+          put(id_bits(), sorted_of[decoded[order[i].second].parent]);
+        }
+      }
+      for (uint32_t i = 0; i < n; ++i) {
+        if (i == root_local) continue;
+        const TreeField& field = decoded[order[i].second];
+        const EdgeId edge = image->graph.InEdges(
+            decoded[field.parent].vertex)[field.rank].edge;
+        put(image->rank_bits, image->graph.OutRank(field.vertex, edge));
+      }
+    } else {
+      for (uint32_t j = 0; j + 1 < n; ++j) put(image->vertex_bits, stored(j));
+      put(id_bits(), root());
       for (uint32_t j = 0; j <= n; ++j) put(offset_bits(), offset(j));
+      for (uint32_t k = 0; k < m; ++k) put(id_bits(), head(k));
+      for (uint32_t k = 0; k < m; ++k) put(image->rank_bits, rank(k));
     }
-    for (uint32_t k = 0; k < m; ++k) put(id_bits(), head(k));
-    for (uint32_t k = 0; k < m; ++k) put(image->rank_bits, rank(k));
+    out.resize((pos + 7) / 8);
     Splice(image, sketch, start, bytes(), out);
     return Block{image, sketch, start, new_header_bytes, n, m, new_tree};
   }
@@ -431,7 +501,8 @@ inline std::optional<size_t> FindRootStep(Image* image, bool blocks) {
 
 inline Image::Image(const std::string& bytes, const SocialNetwork& network)
     : vertex_bits(FieldBits(network.num_vertices())),
-      rank_bits(FieldBits(network.graph.MaxOutDegree())) {
+      rank_bits(FieldBits(network.graph.MaxOutDegree())),
+      graph(network.graph) {
   size_t at = kThetaOffset;
   const auto take = [&bytes, &at](size_t length) {
     uint64_t value = 0;
@@ -476,13 +547,13 @@ inline Image::Image(const std::string& bytes, const SocialNetwork& network)
 }
 
 // Calls edit(block, k, tail) for each record k of each explicit block of
-// `image`, tail the global vertex whose CSR range holds it, until an
-// edit returns true; returns whether one did.
+// `image` that is not a parent tree, tail the global vertex whose CSR
+// range holds it, until an edit returns true; returns whether one did.
 template <typename Edit>
 bool EditFirstRecord(Image* image, Edit edit) {
   for (size_t i = 0; i < image->slots.size(); ++i) {
     const std::optional<Block> block = BlockOf(image, i);
-    if (!block) continue;
+    if (!block || block->tree) continue;
     for (uint32_t j = 0; j < block->n; ++j) {
       for (uint32_t k = block->offset(j); k < block->offset(j + 1); ++k) {
         if (edit(*block, k, block->vertex(j))) return true;
@@ -561,11 +632,16 @@ inline std::vector<ValidatorRow> ValidatorRows() {
       {"block word one short of its start",
        [](const SocialNetwork&, Image* image) {
          // A first copy after the first of its group, whose word is not
-         // 0.
+         // 0, and whose start less one is inside the block before it:
+         // after a 1-byte block, it would name that block, a valid
+         // repeat of it.
          const auto block =
              FindBlock(image, 1, 0, [image](const Block& b) {
                return b.start != image->bases[b.sketch / kGroup] &&
-                      !image->is_repeat(b.sketch);
+                      !image->is_repeat(b.sketch) &&
+                      std::ranges::find(image->slots,
+                                        kExplicit | (b.start - 1)) ==
+                          image->slots.end();
              });
          if (!block) return false;
          image->slots[block->sketch] -= 1;
@@ -577,27 +653,89 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          image->width = 4;
          return true;
        }},
-      {"tree parents form a two-vertex cycle",
+      {"tree in-rank at its parent's in-degree",
        [](const SocialNetwork&, Image* image) {
+         // A vertex whose parent's in-degree is below what its rank
+         // field holds.
+         for (size_t i = 0; i < image->slots.size(); ++i) {
+           const std::optional<Block> block = BlockOf(image, i);
+           if (!block || !block->tree) continue;
+           const auto fields = block->tree_fields();
+           for (uint32_t j = 1; j < fields.size(); ++j) {
+             const size_t degree =
+                 image->graph.InDegree(fields[fields[j].parent].vertex);
+             if (degree < (uint64_t{1} << fields[j].rank_bits)) {
+               block->set_tree_rank(j, degree);
+               return true;
+             }
+           }
+         }
+         return false;
+       }},
+      {"tree parent at or after its child",
+       [](const SocialNetwork&, Image* image) {
+         // Vertex 1's parent set to 1, which its field holds from n = 3.
          const auto block =
              FindBlock(image, 3, 2, [](const Block& b) { return b.tree; });
          if (!block) return false;
-         // The two locals after the root, each other's parent; the
-         // header and the heads' range stay an in-tree's.
-         const uint32_t root = block->root();
-         const uint32_t a = (root + 1) % block->n;
-         const uint32_t b = (root + 2) % block->n;
-         block->set_head(block->offset(a), b);
-         block->set_head(block->offset(b), a);
+         block->set_parent(1, 1);
          return true;
        }},
-      {"tree vertex is its own parent",
+      {"tree vertex named twice",
        [](const SocialNetwork&, Image* image) {
-         const auto block =
-             FindBlock(image, 2, 1, [](const Block& b) { return b.tree; });
-         if (!block) return false;
-         const uint32_t a = (block->root() + 1) % block->n;
-         block->set_head(block->offset(a), a);
+         // A vertex's rank moved to an in-edge of its parent whose tail
+         // an earlier vertex already names.
+         for (size_t i = 0; i < image->slots.size(); ++i) {
+           const std::optional<Block> block = BlockOf(image, i);
+           if (!block || !block->tree) continue;
+           const auto fields = block->tree_fields();
+           for (uint32_t j = 1; j < fields.size(); ++j) {
+             const auto in =
+                 image->graph.InEdges(fields[fields[j].parent].vertex);
+             for (uint32_t r = 0; r < in.size(); ++r) {
+               for (uint32_t earlier = 0; earlier < j; ++earlier) {
+                 if (in[r].vertex == fields[earlier].vertex) {
+                   block->set_tree_rank(j, r);
+                   return true;
+                 }
+               }
+             }
+           }
+         }
+         return false;
+       }},
+      {"tree siblings out of order",
+       [](const SocialNetwork&, Image* image) {
+         // Two children of one parent, next to each other, swap ranks:
+         // they then descend.
+         for (size_t i = 0; i < image->slots.size(); ++i) {
+           const std::optional<Block> block = BlockOf(image, i);
+           if (!block || !block->tree) continue;
+           const auto fields = block->tree_fields();
+           for (uint32_t j = 1; j + 1 < fields.size(); ++j) {
+             if (fields[j].parent == fields[j + 1].parent) {
+               block->set_tree_rank(j, fields[j + 1].rank);
+               block->set_tree_rank(j + 1, fields[j].rank);
+               return true;
+             }
+           }
+         }
+         return false;
+       }},
+      {"tree fields run past the blocks' end",
+       [](const SocialNetwork&, Image* image) {
+         // The last block's last byte dropped, the padding kept: its
+         // fields end past the blocks.
+         std::optional<Block> last;
+         for (size_t i = 0; i < image->slots.size(); ++i) {
+           const std::optional<Block> block = BlockOf(image, i);
+           if (block && !image->is_repeat(i) &&
+               (!last || block->start > last->start)) {
+             last = block;
+           }
+         }
+         if (!last || !last->tree || last->bits() == 0) return false;
+         Splice(image, last->sketch, last->start + last->bytes() - 1, 1, {});
          return true;
        }},
       {"in-tree flag cleared",
@@ -694,7 +832,8 @@ inline std::vector<ValidatorRow> ValidatorRows() {
        }},
       {"two vertices swapped",
        [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 3, 0);
+         const auto block =
+             FindBlock(image, 3, 0, [](const Block& b) { return !b.tree; });
          if (!block) return false;
          const uint32_t first = block->stored(0);
          block->set_stored(0, block->stored(1));
@@ -707,7 +846,8 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          // power of two.
          const uint64_t max = (uint64_t{1} << image->vertex_bits) - 1;
          if (max < n.num_vertices()) return false;
-         const auto block = FindBlock(image, 2, 0);
+         const auto block =
+             FindBlock(image, 2, 0, [](const Block& b) { return !b.tree; });
          if (!block) return false;
          block->set_stored(block->n - 2, max);
          return true;
@@ -716,19 +856,10 @@ inline std::vector<ValidatorRow> ValidatorRows() {
        [](const SocialNetwork&, Image* image) {
          // n not a power of two, so the field holds a value past it.
          const auto block = FindBlock(image, 3, 0, [](const Block& b) {
-           return b.max_id() >= b.n;
+           return !b.tree && b.max_id() >= b.n;
          });
          if (!block) return false;
          block->set_root(block->max_id());
-         return true;
-       }},
-      {"tree root id >= n in its width",
-       [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 3, 2, [](const Block& b) {
-           return b.tree && b.max_id() >= b.n;
-         });
-         if (!block) return false;
-         block->set_root(block->n);
          return true;
        }},
       {"head >= n in its width",
@@ -738,15 +869,6 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          });
          if (!block) return false;
          block->set_head(0, block->max_id());
-         return true;
-       }},
-      {"tree head >= n in its width",
-       [](const SocialNetwork&, Image* image) {
-         const auto block = FindBlock(image, 3, 2, [](const Block& b) {
-           return b.tree && b.max_id() >= b.n;
-         });
-         if (!block) return false;
-         block->set_head(block->m - 1, block->n);
          return true;
        }},
       {"first offset = 1",
@@ -834,6 +956,14 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          // The format whose words were unsigned and whose repeated
          // blocks each stored their bytes.
          image->header[kVersionOffset] = 14;
+         return true;
+       },
+       IndexIoCode::kBadVersion},
+      {"v15 file",
+       [](const SocialNetwork&, Image* image) {
+         // The format whose in-tree blocks stored their vertex ids and
+         // out-list ranks.
+         image->header[kVersionOffset] = 15;
          return true;
        },
        IndexIoCode::kBadVersion},
@@ -960,14 +1090,17 @@ inline std::vector<ValidatorRow> ValidatorRows() {
        }},
       {"root count moved to the next vertex",
        [](const SocialNetwork&, Image* image) {
-         // The last sketch of a root's range, a block, then lies in the
-         // next vertex's range, which its vertices and edges do not fit.
-         // (A singleton stores nothing its root must fit.)
+         // The last sketch of a root's range, a block that is not a
+         // parent tree, then lies in the next vertex's range, which its
+         // vertices and edges do not fit. (A singleton stores nothing
+         // its root must fit, and a parent tree's fields name its
+         // vertices relative to whatever root its range gives it.)
          size_t end = 0;
          for (size_t v = 0; v + 1 < image->root_counts.size(); ++v) {
            end += image->root_counts[v];
-           if (image->root_counts[v] != 0 &&
-               (image->slots[end - 1] & kExplicit) != 0) {
+           const std::optional<Block> block =
+               end == 0 ? std::nullopt : BlockOf(image, end - 1);
+           if (image->root_counts[v] != 0 && block && !block->tree) {
              --image->root_counts[v];
              ++image->root_counts[v + 1];
              return true;

@@ -92,6 +92,21 @@ uint32_t BitsFor(uint64_t count) {
   return bits;
 }
 
+// Bits of parent tree `view`'s fields: for each vertex but the root, its
+// parent's local id at BitsFor(n - 1) bits and its rank at BitsFor(its
+// parent's in-degree) bits, the parent decoded from its field.
+uint64_t TreeBits(const RRView& view) {
+  const auto n = static_cast<uint32_t>(view.vertices.size());
+  TreeScratch tree;
+  DecodeTree(view, kNoVertex, &tree);
+  uint64_t bits = 0;
+  for (uint32_t j = 1; j < n; ++j) {
+    bits += BitsFor(n - 1) +
+            BitsFor(view.topology->InDegree(tree.vertex(tree.parent(j))));
+  }
+  return bits;
+}
+
 // Bytes the LEB128 varint of x takes: one per started group of 7 bits.
 size_t VarintBytes(uint32_t x) {
   size_t bytes = 1;
@@ -108,7 +123,7 @@ std::vector<std::vector<uint32_t>> ContainingFromViews(
   const PoolViews views(pool);
   for (uint32_t i = 0; i < pool.num_sketches(); ++i) {
     const RRView view = views(i);
-    for (const VertexId v : view.vertices) {
+    for (const VertexId v : Owned(view).vertices) {
       if (v != view.root()) lists[v].push_back(i);
     }
   }
@@ -133,7 +148,7 @@ std::vector<std::vector<RootedId>> RootedFromViews(const RrSketchPool& pool) {
   const PoolViews views(pool);
   for (uint32_t i = 0; i < pool.num_sketches(); ++i) {
     const RRView view = views(i);
-    for (const VertexId v : view.vertices) {
+    for (const VertexId v : Owned(view).vertices) {
       if (v != view.root()) lists[v].push_back({view.root(), i});
     }
   }
@@ -236,13 +251,14 @@ bool SameShape(const RRGraph& a, const RRGraph& b) {
 // The containing lists are
 // Rice codes at the pool's parameter (ExpectedListsOf). A sketch's body
 // block, unless it is an implicit singleton (one vertex, no edges), is a
-// varint header of n << 1 | in-tree, a varint of m unless the sketch is
-// an in-tree, then bit fields to the next byte: n vertices at V bits,
-// the root's local id, n + 1 offsets at BitsFor(m + 1) bits unless the
-// sketch is an in-tree, and m heads at BitsFor(n) bits, then m records,
-// each a rank at R bits; V and R are BitsFor of the network's vertex
-// count and largest out-degree, and 7 bytes of padding end a body of
-// blocks. The words take 2 bytes while every word fits int16, else 4.
+// varint header of n << 1 | in-tree, then bit fields to the next byte.
+// An in-tree in a pool with a topology is a parent tree (TreeBits); any
+// other block has a varint of m after its header, then n - 1 vertices at
+// V bits, the root's local id, n + 1 offsets at BitsFor(m + 1) bits, and
+// m heads at BitsFor(n) bits, then m records, each a rank at R bits; V
+// and R are BitsFor of the network's vertex count and largest
+// out-degree, and 7 bytes of padding end a body of blocks. The words
+// take 2 bytes while every word fits int16, else 4.
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   const uint64_t vertex_bits = BitsFor(pool.num_network_vertices());
@@ -275,11 +291,14 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     const auto word = static_cast<int64_t>(start) - static_cast<int64_t>(base);
     narrow = narrow && word >= INT16_MIN && word <= INT16_MAX;
     if (first != firsts.end()) continue;
-    const bool tree = InTreeShape(owned);
+    const bool tree =
+        InTreeShape(owned) && pool.topology().num_vertices() != 0;
+    EXPECT_EQ(view.IsTree(), tree) << "sketch " << i;
     firsts.emplace_back(std::move(owned), body);
-    const uint64_t bits = (n - 1) * vertex_bits + BitsFor(n) +
-                          (tree ? 0 : (n + 1) * BitsFor(m + 1)) +
-                          m * (BitsFor(n) + rank_bits);
+    const uint64_t bits = tree ? TreeBits(view)
+                               : (n - 1) * vertex_bits + BitsFor(n) +
+                                     (n + 1) * BitsFor(m + 1) +
+                                     m * (BitsFor(n) + rank_bits);
     body += VarintBytes(static_cast<uint32_t>(n << 1 | tree)) +
             (tree ? 0 : VarintBytes(static_cast<uint32_t>(m))) +
             (bits + 7) / 8;
@@ -392,8 +411,7 @@ TEST(PooledLayoutTest, SketchesMatchReferenceRebuild) {
     const RRView pooled = index.graph(i, reference[i].root);
     const RRView ref = reference[i];
     ASSERT_EQ(pooled.root(), ref.root()) << "graph " << i;
-    ASSERT_TRUE(std::ranges::equal(pooled.vertices, ref.vertices))
-        << "graph " << i;
+    ASSERT_EQ(Owned(pooled).vertices, Owned(ref).vertices) << "graph " << i;
     const RRGraph owned = Owned(pooled);
     ASSERT_EQ(owned.offsets, reference[i].offsets) << "graph " << i;
     ASSERT_EQ(owned.heads, reference[i].heads) << "graph " << i;
@@ -512,7 +530,7 @@ TEST(PooledLayoutTest, PoolTotalsConsistent) {
     max_sketch = std::max(max_sketch, view.vertices.size());
     const RRGraph owned = Owned(view);
     ASSERT_EQ(owned.offsets.back(), view.num_edges());
-    if (view.vertices.size() > 1 || view.num_edges() > 0) {
+    if (!view.IsTree()) {
       ASSERT_EQ(view.heads.bits, BitsFor(view.vertices.size()));
     }
   }
@@ -977,30 +995,34 @@ void ExpectMatchesGraphs(const RrSketchPool& pool,
     RRView want = graphs[i];
     view.thresholds = want.thresholds = {&model, ThresholdKey(0, i)};
     ASSERT_TRUE(SameSketch(view, want));
-    // An in-tree's block stores no offsets; any other stores them.
-    EXPECT_EQ(view.offsets.data == nullptr, InTreeShape(graphs[i]));
-    EXPECT_EQ(view.root(), graphs[i].root);
-    EXPECT_EQ(view.root_local, graphs[i].LocalIndex(graphs[i].root));
-    const size_t n = want.vertices.size();
-    const size_t m = want.num_edges();
-    // A singleton's vertex is its view's base over a 0-bit field; a
-    // block's vertices take the pool's width.
+    const RRGraph& graph = graphs[i];
+    const size_t n = graph.vertices.size();
+    const size_t m = graph.ranks.size();
+    // A singleton, and an in-tree in a pool with a topology, is a
+    // parent tree rooted at local 0; any other block stores its offsets.
     const bool singleton = n == 1 && m == 0;
-    EXPECT_EQ(view.vertices.ids().bits,
-              singleton ? 0 : BitsFor(pool.num_network_vertices()));
-    EXPECT_EQ(view.vertices.base(), singleton ? want.vertices[0] : 0);
-    EXPECT_EQ(view.heads.bits, BitsFor(n));
-    if (view.offsets.data != nullptr) {
+    EXPECT_EQ(view.IsTree(),
+              singleton || (InTreeShape(graph) &&
+                            pool.topology().num_vertices() != 0));
+    EXPECT_EQ(view.root(), graph.root);
+    if (view.IsTree()) {
+      EXPECT_EQ(view.root_local, 0u);
+    } else {
+      EXPECT_EQ(view.root_local, graph.LocalIndex(graph.root));
+      // A block's vertices take the pool's width.
+      EXPECT_EQ(view.vertices.ids().bits,
+                BitsFor(pool.num_network_vertices()));
+      EXPECT_EQ(view.heads.bits, BitsFor(n));
       EXPECT_EQ(view.offsets.bits, BitsFor(m + 1));
+      EXPECT_EQ(view.ranks.bits, BitsFor(pool.max_out_degree()));
     }
-    EXPECT_EQ(view.ranks.bits, BitsFor(pool.max_out_degree()));
     // Ranks decode only against a topology.
     if (pool.topology().num_vertices() == 0) continue;
-    const size_t r = want.root_local;
+    const size_t r = *graph.LocalIndex(graph.root);
     for (const size_t u :
          {size_t{0}, size_t{1}, n / 2, n - 2, n - 1, r - 1, r, r + 1}) {
       if (u >= n) continue;
-      const VertexId user = want.vertices[u];
+      const VertexId user = graph.vertices[u];
       uint64_t got_edges = 0, want_edges = 0;
       EXPECT_EQ(IsReachable(view, user, probs, &got_edges),
                 IsReachable(want, user, probs, &want_edges))
@@ -1249,19 +1271,21 @@ TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixtyFourVertices) {
 }
 
 // Where the block of `view` starts: its header, the varint of n << 1 |
-// in-tree, and the varint of m unless it is an in-tree, come right
-// before its vertices.
+// in-tree, and the varint of m unless it is a parent tree, come right
+// before its fields.
 const uint8_t* BlockStart(const RRView& view) {
-  const bool tree = view.offsets.data == nullptr;
   const auto n = static_cast<uint32_t>(view.vertices.size());
+  if (view.IsTree()) return view.tree - VarintBytes(n << 1 | 1);
   const auto m = static_cast<uint32_t>(view.num_edges());
-  return view.vertices.ids().data - VarintBytes(n << 1 | tree) -
-         (tree ? 0 : VarintBytes(m));
+  return view.vertices.ids().data - VarintBytes(n << 1) - VarintBytes(m);
 }
 
 // The bytes of a pool's explicit sketch's block, viewed, from its
-// header through the byte of its last record's last bit.
+// header through the byte of its last field's last bit.
 std::vector<uint8_t> ViewBytes(const RRView& view) {
+  if (view.IsTree()) {
+    return {BlockStart(view), view.tree + (TreeBits(view) + 7) / 8};
+  }
   const PackedIds& ranks = view.ranks;
   return {BlockStart(view),
           ranks.data + (ranks.first + uint64_t{ranks.bits} * view.num_edges() +
@@ -1663,7 +1687,7 @@ TEST(PooledLayoutTest, RepairedListsDecodeToBruteForce) {
   std::vector<std::vector<uint32_t>> want(network.num_vertices());
   const IndexViews views(index, network.num_vertices());
   for (uint32_t i = 0; i < index.num_graphs(); ++i) {
-    for (const VertexId v : views(i).vertices) want[v].push_back(i);
+    for (const VertexId v : Owned(views(i)).vertices) want[v].push_back(i);
   }
   for (VertexId v = 0; v < want.size(); ++v) {
     ASSERT_EQ(ContainingIds(index, v), want[v]) << "vertex " << v;

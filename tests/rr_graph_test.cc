@@ -4,14 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
 #include "owned_sketch.h"
 #include "running_example.h"
+#include "src/datasets/synthetic.h"
 #include "src/graph/generators.h"
 #include "src/index/rr_graph.h"
 #include "src/index/rr_sketch_pool.h"
+#include "src/index/sketch_arena.h"
 #include "src/sampling/exact.h"
 
 namespace pitex {
@@ -32,7 +35,7 @@ TEST(VertexIdsTest, LocalIndexFindsEveryIdAtEveryWidth) {
         writer.Put(0, first);
         for (uint32_t j = 0; j < n; ++j) writer.Put(3 * j + 1, bits);
         writer.Finish();
-        const VertexIds ids(PackedIds{data.data(), first, bits}, n, 0);
+        const VertexIds ids(PackedIds{data.data(), first, bits}, n);
         for (VertexId v = 0; v <= 3 * n + 2; ++v) {
           const std::optional<uint32_t> want =
               v % 3 == 1 && v / 3 < n ? std::optional<uint32_t>(v / 3)
@@ -52,15 +55,52 @@ TEST(VertexIdsTest, LocalIndexFindsEveryIdAtEveryWidth) {
   BitWriter writer(data.data());
   writer.Put(1, 16);
   writer.Finish();
-  EXPECT_EQ(VertexIds(PackedIds{data.data(), 0, 16}, 1, 0)
-                .LocalIndex(65536 + 1),
+  EXPECT_EQ(VertexIds(PackedIds{data.data(), 0, 16}, 1).LocalIndex(65536 + 1),
             std::nullopt);
-  // A singleton's vertex is its base over a 0-bit field.
-  const uint8_t zeros[8] = {};
-  const VertexIds singleton(PackedIds{zeros, 0, 0}, 1, 70000);
+  // A singleton's vertex is its root, at gap 0 of no stored id.
+  const VertexIds singleton(PackedIds{}, 1, 0, 70000);
   EXPECT_EQ(singleton[0], 70000u);
   EXPECT_EQ(singleton.LocalIndex(70000), 0u);
   EXPECT_EQ(singleton.LocalIndex(0), std::nullopt);
+}
+
+TEST(RRGraphTest, ParentTreesDecodeTopDown) {
+  // Each in-tree the sampler draws is a parent tree: decoded from its
+  // root, every vertex's parent comes before it and its edge is its
+  // parent's in-edge from it; decoding stops at the vertex asked for,
+  // and the tree decodes to the shape the general form would hold.
+  const SocialNetwork n = GenerateDataset(LastfmSpec(0.05));
+  SketchArena arena;
+  RrSketchPool run(n.graph);
+  TreeScratch tree;
+  Rng rng(7);
+  int trees = 0;
+  for (int i = 0; i < 400; ++i) {
+    const auto root = static_cast<VertexId>(rng.NextBounded(n.num_vertices()));
+    run.Clear();
+    arena.Generate(n.graph, n.influence, root, &rng, &run);
+    const RRView view = run.View(0, root);
+    if (!view.IsTree() || view.vertices.size() < 3) continue;
+    ++trees;
+    const auto size = static_cast<uint32_t>(view.vertices.size());
+    ASSERT_EQ(DecodeTree(view, kNoVertex, &tree), size);
+    std::vector<VertexId> vertices(tree.vertex_data(),
+                                   tree.vertex_data() + size);
+    for (uint32_t j = 1; j < size; ++j) {
+      ASSERT_LT(tree.parent(j), j);
+      const VertexId parent = tree.vertex(tree.parent(j));
+      EXPECT_EQ(n.graph.Head(tree.edge(j)), parent);
+      EXPECT_EQ(n.graph.Tail(tree.edge(j)), tree.vertex(j));
+      EXPECT_EQ(n.graph.InEdges(parent)[tree.rank(j)].edge, tree.edge(j));
+    }
+    for (uint32_t j = 0; j < size; ++j) {
+      EXPECT_EQ(DecodeTree(view, vertices[j], &tree), j);
+      EXPECT_EQ(view.LocalIndex(vertices[j]), j);
+    }
+    std::ranges::sort(vertices);
+    EXPECT_EQ(Owned(view).vertices, vertices);
+  }
+  EXPECT_GT(trees, 10);
 }
 
 TEST(RRGraphTest, RootAlwaysPresent) {

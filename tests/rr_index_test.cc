@@ -136,26 +136,25 @@ RrSketchPool SampleOrderSketches(const SocialNetwork& n, uint64_t seed,
 // `probs`: some edge of the chosen cut has c(e) <= p(e|W), p(e|W) > 0.
 bool KeptByCut(const RRView& rr, VertexId u, const InfluenceGraph& influence,
                const EdgeProbFn& probs) {
-  const uint32_t local = *rr.LocalIndex(u);
+  DecodedSketch sketch;
+  Decode(rr, &sketch);
+  const uint32_t local = *sketch.LocalIndex(u);
   std::vector<std::pair<EdgeId, double>> cuts[2];
   double log_prune[2] = {0.0, 0.0};
-  const auto add = [&](int c, uint32_t tail, uint32_t k) {
-    const EdgeId edge = rr.Edge(tail, rr.ranks[k]);
+  const auto add = [&](int c, uint32_t k) {
+    const EdgeId edge = sketch.edges[k];
     const double threshold = rr.thresholds(edge);
     cuts[c].emplace_back(edge, threshold);
     log_prune[c] +=
         std::log(std::max(1e-12, threshold / influence.MaxProb(edge)));
   };
-  rr.VisitCsr([&](const auto& csr) {
-    for (uint32_t k = csr.offset(local); k < csr.offset(local + 1); ++k) {
-      add(0, local, k);
-    }
-    for (uint32_t tail = 0; tail < rr.vertices.size(); ++tail) {
-      for (uint32_t k = csr.offset(tail); k < csr.offset(tail + 1); ++k) {
-        if (csr.head(k) == rr.root_local) add(1, tail, k);
-      }
-    }
-  });
+  for (uint32_t k = sketch.offsets[local]; k < sketch.offsets[local + 1];
+       ++k) {
+    add(0, k);
+  }
+  for (uint32_t k = 0; k < sketch.heads.size(); ++k) {
+    if (sketch.heads[k] == sketch.root_local) add(1, k);
+  }
   const int chosen = cuts[0].empty() || cuts[1].empty()
                          ? (cuts[0].empty() ? 0 : 1)
                          : (log_prune[0] >= log_prune[1] ? 0 : 1);

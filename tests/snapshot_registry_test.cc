@@ -116,9 +116,7 @@ TEST(SnapshotRegistryTest, FromPoolRoundTripsSketches) {
     const RRView original = original_views(i);
     EXPECT_EQ(packed.root(), original.root());
     ASSERT_EQ(packed.vertices.size(), original.vertices.size());
-    for (size_t v = 0; v < packed.vertices.size(); ++v) {
-      EXPECT_EQ(packed.vertices[v], original.vertices[v]);
-    }
+    EXPECT_EQ(Owned(packed).vertices, Owned(original).vertices);
     EXPECT_EQ(Owned(packed).ranks, Owned(original).ranks);
   }
 }
