@@ -77,9 +77,9 @@ RRGraph CyclePair(VertexId v) {
 }
 
 // The cycle's path 0 -> 1 -> ... -> 19,999, an in-tree rooted at its
-// end, whose block takes 77,501 bytes on a 40,001-user certain cycle,
-// then pairs between singletons past 2^15: the pairs' blocks start more
-// than 65,535 bytes past their group's base, so the directory takes
+// end, whose block takes 37,502 bytes on a 40,001-user certain cycle,
+// then pairs between singletons past 2^15: the last pair's block starts
+// more than 32,767 bytes past its group's base, so the directory takes
 // 4-byte words.
 constexpr VertexId kWidePath = 20000;
 std::vector<RRGraph> WideDirectoryGraphs() {
@@ -221,7 +221,7 @@ TEST(IndexIoFuzzTest, WideDirectoryMutationsRoundTrip) {
   Image image(valid, n);
   const std::optional<Block> path = BlockOf(&image, 0);
   ASSERT_TRUE(path.has_value() && path->n == kWidePath);
-  ASSERT_EQ(path->bytes(), 77501u);
+  ASSERT_EQ(path->bytes(), 37502u);
   ASSERT_EQ(static_cast<uint8_t>(valid[body_offset]), image.body[0]);
   const size_t path_fields = body_offset + path->header_bytes;
   const size_t path_field_bytes = path->bytes() - path->header_bytes;

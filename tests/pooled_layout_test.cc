@@ -568,10 +568,12 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
        Singleton(7)});
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // Only the two-vertex sketch, an in-tree, has a body block: a one-byte
-  // header, then 10 bits in 2 bytes (its 4-bit vertex other than the
-  // root, its root id and 1 head at a bit each, and its edge record, a
-  // 4-bit rank), then 7 bytes of padding: 10 in all. The one list, vertex 7's,
+  // Only the two-vertex sketch has a body block, in the general form: a
+  // pool without a topology stores no parent tree. A one-byte header
+  // and a one-byte edge count, then 13 bits in 2 bytes (its 4-bit
+  // vertex other than the root, its root id, 3 offsets and 1 head at a
+  // bit each, and its edge record, a 4-bit rank), then 7 bytes of
+  // padding: 11 in all. The one list, vertex 7's,
   // names root 2, whose range holds 1 sketch: a gap of 2, which k = 0,
   // 1 and 2 code in 3 bits (the smallest k wins the tie), and a 1-bit
   // mask: 1 byte, then 7 of padding. The
@@ -580,7 +582,7 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   // base and 2-byte words.
   EXPECT_EQ(pool.containing_k(), 0u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
-                                  2 * (4 + 2 * 11) + 10 + (1 + 7));
+                                  2 * (4 + 2 * 11) + 11 + (1 + 7));
   const PoolViews views(pool);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(views(i), graphs[i])) << "sketch " << i;
@@ -698,11 +700,13 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
     }
   }
   const RrSketchPool pool = PackGraphs(MixedGraphs());
-  // Blocks of 1 + 2 (10 bits) and 1 + 3 (22 bits: two 4-bit vertices, a
-  // 2-bit root id, two 2-bit heads and two 4-bit ranks) bytes for the two
-  // in-trees, and 2 + 1 (6 bits) and 2 + 2 (13 bits) for the self-loop
-  // and the sketch whose root has an out-edge (header and edge count,
-  // fields; no block stores its root's vertex), then 7 of padding,
+  // Blocks of 2 + 2 (13 bits) and 2 + 4 (30 bits: two 4-bit vertices, a
+  // 2-bit root id, four 2-bit offsets, two 2-bit heads and two 4-bit
+  // ranks) bytes for the two in-trees, which a pool without a topology
+  // stores with their offsets, and 2 + 1 (6 bits) and 2 + 2 (13 bits)
+  // for the self-loop and the sketch whose root has an out-edge (header
+  // and edge count, fields; no block stores its root's vertex), then 7
+  // of padding,
   // and 4 containing lists past the roots, each one root of a 1-sketch
   // range: vertex 9's root 0, 7's root 2, and 1's and 3's root 6, gaps
   // of 0, 2, 6 and 6, which k = 2 codes in the fewest bits, 3, 3, 4
@@ -712,7 +716,7 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
   EXPECT_EQ(pool.containing_k(), 2u);
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) + (16 + 2 * 4) + 2 * (4 + 2 * 11) +
-                (14 + 7) + (3 + 7));
+                (17 + 7) + (3 + 7));
   EXPECT_TRUE(std::ranges::equal(pool.RootRange(9), std::vector<uint32_t>{7}));
   EXPECT_TRUE(
       std::ranges::equal(pool.NonRootContaining(9), std::vector<uint32_t>{0}));
@@ -1260,13 +1264,14 @@ TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixtyFourVertices) {
   // At 14-bit vertices and ranks, each block storing every vertex but
   // its root, the edgeless blocks take 1 + 1 + 110, 2 + 1 + 111,
   // 2 + 1 + 14,335 and 3 + 1 + 14,336 bytes (header, edge count, 874,
-  // 888, 114,673 and 114,687 bits), the in-trees 1 + 265 and 2 + 269
-  // (2,114 and 2,148 bits), and the 8,193-edge block 3 + 2 + 56,325
+  // 888, 114,673 and 114,687 bits), the in-trees, which a pool without a
+  // topology stores with their offsets, 1 + 1 + 313 and 2 + 1 + 318
+  // (2,498 and 2,538 bits), and the 8,193-edge block 3 + 2 + 56,325
   // (450,600 bits), then 7 bytes of padding. The root starts and the
   // containing starts each take 130 bases and 8,301 2-byte words.
   EXPECT_EQ(pool.SizeBytes(),
             sizeof(RrSketchPool) + (16 + 2 * 7) + 2 * (4 * 130 + 2 * 8301) +
-                (112 + 114 + 266 + 271 + 14338 + 14340 + 56330 + 7) +
+                (112 + 114 + 315 + 321 + 14338 + 14340 + 56330 + 7) +
                 ExpectedListsOf(pool).bytes);
 }
 
@@ -1358,41 +1363,49 @@ TEST(PooledLayoutTest, SharingIsCanonical) {
   EXPECT_EQ(large.pool().SizeBytes(), ExactSizeBytes(large.pool()));
 }
 
-TEST(PooledLayoutTest, TreeBlockStoresNoOffsets) {
+TEST(PooledLayoutTest, TreeBlockStoresParentsAndInRanks) {
   // Two in-trees, rooted first and in the middle, and a sketch whose
-  // root has an out-edge, then implicit singletons, in root order.
-  const std::vector<RRGraph> graphs = InRootOrder(
+  // root has an out-edge (a self-loop), then implicit singletons, in
+  // root order, over the network of their own edges: 0 -> 0 (edge 0),
+  // 0 -> 1 (edge 1), 2 -> 1 (edge 2) and 7 -> 2 (edge 3), so 4-bit
+  // vertices and, vertex 0 having two out-edges, 1-bit ranks.
+  const std::vector<RRGraph> made = InRootOrder(
       {RRGraph{0, {0, 9}, {0, 1, 1}, {0}, {7}}, RootedSketch(3, 1),
        RRGraph{2, {2, 7}, {0, 0, 1}, {0}, {3}}, Singleton(5),
        Singleton(6)});
-  const RrSketchPool pool = PackGraphs(graphs);
-  // Fields go LSB-first at 4-bit vertices and ranks, a record is its
-  // rank alone, and a block stores every vertex but its root. An
-  // in-tree block: header 2 << 1 | in-tree, then vertex 7 (root 2 left
-  // out), root id 0 and one head at a bit each (0xc7 with rank 3's low
-  // bits), and rank 3: 10 bits.
-  EXPECT_EQ(BlockBytes(pool, 2), (std::vector<uint8_t>{0x05, 0xc7, 0x00}));
-  // Vertices 0 and 2 (root 1 left out), root id 1 and the heads of
-  // vertices 0 and 2 (both 1) at 2 bits, then ranks 0 and 1: 22 bits.
-  EXPECT_EQ(BlockBytes(pool, 1),
-            (std::vector<uint8_t>{0x07, 0x20, 0x15, 0x04}));
-  // The root's out-edge keeps its edge count 1 after the header and the
-  // offsets {0, 1, 1} at a bit each after the root id; vertex 9 is
-  // stored, root 0 left out, then head 0 and rank 7: 13 bits.
+  const SocialNetwork network = NetworkOf(10, made);
+  std::vector<RRGraph> graphs = made;
+  Rerank(network.graph, &graphs);
+  const RrSketchPool pool =
+      PackViews(graphs.size(), RrSketchPool(network.graph),
+                [&graphs](size_t i) { return graphs[i].View(); });
+  // A parent tree is its header, 2 << 1 | in-tree, then per vertex but
+  // the root its parent at bit_width(n - 2) bits and its edge's rank in
+  // the parent's in-list at bit_width(in-degree - 1) bits. Vertex 7 is
+  // root 2's one in-edge: both fields take 0 bits.
+  EXPECT_EQ(BlockBytes(pool, 2), (std::vector<uint8_t>{0x05}));
+  // Root 1's in-list is edges 1 and 2: vertex 0 at rank 0 and vertex 2
+  // at rank 1, each under parent 0 at a bit: 4 bits.
+  EXPECT_EQ(BlockBytes(pool, 1), (std::vector<uint8_t>{0x07, 0x08}));
+  // The root's out-edge keeps the general form: its edge count 1 after
+  // the header and the offsets {0, 1, 1} at a bit each after the root
+  // id; vertex 9 is stored, root 0 left out, then head 0 and rank 0:
+  // 10 bits.
   EXPECT_EQ(BlockBytes(pool, 0),
-            (std::vector<uint8_t>{0x04, 0x01, 0xc9, 0x0e}));
+            (std::vector<uint8_t>{0x04, 0x01, 0xc9, 0x00}));
   const PoolViews views(pool);
   for (const size_t i : {1, 2, 3, 4}) {
-    EXPECT_EQ(views(i).offsets.data, nullptr) << "sketch " << i;
+    EXPECT_TRUE(views(i).IsTree()) << "sketch " << i;
+    EXPECT_EQ(views(i).root_local, 0u) << "sketch " << i;
   }
-  EXPECT_NE(views(0).offsets.data, nullptr);
-  // The views read the offsets they left out as an in-tree's.
+  EXPECT_FALSE(views(0).IsTree());
+  // The views decode to the shapes they were given.
   EXPECT_EQ(Owned(views(1)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 3) +
-                                  2 * (4 + 2 * 11) + (3 + 4 + 4 + 7) +
+                                  2 * (4 + 2 * 11) + (4 + 2 + 1 + 7) +
                                   ExpectedListsOf(pool).bytes);
-  ExpectEveryWriterKeeps(graphs, 10);
+  ExpectEveryWriterKeeps(made, 10);
 }
 
 // Sketches no in-tree block can hold, between implicit singletons: a
@@ -2388,10 +2401,13 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   // as gaps between ids at k = 14). The network's 25,000 vertices and
   // at most 18 out-edges a vertex give 15-bit vertices and 5-bit ranks.
   // A record is its rank alone. Every block has fewer than 64 vertices,
-  // so a one-byte header; 5 blocks, all first copies, store offsets, and
-  // an edge count of one byte; the first copies' fields take 4,305,055
-  // bits, 552,418 B each to its next byte: a body of 596,679 B and 7 of
-  // padding.
+  // so a one-byte header. 44,251 first copies are parent trees: their
+  // 181,512 vertices other than their roots take 507,781 bits of
+  // parents and 449,649 bits of in-ranks (17,016 of the 25,000 vertices
+  // have at most one in-edge, so a rank of 0 bits under them), 182,222 B
+  // with their headers, each to its next byte. The other 5 first copies
+  // store offsets, and an edge count of one byte: 217 B. A body of
+  // 182,439 B and 7 of padding.
   EXPECT_EQ(pool.directory_width(), 2u);
   EXPECT_EQ(pool.DirectoryBytes(), 3125u * 16 + 85966u * 2);
   EXPECT_EQ(pool.containing_start_width(), 2u);
@@ -2408,31 +2424,31 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   ExpectContainingMatchesViews(pool);
   EXPECT_EQ(ExpectCanonicalSharing(pool), 41710u);
   EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 221932 + 2 * 51566 +
-                                  596686 + 260160);
+                                  182446 + 260160);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // The file is v15: its 61-byte header, theta, each vertex's count of
+  // The file is v16: its 61-byte header, theta, each vertex's count of
   // rooted sketches (each below 256, so 1 byte each), the 3,125 group
   // masks, the pool's 85,966 2-byte block words and its body, each
   // array after its u64 length, then build_seconds and the checksum:
   // these exact bytes.
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
-  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 15);
+  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 16);
   EXPECT_EQ(file.str().size(), 61u + 8 + (1 + 8 + 25000) + (8 + 3125 * 8) +
-                                   (1 + 8 + 85966 * 2) + (8 + 596686) + 16);
-  EXPECT_EQ(FileHash(file.str()), 0x96ff64678d55a474ULL)
+                                   (1 + 8 + 85966 * 2) + (8 + 182446) + 16);
+  EXPECT_EQ(FileHash(file.str()), 0xa460699763deecb9ULL)
       << std::hex << FileHash(file.str());
   EXPECT_EQ(pool_image::Image(file.str(), network).count_width, 1u);
   EXPECT_EQ(pool_image::Image(file.str(), network).width, 2u);
-  // The same bytes under a v14 header, whose words were unsigned and
-  // whose repeats stored their bytes, are refused by their version.
-  std::string v14 = file.str();
-  v14[pool_image::kVersionOffset] = 14;
-  pool_image::RepairChecksum(&v14);
-  std::stringstream v14_file(v14);
-  IndexIoError v14_error;
-  EXPECT_EQ(LoadRrIndex(network, v14_file, &v14_error), nullptr);
-  EXPECT_EQ(v14_error.code, IndexIoCode::kBadVersion);
+  // The same bytes under a v15 header, whose in-trees stored their
+  // vertex ids and out-list ranks, are refused by their version.
+  std::string v15 = file.str();
+  v15[pool_image::kVersionOffset] = 15;
+  pool_image::RepairChecksum(&v15);
+  std::stringstream v15_file(v15);
+  IndexIoError v15_error;
+  EXPECT_EQ(LoadRrIndex(network, v15_file, &v15_error), nullptr);
+  EXPECT_EQ(v15_error.code, IndexIoCode::kBadVersion);
 
   // With repairs, the save folds base + overlay: its bytes load and save
   // back unchanged, and the loaded index holds the fold's sketches.

@@ -529,13 +529,15 @@ TEST_F(ReplicationTest, FollowerBootstrapsFromCheckpointOverOneMebibyte) {
   // vertex it measured 2,655,306 bytes (index format v7), over twice
   // the cap, 627,071 at v14, whose records hold no thresholds, and
   // 720,658 at 400 per vertex at v15, whose repeated blocks share their
-  // bytes, so the index now samples 800 per vertex: 1,363,709 bytes.
+  // bytes, and 908,966 at 800 per vertex at v16, whose in-trees name
+  // their vertices by parent and in-rank, so the index now samples 1,200
+  // per vertex: 1,338,350 bytes.
   DatasetSpec spec = LastfmSpec(0.5);
   spec.seed = 11;
   const SocialNetwork n = GenerateDataset(spec);
   const auto options = [&](const std::string& dir) {
     ServeOptions serve = DurableOptions(dir);
-    serve.engine.index_theta_per_vertex = 800.0;
+    serve.engine.index_theta_per_vertex = 1200.0;
     return serve;
   };
   ReplicaPair pair;
