@@ -319,8 +319,6 @@ struct RRView {
     return fn(LocalCsr{offsets, heads});
   }
 
-  /// n.
-  size_t num_vertices() const { return vertices.size(); }
   /// m: a parent tree's n - 1, else the last offset.
   size_t num_edges() const {
     return IsTree() ? vertices.size() - 1 : offsets[vertices.size()];

@@ -603,14 +603,60 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
 }
 
 void RrSketchPool::BuildContaining(size_t num_vertices) {
-  // Calls fn(id, root, range, others) for each block in id order
-  // (ForEachBlockVertices): `range` the sketches its root roots.
-  const auto each_block = [&](auto&& fn) {
-    ForEachBlockVertices([&](uint32_t id, VertexId root,
-                             std::span<const VertexId> others) {
-      fn(id, root, RootStart(root + 1) - RootStart(root), others);
-    });
+  // Each block's vertices but its root, in id order, decoded once into
+  // `flat`: a parent tree's top-down, a general block's from its stored
+  // ids. A repeat takes its first copy's, found by its start among its
+  // root range's first copies, whose starts ascend: a first copy's start
+  // is past every start before it, and a repeat's is one of them.
+  struct Block {
+    uint32_t id;
+    VertexId root;
+    uint32_t begin;  // its vertices in `flat`
+    uint32_t end;
   };
+  std::vector<Block> blocks;
+  blocks.reserve(block_words_.size());
+  std::vector<VertexId> flat;
+  // The current range's first copies: each one's start and Block.
+  std::vector<std::pair<uint32_t, uint32_t>> firsts;
+  TreeScratch tree;
+  VertexId root = 0;
+  uint32_t id = 0;
+  ForEachSketch(0, num_sketches(), [&](bool block, uint64_t at) {
+    if (block) {
+      if (RootStart(root + 1) <= id) {
+        do {
+          ++root;
+        } while (RootStart(root + 1) <= id);
+        firsts.clear();
+      }
+      const auto start = static_cast<uint32_t>(at);
+      if (!firsts.empty() && start <= firsts.back().first) {
+        const auto copy = std::ranges::lower_bound(
+            firsts, start, {}, &std::pair<uint32_t, uint32_t>::first);
+        Block repeat = blocks[copy->second];
+        repeat.id = id;
+        blocks.push_back(repeat);
+      } else {
+        const RRView view = ViewAt(body_.data() + at, root);
+        const auto n = static_cast<uint32_t>(view.vertices.size());
+        const auto begin = static_cast<uint32_t>(flat.size());
+        if (view.IsTree()) {
+          DecodeTree(view, kNoVertex, &tree);
+          flat.insert(flat.end(), tree.vertex_data() + 1,
+                      tree.vertex_data() + n);
+        } else {
+          for (uint32_t j = 0; j + 1 < n; ++j) {
+            flat.push_back(view.vertices.ids()[j]);
+          }
+        }
+        firsts.emplace_back(start, static_cast<uint32_t>(blocks.size()));
+        blocks.push_back(
+            {id, root, begin, static_cast<uint32_t>(flat.size())});
+      }
+    }
+    ++id;
+  });
   // Each vertex's list, its ids in ascending sketch order: an id opens an
   // entry when its root is not the root of the vertex's id before it.
   // The first pass counts each vertex's ids and tallies its entries'
@@ -625,22 +671,22 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   RiceTally gaps(num_vertices);
   uint64_t mask_bits = 0;
   uint32_t max_vertices = num_sketches_ == 0 ? 0 : 1;
-  each_block([&](uint32_t, VertexId root, uint32_t range,
-                 std::span<const VertexId> others) {
-    max_vertices =
-        std::max(max_vertices, static_cast<uint32_t>(others.size()) + 1);
-    for (const VertexId v : others) {
+  for (const Block& block : blocks) {
+    const uint32_t range = RootStart(block.root + 1) - RootStart(block.root);
+    max_vertices = std::max(max_vertices, block.end - block.begin + 1);
+    for (uint32_t j = block.begin; j < block.end; ++j) {
+      const VertexId v = flat[j];
       List& list = lists[v];
       ++list.at;
       // Without a branch: about half the ids open an entry. An id that
       // opens none adds no code at a vertex's own value, not one shared
       // value, so no chain of increments forms.
-      const uint32_t opens = root != list.last;
-      gaps.Add(opens != 0 ? root - list.last - 1 : v, opens);
+      const uint32_t opens = block.root != list.last;
+      gaps.Add(opens != 0 ? block.root - list.last - 1 : v, opens);
       mask_bits += range & (0 - opens);
-      list.last = root;
+      list.last = block.root;
     }
-  });
+  }
   uint64_t occurrences = 0;
   for (List& list : lists) {
     const uint32_t count = list.at;
@@ -650,10 +696,11 @@ void RrSketchPool::BuildContaining(size_t num_vertices) {
   PITEX_CHECK_MSG(occurrences <= UINT32_MAX,
                   "containing index exceeds 32-bit offsets");
   std::vector<RootedId> ids(occurrences);
-  each_block([&](uint32_t id, VertexId root, uint32_t,
-                 std::span<const VertexId> others) {
-    for (const VertexId v : others) ids[lists[v].at++] = {root, id};
-  });
+  for (const Block& block : blocks) {
+    for (uint32_t j = block.begin; j < block.end; ++j) {
+      ids[lists[flat[j]].at++] = {block.root, block.id};
+    }
+  }
   const uint32_t k = RiceParameter(gaps, num_vertices);
   const uint64_t bits = gaps.Bits(k) + mask_bits;
   PITEX_CHECK_MSG(bits <= UINT32_MAX,

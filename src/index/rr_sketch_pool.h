@@ -1150,14 +1150,6 @@ class RrSketchPool {
   /// Sets the network counts and the fields' widths they call for.
   void SetNetwork(uint64_t num_vertices, uint64_t max_out_degree);
 
-  /// Calls fn(id, root, others) for each block of this finished pool in
-  /// id order: `root` its root, from a cursor over the root starts that
-  /// only moves forward, and `others` a span of its other vertices: a
-  /// general-form block's stored ids, ascending, or a parent tree's
-  /// vertices decoded top-down, in the tree's order.
-  template <typename Fn>
-  void ForEachBlockVertices(Fn&& fn) const;
-
   /// The end of each block in body_, by block word: blocks tile the body
   /// in storage order, so a first copy ends where the next first copy
   /// starts (or at the body's end), and a repeat where its first copy
@@ -1218,14 +1210,16 @@ class RrSketchPool {
   bool FinishLoaded(const Graph& topology, const FileDirectory& file);
 
   /// Rebuilds containing_starts_ and containing_ from the blocks'
-  /// vertices but their roots (ForEachBlockVertices) and the root starts:
-  /// two serial passes over the blocks in id order sort each vertex's
-  /// ids into a scratch array (the first counts them, and recounts
-  /// max_sketch_vertices_; the second pairs each id with its root, from
-  /// a root cursor that only moves forward), a pass over the lists
-  /// tallies their root gaps, which set containing_k_, then a BitWriter
-  /// codes the lists in vertex order into an exact-size array. The
-  /// starts take 2-byte words while every group's do.
+  /// vertices but their roots and the root starts: a pass over the
+  /// blocks in id order decodes each first copy's vertices once into a
+  /// scratch array (a repeat takes its first copy's), with each block's
+  /// root from a cursor that only moves forward; two passes over them
+  /// sort each vertex's ids into another (the first counts them, and
+  /// recounts max_sketch_vertices_; the second pairs each id with its
+  /// root), a pass over the lists tallies their root gaps, which set
+  /// containing_k_, then a BitWriter codes the lists in vertex order into
+  /// an exact-size array. The starts take 2-byte words while every
+  /// group's do.
   void BuildContaining(size_t num_vertices);
 
   /// FromRuns with the root starts already in their array: Fold passes
@@ -1365,30 +1359,6 @@ void RrSketchPool::AppendBlock(uint32_t root_local,
                   "sketch pool exceeds its directory words");
   max_sketch_vertices_ =
       std::max(max_sketch_vertices_, static_cast<uint32_t>(n));
-}
-
-template <typename Fn>
-void RrSketchPool::ForEachBlockVertices(Fn&& fn) const {
-  TreeScratch tree;
-  std::vector<VertexId> stored;
-  VertexId root = 0;
-  uint32_t id = 0;
-  ForEachSketch(0, num_sketches(), [&](bool block, uint64_t start) {
-    if (block) {
-      while (RootStart(root + 1) <= id) ++root;
-      const RRView view = ViewAt(body_.data() + start, root);
-      const size_t n = view.vertices.size();
-      if (view.IsTree()) {
-        DecodeTree(view, kNoVertex, &tree);
-        fn(id, root, std::span<const VertexId>(tree.vertex_data() + 1, n - 1));
-      } else {
-        stored.resize(n - 1);
-        for (size_t j = 0; j + 1 < n; ++j) stored[j] = view.vertices.ids()[j];
-        fn(id, root, std::span<const VertexId>(stored));
-      }
-    }
-    ++id;
-  });
 }
 
 /// The repairs a DynamicRrIndex has made since its base pool was built,
