@@ -34,9 +34,9 @@ void Decode(const RRView& rr, DecodedSketch* out) {
   out->vertices.resize(n);
   out->offsets.resize(n + 1);
   out->heads.resize(m);
-  out->ranks.resize(m);
   out->edges.resize(decode_edges ? m : 0);
   if (!rr.IsTree()) {
+    out->ranks.resize(m);
     out->root_local = rr.root_local;
     for (size_t j = 0; j < n; ++j) out->vertices[j] = rr.vertices[j];
     for (size_t j = 0; j <= n; ++j) out->offsets[j] = rr.offsets[j];
@@ -69,13 +69,13 @@ void Decode(const RRView& rr, DecodedSketch* out) {
     sorted_of[order[i].second] = i;
   }
   out->root_local = sorted_of[0];
+  out->ranks.clear();
   uint32_t k = 0;
   for (uint32_t i = 0; i < n; ++i) {
     out->offsets[i] = k;
     const uint32_t j = order[i].second;
     if (j == 0) continue;
     out->heads[k] = sorted_of[tree.parent(j)];
-    out->ranks[k] = rr.topology->OutRank(tree.vertex(j), tree.edge(j));
     out->edges[k] = tree.edge(j);
     ++k;
   }

@@ -355,9 +355,9 @@ inline uint32_t DecodeTree(const RRView& rr, VertexId stop,
                            TreeScratch* out);
 
 /// A parent tree decoded top-down (DecodeTree): for each local id j in
-/// the tree's order, its vertex, its parent's local id and the global id
-/// of its edge to that parent (entry 0 is the root's, which has no
-/// parent and no edge), and the edge's rank in the parent's in-list.
+/// the tree's order, its vertex, its parent's local id, the global id
+/// of its edge to that parent and the edge's rank in the parent's
+/// in-list (entry 0 is the root's, which has no parent and no edge).
 /// Grows to the largest tree it has decoded, then stays allocation-free.
 class TreeScratch {
  public:
@@ -477,8 +477,10 @@ bool IsReachable(const RRView& rr, VertexId u, const EdgeProbFn& probs,
 /// A sketch decoded to the general form's plain arrays, whichever form
 /// its view reads: its root, its vertices sorted ascending, the root's
 /// local id among them, the CSR offsets over them, and per edge, in CSR
-/// order, its local head, its rank in its tail's out-list and its global
-/// id (left empty for a view without a topology). A parent tree's
+/// order, its local head and its global id (left empty for a view
+/// without a topology); for a general-form view, also each record's
+/// rank in its tail's out-list (a parent tree's edges name theirs,
+/// Graph::OutRank, and are not searched for them). A parent tree's
 /// vertices each have one edge, so its edges come in the order of their
 /// tails' ids. The cold readers (repairs, IndexEst+'s filters, tests)
 /// read sketches this way.

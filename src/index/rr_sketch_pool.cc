@@ -55,6 +55,17 @@ void RrSketchPool::Append(const RRView& sketch) {
   thread_local DecodedSketch decoded;
   Decode(sketch, &decoded);
   const size_t m = decoded.heads.size();
+  if (decoded.ranks.size() != m) {
+    // A parent tree's edges, ranked in their tails' out-lists.
+    decoded.ranks.resize(m);
+    for (uint32_t tail = 0; tail < n; ++tail) {
+      for (uint32_t k = decoded.offsets[tail]; k < decoded.offsets[tail + 1];
+           ++k) {
+        decoded.ranks[k] = sketch.topology->OutRank(decoded.vertices[tail],
+                                                    decoded.edges[k]);
+      }
+    }
+  }
   const bool in_tree = IsInTree(
       n, decoded.root_local, [&](size_t j) { return decoded.offsets[j]; });
   AppendSketch(decoded.root_local, decoded.vertices, m, in_tree,
@@ -83,6 +94,7 @@ void RrSketchPool::AppendInTree(uint32_t root_local,
   thread_local std::vector<Child> children;
   thread_local std::vector<uint32_t> first;  // parent -> its first child
   thread_local std::vector<uint32_t> stack;
+  thread_local std::vector<uint32_t> local_of;  // in the tree's order
   children.clear();
   for (uint32_t j = 0; j < n; ++j) {
     if (j == root_local) continue;
@@ -103,7 +115,6 @@ void RrSketchPool::AppendInTree(uint32_t root_local,
     rank_bits += IdBits(topology_.InDegree(vertices[child.parent]));
   }
   AppendTree(vertices[root_local], n, rank_bits, [&](TreeWriter& out) {
-    thread_local std::vector<uint32_t> local_of;
     local_of.assign(n, 0);
     uint32_t next = 1;
     stack.assign(1, root_local);

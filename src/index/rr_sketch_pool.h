@@ -53,15 +53,18 @@
 // as a *parent tree* (the in-tree flag set; m_i = n_i - 1): its root is
 // local 0, and its vertices are in the order the sampler meets them
 // (SketchArena::Generate): over a stack that starts with the root, the
-// vertex popped gives its children, in ascending rank, the next local
-// ids and pushes them in that order. So every parent comes before its
+// vertex popped gives its children, in ascending in-rank, the next
+// local ids and pushes them in that order. So every parent comes before its
 // children, and a shape has one order. For j = 1 .. n_i - 1 the block
 // holds vertex j's parent's local id at bit_width(n_i - 2) bits, then
 // the rank of its edge in the parent's in-list (Graph::InEdges) at
 // bit_width(d - 1) bits, d the parent's in-degree: InEdges(parent)[rank]
 // names both the vertex and the edge. The widths come from the
 // topology, so no width is stored, and a reader decodes the tree
-// top-down from the root (DecodeTree). On pitexbench's network all but
+// top-down from the root (DecodeTree). A walk from u reads its group's
+// record, its word, the block up to u's fields and, per vertex decoded,
+// its parent's in-list offsets and entry; the chase from u to the root
+// then reads nothing more. On pitexbench's network all but
 // 5 of the 85,966 blocks are parent trees, and 17,016 of its 25,000
 // vertices have at most one in-edge, so a rank of 0 bits under them.
 // A pool without a topology (layout checks at any width) stores no

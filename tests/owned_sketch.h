@@ -90,10 +90,21 @@ struct RRGraph {
     DecodedSketch decoded;
     Decode(view, &decoded);
     root = decoded.root;
+    ranks = std::move(decoded.ranks);
+    if (view.IsTree()) {
+      // A parent tree's edges, ranked in their tails' out-lists.
+      ranks.resize(decoded.heads.size());
+      for (uint32_t tail = 0; tail + 1 < decoded.offsets.size(); ++tail) {
+        for (uint32_t k = decoded.offsets[tail];
+             k < decoded.offsets[tail + 1]; ++k) {
+          ranks[k] = topology.OutRank(decoded.vertices[tail],
+                                      decoded.edges[k]);
+        }
+      }
+    }
     vertices = std::move(decoded.vertices);
     offsets = std::move(decoded.offsets);
     heads = std::move(decoded.heads);
-    ranks = std::move(decoded.ranks);
   }
 
   /// The global id of record k, whose tail is local vertex `tail`.
