@@ -1117,6 +1117,15 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          image->body[block->start + block->bytes() - 1] |= 0x80;
          return true;
        }},
+      {"pad bit set in a parent tree's last byte",
+       [](const SocialNetwork&, Image* image) {
+         const auto block = FindBlock(image, 2, 1, [](const Block& b) {
+           return b.tree && b.bits() % 8 != 0;
+         });
+         if (!block) return false;
+         image->body[block->start + block->bytes() - 1] |= 0x80;
+         return true;
+       }},
       {"block one byte longer than its fields",
        [](const SocialNetwork&, Image* image) {
          // A zero byte after a block's fields, with the blocks after it
