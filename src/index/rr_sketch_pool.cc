@@ -506,6 +506,9 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
       const auto field = [fields](uint64_t pos, uint32_t size) {
         return size == 0 ? 0 : LoadBits(fields, pos) & LowMask(size);
       };
+      // No tree holds more vertices than the network, or fields past the
+      // blocks: a crafted header allocates nothing larger.
+      if (n > num_vertices_ || (n - 1) * parent_bits > limit) return false;
       tree.resize(n);
       tree[0] = root;
       if (++epoch == 0) {

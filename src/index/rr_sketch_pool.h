@@ -1003,8 +1003,8 @@ class RrSketchPool {
   static uint64_t Header(uint64_t n, bool in_tree) {
     return n << kHeaderFlagBits | (in_tree ? kInTree : 0);
   }
-  /// The fields of an implicit singleton's view: none, but the 8-byte
-  /// loads of a tree's fields read here.
+  /// The fields of an implicit singleton's view, a one-vertex parent
+  /// tree: none are read, but a tree's view points at its fields.
   static constexpr uint8_t kZeros[sizeof(uint64_t)] = {};
 
   /// Bits of a general-form block's fields after its header, with n
