@@ -2,25 +2,33 @@
 // LSB-first, as in little-endian 64-bit words, read in place with one
 // shifted 8-byte load and written a 64-bit word at a time.
 //
-// The pooled sketch store (src/index/rr_sketch_pool.h) keeps both its
-// sketch blocks and its containing lists (Rice-coded root gaps, each
-// with a raw mask) this way. A coded array ends in kBitPadding bytes
-// past its last coded byte, so an 8-byte load at any of its coded bits
-// stays inside it, and a load holds the array's next kBitWindow bits
-// whatever the bit's place in its byte.
+// The pooled sketch store (src/index/rr_sketch_pool.h) keeps its sketch
+// blocks, its containing lists (Rice-coded root gaps, each with a raw
+// mask) and its offset arrays (PackedWords) this way. A coded array ends
+// in kBitPadding bytes past its last coded byte, so an 8-byte load at any
+// of its coded bits stays inside it, and a load holds the array's next
+// kBitWindow bits whatever the bit's place in its byte.
 
 #ifndef PITEX_SRC_UTIL_BITS_H_
 #define PITEX_SRC_UTIL_BITS_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "src/util/check.h"
 
 namespace pitex {
 
 inline constexpr size_t kBitPadding = 7;
 inline constexpr uint32_t kBitWindow = 57;
+/// Eight zero bytes: what an array with no coded bits reads.
+inline constexpr uint8_t kZeroWord[8] = {};
 
 /// Bytes a coded array of `bits` bits takes, its padding included (none
 /// when it codes nothing).
@@ -55,6 +63,25 @@ inline uint64_t LoadBits(const uint8_t* data, uint64_t pos) {
     word = __builtin_bswap64(word);
   }
   return word >> (pos & 7);
+}
+
+/// Overwrites the `width` (at most 32) bits at bit `pos` of a coded array
+/// with the low bits of `value`, keeping every other bit: the inverse of
+/// LoadBits.
+inline void StoreBits(uint8_t* data, uint64_t pos, uint32_t width,
+                      uint64_t value) {
+  uint64_t word;
+  std::memcpy(&word, data + (pos >> 3), sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  const uint32_t shift = pos & 7;
+  word = (word & ~(LowMask(width) << shift)) |
+         (value & LowMask(width)) << shift;
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  std::memcpy(data + (pos >> 3), &word, sizeof(word));
 }
 
 /// Writes fields one after another from bit 0 of `out`, a 64-bit word at
@@ -100,6 +127,142 @@ class BitWriter {
   uint8_t* out_;
   uint64_t pos_ = 0;
   uint64_t word_ = 0;  // the bits of word pos_ >> 6 written so far
+};
+
+/// Words of one width w, 0 to 32 bits, packed LSB-first from bit 0 of a
+/// coded array and read in place: word i is bits [i w, (i + 1) w), one
+/// LoadBits and a mask. An unsigned array's words are their values. A
+/// signed array's are two's complement at w bits, read sign-extended to
+/// a u32's two's complement, so adding one to an offset in u32
+/// arithmetic gives the offset it names. The bytes are
+/// PaddedBytes(size * w): the words, zero bits to the next byte, then
+/// kBitPadding zero bytes. Every writer that knows its words (Assign,
+/// Load) stores them once at the width the largest takes, in exact-size
+/// storage; Push widens in place when a word does not fit.
+class PackedWords {
+ public:
+  /// The array's address, width and sign by value, so a loop that also
+  /// stores bytes need not reload them.
+  struct Reader {
+    uint32_t operator[](size_t i) const {
+      const auto word =
+          static_cast<uint32_t>(LoadBits(data, i * width) & mask);
+      return (word ^ sign) - sign;
+    }
+    const uint8_t* data = kZeroWord;
+    uint32_t width = 0;
+    uint32_t mask = 0;  // LowMask(width)
+    uint32_t sign = 0;  // a signed array's top bit, else 0
+  };
+
+  PackedWords() = default;
+  explicit PackedWords(bool is_signed) : signed_(is_signed) {}
+
+  size_t size() const { return size_; }
+  /// Bits per word.
+  uint32_t width() const { return width_; }
+  Reader reader() const {
+    return {bytes_.empty() ? kZeroWord : bytes_.data(), width_,
+            static_cast<uint32_t>(LowMask(width_)),
+            signed_ && width_ != 0 ? 1u << (width_ - 1) : 0};
+  }
+  uint32_t operator[](size_t i) const {
+    PITEX_DCHECK(i < size_);
+    return reader()[i];
+  }
+
+  /// Bits `word` takes in this array: bit_width(word), or for a signed
+  /// array, where it is a u32's two's complement, 0 for 0 and else its
+  /// magnitude's bits (of ~word below 0) and a sign bit.
+  uint32_t BitsOf(uint32_t word) const {
+    if (!signed_) return static_cast<uint32_t>(std::bit_width(word));
+    if (word == 0) return 0;
+    const auto value = static_cast<int32_t>(word);
+    return static_cast<uint32_t>(std::bit_width(
+               static_cast<uint32_t>(value < 0 ? ~value : value))) +
+           1;
+  }
+
+  /// Appends a word, first widening every word in place to the bits it
+  /// takes if it does not fit: the room grows as a vector's does.
+  void Push(uint32_t word) {
+    const uint32_t bits = BitsOf(word);
+    if (bits > width_) [[unlikely]] Widen(bits);
+    PITEX_DCHECK(BitsOf(word) <= width_);
+    ++size_;
+    if (width_ == 0) return;
+    bytes_.resize(PaddedBytes(uint64_t{size_} * width_));
+    StoreBits(bytes_.data(), uint64_t{size_ - 1} * width_, width_, word);
+  }
+  /// Makes the array the `count` words word(0) .. word(count - 1), at the
+  /// width the largest takes, in exact-size storage.
+  template <typename Word>
+  void Assign(size_t count, Word&& word) {
+    uint32_t width = 0;
+    for (size_t i = 0; i < count; ++i) {
+      width = std::max(width, BitsOf(static_cast<uint32_t>(word(i))));
+    }
+    std::vector<uint8_t> bytes(PaddedBytes(uint64_t{count} * width), 0);
+    if (width != 0) {
+      BitWriter out(bytes.data());
+      for (size_t i = 0; i < count; ++i) {
+        const auto value = static_cast<uint32_t>(word(i));
+        PITEX_DCHECK(BitsOf(value) <= width);
+        out.Put(value & LowMask(width), width);
+      }
+      out.Finish();
+    }
+    bytes_ = std::move(bytes);
+    size_ = count;
+    width_ = width;
+  }
+  /// Makes the array the `count` words of `width` bits packed in `bytes`
+  /// (packed()), in exact-size storage. False, and the array unchanged,
+  /// unless width <= 32, `bytes` holds exactly ceil(count * width / 8)
+  /// bytes and the bits after the last word are zero.
+  bool Load(std::span<const uint8_t> bytes, size_t count, uint32_t width) {
+    const uint64_t bits = uint64_t{count} * width;
+    if (width > 32 || bytes.size() != (bits + 7) / 8 ||
+        ((bits & 7) != 0 && (bytes.back() >> (bits & 7)) != 0)) {
+      return false;
+    }
+    std::vector<uint8_t> padded(PaddedBytes(bits), 0);
+    if (!bytes.empty()) std::memcpy(padded.data(), bytes.data(), bytes.size());
+    bytes_ = std::move(padded);
+    size_ = count;
+    width_ = width;
+    return true;
+  }
+  /// The words' bytes without the padding: what Load takes.
+  std::span<const uint8_t> packed() const {
+    return {bytes_.data(), static_cast<size_t>(
+                               (uint64_t{size_} * width_ + 7) / 8)};
+  }
+  /// Drops every word, keeping capacity, and returns to width 0.
+  void Clear() {
+    bytes_.clear();
+    size_ = 0;
+    width_ = 0;
+  }
+  size_t SizeBytes() const { return bytes_.capacity(); }
+
+ private:
+  /// Rewrites every word at `width` bits, back to front, so no word is
+  /// overwritten before it is read.
+  void Widen(uint32_t width) {
+    const Reader old = reader();
+    bytes_.resize(PaddedBytes(uint64_t{size_} * width));
+    const Reader from{bytes_.data(), old.width, old.mask, old.sign};
+    for (size_t i = size_; i-- > 0;) {
+      StoreBits(bytes_.data(), uint64_t{i} * width, width, from[i]);
+    }
+    width_ = width;
+  }
+
+  std::vector<uint8_t> bytes_;
+  size_t size_ = 0;
+  uint32_t width_ = 0;
+  bool signed_ = false;
 };
 
 }  // namespace pitex
