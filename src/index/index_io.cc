@@ -17,19 +17,19 @@ namespace pitex {
 namespace {
 
 constexpr char kMagic[] = "PITEXIDX";
-// v16's RR-Graph payload is the RrSketchPool image, its sketches in
-// root order: each vertex's count of rooted sketches, at the width the
-// largest needs, which sets the root ranges; its directory as the pool
-// holds it, each group's mask of blocks and a word per block, its start
-// less its group's base in two's complement, at the width the words call
-// for; and its body bytes as they are stored, padding included: each
-// first copy's block of bit-granular fields: an in-tree's, a parent
-// tree, each vertex but the root as its parent's local id and its edge's
-// rank in the parent's in-list; any other's, at the widths its network
-// and its own vertex count call for, its root's vertex id left out, each
-// edge record its edge's rank in its tail's out-list. A block
-// byte-equal to an earlier one of its
-// root range stores no bytes: its word names that first copy's start.
+// v17's RR-Graph payload is the RrSketchPool image, its sketches in
+// root order: each vertex's count of rooted sketches, packed at the bits
+// the largest takes, which sets the root ranges; its directory as the
+// pool holds it, each group's mask of blocks and a word per block, its
+// start less its group's base in two's complement, packed at the bits
+// the words take; and its body bytes as they are stored, padding
+// included: each first copy's block of bit-granular fields: an
+// in-tree's, a parent tree, each vertex but the root as its parent's
+// local id and its edge's rank in the parent's in-list; any other's, at
+// the widths its network and its own vertex count call for, its root's
+// vertex id left out, each edge record its edge's rank in its tail's
+// out-list. A block byte-equal to an earlier one of its root range
+// stores no bytes: its word names that first copy's start.
 // Thresholds are not stored: they are a function of the header's seed,
 // the sketch's id and the network's model. (v1, one record per graph,
 // v2, a wire format of per-sketch CSRs packed into a pool on load, v3,
@@ -43,9 +43,10 @@ constexpr char kMagic[] = "PITEXIDX";
 // vertex id, v13, whose records stored their thresholds and whose
 // directory held a word per sketch, a singleton's its root, and v14,
 // whose words were unsigned and whose repeated blocks each stored their
-// bytes, and v15, whose in-tree blocks stored their vertex ids and
-// out-list ranks, are no longer read.)
-constexpr uint32_t kVersionCurrent = 16;
+// bytes, v15, whose in-tree blocks stored their vertex ids and out-list
+// ranks, and v16, whose root counts took 1, 2 or 4 bytes and whose block
+// words 2 or 4, are no longer read.)
+constexpr uint32_t kVersionCurrent = 17;
 constexpr uint8_t kKindRrGraphs = 1;
 
 void SetError(IndexIoError* error, IndexIoCode code, const char* message) {
@@ -173,7 +174,7 @@ class IndexIo {
     // The payload is the base pool's arrays. An index with repairs saves
     // as its compaction: the pool its overlay folds the base into. The
     // root ranges are written as each vertex's count of rooted sketches,
-    // at the width the largest needs, and the containing index not at
+    // at the bits the largest takes, and the containing index not at
     // all: the loader rebuilds it.
     std::optional<RrSketchPool> folded;
     if (const RrSketchOverlay* overlay = index.repairs()) {
@@ -266,23 +267,23 @@ class IndexIo {
     options.theta_override = theta;
     auto index = std::unique_ptr<RrIndex>(new RrIndex(network, options));
     RrSketchPool pool;
-    // A root count of 1, 2 or 4 bytes per vertex of the network
-    // (FinishLoaded checks that they sum to theta), a mask per 64
-    // sketches and at most theta words of 2 or 4 bytes (FinishLoaded
-    // checks one per mask bit). Block offsets fit 31 bits, so the body
-    // holds at most 2^31 bytes of blocks and then its padding.
+    // A root count per vertex of the network and at most theta words,
+    // each array packed at a width of at most 32 bits (FinishLoaded
+    // checks that the counts sum to theta, that there is a word per mask
+    // bit, each array's exact length and its zero pad bits), and a mask
+    // per 64 sketches. Block offsets fit 31 bits, so the body holds at
+    // most 2^31 bytes of blocks and then its padding.
     RrSketchPool::FileDirectory file;
     file.num_sketches = theta;
     uint8_t count_width = 0;
     uint8_t width = 0;
-    if (!reader.ReadU8(&count_width) ||
-        (count_width != 1 && count_width != 2 && count_width != 4) ||
-        !reader.ReadVector(&file.counts,
-                           uint64_t{network.num_vertices()} * count_width) ||
-        file.counts.size() != network.num_vertices() * count_width ||
+    if (!reader.ReadU8(&count_width) || count_width > 32 ||
+        !reader.ReadVector(
+            &file.counts,
+            (uint64_t{network.num_vertices()} * count_width + 7) / 8) ||
         !reader.ReadVector(&file.masks, (theta + 63) / 64) ||
-        !reader.ReadU8(&width) || (width != 2 && width != 4) ||
-        !reader.ReadVector(&file.words, theta * width) ||
+        !reader.ReadU8(&width) || width > 32 ||
+        !reader.ReadVector(&file.words, (theta * width + 7) / 8) ||
         !reader.ReadVector(&pool.body_,
                            (uint64_t{1} << 31) + kBitPadding)) {
       SetError(error, IndexIoCode::kCorruptPayload, "corrupt pooled sketch arrays");

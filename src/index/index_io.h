@@ -15,31 +15,35 @@
 //   magic "PITEXIDX" | version u32 | kind u8 | network fingerprint u64
 //   options (eps f64, delta f64, cap_k u64, seed u64) | payload | fnv64
 //
-// Version 16 is the only version read or written; a v1 to v15 header is
+// Version 17 is the only version read or written; a v1 to v16 header is
 // refused with kBadVersion. Its RR-Graph payload is the RrSketchPool
 // image (src/index/rr_sketch_pool.h), its sketches in root order (by
 // root, and among one root's by sample):
 //
-//   theta u64 | count width u8 (1, 2 or 4) | root counts (u64 count =
-//   |V| * count width, bytes) | group masks (u64 count = ceil(theta /
-//   64), u64 each) | directory width u8 (2 or 4) | block words (u64
-//   count = blocks * width, bytes) | body (u64 count, bytes) |
-//   build_seconds f64
+//   theta u64 | count width u8 (bits, 0 to 32) | root counts (u64
+//   count = ceil(|V| * count width / 8), bytes) | group masks (u64
+//   count = ceil(theta / 64), u64 each) | directory width u8 (bits, 0
+//   to 32) | block words (u64 count = ceil(blocks * width / 8), bytes) |
+//   body (u64 count, bytes) | build_seconds f64
 //
-// The root counts hold each vertex's count of rooted sketches, at the
-// fewest bytes the largest needs, in the host's byte order: they set
-// the root ranges, and a sketch's root is the vertex whose range holds
-// it. Counts that do not sum to theta, or at a width wider than the
-// largest needs, are kCorruptPayload. The directory is the pool's own:
-// a mask per 64 sketches, bit j set when sketch 64g + j is a block, and
-// a word per block, the start of its block less its group's base, in
-// two's complement. The bases are not saved: the loader derives each as
-// the offset where the next first copy must start when its walk reaches
-// the group's first sketch. A mask bit set past theta, or masks whose
-// set bits are not the block words' count, are kCorruptPayload. A file
-// takes 2-byte words unless some word does not fit int16. A singleton,
-// whose one vertex is its root, takes its clear mask bit and nothing
-// else. Shared shapes: a block byte-equal to an earlier block of its
+// The root counts and the block words are packed arrays (PackedWords,
+// src/util/bits.h): word i is bits [i w, (i + 1) w) at the array's width
+// w, LSB-first, and the bits after the last word, to its byte's end,
+// are zero. The root counts hold each vertex's count of rooted
+// sketches, at the bits the largest takes: they set the root ranges,
+// and a sketch's root is the vertex whose range holds it. Counts that
+// do not sum to theta are kCorruptPayload. The directory is the pool's
+// own: a mask per 64 sketches, bit j set when sketch 64g + j is a
+// block, and a word per block, the start of its block less its group's
+// base, in two's complement at the bits the words take. The bases are
+// not saved: the loader derives each as the offset where the next first
+// copy must start when its walk reaches the group's first sketch. A
+// mask bit set past theta, or masks whose set bits are not the block
+// words' count, are kCorruptPayload, and so is either array at a width
+// above 32 or wider than its largest word takes, of any length but
+// ceil(count * width / 8) bytes, or with a bit set after its last
+// word. A singleton, whose one vertex is its root, takes its clear mask
+// bit and nothing else. Shared shapes: a block byte-equal to an earlier block of its
 // root range is a *repeat*; it stores no bytes, and its word names the
 // start of the range's first block of those bytes, its *first copy*.
 // Every other block is a first copy, stored where the one before it
@@ -73,17 +77,17 @@
 // A loaded image must be canonical, exactly what appending its own
 // views to a run and finishing it writes (RrSketchPool::FinishLoaded
 // checks it: each word is its block's start less its base, each repeat
-// shared with its range's first copy, 4-byte words only where some word
-// needs them; a parent tree's parents each come before their children,
+// shared with its range's first copy, each packed array at the bits its
+// largest word takes; a parent tree's parents each come before their children,
 // its ranks lie below their parents' in-degrees, no vertex comes twice
 // and its order is the sampler's; any other block's vertices, its root
 // among them, strictly ascend, its shape is not an in-tree's, and each
 // rank lies below its tail's out-degree and names an out-edge that ends
 // at the record's head), so a file that loads saves back to the same
 // bytes. A change to the pool's layout is a new
-// version. The directory's masks and words are stored in the host's
-// byte order, so a file reads back right only on a host of the writer's
-// byte order; the body's bits are little-endian.
+// version. The directory's masks are stored in the host's byte order, so
+// a file reads back right only on a host of the writer's byte order; the
+// packed arrays' and the body's bits are little-endian.
 //
 // The fingerprint binds an index file to the network it was sampled
 // from: loading against a different graph (changed topology, edge count,

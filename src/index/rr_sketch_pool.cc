@@ -138,27 +138,12 @@ void RrSketchPool::Clear() {
   roots_.clear();
   num_sketches_ = 0;
   body_.clear();
-  root_starts_.Clear();
-  containing_starts_.Clear();
+  root_starts_ = {};
+  containing_starts_ = {};
   containing_.clear();
   max_sketch_vertices_ = 0;
   containing_k_ = 0;
 }
-
-template <typename Narrow>
-void WordArrayOf<Narrow>::Widen() {
-  PITEX_DCHECK(shift == 1);
-  const size_t count = size();
-  units.reserve(2 * units.capacity());
-  units.resize(2 * count);
-  auto* data = reinterpret_cast<std::byte*>(units.data());
-  for (size_t i = count; i-- > 0;) {
-    StoreId<uint32_t>(data, i, LoadId<Narrow>(data, i));
-  }
-  shift = 2;
-}
-template struct WordArrayOf<uint16_t>;
-template struct WordArrayOf<int16_t>;
 
 VertexId RrSketchPool::RootOf(size_t i) const {
   if (!finished()) return roots_[i];
@@ -175,20 +160,10 @@ VertexId RrSketchPool::RootOf(size_t i) const {
       static_cast<size_t>(base - root_starts_.bases.data()) << kGroupBits;
   const size_t last = std::min(first + kGroup, root_starts_.size());
   const auto offset = static_cast<uint32_t>(i - *base);
-  // The group's vertices whose ranges start by i, counted at the words'
-  // width with no branch, so the loop vectorizes.
-  const auto started = [&]<typename T>() {
-    const auto* words =
-        reinterpret_cast<const std::byte*>(root_starts_.words.units.data());
-    size_t count = 0;
-    for (size_t v = first; v < last; ++v) {
-      count += LoadId<T>(words, v) <= offset;
-    }
-    return count;
-  };
-  const size_t count = root_starts_.words.shift == 1
-                           ? started.template operator()<uint16_t>()
-                           : started.template operator()<uint32_t>();
+  // The group's vertices whose ranges start by i, counted with no branch.
+  const PackedWords::Reader words = root_starts_.words.reader();
+  size_t count = 0;
+  for (size_t v = first; v < last; ++v) count += words[v] <= offset;
   return static_cast<VertexId>(first + count - 1);
 }
 
@@ -255,10 +230,16 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
   // new body. Blocks of equal bytes have equal bytes in any run (a
   // block's bits are relative to its first byte, at the pool's widths),
   // so the runs' bytes are compared. A group's base is where the next
-  // first copy goes when the walk reaches the group's first sketch.
+  // first copy goes when the walk reaches the group's first sketch. The
+  // words gather in `words`, then are packed once at their final width.
   out.root_starts_ = std::move(root_starts);
   out.groups_.reserve((num_sketches + kGroup - 1) / kGroup);
-  out.block_words_.Reserve(blocks, 2);
+  std::vector<uint32_t> words;
+  words.reserve(blocks);
+  const auto push_block = [&out, &words](uint64_t start) {
+    words.push_back(static_cast<uint32_t>(start) - out.groups_.back().base);
+    out.MarkBlock();
+  };
   constexpr uint64_t kHead = sizeof(uint64_t);
   // The first copies, back to back, then room for one more 8-byte store.
   const auto body = std::make_unique_for_overwrite<uint8_t[]>(bound + kHead);
@@ -289,13 +270,13 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
       const uint8_t* from = run.body_.data() + start;
       const uint64_t length = run_ends[rank++] - start;
       if (const FirstCopies::Copy* first = firsts.FindOrAdd(from, length, at)) {
-        out.PushBlock(first->start);
+        push_block(first->start);
         return;
       }
       // A run's block is copied once unless two segments name it.
       PITEX_CHECK_MSG(at + length <= bound,
                       "run segments name one sketch twice");
-      out.PushBlock(at);
+      push_block(at);
       std::memcpy(body.get() + at, from, std::max(length, kHead));
       at += length;
     });
@@ -307,6 +288,8 @@ RrSketchPool RrSketchPool::FromRuns(std::span<const Segment> segments,
     out.body_.resize(at + kBitPadding);
     std::memcpy(out.body_.data(), body.get(), at);
   }
+  out.block_words_.Assign(words.size(),
+                          [&words](size_t b) { return words[b]; });
   out.BuildContaining(out.num_vertices_);
   return out;
 }
@@ -339,33 +322,19 @@ std::vector<uint32_t> RrSketchPool::BlockEnds() const {
 
 RrSketchPool::FileDirectory RrSketchPool::SaveDirectory() const {
   FileDirectory file;
-  uint64_t max_count = 0;
-  for (size_t v = 0; v < num_universe_vertices(); ++v) {
-    max_count = std::max<uint64_t>(max_count, RootRange(v).size());
-  }
-  file.count_width = CountWidth(max_count);
-  file.counts.resize(num_universe_vertices() * file.count_width);
-  auto* counts = reinterpret_cast<std::byte*>(file.counts.data());
-  for (size_t v = 0; v < num_universe_vertices(); ++v) {
-    const auto count = static_cast<uint32_t>(RootRange(v).size());
-    if (file.count_width == 1) {
-      file.counts[v] = static_cast<uint8_t>(count);
-    } else if (file.count_width == 2) {
-      StoreId<uint16_t>(counts, v, count);
-    } else {
-      StoreId<uint32_t>(counts, v, count);
-    }
-  }
+  PackedWords counts;
+  counts.Assign(num_universe_vertices(), [this](size_t v) {
+    return RootRange(static_cast<VertexId>(v)).size();
+  });
+  file.count_width = counts.width();
+  file.counts.assign(counts.packed().begin(), counts.packed().end());
   // The masks and the block words as the pool holds them: a word is its
-  // block's start less its group's base, at the width the words need.
+  // block's start less its group's base, at the bits the words take.
   file.masks.reserve(groups_.size());
   for (const Group& group : groups_) file.masks.push_back(group.mask);
   file.width = block_words_.width();
-  file.words.resize(block_words_.size() * file.width);
-  if (!file.words.empty()) {
-    std::memcpy(file.words.data(), block_words_.units.data(),
-                file.words.size());
-  }
+  file.words.assign(block_words_.packed().begin(),
+                    block_words_.packed().end());
   return file;
 }
 
@@ -374,58 +343,43 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
   SetNetwork(topology.num_vertices(), topology.MaxOutDegree());
   topology_ = topology;
   const uint64_t s = file.num_sketches;
-  const uint32_t width = file.width;
   // The blocks, then their padding (none without a block).
   if (!body_.empty() && body_.size() <= kBitPadding) return false;
   const uint64_t end = BodyEnd();
   if (s >= UINT32_MAX || end > kIdLimit) return false;
   // Each root's sketches, summed into the root starts: they must count
-  // every sketch once, at the width the largest count needs.
-  if (file.counts.size() != num_vertices_ * file.count_width) return false;
-  const auto* counts = reinterpret_cast<const std::byte*>(file.counts.data());
+  // every sketch once, at the bits the largest count takes.
+  PackedWords counts;
+  if (!counts.Load(file.counts, num_vertices_, file.count_width)) {
+    return false;
+  }
   std::vector<uint32_t> root_start(num_vertices_ + 1, 0);
-  uint64_t max_count = 0;
+  uint32_t max_count = 0;
   for (size_t v = 0; v < num_vertices_; ++v) {
-    const uint32_t count =
-        file.count_width == 1   ? file.counts[v]
-        : file.count_width == 2 ? LoadId<uint16_t>(counts, v)
-                                : LoadId<uint32_t>(counts, v);
+    const uint32_t count = counts[v];
     const uint64_t next = uint64_t{root_start[v]} + count;
     if (next > s) return false;
     root_start[v + 1] = static_cast<uint32_t>(next);
-    max_count = std::max<uint64_t>(max_count, count);
+    max_count = std::max(max_count, count);
   }
   if (root_start[num_vertices_] != s ||
-      file.count_width != CountWidth(max_count)) {
+      file.count_width != counts.BitsOf(max_count)) {
     return false;
   }
   // A mask per group of 64 sketches, no bit set past the last sketch,
-  // and a word per set bit.
-  if (file.masks.size() != (s + kGroup - 1) / kGroup ||
-      ((width != 2 && width != 4) || file.words.size() % width != 0)) {
-    return false;
-  }
+  // and a word per set bit, which are the pool's words as they are.
+  if (file.masks.size() != (s + kGroup - 1) / kGroup) return false;
   uint64_t blocks = 0;
   for (const uint64_t mask : file.masks) blocks += PopCount(mask);
   if ((s % kGroup != 0 && (file.masks.back() >> (s % kGroup)) != 0) ||
-      blocks != file.words.size() / width) {
+      !block_words_.Load(file.words, blocks, file.width)) {
     return false;
   }
   root_starts_.Assign(std::span<const uint32_t>(root_start));
-  const auto* bytes = reinterpret_cast<const std::byte*>(file.words.data());
-  // Word b as the block start it names, its group's base plus the word
-  // in two's complement.
-  const auto start_at = [&](size_t b) {
-    const int64_t word =
-        width == 2 ? int64_t{static_cast<int16_t>(LoadId<uint16_t>(bytes, b))}
-                   : int64_t{static_cast<int32_t>(LoadId<uint32_t>(bytes, b))};
-    return int64_t{groups_.back().base} + word;
-  };
   groups_.reserve(file.masks.size());
-  block_words_.Reserve(blocks, 2);
   uint64_t body = 0;      // where the next first copy must start
   uint64_t vertices = 0;  // every sketch's, which must fit 32 bits
-  bool narrow = true;     // every word fits 2 bytes
+  uint32_t width = 0;     // the bits the words take
   size_t block = 0;   // the next block's word
   VertexId root = 0;  // the vertex whose root range holds sketch i
   FirstCopies firsts;  // root's range's
@@ -463,15 +417,17 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
       continue;
     }
     // A word names the next first copy's start, or an earlier first
-    // copy's of the same root range, whose checks cover it.
-    const int64_t start = start_at(block++);
-    narrow = narrow && SignedWordArray::FitsNarrow(static_cast<uint32_t>(
-                           start - int64_t{groups_.back().base}));
+    // copy's of the same root range, whose checks cover it: its group's
+    // base plus the word in two's complement.
+    const uint32_t word = block_words_[block++];
+    width = std::max(width, block_words_.BitsOf(word));
+    const int64_t start =
+        int64_t{groups_.back().base} + static_cast<int32_t>(word);
     if (start != static_cast<int64_t>(body)) {
       const FirstCopies::Copy* first =
           start < 0 ? nullptr : firsts.AtStart(static_cast<uint64_t>(start));
       if (first == nullptr) return false;
-      PushBlock(first->start);
+      MarkBlock();
       uint32_t header;
       GetVarint(first->bytes, &header);
       vertices += header >> kHeaderFlagBits;
@@ -558,7 +514,7 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
     if (firsts.FindOrAdd(body_.data() + body, length, body) != nullptr) {
       return false;
     }
-    PushBlock(body);
+    MarkBlock();
     if (!in_tree) {
       const RRView view = ViewAt(body_.data() + body, root);
       // The stored vertices strictly ascend below |V|, and the root id
@@ -607,7 +563,7 @@ bool RrSketchPool::FinishLoaded(const Graph& topology,
     vertices += n;
     body += length;
   }
-  if (body != end || vertices > UINT32_MAX || width != (narrow ? 2u : 4u) ||
+  if (body != end || vertices > UINT32_MAX || width != file.width ||
       !std::all_of(body_.begin() + static_cast<std::ptrdiff_t>(end),
                    body_.end(), [](uint8_t byte) { return byte == 0; })) {
     return false;

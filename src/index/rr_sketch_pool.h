@@ -35,8 +35,9 @@
 //                    start less its group's base in two's complement
 //                    (a repeat's start may lie before the base). Sketch
 //                    i's word is word rank + popcount(mask & the bits
-//                    below i's) of its group's. Every word takes 2 bytes
-//                    while each fits int16, else every word takes 4
+//                    below i's) of its group's. Every word takes the
+//                    bits the widest takes in two's complement, and is
+//                    read sign-extended (PackedWords)
 //   body_[start ..]  a header, the LEB128 varint (PutVarint) of
 //                    n_i << 1 | in-tree (one byte while n_i <= 63), then
 //                    bit-granular fields, LSB-first from the next byte
@@ -88,7 +89,7 @@
 // (SketchThresholds in src/index/rr_graph.h), so a pool holds sketch
 // shapes only. On pitexbench's network (200,000 sketches, 85,966 of them
 // blocks) the block starts less their bases run from -80 to 483 B, so
-// the directory takes 3,125 records and 2-byte words: 221,932 B.
+// the directory takes 3,125 records and 10-bit words: 157,465 B.
 // Shared shapes. A finished pool stores each shape once per root range:
 // a block byte-equal to an earlier block of its root range is a
 // *repeat*, which stores nothing in body_, and its word names the start
@@ -121,7 +122,7 @@
 // Root ranges: RootStart(u), the first sketch rooted at u or after it,
 // for u in [0, |V|], in root_starts_, a GroupWords (below) of sketch
 // ids: on pitexbench's network its largest word is 573, so its words
-// take 2 bytes and the array 51,566 B.
+// take 10 bits and the array 32,823 B.
 //
 // Containing lists, for vertex u:
 //   bits [start(u), start(u + 1)) of containing_
@@ -154,17 +155,20 @@
 // reads both.
 // The starts are bit offsets, stored in two levels: start(u) is
 // containing_starts_'s base for u's group of 64 vertices, start(64g),
-// plus u's word, at 2 bytes while every group's words fit 16 bits, else
-// at 4.
+// plus u's word, at the bits the largest word takes: on pitexbench's
+// network the largest is 11,799, so 14 bits, and the array 45,323 B.
 //
 // The arrays are two-level, as FST stores its succinct arrays: sparse
 // absolute samples, narrow relative entries read in place, and for the
 // directory a rank over a bitmap, so that only blocks take a word. Both
 // starts use GroupWords, a base per 64 entries and a word per entry;
 // the directory its Group records and block_words_. All keep their
-// words in a WordArrayOf, 2 or 4 bytes each, unsigned but for the
-// directory's (SignedWordArray). Each pool chooses each
-// array's word width from its own data, with no option.
+// words in a PackedWords (src/util/bits.h), as FST stores its relative
+// entries at exactly the bits they need: every word of an array at the
+// bit_width of its largest (0 to 32 bits; the directory's in two's
+// complement), LSB-first, read in place with one LoadBits and a mask.
+// Each pool chooses each array's width from its own data, with no
+// option.
 //
 // Every pool is written one way: sketches are appended in this layout
 // (AppendTree, which the generator calls for an in-tree, and
@@ -191,23 +195,24 @@
 // every id and passes the base's root starts. Runs share nothing, and a
 // repair is copy-on-write per id (an overlay's copy replaces one id's
 // view alone), so the fold re-shares: a repeat whose first copy was
-// repaired is stored again, as the new first copy. Every writer starts the
-// block words at 2 bytes and widens them once, in place, when a word
-// first fails to fit them (WordArrayOf::Push); the widening doubles the
-// words' room, so FromRuns' exact-size arrays stay exact.
-// The index file (src/index/index_io.h, v16) keeps each vertex's count
-// of rooted sketches, at the width the largest needs (CountWidth), and
-// the directory as the pool holds it: each group's mask and a signed
-// word per block, its start less its group's base. A loaded pool was
-// written this way before it was saved: FinishLoaded builds the root
-// ranges from the counts, which must sum to the sketch count, and
-// accepts the file's masks, words and body only if they are exactly what
-// appending the pool's own views to a run, finishing it and saving it
-// writes (a parent tree's order is the sampler's, a general block's
-// vertices, its root among them at its root id, strictly ascend; every
-// repeat is shared with its range's first copy),
-// then builds the directory from them and the containing index from the
-// blocks. An
+// repaired is stored again, as the new first copy. A run's block words
+// start at 0 bits and widen, every word in place, when a word first
+// fails to fit them (PackedWords::Push). FromRuns gathers its block
+// words in a scratch array and packs them once, at their final width,
+// as GroupWords::Assign packs the starts and the loader the file's
+// words, so a finished pool's arrays are exact-size.
+// The index file (src/index/index_io.h, v17) keeps each vertex's count
+// of rooted sketches, packed at the bits the largest takes, and the
+// directory as the pool holds it: each group's mask and a signed word
+// per block, its start less its group's base, at the pool's width. A
+// loaded pool was written this way before it was saved: FinishLoaded
+// builds the root ranges from the counts, which must sum to the sketch
+// count, and accepts the file's masks, words and body only if they are
+// exactly what appending the pool's own views to a run, finishing it and
+// saving it writes (a parent tree's order is the sampler's, a general
+// block's vertices, its root among them at its root id, strictly ascend;
+// every repeat is shared with its range's first copy), then builds the
+// directory from them and the containing index from the blocks. An
 // overlay's sketch store is a run that Fold copies from but never
 // finishes, and the two other runs SketchArena writes are never finished
 // either: the one-sketch run DynamicRrIndex re-closes each repaired
@@ -230,12 +235,10 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <iterator>
 #include <optional>
 #include <ranges>
 #include <span>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -245,23 +248,6 @@
 #include "src/util/check.h"
 
 namespace pitex {
-
-/// Entry j of a packed array of T (uint16_t or uint32_t) starting at
-/// `data`. memcpy keeps the access defined whatever storage the bytes
-/// live in; it compiles to one narrow load.
-template <typename T>
-inline uint32_t LoadId(const std::byte* data, size_t j) {
-  T id;
-  std::memcpy(&id, data + j * sizeof(T), sizeof(T));
-  return id;
-}
-
-/// Writes entry j of a packed array of T: the inverse of LoadId.
-template <typename T>
-inline void StoreId(std::byte* data, size_t j, uint32_t id) {
-  const auto narrow = static_cast<T>(id);
-  std::memcpy(data + j * sizeof(T), &narrow, sizeof(T));
-}
 
 /// Bytes the LEB128 varint of x takes: one per started group of seven
 /// bits.
@@ -349,130 +335,48 @@ class TreeWriter {
   uint32_t parent_bits_;
 };
 
-/// Words of 2 bytes each or of 4 bytes each, in the host's byte order:
-/// unsigned for a Narrow of uint16_t, two's complement for int16_t. They
-/// are kept as 2-byte units, two to a 4-byte word, so an append is a
-/// push_back. A signed word reads as its 32-bit two's complement, so
-/// adding it to an offset in u32 arithmetic gives the offset it names.
-template <typename Narrow>
-struct WordArrayOf {
-  size_t size() const { return units.size() >> (shift - 1); }
-  /// Bytes per word: 2 or 4.
-  uint32_t width() const { return 1u << shift; }
-  uint32_t operator[](size_t i) const {
-    const auto* bytes = reinterpret_cast<const std::byte*>(units.data());
-    return shift == 1 ? LoadId<Narrow>(bytes, i) : LoadId<uint32_t>(bytes, i);
-  }
-  /// True when `word` fits a 2-byte word.
-  static bool FitsNarrow(uint32_t word) {
-    if constexpr (std::is_signed_v<Narrow>) {
-      const auto value = static_cast<int32_t>(word);
-      return value >= INT16_MIN && value <= INT16_MAX;
-    } else {
-      return word <= UINT16_MAX;
-    }
-  }
-  /// Makes room for exactly `count` words at `width` bytes: an empty
-  /// array's writers then never regrow it.
-  void Reserve(size_t count, uint32_t width) {
-    shift = width == 2 ? 1 : 2;
-    units.reserve(count << (shift - 1));
-  }
-  /// Appends a word. 2-byte words first widen, once, in place, if it
-  /// does not fit them, so every writer ends at the width its own words
-  /// call for.
-  void Push(uint32_t word) {
-    if (shift == 1) {
-      if (FitsNarrow(word)) [[likely]] {
-        units.push_back(static_cast<uint16_t>(word));
-        return;
-      }
-      Widen();
-    }
-    uint16_t halves[2];
-    std::memcpy(halves, &word, sizeof(word));
-    units.push_back(halves[0]);
-    units.push_back(halves[1]);
-  }
-  /// Rewrites 2-byte words at 4 bytes in place, back to front, so no
-  /// word is overwritten before it is read: out of line, as an array
-  /// widens at most once. The room doubles, so an array reserved exactly
-  /// stays exact.
-  void Widen();
-  /// Drops every word, keeping capacity, and returns to 2 bytes.
-  void Clear() {
-    units.clear();
-    shift = 1;
-  }
-  size_t SizeBytes() const { return units.capacity() * sizeof(uint16_t); }
-
-  std::vector<uint16_t> units;
-  uint32_t shift = 1;  // log2 of the word width
-};
-using WordArray = WordArrayOf<uint16_t>;
-using SignedWordArray = WordArrayOf<int16_t>;
-
 /// A u32 array in two levels: one 32-bit base per group of 64 entries
-/// and one word per entry, what it adds to its base. Writers open each
-/// group before its first word (OpenGroup), so the bases always cover
-/// the words.
+/// and one word per entry, what it adds to its base, packed at the bits
+/// the largest word takes.
 struct GroupWords {
   static constexpr unsigned kGroupBits = 6;
   static constexpr size_t kGroup = size_t{1} << kGroupBits;  // 64
 
   size_t size() const { return words.size(); }
+  /// Bits per word.
   uint32_t width() const { return words.width(); }
-  uint32_t base(size_t i) const { return bases[i >> kGroupBits]; }
   /// A reader of the entries that holds the arrays' addresses by value,
   /// so a loop that also stores bytes need not reload them.
   struct Reader {
     /// Entry i: its group's base plus its word.
     uint32_t operator[](size_t i) const {
-      return bases[i >> kGroupBits] +
-             (shift == 1 ? units[i]
-                         : LoadId<uint32_t>(
-                               reinterpret_cast<const std::byte*>(units), i));
+      return bases[i >> kGroupBits] + words[i];
     }
     const uint32_t* bases = nullptr;
-    const uint16_t* units = nullptr;
-    uint32_t shift = 1;
+    PackedWords::Reader words;
   };
-  Reader reader() const {
-    return {bases.data(), words.units.data(), words.shift};
-  }
+  Reader reader() const { return {bases.data(), words.reader()}; }
   uint32_t operator[](size_t i) const { return reader()[i]; }
-  /// Opens the group of entry size() at `base` if that entry starts one.
-  void OpenGroup(uint64_t base) {
-    if (size() % kGroup == 0) bases.push_back(static_cast<uint32_t>(base));
-  }
-  void Clear() {
-    bases.clear();
-    words.Clear();
-  }
-  /// Makes the array exactly `values` (ascending, each below 2^32), at
-  /// 2-byte words while every group's last value less its first fits
-  /// them, else at 4.
+  /// Makes the array exactly `values` (ascending, each below 2^32), its
+  /// words at the bits the largest group's last value less its first
+  /// takes.
   template <typename T>
   void Assign(std::span<const T> values) {
-    uint64_t max_word = 0;
-    for (size_t v = 0; v < values.size(); v += kGroup) {
-      const size_t last = std::min(v + kGroup, values.size()) - 1;
-      max_word = std::max<uint64_t>(max_word, values[last] - values[v]);
-    }
-    Clear();
+    bases.clear();
     bases.reserve((values.size() + kGroup - 1) / kGroup);
-    words.Reserve(values.size(), max_word <= UINT16_MAX ? 2 : 4);
-    for (size_t v = 0; v < values.size(); ++v) {
-      OpenGroup(values[v]);
-      words.Push(static_cast<uint32_t>(values[v] - base(v)));
+    for (size_t v = 0; v < values.size(); v += kGroup) {
+      bases.push_back(static_cast<uint32_t>(values[v]));
     }
+    words.Assign(values.size(), [&](size_t v) {
+      return values[v] - values[v & ~(kGroup - 1)];
+    });
   }
   size_t SizeBytes() const {
     return bases.capacity() * sizeof(uint32_t) + words.SizeBytes();
   }
 
   std::vector<uint32_t> bases;
-  WordArray words;
+  PackedWords words;
 };
 
 /// Rice codes, as the containing lists store their root gaps: x at
@@ -954,8 +858,8 @@ class RrSketchPool {
   /// (RiceParameter), chosen from the pool's own gaps.
   uint32_t containing_k() const { return containing_k_; }
 
-  /// Bytes per block word, per containing start and per root start: 2
-  /// while every word fits them, else 4.
+  /// Bits per block word, per containing start and per root start: the
+  /// bits the array's largest word takes.
   uint32_t directory_width() const { return block_words_.width(); }
   uint32_t containing_start_width() const {
     return containing_starts_.width();
@@ -982,15 +886,16 @@ class RrSketchPool {
   };
 
   /// The directory as the index file holds it: each vertex's count of
-  /// rooted sketches at `count_width` bytes (CountWidth), each group's
-  /// mask, then one word per block at `width` bytes, in the host's byte
-  /// order, and, read from the file's header, `num_sketches`.
+  /// rooted sketches at `count_width` bits, each group's mask, then one
+  /// word per block at `width` bits, each array's words packed as a
+  /// PackedWords holds them (PackedWords::packed), and, read from the
+  /// file's header, `num_sketches`.
   struct FileDirectory {
     uint64_t num_sketches = 0;
-    uint32_t count_width = 1;
+    uint32_t count_width = 0;
     std::vector<uint8_t> counts;
     std::vector<uint64_t> masks;
-    uint32_t width = 2;
+    uint32_t width = 0;
     std::vector<uint8_t> words;
   };
 
@@ -1003,10 +908,6 @@ class RrSketchPool {
   static uint64_t Header(uint64_t n, bool in_tree) {
     return n << kHeaderFlagBits | (in_tree ? kInTree : 0);
   }
-  /// The fields of an implicit singleton's view, a one-vertex parent
-  /// tree: none are read, but a tree's view points at its fields.
-  static constexpr uint8_t kZeros[sizeof(uint64_t)] = {};
-
   /// Bits of a general-form block's fields after its header, with n
   /// vertices and m edges: the vertices but the root, the root id, the
   /// offsets, the heads and the ranks.
@@ -1033,12 +934,12 @@ class RrSketchPool {
     return body_.data() + start;
   }
   /// The view of an implicit singleton rooted at `root`: a parent tree
-  /// of one vertex.
+  /// of one vertex, whose fields none read (kZeroWord).
   RRView SingletonView(VertexId root) const {
     return RRView{0,           VertexIds(PackedIds{}, 1, 0, root),
                   PackedIds{}, PackedIds{},
                   PackedIds{}, &topology_,
-                  SketchThresholds{}, kZeros};
+                  SketchThresholds{}, kZeroWord};
   }
   /// The view of the block at `at`, whose root is `root`.
   RRView ViewAt(const uint8_t* at, VertexId root) const {
@@ -1098,56 +999,48 @@ class RrSketchPool {
                     LowMask(static_cast<uint32_t>(i & kGroupMask)));
   }
 
-  /// Bytes per root count of the index file, whose largest count is
-  /// `max_count`: 1, 2 or 4, the fewest that hold it.
-  static uint32_t CountWidth(uint64_t max_count) {
-    return max_count <= UINT8_MAX ? 1 : max_count <= UINT16_MAX ? 2 : 4;
-  }
-
   /// Calls fn(block, start) for sketches first .. last - 1 in order:
-  /// start is where a block starts in body_, and 0 for a singleton. One
-  /// dispatch on the word width, then a loop at that width that keeps
-  /// the arrays' addresses in registers whatever fn stores.
+  /// start is where a block starts in body_, and 0 for a singleton. A
+  /// loop that keeps the arrays' addresses in registers whatever fn
+  /// stores.
   template <typename Fn>
   void ForEachSketch(size_t first, size_t last, Fn&& fn) const {
-    const auto each = [&]<typename T>() {
-      const auto* words =
-          reinterpret_cast<const std::byte*>(block_words_.units.data());
-      const Group* groups = groups_.data();
-      size_t block = BlockRank(first);
-      for (size_t i = first; i < last; ++i) {
-        const Group& group = groups[i >> kGroupBits];
-        if (((group.mask >> (i & kGroupMask)) & 1) != 0) {
-          fn(true, uint64_t{static_cast<uint32_t>(
-                       group.base + LoadId<T>(words, block++))});
-        } else {
-          fn(false, uint64_t{0});
-        }
+    const PackedWords::Reader words = block_words_.reader();
+    const Group* groups = groups_.data();
+    size_t block = BlockRank(first);
+    for (size_t i = first; i < last; ++i) {
+      const Group& group = groups[i >> kGroupBits];
+      if (((group.mask >> (i & kGroupMask)) & 1) != 0) {
+        fn(true, uint64_t{group.base + words[block++]});
+      } else {
+        fn(false, uint64_t{0});
       }
-    };
-    if (block_words_.shift == 1) {
-      each.template operator()<int16_t>();
-    } else {
-      each.template operator()<uint32_t>();
     }
   }
 
   /// Opens sketch num_sketches()'s group if it starts one, with the
-  /// block words so far as its rank and `base` as its base.
+  /// blocks before it as its rank and `base` as its base.
   void OpenGroup(uint64_t base) {
     if (num_sketches_ % kGroup == 0) {
-      groups_.push_back({static_cast<uint32_t>(base),
-                         static_cast<uint32_t>(block_words_.size()), 0});
+      const uint32_t rank =
+          groups_.empty() ? 0
+                          : groups_.back().rank + PopCount(groups_.back().mask);
+      groups_.push_back({static_cast<uint32_t>(base), rank, 0});
     }
   }
   /// Appends sketch num_sketches() to the directory as a singleton, or
-  /// as a block starting at `start` in body_ (below 2^31): its word is
-  /// `start` less its group's base, the last, in two's complement.
+  /// as a block (MarkBlock sets its mask bit alone, for a writer that
+  /// packs the words itself). PushBlock's block starts at `start` in
+  /// body_ (below 2^31): its word is `start` less its group's base, the
+  /// last, in two's complement.
   void PushSingleton() { ++num_sketches_; }
-  void PushBlock(uint64_t start) {
-    block_words_.Push(static_cast<uint32_t>(start) - groups_.back().base);
+  void MarkBlock() {
     groups_.back().mask |= uint64_t{1} << (num_sketches_ & kGroupMask);
     ++num_sketches_;
+  }
+  void PushBlock(uint64_t start) {
+    block_words_.Push(static_cast<uint32_t>(start) - groups_.back().base);
+    MarkBlock();
   }
 
   /// Sets the network counts and the fields' widths they call for.
@@ -1181,13 +1074,13 @@ class RrSketchPool {
   /// the network it samples, which sets its fields' widths and becomes
   /// the pool's; if they hold, builds its directory, its root ranges
   /// and its containing index. The file's counts hold each vertex's
-  /// count of rooted sketches, at the width the largest needs
-  /// (CountWidth), and must sum to the sketch count: they set the root
-  /// ranges, and each sketch's root is the vertex whose range holds it.
-  /// The file holds one mask per group of 64 sketches, with no bit set
-  /// past the last sketch, and one signed word per set bit, at 4 bytes
-  /// only if some word does not fit int16. Walking the sketches in
-  /// order, each group's base is where the next first copy must start,
+  /// count of rooted sketches, packed at the bits the largest takes,
+  /// and must sum to the sketch count: they set the root ranges, and
+  /// each sketch's root is the vertex whose range holds it. The file
+  /// holds one mask per group of 64 sketches, with no bit set past the
+  /// last sketch, and one signed word per set bit, packed at the bits
+  /// the widest takes. Walking the sketches in order, each group's base
+  /// is where the next first copy must start,
   /// and a block's word (its start less its base) either starts a new
   /// block where the first copy before it ended, or equals the start of
   /// an earlier first copy of the same root range, which the block then
@@ -1221,8 +1114,8 @@ class RrSketchPool {
   /// recounts max_sketch_vertices_; the second pairs each id with its
   /// root), a pass over the lists tallies their root gaps, which set
   /// containing_k_, then a BitWriter codes the lists in vertex order into
-  /// an exact-size array. The starts take 2-byte words while every
-  /// group's do.
+  /// an exact-size array. The starts' words take the bits the largest
+  /// takes.
   void BuildContaining(size_t num_vertices);
 
   /// FromRuns with the root starts already in their array: Fold passes
@@ -1234,8 +1127,8 @@ class RrSketchPool {
   friend class IndexIo;  // saves and loads the directory's words and body_
   friend class RrSketchOverlay;  // Fold keeps its base's root starts
 
-  std::vector<Group> groups_;    // the directory: a record per 64 sketches
-  SignedWordArray block_words_;  // and a word per block
+  std::vector<Group> groups_;  // the directory: a record per 64 sketches
+  PackedWords block_words_{/*is_signed=*/true};  // and a word per block
   std::vector<VertexId> roots_;  // a run's sketches' roots, in order
   std::vector<uint8_t> body_;    // blocks, then kBitPadding zero bytes
   GroupWords root_starts_;       // num_vertices + 1 sketch ids

@@ -12,9 +12,10 @@
 // to the very bytes
 // it was loaded from (the writer and the reader are inverses), and
 // those bytes are canonical: the payload (the pool image, index file
-// v16, each repeated block shared with its root range's first copy) is
+// v17, each repeated block shared with its root range's first copy, its
+// root counts and block words packed at the bits their largest takes) is
 // exactly what the reference re-encoder PackViews (tests/owned_sketch.h)
-// writes for the loaded sketches. A v15 image is refused by its version
+// writes for the loaded sketches. A v16 image is refused by its version
 // (a ValidatorRows seed). Any crash, sanitizer report, or violation
 // (enforced with abort() below) is a finding.
 //
@@ -93,6 +94,7 @@ extern "C" int LLVMFuzzerInitialize(int* /*argc*/, char*** /*argv*/) {
   {
     std::stringstream file(rr);
     Require(LoadRrIndex(Network(), file) != nullptr, "RR seed must load");
+    Require(rr[pool_image::kVersionOffset] == 17, "RR seed is a v17 file");
   }
   if (const char* dir = std::getenv("PITEX_FUZZ_SEED_DIR")) {
     WriteSeed(dir, "seed.idx", rr);

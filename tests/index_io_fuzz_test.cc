@@ -201,27 +201,29 @@ TEST(IndexIoFuzzTest, ChecksumRepairedMutationsRoundTrip) {
 }
 
 TEST(IndexIoFuzzTest, WideDirectoryMutationsRoundTrip) {
-  // The seed's directory takes 4-byte words (the blocks after the long
-  // path start past 65,535 bytes from their base), so single-byte edits
+  // The seed's directory takes 17-bit words (the blocks after the long
+  // path start past 32,767 bytes from their base), so single-byte edits
   // reach a wide directory's masks and words as well as its blocks. The
-  // edits skip the root counts, which take a byte for each of the
+  // edits skip the root counts, which take a bit for each of the
   // cycle's 40,001 users, and the long path's fields, which would
   // otherwise draw nearly every edit; the header, theta, the counts'
   // width and length and the path's header stay in the draw.
   const SocialNetwork n = MakeCertainCycle(40001);
   const std::string valid = PackedIndexBytes(n, WideDirectoryGraphs());
-  // After theta, the root counts: their width, their length and a count
-  // per vertex. Then the group masks, after their u64 count, the
-  // directory's width and its words, after the u64 count of their
-  // bytes, and the body, after its own, which opens with the path.
+  // After theta, the root counts: their width in bits, their length and
+  // a count per vertex, packed. Then the group masks, after their u64
+  // count, the directory's width and its words, after the u64 count of
+  // their bytes, and the body, after its own, which opens with the path.
   const size_t counts_offset = kThetaOffset + 8 + 1 + 8;
   const size_t count_bytes =
-      size_t{static_cast<uint8_t>(valid[kThetaOffset + 8])} *
-      n.num_vertices();
+      (size_t{static_cast<uint8_t>(valid[kThetaOffset + 8])} *
+           n.num_vertices() +
+       7) /
+      8;
   const size_t width_offset =
       counts_offset + count_bytes + 8 +
       8 * static_cast<uint8_t>(valid[counts_offset + count_bytes]);
-  ASSERT_EQ(valid[width_offset], 4);
+  ASSERT_EQ(valid[width_offset], 17);
   const size_t body_offset =
       width_offset + 1 + 8 + static_cast<uint8_t>(valid[width_offset + 1]) +
       8;
@@ -337,13 +339,14 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
   // must get kCorruptPayload: on the running example's file (3-bit
   // vertices, 1-bit ranks, a few bits of local ids, and singletons), on
   // the certain cycle's (17-bit vertices and local ids, 0-bit ranks, and
-  // a directory of 4-byte words, as each block is longer than 2^16
-  // bytes), and on sketches packed by hand. The edgeless 300-vertex
+  // a directory of 21-bit words, as its blocks take over 2^18 bytes
+  // each), and on sketches packed by hand. The edgeless 300-vertex
   // sketch's offsets take 0 bits. The one-vertex self-loop, on a network
   // of its own edge, is the block with the fewest bytes, and one no
   // singleton may replace. Two pools of singletons and a pair on the
   // cycle, whose largest singleton vertex is 32,767 and 32,768, both
-  // take 2-byte directory words: a singleton has no word. Twelve
+  // take 0-bit directory words: a singleton has no word, and the pair's
+  // block starts at its group's base. Twelve
   // distinct pairs rooted at 0, then each again, are a range whose
   // first copies outgrow the loader's smallest table, and whose repeats
   // it finds by their bytes. Forty distinct pairs rooted at 0, then
@@ -389,18 +392,18 @@ TEST(IndexIoFuzzTest, ValidatorRejectsEveryNonCanonicalImage) {
     std::string bytes;
     uint32_t directory_width;
   } files[] = {
-      {&example, ValidRrIndexBytes(example), 2},
-      {&cycle, wide_file.str(), 4},
-      {&cycle, PackedIndexBytes(cycle, {edgeless}), 2},
-      {&loop, PackedIndexBytes(loop, {self_loop}), 2},
+      {&example, ValidRrIndexBytes(example), 7},
+      {&cycle, wide_file.str(), 21},
+      {&cycle, PackedIndexBytes(cycle, {edgeless}), 0},
+      {&loop, PackedIndexBytes(loop, {self_loop}), 0},
       {&cycle,
        PackedIndexBytes(cycle, {Singleton(5), CyclePair(1), Singleton(32767)}),
-       2},
+       0},
       {&cycle,
        PackedIndexBytes(cycle, {Singleton(5), CyclePair(1), Singleton(32768)}),
-       2},
-      {&star, PackedIndexBytes(star, pairs), 2},
-      {&wide_then_narrow, PackedIndexBytes(wide_then_narrow, ranges), 2}};
+       0},
+      {&star, PackedIndexBytes(star, pairs), 6},
+      {&wide_then_narrow, PackedIndexBytes(wide_then_narrow, ranges), 8}};
 
   for (const auto& file : files) {
     // Taking a file apart and putting it back changes nothing, and each

@@ -178,7 +178,7 @@ TEST(IndexIoTest, LoadedIndexServesIndexEstPlus) {
 }
 
 TEST(IndexIoTest, Version1FilesRejected) {
-  // Only v16 is read: a file claiming v1 (the old one-record-per-graph
+  // Only v17 is read: a file claiming v1 (the old one-record-per-graph
   // format), v2 (the old per-sketch wire format), v3 (the pool image
   // with its edge records in a third array), v4 (every block vertex at
   // 4 bytes), v5 (a word-padded u32 body), v6 (offsets in every block),
@@ -188,7 +188,8 @@ TEST(IndexIoTest, Version1FilesRejected) {
   // order), v12 (each block storing its root's vertex id), v13 (each
   // record storing its threshold, and a directory word per sketch) or
   // v14 (unsigned directory words, and every repeated block stored) or
-  // v15 (in-tree blocks storing their vertex ids and out-list ranks),
+  // v15 (in-tree blocks storing their vertex ids and out-list ranks) or
+  // v16 (root counts at 1, 2 or 4 bytes and block words at 2 or 4),
   // whole or cut short, is refused by its header.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
@@ -198,9 +199,9 @@ TEST(IndexIoTest, Version1FilesRejected) {
   std::string bytes = file.str();
   // The version u32 follows the length-prefixed magic (8 + 8 bytes).
   constexpr size_t kVersionOffset = 16;
-  ASSERT_EQ(bytes[kVersionOffset], 16);
+  ASSERT_EQ(bytes[kVersionOffset], 17);
   for (const char version :
-       {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}) {
+       {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}) {
     bytes[kVersionOffset] = version;
     for (const size_t keep : {bytes.size(), bytes.size() / 2}) {
       std::stringstream in(bytes.substr(0, keep));
@@ -342,10 +343,10 @@ TEST(IndexIoTest, PayloadCorruptionRejected) {
 }
 
 TEST(IndexIoTest, RootCountsSetTheRootRanges) {
-  // A v16 file stores each vertex's count of rooted sketches, and a
+  // A v17 file stores each vertex's count of rooted sketches, and a
   // block no root vertex, a singleton nothing: the counts set the root
   // ranges. Counts that do not sum to theta are a corrupt payload; the
-  // same bytes under a v15 header are refused by their version.
+  // same bytes under a v16 header are refused by their version.
   const SocialNetwork n = MakeRunningExample();
   RrIndex index(n, SmallOptions());
   index.Build();
@@ -369,10 +370,10 @@ TEST(IndexIoTest, RootCountsSetTheRootRanges) {
   pool_image::Image fewer = image;
   --fewer.root_counts[3];
   EXPECT_EQ(load_code(fewer.Encode()), IndexIoCode::kCorruptPayload);
-  std::string v15 = bytes;
-  v15[pool_image::kVersionOffset] = 15;
-  pool_image::RepairChecksum(&v15);
-  EXPECT_EQ(load_code(v15), IndexIoCode::kBadVersion);
+  std::string v16 = bytes;
+  v16[pool_image::kVersionOffset] = 16;
+  pool_image::RepairChecksum(&v16);
+  EXPECT_EQ(load_code(v16), IndexIoCode::kBadVersion);
 }
 
 TEST(IndexIoTest, RrThetaMustEqualDirectoryLength) {
@@ -522,7 +523,7 @@ TEST(IndexIoTypedErrorTest, HeaderFailuresClassified) {
   const SocialNetwork n = MakeRunningExample();
   const uint64_t fp = NetworkFingerprint(n);
   constexpr uint8_t kRr = 1;
-  constexpr uint32_t kCurrent = 16;  // the one version the loader reads
+  constexpr uint32_t kCurrent = 17;  // the one version the loader reads
 
   EXPECT_EQ(LoadRrCode(n, "garbage bytes"), IndexIoCode::kBadMagic);
   EXPECT_EQ(LoadRrCode(n, EncodeHeader(99, kRr, fp, 0.1, 0.01, 8)),

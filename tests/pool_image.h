@@ -12,6 +12,7 @@
 #define PITEX_TESTS_POOL_IMAGE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -102,9 +103,10 @@ inline void SetBits(std::vector<uint8_t>* data, uint64_t pos, uint32_t bits,
 struct Block;
 
 // A saved file taken apart into the pool arrays it images: each
-// vertex's count of rooted sketches (decoded from the count width the
-// file names), which set the root ranges, the directory's word width,
-// its group masks and signed block words decoded to a slot per sketch,
+// vertex's count of rooted sketches (unpacked from the bit width the
+// file names), which set the root ranges, the directory's word width in
+// bits, its group masks and signed block words decoded to a slot per
+// sketch,
 // kExplicit | a block's start in the body or 0 for a singleton, the
 // bases the loader derives for them (where the next first copy starts
 // at each group's first sketch), and the body bytes, padding included,
@@ -114,18 +116,26 @@ struct Block;
 // and the trailer are kept as bytes. Encode puts it back together, each
 // group's mask from its slots, XOR its `mask_flips` entry, and each
 // block's word its start less its group's base in two's complement at
-// the image's width, then `extra_words`, and repairs the checksum, so an
-// edit reaches the loader's checks.
+// the image's width, then `extra_words` (each array at its width, or at
+// the bits its largest value takes if an edit made that wider), each
+// packed array then grown
+// or cut by its `*_bytes_delta` and, with its `*_pad_bit` set, its last
+// byte's top bit set, and repairs the checksum, so an edit reaches the
+// loader's checks.
 struct Image {
   std::string header;
   uint64_t theta = 0;
-  uint32_t count_width = 0;  // bytes per root count: 1, 2 or 4
+  uint32_t count_width = 0;  // bits per root count
   std::vector<uint32_t> root_counts;
-  uint32_t width = 0;
+  uint32_t width = 0;  // bits per block word
   std::vector<uint32_t> slots;
   std::vector<uint32_t> bases;
   std::vector<uint64_t> mask_flips;    // one per group, XORed on encode
   std::vector<uint32_t> extra_words;   // written after the blocks' words
+  int count_bytes_delta = 0;  // zero bytes added (or bytes cut) on encode
+  int word_bytes_delta = 0;
+  bool count_pad_bit = false;  // the counts' last byte's top bit set
+  bool word_pad_bit = false;
   std::vector<uint8_t> body;
   std::string trailer;
   uint32_t vertex_bits = 0;
@@ -154,6 +164,15 @@ struct Image {
     return static_cast<uint32_t>(body.size() - kPadding);
   }
 
+  // The block words Encode writes: one per explicit slot, then
+  // `extra_words`.
+  size_t num_words() const {
+    return extra_words.size() +
+           static_cast<size_t>(std::ranges::count_if(slots, [](uint32_t slot) {
+             return (slot & kExplicit) != 0;
+           }));
+  }
+
   // Sketch i's root: the vertex whose root range, as the counts set the
   // ranges, holds i (the last vertex when the counts end before i).
   uint32_t root_of(size_t i) const {
@@ -174,10 +193,31 @@ struct Image {
         bytes.push_back(static_cast<char>((value >> (8 * b)) & 0xff));
       }
     };
+    // Values at `bits` bits each, LSB-first, after the u64 count of their
+    // bytes.
+    const auto put_packed = [&put](const std::vector<uint32_t>& values,
+                                   uint32_t bits, int delta, bool pad_bit) {
+      std::vector<uint8_t> packed((values.size() * bits + 7) / 8 + 8, 0);
+      for (size_t i = 0; i < values.size(); ++i) {
+        SetBits(&packed, i * bits, bits,
+                values[i] & ((uint64_t{1} << bits) - 1));
+      }
+      packed.resize(static_cast<size_t>(
+                        static_cast<int64_t>((values.size() * bits + 7) / 8) +
+                        delta),
+                    0);
+      if (pad_bit) packed.back() |= 0x80;
+      put(packed.size(), 8);
+      for (const uint8_t byte : packed) put(byte, 1);
+    };
+    uint32_t counts_at = count_width;
+    for (const uint32_t count : root_counts) {
+      counts_at = std::max(counts_at,
+                           static_cast<uint32_t>(std::bit_width(count)));
+    }
     put(theta, 8);
-    put(count_width, 1);
-    put(root_counts.size() * count_width, 8);
-    for (const uint32_t count : root_counts) put(count, count_width);
+    put(counts_at, 1);
+    put_packed(root_counts, counts_at, count_bytes_delta, count_pad_bit);
     std::vector<uint64_t> masks(mask_flips);
     std::vector<uint32_t> words;
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -188,9 +228,18 @@ struct Image {
     words.insert(words.end(), extra_words.begin(), extra_words.end());
     put(masks.size(), 8);
     for (const uint64_t mask : masks) put(mask, 8);
-    put(width, 1);
-    put(words.size() * width, 8);
-    for (const uint32_t word : words) put(word, width);
+    uint32_t words_at = width;
+    for (const uint32_t word : words) {
+      // Two's complement: a sign bit and the magnitude's bits.
+      const auto value = static_cast<int32_t>(word);
+      const auto magnitude = static_cast<uint32_t>(value < 0 ? ~value : value);
+      if (value != 0) {
+        words_at = std::max(
+            words_at, static_cast<uint32_t>(std::bit_width(magnitude)) + 1);
+      }
+    }
+    put(words_at, 1);
+    put_packed(words, words_at, word_bytes_delta, word_pad_bit);
     put(body.size(), 8);
     for (const uint8_t byte : body) put(byte, 1);
     bytes += trailer;
@@ -353,7 +402,8 @@ struct Block {
   /// parent tree the sketch's root: the old root joins the stored
   /// vertices, which stay ascending, the root id becomes `local`, and
   /// the root counts move the sketch from its old root's range to its
-  /// new root's (which keeps its id while the roots stay in order).
+  /// new root's (which keeps its id while the roots stay in order), at
+  /// the bits their largest then takes.
   void MoveRoot(uint32_t local) const {
     std::vector<uint32_t> vertices;
     for (uint32_t j = 0; j < n; ++j) vertices.push_back(vertex(j));
@@ -362,6 +412,9 @@ struct Block {
     vertices.erase(vertices.begin() + local);
     for (uint32_t j = 0; j + 1 < n; ++j) set_stored(j, vertices[j]);
     set_root(local);
+    // The counts take the bits their largest now takes.
+    image->count_width = static_cast<uint32_t>(
+        std::bit_width(std::ranges::max(image->root_counts)));
   }
 
   /// Re-encodes the block, every value intact, its header one byte
@@ -511,23 +564,35 @@ inline Image::Image(const std::string& bytes, const SocialNetwork& network)
     }
     return value;
   };
+  // `count` values of `bits` bits each, LSB-first, after the u64 count of
+  // their bytes.
+  const auto take_packed = [&take](size_t count, uint32_t bits) {
+    std::vector<uint8_t> packed(take(8));
+    for (uint8_t& byte : packed) byte = static_cast<uint8_t>(take(1));
+    packed.resize(packed.size() + 8, 0);
+    std::vector<uint32_t> values(count);
+    for (size_t i = 0; i < count; ++i) {
+      values[i] = static_cast<uint32_t>(GetBits(packed, i * bits, bits));
+    }
+    return values;
+  };
   header = bytes.substr(0, kThetaOffset);
   theta = take(8);
   count_width = static_cast<uint32_t>(take(1));
-  root_counts.resize(take(8) / count_width);
-  for (uint32_t& count : root_counts) {
-    count = static_cast<uint32_t>(take(count_width));
-  }
+  root_counts = take_packed(network.num_vertices(), count_width);
   std::vector<uint64_t> masks(take(8));
   for (uint64_t& mask : masks) mask = take(8);
   mask_flips.assign(masks.size(), 0);
   width = static_cast<uint32_t>(take(1));
+  size_t blocks = 0;
+  for (const uint64_t mask : masks) blocks += std::popcount(mask);
   // Each word sign-extended to 32 bits, so a base plus it wraps to the
   // start it names.
-  std::vector<uint32_t> words(take(8) / width);
+  std::vector<uint32_t> words = take_packed(blocks, width);
   for (uint32_t& word : words) {
-    word = static_cast<uint32_t>(take(width));
-    if (width == 2) word = static_cast<uint32_t>(static_cast<int16_t>(word));
+    if (width != 0 && width < 32 && (word >> (width - 1)) != 0) {
+      word |= ~uint32_t{0} << width;
+    }
   }
   body.resize(take(8));
   for (uint8_t& byte : body) byte = static_cast<uint8_t>(take(1));
@@ -647,10 +712,32 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          image->slots[block->sketch] -= 1;
          return true;
        }},
-      {"directory words at 4 B though they fit 2",
+      {"directory words a bit wider than they take",
        [](const SocialNetwork&, Image* image) {
-         if (image->width != 2) return false;
-         image->width = 4;
+         if (image->width >= 32) return false;
+         ++image->width;
+         return true;
+       }},
+      {"directory words at 33 bits",
+       [](const SocialNetwork&, Image* image) {
+         image->width = 33;
+         return true;
+       }},
+      {"directory words one byte longer than they pack",
+       [](const SocialNetwork&, Image* image) {
+         image->word_bytes_delta = 1;
+         return true;
+       }},
+      {"directory words one byte shorter than they pack",
+       [](const SocialNetwork&, Image* image) {
+         if (image->num_words() * image->width == 0) return false;
+         image->word_bytes_delta = -1;
+         return true;
+       }},
+      {"bit set after the last directory word",
+       [](const SocialNetwork&, Image* image) {
+         if (image->num_words() * image->width % 8 == 0) return false;
+         image->word_pad_bit = true;
          return true;
        }},
       {"tree in-rank at its parent's in-degree",
@@ -967,6 +1054,14 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          return true;
        },
        IndexIoCode::kBadVersion},
+      {"v16 file",
+       [](const SocialNetwork&, Image* image) {
+         // The format whose root counts took 1, 2 or 4 bytes and whose
+         // block words 2 or 4.
+         image->header[kVersionOffset] = 16;
+         return true;
+       },
+       IndexIoCode::kBadVersion},
       {"repeat stored unshared",
        [](const SocialNetwork&, Image* image) {
          const auto i = FindRepeat(*image, [](size_t) { return true; });
@@ -1073,16 +1168,46 @@ inline std::vector<ValidatorRow> ValidatorRows() {
          }
          return false;
        }},
-      {"root counts at 2 bytes though they fit 1",
+      {"root counts a bit wider than the largest takes",
        [](const SocialNetwork&, Image* image) {
-         if (image->count_width != 1) return false;
-         image->count_width = 2;
+         if (image->count_width >= 32) return false;
+         ++image->count_width;
+         return true;
+       }},
+      {"root counts at 33 bits",
+       [](const SocialNetwork&, Image* image) {
+         image->count_width = 33;
+         return true;
+       }},
+      {"root counts one byte longer than they pack",
+       [](const SocialNetwork&, Image* image) {
+         image->count_bytes_delta = 1;
+         return true;
+       }},
+      {"root counts one byte shorter than they pack",
+       [](const SocialNetwork&, Image* image) {
+         if (image->root_counts.size() * image->count_width < 8) return false;
+         image->count_bytes_delta = -1;
+         return true;
+       }},
+      {"bit set after the last root count",
+       [](const SocialNetwork&, Image* image) {
+         if (image->root_counts.size() * image->count_width % 8 == 0) {
+           return false;
+         }
+         image->count_pad_bit = true;
          return true;
        }},
       {"root counts one short of |V|",
        [](const SocialNetwork&, Image* image) {
-         // The last count, a vertex's, folded into the one before.
-         if (image->root_counts.size() < 2) return false;
+         // The last count, a vertex's, folded into the one before, where
+         // that leaves the counts a byte fewer (else the file holds a
+         // count of 0 for the last vertex, which is another image).
+         const size_t bits = image->root_counts.size() * image->count_width;
+         if (image->root_counts.size() < 2 ||
+             (bits - image->count_width + 7) / 8 == (bits + 7) / 8) {
+           return false;
+         }
          const uint32_t last = image->root_counts.back();
          image->root_counts.pop_back();
          image->root_counts.back() += last;

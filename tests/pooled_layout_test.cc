@@ -216,17 +216,34 @@ bool InTreeShape(const RRGraph& g) {
   return true;
 }
 
-// Bytes of a two-level array of `entries` words at `width` bytes: a
-// 32-bit base per 64 entries, then the words.
+// Bytes of `count` packed words at `width` bits: the words to the next
+// byte, then 7 bytes of padding, or nothing when they take no bits.
+size_t PackedBytes(size_t count, size_t width) {
+  const size_t bits = count * width;
+  return bits == 0 ? 0 : (bits + 7) / 8 + 7;
+}
+
+// Bits a word takes as two's complement: none for 0, else its
+// magnitude's (of -word - 1 below 0) and a sign bit.
+uint32_t SignedBits(int64_t word) {
+  return word == 0 ? 0 : BitsFor(static_cast<uint64_t>(word < 0 ? -word - 1
+                                                                 : word) +
+                                 1) +
+                             1;
+}
+
+// Bytes of a two-level array of `entries` words at `width` bits: a
+// 32-bit base per 64 entries, then the packed words.
 size_t TwoLevelBytes(size_t entries, size_t width) {
-  return sizeof(uint32_t) * ((entries + 63) / 64) + width * entries;
+  return sizeof(uint32_t) * ((entries + 63) / 64) +
+         PackedBytes(entries, width);
 }
 
 // Bytes of a directory of `sketches` sketches, `blocks` of them blocks,
-// whose words take `width` bytes: a 16-byte record per 64 sketches (a
-// 32-bit base and rank and a 64-bit mask), then a word per block.
+// whose words take `width` bits: a 16-byte record per 64 sketches (a
+// 32-bit base and rank and a 64-bit mask), then a packed word per block.
 size_t DirectoryBytes(size_t sketches, size_t blocks, size_t width) {
-  return 16 * ((sketches + 63) / 64) + width * blocks;
+  return 16 * ((sketches + 63) / 64) + PackedBytes(blocks, width);
 }
 
 // True when sketches a and b have one shape: the same root, vertices,
@@ -247,7 +264,7 @@ bool SameShape(const RRGraph& a, const RRGraph& b) {
 // base per 64 entries and one word per entry, the sketches rooted below
 // it less its group's first such count; the containing starts the same,
 // each word its list's start, in bits, less its group's first start.
-// Each array's words take 2 bytes while every word fits them, else 4.
+// Each array's words are packed at the bits its largest word takes.
 // The containing lists are
 // Rice codes at the pool's parameter (ExpectedListsOf). A sketch's body
 // block, unless it is an implicit singleton (one vertex, no edges), is a
@@ -257,8 +274,8 @@ bool SameShape(const RRGraph& a, const RRGraph& b) {
 // V bits, the root's local id, n + 1 offsets at BitsFor(m + 1) bits, and
 // m heads at BitsFor(n) bits, then m records, each a rank at R bits; V
 // and R are BitsFor of the network's vertex count and largest
-// out-degree, and 7 bytes of padding end a body of blocks. The words
-// take 2 bytes while every word fits int16, else 4.
+// out-degree, and 7 bytes of padding end a body of blocks. The block
+// words take the bits the widest takes in two's complement.
 size_t ExactSizeBytes(const RrSketchPool& pool) {
   const size_t s = pool.num_sketches();
   const uint64_t vertex_bits = BitsFor(pool.num_network_vertices());
@@ -268,7 +285,7 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
   size_t body = 0;
   size_t base = 0;
   size_t blocks = 0;
-  bool narrow = true;
+  uint32_t directory_width = 0;
   // The first copies of the current root's range, each with its start.
   std::vector<std::pair<RRGraph, size_t>> firsts;
   const PoolViews views(pool);
@@ -289,7 +306,7 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     });
     const size_t start = first == firsts.end() ? body : first->second;
     const auto word = static_cast<int64_t>(start) - static_cast<int64_t>(base);
-    narrow = narrow && word >= INT16_MIN && word <= INT16_MAX;
+    directory_width = std::max(directory_width, SignedBits(word));
     if (first != firsts.end()) continue;
     const bool tree =
         InTreeShape(owned) && pool.topology().num_vertices() != 0;
@@ -304,14 +321,13 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
             (bits + 7) / 8;
   }
   if (body > 0) body += 7;
-  const size_t directory_width = narrow ? 2 : 4;
   const ExpectedLists lists = ExpectedListsOf(pool);
   const std::vector<uint64_t>& starts = lists.starts;
   uint64_t max_word = 0;
   for (size_t v = 0; v < starts.size(); ++v) {
     max_word = std::max(max_word, starts[v] - starts[v / 64 * 64]);
   }
-  const size_t start_width = max_word <= 65535 ? 2 : 4;
+  const uint32_t start_width = BitsFor(max_word + 1);
   std::vector<uint64_t> root_starts = {0};
   for (const std::vector<uint32_t>& rooted : RootsFromViews(pool)) {
     root_starts.push_back(root_starts.back() + rooted.size());
@@ -321,7 +337,7 @@ size_t ExactSizeBytes(const RrSketchPool& pool) {
     max_root_word =
         std::max(max_root_word, root_starts[v] - root_starts[v / 64 * 64]);
   }
-  const size_t root_width = max_root_word <= 65535 ? 2 : 4;
+  const uint32_t root_width = BitsFor(max_root_word + 1);
   EXPECT_EQ(pool.directory_width(), directory_width);
   if (pool.num_universe_vertices() > 0) {
     EXPECT_EQ(pool.containing_start_width(), start_width);
@@ -577,12 +593,18 @@ TEST(PooledLayoutTest, SingletonIsImplicit) {
   // names root 2, whose range holds 1 sketch: a gap of 2, which k = 0,
   // 1 and 2 code in 3 bits (the smallest k wins the tie), and a 1-bit
   // mask: 1 byte, then 7 of padding. The
-  // directory takes one 16-byte record and a 2-byte word for the block;
-  // the 11 root starts and the 11 containing starts each one 4-byte
-  // base and 2-byte words.
+  // directory takes one 16-byte record, and the block, at its group's
+  // base, a 0-bit word. The 11 root starts and the 11 containing starts
+  // each take one 4-byte base and packed words, then 7 bytes of
+  // padding: the root starts, the largest 3, at 2 bits (3 bytes), and
+  // the containing starts, the largest the list's 4 bits, at 3 bits (5
+  // bytes).
   EXPECT_EQ(pool.containing_k(), 0u);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
-                                  2 * (4 + 2 * 11) + 11 + (1 + 7));
+  EXPECT_EQ(pool.directory_width(), 0u);
+  EXPECT_EQ(pool.root_start_width(), 2u);
+  EXPECT_EQ(pool.containing_start_width(), 3u);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 16 + (4 + 3 + 7) +
+                                  (4 + 5 + 7) + 11 + (1 + 7));
   const PoolViews views(pool);
   for (size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_TRUE(SameSketch(views(i), graphs[i])) << "sketch " << i;
@@ -608,14 +630,16 @@ TEST(PooledLayoutTest, SelfLoopSingletonStaysExplicit) {
   // root, a 0-bit root id, 2 offsets of a bit, a 0-bit head and the
   // 4-bit rank), then 7 of padding.
   // Vertex 4 roots both sketches, so its root range holds them and no
-  // list holds an id: k = 0 and no list bytes.
+  // list holds an id: k = 0 and no list bytes. The block's word is 0 (0
+  // bits), the root starts' largest 2 (2 bits, 3 bytes for 11 and 7 of
+  // padding) and every containing start 0 (0 bits, no bytes).
   const std::vector<RRGraph> graphs = {
       RRGraph{4, {4}, {0, 1}, {0}, {9}}, Singleton(4)};
   const RrSketchPool pool = PackGraphs(graphs);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   EXPECT_EQ(pool.containing_k(), 0u);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 1) +
-                                  2 * (4 + 2 * 11) + 10);
+  EXPECT_EQ(pool.SizeBytes(),
+            sizeof(RrSketchPool) + 16 + (4 + 3 + 7) + 4 + 10);
   const PoolViews views(pool);
   EXPECT_TRUE(SameSketch(views(0), graphs[0]));
   EXPECT_TRUE(SameSketch(views(1), graphs[1]));
@@ -634,9 +658,11 @@ TEST(PooledLayoutTest, PoolOfSingletonsHasNoBody) {
   const RrSketchPool pool = PackGraphs(graphs);
   // Each sketch is its root alone, so the root ranges hold every id
   // and the lists none: k = 0 and no list bytes. The directory is one
-  // 16-byte record and no word.
+  // 16-byte record and no word. The root starts, the largest 20, take 5
+  // bits (7 bytes for 11, then 7 of padding) and the containing starts,
+  // all 0, none.
   EXPECT_EQ(pool.containing_k(), 0u);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 16 + 2 * (4 + 2 * 11));
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 16 + (4 + 7 + 7) + 4);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   const PoolViews views(pool);
   for (size_t i = 0; i < graphs.size(); ++i) {
@@ -712,11 +738,15 @@ TEST(PooledLayoutTest, TrailingSingletonAfterExplicitBlock) {
   // of 0, 2, 6 and 6, which k = 2 codes in the fewest bits, 3, 3, 4
   // and 4, each with a 1-bit mask: 18 bits, 3 bytes, then 7 of padding.
   // In root order the sketch rooted at 0, which holds 9, is first and
-  // the singleton of 9 last.
+  // the singleton of 9 last. The blocks start at 0, 4, 8 and 11, 5-bit
+  // signed words (3 bytes, then 7 of padding); the root starts, the
+  // largest 8, take 4 bits (6 bytes for 11, then 7), and the containing
+  // starts, the largest 18 bits, 5 (7 bytes, then 7).
   EXPECT_EQ(pool.containing_k(), 2u);
-  EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + (16 + 2 * 4) + 2 * (4 + 2 * 11) +
-                (17 + 7) + (3 + 7));
+  EXPECT_EQ(pool.directory_width(), 5u);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 3 + 7) +
+                                  (4 + 6 + 7) + (4 + 7 + 7) + (17 + 7) +
+                                  (3 + 7));
   EXPECT_TRUE(std::ranges::equal(pool.RootRange(9), std::vector<uint32_t>{7}));
   EXPECT_TRUE(
       std::ranges::equal(pool.NonRootContaining(9), std::vector<uint32_t>{0}));
@@ -1267,10 +1297,19 @@ TEST(PooledLayoutTest, HeaderTakesTwoBytesFromSixtyFourVertices) {
   // 888, 114,673 and 114,687 bits), the in-trees, which a pool without a
   // topology stores with their offsets, 1 + 1 + 313 and 2 + 1 + 318
   // (2,498 and 2,538 bits), and the 8,193-edge block 3 + 2 + 56,325
-  // (450,600 bits), then 7 bytes of padding. The root starts and the
-  // containing starts each take 130 bases and 8,301 2-byte words.
+  // (450,600 bits), then 7 bytes of padding. The 8,193-edge block, last
+  // in root order, starts 29,540 bytes in, so the 7 block words take 16
+  // bits (14 bytes, then 7 of padding). The root starts and the
+  // containing starts each take 130 bases and 8,301 packed words, then 7
+  // bytes of padding: the root starts at 3 bits (3,113 bytes), as no
+  // group of 64 vertices roots 8 sketches before its last, and the
+  // containing starts at 12 (12,452 bytes).
+  EXPECT_EQ(pool.directory_width(), 16u);
+  EXPECT_EQ(pool.root_start_width(), 3u);
+  EXPECT_EQ(pool.containing_start_width(), 12u);
   EXPECT_EQ(pool.SizeBytes(),
-            sizeof(RrSketchPool) + (16 + 2 * 7) + 2 * (4 * 130 + 2 * 8301) +
+            sizeof(RrSketchPool) + (16 + 14 + 7) + (4 * 130 + 3113 + 7) +
+                (4 * 130 + 12452 + 7) +
                 (112 + 114 + 315 + 321 + 14338 + 14340 + 56330 + 7) +
                 ExpectedListsOf(pool).bytes);
 }
@@ -1402,8 +1441,16 @@ TEST(PooledLayoutTest, TreeBlockStoresParentsAndInRanks) {
   // The views decode to the shapes they were given.
   EXPECT_EQ(Owned(views(1)).offsets, (std::vector<uint32_t>{0, 1, 1, 2}));
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 * 3) +
-                                  2 * (4 + 2 * 11) + (4 + 2 + 1 + 7) +
+  // The blocks start at 0, 4 and 6: 4-bit signed words (2 bytes, then 7
+  // of padding). The 11 root starts, the largest 5, take 3 bits (5
+  // bytes, then 7), and the 11 containing starts, the lists' bits
+  // below 16, 4 (6 bytes, then 7).
+  EXPECT_EQ(pool.directory_width(), 4u);
+  EXPECT_EQ(pool.root_start_width(), 3u);
+  EXPECT_EQ(pool.containing_start_width(), 4u);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + (16 + 2 + 7) +
+                                  (4 + 5 + 7) + (4 + 6 + 7) +
+                                  (4 + 2 + 1 + 7) +
                                   ExpectedListsOf(pool).bytes);
   ExpectEveryWriterKeeps(made, 10);
 }
