@@ -2009,18 +2009,23 @@ std::pair<SocialNetwork, RrSketchPool> PackOnOwnNetwork(
 TEST(PooledLayoutTest, SingletonRootsWidenNoDirectory) {
   // A singleton has no word in the pool's directory or in the index
   // file's, which holds a mask bit per sketch and a word per block: one
-  // rooted at 32,767 and one rooted at 32,768 leave both at 2-byte
-  // words.
-  for (const auto& [root, file_width] :
-       {std::pair{32767u, 2u}, {32768u, 2u}}) {
+  // rooted at 2^15 - 1 and one rooted at 2^15 leave both at the words
+  // the blocks take. Each pair is a one-byte parent tree (its header;
+  // both fields take 0 bits), so the first group's 32 blocks start 0 to
+  // 31 bytes past its base: 6-bit signed words. The first 63 vertices'
+  // lists take 263 bits, so the containing starts take 9.
+  for (const VertexId root : {32767u, 32768u}) {
     SCOPED_TRACE("root " + std::to_string(root));
     const std::vector<RRGraph> graphs = SingletonRootGraphs(root);
     ExpectEveryWriterKeeps(graphs, 40000);
     const auto [network, pool] = PackOnOwnNetwork(graphs, 40000);
-    EXPECT_EQ(pool.directory_width(), 2u);
-    EXPECT_EQ(pool.containing_start_width(), 2u);
+    EXPECT_EQ(pool.directory_width(), 6u);
+    uint64_t bits = 0;
+    for (VertexId v = 0; v < 63; ++v) bits += pool.NonRootContaining(v).bits();
+    EXPECT_EQ(bits, 263u);
+    EXPECT_EQ(pool.containing_start_width(), 9u);
     EXPECT_EQ(PoolViews(pool)(graphs.size() - 1).root(), root);
-    EXPECT_EQ(FileDirectoryWidth(network, pool), file_width);
+    EXPECT_EQ(FileDirectoryWidth(network, pool), 6u);
   }
 }
 
@@ -2061,13 +2066,14 @@ std::vector<RRGraph> BlocksTaking(size_t bytes) {
 
 TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
   // The last sketch of the first group of 64 is a block that starts
-  // `offset` bytes past the group's base. The pool's words are signed:
-  // they take 2 bytes up to 32,767, the largest start less its base they
-  // hold, and 4 from 32,768, and the index file's words are the pool's.
-  // A second group opens with a block at its base.
-  for (const auto& [offset, width, file_width] :
-       {std::tuple{size_t{32767}, 2u, 2u}, {size_t{32768}, 4u, 4u},
-        {size_t{65535}, 4u, 4u}, {size_t{65536}, 4u, 4u}}) {
+  // `offset` bytes past the group's base, the largest word. The pool's
+  // words are signed: 2^w - 1 takes w + 1 bits and 2^w takes w + 2, and
+  // the index file's words are the pool's. A second group opens with a
+  // block at its base.
+  for (const auto& [offset, width] :
+       {std::pair{size_t{255}, 9u}, {size_t{256}, 10u},
+        {size_t{32767}, 16u}, {size_t{32768}, 17u},
+        {size_t{65535}, 17u}, {size_t{65536}, 18u}}) {
     SCOPED_TRACE("offset " + std::to_string(offset));
     // Every sketch before sketch 63 is rooted at 0, as the blocks
     // BlocksTaking makes are, so root order keeps their places.
@@ -2081,7 +2087,7 @@ TEST(PooledLayoutTest, DirectoryWidthFollowsBlockStarts) {
     const auto [network, pool] = PackOnOwnNetwork(graphs, 4096);
     EXPECT_EQ(pool.directory_width(), width);
     EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-    EXPECT_EQ(FileDirectoryWidth(network, pool), file_width);
+    EXPECT_EQ(FileDirectoryWidth(network, pool), width);
     // Sanity of the fixture: sketch 63's block starts `offset` bytes
     // past sketch 0's, which begins the body.
     const PoolViews views(pool);
@@ -2094,9 +2100,12 @@ TEST(PooledLayoutTest, RepeatWordsReachBackToMinus32768AtTwoBytes) {
   // The first group's blocks, all rooted at 0, take `back` bytes, and the
   // second group opens with a repeat of sketch 0's block in the same
   // root range: its word, sketch 0's start less the second group's base,
-  // is -back. 2-byte words hold it down to -32,768, and -32,769 takes 4.
+  // is -back. w-bit words hold it down to -2^(w - 1), as they do every
+  // forward word of the first group, below back; -2^(w - 1) - 1 takes a
+  // bit more. So 16 bits, two bytes, reach back to -32,768.
   for (const auto& [back, width] :
-       {std::pair{size_t{32768}, 2u}, {size_t{32769}, 4u}}) {
+       {std::pair{size_t{256}, 9u}, {size_t{257}, 10u},
+        {size_t{32768}, 16u}, {size_t{32769}, 17u}}) {
     SCOPED_TRACE("back " + std::to_string(back));
     std::vector<RRGraph> graphs = BlocksTaking(back);
     ASSERT_LT(graphs.size(), 64u);
@@ -2232,9 +2241,11 @@ TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
   // (so the smaller wins): a gap of 2 codes in 3 bits, 7 in 4 and 8 in
   // 5. Vertices 2 to 62 hold no other list, so vertex 63's start, the
   // last word of the first group of 64, is 7 (3 + 9,358) + 4 + 4 =
-  // 65,535 bits for rho = 7, which fits a 2-byte word, or 65,536 for
-  // rho = 8, which makes every start's word 4 bytes.
-  for (const auto& [rho, width] : {std::pair{7u, 2u}, {8u, 4u}}) {
+  // 2^16 - 1 bits for rho = 7, which takes 16 bits, or 2^16 for rho =
+  // 8, which makes every start's word 17 bits. The 9,358 sketches
+  // rooted at 2 share one 9-byte block (7-bit vertices), so each later
+  // group's repeats reach back 9 bytes: 5-bit directory words.
+  for (const auto& [rho, width] : {std::pair{7u, 16u}, {8u, 17u}}) {
     SCOPED_TRACE("rho " + std::to_string(rho));
     std::vector<RRGraph> graphs(9358,
                                 EdgelessSketch({0, 2, 10, 11, 12, 13, 14, 15},
@@ -2250,9 +2261,9 @@ TEST(PooledLayoutTest, ContainingStartWidthFollowsGroupBits) {
     EXPECT_EQ(pool.containing_k(), 2u);
     uint64_t bits = 0;
     for (VertexId v = 0; v < 63; ++v) bits += pool.NonRootContaining(v).bits();
-    EXPECT_EQ(bits, width == 2 ? 65535u : 65536u);
+    EXPECT_EQ(bits, width == 16 ? 65535u : 65536u);
     EXPECT_EQ(pool.containing_start_width(), width);
-    EXPECT_EQ(pool.directory_width(), 2u);
+    EXPECT_EQ(pool.directory_width(), 5u);
     EXPECT_EQ(pool.CountContaining(0), 9358u);
     EXPECT_TRUE(std::ranges::equal(pool.NonRootContaining(1),
                                    std::vector<uint32_t>{9358}));
@@ -2434,11 +2445,14 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   index.Build();
   const RrSketchPool& pool = index.pool();
   ASSERT_EQ(pool.num_sketches(), 200000u);
-  // The offset arrays take 2-byte words: the block words (signed, from
-  // -254 to 1,336 B), the root starts (largest group 573 sketches) and
-  // the containing starts, 391 bases and 25,001 words each: 51,566 B.
-  // 85,966 sketches are blocks, so the directory takes 3,125 16-byte
-  // records and 85,966 words: 221,932 B. 41,710 blocks repeat an
+  // The offset arrays pack their words at the bits the largest takes:
+  // the block words, signed, from -80 to 483 B, at 10 bits; the root
+  // starts, the largest 573 sketches, at 10 bits; and the containing
+  // starts, the largest 11,799 bits, at 14. Each array of starts takes
+  // 391 bases and 25,001 words, then 7 bytes of padding: 1,564 + 31,252
+  // + 7 = 32,823 B and 1,564 + 43,752 + 7 = 45,323 B. 85,966 sketches
+  // are blocks, so the directory takes 3,125 16-byte records and 85,966
+  // words, 107,458 B, then 7 of padding: 157,465 B. 41,710 blocks repeat an
   // earlier block of their root range and share its bytes (2,840 of
   // them in an earlier group, with a negative word), so 44,256 first
   // copies are stored. The 200,000 root
@@ -2455,10 +2469,10 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   // with their headers, each to its next byte. The other 5 first copies
   // store offsets, and an edge count of one byte: 217 B. A body of
   // 182,439 B and 7 of padding.
-  EXPECT_EQ(pool.directory_width(), 2u);
-  EXPECT_EQ(pool.DirectoryBytes(), 3125u * 16 + 85966u * 2);
-  EXPECT_EQ(pool.containing_start_width(), 2u);
-  EXPECT_EQ(pool.root_start_width(), 2u);
+  EXPECT_EQ(pool.directory_width(), 10u);
+  EXPECT_EQ(pool.DirectoryBytes(), 3125u * 16 + (85966u * 10 + 7) / 8 + 7);
+  EXPECT_EQ(pool.containing_start_width(), 14u);
+  EXPECT_EQ(pool.root_start_width(), 10u);
   EXPECT_EQ(pool.containing_k(), 10u);
   EXPECT_EQ(pool.vertex_bits(), 15u);
   EXPECT_EQ(pool.max_out_degree(), 18u);
@@ -2470,32 +2484,38 @@ TEST(PooledLayoutTest, BenchmarkIndexFootprintIsPinned) {
   EXPECT_EQ(list_bits, 2081217u);
   ExpectContainingMatchesViews(pool);
   EXPECT_EQ(ExpectCanonicalSharing(pool), 41710u);
-  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 221932 + 2 * 51566 +
-                                  182446 + 260160);
+  EXPECT_EQ(pool.SizeBytes(), sizeof(RrSketchPool) + 157465 + 32823 +
+                                  45323 + 182446 + 260160);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
-  // The file is v16: its 61-byte header, theta, each vertex's count of
-  // rooted sketches (each below 256, so 1 byte each), the 3,125 group
-  // masks, the pool's 85,966 2-byte block words and its body, each
-  // array after its u64 length, then build_seconds and the checksum:
-  // these exact bytes.
+  // The file is v17: its 61-byte header, theta, each vertex's count of
+  // rooted sketches (each below 32, so 5 bits each: 15,625 B), the
+  // 3,125 group masks, the pool's 85,966 10-bit block words (107,458 B)
+  // and its body, each array after its u64 length and each packed
+  // array after its width, then build_seconds and the checksum: these
+  // exact bytes.
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
-  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 16);
-  EXPECT_EQ(file.str().size(), 61u + 8 + (1 + 8 + 25000) + (8 + 3125 * 8) +
-                                   (1 + 8 + 85966 * 2) + (8 + 182446) + 16);
-  EXPECT_EQ(FileHash(file.str()), 0xa460699763deecb9ULL)
+  EXPECT_EQ(file.str()[pool_image::kVersionOffset], 17);
+  EXPECT_EQ(file.str().size(), 61u + 8 + (1 + 8 + 15625) + (8 + 3125 * 8) +
+                                   (1 + 8 + 107458) + (8 + 182446) + 16);
+  EXPECT_EQ(FileHash(file.str()), 0xcee21fece8caa2faULL)
       << std::hex << FileHash(file.str());
-  EXPECT_EQ(pool_image::Image(file.str(), network).count_width, 1u);
-  EXPECT_EQ(pool_image::Image(file.str(), network).width, 2u);
-  // The same bytes under a v15 header, whose in-trees stored their
-  // vertex ids and out-list ranks, are refused by their version.
-  std::string v15 = file.str();
-  v15[pool_image::kVersionOffset] = 15;
-  pool_image::RepairChecksum(&v15);
-  std::stringstream v15_file(v15);
-  IndexIoError v15_error;
-  EXPECT_EQ(LoadRrIndex(network, v15_file, &v15_error), nullptr);
-  EXPECT_EQ(v15_error.code, IndexIoCode::kBadVersion);
+  const pool_image::Image image(file.str(), network);
+  EXPECT_EQ(image.count_width, 5u);
+  EXPECT_EQ(image.width, 10u);
+  // The body is the v16 file's, byte for byte: only the offset arrays
+  // moved.
+  EXPECT_EQ(FileHash(std::string(image.body.begin(), image.body.end())),
+            0xe9a4624466670474ULL);
+  // The same bytes under a v16 header, whose root counts took 1, 2 or 4
+  // bytes and whose block words 2 or 4, are refused by their version.
+  std::string v16 = file.str();
+  v16[pool_image::kVersionOffset] = 16;
+  pool_image::RepairChecksum(&v16);
+  std::stringstream v16_file(v16);
+  IndexIoError v16_error;
+  EXPECT_EQ(LoadRrIndex(network, v16_file, &v16_error), nullptr);
+  EXPECT_EQ(v16_error.code, IndexIoCode::kBadVersion);
 
   // With repairs, the save folds base + overlay: its bytes load and save
   // back unchanged, and the loaded index holds the fold's sketches.
@@ -2531,8 +2551,8 @@ TEST(PooledLayoutTest, WideNetworkKeepsTwoByteWords) {
   // The dblp analog at scale 0.08 has 40,000 vertices: singletons rooted
   // at 2^15 and above, which made every directory word 4 bytes while
   // the directory held the roots. The pool's words and the file's hold
-  // only block starts, so both take 2 bytes, and the file loads and
-  // saves back unchanged.
+  // only block starts, so both take 10 bits, as on the 25,000-vertex
+  // network, and the file loads and saves back unchanged.
   const SocialNetwork network = BenchmarkNetwork(0.08);
   ASSERT_EQ(network.num_vertices(), 40000u);
   RrIndexOptions options;
@@ -2541,11 +2561,11 @@ TEST(PooledLayoutTest, WideNetworkKeepsTwoByteWords) {
   RrIndex index(network, options);
   index.Build();
   const RrSketchPool& pool = index.pool();
-  EXPECT_EQ(pool.directory_width(), 2u);
+  EXPECT_EQ(pool.directory_width(), 10u);
   EXPECT_EQ(pool.SizeBytes(), ExactSizeBytes(pool));
   std::stringstream file;
   ASSERT_TRUE(SaveRrIndex(index, file));
-  EXPECT_EQ(pool_image::Image(file.str(), network).width, 2u);
+  EXPECT_EQ(pool_image::Image(file.str(), network).width, 10u);
   IndexIoError error;
   const auto loaded = LoadRrIndex(network, file, &error);
   ASSERT_NE(loaded, nullptr) << error.message;
