@@ -67,21 +67,33 @@ inline uint64_t LoadBits(const uint8_t* data, uint64_t pos) {
 
 /// Overwrites the `width` (at most 32) bits at bit `pos` of a coded array
 /// with the low bits of `value`, keeping every other bit: the inverse of
-/// LoadBits.
+/// LoadBits. It updates the 64-bit words at multiples of 8 bytes from
+/// `data` that the bits fall in, one or two: a store that follows
+/// another in the same word then reads it back forwarded, where
+/// overlapping loads and stores at byte offsets would stall on each.
 inline void StoreBits(uint8_t* data, uint64_t pos, uint32_t width,
                       uint64_t value) {
-  uint64_t word;
-  std::memcpy(&word, data + (pos >> 3), sizeof(word));
-  if constexpr (std::endian::native == std::endian::big) {
-    word = __builtin_bswap64(word);
+  const auto update = [](uint8_t* at, uint64_t keep, uint64_t bits) {
+    uint64_t word;
+    std::memcpy(&word, at, sizeof(word));
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
+    }
+    word = (word & keep) | bits;
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
+    }
+    std::memcpy(at, &word, sizeof(word));
+  };
+  uint8_t* at = data + (pos >> 6) * sizeof(uint64_t);
+  const uint32_t shift = pos & 63;
+  const uint64_t mask = LowMask(width);
+  value &= mask;
+  update(at, ~(mask << shift), value << shift);
+  if (shift + width > 64) {
+    update(at + sizeof(uint64_t), ~(mask >> (64 - shift)),
+           value >> (64 - shift));
   }
-  const uint32_t shift = pos & 7;
-  word = (word & ~(LowMask(width) << shift)) |
-         (value & LowMask(width)) << shift;
-  if constexpr (std::endian::native == std::endian::big) {
-    word = __builtin_bswap64(word);
-  }
-  std::memcpy(data + (pos >> 3), &word, sizeof(word));
 }
 
 /// Writes fields one after another from bit 0 of `out`, a 64-bit word at
@@ -138,7 +150,8 @@ class BitWriter {
 /// PaddedBytes(size * w): the words, zero bits to the next byte, then
 /// kBitPadding zero bytes. Every writer that knows its words (Assign,
 /// Load) stores them once at the width the largest takes, in exact-size
-/// storage; Push widens in place when a word does not fit.
+/// storage; Push widens in place when a word does not fit, and its room
+/// (zero bytes past the padding) doubles as a vector's does.
 class PackedWords {
  public:
   /// The array's address, width and sign by value, so a loop that also
@@ -162,9 +175,7 @@ class PackedWords {
   /// Bits per word.
   uint32_t width() const { return width_; }
   Reader reader() const {
-    return {bytes_.empty() ? kZeroWord : bytes_.data(), width_,
-            static_cast<uint32_t>(LowMask(width_)),
-            signed_ && width_ != 0 ? 1u << (width_ - 1) : 0};
+    return {bytes_.empty() ? kZeroWord : bytes_.data(), width_, mask_, sign_};
   }
   uint32_t operator[](size_t i) const {
     PITEX_DCHECK(i < size_);
@@ -184,15 +195,19 @@ class PackedWords {
   }
 
   /// Appends a word, first widening every word in place to the bits it
-  /// takes if it does not fit: the room grows as a vector's does.
+  /// takes if it does not fit.
   void Push(uint32_t word) {
-    const uint32_t bits = BitsOf(word);
-    if (bits > width_) [[unlikely]] Widen(bits);
+    // It fits when it is below 2^w, or for a signed array at least
+    // -2^(w - 1) and below 2^(w - 1).
+    if (((word + sign_) & ~mask_) != 0) [[unlikely]] Widen(BitsOf(word));
     PITEX_DCHECK(BitsOf(word) <= width_);
-    ++size_;
+    const uint64_t pos = uint64_t{size_++} * width_;
     if (width_ == 0) return;
-    bytes_.resize(PaddedBytes(uint64_t{size_} * width_));
-    StoreBits(bytes_.data(), uint64_t{size_ - 1} * width_, width_, word);
+    const size_t need = PaddedBytes(pos + width_);
+    if (need > bytes_.size()) [[unlikely]] {
+      bytes_.resize(std::max(need, 2 * bytes_.size()));
+    }
+    StoreBits(bytes_.data(), pos, width_, word);
   }
   /// Makes the array the `count` words word(0) .. word(count - 1), at the
   /// width the largest takes, in exact-size storage.
@@ -214,7 +229,7 @@ class PackedWords {
     }
     bytes_ = std::move(bytes);
     size_ = count;
-    width_ = width;
+    SetWidth(width);
   }
   /// Makes the array the `count` words of `width` bits packed in `bytes`
   /// (packed()), in exact-size storage. False, and the array unchanged,
@@ -230,7 +245,7 @@ class PackedWords {
     if (!bytes.empty()) std::memcpy(padded.data(), bytes.data(), bytes.size());
     bytes_ = std::move(padded);
     size_ = count;
-    width_ = width;
+    SetWidth(width);
     return true;
   }
   /// The words' bytes without the padding: what Load takes.
@@ -242,7 +257,7 @@ class PackedWords {
   void Clear() {
     bytes_.clear();
     size_ = 0;
-    width_ = 0;
+    SetWidth(0);
   }
   size_t SizeBytes() const { return bytes_.capacity(); }
 
@@ -256,12 +271,21 @@ class PackedWords {
     for (size_t i = size_; i-- > 0;) {
       StoreBits(bytes_.data(), uint64_t{i} * width, width, from[i]);
     }
+    SetWidth(width);
+  }
+
+  /// Sets the width and the mask and sign bit a read takes from it.
+  void SetWidth(uint32_t width) {
     width_ = width;
+    mask_ = static_cast<uint32_t>(LowMask(width));
+    sign_ = signed_ && width != 0 ? 1u << (width - 1) : 0;
   }
 
   std::vector<uint8_t> bytes_;
   size_t size_ = 0;
   uint32_t width_ = 0;
+  uint32_t mask_ = 0;  // LowMask(width_)
+  uint32_t sign_ = 0;  // a signed array's top bit, else 0
   bool signed_ = false;
 };
 
